@@ -55,8 +55,7 @@ from repro.core.inputs import EncodedTable, InputEncoder, PairEncoding, batch_en
 from repro.core.model import TabSketchFM
 from repro.nn import lazy
 from repro.nn.tensor import no_grad
-from repro.sketch.pipeline import SketchConfig, TableSketch, sketch_table
-from repro.table.schema import Table
+from repro.sketch.pipeline import TableSketch, sketch_corpus  # noqa: F401 - re-exported
 
 DEFAULT_BATCH_SIZE = 16
 
@@ -156,28 +155,6 @@ class TableEmbeddings:
 
     table: np.ndarray    # (dim,) — BERT pooler output
     columns: np.ndarray  # (n_cols, dim) — first-last-avg over column spans
-
-
-def sketch_corpus(
-    tables: list[Table],
-    config: SketchConfig,
-    hasher=None,
-    workers: int | None = None,
-) -> list[TableSketch]:
-    """Sketch a corpus, optionally fanning out across ``workers`` threads.
-
-    Sketching is pure read-only numpy over an immutable hash family
-    (:class:`~repro.sketch.minhash.MinHasher` is stateless after
-    construction), so a thread pool is safe; it overlaps the hashing of one
-    table with the numpy reductions of another during bulk ingest.
-    """
-    hasher = hasher or config.build_hasher()
-    if workers and workers > 1 and len(tables) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(
-                pool.map(lambda t: sketch_table(t, config, hasher), tables)
-            )
-    return [sketch_table(t, config, hasher) for t in tables]
 
 
 class EmbeddingEngine:

@@ -38,8 +38,10 @@ def weighted_f1(labels: np.ndarray, predictions: np.ndarray) -> float:
         tp = int(np.sum((predictions == cls) & (labels == cls)))
         fp = int(np.sum((predictions == cls) & (labels != cls)))
         fn = int(np.sum((predictions != cls) & (labels == cls)))
-        score += (support / total) * _binary_f1(tp, fp, fn)
-    return float(score)
+        score += support * _binary_f1(tp, fp, fn)
+    # Dividing once keeps a perfect prediction at exactly 1.0: the weights
+    # are whole supports, so their sum cannot round past ``total``.
+    return float(score / total)
 
 
 def multilabel_weighted_f1(

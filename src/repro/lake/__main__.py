@@ -176,7 +176,6 @@ def cmd_ingest(args: argparse.Namespace) -> None:
     catalog.add_tables(
         fresh,
         batch_size=args.batch_size,
-        sketch_workers=args.sketch_workers,
         ingest_workers=args.ingest_workers,
         ingest_procs=args.ingest_procs,
     )
@@ -665,15 +664,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="tables per trunk forward during batched ingest",
     )
     ingest.add_argument(
-        "--sketch-workers", type=int, default=None,
-        help="threads for the parallel sketching stage (default: follow "
-             "--ingest-workers)",
-    )
-    ingest.add_argument(
         "--ingest-workers", type=int, default=None,
-        help="threads for the whole ingest pipeline: sketching, batched "
-             "trunk forwards, and per-shard store writes (default: "
-             "sequential)",
+        help="threads for the ingest pipeline's batched trunk forwards and "
+             "per-shard store writes (default: sequential)",
     )
     ingest.add_argument(
         "--ingest-procs", type=int, default=None,

@@ -42,12 +42,12 @@ import numpy as np
 
 from repro import obs
 from repro.core.embed import TableEmbedder, finalize_column_vectors
-from repro.core.engine import TableEmbeddings, sketch_corpus
+from repro.core.engine import TableEmbeddings
 from repro.lake.serialization import FingerprintMismatchError
 from repro.lake.store import LakeStore, LakeTableRecord, default_n_shards
 from repro.search.backend import IndexSpec, normalize_index_spec, stable_shard
 from repro.search.tables import TableSearcher
-from repro.sketch.pipeline import TableSketch, sketch_table
+from repro.sketch.pipeline import TableSketch, sketch_corpus, sketch_table
 from repro.table.schema import Table, table_from_rows
 from repro.text.sbert import HashedSentenceEncoder
 
@@ -358,21 +358,20 @@ class LakeCatalog:
         self,
         tables: dict[str, Table],
         batch_size: int | None = None,
-        sketch_workers: int | None = None,
         ingest_workers: int | None = None,
         ingest_procs: int | None = None,
     ) -> list[LakeTableRecord]:
         """Bulk add through the parallel ingest pipeline.
 
-        The whole delta is sketched across threads, embedded in
-        ``ceil(N / batch_size)`` length-bucketed forwards (batches fanned
-        across threads too), and written to the store with one manifest
+        The whole delta is sketched in one batched pass (every distinct
+        string hashed once; bit-identical to per-table sketching), embedded
+        in ``ceil(N / batch_size)`` length-bucketed forwards (batches
+        fanned across threads), and written to the store with one manifest
         flush per touched shard — shards flush independently and in
         parallel, so a crash loses at most one shard's unflushed tail.
 
-        ``ingest_workers`` sets the thread count for every stage;
-        ``sketch_workers`` overrides it for the sketching stage only
-        (back-compat knob). ``ingest_procs > 1`` routes the embedding
+        ``ingest_workers`` sets the thread count for the embedding and
+        store stages. ``ingest_procs > 1`` routes the embedding
         stage through the engine's spawn pool instead of threads — the
         multi-core lever for GIL-bound boxes (default:
         ``$REPRO_LAKE_INGEST_PROCS`` or in-process). Results are
@@ -391,12 +390,7 @@ class LakeCatalog:
         if ingest_procs is None:
             ingest_procs = default_ingest_procs()
         with obs.span("lake.ingest", tables=len(ordered)) as ingest:
-            sketches = sketch_corpus(
-                ordered,
-                self.sketch_config,
-                self._hasher,
-                workers=sketch_workers if sketch_workers is not None else workers,
-            )
+            sketches = sketch_corpus(ordered, self.sketch_config, self._hasher)
             embeddings = self._embed_sketches(
                 sketches,
                 batch_size=batch_size,

@@ -59,11 +59,10 @@ from repro.lake.api import (
     table_score,
 )
 from repro import obs
-from repro.core.engine import sketch_corpus
 from repro.lake.catalog import LakeCatalog
 from repro.search.backend import stable_shard
 from repro.search.tables import TableMatch
-from repro.sketch.pipeline import sketch_table
+from repro.sketch.pipeline import sketch_corpus, sketch_table
 from repro.table.schema import Table
 
 _QUERIES_TOTAL = obs.counter(
@@ -609,20 +608,18 @@ class LakeService:
         self,
         tables: dict[str, Table],
         batch_size: int | None = None,
-        sketch_workers: int | None = None,
         ingest_workers: int | None = None,
         ingest_procs: int | None = None,
     ):
         """Bulk ingest through the parallel pipeline:
         ``ceil(N / batch_size)`` trunk forwards for N new tables, fanned
         across ``ingest_workers`` threads (or ``ingest_procs`` spawn-pool
-        processes for the embedding stage) along with sketching and the
-        per-shard store writes."""
+        processes for the embedding stage) along with the per-shard store
+        writes; sketching is one batched pass."""
         with self._lock:
             records = self.catalog.add_tables(
                 tables,
                 batch_size=batch_size,
-                sketch_workers=sketch_workers,
                 ingest_workers=ingest_workers,
                 ingest_procs=ingest_procs,
             )

@@ -11,7 +11,8 @@ the index structures its baselines need:
 - :mod:`repro.sketch.content` — the table-level content snapshot: a MinHash
   over the first 10 000 rows serialized as strings (§III-A).
 - :mod:`repro.sketch.pipeline` — assembles all sketches for a table into a
-  :class:`~repro.sketch.pipeline.TableSketch`, the model's raw input.
+  :class:`~repro.sketch.pipeline.TableSketch`, the model's raw input;
+  ``sketch_corpus`` is the one (batched, hash-once) sketch path.
 - :mod:`repro.sketch.lsh` — LSH Forest and LSH Ensemble over MinHash
   (baselines for join search), plus a generic banded MinHash-LSH index.
 - :mod:`repro.sketch.simhash` — SimHash over dense vectors (WarpGate's index).
@@ -30,7 +31,13 @@ from repro.sketch.numeric import (
 )
 from repro.sketch.content import content_snapshot
 from repro.sketch.interactions import INTERACTION_DIM, interaction_features
-from repro.sketch.pipeline import ColumnSketch, SketchConfig, TableSketch, sketch_table
+from repro.sketch.pipeline import (
+    ColumnSketch,
+    SketchConfig,
+    TableSketch,
+    sketch_corpus,
+    sketch_table,
+)
 from repro.sketch.lsh import LshEnsemble, LshForest, MinHashLsh
 from repro.sketch.simhash import SimHashIndex
 
@@ -48,6 +55,7 @@ __all__ = [
     "ColumnSketch",
     "SketchConfig",
     "TableSketch",
+    "sketch_corpus",
     "sketch_table",
     "LshEnsemble",
     "LshForest",

@@ -21,7 +21,7 @@ _ROW_SEP = "\x1f"
 
 def row_strings(table: Table, limit: int = CONTENT_SNAPSHOT_ROWS) -> list[str]:
     """Serialize the first ``limit`` rows to strings (one string per row)."""
-    return [_ROW_SEP.join(row) for row in table.rows(limit=limit)]
+    return list(map(_ROW_SEP.join, zip(*(c.values[:limit] for c in table.columns))))
 
 
 def content_snapshot(

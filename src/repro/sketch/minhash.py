@@ -7,7 +7,8 @@ similarity (Broder 1997; Leskovec et al., "Mining of Massive Datasets").
 
 Each ``h_i`` is a multiply-shift hash ``(a_i * fnv64(x) + b_i) mod 2^64`` with
 odd ``a_i`` (Dietzfelbinger's universal family); numpy's wrapping ``uint64``
-arithmetic computes the whole (k, n) hash matrix in one vectorized pass.
+arithmetic computes the whole (k, n) hash matrix in one vectorized pass, and
+``np.minimum.reduceat`` reads the signatures of many sets off one matrix.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.utils.hashing import hash_string
+from repro.utils.hashing import hash_strings
 from repro.utils.rng import spawn_rng
 
 #: Default signature length; matches datasketch's default of 128.
@@ -25,6 +26,11 @@ DEFAULT_NUM_PERM = 128
 
 #: Sentinel for the empty set (no hash can reach it in practice).
 _EMPTY_SLOT = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+#: Largest (k, n) hash matrix ``signatures`` materializes at once, in
+#: elements (2 MB of uint64); wider inputs are hashed a few permutations at
+#: a time, so scratch memory does not grow with the batch.
+_MATRIX_ELEMENTS = 1 << 18
 
 _U64_SCALE = float(2**64)
 
@@ -83,18 +89,40 @@ class MinHasher:
         self._a = (a << np.uint64(1)) | np.uint64(1)  # odd multipliers
         self._b = rng.integers(0, 2**63, size=num_perm, dtype=np.uint64)
 
+    def signatures(self, raw: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+        """Signatures of consecutive sets of pre-hashed items, ``uint64[s, k]``.
+
+        ``raw`` holds the FNV-1a hashes of set 0's items, then set 1's, …;
+        ``sizes[j]`` is the size of set ``j`` (duplicates within a set are
+        harmless, empty sets get the empty signature). This is the one place
+        the hash family is applied — every sketch, single or batched, is a
+        row of its result — so a set's signature cannot depend on what it
+        was batched with.
+        """
+        sizes = np.asarray(sizes, dtype=np.int64)
+        if int(sizes.sum()) != raw.size:
+            raise ValueError(
+                f"set sizes sum to {int(sizes.sum())}, got {raw.size} hashes"
+            )
+        out = np.full((len(sizes), self.num_perm), _EMPTY_SLOT, dtype=np.uint64)
+        filled = np.flatnonzero(sizes)
+        if not filled.size:
+            return out
+        # reduceat wants the start of every non-empty set; empty ones are
+        # skipped (their start would alias the next set's first item).
+        starts = (np.cumsum(sizes) - sizes)[filled]
+        step = max(1, _MATRIX_ELEMENTS // raw.size)
+        for lo in range(0, self.num_perm, step):
+            # (k', n) = a[:,None] * raw[None,:] + b[:,None], wrapping mod 2^64.
+            hashed = self._a[lo : lo + step, None] * raw
+            hashed += self._b[lo : lo + step, None]
+            out[filled, lo : lo + step] = np.minimum.reduceat(hashed, starts, axis=1).T
+        return out
+
     def sketch(self, items: Iterable[str]) -> MinHash:
         """MinHash signature of the *set* of items (duplicates are ignored)."""
         unique = set(items)
-        if not unique:
-            return MinHash(np.full(self.num_perm, _EMPTY_SLOT, dtype=np.uint64))
-        raw = np.fromiter(
-            (hash_string(x) for x in unique), dtype=np.uint64, count=len(unique)
-        )
-        with np.errstate(over="ignore"):
-            # (k, n) = a[:,None] * raw[None,:] + b[:,None], wrapping mod 2^64.
-            hashed = self._a[:, None] * raw[None, :] + self._b[:, None]
-        return MinHash(hashed.min(axis=1))
+        return MinHash(self.signatures(hash_strings(unique), [len(unique)])[0])
 
     def sketch_tokens(self, text_values: Iterable[str]) -> MinHash:
         """Signature over the set of whitespace tokens across all values.
@@ -103,10 +131,15 @@ class MinHasher:
         columns, we also compute a MinHash signature for set of words within
         the column" (§III-A).
         """
-        words: set[str] = set()
-        for value in text_values:
-            words.update(value.split())
-        return self.sketch(words)
+        return self.sketch(word_set(text_values))
+
+
+def word_set(text_values: Iterable[str]) -> set[str]:
+    """The set of whitespace tokens across all values."""
+    words: set[str] = set()
+    for value in text_values:
+        words.update(value.split())
+    return words
 
 
 def slot_features(sketch: MinHash) -> np.ndarray:

@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.table.infer import numeric_view
 from repro.table.schema import Column, ColumnType
-from repro.utils.hashing import hash_string
+from repro.utils.hashing import hash_strings
 
 #: unique + nan + width + 9 percentiles + mean + std + min + max
 NUMERICAL_SKETCH_DIM = 16
@@ -133,7 +133,8 @@ class NumericAccumulator:
     """Mergeable per-column state behind :class:`NumericalSketch`.
 
     ``sample`` is always sorted ascending; ``distinct`` is the sorted
-    bottom-k of FNV-1a hashes of the distinct non-null string values.
+    bottom-k of the :func:`_mix64`-finalized FNV-1a hashes of the distinct
+    non-null string values.
     ``sample_exact`` / ``distinct_exact`` record whether those summaries
     still hold *every* underlying value — while they do, merges are exact.
     """
@@ -276,27 +277,35 @@ class NumericAccumulator:
 
 
 def numerical_profile(
-    column: Column, ctype: "ColumnType | None" = None
+    column: Column,
+    ctype: "ColumnType | None" = None,
+    non_null: "list[str] | None" = None,
+    distinct_hashes: "np.ndarray | None" = None,
 ) -> tuple[NumericalSketch, NumericAccumulator]:
     """Sketch *and* accumulator for one column — the single cold path.
 
     The sketch is always computed from the full data (never from the
     compressed sample), so cold sketches stay exact regardless of the caps.
     ``ctype`` overrides type inference; appends use it to freeze a delta
-    column to the type the stored column was ingested with.
+    column to the type the stored column was ingested with. A caller that
+    already holds the column's non-null cells and the raw FNV-1a hash of
+    each *distinct* one (the batched pipeline does, for the values MinHash)
+    passes them as ``non_null`` / ``distinct_hashes`` so neither is redone.
     """
     n_rows = column.n_rows
-    non_null = column.non_null_values()
+    if non_null is None:
+        non_null = column.non_null_values()
+    if distinct_hashes is None:
+        distinct_hashes = hash_strings(set(non_null))
     n_nonnull = len(non_null)
     nan_fraction = 1.0 - (n_nonnull / n_rows) if n_rows else 0.0
-    distinct_values = set(non_null)
-    n_distinct = len(distinct_values)
+    n_distinct = len(distinct_hashes)
     unique_fraction = (n_distinct / n_rows) if n_rows else 0.0
 
     if ctype is None:
         ctype = column.inferred_type
     if ctype.is_numeric:
-        numbers = np.asarray(numeric_view(column.values, ctype), dtype=np.float64)
+        numbers = np.asarray(numeric_view(non_null, ctype), dtype=np.float64)
         # Order-canonical: every derived statistic (and the stored sample)
         # is a function of the multiset, so merge-vs-rebuild can be bitwise.
         numbers.sort()
@@ -304,9 +313,9 @@ def numerical_profile(
         avg_width = 0.0
     else:
         numbers = np.asarray([], dtype=np.float64)
-        widths = [len(v.encode("utf-8")) for v in non_null]
-        width_sum = int(sum(widths))
-        avg_width = float(np.mean(widths)) if widths else 0.0
+        # UTF-8 of a concatenation is the concatenation of the UTF-8s.
+        width_sum = len("".join(non_null).encode("utf-8"))
+        avg_width = width_sum / n_nonnull if n_nonnull else 0.0
 
     if numbers.size:
         percentiles = tuple(float(p) for p in np.percentile(numbers, _PERCENTILES))
@@ -341,13 +350,7 @@ def numerical_profile(
         )
         sample_exact = False
 
-    hashes = _mix64(
-        np.fromiter(
-            (hash_string(v) for v in distinct_values),
-            dtype=np.uint64,
-            count=n_distinct,
-        )
-    )
+    hashes = _mix64(distinct_hashes)
     hashes.sort()
     if n_distinct <= DISTINCT_CAP:
         distinct = hashes

@@ -11,22 +11,39 @@ For every table we produce a :class:`TableSketch`:
 
 The model input layer consumes the *normalized* forms: MinHash signatures
 scaled to [0, 1] and the normalized numerical-statistics vector.
+
+Sketching is **batch-first and hash-once**: :func:`sketch_corpus` is the one
+sketch path (``sketch_table(t)`` is ``sketch_corpus([t])[0]``). A batch
+collects every set that gets a signature — each column's distinct values and
+words, each table's row strings — hashes each distinct string of the batch
+once, and reads all signatures off one permutation pass. A set's signature
+is a function of the set alone, so batched sketches are bit-identical to
+per-table ones at any batch composition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.sketch.content import CONTENT_SNAPSHOT_ROWS, content_snapshot
-from repro.sketch.minhash import DEFAULT_NUM_PERM, MinHash, MinHasher
+from repro.sketch.content import CONTENT_SNAPSHOT_ROWS, row_strings
+from repro.sketch.minhash import DEFAULT_NUM_PERM, MinHash, MinHasher, word_set
 from repro.sketch.numeric import (
     NumericAccumulator,
     NumericalSketch,
     numerical_profile,
 )
 from repro.table.schema import Column, ColumnType, Table
+from repro.utils.hashing import hash_strings
+
+#: Cells (rows x columns) :func:`sketch_corpus` gathers before it hashes a
+#: batch. Bounds the scratch state (row strings, the distinct-string table,
+#: raw hashes: a few MB) so a whole lake can be passed in one call; large
+#: enough that the per-batch numpy overhead is amortized.
+_BATCH_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -171,24 +188,113 @@ class TableSketch:
         )
 
 
+def _hash_sets(sets: Sequence[set[str]]) -> tuple[np.ndarray, np.ndarray]:
+    """Raw FNV-1a hashes of every set's members, set after set.
+
+    Returns ``(raw, bounds)`` with set ``j``'s hashes at
+    ``raw[bounds[j]:bounds[j + 1]]``. A string that occurs in several sets
+    (a join key in two columns, a one-word cell in both the values and the
+    words set) is hashed once.
+    """
+    members = list(chain.from_iterable(sets))
+    bounds = np.zeros(len(sets) + 1, dtype=np.int64)
+    np.cumsum([len(s) for s in sets], out=bounds[1:])
+    distinct = list(set(members))
+    hash_of = dict(zip(distinct, hash_strings(distinct).tolist()))
+    raw = np.fromiter(
+        map(hash_of.__getitem__, members), dtype=np.uint64, count=len(members)
+    )
+    return raw, bounds
+
+
+def _sketch_batch(
+    columns: Sequence[Column], row_sets: Sequence[set[str]], hasher: MinHasher
+) -> tuple[list[ColumnSketch], list[MinHash]]:
+    """Column sketches for ``columns`` and one snapshot per set of rows."""
+    non_nulls = [column.non_null_values() for column in columns]
+    sets: list[set[str]] = []  # values, words per column; then the row sets
+    for column, non_null in zip(columns, non_nulls):
+        values = set(non_null)
+        # Words MinHash is for string columns only (§III-A); the empty set
+        # yields the empty signature for the other types.
+        is_string = column.inferred_type == ColumnType.STRING
+        sets += [values, word_set(values) if is_string else set()]
+    sets += row_sets
+    raw, bounds = _hash_sets(sets)
+    signatures = hasher.signatures(raw, np.diff(bounds))
+    column_sketches = []
+    for i, (column, non_null) in enumerate(zip(columns, non_nulls)):
+        value_hashes = raw[bounds[2 * i] : bounds[2 * i + 1]]
+        numeric, acc = numerical_profile(
+            column, non_null=non_null, distinct_hashes=value_hashes
+        )
+        column_sketches.append(
+            ColumnSketch(
+                name=column.name,
+                ctype=column.inferred_type,
+                values_minhash=MinHash(signatures[2 * i]),
+                words_minhash=MinHash(signatures[2 * i + 1]),
+                numeric=numeric,
+                n_values=len(value_hashes),
+                numeric_acc=acc,
+            )
+        )
+    snapshots = [MinHash(row) for row in signatures[2 * len(columns) :]]
+    return column_sketches, snapshots
+
+
 def sketch_column(column: Column, hasher: MinHasher) -> ColumnSketch:
     """Sketch one column: values MinHash, words MinHash, numerical sketch."""
-    non_null = column.non_null_values()
-    values_mh = hasher.sketch(non_null)
-    if column.inferred_type == ColumnType.STRING:
-        words_mh = hasher.sketch_tokens(non_null)
-    else:
-        words_mh = hasher.sketch(())
-    numeric, acc = numerical_profile(column)
-    return ColumnSketch(
-        name=column.name,
-        ctype=column.inferred_type,
-        values_minhash=values_mh,
-        words_minhash=words_mh,
-        numeric=numeric,
-        n_values=len(set(non_null)),
-        numeric_acc=acc,
-    )
+    return _sketch_batch([column], [], hasher)[0][0]
+
+
+def _cell_bounded(tables: Iterable[Table]) -> Iterator[list[Table]]:
+    batch: list[Table] = []
+    cells = 0
+    for table in tables:
+        batch.append(table)
+        cells += table.n_rows * table.n_cols
+        if cells >= _BATCH_CELLS:
+            yield batch
+            batch, cells = [], 0
+    if batch:
+        yield batch
+
+
+def sketch_corpus(
+    tables: Iterable[Table],
+    config: SketchConfig | None = None,
+    hasher: MinHasher | None = None,
+) -> list[TableSketch]:
+    """Produce the full :class:`TableSketch` of every table, in order.
+
+    Bit-identical to sketching each table on its own, whatever the batch:
+    ingest, the query path and append deltas all come through here. Passing
+    a pre-built ``hasher`` avoids recreating the hash family per call.
+    """
+    config = config or SketchConfig()
+    hasher = hasher or config.build_hasher()
+    if hasher.num_perm != config.num_perm:
+        raise ValueError("hasher num_perm does not match config.num_perm")
+    sketches = []
+    for batch in _cell_bounded(tables):
+        column_sketches, snapshots = _sketch_batch(
+            [column for table in batch for column in table.columns],
+            [set(row_strings(table, config.snapshot_rows)) for table in batch],
+            hasher,
+        )
+        remaining = iter(column_sketches)
+        for table, snapshot in zip(batch, snapshots):
+            sketches.append(
+                TableSketch(
+                    table_name=table.name,
+                    description=table.description,
+                    column_sketches=list(islice(remaining, table.n_cols)),
+                    snapshot=snapshot,
+                    config=config,
+                )
+            )
+    return sketches
 
 
 def sketch_table(
@@ -196,19 +302,5 @@ def sketch_table(
     config: SketchConfig | None = None,
     hasher: MinHasher | None = None,
 ) -> TableSketch:
-    """Produce the full :class:`TableSketch` for ``table``.
-
-    Passing a pre-built ``hasher`` avoids recreating the hash family per
-    table when sketching a whole corpus.
-    """
-    config = config or SketchConfig()
-    hasher = hasher or config.build_hasher()
-    if hasher.num_perm != config.num_perm:
-        raise ValueError("hasher num_perm does not match config.num_perm")
-    return TableSketch(
-        table_name=table.name,
-        description=table.description,
-        column_sketches=[sketch_column(c, hasher) for c in table.columns],
-        snapshot=content_snapshot(table, hasher, limit=config.snapshot_rows),
-        config=config,
-    )
+    """The :class:`TableSketch` of one table: ``sketch_corpus([table])[0]``."""
+    return sketch_corpus([table], config, hasher)[0]

@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.utils.hashing import hash_string
+from repro.utils.hashing import hash_strings
 from repro.utils.rng import spawn_rng
 
 
@@ -129,7 +129,7 @@ def simhash_sketch(items: Iterable[str], bits: int = SIMHASH_BITS) -> SimHashSke
         raise ValueError("bits must be >= 1")
     counts = np.zeros(bits, dtype=np.int64)
     n_words = -(-bits // 64)
-    raw = np.fromiter((hash_string(x) for x in items), dtype=np.uint64)
+    raw = hash_strings(items)
     if raw.size == 0:
         return SimHashSketch(counts)
     with np.errstate(over="ignore"):

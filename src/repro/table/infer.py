@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import re
+from itertools import islice
 
 from repro.table.schema import ColumnType, is_null
 
@@ -33,6 +34,18 @@ _DATE_FORMATS = (
     "%Y",
 )
 
+#: Necessary shape of any cell :data:`_DATE_FORMATS` can parse, so ordinary
+#: words, keys and numbers never enter ``strptime`` (which reports a miss by
+#: raising, once per format). Deliberately loose — any run of digits for a
+#: field, any token for a month name, optional blanks around fields — so it
+#: is a superset under every locale; ``strptime`` still decides. The bare
+#: ``%Y`` form needs no branch: all-digit cells return before the gate.
+_DATE_SHAPE = re.compile(
+    r"\s*\d+\s*[-/]\s*\d+\s*[-/]\s*\d+(?:[Tt\s]\s*\d+\s*:\s*\d+\s*:\s*\d+)?$"
+    r"|\d+\s+\S+\s+\d+$"  # %d %b %Y
+    r"|\S+\s+\d+\s*,\s+\d+$"  # %b %d, %Y
+)
+
 
 def parse_date(cell: str) -> float | None:
     """Parse ``cell`` as a date and return a POSIX timestamp, else ``None``.
@@ -48,6 +61,8 @@ def parse_date(cell: str) -> float | None:
         year = int(text)
         if 1500 <= year <= 2200 and len(text) == 4:
             return _dt.datetime(year, 1, 1, tzinfo=_dt.timezone.utc).timestamp()
+        return None
+    if not _DATE_SHAPE.match(text):
         return None
     for fmt in _DATE_FORMATS:
         try:
@@ -76,7 +91,9 @@ def infer_column_type(values: list[str]) -> ColumnType:
     defaulting to string. A sample is typed as a class only when *every*
     sampled non-null value parses as that class.
     """
-    sample = [v for v in values if not is_null(v)][:TYPE_INFERENCE_SAMPLE]
+    sample = list(
+        islice((v for v in values if not is_null(v)), TYPE_INFERENCE_SAMPLE)
+    )
     if not sample:
         return ColumnType.STRING
 

@@ -6,8 +6,6 @@ stochastic component (which needs explicit, seedable RNG streams).
 """
 
 from repro.utils.hashing import (
-    HASH_PRIME,
-    combine_hashes,
     hash_bytes,
     hash_string,
     hash_strings,
@@ -16,8 +14,6 @@ from repro.utils.rng import RngStream, spawn_rng
 from repro.utils.io import ensure_dir, read_json, write_json
 
 __all__ = [
-    "HASH_PRIME",
-    "combine_hashes",
     "hash_bytes",
     "hash_string",
     "hash_strings",

@@ -211,14 +211,14 @@ def test_finalize_clamps_target_to_max_seq_len(tiny_encoder, ragged_sketches):
 
 
 # --------------------------------------------------------------------- #
-def test_sketch_corpus_parallel_matches_sequential(
+def test_sketch_corpus_batched_matches_per_table(
     city_table, product_table, mixed_table, tiny_sketch_config
 ):
     tables = [city_table, product_table, mixed_table] * 2
-    sequential = sketch_corpus(tables, tiny_sketch_config)
-    parallel = sketch_corpus(tables, tiny_sketch_config, workers=4)
-    assert [s.table_name for s in parallel] == [s.table_name for s in sequential]
-    for a, b in zip(parallel, sequential):
+    sequential = [sketch_table(t, tiny_sketch_config) for t in tables]
+    batched = sketch_corpus(tables, tiny_sketch_config)
+    assert [s.table_name for s in batched] == [s.table_name for s in sequential]
+    for a, b in zip(batched, sequential):
         assert np.array_equal(a.snapshot.signature, b.snapshot.signature)
         for col_a, col_b in zip(a.column_sketches, b.column_sketches):
             assert np.array_equal(

@@ -94,11 +94,29 @@ def test_bulk_add_performs_ceil_n_over_b_forwards(lake_embedder, lake_tables):
         )
 
 
-def test_bulk_add_with_parallel_sketching(lake_embedder, lake_tables):
-    catalog = LakeCatalog(lake_embedder, batch_size=16)
-    catalog.add_tables(lake_tables, sketch_workers=4)
-    assert catalog.embed_calls == 1  # ceil(9 / 16)
-    assert len(catalog) == len(lake_tables)
+def test_bulk_add_sketches_bit_identical_to_per_table_add(
+    lake_embedder, lake_tables
+):
+    """Batched ``add_tables`` ≡ per-table ``add_table``: one sketch path,
+    so the stored sketches agree to the bit however tables were grouped."""
+    batched = LakeCatalog(lake_embedder, batch_size=16)
+    batched.add_tables(lake_tables)
+    assert batched.embed_calls == 1  # ceil(9 / 16)
+    assert len(batched) == len(lake_tables)
+
+    sequential = LakeCatalog(lake_embedder)
+    for table in lake_tables.values():
+        sequential.add_table(table)
+    for name in lake_tables:
+        ours, theirs = batched.records[name].sketch, sequential.records[name].sketch
+        assert np.array_equal(ours.snapshot.signature, theirs.snapshot.signature)
+        for a, b in zip(ours.column_sketches, theirs.column_sketches, strict=True):
+            assert (a.name, a.ctype, a.n_values) == (b.name, b.ctype, b.n_values)
+            assert np.array_equal(a.values_minhash.signature, b.values_minhash.signature)
+            assert np.array_equal(a.words_minhash.signature, b.words_minhash.signature)
+            assert a.numeric == b.numeric
+            assert np.array_equal(a.numeric_acc.sample, b.numeric_acc.sample)
+            assert np.array_equal(a.numeric_acc.distinct, b.numeric_acc.distinct)
 
 
 def test_bulk_add_duplicate_rejected_before_any_embedding(

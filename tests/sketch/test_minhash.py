@@ -124,3 +124,52 @@ def test_estimate_within_tolerance_property(shared, only_a, only_b):
     exact = exact_jaccard(a, b)
     sigma = np.sqrt(max(exact * (1 - exact), 0.25 / 128) / 128)
     assert abs(estimate - exact) <= max(4 * sigma, 0.08)
+
+
+# --------------------------------------------------------------------- #
+# The hash family is part of every stored lake: pin it.
+# --------------------------------------------------------------------- #
+GOLDEN_32_SEED_1 = [
+    333307821777200349, 6085187625009016741, 4059725372488361054,
+    6205481422040027024, 720535985356325348, 4374618135846533735,
+    5409663700654400598, 5565406634320488949, 2046633871099466449,
+    7065479673768581030, 1626665771460512226, 13137941317498442893,
+    2811779300240188389, 570175427107873061, 405206466278141762,
+    1825923331264082604, 221526381171868580, 258428420358876580,
+    3685604282255735711, 5886442790349129729, 9987917990690321671,
+    8863292865443060977, 4670377114797059101, 1958663361266658387,
+    139728636692980666, 5645376455296232503, 9572546966581890574,
+    3220902255145931754, 6608943189789542626, 4294840050457628974,
+    6500443169906027317, 73932227700805711,
+]
+
+
+def test_golden_signature_pins_the_hash_family():
+    """FNV-1a, the seeded (a, b) draw, or the min-reduction drifting would
+    silently orphan every persisted signature; this literal fails first."""
+    sketch = MinHasher(num_perm=32, seed=1).sketch(["vienna", "graz", "linz"])
+    assert sketch.signature.dtype == np.uint64
+    assert sketch.signature.tolist() == GOLDEN_32_SEED_1
+
+
+def test_signatures_of_many_sets_equal_single_sketches(hasher, monkeypatch):
+    from repro.sketch import minhash
+    from repro.utils.hashing import hash_strings
+
+    sets = [["a", "b", "c"], [], ["b"], [], ["x", "y", "a", "a"], []]
+    raw = hash_strings([item for items in sets for item in items])
+    expected = np.stack([hasher.sketch(items).signature for items in sets])
+    batched = hasher.signatures(raw, [len(items) for items in sets])
+    assert np.array_equal(batched, expected)
+    assert hasher.sketch([]).is_empty() and hasher.sketch(sets[1]).is_empty()
+    # A batch wider than the scratch budget is hashed a few permutations at
+    # a time; the result must not depend on where the budget falls.
+    monkeypatch.setattr(minhash, "_MATRIX_ELEMENTS", 3 * raw.size)
+    assert np.array_equal(
+        hasher.signatures(raw, [len(items) for items in sets]), expected
+    )
+
+
+def test_signatures_rejects_sizes_that_do_not_cover_the_hashes(hasher):
+    with pytest.raises(ValueError, match="sizes sum"):
+        hasher.signatures(np.zeros(3, dtype=np.uint64), [1, 1])
