@@ -12,8 +12,9 @@ on a 180-table / 540-column synthetic lake (≥500 columns):
   hardware-dependent (thread overlap only pays where BLAS/IO release the
   GIL), so it is reported but not asserted.
 - **query** — union-query latency against 1-, 4-, and 8-shard stores (the
-  fan-out + k-way merge path), with the cross-layout ranking-parity
-  invariant asserted on every member.
+  fan-out + k-way merge path; one shard is the same path with one
+  sub-index, whose answer passes through unmerged), with the ranking-parity
+  invariant across shard counts asserted on every member.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ def experiment(tmp_path_factory):
             "pipeline_worker_scaling_4v1": round(
                 pipeline_s[1] / max(pipeline_s[4], 1e-9), 2
             ),
-            "query_overhead_8shards_vs_flat": round(
+            "query_overhead_8shards_vs_1shard": round(
                 query_ms[8] / max(query_ms[1], 1e-9), 2
             ),
         },
@@ -186,4 +187,4 @@ def bench_sharded_lake(benchmark, experiment):
     # ingests >=2x faster than the serial per-table path, and the sharded
     # fan-out does not blow up query latency.
     assert speedups["ingest_speedup_4_workers"] >= 2.0
-    assert speedups["query_overhead_8shards_vs_flat"] < 10.0
+    assert speedups["query_overhead_8shards_vs_1shard"] < 10.0

@@ -57,7 +57,7 @@ from repro.lake.frontend import FrontendThread, LakeFrontend
 from repro.lake.replica import ReplicaService, SnapshotPublisher
 from repro.lake.server import LakeServer, ServerThread
 from repro.lake.service import LakeService
-from repro.lake.store import LakeShard, LakeStore, LakeTableRecord, default_n_shards
+from repro.lake.store import LakeShard, LakeStore, LakeTableRecord
 
 __all__ = [
     "API_VERSION",
@@ -81,7 +81,6 @@ __all__ = [
     "SnapshotPublisher",
     "Timings",
     "config_fingerprint",
-    "default_n_shards",
     "pack_table_sketch",
     "unpack_table_sketch",
 ]

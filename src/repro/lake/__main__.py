@@ -26,9 +26,9 @@ carries, pretty-printed with sorted keys).
 ``--index-backend`` picks the vector-index backend for a *new* lake
 (``exact`` or ``hnsw``, optionally with hyperparameters, e.g.
 ``hnsw:m=16,ef_search=48``). ``--shards`` picks the shard count for a
-*new* lake (default ``$REPRO_LAKE_SHARDS`` or 1 — the flat layout). Both
-are folded into the lake's config fingerprint: an existing lake always
-reopens under the backend and layout it was built with, and naming a
+*new* lake (default 1). Both are folded into the lake's config
+fingerprint: an existing lake always reopens under the backend and
+shard count it was built with, and naming a
 different one fails fast instead of silently serving mismatched
 artifacts; ``reshard`` is the one-shot in-place migration between shard
 counts (no re-embedding — stored vectors are re-routed and the per-shard
@@ -62,14 +62,7 @@ from repro.lake.client import LakeClient
 from repro.lake.server import LakeServer
 from repro.lake.serialization import FingerprintMismatchError, config_fingerprint
 from repro.lake.service import LakeService
-from repro.lake.store import (
-    INDEX_NAME,
-    MANIFEST_NAME,
-    SHARDS_DIR,
-    TABLES_DIR,
-    LakeStore,
-    default_n_shards,
-)
+from repro.lake.store import MANIFEST_NAME, STORE_FILES, LakeStore
 from repro.search.backend import normalize_index_spec, validate_index_spec
 from repro.sketch.pipeline import SketchConfig
 from repro.table.csvio import read_csv
@@ -157,7 +150,9 @@ def cmd_ingest(args: argparse.Namespace) -> None:
         sbert = HashedSentenceEncoder(dim=args.sbert_dim) if args.sbert_dim else None
         save_bundle(args.lake, model, tokenizer, sbert=sbert)
         spec = normalize_index_spec(args.index_backend)
-        n_shards = args.shards if args.shards is not None else default_n_shards()
+        n_shards = (
+            args.shards if args.shards is not None else LakeStore.DEFAULT_SHARDS
+        )
         fingerprint = config_fingerprint(
             config, sbert=sbert, model=model, index_spec=spec, n_shards=n_shards
         )
@@ -518,9 +513,6 @@ def cmd_stats(args: argparse.Namespace) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-#: Store-layout files swapped by ``reshard`` — everything under the lake
-#: root that belongs to the store (the model/vocab bundle stays put).
-_STORE_FILES = (MANIFEST_NAME, INDEX_NAME, TABLES_DIR, SHARDS_DIR)
 _RESHARD_BACKUP = ".reshard.old"
 _RESHARD_STAGE = ".reshard.tmp"
 #: Tables staged per write batch during reshard — bounds peak memory to a
@@ -532,19 +524,20 @@ def _swap_store_layout(lake_root: Path, staged_root: Path) -> None:
     """Replace the lake's store files with the staged re-sharded ones.
 
     The old layout is parked under ``.reshard.old`` until the new one is
-    fully moved in; a kill inside the swap window leaves the root without
-    a manifest but with the complete backup, which
+    fully moved in. The root manifest moves out first and in last, so a
+    kill anywhere inside the swap window leaves the root without a
+    manifest but with the complete backup, which
     :func:`_recover_interrupted_reshard` rolls back on the next command.
     """
     backup = lake_root / _RESHARD_BACKUP
     if backup.exists():
         shutil.rmtree(backup)
     backup.mkdir()
-    for name in _STORE_FILES:
+    for name in STORE_FILES:
         source = lake_root / name
         if source.exists():
             shutil.move(str(source), str(backup / name))
-    for name in _STORE_FILES:
+    for name in reversed(STORE_FILES):
         source = staged_root / name
         if source.exists():
             shutil.move(str(source), str(lake_root / name))
@@ -569,13 +562,13 @@ def _recover_interrupted_reshard(lake: str) -> None:
                 f"recovering interrupted reshard: restoring previous store "
                 f"layout at {lake}"
             )
-            for name in _STORE_FILES:
-                source = backup / name
-                if source.exists():
-                    target = lake_root / name
-                    if target.exists():  # partial move-in from the crash
-                        shutil.rmtree(target) if target.is_dir() else target.unlink()
-                    shutil.move(str(source), str(target))
+            # Whatever the backup holds is the previous store, whichever
+            # layout wrote it.
+            for source in backup.iterdir():
+                target = lake_root / source.name
+                if target.exists():  # partial move-in from the crash
+                    shutil.rmtree(target) if target.is_dir() else target.unlink()
+                shutil.move(str(source), str(target))
         shutil.rmtree(backup)
     stage = lake_root / _RESHARD_STAGE
     if stage.exists():
@@ -678,9 +671,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ingest.add_argument(
         "--shards", type=int, default=None,
-        help="shard count for a NEW lake (default: $REPRO_LAKE_SHARDS or "
-             "1 = flat layout); an existing lake keeps its layout — use "
-             "`reshard` to change it",
+        help="shard count for a NEW lake (default: 1); an existing lake "
+             "keeps its shard count — use `reshard` to change it",
     )
     ingest.add_argument(
         "--index-backend", default=None, metavar="SPEC",
@@ -872,7 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     reshard.add_argument("--lake", required=True)
     reshard.add_argument("--shards", type=int, required=True,
-                         help="target shard count (1 = flat layout)")
+                         help="target shard count")
     reshard.add_argument(
         "--workers", type=int, default=None,
         help="threads for the per-shard artifact writes",

@@ -17,10 +17,10 @@ Holds every table's :class:`LakeTableRecord` plus the live column index
   (per shard: only dirty shards rewrite) — so the on-disk lake is always
   warm-loadable.
 
-When the store is sharded (``n_shards > 1``), the column index is a
-:class:`~repro.search.backend.ShardedIndex`: queries fan ``query_many``
-across the per-shard indexes and merge — rankings are bitwise-identical to
-the flat layout, which ``tests/lake/test_sharding.py`` asserts.
+The column index is a :class:`~repro.search.backend.ShardedIndex` with the
+store's shard count: queries fan ``query_many`` across the per-shard indexes
+and merge — rankings are bitwise-identical at every shard count, which
+``tests/lake/test_sharding.py`` asserts.
 
 The column index is a pluggable :class:`~repro.search.backend.VectorIndex`
 backend (``index_backend`` spec: ``"exact"`` or ``"hnsw"``, with
@@ -44,8 +44,8 @@ from repro import obs
 from repro.core.embed import TableEmbedder, finalize_column_vectors
 from repro.core.engine import TableEmbeddings
 from repro.lake.serialization import FingerprintMismatchError
-from repro.lake.store import LakeStore, LakeTableRecord, default_n_shards
-from repro.search.backend import IndexSpec, normalize_index_spec, stable_shard
+from repro.lake.store import LakeStore, LakeTableRecord
+from repro.search.backend import IndexSpec, normalize_index_spec
 from repro.search.tables import TableSearcher
 from repro.sketch.pipeline import TableSketch, sketch_corpus, sketch_table
 from repro.table.schema import Table, table_from_rows
@@ -147,7 +147,9 @@ class LakeCatalog:
         #: Shard count of the column index (and of the attached store).
         #: Rankings are shard-count-invariant; sharding is a throughput /
         #: persistence-granularity lever, not a semantics knob.
-        self.n_shards = n_shards if n_shards is not None else default_n_shards()
+        self.n_shards = (
+            n_shards if n_shards is not None else LakeStore.DEFAULT_SHARDS
+        )
         self.searcher = TableSearcher(
             self.dim, backend=self.index_spec, n_shards=self.n_shards
         )
@@ -168,14 +170,16 @@ class LakeCatalog:
         """Warm-load: register every stored record without running the
         trunk.
 
-        When the store carries a persisted index that is *consistent with
-        the table manifest*, it is deserialized and served as-is — zero
-        per-column insertions. Otherwise (pre-upgrade stores, a dropped
+        Shard-wise: every shard whose persisted index is *consistent with
+        that shard's records* is deserialized and served as-is — zero
+        per-column insertions. The rest (pre-upgrade stores, a dropped
         artifact, or an index left behind by a crash between the table and
-        index flushes) the index is rebuilt from the records and persisted
-        so the *next* open is warm. An explicit ``index_backend`` that
-        disagrees with the persisted index is refused — that is the same
-        configuration drift the fingerprint guards against.
+        index flushes) are rebuilt from the records and persisted so the
+        *next* open is warm — one torn shard artifact never forces a
+        full-lake rebuild, and ``searcher.insertions`` counts exactly the
+        rebuilt columns. An explicit ``index_backend`` that disagrees with
+        the persisted index is refused — that is the same configuration
+        drift the fingerprint guards against.
         """
         # None -> the store's recorded spec (still None for pre-upgrade
         # stores -> default exact). A conflicting explicit spec is refused
@@ -183,53 +187,29 @@ class LakeCatalog:
         spec = index_backend if index_backend is not None else store.index_spec()
         catalog = cls(embedder, sbert=sbert, store=store, index_backend=spec)
         records = list(store.load_all())
-        if store.n_shards > 1:
-            return catalog._warm_sharded(store, records)
         index = store.load_index(catalog.dim)
-        if index is not None and _index_matches_records(index, records):
-            for record in records:
-                catalog.records[record.name] = record
-            catalog.searcher.adopt_index(index)
-        else:
-            for record in records:
-                catalog._register(record, persist=False)
-            catalog._persist_index()
-        return catalog
-
-    def _warm_sharded(
-        self, store: LakeStore, records: "list[LakeTableRecord]"
-    ) -> "LakeCatalog":
-        """Shard-wise warm open: adopt every shard whose persisted index is
-        consistent with that shard's records, rebuild (and re-persist) only
-        the rest — one torn shard artifact never forces a full-lake rebuild,
-        and ``searcher.insertions`` counts exactly the rebuilt columns.
-        """
-        index = store.load_index(self.dim)
         by_shard: dict[int, list[LakeTableRecord]] = defaultdict(list)
         for record in records:
-            by_shard[stable_shard(record.name, store.n_shards)].append(record)
-        rebuild: set[int] = set()
-        for shard_id in range(store.n_shards):
-            if shard_id in index.restored_shards and _index_matches_records(
-                index.subs[shard_id], by_shard.get(shard_id, [])
-            ):
-                continue
-            rebuild.add(shard_id)
+            by_shard[store.shard_id(record.name)].append(record)
+        rebuild = {
+            shard_id
+            for shard_id in range(store.n_shards)
+            if shard_id not in index.restored_shards
+            or not _index_matches_records(index.subs[shard_id], by_shard[shard_id])
+        }
         for shard_id in rebuild:
             index.reset_shard(shard_id)
-            # Mark even empty rebuilt shards dirty so the re-save below
-            # heals their on-disk artifact (mutation-counter handshake).
-            index.mark_dirty(shard_id)
-        self.searcher.adopt_index(index)
+        catalog.searcher.adopt_index(index)
         for record in records:
-            self.records[record.name] = record
-            if stable_shard(record.name, store.n_shards) in rebuild:
-                self.searcher.add_table(
+            catalog.records[record.name] = record
+        for shard_id in rebuild:
+            for record in by_shard[shard_id]:
+                catalog.searcher.add_table(
                     record.name, record.column_names, record.column_vectors
                 )
         if rebuild:
-            self._persist_index()
-        return self
+            catalog._persist_index()
+        return catalog
 
     # ------------------------------------------------------------------ #
     def _embed_sketches(
@@ -329,8 +309,7 @@ class LakeCatalog:
         """Keep the on-disk index in lockstep with the live one, so a
         mutation updates (never invalidates) the persisted artifact.
 
-        A flat store rewrites its single index npz — O(total columns) per
-        delta. A sharded store rewrites only the *dirty* shards (one for a
+        The store rewrites only the shards the delta touched (one for a
         single-table delta), optionally across ``workers`` threads — the
         per-shard-write lever that keeps incremental persistence O(shard),
         not O(lake).
@@ -509,13 +488,9 @@ class LakeCatalog:
             self.records[name] = merged
             if self.store is not None:
                 self.store.save_table(merged)
-                if self.n_shards > 1:
-                    # The index content didn't change, but the shard's
-                    # mutation counter did — re-persist so the handshake
-                    # stays valid and the next open stays warm.
-                    self.searcher.index.mark_dirty(
-                        stable_shard(name, self.n_shards)
-                    )
+                # The index content didn't change, but the shard's table
+                # manifest did — the store re-saves that shard's artifact
+                # so the next open stays warm.
                 self._persist_index()
         _ROWS_APPENDED.inc(len(rows))
         return merged

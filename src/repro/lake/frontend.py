@@ -1,13 +1,14 @@
 """`repro.lake.frontend` — a round-robin proxy over N lake replicas.
 
 The thinnest possible fan-out layer, stdlib asyncio only: one accept loop
-parses framed HTTP/1.1 requests exactly like :class:`~repro.lake.server.
-LakeServer` and relays each one to the next backend in rotation over a
-pooled keep-alive connection. Response bodies are relayed **verbatim** —
-the frontend never re-encodes JSON, so ranked hits coming back through it
-are byte-identical to what the replica produced (which is in turn
-byte-identical to the in-process service; the parity chain
-``bench_replicated_lake`` and the CI smoke assert).
+frames HTTP/1.1 requests with the same code as :class:`~repro.lake.server.
+LakeServer` (:func:`~repro.lake.server.read_request` — so an unframeable
+request gets the same typed 400 here as there) and relays each one to the
+next backend in rotation over a pooled keep-alive connection. Response
+bodies are relayed **verbatim** — the frontend never re-encodes JSON, so
+ranked hits coming back through it are byte-identical to what the replica
+produced (which is in turn byte-identical to the in-process service; the
+parity chain ``bench_replicated_lake`` and the CI smoke assert).
 
 Behavior:
 
@@ -45,7 +46,13 @@ import threading
 
 from repro import obs
 from repro.lake.api import API_VERSION, DiscoveryError
-from repro.lake.server import LakeServer
+from repro.lake.server import (
+    BadFrame,
+    bad_frame_response,
+    encode_response,
+    error_payload,
+    read_request,
+)
 
 _PROXIED = obs.counter(
     "frontend_requests_total",
@@ -244,7 +251,12 @@ class LakeFrontend:
     ) -> None:
         try:
             while True:
-                parsed = await LakeServer._read_request(reader)
+                try:
+                    parsed = await read_request(reader)
+                except BadFrame as exc:
+                    writer.write(bad_frame_response(exc))
+                    await writer.drain()
+                    break
                 if parsed is None:
                     break
                 method, path, headers, body = parsed
@@ -278,7 +290,7 @@ class LakeFrontend:
     ) -> bytes:
         route = path.partition("?")[0]
         if route == "/v1/replicas" and method == "GET":
-            return LakeServer._encode_response(200, self._replicas_payload())
+            return encode_response(200, self._replicas_payload())
         eligible = self._eligible()
         attempts = len(eligible) if _is_read_only(method, path) else 1
         first = self._next
@@ -311,9 +323,7 @@ class LakeFrontend:
             f"no lake backend answered {method} {path} "
             f"({len(self.backends)} configured): {last_error!r}",
         )
-        return LakeServer._encode_response(
-            error.status, {"error": error.to_dict(), "version": API_VERSION}
-        )
+        return encode_response(error.status, error_payload(error))
 
     def _replicas_payload(self) -> dict:
         probing = self.health_interval > 0

@@ -54,13 +54,7 @@ from repro.lake.api import DiscoveryError, DiscoveryRequest, DiscoveryResult
 from repro.lake.bundle import CONFIG_NAME, VOCAB_NAME, WEIGHTS_NAME, has_bundle
 from repro.lake.catalog import LakeCatalog
 from repro.lake.service import LakeService
-from repro.lake.store import (
-    INDEX_NAME,
-    MANIFEST_NAME,
-    SHARDS_DIR,
-    TABLES_DIR,
-    LakeStore,
-)
+from repro.lake.store import MANIFEST_NAME, STORE_FILES, LakeStore
 from repro.text.sbert import HashedSentenceEncoder
 from repro.utils.io import ensure_dir, read_json, write_json
 
@@ -74,9 +68,9 @@ CURRENT_NAME = "CURRENT"
 GENERATION_PREFIX = "gen-"
 _STAGING_SUFFIX = ".staging"
 
-#: Store artifacts a snapshot ships (the bundle is copied once to the
-#: snapshot-dir root — weights never change within a lake's lifetime).
-_STORE_FILES = (MANIFEST_NAME, INDEX_NAME, TABLES_DIR, SHARDS_DIR)
+#: Shipped once to the snapshot-dir root, beside the generations (each of
+#: which holds ``STORE_FILES``) — weights never change within a lake's
+#: lifetime.
 _BUNDLE_FILES = (CONFIG_NAME, WEIGHTS_NAME, VOCAB_NAME)
 
 _GENERATION = obs.gauge(
@@ -164,6 +158,11 @@ class SnapshotPublisher:
             raise FileNotFoundError(
                 f"no lake store at {self.lake_root} (run ingest first)"
             )
+        if LakeStore.needs_conversion(self.lake_root):
+            # A flat-layout lake: convert it in place before the first
+            # copy, so a generation never ships the old layout (a replica
+            # refuses one — it must not rewrite a shared snapshot).
+            LakeStore.open(self.lake_root)
         self.snapshot_dir = ensure_dir(snapshot_dir)
 
     def publish(self) -> int:
@@ -177,7 +176,7 @@ class SnapshotPublisher:
             shutil.rmtree(staging)
         staging.mkdir()
         try:
-            for name in _STORE_FILES:
+            for name in STORE_FILES:
                 source = self.lake_root / name
                 if not source.exists():
                     continue
@@ -330,6 +329,12 @@ class ReplicaService:
             self._refuse(generation, "missing or unreadable SNAPSHOT.json marker")
             return False
         try:
+            if LakeStore.needs_conversion(root):
+                raise ValueError(
+                    f"generation {generation} is in the flat store layout, "
+                    "which opening would rewrite — snapshots are shared and "
+                    "read-only; republish it from the leader"
+                )
             with warnings.catch_warnings():
                 # A torn snapshot must be *refused*, not healed in place:
                 # the store's degrade-to-empty / rebuild-and-persist warm

@@ -29,9 +29,10 @@ from repro.table.schema import ColumnType
 #: Bumped whenever the on-disk artifact layout changes shape.
 #: v2: persisted vector index (index.npz + manifest spec), per-entry
 #: disk_bytes, and the index-backend spec folded into the fingerprint.
-#: (The sharded layout is additive — flat stores are unchanged, and a
-#: sharded store is distinguished by its manifest's ``sharded`` flag plus
-#: the shard count folded into the fingerprint — so v2 still covers it.)
+#: (``shards/sNNN/`` is the only layout; a store that still keeps one
+#: shard's files directly under its root — its manifest lacks the
+#: ``sharded`` flag — is converted by renames when opened, entry for entry,
+#: so v2 covers both and the conversion bumps nothing.)
 FORMAT_VERSION = 2
 
 
@@ -77,10 +78,11 @@ def config_fingerprint(
     the vector-index backend the lake's persisted index was built with
     (``None`` normalizes to the default exact backend), so exact- and
     HNSW-built stores never cross-load; ``n_shards`` the lake's shard
-    partitioning (``None``/1 — the flat layout — is fingerprint-identical
-    to pre-sharding stores, so existing lakes keep opening; any other
-    count is folded in, so differently-sharded stores never cross-load
-    without an explicit ``reshard``).
+    partitioning (``None``/1 is left out of the digest — that is what
+    keeps lakes written before shard counts existed, and before one shard
+    moved under ``shards/s000/``, opening with the fingerprint they were
+    built under; any other count is folded in, so differently-sharded
+    stores never cross-load without an explicit ``reshard``).
     """
     payload: dict = {
         "format": FORMAT_VERSION,

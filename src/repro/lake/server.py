@@ -104,11 +104,11 @@ _HTTP_MS = obs.histogram(
 )
 
 
-class _BadFrame(Exception):
+class BadFrame(Exception):
     """A request that cannot be framed (and so cannot stay keep-alive)."""
 
 
-def _error_payload(exc: DiscoveryError) -> dict:
+def error_payload(exc: DiscoveryError) -> dict:
     return {"error": exc.to_dict(), "version": API_VERSION}
 
 
@@ -121,6 +121,76 @@ class _TextBody:
     def __init__(self, content_type: str, text: str):
         self.content_type = content_type
         self.text = text
+
+
+# --------------------------------------------------------------------- #
+# HTTP/1.1 framing — shared with :mod:`repro.lake.frontend`
+# --------------------------------------------------------------------- #
+async def read_request(reader: asyncio.StreamReader):
+    """Parse one framed request; None on clean EOF, :class:`BadFrame`
+    when the request cannot be answered under keep-alive framing."""
+    try:
+        head = await reader.readuntil(b"\r\n\r\n")
+    except asyncio.IncompleteReadError:
+        return None
+    request_line, *header_lines = head.decode("latin-1").split("\r\n")
+    parts = request_line.split(" ")
+    if len(parts) < 3:
+        return None
+    method, path = parts[0].upper(), parts[1]
+    headers: dict[str, str] = {}
+    for line in header_lines:
+        if not line:
+            continue
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    try:
+        length = int(headers.get("content-length", "0"))
+    except ValueError:
+        raise BadFrame("unparseable Content-Length header") from None
+    if length < 0:
+        raise BadFrame(f"negative Content-Length {length}")
+    if length > MAX_BODY_BYTES:
+        raise BadFrame(
+            f"request body of {length} bytes exceeds the "
+            f"{MAX_BODY_BYTES}-byte limit"
+        )
+    body = await reader.readexactly(length) if length else b""
+    return method, path, headers, body
+
+
+def encode_response(
+    status: int,
+    payload: "dict | _TextBody",
+    keep_alive: bool = True,
+    extra_headers: dict | None = None,
+) -> bytes:
+    if isinstance(payload, _TextBody):
+        body = payload.text.encode("utf-8")
+        content_type = payload.content_type
+    else:
+        body = json.dumps(payload).encode("utf-8")
+        content_type = "application/json"
+    connection = "keep-alive" if keep_alive else "close"
+    extras = "".join(
+        f"{name}: {value}\r\n" for name, value in (extra_headers or {}).items()
+    )
+    head = (
+        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
+        f"Content-Type: {content_type}\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        f"Connection: {connection}\r\n"
+        f"{extras}\r\n"
+    )
+    return head.encode("latin-1") + body
+
+
+def bad_frame_response(exc: BadFrame) -> bytes:
+    """The typed 400 for an unframeable request (oversized, negative or
+    unparseable body length). ``Connection: close`` — the unread body makes
+    keep-alive moot, so the caller drops the connection after writing it."""
+    error = bad_request(exc.args[0])
+    return encode_response(error.status, error_payload(error), keep_alive=False)
 
 
 class LakeServer:
@@ -167,17 +237,9 @@ class LakeServer:
         try:
             while True:
                 try:
-                    parsed = await self._read_request(reader)
-                except _BadFrame as exc:
-                    # Unframeable request (oversized/negative body length):
-                    # still answer with the typed envelope, then drop the
-                    # connection — the unread body makes keep-alive moot.
-                    error = bad_request(exc.args[0])
-                    writer.write(
-                        self._encode_response(
-                            error.status, _error_payload(error), keep_alive=False
-                        )
-                    )
+                    parsed = await read_request(reader)
+                except BadFrame as exc:
+                    writer.write(bad_frame_response(exc))
                     await writer.drain()
                     break
                 if parsed is None:
@@ -201,67 +263,6 @@ class LakeServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
-
-    @staticmethod
-    async def _read_request(reader: asyncio.StreamReader):
-        """Parse one framed request; None on clean EOF, :class:`_BadFrame`
-        when the request cannot be answered under keep-alive framing."""
-        try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError:
-            return None
-        except asyncio.LimitOverrunError:
-            raise
-        request_line, *header_lines = head.decode("latin-1").split("\r\n")
-        parts = request_line.split(" ")
-        if len(parts) < 3:
-            return None
-        method, path = parts[0].upper(), parts[1]
-        headers: dict[str, str] = {}
-        for line in header_lines:
-            if not line:
-                continue
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        try:
-            length = int(headers.get("content-length", "0"))
-        except ValueError:
-            raise _BadFrame("unparseable Content-Length header") from None
-        if length < 0:
-            raise _BadFrame(f"negative Content-Length {length}")
-        if length > MAX_BODY_BYTES:
-            raise _BadFrame(
-                f"request body of {length} bytes exceeds the "
-                f"{MAX_BODY_BYTES}-byte limit"
-            )
-        body = await reader.readexactly(length) if length else b""
-        return method, path, headers, body
-
-    @staticmethod
-    def _encode_response(
-        status: int,
-        payload: "dict | _TextBody",
-        keep_alive: bool = True,
-        extra_headers: dict | None = None,
-    ) -> bytes:
-        if isinstance(payload, _TextBody):
-            body = payload.text.encode("utf-8")
-            content_type = payload.content_type
-        else:
-            body = json.dumps(payload).encode("utf-8")
-            content_type = "application/json"
-        connection = "keep-alive" if keep_alive else "close"
-        extras = "".join(
-            f"{name}: {value}\r\n" for name, value in (extra_headers or {}).items()
-        )
-        head = (
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: {connection}\r\n"
-            f"{extras}\r\n"
-        )
-        return head.encode("latin-1") + body
 
     # ------------------------------------------------------------------ #
     async def _dispatch(
@@ -289,18 +290,18 @@ class LakeServer:
                     method, route_path, query, body, headers
                 )
             except DiscoveryError as exc:
-                status, payload = exc.status, _error_payload(exc)
+                status, payload = exc.status, error_payload(exc)
             except FingerprintMismatchError as exc:
                 wrapped = DiscoveryError("fingerprint-mismatch", str(exc))
-                status, payload = wrapped.status, _error_payload(wrapped)
+                status, payload = wrapped.status, error_payload(wrapped)
             except (KeyError, ValueError) as exc:
                 # Catalog-level rejections (duplicate table, bad spec, ...).
                 message = exc.args[0] if exc.args else str(exc)
                 wrapped = bad_request(str(message))
-                status, payload = wrapped.status, _error_payload(wrapped)
+                status, payload = wrapped.status, error_payload(wrapped)
             except Exception as exc:  # noqa: BLE001 — the wire must answer
                 wrapped = DiscoveryError("internal", f"{type(exc).__name__}: {exc}")
-                status, payload = wrapped.status, _error_payload(wrapped)
+                status, payload = wrapped.status, error_payload(wrapped)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         if obs.enabled():
             route = self._route_label(method, route_path)
@@ -319,7 +320,7 @@ class LakeServer:
                     sort_keys=True,
                 ),
             )
-        return self._encode_response(
+        return encode_response(
             status, payload, extra_headers={"X-Request-Id": rid}
         )
 

@@ -671,14 +671,12 @@ class LakeService:
                 if self.catalog.store is not None
                 else None
             )
-            n_shards = self.catalog.n_shards
-            if n_shards == 1:
-                shard_tables = [len(self.catalog.records)]
-            elif store_stats is not None and "shard_tables" in store_stats:
-                # The sharded store's manifests already know their routing
-                # — no per-record hashing under the service lock.
+            if store_stats is not None:
+                # The store's manifests already know their routing — no
+                # per-record hashing under the service lock.
                 shard_tables = list(store_stats["shard_tables"])
             else:
+                n_shards = self.catalog.n_shards
                 shard_tables = [0] * n_shards
                 for name in self.catalog.records:
                     shard_tables[stable_shard(name, n_shards)] += 1

@@ -1,30 +1,28 @@
 """`LakeStore` — the on-disk artifact layout of an indexed data lake.
 
-A lake is **hash-partitioned into N shards**; each shard is a fully
-self-contained single-directory store (:class:`LakeShard`) with its own
-manifest, table npz files, and persisted ``index.npz``. Tables route to a
-shard by a stable hash of their name (:func:`repro.search.backend.stable_shard`),
-so a table's artifacts — and all of its index rows — always co-locate.
-
-Layout with ``n_shards == 1`` (the default, byte-compatible with the
-pre-sharding flat layout)::
+A lake is **hash-partitioned into N shards** (N = 1 by default); each shard
+is a fully self-contained single-directory store (:class:`LakeShard`) with
+its own manifest, table npz files, and persisted ``index.npz``. Tables route
+to a shard by a stable hash of their name
+(:func:`repro.search.backend.stable_shard`), so a table's artifacts — and
+all of its index rows — always co-locate. There is one layout, whatever N::
 
     <root>/
-      manifest.json          # fingerprint + ordered table entries
-      index.npz              # persisted vector index
-      tables/
-        t000001.npz          # one archive per table (see below)
-
-Layout with ``n_shards > 1``::
-
-    <root>/
-      manifest.json          # top-level: {sharded, n_shards, next_seq, ...}
+      manifest.json          # top-level: {sharded, n_shards, next_seq,
+                             #             index_spec, fingerprint}
       shards/
         s000/                # one full LakeShard layout per shard
-          manifest.json
-          index.npz
-          tables/...
+          manifest.json      # fingerprint + ordered table entries
+          index.npz          # persisted vector index of this shard
+          tables/
+            t000001.npz      # one archive per table (see below)
         s001/...
+
+A store written before this layout was the only one kept a single shard's
+files directly under ``<root>``. Opening such a store **converts it once, by
+rolling forward** (:func:`_convert_flat_layout`): nothing is re-embedded or
+rewritten, the fingerprint is unchanged, and a kill at any step is finished
+by the next open.
 
 Each table archive holds the packed :class:`~repro.sketch.pipeline.TableSketch`
 arrays (uint64 signatures, float64 raw numeric stats) plus the final
@@ -34,13 +32,13 @@ warm queries are bit-identical to a cold in-memory build.
 
 The manifest records the config fingerprint
 (:func:`repro.lake.serialization.config_fingerprint`, which folds the shard
-count in for ``n_shards > 1``); opening a store with a different expected
+count in when there is more than one); opening a store with a different expected
 fingerprint raises :class:`FingerprintMismatchError` instead of silently
-serving stale vectors. Shard entries are ordered *lists*; for a sharded
-lake, every entry additionally records a global insertion sequence number
-(``seq``, allocated from the top-level manifest), so :meth:`LakeStore.load_all`
-and :meth:`LakeStore.table_names` reproduce the exact global insertion order
-a flat store would — order, and therefore tie-breaking, is layout-invariant.
+serving stale vectors. Shard entries are ordered *lists*, and every entry
+records a global insertion sequence number (``seq``, allocated from the
+top-level manifest), so :meth:`LakeStore.load_all` and
+:meth:`LakeStore.table_names` reproduce the exact global insertion order
+at any shard count — order, and therefore tie-breaking, is layout-invariant.
 
 Shards flush **independently** (atomic write-then-rename for both manifests
 and index archives), so a crash mid-ingest loses at most the unflushed tail
@@ -48,10 +46,11 @@ of the shard being written; a shard whose manifest is torn beyond repair
 degrades to an empty shard with a warning at open time while every other
 shard stays warm.
 
-``save_index`` persists the *built* vector index beside each shard's
-manifest. For a sharded lake the index must be a
-:class:`repro.search.backend.ShardedIndex`; only the shards it reports dirty
-are rewritten, so an incremental delta costs one shard's artifact, not N.
+``save_index`` persists the *built* vector index — a
+:class:`repro.search.backend.ShardedIndex` — beside each shard's manifest.
+Only the shards the index reports dirty, or whose persisted artifact trails
+the shard's table manifest, are rewritten, so an incremental delta costs one
+shard's artifact, not N.
 """
 
 from __future__ import annotations
@@ -91,14 +90,11 @@ TABLES_DIR = "tables"
 INDEX_NAME = "index.npz"
 SHARDS_DIR = "shards"
 
-#: Environment knob: default shard count for *newly created* stores (and
-#: store-less catalogs). Lets the whole lake test tier run under both the
-#: flat and the sharded layout without touching a single test body.
-ENV_SHARDS = "REPRO_LAKE_SHARDS"
-
-#: Sort key for sharded entries that predate seq stamping (defensive; the
-#: sharded writer always stamps one) — they sort after every stamped entry.
-_NO_SEQ = 1 << 62
+#: What a store owns at its root — everything else there (the model/vocab
+#: bundle) belongs to someone else. This is what ``reshard`` swaps and what
+#: ``publish`` ships. The manifest comes first: it is what says a store is
+#: there, so whoever moves a store moves it out first and in last.
+STORE_FILES = (MANIFEST_NAME, SHARDS_DIR)
 
 _FLUSH_BYTES = obs.counter(
     "lake_store_flush_bytes_total",
@@ -113,15 +109,55 @@ _FLUSH_MS = obs.histogram(
 )
 
 
-def default_n_shards() -> int:
-    """Shard count for new stores: ``$REPRO_LAKE_SHARDS`` or 1 (flat)."""
-    raw = os.environ.get(ENV_SHARDS, "").strip()
-    if not raw:
-        return 1
-    value = int(raw)
-    if value < 1:
-        raise ValueError(f"{ENV_SHARDS} must be >= 1, got {value}")
-    return value
+def _write_manifest(path: Path, manifest: dict) -> None:
+    # Write-then-rename: a crash mid-flush must leave the previous
+    # manifest intact, never a torn JSON file.
+    temporary = path.with_name("manifest.tmp.json")
+    write_json(temporary, manifest)
+    os.replace(temporary, path)
+
+
+def _read_root_manifest(root: str | os.PathLike) -> dict | None:
+    path = Path(root) / MANIFEST_NAME
+    return read_json(path) if path.exists() else None
+
+
+def _shard_count(top: dict) -> int:
+    """Shard count a root manifest declares (a flat one is one shard)."""
+    return int(top.get("n_shards", 1)) if top.get("sharded") else 1
+
+
+def _convert_flat_layout(root: Path, flat: dict) -> dict:
+    """Roll a flat store (one shard's files directly under ``root``, as
+    written before ``shards/sNNN/`` was the only layout) forward into
+    ``shards/s000/``; returns the new top-level manifest.
+
+    Every step is a rename, and the root manifest — the one file that says
+    which layout this is — is replaced last. A kill at any step therefore
+    leaves a store that still reads as flat, and the next open repeats the
+    steps (each a no-op once done) and ends in the same place. Entry paths
+    are shard-relative, so no archive is touched; ``seq`` is the entry's
+    list position, which is the order a flat store defined.
+    """
+    shard_root = ensure_dir(root / SHARDS_DIR / "s000")
+    for name in (TABLES_DIR, INDEX_NAME):
+        if (root / name).exists():
+            os.replace(root / name, shard_root / name)
+    tables = [
+        {**entry, "seq": seq} for seq, entry in enumerate(flat["tables"], start=1)
+    ]
+    _write_manifest(shard_root / MANIFEST_NAME, {**flat, "tables": tables})
+    top = {
+        "format_version": flat.get("format_version", FORMAT_VERSION),
+        "sharded": True,
+        "fingerprint": flat.get("fingerprint", ""),
+        "n_shards": 1,
+        "next_seq": len(tables) + 1,
+    }
+    if "index_spec" in flat:
+        top["index_spec"] = flat["index_spec"]
+    _write_manifest(root / MANIFEST_NAME, top)
+    return top
 
 
 @dataclass
@@ -157,20 +193,16 @@ class LakeTableRecord:
 class LakeShard:
     """One self-contained shard: manifest + table archives + index.npz.
 
-    This is the complete single-directory store; a flat (unsharded) lake is
-    exactly one ``LakeShard`` rooted at the lake directory. All methods are
-    local to the shard — cross-shard routing, global ordering, and parallel
-    writes live in :class:`LakeStore`.
+    All methods are local to the shard — cross-shard routing, global
+    ordering, and parallel writes live in :class:`LakeStore`.
     """
 
-    def __init__(
-        self, root: str | os.PathLike, fingerprint: str, shard_id: int = 0
-    ):
+    def __init__(self, root: str | os.PathLike, fingerprint: str, shard_id: int):
         self.root = ensure_dir(root)
         ensure_dir(self.root / TABLES_DIR)
         self.fingerprint = fingerprint
-        #: Position in the owning store's shard list (0 for flat lakes) —
-        #: the ``shard`` label on this shard's flush metrics.
+        #: Position in the owning store's shard list — the ``shard`` label
+        #: on this shard's flush metrics.
         self.shard_id = int(shard_id)
         #: Replaced archives staged for deletion after the next manifest
         #: flush (see :meth:`_write_table`).
@@ -201,27 +233,8 @@ class LakeShard:
             entry["name"]: entry for entry in self._manifest["tables"]
         }
 
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def open(
-        cls, root: str | os.PathLike, expected_fingerprint: str | None = None
-    ) -> "LakeShard":
-        """Open an existing shard, validating its fingerprint if given."""
-        manifest_path = Path(root) / MANIFEST_NAME
-        if not manifest_path.exists():
-            raise FileNotFoundError(f"no lake manifest at {manifest_path}")
-        found = read_json(manifest_path).get("fingerprint", "")
-        if expected_fingerprint is not None and found != expected_fingerprint:
-            raise FingerprintMismatchError(expected_fingerprint, found)
-        return cls(root, found)
-
     def _flush(self) -> None:
-        # Write-then-rename: a crash mid-flush must leave the previous
-        # manifest intact, never a torn JSON file.
-        path = self.root / MANIFEST_NAME
-        temporary = path.with_name("manifest.tmp.json")
-        write_json(temporary, self._manifest)
-        os.replace(temporary, path)
+        _write_manifest(self.root / MANIFEST_NAME, self._manifest)
 
     def _sweep_orphans(self) -> None:
         """Delete table archives the manifest does not reference.
@@ -246,7 +259,7 @@ class LakeShard:
         return list(self._manifest["tables"])
 
     # ------------------------------------------------------------------ #
-    def _write_table(self, record: LakeTableRecord, seq: int | None = None) -> None:
+    def _write_table(self, record: LakeTableRecord, seq: int | None) -> None:
         """Write the npz *first*, then mutate the manifest — a failed array
         write must not leave a half-built entry for a later flush.
 
@@ -281,14 +294,12 @@ class LakeShard:
         }
         self._manifest["next_id"] += 1
         if existing is None:
-            if seq is not None:
-                fields["seq"] = int(seq)
+            fields["seq"] = int(seq)
             self._manifest["tables"].append(fields)
             self._by_name[record.name] = fields
         else:
-            # A replace keeps its manifest slot *and* its global seq — same
-            # semantics as the flat layout, where a replaced entry keeps its
-            # position in the ordered list.
+            # A replace keeps its manifest slot *and* its global seq: a
+            # replaced table keeps its position in the insertion order.
             old_rel = existing["file"]
             existing.update(fields)
             self._pending_unlink.append(self.root / old_rel)
@@ -306,25 +317,15 @@ class LakeShard:
         self._manifest["mutation_counter"] = value
         return value
 
-    def save_table(self, record: LakeTableRecord, seq: int | None = None) -> None:
-        """Write one table's artifacts; replaces any same-named entry."""
-        with obs.span("store.flush", shard=self.shard_id) as flush:
-            self._write_table(record, seq=seq)
-            self._flush()
-            self._drain_unlinks()
-        _FLUSH_MS.labels(shard=str(self.shard_id)).observe(flush.duration_ms)
-
     def save_tables(
-        self, records: list[LakeTableRecord], seqs: list[int | None] | None = None
+        self, records: list[LakeTableRecord], seqs: "list[int | None]"
     ) -> None:
-        """Bulk save with a single manifest flush (ingest-scale writes)."""
-        if not records:
-            return
-        if seqs is None:
-            seqs = [None] * len(records)
+        """Write tables' artifacts with a single manifest flush; a record
+        replaces any same-named entry (its ``seq`` is then ignored — new
+        entries need one)."""
         with obs.span("store.flush", shard=self.shard_id) as flush:
             for record, seq in zip(records, seqs):
-                self._write_table(record, seq=seq)
+                self._write_table(record, seq)
             self._flush()
             self._drain_unlinks()
         _FLUSH_MS.labels(shard=str(self.shard_id)).observe(flush.duration_ms)
@@ -351,12 +352,6 @@ class LakeShard:
             embedding_stale=bool(entry.get("embedding_stale", False)),
         )
 
-    def load_all(self) -> Iterator[LakeTableRecord]:
-        """Records in manifest (= insertion) order, for deterministic warm
-        loads."""
-        for entry in list(self._manifest["tables"]):
-            yield self._load_entry(entry)
-
     def remove_table(self, name: str) -> bool:
         entry = self._entry(name)
         if entry is None:
@@ -364,10 +359,12 @@ class LakeShard:
         self._manifest["tables"].remove(entry)
         del self._by_name[name]
         self._bump_mutation_counter()
-        path = self.root / entry["file"]
-        if path.exists():
-            path.unlink()
+        # Forget, flush, *then* unlink: a kill in between leaves an
+        # unreferenced archive (swept at the next open), never an entry
+        # that points at a missing file.
+        self._pending_unlink.append(self.root / entry["file"])
         self._flush()
+        self._drain_unlinks()
         return True
 
     # ------------------------------------------------------------------ #
@@ -410,7 +407,6 @@ class LakeShard:
         temporary = path.with_name("index.tmp.npz")
         np.savez(temporary, **arrays)
         os.replace(temporary, path)
-        self.record_index_spec(spec, flush=False)
         self._manifest["index"] = {
             "state_version": INDEX_STATE_VERSION,
             "spec": spec.to_dict(),
@@ -422,42 +418,25 @@ class LakeShard:
         }
         self._flush()
 
-    def record_index_spec(self, spec: IndexSpec, flush: bool = True) -> None:
-        """Record which backend this lake is configured for.
-
-        The spec is *configuration*, not artifact: it is written as soon
-        as a catalog attaches (before any slow embedding work), so an
-        interrupted first ingest still reopens under the right backend,
-        and it survives :meth:`drop_index`.
-        """
-        self._manifest["index_spec"] = spec.to_dict()
-        if flush:
-            self._flush()
-
-    def index_spec(self) -> IndexSpec | None:
-        """The backend spec this shard's index was built with, if recorded.
-
-        Survives :meth:`drop_index` — a lake that lost its index artifact
-        still knows which backend to rebuild under.
-        """
-        raw = self._manifest.get("index_spec")
-        if raw is None:
-            return None
-        return IndexSpec.from_dict(raw)
+    def index_in_step(self) -> bool:
+        """Was the persisted index saved under the table manifest's current
+        mutation counter? False when there is none, or when a table write
+        or remove has landed since (a crash between the two flushes, or a
+        caller that saved a table and not yet the index)."""
+        entry = self._manifest.get("index")
+        return entry is not None and int(entry.get("mutation_counter", -1)) == int(
+            self._manifest.get("mutation_counter", 0)
+        )
 
     def load_index(self, dim: int) -> "VectorIndex | None":
         """Restore the persisted index, or ``None`` when absent/stale
-        (missing file, unknown state version, or saved under an older
-        mutation counter than the table manifest — the torn-write case) —
-        callers fall back to a rebuild from the table records."""
-        entry = self._manifest.get("index")
-        if entry is None:
+        (missing file, unknown state version, or out of step with the
+        table manifest — the torn-write case) — callers fall back to a
+        rebuild from the table records."""
+        if not self.index_in_step():
             return None
+        entry = self._manifest["index"]
         if int(entry.get("state_version", -1)) != INDEX_STATE_VERSION:
-            return None
-        if int(entry.get("mutation_counter", -1)) != int(
-            self._manifest.get("mutation_counter", 0)
-        ):
             return None
         path = self.root / entry["file"]
         if not path.exists():
@@ -489,7 +468,7 @@ class LakeShard:
 
     def drop_index(self) -> bool:
         """Delete the persisted index artifact (the store stays valid —
-        the next warm open rebuilds under the recorded spec and
+        the next warm open rebuilds under the store's recorded spec and
         re-persists it)."""
         entry = self._manifest.pop("index", None)
         path = self.root / INDEX_NAME
@@ -518,21 +497,16 @@ class LakeShard:
         return path.stat().st_size if path.exists() else 0
 
     def stats(self) -> dict:
+        """This shard's share of :meth:`LakeStore.stats`' sums."""
         entries = self._manifest["tables"]
         index_entry = self._manifest.get("index")
         index_bytes = int(index_entry.get("disk_bytes", 0)) if index_entry else 0
         return {
-            "root": str(self.root),
-            "fingerprint": self.fingerprint,
-            "format_version": self._manifest.get("format_version"),
             "n_tables": len(entries),
             "n_columns": sum(int(e.get("n_cols", 0)) for e in entries),
             "n_rows": sum(int(e.get("n_rows", 0)) for e in entries),
             "disk_bytes": sum(self._entry_disk_bytes(e) for e in entries)
             + index_bytes,
-            "index_backend": spec.canonical()
-            if (spec := self.index_spec()) is not None
-            else None,
             "index_disk_bytes": index_bytes,
         }
 
@@ -540,177 +514,141 @@ class LakeShard:
 class LakeStore:
     """Hash-partitioned persistence facade over N :class:`LakeShard` s.
 
-    ``n_shards == 1`` is the flat layout (one shard rooted at the lake
-    directory — byte-compatible with pre-sharding stores); ``n_shards > 1``
-    routes each table to ``shards/sNNN/`` by a stable hash of its name.
-    ``n_shards=None`` resolves to ``$REPRO_LAKE_SHARDS`` (else 1) for new
-    stores and to the on-disk layout for existing ones — an explicit count
-    that disagrees with an existing layout is refused (use
+    Each table routes to ``shards/sNNN/`` by a stable hash of its name; one
+    shard (the default for a new store) is the same layout with N = 1.
+    ``n_shards=None`` resolves to the on-disk count for an existing store —
+    an explicit count that disagrees with it is refused (use
     ``python -m repro.lake reshard`` to migrate).
     """
+
+    #: Shard count of a store (or store-less catalog) created without one.
+    DEFAULT_SHARDS = 1
 
     def __init__(
         self,
         root: str | os.PathLike,
         fingerprint: str,
         n_shards: int | None = None,
+        *,
+        _top: dict | None = None,
     ):
         self.root = ensure_dir(root)
         self.fingerprint = fingerprint
-        manifest_path = self.root / MANIFEST_NAME
-        on_disk: int | None = None
-        if manifest_path.exists():
-            head = read_json(manifest_path)
-            on_disk = int(head.get("n_shards", 1)) if head.get("sharded") else 1
-        if on_disk is not None:
+        # ``open`` hands over the root manifest it already read.
+        top = _top if _top is not None else _read_root_manifest(self.root)
+        if top is not None:
+            on_disk = _shard_count(top)
             if n_shards is not None and n_shards != on_disk:
                 raise ValueError(
                     f"lake at {self.root} has {on_disk} shard(s) but "
                     f"{n_shards} were requested; run `python -m repro.lake "
                     "reshard` to change the layout"
                 )
-            n_shards = on_disk
-        elif n_shards is None:
-            n_shards = default_n_shards()
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        self.n_shards = n_shards
-        if n_shards == 1:
-            self._top: dict | None = None
-            self.shards = [LakeShard(self.root, fingerprint)]
-        else:
-            self._init_sharded(existing=on_disk is not None)
-
-    def _init_sharded(self, existing: bool) -> None:
-        if existing:
-            top = read_json(self.root / MANIFEST_NAME)
             found = top.get("fingerprint", "")
-            if found != self.fingerprint:
-                raise FingerprintMismatchError(self.fingerprint, found)
-            self._top = top
+            if found != fingerprint:
+                raise FingerprintMismatchError(fingerprint, found)
+            if not top.get("sharded"):
+                top = _convert_flat_layout(self.root, top)
+            n_shards = on_disk
         else:
-            self._top = {
+            if n_shards is None:
+                n_shards = self.DEFAULT_SHARDS
+            if n_shards < 1:
+                raise ValueError(f"n_shards must be >= 1, got {n_shards}")
+            top = {
                 "format_version": FORMAT_VERSION,
                 "sharded": True,
-                "fingerprint": self.fingerprint,
-                "n_shards": self.n_shards,
+                "fingerprint": fingerprint,
+                "n_shards": n_shards,
                 # Global insertion sequence: stamped on every new entry so
                 # cross-shard order survives persistence.
                 "next_seq": 1,
             }
-            self._flush_top()
-        self.shards = []
-        for k in range(self.n_shards):
-            shard_root = self.root / SHARDS_DIR / f"s{k:03d}"
-            try:
-                self.shards.append(
-                    LakeShard(shard_root, self.fingerprint, shard_id=k)
-                )
-            except FingerprintMismatchError:
-                raise
-            except (ValueError, KeyError, OSError) as exc:
-                # A torn shard manifest (crash mid-crash-window, disk
-                # corruption) degrades *that shard* to empty — the lake
-                # stays serveable and the other N-1 shards stay warm.
-                warnings.warn(
-                    f"lake shard {k} at {shard_root} is unreadable "
-                    f"({exc!r}); resetting it to empty — its tables must "
-                    "be re-ingested",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                self.shards.append(self._reset_shard_dir(shard_root, k))
+            _write_manifest(self.root / MANIFEST_NAME, top)
+        self.n_shards = n_shards
+        self._top = top
+        self.shards = [self._open_shard(k) for k in range(n_shards)]
 
-    def _reset_shard_dir(self, shard_root: Path, shard_id: int = 0) -> LakeShard:
+    def _open_shard(self, shard_id: int) -> LakeShard:
+        shard_root = self.root / SHARDS_DIR / f"s{shard_id:03d}"
+        try:
+            return LakeShard(shard_root, self.fingerprint, shard_id)
+        except FingerprintMismatchError:
+            raise
+        except (ValueError, KeyError, OSError) as exc:
+            # A torn shard manifest (crash mid-crash-window, disk
+            # corruption) degrades *that shard* to empty — the lake stays
+            # serveable and the other shards stay warm.
+            warnings.warn(
+                f"lake shard {shard_id} at {shard_root} is unreadable "
+                f"({exc!r}); resetting it to empty — its tables must "
+                "be re-ingested",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         for name in (MANIFEST_NAME, "manifest.tmp.json", INDEX_NAME, "index.tmp.npz"):
             path = shard_root / name
             if path.exists():
                 path.unlink()
-        tables_dir = shard_root / TABLES_DIR
-        if tables_dir.exists():
-            for stale in tables_dir.glob("*.npz"):
-                stale.unlink()
-        return LakeShard(shard_root, self.fingerprint, shard_id=shard_id)
+        for stale in (shard_root / TABLES_DIR).glob("*.npz"):
+            stale.unlink()
+        return LakeShard(shard_root, self.fingerprint, shard_id)
 
     def _flush_top(self) -> None:
-        path = self.root / MANIFEST_NAME
-        temporary = path.with_name("manifest.tmp.json")
-        write_json(temporary, self._top)
-        os.replace(temporary, path)
-
-    @property
-    def _manifest(self) -> dict:
-        """Flat-layout manifest view (single-shard stores only)."""
-        if self.n_shards == 1:
-            return self.shards[0]._manifest
-        raise AttributeError(
-            "a sharded LakeStore has one manifest per shard; use .shards"
-        )
+        _write_manifest(self.root / MANIFEST_NAME, self._top)
 
     # ------------------------------------------------------------------ #
     @classmethod
     def open(
         cls, root: str | os.PathLike, expected_fingerprint: str | None = None
     ) -> "LakeStore":
-        """Open an existing store (either layout), validating its
-        fingerprint if given."""
-        manifest_path = Path(root) / MANIFEST_NAME
-        if not manifest_path.exists():
-            raise FileNotFoundError(f"no lake manifest at {manifest_path}")
-        found = read_json(manifest_path).get("fingerprint", "")
+        """Open an existing store, validating its fingerprint if given. A
+        store still in the flat layout is converted here, once."""
+        top = _read_root_manifest(root)
+        if top is None:
+            raise FileNotFoundError(
+                f"no lake manifest at {Path(root) / MANIFEST_NAME}"
+            )
+        found = top.get("fingerprint", "")
         if expected_fingerprint is not None and found != expected_fingerprint:
             raise FingerprintMismatchError(expected_fingerprint, found)
-        return cls(root, found)
+        return cls(root, found, _top=top)
 
     @classmethod
     def peek_n_shards(cls, root: str | os.PathLike) -> int | None:
         """Read a lake's shard count without opening it (``None`` when no
         store exists yet) — how the CLI folds the layout into the
         fingerprint before opening."""
-        manifest_path = Path(root) / MANIFEST_NAME
-        if not manifest_path.exists():
-            return None
-        head = read_json(manifest_path)
-        return int(head.get("n_shards", 1)) if head.get("sharded") else 1
+        top = _read_root_manifest(root)
+        return None if top is None else _shard_count(top)
 
     @classmethod
     def peek_index_spec(cls, root: str | os.PathLike) -> IndexSpec | None:
         """Read a lake's index-backend spec without opening the store
         (no fingerprint needed) — how the CLI decides which backend a
-        warm lake was built with. Works for both layouts: the spec lives
-        in the root manifest either way."""
-        manifest_path = Path(root) / MANIFEST_NAME
-        if not manifest_path.exists():
-            return None
-        raw = read_json(manifest_path).get("index_spec")
-        if raw is None:
-            return None
-        return IndexSpec.from_dict(raw)
+        warm lake was built with."""
+        raw = (_read_root_manifest(root) or {}).get("index_spec")
+        return None if raw is None else IndexSpec.from_dict(raw)
+
+    @classmethod
+    def needs_conversion(cls, root: str | os.PathLike) -> bool:
+        """Is the store at ``root`` still in the flat layout, so that
+        opening it would rewrite it? Whoever must not write there (a
+        replica over a shared snapshot) asks first."""
+        top = _read_root_manifest(root)
+        return top is not None and not top.get("sharded")
 
     # ------------------------------------------------------------------ #
     def shard_id(self, name: str) -> int:
-        if self.n_shards == 1:
-            return 0
         return stable_shard(name, self.n_shards)
 
     def _shard_for(self, name: str) -> LakeShard:
         return self.shards[self.shard_id(name)]
 
-    def _alloc_seqs(self, count: int) -> list[int]:
-        start = int(self._top.get("next_seq", 1))
-        self._top["next_seq"] = start + count
-        self._flush_top()
-        return list(range(start, start + count))
-
     # ------------------------------------------------------------------ #
     def save_table(self, record: LakeTableRecord) -> None:
         """Write one table's artifacts; replaces any same-named entry."""
-        if self.n_shards == 1:
-            self.shards[0].save_table(record)
-            return
-        shard = self._shard_for(record.name)
-        seq = None if record.name in shard else self._alloc_seqs(1)[0]
-        shard.save_table(record, seq=seq)
+        self.save_tables([record])
 
     def save_tables(
         self, records: list[LakeTableRecord], workers: int | None = None
@@ -721,15 +659,16 @@ class LakeStore:
         owns one shard's files, so there is no shared mutable state, and a
         crash mid-write still loses at most each shard's unflushed tail.
         """
-        if self.n_shards == 1:
-            self.shards[0].save_tables(records)
-            return
         fresh = [
             record.name
             for record in records
             if record.name not in self._shard_for(record.name)
         ]
-        seq_by_name = dict(zip(fresh, self._alloc_seqs(len(fresh))))
+        start = int(self._top["next_seq"])
+        seq_by_name = dict(zip(fresh, range(start, start + len(fresh))))
+        if fresh:
+            self._top["next_seq"] = start + len(fresh)
+            self._flush_top()
         groups: dict[int, tuple[list[LakeTableRecord], list[int | None]]] = {}
         for record in records:
             shard_records, shard_seqs = groups.setdefault(
@@ -739,8 +678,7 @@ class LakeStore:
             shard_seqs.append(seq_by_name.get(record.name))
 
         def write(shard_id: int) -> None:
-            shard_records, shard_seqs = groups[shard_id]
-            self.shards[shard_id].save_tables(shard_records, seqs=shard_seqs)
+            self.shards[shard_id].save_tables(*groups[shard_id])
 
         if workers and workers > 1 and len(groups) > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -754,20 +692,17 @@ class LakeStore:
 
     def _ordered_entries(self) -> list[tuple[LakeShard, dict]]:
         """Every entry across all shards, in global insertion order."""
-        if self.n_shards == 1:
-            shard = self.shards[0]
-            return [(shard, entry) for entry in shard.entries()]
         indexed = [
-            (int(entry.get("seq", _NO_SEQ)), shard_id, position, shard, entry)
-            for shard_id, shard in enumerate(self.shards)
-            for position, entry in enumerate(shard.entries())
+            (int(entry["seq"]), shard, entry)
+            for shard in self.shards
+            for entry in shard.entries()
         ]
-        indexed.sort(key=lambda item: item[:3])
-        return [(shard, entry) for *_, shard, entry in indexed]
+        indexed.sort(key=lambda item: item[0])
+        return [(shard, entry) for _, shard, entry in indexed]
 
     def load_all(self) -> Iterator[LakeTableRecord]:
-        """Records in global insertion order — identical between layouts,
-        so warm loads are deterministic and layout-invariant."""
+        """Records in global insertion order — identical at every shard
+        count, so warm loads are deterministic and layout-invariant."""
         for shard, entry in self._ordered_entries():
             yield shard._load_entry(entry)
 
@@ -779,72 +714,67 @@ class LakeStore:
     # ------------------------------------------------------------------ #
     def save_index(
         self,
-        index: VectorIndex,
+        index: ShardedIndex,
         spec: IndexSpec,
         workers: int | None = None,
     ) -> None:
         """Persist the built index beside the data it serves.
 
-        Flat stores write one ``index.npz``; sharded stores require a
-        :class:`~repro.search.backend.ShardedIndex` and rewrite only the
-        shards it reports dirty — an incremental delta costs one shard's
-        artifact, not N.
+        A shard is rewritten when the index reports it dirty **or** when
+        its persisted artifact is out of step with its table manifest (a
+        table was saved or removed since — the index may not have changed,
+        but the artifact would otherwise be rejected at the next open). An
+        incremental delta therefore costs one shard's artifact, not N, and
+        after this call every shard warm-opens.
         """
-        if self.n_shards == 1:
-            self.shards[0].save_index(index, spec)
-            return
         if not isinstance(index, ShardedIndex) or index.n_shards != self.n_shards:
             raise ValueError(
                 f"a {self.n_shards}-shard store persists a ShardedIndex with "
                 f"matching shard count, got {type(index).__name__}"
             )
         self.record_index_spec(spec)
-        dirty = sorted(index.dirty_shards())
+        stale = sorted(
+            index.dirty_shards()
+            | {k for k, shard in enumerate(self.shards) if not shard.index_in_step()}
+        )
 
         def save(shard_id: int) -> None:
             self.shards[shard_id].save_index(index.subs[shard_id], spec)
 
-        if workers and workers > 1 and len(dirty) > 1:
+        if workers and workers > 1 and len(stale) > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(save, dirty))
+                list(pool.map(save, stale))
         else:
-            for shard_id in dirty:
+            for shard_id in stale:
                 save(shard_id)
         index.mark_clean()
 
-    def record_index_spec(self, spec: IndexSpec, flush: bool = True) -> None:
-        if self.n_shards == 1:
-            self.shards[0].record_index_spec(spec, flush=flush)
-            return
+    def record_index_spec(self, spec: IndexSpec) -> None:
+        """Record which backend this lake is configured for.
+
+        The spec is *configuration*, not artifact: it is written as soon
+        as a catalog attaches (before any slow embedding work), so an
+        interrupted first ingest still reopens under the right backend,
+        and it survives :meth:`drop_index`. Every ``save_index`` re-records
+        it; the top manifest is only rewritten when it actually changed.
+        """
         raw = spec.to_dict()
-        if self._top.get("index_spec") == raw:
-            return  # every save_index re-records; don't rewrite the top
-            # manifest when the spec hasn't actually changed
-        self._top["index_spec"] = raw
-        if flush:
+        if self._top.get("index_spec") != raw:
+            self._top["index_spec"] = raw
             self._flush_top()
 
     def index_spec(self) -> IndexSpec | None:
-        if self.n_shards == 1:
-            return self.shards[0].index_spec()
         raw = self._top.get("index_spec")
-        if raw is None:
-            return None
-        return IndexSpec.from_dict(raw)
+        return None if raw is None else IndexSpec.from_dict(raw)
 
-    def load_index(self, dim: int) -> "VectorIndex | None":
-        """Restore the persisted index.
+    def load_index(self, dim: int) -> ShardedIndex:
+        """Restore the persisted index, shard by shard.
 
-        Flat stores return the backend index or ``None`` (rebuild
-        fallback). Sharded stores *always* return a
-        :class:`~repro.search.backend.ShardedIndex`: shards whose artifact
-        restored cleanly are listed in its ``restored_shards``; the rest
-        come back as fresh empty sub-indexes for the caller to rebuild from
-        records — per shard, so one torn artifact never forces a full
-        rebuild.
+        Shards whose artifact restored cleanly are listed in the result's
+        ``restored_shards``; the rest come back as fresh empty sub-indexes
+        for the caller to rebuild from records — per shard, so one torn
+        artifact never forces a full rebuild.
         """
-        if self.n_shards == 1:
-            return self.shards[0].load_index(dim)
         spec = self.index_spec() or IndexSpec()
         subs: list[VectorIndex] = []
         restored: set[int] = set()
@@ -879,10 +809,6 @@ class LakeStore:
         return sum(len(shard) for shard in self.shards)
 
     def stats(self) -> dict:
-        if self.n_shards == 1:
-            stats = self.shards[0].stats()
-            stats["n_shards"] = 1
-            return stats
         shard_stats = [shard.stats() for shard in self.shards]
         spec = self.index_spec()
         return {

@@ -326,6 +326,8 @@ def stable_shard(text: str, n_shards: int) -> int:
     """
     if n_shards < 1:
         raise ValueError(f"n_shards must be >= 1, got {n_shards}")
+    if n_shards < 2:
+        return 0  # anything % 1 — a one-shard lake pays no digest per key
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % n_shards
 
@@ -386,11 +388,17 @@ class ShardedIndex:
         return shard
 
     def reset_shard(self, shard: int) -> None:
-        """Replace one sub-index with a fresh empty one (rebuild seam)."""
+        """Replace one sub-index with a fresh empty one (rebuild seam).
+
+        The shard is dirty from here on: whatever artifact is persisted
+        for it no longer describes the sub-index, even if nothing is ever
+        re-added (a rebuilt-but-empty shard still has to heal on disk).
+        """
         if self.factory is None:
             raise ValueError("ShardedIndex has no factory to reset shards with")
         self.subs[shard] = self.factory()
         self.restored_shards.discard(shard)
+        self._dirty.add(shard)
 
     # -- mutation ------------------------------------------------------- #
     def add(self, key, vector: np.ndarray) -> None:
@@ -469,11 +477,6 @@ class ShardedIndex:
     def dirty_shards(self) -> set[int]:
         """Sub-indexes mutated since the last :meth:`mark_clean`."""
         return set(self._dirty)
-
-    def mark_dirty(self, shard: int) -> None:
-        """Force one shard into the next save (e.g. a rebuilt-but-empty
-        shard whose stale on-disk artifact needs healing)."""
-        self._dirty.add(shard)
 
     def mark_clean(self) -> None:
         self._dirty.clear()

@@ -29,7 +29,6 @@ import numpy as np
 from repro.search.backend import (
     IndexSpec,
     VectorIndex,
-    make_index,
     make_sharded_index,
     normalize_index_spec,
     stable_shard,
@@ -85,18 +84,16 @@ class TableSearcher:
         self.dim = dim
         self.backend_spec = normalize_index_spec(backend, metric=metric)
         self.n_shards = n_shards
-        if n_shards > 1:
-            # Hash-partitioned column index: a table's columns co-locate
-            # (routed by table name), queries fan + merge across shards
-            # with shard-count-invariant rankings.
-            self.index: VectorIndex = make_sharded_index(
-                self.backend_spec,
-                dim,
-                n_shards,
-                router=lambda entry: stable_shard(entry.table, n_shards),
-            )
-        else:
-            self.index = make_index(self.backend_spec, dim)
+        # Hash-partitioned column index: a table's columns co-locate
+        # (routed by table name), queries fan + merge across shards with
+        # shard-count-invariant rankings. One shard is the same face over
+        # one sub-index, whose answer passes straight through.
+        self.index: VectorIndex = make_sharded_index(
+            self.backend_spec,
+            dim,
+            n_shards,
+            router=lambda entry: stable_shard(entry.table, n_shards),
+        )
         self.candidate_factor = candidate_factor
         self._columns_by_table: dict[str, list[ColumnEntry]] = defaultdict(list)
         #: Rows inserted through this searcher — a warm restore via

@@ -24,13 +24,11 @@ def _build(lake_embedder, lake_tables, tmp_path, backend=None):
 
 
 def _assert_backend_class(catalog, cls):
-    """The live index is `cls` — directly (flat) or per shard (sharded)."""
+    """Every shard of the live index is a `cls`."""
     index = catalog.searcher.index
-    if catalog.n_shards == 1:
-        assert isinstance(index, cls)
-    else:
-        assert isinstance(index, ShardedIndex)
-        assert all(isinstance(sub, cls) for sub in index.subs)
+    assert isinstance(index, ShardedIndex)
+    assert index.n_shards == catalog.n_shards
+    assert all(isinstance(sub, cls) for sub in index.subs)
 
 
 # --------------------------------------------------------------------- #
@@ -185,15 +183,10 @@ def test_persisted_index_state_version_guard(lake_embedder, lake_tables, tmp_pat
     _build(lake_embedder, lake_tables, tmp_path)
     store = LakeStore.open(tmp_path)
     for shard in store.shards:
-        # Shards that never held a table have no index artifact to poison.
-        if "index" in shard._manifest:
-            shard._manifest["index"]["state_version"] = -1
+        shard._manifest["index"]["state_version"] = -1
+    # Loads degrade per shard: nothing restored, fresh empty sub-indexes.
     index = store.load_index(lake_embedder.dim)
-    if store.n_shards == 1:
-        assert index is None
-    else:
-        # Sharded loads degrade per shard: nothing restored, fresh subs.
-        assert index.restored_shards == set() and len(index) == 0
+    assert index.restored_shards == set() and len(index) == 0
 
 
 # --------------------------------------------------------------------- #

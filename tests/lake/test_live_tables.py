@@ -6,7 +6,7 @@ The parity tier pins the tentpole guarantee: ingest-prefix-then-append,
 after the lazy re-embed, ranks identically to a cold ingest of the full
 table (the merged sketches are bitwise equal for the exact halves and
 bitwise-under-caps for the numeric vector, so the trunk sees identical
-inputs). Runs under both layouts via ``$REPRO_LAKE_SHARDS``.
+inputs). Runs at 1 and at 4 shards (the ``lake_layout_shards`` fixture).
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ import pytest
 from repro.lake.api import API_VERSION, DiscoveryError, DiscoveryRequest
 from repro.lake.catalog import LakeCatalog
 from repro.lake.client import LakeClient
+from repro.lake.frontend import FrontendThread
 from repro.lake.server import ServerThread
 from repro.lake.service import LakeService
 
@@ -151,28 +152,56 @@ def test_raw_http_statuses_and_envelopes(served):
         conn.close()
 
 
-def test_unframeable_requests_get_envelopes_and_server_survives(served):
+@pytest.fixture(params=["server", "frontend"])
+def listener(request, served):
+    """A client on the listener under test: the server itself, or a
+    frontend proxying to it — both frame requests with the same code and
+    must answer an unframeable one the same way."""
+    _, client = served
+    if request.param == "server":
+        yield client
+        return
+    with FrontendThread([(client.host, client.port)]) as proxy:
+        with LakeClient(port=proxy.port) as proxied:
+            yield proxied
+
+
+@pytest.mark.parametrize(
+    "content_length, reason",
+    [
+        (b"999999999999", b"exceeds the"),
+        (b"-5", b"negative Content-Length"),
+        (b"twelve", b"unparseable Content-Length"),
+    ],
+)
+def test_unframeable_requests_get_envelopes_and_listener_survives(
+    listener, caplog, content_length, reason
+):
     import socket
 
-    _, client = served
-    # An oversized Content-Length still gets the typed envelope (then the
-    # connection closes — the unread body makes keep-alive impossible).
-    with socket.create_connection((client.host, client.port), timeout=30) as raw:
+    # A body length that cannot be honoured still gets the typed envelope
+    # (then the connection closes — the unread body makes keep-alive
+    # impossible).
+    with socket.create_connection((listener.host, listener.port), timeout=30) as raw:
         raw.sendall(
             b"POST /v1/query HTTP/1.1\r\n"
-            b"Content-Length: 999999999999\r\n\r\n"
+            b"Content-Length: " + content_length + b"\r\n\r\n"
         )
         response = raw.recv(65536)
+        assert raw.recv(65536) == b"", "the listener closes after answering"
     assert response.startswith(b"HTTP/1.1 400 ")
-    assert b"bad-request" in response
+    assert b"bad-request" in response and reason in response
     assert b"Connection: close" in response
 
-    # A client that vanishes mid-body must not poison the server.
-    with socket.create_connection((client.host, client.port), timeout=30) as raw:
+    # A client that vanishes mid-body must not poison the listener.
+    with socket.create_connection((listener.host, listener.port), timeout=30) as raw:
         raw.sendall(
             b"POST /v1/query HTTP/1.1\r\nContent-Length: 100\r\n\r\nshort"
         )
-    assert client.healthz() == {"status": "ok", "version": API_VERSION}
+    # The accept loop still serves the next connection, and no handler died
+    # with an unhandled exception.
+    assert listener.healthz() == {"status": "ok", "version": API_VERSION}
+    assert "Unhandled exception" not in caplog.text
 
 
 def test_remove_missing_table_is_404(served):

@@ -12,10 +12,10 @@ docstrings promise:
   member query after its remove raises ``KeyError`` instead of answering
   from stale state, and removed tables never reappear in later rankings.
 
-Runs under both layouts (flat / ``$REPRO_LAKE_SHARDS``-sharded), with a
-store attached, so the per-shard persistence path is exercised under the
-same lock discipline; a final warm reload must reproduce the exact ledger
-state from disk.
+Runs at 1 and at 4 shards (the directory's ``lake_layout_shards``
+fixture), with a store attached, so the per-shard persistence path is
+exercised under the same lock discipline; a final warm reload must
+reproduce the exact ledger state from disk.
 """
 
 from __future__ import annotations

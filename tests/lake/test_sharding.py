@@ -1,10 +1,12 @@
-"""Sharded/flat parity property tests.
+"""Shard-count parity property tests.
 
-The whole point of the sharded layout is that it is *invisible* to query
-semantics: for randomized lakes, a store partitioned into N ∈ {1, 2, 7}
-shards must return byte-identical query rankings, ``stats()``, and
-``table_names()`` to the flat store — across both the ``exact`` and
-``hnsw`` backends, cold-built or after a close → warm ``open`` round trip.
+The whole point of sharding is that it is *invisible* to query semantics:
+for randomized lakes, a store partitioned into N ∈ {2, 4} shards must return
+byte-identical query rankings, ``stats()``, and ``table_names()`` to the
+one-shard store — across both the ``exact`` and ``hnsw`` backends,
+cold-built or after a close → warm ``open`` round trip — and a lake built
+through incremental mutations must, at every N, serve the rankings the
+flat-layout code recorded for the same corpus (``data/flat_store``).
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.embed import TableEmbedder
+from repro.lake.bundle import load_bundle
 from repro.lake.catalog import LakeCatalog
 from repro.lake.service import LakeService
 from repro.lake.store import LakeStore
@@ -19,11 +23,19 @@ from repro.search.backend import ShardedIndex, stable_shard
 from repro.table.schema import Table, table_from_rows
 
 MODES = ("join", "union", "subset")
-SHARD_COUNTS = (1, 2, 7)
+SHARD_COUNTS = (2, 4)
 #: ef_search far above the corpus size, so the approximate backend is
 #: effectively exhaustive at this scale and parity is exact, not
 #: probabilistic (the parametrized runs are fully deterministic either way).
 HNSW_SPEC = "hnsw:m=8,ef_construction=96,ef_search=160"
+
+
+@pytest.fixture(autouse=True)
+def lake_layout_shards() -> int:
+    """Every store here states its shard count, so running the module once
+    per default (the directory-wide fixture this overrides) would only
+    repeat it."""
+    return LakeStore.DEFAULT_SHARDS
 
 
 def _random_tables(seed: int, n: int = 12) -> dict[str, Table]:
@@ -72,17 +84,17 @@ def _comparable_stats(catalog: LakeCatalog) -> dict:
 
 @pytest.mark.parametrize("backend", [None, HNSW_SPEC], ids=["exact", "hnsw"])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_sharded_store_matches_flat_store(tmp_path, lake_embedder, backend, seed):
+def test_sharded_store_matches_one_shard_store(tmp_path, lake_embedder, backend, seed):
     tables = _random_tables(seed)
     names = list(tables)
     source = tables[names[0]]
     probe = source.with_columns(source.columns, name="external-probe")
 
-    flat_store = LakeStore(tmp_path / "flat", "fp", n_shards=1)
-    flat = LakeCatalog(lake_embedder, store=flat_store, index_backend=backend)
-    flat.add_tables(tables)
-    flat_stats = _comparable_stats(flat)
-    flat_rankings = _rankings(LakeService(flat), names, probe)
+    one_store = LakeStore(tmp_path / "one", "fp", n_shards=1)
+    one = LakeCatalog(lake_embedder, store=one_store, index_backend=backend)
+    one.add_tables(tables)
+    one_stats = _comparable_stats(one)
+    one_rankings = _rankings(LakeService(one), names, probe)
 
     for n_shards in SHARD_COUNTS:
         root = tmp_path / f"sharded{n_shards}"
@@ -90,10 +102,10 @@ def test_sharded_store_matches_flat_store(tmp_path, lake_embedder, backend, seed
         catalog = LakeCatalog(lake_embedder, store=store, index_backend=backend)
         catalog.add_tables(tables, ingest_workers=2)
 
-        assert catalog.table_names() == flat.table_names()
-        assert store.table_names() == flat_store.table_names()
-        assert _comparable_stats(catalog) == flat_stats
-        assert _rankings(LakeService(catalog), names, probe) == flat_rankings
+        assert catalog.table_names() == one.table_names()
+        assert store.table_names() == one_store.table_names()
+        assert _comparable_stats(catalog) == one_stats
+        assert _rankings(LakeService(catalog), names, probe) == one_rankings
 
         # Close → warm open: the persisted per-shard indexes are adopted
         # (zero insertions, zero trunk forwards) and answers stay identical.
@@ -102,57 +114,32 @@ def test_sharded_store_matches_flat_store(tmp_path, lake_embedder, backend, seed
         )
         assert warm.embed_calls == 0
         assert warm.searcher.insertions == 0
-        assert warm.table_names() == flat.table_names()
+        assert warm.table_names() == one.table_names()
         assert _comparable_stats(warm) == {
-            **flat_stats,
+            **one_stats,
             "embed_calls": 0,
             "index_insertions": 0,
         }
-        assert _rankings(LakeService(warm), names, probe) == flat_rankings
+        assert _rankings(LakeService(warm), names, probe) == one_rankings
 
 
-def test_parity_survives_incremental_mutations(tmp_path, lake_embedder):
-    """Add/remove/update deltas leave flat and sharded lakes identical."""
-    tables = _random_tables(seed=2, n=10)
-    names = list(tables)
-    flat = LakeCatalog(
-        lake_embedder, store=LakeStore(tmp_path / "flat", "fp", n_shards=1)
+@pytest.mark.parametrize("n_shards", (1,) + SHARD_COUNTS)
+def test_parity_survives_incremental_mutations(tmp_path, flat_fixture, n_shards):
+    """Bulk add, remove, staged replace: at every shard count the lake
+    serves what the flat-layout code recorded for the same sequence (so
+    every count equals every other), live and after a warm open."""
+    model, encoder, _ = load_bundle(flat_fixture.lake)
+    store = LakeStore(tmp_path, "fp", n_shards=n_shards)
+    catalog = LakeCatalog(TableEmbedder(model, encoder), store=store)
+    flat_fixture.build_state(catalog)
+    flat_fixture.assert_serves(LakeService(catalog))
+
+    warm = LakeCatalog.from_store(
+        TableEmbedder(model, encoder), LakeStore.open(tmp_path)
     )
-    sharded = LakeCatalog(
-        lake_embedder, store=LakeStore(tmp_path / "sharded", "fp", n_shards=4)
-    )
-    for catalog in (flat, sharded):
-        catalog.add_tables(tables)
-        catalog.remove_table(names[3])
-        catalog.update_table(tables[names[5]])
-        late = tables[names[3]]
-        catalog.add_table(late.with_columns(late.columns, name="late-arrival"))
-
-    assert flat.table_names() == sharded.table_names()
-    kept = flat.table_names()
-    probe = tables[names[1]].with_columns(tables[names[1]].columns, name="probe")
-    assert _rankings(LakeService(flat), kept, probe) == _rankings(
-        LakeService(sharded), kept, probe
-    )
-
-    # ... and the mutated sharded lake warm-opens to the same answers.
-    warm = LakeCatalog.from_store(lake_embedder, LakeStore.open(tmp_path / "sharded"))
-    assert warm.searcher.insertions == 0
-    assert warm.table_names() == kept
-    assert _rankings(LakeService(warm), kept, probe) == _rankings(
-        LakeService(flat), kept, probe
-    )
-
-
-def test_env_knob_sets_default_layout(tmp_path, lake_embedder, lake_layout_shards):
-    """The `$REPRO_LAKE_SHARDS` knob (the lever CI uses to run this whole
-    directory under both layouts) is what unstated stores and catalogs
-    actually default to."""
-    store = LakeStore(tmp_path, "fp")
-    assert store.n_shards == lake_layout_shards
-    catalog = LakeCatalog(lake_embedder)
-    assert catalog.n_shards == lake_layout_shards
-    assert catalog.stats()["n_shards"] == lake_layout_shards
+    assert warm.searcher.insertions == 0 and warm.embed_calls == 0
+    assert warm.store.table_names() == catalog.table_names()
+    flat_fixture.assert_serves(LakeService(warm))
 
 
 def test_sharded_catalog_routes_tables_to_owning_shard(tmp_path, lake_embedder):

@@ -2,9 +2,8 @@
 manifest-order determinism, manifest-recorded sizes, the persisted vector
 index, and per-shard crash/corruption degradation.
 
-Most tests run under whatever layout ``$REPRO_LAKE_SHARDS`` selects (CI runs
-this directory flat *and* 4-sharded); tests that exercise the single-shard
-persistence layer directly pin ``n_shards=1``.
+Stores created without a shard count run at 1 shard and at 4 (the
+directory's ``lake_layout_shards`` fixture).
 """
 
 import numpy as np
@@ -12,7 +11,12 @@ import pytest
 
 from repro.lake.catalog import LakeCatalog
 from repro.lake.store import LakeStore, LakeTableRecord
-from repro.search.backend import IndexSpec, make_index
+from repro.search.backend import (
+    IndexSpec,
+    make_index,
+    make_sharded_index,
+    stable_shard,
+)
 from repro.search.tables import ColumnEntry
 from repro.sketch.pipeline import sketch_table
 
@@ -23,7 +27,7 @@ def _all_entries(store: LakeStore) -> list[dict]:
 
 
 def _table_archives(root) -> list:
-    """Every table npz under either layout."""
+    """Every table npz, whichever shard holds it."""
     return sorted(root.rglob("tables/*.npz"))
 
 
@@ -140,9 +144,12 @@ def test_stats_sums_manifest_recorded_sizes(
 # --------------------------------------------------------------------- #
 # Persisted vector index
 # --------------------------------------------------------------------- #
-def _column_index(spec="exact", n=12, dim=8, seed=0):
+def _column_index(n_shards, spec="exact", n=12, dim=8, seed=0):
+    """A populated index with the shape a `TableSearcher` builds."""
     rng = np.random.default_rng(seed)
-    index = make_index(spec, dim)
+    index = make_sharded_index(
+        spec, dim, n_shards, router=lambda entry: stable_shard(entry.table, n_shards)
+    )
     index.add_many(
         [
             (ColumnEntry(f"t{i % 4}", f"c{i}"), rng.normal(size=dim))
@@ -152,20 +159,23 @@ def _column_index(spec="exact", n=12, dim=8, seed=0):
     return index
 
 
+def _every_shard(store: LakeStore) -> set[int]:
+    return set(range(store.n_shards))
+
+
 @pytest.mark.parametrize("spec", ["exact", "hnsw:m=6,ef_search=32"])
 def test_save_load_index_round_trip(tmp_path, spec):
-    # Pinned flat: exercises the single-shard persistence layer directly
-    # (the sharded equivalent lives in the sharding tests below).
-    store = LakeStore(tmp_path, "fp", n_shards=1)
-    assert store.load_index(8) is None and store.index_spec() is None
-    index = _column_index(spec)
+    store = LakeStore(tmp_path, "fp")
+    assert store.load_index(8).restored_shards == set()
+    assert store.index_spec() is None
+    index = _column_index(store.n_shards, spec)
     store.save_index(index, IndexSpec.parse(spec))
 
     reopened = LakeStore.open(tmp_path)
     assert reopened.index_spec() == IndexSpec.parse(spec)
     assert LakeStore.peek_index_spec(tmp_path) == IndexSpec.parse(spec)
     restored = reopened.load_index(8)
-    assert restored is not None
+    assert restored.restored_shards == _every_shard(store)
     assert restored.keys() == index.keys()
     query = np.ones(8)
     assert [k for k, _ in restored.query(query, 5)] == [
@@ -176,33 +186,70 @@ def test_save_load_index_round_trip(tmp_path, spec):
 
 
 def test_save_empty_index_round_trip(tmp_path):
-    store = LakeStore(tmp_path, "fp", n_shards=1)
-    store.save_index(make_index("exact", 8), IndexSpec("exact", {}))
+    """Saving persists an artifact for every shard, populated or not, so
+    the next open restores all of them."""
+    store = LakeStore(tmp_path, "fp")
+    store.save_index(_column_index(store.n_shards, n=0), IndexSpec("exact", {}))
     restored = LakeStore.open(tmp_path).load_index(8)
-    assert restored is not None and len(restored) == 0
+    assert restored.restored_shards == _every_shard(store) and len(restored) == 0
+
+
+def test_save_index_refuses_an_index_of_another_shape(tmp_path):
+    store = LakeStore(tmp_path, "fp")
+    with pytest.raises(ValueError, match="ShardedIndex"):
+        store.save_index(make_index("exact", 8), IndexSpec("exact", {}))
+    with pytest.raises(ValueError, match="ShardedIndex"):
+        store.save_index(
+            _column_index(store.n_shards + 1), IndexSpec("exact", {})
+        )
 
 
 def test_corrupt_index_archive_degrades_to_rebuild(tmp_path):
-    """A truncated/torn index.npz (crash mid-write on an old layout) must
-    make load_index return None — the rebuild fallback — not raise."""
-    store = LakeStore(tmp_path, "fp", n_shards=1)
-    store.save_index(_column_index(), IndexSpec("exact", {}))
-    (tmp_path / "index.npz").write_bytes(b"not a zip archive")
+    """A truncated/torn index.npz must make load_index hand that shard
+    back unrestored — the rebuild fallback — not raise."""
+    store = LakeStore(tmp_path, "fp")
+    store.save_index(_column_index(store.n_shards), IndexSpec("exact", {}))
+    for shard in store.shards:
+        (shard.root / "index.npz").write_bytes(b"not a zip archive")
     with pytest.warns(RuntimeWarning, match="could not be restored"):
-        assert LakeStore.open(tmp_path).load_index(8) is None
+        restored = LakeStore.open(tmp_path).load_index(8)
+    assert restored.restored_shards == set() and len(restored) == 0
 
 
 def test_drop_index_keeps_spec(tmp_path):
-    store = LakeStore(tmp_path, "fp", n_shards=1)
+    store = LakeStore(tmp_path, "fp")
     assert not store.drop_index()
     spec = IndexSpec.parse("hnsw:m=6")
-    store.save_index(_column_index("hnsw:m=6"), spec)
+    store.save_index(_column_index(store.n_shards, "hnsw:m=6"), spec)
     assert store.drop_index()
-    assert store.load_index(8) is None
+    assert store.load_index(8).restored_shards == set()
     # The backend spec is configuration, not artifact: it survives the
     # drop so a rebuild happens under the same backend.
     assert LakeStore.peek_index_spec(tmp_path) == spec
     assert LakeStore.open(tmp_path).index_spec() == spec
+
+
+def test_save_index_heals_a_shard_whose_table_manifest_moved_on(
+    tmp_path, city_table, product_table, tiny_sketch_config
+):
+    """`save_table` then `save_index` with an index nobody touched — the
+    public sequence an append performs: the table write bumped that
+    shard's mutation counter, so its persisted index would be rejected at
+    the next open unless `save_index` re-saves it, dirty or not."""
+    store = LakeStore(tmp_path, "fp")
+    records = [_record(t, tiny_sketch_config) for t in (city_table, product_table)]
+    store.save_tables(records)
+    index = _column_index(store.n_shards)
+    store.save_index(index, IndexSpec("exact", {}))
+    assert index.dirty_shards() == set()
+
+    store.save_table(records[0])  # replace: a new version of the same table
+    owner = store.shard_id(records[0].name)
+    assert not store.shards[owner].index_in_step()
+    store.save_index(index, IndexSpec("exact", {}))
+
+    reopened = LakeStore.open(tmp_path)
+    assert reopened.load_index(8).restored_shards == _every_shard(store)
 
 
 def test_failed_array_write_leaves_manifest_clean(
@@ -285,7 +332,7 @@ def test_sharded_store_refuses_conflicting_shard_count(tmp_path, tiny_sketch_con
     store.save_tables(_many_records(tiny_sketch_config, n=4))
     with pytest.raises(ValueError, match="reshard"):
         LakeStore(tmp_path, "fp", n_shards=5)
-    # Unstated count follows the on-disk layout, whatever the env default.
+    # Unstated count follows the on-disk layout, whatever the default.
     assert LakeStore(tmp_path, "fp").n_shards == 3
     assert LakeStore.peek_n_shards(tmp_path) == 3
 
@@ -293,9 +340,10 @@ def test_sharded_store_refuses_conflicting_shard_count(tmp_path, tiny_sketch_con
 def test_torn_shard_manifest_degrades_one_shard_only(tmp_path, tiny_sketch_config):
     """Truncating one shard's manifest mid-byte must cost exactly that
     shard: open() warns, resets it to empty, and keeps serving every other
-    shard's tables."""
+    shard's tables — at every shard count, so a one-shard lake comes back
+    empty and writable instead of refusing to open."""
     records = _many_records(tiny_sketch_config)
-    store = LakeStore(tmp_path, "fp", n_shards=4)
+    store = LakeStore(tmp_path, "fp")
     store.save_tables(records)
     victim = next(shard for shard in store.shards if len(shard) > 0)
     victim_names = set(victim.table_names())
@@ -394,6 +442,57 @@ def test_update_crash_before_unlink_serves_new_version(
     assert loaded.version == 2
     assert np.array_equal(loaded.column_vectors, replacement.column_vectors)
     assert len(_table_archives(tmp_path)) == 1
+
+
+def test_remove_crash_before_unlink_leaves_no_dangling_entry(
+    tmp_path, city_table, product_table, tiny_sketch_config, monkeypatch
+):
+    """Crash after the manifest flush that forgot the table but before its
+    archive is unlinked: the reopened store has neither the entry nor (after
+    the open-time sweep) the file. The other order — unlink, then a kill
+    before the flush — left an entry pointing at a missing archive, and the
+    next `load_all` died with FileNotFoundError."""
+    from repro.lake.store import LakeShard
+
+    store = LakeStore(tmp_path, "fp")
+    store.save_table(_record(city_table, tiny_sketch_config))
+    store.save_table(_record(product_table, tiny_sketch_config))
+    flush = LakeShard._flush
+
+    def flush_then_die(self):
+        flush(self)
+        raise OSError("kill -9")
+
+    monkeypatch.setattr(LakeShard, "_flush", flush_then_die)
+    with pytest.raises(OSError, match="kill -9"):
+        store.remove_table("cities")
+    monkeypatch.undo()
+    assert len(_table_archives(tmp_path)) == 2  # the removed archive lingers
+    reopened = LakeStore.open(tmp_path, expected_fingerprint="fp")
+    assert reopened.table_names() == ["products"]
+    assert [record.name for record in reopened.load_all()] == ["products"]
+    assert len(_table_archives(tmp_path)) == 1  # swept at open
+
+
+def test_remove_crash_before_manifest_flush_keeps_the_table(
+    tmp_path, city_table, tiny_sketch_config, monkeypatch
+):
+    """Crash before the flush: nothing on disk changed, the table still
+    loads."""
+    from repro.lake.store import LakeShard
+
+    store = LakeStore(tmp_path, "fp")
+    store.save_table(_record(city_table, tiny_sketch_config))
+    monkeypatch.setattr(
+        LakeShard,
+        "_flush",
+        lambda self: (_ for _ in ()).throw(OSError("kill -9")),
+    )
+    with pytest.raises(OSError, match="kill -9"):
+        store.remove_table("cities")
+    monkeypatch.undo()
+    reopened = LakeStore.open(tmp_path, expected_fingerprint="fp")
+    assert [record.name for record in reopened.load_all()] == ["cities"]
 
 
 def test_replacement_never_overwrites_live_archive(

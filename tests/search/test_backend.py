@@ -329,7 +329,11 @@ def test_sharded_routing_membership_and_removal(corpus):
 def test_sharded_reset_shard_and_state_guard(corpus):
     vectors, _ = corpus
     sharded = _build_sharded(3, vectors[:30])
+    sharded.mark_clean()
     sharded.reset_shard(1)
+    # A reset shard no longer matches whatever was persisted for it, even
+    # if nothing is re-added: it must ride the next save.
+    assert sharded.dirty_shards() == {1}
     assert len(sharded) == 30 - sum(1 for i in range(30) if i % 3 == 1)
     assert all(key % 3 != 1 for key in sharded.keys())
     # Monolithic state export is a contract violation, loudly.
@@ -347,5 +351,6 @@ def test_stable_shard_is_deterministic_and_spread():
     # Every shard of 8 gets a healthy share of 200 uniform-ish keys.
     counts = [first.count(shard) for shard in range(8)]
     assert min(counts) > 0
+    assert {stable_shard(name, 1) for name in names} == {0}
     with pytest.raises(ValueError, match="n_shards"):
         stable_shard("x", 0)
