@@ -1,8 +1,8 @@
 """CI smoke for the live-tables churn loop — the whole lifecycle, for real.
 
-Builds a tiny lake from generated CSVs via the CLI (spawn-pool ingest,
-``--ingest-procs 2``), then drives the append/version/staleness machinery
-end to end, partly through real subprocesses:
+Builds a tiny lake from generated CSVs via the CLI, then drives the
+append/version/staleness machinery end to end, partly through real
+subprocesses:
 
 - ``append`` via the CLI bumps the table to version 2 and marks it stale;
 - a ``serve`` subprocess answers an ``allow_stale`` query with the stale
@@ -67,7 +67,6 @@ def build_lake(root: Path) -> tuple[str, Path]:
     lake_cli([
         "ingest", "--lake", lake, "--csv-dir", str(csv_dir),
         "--num-perm", "16", "--dim", "32", "--vocab-size", "400",
-        "--ingest-procs", "2",
     ])
     return lake, csv_dir
 

@@ -1,9 +1,8 @@
 """CI smoke for the replicated serving path — the whole loop, for real.
 
-Builds a tiny lake from generated CSVs via the CLI (through the spawn-pool
-ingest path, ``--ingest-procs 2``), publishes a snapshot generation, starts
-two ``python -m repro.lake replica`` subprocesses and one ``frontend``
-subprocess on ephemeral ports, then asserts through the frontend:
+Builds a tiny lake from generated CSVs via the CLI, publishes a snapshot
+generation, starts two ``python -m repro.lake replica`` subprocesses and one
+``frontend`` subprocess on ephemeral ports, then asserts through the frontend:
 
 - ranked hits byte-identical to the in-process leader for the same
   ``DiscoveryRequest`` (all three modes), every answer stamped with the
@@ -66,7 +65,6 @@ def build_lake(root: Path) -> tuple[str, Path]:
     lake_cli([
         "ingest", "--lake", lake, "--csv-dir", str(csv_dir),
         "--num-perm", "16", "--dim", "32", "--vocab-size", "400",
-        "--ingest-procs", "2",
     ])
     return lake, csv_dir
 
@@ -201,7 +199,7 @@ def main() -> None:
             if failures:
                 raise SystemExit("; ".join(failures))
         print(
-            f"replica smoke OK: pooled CLI ingest, {checked} mode parities "
+            f"replica smoke OK: CLI ingest, {checked} mode parities "
             "through the frontend, round-robin over 2 replicas, read-only "
             "refusal, generation 2 adopted via polling, clean SIGINT "
             "shutdowns"

@@ -38,8 +38,6 @@ indexes rebuilt).
 corpus, builds the trunk, and persists model + vocab + artifacts. On an
 existing lake it warm-loads the bundle and embeds *only* CSVs not already
 in the catalog — the offline-index / online-query split of §V.
-``--ingest-workers`` fans the whole pipeline (sketching, batched trunk
-forwards, per-shard writes) across threads.
 """
 
 from __future__ import annotations
@@ -168,13 +166,7 @@ def cmd_ingest(args: argparse.Namespace) -> None:
     fresh = {t.name: t for t in tables if t.name not in catalog}
     skipped = len(tables) - len(fresh)
     forwards_before = catalog.embed_calls
-    catalog.add_tables(
-        fresh,
-        batch_size=args.batch_size,
-        ingest_workers=args.ingest_workers,
-        ingest_procs=args.ingest_procs,
-    )
-    catalog.engine.close_process_pool()
+    catalog.add_tables(fresh, batch_size=args.batch_size)
     added = len(fresh)
     forwards = catalog.embed_calls - forwards_before
     elapsed = time.perf_counter() - started
@@ -610,10 +602,10 @@ def cmd_reshard(args: argparse.Namespace) -> None:
         chunk.append(record)
         n_tables += 1
         if len(chunk) >= RESHARD_CHUNK:
-            staged_store.save_tables(chunk, workers=args.workers)
+            staged_store.save_tables(chunk)
             chunk = []
     if chunk:
-        staged_store.save_tables(chunk, workers=args.workers)
+        staged_store.save_tables(chunk)
     # Rebuild + persist the per-shard indexes from the stored vectors —
     # zero trunk forwards; resharding never re-embeds.
     catalog = LakeCatalog.from_store(
@@ -655,19 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument(
         "--batch-size", type=int, default=16,
         help="tables per trunk forward during batched ingest",
-    )
-    ingest.add_argument(
-        "--ingest-workers", type=int, default=None,
-        help="threads for the ingest pipeline's batched trunk forwards and "
-             "per-shard store writes (default: sequential)",
-    )
-    ingest.add_argument(
-        "--ingest-procs", type=int, default=None,
-        help="worker PROCESSES for the embedding stage: batches fan out "
-             "to a spawn pool (each worker loads the weight bundle once) "
-             "— scales ingest with cores past the GIL; 0/1 = in-process "
-             "(default: $REPRO_LAKE_INGEST_PROCS or in-process); "
-             "embeddings are bitwise-identical either way",
     )
     ingest.add_argument(
         "--shards", type=int, default=None,
@@ -865,10 +844,6 @@ def build_parser() -> argparse.ArgumentParser:
     reshard.add_argument("--lake", required=True)
     reshard.add_argument("--shards", type=int, required=True,
                          help="target shard count")
-    reshard.add_argument(
-        "--workers", type=int, default=None,
-        help="threads for the per-shard artifact writes",
-    )
     reshard.set_defaults(func=cmd_reshard)
 
     stats = sub.add_parser("stats", help="print catalog + store statistics")

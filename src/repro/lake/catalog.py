@@ -6,11 +6,11 @@ Holds every table's :class:`LakeTableRecord` plus the live column index
 
 - an **add** sketches and embeds *only the new table* and bulk-appends its
   column rows to the index (amortized O(cols) — no re-stack of the lake);
-- a **bulk add** routes the whole delta through the parallel ingest
-  pipeline: threaded sketching, then ``ceil(N / batch_size)`` batched
-  :class:`~repro.core.engine.EmbeddingEngine` forwards (fanned across
-  ``ingest_workers`` threads), then per-shard store writes flushed
-  independently and in parallel;
+- a **bulk add** routes the whole delta through one batch-first pipeline
+  in the calling thread: ``sketch_corpus`` (every distinct string hashed
+  once), then ``ceil(N / batch_size)`` length-bucketed
+  :class:`~repro.core.engine.EmbeddingEngine` forwards, then per-shard
+  store writes, one manifest flush per touched shard;
 - a **remove** compacts the index in one pass and never touches the trunk;
 - attached to a :class:`~repro.lake.store.LakeStore`, every mutation is
   persisted immediately — table artifacts *and* the built vector index
@@ -35,7 +35,6 @@ counter: a warm load restores the persisted index and performs zero.
 
 from __future__ import annotations
 
-import os
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -69,23 +68,6 @@ _INGEST_MS = obs.histogram(
     "lake_ingest_duration_ms",
     "Catalog ingest latency in milliseconds, per add_table/add_tables call",
 )
-
-#: Environment knob: default process count for the bulk-ingest embedding
-#: stage (``add_tables``). Lets CI run the whole lake tier through the
-#: process-pool path without touching a single test body.
-ENV_INGEST_PROCS = "REPRO_LAKE_INGEST_PROCS"
-
-
-def default_ingest_procs() -> int | None:
-    """``$REPRO_LAKE_INGEST_PROCS`` or None (in-process embedding)."""
-    raw = os.environ.get(ENV_INGEST_PROCS, "").strip()
-    if not raw:
-        return None
-    value = int(raw)
-    if value < 0:
-        raise ValueError(f"{ENV_INGEST_PROCS} must be >= 0, got {value}")
-    return value
-
 
 def _index_matches_records(index, records: "list[LakeTableRecord]") -> bool:
     """Does a restored index cover exactly the manifest's columns?
@@ -216,27 +198,18 @@ class LakeCatalog:
         self,
         sketches: list[TableSketch],
         batch_size: int | None = None,
-        workers: int | None = None,
-        process_workers: int | None = None,
     ) -> list[TableEmbeddings]:
         """Run the engine, charging its forwards to this catalog's counter.
 
         The charge is computed as ``ceil(N / batch_size)`` rather than by
         diffing the (possibly shared) engine counter: the service's query
         path deliberately embeds outside its lock, so concurrent callers
-        must not see each other's forwards in ``embed_calls``. ``workers``
-        fans independent batch forwards across threads and
-        ``process_workers`` across a spawn pool (bitwise-identical results
-        either way; the charge is the same deterministic ceil).
+        must not see each other's forwards in ``embed_calls``. A forward
+        that raises charges nothing.
         """
         if batch_size is None:
             batch_size = self.batch_size
-        results = self.engine.embed_corpus(
-            sketches,
-            batch_size=batch_size,
-            workers=workers,
-            process_workers=process_workers,
-        )
+        results = self.engine.embed_corpus(sketches, batch_size=batch_size)
         self.embed_calls += -(-len(sketches) // batch_size)
         return results
 
@@ -305,19 +278,16 @@ class LakeCatalog:
             self.store.save_table(record)
             self._persist_index()
 
-    def _persist_index(self, workers: int | None = None) -> None:
+    def _persist_index(self) -> None:
         """Keep the on-disk index in lockstep with the live one, so a
         mutation updates (never invalidates) the persisted artifact.
 
         The store rewrites only the shards the delta touched (one for a
-        single-table delta), optionally across ``workers`` threads — the
-        per-shard-write lever that keeps incremental persistence O(shard),
+        single-table delta), which keeps incremental persistence O(shard),
         not O(lake).
         """
         if self.store is not None:
-            self.store.save_index(
-                self.searcher.index, self.index_spec, workers=workers
-            )
+            self.store.save_index(self.searcher.index, self.index_spec)
 
     # ------------------------------------------------------------------ #
     def add_table(self, table: Table) -> LakeTableRecord:
@@ -337,27 +307,19 @@ class LakeCatalog:
         self,
         tables: dict[str, Table],
         batch_size: int | None = None,
-        ingest_workers: int | None = None,
-        ingest_procs: int | None = None,
     ) -> list[LakeTableRecord]:
-        """Bulk add through the parallel ingest pipeline.
+        """Bulk add through the batch-first ingest pipeline.
 
         The whole delta is sketched in one batched pass (every distinct
         string hashed once; bit-identical to per-table sketching), embedded
-        in ``ceil(N / batch_size)`` length-bucketed forwards (batches
-        fanned across threads), and written to the store with one manifest
-        flush per touched shard — shards flush independently and in
-        parallel, so a crash loses at most one shard's unflushed tail.
+        in ``ceil(N / batch_size)`` length-bucketed forwards, and written
+        to the store with one manifest flush per touched shard — shards
+        flush independently, so a crash loses at most one shard's
+        unflushed tail. Every stage runs in the calling thread.
 
-        ``ingest_workers`` sets the thread count for the embedding and
-        store stages. ``ingest_procs > 1`` routes the embedding
-        stage through the engine's spawn pool instead of threads — the
-        multi-core lever for GIL-bound boxes (default:
-        ``$REPRO_LAKE_INGEST_PROCS`` or in-process). Results are
-        bitwise-identical at any worker or process count; a worker process
-        dying mid-batch raises :class:`~repro.core.engine.IngestPoolError`
-        before anything is registered, so the catalog and store are left
-        exactly as they were.
+        Nothing is registered until every embedding has returned: a
+        forward that raises leaves the catalog, the index and the store
+        exactly as they were, and the same call can be retried.
         """
         for table in tables.values():
             if table.name in self.records:
@@ -365,25 +327,17 @@ class LakeCatalog:
                     f"table {table.name!r} already in catalog; use update_table"
                 )
         ordered = list(tables.values())
-        workers = ingest_workers
-        if ingest_procs is None:
-            ingest_procs = default_ingest_procs()
         with obs.span("lake.ingest", tables=len(ordered)) as ingest:
             sketches = sketch_corpus(ordered, self.sketch_config, self._hasher)
-            embeddings = self._embed_sketches(
-                sketches,
-                batch_size=batch_size,
-                workers=workers,
-                process_workers=ingest_procs,
-            )
+            embeddings = self._embed_sketches(sketches, batch_size=batch_size)
             records = []
             for table, sketch, embedding in zip(ordered, sketches, embeddings):
                 record = self._build_record(table, sketch, embedding)
                 self._register(record, persist=False)
                 records.append(record)
             if self.store is not None:
-                self.store.save_tables(records, workers=workers)
-                self._persist_index(workers=workers)
+                self.store.save_tables(records)
+                self._persist_index()
         if records:
             _TABLES_ADDED.inc(len(records))
             _INGEST_MS.observe(ingest.duration_ms)

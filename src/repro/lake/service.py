@@ -608,21 +608,11 @@ class LakeService:
         self,
         tables: dict[str, Table],
         batch_size: int | None = None,
-        ingest_workers: int | None = None,
-        ingest_procs: int | None = None,
     ):
-        """Bulk ingest through the parallel pipeline:
-        ``ceil(N / batch_size)`` trunk forwards for N new tables, fanned
-        across ``ingest_workers`` threads (or ``ingest_procs`` spawn-pool
-        processes for the embedding stage) along with the per-shard store
-        writes; sketching is one batched pass."""
+        """Bulk ingest: one batched sketching pass, ``ceil(N / batch_size)``
+        trunk forwards for N new tables, then the per-shard store writes."""
         with self._lock:
-            records = self.catalog.add_tables(
-                tables,
-                batch_size=batch_size,
-                ingest_workers=ingest_workers,
-                ingest_procs=ingest_procs,
-            )
+            records = self.catalog.add_tables(tables, batch_size=batch_size)
             self.ingest_count += len(records)
             return records
 

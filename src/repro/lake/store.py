@@ -58,7 +58,6 @@ from __future__ import annotations
 import os
 import warnings
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -193,8 +192,8 @@ class LakeTableRecord:
 class LakeShard:
     """One self-contained shard: manifest + table archives + index.npz.
 
-    All methods are local to the shard — cross-shard routing, global
-    ordering, and parallel writes live in :class:`LakeStore`.
+    All methods are local to the shard — cross-shard routing and global
+    ordering live in :class:`LakeStore`.
     """
 
     def __init__(self, root: str | os.PathLike, fingerprint: str, shard_id: int):
@@ -442,7 +441,9 @@ class LakeShard:
         if not path.exists():
             return None
         try:
-            with np.load(path) as archive:
+            # Our own handle: when the zip directory is torn, np.load leaves
+            # a file it opened itself to the GC (a ResourceWarning).
+            with open(path, "rb") as handle, np.load(handle) as archive:
                 arrays = {key: archive[key] for key in archive.files}
             keys = [
                 ColumnEntry(str(table), str(column))
@@ -650,15 +651,9 @@ class LakeStore:
         """Write one table's artifacts; replaces any same-named entry."""
         self.save_tables([record])
 
-    def save_tables(
-        self, records: list[LakeTableRecord], workers: int | None = None
-    ) -> None:
-        """Bulk save; one manifest flush per touched shard.
-
-        With ``workers``, shards write in parallel threads — each thread
-        owns one shard's files, so there is no shared mutable state, and a
-        crash mid-write still loses at most each shard's unflushed tail.
-        """
+    def save_tables(self, records: list[LakeTableRecord]) -> None:
+        """Bulk save; one manifest flush per touched shard, so a crash
+        mid-write loses at most each shard's unflushed tail."""
         fresh = [
             record.name
             for record in records
@@ -676,16 +671,8 @@ class LakeStore:
             )
             shard_records.append(record)
             shard_seqs.append(seq_by_name.get(record.name))
-
-        def write(shard_id: int) -> None:
-            self.shards[shard_id].save_tables(*groups[shard_id])
-
-        if workers and workers > 1 and len(groups) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(write, groups))
-        else:
-            for shard_id in groups:
-                write(shard_id)
+        for shard_id, (shard_records, shard_seqs) in groups.items():
+            self.shards[shard_id].save_tables(shard_records, shard_seqs)
 
     def load_table(self, name: str) -> LakeTableRecord:
         return self._shard_for(name).load_table(name)
@@ -712,12 +699,7 @@ class LakeStore:
     # ------------------------------------------------------------------ #
     # Persisted vector index
     # ------------------------------------------------------------------ #
-    def save_index(
-        self,
-        index: ShardedIndex,
-        spec: IndexSpec,
-        workers: int | None = None,
-    ) -> None:
+    def save_index(self, index: ShardedIndex, spec: IndexSpec) -> None:
         """Persist the built index beside the data it serves.
 
         A shard is rewritten when the index reports it dirty **or** when
@@ -737,16 +719,8 @@ class LakeStore:
             index.dirty_shards()
             | {k for k, shard in enumerate(self.shards) if not shard.index_in_step()}
         )
-
-        def save(shard_id: int) -> None:
+        for shard_id in stale:
             self.shards[shard_id].save_index(index.subs[shard_id], spec)
-
-        if workers and workers > 1 and len(stale) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(save, stale))
-        else:
-            for shard_id in stale:
-                save(shard_id)
         index.mark_clean()
 
     def record_index_spec(self, spec: IndexSpec) -> None:

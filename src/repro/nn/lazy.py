@@ -35,7 +35,8 @@ programmatic and per-thread control.
 Thread safety: the kernel cache is lock-guarded (a racing compile is
 idempotent — last writer wins on an identical kernel), scratch arenas are
 per-thread, and realization of a shared buffer from two threads is a benign
-idempotent race — required by the PR-4 parallel ingest workers.
+idempotent race — required by the lake server, whose request threads
+embed queries concurrently on one engine.
 """
 
 from __future__ import annotations

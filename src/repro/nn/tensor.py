@@ -35,8 +35,8 @@ from repro.nn import lazy as _lazy
 
 
 class _GradMode(threading.local):
-    """Per-thread grad flag: concurrent inference threads (the lake's
-    parallel ingest pipeline) must not re-enable graph construction under
+    """Per-thread grad flag: concurrent inference threads (the lake
+    server's request threads) must not re-enable graph construction under
     each other's feet the way a shared global would."""
 
     enabled = True

@@ -1,6 +1,9 @@
 """Batched `EmbeddingEngine`: one forward per batch, dynamic padding, and
 equivalence with the sequential fixed-width path."""
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -227,28 +230,40 @@ def test_sketch_corpus_batched_matches_per_table(
 
 
 @pytest.mark.parametrize("lazy_enabled", [False, True], ids=["eager", "lazy"])
-def test_embed_corpus_parallel_workers_bitwise_identical(
+def test_concurrent_embed_batch_bitwise_identical(
     tiny_model, tiny_encoder, ragged_sketches, lazy_enabled
 ):
-    """Fanning batch forwards across threads must change nothing: same
-    embeddings to the bit, same deterministic forward count (the counter
-    is lock-guarded against racing increments). The lazy leg additionally
-    races worker threads through the shared fused-kernel cache.
+    """The server's real concurrency: request threads calling
+    ``embed_batch`` on one shared engine. It must change nothing: same
+    embeddings to the bit, and an exact forward count (the counter is
+    lock-guarded against racing increments). The lazy leg additionally
+    races the threads through the shared fused-kernel cache.
 
-    ``lazy_mode`` is a per-thread override, so the workers themselves
+    ``lazy_mode`` is a per-thread override, so the threads themselves
     follow the process-wide flag — set it globally for the lazy leg."""
+    n_threads = 4
     engine = EmbeddingEngine(tiny_model, tiny_encoder)
+    batches = [ragged_sketches[i : i + 2] for i in range(0, len(ragged_sketches), 2)]
+    barrier = threading.Barrier(n_threads)
+
+    def serve(_slot: int) -> list:
+        barrier.wait(timeout=30)
+        return [engine.embed_batch(batch) for batch in batches]
+
     lazy.set_lazy_enabled(lazy_enabled)
     try:
-        sequential = engine.embed_corpus(ragged_sketches, batch_size=2)
+        sequential = [engine.embed_batch(batch) for batch in batches]
         calls_before = engine.forward_calls
-        parallel = engine.embed_corpus(ragged_sketches, batch_size=2, workers=4)
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            concurrent = list(pool.map(serve, range(n_threads), timeout=60))
     finally:
         lazy.set_lazy_enabled(None)
-    assert engine.forward_calls - calls_before == -(-len(ragged_sketches) // 2)
-    for a, b in zip(parallel, sequential):
-        assert np.array_equal(a.table, b.table)
-        assert np.array_equal(a.columns, b.columns)
+    assert engine.forward_calls - calls_before == n_threads * len(batches)
+    for served in concurrent:
+        for got_batch, want_batch in zip(served, sequential, strict=True):
+            for got, want in zip(got_batch, want_batch, strict=True):
+                assert np.array_equal(got.table, want.table)
+                assert np.array_equal(got.columns, want.columns)
 
 
 # --------------------------------------------------------------------- #

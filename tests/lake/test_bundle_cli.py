@@ -160,6 +160,24 @@ def test_cli_errors_on_missing_lake(tmp_path):
         cli.main(["stats", "--lake", str(tmp_path / "void")])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ingest", "--lake", "lake", "--csv-dir", "csvs", "--ingest-procs", "2"],
+        ["ingest", "--lake", "lake", "--csv-dir", "csvs", "--ingest-workers", "2"],
+        ["reshard", "--lake", "lake", "--shards", "2", "--workers", "2"],
+    ],
+    ids=["ingest-procs", "ingest-workers", "reshard-workers"],
+)
+def test_cli_rejects_removed_concurrency_flags(argv, capsys):
+    """Ingest has one in-process path; its old fan-out flags are a usage
+    error (argparse's exit 2), not a silently ignored option."""
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cli_ingest_query_reshard_roundtrip(tmp_path, csv_dir, capsys, lake_tables):
     """End-to-end ingest → query → reshard → query → remove → re-ingest:
     exit codes are clean, rankings survive resharding byte-for-byte, and
@@ -168,7 +186,6 @@ def test_cli_ingest_query_reshard_roundtrip(tmp_path, csv_dir, capsys, lake_tabl
     cli.main([
         "ingest", "--lake", lake, "--csv-dir", str(csv_dir),
         "--num-perm", "16", "--dim", "32", "--vocab-size", "400",
-        "--ingest-workers", "2",
     ])
     out = capsys.readouterr().out
     assert f"ingested {len(lake_tables)} tables" in out
@@ -180,7 +197,7 @@ def test_cli_ingest_query_reshard_roundtrip(tmp_path, csv_dir, capsys, lake_tabl
 
     before = {name: ranking(name) for name in ("g0t1", "g1t2", "g2t0")}
 
-    cli.main(["reshard", "--lake", lake, "--shards", "3", "--workers", "2"])
+    cli.main(["reshard", "--lake", lake, "--shards", "3"])
     out = capsys.readouterr().out
     assert "-> 3 shard(s)" in out and "no re-embedding" in out
 

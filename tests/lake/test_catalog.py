@@ -126,3 +126,61 @@ def test_bulk_add_duplicate_rejected_before_any_embedding(
     with pytest.raises(ValueError, match="already in catalog"):
         cold_catalog.add_tables(lake_tables)
     assert cold_catalog.embed_calls == before
+
+
+@pytest.mark.parametrize("failing_forward", [1, 2, 3])
+def test_bulk_add_registers_nothing_when_a_forward_raises(
+    tmp_path, lake_embedder, lake_tables, monkeypatch, failing_forward
+):
+    """`add_tables` registers nothing unless every embedding returned:
+    whichever of a 3-batch ingest's forwards raises, the records, the
+    index, the forward charge and every byte of the store are exactly as
+    before the call — and the same call, retried, succeeds."""
+    names = list(lake_tables)
+    catalog = LakeCatalog(
+        lake_embedder, store=LakeStore(tmp_path, "fp"), batch_size=3
+    )
+    catalog.add_tables({name: lake_tables[name] for name in names[:2]})
+    delta = {name: lake_tables[name] for name in names[2:]}  # 7 tables, 3 forwards
+
+    def state() -> dict:
+        return {
+            "records": dict(catalog.records),
+            "indexed_columns": len(catalog.searcher.index),
+            "insertions": catalog.searcher.insertions,
+            "embed_calls": catalog.embed_calls,
+            "store": {
+                str(path.relative_to(tmp_path)): path.read_bytes()
+                for path in tmp_path.rglob("*")
+                if path.is_file()
+            },
+        }
+
+    before = state()
+    forward = catalog.engine._forward_group
+    calls = 0
+
+    def flaky_forward(encodeds, n_cols):
+        nonlocal calls
+        calls += 1
+        if calls == failing_forward:
+            raise RuntimeError(f"forward {calls} failed")
+        return forward(encodeds, n_cols)
+
+    monkeypatch.setattr(catalog.engine, "_forward_group", flaky_forward)
+    with pytest.raises(RuntimeError, match=f"forward {failing_forward} failed"):
+        catalog.add_tables(delta)
+    assert calls == failing_forward, "later batches must not run after a failure"
+    assert state() == before
+
+    catalog.add_tables(delta)
+    assert catalog.table_names() == names
+    assert catalog.embed_calls == before["embed_calls"] + 3
+    clean = LakeCatalog(lake_embedder, batch_size=3)
+    clean.add_tables({name: lake_tables[name] for name in names[:2]})
+    clean.add_tables(delta)
+    for name in names:
+        assert np.array_equal(catalog.query_vectors(name), clean.query_vectors(name))
+    warm = LakeCatalog.from_store(lake_embedder, LakeStore.open(tmp_path))
+    assert warm.table_names() == names
+    assert warm.embed_calls == 0 and warm.searcher.insertions == 0

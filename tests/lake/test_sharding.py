@@ -100,7 +100,7 @@ def test_sharded_store_matches_one_shard_store(tmp_path, lake_embedder, backend,
         root = tmp_path / f"sharded{n_shards}"
         store = LakeStore(root, "fp", n_shards=n_shards)
         catalog = LakeCatalog(lake_embedder, store=store, index_backend=backend)
-        catalog.add_tables(tables, ingest_workers=2)
+        catalog.add_tables(tables)
 
         assert catalog.table_names() == one.table_names()
         assert store.table_names() == one_store.table_names()

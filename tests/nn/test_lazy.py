@@ -260,7 +260,7 @@ def test_cache_info_reports_enabled_flag():
 
 
 # --------------------------------------------------------------------- #
-# Thread safety (the PR-4 parallel ingest pattern)
+# Thread safety (server request threads share one kernel cache)
 # --------------------------------------------------------------------- #
 def test_kernel_cache_thread_safety_under_concurrent_forwards():
     rng = np.random.default_rng(23)
