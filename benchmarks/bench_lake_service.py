@@ -21,6 +21,7 @@ import pytest
 from benchmarks.common import MODEL_DIM, MODEL_HEADS, MODEL_LAYERS, emit, model_config
 from repro.core import InputEncoder, TabSketchFM
 from repro.core.embed import TableEmbedder
+from repro.lake.api import DiscoveryRequest
 from repro.lake.catalog import LakeCatalog
 from repro.lake.serialization import config_fingerprint
 from repro.lake.service import LakeService
@@ -102,13 +103,16 @@ def experiment(tmp_path_factory):
     rebuild_s = time.perf_counter() - started
 
     # -- query latency: uncached vs LRU-cached ------------------------- #
-    probe = next(iter(_make_tables(1, offset=N_TABLES + 1).values()))
+    probe = DiscoveryRequest(
+        mode="union", k=10,
+        payload=next(iter(_make_tables(1, offset=N_TABLES + 1).values())),
+    )
     started = time.perf_counter()
-    first = service.query(probe, mode="union", k=10)
+    first = service.discover(probe).tables()
     uncached_ms = 1000.0 * (time.perf_counter() - started)
     started = time.perf_counter()
     for _ in range(QUERY_REPEATS):
-        assert service.query(probe, mode="union", k=10) == first
+        assert service.discover(probe).tables() == first
     cached_ms = 1000.0 * (time.perf_counter() - started) / QUERY_REPEATS
 
     rows = [
@@ -138,9 +142,7 @@ def bench_lake_service(benchmark, experiment):
         rows,
         extra=extra_payload,
     )
-    benchmark.pedantic(
-        lambda: service.query(probe, mode="union", k=10), rounds=10, iterations=5
-    )
+    benchmark.pedantic(lambda: service.discover(probe), rounds=10, iterations=5)
     speedups = extra_payload["speedups"]
     # Acceptance: a 1-table delta beats a full rebuild by >= 10x, warm load
     # skips embedding entirely, and the LRU cache pays for itself. The

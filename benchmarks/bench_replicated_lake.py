@@ -20,6 +20,7 @@ import pytest
 from benchmarks.common import emit, model_config
 from repro.core import InputEncoder, TabSketchFM
 from repro.core.embed import TableEmbedder
+from repro.lake.api import DiscoveryRequest
 from repro.lake.catalog import LakeCatalog
 from repro.lake.client import LakeClient
 from repro.lake.frontend import FrontendThread
@@ -81,7 +82,7 @@ def _measure_qps(port: int, probes: list[str]) -> float:
             barrier.wait()
             for i in range(QPS_QUERIES_PER_THREAD):
                 name = probes[(seed + i) % len(probes)]
-                client.search(name, mode="union", k=10)
+                client.query(DiscoveryRequest(mode="union", k=10, table=name))
         except BaseException as exc:  # noqa: BLE001 — reported below
             errors.append(exc)
         finally:
@@ -130,8 +131,6 @@ def experiment(tmp_path_factory):
         assert replica.generation == 1
 
     # Parity chain: leader in-process == replica over HTTP == frontend.
-    from repro.lake.api import DiscoveryRequest
-
     parity_requests = [
         DiscoveryRequest(mode="union", k=10, table=name) for name in probes[:4]
     ]
@@ -187,7 +186,9 @@ def bench_replicated_lake(benchmark, experiment):
         extra=extra,
     )
     benchmark.pedantic(
-        lambda: leader.query(probes[0], mode="union", k=10),
+        lambda: leader.discover(
+            DiscoveryRequest(mode="union", k=10, table=probes[0])
+        ),
         rounds=10,
         iterations=5,
     )

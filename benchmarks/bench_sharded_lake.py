@@ -23,6 +23,7 @@ import pytest
 from benchmarks.common import emit, model_config
 from repro.core import InputEncoder, TabSketchFM
 from repro.core.embed import TableEmbedder
+from repro.lake.api import DiscoveryRequest
 from repro.lake.catalog import LakeCatalog
 from repro.lake.serialization import config_fingerprint
 from repro.lake.service import LakeService
@@ -117,7 +118,10 @@ def experiment(tmp_path_factory):
         service = LakeService(warm)
         started = time.perf_counter()
         rankings[n_shards] = {
-            name: service.query(name, mode="union", k=10) for name in probes
+            name: service.discover(
+                DiscoveryRequest(mode="union", k=10, table=name)
+            ).tables()
+            for name in probes
         }
         query_ms[n_shards] = (
             1000.0 * (time.perf_counter() - started) / len(probes)
@@ -142,24 +146,23 @@ def experiment(tmp_path_factory):
             ),
         },
     }
-    probe_table = next(iter(_make_tables(1, offset=N_TABLES).values()))
+    probe = DiscoveryRequest(
+        mode="union", k=10,
+        payload=next(iter(_make_tables(1, offset=N_TABLES).values())),
+    )
     service = LakeService(reference)
-    return service, probe_table, rows, extra
+    return service, probe, rows, extra
 
 
 def bench_sharded_lake(benchmark, experiment):
-    service, probe_table, rows, extra = experiment
+    service, probe, rows, extra = experiment
     emit(
         "sharded_lake",
         "Sharded lake — bulk ingest and query latency vs shards",
         rows,
         extra=extra,
     )
-    benchmark.pedantic(
-        lambda: service.query(probe_table, mode="union", k=10),
-        rounds=10,
-        iterations=5,
-    )
+    benchmark.pedantic(lambda: service.discover(probe), rounds=10, iterations=5)
     speedups = extra["speedups"]
     # Acceptance: on a >=500-column lake, one bulk add_tables ingests >=2x
     # faster than the per-table loop, and the sharded fan-out does not blow

@@ -17,8 +17,14 @@ import time
 
 from repro.core import InputEncoder, TabSketchFM, TabSketchFMConfig
 from repro.core.embed import TableEmbedder
-from repro.lake import LakeCatalog, LakeService, LakeStore, config_fingerprint
-from repro.lake.bundle import load_bundle, save_bundle
+from repro.lake import (
+    DiscoveryRequest,
+    LakeCatalog,
+    LakeService,
+    LakeStore,
+    config_fingerprint,
+)
+from repro.lake.bundle import save_bundle
 from repro.sketch import SketchConfig
 from repro.table.schema import Table, table_from_rows
 from repro.text import WordPieceTokenizer
@@ -68,12 +74,8 @@ def main() -> None:
 
         # -- 2. warm restart: a fresh process would do exactly this ----- #
         started = time.perf_counter()
-        model2, encoder2, _ = load_bundle(root)
-        warm_fp = config_fingerprint(model2.config, model=model2)
-        warm = LakeCatalog.from_store(
-            TableEmbedder(model2, encoder2), LakeStore.open(root, warm_fp)
-        )
-        service = LakeService(warm)
+        service = LakeService.open(root)
+        warm = service.catalog
         print(
             f"warm restart in {time.perf_counter() - started:.2f}s, "
             f"embed_calls={warm.embed_calls} (nothing re-embedded)"
@@ -81,8 +83,11 @@ def main() -> None:
 
         # -- 3. union query for a lake member (leave-one-out) ----------- #
         print("\nunion search for 'cities_0':")
-        for rank, hit in enumerate(service.query("cities_0", mode="union", k=3), 1):
-            print(f"  {rank}. {hit}")
+        result = service.discover(
+            DiscoveryRequest(mode="union", k=3, table="cities_0")
+        )
+        for rank, hit in enumerate(result.hits, 1):
+            print(f"  {rank}. {hit.table}  score={hit.score:.4f}")
 
         # -- 4. incremental update: one table in, one table out --------- #
         newcomer = tables["movies_0"].with_columns(
@@ -101,11 +106,12 @@ def main() -> None:
         probe = tables["movies_1"].with_columns(
             tables["movies_1"].columns, name="probe"
         )
+        request = DiscoveryRequest(mode="subset", k=3, payload=probe)
         started = time.perf_counter()
-        service.query(probe, mode="subset", k=3)
+        service.discover(request)
         first_ms = 1000 * (time.perf_counter() - started)
         started = time.perf_counter()
-        hits = service.query(probe, mode="subset", k=3)
+        hits = service.discover(request).tables()
         cached_ms = 1000 * (time.perf_counter() - started)
         print(
             f"\nexternal probe query: {first_ms:.1f}ms cold, "

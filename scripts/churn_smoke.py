@@ -24,93 +24,24 @@ Run from the repo root::
 
 from __future__ import annotations
 
-import os
-import signal
 import subprocess
-import sys
 import tempfile
-import time
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO / "src"))
+from smoke_harness import (
+    build_lake,
+    lake_cli,
+    start_process,
+    stop_all,
+    stop_process,
+)
 
-from repro.lake.api import DiscoveryError, DiscoveryRequest  # noqa: E402
-from repro.lake.client import LakeClient  # noqa: E402
-from repro.lake.__main__ import main as lake_cli  # noqa: E402
-from repro.table.csvio import write_csv  # noqa: E402
-from repro.table.schema import table_from_rows  # noqa: E402
+from repro.lake.api import DiscoveryError, DiscoveryRequest
+from repro.lake.client import LakeClient
+from repro.table.csvio import write_csv
+from repro.table.schema import table_from_rows
 
-STARTUP_TIMEOUT_S = 60.0
 TARGET = "g0t1"
-
-
-def _make_table(name: str, group: int, n_rows: int):
-    rows = [
-        [f"grp{group}v{i}", str((group + 1) * i), f"tag{i % 3}"]
-        for i in range(n_rows)
-    ]
-    return table_from_rows(
-        name, ["entity", "count", "tag"], rows, description=f"group {group}"
-    )
-
-
-def build_lake(root: Path) -> tuple[str, Path]:
-    csv_dir = root / "csvs"
-    for group in range(2):
-        for member in range(3):
-            name = f"g{group}t{member}"
-            write_csv(
-                _make_table(name, group, 18 + member), csv_dir / f"{name}.csv"
-            )
-    lake = str(root / "lake")
-    lake_cli([
-        "ingest", "--lake", lake, "--csv-dir", str(csv_dir),
-        "--num-perm", "16", "--dim", "32", "--vocab-size", "400",
-    ])
-    return lake, csv_dir
-
-
-def start_process(args: list[str], banner: str) -> tuple[subprocess.Popen, int]:
-    """Launch a CLI subprocess and parse its ephemeral port off the banner."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    env["PYTHONUNBUFFERED"] = "1"
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro.lake", *args],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        env=env,
-        cwd=str(REPO),
-    )
-    deadline = time.monotonic() + STARTUP_TIMEOUT_S
-    seen = ""
-    while time.monotonic() < deadline:
-        line = process.stdout.readline()
-        if not line:
-            if process.poll() is not None:
-                raise SystemExit(
-                    f"{args[0]} exited early (rc={process.returncode}): {seen}"
-                )
-            continue
-        seen += line
-        if banner in line:
-            port = int(line.split(banner, 1)[1]
-                       .split("]")[0].split(" ")[0].rsplit(":", 1)[1])
-            return process, port
-    process.kill()
-    raise SystemExit(f"{args[0]} never announced its port; output: {seen}")
-
-
-def stop_process(process: subprocess.Popen, what: str) -> None:
-    process.send_signal(signal.SIGINT)
-    try:
-        process.wait(timeout=30)
-    except subprocess.TimeoutExpired:
-        process.kill()
-        raise SystemExit(f"{what} did not shut down on SIGINT")
-    assert process.returncode == 0, f"{what} exited rc={process.returncode}"
 
 
 def main() -> None:
@@ -131,10 +62,7 @@ def main() -> None:
 
         processes: list[tuple[subprocess.Popen, str]] = []
         try:
-            server, port = start_process(
-                ["serve", "--lake", lake, "--port", "0"],
-                "lake server listening on http://",
-            )
+            server, port = start_process(["serve", "--lake", lake, "--port", "0"])
             processes.append((server, "server"))
             client = LakeClient(port=port, timeout=30.0)
 
@@ -179,8 +107,7 @@ def main() -> None:
             snapshots = str(root / "snapshots")
             lake_cli(["publish", "--lake", lake, "--snapshots", snapshots])
             replica, rport = start_process(
-                ["replica", "--snapshots", snapshots, "--port", "0"],
-                "lake replica listening on http://",
+                ["replica", "--snapshots", snapshots, "--port", "0"]
             )
             processes.append((replica, "replica"))
             rclient = LakeClient(port=rport, timeout=30.0)
@@ -193,14 +120,7 @@ def main() -> None:
             assert result.diagnostics["replica"] is True
             rclient.close()
         finally:
-            failures = []
-            for process, what in reversed(processes):
-                try:
-                    stop_process(process, what)
-                except (SystemExit, AssertionError) as exc:
-                    failures.append(str(exc))
-            if failures:
-                raise SystemExit("; ".join(failures))
+            stop_all(processes)
         print(
             "churn smoke OK: CLI append -> stale-stamped hits + 409 pin "
             "refusal -> lazy re-embed -> wire append (v3) -> publish -> "

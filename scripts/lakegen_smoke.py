@@ -24,23 +24,15 @@ Run from the repo root::
 from __future__ import annotations
 
 import json
-import os
-import signal
-import subprocess
-import sys
 import tempfile
-import time
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO / "src"))
+from smoke_harness import lake_cli, start_process, stop_process
 
-from repro.lake.__main__ import main as lake_cli  # noqa: E402
-from repro.lakegen.__main__ import main as lakegen_cli  # noqa: E402
-from repro.table.csvio import write_csv  # noqa: E402
-from repro.table.schema import table_from_rows  # noqa: E402
+from repro.lakegen.__main__ import main as lakegen_cli
+from repro.table.csvio import write_csv
+from repro.table.schema import table_from_rows
 
-STARTUP_TIMEOUT_S = 60.0
 COLUMNS = 1000
 UNION_RECALL_FLOOR = 0.5
 
@@ -69,39 +61,6 @@ def build_seed_lake(root: Path) -> str:
     return lake
 
 
-def start_server(lake: str) -> tuple[subprocess.Popen, int]:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    env["PYTHONUNBUFFERED"] = "1"
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro.lake", "serve", "--lake", lake,
-         "--port", "0"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        env=env,
-        cwd=str(REPO),
-    )
-    banner = "lake server listening on http://"
-    deadline = time.monotonic() + STARTUP_TIMEOUT_S
-    seen = ""
-    while time.monotonic() < deadline:
-        line = process.stdout.readline()
-        if not line:
-            if process.poll() is not None:
-                raise SystemExit(
-                    f"server exited early (rc={process.returncode}): {seen}"
-                )
-            continue
-        seen += line
-        if banner in line:
-            port = int(line.split(banner, 1)[1]
-                       .split("]")[0].split(" ")[0].rsplit(":", 1)[1])
-            return process, port
-    process.kill()
-    raise SystemExit(f"server never announced its port; output: {seen}")
-
-
 def main() -> None:
     with tempfile.TemporaryDirectory(prefix="lakegen-smoke-") as tmp:
         root = Path(tmp)
@@ -120,7 +79,7 @@ def main() -> None:
         )
 
         lake = build_seed_lake(root)
-        server, port = start_server(lake)
+        server, port = start_process(["serve", "--lake", lake, "--port", "0"])
         run_path = root / "run.json"
         score_path = root / "scorecard.json"
         try:
@@ -132,13 +91,7 @@ def main() -> None:
             ])
             assert rc == 0, "run failed"
         finally:
-            server.send_signal(signal.SIGINT)
-            try:
-                server.wait(timeout=30)
-            except subprocess.TimeoutExpired:
-                server.kill()
-                raise SystemExit("server did not shut down on SIGINT")
-        assert server.returncode == 0, f"server rc={server.returncode}"
+            stop_process(server, "server")
 
         run = json.loads(run_path.read_text())
         assert run["target"] == {

@@ -21,94 +21,26 @@ Run from the repo root::
 from __future__ import annotations
 
 import json
-import os
-import signal
 import subprocess
-import sys
 import tempfile
 import time
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO / "src"))
+from smoke_harness import (
+    build_lake,
+    lake_cli,
+    make_table,
+    start_process,
+    stop_all,
+)
 
-from repro.lake.api import DiscoveryError, DiscoveryRequest  # noqa: E402
-from repro.lake.client import LakeClient  # noqa: E402
-from repro.lake.__main__ import _load_service, main as lake_cli  # noqa: E402
-from repro.table.csvio import write_csv  # noqa: E402
-from repro.table.schema import table_from_rows  # noqa: E402
+from repro.lake.api import DiscoveryError, DiscoveryRequest
+from repro.lake.client import LakeClient
+from repro.lake.service import LakeService
+from repro.table.csvio import write_csv
 
 MODES = ("join", "union", "subset")
-STARTUP_TIMEOUT_S = 60.0
 ADOPTION_TIMEOUT_S = 30.0
-
-
-def _make_table(name: str, group: int, n_rows: int):
-    rows = [
-        [f"grp{group}v{i}", str((group + 1) * i), f"tag{i % 3}"]
-        for i in range(n_rows)
-    ]
-    return table_from_rows(
-        name, ["entity", "count", "tag"], rows, description=f"group {group}"
-    )
-
-
-def build_lake(root: Path) -> tuple[str, Path]:
-    csv_dir = root / "csvs"
-    for group in range(2):
-        for member in range(3):
-            name = f"g{group}t{member}"
-            write_csv(
-                _make_table(name, group, 18 + member), csv_dir / f"{name}.csv"
-            )
-    lake = str(root / "lake")
-    lake_cli([
-        "ingest", "--lake", lake, "--csv-dir", str(csv_dir),
-        "--num-perm", "16", "--dim", "32", "--vocab-size", "400",
-    ])
-    return lake, csv_dir
-
-
-def start_process(args: list[str], banner: str) -> tuple[subprocess.Popen, int]:
-    """Launch a CLI subprocess and parse its ephemeral port off the banner."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    env["PYTHONUNBUFFERED"] = "1"
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro.lake", *args],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        env=env,
-        cwd=str(REPO),
-    )
-    deadline = time.monotonic() + STARTUP_TIMEOUT_S
-    seen = ""
-    while time.monotonic() < deadline:
-        line = process.stdout.readline()
-        if not line:
-            if process.poll() is not None:
-                raise SystemExit(
-                    f"{args[0]} exited early (rc={process.returncode}): {seen}"
-                )
-            continue
-        seen += line
-        if banner in line:
-            port = int(line.split(banner, 1)[1]
-                       .split("]")[0].split(" ")[0].rsplit(":", 1)[1])
-            return process, port
-    process.kill()
-    raise SystemExit(f"{args[0]} never announced its port; output: {seen}")
-
-
-def stop_process(process: subprocess.Popen, what: str) -> None:
-    process.send_signal(signal.SIGINT)
-    try:
-        process.wait(timeout=30)
-    except subprocess.TimeoutExpired:
-        process.kill()
-        raise SystemExit(f"{what} did not shut down on SIGINT")
-    assert process.returncode == 0, f"{what} exited rc={process.returncode}"
 
 
 def main() -> None:
@@ -117,7 +49,7 @@ def main() -> None:
         lake, csv_dir = build_lake(root)
         snapshots = str(root / "snapshots")
         lake_cli(["publish", "--lake", lake, "--snapshots", snapshots])
-        leader = _load_service(lake)
+        leader = LakeService.open(lake)
 
         processes: list[tuple[subprocess.Popen, str]] = []
         try:
@@ -125,15 +57,13 @@ def main() -> None:
             for i in range(2):
                 process, port = start_process(
                     ["replica", "--snapshots", snapshots,
-                     "--port", "0", "--poll-interval", "0.5"],
-                    "lake replica listening on http://",
+                     "--port", "0", "--poll-interval", "0.5"]
                 )
                 processes.append((process, f"replica {i}"))
                 ports.append(port)
             backends = ",".join(f"127.0.0.1:{p}" for p in ports)
             process, proxy_port = start_process(
-                ["frontend", "--backends", backends, "--port", "0"],
-                "lake frontend listening on http://",
+                ["frontend", "--backends", backends, "--port", "0"]
             )
             processes.append((process, "frontend"))
 
@@ -162,7 +92,7 @@ def main() -> None:
 
             # Replicas are read-only: mutations get the typed refusal.
             try:
-                client.add_table(_make_table("forbidden", 0, 8))
+                client.add_table(make_table("forbidden", 0, 8))
             except DiscoveryError as exc:
                 assert exc.code == "bad-request" and "read-only" in exc.message
             else:
@@ -170,7 +100,7 @@ def main() -> None:
 
             # Leader ingests one more table, publishes generation 2; the
             # polling replicas adopt it and the frontend serves it.
-            write_csv(_make_table("latecomer", 1, 21), csv_dir / "latecomer.csv")
+            write_csv(make_table("latecomer", 1, 21), csv_dir / "latecomer.csv")
             lake_cli(["ingest", "--lake", lake, "--csv-dir", str(csv_dir)])
             lake_cli(["publish", "--lake", lake, "--snapshots", snapshots])
             request = DiscoveryRequest(mode="union", k=3, table="latecomer")
@@ -186,18 +116,17 @@ def main() -> None:
             assert adopted.diagnostics["generation"] == 2
             assert adopted.hits, "adopted generation must rank the new table"
             stats = client.stats()
+            while (
+                stats["replica"]["generation"] != 2
+                and time.monotonic() < deadline
+            ):  # round-robin may land on the replica that polls a beat later
+                time.sleep(0.25)
+                stats = client.stats()
             assert stats["replica"]["generation"] == 2
             assert stats["replica"]["swaps"] >= 2
             client.close()
         finally:
-            failures = []
-            for process, what in reversed(processes):
-                try:
-                    stop_process(process, what)
-                except (SystemExit, AssertionError) as exc:
-                    failures.append(str(exc))
-            if failures:
-                raise SystemExit("; ".join(failures))
+            stop_all(processes)
         print(
             f"replica smoke OK: CLI ingest, {checked} mode parities "
             "through the frontend, round-robin over 2 replicas, read-only "

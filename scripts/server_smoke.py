@@ -16,85 +16,24 @@ Run from the repo root::
 
 from __future__ import annotations
 
-import os
-import signal
-import subprocess
-import sys
 import tempfile
-import time
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO / "src"))
+from smoke_harness import build_lake, start_process, stop_process
 
-from repro.lake.api import DiscoveryRequest  # noqa: E402
-from repro.lake.client import LakeClient  # noqa: E402
-from repro.lake.__main__ import _load_service, main as lake_cli  # noqa: E402
-from repro.table.csvio import write_csv  # noqa: E402
-from repro.table.schema import table_from_rows  # noqa: E402
+from repro.lake.api import DiscoveryRequest
+from repro.lake.client import LakeClient
+from repro.lake.service import LakeService
+from repro.table.schema import table_from_rows
 
 MODES = ("join", "union", "subset")
-STARTUP_TIMEOUT_S = 60.0
-
-
-def build_lake(root: Path) -> str:
-    csv_dir = root / "csvs"
-    for group in range(2):
-        for member in range(3):
-            name = f"g{group}t{member}"
-            rows = [
-                [f"grp{group}v{i}", str((group + 1) * i), f"tag{i % 3}"]
-                for i in range(18 + member)
-            ]
-            table = table_from_rows(
-                name, ["entity", "count", "tag"], rows,
-                description=f"group {group}",
-            )
-            write_csv(table, csv_dir / f"{name}.csv")
-    lake = str(root / "lake")
-    lake_cli([
-        "ingest", "--lake", lake, "--csv-dir", str(csv_dir),
-        "--num-perm", "16", "--dim", "32", "--vocab-size", "400",
-    ])
-    return lake
-
-
-def start_server(lake: str) -> tuple[subprocess.Popen, int]:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    env["PYTHONUNBUFFERED"] = "1"
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro.lake", "serve", "--lake", lake, "--port", "0"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        env=env,
-        cwd=str(REPO),
-    )
-    deadline = time.monotonic() + STARTUP_TIMEOUT_S
-    banner = ""
-    while time.monotonic() < deadline:
-        line = process.stdout.readline()
-        if not line:
-            if process.poll() is not None:
-                raise SystemExit(
-                    f"server exited early (rc={process.returncode}): {banner}"
-                )
-            continue
-        banner += line
-        if "listening on http://" in line:
-            port = int(line.split("listening on http://", 1)[1]
-                       .split("]")[0].split(" ")[0].rsplit(":", 1)[1])
-            return process, port
-    process.kill()
-    raise SystemExit(f"server never announced its port; output: {banner}")
 
 
 def main() -> None:
     with tempfile.TemporaryDirectory(prefix="lake-smoke-") as tmp:
-        lake = build_lake(Path(tmp))
-        local = _load_service(lake)
-        process, port = start_server(lake)
+        lake, _ = build_lake(Path(tmp))
+        local = LakeService.open(lake)
+        process, port = start_process(["serve", "--lake", lake, "--port", "0"])
         try:
             client = LakeClient(port=port, timeout=30.0)
             assert client.healthz()["status"] == "ok"
@@ -149,15 +88,7 @@ def main() -> None:
             assert slow and slow[0]["spans"]["name"] == "lake.discover"
             client.close()
         finally:
-            process.send_signal(signal.SIGINT)
-            try:
-                process.wait(timeout=30)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                raise SystemExit("server did not shut down on SIGINT")
-        assert process.returncode == 0, (
-            f"server exited rc={process.returncode}"
-        )
+            stop_process(process, "server")
         print(
             f"server smoke OK: {checked} mode parities, remote ingest/remove, "
             "stats versioned, metrics + slow-query surface live, clean "

@@ -20,12 +20,16 @@ is that serving substrate:
   taxonomy, and strict JSON codecs shared by every surface;
 - :mod:`repro.lake.service` — :class:`LakeService`, the thread-safe query
   facade (join/union/subset, batching, LRU query-embedding cache),
-  answering the same schema in-process;
+  answering the same schema in-process; ``LakeService.open`` warm-loads a
+  lake directory;
 - :mod:`repro.lake.server` — :class:`LakeServer` / :class:`ServerThread`,
   the stdlib asyncio HTTP/1.1 front-end (``POST /v1/query``, batch,
   ingest, stats, healthz);
 - :mod:`repro.lake.client` — :class:`LakeClient`, the ``http.client`` SDK
   that round-trips the same dataclasses over the wire;
+- :mod:`repro.lake.target` — :class:`ServiceTarget` / :class:`ClientTarget`,
+  one op surface over an in-process service or a remote server (what the
+  CLI's ``--lake`` / ``--server`` and the lakegen driver run against);
 - :mod:`repro.lake.replica` — :class:`SnapshotPublisher` /
   :class:`ReplicaService`: a leader publishes versioned store snapshots,
   stateless read replicas blue/green-swap onto the newest complete

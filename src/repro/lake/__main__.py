@@ -15,11 +15,11 @@ Commands::
     reshard --lake LAKE --shards N      # migrate to an N-shard layout
     stats   --lake LAKE [--metrics]     # catalog + store (+ obs) statistics
 
-``query`` is a thin serializer of the versioned Discovery API
-(:mod:`repro.lake.api`): it builds one :class:`DiscoveryRequest`, asks
-either the local lake or — with ``--server HOST:PORT`` — a running
-``serve`` instance through :class:`~repro.lake.client.LakeClient`, and
-prints the scored hits (``--json`` emits the full
+``query`` / ``append`` / ``refresh`` / ``update`` are thin serializers:
+each builds one :class:`DiscoveryRequest` or op, hands it to a target
+(:mod:`repro.lake.target` — the local lake, or with ``--server HOST:PORT``
+a running ``serve`` instance), and prints the answer in one format
+whichever side of the wire answered (``query --json`` emits the full
 :class:`DiscoveryResult` envelope — the same schema the HTTP body
 carries, pretty-printed with sorted keys).
 
@@ -43,12 +43,14 @@ in the catalog — the offline-index / online-query split of §V.
 from __future__ import annotations
 
 import argparse
+import asyncio
 import json
-import shutil
+import logging
 import sys
 import time
 from pathlib import Path
 
+from repro import obs
 from repro.core.config import TabSketchFMConfig
 from repro.core.embed import TableEmbedder
 from repro.core.inputs import InputEncoder
@@ -56,43 +58,23 @@ from repro.core.model import TabSketchFM
 from repro.lake.api import API_VERSION, DiscoveryError, DiscoveryRequest
 from repro.lake.bundle import has_bundle, load_bundle, save_bundle
 from repro.lake.catalog import LakeCatalog
-from repro.lake.client import LakeClient
-from repro.lake.server import LakeServer
+from repro.lake.frontend import LakeFrontend, parse_backends
+from repro.lake.replica import (
+    ReplicaService,
+    SnapshotPublisher,
+    generation_dir_name,
+    read_marker,
+)
+from repro.lake.server import LakeServer, access_log
 from repro.lake.serialization import FingerprintMismatchError, config_fingerprint
 from repro.lake.service import LakeService
-from repro.lake.store import MANIFEST_NAME, STORE_FILES, LakeStore
+from repro.lake.store import LakeStore
+from repro.lake.target import ClientTarget, ServiceTarget
 from repro.search.backend import normalize_index_spec, validate_index_spec
 from repro.sketch.pipeline import SketchConfig
 from repro.table.csvio import read_csv
 from repro.text.sbert import HashedSentenceEncoder
 from repro.text.tokenizer import WordPieceTokenizer
-
-
-def _load_service(lake: str, index_backend: str | None = None) -> LakeService:
-    """Warm-load a lake directory into a ready service (no re-embedding,
-    no index re-insertion — the persisted index is deserialized).
-
-    ``index_backend=None`` serves whatever backend the lake was built
-    with; an explicit spec is checked against the store fingerprint, so a
-    backend switch surfaces as a :class:`FingerprintMismatchError`. The
-    shard count always comes from the on-disk layout.
-    """
-    if not has_bundle(lake):
-        sys.exit(f"error: {lake!r} is not an ingested lake (run `ingest` first)")
-    _recover_interrupted_reshard(lake)
-    model, encoder, sbert = load_bundle(lake)
-    spec = normalize_index_spec(
-        index_backend if index_backend is not None else LakeStore.peek_index_spec(lake)
-    )
-    n_shards = LakeStore.peek_n_shards(lake) or 1
-    fingerprint = config_fingerprint(
-        model.config, sbert=sbert, model=model, index_spec=spec, n_shards=n_shards
-    )
-    store = LakeStore.open(lake, expected_fingerprint=fingerprint)
-    catalog = LakeCatalog.from_store(
-        TableEmbedder(model, encoder), store, sbert=sbert, index_backend=spec
-    )
-    return LakeService(catalog)
 
 
 def _read_csv_dir(csv_dir: str) -> list:
@@ -120,8 +102,9 @@ def cmd_ingest(args: argparse.Namespace) -> None:
                 f"`python -m repro.lake reshard --lake {args.lake} "
                 f"--shards {args.shards}` to change the layout"
             )
-        service = _load_service(args.lake, index_backend=args.index_backend)
-        catalog = service.catalog
+        catalog = LakeService.open(
+            args.lake, index_backend=args.index_backend
+        ).catalog
         print(
             f"warm lake: {len(catalog)} tables already indexed "
             f"[{catalog.index_spec.canonical()} backend, "
@@ -167,64 +150,62 @@ def cmd_ingest(args: argparse.Namespace) -> None:
     skipped = len(tables) - len(fresh)
     forwards_before = catalog.embed_calls
     catalog.add_tables(fresh, batch_size=args.batch_size)
-    added = len(fresh)
     forwards = catalog.embed_calls - forwards_before
     elapsed = time.perf_counter() - started
     print(
-        f"ingested {added} tables ({skipped} already present) in {elapsed:.2f}s "
+        f"ingested {len(fresh)} tables ({skipped} already present) in {elapsed:.2f}s "
         f"[{forwards} batched forwards @ batch {args.batch_size}]; "
         f"catalog now {len(catalog)} tables / "
         f"{catalog.stats()['n_columns']} columns"
     )
 
 
-def cmd_query(args: argparse.Namespace) -> None:
+def _on_target(args: argparse.Namespace, op):
+    """``op(target)`` on the lake ``--lake`` names or on the server
+    ``--server`` names — the one place that choice is made."""
     if args.lake is None and args.server is None:
-        sys.exit("error: query needs --lake (local) or --server HOST:PORT")
+        sys.exit(
+            f"error: {args.command} needs --lake (local) or --server HOST:PORT"
+        )
     if args.lake is not None and args.server is not None:
         sys.exit("error: --lake and --server are mutually exclusive")
-    if args.index_backend is not None:
-        validate_index_spec(args.index_backend)
-    if args.csv:
-        request = DiscoveryRequest(
-            mode=args.mode, k=args.k, payload=read_csv(args.csv),
-            column=args.column, min_score=args.min_score,
-        )
-    else:
-        request = DiscoveryRequest(
-            mode=args.mode, k=args.k, table=args.table,
-            column=args.column, min_score=args.min_score,
-        )
+    index_backend = getattr(args, "index_backend", None)
+    wanted = validate_index_spec(index_backend).canonical()
+    if args.server is None:
+        service = LakeService.open(args.lake, index_backend=index_backend)
+        return op(ServiceTarget(service))
+    target = ClientTarget.connect(args.server)
+    try:
+        if index_backend is not None:
+            # The remote twin of the local fingerprint guard: assert the
+            # serving lake's backend before trusting its answers.
+            serving = target.stats().get("index_backend")
+            if serving != wanted:
+                sys.exit(
+                    f"error: server lake uses index backend "
+                    f"{serving!r}, not the asserted {wanted!r}"
+                )
+        return op(target)
+    except OSError as exc:
+        sys.exit(f"error: cannot reach server {args.server}: {exc}")
+    finally:
+        target.close()
+
+
+def cmd_query(args: argparse.Namespace) -> None:
+    request = DiscoveryRequest(
+        mode=args.mode, k=args.k, table=args.table,
+        payload=read_csv(args.csv) if args.csv else None,
+        column=args.column, min_score=args.min_score,
+    )
     started = time.perf_counter()
-    if args.server is not None:
-        host, _, port = args.server.rpartition(":")
-        if not host or not port.isdigit():
-            sys.exit(f"error: --server wants HOST:PORT, got {args.server!r}")
-        try:
-            with LakeClient(host=host, port=int(port)) as client:
-                if args.index_backend is not None:
-                    # The remote twin of the local fingerprint guard: assert
-                    # the serving lake's backend before trusting its answers.
-                    serving = client.stats().get("index_backend")
-                    wanted = normalize_index_spec(args.index_backend).canonical()
-                    if serving != wanted:
-                        sys.exit(
-                            f"error: server lake uses index backend "
-                            f"{serving!r}, not the asserted {wanted!r}"
-                        )
-                result = client.query(request)
-        except OSError as exc:
-            sys.exit(f"error: cannot reach server {args.server}: {exc}")
-    else:
-        service = _load_service(args.lake, index_backend=args.index_backend)
-        result = service.discover(request)
+    result = _on_target(args, lambda target: target.discover(request))
     elapsed = 1000.0 * (time.perf_counter() - started)
     if args.json:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
         return
     print(f"{args.mode} results for {result.query!r} (k={args.k}, {elapsed:.1f}ms):")
     for rank, hit in enumerate(result.hits, start=1):
-        evidence = ""
         if args.mode == "join" and hit.matches:
             best = min(hit.matches, key=lambda m: m.distance)
             evidence = f"  [{best.query_column} -> {best.table_column}]"
@@ -238,32 +219,75 @@ def cmd_query(args: argparse.Namespace) -> None:
         print("  (no matches)")
 
 
-def cmd_serve(args: argparse.Namespace) -> None:
-    import asyncio
-    import logging
+def cmd_append(args: argparse.Namespace) -> None:
+    rows = [list(row) for row in read_csv(args.csv).rows()]
+    if not rows:
+        sys.exit(f"error: {args.csv!r} has no data rows to append")
+    answer = _on_target(args, lambda target: target.append_rows(args.table, rows))
+    print(
+        f"appended {answer['appended']} rows to {args.table!r} "
+        f"[version {answer['table_version']}, "
+        f"embedding_stale={answer['embedding_stale']}]"
+    )
 
-    # One JSON access-log line per request on stderr while observability
-    # is enabled ($REPRO_OBS_ENABLED, default on).
-    from repro.lake.server import access_log
 
+def cmd_refresh(args: argparse.Namespace) -> None:
+    tables = (
+        [name for name in args.tables.split(",") if name]
+        if args.tables is not None
+        else None
+    )
+    answer = _on_target(args, lambda target: target.refresh(tables))
+    refreshed = answer["refreshed"]
+    print(
+        f"refreshed {len(refreshed)} stale table(s)"
+        + (f": {', '.join(refreshed)}" if refreshed else "")
+        + f" [{answer['stale_remaining']} still stale]"
+    )
+
+
+def cmd_update(args: argparse.Namespace) -> None:
+    table = read_csv(args.csv)
+    answer = _on_target(args, lambda target: target.update_table(table))
+    print(
+        f"updated {table.name!r} [version {answer['table_version']}]; "
+        f"catalog has {answer['n_tables']} tables"
+    )
+
+
+def cmd_remove(args: argparse.Namespace) -> None:
+    service = LakeService.open(args.lake)
+    if service.remove_table(args.table):
+        print(f"removed {args.table!r}; {len(service.catalog)} tables remain")
+    else:
+        sys.exit(f"error: table {args.table!r} not in catalog")
+
+
+def cmd_stats(args: argparse.Namespace) -> None:
+    payload = LakeService.open(args.lake).stats()
+    if args.metrics:
+        payload["metrics"] = obs.get_registry().collect()
+    print(json.dumps(payload, indent=2, sort_keys=True))
+
+
+# --------------------------------------------------------------------- #
+def _serve_forever(server, what: str, detail: str) -> None:
+    """Run one listener (anything with ``start`` / ``serve_forever`` /
+    ``close`` / ``host`` / ``port``) until Ctrl-C, announcing the bound
+    port once it is known. One JSON access-log line per request goes to
+    stderr while observability is enabled ($REPRO_OBS_ENABLED, default on).
+    """
     if not access_log.handlers:
         handler = logging.StreamHandler()
         handler.setFormatter(logging.Formatter("%(message)s"))
         access_log.addHandler(handler)
         access_log.setLevel(logging.INFO)
 
-    service = _load_service(args.lake, index_backend=args.index_backend)
-    stats = service.stats()
-
     async def run() -> None:
-        server = LakeServer(
-            service, host=args.host, port=args.port, max_workers=args.workers
-        )
         await server.start()
         print(
-            f"lake server listening on http://{args.host}:{server.port} "
-            f"[{stats['n_tables']} tables, {stats['index_backend']} backend, "
-            f"{stats['n_shards']} shard(s), api {stats['api_version']}]",
+            f"lake {what} listening on http://{server.host}:{server.port} "
+            f"[{detail}]",
             flush=True,
         )
         try:
@@ -274,16 +298,22 @@ def cmd_serve(args: argparse.Namespace) -> None:
     try:
         asyncio.run(run())
     except KeyboardInterrupt:
-        print("lake server shutting down")
+        print(f"lake {what} shutting down")
+
+
+def cmd_serve(args: argparse.Namespace) -> None:
+    service = LakeService.open(args.lake, index_backend=args.index_backend)
+    stats = service.stats()
+    _serve_forever(
+        LakeServer(service, host=args.host, port=args.port, max_workers=args.workers),
+        "server",
+        f"{stats['n_tables']} tables, {stats['index_backend']} backend, "
+        f"{stats['n_shards']} shard(s), api {stats['api_version']}",
+    )
 
 
 def cmd_publish(args: argparse.Namespace) -> None:
-    from repro.lake.replica import SnapshotPublisher, read_marker, generation_dir_name
-
-    try:
-        publisher = SnapshotPublisher(args.lake, args.snapshots)
-    except FileNotFoundError as exc:
-        sys.exit(f"error: {exc}")
+    publisher = SnapshotPublisher(args.lake, args.snapshots)
     started = time.perf_counter()
     generation = publisher.publish()
     marker = read_marker(Path(args.snapshots) / generation_dir_name(generation))
@@ -296,18 +326,6 @@ def cmd_publish(args: argparse.Namespace) -> None:
 
 
 def cmd_replica(args: argparse.Namespace) -> None:
-    import asyncio
-    import logging
-
-    from repro.lake.replica import ReplicaService
-    from repro.lake.server import access_log
-
-    if not access_log.handlers:
-        handler = logging.StreamHandler()
-        handler.setFormatter(logging.Formatter("%(message)s"))
-        access_log.addHandler(handler)
-        access_log.setLevel(logging.INFO)
-
     snapshots = Path(args.snapshots)
     if not has_bundle(snapshots):
         sys.exit(
@@ -323,297 +341,47 @@ def cmd_replica(args: argparse.Namespace) -> None:
     )
     replica.start_polling()
     info = replica.generation_info()
-
-    async def run() -> None:
-        server = LakeServer(
-            replica, host=args.host, port=args.port, max_workers=args.workers
-        )
-        await server.start()
-        print(
-            f"lake replica listening on http://{args.host}:{server.port} "
-            f"[generation {info['generation']}, "
-            f"poll {args.poll_interval:g}s, api {API_VERSION}]",
-            flush=True,
-        )
-        try:
-            await server.serve_forever()
-        finally:
-            await server.close()
-
     try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        print("lake replica shutting down")
+        _serve_forever(
+            LakeServer(
+                replica, host=args.host, port=args.port, max_workers=args.workers
+            ),
+            "replica",
+            f"generation {info['generation']}, "
+            f"poll {args.poll_interval:g}s, api {API_VERSION}",
+        )
     finally:
         replica.stop_polling()
 
 
 def cmd_frontend(args: argparse.Namespace) -> None:
-    import asyncio
-
-    from repro.lake.frontend import LakeFrontend, parse_backends
-
-    try:
-        backends = parse_backends(args.backends)
-    except ValueError as exc:
-        sys.exit(f"error: {exc}")
-
-    async def run() -> None:
-        frontend = LakeFrontend(
+    backends = parse_backends(args.backends)
+    listed = ",".join(f"{h}:{p}" for h, p in backends)
+    probing = (
+        f", health probes every {args.health_interval}s"
+        if args.health_interval > 0
+        else ""
+    )
+    _serve_forever(
+        LakeFrontend(
             backends,
             host=args.host,
             port=args.port,
             health_interval=args.health_interval,
-        )
-        await frontend.start()
-        listed = ",".join(f"{h}:{p}" for h, p in backends)
-        probing = (
-            f", health probes every {args.health_interval}s"
-            if args.health_interval > 0
-            else ""
-        )
-        print(
-            f"lake frontend listening on http://{args.host}:{frontend.port} "
-            f"[round-robin over {len(backends)} backend(s): {listed}"
-            f"{probing}]",
-            flush=True,
-        )
-        try:
-            await frontend.serve_forever()
-        finally:
-            await frontend.close()
-
-    try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        print("lake frontend shutting down")
-
-
-def _parse_server(spec: str) -> tuple[str, int]:
-    host, _, port = spec.rpartition(":")
-    if not host or not port.isdigit():
-        sys.exit(f"error: --server wants HOST:PORT, got {spec!r}")
-    return host, int(port)
-
-
-def cmd_append(args: argparse.Namespace) -> None:
-    if args.lake is None and args.server is None:
-        sys.exit("error: append needs --lake (local) or --server HOST:PORT")
-    if args.lake is not None and args.server is not None:
-        sys.exit("error: --lake and --server are mutually exclusive")
-    delta = read_csv(args.csv)
-    rows = [list(row) for row in delta.rows()]
-    if not rows:
-        sys.exit(f"error: {args.csv!r} has no data rows to append")
-    if args.server is not None:
-        host, port = _parse_server(args.server)
-        try:
-            with LakeClient(host=host, port=port) as client:
-                answer = client.append_rows(args.table, rows)
-        except OSError as exc:
-            sys.exit(f"error: cannot reach server {args.server}: {exc}")
-        print(
-            f"appended {answer['appended']} rows to {args.table!r} "
-            f"[version {answer['table_version']}, "
-            f"embedding_stale={answer['embedding_stale']}]"
-        )
-    else:
-        service = _load_service(args.lake)
-        record = service.append_rows(args.table, rows)
-        print(
-            f"appended {len(rows)} rows to {args.table!r} "
-            f"[version {record.version}, embedding stale until the next "
-            "strict query re-embeds it]"
-        )
-
-
-def cmd_refresh(args: argparse.Namespace) -> None:
-    if args.lake is None and args.server is None:
-        sys.exit("error: refresh needs --lake (local) or --server HOST:PORT")
-    if args.lake is not None and args.server is not None:
-        sys.exit("error: --lake and --server are mutually exclusive")
-    tables = (
-        [name for name in args.tables.split(",") if name]
-        if args.tables is not None
-        else None
+        ),
+        "frontend",
+        f"round-robin over {len(backends)} backend(s): {listed}{probing}",
     )
-    if args.server is not None:
-        host, port = _parse_server(args.server)
-        try:
-            with LakeClient(host=host, port=port) as client:
-                answer = client.refresh_stale(tables)
-        except OSError as exc:
-            sys.exit(f"error: cannot reach server {args.server}: {exc}")
-        refreshed = answer["refreshed"]
-        print(
-            f"refreshed {len(refreshed)} stale table(s)"
-            + (f": {', '.join(refreshed)}" if refreshed else "")
-            + f" [{answer['stale_remaining']} still stale]"
-        )
-    else:
-        service = _load_service(args.lake)
-        refreshed = service.refresh_stale(tables)
-        remaining = len(service.catalog.stale_tables())
-        print(
-            f"refreshed {len(refreshed)} stale table(s)"
-            + (f": {', '.join(refreshed)}" if refreshed else "")
-            + f" [{remaining} still stale]"
-        )
-
-
-def cmd_update(args: argparse.Namespace) -> None:
-    if args.lake is None and args.server is None:
-        sys.exit("error: update needs --lake (local) or --server HOST:PORT")
-    if args.lake is not None and args.server is not None:
-        sys.exit("error: --lake and --server are mutually exclusive")
-    table = read_csv(args.csv)
-    if args.server is not None:
-        host, port = _parse_server(args.server)
-        try:
-            with LakeClient(host=host, port=port) as client:
-                answer = client.update_table(table)
-        except OSError as exc:
-            sys.exit(f"error: cannot reach server {args.server}: {exc}")
-        print(
-            f"updated {table.name!r} [version {answer['table_version']}]; "
-            f"catalog has {answer['n_tables']} tables"
-        )
-    else:
-        service = _load_service(args.lake)
-        record = service.update_table(table)
-        print(
-            f"updated {table.name!r} [version {record.version}]; "
-            f"catalog has {len(service.catalog)} tables"
-        )
-
-
-def cmd_remove(args: argparse.Namespace) -> None:
-    service = _load_service(args.lake)
-    if service.remove_table(args.table):
-        print(f"removed {args.table!r}; {len(service.catalog)} tables remain")
-    else:
-        sys.exit(f"error: table {args.table!r} not in catalog")
-
-
-def cmd_stats(args: argparse.Namespace) -> None:
-    from repro import obs
-
-    service = _load_service(args.lake)
-    payload = service.stats()
-    if args.metrics:
-        payload["metrics"] = obs.get_registry().collect()
-    print(json.dumps(payload, indent=2, sort_keys=True))
-
-
-_RESHARD_BACKUP = ".reshard.old"
-_RESHARD_STAGE = ".reshard.tmp"
-#: Tables staged per write batch during reshard — bounds peak memory to a
-#: chunk of records instead of the whole lake.
-RESHARD_CHUNK = 256
-
-
-def _swap_store_layout(lake_root: Path, staged_root: Path) -> None:
-    """Replace the lake's store files with the staged re-sharded ones.
-
-    The old layout is parked under ``.reshard.old`` until the new one is
-    fully moved in. The root manifest moves out first and in last, so a
-    kill anywhere inside the swap window leaves the root without a
-    manifest but with the complete backup, which
-    :func:`_recover_interrupted_reshard` rolls back on the next command.
-    """
-    backup = lake_root / _RESHARD_BACKUP
-    if backup.exists():
-        shutil.rmtree(backup)
-    backup.mkdir()
-    for name in STORE_FILES:
-        source = lake_root / name
-        if source.exists():
-            shutil.move(str(source), str(backup / name))
-    for name in reversed(STORE_FILES):
-        source = staged_root / name
-        if source.exists():
-            shutil.move(str(source), str(lake_root / name))
-    shutil.rmtree(staged_root)
-    shutil.rmtree(backup)
-
-
-def _recover_interrupted_reshard(lake: str) -> None:
-    """Roll back a reshard that died mid-swap, then sweep stage dirs.
-
-    A backup dir plus a missing root manifest means the kill landed inside
-    the swap window: the backup is the last complete store, so it moves
-    back. A backup beside an intact root manifest means the kill landed
-    after the new layout was fully in place — the backup (and any stage
-    dir) is just debris.
-    """
-    lake_root = Path(lake)
-    backup = lake_root / _RESHARD_BACKUP
-    if backup.exists():
-        if not (lake_root / MANIFEST_NAME).exists():
-            print(
-                f"recovering interrupted reshard: restoring previous store "
-                f"layout at {lake}"
-            )
-            # Whatever the backup holds is the previous store, whichever
-            # layout wrote it.
-            for source in backup.iterdir():
-                target = lake_root / source.name
-                if target.exists():  # partial move-in from the crash
-                    shutil.rmtree(target) if target.is_dir() else target.unlink()
-                shutil.move(str(source), str(target))
-        shutil.rmtree(backup)
-    stage = lake_root / _RESHARD_STAGE
-    if stage.exists():
-        shutil.rmtree(stage)
 
 
 def cmd_reshard(args: argparse.Namespace) -> None:
     if args.shards < 1:
         sys.exit(f"error: --shards must be >= 1, got {args.shards}")
-    if not has_bundle(args.lake):
-        sys.exit(f"error: {args.lake!r} is not an ingested lake (run `ingest` first)")
-    _recover_interrupted_reshard(args.lake)
-    old_n = LakeStore.peek_n_shards(args.lake)
-    if old_n is None:
-        sys.exit(f"error: {args.lake!r} has no lake store (run `ingest` first)")
-    if args.shards == old_n:
+    started = time.perf_counter()
+    old_n, n_tables = LakeService.reshard(args.lake, args.shards)
+    if old_n == args.shards:
         print(f"lake already has {old_n} shard(s); nothing to do")
         return
-    started = time.perf_counter()
-    model, encoder, sbert = load_bundle(args.lake)
-    spec = normalize_index_spec(LakeStore.peek_index_spec(args.lake))
-    old_fingerprint = config_fingerprint(
-        model.config, sbert=sbert, model=model, index_spec=spec, n_shards=old_n
-    )
-    store = LakeStore.open(args.lake, expected_fingerprint=old_fingerprint)
-    new_fingerprint = config_fingerprint(
-        model.config, sbert=sbert, model=model, index_spec=spec,
-        n_shards=args.shards,
-    )
-    staged = Path(args.lake) / _RESHARD_STAGE
-    if staged.exists():
-        shutil.rmtree(staged)
-    staged_store = LakeStore(staged, new_fingerprint, n_shards=args.shards)
-    # Stream records through in global-order chunks: peak memory is one
-    # chunk of sketches+vectors, never the whole lake.
-    n_tables = 0
-    chunk: list = []
-    for record in store.load_all():
-        chunk.append(record)
-        n_tables += 1
-        if len(chunk) >= RESHARD_CHUNK:
-            staged_store.save_tables(chunk)
-            chunk = []
-    if chunk:
-        staged_store.save_tables(chunk)
-    # Rebuild + persist the per-shard indexes from the stored vectors —
-    # zero trunk forwards; resharding never re-embeds.
-    catalog = LakeCatalog.from_store(
-        TableEmbedder(model, encoder), staged_store, sbert=sbert,
-        index_backend=spec,
-    )
-    assert catalog.embed_calls == 0, "reshard must not re-embed"
-    _swap_store_layout(Path(args.lake), staged)
     elapsed = time.perf_counter() - started
     print(
         f"resharded {args.lake}: {old_n} -> {args.shards} shard(s), "
@@ -623,6 +391,32 @@ def cmd_reshard(args: argparse.Namespace) -> None:
 
 
 # --------------------------------------------------------------------- #
+def _add_target_flags(parser: argparse.ArgumentParser, route: str) -> None:
+    """``--lake`` / ``--server``: where :func:`_on_target` sends the op."""
+    parser.add_argument("--lake", default=None, help="lake directory (local)")
+    parser.add_argument(
+        "--server", default=None, metavar="HOST:PORT",
+        help=f"go through a running `serve` instance ({route}) instead of "
+             "opening the lake locally — same request, same answer",
+    )
+
+
+def _add_listen_flags(
+    parser: argparse.ArgumentParser, port: int, workers_for: str | None
+) -> None:
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument(
+        "--port", type=int, default=port,
+        help=f"listen port (default {port}; 0 = ephemeral — the bound port "
+             "is printed)",
+    )
+    if workers_for is not None:
+        parser.add_argument(
+            "--workers", type=int, default=4,
+            help=f"thread-pool size for blocking {workers_for} work",
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lake",
@@ -662,12 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.set_defaults(func=cmd_ingest)
 
     query = sub.add_parser("query", help="answer one discovery query")
-    query.add_argument("--lake", default=None, help="lake directory (local query)")
-    query.add_argument(
-        "--server", default=None, metavar="HOST:PORT",
-        help="query a running `serve` instance over HTTP instead of "
-             "opening the lake locally — same request, same ranked hits",
-    )
+    _add_target_flags(query, "POST /v1/query")
     group = query.add_mutually_exclusive_group(required=True)
     group.add_argument("--table", help="name of a table already in the lake")
     group.add_argument("--csv", help="path to an external query CSV")
@@ -701,15 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
              "blocking work in a thread pool)",
     )
     serve.add_argument("--lake", required=True)
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument(
-        "--port", type=int, default=8765,
-        help="listen port (0 = ephemeral; the bound port is printed)",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=4,
-        help="thread-pool size for blocking catalog work",
-    )
+    _add_listen_flags(serve, 8765, "catalog")
     serve.add_argument(
         "--index-backend", default=None, metavar="SPEC",
         help="assert the lake's index backend before serving",
@@ -738,15 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     replica.add_argument(
         "--snapshots", required=True, help="snapshot directory to serve from"
     )
-    replica.add_argument("--host", default="127.0.0.1")
-    replica.add_argument(
-        "--port", type=int, default=0,
-        help="listen port (default 0 = ephemeral; the bound port is printed)",
-    )
-    replica.add_argument(
-        "--workers", type=int, default=4,
-        help="thread-pool size for blocking query work",
-    )
+    _add_listen_flags(replica, 0, "query")
     replica.add_argument(
         "--poll-interval", type=float, default=2.0,
         help="seconds between snapshot-dir polls for new generations",
@@ -762,11 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backends", required=True, metavar="HOST:PORT,HOST:PORT",
         help="comma-separated replica addresses",
     )
-    frontend.add_argument("--host", default="127.0.0.1")
-    frontend.add_argument(
-        "--port", type=int, default=0,
-        help="listen port (default 0 = ephemeral; the bound port is printed)",
-    )
+    _add_listen_flags(frontend, 0, None)
     frontend.add_argument(
         "--health-interval", type=float, default=0.0,
         help="seconds between /v1/stats health probes; unhealthy or "
@@ -781,12 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
              "in O(delta), the per-table version bumps, and the embedding "
              "goes stale until the next strict query re-embeds it",
     )
-    append.add_argument("--lake", default=None, help="lake directory (local)")
-    append.add_argument(
-        "--server", default=None, metavar="HOST:PORT",
-        help="append through a running `serve` instance "
-             "(POST /v1/tables/{name}/rows) instead of opening the lake",
-    )
+    _add_target_flags(append, "POST /v1/tables/{name}/rows")
     append.add_argument("--table", required=True, help="stored table name")
     append.add_argument(
         "--csv", required=True,
@@ -801,11 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
              "the lazy refresh a strict query pays implicitly): one "
              "batched pass over everything stale, or --tables to restrict",
     )
-    refresh.add_argument("--lake", default=None, help="lake directory (local)")
-    refresh.add_argument(
-        "--server", default=None, metavar="HOST:PORT",
-        help="refresh through a running `serve` instance (POST /v1/refresh)",
-    )
+    _add_target_flags(refresh, "POST /v1/refresh")
     refresh.add_argument(
         "--tables", default=None, metavar="NAME,NAME",
         help="comma-separated table names to restrict the sweep "
@@ -819,11 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
              "mid-update leaves the previous artifacts intact; bumps the "
              "per-table version)",
     )
-    update.add_argument("--lake", default=None, help="lake directory (local)")
-    update.add_argument(
-        "--server", default=None, metavar="HOST:PORT",
-        help="update through a running `serve` instance (PUT /v1/tables)",
-    )
+    _add_target_flags(update, "PUT /v1/tables")
     update.add_argument(
         "--csv", required=True,
         help="replacement CSV (the table name is the file stem)",
@@ -869,7 +625,8 @@ def main(argv: list[str] | None = None) -> None:
         # the message, not a traceback.
         message = exc.args[0] if exc.args else str(exc)
         sys.exit(f"error: {message}")
-    except FingerprintMismatchError as exc:
+    except (FingerprintMismatchError, FileNotFoundError) as exc:
+        # A refused store, or no ingested lake / lake store where one was named.
         sys.exit(f"error: {exc}")
 
 

@@ -99,20 +99,14 @@ class DiscoveryError(RuntimeError):
             code = "internal"
         return cls(code, str(raw.get("message", "")))
 
-    def as_legacy(self) -> Exception:
-        """The pre-API exception this failure used to surface as.
-
-        The legacy ``LakeService.query`` shims keep old call sites (and
-        their ``pytest.raises`` expectations) green: ``not-found`` was a
-        ``KeyError``, everything else a ``ValueError``.
-        """
-        if self.code == "not-found":
-            return KeyError(self.message)
-        return ValueError(self.message)
-
 
 def bad_request(message: str) -> DiscoveryError:
     return DiscoveryError("bad-request", message)
+
+
+def answer(**fields) -> dict:
+    """A non-query response body: the schema version, then ``fields``."""
+    return {"version": API_VERSION, **fields}
 
 
 # --------------------------------------------------------------------- #
@@ -513,7 +507,7 @@ class DiscoveryResult:
     diagnostics: dict = field(default_factory=dict)
 
     def tables(self) -> list[str]:
-        """The legacy bare-name view of the ranking."""
+        """The ranking as bare table names, best first."""
         return [hit.table for hit in self.hits]
 
     def scored(self) -> list[tuple[str, float]]:

@@ -8,7 +8,8 @@ pointed at :mod:`repro.lake.server` changes *nothing* about the hits a
 caller sees (the parity the server tests and ``bench_discovery_api``
 assert). Server-side failures arrive as the typed error envelope and
 re-raise as the same :class:`~repro.lake.api.DiscoveryError` the service
-would have raised locally.
+would have raised locally. :mod:`repro.lake.target` puts both behind one
+op surface (:class:`~repro.lake.target.ClientTarget` wraps a client).
 
 One keep-alive connection per client, guarded by a lock (HTTP/1.1
 pipelining is not attempted); a connection dropped by the server mid-idle
@@ -41,6 +42,16 @@ from repro.lake.api import (
 from repro.table.schema import Table
 
 DEFAULT_TIMEOUT = 60.0
+
+
+def parse_host_port(address: str, what: str = "--server") -> tuple[str, int]:
+    """``HOST:PORT`` -> ``(host, port)`` — the one parser behind every
+    ``--server`` / ``--backends`` flag; :class:`ValueError` on anything else."""
+    address = address.strip()
+    host, _, port = address.rpartition(":")
+    if not host or not port.isdigit():
+        raise ValueError(f"{what} wants HOST:PORT, got {address!r}")
+    return host, int(port)
 
 
 class LakeClient:
@@ -206,20 +217,6 @@ class LakeClient:
             )
         return [DiscoveryResult.from_dict(raw) for raw in results]
 
-    def search(
-        self,
-        query: "str | Table",
-        mode: str = "union",
-        k: int = 10,
-        column: str | None = None,
-    ) -> list[str]:
-        """Legacy-shaped convenience: bare ranked table names."""
-        if isinstance(query, Table):
-            request = DiscoveryRequest(mode=mode, k=k, payload=query, column=column)
-        else:
-            request = DiscoveryRequest(mode=mode, k=k, table=query, column=column)
-        return self.query(request).tables()
-
     # ------------------------------------------------------------------ #
     def add_tables(self, tables: "list[Table] | dict[str, Table]") -> dict:
         """``POST /v1/tables`` — remote ingest through the same pipeline."""
@@ -305,4 +302,4 @@ class LakeClient:
             return False
 
 
-__all__ = ["LakeClient", "API_VERSION", "DEFAULT_TIMEOUT"]
+__all__ = ["LakeClient", "API_VERSION", "DEFAULT_TIMEOUT", "parse_host_port"]

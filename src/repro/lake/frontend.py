@@ -42,12 +42,13 @@ from __future__ import annotations
 
 import asyncio
 import json
-import threading
 
 from repro import obs
 from repro.lake.api import API_VERSION, DiscoveryError
+from repro.lake.client import parse_host_port
 from repro.lake.server import (
     BadFrame,
+    LoopThread,
     bad_frame_response,
     encode_response,
     error_payload,
@@ -438,7 +439,7 @@ class LakeFrontend:
 
 
 # --------------------------------------------------------------------- #
-class FrontendThread:
+class FrontendThread(LoopThread):
     """A `LakeFrontend` on a daemon thread (the test/benchmark host)."""
 
     def __init__(
@@ -451,8 +452,7 @@ class FrontendThread:
         self.frontend = LakeFrontend(
             backends, host=host, port=port, health_interval=health_interval
         )
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
+        super().__init__(self.frontend, "lake-frontend")
 
     def probe(self, timeout: float = 30.0) -> None:
         """Run one probe round synchronously (tests use this instead of
@@ -463,76 +463,12 @@ class FrontendThread:
         )
         future.result(timeout=timeout)
 
-    @property
-    def port(self) -> int:
-        return self.frontend.port
-
-    @property
-    def host(self) -> str:
-        return self.frontend.host
-
-    def start(self) -> "FrontendThread":
-        started = threading.Event()
-        failure: list[BaseException] = []
-
-        def run() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            self._loop = loop
-            try:
-                loop.run_until_complete(self.frontend.start())
-            except BaseException as exc:  # noqa: BLE001 — surface to starter
-                failure.append(exc)
-                started.set()
-                loop.close()
-                return
-            started.set()
-            try:
-                loop.run_forever()
-            finally:
-                loop.run_until_complete(self.frontend.close())
-                pending = asyncio.all_tasks(loop)
-                for task in pending:
-                    task.cancel()
-                if pending:
-                    loop.run_until_complete(
-                        asyncio.gather(*pending, return_exceptions=True)
-                    )
-                loop.close()
-
-        self._thread = threading.Thread(
-            target=run, name="lake-frontend", daemon=True
-        )
-        self._thread.start()
-        started.wait(timeout=30)
-        if failure:
-            raise failure[0]
-        return self
-
-    def stop(self) -> None:
-        if self._loop is not None and self._loop.is_running():
-            self._loop.call_soon_threadsafe(self._loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=30)
-
-    def __enter__(self) -> "FrontendThread":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
 
 def parse_backends(raw: str) -> "list[tuple[str, int]]":
     """``HOST:PORT,HOST:PORT`` -> backend list (the CLI's --backends)."""
-    backends = []
-    for piece in raw.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        host, _, port = piece.rpartition(":")
-        if not host or not port.isdigit():
-            raise ValueError(f"backend wants HOST:PORT, got {piece!r}")
-        backends.append((host, int(port)))
+    backends = [
+        parse_host_port(piece, "backend") for piece in raw.split(",") if piece.strip()
+    ]
     if not backends:
         raise ValueError("no backends given")
     return backends

@@ -54,7 +54,7 @@ from repro.lake.api import DiscoveryError, DiscoveryRequest, DiscoveryResult
 from repro.lake.bundle import CONFIG_NAME, VOCAB_NAME, WEIGHTS_NAME, has_bundle
 from repro.lake.catalog import LakeCatalog
 from repro.lake.service import LakeService
-from repro.lake.store import MANIFEST_NAME, STORE_FILES, LakeStore
+from repro.lake.store import STORE_FILES, LakeStore
 from repro.text.sbert import HashedSentenceEncoder
 from repro.utils.io import ensure_dir, read_json, write_json
 
@@ -154,7 +154,7 @@ class SnapshotPublisher:
 
     def __init__(self, lake_root: str | os.PathLike, snapshot_dir: str | os.PathLike):
         self.lake_root = Path(lake_root)
-        if not (self.lake_root / MANIFEST_NAME).exists():
+        if LakeStore.peek_n_shards(self.lake_root) is None:
             raise FileNotFoundError(
                 f"no lake store at {self.lake_root} (run ingest first)"
             )
@@ -229,8 +229,8 @@ class ReplicaService:
     """A stateless read replica over published snapshot generations.
 
     Implements the same query surface as :class:`LakeService`
-    (``discover`` / ``discover_batch`` / ``query`` / ``stats`` /
-    ``slow_log`` / ``catalog``), so :class:`~repro.lake.server.LakeServer`
+    (``discover`` / ``discover_batch`` / ``stats`` / ``slow_log`` /
+    ``catalog``), so :class:`~repro.lake.server.LakeServer`
     hosts it unmodified. Mutations raise: replicas are read-only.
 
     Generation swaps are blue/green: :meth:`refresh` loads and validates
@@ -439,12 +439,6 @@ class ReplicaService:
             self._stamp(result, generation, fingerprint)
             for result in service.discover_batch(requests)
         ]
-
-    def query(self, query, mode: str = "union", k: int = 10, column=None):
-        if isinstance(query, DiscoveryRequest):
-            return self.discover(query)
-        service, *_ = self._current()
-        return service.query(query, mode=mode, k=k, column=column)
 
     @property
     def catalog(self) -> LakeCatalog:

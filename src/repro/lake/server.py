@@ -64,11 +64,13 @@ from repro.lake.api import (
     API_VERSION,
     DiscoveryError,
     DiscoveryRequest,
+    answer,
     bad_request,
     table_from_dict,
 )
 from repro.lake.serialization import FingerprintMismatchError
 from repro.lake.service import LakeService
+from repro.lake.target import ServiceTarget
 
 #: HTTP reason phrases for the statuses the API can emit.
 _REASONS = {
@@ -204,6 +206,9 @@ class LakeServer:
         max_workers: int = DEFAULT_WORKERS,
     ):
         self.service = service
+        #: Mutation routes answer what the target answers — the body shape
+        #: is defined there, once, for every transport.
+        self._target = ServiceTarget(service)
         self.host = host
         self.port = port  # 0 = ephemeral; updated to the bound port on start
         self._pool = ThreadPoolExecutor(
@@ -363,10 +368,7 @@ class LakeServer:
         if path == "/v1/metrics" and method == "GET":
             return 200, self._metrics_payload(query, (headers or {}).get("accept", ""))
         if path == "/v1/slow_queries" and method == "GET":
-            return 200, {
-                "version": API_VERSION,
-                "slow_queries": self.service.slow_log.snapshot(),
-            }
+            return 200, answer(slow_queries=self._target.slow_queries())
         if path == "/v1/query" and method == "POST":
             request = DiscoveryRequest.from_dict(self._decode_body(body))
             return 200, self.service.discover(request).to_dict()
@@ -377,10 +379,7 @@ class LakeServer:
                 raise bad_request("query_batch body needs a 'requests' list")
             requests = [DiscoveryRequest.from_dict(raw) for raw in raw_requests]
             results = self.service.discover_batch(requests)
-            return 200, {
-                "version": API_VERSION,
-                "results": [result.to_dict() for result in results],
-            }
+            return 200, answer(results=[result.to_dict() for result in results])
         if path == "/v1/tables" and method == "POST":
             payload = self._decode_body(body)
             raw_tables = payload.get("tables")
@@ -390,25 +389,13 @@ class LakeServer:
             names = [table.name for table in tables]
             if len(set(names)) != len(names):
                 raise bad_request("ingest payload repeats a table name")
-            added = self.service.add_tables({t.name: t for t in tables})
-            return 200, {
-                "version": API_VERSION,
-                "added": len(added),
-                "n_tables": len(self.service.catalog),
-            }
+            return 200, self._target.add_tables({t.name: t for t in tables})
         if path == "/v1/tables" and method == "PUT":
             payload = self._decode_body(body)
             raw_table = payload.get("table")
             if not isinstance(raw_table, dict):
                 raise bad_request("update body needs a 'table' object")
-            table = table_from_dict(raw_table)
-            record = self.service.update_table(table)
-            return 200, {
-                "version": API_VERSION,
-                "updated": table.name,
-                "table_version": record.version,
-                "n_tables": len(self.service.catalog),
-            }
+            return 200, self._target.update_table(table_from_dict(raw_table))
         if (
             path.startswith("/v1/tables/")
             and path.endswith("/rows")
@@ -426,14 +413,7 @@ class LakeServer:
                     raise bad_request(
                         "append rows must be lists of string cells"
                     )
-            record = self.service.append_rows(name, raw_rows)
-            return 200, {
-                "version": API_VERSION,
-                "table": name,
-                "appended": len(raw_rows),
-                "table_version": record.version,
-                "embedding_stale": record.embedding_stale,
-            }
+            return 200, self._target.append_rows(name, raw_rows)
         if path == "/v1/refresh" and method == "POST":
             # Body optional: `{}` / absent refreshes everything stale,
             # `{"tables": [...]}` restricts the sweep.
@@ -446,27 +426,17 @@ class LakeServer:
                 raise bad_request(
                     "refresh 'tables' must be a list of table names"
                 )
-            refreshed = self.service.refresh_stale(names)
-            return 200, {
-                "version": API_VERSION,
-                "refreshed": refreshed,
-                "stale_remaining": len(self.service.catalog.stale_tables()),
-            }
+            return 200, self._target.refresh(names)
         if path.startswith("/v1/tables/") and method == "DELETE":
             name = unquote(path[len("/v1/tables/") :])
             if not self.service.remove_table(name):
                 raise DiscoveryError(
                     "not-found", f"table {name!r} not in catalog"
                 )
-            return 200, {
-                "version": API_VERSION,
-                "removed": name,
-                "n_tables": len(self.service.catalog),
-            }
+            return 200, answer(removed=name, n_tables=len(self.service.catalog))
         raise DiscoveryError("not-found", f"no route for {method} {path}")
 
-    @staticmethod
-    def _metrics_payload(query: str, accept: str):
+    def _metrics_payload(self, query: str, accept: str):
         """``/v1/metrics`` content negotiation: JSON unless the caller asks
         for Prometheus via ``?format=prometheus`` or ``Accept: text/plain``
         (``?format=json`` overrides the Accept header)."""
@@ -476,24 +446,21 @@ class LakeServer:
                 f"unknown metrics format {requested!r}; "
                 "expected 'json' or 'prometheus'"
             )
-        registry = obs.get_registry()
         prometheus = requested == "prometheus" or (
             not requested and "text/plain" in accept.lower()
         )
         if prometheus:
             return _TextBody(
-                obs.PROMETHEUS_CONTENT_TYPE, registry.render_prometheus()
+                obs.PROMETHEUS_CONTENT_TYPE,
+                obs.get_registry().render_prometheus(),
             )
-        return {
-            "version": API_VERSION,
-            "enabled": obs.enabled(),
-            "metrics": registry.collect(),
-        }
+        return self._target.metrics()
 
 
 # --------------------------------------------------------------------- #
-class ServerThread:
-    """A `LakeServer` running on a daemon thread with its own event loop.
+class LoopThread:
+    """Anything with async ``start()`` / ``close()`` and ``host`` / ``port``
+    running on a daemon thread with its own event loop.
 
     The in-process hosting shape tests, benchmarks, and notebook users
     want: ``start()`` blocks until the socket is bound (so ``.port`` is
@@ -501,28 +468,21 @@ class ServerThread:
     and joins the thread.
     """
 
-    def __init__(
-        self,
-        service: LakeService,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        max_workers: int = DEFAULT_WORKERS,
-    ):
-        self.server = LakeServer(
-            service, host=host, port=port, max_workers=max_workers
-        )
+    def __init__(self, hosted, thread_name: str):
+        self._hosted = hosted
+        self._thread_name = thread_name
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
 
     @property
     def port(self) -> int:
-        return self.server.port
+        return self._hosted.port
 
     @property
     def host(self) -> str:
-        return self.server.host
+        return self._hosted.host
 
-    def start(self) -> "ServerThread":
+    def start(self):
         started = threading.Event()
         failure: list[BaseException] = []
 
@@ -531,7 +491,7 @@ class ServerThread:
             asyncio.set_event_loop(loop)
             self._loop = loop
             try:
-                loop.run_until_complete(self.server.start())
+                loop.run_until_complete(self._hosted.start())
             except BaseException as exc:  # noqa: BLE001 — surface to starter
                 failure.append(exc)
                 started.set()
@@ -541,7 +501,7 @@ class ServerThread:
             try:
                 loop.run_forever()
             finally:
-                loop.run_until_complete(self.server.close())
+                loop.run_until_complete(self._hosted.close())
                 # Open keep-alive connections leave handler tasks parked in
                 # readuntil(); cancel and drain them before closing the loop.
                 pending = asyncio.all_tasks(loop)
@@ -554,7 +514,7 @@ class ServerThread:
                 loop.close()
 
         self._thread = threading.Thread(
-            target=run, name="lake-server", daemon=True
+            target=run, name=self._thread_name, daemon=True
         )
         self._thread.start()
         started.wait(timeout=30)
@@ -568,8 +528,24 @@ class ServerThread:
         if self._thread is not None:
             self._thread.join(timeout=30)
 
-    def __enter__(self) -> "ServerThread":
+    def __enter__(self):
         return self.start()
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
+
+
+class ServerThread(LoopThread):
+    """A `LakeServer` running on a daemon thread with its own event loop."""
+
+    def __init__(
+        self,
+        service: LakeService,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        max_workers: int = DEFAULT_WORKERS,
+    ):
+        self.server = LakeServer(
+            service, host=host, port=port, max_workers=max_workers
+        )
+        super().__init__(self.server, "lake-server")

@@ -10,12 +10,11 @@ Every question and answer travels through the versioned Discovery API
 (:mod:`repro.lake.api`): :meth:`LakeService.discover` takes a
 :class:`DiscoveryRequest` and returns a :class:`DiscoveryResult` — ranked
 :class:`~repro.lake.api.Hit` s carrying scores and per-column evidence, a
-sketch/embed/index timing breakdown, and cache/shard diagnostics. The
-pre-API ``query``/``query_batch`` signatures remain as thin shims (bare
-``list[str]`` out, legacy ``KeyError``/``ValueError`` on failure) so old
-call sites stay green; in-process and HTTP callers
-(:mod:`repro.lake.server` / :mod:`repro.lake.client`) are interchangeable
-because both speak exactly this schema.
+sketch/embed/index timing breakdown, and cache/shard diagnostics.
+In-process and HTTP callers (:mod:`repro.lake.server` /
+:mod:`repro.lake.client`) are interchangeable because both speak exactly
+this schema; :meth:`LakeService.open` is the one way to warm-load an
+ingested lake directory.
 
 Query tables may be catalog members (their stored vectors are reused — zero
 trunk work) or external :class:`~repro.table.schema.Table` payloads, whose
@@ -59,8 +58,12 @@ from repro.lake.api import (
     table_score,
 )
 from repro import obs
+from repro.core.embed import TableEmbedder
+from repro.lake.bundle import has_bundle, load_bundle
 from repro.lake.catalog import LakeCatalog
-from repro.search.backend import stable_shard
+from repro.lake.serialization import config_fingerprint
+from repro.lake.store import LakeStore
+from repro.search.backend import normalize_index_spec, stable_shard
 from repro.search.tables import TableMatch
 from repro.sketch.pipeline import sketch_corpus, sketch_table
 from repro.table.schema import Table
@@ -144,6 +147,30 @@ class _LruCache:
         return len(self._data)
 
 
+def _load_lake(lake_dir, index_backend: str | None = None):
+    """What serving an ingested lake directory takes: ``(embedder, sbert,
+    index spec, fingerprint_at)``, where ``fingerprint_at(n_shards)`` is the
+    store fingerprint this configuration has at that shard count."""
+    if not has_bundle(lake_dir):
+        raise FileNotFoundError(
+            f"{str(lake_dir)!r} is not an ingested lake (run `ingest` first)"
+        )
+    model, encoder, sbert = load_bundle(lake_dir)
+    spec = normalize_index_spec(
+        index_backend
+        if index_backend is not None
+        else LakeStore.peek_index_spec(lake_dir)
+    )
+
+    def fingerprint_at(n_shards: int) -> str:
+        return config_fingerprint(
+            model.config, sbert=sbert, model=model, index_spec=spec,
+            n_shards=n_shards,
+        )
+
+    return TableEmbedder(model, encoder), sbert, spec, fingerprint_at
+
+
 class LakeService:
     """Batched join/union/subset queries over a standing lake."""
 
@@ -156,6 +183,53 @@ class LakeService:
         self.ingest_count = 0
         self.slow_log = obs.SlowQueryLog()
         self._started_at = time.time()
+
+    @classmethod
+    def open(cls, lake_dir, index_backend: str | None = None) -> "LakeService":
+        """Warm-load an ingested lake directory into a ready service (no
+        re-embedding, no index re-insertion — the persisted index is
+        deserialized).
+
+        ``index_backend=None`` serves whatever backend the lake was built
+        with; an explicit spec is checked against the store fingerprint, so
+        a backend switch surfaces as a
+        :class:`~repro.lake.serialization.FingerprintMismatchError`. The
+        shard count always comes from the on-disk layout.
+        """
+        embedder, sbert, spec, fingerprint_at = _load_lake(lake_dir, index_backend)
+        store = LakeStore.open(
+            lake_dir,
+            expected_fingerprint=fingerprint_at(LakeStore.peek_n_shards(lake_dir) or 1),
+        )
+        return cls(
+            LakeCatalog.from_store(embedder, store, sbert=sbert, index_backend=spec)
+        )
+
+    @staticmethod
+    def reshard(lake_dir, n_shards: int) -> tuple[int, int]:
+        """Migrate an ingested lake directory in place to ``n_shards``
+        shards (:meth:`LakeStore.reshard`); returns ``(previous shard count,
+        tables re-routed)`` — nothing is touched when the two counts agree.
+        Stored vectors are re-routed and the per-shard indexes rebuilt from
+        them: zero trunk forwards, resharding never re-embeds.
+        """
+        embedder, sbert, spec, fingerprint_at = _load_lake(lake_dir)
+        old_n = LakeStore.peek_n_shards(lake_dir)
+        if old_n is None:
+            raise FileNotFoundError(
+                f"{str(lake_dir)!r} has no lake store (run `ingest` first)"
+            )
+        if old_n == n_shards:
+            return old_n, 0
+
+        def build_indexes(staged: LakeStore) -> None:
+            catalog = LakeCatalog.from_store(
+                embedder, staged, sbert=sbert, index_backend=spec
+            )
+            assert catalog.embed_calls == 0, "reshard must not re-embed"
+
+        store = LakeStore.open(lake_dir, expected_fingerprint=fingerprint_at(old_n))
+        return old_n, store.reshard(n_shards, fingerprint_at(n_shards), build_indexes)
 
     # ------------------------------------------------------------------ #
     def fingerprint(self) -> str | None:
@@ -309,10 +383,10 @@ class LakeService:
     ) -> DiscoveryResult:
         """Answer one :class:`DiscoveryRequest` with a typed, scored result.
 
-        The single entry point every surface shares: the legacy shims, the
-        CLI, and the HTTP server all route here, so a request answered
-        in-process and the same request answered over the wire return the
-        same ranked ``(table, score)`` hits.
+        The single entry point every surface shares: the CLI and the HTTP
+        server both route here, so a request answered in-process and the
+        same request answered over the wire return the same ranked
+        ``(table, score)`` hits.
 
         The whole call runs under a ``lake.discover`` span whose children
         (``lake.sketch`` / ``lake.embed`` / ``lake.index``) carry the
@@ -526,76 +600,6 @@ class LakeService:
             else:
                 results.append(self.discover(request))
         return results
-
-    # ------------------------------------------------------------------ #
-    # Legacy shims — bare table-name results, pre-API exception types.
-    # ------------------------------------------------------------------ #
-    def _legacy_request(
-        self,
-        query: str | Table,
-        mode: str,
-        k: int,
-        column: str | None = None,
-    ) -> DiscoveryRequest:
-        # The pre-API signature only ever consulted ``column`` in join
-        # mode; keep ignoring it elsewhere instead of surfacing the
-        # stricter API-level rejection to old call sites.
-        if mode != "join":
-            column = None
-        if isinstance(query, Table):
-            return DiscoveryRequest(mode=mode, k=k, payload=query, column=column)
-        return DiscoveryRequest(mode=mode, k=k, table=query, column=column)
-
-    def query(
-        self,
-        query: "str | Table | DiscoveryRequest",
-        mode: str = "union",
-        k: int = 10,
-        column: str | None = None,
-    ) -> "list[str] | DiscoveryResult":
-        """Top-``k`` lake tables for one query table (or member name).
-
-        Passed a :class:`DiscoveryRequest`, this *is* :meth:`discover` and
-        returns the full typed :class:`DiscoveryResult`. The legacy
-        signature (member name / ``Table`` plus ``mode``/``k``/``column``)
-        returns bare ranked names and re-raises failures as the pre-API
-        ``KeyError``/``ValueError`` — same ranking, scores dropped at the
-        last moment instead of inside the stack.
-        """
-        if isinstance(query, DiscoveryRequest):
-            return self.discover(query)
-        try:
-            result = self.discover(self._legacy_request(query, mode, k, column))
-        except DiscoveryError as exc:
-            raise exc.as_legacy() from None
-        return result.tables()
-
-    def query_batch(
-        self,
-        queries: "Sequence[str | Table | DiscoveryRequest]",
-        mode: str = "union",
-        k: int = 10,
-    ) -> "list[list[str]] | list[DiscoveryResult]":
-        """Answer many queries through one batched embedding pass.
-
-        A list of :class:`DiscoveryRequest` s returns typed results
-        (:meth:`discover_batch`); the legacy name/``Table`` form returns
-        bare ranked names with legacy exception types.
-        """
-        if all(isinstance(query, DiscoveryRequest) for query in queries):
-            return self.discover_batch(list(queries))
-        try:
-            results = self.discover_batch(
-                [
-                    query
-                    if isinstance(query, DiscoveryRequest)
-                    else self._legacy_request(query, mode, k)
-                    for query in queries
-                ]
-            )
-        except DiscoveryError as exc:
-            raise exc.as_legacy() from None
-        return [result.tables() for result in results]
 
     # ------------------------------------------------------------------ #
     def add_table(self, table: Table):

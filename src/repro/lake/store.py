@@ -24,6 +24,10 @@ rolling forward** (:func:`_convert_flat_layout`): nothing is re-embedded or
 rewritten, the fingerprint is unchanged, and a kill at any step is finished
 by the next open.
 
+:meth:`LakeStore.reshard` migrates a store in place to another shard count;
+whoever next reads the root manifest (``open``, ``peek_*``,
+``needs_conversion``) first rolls back a swap that was killed half way.
+
 Each table archive holds the packed :class:`~repro.sketch.pipeline.TableSketch`
 arrays (uint64 signatures, float64 raw numeric stats) plus the final
 ``column_vectors`` the index serves and the pooled ``table_embedding`` —
@@ -56,6 +60,7 @@ shard's artifact, not N.
 from __future__ import annotations
 
 import os
+import shutil
 import warnings
 import zipfile
 from dataclasses import dataclass, field
@@ -95,6 +100,12 @@ SHARDS_DIR = "shards"
 #: there, so whoever moves a store moves it out first and in last.
 STORE_FILES = (MANIFEST_NAME, SHARDS_DIR)
 
+_RESHARD_BACKUP = ".reshard.old"
+_RESHARD_STAGE = ".reshard.tmp"
+#: Tables staged per write batch during reshard — bounds peak memory to a
+#: chunk of records instead of the whole lake.
+RESHARD_CHUNK = 256
+
 _FLUSH_BYTES = obs.counter(
     "lake_store_flush_bytes_total",
     "Bytes written to table archives, by shard",
@@ -117,8 +128,40 @@ def _write_manifest(path: Path, manifest: dict) -> None:
 
 
 def _read_root_manifest(root: str | os.PathLike) -> dict | None:
+    _recover_interrupted_reshard(Path(root))
     path = Path(root) / MANIFEST_NAME
     return read_json(path) if path.exists() else None
+
+
+def _recover_interrupted_reshard(root: Path) -> None:
+    """Roll back a reshard that died mid-swap, then sweep stage dirs.
+
+    A backup dir plus a missing root manifest means the kill landed inside
+    the swap window: the backup is the last complete store, so it moves
+    back. A backup beside an intact root manifest means the kill landed
+    after the new layout was fully in place — the backup (and any stage
+    dir) is just debris.
+    """
+    backup = root / _RESHARD_BACKUP
+    if backup.exists():
+        if not (root / MANIFEST_NAME).exists():
+            warnings.warn(
+                f"recovering interrupted reshard: restoring previous store "
+                f"layout at {root}",
+                RuntimeWarning,
+                stacklevel=4,
+            )
+            # Whatever the backup holds is the previous store, whichever
+            # layout wrote it.
+            for source in backup.iterdir():
+                target = root / source.name
+                if target.exists():  # partial move-in from the crash
+                    shutil.rmtree(target) if target.is_dir() else target.unlink()
+                shutil.move(str(source), str(target))
+        shutil.rmtree(backup)
+    stage = root / _RESHARD_STAGE
+    if stage.exists():
+        shutil.rmtree(stage)
 
 
 def _shard_count(top: dict) -> int:
@@ -695,6 +738,49 @@ class LakeStore:
 
     def remove_table(self, name: str) -> bool:
         return self._shard_for(name).remove_table(name)
+
+    # ------------------------------------------------------------------ #
+    def reshard(self, n_shards: int, fingerprint: str, build_indexes) -> int:
+        """Migrate this store in place to ``n_shards`` shards under the new
+        ``fingerprint``; returns how many tables were re-routed (reopen the
+        store afterwards — this object still describes the old layout).
+
+        Records stream into a store staged under ``.reshard.tmp`` in
+        global-order chunks (peak memory is one chunk, never the whole
+        lake) and ``build_indexes(staged)`` persists its indexes. The swap
+        parks the old layout under ``.reshard.old`` until the new one is
+        fully moved in; the root manifest moves out first and in last, so a
+        kill inside the swap window leaves no root manifest but a complete
+        backup, which :func:`_recover_interrupted_reshard` rolls back.
+        """
+        staged_root = self.root / _RESHARD_STAGE
+        if staged_root.exists():
+            shutil.rmtree(staged_root)
+        staged = LakeStore(staged_root, fingerprint, n_shards=n_shards)
+        n_tables = 0
+        chunk: list[LakeTableRecord] = []
+        for record in self.load_all():
+            chunk.append(record)
+            n_tables += 1
+            if len(chunk) >= RESHARD_CHUNK:
+                staged.save_tables(chunk)
+                chunk = []
+        if chunk:
+            staged.save_tables(chunk)
+        build_indexes(staged)
+        backup = self.root / _RESHARD_BACKUP
+        if backup.exists():
+            shutil.rmtree(backup)
+        backup.mkdir()
+        for name in STORE_FILES:
+            if (self.root / name).exists():
+                shutil.move(str(self.root / name), str(backup / name))
+        for name in reversed(STORE_FILES):
+            if (staged_root / name).exists():
+                shutil.move(str(staged_root / name), str(self.root / name))
+        shutil.rmtree(staged_root)
+        shutil.rmtree(backup)
+        return n_tables
 
     # ------------------------------------------------------------------ #
     # Persisted vector index

@@ -50,13 +50,6 @@ def _log(message: str) -> None:
     print(message, flush=True)
 
 
-def _parse_host_port(raw: str) -> tuple:
-    host, _, port = raw.rpartition(":")
-    if not host or not port.isdigit():
-        raise SystemExit(f"--server expects HOST:PORT, got {raw!r}")
-    return host, int(port)
-
-
 # --------------------------------------------------------------------- #
 def cmd_generate(args: argparse.Namespace) -> int:
     spec = LakeSpec(
@@ -98,11 +91,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         k=args.k,
     )
     if args.server:
-        from repro.lake.client import LakeClient
-
-        host, port = _parse_host_port(args.server)
-        target = ClientTarget(LakeClient(host, port))
-        _log(f"target: server {host}:{port} (metrics from /v1/metrics)")
+        try:
+            target = ClientTarget.connect(args.server)
+        except ValueError:
+            raise SystemExit(
+                f"--server expects HOST:PORT, got {args.server!r}"
+            ) from None
+        _log(f"target: server {args.server} (metrics from /v1/metrics)")
     else:
         _log("target: in-process service (metrics from local registry)")
         service = build_service(

@@ -3,10 +3,10 @@
 Replays a seeded stream of ``ingest`` / ``append`` / ``update`` /
 ``remove`` / ``query`` / ``refresh`` operations — with configurable
 ratios, hot-table Zipf skew, and burst arrival — against either an
-in-process :class:`~repro.lake.service.LakeService` (:class:`ServiceTarget`)
-or a running server through :class:`~repro.lake.client.LakeClient`
-(:class:`ClientTarget`). Both targets expose the same surface, so a
-scenario runs identically in-process and over the wire; what differs is
+in-process :class:`~repro.lake.service.LakeService` or a running server —
+the two targets of :mod:`repro.lake.target` (:class:`ServiceTarget` /
+:class:`ClientTarget`, re-exported here). Both expose the same surface, so
+a scenario runs identically in-process and over the wire; what differs is
 where the scorecard scrapes its metrics from (``metrics_source``).
 
 Churn is **truth-preserving by construction**:
@@ -33,15 +33,14 @@ from typing import Callable
 
 import numpy as np
 
-from repro import obs
 from repro.core.config import TabSketchFMConfig
 from repro.core.embed import TableEmbedder
 from repro.core.inputs import InputEncoder
 from repro.core.model import TabSketchFM
-from repro.lake.api import API_VERSION, DiscoveryError, DiscoveryRequest
+from repro.lake.api import DiscoveryError, DiscoveryRequest
 from repro.lake.catalog import LakeCatalog
-from repro.lake.client import LakeClient
 from repro.lake.service import LakeService
+from repro.lake.target import ClientTarget, ServiceTarget  # noqa: F401 — re-exported
 from repro.lakegen.generator import LakeSpec, make_distractor, materialize_table
 from repro.sketch.pipeline import SketchConfig
 from repro.table.schema import Table
@@ -138,102 +137,6 @@ class ChurnSpec:
             "stale_fraction": self.stale_fraction,
             "pin_fraction": self.pin_fraction,
         }
-
-
-# --------------------------------------------------------------------- #
-# Targets — one surface, two transports.
-# --------------------------------------------------------------------- #
-class ServiceTarget:
-    """Drive an in-process :class:`LakeService`. Metrics come straight off
-    the process-default :mod:`repro.obs` registry."""
-
-    kind = "service"
-    metrics_source = "registry"
-
-    def __init__(self, service: LakeService):
-        self.service = service
-
-    def discover(self, request: DiscoveryRequest):
-        return self.service.discover(request)
-
-    def add_tables(self, tables: "dict[str, Table]") -> None:
-        self.service.add_tables(tables)
-
-    def append_rows(self, name: str, rows) -> None:
-        self.service.append_rows(name, rows)
-
-    def update_table(self, table: Table) -> None:
-        self.service.update_table(table)
-
-    def remove_table(self, name: str) -> bool:
-        return self.service.remove_table(name)
-
-    def refresh_stale(self, names=None) -> list[str]:
-        return self.service.refresh_stale(names)
-
-    def stats(self) -> dict:
-        return self.service.stats()
-
-    def metrics(self) -> dict:
-        """The same envelope ``GET /v1/metrics`` serves, locally."""
-        return {
-            "version": API_VERSION,
-            "enabled": obs.enabled(),
-            "metrics": obs.get_registry().collect(),
-        }
-
-    def slow_queries(self) -> list[dict]:
-        return self.service.slow_log.snapshot()
-
-    def close(self) -> None:
-        pass
-
-
-class ClientTarget:
-    """Drive a live server through :class:`LakeClient`. Metrics are
-    scraped from the server's ``/v1/metrics`` — never client-side."""
-
-    kind = "server"
-    metrics_source = "/v1/metrics"
-
-    def __init__(self, client: LakeClient):
-        self.client = client
-
-    def discover(self, request: DiscoveryRequest):
-        return self.client.query(request)
-
-    def add_tables(self, tables: "dict[str, Table]") -> None:
-        self.client.add_tables(list(tables.values()))
-
-    def append_rows(self, name: str, rows) -> None:
-        self.client.append_rows(name, rows)
-
-    def update_table(self, table: Table) -> None:
-        self.client.update_table(table)
-
-    def remove_table(self, name: str) -> bool:
-        try:
-            self.client.remove_table(name)
-            return True
-        except DiscoveryError as exc:
-            if exc.code == "not-found":
-                return False
-            raise
-
-    def refresh_stale(self, names=None) -> list[str]:
-        return self.client.refresh_stale(names)["refreshed"]
-
-    def stats(self) -> dict:
-        return self.client.stats()
-
-    def metrics(self) -> dict:
-        return self.client.metrics()
-
-    def slow_queries(self) -> list[dict]:
-        return self.client.slow_queries()
-
-    def close(self) -> None:
-        self.client.close()
 
 
 # --------------------------------------------------------------------- #

@@ -53,8 +53,9 @@ class TableMatch:
     triples in query-column order. ``n_matched`` is RANK1's matched-column
     count, ``distance_sum`` RANK2's tie-break sum; for single-column join
     results both collapse to the one best pair. Nothing here is lossy: the
-    legacy name-only methods are thin projections of this shape, so scores
-    propagate up to the Discovery API instead of being dropped.
+    name-only methods (``near_tables`` / ``search_tables``) are thin
+    projections of this shape, so scores propagate up to the Discovery API
+    instead of being dropped.
     """
 
     table: str

@@ -131,8 +131,6 @@ def test_error_taxonomy_and_envelope():
         assert (clone.code, clone.message) == (code, "boom")
     with pytest.raises(ValueError):
         DiscoveryError("no-such-code", "x")
-    assert isinstance(DiscoveryError("not-found", "x").as_legacy(), KeyError)
-    assert isinstance(DiscoveryError("bad-request", "x").as_legacy(), ValueError)
 
 
 # --------------------------------------------------------------------- #
@@ -155,7 +153,7 @@ def test_discover_hits_sorted_by_descending_score(cold_catalog):
         result = service.discover(DiscoveryRequest(mode=mode, k=8, table="g0t0"))
         scores = [hit.score for hit in result.hits]
         assert scores == sorted(scores, reverse=True)
-        assert result.tables() == service.query("g0t0", mode=mode, k=8)
+        assert result.tables() == [hit.table for hit in result.hits]
 
 
 # --------------------------------------------------------------------- #
@@ -249,13 +247,12 @@ def test_service_boundary_validation(cold_catalog, lake_tables):
     empty = Table(name="empty", columns=[])
     with pytest.raises(DiscoveryError, match="no columns"):
         service.discover(DiscoveryRequest(mode="union", k=3, payload=empty))
-    # ...and the legacy shims surface the pre-API exception types.
-    with pytest.raises(ValueError, match="positive integer"):
-        service.query("g0t0", k=0)
-    with pytest.raises(ValueError, match="no columns"):
-        service.query(empty)
-    with pytest.raises(ValueError, match="no columns"):
-        service.query_batch([empty], mode="union", k=3)
+    # ...on the batched path too, before anything is sketched or embedded.
+    with pytest.raises(DiscoveryError, match="no columns") as excinfo:
+        service.discover_batch(
+            [DiscoveryRequest(mode="union", k=3, payload=empty)]
+        )
+    assert excinfo.value.code == "bad-request"
 
 
 def test_fingerprint_pin(tmp_path, lake_embedder, lake_tables):

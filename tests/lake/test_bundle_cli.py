@@ -117,8 +117,8 @@ def test_cli_query_json_emits_discovery_result(tmp_path, csv_dir, capsys):
 def test_cli_query_via_server(tmp_path, csv_dir, capsys):
     """`query --server` answers through a live `serve` instance with the
     same hits the local lake returns."""
-    from repro.lake.__main__ import _load_service
     from repro.lake.server import ServerThread
+    from repro.lake.service import LakeService
 
     lake = str(tmp_path / "lake")
     cli.main([
@@ -126,7 +126,7 @@ def test_cli_query_via_server(tmp_path, csv_dir, capsys):
         "--num-perm", "16", "--dim", "32", "--vocab-size", "400",
     ])
     capsys.readouterr()
-    with ServerThread(_load_service(lake)) as server:
+    with ServerThread(LakeService.open(lake)) as server:
         cli.main([
             "query", "--server", f"127.0.0.1:{server.port}",
             "--table", "g0t1", "-k", "3", "--json",
@@ -231,12 +231,24 @@ def test_cli_ingest_query_reshard_roundtrip(tmp_path, csv_dir, capsys, lake_tabl
         cli.main(["reshard", "--lake", str(tmp_path / "void"), "--shards", "2"])
 
 
+def _kill_reshard_mid_swap(lake) -> None:
+    """What a reshard killed inside the swap window leaves: the store files
+    parked in .reshard.old, nothing moved in yet, a stale stage dir."""
+    import shutil
+
+    backup = lake / ".reshard.old"
+    backup.mkdir()
+    for name in ("manifest.json", "index.npz", "tables", "shards"):
+        source = lake / name
+        if source.exists():
+            shutil.move(str(source), str(backup / name))
+    (lake / ".reshard.tmp").mkdir()
+
+
 def test_cli_recovers_reshard_killed_mid_swap(tmp_path, csv_dir, capsys):
     """A reshard killed inside the swap window (old store parked in
     .reshard.old, nothing moved in yet) must roll back to the complete old
     layout on the next command instead of dying on a missing manifest."""
-    import shutil
-
     lake = tmp_path / "lake"
     cli.main([
         "ingest", "--lake", str(lake), "--csv-dir", str(csv_dir),
@@ -246,22 +258,99 @@ def test_cli_recovers_reshard_killed_mid_swap(tmp_path, csv_dir, capsys):
     cli.main(["query", "--lake", str(lake), "--table", "g1t1", "-k", "3"])
     before = capsys.readouterr().out.splitlines()[1:]
 
-    # Simulate the kill: store files moved out to the backup, swap never
-    # finished, a stale stage dir left behind.
-    backup = lake / ".reshard.old"
-    backup.mkdir()
-    for name in ("manifest.json", "index.npz", "tables", "shards"):
-        source = lake / name
-        if source.exists():
-            shutil.move(str(source), str(backup / name))
-    (lake / ".reshard.tmp").mkdir()
-
-    cli.main(["stats", "--lake", str(lake)])
-    out = capsys.readouterr().out
-    assert "recovering interrupted reshard" in out
-    assert not backup.exists() and not (lake / ".reshard.tmp").exists()
+    _kill_reshard_mid_swap(lake)
+    with pytest.warns(RuntimeWarning, match="recovering interrupted reshard"):
+        cli.main(["stats", "--lake", str(lake)])
+    capsys.readouterr()
+    assert not (lake / ".reshard.old").exists()
+    assert not (lake / ".reshard.tmp").exists()
     cli.main(["query", "--lake", str(lake), "--table", "g1t1", "-k", "3"])
     assert capsys.readouterr().out.splitlines()[1:] == before
+
+
+def test_publish_and_store_open_recover_reshard_killed_mid_swap(
+    tmp_path, csv_dir, capsys
+):
+    """Recovery lives in the store, so every reader of the root manifest
+    gets it — `publish` and a bare `LakeStore.open`, not only the commands
+    that warm-load a service — and what gets published is a plain store a
+    replica adopts without writing to it."""
+    from repro.lake.replica import ReplicaService
+    from repro.lake.service import LakeService
+    from repro.lake.store import STORE_FILES, LakeStore
+
+    lake = tmp_path / "lake"
+    cli.main([
+        "ingest", "--lake", str(lake), "--csv-dir", str(csv_dir),
+        "--num-perm", "16", "--dim", "32", "--vocab-size", "400",
+    ])
+    names = LakeStore.open(lake).table_names()
+
+    _kill_reshard_mid_swap(lake)
+    with pytest.warns(RuntimeWarning, match="recovering interrupted reshard"):
+        cli.main(["publish", "--lake", str(lake), "--snapshots", str(tmp_path / "s")])
+    assert "published generation 1" in capsys.readouterr().out
+    assert not (lake / ".reshard.old").exists()
+
+    _kill_reshard_mid_swap(lake)
+    with pytest.warns(RuntimeWarning, match="recovering interrupted reshard"):
+        assert LakeStore.open(lake).table_names() == names
+
+    generation = tmp_path / "s" / "gen-000001"
+    assert sorted(p.name for p in generation.iterdir()) == sorted(
+        (*STORE_FILES, "SNAPSHOT.json")
+    )
+    shipped = {
+        p: p.read_bytes() for p in sorted(generation.rglob("*")) if p.is_file()
+    }
+    embedder = LakeService.open(lake).catalog.embedder
+    replica = ReplicaService(embedder, tmp_path / "s")
+    assert replica.generation == 1 and replica.catalog.table_names() == names
+    assert {
+        p: p.read_bytes() for p in sorted(generation.rglob("*")) if p.is_file()
+    } == shipped, "a replica never writes to a snapshot"
+
+
+def _normalized(out: str) -> str:
+    """CLI output with the one figure that legitimately differs blanked."""
+    import re
+
+    return re.sub(r"\d+\.\d+ms", "<elapsed>ms", out)
+
+
+def test_cli_prints_one_format_for_lake_and_server(tmp_path, csv_dir, capsys):
+    """`query` / `append` / `refresh` / `update` print the same text whether
+    the op ran on `--lake` or went through `--server` to an identical lake."""
+    import shutil
+
+    from repro.lake.server import ServerThread
+    from repro.lake.service import LakeService
+
+    local = str(tmp_path / "local")
+    cli.main([
+        "ingest", "--lake", local, "--csv-dir", str(csv_dir),
+        "--num-perm", "16", "--dim", "32", "--vocab-size", "400",
+    ])
+    served = str(tmp_path / "served")
+    shutil.copytree(local, served)
+    capsys.readouterr()
+    ops = [
+        ["query", "--table", "g1t1", "--mode", "join", "-k", "3"],
+        ["query", "--csv", str(csv_dir / "g2t2.csv"), "--mode", "subset", "-k", "4"],
+        ["append", "--table", "g0t0", "--csv", str(csv_dir / "g0t1.csv")],
+        ["append", "--table", "g1t0", "--csv", str(csv_dir / "g1t1.csv")],
+        ["refresh", "--tables", "g0t0"],
+        ["refresh"],
+        ["update", "--csv", str(csv_dir / "g2t0.csv")],
+        ["query", "--table", "g0t0", "-k", "5"],
+    ]
+    with ServerThread(LakeService.open(served)) as server:
+        for op in ops:
+            cli.main([*op, "--lake", local])
+            on_lake = capsys.readouterr().out
+            cli.main([*op, "--server", f"127.0.0.1:{server.port}"])
+            on_server = capsys.readouterr().out
+            assert on_lake and _normalized(on_lake) == _normalized(on_server), op
 
 
 def test_cli_hnsw_backend_roundtrip(tmp_path, csv_dir, capsys, lake_tables):

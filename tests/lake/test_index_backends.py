@@ -5,6 +5,7 @@ the backend-spec fingerprint guard."""
 import numpy as np
 import pytest
 
+from repro.lake.api import DiscoveryRequest
 from repro.lake.catalog import LakeCatalog
 from repro.lake.serialization import FingerprintMismatchError, config_fingerprint
 from repro.lake.service import LakeService
@@ -23,6 +24,11 @@ def _build(lake_embedder, lake_tables, tmp_path, backend=None):
     return catalog
 
 
+def _ranked(service, name, mode="union", k=10) -> list[str]:
+    request = DiscoveryRequest(mode=mode, k=k, table=name)
+    return service.discover(request).tables()
+
+
 def _assert_backend_class(catalog, cls):
     """Every shard of the live index is a `cls`."""
     index = catalog.searcher.index
@@ -39,7 +45,7 @@ def test_catalog_runs_unmodified_on_hnsw(lake_embedder, lake_tables, tmp_path):
     _assert_backend_class(catalog, HnswIndex)
     service = LakeService(catalog)
     for mode in ("join", "union", "subset"):
-        results = service.query("g1t1", mode=mode, k=3)
+        results = _ranked(service, "g1t1", mode=mode, k=3)
         assert results and "g1t1" not in results
 
     # Incremental add/remove work against the approximate index too.
@@ -47,7 +53,7 @@ def test_catalog_runs_unmodified_on_hnsw(lake_embedder, lake_tables, tmp_path):
     renamed = extra.with_columns(extra.columns, name="fresh")
     service.add_table(renamed)
     assert "fresh" in catalog
-    assert service.query("fresh", mode="union", k=3)
+    assert _ranked(service, "fresh", mode="union", k=3)
     assert service.remove_table("fresh")
     assert not catalog.searcher.has_table("fresh")
 
@@ -56,8 +62,8 @@ def test_exact_and_hnsw_agree_on_top_results(lake_embedder, lake_tables, tmp_pat
     exact = _build(lake_embedder, lake_tables, tmp_path / "exact")
     hnsw = _build(lake_embedder, lake_tables, tmp_path / "hnsw", backend=HNSW_SPEC)
     for name in list(lake_tables)[:4]:
-        top_exact = LakeService(exact).query(name, mode="union", k=1)
-        top_hnsw = LakeService(hnsw).query(name, mode="union", k=1)
+        top_exact = _ranked(LakeService(exact), name, mode="union", k=1)
+        top_hnsw = _ranked(LakeService(hnsw), name, mode="union", k=1)
         assert top_exact == top_hnsw
 
 

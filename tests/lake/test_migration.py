@@ -249,4 +249,4 @@ def test_reshard_to_one_shard_is_the_same_layout(flat_lake, flat_fixture, capsys
     assert "3 -> 1 shard(s)" in capsys.readouterr().out
     assert sorted(p.name for p in (flat_lake / "shards").iterdir()) == ["s000"]
     _assert_converted(flat_lake, flat_fixture.expected["counts"]["n_tables"])
-    _assert_serves_warm(cli._load_service(str(flat_lake)), flat_fixture)
+    _assert_serves_warm(LakeService.open(flat_lake), flat_fixture)

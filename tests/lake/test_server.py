@@ -86,13 +86,6 @@ def test_query_batch_parity_over_http(served, lake_tables):
     assert [r.scored() for r in remote] == [r.scored() for r in local]
 
 
-def test_legacy_search_shim_matches_service(served, lake_tables):
-    service, client = served
-    assert client.search("g1t1", mode="union", k=4) == service.query(
-        "g1t1", mode="union", k=4
-    )
-
-
 # --------------------------------------------------------------------- #
 # Error envelopes
 # --------------------------------------------------------------------- #

@@ -5,16 +5,33 @@ import threading
 
 import pytest
 
+from repro.lake.api import DiscoveryError, DiscoveryRequest
 from repro.lake.catalog import LakeCatalog
 from repro.lake.service import LakeService, table_digest
 from repro.lake.store import LakeStore
+from repro.table.schema import Table
 
 MODES = ("join", "union", "subset")
 
 
+def _ranked(service, query, mode="union", k=10, column=None) -> list[str]:
+    """Ranked table names for a member name or an external ``Table``."""
+    return service.discover(_request(query, mode, k, column)).tables()
+
+
+def _request(query, mode="union", k=10, column=None) -> DiscoveryRequest:
+    named = {"payload": query} if isinstance(query, Table) else {"table": query}
+    return DiscoveryRequest(mode=mode, k=k, column=column, **named)
+
+
+def _ranked_batch(service, queries, mode="union", k=10) -> list[list[str]]:
+    requests = [_request(query, mode, k) for query in queries]
+    return [result.tables() for result in service.discover_batch(requests)]
+
+
 def _all_queries(service, names, k=5):
     return {
-        mode: {name: service.query(name, mode=mode, k=k) for name in names}
+        mode: {name: _ranked(service, name, mode=mode, k=k) for name in names}
         for mode in MODES
     }
 
@@ -71,9 +88,9 @@ def test_external_query_table_uses_lru_cache(cold_catalog, lake_tables):
         lake_tables["g1t2"].columns, name="probe"
     )
     embeds_before = cold_catalog.embed_calls
-    first = service.query(probe, mode="union", k=4)
+    first = _ranked(service, probe, mode="union", k=4)
     assert cold_catalog.embed_calls == embeds_before + 1
-    second = service.query(probe, mode="union", k=4)
+    second = _ranked(service, probe, mode="union", k=4)
     assert second == first
     # Second query hit the cache — no further trunk work.
     assert cold_catalog.embed_calls == embeds_before + 1
@@ -85,7 +102,7 @@ def test_external_query_table_uses_lru_cache(cold_catalog, lake_tables):
 def test_member_name_query_excludes_itself(cold_catalog):
     service = LakeService(cold_catalog)
     for mode in MODES:
-        assert "g0t0" not in service.query("g0t0", mode=mode, k=9)
+        assert "g0t0" not in _ranked(service, "g0t0", mode=mode, k=9)
 
 
 def test_cache_eviction_respects_capacity(cold_catalog, lake_tables):
@@ -95,25 +112,23 @@ def test_cache_eviction_respects_capacity(cold_catalog, lake_tables):
         for i, table in enumerate(list(lake_tables.values())[:3])
     ]
     for probe in probes:
-        service.query(probe, k=2)
+        _ranked(service, probe, k=2)
     assert len(service._cache) == 2
     assert service._cache.get(table_digest(probes[0])) is None
 
 
 def test_query_validation(cold_catalog, lake_tables):
     service = LakeService(cold_catalog)
-    with pytest.raises(ValueError, match="query mode"):
-        service.query("g0t0", mode="merge")
-    with pytest.raises(KeyError, match="not in catalog"):
-        service.query("missing")
-    with pytest.raises(KeyError, match="no column"):
-        service.query("g0t0", mode="join", column="ghost")
-    # The pre-API signature only consulted column= in join mode; the shim
-    # keeps ignoring it elsewhere rather than surfacing the stricter
-    # API-level rejection.
-    assert service.query("g0t0", mode="union", column="ghost") == service.query(
-        "g0t0", mode="union"
-    )
+    for kwargs, code, fragment in (
+        ({"mode": "merge"}, "bad-request", "query mode"),
+        ({"query": "missing"}, "not-found", "not in catalog"),
+        ({"mode": "join", "column": "ghost"}, "not-found", "no column"),
+        # column= names a join column; any other mode refuses it.
+        ({"mode": "union", "column": "ghost"}, "bad-request", "join mode"),
+    ):
+        with pytest.raises(DiscoveryError, match=fragment) as excinfo:
+            _ranked(service, kwargs.pop("query", "g0t0"), **kwargs)
+        assert excinfo.value.code == code
 
 
 def test_query_batch_fails_fast_before_embedding(cold_catalog, lake_tables):
@@ -124,8 +139,9 @@ def test_query_batch_fails_fast_before_embedding(cold_catalog, lake_tables):
         lake_tables["g0t1"].columns, name="failfast-probe"
     )
     before = cold_catalog.embed_calls
-    with pytest.raises(KeyError, match="not in catalog"):
-        service.query_batch([probe, "missing"], mode="union", k=3)
+    with pytest.raises(DiscoveryError, match="not in catalog") as excinfo:
+        _ranked_batch(service, [probe, "missing"], mode="union", k=3)
+    assert excinfo.value.code == "not-found"
     assert cold_catalog.embed_calls == before, "no wasted trunk forwards"
 
 
@@ -135,7 +151,7 @@ def test_query_batch_shares_cache(cold_catalog, lake_tables):
         lake_tables["g0t1"].columns, name="probe"
     )
     before = cold_catalog.embed_calls
-    results = service.query_batch([probe, probe, "g0t0"], mode="subset", k=3)
+    results = _ranked_batch(service, [probe, probe, "g0t0"], mode="subset", k=3)
     assert len(results) == 3
     assert results[0] == results[1]
     # One distinct uncached payload -> one batched embedding pass; the
@@ -144,7 +160,7 @@ def test_query_batch_shares_cache(cold_catalog, lake_tables):
     assert service._cache.misses == 1
     assert service.stats()["queries_served"] == 3
     # A later lone query answers from the cache the batch populated.
-    assert service.query(probe, mode="subset", k=3) == results[0]
+    assert _ranked(service, probe, mode="subset", k=3) == results[0]
     assert cold_catalog.embed_calls == before + 1
     assert service._cache.hits == 1
 
@@ -165,7 +181,7 @@ def test_query_batch_embeds_distinct_externals_in_one_pass(
     # 6 distinct + 2 duplicates + 1 member at batch_size=4 -> ceil(6/4) = 2.
     queries = probes + [probes[0], probes[3], "g0t0"]
     before = catalog.embed_calls
-    results = service.query_batch(queries, mode="union", k=4)
+    results = _ranked_batch(service, queries, mode="union", k=4)
     assert len(results) == len(queries)
     assert catalog.embed_calls == before + 2
     assert results[len(probes)] == results[0]
@@ -173,19 +189,19 @@ def test_query_batch_embeds_distinct_externals_in_one_pass(
     # Batched answers match the serial one-at-a-time path exactly.
     serial = LakeService(catalog)
     for query, result in zip(queries, results):
-        assert serial.query(query, mode="union", k=4) == result
+        assert _ranked(serial, query, mode="union", k=4) == result
 
 
 def test_concurrent_reads_are_consistent(cold_catalog):
     service = LakeService(cold_catalog)
     names = cold_catalog.table_names()
-    expected = {name: service.query(name, mode="union", k=4) for name in names}
+    expected = {name: _ranked(service, name, mode="union", k=4) for name in names}
     failures: list[str] = []
 
     def worker():
         for _ in range(5):
             for name in names:
-                if service.query(name, mode="union", k=4) != expected[name]:
+                if _ranked(service, name, mode="union", k=4) != expected[name]:
                     failures.append(name)
 
     threads = [threading.Thread(target=worker) for _ in range(4)]

@@ -1,6 +1,6 @@
 """Concurrency stress tier for `LakeService`.
 
-Hammers one service from ~8 threads mixing ``query`` / ``add_table`` /
+Hammers one service from ~8 threads mixing ``discover`` / ``add_table`` /
 ``remove_table`` / ``stats`` and asserts the three properties the
 docstrings promise:
 
@@ -9,7 +9,7 @@ docstrings promise:
   operations (each worker owns a private name space, so the expected set
   is exact, not probabilistic);
 - **the LRU query cache never serves vectors for a removed table** — a
-  member query after its remove raises ``KeyError`` instead of answering
+  member query after its remove raises ``not-found`` instead of answering
   from stale state, and removed tables never reappear in later rankings.
 
 Runs at 1 and at 4 shards (the directory's ``lake_layout_shards``
@@ -25,13 +25,21 @@ import threading
 import pytest
 
 from repro import obs
-from repro.lake.api import DiscoveryRequest
+from repro.lake.api import DiscoveryError, DiscoveryRequest
 from repro.lake.catalog import LakeCatalog
 from repro.lake.service import LakeService
 from repro.lake.store import LakeStore
+from repro.table.schema import Table
 
 N_THREADS = 8
 TABLES_PER_THREAD = 5
+
+
+def _ranked(service, query, mode="union", k=10, column=None) -> list[str]:
+    """Ranked table names for a member name or an external ``Table``."""
+    named = {"payload": query} if isinstance(query, Table) else {"table": query}
+    request = DiscoveryRequest(mode=mode, k=k, column=column, **named)
+    return service.discover(request).tables()
 
 
 def _worker_tables(lake_tables, thread_id: int) -> dict:
@@ -62,7 +70,7 @@ def test_concurrent_mixed_ops_no_lost_updates(tmp_path, lake_embedder, lake_tabl
             barrier.wait()
             for i, (name, table) in enumerate(mine.items()):
                 service.add_table(table)
-                results = service.query(name, mode="union", k=5)
+                results = _ranked(service, name, mode="union", k=5)
                 assert name not in results, "leave-one-out must hold"
                 if i % 2 == 0:
                     assert service.remove_table(name)
@@ -70,9 +78,9 @@ def test_concurrent_mixed_ops_no_lost_updates(tmp_path, lake_embedder, lake_tabl
                     # The cache must not serve vectors for a removed
                     # member: querying it by name fails loudly.
                     try:
-                        service.query(name, mode="union", k=3)
-                    except KeyError:
-                        pass
+                        _ranked(service, name, mode="union", k=3)
+                    except DiscoveryError as exc:
+                        assert exc.code == "not-found"
                     else:
                         raise AssertionError(
                             f"removed table {name!r} still answered a "
@@ -83,7 +91,7 @@ def test_concurrent_mixed_ops_no_lost_updates(tmp_path, lake_embedder, lake_tabl
                 # External probes exercise the shared LRU under contention
                 # (embedding runs outside the service lock by design).
                 probe = table.with_columns(table.columns, name=f"probe{thread_id}")
-                service.query(probe, mode="subset", k=3)
+                _ranked(service, probe, mode="subset", k=3)
                 stats = service.stats()
                 assert stats["n_tables"] >= len(base_names)
         except BaseException as exc:  # noqa: BLE001 — collected for report
@@ -108,11 +116,12 @@ def test_concurrent_mixed_ops_no_lost_updates(tmp_path, lake_embedder, lake_tabl
     # Removed tables are gone from every answer path: member queries fail,
     # and no surviving table's ranking mentions them.
     for name in removed:
-        with pytest.raises(KeyError, match="not in catalog"):
-            service.query(name, mode="union", k=3)
+        with pytest.raises(DiscoveryError, match="not in catalog") as excinfo:
+            _ranked(service, name, mode="union", k=3)
+        assert excinfo.value.code == "not-found"
     for name in sorted(expected)[: len(base_names)]:
         for mode in ("join", "union", "subset"):
-            hits = service.query(name, mode=mode, k=len(expected))
+            hits = _ranked(service, name, mode=mode, k=len(expected))
             assert not (set(hits) & removed)
 
     # The ledger survived to disk: a warm reload reproduces it exactly,
@@ -132,10 +141,10 @@ def test_concurrent_queries_during_sequential_mutations(
     service.add_tables(lake_tables)
     victim = list(lake_tables)[0]
     others = [name for name in lake_tables if name != victim]
-    before = {name: service.query(name, mode="union", k=4) for name in others}
+    before = {name: _ranked(service, name, mode="union", k=4) for name in others}
 
     service.remove_table(victim)
-    after = {name: service.query(name, mode="union", k=4) for name in others}
+    after = {name: _ranked(service, name, mode="union", k=4) for name in others}
     service.add_table(lake_tables[victim])
 
     valid = {name: (before[name], after[name]) for name in others}
@@ -146,7 +155,7 @@ def test_concurrent_queries_during_sequential_mutations(
         try:
             while not stop.is_set():
                 for name in others:
-                    result = service.query(name, mode="union", k=4)
+                    result = _ranked(service, name, mode="union", k=4)
                     assert result in valid[name], (name, result)
         except BaseException as exc:  # noqa: BLE001
             errors.append(exc)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.embed import TableEmbedder
+from repro.lake.api import DiscoveryRequest
 from repro.lake.bundle import load_bundle
 from repro.lake.catalog import LakeCatalog
 from repro.lake.service import LakeService
@@ -63,14 +64,21 @@ def _random_tables(seed: int, n: int = 12) -> dict[str, Table]:
     return tables
 
 
+def _ranked(service, query, mode="union", k=10, column=None) -> list[str]:
+    """Ranked table names for a member name or an external ``Table``."""
+    named = {"payload": query} if isinstance(query, Table) else {"table": query}
+    request = DiscoveryRequest(mode=mode, k=k, column=column, **named)
+    return service.discover(request).tables()
+
+
 def _rankings(service: LakeService, names, probe: Table, k: int = 5) -> dict:
     """Every mode over every member plus an external probe table."""
     out = {
-        mode: {name: service.query(name, mode=mode, k=k) for name in names}
+        mode: {name: _ranked(service, name, mode=mode, k=k) for name in names}
         for mode in MODES
     }
     out["external"] = {
-        mode: service.query(probe, mode=mode, k=k) for mode in MODES
+        mode: _ranked(service, probe, mode=mode, k=k) for mode in MODES
     }
     return out
 
