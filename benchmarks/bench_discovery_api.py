@@ -5,7 +5,7 @@ Discovery API adds (`repro.lake.server` / `repro.lake.client`) and proves
 the acceptance criterion along the way: for identical
 :class:`DiscoveryRequest` s, the in-process `LakeService` and a
 `LakeClient` over HTTP return **identical ranked (table, score) hits**
-across all three modes and both index backends.
+across all three modes, member and external queries.
 
 Measured phases over a ~60-table lake:
 
@@ -68,8 +68,8 @@ def _embedder(tables: dict[str, Table]) -> TableEmbedder:
     return TableEmbedder(model, InputEncoder(config, tokenizer))
 
 
-def _service(tables, embedder, backend: str) -> LakeService:
-    catalog = LakeCatalog(embedder, index_backend=backend)
+def _service(tables, embedder) -> LakeService:
+    catalog = LakeCatalog(embedder)
     catalog.add_tables(tables)
     return LakeService(catalog)
 
@@ -86,35 +86,29 @@ def _member_requests(tables, k: int = 10) -> list[DiscoveryRequest]:
 def experiment():
     tables = _make_tables(N_TABLES)
     embedder = _embedder(tables)
-    service = _service(tables, embedder, "exact")
+    service = _service(tables, embedder)
     requests = _member_requests(tables)
 
-    # ---- parity proof: both backends, all modes, member + external ---- #
+    # ---- parity proof: all modes, member + external ------------------ #
     parity_checked = 0
     probe = next(iter(tables.values()))
     external = probe.with_columns(probe.columns, name="api-probe")
-    for backend in ("exact", "hnsw"):
-        backend_service = (
-            service if backend == "exact" else _service(tables, embedder, backend)
-        )
-        with ServerThread(backend_service) as server:
-            client = LakeClient(port=server.port)
-            for mode in MODES:
-                for query in (
-                    DiscoveryRequest(mode=mode, k=10, table=sorted(tables)[0]),
-                    DiscoveryRequest(mode=mode, k=10, payload=external),
-                ):
-                    local = backend_service.discover(query).scored()
-                    remote = client.query(query).scored()
-                    assert remote == local, (
-                        f"HTTP vs in-process divergence: {backend}/{mode}"
-                    )
-                    scores = [score for _, score in local]
-                    assert scores == sorted(scores, reverse=True), (
-                        "scores must be monotone with the ranking"
-                    )
-                    parity_checked += 1
-            client.close()
+    with ServerThread(service) as server:
+        client = LakeClient(port=server.port)
+        for mode in MODES:
+            for query in (
+                DiscoveryRequest(mode=mode, k=10, table=sorted(tables)[0]),
+                DiscoveryRequest(mode=mode, k=10, payload=external),
+            ):
+                local = service.discover(query).scored()
+                remote = client.query(query).scored()
+                assert remote == local, f"HTTP vs in-process divergence: {mode}"
+                scores = [score for _, score in local]
+                assert scores == sorted(scores, reverse=True), (
+                    "scores must be monotone with the ranking"
+                )
+                parity_checked += 1
+        client.close()
 
     # ---- in-process floor -------------------------------------------- #
     started = time.perf_counter()
@@ -179,7 +173,6 @@ def experiment():
     extra = {
         "parity": {
             "checked": parity_checked,
-            "backends": ["exact", "hnsw"],
             "modes": list(MODES),
             "identical_ranked_hits": True,
         },

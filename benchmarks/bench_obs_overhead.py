@@ -72,7 +72,7 @@ def _service(tables: dict[str, Table]) -> LakeService:
     config = model_config(len(tokenizer.vocabulary))
     model = TabSketchFM(config)
     embedder = TableEmbedder(model, InputEncoder(config, tokenizer))
-    catalog = LakeCatalog(embedder, index_backend="exact")
+    catalog = LakeCatalog(embedder)
     catalog.add_tables(tables)
     return LakeService(catalog)
 

@@ -1,4 +1,5 @@
-"""Ablation micro-bench (DESIGN.md §6) — sketch accuracy/cost trade-offs.
+"""Ablation micro-bench — sketch accuracy/cost trade-offs (the MinHash
+width behind README "Scale-down substitutions").
 
 Not a paper table, but the design-choice evidence behind §III-A: MinHash
 signature width vs Jaccard estimation error, sketching throughput, and

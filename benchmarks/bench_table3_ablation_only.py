@@ -15,7 +15,8 @@ from repro.lakebench import DATASET_BUILDERS
 
 #: Scaled-down ablation: the five most sketch-diagnostic tasks (the paper
 #: runs all seven; Spider-OpenData and ECB Join behave like Wiki Jaccard
-#: here and are omitted for bench runtime — see EXPERIMENTS.md).
+#: here and are omitted for bench runtime — see README "Scale-down
+#: substitutions").
 SCALE = 0.6
 TASKS = [
     "Wiki Union", "ECB Union", "Wiki Jaccard", "Wiki Containment",

@@ -13,7 +13,8 @@ from benchmarks.common import emit, finetune_tabsketchfm
 from repro.core.ablation import FULL_SELECTION, REMOVE_SELECTIONS
 from repro.lakebench import DATASET_BUILDERS
 
-#: Same reduced task set as Table III (see note there / EXPERIMENTS.md).
+#: Same reduced task set as Table III (see note there / README "Scale-down
+#: substitutions").
 SCALE = 0.6
 TASKS = [
     "Wiki Union", "ECB Union", "Wiki Jaccard", "Wiki Containment",

@@ -8,8 +8,8 @@ representative kernel of the experiment (one retrieval / one training epoch /
 one sketch pass) so `pytest benchmarks/ --benchmark-only` also reports
 throughput.
 
-Scale-down defaults (see DESIGN.md): trunk dim 32, 1 layer, MinHash width 32,
-datasets a few hundred pairs. The *shape* of the paper's results — who wins,
+Scale-down defaults (see README "Scale-down substitutions"): trunk dim 32,
+1 layer, MinHash width 32, datasets a few hundred pairs. The *shape* of the paper's results — who wins,
 rough factors, crossovers — is the reproduction target, not absolute values.
 """
 

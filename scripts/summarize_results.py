@@ -1,4 +1,5 @@
-"""Summarize results/*.json into markdown tables (EXPERIMENTS.md source).
+"""Summarize results/*.json into markdown tables (README "Scale-down
+substitutions" says what the scaled-down numbers are for).
 
 Run after `pytest benchmarks/ --benchmark-only`:
 
@@ -32,7 +33,6 @@ EXPERIMENT_ORDER = [
     "lake_service",
     "embed_engine",
     "lazy_fusion",
-    "index_backends",
     "sharded_lake",
     "discovery_api",
     "obs_overhead",

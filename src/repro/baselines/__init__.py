@@ -5,7 +5,7 @@ Two families:
 **Trainable pair models** (Table II) built on a shared value-based text
 encoder with the paper's dual-encoder recipe — each baseline differs in what
 it *sees* and whether its trunk is frozen, which is what drives the paper's
-ordering (see DESIGN.md §1):
+ordering (see README "Scale-down substitutions"):
 
 - Vanilla BERT — column headers only, trainable;
 - TaBERT-style — linearized rows (values visible), trainable;

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.lakebench.base import SearchQuery
-from repro.search.backend import IndexSpec, make_index
+from repro.search.index import KnnIndex
 from repro.table.schema import Column, Table
 from repro.text.sbert import HashedSentenceEncoder
 
@@ -31,24 +31,14 @@ def deepjoin_column_text(table: Table, column: Column, max_values: int = 40) -> 
 
 
 class DeepJoinSearcher:
-    """Column-text embeddings + nearest-neighbour join search.
-
-    ``use_hnsw=True`` indexes with the paper's HNSW structure (shorthand
-    for ``index_backend="hnsw"``); the default exact index is faster below
-    ~10k columns and recall-1.0 by construction. Any registered
-    :mod:`repro.search.backend` spec plugs in via ``index_backend``.
-    """
+    """Column-text embeddings + nearest-neighbour join search."""
 
     name = "DeepJoin"
 
-    def __init__(self, tables: dict[str, Table], dim: int = 128,
-                 use_hnsw: bool = False,
-                 index_backend: IndexSpec | str | None = None):
+    def __init__(self, tables: dict[str, Table], dim: int = 128):
         self.tables = tables
         self.encoder = HashedSentenceEncoder(dim=dim)
-        if index_backend is None:
-            index_backend = "hnsw" if use_hnsw else "exact"
-        self.index = make_index(index_backend, dim)
+        self.index = KnnIndex(dim)
         self._vectors: dict[tuple[str, str], np.ndarray] = {}
         for name, table in tables.items():
             for column in table.columns:

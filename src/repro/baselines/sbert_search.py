@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.lakebench.base import SearchQuery
-from repro.search.backend import IndexSpec
 from repro.search.tables import TableSearcher
 from repro.table.schema import Table
 from repro.text.sbert import HashedSentenceEncoder
@@ -24,12 +23,11 @@ class SbertSearcher:
     name = "SBERT"
 
     def __init__(self, tables: dict[str, Table], dim: int = 128,
-                 top_values: int = 100,
-                 index_backend: IndexSpec | str | None = None):
+                 top_values: int = 100):
         self.tables = tables
         self.encoder = HashedSentenceEncoder(dim=dim)
         self.top_values = top_values
-        self.searcher = TableSearcher(dim, backend=index_backend)
+        self.searcher = TableSearcher(dim)
         self._column_vectors: dict[tuple[str, str], np.ndarray] = {}
         for name, table in tables.items():
             for column in table.columns:

@@ -39,8 +39,8 @@ class TabSketchFMConfig:
 
     The paper uses BERT-base (12 layers, hidden 768, 118M parameters); this
     reproduction defaults to a laptop-scale trunk (2 layers, hidden 64) —
-    see DESIGN.md §1 for the substitution rationale. Every structural element
-    of the input layer is preserved at full fidelity.
+    see README "Scale-down substitutions" for the rationale. Every structural
+    element of the input layer is preserved at full fidelity.
     """
 
     vocab_size: int = 2048

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.core.embed import TableEmbedder, finalize_column_vectors
 from repro.lakebench.base import SearchQuery
-from repro.search.backend import IndexSpec, make_index
+from repro.search.index import KnnIndex
 from repro.search.tables import TableSearcher
 from repro.sketch.pipeline import TableSketch
 from repro.table.schema import Table
@@ -36,13 +36,9 @@ class TabSketchFMSearcher:
         sbert: HashedSentenceEncoder | None = None,
         name: str | None = None,
         precomputed: dict[str, list[tuple[str, np.ndarray]]] | None = None,
-        index_backend: IndexSpec | str | None = None,
     ):
-        """Index ``sketches`` for retrieval.
-
-        ``index_backend`` picks the vector-index backend behind the Fig. 6
-        ranking (``"exact"`` default, ``"hnsw"`` for approximate search at
-        lake scale) — retrieval code is identical either way.
+        """Index ``sketches`` for retrieval (exact KNN behind the Fig. 6
+        ranking).
 
         The corpus build is batched: every sketch without precomputed
         vectors goes through one
@@ -63,7 +59,7 @@ class TabSketchFMSearcher:
         self.sbert = sbert
         self.name = name or ("TabSketchFM-SBERT" if sbert else "TabSketchFM")
         dim = embedder.dim + (sbert.dim if sbert else 0)
-        self.searcher = TableSearcher(dim, backend=index_backend)
+        self.searcher = TableSearcher(dim)
         self._column_vectors: dict[tuple[str, str], np.ndarray] = {}
         fresh = [
             table_name
@@ -184,8 +180,7 @@ class DualEncoderSearcher:
     """TaBERT-FT / TUTA-FT style search over fine-tuned trunk embeddings."""
 
     def __init__(self, trainer, tables: dict[str, Table], name: str,
-                 table_level: bool = False,
-                 index_backend: IndexSpec | str | None = None):
+                 table_level: bool = False):
         # ``trainer`` is a DualEncoderTrainer whose model has been fitted.
         self.trainer = trainer
         self.tables = tables
@@ -193,7 +188,7 @@ class DualEncoderSearcher:
         self.table_level = table_level
         dim = trainer.model.trunk.dim
         if table_level:
-            self.table_index = make_index(index_backend, dim)
+            self.table_index = KnnIndex(dim)
             #: Memoized per-table query embeddings — the corpus build already
             #: paid for every member table, and `retrieve` must not recompute
             #: the same frozen embedding on every call.
@@ -203,7 +198,7 @@ class DualEncoderSearcher:
                 self._table_vectors[table_name] = vector
                 self.table_index.add(table_name, vector)
         else:
-            self.searcher = TableSearcher(dim, backend=index_backend)
+            self.searcher = TableSearcher(dim)
             self._column_vectors: dict[tuple[str, str], np.ndarray] = {}
             for table_name, table in tables.items():
                 for column in table.columns:

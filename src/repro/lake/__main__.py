@@ -23,16 +23,14 @@ whichever side of the wire answered (``query --json`` emits the full
 :class:`DiscoveryResult` envelope — the same schema the HTTP body
 carries, pretty-printed with sorted keys).
 
-``--index-backend`` picks the vector-index backend for a *new* lake
-(``exact`` or ``hnsw``, optionally with hyperparameters, e.g.
-``hnsw:m=16,ef_search=48``). ``--shards`` picks the shard count for a
-*new* lake (default 1). Both are folded into the lake's config
-fingerprint: an existing lake always reopens under the backend and
-shard count it was built with, and naming a
-different one fails fast instead of silently serving mismatched
-artifacts; ``reshard`` is the one-shot in-place migration between shard
-counts (no re-embedding — stored vectors are re-routed and the per-shard
-indexes rebuilt).
+Column search is exact (one vector index, no option). ``--shards`` picks
+the shard count for a *new* lake (default 1); it is folded into the lake's
+config fingerprint, so an existing lake always reopens with the shard count
+it was built with, and naming a different one fails fast instead of
+silently serving mismatched artifacts; ``reshard`` is the one-shot in-place
+migration between shard counts (no re-embedding — stored vectors are
+re-routed and the per-shard indexes rebuilt). A lake an older build wrote
+under an HNSW index is refused with an ``error:`` line saying to re-ingest.
 
 ``ingest`` on a fresh directory trains the WordPiece vocabulary on the CSV
 corpus, builds the trunk, and persists model + vocab + artifacts. On an
@@ -70,7 +68,6 @@ from repro.lake.serialization import FingerprintMismatchError, config_fingerprin
 from repro.lake.service import LakeService
 from repro.lake.store import LakeStore
 from repro.lake.target import ClientTarget, ServiceTarget
-from repro.search.backend import normalize_index_spec, validate_index_spec
 from repro.sketch.pipeline import SketchConfig
 from repro.table.csvio import read_csv
 from repro.text.sbert import HashedSentenceEncoder
@@ -86,11 +83,9 @@ def _read_csv_dir(csv_dir: str) -> list:
 
 # --------------------------------------------------------------------- #
 def cmd_ingest(args: argparse.Namespace) -> None:
-    if args.index_backend is not None:
-        # Fail a typo'd spec here, before the vocab/trunk build pays for it.
-        validate_index_spec(args.index_backend)
     if args.shards is not None and args.shards < 1:
-        # Same early-exit rule: never leave a half-built bundle behind.
+        # Fail here, before the vocab/trunk build: never leave a half-built
+        # bundle behind.
         sys.exit(f"error: --shards must be >= 1, got {args.shards}")
     tables = _read_csv_dir(args.csv_dir)
     started = time.perf_counter()
@@ -102,9 +97,7 @@ def cmd_ingest(args: argparse.Namespace) -> None:
                 f"`python -m repro.lake reshard --lake {args.lake} "
                 f"--shards {args.shards}` to change the layout"
             )
-        catalog = LakeService.open(
-            args.lake, index_backend=args.index_backend
-        ).catalog
+        catalog = LakeService.open(args.lake).catalog
         print(
             f"warm lake: {len(catalog)} tables already indexed "
             f"[{catalog.index_spec.canonical()} backend, "
@@ -130,21 +123,19 @@ def cmd_ingest(args: argparse.Namespace) -> None:
         encoder = InputEncoder(config, tokenizer)
         sbert = HashedSentenceEncoder(dim=args.sbert_dim) if args.sbert_dim else None
         save_bundle(args.lake, model, tokenizer, sbert=sbert)
-        spec = normalize_index_spec(args.index_backend)
         n_shards = (
             args.shards if args.shards is not None else LakeStore.DEFAULT_SHARDS
         )
         fingerprint = config_fingerprint(
-            config, sbert=sbert, model=model, index_spec=spec, n_shards=n_shards
+            config, sbert=sbert, model=model, n_shards=n_shards
         )
         store = LakeStore(args.lake, fingerprint, n_shards=n_shards)
         catalog = LakeCatalog(
-            TableEmbedder(model, encoder), sbert=sbert, store=store,
-            index_backend=spec,
+            TableEmbedder(model, encoder), sbert=sbert, store=store
         )
         print(
             f"new lake at {args.lake} (fingerprint {fingerprint}, "
-            f"{spec.canonical()} backend, {n_shards} shard(s))"
+            f"{catalog.index_spec.canonical()} backend, {n_shards} shard(s))"
         )
     fresh = {t.name: t for t in tables if t.name not in catalog}
     skipped = len(tables) - len(fresh)
@@ -169,22 +160,10 @@ def _on_target(args: argparse.Namespace, op):
         )
     if args.lake is not None and args.server is not None:
         sys.exit("error: --lake and --server are mutually exclusive")
-    index_backend = getattr(args, "index_backend", None)
-    wanted = validate_index_spec(index_backend).canonical()
     if args.server is None:
-        service = LakeService.open(args.lake, index_backend=index_backend)
-        return op(ServiceTarget(service))
+        return op(ServiceTarget(LakeService.open(args.lake)))
     target = ClientTarget.connect(args.server)
     try:
-        if index_backend is not None:
-            # The remote twin of the local fingerprint guard: assert the
-            # serving lake's backend before trusting its answers.
-            serving = target.stats().get("index_backend")
-            if serving != wanted:
-                sys.exit(
-                    f"error: server lake uses index backend "
-                    f"{serving!r}, not the asserted {wanted!r}"
-                )
         return op(target)
     except OSError as exc:
         sys.exit(f"error: cannot reach server {args.server}: {exc}")
@@ -302,7 +281,7 @@ def _serve_forever(server, what: str, detail: str) -> None:
 
 
 def cmd_serve(args: argparse.Namespace) -> None:
-    service = LakeService.open(args.lake, index_backend=args.index_backend)
+    service = LakeService.open(args.lake)
     stats = service.stats()
     _serve_forever(
         LakeServer(service, host=args.host, port=args.port, max_workers=args.workers),
@@ -447,12 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard count for a NEW lake (default: 1); an existing lake "
              "keeps its shard count — use `reshard` to change it",
     )
-    ingest.add_argument(
-        "--index-backend", default=None, metavar="SPEC",
-        help="vector-index backend spec for a new lake: 'exact' (default) "
-             "or 'hnsw[:m=...,ef_construction=...,ef_search=...]'; an "
-             "existing lake must reopen under the backend it was built with",
-    )
     ingest.set_defaults(func=cmd_ingest)
 
     query = sub.add_parser("query", help="answer one discovery query")
@@ -475,11 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
              "the HTTP response body carries, pretty-printed) instead of "
              "the human-readable ranking",
     )
-    query.add_argument(
-        "--index-backend", default=None, metavar="SPEC",
-        help="assert the lake's index backend (default: use whatever the "
-             "lake was built with); a mismatch fails the fingerprint guard",
-    )
     query.set_defaults(func=cmd_query)
 
     serve = sub.add_parser(
@@ -491,10 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--lake", required=True)
     _add_listen_flags(serve, 8765, "catalog")
-    serve.add_argument(
-        "--index-backend", default=None, metavar="SPEC",
-        help="assert the lake's index backend before serving",
-    )
     serve.set_defaults(func=cmd_serve)
 
     publish = sub.add_parser(
@@ -621,8 +585,9 @@ def main(argv: list[str] | None = None) -> None:
         # Typed API failures (local or relayed from a remote server).
         sys.exit(f"error: {exc.code}: {exc.message}")
     except (KeyError, ValueError) as exc:
-        # Expected user-facing failures (unknown table/column/mode) — print
-        # the message, not a traceback.
+        # Expected user-facing failures (unknown table/column/mode, a lake
+        # recorded under an unsupported index) — print the message, not a
+        # traceback.
         message = exc.args[0] if exc.args else str(exc)
         sys.exit(f"error: {message}")
     except (FingerprintMismatchError, FileNotFoundError) as exc:

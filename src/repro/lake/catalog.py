@@ -22,10 +22,9 @@ store's shard count: queries fan ``query_many`` across the per-shard indexes
 and merge — rankings are bitwise-identical at every shard count, which
 ``tests/lake/test_sharding.py`` asserts.
 
-The column index is a pluggable :class:`~repro.search.backend.VectorIndex`
-backend (``index_backend`` spec: ``"exact"`` or ``"hnsw"``, with
-hyperparameters); the spec is folded into the store's config fingerprint so
-exact- and HNSW-built lakes never cross-load.
+Each shard's sub-index is the exact :class:`~repro.search.index.KnnIndex`;
+``index_spec`` is what the store records for it (the spec a lake was
+written under, so its manifests and fingerprint never change).
 
 ``embed_calls`` counts trunk *forwards* — the observable guarantee that a
 1-table delta costs one forward, a batched ingest costs ``ceil(N/B)``, and
@@ -42,9 +41,8 @@ import numpy as np
 from repro import obs
 from repro.core.embed import TableEmbedder, finalize_column_vectors
 from repro.core.engine import TableEmbeddings
-from repro.lake.serialization import FingerprintMismatchError
 from repro.lake.store import LakeStore, LakeTableRecord
-from repro.search.backend import IndexSpec, normalize_index_spec
+from repro.search.backend import IndexSpec
 from repro.search.tables import TableSearcher
 from repro.sketch.pipeline import TableSketch, sketch_corpus, sketch_table
 from repro.table.schema import Table, table_from_rows
@@ -95,7 +93,6 @@ class LakeCatalog:
         sbert: HashedSentenceEncoder | None = None,
         store: LakeStore | None = None,
         batch_size: int = 16,
-        index_backend: IndexSpec | str | None = None,
         n_shards: int | None = None,
     ):
         self.embedder = embedder
@@ -106,7 +103,7 @@ class LakeCatalog:
         self.sketch_config = embedder.model.config.sketch
         self._hasher = self.sketch_config.build_hasher()
         self.dim = embedder.dim + (sbert.dim if sbert else 0)
-        self.index_spec = normalize_index_spec(index_backend)
+        self.index_spec = IndexSpec()
         if store is not None:
             if n_shards is not None and n_shards != store.n_shards:
                 raise ValueError(
@@ -116,16 +113,11 @@ class LakeCatalog:
             n_shards = store.n_shards
             stored_spec = store.index_spec()
             if stored_spec is None:
-                # Record the backend *before* any slow embedding work: an
-                # interrupted first ingest must still reopen under the
-                # backend it was started with.
+                # Record the spec *before* any slow embedding work, as a
+                # store opened mid-ingest expects to find it.
                 store.record_index_spec(self.index_spec)
-            elif stored_spec != self.index_spec:
-                raise FingerprintMismatchError(
-                    self.index_spec.canonical(),
-                    stored_spec.canonical(),
-                    where="lake index backend",
-                )
+            else:
+                self.index_spec = stored_spec
         #: Shard count of the column index (and of the attached store).
         #: Rankings are shard-count-invariant; sharding is a throughput /
         #: persistence-granularity lever, not a semantics knob.
@@ -133,7 +125,9 @@ class LakeCatalog:
             n_shards if n_shards is not None else LakeStore.DEFAULT_SHARDS
         )
         self.searcher = TableSearcher(
-            self.dim, backend=self.index_spec, n_shards=self.n_shards
+            self.dim,
+            metric=self.index_spec.params.get("metric", "cosine"),
+            n_shards=self.n_shards,
         )
         self.records: dict[str, LakeTableRecord] = {}
         #: Trunk forwards performed *by this catalog*; warm loads and
@@ -147,7 +141,6 @@ class LakeCatalog:
         embedder: TableEmbedder,
         store: LakeStore,
         sbert: HashedSentenceEncoder | None = None,
-        index_backend: IndexSpec | str | None = None,
     ) -> "LakeCatalog":
         """Warm-load: register every stored record without running the
         trunk.
@@ -159,15 +152,9 @@ class LakeCatalog:
         index flushes) are rebuilt from the records and persisted so the
         *next* open is warm — one torn shard artifact never forces a
         full-lake rebuild, and ``searcher.insertions`` counts exactly the
-        rebuilt columns. An explicit ``index_backend`` that disagrees with
-        the persisted index is refused — that is the same configuration
-        drift the fingerprint guards against.
+        rebuilt columns.
         """
-        # None -> the store's recorded spec (still None for pre-upgrade
-        # stores -> default exact). A conflicting explicit spec is refused
-        # by the constructor's guard.
-        spec = index_backend if index_backend is not None else store.index_spec()
-        catalog = cls(embedder, sbert=sbert, store=store, index_backend=spec)
+        catalog = cls(embedder, sbert=sbert, store=store)
         records = list(store.load_all())
         index = store.load_index(catalog.dim)
         by_shard: dict[int, list[LakeTableRecord]] = defaultdict(list)

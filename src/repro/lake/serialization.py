@@ -20,7 +20,7 @@ import json
 
 import numpy as np
 
-from repro.search.backend import IndexSpec, normalize_index_spec
+from repro.search.backend import IndexSpec
 from repro.sketch.minhash import MinHash
 from repro.sketch.numeric import NumericAccumulator, NumericalSketch, _PERCENTILES
 from repro.sketch.pipeline import ColumnSketch, SketchConfig, TableSketch
@@ -28,7 +28,7 @@ from repro.table.schema import ColumnType
 
 #: Bumped whenever the on-disk artifact layout changes shape.
 #: v2: persisted vector index (index.npz + manifest spec), per-entry
-#: disk_bytes, and the index-backend spec folded into the fingerprint.
+#: disk_bytes, and the index spec folded into the fingerprint.
 #: (``shards/sNNN/`` is the only layout; a store that still keeps one
 #: shard's files directly under its root — its manifest lacks the
 #: ``sharded`` flag — is converted by renames when opened, entry for entry,
@@ -50,6 +50,22 @@ class FingerprintMismatchError(RuntimeError):
         self.found = found
 
 
+class UnsupportedIndexBackendError(ValueError):
+    """A lake's root manifest records a vector index other than ``exact``.
+
+    Older builds could write lakes under an approximate (HNSW) index; this
+    code serves exact search only, so such a lake is refused whole — before
+    any of its files is opened — rather than half-loaded.
+    """
+
+    def __init__(self, root, backend: str):
+        super().__init__(
+            f"lake at {str(root)!r} was built with the {backend!r} vector "
+            "index, which is no longer supported (exact search is the only "
+            "index); re-ingest it from its CSVs"
+        )
+
+
 # --------------------------------------------------------------------- #
 # Fingerprints
 # --------------------------------------------------------------------- #
@@ -66,7 +82,7 @@ def config_fingerprint(
     model_config,
     sbert=None,
     model=None,
-    index_spec: "IndexSpec | str | None" = None,
+    index_spec: IndexSpec | None = None,
     n_shards: int | None = None,
 ) -> str:
     """Stable hex fingerprint of everything embeddings depend on.
@@ -75,14 +91,14 @@ def config_fingerprint(
     nests the :class:`SketchConfig`); ``sbert`` the optional frozen value
     encoder; ``model`` the (possibly fine-tuned) trunk, whose weights are
     digested so a fine-tune invalidates a pre-finetune lake; ``index_spec``
-    the vector-index backend the lake's persisted index was built with
-    (``None`` normalizes to the default exact backend), so exact- and
-    HNSW-built stores never cross-load; ``n_shards`` the lake's shard
-    partitioning (``None``/1 is left out of the digest — that is what
-    keeps lakes written before shard counts existed, and before one shard
-    moved under ``shards/s000/``, opening with the fingerprint they were
-    built under; any other count is folded in, so differently-sharded
-    stores never cross-load without an explicit ``reshard``).
+    the spec the lake recorded for its index (``None`` is the default
+    ``IndexSpec()``, which is what every lake the CLI writes records);
+    ``n_shards`` the lake's shard partitioning (``None``/1 is left out of
+    the digest — that is what keeps lakes written before shard counts
+    existed, and before one shard moved under ``shards/s000/``, opening
+    with the fingerprint they were built under; any other count is folded
+    in, so differently-sharded stores never cross-load without an explicit
+    ``reshard``).
     """
     payload: dict = {
         "format": FORMAT_VERSION,
@@ -95,7 +111,7 @@ def config_fingerprint(
             "use_ngrams": sbert.use_ngrams,
             "positional": sbert.positional,
         },
-        "index": normalize_index_spec(index_spec).to_dict(),
+        "index": (index_spec or IndexSpec()).to_dict(),
     }
     if n_shards is not None and n_shards > 1:
         payload["shards"] = int(n_shards)

@@ -63,7 +63,7 @@ from repro.lake.bundle import has_bundle, load_bundle
 from repro.lake.catalog import LakeCatalog
 from repro.lake.serialization import config_fingerprint
 from repro.lake.store import LakeStore
-from repro.search.backend import normalize_index_spec, stable_shard
+from repro.search.backend import stable_shard
 from repro.search.tables import TableMatch
 from repro.sketch.pipeline import sketch_corpus, sketch_table
 from repro.table.schema import Table
@@ -147,20 +147,18 @@ class _LruCache:
         return len(self._data)
 
 
-def _load_lake(lake_dir, index_backend: str | None = None):
+def _load_lake(lake_dir):
     """What serving an ingested lake directory takes: ``(embedder, sbert,
-    index spec, fingerprint_at)``, where ``fingerprint_at(n_shards)`` is the
-    store fingerprint this configuration has at that shard count."""
+    fingerprint_at)``, where ``fingerprint_at(n_shards)`` is the store
+    fingerprint this configuration has at that shard count (under the index
+    spec the lake recorded, so every lake keeps the fingerprint it was
+    written under)."""
     if not has_bundle(lake_dir):
         raise FileNotFoundError(
             f"{str(lake_dir)!r} is not an ingested lake (run `ingest` first)"
         )
     model, encoder, sbert = load_bundle(lake_dir)
-    spec = normalize_index_spec(
-        index_backend
-        if index_backend is not None
-        else LakeStore.peek_index_spec(lake_dir)
-    )
+    spec = LakeStore.peek_index_spec(lake_dir)
 
     def fingerprint_at(n_shards: int) -> str:
         return config_fingerprint(
@@ -168,7 +166,7 @@ def _load_lake(lake_dir, index_backend: str | None = None):
             n_shards=n_shards,
         )
 
-    return TableEmbedder(model, encoder), sbert, spec, fingerprint_at
+    return TableEmbedder(model, encoder), sbert, fingerprint_at
 
 
 class LakeService:
@@ -185,25 +183,20 @@ class LakeService:
         self._started_at = time.time()
 
     @classmethod
-    def open(cls, lake_dir, index_backend: str | None = None) -> "LakeService":
+    def open(cls, lake_dir) -> "LakeService":
         """Warm-load an ingested lake directory into a ready service (no
         re-embedding, no index re-insertion — the persisted index is
-        deserialized).
-
-        ``index_backend=None`` serves whatever backend the lake was built
-        with; an explicit spec is checked against the store fingerprint, so
-        a backend switch surfaces as a
-        :class:`~repro.lake.serialization.FingerprintMismatchError`. The
-        shard count always comes from the on-disk layout.
+        deserialized). The shard count comes from the on-disk layout; a
+        lake recorded under a non-exact index is refused
+        (:class:`~repro.lake.serialization.UnsupportedIndexBackendError`)
+        before anything is loaded.
         """
-        embedder, sbert, spec, fingerprint_at = _load_lake(lake_dir, index_backend)
+        embedder, sbert, fingerprint_at = _load_lake(lake_dir)
         store = LakeStore.open(
             lake_dir,
             expected_fingerprint=fingerprint_at(LakeStore.peek_n_shards(lake_dir) or 1),
         )
-        return cls(
-            LakeCatalog.from_store(embedder, store, sbert=sbert, index_backend=spec)
-        )
+        return cls(LakeCatalog.from_store(embedder, store, sbert=sbert))
 
     @staticmethod
     def reshard(lake_dir, n_shards: int) -> tuple[int, int]:
@@ -213,7 +206,7 @@ class LakeService:
         Stored vectors are re-routed and the per-shard indexes rebuilt from
         them: zero trunk forwards, resharding never re-embeds.
         """
-        embedder, sbert, spec, fingerprint_at = _load_lake(lake_dir)
+        embedder, sbert, fingerprint_at = _load_lake(lake_dir)
         old_n = LakeStore.peek_n_shards(lake_dir)
         if old_n is None:
             raise FileNotFoundError(
@@ -223,9 +216,7 @@ class LakeService:
             return old_n, 0
 
         def build_indexes(staged: LakeStore) -> None:
-            catalog = LakeCatalog.from_store(
-                embedder, staged, sbert=sbert, index_backend=spec
-            )
+            catalog = LakeCatalog.from_store(embedder, staged, sbert=sbert)
             assert catalog.embed_calls == 0, "reshard must not re-embed"
 
         store = LakeStore.open(lake_dir, expected_fingerprint=fingerprint_at(old_n))

@@ -73,6 +73,7 @@ from repro import obs
 from repro.lake.serialization import (
     FORMAT_VERSION,
     FingerprintMismatchError,
+    UnsupportedIndexBackendError,
     pack_table_sketch,
     unpack_table_sketch,
 )
@@ -128,9 +129,21 @@ def _write_manifest(path: Path, manifest: dict) -> None:
 
 
 def _read_root_manifest(root: str | os.PathLike) -> dict | None:
+    """The root manifest, or ``None`` when no store exists yet.
+
+    Every reader of a store comes through here first, so this is where a
+    lake recorded under an index this code does not serve is refused —
+    before anything under ``root`` is opened or rewritten.
+    """
     _recover_interrupted_reshard(Path(root))
     path = Path(root) / MANIFEST_NAME
-    return read_json(path) if path.exists() else None
+    if not path.exists():
+        return None
+    top = read_json(path)
+    backend = top.get("index_spec", {}).get("backend", "exact")
+    if backend != "exact":
+        raise UnsupportedIndexBackendError(root, backend)
+    return top
 
 
 def _recover_interrupted_reshard(root: Path) -> None:
@@ -416,11 +429,11 @@ class LakeShard:
         """Persist the built index (state arrays + key table) as one npz.
 
         Keys are :class:`~repro.search.tables.ColumnEntry` rows (the
-        backend's ``state_keys`` — for HNSW that includes tombstoned
-        nodes), encoded as two aligned string arrays; the spec, backend
-        meta, a state version, and the manifest's current mutation counter
-        ride in the manifest, so a layout change or a crash between the
-        table and index flushes can never be misread as a valid index.
+        index's ``state_keys``), encoded as two aligned string arrays; the
+        spec, index meta, a state version, and the manifest's current
+        mutation counter ride in the manifest, so a layout change or a
+        crash between the table and index flushes can never be misread as a
+        valid index.
         """
         with obs.span("store.flush_index", shard=self.shard_id) as flush:
             self._save_index(index, spec)
@@ -430,7 +443,7 @@ class LakeShard:
         arrays, meta = index.state_arrays()
         keys = index.state_keys()
         arrays = dict(arrays)
-        # Dunder-namespaced so no backend's own state array can collide.
+        # Dunder-namespaced so no index state array can collide.
         collisions = {"__key_tables", "__key_columns"} & arrays.keys()
         if collisions:
             raise ValueError(
@@ -668,9 +681,9 @@ class LakeStore:
 
     @classmethod
     def peek_index_spec(cls, root: str | os.PathLike) -> IndexSpec | None:
-        """Read a lake's index-backend spec without opening the store
-        (no fingerprint needed) — how the CLI decides which backend a
-        warm lake was built with."""
+        """Read a lake's recorded index spec without opening the store
+        (no fingerprint needed) — the spec is part of the fingerprint a
+        warm open must expect."""
         raw = (_read_root_manifest(root) or {}).get("index_spec")
         return None if raw is None else IndexSpec.from_dict(raw)
 
@@ -757,6 +770,9 @@ class LakeStore:
         if staged_root.exists():
             shutil.rmtree(staged_root)
         staged = LakeStore(staged_root, fingerprint, n_shards=n_shards)
+        spec = self.index_spec()
+        if spec is not None:  # part of the fingerprint: carry it over
+            staged.record_index_spec(spec)
         n_tables = 0
         chunk: list[LakeTableRecord] = []
         for record in self.load_all():
@@ -810,13 +826,13 @@ class LakeStore:
         index.mark_clean()
 
     def record_index_spec(self, spec: IndexSpec) -> None:
-        """Record which backend this lake is configured for.
+        """Record the index spec this lake is written under.
 
         The spec is *configuration*, not artifact: it is written as soon
-        as a catalog attaches (before any slow embedding work), so an
-        interrupted first ingest still reopens under the right backend,
-        and it survives :meth:`drop_index`. Every ``save_index`` re-records
-        it; the top manifest is only rewritten when it actually changed.
+        as a catalog attaches (before any slow embedding work), it is part
+        of the fingerprint, and it survives :meth:`drop_index`. Every
+        ``save_index`` re-records it; the top manifest is only rewritten
+        when it actually changed.
         """
         raw = spec.to_dict()
         if self._top.get("index_spec") != raw:

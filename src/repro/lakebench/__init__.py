@@ -6,7 +6,7 @@ search benchmarks (Wiki Join, TUS, SANTOS, Eurostat subset). The original
 data derives from CKAN, Socrata, Wikidata, the ECB statistical warehouse,
 Spider and Eurostat — none of which ship offline — so this package rebuilds
 each dataset from a seeded synthetic lake whose *pair-labelling semantics*
-match the originals exactly (see DESIGN.md §1).
+match the originals exactly (see README "Scale-down substitutions").
 
 Layout:
 

@@ -1,21 +1,16 @@
-"""Search substrate: pluggable nearest-neighbour index backends (exact,
-HNSW) behind one `VectorIndex` protocol, the Figure-6 table ranking
+"""Search substrate: the exact nearest-neighbour index behind one
+`VectorIndex` protocol (sharded or not), the Figure-6 table ranking
 algorithm, and retrieval metrics (mean F1 / P@k / R@k, F1-vs-k curves)."""
 
 from repro.search.backend import (
     IndexSpec,
     ShardedIndex,
     VectorIndex,
-    available_backends,
     make_index,
     make_sharded_index,
-    normalize_index_spec,
-    register_backend,
     restore_index,
     stable_shard,
-    validate_index_spec,
 )
-from repro.search.hnsw import HnswIndex
 from repro.search.index import KnnIndex
 from repro.search.tables import ColumnEntry, TableSearcher
 from repro.search.metrics import (
@@ -29,15 +24,10 @@ __all__ = [
     "IndexSpec",
     "ShardedIndex",
     "VectorIndex",
-    "available_backends",
     "make_index",
     "make_sharded_index",
-    "normalize_index_spec",
-    "register_backend",
     "restore_index",
     "stable_shard",
-    "validate_index_spec",
-    "HnswIndex",
     "KnnIndex",
     "ColumnEntry",
     "TableSearcher",

@@ -1,4 +1,5 @@
-"""Pluggable vector-index backends behind one ``VectorIndex`` protocol.
+"""The ``VectorIndex`` protocol, the persisted index spec, and the sharded
+merge face.
 
 Everything above the KNN call — the Fig. 6 table ranking, the lake catalog,
 the CLI, the benchmark searchers — talks to an index through this protocol:
@@ -7,23 +8,14 @@ the CLI, the benchmark searchers — talks to an index through this protocol:
 - ``remove_many``             — batch deletion by key;
 - ``query`` / ``query_many``  — top-k ``(key, distance)`` per query vector,
   ascending by distance; ``query_many`` answers a whole matrix of queries in
-  one call (for the exact backend that is a single BLAS matmul);
+  one call (a single BLAS matmul);
 - ``keys`` / ``__contains__`` / ``__len__`` — membership, aligned with
   ``state_arrays`` for persistence.
 
-Backends are constructed from an :class:`IndexSpec` — a named backend plus
-its hyperparameters — via :func:`make_index`. The spec has a canonical
-string form (``"exact"``, ``"hnsw:m=12,ef_search=48"``) used by CLI flags
-and folded into the lake config fingerprint, so stores built under one
-backend never silently cross-load under another.
-
-Registered backends:
-
-- ``"exact"`` — :class:`repro.search.index.KnnIndex`, brute force, recall
-  1.0; params: ``metric``.
-- ``"hnsw"``  — :class:`repro.search.hnsw.HnswIndex`, the approximate
-  structure Starmie/DeepJoin use to scale column search to large lakes;
-  params: ``metric``, ``m``, ``ef_construction``, ``ef_search``, ``seed``.
+There is one index: :class:`repro.search.index.KnnIndex`, exact brute-force
+search with recall 1.0 (README "Vector index" has the measurement that
+settles it). :class:`IndexSpec` names it in lake manifests and in the config
+fingerprint; :class:`ShardedIndex` puts N of them behind one face.
 """
 
 from __future__ import annotations
@@ -38,12 +30,13 @@ from typing import Callable, Iterable, Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from repro import obs
+from repro.search.index import KnnIndex
 
-#: Bumped whenever a backend's ``state_arrays`` layout changes shape.
+#: Bumped whenever the index's ``state_arrays`` layout changes shape.
 INDEX_STATE_VERSION = 1
 
-# Same family index.py / hnsw.py register (registration is idempotent),
-# plus the merge-pass histogram only the sharded face owns.
+# Same family index.py registers (registration is idempotent), plus the
+# merge-pass histogram only the sharded face owns.
 _QUERIES = obs.counter(
     "index_queries_total", "Vector-index query rows answered, by backend", ("backend",)
 ).labels(backend="sharded")
@@ -60,7 +53,8 @@ _MERGE_MS = obs.histogram(
 
 @runtime_checkable
 class VectorIndex(Protocol):
-    """What every index backend must implement."""
+    """What the ranking code needs from an index (:class:`KnnIndex` and
+    the :class:`ShardedIndex` face both provide it)."""
 
     dim: int
     metric: str
@@ -89,26 +83,18 @@ class VectorIndex(Protocol):
 
 
 # --------------------------------------------------------------------- #
-# Index specifications
+# The index spec and its one implementation
 # --------------------------------------------------------------------- #
-def _parse_value(text: str):
-    """``"8"`` -> 8, ``"0.5"`` -> 0.5, anything else stays a string."""
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
-
-
 @dataclass(frozen=True)
 class IndexSpec:
-    """A named backend plus its hyperparameters.
+    """The persisted name of a lake's vector index.
 
-    ``params`` only carries *overrides*; backend defaults fill the rest at
-    construction time, so two spellings of the same configuration ("hnsw"
-    vs "hnsw:m=12" when 12 is the default) are distinct specs — the
-    fingerprint is deliberately literal about what was requested.
+    The backend is always ``"exact"``; ``params`` carries
+    :class:`~repro.search.index.KnnIndex` keyword overrides (``metric``).
+    :meth:`to_dict` is written to every lake manifest and hashed into the
+    config fingerprint, so the form is deliberately literal: no params and
+    ``{"metric": "cosine"}`` are distinct specs, and a lake keeps the
+    fingerprint it was written under.
     """
 
     backend: str = "exact"
@@ -118,25 +104,6 @@ class IndexSpec:
         # frozen=True would auto-derive a hash that chokes on the dict
         # field; hash the canonical (sorted) param view instead.
         return hash((self.backend, tuple(sorted(self.params.items()))))
-
-    @classmethod
-    def parse(cls, text: str) -> "IndexSpec":
-        """``"hnsw:m=16,ef_search=48"`` -> IndexSpec("hnsw", {...})."""
-        text = text.strip()
-        if not text:
-            raise ValueError("empty index spec")
-        name, _, tail = text.partition(":")
-        params: dict = {}
-        if tail:
-            for item in tail.split(","):
-                key, sep, value = item.partition("=")
-                if not sep or not key.strip():
-                    raise ValueError(
-                        f"bad index-spec parameter {item!r} in {text!r}; "
-                        "expected key=value"
-                    )
-                params[key.strip()] = _parse_value(value.strip())
-        return cls(backend=name.strip(), params=params)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "IndexSpec":
@@ -150,169 +117,32 @@ class IndexSpec:
         }
 
     def canonical(self) -> str:
-        """The parseable one-line form shown in CLIs and stats."""
+        """The one-line form shown in stats (``"exact"``)."""
         if not self.params:
             return self.backend
         tail = ",".join(f"{key}={self.params[key]}" for key in sorted(self.params))
         return f"{self.backend}:{tail}"
 
-    def with_defaults(self, **defaults) -> "IndexSpec":
-        merged = {**defaults, **self.params}
-        return IndexSpec(backend=self.backend, params=merged)
 
-
-def normalize_index_spec(
-    spec: "IndexSpec | str | None", **defaults
-) -> IndexSpec:
-    """Coerce ``None`` / a spec string / an IndexSpec into an IndexSpec.
-
-    ``defaults`` (e.g. ``metric="cosine"``) fill parameters the spec leaves
-    unset, so callers with their own metric knob stay authoritative without
-    clobbering an explicit spec override. A default the backend does not
-    declare is dropped, not forced — a custom backend without a ``metric``
-    knob must still plug in.
-    """
-    if spec is None:
-        spec = IndexSpec()
-    elif isinstance(spec, str):
-        spec = IndexSpec.parse(spec)
-    elif not isinstance(spec, IndexSpec):
-        raise TypeError(f"cannot interpret {spec!r} as an index spec")
-    if not defaults:
-        return spec
-    registered = _REGISTRY.get(spec.backend)
-    if registered is not None:
-        allowed = registered[2]
-        defaults = {
-            name: value for name, value in defaults.items() if name in allowed
-        }
-    return spec.with_defaults(**defaults) if defaults else spec
-
-
-# --------------------------------------------------------------------- #
-# Registry
-# --------------------------------------------------------------------- #
-#: name -> (factory(dim, **params), restorer(dim, params, keys, arrays, meta),
-#:          {param name -> expected type(s)})
-_REGISTRY: dict[str, tuple[Callable, Callable, dict]] = {}
-
-
-def register_backend(
-    name: str, factory: Callable, restorer: Callable, params: dict | None = None
-) -> None:
-    """Register (or replace) a backend under ``name``.
-
-    ``params`` maps the backend's accepted hyperparameter names to their
-    expected type(s), so a typo'd spec fails with a clean :class:`ValueError`
-    at validation time instead of a ``TypeError`` deep inside construction.
-    """
-    _REGISTRY[name] = (factory, restorer, dict(params or {}))
-
-
-def available_backends() -> list[str]:
-    return sorted(_REGISTRY)
-
-
-def _lookup(name: str) -> tuple[Callable, Callable, dict]:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown index backend {name!r}; available: {available_backends()}"
-        ) from None
-
-
-def validate_index_spec(spec: IndexSpec | str | None) -> IndexSpec:
-    """Check a spec against its backend's declared hyperparameters.
-
-    Raises :class:`ValueError` (never ``TypeError``) on an unknown backend,
-    an unknown parameter name, or a wrong-typed value — cheap enough to run
-    *before* any expensive work a caller would otherwise waste.
-    """
-    spec = normalize_index_spec(spec)
-    _, _, allowed = _lookup(spec.backend)
-    for name, value in spec.params.items():
-        if name not in allowed:
-            raise ValueError(
-                f"index backend {spec.backend!r} has no parameter {name!r}; "
-                f"accepted: {sorted(allowed)}"
-            )
-        expected = allowed[name]
-        if not isinstance(value, expected):
-            wanted = (
-                "/".join(t.__name__ for t in expected)
-                if isinstance(expected, tuple)
-                else expected.__name__
-            )
-            raise ValueError(
-                f"index-backend parameter {name}={value!r} must be {wanted}"
-            )
-    return spec
-
-
-def make_index(spec: IndexSpec | str | None, dim: int) -> VectorIndex:
-    """Build a fresh index for ``spec`` (default: the exact backend)."""
-    spec = validate_index_spec(spec)
-    factory, _, _ = _lookup(spec.backend)
-    return factory(dim, **spec.params)
+def make_index(spec: IndexSpec | None, dim: int) -> KnnIndex:
+    """A fresh exact index under ``spec`` (default: cosine)."""
+    return KnnIndex(dim, **(spec or IndexSpec()).params)
 
 
 def restore_index(
-    spec: IndexSpec | str | None,
+    spec: IndexSpec | None,
     dim: int,
     keys: list,
     arrays: dict[str, np.ndarray],
     meta: dict,
-) -> VectorIndex:
+) -> KnnIndex:
     """Rebuild a persisted index from its ``state_arrays`` output.
 
     ``keys`` is the decoded key list, row-aligned with the state arrays
-    (key serialization is the persistence layer's concern — backends never
-    see anything but live Python keys).
+    (key serialization is the persistence layer's concern — the index
+    never sees anything but live Python keys).
     """
-    spec = normalize_index_spec(spec)
-    _, restorer, _ = _lookup(spec.backend)
-    return restorer(dim, dict(spec.params), keys, arrays, meta)
-
-
-# --------------------------------------------------------------------- #
-# Built-in backends
-# --------------------------------------------------------------------- #
-def _register_builtins() -> None:
-    from repro.search.hnsw import HnswIndex
-    from repro.search.index import KnnIndex
-
-    register_backend(
-        "exact", KnnIndex, KnnIndex.restore, params={"metric": str}
-    )
-
-    def _hnsw_factory(dim: int, **params) -> HnswIndex:
-        # Protocol parity with the exact backend: cosine unless overridden.
-        params.setdefault("metric", "cosine")
-        return HnswIndex(dim, **params)
-
-    def _hnsw_restore(dim, params, keys, arrays, meta) -> HnswIndex:
-        params = dict(params)
-        params.setdefault("metric", "cosine")
-        return HnswIndex.restore(dim, params, keys, arrays, meta)
-
-    register_backend(
-        "hnsw",
-        _hnsw_factory,
-        _hnsw_restore,
-        params={
-            "metric": str,
-            "m": int,
-            "ef_construction": int,
-            "ef_search": int,
-            "seed": int,
-            "compact_ratio": (int, float),
-            "compact_min": int,
-        },
-    )
-
-
-_register_builtins()
+    return KnnIndex.restore(dim, dict((spec or IndexSpec()).params), keys, arrays, meta)
 
 
 # --------------------------------------------------------------------- #
@@ -495,13 +325,12 @@ class ShardedIndex:
 
 
 def make_sharded_index(
-    spec: IndexSpec | str | None,
+    spec: IndexSpec | None,
     dim: int,
     n_shards: int,
     router: Callable[[object], int],
 ) -> ShardedIndex:
-    """N fresh backend indexes for ``spec`` behind one sharded face."""
-    spec = validate_index_spec(spec)
+    """N fresh exact indexes for ``spec`` behind one sharded face."""
     return ShardedIndex(
         dim,
         subs=[make_index(spec, dim) for _ in range(n_shards)],

@@ -17,7 +17,7 @@ one axis-wise partition — the batched primitive the Fig. 6 NEARTABLES loop
 (:class:`repro.search.tables.TableSearcher`) runs on, so a q-column query
 table costs one distance computation instead of q Python round-trips.
 This class implements the :class:`repro.search.backend.VectorIndex`
-protocol (the ``"exact"`` backend).
+protocol and is the repo's one vector index.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from repro import obs
 #: Smallest non-zero row capacity allocated by the growable buffer.
 _MIN_CAPACITY = 8
 
-# Shared across backends; registration is idempotent, so hnsw.py and
-# backend.py resolve the same metrics without importing this module.
+# Shared with the sharded face in backend.py; registration is idempotent,
+# so both resolve the same metric family.
 _QUERIES = obs.counter(
     "index_queries_total", "Vector-index query rows answered, by backend", ("backend",)
 ).labels(backend="exact")

@@ -12,10 +12,10 @@ Definitions (verbatim from the figure, adapted to code):
 - ``RANK1`` — prefer tables matching the *largest number* of query columns;
 - ``RANK2`` — tie-break by the *smallest sum* of column distances.
 
-The searcher is index-agnostic: any :class:`repro.search.backend.VectorIndex`
-(the exact matrix backend, HNSW, ...) plugs in via the ``backend`` spec, and
-``NEARTABLES`` runs on the batched ``query_many`` — one index call for all
-of a query table's columns instead of one Python round-trip per column.
+KNNSEARCH is exact (:class:`repro.search.index.KnnIndex`, sharded by table
+name), and ``NEARTABLES`` runs on the batched ``query_many`` — one index
+call for all of a query table's columns instead of one Python round-trip
+per column.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.search.backend import (
     IndexSpec,
     VectorIndex,
     make_sharded_index,
-    normalize_index_spec,
     stable_shard,
 )
 
@@ -79,11 +78,10 @@ class TableSearcher:
         dim: int,
         metric: str = "cosine",
         candidate_factor: int = 3,
-        backend: IndexSpec | str | None = None,
         n_shards: int = 1,
     ):
         self.dim = dim
-        self.backend_spec = normalize_index_spec(backend, metric=metric)
+        self.backend_spec = IndexSpec(params={"metric": metric})
         self.n_shards = n_shards
         # Hash-partitioned column index: a table's columns co-locate
         # (routed by table name), queries fan + merge across shards with
@@ -140,7 +138,7 @@ class TableSearcher:
     def remove_table(self, table: str) -> int:
         """Drop every indexed column of ``table``; returns columns removed.
 
-        One batch removal against the backend — the incremental-delete
+        One batch removal against the index — the incremental-delete
         primitive for :class:`repro.lake.catalog.LakeCatalog`.
         """
         entries = self._columns_by_table.pop(table, [])

@@ -1,9 +1,10 @@
 """Cross-table sketch interaction features for the pair encoder.
 
-**Scale-down substitution** (see DESIGN.md §1): BERT-base learns to compare
-MinHash signatures across positions internally — it has 12 layers, 118M
-parameters and 730k pre-training examples to discover that two positions
-agreeing in many signature slots means their columns share values. A 2-layer
+**Scale-down substitution** (README "Scale-down substitutions"): BERT-base
+learns to compare MinHash signatures across positions internally — it has
+12 layers, 118M parameters and 730k pre-training examples to discover that
+two positions agreeing in many signature slots means their columns share
+values. A 2-layer
 laptop-scale trunk trained on a few hundred pairs cannot re-derive that
 comparison primitive; it memorizes instead. We therefore compute the slot
 agreement statistics *explicitly* and inject them at the [CLS] position of

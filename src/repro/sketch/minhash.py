@@ -153,7 +153,8 @@ def slot_features(sketch: MinHash) -> np.ndarray:
     signatures produce equal features exactly where their slots agree and
     independent uniforms elsewhere. Dot products of the feature vectors are
     then proportional to the Jaccard estimate, which is the geometry the
-    paper's full-size encoder learns internally (see DESIGN.md §1).
+    paper's full-size encoder learns internally (see README "Scale-down
+    substitutions").
     """
     signature = sketch.signature
     index = np.arange(signature.shape[0], dtype=np.uint64)

@@ -15,7 +15,8 @@ together, which is exactly the property the paper exploits (cell values of
 the same *semantic domain* — municipality names, country codes, dates —
 share surface patterns far more than unrelated domains do).
 
-The substitution is documented in DESIGN.md §1. It preserves:
+The substitution is documented in README "Scale-down substitutions". It
+preserves:
 
 - frozen-ness (no training anywhere);
 - lexical-semantic neighborhood structure via shared tokens/n-grams;

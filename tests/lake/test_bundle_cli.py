@@ -353,38 +353,164 @@ def test_cli_prints_one_format_for_lake_and_server(tmp_path, csv_dir, capsys):
             assert on_lake and _normalized(on_lake) == _normalized(on_server), op
 
 
-def test_cli_hnsw_backend_roundtrip(tmp_path, csv_dir, capsys, lake_tables):
-    """The whole CLI runs unmodified on the HNSW backend, warm loads reuse
-    the persisted graph, and a backend switch trips the fingerprint
-    guard."""
-    lake = str(tmp_path / "lake")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ingest", "--lake", "lake", "--csv-dir", "csvs"],
+        ["query", "--lake", "lake", "--table", "t"],
+        ["serve", "--lake", "lake"],
+    ],
+    ids=["ingest", "query", "serve"],
+)
+def test_cli_has_no_index_backend_flag(argv, capsys):
+    """There is one vector index, so there is nothing to pick: the old flag
+    is a usage error, not a silently ignored option."""
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([*argv, "--index-backend", "exact"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --index-backend" in capsys.readouterr().err
+
+
+#: Every option each subcommand accepts. Scripts, smokes and the lake
+#: benchmark drive the CLI by these spellings, so the surface is pinned:
+#: an option may only appear or vanish together with an edit here.
+CLI_OPTIONS = {
+    "append": ["--csv", "--lake", "--server", "--table"],
+    "frontend": ["--backends", "--health-interval", "--host", "--port"],
+    "ingest": [
+        "--batch-size", "--csv-dir", "--dim", "--heads", "--lake", "--layers",
+        "--num-perm", "--sbert-dim", "--seed", "--shards", "--sketch-seed",
+        "--vocab-size",
+    ],
+    "publish": ["--lake", "--snapshots"],
+    "query": [
+        "--column", "--csv", "--json", "--lake", "--min-score", "--mode",
+        "--server", "--table", "-k",
+    ],
+    "refresh": ["--lake", "--server", "--tables"],
+    "remove": ["--lake", "--table"],
+    "replica": ["--host", "--poll-interval", "--port", "--snapshots", "--workers"],
+    "reshard": ["--lake", "--shards"],
+    "serve": ["--host", "--lake", "--port", "--workers"],
+    "stats": ["--lake", "--metrics"],
+    "update": ["--csv", "--lake", "--server"],
+}
+
+
+def _subcommands() -> dict:
+    import argparse
+
+    parser = cli.build_parser()
+    (action,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+def test_cli_subcommands_are_pinned():
+    assert sorted(_subcommands()) == sorted(CLI_OPTIONS)
+
+
+@pytest.mark.parametrize("name", sorted(CLI_OPTIONS))
+def test_cli_options_are_pinned(name):
+    parser = _subcommands()[name]
+    options = sorted(
+        option
+        for action in parser._actions
+        for option in action.option_strings
+        if option not in ("-h", "--help")
+    )
+    assert options == sorted(CLI_OPTIONS[name])
+    assert "--index-backend" not in options
+
+
+def _files(root) -> dict:
+    return {
+        path.relative_to(root): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def _as_hnsw_lake(root, bundle_dir) -> str:
+    """Rewrite a store's manifests into what an older build's `ingest
+    --index-backend hnsw` left: the root manifest records the HNSW index
+    and every manifest carries the fingerprint computed under it, so the
+    older reader opened it. Returns that fingerprint."""
+    import json as json_module
+
+    from repro.search.backend import IndexSpec
+    from repro.utils.io import write_json
+
+    model, _, sbert = load_bundle(bundle_dir)
+    spec = IndexSpec("hnsw", {"m": 12})
+    top = json_module.loads((root / "manifest.json").read_text())
+    fingerprint = config_fingerprint(
+        model.config, sbert=sbert, model=model, index_spec=spec,
+        n_shards=top["n_shards"],
+    )
+    write_json(
+        root / "manifest.json",
+        {**top, "fingerprint": fingerprint, "index_spec": spec.to_dict()},
+    )
+    for path in sorted(root.glob("shards/*/manifest.json")):
+        shard = json_module.loads(path.read_text())
+        write_json(path, {**shard, "fingerprint": fingerprint})
+    return fingerprint
+
+
+def test_hnsw_lake_is_refused_untouched(tmp_path, csv_dir, capsys):
+    """A lake recorded under the removed HNSW index is refused whole — by
+    `LakeService.open`, by every CLI command (an `error:` line, no
+    traceback) and by replica adoption (the previous generation keeps
+    serving) — and not one byte of it is rewritten."""
+    import shutil
+
+    from repro.lake.replica import ReplicaService, read_marker
+    from repro.lake.serialization import UnsupportedIndexBackendError
+    from repro.lake.service import LakeService
+    from repro.utils.io import write_json
+
+    lake = tmp_path / "lake"
+    snapshots = tmp_path / "snapshots"
     cli.main([
-        "ingest", "--lake", lake, "--csv-dir", str(csv_dir),
+        "ingest", "--lake", str(lake), "--csv-dir", str(csv_dir),
         "--num-perm", "16", "--dim", "32", "--vocab-size", "400",
-        "--index-backend", "hnsw:m=12,ef_search=48",
     ])
-    out = capsys.readouterr().out
-    assert "hnsw:ef_search=48,m=12 backend" in out
-    assert f"ingested {len(lake_tables)} tables" in out
+    cli.main(["publish", "--lake", str(lake), "--snapshots", str(snapshots)])
+    capsys.readouterr()
+    _as_hnsw_lake(lake, lake)
+    before = _files(lake)
 
-    # Warm re-ingest without the flag picks up the stored backend.
-    cli.main(["ingest", "--lake", lake, "--csv-dir", str(csv_dir)])
-    out = capsys.readouterr().out
-    assert "ingested 0 tables" in out
-    assert "hnsw:ef_search=48,m=12 backend" in out
+    with pytest.raises(UnsupportedIndexBackendError, match="'hnsw'.*re-ingest"):
+        LakeService.open(lake)
+    for argv in (
+        ["query", "--lake", str(lake), "--table", "g1t1"],
+        ["stats", "--lake", str(lake)],
+        ["ingest", "--lake", str(lake), "--csv-dir", str(csv_dir)],
+        ["reshard", "--lake", str(lake), "--shards", "2"],
+        ["publish", "--lake", str(lake), "--snapshots", str(snapshots)],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        message = str(excinfo.value)
+        assert message.startswith("error: ") and "'hnsw'" in message, argv
+        assert "re-ingest" in message, argv
+    assert capsys.readouterr().out == ""
+    assert _files(lake) == before
 
-    cli.main(["query", "--lake", lake, "--table", "g1t1", "--mode", "union", "-k", "3"])
-    out = capsys.readouterr().out
-    assert "union results for 'g1t1'" in out
-
-    cli.main(["stats", "--lake", lake])
-    out = capsys.readouterr().out
-    assert '"index_backend": "hnsw:ef_search=48,m=12"' in out
-    assert '"index_insertions": 0' in out  # warm load deserialized the graph
-
-    # A store built under HNSW refuses to serve as exact.
-    with pytest.raises(SystemExit, match="fingerprint mismatch"):
-        cli.main([
-            "query", "--lake", lake, "--table", "g1t1",
-            "--index-backend", "exact",
-        ])
+    model, encoder, sbert = load_bundle(snapshots)
+    replica = ReplicaService(TableEmbedder(model, encoder), snapshots, sbert=sbert)
+    assert replica.generation == 1
+    second = snapshots / "gen-000002"
+    shutil.copytree(snapshots / "gen-000001", second)
+    fingerprint = _as_hnsw_lake(second, snapshots)
+    write_json(
+        second / "SNAPSHOT.json",
+        {**read_marker(second), "generation": 2, "fingerprint": fingerprint},
+    )
+    shipped = _files(second)
+    with pytest.warns(RuntimeWarning, match="refused snapshot generation 2.*'hnsw'"):
+        assert not replica.refresh()
+    assert replica.generation == 1 and replica.refusals == 1
+    assert _files(second) == shipped

@@ -1,32 +1,22 @@
-"""Pluggable index backends through the lake: persisted-index warm loads
-(zero insertions), incremental persistence, exact/HNSW catalog parity, and
-the backend-spec fingerprint guard."""
+"""The vector index through the lake: persisted-index warm loads (zero
+insertions), incremental persistence, stale-artifact detection, and the
+index spec a lake records and fingerprints."""
 
 import numpy as np
 import pytest
 
-from repro.lake.api import DiscoveryRequest
 from repro.lake.catalog import LakeCatalog
-from repro.lake.serialization import FingerprintMismatchError, config_fingerprint
-from repro.lake.service import LakeService
+from repro.lake.serialization import UnsupportedIndexBackendError, config_fingerprint
 from repro.lake.store import LakeStore
 from repro.search.backend import IndexSpec, ShardedIndex
-from repro.search.hnsw import HnswIndex
 from repro.search.index import KnnIndex
 
-HNSW_SPEC = "hnsw:m=12,ef_construction=64,ef_search=64"
 
-
-def _build(lake_embedder, lake_tables, tmp_path, backend=None):
+def _build(lake_embedder, lake_tables, tmp_path):
     store = LakeStore(tmp_path, "fp")
-    catalog = LakeCatalog(lake_embedder, store=store, index_backend=backend)
+    catalog = LakeCatalog(lake_embedder, store=store)
     catalog.add_tables(lake_tables)
     return catalog
-
-
-def _ranked(service, name, mode="union", k=10) -> list[str]:
-    request = DiscoveryRequest(mode=mode, k=k, table=name)
-    return service.discover(request).tables()
 
 
 def _assert_backend_class(catalog, cls):
@@ -38,43 +28,12 @@ def _assert_backend_class(catalog, cls):
 
 
 # --------------------------------------------------------------------- #
-# Backend parity through the catalog/service
-# --------------------------------------------------------------------- #
-def test_catalog_runs_unmodified_on_hnsw(lake_embedder, lake_tables, tmp_path):
-    catalog = _build(lake_embedder, lake_tables, tmp_path, backend=HNSW_SPEC)
-    _assert_backend_class(catalog, HnswIndex)
-    service = LakeService(catalog)
-    for mode in ("join", "union", "subset"):
-        results = _ranked(service, "g1t1", mode=mode, k=3)
-        assert results and "g1t1" not in results
-
-    # Incremental add/remove work against the approximate index too.
-    extra = next(iter(lake_tables.values()))
-    renamed = extra.with_columns(extra.columns, name="fresh")
-    service.add_table(renamed)
-    assert "fresh" in catalog
-    assert _ranked(service, "fresh", mode="union", k=3)
-    assert service.remove_table("fresh")
-    assert not catalog.searcher.has_table("fresh")
-
-
-def test_exact_and_hnsw_agree_on_top_results(lake_embedder, lake_tables, tmp_path):
-    exact = _build(lake_embedder, lake_tables, tmp_path / "exact")
-    hnsw = _build(lake_embedder, lake_tables, tmp_path / "hnsw", backend=HNSW_SPEC)
-    for name in list(lake_tables)[:4]:
-        top_exact = _ranked(LakeService(exact), name, mode="union", k=1)
-        top_hnsw = _ranked(LakeService(hnsw), name, mode="union", k=1)
-        assert top_exact == top_hnsw
-
-
-# --------------------------------------------------------------------- #
 # Persisted index
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("backend", [None, HNSW_SPEC])
 def test_warm_load_restores_persisted_index_zero_insertions(
-    lake_embedder, lake_tables, tmp_path, backend
+    lake_embedder, lake_tables, tmp_path
 ):
-    cold = _build(lake_embedder, lake_tables, tmp_path, backend=backend)
+    cold = _build(lake_embedder, lake_tables, tmp_path)
     assert cold.searcher.insertions == sum(
         t.n_cols for t in lake_tables.values()
     )
@@ -94,11 +53,8 @@ def test_warm_load_restores_persisted_index_zero_insertions(
         ) == warm.searcher.search_tables(vectors, 3, exclude_table=name)
 
 
-@pytest.mark.parametrize("backend", [None, HNSW_SPEC])
-def test_mutations_update_persisted_index(
-    lake_embedder, lake_tables, tmp_path, backend
-):
-    catalog = _build(lake_embedder, lake_tables, tmp_path, backend=backend)
+def test_mutations_update_persisted_index(lake_embedder, lake_tables, tmp_path):
+    catalog = _build(lake_embedder, lake_tables, tmp_path)
     extra = next(iter(lake_tables.values()))
     catalog.add_table(extra.with_columns(extra.columns, name="fresh"))
     catalog.remove_table("g0t0")
@@ -174,15 +130,15 @@ def test_same_schema_vector_drift_detected(lake_embedder, lake_tables, tmp_path)
 
 
 def test_interrupted_first_ingest_records_backend(lake_embedder, tmp_path):
-    """The backend spec is written when the catalog attaches — before any
+    """The index spec is written when the catalog attaches — before any
     embedding — so a first ingest killed mid-way still reopens under the
-    spec it was started with."""
+    spec (and so the fingerprint) it was started with."""
     store = LakeStore(tmp_path, "fp")
-    LakeCatalog(lake_embedder, store=store, index_backend=HNSW_SPEC)
+    LakeCatalog(lake_embedder, store=store)
     # No table was ever added (simulated Ctrl-C), yet the spec is durable.
-    assert LakeStore.peek_index_spec(tmp_path) == IndexSpec.parse(HNSW_SPEC)
-    with pytest.raises(FingerprintMismatchError, match="index backend"):
-        LakeCatalog(lake_embedder, store=LakeStore.open(tmp_path))  # exact default
+    assert LakeStore.peek_index_spec(tmp_path) == IndexSpec()
+    reopened = LakeCatalog(lake_embedder, store=LakeStore.open(tmp_path))
+    assert reopened.index_spec == IndexSpec()
 
 
 def test_persisted_index_state_version_guard(lake_embedder, lake_tables, tmp_path):
@@ -196,46 +152,81 @@ def test_persisted_index_state_version_guard(lake_embedder, lake_tables, tmp_pat
 
 
 # --------------------------------------------------------------------- #
-# Fingerprint guard on backend-spec change
+# The recorded spec and the fingerprint
 # --------------------------------------------------------------------- #
-def test_fingerprint_changes_with_backend_spec(lake_embedder):
+def test_fingerprint_hashes_the_recorded_spec(lake_embedder):
     config = lake_embedder.model.config
     base = config_fingerprint(config, model=lake_embedder.model)
     assert base == config_fingerprint(
-        config, model=lake_embedder.model, index_spec="exact"
-    ), "None normalizes to the default exact spec"
-    hnsw = config_fingerprint(config, model=lake_embedder.model, index_spec="hnsw")
-    tuned = config_fingerprint(
-        config, model=lake_embedder.model, index_spec="hnsw:m=16"
-    )
-    assert len({base, hnsw, tuned}) == 3
+        config, model=lake_embedder.model, index_spec=IndexSpec()
+    ), "None is the default spec every CLI lake records"
 
 
-def test_store_built_exact_refuses_hnsw_open(lake_embedder, lake_tables, tmp_path):
-    config = lake_embedder.model.config
-    exact_fp = config_fingerprint(config, model=lake_embedder.model)
-    store = LakeStore(tmp_path, exact_fp)
-    catalog = LakeCatalog(lake_embedder, store=store)
-    catalog.add_tables(lake_tables)
+@pytest.mark.parametrize(
+    "n_shards, params, sbert_dim, expected",
+    [
+        (1, None, None, "e5f4fd19441f8aa9"),
+        (2, None, None, "3bf8643446784d5f"),
+        (4, None, None, "69efb6aaefe8f23c"),
+        (1, None, 32, "6884d75e3068bf17"),
+        (1, {"metric": "cosine"}, None, "f683c21b27ad5fc9"),
+        (4, {"metric": "euclidean"}, None, "daf977b3b4d54e1d"),
+    ],
+    ids=["1", "2", "4", "1-sbert", "1-cosine", "4-euclidean"],
+)
+def test_recorded_spec_keeps_its_fingerprint(
+    tiny_config, tiny_model, n_shards, params, sbert_dim, expected
+):
+    """Pinned digests of the test model under each recorded configuration.
+    A lake reopens only under the fingerprint it was written with, so these
+    values may never drift: a change here orphans every existing lake."""
+    from repro.text.sbert import HashedSentenceEncoder
 
-    hnsw_fp = config_fingerprint(config, model=lake_embedder.model, index_spec="hnsw")
-    with pytest.raises(FingerprintMismatchError):
-        LakeStore.open(tmp_path, expected_fingerprint=hnsw_fp)
-    # The matching spec still opens.
-    LakeStore.open(tmp_path, expected_fingerprint=exact_fp)
+    spec = None if params is None else IndexSpec(params=params)
+    sbert = None if sbert_dim is None else HashedSentenceEncoder(dim=sbert_dim)
+    assert config_fingerprint(
+        tiny_config, sbert=sbert, model=tiny_model, index_spec=spec,
+        n_shards=n_shards,
+    ) == expected
 
 
-def test_from_store_rejects_conflicting_backend(lake_embedder, lake_tables, tmp_path):
-    _build(lake_embedder, lake_tables, tmp_path, backend=HNSW_SPEC)
-    with pytest.raises(FingerprintMismatchError, match="index backend"):
-        LakeCatalog.from_store(
-            lake_embedder, LakeStore.open(tmp_path), index_backend="exact"
-        )
-    # Explicitly naming the matching spec works.
-    warm = LakeCatalog.from_store(
-        lake_embedder, LakeStore.open(tmp_path), index_backend=HNSW_SPEC
-    )
-    _assert_backend_class(warm, HnswIndex)
+_READERS = {
+    "open": lambda root: LakeStore.open(root),
+    "construct": lambda root: LakeStore(root, "fp"),
+    "peek_n_shards": LakeStore.peek_n_shards,
+    "peek_index_spec": LakeStore.peek_index_spec,
+    "needs_conversion": LakeStore.needs_conversion,
+}
+
+
+@pytest.mark.parametrize("reader", list(_READERS))
+def test_store_readers_refuse_a_non_exact_index(tmp_path, reader):
+    """Every reader of the root manifest refuses a lake recorded under any
+    index but ``exact``, names it, and leaves every byte where it was."""
+    for backend in ("hnsw", "ivf"):
+        root = tmp_path / backend
+        LakeStore(root, "fp").record_index_spec(IndexSpec(backend, {"m": 12}))
+        before = {
+            path: path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()
+        }
+        with pytest.raises(UnsupportedIndexBackendError, match=f"'{backend}'"):
+            _READERS[reader](root)
+        after = {
+            path: path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()
+        }
+        assert after == before
+
+
+def test_catalog_keeps_the_spec_a_store_recorded(lake_embedder, tmp_path):
+    """A lake keeps the spec it was written under — its manifests are never
+    rewritten to another spelling — and a metric it recorded still rules."""
+    spec = IndexSpec(params={"metric": "euclidean"})
+    store = LakeStore(tmp_path, "fp")
+    store.record_index_spec(spec)
+    catalog = LakeCatalog(lake_embedder, store=LakeStore.open(tmp_path))
+    assert catalog.index_spec == spec
+    assert all(sub.metric == "euclidean" for sub in catalog.searcher.index.subs)
+    assert LakeStore.peek_index_spec(tmp_path) == spec
 
 
 def test_default_backend_is_exact(lake_embedder):

@@ -5,8 +5,7 @@ clients overlapping an ingest.
 The load-bearing property is **interchangeability**: for identical
 `DiscoveryRequest`s, `LakeService.discover` in-process and `LakeClient`
 over HTTP must return identical ranked hits — same tables, same scores,
-same evidence — across all three modes, member and external queries, and
-both index backends."""
+same evidence — across all three modes, member and external queries."""
 
 from __future__ import annotations
 
@@ -24,22 +23,21 @@ from repro.lake.server import ServerThread
 from repro.lake.service import LakeService
 
 MODES = ("join", "union", "subset")
-BACKENDS = ("exact", "hnsw")
 
 
-@pytest.fixture(params=BACKENDS)
-def backend_service(request, lake_embedder, lake_tables) -> LakeService:
-    catalog = LakeCatalog(lake_embedder, index_backend=request.param)
+@pytest.fixture()
+def service(lake_embedder, lake_tables) -> LakeService:
+    catalog = LakeCatalog(lake_embedder)
     for table in lake_tables.values():
         catalog.add_table(table)
     return LakeService(catalog)
 
 
 @pytest.fixture()
-def served(backend_service):
-    with ServerThread(backend_service) as server:
+def served(service):
+    with ServerThread(service) as server:
         client = LakeClient(port=server.port)
-        yield backend_service, client
+        yield service, client
         client.close()
 
 
@@ -368,7 +366,7 @@ def test_remote_ingest_remove_and_stats(served, lake_tables):
     assert stats["version"] == API_VERSION
     assert stats["api_version"] == API_VERSION
     assert stats["n_tables"] == base + 3
-    assert stats["index_backend"] in ("exact", "hnsw")
+    assert stats["index_backend"] == "exact"
     assert sum(stats["shard_tables"]) == base + 3
     assert len(stats["shard_tables"]) == stats["n_shards"]
 

@@ -3,8 +3,8 @@
 The whole point of sharding is that it is *invisible* to query semantics:
 for randomized lakes, a store partitioned into N ∈ {2, 4} shards must return
 byte-identical query rankings, ``stats()``, and ``table_names()`` to the
-one-shard store — across both the ``exact`` and ``hnsw`` backends,
-cold-built or after a close → warm ``open`` round trip — and a lake built
+one-shard store — cold-built or after a close → warm ``open`` round
+trip — and a lake built
 through incremental mutations must, at every N, serve the rankings the
 flat-layout code recorded for the same corpus (``data/flat_store``).
 """
@@ -25,10 +25,6 @@ from repro.table.schema import Table, table_from_rows
 
 MODES = ("join", "union", "subset")
 SHARD_COUNTS = (2, 4)
-#: ef_search far above the corpus size, so the approximate backend is
-#: effectively exhaustive at this scale and parity is exact, not
-#: probabilistic (the parametrized runs are fully deterministic either way).
-HNSW_SPEC = "hnsw:m=8,ef_construction=96,ef_search=160"
 
 
 @pytest.fixture(autouse=True)
@@ -90,16 +86,15 @@ def _comparable_stats(catalog: LakeCatalog) -> dict:
     return stats
 
 
-@pytest.mark.parametrize("backend", [None, HNSW_SPEC], ids=["exact", "hnsw"])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_sharded_store_matches_one_shard_store(tmp_path, lake_embedder, backend, seed):
+def test_sharded_store_matches_one_shard_store(tmp_path, lake_embedder, seed):
     tables = _random_tables(seed)
     names = list(tables)
     source = tables[names[0]]
     probe = source.with_columns(source.columns, name="external-probe")
 
     one_store = LakeStore(tmp_path / "one", "fp", n_shards=1)
-    one = LakeCatalog(lake_embedder, store=one_store, index_backend=backend)
+    one = LakeCatalog(lake_embedder, store=one_store)
     one.add_tables(tables)
     one_stats = _comparable_stats(one)
     one_rankings = _rankings(LakeService(one), names, probe)
@@ -107,7 +102,7 @@ def test_sharded_store_matches_one_shard_store(tmp_path, lake_embedder, backend,
     for n_shards in SHARD_COUNTS:
         root = tmp_path / f"sharded{n_shards}"
         store = LakeStore(root, "fp", n_shards=n_shards)
-        catalog = LakeCatalog(lake_embedder, store=store, index_backend=backend)
+        catalog = LakeCatalog(lake_embedder, store=store)
         catalog.add_tables(tables)
 
         assert catalog.table_names() == one.table_names()
@@ -117,9 +112,7 @@ def test_sharded_store_matches_one_shard_store(tmp_path, lake_embedder, backend,
 
         # Close → warm open: the persisted per-shard indexes are adopted
         # (zero insertions, zero trunk forwards) and answers stay identical.
-        warm = LakeCatalog.from_store(
-            lake_embedder, LakeStore.open(root), index_backend=backend
-        )
+        warm = LakeCatalog.from_store(lake_embedder, LakeStore.open(root))
         assert warm.embed_calls == 0
         assert warm.searcher.insertions == 0
         assert warm.table_names() == one.table_names()

@@ -146,11 +146,12 @@ def test_stats_sums_manifest_recorded_sizes(
 # --------------------------------------------------------------------- #
 # Persisted vector index
 # --------------------------------------------------------------------- #
-def _column_index(n_shards, spec="exact", n=12, dim=8, seed=0):
+def _column_index(n_shards, n=12, dim=8, seed=0):
     """A populated index with the shape a `TableSearcher` builds."""
     rng = np.random.default_rng(seed)
     index = make_sharded_index(
-        spec, dim, n_shards, router=lambda entry: stable_shard(entry.table, n_shards)
+        IndexSpec(), dim, n_shards,
+        router=lambda entry: stable_shard(entry.table, n_shards),
     )
     index.add_many(
         [
@@ -165,17 +166,16 @@ def _every_shard(store: LakeStore) -> set[int]:
     return set(range(store.n_shards))
 
 
-@pytest.mark.parametrize("spec", ["exact", "hnsw:m=6,ef_search=32"])
-def test_save_load_index_round_trip(tmp_path, spec):
+def test_save_load_index_round_trip(tmp_path):
     store = LakeStore(tmp_path, "fp")
     assert store.load_index(8).restored_shards == set()
     assert store.index_spec() is None
-    index = _column_index(store.n_shards, spec)
-    store.save_index(index, IndexSpec.parse(spec))
+    index = _column_index(store.n_shards)
+    store.save_index(index, IndexSpec())
 
     reopened = LakeStore.open(tmp_path)
-    assert reopened.index_spec() == IndexSpec.parse(spec)
-    assert LakeStore.peek_index_spec(tmp_path) == IndexSpec.parse(spec)
+    assert reopened.index_spec() == IndexSpec()
+    assert LakeStore.peek_index_spec(tmp_path) == IndexSpec()
     restored = reopened.load_index(8)
     assert restored.restored_shards == _every_shard(store)
     assert restored.keys() == index.keys()
@@ -183,7 +183,7 @@ def test_save_load_index_round_trip(tmp_path, spec):
     assert [k for k, _ in restored.query(query, 5)] == [
         k for k, _ in index.query(query, 5)
     ]
-    assert reopened.stats()["index_backend"] == IndexSpec.parse(spec).canonical()
+    assert reopened.stats()["index_backend"] == "exact"
     assert reopened.stats()["index_disk_bytes"] > 0
 
 
@@ -199,7 +199,7 @@ def test_save_empty_index_round_trip(tmp_path):
 def test_save_index_refuses_an_index_of_another_shape(tmp_path):
     store = LakeStore(tmp_path, "fp")
     with pytest.raises(ValueError, match="ShardedIndex"):
-        store.save_index(make_index("exact", 8), IndexSpec("exact", {}))
+        store.save_index(make_index(IndexSpec(), 8), IndexSpec("exact", {}))
     with pytest.raises(ValueError, match="ShardedIndex"):
         store.save_index(
             _column_index(store.n_shards + 1), IndexSpec("exact", {})
@@ -230,14 +230,17 @@ def test_corrupt_index_archive_degrades_to_rebuild(tmp_path, damage):
 def test_drop_index_keeps_spec(tmp_path):
     store = LakeStore(tmp_path, "fp")
     assert not store.drop_index()
-    spec = IndexSpec.parse("hnsw:m=6")
-    store.save_index(_column_index(store.n_shards, "hnsw:m=6"), spec)
+    spec = IndexSpec(params={"metric": "cosine"})
+    store.save_index(_column_index(store.n_shards), spec)
     assert store.drop_index()
     assert store.load_index(8).restored_shards == set()
-    # The backend spec is configuration, not artifact: it survives the
-    # drop so a rebuild happens under the same backend.
+    # The index spec is configuration, not artifact: it survives the
+    # drop so a rebuild happens under the same spec (and fingerprint) ...
     assert LakeStore.peek_index_spec(tmp_path) == spec
     assert LakeStore.open(tmp_path).index_spec() == spec
+    # ... and a reshard carries it into the new layout.
+    store.reshard(store.n_shards + 1, "fp", lambda staged: None)
+    assert LakeStore.peek_index_spec(tmp_path) == spec
 
 
 def test_save_index_heals_a_shard_whose_table_manifest_moved_on(
