@@ -32,7 +32,6 @@ EXPERIMENT_ORDER = [
     "sketch_micro",
     "lake_service",
     "embed_engine",
-    "lazy_fusion",
     "sharded_lake",
     "discovery_api",
     "obs_overhead",

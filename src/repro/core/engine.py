@@ -17,13 +17,10 @@ The engine is built around four ideas:
 3. **Length bucketing.** ``embed_corpus`` sorts tables by encoded length
    before chunking, so each batch is near-uniform and wastes minimal
    padding; results are returned in the caller's order regardless.
-4. **Fused inference kernels.** Every forward here runs under ``no_grad``,
-   which (with ``$REPRO_NN_LAZY`` on, the default) puts the trunk in the
-   lazy, fusing evaluation mode of :mod:`repro.nn.lazy`: elementwise
-   chains run as cached fused kernels keyed by shape bucket — the same
-   buckets this engine's length bucketing produces — so every forward
-   after the first hits the kernel cache. ``fusion_stats`` surfaces the
-   counters.
+4. **Eager inference, no graph.** Every forward here runs the trunk's
+   ordinary :mod:`repro.nn.tensor` ops under ``no_grad``: each op runs its
+   numpy at once and records no backward closure, and each value is
+   bit for bit what the same op computes with gradients on.
 
 ``embed_corpus`` runs its batches one after another in the calling thread.
 The engine is still shared between threads — the lake server embeds
@@ -42,7 +39,6 @@ import numpy as np
 from repro import obs
 from repro.core.inputs import EncodedTable, InputEncoder, PairEncoding, batch_encodings
 from repro.core.model import TabSketchFM
-from repro.nn import lazy
 from repro.nn.tensor import no_grad
 from repro.sketch.pipeline import TableSketch, sketch_corpus  # noqa: F401 - re-exported
 
@@ -102,15 +98,15 @@ class EmbeddingEngine:
 
     @property
     def fusion_stats(self) -> dict:
-        """Lazy-engine fusion counters as plain ints.
+        """Always ``{"cache_hits": 0, "cache_misses": 0}``: inference has no
+        kernel cache.
 
-        ``kernels_executed`` / ``cache_hits`` / ``cache_misses`` /
-        ``fused_softmax`` / ``fused_layernorm`` / ``ops_fused`` plus the
-        current cache size and whether lazy mode is enabled — the
-        process-wide view from :func:`repro.nn.lazy.cache_info` (fusion is
-        per-process, not per-engine).
+        Kept only because the lake benchmark still reads these two keys
+        for its ``core.engine.kernel_cache_hit_rate`` row; the benchmark
+        change that drops that row (ROADMAP item 2(iv)) deletes this
+        property with it.
         """
-        return lazy.cache_info()
+        return {"cache_hits": 0, "cache_misses": 0}
 
     # ------------------------------------------------------------------ #
     def _finalize(self, encoded: EncodedTable) -> PairEncoding:

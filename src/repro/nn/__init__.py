@@ -4,11 +4,9 @@ The paper builds on HuggingFace BERT; this package is the from-scratch
 replacement. It provides:
 
 - :mod:`repro.nn.tensor` — a reverse-mode autodiff :class:`Tensor` over numpy
-  arrays with broadcasting-aware gradients.
-- :mod:`repro.nn.lazy` — the lazy, fusing evaluation mode for the inference
-  hot path: elementwise chains record into an op graph and run as cached
-  fused kernels at realization points (``$REPRO_NN_LAZY``, default on under
-  ``no_grad``; training is always eager).
+  arrays with broadcasting-aware gradients. There is one engine: training
+  and inference run the same eager ops, and inference wraps them in
+  ``no_grad`` so no graph is recorded.
 - :mod:`repro.nn.layers` — ``Module`` base class plus Linear, Embedding,
   LayerNorm and Dropout.
 - :mod:`repro.nn.attention` / :mod:`repro.nn.transformer` — multi-head
@@ -22,7 +20,6 @@ replacement. It provides:
 """
 
 from repro.nn.tensor import Tensor, concat, no_grad, stack
-from repro.nn.lazy import is_lazy_enabled, lazy_mode, set_lazy_enabled
 from repro.nn.layers import (
     Dropout,
     Embedding,
@@ -47,9 +44,6 @@ __all__ = [
     "concat",
     "stack",
     "no_grad",
-    "is_lazy_enabled",
-    "lazy_mode",
-    "set_lazy_enabled",
     "Dropout",
     "Embedding",
     "LayerNorm",

@@ -10,9 +10,8 @@ import math
 
 import numpy as np
 
-from repro.nn import lazy
 from repro.nn.layers import Dropout, Linear, Module
-from repro.nn.tensor import Tensor, _lazy_active, softmax
+from repro.nn.tensor import Tensor, softmax
 from repro.utils.rng import spawn_rng
 
 #: Additive mask value for padded positions (large negative, pre-softmax).
@@ -54,16 +53,7 @@ class MultiHeadSelfAttention(Module):
         if attention_mask is not None:
             bias = (1.0 - np.asarray(attention_mask, dtype=np.float64)) * NEG_INF
             scores = scores + Tensor(bias[:, None, None, :])
-        if _lazy_active() and (not self.dropout.training or self.dropout.p == 0.0):
-            # Realization-point hygiene: the scale+mask chain, the softmax
-            # scratch, and the probabilities all stay in the lazy engine's
-            # per-thread arena — they never escape this frame, so no
-            # scores-sized buffer is allocated. Bitwise equal to the eager
-            # expression below (dropout is identity here by the guard).
-            probs = lazy.fused_softmax_probs(scores._lazy_src(), axis=-1)
-            context = Tensor(probs @ v.data)  # (B, H, S, Hd)
-        else:
-            weights = self.dropout(softmax(scores, axis=-1))
-            context = weights @ v  # (B, H, S, Hd)
+        weights = self.dropout(softmax(scores, axis=-1))
+        context = weights @ v  # (B, H, S, Hd)
         merged = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.dim)
         return self.output(merged)

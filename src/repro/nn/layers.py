@@ -6,8 +6,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.nn import lazy
-from repro.nn.tensor import Tensor, _lazy_active
+from repro.nn.tensor import Tensor
 from repro.utils.rng import spawn_rng
 
 
@@ -135,14 +134,6 @@ class LayerNorm(Module):
         self.beta = Parameter(np.zeros(dim))
 
     def forward(self, x: Tensor) -> Tensor:
-        if _lazy_active():
-            # Forced realization point: LayerNorm straddles two reductions,
-            # so instead of recording two part-chains it realizes any
-            # pending chain (``x.data``) and runs one hand-fused kernel —
-            # bitwise identical to the expression below (see lazy.py).
-            return Tensor(lazy.fused_layernorm(
-                x.data, self.gamma.data, self.beta.data, self.eps
-            ))
         mean = x.mean(axis=-1, keepdims=True)
         centered = x - mean
         variance = (centered * centered).mean(axis=-1, keepdims=True)

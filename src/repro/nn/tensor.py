@@ -9,17 +9,10 @@ Only the operations the library needs are implemented, each with a
 broadcasting-aware gradient. All gradients are verified against central
 finite differences in ``tests/nn/test_autograd.py``.
 
-Two execution modes share these ops:
-
-- **Eager** (always under gradient mode): every op runs its numpy
-  immediately — the reference implementation and the equivalence oracle.
-- **Lazy** (inference: gradient mode off *and* :mod:`repro.nn.lazy`
-  enabled, the ``$REPRO_NN_LAZY`` default): elementwise/broadcast chains
-  are recorded instead of run, then fused into one cached kernel at a
-  forced realization point. Any ``.data`` access realizes — matmul,
-  reductions, shape ops, ``softmax``, ``.numpy()``, ``backward()`` are all
-  realization points by construction, so the graph semantics (and training,
-  where gradient mode keeps everything eager) are untouched.
+Inference is the same ops under :func:`no_grad`: every op still runs its
+numpy immediately and returns the array it computes with gradients on, bit
+for bit, but records no parents and no backward closure — a forward pass
+builds no graph.
 """
 
 from __future__ import annotations
@@ -30,8 +23,6 @@ import threading
 from typing import Callable, Sequence
 
 import numpy as np
-
-from repro.nn import lazy as _lazy
 
 
 class _GradMode(threading.local):
@@ -73,73 +64,24 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _lazy_active() -> bool:
-    """Record ops lazily? Only with the graph off — training stays eager."""
-    return not _grad_mode.enabled and _lazy.is_lazy_enabled()
-
-
 class Tensor:
     """A node in the autodiff graph."""
 
-    __slots__ = ("_data", "_lazybuf", "grad", "requires_grad", "_backward",
-                 "_parents")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
     def __init__(self, data, requires_grad: bool = False):
-        self._data: np.ndarray | None = np.asarray(data, dtype=np.float64)
-        self._lazybuf = None
+        self.data: np.ndarray = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._backward: Callable[[], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
-
-    @classmethod
-    def _from_lazy(cls, buf) -> "Tensor":
-        """An unrealized tensor over a recorded op chain (inference only)."""
-        out = cls.__new__(cls)
-        out._data = None
-        out._lazybuf = buf
-        out.grad = None
-        out.requires_grad = False
-        out._backward = None
-        out._parents = ()
-        return out
-
-    @property
-    def data(self) -> np.ndarray:
-        """The concrete array; accessing it is a forced realization point.
-
-        (Concurrent realization of a shared lazy tensor is a benign
-        idempotent race: both threads compute the same value.)
-        """
-        if self._data is None:
-            self._data = self._lazybuf.realize()
-            self._lazybuf = None
-        return self._data
-
-    @data.setter
-    def data(self, value: np.ndarray) -> None:
-        self._data = value
-        self._lazybuf = None
-
-    def _lazy_src(self):
-        """This tensor as a lazy-graph operand (leaf if already realized)."""
-        if self._data is None:
-            return self._lazybuf
-        return _lazy.leaf(self._data)
-
-    @property
-    def is_realized(self) -> bool:
-        """False while this tensor is a recorded, unevaluated op chain."""
-        return self._data is not None
 
     # ------------------------------------------------------------------ #
     # basics
     # ------------------------------------------------------------------ #
     @property
     def shape(self) -> tuple[int, ...]:
-        if self._data is None:
-            return self._lazybuf.shape
-        return self._data.shape
+        return self.data.shape
 
     @property
     def ndim(self) -> int:
@@ -147,9 +89,7 @@ class Tensor:
 
     @property
     def size(self) -> int:
-        if self._data is None:
-            return int(np.prod(self._lazybuf.shape)) if self._lazybuf.shape else 1
-        return self._data.size
+        return self.data.size
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -193,17 +133,7 @@ class Tensor:
     # ------------------------------------------------------------------ #
     # arithmetic
     # ------------------------------------------------------------------ #
-    # Every elementwise op has a lazy branch: with the graph off it records
-    # a node instead of running numpy, deferring to one fused kernel at the
-    # next realization point. ``a - b`` records ``subtract`` where eager
-    # computes ``a + (-b)`` — IEEE-754 identical. Recorded chains replay the
-    # same ufuncs in the same order, so realized values match eager
-    # bitwise.
     def __add__(self, other) -> "Tensor":
-        if _lazy_active():
-            return Tensor._from_lazy(
-                _lazy.binary("add", self._lazy_src(), _lazy_operand(other))
-            )
         other = _as_tensor(other)
         out = _node(self.data + other.data, (self, other))
         if out._parents:
@@ -216,8 +146,6 @@ class Tensor:
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        if _lazy_active():
-            return Tensor._from_lazy(_lazy.unary("neg", self._lazy_src()))
         out = _node(-self.data, (self,))
         if out._parents:
             def backward() -> None:
@@ -226,24 +154,12 @@ class Tensor:
         return out
 
     def __sub__(self, other) -> "Tensor":
-        if _lazy_active():
-            return Tensor._from_lazy(
-                _lazy.binary("sub", self._lazy_src(), _lazy_operand(other))
-            )
         return self + (-_as_tensor(other))
 
     def __rsub__(self, other) -> "Tensor":
-        if _lazy_active():
-            return Tensor._from_lazy(
-                _lazy.binary("sub", _lazy_operand(other), self._lazy_src())
-            )
         return _as_tensor(other) + (-self)
 
     def __mul__(self, other) -> "Tensor":
-        if _lazy_active():
-            return Tensor._from_lazy(
-                _lazy.binary("mul", self._lazy_src(), _lazy_operand(other))
-            )
         other = _as_tensor(other)
         out = _node(self.data * other.data, (self, other))
         if out._parents:
@@ -256,10 +172,6 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
-        if _lazy_active():
-            return Tensor._from_lazy(
-                _lazy.binary("div", self._lazy_src(), _lazy_operand(other))
-            )
         other = _as_tensor(other)
         out = _node(self.data / other.data, (self, other))
         if out._parents:
@@ -270,19 +182,11 @@ class Tensor:
         return out
 
     def __rtruediv__(self, other) -> "Tensor":
-        if _lazy_active():
-            return Tensor._from_lazy(
-                _lazy.binary("div", _lazy_operand(other), self._lazy_src())
-            )
         return _as_tensor(other) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
-        if _lazy_active():
-            return Tensor._from_lazy(
-                _lazy.unary("pow", self._lazy_src(), exponent=exponent)
-            )
         out = _node(self.data**exponent, (self,))
         if out._parents:
             def backward() -> None:
@@ -322,8 +226,6 @@ class Tensor:
     # elementwise functions
     # ------------------------------------------------------------------ #
     def exp(self) -> "Tensor":
-        if _lazy_active():
-            return Tensor._from_lazy(_lazy.unary("exp", self._lazy_src()))
         out = _node(np.exp(self.data), (self,))
         if out._parents:
             def backward() -> None:
@@ -332,8 +234,6 @@ class Tensor:
         return out
 
     def log(self) -> "Tensor":
-        if _lazy_active():
-            return Tensor._from_lazy(_lazy.unary("log", self._lazy_src()))
         out = _node(np.log(self.data), (self,))
         if out._parents:
             def backward() -> None:
@@ -345,8 +245,6 @@ class Tensor:
         return self**0.5
 
     def tanh(self) -> "Tensor":
-        if _lazy_active():
-            return Tensor._from_lazy(_lazy.unary("tanh", self._lazy_src()))
         out = _node(np.tanh(self.data), (self,))
         if out._parents:
             def backward() -> None:
@@ -355,13 +253,6 @@ class Tensor:
         return out
 
     def sigmoid(self) -> "Tensor":
-        if _lazy_active():
-            # Decomposed to the eager ufunc sequence: 1 / (1 + exp(-x)).
-            x = self._lazy_src()
-            denom = _lazy.binary(
-                "add", _lazy.const(1.0), _lazy.unary("exp", _lazy.unary("neg", x))
-            )
-            return Tensor._from_lazy(_lazy.binary("div", _lazy.const(1.0), denom))
         value = 1.0 / (1.0 + np.exp(-self.data))
         out = _node(value, (self,))
         if out._parents:
@@ -371,10 +262,6 @@ class Tensor:
         return out
 
     def relu(self) -> "Tensor":
-        if _lazy_active():
-            return Tensor._from_lazy(
-                _lazy.binary("maximum", self._lazy_src(), _lazy.const(0.0))
-            )
         out = _node(np.maximum(self.data, 0.0), (self,))
         if out._parents:
             def backward() -> None:
@@ -383,28 +270,15 @@ class Tensor:
         return out
 
     def gelu(self) -> "Tensor":
-        """Gaussian error linear unit (tanh approximation, as in BERT)."""
+        """Gaussian error linear unit (tanh approximation, as in BERT).
+
+        The cube is two multiplies, not ``x**3``: ``np.power`` has no fast
+        loop for a cube on common numpy builds (~60x ``x * x * x``), and
+        the two differ by a few ulps at most.
+        """
         c = math.sqrt(2.0 / math.pi)
-        if _lazy_active():
-            # The eager expression below, node for node — an 8-op chain
-            # (pow, mul, add, mul, tanh, add, mul, mul) fused into one
-            # kernel at the next realization point.
-            x = self._lazy_src()
-            cubed = _lazy.unary("pow", x, exponent=3)
-            inner = _lazy.binary(
-                "mul",
-                _lazy.binary(
-                    "add", x, _lazy.binary("mul", cubed, _lazy.const(0.044715))
-                ),
-                _lazy.const(c),
-            )
-            gate = _lazy.binary(
-                "add", _lazy.const(1.0), _lazy.unary("tanh", inner)
-            )
-            half = _lazy.binary("mul", x, _lazy.const(0.5))
-            return Tensor._from_lazy(_lazy.binary("mul", half, gate))
         x = self.data
-        inner = c * (x + 0.044715 * x**3)
+        inner = c * (x + 0.044715 * (x * x * x))
         t = np.tanh(inner)
         out = _node(0.5 * x * (1.0 + t), (self,))
         if out._parents:
@@ -484,16 +358,6 @@ def _as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _lazy_operand(value):
-    """A lazy-graph source for an op operand: a tensor's chain (or leaf),
-    a scalar constant, or a wrapped array."""
-    if isinstance(value, Tensor):
-        return value._lazy_src()
-    if isinstance(value, (int, float)):
-        return _lazy.const(value)
-    return _lazy.leaf(np.asarray(value, dtype=np.float64))
-
-
 def _node(data: np.ndarray, parents: tuple[Tensor, ...]) -> Tensor:
     """Create an op output; tracks parents only when the graph is active."""
     out = Tensor(data)
@@ -557,19 +421,7 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically-stable softmax built from primitive ops.
-
-    A forced realization point in lazy mode: any pending chain (the
-    attention ``scores * scale + mask`` pattern) realizes straight into the
-    softmax arena and a hand-fused kernel runs the same ufunc sequence as
-    the eager expression below (bitwise identical) in place on it — no
-    score-sized temporaries beyond the result.
-    """
-    if _lazy_active():
-        buf = x._lazybuf
-        if buf is not None:
-            return Tensor(_lazy.fused_softmax_graph(buf, axis=axis))
-        return Tensor(_lazy.fused_softmax(x.data, axis=axis))
+    """Numerically-stable softmax built from primitive ops."""
     shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
     exp = shifted.exp()
     return exp / exp.sum(axis=axis, keepdims=True)

@@ -47,10 +47,6 @@ class TransformerEncoderLayer(Module):
         self.dropout = Dropout(config.dropout, rng=rng)
 
     def forward(self, x: Tensor, attention_mask: np.ndarray | None = None) -> Tensor:
-        # Lazy-mode realization points land exactly on the sublayer seams:
-        # the residual adds record onto the sublayer's pending chain
-        # (bias-add, GELU tail) and each LayerNorm realizes them as one
-        # fused kernel, so nothing in between materializes a temporary.
         attended = self.attention(x, attention_mask)
         x = self.attention_norm(x + self.dropout(attended))
         ff = self.ffn_out(self.ffn_in(x).gelu())

@@ -9,8 +9,6 @@ import pytest
 
 from repro.core.engine import EmbeddingEngine, sketch_corpus
 from repro.core.inputs import batch_encodings
-from repro.nn import lazy
-from repro.nn.lazy import lazy_mode
 from repro.nn.tensor import no_grad
 from repro.sketch import sketch_table
 from repro.table.schema import table_from_rows
@@ -66,56 +64,21 @@ def test_wide_table_exceeds_budget(tiny_encoder, ragged_sketches):
     assert tiny_encoder.encode_table(wide).length > tiny_encoder.config.max_seq_len
 
 
-@pytest.mark.parametrize("lazy_enabled", [False, True], ids=["eager", "lazy"])
 @pytest.mark.parametrize("batch_size", [1, 2, 7])
 def test_batched_matches_sequential(
-    tiny_model, tiny_encoder, ragged_sketches, batch_size, lazy_enabled
+    tiny_model, tiny_encoder, ragged_sketches, batch_size
 ):
-    """The batched engine matches the sequential reference path in both
-    evaluation modes; the reference itself always runs eager (the oracle)."""
+    """The batched engine matches the sequential reference path."""
     engine = EmbeddingEngine(tiny_model, tiny_encoder, batch_size=batch_size)
-    with lazy_mode(lazy_enabled):
-        results = engine.embed_corpus(ragged_sketches)
+    results = engine.embed_corpus(ragged_sketches)
     assert len(results) == len(ragged_sketches)
     for sketch, result in zip(ragged_sketches, results):
-        with lazy_mode(False):
-            table_ref, columns_ref = _reference_embeddings(
-                tiny_model, tiny_encoder, sketch
-            )
+        table_ref, columns_ref = _reference_embeddings(
+            tiny_model, tiny_encoder, sketch
+        )
         assert np.allclose(result.table, table_ref, atol=ATOL)
         assert result.columns.shape == (sketch.n_cols, engine.dim)
         assert np.allclose(result.columns, columns_ref, atol=ATOL)
-
-
-@pytest.mark.parametrize("reduce_powers", [False, True], ids=["strict", "reduced"])
-def test_lazy_trunk_matches_eager(
-    tiny_model, tiny_encoder, ragged_sketches, reduce_powers
-):
-    """Full-trunk lazy-vs-eager equivalence across ragged batches, masked
-    attention, and the over-budget fallback (the wide table).
-
-    With integer-power strength reduction disabled the fused kernels run
-    the exact eager ufunc sequence, so embeddings are bitwise identical.
-    With it enabled (the default) the GELU ``x**3`` runs as repeated
-    multiplies — a <= 2 ulp deviation from ``np.power``, asserted here at
-    1e-10 absolute (observed ~1e-15)."""
-    engine = EmbeddingEngine(tiny_model, tiny_encoder, batch_size=3)
-    with lazy_mode(False):
-        eager = engine.embed_corpus(ragged_sketches)
-    previous = lazy.strength_reduce
-    lazy.strength_reduce = reduce_powers
-    try:
-        with lazy_mode(True):
-            fused = engine.embed_corpus(ragged_sketches)
-    finally:
-        lazy.strength_reduce = previous
-    for a, b in zip(eager, fused):
-        if reduce_powers:
-            assert np.allclose(b.table, a.table, atol=1e-10, rtol=0)
-            assert np.allclose(b.columns, a.columns, atol=1e-10, rtol=0)
-        else:
-            assert np.array_equal(b.table, a.table)
-            assert np.array_equal(b.columns, a.columns)
 
 
 def test_unbucketed_matches_bucketed(tiny_model, tiny_encoder, ragged_sketches):
@@ -229,18 +192,13 @@ def test_sketch_corpus_batched_matches_per_table(
             )
 
 
-@pytest.mark.parametrize("lazy_enabled", [False, True], ids=["eager", "lazy"])
 def test_concurrent_embed_batch_bitwise_identical(
-    tiny_model, tiny_encoder, ragged_sketches, lazy_enabled
+    tiny_model, tiny_encoder, ragged_sketches
 ):
     """The server's real concurrency: request threads calling
     ``embed_batch`` on one shared engine. It must change nothing: same
     embeddings to the bit, and an exact forward count (the counter is
-    lock-guarded against racing increments). The lazy leg additionally
-    races the threads through the shared fused-kernel cache.
-
-    ``lazy_mode`` is a per-thread override, so the threads themselves
-    follow the process-wide flag — set it globally for the lazy leg."""
+    lock-guarded against racing increments)."""
     n_threads = 4
     engine = EmbeddingEngine(tiny_model, tiny_encoder)
     batches = [ragged_sketches[i : i + 2] for i in range(0, len(ragged_sketches), 2)]
@@ -250,14 +208,10 @@ def test_concurrent_embed_batch_bitwise_identical(
         barrier.wait(timeout=30)
         return [engine.embed_batch(batch) for batch in batches]
 
-    lazy.set_lazy_enabled(lazy_enabled)
-    try:
-        sequential = [engine.embed_batch(batch) for batch in batches]
-        calls_before = engine.forward_calls
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            concurrent = list(pool.map(serve, range(n_threads), timeout=60))
-    finally:
-        lazy.set_lazy_enabled(None)
+    sequential = [engine.embed_batch(batch) for batch in batches]
+    calls_before = engine.forward_calls
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        concurrent = list(pool.map(serve, range(n_threads), timeout=60))
     assert engine.forward_calls - calls_before == n_threads * len(batches)
     for served in concurrent:
         for got_batch, want_batch in zip(served, sequential, strict=True):
@@ -306,7 +260,7 @@ def test_inference_paths_run_under_no_grad(
 
 def test_eval_dropout_is_true_identity():
     """Eval-mode (or p=0) dropout must return the *same* tensor — no copy,
-    no graph node, and no break in a recorded lazy chain."""
+    no graph node."""
     from repro.nn.layers import Dropout
     from repro.nn.tensor import Tensor
 
@@ -318,8 +272,3 @@ def test_eval_dropout_is_true_identity():
     zero_p = Dropout(0.0)  # identity even in training mode
     y = Tensor(np.ones(5))
     assert zero_p(y) is y
-
-    with no_grad(), lazy_mode(True):
-        chain = Tensor(np.ones(4)) * 2.0
-        assert layer(chain) is chain
-        assert not chain.is_realized  # the pending chain survived intact

@@ -288,39 +288,36 @@ def test_metrics_endpoint_negotiation_and_counters(served, lake_tables):
         conn.close()
 
 
-def test_fusion_counters_move_over_the_wire(served, lake_tables):
+def _prometheus_total(text: str, name: str) -> float:
+    return sum(
+        float(line.rsplit(" ", 1)[1])
+        for line in text.splitlines()
+        if line.startswith(name) and not line.startswith("#")
+    )
+
+
+def test_engine_counters_move_over_the_wire(served, lake_tables):
     """An external-payload query forces a fresh trunk forward on the server
-    thread; with the lazy engine on, the fused-kernel counters must move
-    and be visible through ``GET /v1/metrics``."""
+    thread; the engine's forward and token counters must move in both
+    ``GET /v1/metrics`` renderings, and no ``nn_*`` family is exposed."""
     from repro import obs
-    from repro.nn import lazy
 
     _, client = served
     obs.get_registry().reset()
-    # The forward runs on the server's handler thread, so the per-thread
-    # ``lazy_mode`` override cannot reach it — pin the process-wide flag
-    # (this is what $REPRO_NN_LAZY=1 does) and restore the env default.
-    lazy.set_lazy_enabled(True)
-    try:
-        source = lake_tables["g0t2"]
-        probe = source.with_columns(source.columns, name="fusion-probe")
-        client.query(DiscoveryRequest(mode="union", k=3, payload=probe))
-    finally:
-        lazy.set_lazy_enabled(None)
+    source = lake_tables["g0t2"]
+    probe = source.with_columns(source.columns, name="engine-probe")
+    client.query(DiscoveryRequest(mode="union", k=3, payload=probe))
 
     metrics = client.metrics()["metrics"]
-    for name in ("nn_fused_kernels_total", "nn_fused_softmax_total",
-                 "nn_fused_layernorm_total"):
+    text = client.metrics_text()
+    for name in ("engine_forwards_total", "engine_tokens_total"):
+        assert metrics[name]["type"] == "counter"
         total = sum(v["value"] for v in metrics[name]["values"])
         assert total >= 1, name
-    hits = sum(v["value"] for v in metrics["nn_fusion_cache_hits"]["values"])
-    misses = sum(v["value"] for v in metrics["nn_fusion_cache_misses"]["values"])
-    assert hits + misses >= 1
-    chain_ops = metrics["nn_ops_fused_per_chain"]
-    assert chain_ops["type"] == "histogram"
-    assert sum(v["count"] for v in chain_ops["values"]) >= 1
-    # And the Prometheus rendering carries them too.
-    assert "nn_fused_kernels_total" in client.metrics_text()
+        assert f"# TYPE {name} counter" in text
+        assert _prometheus_total(text, name) == total
+    assert not [name for name in metrics if name.startswith("nn_")]
+    assert "nn_fus" not in text
 
 
 def test_slow_queries_endpoint(served):
