@@ -13,9 +13,10 @@ Holds every table's :class:`LakeTableRecord` plus the live column index
   store writes, one manifest flush per touched shard;
 - a **remove** compacts the index in one pass and never touches the trunk;
 - attached to a :class:`~repro.lake.store.LakeStore`, every mutation is
-  persisted immediately — table artifacts *and* the built vector index
-  (per shard: only dirty shards rewrite) — so the on-disk lake is always
-  warm-loadable.
+  persisted immediately — table artifacts *and* the built vector index, in
+  one manifest flush per touched shard (a shard whose index changed
+  re-archives it, an append only re-stamps it) — so the on-disk lake is
+  always warm-loadable.
 
 The column index is a :class:`~repro.search.backend.ShardedIndex` with the
 store's shard count: queries fan ``query_many`` across the per-shard indexes
@@ -70,10 +71,12 @@ _INGEST_MS = obs.histogram(
 def _index_matches_records(index, records: "list[LakeTableRecord]") -> bool:
     """Does a restored index cover exactly the manifest's columns?
 
-    The table npz and index npz are flushed separately, so a crash between
-    the two can leave them out of step; serving such an index would return
-    ghost tables (or hide live ones). Comparing the (table, column)
-    multiset is O(total columns) — cheap next to deserialization.
+    The index archive and the table manifest are separate files, and a
+    store written by ``save_table`` then ``save_index`` (or by an older
+    build) flushes them separately, so a crash between the two can leave
+    them out of step; serving such an index would return ghost tables (or
+    hide live ones). Comparing the (table, column) multiset is O(total
+    columns) — cheap next to deserialization.
     """
     expected = Counter(
         (record.name, column)
@@ -148,8 +151,8 @@ class LakeCatalog:
         Shard-wise: every shard whose persisted index is *consistent with
         that shard's records* is deserialized and served as-is — zero
         per-column insertions. The rest (pre-upgrade stores, a dropped
-        artifact, or an index left behind by a crash between the table and
-        index flushes) are rebuilt from the records and persisted so the
+        artifact, or an index renamed in by a write whose manifest flush
+        never landed) are rebuilt from the records and persisted so the
         *next* open is warm — one torn shard artifact never forces a
         full-lake rebuild, and ``searcher.insertions`` counts exactly the
         rebuilt columns.
@@ -262,16 +265,15 @@ class LakeCatalog:
             record.name, record.column_names, record.column_vectors
         )
         if persist and self.store is not None:
-            self.store.save_table(record)
-            self._persist_index()
+            self.store.save_table(record, self.searcher.index)
 
     def _persist_index(self) -> None:
-        """Keep the on-disk index in lockstep with the live one, so a
-        mutation updates (never invalidates) the persisted artifact.
+        """Re-save the index apart from any table write — after a warm
+        open rebuilt shards, or a refresh. (Table writes hand the store the
+        live index instead, so its entry rides their one manifest flush.)
 
-        The store rewrites only the shards the delta touched (one for a
-        single-table delta), which keeps incremental persistence O(shard),
-        not O(lake).
+        The store rewrites only the dirty or out-of-step shards, which
+        keeps this O(shard), not O(lake).
         """
         if self.store is not None:
             self.store.save_index(self.searcher.index, self.index_spec)
@@ -300,9 +302,10 @@ class LakeCatalog:
         The whole delta is sketched in one batched pass (every distinct
         string hashed once; bit-identical to per-table sketching), embedded
         in ``ceil(N / batch_size)`` length-bucketed forwards, and written
-        to the store with one manifest flush per touched shard — shards
-        flush independently, so a crash loses at most one shard's
-        unflushed tail. Every stage runs in the calling thread.
+        to the store with one manifest flush per touched shard, which also
+        carries that shard's re-archived index — shards flush
+        independently, so a crash loses at most one shard's unflushed
+        tail. Every stage runs in the calling thread.
 
         Nothing is registered until every embedding has returned: a
         forward that raises leaves the catalog, the index and the store
@@ -323,21 +326,18 @@ class LakeCatalog:
                 self._register(record, persist=False)
                 records.append(record)
             if self.store is not None:
-                self.store.save_tables(records)
-                self._persist_index()
+                self.store.save_tables(records, self.searcher.index)
         if records:
             _TABLES_ADDED.inc(len(records))
             _INGEST_MS.observe(ingest.duration_ms)
         return records
 
-    def remove_table(self, name: str, persist_index: bool = True) -> bool:
+    def remove_table(self, name: str) -> bool:
         """Drop one table from index, registry, and store."""
         record = self.records.pop(name, None)
         self.searcher.remove_table(name)
         if self.store is not None:
-            self.store.remove_table(name)
-            if record is not None and persist_index:
-                self._persist_index()
+            self.store.remove_table(name, self.searcher.index)
         if record is not None:
             _TABLES_REMOVED.inc()
         return record is not None
@@ -367,8 +367,7 @@ class LakeCatalog:
             )
             self.records[table.name] = record
             if self.store is not None:
-                self.store.save_table(record)
-                self._persist_index()
+                self.store.save_table(record, self.searcher.index)
         _TABLES_UPDATED.inc()
         _INGEST_MS.observe(span.duration_ms)
         return record
@@ -428,11 +427,10 @@ class LakeCatalog:
             )
             self.records[name] = merged
             if self.store is not None:
-                self.store.save_table(merged)
-                # The index content didn't change, but the shard's table
-                # manifest did — the store re-saves that shard's artifact
-                # so the next open stays warm.
-                self._persist_index()
+                # The index content didn't change, so the store only
+                # re-stamps that shard's index entry in the same flush —
+                # no index.npz is written.
+                self.store.save_table(merged, self.searcher.index)
         _ROWS_APPENDED.inc(len(rows))
         return merged
 

@@ -44,21 +44,29 @@ top-level manifest), so :meth:`LakeStore.load_all` and
 :meth:`LakeStore.table_names` reproduce the exact global insertion order
 at any shard count — order, and therefore tie-breaking, is layout-invariant.
 
-Shards flush **independently** (atomic write-then-rename for both manifests
-and index archives), so a crash mid-ingest loses at most the unflushed tail
-of the shard being written; a shard whose manifest is torn beyond repair
-degrades to an empty shard with a warning at open time while every other
-shard stays warm.
+Manifests are compact single-line JSON (the C encoder; any JSON reader
+reads them). Every table write or remove costs **one** atomic manifest flush
+(write-then-rename) per touched shard: handed the live
+:class:`repro.search.backend.ShardedIndex`, the store lands the shard's
+table entries, its ``mutation_counter`` and its ``"index"`` entry in that
+same rename. An index the write changed is re-archived first
+(``index.tmp.npz`` -> ``index.npz``) and the archive carries the counter it
+was saved under, so a kill between the archive rename and the manifest flush
+reads as out of step and that shard rebuilds; an index the write did not
+change (an append) is only re-stamped in the manifest. A crash mid-ingest
+loses at most the unflushed tail of the shard being written; a shard whose
+manifest is torn beyond repair degrades to an empty shard with a warning at
+open time while every other shard stays warm.
 
-``save_index`` persists the *built* vector index — a
-:class:`repro.search.backend.ShardedIndex` — beside each shard's manifest.
-Only the shards the index reports dirty, or whose persisted artifact trails
-the shard's table manifest, are rewritten, so an incremental delta costs one
-shard's artifact, not N.
+``save_index`` persists the *built* index on its own (warm-open heal,
+refresh, reshard): only the shards the index reports dirty, or whose
+persisted artifact trails the shard's table manifest, are rewritten, so an
+incremental delta costs one shard's artifact, not N.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import warnings
@@ -88,12 +96,16 @@ from repro.search.backend import (
 )
 from repro.search.tables import ColumnEntry
 from repro.sketch.pipeline import TableSketch
-from repro.utils.io import ensure_dir, read_json, write_json
+from repro.utils.io import _jsonify, ensure_dir, read_json
 
 MANIFEST_NAME = "manifest.json"
 TABLES_DIR = "tables"
 INDEX_NAME = "index.npz"
 SHARDS_DIR = "shards"
+#: Write-then-rename staging names; a kill between the write and the rename
+#: leaves one behind, swept at the next open.
+_MANIFEST_TMP = "manifest.tmp.json"
+_INDEX_TMP = "index.tmp.npz"
 
 #: What a store owns at its root — everything else there (the model/vocab
 #: bundle) belongs to someone else. This is what ``reshard`` swaps and what
@@ -122,9 +134,13 @@ _FLUSH_MS = obs.histogram(
 
 def _write_manifest(path: Path, manifest: dict) -> None:
     # Write-then-rename: a crash mid-flush must leave the previous
-    # manifest intact, never a torn JSON file.
-    temporary = path.with_name("manifest.tmp.json")
-    write_json(temporary, manifest)
+    # manifest intact, never a torn JSON file. One ``dumps`` with no
+    # indent runs the C encoder; ``json.dump`` or ``indent`` would not.
+    temporary = path.with_name(_MANIFEST_TMP)
+    text = json.dumps(
+        manifest, separators=(",", ":"), sort_keys=True, default=_jsonify
+    )
+    temporary.write_text(text + "\n", encoding="utf-8")
     os.replace(temporary, path)
 
 
@@ -245,6 +261,16 @@ class LakeTableRecord:
         return list(zip(self.column_names, self.column_vectors))
 
 
+@dataclass(frozen=True)
+class _IndexUpdate:
+    """One shard's live sub-index, riding a table write's manifest flush."""
+
+    sub: VectorIndex
+    spec: IndexSpec
+    #: Mutated since it was last persisted (the shard is dirty).
+    changed: bool
+
+
 class LakeShard:
     """One self-contained shard: manifest + table archives + index.npz.
 
@@ -292,7 +318,8 @@ class LakeShard:
         _write_manifest(self.root / MANIFEST_NAME, self._manifest)
 
     def _sweep_orphans(self) -> None:
-        """Delete table archives the manifest does not reference.
+        """Delete table archives the manifest does not reference, and any
+        write-then-rename temporary a kill left behind.
 
         A crash inside the staged-replace window (:meth:`_write_table`)
         leaves exactly one orphan: either the freshly written replacement
@@ -301,6 +328,8 @@ class LakeShard:
         serves its new bytes). Either way the orphan is dead data whose id
         may be reallocated, so it goes at open time.
         """
+        for name in (_MANIFEST_TMP, _INDEX_TMP):
+            (self.root / name).unlink(missing_ok=True)
         live = {entry["file"] for entry in self._manifest["tables"]}
         for path in sorted((self.root / TABLES_DIR).glob("*.npz")):
             if f"{TABLES_DIR}/{path.name}" not in live:
@@ -373,17 +402,39 @@ class LakeShard:
         return value
 
     def save_tables(
-        self, records: list[LakeTableRecord], seqs: "list[int | None]"
+        self,
+        records: list[LakeTableRecord],
+        seqs: "list[int | None]",
+        index: _IndexUpdate | None = None,
     ) -> None:
         """Write tables' artifacts with a single manifest flush; a record
         replaces any same-named entry (its ``seq`` is then ignored — new
-        entries need one)."""
+        entries need one). With ``index``, the shard's index entry lands
+        in that same flush (:meth:`_commit`)."""
         with obs.span("store.flush", shard=self.shard_id) as flush:
+            was_in_step = self.index_in_step()
             for record, seq in zip(records, seqs):
                 self._write_table(record, seq)
-            self._flush()
-            self._drain_unlinks()
+            self._commit(index, was_in_step)
         _FLUSH_MS.labels(shard=str(self.shard_id)).observe(flush.duration_ms)
+
+    def _commit(self, index: _IndexUpdate | None, was_in_step: bool) -> None:
+        """The one manifest flush of a table write, then its staged unlinks.
+
+        An index the write changed — or one that was already out of step —
+        is archived first, stamped with the new counter, so a kill before
+        the flush leaves an archive :meth:`load_index` refuses. An
+        unchanged index that was in step is only re-stamped.
+        """
+        if index is not None:
+            if index.changed or not was_in_step:
+                self._write_index_archive(index.sub, index.spec)
+            else:
+                self._manifest["index"]["mutation_counter"] = self._manifest[
+                    "mutation_counter"
+                ]
+        self._flush()
+        self._drain_unlinks()
 
     def load_table(self, name: str) -> LakeTableRecord:
         entry = self._entry(name)
@@ -407,10 +458,11 @@ class LakeShard:
             embedding_stale=bool(entry.get("embedding_stale", False)),
         )
 
-    def remove_table(self, name: str) -> bool:
+    def remove_table(self, name: str, index: _IndexUpdate | None = None) -> bool:
         entry = self._entry(name)
         if entry is None:
             return False
+        was_in_step = self.index_in_step()
         self._manifest["tables"].remove(entry)
         del self._by_name[name]
         self._bump_mutation_counter()
@@ -418,8 +470,7 @@ class LakeShard:
         # unreferenced archive (swept at the next open), never an entry
         # that points at a missing file.
         self._pending_unlink.append(self.root / entry["file"])
-        self._flush()
-        self._drain_unlinks()
+        self._commit(index, was_in_step)
         return True
 
     # ------------------------------------------------------------------ #
@@ -431,20 +482,25 @@ class LakeShard:
         Keys are :class:`~repro.search.tables.ColumnEntry` rows (the
         index's ``state_keys``), encoded as two aligned string arrays; the
         spec, index meta, a state version, and the manifest's current
-        mutation counter ride in the manifest, so a layout change or a
-        crash between the table and index flushes can never be misread as a
-        valid index.
+        mutation counter ride in the manifest — the counter in the archive
+        too — so a layout change or a crash between the archive and the
+        manifest flush can never be misread as a valid index.
         """
         with obs.span("store.flush_index", shard=self.shard_id) as flush:
-            self._save_index(index, spec)
+            self._write_index_archive(index, spec)
+            self._flush()
         _FLUSH_MS.labels(shard=str(self.shard_id)).observe(flush.duration_ms)
 
-    def _save_index(self, index: VectorIndex, spec: IndexSpec) -> None:
+    def _write_index_archive(self, index: VectorIndex, spec: IndexSpec) -> None:
+        """Rename a fresh ``index.npz`` into place and point the in-memory
+        manifest at it; the caller flushes."""
         arrays, meta = index.state_arrays()
         keys = index.state_keys()
         arrays = dict(arrays)
+        counter = int(self._manifest.get("mutation_counter", 0))
         # Dunder-namespaced so no index state array can collide.
-        collisions = {"__key_tables", "__key_columns"} & arrays.keys()
+        reserved = {"__key_tables", "__key_columns", "__mutation_counter"}
+        collisions = reserved & arrays.keys()
         if collisions:
             raise ValueError(
                 f"index state arrays use reserved names {sorted(collisions)}"
@@ -455,11 +511,12 @@ class LakeShard:
         arrays["__key_columns"] = np.asarray(
             [entry.column for entry in keys], dtype=str
         )
+        arrays["__mutation_counter"] = np.asarray(counter, dtype=np.int64)
         path = self.root / INDEX_NAME
         # Write-then-rename: a crash mid-write must never leave a torn
         # archive under the live name. (The tmp name keeps the .npz
         # extension — np.savez appends one otherwise.)
-        temporary = path.with_name("index.tmp.npz")
+        temporary = path.with_name(_INDEX_TMP)
         np.savez(temporary, **arrays)
         os.replace(temporary, path)
         self._manifest["index"] = {
@@ -469,9 +526,11 @@ class LakeShard:
             "file": INDEX_NAME,
             "n_keys": len(keys),
             "disk_bytes": int(path.stat().st_size),
-            "mutation_counter": int(self._manifest.get("mutation_counter", 0)),
+            # Re-stamped by every write that leaves the index as it was;
+            # ``archive_counter`` stays what the archive itself carries.
+            "mutation_counter": counter,
+            "archive_counter": counter,
         }
-        self._flush()
 
     def index_in_step(self) -> bool:
         """Was the persisted index saved under the table manifest's current
@@ -486,8 +545,11 @@ class LakeShard:
     def load_index(self, dim: int) -> "VectorIndex | None":
         """Restore the persisted index, or ``None`` when absent/stale
         (missing file, unknown state version, or out of step with the
-        table manifest — the torn-write case) — callers fall back to a
-        rebuild from the table records."""
+        table manifest — the torn-write case, caught by the entry's
+        ``mutation_counter``, or by an archive whose own
+        ``__mutation_counter`` is not the entry's ``archive_counter``; an
+        archive without one keeps the manifest's word) — callers fall back
+        to a rebuild from the table records."""
         if not self.index_in_step():
             return None
         entry = self._manifest["index"]
@@ -501,6 +563,9 @@ class LakeShard:
             # a file it opened itself to the GC (a ResourceWarning).
             with open(path, "rb") as handle, np.load(handle) as archive:
                 arrays = {key: archive[key] for key in archive.files}
+            stamped = arrays.pop("__mutation_counter", None)
+            if stamped is not None and int(stamped) != entry.get("archive_counter"):
+                return None  # renamed in, but its manifest flush never landed
             keys = [
                 ColumnEntry(str(table), str(column))
                 for table, column in zip(
@@ -622,6 +687,7 @@ class LakeStore:
                 "next_seq": 1,
             }
             _write_manifest(self.root / MANIFEST_NAME, top)
+        (self.root / _MANIFEST_TMP).unlink(missing_ok=True)
         self.n_shards = n_shards
         self._top = top
         self.shards = [self._open_shard(k) for k in range(n_shards)]
@@ -643,7 +709,7 @@ class LakeStore:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        for name in (MANIFEST_NAME, "manifest.tmp.json", INDEX_NAME, "index.tmp.npz"):
+        for name in (MANIFEST_NAME, _MANIFEST_TMP, INDEX_NAME, _INDEX_TMP):
             path = shard_root / name
             if path.exists():
                 path.unlink()
@@ -703,13 +769,23 @@ class LakeStore:
         return self.shards[self.shard_id(name)]
 
     # ------------------------------------------------------------------ #
-    def save_table(self, record: LakeTableRecord) -> None:
+    def save_table(
+        self, record: LakeTableRecord, index: ShardedIndex | None = None
+    ) -> None:
         """Write one table's artifacts; replaces any same-named entry."""
-        self.save_tables([record])
+        self.save_tables([record], index)
 
-    def save_tables(self, records: list[LakeTableRecord]) -> None:
+    def save_tables(
+        self, records: list[LakeTableRecord], index: ShardedIndex | None = None
+    ) -> None:
         """Bulk save; one manifest flush per touched shard, so a crash
-        mid-write loses at most each shard's unflushed tail."""
+        mid-write loses at most each shard's unflushed tail.
+
+        ``index`` is the live index, when the caller keeps one: each
+        touched shard's index entry then lands in that same flush (an
+        unchanged index is re-stamped, a changed one re-archived), so the
+        store needs no :meth:`save_index` afterwards.
+        """
         fresh = [
             record.name
             for record in records
@@ -727,8 +803,43 @@ class LakeStore:
             )
             shard_records.append(record)
             shard_seqs.append(seq_by_name.get(record.name))
+        updates = self._index_updates(index, groups)
         for shard_id, (shard_records, shard_seqs) in groups.items():
-            self.shards[shard_id].save_tables(shard_records, shard_seqs)
+            self.shards[shard_id].save_tables(
+                shard_records, shard_seqs, updates.get(shard_id)
+            )
+        self._settle_index(index, groups)
+
+    def _index_updates(
+        self, index: ShardedIndex | None, shard_ids
+    ) -> dict[int, _IndexUpdate]:
+        """What each of ``shard_ids`` persists of ``index`` in its flush."""
+        if index is None:
+            return {}
+        self._check_index_shape(index)
+        spec = self.index_spec() or IndexSpec()
+        self.record_index_spec(spec)  # a no-op once recorded
+        dirty = index.dirty_shards()
+        return {
+            shard_id: _IndexUpdate(index.subs[shard_id], spec, shard_id in dirty)
+            for shard_id in shard_ids
+        }
+
+    def _settle_index(self, index: ShardedIndex | None, touched) -> None:
+        """After a write's flushes: the touched shards' index entries landed
+        with them; a shard the write did not touch whose index is dirty or
+        not on disk yet (an empty shard of a fresh store) is saved on its
+        own — in steady state there is none."""
+        if index is not None:
+            index.mark_clean(touched)
+            self.save_index(index, self.index_spec())
+
+    def _check_index_shape(self, index) -> None:
+        if not isinstance(index, ShardedIndex) or index.n_shards != self.n_shards:
+            raise ValueError(
+                f"a {self.n_shards}-shard store persists a ShardedIndex with "
+                f"matching shard count, got {type(index).__name__}"
+            )
 
     def load_table(self, name: str) -> LakeTableRecord:
         return self._shard_for(name).load_table(name)
@@ -749,8 +860,14 @@ class LakeStore:
         for shard, entry in self._ordered_entries():
             yield shard._load_entry(entry)
 
-    def remove_table(self, name: str) -> bool:
-        return self._shard_for(name).remove_table(name)
+    def remove_table(self, name: str, index: ShardedIndex | None = None) -> bool:
+        """Forget one table; with the live ``index``, its shard's index
+        entry lands in the same manifest flush (see :meth:`save_tables`)."""
+        shard_id = self.shard_id(name)
+        update = self._index_updates(index, [shard_id]).get(shard_id)
+        removed = self.shards[shard_id].remove_table(name, update)
+        self._settle_index(index, [shard_id] if removed else [])
+        return removed
 
     # ------------------------------------------------------------------ #
     def reshard(self, n_shards: int, fingerprint: str, build_indexes) -> int:
@@ -811,11 +928,7 @@ class LakeStore:
         incremental delta therefore costs one shard's artifact, not N, and
         after this call every shard warm-opens.
         """
-        if not isinstance(index, ShardedIndex) or index.n_shards != self.n_shards:
-            raise ValueError(
-                f"a {self.n_shards}-shard store persists a ShardedIndex with "
-                f"matching shard count, got {type(index).__name__}"
-            )
+        self._check_index_shape(index)
         self.record_index_spec(spec)
         stale = sorted(
             index.dirty_shards()

@@ -308,8 +308,13 @@ class ShardedIndex:
         """Sub-indexes mutated since the last :meth:`mark_clean`."""
         return set(self._dirty)
 
-    def mark_clean(self) -> None:
-        self._dirty.clear()
+    def mark_clean(self, shards: Iterable[int] | None = None) -> None:
+        """Forget the mutations of ``shards`` (default: all) — their
+        artifacts were just persisted."""
+        if shards is None:
+            self._dirty.clear()
+        else:
+            self._dirty.difference_update(shards)
 
     def state_keys(self) -> list:
         raise NotImplementedError(

@@ -12,9 +12,13 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
+import shutil
+from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.core.embed import TableEmbedder
@@ -76,10 +80,18 @@ def _assert_same_answers(actual: dict, expected: dict) -> None:
             )
 
 
-@pytest.fixture(scope="session")
-def flat_fixture() -> SimpleNamespace:
-    """The committed flat-layout lake (`data/flat_store`, written by the
-    last commit that had that layout) and the answers that commit served.
+def _load_recipe(name: str):
+    """`data/<name>/make_fixture.py` as a module."""
+    path = Path(__file__).parent / "data" / name / "make_fixture.py"
+    spec = importlib.util.spec_from_file_location(f"{name}_make_fixture", path)
+    recipe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(recipe)
+    return recipe
+
+
+def _committed_fixture(name: str) -> SimpleNamespace:
+    """A committed lake under `data/<name>/`, written by an older commit,
+    and the answers that commit served.
 
     ``lake``: the store + weight bundle (read-only — copy before opening);
     ``expected``: `expected.json`; ``build_state(catalog)``: the mutation
@@ -87,12 +99,8 @@ def flat_fixture() -> SimpleNamespace:
     service answers as that commit did (order, versions, counts, top-3
     rankings per mode — names exactly, scores to 1e-9).
     """
-    root = Path(__file__).parent / "data" / "flat_store"
-    spec = importlib.util.spec_from_file_location(
-        "flat_store_make_fixture", root / "make_fixture.py"
-    )
-    recipe = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(recipe)
+    root = Path(__file__).parent / "data" / name
+    recipe = _load_recipe("flat_store")
     expected = json.loads((root / "expected.json").read_text())
     return SimpleNamespace(
         lake=root / "lake",
@@ -102,3 +110,64 @@ def flat_fixture() -> SimpleNamespace:
             recipe.recorded_answers(service), expected
         ),
     )
+
+
+@pytest.fixture(scope="session")
+def flat_fixture() -> SimpleNamespace:
+    """The flat-layout lake (`data/flat_store`, written by the last commit
+    that had that layout); see :func:`_committed_fixture`."""
+    return _committed_fixture("flat_store")
+
+
+@pytest.fixture(scope="session")
+def sharded_fixture() -> SimpleNamespace:
+    """A 4-shard lake with pretty-printed manifests and counter-less
+    ``index.npz`` archives (`data/sharded_store`, written by the last commit
+    before compact manifests); see :func:`_committed_fixture`."""
+    return _committed_fixture("sharded_store")
+
+
+# --------------------------------------------------------------------- #
+# The every-k kill shim
+# --------------------------------------------------------------------- #
+class _Killed(Exception):
+    pass
+
+
+@contextmanager
+def _killed_at_call(k: int):
+    """Make the k-th file operation inside the block raise instead of
+    running — the file system is left as after a kill just before it.
+
+    Counted: ``os.replace`` / ``os.rename`` / ``shutil.move`` (renames),
+    ``np.savez`` (archive writes) and ``os.unlink`` (which ``Path.unlink``
+    calls). The kill ends the block quietly; ``.fired`` says whether it
+    happened (``False``: the block ran to the end in fewer than k calls).
+    """
+    state = SimpleNamespace(calls=0, fired=False)
+
+    def guarded(real):
+        def wrapper(*args, **kwargs):
+            state.calls += 1
+            if state.calls == k:
+                raise _Killed(f"killed at file operation {k}")
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as patch:
+        for owner, name in (
+            (os, "replace"), (os, "rename"), (shutil, "move"),
+            (np, "savez"), (os, "unlink"),
+        ):
+            patch.setattr(owner, name, guarded(getattr(owner, name)))
+        try:
+            yield state
+        except _Killed:
+            state.fired = True
+
+
+@pytest.fixture()
+def kill_at():
+    """``with kill_at(k) as kill: ...`` — see :func:`_killed_at_call`."""
+    return _killed_at_call

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import shutil
 from dataclasses import replace
 from pathlib import Path
@@ -109,33 +108,8 @@ def test_second_open_changes_no_file(flat_lake, flat_fixture):
     assert _digests(flat_lake) == before
 
 
-class _Killed(Exception):
-    pass
-
-
-def _kill_at_kth_rename(monkeypatch, k: int) -> list[int]:
-    """Make the k-th `os.replace` / `os.rename` / `shutil.move` raise (the
-    file stays where it was, as after a kill just before the call).
-    Returns a one-element call counter."""
-    calls = [0]
-
-    def guarded(real):
-        def wrapper(*args, **kwargs):
-            calls[0] += 1
-            if calls[0] == k:
-                raise _Killed(f"killed at rename {k}")
-            return real(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(os, "replace", guarded(os.replace))
-    monkeypatch.setattr(os, "rename", guarded(os.rename))
-    monkeypatch.setattr(shutil, "move", guarded(shutil.move))
-    return calls
-
-
 def test_conversion_killed_at_any_step_is_finished_by_the_next_open(
-    tmp_path, flat_fixture
+    tmp_path, flat_fixture, kill_at
 ):
     n_tables = flat_fixture.expected["counts"]["n_tables"]
     k = 0
@@ -143,14 +117,10 @@ def test_conversion_killed_at_any_step_is_finished_by_the_next_open(
         k += 1
         root = tmp_path / f"killed-at-{k}"
         shutil.copytree(flat_fixture.lake, root)
-        with pytest.MonkeyPatch.context() as patch:
-            calls = _kill_at_kth_rename(patch, k)
-            try:
-                _open(root)
-            except _Killed:
-                pass
-        if calls[0] < k:
-            break  # the open finished without ever reaching a k-th rename
+        with kill_at(k) as kill:
+            _open(root)
+        if not kill.fired:
+            break  # the open finished without ever reaching a k-th call
         _assert_serves_warm(_open(root), flat_fixture)
         _assert_converted(root, n_tables)
     assert k > 4, "tables, index, shard manifest and root manifest at least"

@@ -246,10 +246,10 @@ def test_drop_index_keeps_spec(tmp_path):
 def test_save_index_heals_a_shard_whose_table_manifest_moved_on(
     tmp_path, city_table, product_table, tiny_sketch_config
 ):
-    """`save_table` then `save_index` with an index nobody touched — the
-    public sequence an append performs: the table write bumped that
-    shard's mutation counter, so its persisted index would be rejected at
-    the next open unless `save_index` re-saves it, dirty or not."""
+    """`save_table` without the live index, then `save_index` with an index
+    nobody touched: the table write bumped that shard's mutation counter,
+    so its persisted index would be rejected at the next open unless
+    `save_index` re-saves it, dirty or not."""
     store = LakeStore(tmp_path, "fp")
     records = [_record(t, tiny_sketch_config) for t in (city_table, product_table)]
     store.save_tables(records)
