@@ -22,11 +22,14 @@ is that serving substrate:
   facade (join/union/subset, batching, LRU query-embedding cache),
   answering the same schema in-process; ``LakeService.open`` warm-loads a
   lake directory;
+- :mod:`repro.lake.wire` — the one HTTP/1.1 framing every hop speaks (head
+  parser, request/response encoders, the keep-alive accept loop, the
+  read-only retry rule);
 - :mod:`repro.lake.server` — :class:`LakeServer` / :class:`ServerThread`,
   the stdlib asyncio HTTP/1.1 front-end (``POST /v1/query``, batch,
   ingest, stats, healthz);
-- :mod:`repro.lake.client` — :class:`LakeClient`, the ``http.client`` SDK
-  that round-trips the same dataclasses over the wire;
+- :mod:`repro.lake.client` — :class:`LakeClient`, the socket SDK that
+  round-trips the same dataclasses over the wire;
 - :mod:`repro.lake.target` — :class:`ServiceTarget` / :class:`ClientTarget`,
   one op surface over an in-process service or a remote server (what the
   CLI's ``--lake`` / ``--server`` and the lakegen driver run against);

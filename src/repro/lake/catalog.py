@@ -180,7 +180,9 @@ class LakeCatalog:
                     record.name, record.column_names, record.column_vectors
                 )
         if rebuild:
-            catalog._persist_index()
+            # No table write to ride on: save the index by itself (the
+            # store rewrites only the dirty or out-of-step shards).
+            store.save_index(catalog.searcher.index, catalog.index_spec)
         return catalog
 
     # ------------------------------------------------------------------ #
@@ -204,8 +206,16 @@ class LakeCatalog:
         return results
 
     def _build_record(
-        self, table: Table, sketch: TableSketch, embeddings: TableEmbeddings
+        self,
+        sketch: TableSketch,
+        embeddings: TableEmbeddings,
+        n_rows: int,
+        table: Table | None = None,
+        **fields,
     ) -> LakeTableRecord:
+        """A record serving ``embeddings``' final column vectors. ``table``
+        (the raw values) is only needed for the SBERT half; a refresh
+        re-embeds from the stored sketch without it."""
         vectors = finalize_column_vectors(
             embeddings.columns, sketch, sbert=self.sbert, table=table
         )
@@ -218,13 +228,14 @@ class LakeCatalog:
             sketch=sketch,
             column_vectors=stacked,
             table_embedding=embeddings.table,
-            n_rows=table.n_rows,
+            n_rows=n_rows,
+            **fields,
         )
 
     def _compute_record(self, table: Table) -> LakeTableRecord:
         sketch = sketch_table(table, self.sketch_config, self._hasher)
         embeddings = self._embed_sketches([sketch])[0]
-        return self._build_record(table, sketch, embeddings)
+        return self._build_record(sketch, embeddings, table.n_rows, table)
 
     def column_vector_pairs(
         self, table: Table, sketch: TableSketch
@@ -266,17 +277,6 @@ class LakeCatalog:
         )
         if persist and self.store is not None:
             self.store.save_table(record, self.searcher.index)
-
-    def _persist_index(self) -> None:
-        """Re-save the index apart from any table write — after a warm
-        open rebuilt shards, or a refresh. (Table writes hand the store the
-        live index instead, so its entry rides their one manifest flush.)
-
-        The store rewrites only the dirty or out-of-step shards, which
-        keeps this O(shard), not O(lake).
-        """
-        if self.store is not None:
-            self.store.save_index(self.searcher.index, self.index_spec)
 
     # ------------------------------------------------------------------ #
     def add_table(self, table: Table) -> LakeTableRecord:
@@ -322,7 +322,7 @@ class LakeCatalog:
             embeddings = self._embed_sketches(sketches, batch_size=batch_size)
             records = []
             for table, sketch, embedding in zip(ordered, sketches, embeddings):
-                record = self._build_record(table, sketch, embedding)
+                record = self._build_record(sketch, embedding, table.n_rows, table)
                 self._register(record, persist=False)
                 records.append(record)
             if self.store is not None:
@@ -472,22 +472,12 @@ class LakeCatalog:
             refreshed = []
             for name, embedding in zip(names, embeddings):
                 record = self.records[name]
-                vectors = finalize_column_vectors(
-                    embedding.columns, record.sketch, sbert=self.sbert, table=None
-                )
-                stacked = (
-                    np.stack([vector for _, vector in vectors])
-                    if vectors
-                    else np.zeros((0, self.dim))
-                )
-                fresh = LakeTableRecord(
-                    sketch=record.sketch,
-                    column_vectors=stacked,
-                    table_embedding=embedding.table,
-                    n_rows=record.n_rows,
+                fresh = self._build_record(
+                    record.sketch,
+                    embedding,
+                    record.n_rows,
                     metadata=dict(record.metadata),
                     version=record.version,
-                    embedding_stale=False,
                 )
                 self.records[name] = fresh
                 self.searcher.remove_table(name)
@@ -496,8 +486,8 @@ class LakeCatalog:
                 )
                 refreshed.append(fresh)
             if persist and self.store is not None:
-                self.store.save_tables(refreshed)
-                self._persist_index()
+                # One flush per touched shard, carrying its re-archived index.
+                self.store.save_tables(refreshed, self.searcher.index)
         return names
 
     # ------------------------------------------------------------------ #

@@ -1,4 +1,4 @@
-"""`LakeClient` — the `http.client`-based SDK for a remote lake.
+"""`LakeClient` — the SDK for a remote lake.
 
 Round-trips the exact dataclasses of :mod:`repro.lake.api`: a
 :class:`~repro.lake.api.DiscoveryRequest` goes out as JSON, the ranked
@@ -11,10 +11,13 @@ re-raise as the same :class:`~repro.lake.api.DiscoveryError` the service
 would have raised locally. :mod:`repro.lake.target` puts both behind one
 op surface (:class:`~repro.lake.target.ClientTarget` wraps a client).
 
-One keep-alive connection per client, guarded by a lock (HTTP/1.1
-pipelining is not attempted); a connection dropped by the server mid-idle
-is transparently re-dialed once. For concurrent load, use one client per
-thread — they are cheap.
+One keep-alive socket per client, guarded by a lock (HTTP/1.1 pipelining
+is not attempted), framed by :mod:`repro.lake.wire` like every other hop:
+each request is one ``sendall`` of :func:`~repro.lake.wire.encode_request`,
+each response the shared head parser plus an exact body read. A failed
+exchange is re-dialled once when the request never went out or its route
+is read-only (:func:`~repro.lake.wire.is_read_only`). For concurrent load,
+use one client per thread — they are cheap.
 
 Every request is stamped with an ``X-Request-Id`` header (caller-supplied
 via ``query(..., request_id=...)`` or freshly generated), the server binds
@@ -25,7 +28,6 @@ call, the server's access-log line, and the slow-query entry.
 
 from __future__ import annotations
 
-import http.client
 import json
 import socket
 import threading
@@ -39,6 +41,7 @@ from repro.lake.api import (
     bad_request,
     table_to_dict,
 )
+from repro.lake.wire import encode_request, is_read_only, parse_head
 from repro.table.schema import Table
 
 DEFAULT_TIMEOUT = 60.0
@@ -82,23 +85,27 @@ class LakeClient:
         )
         self.read_timeout = read_timeout if read_timeout is not None else timeout
         self._lock = threading.Lock()
-        self._conn: http.client.HTTPConnection | None = None
+        self._sock: socket.socket | None = None
         #: ``X-Request-Id`` echoed by the server on the last exchange.
         self.last_request_id: str | None = None
 
     # ------------------------------------------------------------------ #
-    def _connection(self) -> http.client.HTTPConnection:
-        if self._conn is None:
-            conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.connect_timeout
+    def _socket(self) -> socket.socket:
+        if self._sock is None:
+            # Dial under the connect deadline, then move the socket to the
+            # (usually longer) read deadline for every exchange.
+            sock = socket.create_connection(
+                (self.host, self.port), self.connect_timeout
             )
-            # Dial eagerly under the connect deadline, then move the socket
-            # to the (usually longer) read deadline for every exchange.
-            conn.connect()
-            if conn.sock is not None:
-                conn.sock.settimeout(self.read_timeout)
-            self._conn = conn
-        return self._conn
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.settimeout(self.read_timeout)
+            self._sock = sock
+        return self._sock
+
+    def _hang_up(self) -> None:
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
 
     def _timeout_error(self, method: str, path: str) -> DiscoveryError:
         return DiscoveryError(
@@ -109,9 +116,7 @@ class LakeClient:
 
     def close(self) -> None:
         with self._lock:
-            if self._conn is not None:
-                self._conn.close()
-                self._conn = None
+            self._hang_up()
 
     def __enter__(self) -> "LakeClient":
         return self
@@ -127,54 +132,45 @@ class LakeClient:
         request_id: str | None = None,
         expect_json: bool = True,
     ):
-        body = json.dumps(payload).encode("utf-8") if payload is not None else None
-        headers = {"Content-Type": "application/json"} if body else {}
+        body = json.dumps(payload).encode("utf-8") if payload is not None else b""
         # Caller-supplied id wins; else propagate the trace-bound one (an
         # in-process pipeline calling out keeps one id end to end); else mint.
         rid = request_id or obs.request_id() or obs.new_request_id()
-        headers["X-Request-Id"] = rid
-        echoed: str | None = None
+        headers = {"Host": f"{self.host}:{self.port}", "X-Request-Id": rid}
+        if body:
+            headers["Content-Type"] = "application/json"
+        request = encode_request(method, path, headers, body)
         with self._lock:
             for attempt in (0, 1):
                 sent = False
                 try:
-                    conn = self._connection()
-                    conn.request(method, path, body=body, headers=headers)
+                    sock = self._socket()
+                    sock.sendall(request)
                     sent = True
-                    response = conn.getresponse()
-                    raw = response.read()
-                    status = response.status
-                    echoed = response.getheader("X-Request-Id")
+                    status, reply, raw = _receive(sock)
                     break
-                except (
-                    http.client.HTTPException,
-                    ConnectionError,
-                    socket.timeout,
-                    OSError,
-                ) as exc:
-                    if self._conn is not None:
-                        self._conn.close()
-                        self._conn = None
+                except (OSError, ValueError) as exc:
+                    self._hang_up()
                     # Re-dial once, but only when the retry cannot double-
-                    # apply: the request never went out (a stale keep-alive
-                    # connection failing at send time), or the route is
-                    # read-only (GETs and the side-effect-free query
-                    # POSTs). A mutation (/v1/tables ingest or DELETE)
-                    # that failed *after* sending may already have executed
-                    # server-side — retrying could ingest twice or turn a
-                    # successful remove into a spurious not-found — so it
-                    # surfaces instead.
-                    read_only = method == "GET" or path in (
-                        "/v1/query",
-                        "/v1/query_batch",
-                    )
-                    if attempt or not ((not sent) or read_only):
-                        # Socket deadlines surface as the typed taxonomy;
-                        # refused/reset connections stay OSError.
-                        if isinstance(exc, (socket.timeout, TimeoutError)):
+                    # apply: the request never went out, or the route is
+                    # read-only. A mutation that failed *after* sending may
+                    # already have executed server-side — retrying could
+                    # ingest twice or turn a successful remove into a
+                    # spurious not-found — so it surfaces instead.
+                    if attempt or (sent and not is_read_only(method, path)):
+                        # Socket deadlines surface as the typed taxonomy and
+                        # an unframeable answer as internal; refused/reset
+                        # connections stay OSError.
+                        if isinstance(exc, TimeoutError):
                             raise self._timeout_error(method, path) from exc
+                        if isinstance(exc, ValueError):
+                            raise DiscoveryError(
+                                "internal", f"unframeable server response: {exc}"
+                            ) from None
                         raise
-        self.last_request_id = echoed or rid
+            if reply.get("connection", "").lower() == "close":
+                self._hang_up()
+        self.last_request_id = reply.get("x-request-id") or rid
         if not expect_json and status < 400:
             return raw.decode("utf-8")
         try:
@@ -300,6 +296,21 @@ class LakeClient:
             return self.healthz().get("status") == "ok"
         except (DiscoveryError, OSError):
             return False
+
+
+def _receive(sock: socket.socket) -> tuple[int, dict, bytes]:
+    """One response: the head through the shared parser, then exactly its
+    Content-Length of body."""
+    data, end, need = bytearray(), -1, None
+    while need is None or len(data) < need:
+        chunk = sock.recv(65536)
+        if not chunk:
+            raise ConnectionResetError("server closed the connection before answering")
+        data += chunk
+        if need is None and (end := data.find(b"\r\n\r\n")) >= 0:
+            (_, status, _), headers, length = parse_head(data[:end])
+            need = end + 4 + length
+    return int(status), headers, bytes(data[end + 4 : need])
 
 
 __all__ = ["LakeClient", "API_VERSION", "DEFAULT_TIMEOUT", "parse_host_port"]

@@ -1,11 +1,12 @@
 """`repro.lake.frontend` — a round-robin proxy over N lake replicas.
 
-The thinnest possible fan-out layer, stdlib asyncio only: one accept loop
-frames HTTP/1.1 requests with the same code as :class:`~repro.lake.server.
-LakeServer` (:func:`~repro.lake.server.read_request` — so an unframeable
-request gets the same typed 400 here as there) and relays each one to the
-next backend in rotation over a pooled keep-alive connection. Response
-bodies are relayed **verbatim** — the frontend never re-encodes JSON, so
+The thinnest possible fan-out layer, stdlib asyncio only. Every hop is
+framed by :mod:`repro.lake.wire`: the listener runs the same keep-alive
+loop as :class:`~repro.lake.server.LakeServer` (so an unframeable request
+gets the same typed 400 here as there), and each request is relayed to the
+next backend in rotation over a pooled keep-alive connection with the same
+encoder and head parser. Response bodies are relayed **verbatim** — the
+frontend only re-frames the head and never re-encodes JSON, so
 ranked hits coming back through it are byte-identical to what the replica
 produced (which is in turn byte-identical to the in-process service; the
 parity chain ``bench_replicated_lake`` and the CI smoke assert).
@@ -16,9 +17,9 @@ Behavior:
   keep-alive benchmark client still exercises every backend.
 - **Failover for safe requests**: a backend that cannot be reached (or
   dies before answering) is skipped and the request retried on the next
-  one — but only for read-only routes (GETs and the side-effect-free
-  query POSTs), mirroring :class:`~repro.lake.client.LakeClient`'s
-  retry rule. With every backend down, the typed ``unavailable``
+  one — but only for read-only routes (:func:`repro.lake.wire.
+  is_read_only`, the rule :class:`~repro.lake.client.LakeClient`
+  retries by). With every backend down, the typed ``unavailable``
   envelope (503) goes back to the caller.
 - **Health-aware routing** (opt-in via ``health_interval``): a timer
   task probes every backend's ``GET /v1/stats`` on the interval. Probes
@@ -46,13 +47,16 @@ import json
 from repro import obs
 from repro.lake.api import API_VERSION, DiscoveryError
 from repro.lake.client import parse_host_port
-from repro.lake.server import (
-    BadFrame,
-    LoopThread,
-    bad_frame_response,
+from repro.lake.server import LoopThread
+from repro.lake.wire import (
+    JSON,
+    encode_json,
+    encode_request,
     encode_response,
     error_payload,
-    read_request,
+    is_read_only,
+    read_message,
+    serve_connection,
 )
 
 _PROXIED = obs.counter(
@@ -72,13 +76,8 @@ _UNHEALTHY_SKIPS = obs.counter(
 #: Per-probe deadline (connect + response), seconds.
 _PROBE_TIMEOUT = 2.0
 
-#: Routes safe to retry on another backend (same rule as LakeClient).
-_READ_ONLY_POSTS = ("/v1/query", "/v1/query_batch")
-
-
-def _is_read_only(method: str, path: str) -> bool:
-    route = path.partition("?")[0]
-    return method == "GET" or route in _READ_ONLY_POSTS
+#: What a backend that is down, gone, or answering unframeably raises.
+_BACKEND_FAILURES = (OSError, EOFError, asyncio.LimitOverrunError, ValueError)
 
 
 class LakeFrontend:
@@ -123,7 +122,9 @@ class LakeFrontend:
     # ------------------------------------------------------------------ #
     async def start(self) -> "LakeFrontend":
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            lambda reader, writer: serve_connection(reader, writer, self._answer),
+            self.host,
+            self.port,
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if self.health_interval > 0:
@@ -177,21 +178,16 @@ class LakeFrontend:
             reader, writer = await asyncio.wait_for(
                 asyncio.open_connection(host, port), _PROBE_TIMEOUT
             )
-            writer.write(
-                (
-                    f"GET /v1/stats HTTP/1.1\r\nHost: {host}:{port}\r\n"
-                    "Content-Length: 0\r\nConnection: close\r\n\r\n"
-                ).encode("latin-1")
-            )
+            probe = {"Host": f"{host}:{port}", "Connection": "close"}
+            writer.write(encode_request("GET", "/v1/stats", probe))
             await writer.drain()
-            status, _, body = await asyncio.wait_for(
-                self._read_response(reader), _PROBE_TIMEOUT
+            (_, status, _), _, body = await asyncio.wait_for(
+                read_message(reader), _PROBE_TIMEOUT
             )
-            if status != 200:
+            if status != "200":
                 raise ValueError(f"/v1/stats answered HTTP {status}")
             stats = json.loads(body.decode("utf-8"))
-        except (OSError, asyncio.IncompleteReadError, asyncio.TimeoutError,
-                ValueError) as exc:
+        except _BACKEND_FAILURES as exc:
             record["healthy"] = False
             record["error"] = f"{type(exc).__name__}: {exc}"
             return
@@ -246,54 +242,14 @@ class LakeFrontend:
             _UNHEALTHY_SKIPS.inc()
         return healthy
 
-    # ------------------------------------------------------------------ #
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    parsed = await read_request(reader)
-                except BadFrame as exc:
-                    writer.write(bad_frame_response(exc))
-                    await writer.drain()
-                    break
-                if parsed is None:
-                    break
-                method, path, headers, body = parsed
-                writer.write(await self._answer(method, path, headers, body))
-                await writer.drain()
-                if headers.get("connection", "").lower() == "close":
-                    break
-        except (
-            ConnectionResetError,
-            BrokenPipeError,
-            asyncio.IncompleteReadError,
-            asyncio.LimitOverrunError,
-            TimeoutError,
-        ):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            except asyncio.CancelledError:
-                # Shutdown cancelled this handler mid-close; the transport
-                # is already closed, so ending quietly is the right thing
-                # (propagating trips asyncio.streams' connection_made
-                # callback into logging a spurious error).
-                pass
-
     async def _answer(
         self, method: str, path: str, headers: dict, body: bytes
     ) -> bytes:
         route = path.partition("?")[0]
         if route == "/v1/replicas" and method == "GET":
-            return encode_response(200, self._replicas_payload())
+            return encode_json(200, self._replicas_payload())
         eligible = self._eligible()
-        attempts = len(eligible) if _is_read_only(method, path) else 1
+        attempts = len(eligible) if is_read_only(method, path) else 1
         first = self._next
         self._next = (self._next + 1) % len(eligible)
         last_error: Exception | None = None
@@ -301,7 +257,7 @@ class LakeFrontend:
             index = eligible[(first + step) % len(eligible)]
             try:
                 response = await self._forward(index, method, path, headers, body)
-            except (OSError, asyncio.IncompleteReadError, ValueError) as exc:
+            except _BACKEND_FAILURES as exc:
                 self.failures_by_backend[index] += 1
                 # The prober is the only path back into rotation; until it
                 # clears the backend, dispatch stops offering it traffic.
@@ -324,7 +280,7 @@ class LakeFrontend:
             f"no lake backend answered {method} {path} "
             f"({len(self.backends)} configured): {last_error!r}",
         )
-        return encode_response(error.status, error_payload(error))
+        return encode_json(error.status, error_payload(error))
 
     def _replicas_payload(self) -> dict:
         probing = self.health_interval > 0
@@ -386,56 +342,24 @@ class LakeFrontend:
         reusable = False
         try:
             host, port = self.backends[index]
-            head = [
-                f"{method} {path} HTTP/1.1",
-                f"Host: {host}:{port}",
-                f"Content-Length: {len(body)}",
-                "Connection: keep-alive",
-            ]
-            for name in ("content-type", "x-request-id", "accept"):
-                if name in headers:
-                    head.append(f"{name}: {headers[name]}")
-            writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body)
+            relayed = {
+                name: headers[name]
+                for name in ("content-type", "x-request-id", "accept")
+                if name in headers
+            }
+            relayed.update(Host=f"{host}:{port}", Connection="keep-alive")
+            writer.write(encode_request(method, path, relayed, body))
             await writer.drain()
-            status, resp_headers, resp_body = await self._read_response(reader)
-            reusable = resp_headers.get("connection", "").lower() != "close"
-            extras = "".join(
-                f"{name}: {value}\r\n"
-                for name, value in resp_headers.items()
-                if name in ("x-request-id",)
+            (_, status, _), reply, reply_body = await read_message(reader)
+            reusable = reply.get("connection", "").lower() != "close"
+            echo = {}
+            if "x-request-id" in reply:
+                echo["X-Request-Id"] = reply["x-request-id"]
+            return encode_response(
+                int(status), reply_body, reply.get("content-type", JSON), extra_headers=echo
             )
-            out_head = (
-                f"HTTP/1.1 {status} "
-                f"{resp_headers.get('__reason', 'OK')}\r\n"
-                f"Content-Type: "
-                f"{resp_headers.get('content-type', 'application/json')}\r\n"
-                f"Content-Length: {len(resp_body)}\r\n"
-                "Connection: keep-alive\r\n"
-                f"{extras}\r\n"
-            )
-            return out_head.encode("latin-1") + resp_body
         finally:
             self._release(index, reader, writer, reusable)
-
-    @staticmethod
-    async def _read_response(
-        reader: asyncio.StreamReader,
-    ) -> tuple[int, dict, bytes]:
-        status_line = (await reader.readline()).decode("latin-1").rstrip("\r\n")
-        parts = status_line.split(" ", 2)
-        if len(parts) < 2 or not parts[1].isdigit():
-            raise ValueError(f"bad backend status line {status_line!r}")
-        status = int(parts[1])
-        headers: dict[str, str] = {"__reason": parts[2] if len(parts) > 2 else "OK"}
-        while True:
-            line = (await reader.readline()).decode("latin-1").rstrip("\r\n")
-            if not line:
-                break
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0"))
-        body = await reader.readexactly(length) if length else b""
-        return status, headers, body
 
 
 # --------------------------------------------------------------------- #

@@ -1,11 +1,12 @@
 """`repro.lake.server` — the asyncio HTTP/1.1 front-end for a `LakeService`.
 
-The ROADMAP's "async network front-end", stdlib-only: one
-:class:`asyncio` accept loop parses HTTP/1.1 JSON requests (keep-alive
-connections, Content-Length framing) and dispatches every blocking catalog
-call into a thread pool, so concurrent queries overlap each other *and*
-overlap ingest — exactly the concurrency the thread-safe
-:class:`~repro.lake.service.LakeService` already guarantees correct.
+The ROADMAP's "async network front-end", stdlib-only: an :class:`asyncio`
+listener serves each keep-alive connection through
+:func:`repro.lake.wire.serve_connection` (the framing every hop shares)
+and dispatches every blocking catalog call into a thread pool, so
+concurrent queries overlap each other *and* overlap ingest — exactly the
+concurrency the thread-safe :class:`~repro.lake.service.LakeService`
+already guarantees correct.
 
 Endpoints (all JSON, all versioned under ``/v1``):
 
@@ -71,22 +72,12 @@ from repro.lake.api import (
 from repro.lake.serialization import FingerprintMismatchError
 from repro.lake.service import LakeService
 from repro.lake.target import ServiceTarget
-
-#: HTTP reason phrases for the statuses the API can emit.
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    409: "Conflict",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-    504: "Gateway Timeout",
-}
-
-#: Upper bound on request head + body (64 MiB) — a lake payload of tables
-#: is large but bounded; an unframed flood is a client bug.
-MAX_BODY_BYTES = 64 * 1024 * 1024
+from repro.lake.wire import (
+    encode_json,
+    encode_response,
+    error_payload,
+    serve_connection,
+)
 
 DEFAULT_WORKERS = 4
 
@@ -104,95 +95,6 @@ _HTTP_MS = obs.histogram(
     "lake_http_request_duration_ms",
     "Server-side HTTP request latency in milliseconds (decode to encode)",
 )
-
-
-class BadFrame(Exception):
-    """A request that cannot be framed (and so cannot stay keep-alive)."""
-
-
-def error_payload(exc: DiscoveryError) -> dict:
-    return {"error": exc.to_dict(), "version": API_VERSION}
-
-
-class _TextBody:
-    """A non-JSON response body with its own content type (e.g. the
-    Prometheus text exposition)."""
-
-    __slots__ = ("content_type", "text")
-
-    def __init__(self, content_type: str, text: str):
-        self.content_type = content_type
-        self.text = text
-
-
-# --------------------------------------------------------------------- #
-# HTTP/1.1 framing — shared with :mod:`repro.lake.frontend`
-# --------------------------------------------------------------------- #
-async def read_request(reader: asyncio.StreamReader):
-    """Parse one framed request; None on clean EOF, :class:`BadFrame`
-    when the request cannot be answered under keep-alive framing."""
-    try:
-        head = await reader.readuntil(b"\r\n\r\n")
-    except asyncio.IncompleteReadError:
-        return None
-    request_line, *header_lines = head.decode("latin-1").split("\r\n")
-    parts = request_line.split(" ")
-    if len(parts) < 3:
-        return None
-    method, path = parts[0].upper(), parts[1]
-    headers: dict[str, str] = {}
-    for line in header_lines:
-        if not line:
-            continue
-        name, _, value = line.partition(":")
-        headers[name.strip().lower()] = value.strip()
-    try:
-        length = int(headers.get("content-length", "0"))
-    except ValueError:
-        raise BadFrame("unparseable Content-Length header") from None
-    if length < 0:
-        raise BadFrame(f"negative Content-Length {length}")
-    if length > MAX_BODY_BYTES:
-        raise BadFrame(
-            f"request body of {length} bytes exceeds the "
-            f"{MAX_BODY_BYTES}-byte limit"
-        )
-    body = await reader.readexactly(length) if length else b""
-    return method, path, headers, body
-
-
-def encode_response(
-    status: int,
-    payload: "dict | _TextBody",
-    keep_alive: bool = True,
-    extra_headers: dict | None = None,
-) -> bytes:
-    if isinstance(payload, _TextBody):
-        body = payload.text.encode("utf-8")
-        content_type = payload.content_type
-    else:
-        body = json.dumps(payload).encode("utf-8")
-        content_type = "application/json"
-    connection = "keep-alive" if keep_alive else "close"
-    extras = "".join(
-        f"{name}: {value}\r\n" for name, value in (extra_headers or {}).items()
-    )
-    head = (
-        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-        f"Content-Type: {content_type}\r\n"
-        f"Content-Length: {len(body)}\r\n"
-        f"Connection: {connection}\r\n"
-        f"{extras}\r\n"
-    )
-    return head.encode("latin-1") + body
-
-
-def bad_frame_response(exc: BadFrame) -> bytes:
-    """The typed 400 for an unframeable request (oversized, negative or
-    unparseable body length). ``Connection: close`` — the unread body makes
-    keep-alive moot, so the caller drops the connection after writing it."""
-    error = bad_request(exc.args[0])
-    return encode_response(error.status, error_payload(error), keep_alive=False)
 
 
 class LakeServer:
@@ -219,7 +121,9 @@ class LakeServer:
     # ------------------------------------------------------------------ #
     async def start(self) -> "LakeServer":
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            lambda reader, writer: serve_connection(reader, writer, self._dispatch),
+            self.host,
+            self.port,
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self
@@ -233,41 +137,6 @@ class LakeServer:
             self._server.close()
             await self._server.wait_closed()
         self._pool.shutdown(wait=False)
-
-    # ------------------------------------------------------------------ #
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Serve one keep-alive connection until EOF / Connection: close."""
-        try:
-            while True:
-                try:
-                    parsed = await read_request(reader)
-                except BadFrame as exc:
-                    writer.write(bad_frame_response(exc))
-                    await writer.drain()
-                    break
-                if parsed is None:
-                    break
-                method, path, headers, body = parsed
-                writer.write(await self._dispatch(method, path, headers, body))
-                await writer.drain()
-                if headers.get("connection", "").lower() == "close":
-                    break
-        except (
-            ConnectionResetError,
-            BrokenPipeError,
-            asyncio.IncompleteReadError,  # client vanished mid-body
-            asyncio.LimitOverrunError,
-            TimeoutError,
-        ):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
 
     # ------------------------------------------------------------------ #
     async def _dispatch(
@@ -325,9 +194,13 @@ class LakeServer:
                     sort_keys=True,
                 ),
             )
-        return encode_response(
-            status, payload, extra_headers={"X-Request-Id": rid}
-        )
+        echo = {"X-Request-Id": rid}
+        if isinstance(payload, str):  # the Prometheus text exposition
+            text = payload.encode("utf-8")
+            return encode_response(
+                status, text, obs.PROMETHEUS_CONTENT_TYPE, extra_headers=echo
+            )
+        return encode_json(status, payload, extra_headers=echo)
 
     @staticmethod
     def _route_label(method: str, path: str) -> str:
@@ -439,7 +312,8 @@ class LakeServer:
     def _metrics_payload(self, query: str, accept: str):
         """``/v1/metrics`` content negotiation: JSON unless the caller asks
         for Prometheus via ``?format=prometheus`` or ``Accept: text/plain``
-        (``?format=json`` overrides the Accept header)."""
+        (``?format=json`` overrides the Accept header). The Prometheus text
+        comes back as a ``str``, JSON as a ``dict``."""
         requested = parse_qs(query).get("format", [""])[0].lower()
         if requested not in ("", "json", "prometheus"):
             raise bad_request(
@@ -450,10 +324,7 @@ class LakeServer:
             not requested and "text/plain" in accept.lower()
         )
         if prometheus:
-            return _TextBody(
-                obs.PROMETHEUS_CONTENT_TYPE,
-                obs.get_registry().render_prometheus(),
-            )
+            return obs.get_registry().render_prometheus()
         return self._target.metrics()
 
 

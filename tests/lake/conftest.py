@@ -13,7 +13,10 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import re
 import shutil
+import socket
+import threading
 from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
@@ -171,3 +174,83 @@ def _killed_at_call(k: int):
 def kill_at():
     """``with kill_at(k) as kill: ...`` — see :func:`_killed_at_call`."""
     return _killed_at_call
+
+
+# --------------------------------------------------------------------- #
+# A raw-socket HTTP peer
+# --------------------------------------------------------------------- #
+class RawServer:
+    """A one-thread socket listener that reads requests off each connection
+    and answers the i-th with the canned bytes ``replies[i]``; a ``None``
+    reply, or running out of replies, closes the connection. ``[ok]`` is a
+    server that drops a keep-alive connection once it goes idle, ``[ok,
+    None]`` one that drops it after reading the next request, and ``[bad]``
+    a backend whose answer cannot be relayed. ``requests`` lists every
+    request line read, in order."""
+
+    def __init__(self, replies: "list[bytes | None]"):
+        self.replies = replies
+        self.requests: list[str] = []
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.05)
+        self.host, self.port = self._listener.getsockname()[:2]
+        self._stopped = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        while not self._stopped.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except TimeoutError:
+                continue
+            with conn:
+                try:
+                    self._answer(conn)
+                except OSError:
+                    pass
+
+    def _answer(self, conn: socket.socket) -> None:
+        conn.settimeout(10)
+        data = b""
+        for reply in self.replies:
+            while b"\r\n\r\n" not in data:
+                chunk = conn.recv(65536)
+                if not chunk:
+                    return
+                data += chunk
+            head, _, data = data.partition(b"\r\n\r\n")
+            length = re.search(rb"(?im)^content-length:\s*(\d+)", head)
+            length = int(length.group(1)) if length else 0
+            while len(data) < length:
+                # Read the whole body: closing on unread bytes would send a
+                # reset instead of the reply.
+                chunk = conn.recv(65536)
+                if not chunk:
+                    return
+                data += chunk
+            data = data[length:]
+            self.requests.append(head.split(b"\r\n", 1)[0].decode("latin-1"))
+            if reply is None:
+                return
+            conn.sendall(reply)
+
+    def close(self) -> None:
+        self._stopped.set()
+        self._thread.join()
+        self._listener.close()
+
+
+@pytest.fixture()
+def raw_server():
+    """``raw_server(replies)`` starts a :class:`RawServer`; all stop at
+    teardown."""
+    started: list[RawServer] = []
+
+    def start(replies: "list[bytes | None]") -> RawServer:
+        started.append(RawServer(replies))
+        return started[-1]
+
+    yield start
+    for server in started:
+        server.close()

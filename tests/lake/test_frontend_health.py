@@ -14,6 +14,10 @@ from repro.lake.server import ServerThread
 from repro.lake.service import LakeService
 from repro.lake.store import LakeStore
 
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
+
 
 @pytest.fixture()
 def leader(tmp_path, lake_embedder, lake_tables):

@@ -29,6 +29,10 @@ from repro.lake.service import LakeService
 from repro.lake.store import LakeStore
 from repro.utils.io import read_json, write_json
 
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
+
 
 @pytest.fixture()
 def leader(tmp_path, lake_embedder, lake_tables):

@@ -22,6 +22,10 @@ from repro.lake.frontend import FrontendThread
 from repro.lake.server import ServerThread
 from repro.lake.service import LakeService
 
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
+
 MODES = ("join", "union", "subset")
 
 
@@ -157,14 +161,15 @@ def listener(request, served):
             yield proxied
 
 
-@pytest.mark.parametrize(
-    "content_length, reason",
-    [
-        (b"999999999999", b"exceeds the"),
-        (b"-5", b"negative Content-Length"),
-        (b"twelve", b"unparseable Content-Length"),
-    ],
-)
+#: Content-Length values no hop can frame, and what the 400 says about each.
+MISFRAMED = [
+    (b"999999999999", b"exceeds the"),
+    (b"-5", b"negative Content-Length"),
+    (b"twelve", b"unparseable Content-Length"),
+]
+
+
+@pytest.mark.parametrize("content_length, reason", MISFRAMED)
 def test_unframeable_requests_get_envelopes_and_listener_survives(
     listener, caplog, content_length, reason
 ):
@@ -193,6 +198,77 @@ def test_unframeable_requests_get_envelopes_and_listener_survives(
     # with an unhandled exception.
     assert listener.healthz() == {"status": "ok", "version": API_VERSION}
     assert "Unhandled exception" not in caplog.text
+
+
+@pytest.mark.parametrize(
+    "content_length, body",
+    [(length, b"") for length, _ in MISFRAMED] + [(b"100", b"short")],
+    ids=["oversized", "negative", "unparseable", "truncated"],
+)
+def test_misframed_backend_answers_fail_over_then_503(
+    raw_server, caplog, content_length, body
+):
+    """The same misframings (and a body cut short) coming back from a
+    backend: the frontend drops that connection, fails over to the next
+    backend, answers the typed 503 once none is left, and keeps serving."""
+    backend = raw_server(
+        [b"HTTP/1.1 200 OK\r\nContent-Length: " + content_length + b"\r\n\r\n" + body]
+    )
+    address = (backend.host, backend.port)
+    with FrontendThread([address, address]) as proxy:
+        with LakeClient(port=proxy.port) as client:
+            with pytest.raises(DiscoveryError) as excinfo:
+                client.stats()
+            assert (excinfo.value.code, excinfo.value.status) == ("unavailable", 503)
+            # Both attempts reached the backend: the first failed over.
+            assert backend.requests == ["GET /v1/stats HTTP/1.1"] * 2
+            replicas = client._request("GET", "/v1/replicas")
+    assert [b["failures"] for b in replicas["backends"]] == [1, 1]
+    assert "Unhandled exception" not in caplog.text
+
+
+def test_pipelined_requests_are_answered_in_order(listener):
+    """Two requests in one ``sendall`` come back as two responses, in
+    request order, from the server and through the frontend alike."""
+    import socket
+
+    from repro.lake.wire import parse_head
+
+    requests = b"".join(
+        b"GET " + path + b" HTTP/1.1\r\nX-Request-Id: " + rid + b"\r\n" + extra + b"\r\n"
+        for path, rid, extra in [
+            (b"/v1/stats", b"first", b""),
+            (b"/v1/healthz", b"second", b"Connection: close\r\n"),
+        ]
+    )
+    with socket.create_connection((listener.host, listener.port), timeout=30) as raw:
+        raw.sendall(requests)
+        data = b""
+        while chunk := raw.recv(65536):
+            data += chunk
+    answers = []
+    while data:
+        end = data.index(b"\r\n\r\n") + 4
+        (_, status, _), headers, length = parse_head(data[:end])
+        answers.append((status, headers["x-request-id"], json.loads(data[end : end + length])))
+        data = data[end + length :]
+    assert [(status, rid) for status, rid, _ in answers] == [("200", "first"), ("200", "second")]
+    assert "n_tables" in answers[0][2]
+    assert answers[1][2] == {"status": "ok", "version": API_VERSION}
+
+
+@pytest.mark.parametrize("hop", ["server", "frontend"])
+def test_stopping_with_a_live_keep_alive_client_is_quiet(service, caplog, hop):
+    """Shutdown cancels the connection task parked on an idle keep-alive
+    client; that must end it quietly, not log an asyncio error."""
+    with ServerThread(service) as server:
+        stopped = server
+        if hop == "frontend":
+            stopped = FrontendThread([(server.host, server.port)]).start()
+        with LakeClient(port=stopped.port) as client:
+            assert client.healthz()["status"] == "ok"
+            stopped.stop()
+    assert not [record for record in caplog.records if record.name == "asyncio"]
 
 
 def test_remove_missing_table_is_404(served):
@@ -490,7 +566,8 @@ def test_concurrent_clients_overlap_ingest(lake_embedder, lake_tables):
         assert not errors, f"workers raised: {errors!r}"
 
         # Ledger: every ingested table landed exactly once.
-        stats = LakeClient(port=server.port).stats()
+        with LakeClient(port=server.port) as client:
+            stats = client.stats()
         assert stats["n_tables"] == len(base_names) + len(ingest_names)
 
     assert set(service.catalog.table_names()) == base_names | set(ingest_names)

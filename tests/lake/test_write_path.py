@@ -46,22 +46,39 @@ def _shrunk(table):
     return table_from_rows(table.name, table.header, rows, description=table.description)
 
 
+def _append(catalog, tables):
+    return catalog.append_rows(
+        "g1t1", [["grp1val98", "5", "tag1"], ["grp1val99", "6", "tag2"]]
+    )
+
+
 #: One write per catalog entry point, each on a warm catalog.
 OPS = {
-    "append_rows": lambda catalog, tables: catalog.append_rows(
-        "g1t1", [["grp1val98", "5", "tag1"], ["grp1val99", "6", "tag2"]]
-    ),
+    "append_rows": _append,
     "update_table": lambda catalog, tables: catalog.update_table(_shrunk(tables["g0t2"])),
     "remove_table": lambda catalog, tables: catalog.remove_table("g2t1"),
     "add_tables": lambda catalog, tables: catalog.add_tables(_new_tables()),
+    "refresh_stale": lambda catalog, tables: catalog.refresh_stale(),
 }
+#: What the base lake has been through before the op: a refresh needs
+#: something stale to re-embed.
+BEFORE = {"refresh_stale": _append}
 
 
 @pytest.fixture()
-def base_lake(tmp_path, lake_embedder, lake_tables) -> Path:
+def base_lake(tmp_path, lake_embedder, lake_tables, op) -> Path:
     root = tmp_path / "base"
-    LakeCatalog(lake_embedder, store=LakeStore(root, "fp")).add_tables(lake_tables)
+    catalog = LakeCatalog(lake_embedder, store=LakeStore(root, "fp"))
+    catalog.add_tables(lake_tables)
+    if op in BEFORE:
+        BEFORE[op](catalog, lake_tables)
     return root
+
+
+@pytest.fixture()
+def op() -> None:
+    """The write under test; tests that have one parametrize it."""
+    return None
 
 
 def _warm(embedder, root) -> LakeCatalog:
