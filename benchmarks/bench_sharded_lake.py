@@ -9,7 +9,7 @@ lake (≥500 columns) in a 4-shard `LakeStore`:
   and one index re-persist per table). ``ingest_speedup_bulk`` is the
   ratio.
 - **query** — union-query latency against 1-, 4-, and 8-shard stores (the
-  fan-out + k-way merge path; one shard is the same path with one
+  fan-out + top-k array merge path; one shard is the same path with one
   sub-index, whose answer passes through unmerged), with the ranking-parity
   invariant across shard counts asserted on every member.
 """

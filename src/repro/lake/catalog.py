@@ -132,7 +132,11 @@ class LakeCatalog:
             metric=self.index_spec.params.get("metric", "cosine"),
             n_shards=self.n_shards,
         )
+        #: Written only through :meth:`_put`, which keeps ``_stale`` in step.
         self.records: dict[str, LakeTableRecord] = {}
+        #: Names of the records whose ``embedding_stale`` is set, so the
+        #: strict-query check costs O(1) when nothing is stale.
+        self._stale: set[str] = set()
         #: Trunk forwards performed *by this catalog*; warm loads and
         #: removals must not increment it.
         self.embed_calls = 0
@@ -173,7 +177,7 @@ class LakeCatalog:
             index.reset_shard(shard_id)
         catalog.searcher.adopt_index(index)
         for record in records:
-            catalog.records[record.name] = record
+            catalog._put(record.name, record)
         for shard_id in rebuild:
             for record in by_shard[shard_id]:
                 catalog.searcher.add_table(
@@ -270,8 +274,24 @@ class LakeCatalog:
             for table, sketch, embedding in zip(tables, sketches, embeddings)
         ]
 
+    def _put(
+        self, name: str, record: LakeTableRecord | None
+    ) -> LakeTableRecord | None:
+        """Set (``None``: drop) the record under ``name`` and keep the
+        stale-name set in step; returns the record it replaced."""
+        if record is None:
+            old = self.records.pop(name, None)
+        else:
+            old = self.records.get(name)
+            self.records[name] = record
+        if record is not None and record.embedding_stale:
+            self._stale.add(name)
+        else:
+            self._stale.discard(name)
+        return old
+
     def _register(self, record: LakeTableRecord, persist: bool = True) -> None:
-        self.records[record.name] = record
+        self._put(record.name, record)
         self.searcher.add_table(
             record.name, record.column_names, record.column_vectors
         )
@@ -334,7 +354,7 @@ class LakeCatalog:
 
     def remove_table(self, name: str) -> bool:
         """Drop one table from index, registry, and store."""
-        record = self.records.pop(name, None)
+        record = self._put(name, None)
         self.searcher.remove_table(name)
         if self.store is not None:
             self.store.remove_table(name, self.searcher.index)
@@ -365,7 +385,7 @@ class LakeCatalog:
             self.searcher.add_table(
                 record.name, record.column_names, record.column_vectors
             )
-            self.records[table.name] = record
+            self._put(table.name, record)
             if self.store is not None:
                 self.store.save_table(record, self.searcher.index)
         _TABLES_UPDATED.inc()
@@ -425,7 +445,7 @@ class LakeCatalog:
                 version=record.version + 1,
                 embedding_stale=True,
             )
-            self.records[name] = merged
+            self._put(name, merged)
             if self.store is not None:
                 # The index content didn't change, so the store only
                 # re-stamps that shard's index entry in the same flush —
@@ -435,12 +455,12 @@ class LakeCatalog:
         return merged
 
     def stale_tables(self) -> list[str]:
-        """Names whose served vectors predate their sketch (append lag)."""
-        return [
-            name
-            for name, record in self.records.items()
-            if record.embedding_stale
-        ]
+        """Names whose served vectors predate their sketch (append lag), in
+        ``records`` order. O(1) when nothing is stale — the strict-query
+        check every ``discover`` makes."""
+        if not self._stale:
+            return []
+        return [name for name in self.records if name in self._stale]
 
     def refresh_stale(
         self, names: "list[str] | None" = None, persist: bool = True
@@ -458,11 +478,7 @@ class LakeCatalog:
         if names is None:
             names = self.stale_tables()
         else:
-            names = [
-                n
-                for n in names
-                if n in self.records and self.records[n].embedding_stale
-            ]
+            names = [n for n in names if n in self._stale]
         if not names:
             return []
         with obs.span("lake.refresh", tables=len(names)):
@@ -479,7 +495,7 @@ class LakeCatalog:
                     metadata=dict(record.metadata),
                     version=record.version,
                 )
-                self.records[name] = fresh
+                self._put(name, fresh)
                 self.searcher.remove_table(name)
                 self.searcher.add_table(
                     name, fresh.column_names, fresh.column_vectors
@@ -517,7 +533,7 @@ class LakeCatalog:
             "batch_size": self.batch_size,
             "sbert": self.sbert is not None,
             "n_shards": self.n_shards,
-            "stale_tables": len(self.stale_tables()),
+            "stale_tables": len(self._stale),
             "max_version": max(
                 (r.version for r in self.records.values()), default=0
             ),

@@ -17,7 +17,8 @@ Endpoints (all JSON, all versioned under ``/v1``):
                           (uncached externals embed in one batched pass)
 ``POST /v1/tables``       ``{"tables": [<table payload>...]}`` ingest
 ``PUT /v1/tables``        ``{"table": <table payload>}`` replace one table
-                          (staged, crash-safe); answers the new version
+                          (staged, process-kill-safe); answers the new
+                          version
 ``POST /v1/tables/N/rows``  ``{"rows": [[...], ...]}`` append rows; sketches
                           merge in O(delta), embedding marked stale
 ``POST /v1/refresh``      eagerly re-embed stale tables (optional

@@ -53,10 +53,19 @@ same rename. An index the write changed is re-archived first
 (``index.tmp.npz`` -> ``index.npz``) and the archive carries the counter it
 was saved under, so a kill between the archive rename and the manifest flush
 reads as out of step and that shard rebuilds; an index the write did not
-change (an append) is only re-stamped in the manifest. A crash mid-ingest
-loses at most the unflushed tail of the shard being written; a shard whose
-manifest is torn beyond repair degrades to an empty shard with a warning at
-open time while every other shard stays warm.
+change (an append) is only re-stamped in the manifest. A process killed
+mid-ingest loses at most the unflushed tail of the shard being written; a
+shard whose manifest is torn beyond repair degrades to an empty shard with a
+warning at open time while every other shard stays warm.
+
+**Durability: process-kill-safe, not power-loss-safe.** Every flush is
+write-then-rename and nothing here calls ``fsync``. A process killed at any
+file operation (an exception, SIGKILL, the OOM killer) leaves each table at
+its old or its new state, which ``tests/lake/test_write_path.py`` and
+``tests/lake/test_migration.py`` check by killing every write at every
+operation (the ``kill_at`` fixture). A power loss or kernel crash may still
+lose renames the OS had not written back, or keep a renamed file whose data
+never reached the disk.
 
 ``save_index`` persists the *built* index on its own (warm-open heal,
 refresh, reshard): only the shards the index reports dirty, or whose

@@ -21,10 +21,8 @@ fingerprint; :class:`ShardedIndex` puts N of them behind one face.
 from __future__ import annotations
 
 import hashlib
-import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Callable, Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -47,7 +45,7 @@ _QUERY_MS = obs.histogram(
 ).labels(backend="sharded")
 _MERGE_MS = obs.histogram(
     "index_merge_duration_ms",
-    "Sharded-index k-way merge latency in milliseconds, per query_many call",
+    "Sharded-index top-k merge latency in milliseconds, per query_many call",
 )
 
 
@@ -167,17 +165,17 @@ class ShardedIndex:
 
     Every key is owned by exactly one sub-index (``router(key)`` — the lake
     routes by table name, so a table's columns always land together), which
-    makes add/remove a single routed delegation. ``query_many`` fans the
-    whole query matrix across the sub-indexes and k-way merges each row's
-    sorted hit lists: because every sub-index returns *its* top-k, the
-    merged top-k holds the same (key, distance) *set* a single flat index
-    over the union would return — rankings are shard-count-invariant
-    whenever the distances at the cut are distinct. Exact ties are ordered
-    deterministically (stable merge: shard order, then the sub-index's own
-    order) but not necessarily as a flat index's argpartition would break
-    them; identical vectors *within* one table co-locate by construction,
-    so the routine duplicate case (a table's over-budget fallback columns)
-    can never straddle shards.
+    makes add/remove a single routed delegation (one shard takes every
+    write as-is, with no routing). ``query_many`` fans the whole query
+    matrix across the sub-indexes and merges their top-k *arrays*: because
+    every sub-index returns *its* top-k, the merged top-k holds the same
+    (key, distance) *set* a single flat index over the union would return —
+    rankings are shard-count-invariant whenever the distances at the cut
+    are distinct. Exact ties are ordered deterministically (stable sort:
+    shard order, then the sub-index's own order) but not necessarily as a
+    flat index's argpartition would break them; identical vectors *within*
+    one table co-locate by construction, so the routine duplicate case (a
+    table's over-budget fallback columns) can never straddle shards.
 
     Persistence is deliberately *not* monolithic: callers save each
     sub-index beside its shard's data (``subs``), and :meth:`dirty_shards`
@@ -188,15 +186,15 @@ class ShardedIndex:
     def __init__(
         self,
         dim: int,
-        subs: Sequence[VectorIndex],
+        subs: Sequence[KnnIndex],
         router: Callable[[object], int],
-        factory: Callable[[], VectorIndex] | None = None,
+        factory: Callable[[], KnnIndex] | None = None,
         restored_shards: Iterable[int] = (),
     ):
         if not subs:
             raise ValueError("ShardedIndex needs at least one sub-index")
         self.dim = dim
-        self.subs: list[VectorIndex] = list(subs)
+        self.subs: list[KnnIndex] = list(subs)
         self.router = router
         self.factory = factory
         self.metric = self.subs[0].metric
@@ -237,17 +235,24 @@ class ShardedIndex:
         self._dirty.add(shard)
 
     def add_many(self, items: Sequence[tuple[object, np.ndarray]]) -> None:
-        groups: dict[int, list] = defaultdict(list)
-        for key, vector in items:
-            groups[self.shard_of(key)].append((key, vector))
+        items = list(items)
+        if len(self.subs) == 1:
+            groups = {0: items} if items else {}
+        else:
+            groups = defaultdict(list)
+            for key, vector in items:
+                groups[self.shard_of(key)].append((key, vector))
         for shard, group in groups.items():
             self.subs[shard].add_many(group)
             self._dirty.add(shard)
 
     def remove_many(self, keys: Iterable[object]) -> int:
-        groups: dict[int, list] = defaultdict(list)
-        for key in keys:
-            groups[self.shard_of(key)].append(key)
+        if len(self.subs) == 1:
+            groups = {0: keys}
+        else:
+            groups = defaultdict(list)
+            for key in keys:
+                groups[self.shard_of(key)].append(key)
         removed = 0
         for shard, group in groups.items():
             count = self.subs[shard].remove_many(group)
@@ -260,30 +265,32 @@ class ShardedIndex:
     def query_many(
         self, matrix: np.ndarray, k: int
     ) -> list[list[tuple[object, float]]]:
-        """Fan one query matrix across every sub-index, k-way merge rows.
+        """Fan one query matrix across every sub-index, merge as arrays.
 
         Each populated sub-index answers the whole matrix in one batched
-        call; per query row the sorted per-shard hit lists merge in one
-        ``heapq.merge`` pass (stable: distance ties keep shard order).
+        :meth:`KnnIndex.top_k` call (row ids and distances, ascending). The
+        per-shard blocks are concatenated in shard order and cut to ``k``
+        with one stable argsort, so distance ties keep shard order, then
+        the sub-index's own order — the order a k-way ``heapq.merge`` of
+        the same lists yields. Only the ``k`` survivors per query row
+        become (key, distance) tuples.
         """
         queries = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
         n_queries = queries.shape[0]
         if k <= 0 or n_queries == 0:
             return [[] for _ in range(n_queries)]
         with obs.span("index.query", backend="sharded", shards=len(self.subs)) as timed:
-            per_sub = [sub.query_many(queries, k) for sub in self.subs if len(sub)]
-            if not per_sub:
+            live = [sub for sub in self.subs if len(sub)]
+            if not live:
                 results: list[list[tuple[object, float]]] = [
                     [] for _ in range(n_queries)
                 ]
-            elif len(per_sub) == 1:
-                results = per_sub[0]
+            elif len(live) == 1:
+                results = live[0].query_many(queries, k)
             else:
-                with obs.span("index.merge", shards=len(per_sub)) as merge:
-                    results = [
-                        list(islice(heapq.merge(*rows, key=lambda hit: hit[1]), k))
-                        for rows in zip(*per_sub)
-                    ]
+                answers = [sub.top_k(queries, k) for sub in live]
+                with obs.span("index.merge", shards=len(live)) as merge:
+                    results = _merge_top_k(live, answers, k)
                 if obs.enabled():
                     _MERGE_MS.observe(merge.duration_ms)
         if obs.enabled():
@@ -327,6 +334,32 @@ class ShardedIndex:
             "a ShardedIndex persists per shard — save each sub-index via "
             "subs[k].state_keys()/state_arrays()"
         )
+
+
+def _merge_top_k(
+    subs: "list[KnnIndex]",
+    answers: "list[tuple[np.ndarray, np.ndarray]]",
+    k: int,
+) -> list[list[tuple[object, float]]]:
+    """Merge per-sub :meth:`KnnIndex.top_k` arrays into top-``k`` hit lists."""
+    rows = np.concatenate([ids for ids, _ in answers], axis=1)
+    distances = np.concatenate([dists for _, dists in answers], axis=1)
+    owners = np.repeat(
+        np.arange(len(answers)), [ids.shape[1] for ids, _ in answers]
+    )
+    order = np.argsort(distances, axis=1, kind="stable")[:, :k]
+    rows = np.take_along_axis(rows, order, axis=1)
+    distances = np.take_along_axis(distances, order, axis=1)
+    keys = [sub.row_keys for sub in subs]
+    return [
+        [
+            (keys[owner][row], distance)
+            for owner, row, distance in zip(row_owners, row_ids, row_distances)
+        ]
+        for row_owners, row_ids, row_distances in zip(
+            owners[order].tolist(), rows.tolist(), distances.tolist()
+        )
+    ]
 
 
 def make_sharded_index(

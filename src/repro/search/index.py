@@ -16,6 +16,10 @@ deltas to a standing lake without rebuilding the index.
 one axis-wise partition — the batched primitive the Fig. 6 NEARTABLES loop
 (:class:`repro.search.tables.TableSearcher`) runs on, so a q-column query
 table costs one distance computation instead of q Python round-trips.
+The data-side term of the distance (row norms for cosine, row sums of
+squares for euclidean) is cached beside the rows and maintained by every
+write, so a query never recomputes it over the corpus. The cache is
+derived state: it is never persisted, and :meth:`restore` computes it once.
 This class implements the :class:`repro.search.backend.VectorIndex`
 protocol and is the repo's one vector index.
 """
@@ -56,6 +60,9 @@ class KnnIndex:
         #: "nothing to remove" fast path without scanning ``_keys``.
         self._key_counts: dict = {}
         self._data = np.zeros((0, dim), dtype=np.float64)
+        #: Row-aligned with ``_data``: the data-side term of the distance
+        #: (:meth:`_row_terms`), computed once per row at write time.
+        self._terms = np.zeros(0, dtype=np.float64)
         self._size = 0
 
     # ------------------------------------------------------------------ #
@@ -69,6 +76,17 @@ class KnnIndex:
         grown = np.zeros((new_capacity, self.dim), dtype=np.float64)
         grown[: self._size] = self._data[: self._size]
         self._data = grown
+        terms = np.zeros(new_capacity, dtype=np.float64)
+        terms[: self._size] = self._terms[: self._size]
+        self._terms = terms
+
+    def _row_terms(self, block: np.ndarray) -> np.ndarray:
+        """Per-row data-side distance term of an (m, dim) block: the row
+        norms (cosine) or row sums of squares (euclidean). Bitwise what
+        ``np.linalg.norm(block, axis=1)`` / ``(block**2).sum(axis=1)`` give,
+        without ``norm``'s per-call overhead on a one-table block."""
+        squares = (block * block).sum(axis=1)
+        return np.sqrt(squares) if self.metric == "cosine" else squares
 
     def _check(self, vector: np.ndarray) -> np.ndarray:
         vector = np.asarray(vector, dtype=np.float64)
@@ -78,25 +96,29 @@ class KnnIndex:
 
     def add(self, key, vector: np.ndarray) -> None:
         """Append one (key, vector) row — amortized O(1)."""
-        vector = self._check(vector)
-        self._reserve(1)
-        self._data[self._size] = vector
-        self._keys.append(key)
-        self._key_counts[key] = self._key_counts.get(key, 0) + 1
-        self._size += 1
+        self.add_many([(key, vector)])
 
     def add_many(self, items: Sequence[tuple[object, np.ndarray]]) -> None:
         """Bulk append: one reserve + one block copy for the whole batch."""
         items = list(items)
         if not items:
             return
-        block = np.stack([self._check(vector) for _, vector in items])
+        vectors = [vector for _, vector in items]
+        try:
+            block = np.array(vectors, dtype=np.float64)
+        except ValueError:  # ragged rows; the loop below names the bad one
+            block = None
+        if block is None or block.shape != (len(items), self.dim):
+            for vector in vectors:
+                self._check(vector)
         self._reserve(len(items))
-        self._data[self._size : self._size + len(items)] = block
+        end = self._size + len(items)
+        self._data[self._size : end] = block
+        self._terms[self._size : end] = self._row_terms(block)
+        self._size = end
         for key, _ in items:
             self._keys.append(key)
             self._key_counts[key] = self._key_counts.get(key, 0) + 1
-        self._size += len(items)
 
     # ------------------------------------------------------------------ #
     def remove_many(self, keys: Iterable[object]) -> int:
@@ -112,6 +134,7 @@ class KnnIndex:
         keep = [i for i, key in enumerate(self._keys) if key not in doomed]
         removed = self._size - len(keep)
         self._data[: len(keep)] = self._data[keep]
+        self._terms[: len(keep)] = self._terms[keep]
         self._keys = [self._keys[i] for i in keep]
         for key in doomed:
             del self._key_counts[key]
@@ -130,23 +153,34 @@ class KnnIndex:
     def query_many(
         self, matrix: np.ndarray, k: int
     ) -> list[list[tuple[object, float]]]:
-        """Top-``k`` (key, distance) lists for every row of ``matrix``.
+        """Top-``k`` (key, distance) lists for every row of ``matrix``:
+        :meth:`top_k`'s arrays, with (key, distance) tuples built for the
+        survivors only."""
+        rows, distances = self.top_k(matrix, k)
+        keys = self._keys
+        return [
+            [(keys[row], distance) for row, distance in zip(row_ids, row_distances)]
+            for row_ids, row_distances in zip(rows.tolist(), distances.tolist())
+        ]
+
+    def top_k(self, matrix: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row ids and distances of every query row's top-``k``, ascending.
 
         One ``(q, dim) @ (dim, n)`` matmul scores all queries against the
         whole corpus, then one axis-wise ``argpartition`` + sort extracts
         each row's top-k — the vectorized form of q separate ``query``
-        calls, with identical results.
+        calls. Both arrays are ``(q, min(k, n))``; row ids index
+        :attr:`row_keys`. This is the index's one scoring routine:
+        :meth:`query_many` and the sharded merge are built on it.
         """
         with obs.span("index.query", backend="exact") as timed:
-            results = self._query_many(matrix, k)
+            rows, distances = self._top_k(matrix, k)
         if obs.enabled():
-            _QUERIES.inc(len(results))
+            _QUERIES.inc(rows.shape[0])
             _QUERY_MS.observe(timed.duration_ms)
-        return results
+        return rows, distances
 
-    def _query_many(
-        self, matrix: np.ndarray, k: int
-    ) -> list[list[tuple[object, float]]]:
+    def _top_k(self, matrix: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         queries = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
         if queries.ndim != 2 or queries.shape[1] != self.dim:
             raise ValueError(
@@ -155,19 +189,21 @@ class KnnIndex:
         data = self._matrix()
         n_queries = queries.shape[0]
         if data.shape[0] == 0 or k <= 0 or n_queries == 0:
-            return [[] for _ in range(n_queries)]
+            return (
+                np.zeros((n_queries, 0), dtype=np.intp),
+                np.zeros((n_queries, 0), dtype=np.float64),
+            )
+        terms = self._terms[: self._size]
         scores = queries @ data.T  # (q, n)
         if self.metric == "cosine":
-            denominator = np.linalg.norm(data, axis=1)[None, :] * (
+            denominator = terms[None, :] * (
                 np.linalg.norm(queries, axis=1)[:, None] + 1e-12
             )
             denominator = np.where(denominator == 0.0, 1e-12, denominator)
             distances = 1.0 - scores / denominator
         else:
             squared = (
-                (queries**2).sum(axis=1)[:, None]
-                + (data**2).sum(axis=1)[None, :]
-                - 2.0 * scores
+                (queries**2).sum(axis=1)[:, None] + terms[None, :] - 2.0 * scores
             )
             distances = np.sqrt(np.maximum(squared, 0.0))
         k = min(k, data.shape[0])
@@ -176,13 +212,7 @@ class KnnIndex:
         order = np.argsort(top_distances, axis=1)
         top = np.take_along_axis(top, order, axis=1)
         top_distances = np.take_along_axis(top_distances, order, axis=1)
-        return [
-            [
-                (self._keys[int(index)], float(distance))
-                for index, distance in zip(row_indices, row_distances)
-            ]
-            for row_indices, row_distances in zip(top, top_distances)
-        ]
+        return top, top_distances
 
     def query(self, vector: np.ndarray, k: int) -> list[tuple[object, float]]:
         """Top-``k`` (key, distance) pairs, ascending by distance.
@@ -194,6 +224,12 @@ class KnnIndex:
 
     def keys(self) -> list:
         return list(self._keys)
+
+    @property
+    def row_keys(self) -> list:
+        """The live row-aligned key list :meth:`top_k`'s row ids index —
+        not a copy, so read it, never mutate it."""
+        return self._keys
 
     def __contains__(self, key) -> bool:
         return key in self._key_counts
@@ -230,6 +266,7 @@ class KnnIndex:
                 f"{len(keys)} keys"
             )
         index._data = vectors.copy()
+        index._terms = index._row_terms(index._data)
         index._size = vectors.shape[0]
         index._keys = list(keys)
         counts: dict = {}

@@ -1,5 +1,5 @@
 """Live tables: O(delta) appends, per-table versions, staleness semantics,
-and the crash-safe update path — across catalog, service, HTTP, CLI, and
+and the process-kill-safe update path — across catalog, service, HTTP, CLI, and
 replica surfaces.
 
 The parity tier pins the tentpole guarantee: ingest-prefix-then-append,

@@ -7,7 +7,8 @@ add, update or remove re-archives ``index.npz`` first, stamped with the new
 counter. Pinned here: the flush counts; that a kill at any file operation of
 a write leaves a store that reopens as the old or the new state (with its
 write-then-rename leftovers swept) and ranks like a cold rebuild of that
-state; and the kill between the ``index.npz`` rename and the manifest flush.
+state; the kill between the ``index.npz`` rename and the manifest flush; and
+that the catalog's stale-name set stays in step with the records.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ import numpy as np
 import pytest
 
 from repro.lake import store as store_module
+from repro.lake.api import DiscoveryRequest
 from repro.lake.catalog import LakeCatalog
 from repro.lake.replica import SnapshotPublisher
+from repro.lake.service import LakeService
 from repro.lake.store import LakeStore
 from repro.search.tables import TableSearcher
 from repro.table.schema import table_from_rows
@@ -271,3 +274,55 @@ def test_open_sweeps_write_then_rename_leftovers(base_lake, tmp_path):
     _assert_swept(tmp_path / "snapshots" / f"gen-{generation:06d}")
     LakeStore.open(base_lake)
     assert not [path for path in planted if path.exists()]
+
+
+# --------------------------------------------------------------------- #
+# Stale bookkeeping
+# --------------------------------------------------------------------- #
+def _assert_stale_in_step(catalog: LakeCatalog) -> None:
+    assert catalog.stale_tables() == [
+        name for name, record in catalog.records.items() if record.embedding_stale
+    ]
+
+
+def _assert_strict_discover_refreshes_exactly_the_stale(catalog) -> None:
+    stale = catalog.stale_tables()
+    before = dict(catalog.records)
+    result = LakeService(catalog).discover(
+        DiscoveryRequest(mode="union", k=3, table="g0t0")
+    )
+    replaced = [
+        name for name, record in catalog.records.items() if record is not before[name]
+    ]
+    assert replaced == stale
+    assert result.diagnostics.get("refreshed", 0) == len(stale)
+    assert catalog.stale_tables() == []
+    _assert_stale_in_step(catalog)
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+def test_stale_tables_stay_in_step_through_each_write(
+    op, base_lake, lake_embedder, lake_tables
+):
+    """After the warm open (``refresh_stale``'s base lake has a stale
+    table) and after each write, ``stale_tables()`` is exactly the records
+    flagged stale, in records order."""
+    catalog = _warm(lake_embedder, base_lake)
+    _assert_stale_in_step(catalog)
+    OPS[op](catalog, lake_tables)
+    _assert_stale_in_step(catalog)
+    _assert_strict_discover_refreshes_exactly_the_stale(catalog)
+
+
+def test_stale_tables_after_a_warm_open_of_a_stale_lake(base_lake, lake_embedder):
+    """Appends made in reverse records order come back stale from the
+    store in records order, and one strict query refreshes just them."""
+    catalog = _warm(lake_embedder, base_lake)
+    for name in ("g2t0", "g0t1"):
+        catalog.append_rows(name, [["late", "1", "tag0"]])
+    warm = _warm(lake_embedder, base_lake)
+    assert warm.stale_tables() == [
+        name for name in warm.records if name in ("g2t0", "g0t1")
+    ]
+    _assert_stale_in_step(warm)
+    _assert_strict_discover_refreshes_exactly_the_stale(warm)

@@ -55,6 +55,9 @@ def test_dim_validation():
     index = KnnIndex(dim=3)
     with pytest.raises(ValueError, match="dim"):
         index.add("bad", np.ones(4))
+    with pytest.raises(ValueError, match="dim"):
+        index.add_many([("ok", np.ones(3)), ("ragged", np.ones(4))])
+    assert len(index) == 0
 
 
 def test_metric_validation():
