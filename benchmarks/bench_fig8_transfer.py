@@ -14,8 +14,9 @@ import pytest
 
 from benchmarks.common import emit, finetune_baseline, finetune_tabsketchfm
 from repro.core.embed import TableEmbedder
-from repro.core.searcher import DualEncoderSearcher, TabSketchFMSearcher
+from repro.core.searcher import DualEncoderSearcher
 from repro.eval.experiments import sketch_cache
+from repro.lake.catalog import TabSketchFMSearcher
 from repro.lakebench import (
     make_eurostat_subset_search,
     make_santos_search,
@@ -39,7 +40,6 @@ def experiment():
         "TUS (fig8c)": (make_tus_search(scale=SCALE), 7),
         "Eurostat (fig8d)": (make_eurostat_subset_search(scale=SCALE), 10),
     }
-    sketch_config = SketchConfig(num_perm=32, seed=1)
 
     # Two source tasks: join (Wiki Containment) and union (TUS-SANTOS).
     _, join_ft, join_enc, _ = finetune_tabsketchfm(make_wiki_containment(scale=0.4))
@@ -52,13 +52,10 @@ def experiment():
 
     rows, curves = [], {}
     for bench_label, (benchmark, k) in benchmarks.items():
-        sketches = sketch_cache(benchmark.tables, sketch_config)
         systems = [
+            TabSketchFMSearcher(join_embedder, benchmark.tables, name="FT-on-join"),
             TabSketchFMSearcher(
-                join_embedder, benchmark.tables, sketches, name="FT-on-join"
-            ),
-            TabSketchFMSearcher(
-                union_embedder, benchmark.tables, sketches, name="FT-on-union"
+                union_embedder, benchmark.tables, name="FT-on-union"
             ),
             DualEncoderSearcher(tabert_trainer, benchmark.tables, "TaBERT-FT"),
         ]

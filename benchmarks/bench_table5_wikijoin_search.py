@@ -20,11 +20,10 @@ from repro.baselines import (
     WarpGateSearcher,
 )
 from repro.core.embed import TableEmbedder
-from repro.core.searcher import DualEncoderSearcher, TabSketchFMSearcher
-from repro.eval.experiments import sketch_cache
+from repro.core.searcher import DualEncoderSearcher
+from repro.lake.catalog import TabSketchFMSearcher
 from repro.lakebench import make_wiki_containment, make_wiki_join_search
 from repro.search.metrics import evaluate_search
-from repro.sketch import SketchConfig
 from repro.text.sbert import HashedSentenceEncoder
 
 SCALE = 0.5
@@ -35,7 +34,6 @@ CURVE_KS = [1, 2, 5, 10, 15]
 @pytest.fixture(scope="module")
 def experiment():
     benchmark = make_wiki_join_search(scale=SCALE)
-    sketches = sketch_cache(benchmark.tables, SketchConfig(num_perm=32, seed=1))
 
     # Fine-tune once on Wiki Containment (the paper's choice for TaBERT-FT;
     # our TabSketchFM search models are fine-tuned the same way).
@@ -51,10 +49,9 @@ def experiment():
         DeepJoinSearcher(benchmark.tables),
         WarpGateSearcher(benchmark.tables),
         SbertSearcher(benchmark.tables),
-        TabSketchFMSearcher(embedder, benchmark.tables, sketches),
+        TabSketchFMSearcher(embedder, benchmark.tables),
         TabSketchFMSearcher(
-            embedder, benchmark.tables, sketches,
-            sbert=HashedSentenceEncoder(dim=64),
+            embedder, benchmark.tables, sbert=HashedSentenceEncoder(dim=64)
         ),
     ]
     rows, curves = [], {}

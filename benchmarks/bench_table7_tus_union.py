@@ -13,11 +13,10 @@ import pytest
 from benchmarks.common import emit, finetune_baseline, finetune_tabsketchfm
 from repro.baselines import D3lSearcher, SantosSearcher, SbertSearcher, StarmieSearcher
 from repro.core.embed import TableEmbedder
-from repro.core.searcher import DualEncoderSearcher, TabSketchFMSearcher
-from repro.eval.experiments import sketch_cache
+from repro.core.searcher import DualEncoderSearcher
+from repro.lake.catalog import TabSketchFMSearcher
 from repro.lakebench import make_tus_santos, make_tus_search
 from repro.search.metrics import evaluate_search
-from repro.sketch import SketchConfig
 from repro.text.sbert import HashedSentenceEncoder
 
 SCALE = 0.5
@@ -28,7 +27,6 @@ CURVE_KS = [1, 2, 4, 7, 10]
 @pytest.fixture(scope="module")
 def experiment():
     benchmark = make_tus_search(scale=SCALE)
-    sketches = sketch_cache(benchmark.tables, SketchConfig(num_perm=32, seed=1))
 
     finetune_data = make_tus_santos(scale=0.5)
     _, finetuner, encoder, _ = finetune_tabsketchfm(finetune_data)
@@ -44,10 +42,9 @@ def experiment():
         D3lSearcher(benchmark.tables),
         SantosSearcher(benchmark.tables),
         SbertSearcher(benchmark.tables),
-        TabSketchFMSearcher(embedder, benchmark.tables, sketches),
+        TabSketchFMSearcher(embedder, benchmark.tables),
         TabSketchFMSearcher(
-            embedder, benchmark.tables, sketches,
-            sbert=HashedSentenceEncoder(dim=64),
+            embedder, benchmark.tables, sbert=HashedSentenceEncoder(dim=64)
         ),
     ]
     rows, curves = [], {}

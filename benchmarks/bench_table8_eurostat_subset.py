@@ -17,11 +17,10 @@ import pytest
 from benchmarks.common import emit, finetune_baseline, finetune_tabsketchfm
 from repro.baselines import SbertSearcher
 from repro.core.embed import TableEmbedder
-from repro.core.searcher import DualEncoderSearcher, TabSketchFMSearcher
-from repro.eval.experiments import sketch_cache
+from repro.core.searcher import DualEncoderSearcher
+from repro.lake.catalog import TabSketchFMSearcher
 from repro.lakebench import make_ckan_subset, make_eurostat_subset_search
 from repro.search.metrics import evaluate_search
-from repro.sketch import SketchConfig
 from repro.text.sbert import HashedSentenceEncoder
 
 SCALE = 0.5
@@ -32,8 +31,6 @@ CURVE_KS = [1, 2, 5, 10, 12]
 @pytest.fixture(scope="module")
 def experiment():
     benchmark = make_eurostat_subset_search(scale=SCALE)
-    sketch_config = SketchConfig(num_perm=32, seed=1)
-    sketches = sketch_cache(benchmark.tables, sketch_config)
 
     finetune_data = make_ckan_subset(scale=0.5)
     _, finetuner, encoder, _ = finetune_tabsketchfm(finetune_data)
@@ -41,7 +38,7 @@ def experiment():
     _, tabert_trainer = finetune_baseline("TaBERT", finetune_data, epochs=4)
     _, tuta_trainer = finetune_baseline("TUTA", finetune_data, epochs=4)
 
-    tabsketch = TabSketchFMSearcher(embedder, benchmark.tables, sketches)
+    tabsketch = TabSketchFMSearcher(embedder, benchmark.tables)
     systems = [
         DualEncoderSearcher(tabert_trainer, benchmark.tables, "TaBERT-FT"),
         DualEncoderSearcher(tuta_trainer, benchmark.tables, "TUTA-FT",
@@ -49,8 +46,7 @@ def experiment():
         SbertSearcher(benchmark.tables),
         tabsketch,
         TabSketchFMSearcher(
-            embedder, benchmark.tables, sketches,
-            sbert=HashedSentenceEncoder(dim=64),
+            embedder, benchmark.tables, sbert=HashedSentenceEncoder(dim=64)
         ),
     ]
     rows, curves = [], {}
@@ -62,11 +58,11 @@ def experiment():
         curves[system.name] = {str(k): round(100 * v, 2) for k, v in result.f1_curve.items()}
         print(f"  [table8] {result.row()}")
 
-    invariance = _shuffle_invariance(benchmark, tabsketch, embedder, sketches)
+    invariance = _shuffle_invariance(benchmark, tabsketch, embedder)
     return benchmark, rows, curves, invariance
 
 
-def _shuffle_invariance(benchmark, tabsketch_searcher, embedder, sketches) -> dict:
+def _shuffle_invariance(benchmark, tabsketch_searcher, embedder) -> dict:
     """§IV-C3 probe: are the shuffled variants *retrieved* as neighbours?
 
     The paper reports 3072/3072 row-shuffled variants returned in the
@@ -77,6 +73,7 @@ def _shuffle_invariance(benchmark, tabsketch_searcher, embedder, sketches) -> di
     100%: sketches are set-based, so row order cannot change them.
     """
     sbert = SbertSearcher(benchmark.tables)
+    records = tabsketch_searcher.catalog.records
     row_hits = col_hits = sbert_row_hits = exact_rows = total = 0
     for query in benchmark.queries:
         row_variant = f"{query.table}__shuffle_rows"
@@ -88,8 +85,8 @@ def _shuffle_invariance(benchmark, tabsketch_searcher, embedder, sketches) -> di
         sbert_retrieved = set(sbert.retrieve(query, 11))
         sbert_row_hits += int(row_variant in sbert_retrieved)
         # Mechanism behind the 100%: identical sketch embeddings.
-        base_vec = embedder.table_embedding(sketches[query.table])
-        row_vec = embedder.table_embedding(sketches[row_variant])
+        base_vec = embedder.table_embedding(records[query.table].sketch)
+        row_vec = embedder.table_embedding(records[row_variant].sketch)
         exact_rows += int(np.allclose(base_vec, row_vec, atol=1e-8))
     return {
         "tabsketchfm_row_retrieved_pct": round(100.0 * row_hits / total, 1),

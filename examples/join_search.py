@@ -13,8 +13,8 @@ from __future__ import annotations
 from repro.baselines import JosieSearcher, SbertSearcher
 from repro.core import InputEncoder, TabSketchFM, TabSketchFMConfig
 from repro.core.embed import TableEmbedder
-from repro.core.searcher import TabSketchFMSearcher
-from repro.eval.experiments import format_table, sketch_cache
+from repro.eval.experiments import format_table
+from repro.lake.catalog import TabSketchFMSearcher
 from repro.lakebench import make_wiki_join_search
 from repro.search.metrics import evaluate_search
 from repro.sketch import SketchConfig
@@ -29,13 +29,11 @@ def main() -> None:
         f"queries (relevance = entity-annotation Jaccard > 0.5)"
     )
 
-    sketch_config = SketchConfig(num_perm=32, seed=1)
-    sketches = sketch_cache(benchmark.tables, sketch_config)
     texts = [" ".join(t.header) for t in benchmark.tables.values()]
     tokenizer = WordPieceTokenizer.train(texts, vocab_size=800)
     config = TabSketchFMConfig(
         vocab_size=800, dim=32, num_layers=1, num_heads=2, ffn_dim=64,
-        dropout=0.0, max_seq_len=96, sketch=sketch_config,
+        dropout=0.0, max_seq_len=96, sketch=SketchConfig(num_perm=32, seed=1),
     )
     model = TabSketchFM(config)
     encoder = InputEncoder(config, tokenizer)
@@ -43,9 +41,7 @@ def main() -> None:
     systems = [
         JosieSearcher(benchmark.tables),
         SbertSearcher(benchmark.tables),
-        TabSketchFMSearcher(
-            TableEmbedder(model, encoder), benchmark.tables, sketches
-        ),
+        TabSketchFMSearcher(TableEmbedder(model, encoder), benchmark.tables),
     ]
     ks = [1, 2, 5, 10]
     rows = []

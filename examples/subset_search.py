@@ -16,8 +16,8 @@ import numpy as np
 from repro.baselines import SbertSearcher
 from repro.core import InputEncoder, TabSketchFM, TabSketchFMConfig
 from repro.core.embed import TableEmbedder
-from repro.core.searcher import TabSketchFMSearcher
-from repro.eval.experiments import format_table, sketch_cache
+from repro.eval.experiments import format_table
+from repro.lake.catalog import TabSketchFMSearcher
 from repro.lakebench import make_eurostat_subset_search
 from repro.search.metrics import evaluate_search
 from repro.sketch import SketchConfig
@@ -33,22 +33,18 @@ def main() -> None:
         f"{len(benchmark.tables)} tables"
     )
 
-    sketch_config = SketchConfig(num_perm=32, seed=1)
-    sketches = sketch_cache(benchmark.tables, sketch_config)
     texts = [" ".join(t.header) for t in benchmark.tables.values()]
     tokenizer = WordPieceTokenizer.train(texts, vocab_size=800)
     config = TabSketchFMConfig(
         vocab_size=800, dim=32, num_layers=1, num_heads=2, ffn_dim=64,
-        dropout=0.0, max_seq_len=96, sketch=sketch_config,
+        dropout=0.0, max_seq_len=96, sketch=SketchConfig(num_perm=32, seed=1),
     )
     encoder = InputEncoder(config, tokenizer)
     model = TabSketchFM(config)
     embedder = TableEmbedder(model, encoder)
 
-    systems = [
-        TabSketchFMSearcher(embedder, benchmark.tables, sketches),
-        SbertSearcher(benchmark.tables),
-    ]
+    tabsketch = TabSketchFMSearcher(embedder, benchmark.tables)
+    systems = [tabsketch, SbertSearcher(benchmark.tables)]
     rows = [
         evaluate_search(s.name, benchmark, s.retrieve, k=K).row() for s in systems
     ]
@@ -58,6 +54,7 @@ def main() -> None:
     # Invariance probe (§IV-C3): sketches are row-order invariant by
     # construction; SBERT's order-sensitive table embedding is not.
     sbert = systems[1]
+    sketches = {name: r.sketch for name, r in tabsketch.catalog.records.items()}
     row_invariant = 0
     sbert_invariant = 0
     for query in benchmark.queries:

@@ -20,8 +20,8 @@ from repro.core.finetune import (
     PairExample,
 )
 from repro.core import InputEncoder, TabSketchFM, TabSketchFMConfig
-from repro.core.searcher import TabSketchFMSearcher
 from repro.eval.experiments import format_table, sketch_cache
+from repro.lake.catalog import TabSketchFMSearcher
 from repro.lakebench import make_santos_search, make_tus_santos
 from repro.search.metrics import evaluate_search
 from repro.sketch import SketchConfig
@@ -66,11 +66,8 @@ def main() -> None:
     )
 
     # Index the search corpus with column embeddings and run all systems.
-    corpus_sketches = sketch_cache(benchmark.tables, sketch_config)
     systems = [
-        TabSketchFMSearcher(
-            TableEmbedder(model, encoder), benchmark.tables, corpus_sketches
-        ),
+        TabSketchFMSearcher(TableEmbedder(model, encoder), benchmark.tables),
         SbertSearcher(benchmark.tables),
         D3lSearcher(benchmark.tables),
         StarmieSearcher(benchmark.tables, epochs=2),

@@ -3,7 +3,8 @@
 "We include a very simple approach of concatenating the top 100 unique values
 in a column into a single sentence and encoding it to produce a column
 embedding." Retrieval then follows the Fig. 6 procedure for table-level tasks
-and closest-column ranking for join queries. The frozen encoder is the
+and closest-column ranking for join queries, through
+:meth:`repro.search.tables.TableSearcher.rank`. The frozen encoder is the
 deterministic SBERT substitute from :mod:`repro.text.sbert`.
 """
 
@@ -28,29 +29,28 @@ class SbertSearcher:
         self.encoder = HashedSentenceEncoder(dim=dim)
         self.top_values = top_values
         self.searcher = TableSearcher(dim)
-        self._column_vectors: dict[tuple[str, str], np.ndarray] = {}
+        #: table -> ordered ``(column, vector)`` pairs, the query form.
+        self.column_pairs: dict[str, list[tuple[str, np.ndarray]]] = {}
         for name, table in tables.items():
-            for column in table.columns:
-                vector = self.encoder.encode_column(column, top_values)
-                self.searcher.add_column(name, column.name, vector)
-                self._column_vectors[(name, column.name)] = vector
+            pairs = [
+                (column.name, self.encoder.encode_column(column, top_values))
+                for column in table.columns
+            ]
+            self.column_pairs[name] = pairs
+            self.searcher.add_table(
+                name, [c for c, _ in pairs], [v for _, v in pairs]
+            )
 
     # ------------------------------------------------------------------ #
-    def _query_vectors(self, query: SearchQuery) -> np.ndarray:
-        table = self.tables[query.table]
-        if query.column is not None:
-            return self._column_vectors[(query.table, query.column)][None, :]
-        return np.stack(
-            [self._column_vectors[(query.table, c.name)] for c in table.columns]
-        )
-
     def retrieve(self, query: SearchQuery, k: int) -> list[str]:
-        vectors = self._query_vectors(query)
-        if query.column is not None:
-            return self.searcher.search_by_column(
-                vectors[0], k, exclude_table=query.table
-            )
-        return self.searcher.search_tables(vectors, k, exclude_table=query.table)
+        matches = self.searcher.rank(
+            self.column_pairs[query.table],
+            k,
+            join=query.column is not None,
+            column=query.column,
+            exclude_table=query.table,
+        )
+        return [match.table for match in matches[:k]]
 
     # ------------------------------------------------------------------ #
     def table_embedding(self, table: Table, order_sensitive: bool = True) -> np.ndarray:

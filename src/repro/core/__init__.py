@@ -16,7 +16,15 @@
   padding and length bucketing for lake-scale offline indexing.
 - :mod:`repro.core.embed` — per-table embedding shim over the engine and
   the normalized SBERT-concatenation of §IV-C (TabSketchFM-SBERT).
+- :mod:`repro.core.searcher` — the TaBERT-FT / TUTA-FT dual-encoder search
+  adapters.
 - :mod:`repro.core.ablation` — the sketch subsets used in Tables III/IV.
+
+The paper's search recipe over these embeddings (§IV-C) is served by
+:mod:`repro.lake`: :class:`repro.lake.catalog.TabSketchFMSearcher` indexes a
+benchmark's tables in a storeless :class:`~repro.lake.catalog.LakeCatalog`
+and ranks through the same :meth:`~repro.search.tables.TableSearcher.rank`
+call the lake service makes.
 """
 
 from repro.core.config import SketchSelection, TabSketchFMConfig
@@ -38,7 +46,7 @@ from repro.core.finetune import (
 )
 from repro.core.embed import TableEmbedder, concat_normalized
 from repro.core.engine import EmbeddingEngine, TableEmbeddings, sketch_corpus
-from repro.core.searcher import DualEncoderSearcher, TabSketchFMSearcher
+from repro.core.searcher import DualEncoderSearcher
 from repro.core.ablation import ablation_selections
 
 __all__ = [
@@ -64,6 +72,5 @@ __all__ = [
     "TableEmbeddings",
     "sketch_corpus",
     "DualEncoderSearcher",
-    "TabSketchFMSearcher",
     "ablation_selections",
 ]

@@ -66,11 +66,12 @@ def finalize_column_vectors(
     """Index-ready ``(column, vector)`` pairs: trunk columns ‖ optional
     SBERT value half.
 
-    The single shared construction behind both
-    :meth:`repro.lake.catalog.LakeCatalog.column_vector_pairs` and
-    :class:`repro.core.searcher.TabSketchFMSearcher`, so lake answers match
-    the one-shot pipeline bit-for-bit. The SBERT half needs raw cell values:
-    with ``sbert`` set and no ``table``, this raises a clear ``ValueError``.
+    The one construction of a served column vector: every
+    :class:`repro.lake.catalog.LakeCatalog` record (and so every
+    :class:`repro.lake.catalog.TabSketchFMSearcher` index) and every
+    external query's :meth:`~repro.lake.catalog.LakeCatalog.column_vector_pairs`
+    come from here. The SBERT half needs raw cell values: with ``sbert``
+    set and no ``table``, this raises a clear ``ValueError``.
     """
     if sbert is not None and table is None:
         raise ValueError(

@@ -31,11 +31,16 @@ written under, so its manifests and fingerprint never change).
 1-table delta costs one forward, a batched ingest costs ``ceil(N/B)``, and
 a warm load costs none. ``searcher.insertions`` is the analogous index-side
 counter: a warm load restores the persisted index and performs zero.
+
+:class:`TabSketchFMSearcher` is the paper's search recipe over a storeless
+catalog — the retrieval system behind Tables V–VIII — so the paper benches
+build and rank exactly as the served lake does.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -48,6 +53,9 @@ from repro.search.tables import TableSearcher
 from repro.sketch.pipeline import TableSketch, sketch_corpus, sketch_table
 from repro.table.schema import Table, table_from_rows
 from repro.text.sbert import HashedSentenceEncoder
+
+if TYPE_CHECKING:
+    from repro.lakebench.base import SearchQuery
 
 _TABLES_ADDED = obs.counter(
     "lake_tables_added_total", "Tables added to a lake catalog"
@@ -244,12 +252,14 @@ class LakeCatalog:
     def column_vector_pairs(
         self, table: Table, sketch: TableSketch
     ) -> list[tuple[str, np.ndarray]]:
-        """Final index-ready column vectors (trunk ‖ optional SBERT half).
+        """Final index-ready column vectors (trunk ‖ optional SBERT half)
+        for an external query table.
 
-        Exactly the construction :class:`repro.core.searcher.TabSketchFMSearcher`
-        applies, so lake answers match the one-shot pipeline bit-for-bit.
-        One trunk forward (counted in ``embed_calls`` — the query path routes
-        through here too, so cache effectiveness is observable).
+        The same :func:`~repro.core.embed.finalize_column_vectors`
+        construction every ingested record's vectors come from, so an
+        external copy of a member ranks like the member. One trunk forward
+        (counted in ``embed_calls`` — the query path routes through here
+        too, so cache effectiveness is observable).
         """
         return self.column_vector_pairs_many([table], [sketch])[0]
 
@@ -507,11 +517,6 @@ class LakeCatalog:
         return names
 
     # ------------------------------------------------------------------ #
-    def query_vectors(self, name: str) -> np.ndarray:
-        """A catalog table's stored column vectors (for leave-one-out
-        queries) — never re-embedded."""
-        return self.records[name].column_vectors
-
     def table_names(self) -> list[str]:
         return list(self.records)
 
@@ -538,3 +543,40 @@ class LakeCatalog:
                 (r.version for r in self.records.values()), default=0
             ),
         }
+
+
+class TabSketchFMSearcher:
+    """The paper's column-embedding search (§IV-C) as a retrieval system
+    over a benchmark's tables.
+
+    A thin adapter over a storeless :class:`LakeCatalog`: the tables are
+    ingested exactly as a lake ingests them — sketched with the trunk's own
+    ``config.sketch``, embedded in ``ceil(N / batch_size)`` batched
+    forwards, finalized with the optional SBERT value half (the
+    TabSketchFM-SBERT variant) — and every query ranks its stored vectors
+    through :meth:`repro.search.tables.TableSearcher.rank`, the call the
+    lake service makes: closest column for join queries, Fig. 6
+    NEARTABLES/RANK1/RANK2 for union and subset.
+    """
+
+    def __init__(
+        self,
+        embedder: TableEmbedder,
+        tables: dict[str, Table],
+        sbert: HashedSentenceEncoder | None = None,
+        name: str | None = None,
+    ):
+        self.name = name or ("TabSketchFM-SBERT" if sbert else "TabSketchFM")
+        self.catalog = LakeCatalog(embedder, sbert=sbert)
+        self.catalog.add_tables(tables)
+
+    def retrieve(self, query: SearchQuery, k: int) -> list[str]:
+        """Top-``k`` table names for a member query, itself excluded."""
+        matches = self.catalog.searcher.rank(
+            self.catalog.records[query.table].vector_pairs(),
+            k,
+            join=query.column is not None,
+            column=query.column,
+            exclude_table=query.table,
+        )
+        return [match.table for match in matches[:k]]

@@ -300,26 +300,16 @@ class LakeService:
     ) -> list[TableMatch]:
         """Run the mode's ranking under the lock; full (untruncated)
         candidate ranking so post-filters never starve the top-k."""
-        searcher = self.catalog.searcher
-        if not pairs:
-            return []
-        if request.mode == "join":
-            if request.column is not None:
-                by_name = dict(pairs)
-                if request.column not in by_name:
-                    raise DiscoveryError(
-                        "not-found",
-                        f"query table has no column {request.column!r}",
-                    )
-                named = [(request.column, by_name[request.column])]
-            else:
-                named = pairs
-            return searcher.join_tables_scored(
-                named, request.k, exclude_table=exclude
+        try:
+            return self.catalog.searcher.rank(
+                pairs,
+                request.k,
+                join=request.mode == "join",
+                column=request.column,
+                exclude_table=exclude,
             )
-        return searcher.near_tables_scored(
-            pairs, request.k, exclude_table=exclude
-        )
+        except KeyError as exc:
+            raise DiscoveryError("not-found", exc.args[0]) from None
 
     def _build_hits(
         self, request: DiscoveryRequest, matches: list[TableMatch]

@@ -67,11 +67,12 @@ def evaluate_search(
     """Run ``retrieve(query, k)`` for every query and aggregate metrics.
 
     ``retrieve`` must return ranked table names, *excluding* the query table
-    itself. The F1 curve is computed from a single retrieval at ``max(ks)``
-    and truncated per k, matching how the paper sweeps k.
+    itself. Every distinct k — the headline ``k`` and each curve point — is
+    scored from its own ``retrieve(query, k)``: Fig. 6 gathers ``3k``
+    candidate columns, so a top-``max(ks)`` list cut to k is not the
+    system's top-k, and the headline must not depend on ``curve_ks``.
     """
     ks = sorted(set(curve_ks or [])) or [k]
-    max_k = max(max(ks), k)
     f1_sums = {kk: 0.0 for kk in ks}
     f1_sum = precision_sum = recall_sum = 0.0
     n = 0
@@ -79,13 +80,13 @@ def evaluate_search(
         relevant = benchmark.relevant(query)
         if not relevant:
             continue
-        ranked = retrieve(query, max_k)
-        f1_sum += f1_at_k(ranked, relevant, k)
-        precision, recall = precision_recall_at_k(ranked, relevant, k)
+        ranked = {kk: retrieve(query, kk) for kk in sorted({k, *ks})}
+        f1_sum += f1_at_k(ranked[k], relevant, k)
+        precision, recall = precision_recall_at_k(ranked[k], relevant, k)
         precision_sum += precision
         recall_sum += recall
         for kk in ks:
-            f1_sums[kk] += f1_at_k(ranked, relevant, kk)
+            f1_sums[kk] += f1_at_k(ranked[kk], relevant, kk)
         n += 1
     n = max(1, n)
     return SearchResult(

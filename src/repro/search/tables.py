@@ -16,6 +16,11 @@ KNNSEARCH is exact (:class:`repro.search.index.KnnIndex`, sharded by table
 name), and ``NEARTABLES`` runs on the batched ``query_many`` — one index
 call for all of a query table's columns instead of one Python round-trip
 per column.
+
+:meth:`TableSearcher.rank` is the one scored entry point: the lake service
+and every paper-bench searcher (TabSketchFM ±SBERT, SBERT, the dual-encoder
+column adapters) rank through it, so a change to the ranking is one change
+measured everywhere.
 """
 
 from __future__ import annotations
@@ -33,6 +38,9 @@ from repro.search.backend import (
     stable_shard,
 )
 
+#: KNNSEARCH over-fetches ``k * CANDIDATE_FACTOR`` columns per query column.
+CANDIDATE_FACTOR = 3
+
 
 @dataclass(frozen=True)
 class ColumnEntry:
@@ -46,15 +54,13 @@ class ColumnEntry:
 class TableMatch:
     """One scored table hit with its per-column evidence.
 
-    The scored twin of the bare table-name results: ``matches`` records,
-    for every query column that matched this table, the closest indexed
-    column and its distance — ``(query_column, table_column, distance)``
-    triples in query-column order. ``n_matched`` is RANK1's matched-column
-    count, ``distance_sum`` RANK2's tie-break sum; for single-column join
-    results both collapse to the one best pair. Nothing here is lossy: the
-    name-only methods (``near_tables`` / ``search_tables``) are thin
-    projections of this shape, so scores propagate up to the Discovery API
-    instead of being dropped.
+    ``matches`` records, for every query column that matched this table,
+    the closest indexed column and its distance — ``(query_column,
+    table_column, distance)`` triples in query-column order. ``n_matched``
+    is RANK1's matched-column count, ``distance_sum`` RANK2's tie-break
+    sum; for join results both collapse to the one best pair. Callers that
+    want table names project them (``match.table``); the lake service
+    turns the rest into scored :class:`~repro.lake.api.Hit` s.
     """
 
     table: str
@@ -62,24 +68,15 @@ class TableMatch:
     distance_sum: float
     matches: tuple[tuple[str, str, float], ...] = ()
 
-    @property
-    def best_distance(self) -> float:
-        return min(
-            (distance for _, _, distance in self.matches),
-            default=self.distance_sum,
-        )
-
 
 class TableSearcher:
     """Column-embedding index + the Fig. 6 ranking procedure."""
 
-    def __init__(
-        self,
-        dim: int,
-        metric: str = "cosine",
-        candidate_factor: int = 3,
-        n_shards: int = 1,
-    ):
+    #: Read-only mirror of :data:`CANDIDATE_FACTOR` (the e2e benchmark's
+    #: replay sizes its standalone ``query_many`` from it).
+    candidate_factor = CANDIDATE_FACTOR
+
+    def __init__(self, dim: int, metric: str = "cosine", n_shards: int = 1):
         self.dim = dim
         self.backend_spec = IndexSpec(params={"metric": metric})
         self.n_shards = n_shards
@@ -93,7 +90,6 @@ class TableSearcher:
             n_shards,
             router=lambda entry: stable_shard(entry.table, n_shards),
         )
-        self.candidate_factor = candidate_factor
         self._columns_by_table: dict[str, list[ColumnEntry]] = defaultdict(list)
         #: Rows inserted through this searcher — a warm restore via
         #: :meth:`adopt_index` performs none, which the lake benches assert.
@@ -117,12 +113,6 @@ class TableSearcher:
             self._columns_by_table[entry.table].append(entry)
 
     # ------------------------------------------------------------------ #
-    def add_column(self, table: str, column: str, vector: np.ndarray) -> None:
-        entry = ColumnEntry(table, column)
-        self.index.add(entry, vector)
-        self._columns_by_table[table].append(entry)
-        self.insertions += 1
-
     def add_table(self, table: str, column_names: list[str], vectors: np.ndarray) -> None:
         """Index all of a table's columns in one bulk append."""
         entries = [ColumnEntry(table, name) for name in column_names]
@@ -146,9 +136,6 @@ class TableSearcher:
             return 0
         return self.index.remove_many(entries)
 
-    def has_table(self, table: str) -> bool:
-        return table in self._columns_by_table
-
     def table_names(self) -> list[str]:
         return list(self._columns_by_table)
 
@@ -157,46 +144,63 @@ class TableSearcher:
         return len(self._columns_by_table)
 
     # ------------------------------------------------------------------ #
-    def knn_columns(
-        self, vector: np.ndarray, k: int, exclude_table: str | None = None
-    ) -> list[tuple[ColumnEntry, float]]:
-        """KNNSEARCH: the ``k * candidate_factor`` nearest columns."""
-        want = k * self.candidate_factor
-        raw = self.index.query(
-            np.asarray(vector, dtype=np.float64),
-            want + self._excluded_count(exclude_table),
-        )
-        out = [
-            (entry, distance)
-            for entry, distance in raw
-            if exclude_table is None or entry.table != exclude_table
-        ]
-        return out[:want]
-
-    def _excluded_count(self, exclude_table: str | None) -> int:
-        """Over-fetch allowance to survive the exclude filter. (.get, not
-        [], so the defaultdict is never polluted with an empty entry.)"""
-        if exclude_table is None:
-            return 0
-        return len(self._columns_by_table.get(exclude_table, ()))
-
-    def column_near_entries_many(
+    def rank(
         self,
-        vectors: np.ndarray,
+        pairs: "Sequence[tuple[str, np.ndarray]]",
         k: int,
+        *,
+        join: bool = False,
+        column: str | None = None,
         exclude_table: str | None = None,
+    ) -> list[TableMatch]:
+        """Rank tables for a query given as ordered ``(column, vector)``
+        pairs.
+
+        ``join`` ranks every table by its single closest column (the
+        paper's join recipe); otherwise tables rank by NEARTABLES +
+        RANK1/RANK2 over all the query's columns (union and subset).
+        ``column`` narrows the query to that one column and raises
+        ``KeyError`` when the query has no such column. ``exclude_table``
+        (the query's own name, leave-one-out) never appears in the answer.
+
+        Untruncated: every table in the ``k * CANDIDATE_FACTOR`` candidate
+        pool comes back, so callers can post-filter without starving their
+        top-``k``; take ``[:k]`` for the paper's answer.
+        """
+        if not pairs:
+            return []
+        if column is not None:
+            by_name = dict(pairs)
+            if column not in by_name:
+                raise KeyError(f"query table has no column {column!r}")
+            pairs = [(column, by_name[column])]
+        if join:
+            return self.join_tables_scored(pairs, k, exclude_table)
+        return self.near_tables_scored(pairs, k, exclude_table)
+
+    def _nearest_per_table(
+        self,
+        pairs: "Sequence[tuple[str, np.ndarray]]",
+        k: int,
+        exclude_table: str | None,
     ) -> list[dict[str, tuple[ColumnEntry, float]]]:
-        """Batched COLUMNNEARTABLES, evidence-preserving: one ``query_many``
-        call answers every query column, then each row reduces to
-        table -> (closest column entry, distance) — the *which column
-        matched* information the scored API surfaces as join evidence."""
-        matrix = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-        want = k * self.candidate_factor
-        batched = self.index.query_many(
-            matrix, want + self._excluded_count(exclude_table)
+        """Batched KNNSEARCH + COLUMNNEARTABLES: one ``query_many`` call
+        answers every query column, then each row reduces to table ->
+        (closest column entry, distance) — the *which column matched*
+        evidence both rankings keep."""
+        matrix = np.stack([vector for _, vector in pairs]).astype(
+            np.float64, copy=False
+        )
+        want = k * CANDIDATE_FACTOR
+        # Over-fetch by the excluded table's own columns so the filter
+        # below cannot starve the pool (.get: never add an empty entry).
+        excluded = (
+            len(self._columns_by_table.get(exclude_table, ()))
+            if exclude_table is not None
+            else 0
         )
         results: list[dict[str, tuple[ColumnEntry, float]]] = []
-        for hits in batched:
+        for hits in self.index.query_many(matrix, want + excluded):
             nearest: dict[str, tuple[ColumnEntry, float]] = {}
             kept = 0
             for entry, distance in hits:
@@ -211,47 +215,22 @@ class TableSearcher:
             results.append(nearest)
         return results
 
-    def column_near_tables_many(
-        self,
-        vectors: np.ndarray,
-        k: int,
-        exclude_table: str | None = None,
-    ) -> list[dict[str, float]]:
-        """Batched COLUMNNEARTABLES: table -> closest-column distance per
-        query row (the entry-stripped view of
-        :meth:`column_near_entries_many`)."""
-        return [
-            {table: distance for table, (_, distance) in nearest.items()}
-            for nearest in self.column_near_entries_many(vectors, k, exclude_table)
-        ]
-
-    def column_near_tables(
-        self, vector: np.ndarray, k: int, exclude_table: str | None = None
-    ) -> dict[str, float]:
-        """COLUMNNEARTABLES: table -> distance of its closest column."""
-        return self.column_near_tables_many(
-            np.asarray(vector, dtype=np.float64)[None, :], k, exclude_table
-        )[0]
-
     def near_tables_scored(
         self,
-        named_vectors: "Sequence[tuple[str, np.ndarray]]",
+        pairs: "Sequence[tuple[str, np.ndarray]]",
         k: int,
         exclude_table: str | None = None,
     ) -> list[TableMatch]:
-        """NEARTABLES + RANK1/RANK2 with per-column match evidence.
+        """:meth:`rank`'s union/subset half: NEARTABLES + RANK1/RANK2.
 
-        ``named_vectors`` pairs each query column's *name* with its vector
-        so every hit records which query column matched which indexed
-        column at what distance. Sorted by the paper's two-stage rank:
-        most matched columns first, then smallest summed distance. All
-        column lookups ride one batched :meth:`column_near_entries_many`
-        call.
+        Every hit records which query column matched which indexed column
+        at what distance. Sorted by the paper's two-stage rank: most
+        matched columns first, then smallest summed distance.
         """
-        matrix = np.stack([vector for _, vector in named_vectors])
-        per_column = self.column_near_entries_many(matrix, k, exclude_table)
         evidence: dict[str, list[tuple[str, str, float]]] = defaultdict(list)
-        for (query_column, _), nearest in zip(named_vectors, per_column):
+        for (query_column, _), nearest in zip(
+            pairs, self._nearest_per_table(pairs, k, exclude_table)
+        ):
             for table, (entry, distance) in nearest.items():
                 evidence[table].append((query_column, entry.column, float(distance)))
         ranked = [
@@ -266,60 +245,25 @@ class TableSearcher:
         ranked.sort(key=lambda match: (-match.n_matched, match.distance_sum))
         return ranked
 
-    def near_tables(
-        self,
-        query_vectors: np.ndarray,
-        k: int,
-        exclude_table: str | None = None,
-    ) -> list[tuple[str, int, float]]:
-        """NEARTABLES + RANK1/RANK2 over a query table's column vectors.
-
-        Returns ``(table, n_matched_columns, distance_sum)`` — the
-        evidence-stripped projection of :meth:`near_tables_scored`, so the
-        two can never rank differently.
-        """
-        matrix = np.atleast_2d(np.asarray(query_vectors, dtype=np.float64))
-        named = [(str(i), row) for i, row in enumerate(matrix)]
-        return [
-            (match.table, match.n_matched, match.distance_sum)
-            for match in self.near_tables_scored(named, k, exclude_table)
-        ]
-
-    def search_tables_scored(
-        self,
-        named_vectors: "Sequence[tuple[str, np.ndarray]]",
-        k: int,
-        exclude_table: str | None = None,
-    ) -> list[TableMatch]:
-        """Top-``k`` scored hits (with evidence) under the Fig. 6 ranking."""
-        return self.near_tables_scored(named_vectors, k, exclude_table)[:k]
-
-    def search_tables(
-        self, query_vectors: np.ndarray, k: int, exclude_table: str | None = None
-    ) -> list[str]:
-        """Top-``k`` table names under the Fig. 6 ranking."""
-        return [t for t, _, _ in self.near_tables(query_vectors, k, exclude_table)][:k]
-
     def join_tables_scored(
         self,
-        named_vectors: "Sequence[tuple[str, np.ndarray]]",
+        pairs: "Sequence[tuple[str, np.ndarray]]",
         k: int,
         exclude_table: str | None = None,
     ) -> list[TableMatch]:
-        """Scored join search over one or more query columns.
+        """:meth:`rank`'s join half: closest column over one or more query
+        columns.
 
         Each table is scored by its single closest column across *all* the
         query columns (the paper's join ranking, generalized to every-column
         queries); the evidence is that one best
         ``(query_column, table_column, distance)`` pair. Ascending by best
-        distance over the whole ``k * candidate_factor`` candidate pool —
-        untruncated, so callers can post-filter without starving their
-        top-k.
+        distance.
         """
-        matrix = np.stack([vector for _, vector in named_vectors])
-        per_column = self.column_near_entries_many(matrix, k, exclude_table)
         best: dict[str, tuple[str, str, float]] = {}
-        for (query_column, _), nearest in zip(named_vectors, per_column):
+        for (query_column, _), nearest in zip(
+            pairs, self._nearest_per_table(pairs, k, exclude_table)
+        ):
             for table, (entry, distance) in nearest.items():
                 known = best.get(table)
                 if known is None or distance < known[2]:
@@ -335,11 +279,3 @@ class TableSearcher:
         ]
         ranked.sort(key=lambda match: match.distance_sum)
         return ranked
-
-    def search_by_column(
-        self, query_vector: np.ndarray, k: int, exclude_table: str | None = None
-    ) -> list[str]:
-        """Join-style search: rank tables by their closest single column."""
-        nearest = self.column_near_tables(query_vector, k, exclude_table)
-        ranked = sorted(nearest.items(), key=lambda item: item[1])
-        return [table for table, _ in ranked[:k]]

@@ -54,8 +54,9 @@ def test_union_query_uses_all_columns(trainer, corpus):
 
 def test_embeddings_are_finite(trainer, corpus):
     searcher = DualEncoderSearcher(trainer, corpus, "TaBERT-FT")
-    for vector in searcher._column_vectors.values():
-        assert np.all(np.isfinite(vector))
+    for pairs in searcher.column_pairs.values():
+        for _, vector in pairs:
+            assert np.all(np.isfinite(vector))
 
 
 def test_table_level_query_embedding_memoized(trainer, corpus):

@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.core.embed import TableEmbedder, concat_normalized, standardize
+from repro.core.embed import (
+    TableEmbedder,
+    concat_normalized,
+    finalize_column_vectors,
+    standardize,
+)
 from repro.sketch import sketch_table
 from repro.table.transform import shuffle_rows
+from repro.text.sbert import HashedSentenceEncoder
 from repro.utils.rng import spawn_rng
 
 
@@ -66,3 +72,15 @@ def test_concat_normalized_balances_scales():
     first_scale = np.std(combined[:8])
     second_scale = np.std(combined[8:])
     assert first_scale == pytest.approx(second_scale, rel=1e-6)
+
+
+def test_finalize_column_vectors_sbert_half_needs_the_table(embedder, city_sketch):
+    """The SBERT half reads raw cell values: without the Table it fails
+    with an explanatory ValueError, not a KeyError."""
+    columns = embedder.column_embeddings(city_sketch)
+    with pytest.raises(ValueError, match="sbert"):
+        finalize_column_vectors(
+            columns, city_sketch, sbert=HashedSentenceEncoder(dim=16)
+        )
+    pairs = finalize_column_vectors(columns, city_sketch)
+    assert [name for name, _ in pairs] == city_sketch.column_names

@@ -224,7 +224,7 @@ def test_concurrent_embed_batch_bitwise_identical(
 # Inference hygiene: no_grad everywhere, eval dropout a true identity
 # --------------------------------------------------------------------- #
 def test_inference_paths_run_under_no_grad(
-    tiny_model, tiny_encoder, ragged_sketches, city_table, city_sketch, monkeypatch
+    tiny_model, tiny_encoder, ragged_sketches, city_table, monkeypatch
 ):
     """Every inference forward must run with graph construction off —
     building backward closures for embeddings is pure waste. Probes the
@@ -232,7 +232,7 @@ def test_inference_paths_run_under_no_grad(
     catalog's ``column_vector_pairs_many`` rides the same
     ``embed_corpus`` funnel; the server tier asserts its counters)."""
     from repro.core.embed import TableEmbedder
-    from repro.core.searcher import TabSketchFMSearcher
+    from repro.lake.catalog import TabSketchFMSearcher
     from repro.nn.tensor import is_grad_enabled
 
     grad_seen: list[bool] = []
@@ -249,9 +249,7 @@ def test_inference_paths_run_under_no_grad(
 
     grad_seen.clear()
     TabSketchFMSearcher(
-        TableEmbedder(tiny_model, tiny_encoder),
-        {city_table.name: city_table},
-        {city_table.name: city_sketch},
+        TableEmbedder(tiny_model, tiny_encoder), {city_table.name: city_table}
     )
     assert grad_seen and not any(grad_seen)
     # No backward graph was built anywhere: parameters never saw gradients.

@@ -1,18 +1,16 @@
-"""TabSketchFM search adapters (join/union recipes, SBERT concatenation)."""
+"""TabSketchFM search adapter (join/union recipes, SBERT concatenation)."""
 
-import numpy as np
 import pytest
 
 from repro.core.embed import TableEmbedder
-from repro.core.searcher import TabSketchFMSearcher
-from repro.eval.experiments import sketch_cache
+from repro.lake.catalog import TabSketchFMSearcher
 from repro.lakebench.base import SearchQuery
 from repro.table.schema import table_from_rows
 from repro.text.sbert import HashedSentenceEncoder
 
 
 @pytest.fixture()
-def small_corpus(tiny_sketch_config):
+def small_corpus():
     shared = [f"velatburg{i}" for i in range(25)]
     other = [f"scanomatic{i}" for i in range(25)]
 
@@ -20,18 +18,16 @@ def small_corpus(tiny_sketch_config):
         rows = [[v, str(100 + i)] for i, v in enumerate(values)]
         return table_from_rows(name, ["place", "count"], rows)
 
-    tables = {
+    return {
         "q": make("q", shared),
         "overlap": make("overlap", shared[:20] + other[:5]),
         "unrelated": make("unrelated", other),
     }
-    return tables, sketch_cache(tables, tiny_sketch_config)
 
 
 def test_join_retrieval_prefers_overlap(tiny_model, tiny_encoder, small_corpus):
-    tables, sketches = small_corpus
     searcher = TabSketchFMSearcher(
-        TableEmbedder(tiny_model, tiny_encoder), tables, sketches
+        TableEmbedder(tiny_model, tiny_encoder), small_corpus
     )
     ranked = searcher.retrieve(SearchQuery(table="q", column="place"), k=2)
     assert ranked[0] == "overlap"
@@ -39,120 +35,51 @@ def test_join_retrieval_prefers_overlap(tiny_model, tiny_encoder, small_corpus):
 
 
 def test_union_retrieval_runs_fig6(tiny_model, tiny_encoder, small_corpus):
-    tables, sketches = small_corpus
     searcher = TabSketchFMSearcher(
-        TableEmbedder(tiny_model, tiny_encoder), tables, sketches
+        TableEmbedder(tiny_model, tiny_encoder), small_corpus
     )
     ranked = searcher.retrieve(SearchQuery(table="q"), k=2)
     assert ranked[0] == "overlap"
 
 
 def test_sbert_concat_widens_vectors(tiny_model, tiny_encoder, small_corpus):
-    tables, sketches = small_corpus
     sbert = HashedSentenceEncoder(dim=32)
     searcher = TabSketchFMSearcher(
-        TableEmbedder(tiny_model, tiny_encoder), tables, sketches, sbert=sbert
+        TableEmbedder(tiny_model, tiny_encoder), small_corpus, sbert=sbert
     )
     assert searcher.name == "TabSketchFM-SBERT"
-    key = ("q", "place")
-    assert searcher._column_vectors[key].shape == (
-        tiny_model.config.dim + 32,
-    )
+    vectors = searcher.catalog.records["q"].column_vectors
+    assert vectors.shape == (2, tiny_model.config.dim + 32)
     ranked = searcher.retrieve(SearchQuery(table="q", column="place"), k=2)
     assert ranked[0] == "overlap"
 
 
 def test_names(tiny_model, tiny_encoder, small_corpus):
-    tables, sketches = small_corpus
     embedder = TableEmbedder(tiny_model, tiny_encoder)
-    assert TabSketchFMSearcher(embedder, tables, sketches).name == "TabSketchFM"
-    named = TabSketchFMSearcher(embedder, tables, sketches, name="custom")
+    assert TabSketchFMSearcher(embedder, small_corpus).name == "TabSketchFM"
+    named = TabSketchFMSearcher(embedder, small_corpus, name="custom")
     assert named.name == "custom"
 
 
-def test_incremental_add_remove_does_not_mutate_caller_dicts(
-    tiny_model, tiny_encoder, small_corpus
-):
-    tables, sketches = small_corpus
-    n_tables, n_sketches = len(tables), len(sketches)
+def test_sketches_with_the_trunks_own_config(tiny_model, tiny_encoder, small_corpus):
+    """No sketch width can be passed in: the index is built from sketches
+    of the trunk's ``config.sketch``."""
     searcher = TabSketchFMSearcher(
-        TableEmbedder(tiny_model, tiny_encoder), tables, sketches
+        TableEmbedder(tiny_model, tiny_encoder), small_corpus
     )
-    searcher.remove_table("unrelated")
-    assert len(tables) == n_tables and len(sketches) == n_sketches
+    for record in searcher.catalog.records.values():
+        assert record.sketch.config == tiny_model.config.sketch
 
 
-def test_add_table_without_table_object(tiny_model, tiny_encoder, small_corpus):
-    """Sketch-only (warm-store) indexing needs no Table when SBERT is off."""
-    tables, sketches = small_corpus
-    searcher = TabSketchFMSearcher(
-        TableEmbedder(tiny_model, tiny_encoder),
-        {k: v for k, v in tables.items() if k != "unrelated"},
-        {k: v for k, v in sketches.items() if k != "unrelated"},
-    )
-    searcher.add_table("unrelated", None, sketches["unrelated"])
-    ranked = searcher.retrieve(SearchQuery(table="q", column="place"), k=2)
-    assert set(ranked) == {"overlap", "unrelated"}
-
-
-def test_add_table_replaces_in_place(tiny_model, tiny_encoder, small_corpus):
-    tables, sketches = small_corpus
-    searcher = TabSketchFMSearcher(
-        TableEmbedder(tiny_model, tiny_encoder), tables, sketches
-    )
-    before = searcher.retrieve(SearchQuery(table="q"), k=2)
-    # Re-adding the same table (update-in-place) must not crash or duplicate.
-    searcher.add_table("overlap", tables["overlap"], sketches["overlap"])
-    assert searcher.retrieve(SearchQuery(table="q"), k=2) == before
-    assert len(searcher.searcher.index) == sum(s.n_cols for s in sketches.values())
-
-
-def test_precomputed_vectors_skip_embedding(tiny_model, tiny_encoder, small_corpus):
-    tables, sketches = small_corpus
-    embedder = TableEmbedder(tiny_model, tiny_encoder)
-    reference = TabSketchFMSearcher(embedder, tables, sketches)
-    precomputed = {
-        name: [
-            (cs.name, reference._column_vectors[(name, cs.name)])
-            for cs in sketch.column_sketches
-        ]
-        for name, sketch in sketches.items()
-    }
-
-    calls = {"n": 0}
-    original = embedder.column_embeddings
-
-    def counting(sketch):
-        calls["n"] += 1
-        return original(sketch)
-
-    embedder.column_embeddings = counting
-    warm = TabSketchFMSearcher(embedder, tables, sketches, precomputed=precomputed)
-    embedder.column_embeddings = original
-    assert calls["n"] == 0
-    query = SearchQuery(table="q")
-    assert warm.retrieve(query, k=2) == reference.retrieve(query, k=2)
-
-
-def test_add_table_sbert_without_table_raises_clear_error(
-    tiny_model, tiny_encoder, small_corpus
-):
-    """With sbert enabled, a sketch-only add cannot build the value half —
-    it must fail with an explanatory ValueError, not a KeyError."""
-    tables, sketches = small_corpus
-    searcher = TabSketchFMSearcher(
-        TableEmbedder(tiny_model, tiny_encoder),
-        {k: v for k, v in tables.items() if k != "unrelated"},
-        {k: v for k, v in sketches.items() if k != "unrelated"},
-        sbert=HashedSentenceEncoder(dim=16),
-    )
-    with pytest.raises(ValueError, match="sbert"):
-        searcher.add_table("unrelated", None, sketches["unrelated"])
+def test_does_not_mutate_the_callers_tables(tiny_model, tiny_encoder, small_corpus):
+    before = dict(small_corpus)
+    TabSketchFMSearcher(TableEmbedder(tiny_model, tiny_encoder), small_corpus)
+    assert small_corpus == before
 
 
 def test_corpus_build_is_batched(tiny_model, tiny_encoder, small_corpus):
     """The constructor embeds the whole corpus in ceil(N/B) forwards."""
-    tables, sketches = small_corpus
     embedder = TableEmbedder(tiny_model, tiny_encoder)
-    TabSketchFMSearcher(embedder, tables, sketches)
+    searcher = TabSketchFMSearcher(embedder, small_corpus)
     assert embedder.engine.forward_calls == 1  # 3 tables, batch 16
+    assert searcher.catalog.embed_calls == 1

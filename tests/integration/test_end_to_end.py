@@ -20,9 +20,9 @@ from repro.core.finetune import (
     TaskType,
 )
 from repro.core.pretrain import PretrainConfig, Pretrainer
-from repro.core.searcher import TabSketchFMSearcher
 from repro.eval.experiments import sketch_cache
 from repro.eval.metrics import r2_score
+from repro.lake.catalog import TabSketchFMSearcher
 from repro.lakebench import make_pretrain_corpus, make_wiki_jaccard
 from repro.lakebench.base import SearchQuery
 from repro.sketch import SketchConfig
@@ -91,8 +91,7 @@ def test_full_pipeline(pipeline):
     q_name = dataset.test[0].first
     corpus_tables = dict(list(dataset.tables.items())[:20])
     corpus_tables[q_name] = dataset.tables[q_name]
-    corpus_sk = {n: sketches[n] for n in corpus_tables}
-    searcher = TabSketchFMSearcher(embedder, corpus_tables, corpus_sk)
+    searcher = TabSketchFMSearcher(embedder, corpus_tables)
     key_column = corpus_tables[q_name].columns[0].name
     ranked = searcher.retrieve(SearchQuery(table=q_name, column=key_column), k=5)
     assert len(ranked) == 5

@@ -34,7 +34,7 @@ def test_duplicate_add_rejected(cold_catalog, lake_tables):
 def test_remove_table_clears_index_and_registry(cold_catalog):
     assert cold_catalog.remove_table("g0t0")
     assert "g0t0" not in cold_catalog
-    assert not cold_catalog.searcher.has_table("g0t0")
+    assert "g0t0" not in cold_catalog.searcher.table_names()
     assert not cold_catalog.remove_table("g0t0")
     # Removal never invokes the trunk.
     assert cold_catalog.embed_calls == 9
@@ -60,7 +60,9 @@ def test_warm_load_matches_cold_and_embeds_nothing(
     assert warm.embed_calls == 0
     assert warm.table_names() == cold.table_names()
     for name in lake_tables:
-        assert np.array_equal(warm.query_vectors(name), cold.query_vectors(name))
+        assert np.array_equal(
+            warm.records[name].column_vectors, cold.records[name].column_vectors
+        )
 
 
 def test_mutations_persist_through_store(tmp_path, lake_embedder, lake_tables):
@@ -89,7 +91,8 @@ def test_bulk_add_performs_ceil_n_over_b_forwards(lake_embedder, lake_tables):
     assert sequential.embed_calls == len(lake_tables)
     for name in lake_tables:
         assert np.allclose(
-            batched.query_vectors(name), sequential.query_vectors(name),
+            batched.records[name].column_vectors,
+            sequential.records[name].column_vectors,
             atol=1e-8,
         )
 
@@ -180,7 +183,10 @@ def test_bulk_add_registers_nothing_when_a_forward_raises(
     clean.add_tables({name: lake_tables[name] for name in names[:2]})
     clean.add_tables(delta)
     for name in names:
-        assert np.array_equal(catalog.query_vectors(name), clean.query_vectors(name))
+        assert np.array_equal(
+            catalog.records[name].column_vectors,
+            clean.records[name].column_vectors,
+        )
     warm = LakeCatalog.from_store(lake_embedder, LakeStore.open(tmp_path))
     assert warm.table_names() == names
     assert warm.embed_calls == 0 and warm.searcher.insertions == 0

@@ -47,10 +47,10 @@ def test_warm_load_restores_persisted_index_zero_insertions(
 
     # Warm answers match the cold build exactly.
     for name in list(lake_tables)[:4]:
-        vectors = cold.query_vectors(name)
-        assert cold.searcher.search_tables(
-            vectors, 3, exclude_table=name
-        ) == warm.searcher.search_tables(vectors, 3, exclude_table=name)
+        pairs = cold.records[name].vector_pairs()
+        assert cold.searcher.rank(
+            pairs, 3, exclude_table=name
+        ) == warm.searcher.rank(pairs, 3, exclude_table=name)
 
 
 def test_mutations_update_persisted_index(lake_embedder, lake_tables, tmp_path):
@@ -61,13 +61,13 @@ def test_mutations_update_persisted_index(lake_embedder, lake_tables, tmp_path):
 
     warm = LakeCatalog.from_store(lake_embedder, LakeStore.open(tmp_path))
     assert warm.searcher.insertions == 0
-    assert warm.searcher.has_table("fresh")
-    assert not warm.searcher.has_table("g0t0")
+    assert "fresh" in warm.searcher.table_names()
+    assert "g0t0" not in warm.searcher.table_names()
     assert sorted(warm.searcher.table_names()) == sorted(
         catalog.searcher.table_names()
     )
-    vectors = warm.query_vectors("fresh")
-    assert warm.searcher.search_tables(vectors, 3, exclude_table="fresh")
+    pairs = warm.records["fresh"].vector_pairs()
+    assert warm.searcher.rank(pairs, 3, exclude_table="fresh")
 
 
 def test_missing_persisted_index_falls_back_and_heals(
@@ -99,12 +99,12 @@ def test_stale_persisted_index_detected_and_rebuilt(
 
     warm = LakeCatalog.from_store(lake_embedder, LakeStore.open(tmp_path))
     assert warm.searcher.insertions > 0, "stale index must not be adopted"
-    assert not warm.searcher.has_table("g0t0")
+    assert "g0t0" not in warm.searcher.table_names()
     for name in list(lake_tables)[1:4]:
-        hits = warm.searcher.search_tables(
-            warm.query_vectors(name), 5, exclude_table=name
+        hits = warm.searcher.rank(
+            warm.records[name].vector_pairs(), 5, exclude_table=name
         )
-        assert "g0t0" not in hits
+        assert "g0t0" not in {hit.table for hit in hits}
 
     # The rebuild re-persisted a consistent index: next open is warm again.
     healed = LakeCatalog.from_store(lake_embedder, LakeStore.open(tmp_path))
@@ -125,7 +125,7 @@ def test_same_schema_vector_drift_detected(lake_embedder, lake_tables, tmp_path)
     warm = LakeCatalog.from_store(lake_embedder, LakeStore.open(tmp_path))
     assert warm.searcher.insertions > 0, "counter drift must force a rebuild"
     assert np.array_equal(
-        warm.query_vectors("g1t1"), record.column_vectors
+        warm.records["g1t1"].column_vectors, record.column_vectors
     ), "the rebuilt index serves the manifest's (newer) vectors"
 
 

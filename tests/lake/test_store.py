@@ -544,10 +544,10 @@ def test_torn_shard_index_rebuilds_that_shard_others_stay_warm(
     assert warm.searcher.insertions == victim_columns
     assert warm.table_names() == catalog.table_names()
     for name in lake_tables:  # rankings identical to the undamaged build
-        vectors = catalog.query_vectors(name)
-        assert warm.searcher.search_tables(
-            vectors, 4, exclude_table=name
-        ) == catalog.searcher.search_tables(vectors, 4, exclude_table=name)
+        pairs = catalog.records[name].vector_pairs()
+        assert warm.searcher.rank(
+            pairs, 4, exclude_table=name
+        ) == catalog.searcher.rank(pairs, 4, exclude_table=name)
 
     healed = LakeCatalog.from_store(lake_embedder, LakeStore.open(tmp_path))
     assert healed.searcher.insertions == 0, "the rebuild must re-persist"

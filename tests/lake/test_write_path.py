@@ -103,7 +103,9 @@ def _state(root) -> dict:
 
 def _rankings(searcher, records) -> dict:
     return {
-        record.name: searcher.near_tables(record.column_vectors, 4, record.name)
+        record.name: searcher.rank(
+            record.vector_pairs(), 4, exclude_table=record.name
+        )
         for record in records
     }
 
@@ -115,9 +117,10 @@ def _assert_ranks_like_a_cold_rebuild(catalog: LakeCatalog) -> None:
         cold.add_table(record.name, record.column_names, record.column_vectors)
     warm, rebuilt = _rankings(catalog.searcher, records), _rankings(cold, records)
     for name, hits in rebuilt.items():
-        assert [hit[0] for hit in warm[name]] == [hit[0] for hit in hits], name
-        assert [hit[1] for hit in warm[name]] == pytest.approx(
-            [hit[1] for hit in hits], rel=1e-9
+        assert [hit.table for hit in warm[name]] == [hit.table for hit in hits], name
+        assert [hit.n_matched for hit in warm[name]] == [hit.n_matched for hit in hits]
+        assert [hit.distance_sum for hit in warm[name]] == pytest.approx(
+            [hit.distance_sum for hit in hits], rel=1e-9
         )
 
 

@@ -76,3 +76,25 @@ def test_f1_curve_monotone_in_recall_regime():
     )
     curve = result.f1_curve
     assert curve[1] >= curve[2] >= curve[4]
+
+
+def test_headline_does_not_depend_on_curve_ks():
+    """Every k is scored from its own retrieval: a system whose top-k
+    depends on k (as Fig. 6's 3k candidate pool does) gets the same
+    headline with and without a curve, and the curve's point at k is the
+    headline."""
+    calls = []
+
+    def retrieve(query, k):
+        calls.append(k)
+        # A wider pool lets two decoys outrank the relevant table.
+        return ["z", "y", "a", "x", "w"][:k] if k >= 5 else ["a", "z"][:k]
+
+    bench = SearchBenchmark("toy", "join", {}, [SearchQuery("q")], {"q": {"a"}})
+    alone = evaluate_search("sys", bench, retrieve, k=2)
+    curved = evaluate_search("sys", bench, retrieve, k=2, curve_ks=[1, 2, 5])
+    assert curved.mean_f1 == alone.mean_f1 == pytest.approx(2 / 3)
+    assert curved.precision_at_k == alone.precision_at_k
+    assert curved.recall_at_k == alone.recall_at_k
+    assert curved.f1_curve == {1: 1.0, 2: curved.mean_f1, 5: pytest.approx(1 / 3)}
+    assert calls == [2, 1, 2, 5]

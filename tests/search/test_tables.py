@@ -1,14 +1,14 @@
-"""Figure 6 ranking algorithm."""
+"""Figure 6 ranking algorithm, through ``TableSearcher.rank``."""
 
 import numpy as np
 import pytest
 
-from repro.search.tables import ColumnEntry, TableSearcher
+from repro.search.tables import CANDIDATE_FACTOR, TableSearcher
 
 
 @pytest.fixture()
 def searcher():
-    """Three tables in a 4-dim space with controlled column geometry."""
+    """Four tables in a 4-dim space with controlled column geometry."""
     s = TableSearcher(dim=4)
     # Table A: two columns along axes 0 and 1.
     s.add_table("A", ["a0", "a1"], np.array([[1, 0, 0, 0], [0, 1, 0, 0.0]]))
@@ -21,46 +21,83 @@ def searcher():
     return s
 
 
+def pairs(*rows) -> list:
+    return [(f"q{i}", np.asarray(row, dtype=np.float64)) for i, row in enumerate(rows)]
+
+
+def names(matches, k) -> list[str]:
+    return [match.table for match in matches[:k]]
+
+
 def test_rank1_prefers_more_matched_columns(searcher):
-    query = np.array([[1, 0, 0, 0], [0, 1, 0, 0.0]])
-    ranked = searcher.search_tables(query, k=3, exclude_table="A")
+    query = pairs([1, 0, 0, 0], [0, 1, 0, 0])
+    ranked = names(searcher.rank(query, 3, exclude_table="A"), 3)
     assert ranked[0] == "B"  # matches 2 columns
     assert ranked[1] == "C"  # matches 1 well
 
 
 def test_exclude_table(searcher):
-    query = np.array([[1, 0, 0, 0.0]])
-    ranked = searcher.search_tables(query, k=4, exclude_table="A")
+    ranked = names(searcher.rank(pairs([1, 0, 0, 0]), 4, exclude_table="A"), 4)
     assert "A" not in ranked
 
 
-def test_search_by_column_closest_first(searcher):
-    hits = searcher.search_by_column(np.array([1, 0, 0, 0.0]), k=3, exclude_table="A")
-    assert hits[0] == "C"  # c0 is the closest single column (0.95 vs 0.9)
-    assert hits[1] == "B"
+def test_join_ranks_by_closest_column(searcher):
+    ranked = searcher.rank(pairs([1, 0, 0, 0]), 3, join=True, exclude_table="A")
+    assert names(ranked, 3)[:2] == ["C", "B"]  # c0 (0.95) beats b0 (0.9)
+    assert ranked[0].matches == (("q0", "c0", ranked[0].distance_sum),)
 
 
-def test_column_near_tables_keeps_min_distance(searcher):
-    nearest = searcher.column_near_tables(np.array([1, 0, 0, 0.0]), k=4)
-    assert nearest["A"] == pytest.approx(0.0, abs=1e-9)
-    assert set(nearest) >= {"A", "B", "C"}
+def test_join_keeps_each_tables_min_distance(searcher):
+    ranked = searcher.rank(pairs([1, 0, 0, 0]), 4, join=True)
+    by_table = {match.table: match for match in ranked}
+    assert by_table["A"].distance_sum == pytest.approx(0.0, abs=1e-9)
+    assert by_table["A"].matches[0][1] == "a0"
+    assert set(by_table) >= {"A", "B", "C"}
 
 
-def test_knn_columns_overfetch_factor(searcher):
-    hits = searcher.knn_columns(np.array([1, 0, 0, 0.0]), k=2)
-    assert len(hits) <= 2 * searcher.candidate_factor
-    assert isinstance(hits[0][0], ColumnEntry)
+def test_join_over_every_query_column_takes_the_best_pair(searcher):
+    ranked = searcher.rank(
+        pairs([0, 0, 0, 1], [0, 1, 0, 0]), 3, join=True, exclude_table="A"
+    )
+    by_table = {match.table: match for match in ranked}
+    assert by_table["C"].matches[0][:2] == ("q0", "c1")
+    assert by_table["B"].matches[0][:2] == ("q1", "b1")
+
+
+def test_column_narrows_the_query(searcher):
+    query = pairs([0, 0, 0, 1], [1, 0, 0, 0])
+    narrowed = searcher.rank(query, 3, join=True, column="q1", exclude_table="A")
+    alone = searcher.rank(query[1:], 3, join=True, exclude_table="A")
+    assert narrowed == alone
+
+
+def test_unknown_column_raises_key_error(searcher):
+    with pytest.raises(KeyError, match="ghost"):
+        searcher.rank(pairs([1, 0, 0, 0]), 3, join=True, column="ghost")
+
+
+def test_empty_query_ranks_nothing(searcher):
+    assert searcher.rank([], 3) == []
+    assert searcher.rank([], 3, join=True, column="q0") == []
+
+
+def test_rank_is_untruncated_within_the_candidate_pool(searcher):
+    """Every table among the ``k * CANDIDATE_FACTOR`` nearest columns
+    comes back — more than ``k`` — and nothing outside that pool."""
+    ranked = searcher.rank(pairs([1, 0, 0, 0]), 1, join=True)
+    assert len(ranked) == CANDIDATE_FACTOR == 3
+    assert TableSearcher.candidate_factor == CANDIDATE_FACTOR
 
 
 def test_rank2_breaks_ties_by_distance():
     s = TableSearcher(dim=2)
     s.add_table("near", ["n0"], np.array([[1.0, 0.02]]))
     s.add_table("far", ["f0"], np.array([[0.6, 0.8]]))
-    ranked = s.near_tables(np.array([[1.0, 0.0]]), k=2)
-    assert ranked[0][0] == "near"
+    ranked = s.rank(pairs([1.0, 0.0]), 2)
+    assert ranked[0].table == "near"
     # Both matched 1 column; the tie broke on summed distance.
-    assert ranked[0][1] == ranked[1][1] == 1
-    assert ranked[0][2] < ranked[1][2]
+    assert ranked[0].n_matched == ranked[1].n_matched == 1
+    assert ranked[0].distance_sum < ranked[1].distance_sum
 
 
 def test_remove_table_incremental_matches_fresh_build():
@@ -75,15 +112,16 @@ def test_remove_table_incremental_matches_fresh_build():
             fresh.add_table(name, ["a", "b", "c"], block)
     assert mutated.remove_table("t2") == 3
     assert mutated.remove_table("t2") == 0
-    assert not mutated.has_table("t2")
+    assert "t2" not in mutated.table_names()
     assert mutated.n_tables == 4
 
-    query = rng.normal(size=(2, 4))
-    assert mutated.near_tables(query, k=4) == fresh.near_tables(query, k=4)
+    query = pairs(*rng.normal(size=(2, 4)))
+    assert mutated.rank(query, 4) == fresh.rank(query, 4)
+    assert mutated.rank(query, 4, join=True) == fresh.rank(query, 4, join=True)
 
 
 def test_exclude_table_does_not_pollute_registry():
     searcher = TableSearcher(dim=2)
     searcher.add_table("only", ["a"], np.ones((1, 2)))
-    searcher.knn_columns(np.ones(2), k=1, exclude_table="ghost")
+    searcher.rank(pairs([1.0, 1.0]), 1, exclude_table="ghost")
     assert searcher.table_names() == ["only"]
