@@ -30,13 +30,7 @@ EXPERIMENT_ORDER = [
     "fig8_transfer",
     "pretraining_stats",
     "sketch_micro",
-    "lake_service",
-    "embed_engine",
-    "sharded_lake",
-    "discovery_api",
     "obs_overhead",
-    "replicated_lake",
-    "lakegen_harness",
     "lakegen_scorecard",
 ]
 

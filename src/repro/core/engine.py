@@ -77,14 +77,12 @@ class EmbeddingEngine:
         model: TabSketchFM,
         encoder: InputEncoder,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        bucket: bool = True,
     ):
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.model = model
         self.encoder = encoder
         self.batch_size = batch_size
-        self.bucket = bucket
         #: Trunk invocations — the observable "one forward per batch" win.
         self.forward_calls = 0
         # Guards the counter when server threads embed queries concurrently;
@@ -187,10 +185,10 @@ class EmbeddingEngine:
     ) -> list[TableEmbeddings]:
         """Embed a whole corpus in ``ceil(N / batch_size)`` forwards.
 
-        With bucketing on, tables are grouped by encoded length so each
-        batch pads to a near-uniform max; output order always matches the
-        input order. Batches run one after another in the calling thread;
-        a forward that raises propagates before anything is returned.
+        Tables are grouped by encoded length so each batch pads to a
+        near-uniform max; output order always matches the input order.
+        Batches run one after another in the calling thread; a forward
+        that raises propagates before anything is returned.
         """
         if batch_size is None:
             batch_size = self.batch_size
@@ -199,9 +197,7 @@ class EmbeddingEngine:
         if not sketches:
             return []
         encodeds = [self.encoder.encode_table(sketch) for sketch in sketches]
-        order = list(range(len(sketches)))
-        if self.bucket:
-            order.sort(key=lambda i: encodeds[i].length)
+        order = sorted(range(len(sketches)), key=lambda i: encodeds[i].length)
         results: list[TableEmbeddings | None] = [None] * len(sketches)
         for start in range(0, len(order), batch_size):
             group = order[start : start + batch_size]

@@ -5,7 +5,7 @@ Round-trips the exact dataclasses of :mod:`repro.lake.api`: a
 :class:`~repro.lake.api.DiscoveryResult` comes back decoded — so swapping
 an in-process :class:`~repro.lake.service.LakeService` for a client
 pointed at :mod:`repro.lake.server` changes *nothing* about the hits a
-caller sees (the parity the server tests and ``bench_discovery_api``
+caller sees (the parity the server tests and ``query_external_http``
 assert). Server-side failures arrive as the typed error envelope and
 re-raise as the same :class:`~repro.lake.api.DiscoveryError` the service
 would have raised locally. :mod:`repro.lake.target` puts both behind one

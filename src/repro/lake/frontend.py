@@ -9,7 +9,7 @@ encoder and head parser. Response bodies are relayed **verbatim** — the
 frontend only re-frames the head and never re-encodes JSON, so
 ranked hits coming back through it are byte-identical to what the replica
 produced (which is in turn byte-identical to the in-process service; the
-parity chain ``bench_replicated_lake`` and the CI smoke assert).
+parity chain ``tests/lake/test_replica.py`` and the CI smoke assert).
 
 Behavior:
 

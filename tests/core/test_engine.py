@@ -81,14 +81,10 @@ def test_batched_matches_sequential(
         assert np.allclose(result.columns, columns_ref, atol=ATOL)
 
 
-def test_unbucketed_matches_bucketed(tiny_model, tiny_encoder, ragged_sketches):
-    bucketed = EmbeddingEngine(tiny_model, tiny_encoder, batch_size=3)
-    plain = EmbeddingEngine(tiny_model, tiny_encoder, batch_size=3, bucket=False)
-    for a, b in zip(
-        bucketed.embed_corpus(ragged_sketches), plain.embed_corpus(ragged_sketches)
-    ):
-        assert np.allclose(a.table, b.table, atol=ATOL)
-        assert np.allclose(a.columns, b.columns, atol=ATOL)
+def test_bucket_kwarg_is_gone(tiny_model, tiny_encoder):
+    """``embed_corpus`` always length-buckets; there is no switch to pass."""
+    with pytest.raises(TypeError, match="bucket"):
+        EmbeddingEngine(tiny_model, tiny_encoder, bucket=True)
 
 
 def test_forward_count_is_ceil_n_over_b(tiny_model, tiny_encoder, ragged_sketches):
