@@ -34,6 +34,15 @@ arrays (uint64 signatures, float64 raw numeric stats) plus the final
 everything float64/uint64 in npz, so a save/load round-trip is bit-exact and
 warm queries are bit-identical to a cold in-memory build.
 
+Every archive, table or index, goes through one codec,
+:mod:`repro.lake.archive`: :func:`~repro.lake.archive.write_archive` writes
+the bytes ``np.savez`` would, in one ``write``, and
+:func:`~repro.lake.archive.read_archive` reads a file in one ``read`` and
+checks each member's CRC-32, raising
+:class:`~repro.lake.archive.ArchiveError` on anything malformed. Nothing here
+calls ``np.savez`` or ``np.load``; the crash tests' ``kill_at`` counts
+``write_archive`` as the archive-write operation.
+
 The manifest records the config fingerprint
 (:func:`repro.lake.serialization.config_fingerprint`, which folds the shard
 count in when there is more than one); opening a store with a different expected
@@ -79,7 +88,6 @@ import json
 import os
 import shutil
 import warnings
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -87,6 +95,7 @@ from typing import Iterator
 import numpy as np
 
 from repro import obs
+from repro.lake.archive import read_archive, write_archive
 from repro.lake.serialization import (
     FORMAT_VERSION,
     FingerprintMismatchError,
@@ -370,8 +379,7 @@ class LakeShard:
         arrays, meta = pack_table_sketch(record.sketch)
         arrays["column_vectors"] = np.asarray(record.column_vectors, dtype=np.float64)
         arrays["table_embedding"] = np.asarray(record.table_embedding, dtype=np.float64)
-        np.savez(self.root / file_rel, **arrays)
-        disk_bytes = int((self.root / file_rel).stat().st_size)
+        disk_bytes = write_archive(self.root / file_rel, arrays)
         _FLUSH_BYTES.labels(shard=str(self.shard_id)).inc(disk_bytes)
         fields = {
             "name": record.name,
@@ -452,8 +460,7 @@ class LakeShard:
         return self._load_entry(entry)
 
     def _load_entry(self, entry: dict) -> LakeTableRecord:
-        with np.load(self.root / entry["file"]) as archive:
-            arrays = {key: archive[key] for key in archive.files}
+        arrays = read_archive(self.root / entry["file"])
         sketch = unpack_table_sketch(arrays, entry["sketch_meta"])
         return LakeTableRecord(
             sketch=sketch,
@@ -523,10 +530,9 @@ class LakeShard:
         arrays["__mutation_counter"] = np.asarray(counter, dtype=np.int64)
         path = self.root / INDEX_NAME
         # Write-then-rename: a crash mid-write must never leave a torn
-        # archive under the live name. (The tmp name keeps the .npz
-        # extension — np.savez appends one otherwise.)
+        # archive under the live name.
         temporary = path.with_name(_INDEX_TMP)
-        np.savez(temporary, **arrays)
+        disk_bytes = write_archive(temporary, arrays)
         os.replace(temporary, path)
         self._manifest["index"] = {
             "state_version": INDEX_STATE_VERSION,
@@ -534,7 +540,7 @@ class LakeShard:
             "meta": meta,
             "file": INDEX_NAME,
             "n_keys": len(keys),
-            "disk_bytes": int(path.stat().st_size),
+            "disk_bytes": disk_bytes,
             # Re-stamped by every write that leaves the index as it was;
             # ``archive_counter`` stays what the archive itself carries.
             "mutation_counter": counter,
@@ -568,10 +574,7 @@ class LakeShard:
         if not path.exists():
             return None
         try:
-            # Our own handle: when the zip directory is torn, np.load leaves
-            # a file it opened itself to the GC (a ResourceWarning).
-            with open(path, "rb") as handle, np.load(handle) as archive:
-                arrays = {key: archive[key] for key in archive.files}
+            arrays = read_archive(path)
             stamped = arrays.pop("__mutation_counter", None)
             if stamped is not None and int(stamped) != entry.get("archive_counter"):
                 return None  # renamed in, but its manifest flush never landed
@@ -584,11 +587,11 @@ class LakeShard:
             return restore_index(
                 IndexSpec.from_dict(entry["spec"]), dim, keys, arrays, entry["meta"]
             )
-        except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
-            # A corrupt/truncated archive (torn disk write) or a missing
-            # field must degrade to the rebuild path, not crash every
-            # open — but audibly, so a deterministic restore bug can't
-            # hide as a silent per-open rebuild forever.
+        except (OSError, ValueError, KeyError) as exc:
+            # A corrupt/truncated archive (an ArchiveError, from a torn
+            # disk write) or a missing field must degrade to the rebuild
+            # path, not crash every open — but audibly, so a deterministic
+            # restore bug can't hide as a silent per-open rebuild forever.
             warnings.warn(
                 f"persisted index at {path} could not be restored "
                 f"({exc!r}); rebuilding from table records",

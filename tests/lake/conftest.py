@@ -21,10 +21,10 @@ from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from repro.core.embed import TableEmbedder
+from repro.lake import store as store_module
 from repro.lake.catalog import LakeCatalog
 from repro.lake.store import LakeStore
 from repro.table.schema import Table, table_from_rows
@@ -143,9 +143,11 @@ def _killed_at_call(k: int):
     running — the file system is left as after a kill just before it.
 
     Counted: ``os.replace`` / ``os.rename`` / ``shutil.move`` (renames),
-    ``np.savez`` (archive writes) and ``os.unlink`` (which ``Path.unlink``
-    calls). The kill ends the block quietly; ``.fired`` says whether it
-    happened (``False``: the block ran to the end in fewer than k calls).
+    :func:`repro.lake.archive.write_archive` as ``repro.lake.store`` calls
+    it (every table and index archive write) and ``os.unlink`` (which
+    ``Path.unlink`` calls). The kill ends the block quietly; ``.fired``
+    says whether it happened (``False``: the block ran to the end in fewer
+    than k calls).
     """
     state = SimpleNamespace(calls=0, fired=False)
 
@@ -161,7 +163,7 @@ def _killed_at_call(k: int):
     with pytest.MonkeyPatch.context() as patch:
         for owner, name in (
             (os, "replace"), (os, "rename"), (shutil, "move"),
-            (np, "savez"), (os, "unlink"),
+            (store_module, "write_archive"), (os, "unlink"),
         ):
             patch.setattr(owner, name, guarded(getattr(owner, name)))
         try:

@@ -11,6 +11,7 @@ import gc
 import numpy as np
 import pytest
 
+from repro.lake import store as store_module
 from repro.lake.catalog import LakeCatalog
 from repro.lake.store import LakeStore, LakeTableRecord
 from repro.search.backend import (
@@ -269,11 +270,14 @@ def test_save_index_heals_a_shard_whose_table_manifest_moved_on(
 def test_failed_array_write_leaves_manifest_clean(
     tmp_path, city_table, product_table, tiny_sketch_config, monkeypatch
 ):
-    """A np.savez failure mid-save must not leave a half-built manifest
-    entry that a later flush would persist."""
+    """An archive-write failure mid-save must not leave a half-built
+    manifest entry that a later flush would persist."""
     store = LakeStore(tmp_path, "fp")
     store.save_table(_record(city_table, tiny_sketch_config))
-    monkeypatch.setattr(np, "savez", lambda *a, **k: (_ for _ in ()).throw(OSError("disk full")))
+    monkeypatch.setattr(
+        store_module, "write_archive",
+        lambda *a, **k: (_ for _ in ()).throw(OSError("disk full")),
+    )
     with pytest.raises(OSError, match="disk full"):
         store.save_table(_record(product_table, tiny_sketch_config))
     monkeypatch.undo()
@@ -393,7 +397,8 @@ def test_update_crash_during_array_write_keeps_old_version(
     replacement = _record(city_table, tiny_sketch_config, seed=2)
     replacement.version = 2
     monkeypatch.setattr(
-        np, "savez", lambda *a, **k: (_ for _ in ()).throw(OSError("kill -9"))
+        store_module, "write_archive",
+        lambda *a, **k: (_ for _ in ()).throw(OSError("kill -9")),
     )
     with pytest.raises(OSError, match="kill -9"):
         store.save_table(replacement)

@@ -140,20 +140,21 @@ def _assert_swept(root: Path) -> None:
 def writes(monkeypatch) -> Counter:
     """Counts root-manifest, shard-manifest and index-archive writes."""
     counts: Counter = Counter()
-    write_manifest, savez = store_module._write_manifest, np.savez
+    write_manifest = store_module._write_manifest
+    write_archive = store_module.write_archive
 
     def counted_manifest(path, manifest):
         is_shard = path.parent.parent.name == store_module.SHARDS_DIR
         counts["shard_manifest" if is_shard else "root_manifest"] += 1
         write_manifest(path, manifest)
 
-    def counted_savez(file, *args, **kwargs):
-        if Path(file).name == "index.tmp.npz":
+    def counted_archive(path, arrays):
+        if Path(path).name == "index.tmp.npz":
             counts["index_archive"] += 1
-        savez(file, *args, **kwargs)
+        return write_archive(path, arrays)
 
     monkeypatch.setattr(store_module, "_write_manifest", counted_manifest)
-    monkeypatch.setattr(np, "savez", counted_savez)
+    monkeypatch.setattr(store_module, "write_archive", counted_archive)
     return counts
 
 
@@ -175,6 +176,33 @@ def test_each_write_flushes_each_touched_shard_once(
     assert dict(writes) == expected
     reopened = _warm(lake_embedder, base_lake)
     assert reopened.searcher.insertions == 0 and reopened.embed_calls == 0
+
+
+def test_add_tables_writes_every_archive_through_the_codec(
+    base_lake, lake_embedder, monkeypatch
+):
+    """``kill_at`` kills archive writes by counting ``write_archive`` where
+    the store calls it. An ``add_tables`` of N fresh tables makes exactly N
+    table archives plus one ``index.npz`` per touched shard, every one of
+    them through that seam: a write path that bypassed it would leave the
+    crash tests passing without killing that write."""
+    written: list[Path] = []
+    write_archive = store_module.write_archive
+
+    def counted(path, arrays):
+        written.append(Path(path))
+        return write_archive(path, arrays)
+
+    catalog = _warm(lake_embedder, base_lake)
+    before = set(base_lake.rglob("*.npz"))
+    monkeypatch.setattr(store_module, "write_archive", counted)
+    tables = _new_tables()
+    catalog.add_tables(tables)
+    touched = {catalog.store.shard_id(name) for name in tables}
+    assert len(written) == len(tables) + len(touched)
+    assert sum(path.name == "index.tmp.npz" for path in written) == len(touched)
+    new_tables = set(base_lake.rglob("tables/*.npz")) - before
+    assert new_tables == {path for path in written if path.parent.name == "tables"}
 
 
 def test_manifests_are_compact_single_line_json(base_lake):
