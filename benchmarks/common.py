@@ -17,20 +17,16 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
 from repro.baselines.dual_encoder import DualEncoderTrainer, make_baseline
 from repro.core import InputEncoder, TabSketchFM, TabSketchFMConfig
 from repro.core.config import SketchSelection
-from repro.core.finetune import (
-    CrossEncoder,
-    FinetuneConfig,
-    Finetuner,
-    PairExample,
-    TaskType,
+from repro.core.finetune import CrossEncoder, FinetuneConfig, Finetuner
+from repro.eval.experiments import (
+    dataset_pair_examples,
+    evaluate_pair_task,
+    format_table,
+    sketch_cache,
 )
-from repro.eval.experiments import format_table, sketch_cache
-from repro.eval.metrics import multilabel_weighted_f1, r2_score, weighted_f1
 from repro.lakebench.base import TablePairDataset
 from repro.sketch import SketchConfig
 from repro.table.schema import Table
@@ -77,10 +73,6 @@ def model_config(
     )
 
 
-def to_examples(dataset: TablePairDataset, sketches, pairs) -> list[PairExample]:
-    return [PairExample(sketches[p.first], sketches[p.second], p.label) for p in pairs]
-
-
 def finetune_tabsketchfm(
     dataset: TablePairDataset,
     selection: SketchSelection | None = None,
@@ -113,13 +105,13 @@ def finetune_tabsketchfm(
                        patience=4, seed=seed),
     )
     finetuner.train(
-        to_examples(dataset, sketches, dataset.train),
-        to_examples(dataset, sketches, dataset.valid),
+        dataset_pair_examples(dataset, sketches, dataset.train),
+        dataset_pair_examples(dataset, sketches, dataset.valid),
     )
-    metric = score_pairs(
+    metric = evaluate_pair_task(
         dataset.task,
-        finetuner.predict(to_examples(dataset, sketches, dataset.test)),
         [p.label for p in dataset.test],
+        finetuner.predict(dataset_pair_examples(dataset, sketches, dataset.test)),
     )
     return metric, finetuner, encoder, sketches
 
@@ -145,21 +137,7 @@ def finetune_baseline(
         (dataset.tables[p.first], dataset.tables[p.second], p.label) for p in pairs
     ]
     trainer.train(triples(dataset.train), triples(dataset.valid))
-    metric = score_pairs(
-        dataset.task, trainer.predict(triples(dataset.test)),
-        [p.label for p in dataset.test],
-    )
-    return metric, trainer
-
-
-def score_pairs(task: TaskType, predictions: np.ndarray, labels: list) -> float:
-    if task == TaskType.BINARY:
-        return weighted_f1(np.asarray(labels, dtype=np.int64), predictions)
-    if task == TaskType.REGRESSION:
-        return r2_score(np.asarray(labels, dtype=np.float64), predictions)
-    return multilabel_weighted_f1(
-        np.stack([np.asarray(l, dtype=np.float64) for l in labels]), predictions
-    )
+    return trainer.evaluate(triples(dataset.test)), trainer
 
 
 def emit(experiment: str, title: str, rows: list[dict], extra: dict | None = None) -> None:

@@ -10,7 +10,7 @@ above the model to learn the weights."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,10 +22,9 @@ from repro.baselines.encoders import (
     serialize_table_sequence,
 )
 from repro.core.finetune import TaskType
-from repro.eval.metrics import multilabel_weighted_f1, r2_score, weighted_f1
+from repro.eval.experiments import evaluate_pair_task
+from repro.nn import training
 from repro.nn.layers import Dropout, Linear, Module
-from repro.nn.losses import bce_with_logits_loss, cross_entropy_loss, mse_loss
-from repro.nn.optim import Adam, GradClipper
 from repro.nn.tensor import Tensor, concat, no_grad
 from repro.table.schema import Table
 from repro.text.tokenizer import WordPieceTokenizer
@@ -96,13 +95,6 @@ class DualEncoderModel(Module):
         emb = concat([self.embed(ids_a, mask_a), self.embed(ids_b, mask_b)], axis=-1)
         return self.head_out(self.head_dropout(self.head_in(emb).relu()))
 
-    def loss(self, logits: Tensor, labels: np.ndarray) -> Tensor:
-        if self.task == TaskType.BINARY:
-            return cross_entropy_loss(logits, np.asarray(labels, dtype=np.int64))
-        if self.task == TaskType.REGRESSION:
-            return mse_loss(logits.reshape(-1), np.asarray(labels, dtype=np.float64))
-        return bce_with_logits_loss(logits, np.asarray(labels, dtype=np.float64))
-
 
 def make_baseline(
     name: str, tokenizer: WordPieceTokenizer, task: TaskType, num_outputs: int,
@@ -116,12 +108,6 @@ def make_baseline(
         dropout=dropout,
     )
     return model, spec
-
-
-@dataclass
-class DualEncoderHistory:
-    train_losses: list[float] = field(default_factory=list)
-    valid_losses: list[float] = field(default_factory=list)
 
 
 class DualEncoderTrainer:
@@ -158,97 +144,40 @@ class DualEncoderTrainer:
             out.append((ids_a, mask_a, ids_b, mask_b, label))
         return out
 
-    def _labels_array(self, labels: list[object]) -> np.ndarray:
-        if self.model.task == TaskType.BINARY:
-            return np.asarray(labels, dtype=np.int64)
-        if self.model.task == TaskType.REGRESSION:
-            return np.asarray(labels, dtype=np.float64)
-        return np.stack([np.asarray(l, dtype=np.float64) for l in labels])
+    def _logits(self, chunk) -> Tensor:
+        return self.model(*(np.stack([c[i] for c in chunk]) for i in range(4)))
 
-    def _epoch(self, data, train: bool, optimizer, clipper, rng) -> float:
-        order = rng.permutation(len(data)) if train else np.arange(len(data))
-        total = count = 0
-        for start in range(0, len(data), self.batch_size):
-            chunk = [data[i] for i in order[start : start + self.batch_size]]
-            ids_a = np.stack([c[0] for c in chunk])
-            mask_a = np.stack([c[1] for c in chunk])
-            ids_b = np.stack([c[2] for c in chunk])
-            mask_b = np.stack([c[3] for c in chunk])
-            labels = self._labels_array([c[4] for c in chunk])
-            if train:
-                self.model.train()
-                optimizer.zero_grad()
-                loss = self.model.loss(
-                    self.model(ids_a, mask_a, ids_b, mask_b), labels
-                )
-                loss.backward()
-                clipper.clip()
-                optimizer.step()
-                value = loss.item()
-            else:
-                self.model.eval()
-                with no_grad():
-                    value = self.model.loss(
-                        self.model(ids_a, mask_a, ids_b, mask_b), labels
-                    ).item()
-            total += value * len(chunk)
-            count += len(chunk)
-        return total / max(1, count)
+    def _batch_loss(self, chunk) -> Tensor:
+        task = self.model.task
+        return task.loss(self._logits(chunk), task.labels([c[4] for c in chunk]))
 
-    def train(self, train_pairs, valid_pairs=None) -> DualEncoderHistory:
-        data = self.encode_pairs(train_pairs)
-        valid = self.encode_pairs(valid_pairs) if valid_pairs else []
-        params = self.model.trainable_parameters()
-        optimizer = Adam(params, lr=self.learning_rate)
-        clipper = GradClipper(params)
-        rng = spawn_rng(self.seed, "dual-encoder-shuffle")
-        history = DualEncoderHistory()
-        best, since_best = float("inf"), 0
-        for _ in range(self.epochs):
-            train_loss = self._epoch(data, True, optimizer, clipper, rng)
-            valid_loss = self._epoch(valid, False, None, None, rng) if valid else train_loss
-            history.train_losses.append(train_loss)
-            history.valid_losses.append(valid_loss)
-            if valid_loss < best - 1e-6:
-                best, since_best = valid_loss, 0
-            else:
-                since_best += 1
-                if since_best >= self.patience:
-                    break
-        return history
+    def train(self, train_pairs, valid_pairs=None) -> training.TrainHistory:
+        """Early stopping on validation loss, ending on the *last* epoch's
+        weights (no restore): Table II's baseline rows were produced this
+        way, and restoring the best weights would move them."""
+        return training.fit(
+            self.model, self.model.trainable_parameters(),
+            self.encode_pairs(train_pairs), self.encode_pairs(valid_pairs or []),
+            self._batch_loss,
+            epochs=self.epochs, batch_size=self.batch_size,
+            learning_rate=self.learning_rate, patience=self.patience,
+            rng=spawn_rng(self.seed, "dual-encoder-shuffle"),
+            restore_best=False,
+        )
 
     # ------------------------------------------------------------------ #
     def predict(self, pairs) -> np.ndarray:
-        data = self.encode_pairs(pairs)
-        outputs = []
-        self.model.eval()
-        with no_grad():
-            for start in range(0, len(data), self.batch_size):
-                chunk = data[start : start + self.batch_size]
-                logits = self.model(
-                    np.stack([c[0] for c in chunk]),
-                    np.stack([c[1] for c in chunk]),
-                    np.stack([c[2] for c in chunk]),
-                    np.stack([c[3] for c in chunk]),
-                ).numpy()
-                if self.model.task == TaskType.BINARY:
-                    outputs.append(np.argmax(logits, axis=-1))
-                elif self.model.task == TaskType.REGRESSION:
-                    outputs.append(logits.reshape(-1))
-                else:
-                    outputs.append(1.0 / (1.0 + np.exp(-logits)))
-        return np.concatenate(outputs) if outputs else np.zeros(0)
+        task = self.model.task
+        return training.predict(
+            self.model, self.encode_pairs(pairs),
+            lambda chunk: task.predictions(self._logits(chunk).numpy()),
+            batch_size=self.batch_size,
+        )
 
     def evaluate(self, pairs) -> float:
         """The paper's metric for the model's task family."""
-        predictions = self.predict(pairs)
-        labels = [label for _, _, label in pairs]
-        if self.model.task == TaskType.BINARY:
-            return weighted_f1(np.asarray(labels, dtype=np.int64), predictions)
-        if self.model.task == TaskType.REGRESSION:
-            return r2_score(np.asarray(labels, dtype=np.float64), predictions)
-        return multilabel_weighted_f1(
-            np.stack([np.asarray(l, dtype=np.float64) for l in labels]), predictions
+        return evaluate_pair_task(
+            self.model.task, [label for _, _, label in pairs], self.predict(pairs)
         )
 
     # ------------------------------------------------------------------ #

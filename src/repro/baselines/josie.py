@@ -49,7 +49,8 @@ class JosieSearcher:
             containment = hits / len(values)
             if containment > best_per_table.get(table, -1.0):
                 best_per_table[table] = containment
-        ranked = sorted(best_per_table.items(), key=lambda item: -item[1])
+        # Ties rank by table name: dict order here follows salted str hashes.
+        ranked = sorted(best_per_table.items(), key=lambda item: (-item[1], item[0]))
         return [table for table, _ in ranked[:k]]
 
     def retrieve(self, query: SearchQuery, k: int) -> list[str]:

@@ -8,9 +8,12 @@
 - :mod:`repro.core.model` — the encoder that sums the six embeddings of
   §III-B and runs the BERT-style trunk; plus the MLM head.
 - :mod:`repro.core.pretrain` — whole-column masking, column-shuffle
-  augmentation and the MLM pre-training loop (§III-C, Figs. 2a/3).
+  augmentation and the MLM objective (§III-C, Figs. 2a/3).
 - :mod:`repro.core.finetune` — cross-encoders for binary / regression /
-  multi-label LakeBench tasks (§III-D, Fig. 2b).
+  multi-label LakeBench tasks (§III-D, Fig. 2b), and ``TaskType``, which
+  holds each task family's labels, loss and predictions. Both train
+  through the one loop, :func:`repro.nn.training.fit`, each supplying
+  only its batch loss.
 - :mod:`repro.core.engine` — the batched ``EmbeddingEngine``: one shared
   forward per batch produces table *and* column embeddings, with dynamic
   padding and length bucketing for lake-scale offline indexing.

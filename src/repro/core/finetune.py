@@ -12,26 +12,52 @@ linear layer to generate output of size N":
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.inputs import InputEncoder, PairEncoding, batch_encodings
 from repro.core.model import TabSketchFM
+from repro.nn import training
 from repro.nn.layers import Dropout, Linear, Module
 from repro.nn.losses import bce_with_logits_loss, cross_entropy_loss, mse_loss
-from repro.nn.optim import Adam, GradClipper
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor
 from repro.sketch.pipeline import TableSketch
 from repro.utils.rng import spawn_rng
 
 
 class TaskType(enum.Enum):
-    """LakeBench task families (Table I)."""
+    """LakeBench task families (Table I), and what each implies for a
+    task head's labels, training loss and predictions."""
 
     BINARY = "binary"
     REGRESSION = "regression"
     MULTILABEL = "multilabel"
+
+    def labels(self, labels: list[object]) -> np.ndarray:
+        """Class ids (binary), values (regression) or a multi-hot matrix."""
+        if self is TaskType.BINARY:
+            return np.asarray(labels, dtype=np.int64)
+        if self is TaskType.REGRESSION:
+            return np.asarray(labels, dtype=np.float64)
+        return np.stack([np.asarray(l, dtype=np.float64) for l in labels])
+
+    def loss(self, logits: Tensor, labels: np.ndarray) -> Tensor:
+        """Cross-entropy, mean-squared error or BCE-with-logits."""
+        if self is TaskType.BINARY:
+            return cross_entropy_loss(logits, labels)
+        if self is TaskType.REGRESSION:
+            return mse_loss(logits.reshape(-1), labels)
+        return bce_with_logits_loss(logits, labels)
+
+    def predictions(self, logits: np.ndarray) -> np.ndarray:
+        """Predicted class ids, predicted values or per-class probabilities
+        (sigmoid of the logits)."""
+        if self is TaskType.BINARY:
+            return np.argmax(logits, axis=-1)
+        if self is TaskType.REGRESSION:
+            return logits.reshape(-1)
+        return 1.0 / (1.0 + np.exp(-logits))
 
 
 @dataclass
@@ -42,10 +68,7 @@ class FinetuneConfig:
     batch_size: int = 16
     learning_rate: float = 3e-4
     patience: int = 5
-    dropout: float = 0.1
     grad_clip: float = 1.0
-    #: Keep the best-validation-loss weights (standard early stopping).
-    restore_best: bool = True
     seed: int = 0
 
 
@@ -72,13 +95,6 @@ class CrossEncoder(Module):
         pooled = self.trunk.pool(hidden)
         return self.head(self.head_dropout(pooled))
 
-    def loss(self, logits: Tensor, labels: np.ndarray) -> Tensor:
-        if self.task == TaskType.BINARY:
-            return cross_entropy_loss(logits, np.asarray(labels, dtype=np.int64))
-        if self.task == TaskType.REGRESSION:
-            return mse_loss(logits.reshape(-1), np.asarray(labels, dtype=np.float64))
-        return bce_with_logits_loss(logits, np.asarray(labels, dtype=np.float64))
-
 
 @dataclass
 class PairExample:
@@ -88,13 +104,6 @@ class PairExample:
     first: TableSketch
     second: TableSketch
     label: object
-
-
-@dataclass
-class FinetuneHistory:
-    train_losses: list[float] = field(default_factory=list)
-    valid_losses: list[float] = field(default_factory=list)
-    stopped_early: bool = False
 
 
 class Finetuner:
@@ -115,99 +124,37 @@ class Finetuner:
             for p in pairs
         ]
 
-    def _batch(self, encodings: list[PairEncoding]) -> dict[str, np.ndarray]:
-        return batch_encodings(
+    def _logits(self, encodings: list[PairEncoding]) -> Tensor:
+        return self.model(batch_encodings(
             encodings, pad_token_id=self.encoder.tokenizer.vocabulary.pad_id
-        )
+        ))
 
-    def _labels_array(self, labels: list[object]) -> np.ndarray:
-        if self.model.task == TaskType.BINARY:
-            return np.asarray(labels, dtype=np.int64)
-        if self.model.task == TaskType.REGRESSION:
-            return np.asarray(labels, dtype=np.float64)
-        return np.stack([np.asarray(l, dtype=np.float64) for l in labels])
-
-    def _epoch(self, data: list[tuple[PairEncoding, object]], train: bool,
-               optimizer: Adam | None, clipper: GradClipper | None,
-               rng: np.random.Generator) -> float:
-        batch_size = self.config.batch_size
-        order = rng.permutation(len(data)) if train else np.arange(len(data))
-        total, count = 0.0, 0
-        for start in range(0, len(data), batch_size):
-            chunk = [data[i] for i in order[start : start + batch_size]]
-            batch = self._batch([enc for enc, _ in chunk])
-            labels = self._labels_array([label for _, label in chunk])
-            if train:
-                self.model.train()
-                optimizer.zero_grad()
-                loss = self.model.loss(self.model(batch), labels)
-                loss.backward()
-                clipper.clip()
-                optimizer.step()
-                value = loss.item()
-            else:
-                self.model.eval()
-                with no_grad():
-                    value = self.model.loss(self.model(batch), labels).item()
-            total += value * len(chunk)
-            count += len(chunk)
-        return total / max(1, count)
+    def _batch_loss(self, chunk: list[tuple[PairEncoding, object]]) -> Tensor:
+        task = self.model.task
+        labels = task.labels([label for _, label in chunk])
+        return task.loss(self._logits([enc for enc, _ in chunk]), labels)
 
     def train(self, train_pairs: list[PairExample],
-              valid_pairs: list[PairExample] | None = None) -> FinetuneHistory:
-        """Run the fine-tuning loop with early stopping on validation loss."""
+              valid_pairs: list[PairExample] | None = None) -> training.TrainHistory:
+        """Run the fine-tuning loop with early stopping on validation loss,
+        ending on the best-validation weights."""
         config = self.config
-        train_data = self.encode_pairs(train_pairs)
-        valid_data = self.encode_pairs(valid_pairs) if valid_pairs else []
-        optimizer = Adam(self.model.parameters(), lr=config.learning_rate)
-        clipper = GradClipper(self.model.parameters(), max_norm=config.grad_clip)
-        rng = spawn_rng(config.seed, "finetune-shuffle")
-        history = FinetuneHistory()
-        best = float("inf")
-        best_state = None
-        since_best = 0
-        for _ in range(config.epochs):
-            train_loss = self._epoch(train_data, True, optimizer, clipper, rng)
-            valid_loss = (
-                self._epoch(valid_data, False, None, None, rng)
-                if valid_data
-                else train_loss
-            )
-            history.train_losses.append(train_loss)
-            history.valid_losses.append(valid_loss)
-            if valid_loss < best - 1e-6:
-                best = valid_loss
-                since_best = 0
-                if config.restore_best:
-                    best_state = self.model.state_dict()
-            else:
-                since_best += 1
-                if since_best >= config.patience:
-                    history.stopped_early = True
-                    break
-        if config.restore_best and best_state is not None:
-            self.model.load_state_dict(best_state)
-        return history
+        return training.fit(
+            self.model, self.model.parameters(),
+            self.encode_pairs(train_pairs), self.encode_pairs(valid_pairs or []),
+            self._batch_loss,
+            epochs=config.epochs, batch_size=config.batch_size,
+            learning_rate=config.learning_rate, patience=config.patience,
+            rng=spawn_rng(config.seed, "finetune-shuffle"),
+            grad_clip=config.grad_clip,
+        )
 
     # ------------------------------------------------------------------ #
     def predict(self, pairs: list[PairExample], batch_size: int | None = None) -> np.ndarray:
-        """Task-appropriate predictions.
-
-        binary → predicted class ids; regression → predicted values;
-        multi-label → per-class probabilities (sigmoid of logits).
-        """
-        batch_size = batch_size or self.config.batch_size
-        data = self.encode_pairs(pairs)
-        outputs: list[np.ndarray] = []
-        self.model.eval()
-        with no_grad():
-            for start in range(0, len(data), batch_size):
-                chunk = [enc for enc, _ in data[start : start + batch_size]]
-                logits = self.model(self._batch(chunk)).numpy()
-                if self.model.task == TaskType.BINARY:
-                    outputs.append(np.argmax(logits, axis=-1))
-                elif self.model.task == TaskType.REGRESSION:
-                    outputs.append(logits.reshape(-1))
-                else:
-                    outputs.append(1.0 / (1.0 + np.exp(-logits)))
-        return np.concatenate(outputs) if outputs else np.zeros(0)
+        """Task-appropriate predictions (:meth:`TaskType.predictions`)."""
+        task = self.model.task
+        return training.predict(
+            self.model, [enc for enc, _ in self.encode_pairs(pairs)],
+            lambda chunk: task.predictions(self._logits(chunk).numpy()),
+            batch_size=batch_size or self.config.batch_size,
+        )

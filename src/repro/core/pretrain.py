@@ -19,15 +19,15 @@ Loss: cross-entropy over masked positions only (Eq. 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.inputs import EncodedTable, InputEncoder, PairEncoding, batch_encodings
 from repro.core.model import TabSketchFM
+from repro.nn import training
 from repro.nn.losses import cross_entropy_loss
-from repro.nn.optim import Adam, GradClipper
-from repro.nn.tensor import no_grad
+from repro.nn.tensor import Tensor
 from repro.table.schema import Table
 from repro.table.transform import shuffle_columns
 from repro.utils.rng import spawn_rng
@@ -54,11 +54,7 @@ class PretrainConfig:
     patience: int = 5
     mlm_probability: float = 0.15
     max_masked_columns: int = 5
-    #: Extra column-shuffled copies per table (§III-C data augmentation).
-    augmentation_copies: int = 1
     grad_clip: float = 1.0
-    #: Keep the best-validation-loss weights (standard early stopping).
-    restore_best: bool = True
     seed: int = 0
 
 
@@ -127,19 +123,6 @@ def make_masked_examples(
     return examples
 
 
-@dataclass
-class PretrainHistory:
-    """Loss trajectory of a pre-training run."""
-
-    train_losses: list[float] = field(default_factory=list)
-    valid_losses: list[float] = field(default_factory=list)
-    stopped_early: bool = False
-
-    @property
-    def best_valid(self) -> float:
-        return min(self.valid_losses) if self.valid_losses else float("inf")
-
-
 class Pretrainer:
     """Runs the MLM pre-training loop with early stopping."""
 
@@ -165,78 +148,33 @@ class Pretrainer:
             )
         return examples
 
-    def _epoch_loss(self, examples: list[MaskedExample], train: bool,
-                    optimizer: Adam | None, clipper: GradClipper | None,
-                    rng: np.random.Generator) -> float:
-        batch_size = self.config.batch_size
-        order = rng.permutation(len(examples)) if train else np.arange(len(examples))
-        total, count = 0.0, 0
-        pad_id = self.encoder.tokenizer.vocabulary.pad_id
-        for start in range(0, len(examples), batch_size):
-            chunk = [examples[i] for i in order[start : start + batch_size]]
-            batch = batch_encodings(
-                [ex.encoding for ex in chunk], pad_token_id=pad_id
-            )
-            seq = batch["token_ids"].shape[1]
-            labels = np.full((len(chunk), seq), IGNORE_INDEX, dtype=np.int64)
-            for row, ex in enumerate(chunk):
-                labels[row, : ex.labels.shape[0]] = ex.labels
-            if train:
-                self.model.train()
-                optimizer.zero_grad()
-                hidden = self.model(batch)
-                loss = cross_entropy_loss(
-                    self.model.mlm_logits(hidden), labels, ignore_index=IGNORE_INDEX
-                )
-                loss.backward()
-                clipper.clip()
-                optimizer.step()
-                value = loss.item()
-            else:
-                self.model.eval()
-                with no_grad():
-                    hidden = self.model(batch)
-                    value = cross_entropy_loss(
-                        self.model.mlm_logits(hidden), labels,
-                        ignore_index=IGNORE_INDEX,
-                    ).item()
-            total += value * len(chunk)
-            count += len(chunk)
-        return total / max(1, count)
+    def _batch_loss(self, chunk: list[MaskedExample]) -> Tensor:
+        batch = batch_encodings(
+            [ex.encoding for ex in chunk],
+            pad_token_id=self.encoder.tokenizer.vocabulary.pad_id,
+        )
+        seq = batch["token_ids"].shape[1]
+        labels = np.full((len(chunk), seq), IGNORE_INDEX, dtype=np.int64)
+        for row, ex in enumerate(chunk):
+            labels[row, : ex.labels.shape[0]] = ex.labels
+        hidden = self.model(batch)
+        return cross_entropy_loss(
+            self.model.mlm_logits(hidden), labels, ignore_index=IGNORE_INDEX
+        )
 
     def train(
         self,
         train_examples: list[MaskedExample],
         valid_examples: list[MaskedExample],
-    ) -> PretrainHistory:
-        """Optimize the MLM objective with early stopping on validation loss."""
+    ) -> training.TrainHistory:
+        """Optimize the MLM objective with early stopping on validation
+        loss, ending on the best-validation weights."""
         config = self.config
-        optimizer = Adam(self.model.parameters(), lr=config.learning_rate)
-        clipper = GradClipper(self.model.parameters(), max_norm=config.grad_clip)
-        rng = spawn_rng(config.seed, "pretrain-shuffle")
-        history = PretrainHistory()
-        best = float("inf")
-        best_state = None
-        since_best = 0
-        for _ in range(config.epochs):
-            train_loss = self._epoch_loss(train_examples, True, optimizer, clipper, rng)
-            valid_loss = (
-                self._epoch_loss(valid_examples, False, None, None, rng)
-                if valid_examples
-                else train_loss
-            )
-            history.train_losses.append(train_loss)
-            history.valid_losses.append(valid_loss)
-            if valid_loss < best - 1e-6:
-                best = valid_loss
-                since_best = 0
-                if config.restore_best:
-                    best_state = self.model.state_dict()
-            else:
-                since_best += 1
-                if since_best >= config.patience:
-                    history.stopped_early = True
-                    break
-        if config.restore_best and best_state is not None:
-            self.model.load_state_dict(best_state)
-        return history
+        return training.fit(
+            self.model, self.model.parameters(), train_examples, valid_examples,
+            self._batch_loss,
+            epochs=config.epochs, batch_size=config.batch_size,
+            learning_rate=config.learning_rate, patience=config.patience,
+            rng=spawn_rng(config.seed, "pretrain-shuffle"),
+            grad_clip=config.grad_clip,
+        )

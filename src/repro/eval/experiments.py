@@ -41,13 +41,12 @@ def evaluate_pair_task(
     Binary → weighted F1 over predicted class ids; regression → R²;
     multi-label → support-weighted F1 over label columns at threshold 0.5.
     """
-    if task == TaskType.BINARY:
-        return weighted_f1(np.asarray(labels, dtype=np.int64), predictions)
-    if task == TaskType.REGRESSION:
-        return r2_score(np.asarray(labels, dtype=np.float64), predictions)
-    return multilabel_weighted_f1(
-        np.stack([np.asarray(l, dtype=np.float64) for l in labels]), predictions
-    )
+    truth = task.labels(labels)
+    if task is TaskType.BINARY:
+        return weighted_f1(truth, predictions)
+    if task is TaskType.REGRESSION:
+        return r2_score(truth, predictions)
+    return multilabel_weighted_f1(truth, predictions)
 
 
 def format_table(rows: list[dict], title: str = "") -> str:

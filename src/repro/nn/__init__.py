@@ -14,8 +14,12 @@ replacement. It provides:
   pooler over the first token, as BERT's pooler does).
 - :mod:`repro.nn.losses` — cross-entropy (with ignore index, for MLM),
   mean-squared error, binary cross-entropy with logits.
-- :mod:`repro.nn.optim` — Adam and SGD with gradient clipping and linear
-  warmup schedules.
+- :mod:`repro.nn.optim` — Adam and global-norm gradient clipping.
+- :mod:`repro.nn.training` — the one training loop: ``fit`` (Adam, clipping,
+  early stopping on validation loss, optional best-weight restore) over a
+  caller's ``batch_loss`` closure, and the matching batched ``predict``.
+  Pre-training, fine-tuning and the dual-encoder baselines all train
+  through it.
 - :mod:`repro.nn.serialization` — ``state_dict`` save/load via ``.npz``.
 """
 
@@ -36,7 +40,7 @@ from repro.nn.transformer import (
     TransformerEncoderLayer,
 )
 from repro.nn.losses import bce_with_logits_loss, cross_entropy_loss, mse_loss
-from repro.nn.optim import Adam, GradClipper, LinearWarmupSchedule, Sgd
+from repro.nn.optim import Adam, GradClipper
 from repro.nn.serialization import load_state_dict, save_state_dict
 
 __all__ = [
@@ -60,8 +64,6 @@ __all__ = [
     "mse_loss",
     "Adam",
     "GradClipper",
-    "LinearWarmupSchedule",
-    "Sgd",
     "load_state_dict",
     "save_state_dict",
 ]

@@ -1,36 +1,10 @@
-"""Optimizers and schedules: Adam (BERT's default), SGD, warmup, clipping."""
+"""Adam (BERT's optimizer) and global-norm gradient clipping."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.nn.layers import Parameter
-
-
-class Sgd:
-    """Plain SGD with optional momentum."""
-
-    def __init__(self, parameters: list[Parameter], lr: float = 0.01, momentum: float = 0.0):
-        self.parameters = list(parameters)
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.parameters, self._velocity):
-            if param.grad is None:
-                continue
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += param.grad
-                update = velocity
-            else:
-                update = param.grad
-            param.data -= self.lr * update
-
-    def zero_grad(self) -> None:
-        for param in self.parameters:
-            param.zero_grad()
 
 
 class Adam:
@@ -74,33 +48,6 @@ class Adam:
     def zero_grad(self) -> None:
         for param in self.parameters:
             param.zero_grad()
-
-
-class LinearWarmupSchedule:
-    """Linear warmup to ``peak_lr`` then linear decay to zero.
-
-    Call :meth:`step` once per optimizer step; it mutates ``optimizer.lr``.
-    """
-
-    def __init__(self, optimizer, peak_lr: float, warmup_steps: int, total_steps: int):
-        if total_steps <= 0:
-            raise ValueError("total_steps must be positive")
-        self.optimizer = optimizer
-        self.peak_lr = peak_lr
-        self.warmup_steps = max(0, warmup_steps)
-        self.total_steps = total_steps
-        self._step = 0
-
-    def step(self) -> float:
-        self._step += 1
-        if self.warmup_steps and self._step <= self.warmup_steps:
-            lr = self.peak_lr * self._step / self.warmup_steps
-        else:
-            remaining = max(0, self.total_steps - self._step)
-            denom = max(1, self.total_steps - self.warmup_steps)
-            lr = self.peak_lr * remaining / denom
-        self.optimizer.lr = lr
-        return lr
 
 
 class GradClipper:

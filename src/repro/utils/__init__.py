@@ -10,14 +10,13 @@ from repro.utils.hashing import (
     hash_string,
     hash_strings,
 )
-from repro.utils.rng import RngStream, spawn_rng
+from repro.utils.rng import spawn_rng
 from repro.utils.io import ensure_dir, read_json, write_json
 
 __all__ = [
     "hash_bytes",
     "hash_string",
     "hash_strings",
-    "RngStream",
     "spawn_rng",
     "ensure_dir",
     "read_json",

@@ -21,40 +21,3 @@ def spawn_rng(seed: int, tag: str = "") -> np.random.Generator:
     """
     mixed = (int(seed) & 0xFFFFFFFF) ^ (hash_string(tag) & 0xFFFFFFFF)
     return np.random.default_rng(mixed)
-
-
-class RngStream:
-    """A named hierarchy of reproducible RNGs.
-
-    >>> stream = RngStream(seed=0)
-    >>> a = stream.child("weights")
-    >>> b = stream.child("dropout")
-
-    ``a`` and ``b`` are independent; re-creating the stream reproduces both.
-    """
-
-    def __init__(self, seed: int, tag: str = "root"):
-        self.seed = int(seed)
-        self.tag = tag
-        self.generator = spawn_rng(seed, tag)
-
-    def child(self, tag: str) -> "RngStream":
-        return RngStream(self.seed, f"{self.tag}/{tag}")
-
-    def integers(self, *args, **kwargs):
-        return self.generator.integers(*args, **kwargs)
-
-    def random(self, *args, **kwargs):
-        return self.generator.random(*args, **kwargs)
-
-    def normal(self, *args, **kwargs):
-        return self.generator.normal(*args, **kwargs)
-
-    def choice(self, *args, **kwargs):
-        return self.generator.choice(*args, **kwargs)
-
-    def shuffle(self, *args, **kwargs):
-        return self.generator.shuffle(*args, **kwargs)
-
-    def permutation(self, *args, **kwargs):
-        return self.generator.permutation(*args, **kwargs)

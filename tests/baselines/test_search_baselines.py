@@ -1,7 +1,13 @@
 """Search baselines against controlled corpora."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.baselines import (
     D3lSearcher,
     DeepJoinSearcher,
@@ -48,6 +54,28 @@ def test_josie_exact_containment_ordering(corpus):
     searcher = JosieSearcher(corpus)
     ranked = searcher.retrieve(SearchQuery(table="q", column="place"), k=3)
     assert ranked[:2] == ["match", "partial"]
+
+
+def test_josie_breaks_containment_ties_by_table_name():
+    """Twelve tables tie on containment; their order must not follow the
+    salted iteration order of Python's string hashing."""
+    script = (
+        "from repro.baselines import JosieSearcher\n"
+        "from repro.table.schema import table_from_rows\n"
+        "tables = {f't{i:02d}': table_from_rows(f't{i:02d}', ['k'],\n"
+        "          [[f'v{i}'], ['shared']]) for i in range(12)}\n"
+        "print(JosieSearcher(tables).query_column({'shared', 'a', 'b'}, k=12))\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    rankings = [
+        subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    expected = str([f"t{i:02d}" for i in range(12)]) + "\n"
+    assert rankings == [expected, expected]
 
 
 def test_josie_empty_query_column():

@@ -1,11 +1,11 @@
-"""Optimizers, schedule and gradient clipping."""
+"""Adam and gradient clipping."""
 
 import numpy as np
 import pytest
 
 from repro.nn.layers import Linear, Parameter
 from repro.nn.losses import mse_loss
-from repro.nn.optim import Adam, GradClipper, LinearWarmupSchedule, Sgd
+from repro.nn.optim import Adam, GradClipper
 from repro.nn.tensor import Tensor
 
 
@@ -22,14 +22,6 @@ def _fit(optimizer_factory, steps=300) -> float:
         loss.backward()
         optimizer.step()
     return loss.item()
-
-
-def test_sgd_converges():
-    assert _fit(lambda p: Sgd(p, lr=0.05), steps=500) < 1e-3
-
-
-def test_sgd_momentum_converges():
-    assert _fit(lambda p: Sgd(p, lr=0.02, momentum=0.9)) < 1e-3
 
 
 def test_adam_converges():
@@ -49,22 +41,6 @@ def test_adam_skips_gradless_params():
     optimizer = Adam([param], lr=0.1)
     optimizer.step()  # no grad: no change, no crash
     assert np.array_equal(param.data, np.ones(3))
-
-
-def test_warmup_schedule_shape():
-    param = Parameter(np.ones(1))
-    optimizer = Adam([param], lr=0.0)
-    schedule = LinearWarmupSchedule(optimizer, peak_lr=1.0, warmup_steps=10, total_steps=100)
-    lrs = [schedule.step() for _ in range(100)]
-    assert lrs[9] == pytest.approx(1.0)  # end of warmup
-    assert lrs[0] == pytest.approx(0.1)
-    assert lrs[-1] == pytest.approx(0.0, abs=0.02)
-    assert max(lrs) == pytest.approx(1.0)
-
-
-def test_warmup_schedule_validates():
-    with pytest.raises(ValueError):
-        LinearWarmupSchedule(None, 1.0, 0, 0)
 
 
 def test_grad_clipper_scales_down():

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.utils.rng import RngStream, spawn_rng
+from repro.utils.rng import spawn_rng
 
 
 def test_same_seed_same_stream():
@@ -21,24 +21,3 @@ def test_different_seeds_differ():
     a = spawn_rng(7, "x").random(5)
     b = spawn_rng(8, "x").random(5)
     assert not np.allclose(a, b)
-
-
-def test_stream_children_reproducible():
-    first = RngStream(3).child("weights").random(4)
-    second = RngStream(3).child("weights").random(4)
-    assert np.allclose(first, second)
-
-
-def test_stream_children_independent():
-    stream = RngStream(3)
-    a = stream.child("weights").random(4)
-    b = stream.child("dropout").random(4)
-    assert not np.allclose(a, b)
-
-
-def test_stream_delegation_methods():
-    stream = RngStream(0)
-    assert stream.integers(0, 10) in range(10)
-    assert 0.0 <= stream.random() < 1.0
-    permuted = stream.permutation(5)
-    assert sorted(permuted.tolist()) == [0, 1, 2, 3, 4]
