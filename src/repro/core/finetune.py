@@ -68,7 +68,6 @@ class FinetuneConfig:
     batch_size: int = 16
     learning_rate: float = 3e-4
     patience: int = 5
-    grad_clip: float = 1.0
     seed: int = 0
 
 
@@ -146,7 +145,6 @@ class Finetuner:
             epochs=config.epochs, batch_size=config.batch_size,
             learning_rate=config.learning_rate, patience=config.patience,
             rng=spawn_rng(config.seed, "finetune-shuffle"),
-            grad_clip=config.grad_clip,
         )
 
     # ------------------------------------------------------------------ #

@@ -54,7 +54,6 @@ class PretrainConfig:
     patience: int = 5
     mlm_probability: float = 0.15
     max_masked_columns: int = 5
-    grad_clip: float = 1.0
     seed: int = 0
 
 
@@ -176,5 +175,4 @@ class Pretrainer:
             epochs=config.epochs, batch_size=config.batch_size,
             learning_rate=config.learning_rate, patience=config.patience,
             rng=spawn_rng(config.seed, "pretrain-shuffle"),
-            grad_clip=config.grad_clip,
         )

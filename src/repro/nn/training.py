@@ -69,12 +69,12 @@ def fit(
     learning_rate: float,
     patience: int,
     rng: np.random.Generator,
-    grad_clip: float = 1.0,
     restore_best: bool = True,
 ) -> TrainHistory:
     """Optimize ``parameters`` on ``batch_loss`` over ``train``, reshuffled
-    by ``rng`` every epoch, stopping early on the mean ``valid`` loss (the
-    epoch's training loss when ``valid`` is empty).
+    by ``rng`` every epoch with gradients clipped to global norm 1.0 (as in
+    BERT), stopping early on the mean ``valid`` loss (the epoch's training
+    loss when ``valid`` is empty).
 
     An epoch that does not beat the best validation loss by 1e-6 counts
     towards ``patience``; ``patience`` such epochs in a row end the run.
@@ -83,7 +83,7 @@ def fit(
     """
     parameters = list(parameters)
     optimizer = Adam(parameters, lr=learning_rate)
-    clipper = GradClipper(parameters, max_norm=grad_clip)
+    clipper = GradClipper(parameters)
     history = TrainHistory()
     best, best_state, since_best = float("inf"), None, 0
     for _ in range(epochs):

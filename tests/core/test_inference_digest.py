@@ -7,11 +7,8 @@ benchmark's trunk shape — dim 32, 4 layers — over the seed-7 400-column
 lakegen lake, and every float64 is hashed. Equal digests mean equal stored
 vectors, ``index.npz`` bytes and rankings, seed for seed.
 
-A float64 forward's last bits also depend on the BLAS and SIMD kernels
-numpy dispatches to on the CPU at hand. ``HOST_PROBE_DIGEST`` pins the same
-primitives on fixed inputs; where the probe differs, the host computes
-other bits for reasons outside this repo and the pins are skipped rather
-than failed.
+The ``pinned_host`` fixture (``tests/core/conftest.py``) skips the pins,
+rather than failing them, on a CPU whose float64 kernels compute other bits.
 """
 
 import hashlib
@@ -29,9 +26,6 @@ from repro.lakegen.generator import LakeSpec, generate_manifest, iter_tables
 from repro.sketch.pipeline import SketchConfig, sketch_corpus
 from repro.text.tokenizer import WordPieceTokenizer
 
-HOST_PROBE_DIGEST = (
-    "9a24acecf203dd749c7a70b6fdf6cd640868fef2dd8fae73fbdb4156832c90b7"
-)
 #: batch size -> sha256 of every table and column vector, in corpus order.
 EMBED_CORPUS_DIGESTS = {
     1: "b4d70fc13ad2224435580683accbbde93eef9ce77ba8cbbc68ebeed654db2682",
@@ -45,30 +39,8 @@ COLUMN_VECTOR_PAIRS_DIGEST = (
 )
 
 
-def host_probe_digest() -> str:
-    """The trunk's numpy primitives (batched matmul, exp, tanh, the
-    LayerNorm power, reductions) on fixed inputs."""
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(16, 40, 32))
-    w = rng.normal(size=(32, 32))
-    q = rng.normal(size=(16, 2, 40, 16))
-    h = x @ w
-    scores = q @ q.transpose(0, 1, 3, 2)
-    out = [
-        h,
-        scores,
-        np.exp(scores - scores.max(axis=-1, keepdims=True)),
-        np.tanh(h),
-        np.power((h * h).sum(axis=-1, keepdims=True) + 1e-5, -0.5),
-    ]
-    return hashlib.sha256(b"".join(a.tobytes() for a in out)).hexdigest()
-
-
 @pytest.fixture(scope="module")
-def trunk():
-    if host_probe_digest() != HOST_PROBE_DIGEST:
-        pytest.skip("numpy's float64 kernels differ on this CPU from the "
-                    "ones the digests were taken with")
+def trunk(pinned_host):
     tables = list(iter_tables(generate_manifest(LakeSpec(columns=400, seed=7))))
     texts: list[str] = []
     for table in tables[::4]:

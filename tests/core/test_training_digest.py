@@ -7,10 +7,9 @@ and the dropout streams are pinned too) and hashes its loss histories
 predictions. Equal digests mean a training loop shuffles, clips, steps,
 stops and restores exactly as before, epoch for epoch.
 
-As in ``tests/core/test_inference_digest.py``, ``HOST_PROBE_DIGEST`` pins
-the float64 primitives on fixed inputs; where the probe differs the host
-computes other bits for reasons outside this repo and the pins are skipped
-rather than failed. The restore tests below need no pin and always run.
+The ``pinned_host`` fixture (``tests/core/conftest.py``) skips the pins,
+rather than failing them, on a CPU whose float64 kernels compute other
+bits. The restore tests below need no pin and always run.
 """
 
 import hashlib
@@ -34,9 +33,6 @@ from repro.sketch.pipeline import SketchConfig, sketch_table
 from repro.table.schema import table_from_rows
 from repro.text.tokenizer import WordPieceTokenizer
 
-HOST_PROBE_DIGEST = (
-    "9a24acecf203dd749c7a70b6fdf6cd640868fef2dd8fae73fbdb4156832c90b7"
-)
 #: case -> sha256 of (losses, stopped_early, final weights, predictions).
 TRAINING_DIGESTS = {
     "pretrain-early-stop":
@@ -54,25 +50,6 @@ TRAINING_DIGESTS = {
     "dual-encoder-per-row":
         "8c66c0d2a9ce6c1d9078d00778dbb58c2643a552dc0c7b8d10a84201fbab742f",
 }
-
-
-def host_probe_digest() -> str:
-    """The trunk's numpy primitives (batched matmul, exp, tanh, the
-    LayerNorm power, reductions) on fixed inputs."""
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(16, 40, 32))
-    w = rng.normal(size=(32, 32))
-    q = rng.normal(size=(16, 2, 40, 16))
-    h = x @ w
-    scores = q @ q.transpose(0, 1, 3, 2)
-    out = [
-        h,
-        scores,
-        np.exp(scores - scores.max(axis=-1, keepdims=True)),
-        np.tanh(h),
-        np.power((h * h).sum(axis=-1, keepdims=True) + 1e-5, -0.5),
-    ]
-    return hashlib.sha256(b"".join(a.tobytes() for a in out)).hexdigest()
 
 
 def _tables(n: int = 8, rows: int = 10):
@@ -208,13 +185,6 @@ def training_digest(case: str) -> str:
     history, model, predictions = _dual_encoder(DUAL_ENCODER_CASES[case])
     stopped_early = len(history.train_losses) < DUAL_ENCODER_EPOCHS
     return _hash(history, stopped_early, model, predictions)
-
-
-@pytest.fixture(scope="module")
-def pinned_host():
-    if host_probe_digest() != HOST_PROBE_DIGEST:
-        pytest.skip("numpy's float64 kernels differ on this CPU from the "
-                    "ones the digests were taken with")
 
 
 @pytest.mark.parametrize("case", sorted(TRAINING_DIGESTS))
