@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.common import emit, finetune_baseline, finetune_tabsketchfm
-from repro.core.embed import TableEmbedder
+from benchmarks.common import emit, finetune_baseline, finetuned_embedder, search_table
 from repro.core.searcher import DualEncoderSearcher
 from repro.eval.experiments import sketch_cache
 from repro.lake.catalog import TabSketchFMSearcher
@@ -25,7 +24,6 @@ from repro.lakebench import (
     make_wiki_containment,
     make_wiki_join_search,
 )
-from repro.search.metrics import evaluate_search
 from repro.sketch import SketchConfig
 
 SCALE = 0.4
@@ -42,10 +40,8 @@ def experiment():
     }
 
     # Two source tasks: join (Wiki Containment) and union (TUS-SANTOS).
-    _, join_ft, join_enc, _ = finetune_tabsketchfm(make_wiki_containment(scale=0.4))
-    join_embedder = TableEmbedder(join_ft.model.trunk, join_enc)
-    _, union_ft, union_enc, _ = finetune_tabsketchfm(make_tus_santos(scale=0.4))
-    union_embedder = TableEmbedder(union_ft.model.trunk, union_enc)
+    join_embedder = finetuned_embedder(make_wiki_containment(scale=0.4))
+    union_embedder = finetuned_embedder(make_tus_santos(scale=0.4))
     _, tabert_trainer = finetune_baseline(
         "TaBERT", make_wiki_containment(scale=0.4), epochs=4
     )
@@ -59,15 +55,12 @@ def experiment():
             ),
             DualEncoderSearcher(tabert_trainer, benchmark.tables, "TaBERT-FT"),
         ]
+        table_rows, table_curves = search_table(benchmark, systems, k, CURVE_KS)
         row = {"benchmark": bench_label, "k": k}
-        for system in systems:
-            result = evaluate_search(
-                system.name, benchmark, system.retrieve, k=k, curve_ks=CURVE_KS
-            )
-            row[system.name] = round(100 * result.mean_f1, 2)
-            curves[f"{bench_label}/{system.name}"] = {
-                str(kk): round(100 * v, 2) for kk, v in result.f1_curve.items()
-            }
+        row.update((r["system"], r["mean_f1"]) for r in table_rows)
+        curves.update(
+            (f"{bench_label}/{name}", curve) for name, curve in table_curves.items()
+        )
         print(f"  [fig8] {row}")
         rows.append(row)
     return rows, curves

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.common import emit, finetune_baseline, finetune_tabsketchfm
+from benchmarks.common import emit, finetuned_systems, search_table
 from repro.baselines import (
     DeepJoinSearcher,
     JosieSearcher,
@@ -19,12 +19,7 @@ from repro.baselines import (
     SbertSearcher,
     WarpGateSearcher,
 )
-from repro.core.embed import TableEmbedder
-from repro.core.searcher import DualEncoderSearcher
-from repro.lake.catalog import TabSketchFMSearcher
 from repro.lakebench import make_wiki_containment, make_wiki_join_search
-from repro.search.metrics import evaluate_search
-from repro.text.sbert import HashedSentenceEncoder
 
 SCALE = 0.5
 K = 10
@@ -34,35 +29,20 @@ CURVE_KS = [1, 2, 5, 10, 15]
 @pytest.fixture(scope="module")
 def experiment():
     benchmark = make_wiki_join_search(scale=SCALE)
-
+    tables = benchmark.tables
     # Fine-tune once on Wiki Containment (the paper's choice for TaBERT-FT;
     # our TabSketchFM search models are fine-tuned the same way).
-    containment = make_wiki_containment(scale=0.5)
-    _, finetuner, encoder, _ = finetune_tabsketchfm(containment)
-    embedder = TableEmbedder(finetuner.model.trunk, encoder)
-    _, tabert_trainer = finetune_baseline("TaBERT", containment, epochs=4)
-
+    tabert, tabsketchfm = finetuned_systems(make_wiki_containment(scale=0.5), tables)
     systems = [
-        DualEncoderSearcher(tabert_trainer, benchmark.tables, "TaBERT-FT"),
-        LshForestSearcher(benchmark.tables),
-        JosieSearcher(benchmark.tables),
-        DeepJoinSearcher(benchmark.tables),
-        WarpGateSearcher(benchmark.tables),
-        SbertSearcher(benchmark.tables),
-        TabSketchFMSearcher(embedder, benchmark.tables),
-        TabSketchFMSearcher(
-            embedder, benchmark.tables, sbert=HashedSentenceEncoder(dim=64)
-        ),
+        *tabert,
+        LshForestSearcher(tables),
+        JosieSearcher(tables),
+        DeepJoinSearcher(tables),
+        WarpGateSearcher(tables),
+        SbertSearcher(tables),
+        *tabsketchfm,
     ]
-    rows, curves = [], {}
-    for system in systems:
-        result = evaluate_search(
-            system.name, benchmark, system.retrieve, k=K, curve_ks=CURVE_KS
-        )
-        rows.append(result.row())
-        curves[system.name] = {str(k): round(100 * v, 2) for k, v in result.f1_curve.items()}
-        print(f"  [table5] {result.row()}")
-    return benchmark, rows, curves
+    return benchmark, *search_table(benchmark, systems, K, CURVE_KS)
 
 
 def bench_table5_wiki_join_search(benchmark, experiment):

@@ -10,14 +10,9 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.common import emit, finetune_baseline, finetune_tabsketchfm
+from benchmarks.common import emit, finetuned_systems, search_table
 from repro.baselines import D3lSearcher, SantosSearcher, SbertSearcher, StarmieSearcher
-from repro.core.embed import TableEmbedder
-from repro.core.searcher import DualEncoderSearcher
-from repro.lake.catalog import TabSketchFMSearcher
 from repro.lakebench import make_santos_search, make_tus_santos
-from repro.search.metrics import evaluate_search
-from repro.text.sbert import HashedSentenceEncoder
 
 SCALE = 0.5
 K = 5
@@ -27,35 +22,19 @@ CURVE_KS = [1, 2, 3, 5, 8]
 @pytest.fixture(scope="module")
 def experiment():
     benchmark = make_santos_search(scale=SCALE)
-
-    finetune_data = make_tus_santos(scale=0.5)
-    _, finetuner, encoder, _ = finetune_tabsketchfm(finetune_data)
-    embedder = TableEmbedder(finetuner.model.trunk, encoder)
-    _, tabert_trainer = finetune_baseline("TaBERT", finetune_data, epochs=4)
-    _, tuta_trainer = finetune_baseline("TUTA", finetune_data, epochs=4)
-
+    tables = benchmark.tables
+    dual_encoders, tabsketchfm = finetuned_systems(
+        make_tus_santos(scale=0.5), tables, tuta=True
+    )
     systems = [
-        DualEncoderSearcher(tabert_trainer, benchmark.tables, "TaBERT-FT"),
-        DualEncoderSearcher(tuta_trainer, benchmark.tables, "TUTA-FT",
-                            table_level=True),
-        StarmieSearcher(benchmark.tables),
-        D3lSearcher(benchmark.tables),
-        SantosSearcher(benchmark.tables),
-        SbertSearcher(benchmark.tables),
-        TabSketchFMSearcher(embedder, benchmark.tables),
-        TabSketchFMSearcher(
-            embedder, benchmark.tables, sbert=HashedSentenceEncoder(dim=64)
-        ),
+        *dual_encoders,
+        StarmieSearcher(tables),
+        D3lSearcher(tables),
+        SantosSearcher(tables),
+        SbertSearcher(tables),
+        *tabsketchfm,
     ]
-    rows, curves = [], {}
-    for system in systems:
-        result = evaluate_search(
-            system.name, benchmark, system.retrieve, k=K, curve_ks=CURVE_KS
-        )
-        rows.append(result.row())
-        curves[system.name] = {str(k): round(100 * v, 2) for k, v in result.f1_curve.items()}
-        print(f"  [table6] {result.row()}")
-    return benchmark, rows, curves
+    return benchmark, *search_table(benchmark, systems, K, CURVE_KS)
 
 
 def bench_table6_santos_union_search(benchmark, experiment):

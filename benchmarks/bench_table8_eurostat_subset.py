@@ -14,14 +14,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from benchmarks.common import emit, finetune_baseline, finetune_tabsketchfm
+from benchmarks.common import emit, finetuned_systems, search_table
 from repro.baselines import SbertSearcher
-from repro.core.embed import TableEmbedder
-from repro.core.searcher import DualEncoderSearcher
-from repro.lake.catalog import TabSketchFMSearcher
 from repro.lakebench import make_ckan_subset, make_eurostat_subset_search
-from repro.search.metrics import evaluate_search
-from repro.text.sbert import HashedSentenceEncoder
 
 SCALE = 0.5
 K = 10
@@ -31,38 +26,16 @@ CURVE_KS = [1, 2, 5, 10, 12]
 @pytest.fixture(scope="module")
 def experiment():
     benchmark = make_eurostat_subset_search(scale=SCALE)
-
-    finetune_data = make_ckan_subset(scale=0.5)
-    _, finetuner, encoder, _ = finetune_tabsketchfm(finetune_data)
-    embedder = TableEmbedder(finetuner.model.trunk, encoder)
-    _, tabert_trainer = finetune_baseline("TaBERT", finetune_data, epochs=4)
-    _, tuta_trainer = finetune_baseline("TUTA", finetune_data, epochs=4)
-
-    tabsketch = TabSketchFMSearcher(embedder, benchmark.tables)
-    systems = [
-        DualEncoderSearcher(tabert_trainer, benchmark.tables, "TaBERT-FT"),
-        DualEncoderSearcher(tuta_trainer, benchmark.tables, "TUTA-FT",
-                            table_level=True),
-        SbertSearcher(benchmark.tables),
-        tabsketch,
-        TabSketchFMSearcher(
-            embedder, benchmark.tables, sbert=HashedSentenceEncoder(dim=64)
-        ),
-    ]
-    rows, curves = [], {}
-    for system in systems:
-        result = evaluate_search(
-            system.name, benchmark, system.retrieve, k=K, curve_ks=CURVE_KS
-        )
-        rows.append(result.row())
-        curves[system.name] = {str(k): round(100 * v, 2) for k, v in result.f1_curve.items()}
-        print(f"  [table8] {result.row()}")
-
-    invariance = _shuffle_invariance(benchmark, tabsketch, embedder)
-    return benchmark, rows, curves, invariance
+    tables = benchmark.tables
+    dual_encoders, tabsketchfm = finetuned_systems(
+        make_ckan_subset(scale=0.5), tables, tuta=True
+    )
+    systems = [*dual_encoders, SbertSearcher(tables), *tabsketchfm]
+    rows, curves = search_table(benchmark, systems, K, CURVE_KS)
+    return benchmark, rows, curves, _shuffle_invariance(benchmark, tabsketchfm[0])
 
 
-def _shuffle_invariance(benchmark, tabsketch_searcher, embedder) -> dict:
+def _shuffle_invariance(benchmark, tabsketch_searcher) -> dict:
     """§IV-C3 probe: are the shuffled variants *retrieved* as neighbours?
 
     The paper reports 3072/3072 row-shuffled variants returned in the
@@ -73,6 +46,7 @@ def _shuffle_invariance(benchmark, tabsketch_searcher, embedder) -> dict:
     100%: sketches are set-based, so row order cannot change them.
     """
     sbert = SbertSearcher(benchmark.tables)
+    embedder = tabsketch_searcher.catalog.embedder
     records = tabsketch_searcher.catalog.records
     row_hits = col_hits = sbert_row_hits = exact_rows = total = 0
     for query in benchmark.queries:

@@ -1,9 +1,12 @@
 """Shared machinery for the paper-reproduction benches.
 
-Every bench file regenerates one table or figure of the paper: it builds the
-(seeded, synthetic) workload, trains whatever systems the experiment calls
-for, prints a paper-style result table, and writes the rows plus any F1-vs-k
-series to ``results/<experiment>.json``. The ``benchmark`` fixture times a
+Every bench file regenerates one table or figure of the paper (Tables III
+and IV share one file and its fine-tunes): it builds the (seeded, synthetic)
+workload, trains whatever systems the experiment calls for, prints a
+paper-style result table, and writes the rows plus any F1-vs-k series to
+``results/<experiment>.json``. The search tables declare their systems and
+score them through one loop, :func:`search_table`; :func:`finetuned_systems`
+builds their fine-tuned systems. The ``benchmark`` fixture times a
 representative kernel of the experiment (one retrieval / one training epoch /
 one sketch pass) so `pytest benchmarks/ --benchmark-only` also reports
 throughput.
@@ -20,17 +23,22 @@ from pathlib import Path
 from repro.baselines.dual_encoder import DualEncoderTrainer, make_baseline
 from repro.core import InputEncoder, TabSketchFM, TabSketchFMConfig
 from repro.core.config import SketchSelection
+from repro.core.embed import TableEmbedder
 from repro.core.finetune import CrossEncoder, FinetuneConfig, Finetuner
+from repro.core.searcher import DualEncoderSearcher
 from repro.eval.experiments import (
     dataset_pair_examples,
     evaluate_pair_task,
     format_table,
     sketch_cache,
 )
-from repro.lakebench.base import TablePairDataset
+from repro.lake.catalog import TabSketchFMSearcher
+from repro.lakebench.base import SearchBenchmark, TablePairDataset
+from repro.search.metrics import evaluate_search
 from repro.sketch import SketchConfig
 from repro.table.schema import Table
 from repro.text import WordPieceTokenizer
+from repro.text.sbert import HashedSentenceEncoder
 from repro.utils.io import write_json
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
@@ -138,6 +146,51 @@ def finetune_baseline(
     ]
     trainer.train(triples(dataset.train), triples(dataset.valid))
     return trainer.evaluate(triples(dataset.test)), trainer
+
+
+def finetuned_embedder(dataset: TablePairDataset) -> TableEmbedder:
+    """The trunk of a TabSketchFM cross-encoder fine-tuned on ``dataset``,
+    as the search benches embed with it."""
+    _, finetuner, encoder, _ = finetune_tabsketchfm(dataset)
+    return TableEmbedder(finetuner.model.trunk, encoder)
+
+
+def finetuned_systems(
+    dataset: TablePairDataset, tables: dict[str, Table], tuta: bool = False
+) -> tuple[list, list]:
+    """The fine-tuned search systems of Tables V-VIII, all trained on
+    ``dataset`` and indexing ``tables``: the dual encoders (TaBERT-FT, then
+    TUTA-FT at table level when ``tuta``), and TabSketchFM without and with
+    the SBERT value half."""
+    embedder = finetuned_embedder(dataset)
+    names = ["TaBERT", "TUTA"] if tuta else ["TaBERT"]
+    trainers = [finetune_baseline(name, dataset, epochs=4)[1] for name in names]
+    dual_encoders = [
+        DualEncoderSearcher(trainer, tables, f"{name}-FT", table_level=name == "TUTA")
+        for name, trainer in zip(names, trainers)
+    ]
+    return dual_encoders, [
+        TabSketchFMSearcher(embedder, tables),
+        TabSketchFMSearcher(embedder, tables, sbert=HashedSentenceEncoder(dim=64)),
+    ]
+
+
+def search_table(
+    benchmark: SearchBenchmark, systems: list, k: int, curve_ks: list[int]
+) -> tuple[list[dict], dict[str, dict[str, float]]]:
+    """Score every system on one search benchmark: its paper-style row
+    (mean F1 %, P@k, R@k) and its F1-vs-k curve in percent, by name."""
+    rows, curves = [], {}
+    for system in systems:
+        result = evaluate_search(
+            system.name, benchmark, system.retrieve, k=k, curve_ks=curve_ks
+        )
+        rows.append(result.row())
+        curves[system.name] = {
+            str(kk): round(100 * v, 2) for kk, v in result.f1_curve.items()
+        }
+        print(f"  [{benchmark.name}] {result.row()}")
+    return rows, curves
 
 
 def emit(experiment: str, title: str, rows: list[dict], extra: dict | None = None) -> None:

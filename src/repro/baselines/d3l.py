@@ -16,6 +16,7 @@ from collections import Counter
 import numpy as np
 
 from repro.lakebench.base import SearchQuery
+from repro.search.retrieval import top_scored
 from repro.sketch.minhash import MinHasher, estimate_jaccard
 from repro.sketch.numeric import numerical_sketch
 from repro.table.schema import Column, Table
@@ -119,10 +120,8 @@ class D3lSearcher:
 
     def retrieve(self, query: SearchQuery, k: int) -> list[str]:
         query_profiles = self._profiles[query.table]
-        scored = [
+        return top_scored((
             (name, self._table_score(query_profiles, profiles))
             for name, profiles in self._profiles.items()
             if name != query.table
-        ]
-        scored.sort(key=lambda item: -item[1])
-        return [name for name, _ in scored[:k]]
+        ), k)

@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.lakebench.base import SearchQuery
 from repro.search.index import KnnIndex
+from repro.search.retrieval import first_tables, query_column
 from repro.table.schema import Column, Table
 from repro.text.sbert import HashedSentenceEncoder
 
@@ -47,17 +48,6 @@ class DeepJoinSearcher:
                 self._vectors[(name, column.name)] = vector
 
     def retrieve(self, query: SearchQuery, k: int) -> list[str]:
-        table = self.tables[query.table]
-        column_name = query.column or table.columns[0].name
-        vector = self._vectors[(query.table, column_name)]
+        vector = self._vectors[(query.table, query_column(self.tables, query))]
         hits = self.index.query(vector, k * 4 + 8)
-        ranked: list[str] = []
-        seen: set[str] = set()
-        for (table_name, _column), _distance in hits:
-            if table_name == query.table or table_name in seen:
-                continue
-            seen.add(table_name)
-            ranked.append(table_name)
-            if len(ranked) >= k:
-                break
-        return ranked
+        return first_tables((key for key, _distance in hits), query, k)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from repro.lakebench.base import SearchQuery
+from repro.search.retrieval import query_column
 from repro.table.schema import Table
 
 
@@ -54,7 +55,5 @@ class JosieSearcher:
         return [table for table, _ in ranked[:k]]
 
     def retrieve(self, query: SearchQuery, k: int) -> list[str]:
-        table = self.tables[query.table]
-        column_name = query.column or table.columns[0].name
-        values = self._column_values[(query.table, column_name)]
+        values = self._column_values[(query.table, query_column(self.tables, query))]
         return self.query_column(values, k, exclude_table=query.table)

@@ -8,6 +8,7 @@ tables by best column.
 from __future__ import annotations
 
 from repro.lakebench.base import SearchQuery
+from repro.search.retrieval import first_tables, query_column
 from repro.sketch.lsh import LshForest
 from repro.sketch.minhash import MinHasher
 from repro.table.schema import Table
@@ -32,19 +33,5 @@ class LshForestSearcher:
                 self.forest.insert(key, sketch)
 
     def retrieve(self, query: SearchQuery, k: int) -> list[str]:
-        table = self.tables[query.table]
-        column_name = query.column or table.columns[0].name
-        sketch = self._sketches[(query.table, column_name)]
-        # Over-fetch columns: several may map to the same table, and the
-        # query table itself must be dropped.
-        hits = self.forest.query(sketch, k * 4)
-        ranked: list[str] = []
-        seen: set[str] = set()
-        for table_name, _column in hits:
-            if table_name == query.table or table_name in seen:
-                continue
-            seen.add(table_name)
-            ranked.append(table_name)
-            if len(ranked) >= k:
-                break
-        return ranked
+        sketch = self._sketches[(query.table, query_column(self.tables, query))]
+        return first_tables(self.forest.query(sketch, k * 4), query, k)

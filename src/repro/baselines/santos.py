@@ -22,6 +22,7 @@ from collections import Counter
 import numpy as np
 
 from repro.lakebench.base import SearchQuery
+from repro.search.retrieval import top_scored
 from repro.table.schema import Column, ColumnType, Table
 from repro.text.sbert import HashedSentenceEncoder
 
@@ -84,10 +85,8 @@ class SantosSearcher:
         )
 
     def retrieve(self, query: SearchQuery, k: int) -> list[str]:
-        scored = [
+        return top_scored((
             (name, self._score(query.table, name))
             for name in self.tables
             if name != query.table
-        ]
-        scored.sort(key=lambda item: -item[1])
-        return [name for name, _ in scored[:k]]
+        ), k)

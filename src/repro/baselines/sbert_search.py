@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.lakebench.base import SearchQuery
-from repro.search.tables import TableSearcher
+from repro.search.retrieval import index_columns, rank_names
 from repro.table.schema import Table
 from repro.text.sbert import HashedSentenceEncoder
 
@@ -28,29 +28,14 @@ class SbertSearcher:
         self.tables = tables
         self.encoder = HashedSentenceEncoder(dim=dim)
         self.top_values = top_values
-        self.searcher = TableSearcher(dim)
-        #: table -> ordered ``(column, vector)`` pairs, the query form.
-        self.column_pairs: dict[str, list[tuple[str, np.ndarray]]] = {}
-        for name, table in tables.items():
-            pairs = [
-                (column.name, self.encoder.encode_column(column, top_values))
-                for column in table.columns
-            ]
-            self.column_pairs[name] = pairs
-            self.searcher.add_table(
-                name, [c for c, _ in pairs], [v for _, v in pairs]
-            )
+        self.searcher, self.column_pairs = index_columns(
+            tables, dim,
+            lambda _table, column: self.encoder.encode_column(column, top_values),
+        )
 
     # ------------------------------------------------------------------ #
     def retrieve(self, query: SearchQuery, k: int) -> list[str]:
-        matches = self.searcher.rank(
-            self.column_pairs[query.table],
-            k,
-            join=query.column is not None,
-            column=query.column,
-            exclude_table=query.table,
-        )
-        return [match.table for match in matches[:k]]
+        return rank_names(self.searcher, self.column_pairs[query.table], query, k)
 
     # ------------------------------------------------------------------ #
     def table_embedding(self, table: Table, order_sensitive: bool = True) -> np.ndarray:

@@ -23,6 +23,7 @@ from repro.nn.layers import Linear, Module
 from repro.nn.losses import cross_entropy_loss
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor, no_grad
+from repro.search.retrieval import top_scored
 from repro.table.schema import Column, Table
 from repro.text.sbert import HashedSentenceEncoder
 from repro.utils.rng import spawn_rng
@@ -125,10 +126,8 @@ class StarmieSearcher:
 
     def retrieve(self, query: SearchQuery, k: int) -> list[str]:
         query_vectors = self._table_vectors[query.table]
-        scored = [
+        return top_scored((
             (name, self._greedy_match_score(query_vectors, vectors))
             for name, vectors in self._table_vectors.items()
             if name != query.table
-        ]
-        scored.sort(key=lambda item: -item[1])
-        return [name for name, _ in scored[:k]]
+        ), k)

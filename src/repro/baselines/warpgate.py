@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.lakebench.base import SearchQuery
+from repro.search.retrieval import first_tables, query_column
 from repro.sketch.simhash import SimHashIndex
 from repro.table.schema import Column, Table
 from repro.text.sbert import HashedSentenceEncoder
@@ -47,17 +48,5 @@ class WarpGateSearcher:
         return mean / norm if norm > 0 else mean
 
     def retrieve(self, query: SearchQuery, k: int) -> list[str]:
-        table = self.tables[query.table]
-        column_name = query.column or table.columns[0].name
-        vector = self._vectors[(query.table, column_name)]
-        hits = self.index.query(vector, k * 4 + 8)
-        ranked: list[str] = []
-        seen: set[str] = set()
-        for table_name, _column in hits:
-            if table_name == query.table or table_name in seen:
-                continue
-            seen.add(table_name)
-            ranked.append(table_name)
-            if len(ranked) >= k:
-                break
-        return ranked
+        vector = self._vectors[(query.table, query_column(self.tables, query))]
+        return first_tables(self.index.query(vector, k * 4 + 8), query, k)

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.lakebench.base import SearchQuery
 from repro.search.index import KnnIndex
-from repro.search.tables import TableSearcher
+from repro.search.retrieval import index_columns, rank_names
 from repro.table.schema import Table
 
 
@@ -33,41 +33,21 @@ class DualEncoderSearcher:
         dim = trainer.model.trunk.dim
         if table_level:
             self.table_index = KnnIndex(dim)
-            #: Memoized per-table query embeddings — the corpus build already
-            #: paid for every member table, and `retrieve` must not recompute
-            #: the same frozen embedding on every call.
+            #: table -> its embedding, the query form: every query names a
+            #: member table, so `retrieve` never runs the trunk.
             self._table_vectors: dict[str, np.ndarray] = {}
             for table_name, table in tables.items():
                 vector = trainer.table_embedding(table)
                 self._table_vectors[table_name] = vector
                 self.table_index.add(table_name, vector)
         else:
-            self.searcher = TableSearcher(dim)
-            #: table -> ordered ``(column, vector)`` pairs, the query form.
-            self.column_pairs: dict[str, list[tuple[str, np.ndarray]]] = {}
-            for table_name, table in tables.items():
-                pairs = [
-                    (column.name, trainer.column_embedding(table, column.name))
-                    for column in table.columns
-                ]
-                self.column_pairs[table_name] = pairs
-                self.searcher.add_table(
-                    table_name, [c for c, _ in pairs], [v for _, v in pairs]
-                )
+            self.searcher, self.column_pairs = index_columns(
+                tables, dim,
+                lambda table, column: trainer.column_embedding(table, column.name),
+            )
 
     def retrieve(self, query: SearchQuery, k: int) -> list[str]:
         if self.table_level:
-            vector = self._table_vectors.get(query.table)
-            if vector is None:
-                vector = self.trainer.table_embedding(self.tables[query.table])
-                self._table_vectors[query.table] = vector
-            hits = self.table_index.query(vector, k + 1)
+            hits = self.table_index.query(self._table_vectors[query.table], k + 1)
             return [key for key, _ in hits if key != query.table][:k]
-        matches = self.searcher.rank(
-            self.column_pairs[query.table],
-            k,
-            join=query.column is not None,
-            column=query.column,
-            exclude_table=query.table,
-        )
-        return [match.table for match in matches[:k]]
+        return rank_names(self.searcher, self.column_pairs[query.table], query, k)

@@ -49,6 +49,7 @@ from repro.core.embed import TableEmbedder, finalize_column_vectors
 from repro.core.engine import TableEmbeddings
 from repro.lake.store import LakeStore, LakeTableRecord
 from repro.search.backend import IndexSpec
+from repro.search.retrieval import rank_names
 from repro.search.tables import TableSearcher
 from repro.sketch.pipeline import TableSketch, sketch_corpus, sketch_table
 from repro.table.schema import Table, table_from_rows
@@ -572,11 +573,7 @@ class TabSketchFMSearcher:
 
     def retrieve(self, query: SearchQuery, k: int) -> list[str]:
         """Top-``k`` table names for a member query, itself excluded."""
-        matches = self.catalog.searcher.rank(
-            self.catalog.records[query.table].vector_pairs(),
-            k,
-            join=query.column is not None,
-            column=query.column,
-            exclude_table=query.table,
+        return rank_names(
+            self.catalog.searcher, self.catalog.records[query.table].vector_pairs(),
+            query, k,
         )
-        return [match.table for match in matches[:k]]

@@ -1,6 +1,7 @@
 """Search substrate: the exact nearest-neighbour index behind one
 `VectorIndex` protocol (sharded or not), the Figure-6 table ranking
-algorithm, and retrieval metrics (mean F1 / P@k / R@k, F1-vs-k curves)."""
+algorithm, the ranking tail the paper's searchers share, and retrieval
+metrics (mean F1 / P@k / R@k, F1-vs-k curves)."""
 
 from repro.search.backend import (
     IndexSpec,
@@ -19,7 +20,6 @@ from repro.search.metrics import (
     f1_at_k,
     precision_recall_at_k,
 )
-
 __all__ = [
     "IndexSpec",
     "ShardedIndex",

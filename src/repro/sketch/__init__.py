@@ -13,8 +13,8 @@ the index structures its baselines need:
 - :mod:`repro.sketch.pipeline` — assembles all sketches for a table into a
   :class:`~repro.sketch.pipeline.TableSketch`, the model's raw input;
   ``sketch_corpus`` is the one (batched, hash-once) sketch path.
-- :mod:`repro.sketch.lsh` — LSH Forest and LSH Ensemble over MinHash
-  (baselines for join search), plus a generic banded MinHash-LSH index.
+- :mod:`repro.sketch.lsh` — LSH Forest over MinHash (the LSH-Forest join
+  baseline).
 - :mod:`repro.sketch.simhash` — SimHash over dense vectors (WarpGate's index).
 """
 
@@ -38,7 +38,7 @@ from repro.sketch.pipeline import (
     sketch_corpus,
     sketch_table,
 )
-from repro.sketch.lsh import LshEnsemble, LshForest, MinHashLsh
+from repro.sketch.lsh import LshForest
 from repro.sketch.simhash import SimHashIndex
 
 __all__ = [
@@ -57,8 +57,6 @@ __all__ = [
     "TableSketch",
     "sketch_corpus",
     "sketch_table",
-    "LshEnsemble",
     "LshForest",
-    "MinHashLsh",
     "SimHashIndex",
 ]

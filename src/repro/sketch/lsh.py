@@ -1,66 +1,13 @@
-"""Locality-sensitive indexes over MinHash signatures.
-
-Three structures used by the paper's baselines:
-
-- :class:`MinHashLsh` — the classic banded LSH index for Jaccard-threshold
-  candidate retrieval (Leskovec et al., ch. 3).
-- :class:`LshForest` — prefix-tree LSH supporting top-k queries without a
-  fixed threshold (Bawa et al., WWW 2005); the paper's "LSH-Forest" join
-  baseline.
-- :class:`LshEnsemble` — containment-oriented partitioned LSH (Zhu et al.,
-  VLDB 2016), provided for completeness of the join-search substrate.
-"""
+"""LSH Forest over MinHash signatures: prefix-tree LSH supporting top-k
+queries without a fixed threshold (Bawa et al., WWW 2005), the paper's
+"LSH-Forest" join baseline."""
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.sketch.minhash import MinHash, estimate_containment, estimate_jaccard
-
-
-def _band_key(signature: np.ndarray, start: int, width: int) -> tuple:
-    return tuple(int(x) for x in signature[start : start + width])
-
-
-class MinHashLsh:
-    """Banded MinHash LSH for Jaccard-threshold candidate generation.
-
-    ``bands * rows_per_band`` must not exceed the signature length. Keys
-    colliding with the query in at least one band are returned as candidates.
-    """
-
-    def __init__(self, num_perm: int, bands: int = 16):
-        if num_perm % bands != 0:
-            raise ValueError(f"bands={bands} must divide num_perm={num_perm}")
-        self.num_perm = num_perm
-        self.bands = bands
-        self.rows_per_band = num_perm // bands
-        self._tables: list[dict[tuple, set]] = [defaultdict(set) for _ in range(bands)]
-        self._sketches: dict = {}
-
-    def insert(self, key, sketch: MinHash) -> None:
-        if sketch.num_perm != self.num_perm:
-            raise ValueError("sketch width mismatch")
-        self._sketches[key] = sketch
-        for b in range(self.bands):
-            start = b * self.rows_per_band
-            self._tables[b][_band_key(sketch.signature, start, self.rows_per_band)].add(key)
-
-    def query(self, sketch: MinHash) -> set:
-        """All keys sharing at least one band with the query."""
-        out: set = set()
-        for b in range(self.bands):
-            start = b * self.rows_per_band
-            out |= self._tables[b].get(
-                _band_key(sketch.signature, start, self.rows_per_band), set()
-            )
-        return out
-
-    def __len__(self) -> int:
-        return len(self._sketches)
+from repro.sketch.minhash import MinHash, estimate_jaccard
 
 
 @dataclass
@@ -123,74 +70,3 @@ class LshForest:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-
-class LshEnsemble:
-    """Containment search over sets of very different sizes.
-
-    Zhu et al. (VLDB 2016) partition the indexed sets by cardinality and tune
-    banding per partition. At our corpus scales a faithful two-partition
-    structure with per-partition banded LSH captures the algorithmic
-    behaviour; candidates are re-ranked by estimated containment.
-    """
-
-    def __init__(self, num_perm: int, threshold: float = 0.5, partitions: int = 2):
-        self.num_perm = num_perm
-        self.threshold = threshold
-        self.partitions = partitions
-        self._items: list[tuple[object, MinHash, int]] = []
-        self._indexes: list[MinHashLsh] | None = None
-        self._bounds: list[int] = []
-
-    def insert(self, key, sketch: MinHash, size: int) -> None:
-        self._items.append((key, sketch, size))
-        self._indexes = None  # rebuilt lazily on next query
-
-    def _build(self) -> None:
-        sizes = sorted(s for _, _, s in self._items)
-        if not sizes:
-            self._indexes = []
-            return
-        bounds = [
-            sizes[min(len(sizes) - 1, (i + 1) * len(sizes) // self.partitions)]
-            for i in range(self.partitions)
-        ]
-        bounds[-1] = sizes[-1] + 1
-        self._bounds = bounds
-        # Containment search must surface candidates whose Jaccard is low
-        # because they are much larger than the query. Zhu et al. tune the
-        # banding per size partition; larger-set partitions get the most
-        # aggressive banding (one row per band).
-        self._indexes = []
-        for partition in range(self.partitions):
-            rows = 1 if partition == self.partitions - 1 else 2
-            bands = self.num_perm // rows
-            self._indexes.append(MinHashLsh(self.num_perm, bands=bands))
-        for key, sketch, size in self._items:
-            self._indexes[self._partition(size)].insert((key, size), sketch)
-
-    def _partition(self, size: int) -> int:
-        for i, bound in enumerate(self._bounds):
-            if size < bound:
-                return i
-        return len(self._bounds) - 1
-
-    def query(self, sketch: MinHash, query_size: int, k: int) -> list:
-        """Top-``k`` keys by estimated containment of the query in them."""
-        if self._indexes is None:
-            self._build()
-        scored: list[tuple[float, object]] = []
-        seen: set = set()
-        for index in self._indexes or []:
-            for key, size in index.query(sketch):
-                if key in seen:
-                    continue
-                seen.add(key)
-                candidate = index._sketches[(key, size)]
-                score = estimate_containment(sketch, candidate, query_size, size)
-                scored.append((score, key))
-        scored.sort(key=lambda pair: -pair[0])
-        return [key for _, key in scored[:k]]
-
-    def __len__(self) -> int:
-        return len(self._items)

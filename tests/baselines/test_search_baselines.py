@@ -56,6 +56,18 @@ def test_josie_exact_containment_ordering(corpus):
     assert ranked[:2] == ["match", "partial"]
 
 
+def _stdout_under_hash_seeds(script: str) -> list[str]:
+    """``script``'s stdout in fresh interpreters under two string-hash salts."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    return [
+        subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        ).stdout
+        for seed in ("1", "2")
+    ]
+
+
 def test_josie_breaks_containment_ties_by_table_name():
     """Twelve tables tie on containment; their order must not follow the
     salted iteration order of Python's string hashing."""
@@ -66,16 +78,24 @@ def test_josie_breaks_containment_ties_by_table_name():
         "          [[f'v{i}'], ['shared']]) for i in range(12)}\n"
         "print(JosieSearcher(tables).query_column({'shared', 'a', 'b'}, k=12))\n"
     )
-    src = str(Path(repro.__file__).resolve().parents[1])
-    rankings = [
-        subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True,
-            check=True, env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
-        ).stdout
-        for seed in ("1", "2")
-    ]
     expected = str([f"t{i:02d}" for i in range(12)]) + "\n"
-    assert rankings == [expected, expected]
+    assert _stdout_under_hash_seeds(script) == [expected, expected]
+
+
+def test_warpgate_breaks_cosine_ties_by_insertion_order():
+    """Twelve tables hold the same column, so every candidate ties on
+    cosine; they must come back in corpus order, not in the salted
+    iteration order of a set of string keys."""
+    script = (
+        "from repro.baselines import WarpGateSearcher\n"
+        "from repro.lakebench.base import SearchQuery\n"
+        "from repro.table.schema import table_from_rows\n"
+        "tables = {f't{i:02d}': table_from_rows(f't{i:02d}', ['k'],\n"
+        "          [['shared'], ['value']]) for i in reversed(range(12))}\n"
+        "print(WarpGateSearcher(tables).retrieve(SearchQuery('t11', 'k'), k=11))\n"
+    )
+    expected = str([f"t{i:02d}" for i in reversed(range(11))]) + "\n"
+    assert _stdout_under_hash_seeds(script) == [expected, expected]
 
 
 def test_josie_empty_query_column():

@@ -9,7 +9,11 @@ untrained, so the digests pin the retrieval path itself: how vectors are
 built and indexed, and how tables are ranked from them. They were taken
 while TabSketchFM still had its own corpus build and a name-only ranking
 surface, so equal digests mean moving it onto the lake catalog and
-``TableSearcher.rank`` changed no answer.
+``TableSearcher.rank`` changed no answer. The baselines' digests (Josie,
+LSH-Forest, DeepJoin and WarpGate on Wiki Join; Starmie, D3L and SANTOS on
+SANTOS) were taken while each still hand-wrote its own ranking tail, before
+all of them moved onto :mod:`repro.search.retrieval`; none depends on the
+string-hash salt.
 
 A ranking rests on float64 distances whose last bits depend on the BLAS
 and SIMD kernels numpy dispatches to. ``HOST_PROBE_DIGEST`` pins those
@@ -22,7 +26,16 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.baselines import SbertSearcher
+from repro.baselines import (
+    D3lSearcher,
+    DeepJoinSearcher,
+    JosieSearcher,
+    LshForestSearcher,
+    SantosSearcher,
+    SbertSearcher,
+    StarmieSearcher,
+    WarpGateSearcher,
+)
 from repro.baselines.dual_encoder import DualEncoderTrainer, make_baseline
 from repro.core import InputEncoder, TabSketchFM, TabSketchFMConfig
 from repro.core.embed import TableEmbedder
@@ -45,6 +58,14 @@ BENCHMARKS = {
     "wiki_join": make_wiki_join_search,
     "santos": make_santos_search,
     "eurostat": make_eurostat_subset_search,
+}
+#: The baselines that run on one benchmark only: join on Wiki Join, union
+#: on SANTOS, as in Tables V and VI.
+BASELINES = {
+    "wiki_join": (JosieSearcher, LshForestSearcher, DeepJoinSearcher,
+                  WarpGateSearcher),
+    "santos": (StarmieSearcher, D3lSearcher, SantosSearcher),
+    "eurostat": (),
 }
 HOST_PROBE_DIGEST = (
     "a1fcad82de5de8afd5d0098d6f2821974cfc7db4d3307c424c1b436ce0c41431"
@@ -81,6 +102,20 @@ RETRIEVE_DIGESTS = {
         "bc53fffde5cebbf7c1c4ecbfb5981412ee3d2a077ba5c66ff2c95dbf263a1287",
     ("TUTA-FT", "wiki_join"):
         "02ca57c28081972d7bf35caef13b4fd9220371b59bd13098172674b0b5b21646",
+    ("Josie", "wiki_join"):
+        "90f57221881bc64a14fcc6102da7af350394bc77fcf82b5ca27ca34f35ca6d13",
+    ("LSH-Forest", "wiki_join"):
+        "01b8b2b84fd8f2ddf69f71db41ec9bd5736b52cba1a3f15e7d3f70c2f21a9625",
+    ("DeepJoin", "wiki_join"):
+        "7c070265567066dbf27fbd1ab0bbd8ffad1bcfcd6e237255d4b583a27924bd59",
+    ("WarpGate", "wiki_join"):
+        "9732208e756b4213c3d85df7437138b29a2e43696d0b0002280554edadca82b2",
+    ("Starmie", "santos"):
+        "ad0027e9331cad0bc1d41f2924762d875884f96b124b8a77683219c3179fa05b",
+    ("D3L", "santos"):
+        "05e694c8ffdb96d6026c123d48f649ead36852fee04d8e485a24711ad6ece7b5",
+    ("SANTOS", "santos"):
+        "d9c10c52af44120b258f7fbbf616127231aa77d4bd625efb519905a810884b0b",
 }
 
 
@@ -127,8 +162,9 @@ def build_embedder(tables) -> TableEmbedder:
     return TableEmbedder(TabSketchFM(config), InputEncoder(config, tokenizer))
 
 
-def build_systems(tables) -> list:
-    """The five searchers, seeded and untrained, over ``tables``."""
+def build_systems(tables, name: str) -> list:
+    """The five model searchers, seeded and untrained, and benchmark
+    ``name``'s baselines, over ``tables``."""
     embedder = build_embedder(tables)
     tokenizer = embedder.encoder.tokenizer
 
@@ -142,6 +178,7 @@ def build_systems(tables) -> list:
         SbertSearcher(tables),
         DualEncoderSearcher(trainer("TaBERT"), tables, "TaBERT-FT"),
         DualEncoderSearcher(trainer("TUTA"), tables, "TUTA-FT", table_level=True),
+        *(baseline(tables) for baseline in BASELINES[name]),
     ]
 
 
@@ -158,14 +195,14 @@ def retrieve_digest(system, benchmark) -> str:
 
 @pytest.fixture(scope="module")
 def digests():
-    """``get(system, benchmark) -> digest``, each benchmark's five systems
-    built and digested once, on first use."""
+    """``get(system, benchmark) -> digest``, each benchmark's systems built
+    and digested once, on first use."""
     cache: dict = {}
 
     def get(system: str, name: str) -> str:
         if (system, name) not in cache:
             benchmark = BENCHMARKS[name](scale=0.3)
-            for searcher in build_systems(benchmark.tables):
+            for searcher in build_systems(benchmark.tables, name):
                 cache[searcher.name, name] = retrieve_digest(searcher, benchmark)
         return cache[system, name]
 

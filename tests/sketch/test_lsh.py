@@ -1,8 +1,8 @@
-"""LSH structures: banded LSH, LSH Forest, LSH Ensemble."""
+"""LSH Forest top-k retrieval over MinHash signatures."""
 
 import pytest
 
-from repro.sketch.lsh import LshEnsemble, LshForest, MinHashLsh
+from repro.sketch.lsh import LshForest
 from repro.sketch.minhash import MinHasher
 
 
@@ -20,22 +20,6 @@ def _sets(n_groups=4, size=40):
         out[f"g{g}_most"] = set(list(base)[: int(size * 0.8)])
         out[f"g{g}_half"] = set(list(base)[: size // 2])
     return out
-
-
-def test_minhash_lsh_recalls_similar(hasher):
-    lsh = MinHashLsh(num_perm=64, bands=16)
-    sets = _sets()
-    sketches = {k: hasher.sketch(v) for k, v in sets.items()}
-    for key, sketch in sketches.items():
-        lsh.insert(key, sketch)
-    candidates = lsh.query(sketches["g0_full"])
-    assert "g0_most" in candidates
-    assert len(lsh) == len(sets)
-
-
-def test_minhash_lsh_band_divisibility():
-    with pytest.raises(ValueError, match="divide"):
-        MinHashLsh(num_perm=64, bands=7)
 
 
 def test_lsh_forest_topk(hasher):
@@ -57,17 +41,3 @@ def test_lsh_forest_empty():
 def test_lsh_forest_tree_divisibility():
     with pytest.raises(ValueError, match="divide"):
         LshForest(num_perm=64, num_trees=7)
-
-
-def test_lsh_ensemble_containment_ranking(hasher):
-    ensemble = LshEnsemble(num_perm=64, partitions=2)
-    query = {f"q{i}" for i in range(30)}
-    superset = query | {f"s{i}" for i in range(200)}
-    partial = set(list(query)[:12]) | {f"p{i}" for i in range(20)}
-    unrelated = {f"u{i}" for i in range(40)}
-    ensemble.insert("superset", hasher.sketch(superset), len(superset))
-    ensemble.insert("partial", hasher.sketch(partial), len(partial))
-    ensemble.insert("unrelated", hasher.sketch(unrelated), len(unrelated))
-    ranked = ensemble.query(hasher.sketch(query), len(query), k=3)
-    assert ranked and ranked[0] == "superset"
-    assert len(ensemble) == 3

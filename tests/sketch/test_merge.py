@@ -3,8 +3,8 @@ re-sketch of the concatenated data.
 
 The exactness tiers under test:
 
-- MinHash min-wise merge and SimHash vote addition are *exact* — bitwise
-  equal to sketching the union / concatenation directly.
+- MinHash min-wise merge is *exact* — bitwise equal to sketching the
+  union directly.
 - The numeric accumulator is bitwise-exact while its sample and distinct
   reservoirs stay under their caps, and degrades to documented tolerances
   (equi-depth rank error ~1/RESERVOIR_CAP, KMV distinct estimation) past
@@ -18,7 +18,6 @@ import repro.sketch.numeric as numeric_mod
 from repro.sketch.minhash import MinHash, MinHasher
 from repro.sketch.numeric import numerical_profile
 from repro.sketch.pipeline import SketchConfig, sketch_table
-from repro.sketch.simhash import SIMHASH_BITS, simhash_sketch
 from repro.table.schema import Column, ColumnType, table_from_rows
 
 
@@ -45,29 +44,6 @@ def test_minhash_merge_width_mismatch_raises():
     large = MinHasher(num_perm=32, seed=1).sketch({"x"})
     with pytest.raises(ValueError, match="signature lengths"):
         small.merge(large)
-
-
-# --------------------------------------------------------------------- #
-# SimHash
-# --------------------------------------------------------------------- #
-def test_simhash_merge_is_exact_concatenation():
-    a = [f"tok{i}" for i in range(30)]
-    b = [f"tok{i}" for i in range(10, 45)]
-    merged = simhash_sketch(a).merge(simhash_sketch(b))
-    cold = simhash_sketch(a + b)
-    assert np.array_equal(merged.counts, cold.counts)
-    assert np.array_equal(merged.fingerprint(), cold.fingerprint())
-    assert merged.bits == SIMHASH_BITS
-
-
-def test_simhash_merge_width_mismatch_raises():
-    with pytest.raises(ValueError, match="bit widths"):
-        simhash_sketch(["a"], bits=32).merge(simhash_sketch(["a"], bits=64))
-
-
-def test_simhash_hamming_zero_on_self():
-    sketch = simhash_sketch(["alpha", "beta", "gamma"])
-    assert sketch.hamming(sketch) == 0
 
 
 # --------------------------------------------------------------------- #
