@@ -24,7 +24,7 @@ The engine is built around four ideas:
 
 ``embed_corpus`` runs its batches one after another in the calling thread.
 The engine is still shared between threads — the lake server embeds
-concurrent queries through ``embed_batch`` — so ``forward_calls`` is
+concurrent queries through ``embed_corpus`` — so ``forward_calls`` is
 updated under a lock; it counts trunk invocations: embedding N tables at
 batch size B performs exactly ``ceil(N / B)`` forwards.
 """

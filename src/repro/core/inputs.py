@@ -278,37 +278,17 @@ class InputEncoder:
 
 
 def batch_encodings(
-    encodings: list[PairEncoding],
-    target_length: int | None = None,
-    pad_token_id: int = 0,
+    encodings: list[PairEncoding], pad_token_id: int = 0
 ) -> dict[str, np.ndarray]:
     """Stack encodings into batched arrays, padding ragged ones to the max.
 
-    Equal-length inputs (the historical contract) are stacked directly.
-    Ragged inputs — encodings finalized at their natural length — are padded
-    to ``target_length`` (default: the batch max): integer signals get
-    ``pad_token_id``/0, float signals get zeros, and the attention mask is
-    extended with zeros so padded positions stay invisible to attention.
+    Each encoding fills its row up to its own length; the rest of a row is
+    padding: integer signals get ``pad_token_id``/0, float signals get
+    zeros, and the attention mask stays zero there so padded positions
+    are invisible to attention. Equal-length encodings need no padding
+    and come back stacked as they are.
     """
-    lengths = [e.length for e in encodings]
-    target = max(lengths) if target_length is None else int(target_length)
-    if target < max(lengths):
-        raise ValueError(
-            f"target_length {target} shorter than longest encoding {max(lengths)}"
-        )
-    if all(length == target for length in lengths):
-        return {
-            "token_ids": np.stack([e.token_ids for e in encodings]),
-            "token_positions": np.stack([e.token_positions for e in encodings]),
-            "column_positions": np.stack([e.column_positions for e in encodings]),
-            "column_types": np.stack([e.column_types for e in encodings]),
-            "segment_ids": np.stack([e.segment_ids for e in encodings]),
-            "minhash": np.stack([e.minhash for e in encodings]),
-            "numeric": np.stack([e.numeric for e in encodings]),
-            "attention_mask": np.stack([e.attention_mask for e in encodings]),
-            "interaction": np.stack([e.interaction for e in encodings]),
-        }
-
+    target = max(e.length for e in encodings)
     n = len(encodings)
 
     def pad_ints(field: str, fill: int = 0) -> np.ndarray:

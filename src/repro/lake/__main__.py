@@ -137,10 +137,11 @@ def cmd_ingest(args: argparse.Namespace) -> None:
             f"new lake at {args.lake} (fingerprint {fingerprint}, "
             f"{catalog.index_spec.canonical()} backend, {n_shards} shard(s))"
         )
+    catalog.batch_size = args.batch_size
     fresh = {t.name: t for t in tables if t.name not in catalog}
     skipped = len(tables) - len(fresh)
     forwards_before = catalog.embed_calls
-    catalog.add_tables(fresh, batch_size=args.batch_size)
+    catalog.add_tables(fresh)
     forwards = catalog.embed_calls - forwards_before
     elapsed = time.perf_counter() - started
     print(

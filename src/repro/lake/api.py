@@ -450,6 +450,10 @@ class Timings:
     ``lake.sketch`` / ``lake.embed`` children, ``index_ms`` the
     ``lake.index`` child (the index search only — hit building and
     filtering land in ``total_ms``), and ``total_ms`` is the root span.
+    Every query is answered in a batch (a lone ``discover`` is a batch of
+    one): its sketch and embed times are its share of the batch's one
+    embedding pass, and ``total_ms`` includes that share, so
+    ``sketch_ms + embed_ms + index_ms <= total_ms`` always holds.
 
     On a query-cache hit (and for catalog-member queries, which reuse
     stored vectors), only ``sketch_ms`` and ``embed_ms`` are zero — the

@@ -51,7 +51,7 @@ from repro.lake.store import LakeStore, LakeTableRecord
 from repro.search.backend import IndexSpec
 from repro.search.retrieval import rank_names
 from repro.search.tables import TableSearcher
-from repro.sketch.pipeline import TableSketch, sketch_corpus, sketch_table
+from repro.sketch.pipeline import TableSketch, sketch_corpus
 from repro.table.schema import Table, table_from_rows
 from repro.text.sbert import HashedSentenceEncoder
 
@@ -199,11 +199,7 @@ class LakeCatalog:
         return catalog
 
     # ------------------------------------------------------------------ #
-    def _embed_sketches(
-        self,
-        sketches: list[TableSketch],
-        batch_size: int | None = None,
-    ) -> list[TableEmbeddings]:
+    def _embed_sketches(self, sketches: list[TableSketch]) -> list[TableEmbeddings]:
         """Run the engine, charging its forwards to this catalog's counter.
 
         The charge is computed as ``ceil(N / batch_size)`` rather than by
@@ -212,43 +208,57 @@ class LakeCatalog:
         must not see each other's forwards in ``embed_calls``. A forward
         that raises charges nothing.
         """
-        if batch_size is None:
-            batch_size = self.batch_size
-        results = self.engine.embed_corpus(sketches, batch_size=batch_size)
-        self.embed_calls += -(-len(sketches) // batch_size)
+        results = self.engine.embed_corpus(sketches, batch_size=self.batch_size)
+        self.embed_calls += -(-len(sketches) // self.batch_size)
         return results
 
-    def _build_record(
-        self,
-        sketch: TableSketch,
-        embeddings: TableEmbeddings,
-        n_rows: int,
-        table: Table | None = None,
-        **fields,
-    ) -> LakeTableRecord:
-        """A record serving ``embeddings``' final column vectors. ``table``
-        (the raw values) is only needed for the SBERT half; a refresh
-        re-embeds from the stored sketch without it."""
-        vectors = finalize_column_vectors(
-            embeddings.columns, sketch, sbert=self.sbert, table=table
-        )
-        stacked = (
-            np.stack([vector for _, vector in vectors])
-            if vectors
-            else np.zeros((0, self.dim))
-        )
-        return LakeTableRecord(
-            sketch=sketch,
-            column_vectors=stacked,
-            table_embedding=embeddings.table,
-            n_rows=n_rows,
-            **fields,
-        )
+    def _embed_records(
+        self, sources: "list[Table] | list[LakeTableRecord]"
+    ) -> list[LakeTableRecord]:
+        """Freshly embedded records, one per source; nothing is installed.
 
-    def _compute_record(self, table: Table) -> LakeTableRecord:
-        sketch = sketch_table(table, self.sketch_config, self._hasher)
-        embeddings = self._embed_sketches([sketch])[0]
-        return self._build_record(sketch, embeddings, table.n_rows, table)
+        New contents (:class:`Table` s) are sketched in one
+        ``sketch_corpus`` pass — every distinct string hashed once,
+        bit-identical to per-table sketching — and start at version 1. A
+        refresh passes the stale records: their stored, already merged
+        sketches are re-embedded and their row count, metadata and version
+        carry over (the SBERT half needs raw values, which only new
+        contents have). Either way the engine runs once:
+        ``ceil(N / batch_size)`` forwards.
+        """
+        refresh = bool(sources) and isinstance(sources[0], LakeTableRecord)
+        if refresh:
+            sketches = [record.sketch for record in sources]
+        else:
+            sketches = sketch_corpus(sources, self.sketch_config, self._hasher)
+        records = []
+        for source, sketch, embeddings in zip(
+            sources, sketches, self._embed_sketches(sketches)
+        ):
+            vectors = [
+                vector
+                for _, vector in finalize_column_vectors(
+                    embeddings.columns, sketch, sbert=self.sbert,
+                    table=None if refresh else source,
+                )
+            ]
+            carried = (
+                {"metadata": dict(source.metadata), "version": source.version}
+                if refresh
+                else {}
+            )
+            records.append(
+                LakeTableRecord(
+                    sketch=sketch,
+                    column_vectors=(
+                        np.stack(vectors) if vectors else np.zeros((0, self.dim))
+                    ),
+                    table_embedding=embeddings.table,
+                    n_rows=source.n_rows,
+                    **carried,
+                )
+            )
+        return records
 
     def column_vector_pairs(
         self, table: Table, sketch: TableSketch
@@ -258,9 +268,9 @@ class LakeCatalog:
 
         The same :func:`~repro.core.embed.finalize_column_vectors`
         construction every ingested record's vectors come from, so an
-        external copy of a member ranks like the member. One trunk forward
-        (counted in ``embed_calls`` — the query path routes through here
-        too, so cache effectiveness is observable).
+        external copy of a member ranks like the member. One trunk forward,
+        counted in ``embed_calls``: a batch of one of
+        :meth:`column_vector_pairs_many`, the service's query path.
         """
         return self.column_vector_pairs_many([table], [sketch])[0]
 
@@ -272,7 +282,7 @@ class LakeCatalog:
         One :meth:`EmbeddingEngine.embed_corpus` pass —
         ``ceil(len(tables) / batch_size)`` trunk forwards for the whole
         group instead of one forward per table. This is the primitive the
-        service's ``query_batch`` rides so a batch of uncached external
+        service's ``discover_batch`` rides so a batch of uncached external
         queries costs the same forwards a bulk ingest of them would.
         """
         if not tables:
@@ -301,33 +311,23 @@ class LakeCatalog:
             self._stale.discard(name)
         return old
 
-    def _register(self, record: LakeTableRecord, persist: bool = True) -> None:
-        self._put(record.name, record)
-        self.searcher.add_table(
-            record.name, record.column_names, record.column_vectors
-        )
-        if persist and self.store is not None:
-            self.store.save_table(record, self.searcher.index)
+    def _install(self, records: list[LakeTableRecord]) -> None:
+        """Serve ``records``: each replaces any same-named record and its
+        index rows (persisting is the caller's)."""
+        for record in records:
+            self._put(record.name, record)
+            self.searcher.remove_table(record.name)
+            self.searcher.add_table(
+                record.name, record.column_names, record.column_vectors
+            )
 
     # ------------------------------------------------------------------ #
     def add_table(self, table: Table) -> LakeTableRecord:
-        """Sketch, embed, and index one new table (and persist it)."""
-        if table.name in self.records:
-            raise ValueError(
-                f"table {table.name!r} already in catalog; use update_table"
-            )
-        with obs.span("lake.ingest", table=table.name) as ingest:
-            record = self._compute_record(table)
-            self._register(record)
-        _TABLES_ADDED.inc()
-        _INGEST_MS.observe(ingest.duration_ms)
-        return record
+        """Sketch, embed, and index one new table (and persist it): a bulk
+        add of one."""
+        return self.add_tables({table.name: table})[0]
 
-    def add_tables(
-        self,
-        tables: dict[str, Table],
-        batch_size: int | None = None,
-    ) -> list[LakeTableRecord]:
+    def add_tables(self, tables: dict[str, Table]) -> list[LakeTableRecord]:
         """Bulk add through the batch-first ingest pipeline.
 
         The whole delta is sketched in one batched pass (every distinct
@@ -347,15 +347,9 @@ class LakeCatalog:
                 raise ValueError(
                     f"table {table.name!r} already in catalog; use update_table"
                 )
-        ordered = list(tables.values())
-        with obs.span("lake.ingest", tables=len(ordered)) as ingest:
-            sketches = sketch_corpus(ordered, self.sketch_config, self._hasher)
-            embeddings = self._embed_sketches(sketches, batch_size=batch_size)
-            records = []
-            for table, sketch, embedding in zip(ordered, sketches, embeddings):
-                record = self._build_record(sketch, embedding, table.n_rows, table)
-                self._register(record, persist=False)
-                records.append(record)
+        with obs.span("lake.ingest", tables=len(tables)) as ingest:
+            records = self._embed_records(list(tables.values()))
+            self._install(records)
             if self.store is not None:
                 self.store.save_tables(records, self.searcher.index)
         if records:
@@ -390,13 +384,9 @@ class LakeCatalog:
         if old is None:
             return self.add_table(table)
         with obs.span("lake.update", table=table.name) as span:
-            record = self._compute_record(table)
+            record = self._embed_records([table])[0]
             record.version = old.version + 1
-            self.searcher.remove_table(table.name)
-            self.searcher.add_table(
-                record.name, record.column_names, record.column_vectors
-            )
-            self._put(table.name, record)
+            self._install([record])
             if self.store is not None:
                 self.store.save_table(record, self.searcher.index)
         _TABLES_UPDATED.inc()
@@ -446,7 +436,7 @@ class LakeCatalog:
             )
             for column, stored in zip(delta.columns, sketch.column_sketches):
                 column.ctype = stored.ctype  # column types frozen at ingest
-            delta_sketch = sketch_table(delta, self.sketch_config, self._hasher)
+            [delta_sketch] = sketch_corpus([delta], self.sketch_config, self._hasher)
             merged = LakeTableRecord(
                 sketch=sketch.merge(delta_sketch),
                 column_vectors=record.column_vectors,  # stale but servable
@@ -493,25 +483,8 @@ class LakeCatalog:
         if not names:
             return []
         with obs.span("lake.refresh", tables=len(names)):
-            embeddings = self._embed_sketches(
-                [self.records[n].sketch for n in names]
-            )
-            refreshed = []
-            for name, embedding in zip(names, embeddings):
-                record = self.records[name]
-                fresh = self._build_record(
-                    record.sketch,
-                    embedding,
-                    record.n_rows,
-                    metadata=dict(record.metadata),
-                    version=record.version,
-                )
-                self._put(name, fresh)
-                self.searcher.remove_table(name)
-                self.searcher.add_table(
-                    name, fresh.column_names, fresh.column_vectors
-                )
-                refreshed.append(fresh)
+            refreshed = self._embed_records([self.records[n] for n in names])
+            self._install(refreshed)
             if persist and self.store is not None:
                 # One flush per touched shard, carrying its re-archived index.
                 self.store.save_tables(refreshed, self.searcher.index)

@@ -19,18 +19,20 @@ ingested lake directory.
 Query tables may be catalog members (their stored vectors are reused — zero
 trunk work) or external :class:`~repro.table.schema.Table` payloads, whose
 sketch+embeddings are computed once and kept in a content-addressed LRU
-cache. ``discover_batch`` embeds *all* uncached external query tables of a
-batch in one batched :class:`~repro.core.engine.EmbeddingEngine` pass —
-``ceil(distinct / batch_size)`` trunk forwards, identical digests deduped —
-instead of one serial forward per query. A single re-entrant lock
-serializes catalog mutations against reads; queries hold it only around
-shared-state access, which is enough for correctness with the pure-numpy
-index.
+cache. There is one query path: ``discover`` is ``discover_batch`` of one
+request, and ``discover_batch`` embeds *all* uncached external query
+tables of a batch in one batched :class:`~repro.core.engine.EmbeddingEngine`
+pass — ``ceil(distinct / batch_size)`` trunk forwards, identical digests
+deduped — instead of one serial forward per query. A single re-entrant
+lock serializes catalog mutations against reads; queries hold it only
+around shared-state access, which is enough for correctness with the
+pure-numpy index.
 
-Every query runs under a ``lake.discover`` span (:mod:`repro.obs`):
-``lake.sketch`` / ``lake.embed`` / ``lake.index`` children carry the
-stage timings (batched queries attach synthetic amortized children), and
-the response's :class:`~repro.lake.api.Timings` is a pure projection of
+Every query is answered under a ``lake.discover`` span (:mod:`repro.obs`):
+its ``lake.index`` child times the index search, and synthetic
+``lake.sketch`` / ``lake.embed`` (and ``lake.refresh``) children carry its
+share of the work its batch did once, which the span's duration includes.
+The response's :class:`~repro.lake.api.Timings` is a pure projection of
 that span tree. Query counters/latency histograms, cache hit/miss/
 eviction counters, and a top-N :class:`~repro.obs.SlowQueryLog` (with
 full span breakdowns) feed ``GET /v1/metrics`` / ``/v1/slow_queries``.
@@ -65,7 +67,7 @@ from repro.lake.serialization import config_fingerprint
 from repro.lake.store import LakeStore
 from repro.search.backend import stable_shard
 from repro.search.tables import TableMatch
-from repro.sketch.pipeline import sketch_corpus, sketch_table
+from repro.sketch.pipeline import sketch_corpus
 from repro.table.schema import Table
 
 _QUERIES_TOTAL = obs.counter(
@@ -137,11 +139,6 @@ class _LruCache:
             self._data.popitem(last=False)
             self.evictions += 1
             _CACHE_EVICTIONS.inc()
-
-    def __contains__(self, key: str) -> bool:
-        """Non-counting membership probe (batch planning must not skew the
-        hit/miss statistics the observable ``stats()`` reports)."""
-        return key in self._data
 
     def __len__(self) -> int:
         return len(self._data)
@@ -232,67 +229,44 @@ class LakeService:
         store = self.catalog.store
         return store.fingerprint if store is not None else None
 
-    def _check_fingerprint(self, request: DiscoveryRequest) -> None:
-        if request.fingerprint is None:
-            return
-        actual = self.fingerprint()
-        if request.fingerprint != actual:
+    def _check_request(self, request: DiscoveryRequest) -> None:
+        """The fingerprint pin and the member name (under the lock)."""
+        if request.fingerprint is not None:
+            actual = self.fingerprint()
+            if request.fingerprint != actual:
+                raise DiscoveryError(
+                    "fingerprint-mismatch",
+                    f"request pinned lake fingerprint {request.fingerprint!r} "
+                    f"but this service serves {actual!r} — the lake was built "
+                    "under a different configuration",
+                )
+        if request.table is not None and request.table not in self.catalog:
             raise DiscoveryError(
-                "fingerprint-mismatch",
-                f"request pinned lake fingerprint {request.fingerprint!r} "
-                f"but this service serves {actual!r} — the lake was built "
-                "under a different configuration",
+                "not-found", f"query table {request.table!r} not in catalog"
             )
 
-    # ------------------------------------------------------------------ #
-    def _resolve(
-        self, request: DiscoveryRequest
-    ) -> tuple[list, str | None, dict]:
-        """``(ordered (column, vector) pairs, exclude_table, diagnostics)``.
-
-        Catalog members resolve to their stored vectors; external payloads
-        go through the LRU-cached embedding path. An external table whose
-        name shadows a catalog member is still excluded from its own
-        results (leave-one-out, as in the paper's benchmarks).
-
-        The trunk runs *outside* the lock: only cache/catalog lookups are
-        guarded, so concurrent external-table queries embed in parallel.
-        (Two threads missing on the same digest may both embed it — the
-        standard benign cache stampede; results are deterministic.)
-        """
-        if request.table is not None:
-            with self._lock:
-                if request.table not in self.catalog:
-                    raise DiscoveryError(
-                        "not-found",
-                        f"query table {request.table!r} not in catalog",
-                    )
-                record = self.catalog.records[request.table]
-                return (
-                    record.vector_pairs(),
-                    request.table,
-                    {"member": True, "cache_hit": None},
-                )
-        query = request.payload
-        key = table_digest(query)
-        with self._lock:
-            pairs = self._cache.get(key)
-        diag: dict = {"member": False, "cache_hit": pairs is not None}
-        if pairs is None:
-            # The stage spans attach to the caller's ``lake.discover`` root
-            # through the contextvar — the Timings projection reads them
-            # back as ``child_sum("lake.sketch")`` / ``("lake.embed")``.
-            with obs.span("lake.sketch"):
-                table_sketch = sketch_table(
-                    query, self.catalog.sketch_config, self.catalog._hasher
-                )
-            with obs.span("lake.embed"):
-                pairs = self.catalog.column_vector_pairs(query, table_sketch)
-            with self._lock:
-                self._cache.put(key, pairs)
-        with self._lock:
-            exclude = query.name if query.name in self.catalog else None
-        return pairs, exclude, diag
+    def _check_pin(self, request: DiscoveryRequest) -> None:
+        """The version pin, checked after any lazy refresh (under the lock)."""
+        if request.pin_version is None:
+            return
+        pinned = self.catalog.records.get(request.table)
+        if pinned is None:
+            return
+        if pinned.version != request.pin_version:
+            raise DiscoveryError(
+                "version-conflict",
+                f"table {request.table!r} is at version "
+                f"{pinned.version}, not pinned version "
+                f"{request.pin_version}",
+            )
+        if pinned.embedding_stale:
+            raise DiscoveryError(
+                "version-conflict",
+                f"table {request.table!r} matches pinned "
+                f"version {request.pin_version} but its "
+                "embedding is stale; retry without "
+                "allow_stale to refresh it first",
+            )
 
     # ------------------------------------------------------------------ #
     def _search(
@@ -357,106 +331,16 @@ class LakeService:
                 break
         return tuple(hits), dropped
 
-    def discover(
-        self,
-        request: DiscoveryRequest,
-        _resolved: tuple[list, str | None, dict] | None = None,
-    ) -> DiscoveryResult:
-        """Answer one :class:`DiscoveryRequest` with a typed, scored result.
+    def discover(self, request: DiscoveryRequest) -> DiscoveryResult:
+        """Answer one :class:`DiscoveryRequest` with a typed, scored result:
+        a batch of one (:meth:`discover_batch`).
 
         The single entry point every surface shares: the CLI and the HTTP
         server both route here, so a request answered in-process and the
         same request answered over the wire return the same ranked
         ``(table, score)`` hits.
-
-        The whole call runs under a ``lake.discover`` span whose children
-        (``lake.sketch`` / ``lake.embed`` / ``lake.index``) carry the
-        stage timings; the response's :class:`Timings` is a projection of
-        that span tree (same fields as the old ``perf_counter`` pairs —
-        ``lake.index`` wraps the index search only, not hit building).
         """
-        request = request.validated()
-        with obs.span("lake.discover", mode=request.mode) as root:
-            self._check_fingerprint(request)
-            refreshed: list[str] = []
-            if not request.allow_stale:
-                # Lazy re-embed: appended tables serve stale vectors until
-                # the first query that won't tolerate them, which pays one
-                # batched embedding pass for *only* the stale tables.
-                with self._lock:
-                    if self.catalog.stale_tables():
-                        refreshed = self.catalog.refresh_stale()
-            if request.pin_version is not None:
-                with self._lock:
-                    pinned = self.catalog.records.get(request.table)
-                    if pinned is not None:
-                        if pinned.version != request.pin_version:
-                            raise DiscoveryError(
-                                "version-conflict",
-                                f"table {request.table!r} is at version "
-                                f"{pinned.version}, not pinned version "
-                                f"{request.pin_version}",
-                            )
-                        if pinned.embedding_stale:
-                            raise DiscoveryError(
-                                "version-conflict",
-                                f"table {request.table!r} matches pinned "
-                                f"version {request.pin_version} but its "
-                                "embedding is stale; retry without "
-                                "allow_stale to refresh it first",
-                            )
-            pairs, exclude, diag = (
-                _resolved if _resolved is not None else self._resolve(request)
-            )
-            # Batched resolution happened outside this trace: attach each
-            # query's amortized share of the one batched pass as synthetic
-            # children, so the projection below stays uniform.
-            if "sketch_ms" in diag:
-                root.add_child_duration(
-                    "lake.sketch", diag["sketch_ms"], amortized=True
-                )
-            if "embed_ms" in diag:
-                root.add_child_duration(
-                    "lake.embed", diag["embed_ms"], amortized=True
-                )
-            with self._lock:
-                self.query_count += 1
-                with obs.span("lake.index"):
-                    matches = self._search(request, pairs, exclude)
-                hits, dropped = self._build_hits(request, matches)
-                diagnostics = {
-                    "member": diag.get("member", False),
-                    "cache_hit": diag.get("cache_hit"),
-                    "excluded": exclude,
-                    "backend": self.catalog.index_spec.canonical(),
-                    "n_shards": self.catalog.n_shards,
-                    "candidates": len(matches),
-                    "filtered": dropped,
-                }
-                if diag.get("batched"):
-                    diagnostics["batched"] = diag["batched"]
-                if refreshed:
-                    diagnostics["refreshed"] = len(refreshed)
-            request_id = obs.request_id()
-            if request_id is not None:
-                diagnostics["request_id"] = request_id
-        timings = Timings(
-            sketch_ms=root.child_sum("lake.sketch"),
-            embed_ms=root.child_sum("lake.embed"),
-            index_ms=root.child_sum("lake.index"),
-            total_ms=root.duration_ms,
-        )
-        result = DiscoveryResult(
-            version=API_VERSION,
-            mode=request.mode,
-            k=request.k,
-            query=request.query_name,
-            hits=hits,
-            timings=timings,
-            diagnostics=diagnostics,
-        )
-        self._observe_query(request, root, timings, diagnostics)
-        return result
+        return self.discover_batch([request])[0]
 
     def _observe_query(
         self,
@@ -501,44 +385,73 @@ class LakeService:
     ) -> list[DiscoveryResult]:
         """Answer many requests; uncached external payloads embed together.
 
-        All distinct-by-digest, not-yet-cached external query tables are
-        sketched and pushed through **one**
+        Planning runs once, under the lock, before any trunk work: every
+        request is validated and its fingerprint pin and member name
+        checked; if any request is strict (no ``allow_stale``), stale
+        tables are re-embedded once; version pins are checked; and each
+        request takes its column vectors — a member's stored ones, a
+        cached payload's, or a place in the batch's embedding pass. That
+        pass sketches every distinct uncached payload in one
+        ``sketch_corpus`` call and embeds them in one
         :meth:`~repro.lake.catalog.LakeCatalog.column_vector_pairs_many`
-        call — ``ceil(distinct / batch_size)`` trunk forwards for the whole
-        batch (duplicate payloads embed once), then every request is
-        answered from the precomputed vectors. Member-name queries never
-        touch the trunk at all.
+        call — ``ceil(distinct / batch_size)`` trunk forwards, duplicate
+        payloads embedded once — outside the lock, so concurrent queries
+        embed in parallel. Member-name queries never touch the trunk.
 
         The batch is all-or-nothing: the first failing request raises and
-        no results are returned (the embedding cache stays warm). To keep
-        the expensive batched pass from being paid and discarded, the
+        no results are returned (the embedding cache stays warm). The
         cheap failures — malformed requests, fingerprint pins, unknown
-        member names — are all checked *before* any sketching or
-        embedding.
+        member names, version conflicts — all raise before any sketching
+        or embedding.
+
+        Each request is answered under its own ``lake.discover`` span,
+        whose ``lake.index`` child times the index search. The work the
+        batch shared is charged to the requests it served as synthetic
+        children: ``lake.sketch`` / ``lake.embed`` split the pass evenly
+        over the requests answered from it, and ``lake.refresh`` goes to
+        the first strict request. Each span's duration — the result's
+        ``Timings.total_ms`` and the histogram's observation — includes
+        those charges, so the parts never exceed the total.
         """
         requests = [request.validated() for request in requests]
-        with self._lock:
-            for request in requests:
-                self._check_fingerprint(request)
-                if request.table is not None and request.table not in self.catalog:
-                    raise DiscoveryError(
-                        "not-found",
-                        f"query table {request.table!r} not in catalog",
-                    )
         digests = [
             table_digest(request.payload) if request.payload is not None else None
             for request in requests
         ]
+        strict = [not request.allow_stale for request in requests]
         todo: dict[str, Table] = {}
+        #: Per request: (column vectors, or None to take from the pass,
+        #: exclude_table, cache_hit).
+        plans: list[tuple[list | None, str | None, bool | None]] = []
+        charges: list[dict[str, float]] = [{} for _ in requests]
+        extras: list[dict] = [{} for _ in requests]
         with self._lock:
+            for request in requests:
+                self._check_request(request)
+            if any(strict) and self.catalog.stale_tables():
+                # Lazy re-embed: appended tables serve stale vectors until
+                # the first query that won't tolerate them, which pays one
+                # batched embedding pass for *only* the stale tables.
+                with obs.span("lake.refresh_batch") as refreshing:
+                    refreshed = self.catalog.refresh_stale()
+                first = strict.index(True)
+                charges[first]["lake.refresh"] = refreshing.duration_ms
+                extras[first]["refreshed"] = len(refreshed)
+            for request in requests:
+                self._check_pin(request)
             for request, digest in zip(requests, digests):
-                if digest is None or digest in todo:
+                if request.table is not None:
+                    pairs = self.catalog.records[request.table].vector_pairs()
+                    plans.append((pairs, request.table, None))
                     continue
-                if digest in self._cache:
-                    continue
-                todo[digest] = request.payload
-        precomputed: dict[str, list] = {}
-        shared_diag: dict[str, dict] = {}
+                name = request.payload.name
+                pairs = None if digest in todo else self._cache.get(digest)
+                if pairs is None:
+                    todo.setdefault(digest, request.payload)
+                plans.append(
+                    (pairs, name if name in self.catalog else None, pairs is not None)
+                )
+        embedded: dict[str, list] = {}
         if todo:
             tables = list(todo.values())
             with obs.span("lake.sketch_batch", tables=len(tables)) as sketching:
@@ -546,41 +459,87 @@ class LakeService:
                     tables, self.catalog.sketch_config, self.catalog._hasher
                 )
             with obs.span("lake.embed_batch", tables=len(tables)) as embedding:
-                pairs_list = self.catalog.column_vector_pairs_many(
-                    tables, sketches
+                embedded = dict(
+                    zip(todo, self.catalog.column_vector_pairs_many(tables, sketches))
                 )
-            # Amortized per-query share of the one batched pass; each
-            # request's ``lake.discover`` root re-attaches its share as a
-            # synthetic child (see :meth:`discover`).
-            sketch_ms = sketching.duration_ms / len(tables)
-            embed_ms = embedding.duration_ms / len(tables)
             with self._lock:
-                for digest, pairs in zip(todo, pairs_list):
+                for digest, pairs in embedded.items():
                     self._cache.put(digest, pairs)
-                    self._cache.misses += 1  # it *was* a miss, batched or not
-                    _CACHE_MISSES.inc()
-                    precomputed[digest] = pairs
-                    shared_diag[digest] = {
-                        "member": False,
-                        "cache_hit": False,
-                        "batched": len(tables),
-                        "sketch_ms": sketch_ms,
-                        "embed_ms": embed_ms,
-                    }
-        results: list[DiscoveryResult] = []
-        for request, digest in zip(requests, digests):
-            if digest is not None and digest in precomputed:
-                with self._lock:
-                    exclude = (
-                        request.payload.name
-                        if request.payload.name in self.catalog
-                        else None
-                    )
-                resolved = (precomputed[digest], exclude, shared_diag[digest])
-                results.append(self.discover(request, _resolved=resolved))
-            else:
-                results.append(self.discover(request))
-        return results
+            served = [i for i, (pairs, _, _) in enumerate(plans) if pairs is None]
+            for i in served:
+                charges[i]["lake.sketch"] = sketching.duration_ms / len(served)
+                charges[i]["lake.embed"] = embedding.duration_ms / len(served)
+                if len(tables) > 1:
+                    extras[i]["batched"] = len(tables)
+        return [
+            self._answer(
+                request,
+                embedded[digest] if pairs is None else pairs,
+                exclude,
+                cache_hit,
+                extra,
+                charged,
+            )
+            for request, digest, (pairs, exclude, cache_hit), extra, charged in zip(
+                requests, digests, plans, extras, charges
+            )
+        ]
+
+    def _answer(
+        self,
+        request: DiscoveryRequest,
+        pairs: list,
+        exclude: str | None,
+        cache_hit: bool | None,
+        extra: dict,
+        charges: dict[str, float],
+    ) -> DiscoveryResult:
+        """Rank one planned request under its ``lake.discover`` span.
+
+        ``charges`` are the request's shares of the batch's shared work,
+        attached as synthetic children; the span's duration covers them,
+        so the response's :class:`Timings` — a projection of the span
+        tree, with ``lake.index`` wrapping the index search only, not hit
+        building — never has parts exceeding its total.
+        """
+        with obs.span("lake.discover", mode=request.mode) as root:
+            for stage, duration_ms in charges.items():
+                root.add_child_duration(stage, duration_ms, amortized=True)
+            with self._lock:
+                self.query_count += 1
+                with obs.span("lake.index"):
+                    matches = self._search(request, pairs, exclude)
+                hits, dropped = self._build_hits(request, matches)
+                diagnostics = {
+                    "member": request.table is not None,
+                    "cache_hit": cache_hit,
+                    "excluded": exclude,
+                    "backend": self.catalog.index_spec.canonical(),
+                    "n_shards": self.catalog.n_shards,
+                    "candidates": len(matches),
+                    "filtered": dropped,
+                    **extra,
+                }
+            request_id = obs.request_id()
+            if request_id is not None:
+                diagnostics["request_id"] = request_id
+        timings = Timings(
+            sketch_ms=root.child_sum("lake.sketch"),
+            embed_ms=root.child_sum("lake.embed"),
+            index_ms=root.child_sum("lake.index"),
+            total_ms=root.duration_ms,
+        )
+        result = DiscoveryResult(
+            version=API_VERSION,
+            mode=request.mode,
+            k=request.k,
+            query=request.query_name,
+            hits=hits,
+            timings=timings,
+            diagnostics=diagnostics,
+        )
+        self._observe_query(request, root, timings, diagnostics)
+        return result
 
     # ------------------------------------------------------------------ #
     def add_table(self, table: Table):
@@ -589,15 +548,11 @@ class LakeService:
             self.ingest_count += 1
             return record
 
-    def add_tables(
-        self,
-        tables: dict[str, Table],
-        batch_size: int | None = None,
-    ):
+    def add_tables(self, tables: dict[str, Table]):
         """Bulk ingest: one batched sketching pass, ``ceil(N / batch_size)``
         trunk forwards for N new tables, then the per-shard store writes."""
         with self._lock:
-            records = self.catalog.add_tables(tables, batch_size=batch_size)
+            records = self.catalog.add_tables(tables)
             self.ingest_count += len(records)
             return records
 

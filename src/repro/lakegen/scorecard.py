@@ -11,8 +11,8 @@ Latency comes **exclusively** from the scraped ``/v1/metrics`` envelope
 timers, which would fold in transport and driver overhead. As a guard
 against ever silently drifting from the server's own math,
 :func:`latency_quantiles` *re-estimates* every quantile from the scraped
-cumulative buckets using the same interpolation walk
-:class:`repro.obs.metrics` uses, and raises :class:`ScorecardError` if
+cumulative buckets with the interpolation walk the registry itself uses
+(:func:`repro.obs.metrics.bucket_quantile`), and raises :class:`ScorecardError` if
 the re-estimate disagrees with the exposed ``p50``/``p95``/``p99``
 beyond tolerance — the scraped histogram must reconcile with itself.
 
@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import os
 
+from repro.obs.metrics import bucket_quantile
 from repro.utils.io import read_json, write_json
 
 DEFAULT_PATH = os.path.join("results", "lakegen_scorecard.json")
@@ -57,30 +58,6 @@ def _parse_edge(raw: str) -> float:
         return float(raw)
     except ValueError:
         raise ScorecardError(f"unparseable bucket edge {raw!r}") from None
-
-
-def _bucket_quantile(
-    edges: "list[float]", counts: "list[int]", total: int, q: float
-) -> "float | None":
-    """The exact interpolation walk of ``_HistogramChild.quantile``, run
-    over de-accumulated scraped buckets."""
-    if total == 0:
-        return None
-    rank = q * total
-    cumulative = 0
-    for index, bucket_count in enumerate(counts):
-        if bucket_count == 0:
-            continue
-        below = cumulative
-        cumulative += bucket_count
-        if cumulative >= rank:
-            if index >= len(edges):
-                return edges[-1]
-            lower = edges[index - 1] if index > 0 else 0.0
-            upper = edges[index]
-            fraction = (rank - below) / bucket_count
-            return lower + (upper - lower) * fraction
-    return edges[-1]
 
 
 def _reconciled(label: str, exposed, recomputed, quantile: str) -> float:
@@ -152,7 +129,7 @@ def latency_quantiles(
             entry[quantile] = _reconciled(
                 f"{name}{{{label_key}}}",
                 value.get(quantile),
-                _bucket_quantile(edges, counts, total, q),
+                bucket_quantile(edges, counts, total, q),
                 quantile,
             )
         out[label_key] = entry

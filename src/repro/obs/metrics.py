@@ -85,6 +85,32 @@ def _label_suffix(labelnames: tuple, key: tuple) -> str:
 # --------------------------------------------------------------------- #
 # Children — one per label-value combination, each with its own lock.
 # --------------------------------------------------------------------- #
+def bucket_quantile(
+    edges: "list[float]", counts: "list[int]", total: int, q: float
+) -> float | None:
+    """The q-quantile of per-bucket ``counts`` (not cumulative; one more
+    than ``edges``, the last being +Inf) by linear interpolation within the
+    rank's bucket; ``None`` when ``total`` is 0. Observations in the +Inf
+    bucket clamp to the last finite edge."""
+    if total == 0:
+        return None
+    rank = q * total
+    cumulative = 0
+    for index, bucket_count in enumerate(counts):
+        if bucket_count == 0:
+            continue
+        below = cumulative
+        cumulative += bucket_count
+        if cumulative >= rank:
+            if index >= len(edges):
+                return edges[-1]
+            lower = edges[index - 1] if index > 0 else 0.0
+            upper = edges[index]
+            fraction = (rank - below) / bucket_count
+            return lower + (upper - lower) * fraction
+    return edges[-1]
+
+
 class _CounterChild:
     __slots__ = ("_lock", "value")
 
@@ -165,23 +191,7 @@ class _HistogramChild:
         with self._lock:
             counts = list(self.counts)
             total = self.count
-        if total == 0:
-            return None
-        rank = q * total
-        cumulative = 0
-        for index, bucket_count in enumerate(counts):
-            if bucket_count == 0:
-                continue
-            below = cumulative
-            cumulative += bucket_count
-            if cumulative >= rank:
-                if index >= len(self.edges):
-                    return self.edges[-1]
-                lower = self.edges[index - 1] if index > 0 else 0.0
-                upper = self.edges[index]
-                fraction = (rank - below) / bucket_count
-                return lower + (upper - lower) * fraction
-        return self.edges[-1]
+        return bucket_quantile(self.edges, counts, total, q)
 
     def _reset(self) -> None:
         with self._lock:

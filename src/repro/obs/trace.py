@@ -15,9 +15,10 @@ A span costs one object allocation and two clock reads — the same price
 as the pair it replaced.
 
 :func:`Span.add_child_duration` creates *synthetic* children with a
-fixed duration — how ``discover_batch`` attributes each query's
-amortized share of the one batched sketch/embed pass to that query's
-trace.
+fixed duration — how ``discover_batch`` charges each query its share of
+the work the batch did once (the sketch and embed pass, a lazy refresh).
+An open parent's duration grows by the same amount, so a query's total
+includes what it was charged and its parts never exceed it.
 
 Request-id propagation rides a second contextvar:
 :func:`bind_request_id` scopes an id around a request (the HTTP server
@@ -68,10 +69,16 @@ class Span:
     def add_child_duration(
         self, name: str, duration_ms: float, **meta
     ) -> "Span":
-        """Attach a synthetic, already-finished child (amortized shares)."""
+        """Attach a synthetic, already-finished child (amortized shares).
+
+        An open span's own duration then covers the child: its start moves
+        back by ``duration_ms``.
+        """
         child = Span(name, meta or None)
         child.duration_ms = float(duration_ms)
         self._attach(child)
+        if self.duration_ms is None:
+            self._t0 -= child.duration_ms / 1000.0
         return child
 
     def child_sum(self, name: str) -> float:

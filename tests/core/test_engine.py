@@ -160,12 +160,6 @@ def test_dynamic_padding_mask_correctness(tiny_encoder, ragged_sketches):
         )
 
 
-def test_batch_encodings_rejects_short_target(tiny_encoder, city_sketch):
-    encoding = tiny_encoder.encode_single(city_sketch, pad=False)
-    with pytest.raises(ValueError, match="target_length"):
-        batch_encodings([encoding], target_length=encoding.length - 1)
-
-
 def test_finalize_clamps_target_to_max_seq_len(tiny_encoder, ragged_sketches):
     wide = next(s for s in ragged_sketches if s.table_name == "wide")
     encoding = tiny_encoder.encode_single(wide, pad=False)

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro import obs
 from repro.lake.api import DiscoveryError, DiscoveryRequest
 from repro.lake.catalog import LakeCatalog
 from repro.lake.service import LakeService, table_digest
@@ -190,6 +191,29 @@ def test_query_batch_embeds_distinct_externals_in_one_pass(
     serial = LakeService(catalog)
     for query, result in zip(queries, results):
         assert _ranked(serial, query, mode="union", k=4) == result
+
+
+def test_batched_totals_include_their_share(cold_catalog, lake_tables):
+    """A batched query's total includes the sketch and embed time charged
+    to it, and the latency histogram observes exactly that total."""
+    service = LakeService(cold_catalog)
+    registry = obs.get_registry()
+    registry.reset()
+    probes = [
+        table.with_columns(table.columns, name=f"share{i}")
+        for i, table in enumerate(list(lake_tables.values())[:4])
+    ]
+    results = service.discover_batch([_request(probe, k=3) for probe in probes])
+    for result in results:
+        timings = result.timings
+        assert timings.sketch_ms > 0.0 and timings.embed_ms > 0.0
+        parts = timings.sketch_ms + timings.embed_ms + timings.index_ms
+        assert parts <= timings.total_ms
+    histogram = registry.get("lake_query_duration_ms")
+    assert histogram.total_count == len(results)
+    assert histogram.total_sum == pytest.approx(
+        sum(result.timings.total_ms for result in results), rel=0.01
+    )
 
 
 def test_concurrent_reads_are_consistent(cold_catalog):
