@@ -54,11 +54,15 @@ top-level manifest), so :meth:`LakeStore.load_all` and
 at any shard count — order, and therefore tie-breaking, is layout-invariant.
 
 Manifests are compact single-line JSON (the C encoder; any JSON reader
-reads them). Every table write or remove costs **one** atomic manifest flush
-(write-then-rename) per touched shard: handed the live
-:class:`repro.search.backend.ShardedIndex`, the store lands the shard's
-table entries, its ``mutation_counter`` and its ``"index"`` entry in that
-same rename. An index the write changed is re-archived first
+reads them). A shard keeps each table entry's encoded text, and a write or
+remove drops only the text of the entry it changed, so a flush encodes the
+small head and the changed entries and splices in the rest: an append to a
+shard of thousands of tables encodes one entry, yet the file is byte for
+byte the encode of the whole manifest. Every table write or remove costs
+**one** atomic manifest flush (write-then-rename) per touched shard: handed
+the live :class:`repro.search.backend.ShardedIndex`, the store lands the
+shard's table entries, its ``mutation_counter`` and its ``"index"`` entry
+in that same rename. An index the write changed is re-archived first
 (``index.tmp.npz`` -> ``index.npz``) and the archive carries the counter it
 was saved under, so a kill between the archive rename and the manifest flush
 reads as out of step and that shard rebuilds; an index the write did not
@@ -84,6 +88,7 @@ incremental delta costs one shard's artifact, not N.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import shutil
@@ -150,14 +155,23 @@ _FLUSH_MS = obs.histogram(
 )
 
 
-def _write_manifest(path: Path, manifest: dict) -> None:
+def _dumps(value: dict) -> str:
+    """Compact, key-sorted JSON: the one encoder of every manifest byte.
+    With no indent ``dumps`` runs the C encoder; ``json.dump`` or
+    ``indent`` would fall back to pure Python."""
+    return json.dumps(value, separators=(",", ":"), sort_keys=True, default=_jsonify)
+
+
+def _encode_entry(entry: dict) -> str:
+    """One shard table entry's text, exactly as :func:`_dumps` of the whole
+    manifest writes it inside ``"tables"``."""
+    return _dumps(entry)
+
+
+def _write_manifest(path: Path, text: str) -> None:
     # Write-then-rename: a crash mid-flush must leave the previous
-    # manifest intact, never a torn JSON file. One ``dumps`` with no
-    # indent runs the C encoder; ``json.dump`` or ``indent`` would not.
+    # manifest intact, never a torn JSON file.
     temporary = path.with_name(_MANIFEST_TMP)
-    text = json.dumps(
-        manifest, separators=(",", ":"), sort_keys=True, default=_jsonify
-    )
     temporary.write_text(text + "\n", encoding="utf-8")
     os.replace(temporary, path)
 
@@ -235,7 +249,7 @@ def _convert_flat_layout(root: Path, flat: dict) -> dict:
     tables = [
         {**entry, "seq": seq} for seq, entry in enumerate(flat["tables"], start=1)
     ]
-    _write_manifest(shard_root / MANIFEST_NAME, {**flat, "tables": tables})
+    _write_manifest(shard_root / MANIFEST_NAME, _dumps({**flat, "tables": tables}))
     top = {
         "format_version": flat.get("format_version", FORMAT_VERSION),
         "sharded": True,
@@ -245,7 +259,7 @@ def _convert_flat_layout(root: Path, flat: dict) -> dict:
     }
     if "index_spec" in flat:
         top["index_spec"] = flat["index_spec"]
-    _write_manifest(root / MANIFEST_NAME, top)
+    _write_manifest(root / MANIFEST_NAME, _dumps(top))
     return top
 
 
@@ -306,6 +320,10 @@ class LakeShard:
         #: Replaced archives staged for deletion after the next manifest
         #: flush (see :meth:`_write_table`).
         self._pending_unlink: list[Path] = []
+        #: Each table entry's compact JSON text by table name, as the last
+        #: flush wrote it; a write or remove drops its entry's text, so a
+        #: flush encodes only what changed (see :meth:`_flush`).
+        self._entry_texts: dict[str, str] = {}
         manifest_path = self.root / MANIFEST_NAME
         if manifest_path.exists():
             manifest = read_json(manifest_path)
@@ -333,7 +351,29 @@ class LakeShard:
         }
 
     def _flush(self) -> None:
-        _write_manifest(self.root / MANIFEST_NAME, self._manifest)
+        """Write the manifest, encoding only the entries changed since the
+        last flush (every entry, on a shard's first flush after open).
+
+        The head (counters, fingerprint, index entry) is encoded fresh and
+        the cached entry texts are spliced into ``"tables":[...]`` where the
+        key-sorted encode of the whole manifest puts them, so the bytes are
+        exactly ``_dumps(self._manifest)``'s.
+        """
+        texts = self._entry_texts
+        tables = []
+        for entry in self._manifest["tables"]:
+            text = texts.get(entry["name"])
+            if text is None:
+                text = texts[entry["name"]] = _encode_entry(entry)
+            tables.append(text)
+        head = self._manifest.items()
+        parts = (
+            _dumps({key: value for key, value in head if key < "tables"})[1:-1],
+            '"tables":[' + ",".join(tables) + "]",
+            _dumps({key: value for key, value in head if key > "tables"})[1:-1],
+        )
+        text = "{" + ",".join(part for part in parts if part) + "}"
+        _write_manifest(self.root / MANIFEST_NAME, text)
 
     def _sweep_orphans(self) -> None:
         """Delete table archives the manifest does not reference, and any
@@ -389,11 +429,13 @@ class LakeShard:
             "n_cols": len(record.column_names),
             # Recorded at write time so stats() never has to stat the file.
             "disk_bytes": disk_bytes,
-            "metadata": record.metadata,
+            # A copy: the caller's dict must not reach into the manifest.
+            "metadata": copy.deepcopy(record.metadata),
             "version": int(record.version),
             "embedding_stale": bool(record.embedding_stale),
         }
         self._manifest["next_id"] += 1
+        self._entry_texts.pop(record.name, None)
         if existing is None:
             fields["seq"] = int(seq)
             self._manifest["tables"].append(fields)
@@ -467,7 +509,7 @@ class LakeShard:
             column_vectors=arrays["column_vectors"],
             table_embedding=arrays["table_embedding"],
             n_rows=int(entry.get("n_rows", 0)),
-            metadata=dict(entry.get("metadata", {})),
+            metadata=copy.deepcopy(entry.get("metadata", {})),
             # Defaults cover pre-live-tables manifests: one data version,
             # vectors assumed fresh.
             version=int(entry.get("version", 1)),
@@ -481,6 +523,7 @@ class LakeShard:
         was_in_step = self.index_in_step()
         self._manifest["tables"].remove(entry)
         del self._by_name[name]
+        self._entry_texts.pop(name, None)
         self._bump_mutation_counter()
         # Forget, flush, *then* unlink: a kill in between leaves an
         # unreferenced archive (swept at the next open), never an entry
@@ -698,7 +741,7 @@ class LakeStore:
                 # cross-shard order survives persistence.
                 "next_seq": 1,
             }
-            _write_manifest(self.root / MANIFEST_NAME, top)
+            _write_manifest(self.root / MANIFEST_NAME, _dumps(top))
         (self.root / _MANIFEST_TMP).unlink(missing_ok=True)
         self.n_shards = n_shards
         self._top = top
@@ -730,7 +773,7 @@ class LakeStore:
         return LakeShard(shard_root, self.fingerprint, shard_id)
 
     def _flush_top(self) -> None:
-        _write_manifest(self.root / MANIFEST_NAME, self._top)
+        _write_manifest(self.root / MANIFEST_NAME, _dumps(self._top))
 
     # ------------------------------------------------------------------ #
     @classmethod

@@ -4,7 +4,8 @@ Every catalog write hands the store the live index, so a shard's table
 entries, its ``mutation_counter`` and its ``"index"`` entry land in one
 manifest rename. An append (index unchanged) only re-stamps the entry; an
 add, update or remove re-archives ``index.npz`` first, stamped with the new
-counter. Pinned here: the flush counts; that a kill at any file operation of
+counter. Pinned here: the flush counts, and that a flush re-encodes only
+the manifest entries its write changed; that a kill at any file operation of
 a write leaves a store that reopens as the old or the new state (with its
 write-then-rename leftovers swept) and ranks like a cold rebuild of that
 state; the kill between the ``index.npz`` rename and the manifest flush; and
@@ -176,6 +177,48 @@ def test_each_write_flushes_each_touched_shard_once(
     assert dict(writes) == expected
     reopened = _warm(lake_embedder, base_lake)
     assert reopened.searcher.insertions == 0 and reopened.embed_calls == 0
+
+
+@pytest.fixture()
+def entry_encodes(monkeypatch) -> list:
+    """Names of the shard table entries encoded, in call order."""
+    encoded: list[str] = []
+    encode_entry = store_module._encode_entry
+
+    def counted(entry):
+        encoded.append(entry["name"])
+        return encode_entry(entry)
+
+    monkeypatch.setattr(store_module, "_encode_entry", counted)
+    return encoded
+
+
+def test_first_flush_after_open_encodes_its_whole_shard(
+    base_lake, lake_embedder, lake_tables, entry_encodes
+):
+    catalog = _warm(lake_embedder, base_lake)
+    shard = catalog.store.shards[catalog.store.shard_id("g1t1")]
+    _append(catalog, lake_tables)
+    assert sorted(entry_encodes) == sorted(shard.table_names())
+    entry_encodes.clear()
+    _append(catalog, lake_tables)
+    assert entry_encodes == ["g1t1"]
+
+
+@pytest.mark.parametrize("op", ["append_rows", "update_table", "remove_table"])
+def test_a_flush_encodes_only_the_entry_its_write_changed(
+    op, base_lake, lake_embedder, lake_tables, entry_encodes
+):
+    """Once every shard has flushed, an append or update re-encodes the one
+    entry it wrote and a remove none, however many entries the shard has."""
+    catalog = _warm(lake_embedder, base_lake)
+    for shard in catalog.store.shards:
+        shard._flush()
+    assert sorted(entry_encodes) == sorted(catalog.store.table_names())
+    entry_encodes.clear()
+    OPS[op](catalog, lake_tables)
+    expected = {"append_rows": ["g1t1"], "update_table": ["g0t2"], "remove_table": []}
+    assert entry_encodes == expected[op]
 
 
 def test_add_tables_writes_every_archive_through_the_codec(
