@@ -366,11 +366,11 @@ class LakeShard:
             if text is None:
                 text = texts[entry["name"]] = _encode_entry(entry)
             tables.append(text)
-        head = self._manifest.items()
+        items = self._manifest.items()
         parts = (
-            _dumps({key: value for key, value in head if key < "tables"})[1:-1],
+            _dumps({key: value for key, value in items if key < "tables"})[1:-1],
             '"tables":[' + ",".join(tables) + "]",
-            _dumps({key: value for key, value in head if key > "tables"})[1:-1],
+            _dumps({key: value for key, value in items if key > "tables"})[1:-1],
         )
         text = "{" + ",".join(part for part in parts if part) + "}"
         _write_manifest(self.root / MANIFEST_NAME, text)
