@@ -36,7 +36,7 @@ def experiment():
         model, encoder,
         PretrainConfig(epochs=3, batch_size=16, learning_rate=2e-3, patience=5),
     )
-    encoded = [encoder.encode_table(s) for s in sketches.values()]
+    encoded = encoder.encode_tables(list(sketches.values()))
     examples = pretrainer.build_examples(encoded)
     split = int(0.9 * len(examples))
     history = pretrainer.train(examples[:split], examples[split:])

@@ -64,7 +64,7 @@ def main() -> None:
         PretrainConfig(epochs=3, batch_size=16, learning_rate=2e-3),
     )
     examples = pretrainer.build_examples(
-        [encoder.encode_table(s) for s in sketches.values()]
+        encoder.encode_tables(list(sketches.values()))
     )
     print(
         f"whole-column MLM examples: {len(examples)} "

@@ -175,7 +175,7 @@ class EmbeddingEngine:
         """Embed up to one batch of sketches in a *single* forward pass."""
         if not sketches:
             return []
-        encodeds = [self.encoder.encode_table(sketch) for sketch in sketches]
+        encodeds = self.encoder.encode_tables(sketches)
         return self._forward_group(encodeds, [s.n_cols for s in sketches])
 
     def embed_corpus(
@@ -196,7 +196,7 @@ class EmbeddingEngine:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if not sketches:
             return []
-        encodeds = [self.encoder.encode_table(sketch) for sketch in sketches]
+        encodeds = self.encoder.encode_tables(sketches)
         order = sorted(range(len(sketches)), key=lambda i: encodeds[i].length)
         results: list[TableEmbeddings | None] = [None] * len(sketches)
         for start in range(0, len(order), batch_size):

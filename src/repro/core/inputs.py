@@ -14,6 +14,17 @@ and aligns six parallel signals with its tokens:
    positions, E_C or E_{C||W} for column-name positions;
 6. per-position numerical-sketch vectors (zero for description positions).
 
+Encoding is **batch-first**: :meth:`InputEncoder.encode_tables` is the one
+encode path (``encode_table(s)`` is ``encode_tables([s])[0]``, and
+:class:`repro.core.engine.EmbeddingEngine` encodes each ``embed_corpus``
+call in one). It featurizes the sketches of a whole batch at once: one
+:func:`~repro.sketch.minhash.slot_features` call over the stacked
+snapshot, values and words signatures, and one
+:func:`~repro.sketch.numeric.numeric_inputs` call over every column's
+numerical sketch. Each token then gathers its table's or its column's
+feature row. Every feature is elementwise, so a table's arrays do not
+depend on the batch it was encoded in.
+
 A :class:`PairEncoding` concatenates two encoded tables for the cross-encoder
 (Fig. 2b) with BERT-style segment ids 0/1.
 """
@@ -21,12 +32,15 @@ A :class:`PairEncoding` concatenates two encoded tables for the cross-encoder
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.config import TabSketchFMConfig
-from repro.sketch.numeric import NUMERICAL_SKETCH_DIM
-from repro.sketch.pipeline import TableSketch
+from repro.sketch.minhash import MinHash, slot_features
+from repro.sketch.numeric import NUMERICAL_SKETCH_DIM, numeric_inputs
+from repro.sketch.pipeline import ColumnSketch, TableSketch
+from repro.table.schema import ColumnType
 from repro.text.tokenizer import WordPieceTokenizer
 
 
@@ -95,92 +109,134 @@ class InputEncoder:
 
     # ------------------------------------------------------------------ #
     def encode_table(self, sketch: TableSketch) -> EncodedTable:
-        """Build the unpadded aligned arrays for one table."""
+        """Build the unpadded aligned arrays for one table:
+        ``encode_tables([sketch])[0]``."""
+        return self.encode_tables([sketch])[0]
+
+    def encode_tables(self, sketches: Sequence[TableSketch]) -> list[EncodedTable]:
+        """Build the unpadded aligned arrays of every table, in order.
+
+        The batch's sketch inputs are featurized once (:meth:`_feature_rows`);
+        each token then gathers the feature row of its table or column.
+        """
+        if not sketches:
+            return []
         config = self.config
         vocab = self.tokenizer.vocabulary
-        mh_dim = config.minhash_input_dim
+        columns = [
+            sketch.column_sketches[: config.max_columns - 1] for sketch in sketches
+        ]
+        minhash, numeric, firsts = self._feature_rows(sketches, columns)
 
-        token_ids: list[int] = [vocab.cls_id]
-        token_positions: list[int] = [0]
-        column_positions: list[int] = [0]
-        column_types: list[int] = [0]
-        minhash_rows: list[np.ndarray] = []
-        numeric_rows: list[np.ndarray] = []
+        token_ids: list[int] = []
+        token_positions: list[int] = []
+        column_positions: list[int] = []
+        column_types: list[int] = []
+        feature_rows: list[int] = []
+        bounds = [0]
+        layouts: list[tuple[list[ColumnSpan], tuple[int, int]]] = []
+        for sketch, table_columns, first in zip(sketches, columns, firsts):
+            description = self.tokenizer.encode(sketch.description)
+            head = len(description) + 2
+            token_ids += [vocab.cls_id, *description, vocab.sep_id]
+            token_positions += [0, *range(len(description)), 0]
+            column_positions += [0] * head
+            column_types += [0] * head
+            feature_rows += [first] * head
+            spans: list[ColumnSpan] = []
+            for col_index, col in enumerate(table_columns):
+                pieces = self.tokenizer.encode(col.name) or [vocab.unk_id]
+                start = len(token_ids) - bounds[-1]
+                spans.append(ColumnSpan(col_index, start, start + len(pieces)))
+                # The separator after the name carries the column's sketches
+                # so attention can use them even for single-token names;
+                # position resets there.
+                width = len(pieces) + 1
+                token_ids += [*pieces, vocab.sep_id]
+                token_positions += [*range(len(pieces)), 0]
+                column_positions += [col_index + 1] * width
+                column_types += [int(col.ctype)] * width
+                feature_rows += [first + 1 + col_index] * width
+            bounds.append(len(token_ids))
+            layouts.append((spans, (1, 1 + len(description))))
 
-        snapshot_vec = (
-            sketch.snapshot_vector()
-            if config.selection.use_snapshot
-            else np.zeros(mh_dim)
+        ids = np.asarray(token_ids, dtype=np.int64)
+        positions = np.minimum(
+            np.asarray(token_positions, dtype=np.int64),
+            config.max_token_positions - 1,
         )
-        zero_numeric = np.zeros(NUMERICAL_SKETCH_DIM)
-        minhash_rows.append(snapshot_vec)
-        numeric_rows.append(zero_numeric)
-
-        desc_start = len(token_ids)
-        for piece_id in self.tokenizer.encode(sketch.description):
-            token_ids.append(piece_id)
-            token_positions.append(
-                min(len(token_ids) - 1 - desc_start, config.max_token_positions - 1)
+        col_positions = np.asarray(column_positions, dtype=np.int64)
+        col_types = np.asarray(column_types, dtype=np.int64)
+        rows = np.asarray(feature_rows, dtype=np.intp)
+        token_minhash = minhash[rows]
+        token_numeric = numeric[rows]
+        return [
+            EncodedTable(
+                token_ids=ids[lo:hi],
+                token_positions=positions[lo:hi],
+                column_positions=col_positions[lo:hi],
+                column_types=col_types[lo:hi],
+                minhash=token_minhash[lo:hi],
+                numeric=token_numeric[lo:hi],
+                spans=spans,
+                description_span=description_span,
             )
-            column_positions.append(0)
-            column_types.append(0)
-            minhash_rows.append(snapshot_vec)
-            numeric_rows.append(zero_numeric)
-        desc_stop = len(token_ids)
+            for lo, hi, (spans, description_span) in zip(bounds, bounds[1:], layouts)
+        ]
 
-        def add_separator() -> None:
-            token_ids.append(vocab.sep_id)
-            token_positions.append(0)
-            column_positions.append(0)
-            column_types.append(0)
-            minhash_rows.append(snapshot_vec)
-            numeric_rows.append(zero_numeric)
+    def _feature_rows(
+        self, sketches: Sequence[TableSketch], columns: list[list[ColumnSketch]]
+    ) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """``(minhash, numeric, firsts)``: the batch's model-input rows.
 
-        add_separator()
+        Table ``t`` owns row ``firsts[t]``, its snapshot row (read by [CLS],
+        the description and the first [SEP]), then one row per column of
+        ``columns[t]`` (read by its name pieces and the [SEP] after them).
+        One :func:`slot_features` call maps every snapshot, values and
+        words signature, and one :func:`numeric_inputs` call every column's
+        numerical sketch.
+        """
+        config = self.config
+        selection = config.selection
+        num_perm = config.sketch.num_perm
+        flat = [column for table_columns in columns for column in table_columns]
+        widths = np.array([1 + len(table_columns) for table_columns in columns])
+        firsts = np.cumsum(widths) - widths
+        n_rows = int(widths.sum())
+        is_column = np.ones(n_rows, dtype=bool)
+        is_column[firsts] = False
+        column_rows = np.flatnonzero(is_column)
 
-        spans: list[ColumnSpan] = []
-        max_cols = config.max_columns
-        for col_index, col in enumerate(sketch.column_sketches[: max_cols - 1]):
-            col_position = col_index + 1
-            col_minhash = (
-                col.minhash_vector(config.sketch.num_perm)
-                if config.selection.use_minhash
-                else np.zeros(mh_dim)
-            )
-            col_numeric = (
-                col.numeric.to_vector()
-                if config.selection.use_numeric
-                else zero_numeric
-            )
-            pieces = self.tokenizer.encode(col.name) or [vocab.unk_id]
-            start = len(token_ids)
-            for within, piece_id in enumerate(pieces):
-                token_ids.append(piece_id)
-                token_positions.append(min(within, config.max_token_positions - 1))
-                column_positions.append(col_position)
-                column_types.append(int(col.ctype))
-                minhash_rows.append(col_minhash)
-                numeric_rows.append(col_numeric)
-            spans.append(ColumnSpan(col_index, start, len(token_ids)))
-            # Separator carries the column's sketches so attention can use
-            # them even for single-token names; position resets afterwards.
-            token_ids.append(vocab.sep_id)
-            token_positions.append(0)
-            column_positions.append(col_position)
-            column_types.append(int(col.ctype))
-            minhash_rows.append(col_minhash)
-            numeric_rows.append(col_numeric)
-
-        return EncodedTable(
-            token_ids=np.asarray(token_ids, dtype=np.int64),
-            token_positions=np.asarray(token_positions, dtype=np.int64),
-            column_positions=np.asarray(column_positions, dtype=np.int64),
-            column_types=np.asarray(column_types, dtype=np.int64),
-            minhash=np.asarray(minhash_rows, dtype=np.float64),
-            numeric=np.asarray(numeric_rows, dtype=np.float64),
-            spans=spans,
-            description_span=(desc_start, desc_stop),
-        )
+        # Absent inputs stay 0 (the neutral value): a disabled sketch family,
+        # the words half of a non-string column or of an empty words set.
+        minhash = np.zeros((n_rows, config.minhash_input_dim), dtype=np.float64)
+        numeric = np.zeros((n_rows, NUMERICAL_SKETCH_DIM), dtype=np.float64)
+        targets: list[tuple[np.ndarray, slice]] = []  # (rows, half) per group
+        groups: list[list[MinHash]] = []
+        if selection.use_snapshot:
+            targets.append((firsts, slice(None, num_perm)))
+            groups.append([sketch.snapshot for sketch in sketches])
+        if selection.use_minhash:
+            worded = [
+                i
+                for i, column in enumerate(flat)
+                if column.ctype == ColumnType.STRING
+                and not column.words_minhash.is_empty()
+            ]
+            targets.append((column_rows, slice(None, num_perm)))
+            groups.append([column.values_minhash for column in flat])
+            targets.append((column_rows[worded], slice(num_perm, None)))
+            groups.append([flat[i].words_minhash for i in worded])
+        signatures = [m.signature for group in groups for m in group]
+        if signatures:
+            features = slot_features(np.stack(signatures))
+            offset = 0
+            for (rows, half), group in zip(targets, groups):
+                minhash[rows, half] = features[offset : offset + len(group)]
+                offset += len(group)
+        if selection.use_numeric and flat:
+            numeric[column_rows] = numeric_inputs([c.numeric for c in flat])
+        return minhash, numeric, firsts.tolist()
 
     # ------------------------------------------------------------------ #
     def encode_single(self, sketch: TableSketch, pad: bool = True) -> PairEncoding:
@@ -209,8 +265,7 @@ class InputEncoder:
         """A cross-encoder pair input: ``[CLS] A ... [SEP] B ...`` (Fig. 2b)."""
         from repro.sketch.interactions import interaction_features
 
-        a = self.encode_table(first)
-        b = self.encode_table(second)
+        a, b = self.encode_tables([first, second])
         interaction = interaction_features(first, second, self.config.selection)
         # Drop B's leading [CLS]; keep a single CLS at position 0.
         token_ids = np.concatenate([a.token_ids, b.token_ids[1:]])

@@ -39,6 +39,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.sketch.minhash import estimate_jaccard
+from repro.sketch.numeric import numeric_inputs
 from repro.sketch.pipeline import TableSketch
 
 if TYPE_CHECKING:  # avoid a module cycle with repro.core.config
@@ -82,12 +83,12 @@ def _minhash_matrix(first: TableSketch, second: TableSketch, kind: str) -> np.nd
 
 
 def _numeric_matrix(first: TableSketch, second: TableSketch) -> np.ndarray:
-    vectors_a = [c.numeric.to_vector() for c in first.column_sketches]
-    vectors_b = [c.numeric.to_vector() for c in second.column_sketches]
-    if not vectors_a or not vectors_b:
+    if not first.n_cols or not second.n_cols:
         return np.zeros((0, 0))
-    a = np.stack(vectors_a)
-    b = np.stack(vectors_b)
+    rows = numeric_inputs(
+        [c.numeric for c in first.column_sketches + second.column_sketches]
+    )
+    a, b = rows[: first.n_cols], rows[first.n_cols :]
     l1 = np.abs(a[:, None, :] - b[None, :, :]).mean(axis=-1)
     # Proximity in [0, 1]: identical sketches → 1. The sharp kernel keeps
     # scale-shifted distributions (whose squashed stats differ by only a few

@@ -124,15 +124,6 @@ class MinHasher:
         unique = set(items)
         return MinHash(self.signatures(hash_strings(unique), [len(unique)])[0])
 
-    def sketch_tokens(self, text_values: Iterable[str]) -> MinHash:
-        """Signature over the set of whitespace tokens across all values.
-
-        This is the paper's *words* MinHash for string columns: "for string
-        columns, we also compute a MinHash signature for set of words within
-        the column" (§III-A).
-        """
-        return self.sketch(word_set(text_values))
-
 
 def word_set(text_values: Iterable[str]) -> set[str]:
     """The set of whitespace tokens across all values."""
@@ -142,7 +133,7 @@ def word_set(text_values: Iterable[str]) -> set[str]:
     return words
 
 
-def slot_features(sketch: MinHash) -> np.ndarray:
+def slot_features(signatures: np.ndarray) -> np.ndarray:
     """Signature slots as decorrelated features in [-1, 1] (model-input form).
 
     Raw MinHash slots are *minima* of uniform hashes, so their values pile up
@@ -155,11 +146,16 @@ def slot_features(sketch: MinHash) -> np.ndarray:
     then proportional to the Jaccard estimate, which is the geometry the
     paper's full-size encoder learns internally (see README "Scale-down
     substitutions").
+
+    ``signatures`` is ``uint64[..., k]``: one signature or a stacked batch
+    of them (the input encoder maps all of a batch's snapshot, values and
+    words signatures in one call). Each element depends only on its own
+    slot value and slot index, so a row's features do not depend on what
+    it was stacked with.
     """
-    signature = sketch.signature
-    index = np.arange(signature.shape[0], dtype=np.uint64)
+    index = np.arange(signatures.shape[-1], dtype=np.uint64)
     with np.errstate(over="ignore"):
-        x = signature + index * np.uint64(0x9E3779B97F4A7C15)
+        x = signatures + index * np.uint64(0x9E3779B97F4A7C15)
         # splitmix64 finalizer: decorrelates consecutive/biased inputs.
         x ^= x >> np.uint64(30)
         x *= np.uint64(0xBF58476D1CE4E5B9)

@@ -31,11 +31,24 @@ identical** to sketching the concatenated column from scratch: the cold
 path sorts the numeric view first so every statistic is order-canonical,
 and an exact merged sample *is* the full sorted array. There is no RNG
 anywhere — identical inputs always produce identical bytes.
+
+Featurization is **array-at-a-time**. :func:`numerical_profiles` sketches
+every column of a batch at once: one :func:`_mix64` over all value hashes,
+and one :func:`sorted_percentiles` call over all numeric columns.
+:func:`numeric_inputs` maps a batch of sketches to model-input rows in one
+pass. ``numerical_profile`` and ``NumericalSketch.to_vector`` are one-row
+calls of these batch forms. :func:`sorted_percentiles` is bit-identical to
+``np.percentile`` on each sorted column: it reads numpy's linear rule off
+the sorted array instead of partitioning a copy of every column. Means and
+standard deviations run the same ufunc sequence as ``np.mean`` and
+``np.std``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -47,6 +60,9 @@ from repro.utils.hashing import hash_strings
 NUMERICAL_SKETCH_DIM = 16
 
 _PERCENTILES = tuple(range(10, 100, 10))
+
+#: ``_PERCENTILES`` as ``np.percentile`` turns them into fractions.
+_QUANTILES = np.true_divide(_PERCENTILES, 100)
 
 #: Numeric stats are squashed by ``arcsinh`` then scaled by this constant so
 #: typical magnitudes (counts, money, timestamps ~1e9) land in roughly [-1,1];
@@ -94,24 +110,109 @@ class NumericalSketch:
     max_value: float
 
     def to_vector(self) -> np.ndarray:
-        """Normalized ``float64[NUMERICAL_SKETCH_DIM]`` vector for the model.
+        """Normalized ``float64[NUMERICAL_SKETCH_DIM]`` vector for the model:
+        ``numeric_inputs([self])[0]``."""
+        return numeric_inputs([self])[0]
 
-        Fractions pass through unchanged; magnitude statistics are squashed
-        with ``arcsinh`` (sign-preserving log-like compression) so that
-        timestamps and small counts coexist on a comparable scale.
-        """
-        squash = lambda x: float(np.arcsinh(x) * _ASINH_SCALE)  # noqa: E731
-        vector = [
-            self.unique_fraction,
-            self.nan_fraction,
-            squash(self.avg_cell_width),
-            *[squash(p) for p in self.percentiles],
-            squash(self.mean),
-            squash(self.std),
-            squash(self.min_value),
-            squash(self.max_value),
-        ]
-        return np.asarray(vector, dtype=np.float64)
+
+def numeric_inputs(sketches: Sequence[NumericalSketch]) -> np.ndarray:
+    """Model-input rows of many sketches, ``float64[n, NUMERICAL_SKETCH_DIM]``.
+
+    Fractions pass through unchanged; magnitude statistics are squashed
+    with ``arcsinh`` (sign-preserving log-like compression) so that
+    timestamps and small counts coexist on a comparable scale. Element
+    ``j`` of row ``i`` is ``float(np.arcsinh(x) * _ASINH_SCALE)`` of that
+    raw statistic, as it would be one scalar at a time.
+    """
+    raw = np.array(
+        [
+            (
+                s.unique_fraction,
+                s.nan_fraction,
+                s.avg_cell_width,
+                *s.percentiles,
+                s.mean,
+                s.std,
+                s.min_value,
+                s.max_value,
+            )
+            for s in sketches
+        ],
+        dtype=np.float64,
+    ).reshape(len(sketches), NUMERICAL_SKETCH_DIM)
+    rows = np.arcsinh(raw) * _ASINH_SCALE
+    rows[:, :2] = raw[:, :2]
+    return rows
+
+
+def sorted_percentiles(flat: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """``np.percentile`` at ``_PERCENTILES`` of consecutive sorted runs.
+
+    ``flat`` holds run 0's values, then run 1's, …; ``sizes[j] >= 1`` is
+    the length of run ``j``, which must be sorted ascending. Returns
+    ``float64[len(sizes), len(_PERCENTILES)]``, bit for bit what
+    ``np.percentile`` returns on each run, by numpy's linear rule: virtual
+    index ``(n - 1) * q``; its floor and the next index, both moved to the
+    last element when the virtual index reaches it (numpy marks that
+    ``-1``, and the weight ``t`` is measured from the marker); then
+    ``a + (b - a) * t``, or ``b - (b - a) * (1 - t)`` where ``t >= 0.5``.
+
+    ``np.percentile`` reads its neighbours off a partition of a copy of its
+    input, which may order equal elements differently from the sorted run.
+    Among finite floats only ``-0.0`` and ``+0.0`` tell equal elements
+    apart, so a run holding both is partitioned exactly as numpy does it.
+    """
+    sizes = np.asarray(sizes, dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    last = (sizes - 1)[:, None]
+    virtual = last * _QUANTILES
+    lower = np.floor(virtual)
+    at_end = virtual >= last
+    lower[at_end] = -1.0
+    t = virtual - lower
+    lower = lower.astype(np.intp)
+    upper = lower + 1
+    upper[at_end] = -1
+    a = flat[np.where(at_end, last, lower) + starts[:, None]]
+    b = flat[np.where(at_end, last, upper) + starts[:, None]]
+
+    zeros = flat == 0.0
+    negative = np.add.reduceat(zeros & np.signbit(flat), starts)
+    mixed = (negative > 0) & (negative < np.add.reduceat(zeros, starts))
+    for j in np.flatnonzero(mixed):
+        run = flat[starts[j] : starts[j] + sizes[j]].copy()
+        run.partition(np.unique(np.concatenate(([0, -1], lower[j], upper[j]))))
+        a[j], b[j] = run[lower[j]], run[upper[j]]
+
+    diff = b - a
+    out = a + diff * t
+    high = t >= 0.5
+    out[high] = (b - diff * (1 - t))[high]
+    return out
+
+
+def _moments(
+    flat: np.ndarray, sizes: Sequence[int]
+) -> tuple[list[float], list[float], list[float], list[float]]:
+    """``(sum, sum of squares, mean, std)`` of consecutive runs of ``flat``.
+
+    Each sum is ``np.add.reduce`` over the run, the pairwise sum ``np.sum``
+    and ``np.mean`` take; the std is ``np.std``'s sequence on the run:
+    subtract the mean, square, reduce, divide by ``n``, square root.
+    """
+    bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    runs = list(zip(bounds[:-1], bounds[1:]))
+    squares = flat * flat
+    totals = [float(np.add.reduce(flat[lo:hi])) for lo, hi in runs]
+    totals_sq = [float(np.add.reduce(squares[lo:hi])) for lo, hi in runs]
+    means = [total / (hi - lo) for total, (lo, hi) in zip(totals, runs)]
+    deviations = flat - np.repeat(means, sizes)
+    deviations *= deviations
+    stds = [
+        math.sqrt(float(np.add.reduce(deviations[lo:hi])) / (hi - lo))
+        for lo, hi in runs
+    ]
+    return totals, totals_sq, means, stds
 
 
 def _equi_depth(points: np.ndarray, weights: np.ndarray, cap: int) -> np.ndarray:
@@ -249,12 +350,10 @@ class NumericAccumulator:
             avg_width = self.width_sum / self.n_nonnull
 
         if self.n_numeric:
-            percentiles = tuple(
-                float(p) for p in np.percentile(self.sample, _PERCENTILES)
-            )
+            size = [self.sample.size]
+            percentiles = tuple(sorted_percentiles(self.sample, size)[0].tolist())
             if self.sample_exact:
-                mean = float(np.mean(self.sample))
-                std = float(np.std(self.sample))
+                _, _, (mean,), (std,) = _moments(self.sample, size)
             else:
                 mean = self.total / self.n_numeric
                 variance = max(0.0, self.total_sq / self.n_numeric - mean * mean)
@@ -276,106 +375,126 @@ class NumericAccumulator:
         )
 
 
-def numerical_profile(
-    column: Column,
-    ctype: "ColumnType | None" = None,
-    non_null: "list[str] | None" = None,
-    distinct_hashes: "np.ndarray | None" = None,
-) -> tuple[NumericalSketch, NumericAccumulator]:
-    """Sketch *and* accumulator for one column — the single cold path.
+def numerical_profiles(
+    n_rows: Sequence[int],
+    ctypes: Sequence[ColumnType],
+    non_nulls: Sequence[list[str]],
+    value_hashes: np.ndarray,
+    bounds: np.ndarray,
+) -> list[tuple[NumericalSketch, NumericAccumulator]]:
+    """Sketch *and* accumulator of every column of a batch — the one cold path.
 
-    The sketch is always computed from the full data (never from the
-    compressed sample), so cold sketches stay exact regardless of the caps.
-    ``ctype`` overrides type inference; appends use it to freeze a delta
-    column to the type the stored column was ingested with. A caller that
-    already holds the column's non-null cells and the raw FNV-1a hash of
-    each *distinct* one (the batched pipeline does, for the values MinHash)
-    passes them as ``non_null`` / ``distinct_hashes`` so neither is redone.
+    Column ``i`` has ``n_rows[i]`` rows, is sketched as ``ctypes[i]`` (an
+    append freezes a delta column to its stored type this way), holds the
+    non-null cells ``non_nulls[i]``, and the raw FNV-1a hash of each of its
+    *distinct* non-null cells sits at
+    ``value_hashes[bounds[i]:bounds[i + 1]]``. The sketch is always computed
+    from the full data (never from the compressed sample), so cold sketches
+    stay exact regardless of the caps.
     """
-    n_rows = column.n_rows
-    if non_null is None:
-        non_null = column.non_null_values()
-    if distinct_hashes is None:
-        distinct_hashes = hash_strings(set(non_null))
-    n_nonnull = len(non_null)
-    nan_fraction = 1.0 - (n_nonnull / n_rows) if n_rows else 0.0
-    n_distinct = len(distinct_hashes)
-    unique_fraction = (n_distinct / n_rows) if n_rows else 0.0
-
-    if ctype is None:
-        ctype = column.inferred_type
-    if ctype.is_numeric:
-        numbers = np.asarray(numeric_view(non_null, ctype), dtype=np.float64)
+    mixed = _mix64(value_hashes)
+    samples = []
+    for ctype, non_null in zip(ctypes, non_nulls):
+        numbers = np.asarray(
+            numeric_view(non_null, ctype) if ctype.is_numeric else [],
+            dtype=np.float64,
+        )
         # Order-canonical: every derived statistic (and the stored sample)
         # is a function of the multiset, so merge-vs-rebuild can be bitwise.
         numbers.sort()
-        width_sum = 0
-        avg_width = 0.0
-    else:
-        numbers = np.asarray([], dtype=np.float64)
-        # UTF-8 of a concatenation is the concatenation of the UTF-8s.
-        width_sum = len("".join(non_null).encode("utf-8"))
-        avg_width = width_sum / n_nonnull if n_nonnull else 0.0
+        samples.append(numbers)
+    numeric = [i for i, numbers in enumerate(samples) if numbers.size]
+    stats = {}
+    if numeric:
+        flat = np.concatenate([samples[i] for i in numeric])
+        sizes = [samples[i].size for i in numeric]
+        percentiles = sorted_percentiles(flat, sizes).tolist()
+        stats = dict(zip(numeric, zip(percentiles, *_moments(flat, sizes))))
 
-    if numbers.size:
-        percentiles = tuple(float(p) for p in np.percentile(numbers, _PERCENTILES))
-        mean = float(np.mean(numbers))
-        std = float(np.std(numbers))
-        min_value = float(numbers[0])
-        max_value = float(numbers[-1])
-        total = float(np.sum(numbers))
-        total_sq = float(np.sum(numbers * numbers))
-    else:
-        percentiles = tuple(0.0 for _ in _PERCENTILES)
-        mean = std = min_value = max_value = 0.0
-        total = total_sq = 0.0
+    profiles = []
+    for i, (rows, ctype, non_null, numbers) in enumerate(
+        zip(n_rows, ctypes, non_nulls, samples)
+    ):
+        n_nonnull = len(non_null)
+        n_distinct = int(bounds[i + 1] - bounds[i])
+        if ctype.is_numeric:
+            width_sum = 0
+            avg_width = 0.0
+        else:
+            # UTF-8 of a concatenation is the concatenation of the UTF-8s.
+            width_sum = len("".join(non_null).encode("utf-8"))
+            avg_width = width_sum / n_nonnull if n_nonnull else 0.0
+        if numbers.size:
+            percentiles, total, total_sq, mean, std = stats[i]
+            min_value = float(numbers[0])
+            max_value = float(numbers[-1])
+        else:
+            percentiles = [0.0] * len(_PERCENTILES)
+            mean = std = min_value = max_value = 0.0
+            total = total_sq = 0.0
 
-    sketch = NumericalSketch(
-        unique_fraction=unique_fraction,
-        nan_fraction=nan_fraction,
-        avg_cell_width=avg_width,
-        percentiles=percentiles,
-        mean=mean,
-        std=std,
-        min_value=min_value,
-        max_value=max_value,
-    )
-
-    if numbers.size <= RESERVOIR_CAP:
-        sample = numbers.copy()
-        sample_exact = True
-    else:
-        sample = _equi_depth(
-            numbers, np.ones(numbers.size, dtype=np.float64), RESERVOIR_CAP
+        sketch = NumericalSketch(
+            unique_fraction=(n_distinct / rows) if rows else 0.0,
+            nan_fraction=1.0 - (n_nonnull / rows) if rows else 0.0,
+            avg_cell_width=avg_width,
+            percentiles=tuple(percentiles),
+            mean=mean,
+            std=std,
+            min_value=min_value,
+            max_value=max_value,
         )
-        sample_exact = False
 
-    hashes = _mix64(distinct_hashes)
-    hashes.sort()
-    if n_distinct <= DISTINCT_CAP:
-        distinct = hashes
-        distinct_exact = True
-    else:
-        distinct = hashes[:DISTINCT_CAP].copy()
-        distinct_exact = False
+        if numbers.size <= RESERVOIR_CAP:
+            sample = numbers
+            sample_exact = True
+        else:
+            sample = _equi_depth(
+                numbers, np.ones(numbers.size, dtype=np.float64), RESERVOIR_CAP
+            )
+            sample_exact = False
 
-    accumulator = NumericAccumulator(
-        n_rows=n_rows,
-        n_nonnull=n_nonnull,
-        width_sum=width_sum,
-        is_numeric=bool(ctype.is_numeric),
-        n_numeric=int(numbers.size),
-        total=total,
-        total_sq=total_sq,
-        min_value=min_value,
-        max_value=max_value,
-        sample=sample,
-        sample_exact=sample_exact,
-        n_distinct=n_distinct,
-        distinct=distinct,
-        distinct_exact=distinct_exact,
-    )
-    return sketch, accumulator
+        hashes = np.sort(mixed[bounds[i] : bounds[i + 1]])
+        if n_distinct <= DISTINCT_CAP:
+            distinct = hashes
+            distinct_exact = True
+        else:
+            distinct = hashes[:DISTINCT_CAP].copy()
+            distinct_exact = False
+
+        accumulator = NumericAccumulator(
+            n_rows=rows,
+            n_nonnull=n_nonnull,
+            width_sum=width_sum,
+            is_numeric=bool(ctype.is_numeric),
+            n_numeric=int(numbers.size),
+            total=total,
+            total_sq=total_sq,
+            min_value=min_value,
+            max_value=max_value,
+            sample=sample,
+            sample_exact=sample_exact,
+            n_distinct=n_distinct,
+            distinct=distinct,
+            distinct_exact=distinct_exact,
+        )
+        profiles.append((sketch, accumulator))
+    return profiles
+
+
+def numerical_profile(
+    column: Column, ctype: "ColumnType | None" = None
+) -> tuple[NumericalSketch, NumericAccumulator]:
+    """Sketch and accumulator of one column: a one-row
+    :func:`numerical_profiles` call. ``ctype`` overrides type inference."""
+    non_null = column.non_null_values()
+    hashes = hash_strings(set(non_null))
+    return numerical_profiles(
+        [column.n_rows],
+        [column.inferred_type if ctype is None else ctype],
+        [non_null],
+        hashes,
+        np.array([0, hashes.size]),
+    )[0]
 
 
 def numerical_sketch(column: Column) -> NumericalSketch:

@@ -9,16 +9,22 @@ For every table we produce a :class:`TableSketch`:
   - the **numerical sketch** vector,
   - the inferred column type.
 
-The model input layer consumes the *normalized* forms: MinHash signatures
-scaled to [0, 1] and the normalized numerical-statistics vector.
+The model input layer (:mod:`repro.core.inputs`) consumes featurized
+forms of these: :func:`repro.sketch.minhash.slot_features` of every
+signature and :func:`repro.sketch.numeric.numeric_inputs` of every
+numerical sketch, each mapped a batch of tables at a time.
 
 Sketching is **batch-first and hash-once**: :func:`sketch_corpus` is the one
 sketch path (``sketch_table(t)`` is ``sketch_corpus([t])[0]``). A batch
 collects every set that gets a signature — each column's distinct values and
 words, each table's row strings — hashes each distinct string of the batch
-once, and reads all signatures off one permutation pass. A set's signature
-is a function of the set alone, so batched sketches are bit-identical to
-per-table ones at any batch composition.
+once, and reads all signatures off one permutation pass. The batch's
+numerical sketches come from one
+:func:`~repro.sketch.numeric.numerical_profiles` call, which reads every
+column's value hashes as one run of that hash array. A set's signature and
+a column's numerical sketch are functions of the set and the column alone,
+so batched sketches are bit-identical to per-table ones at any batch
+composition.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from repro.sketch.minhash import DEFAULT_NUM_PERM, MinHash, MinHasher, word_set
 from repro.sketch.numeric import (
     NumericAccumulator,
     NumericalSketch,
-    numerical_profile,
+    numerical_profiles,
 )
 from repro.table.schema import Column, ColumnType, Table
 from repro.utils.hashing import hash_strings
@@ -109,26 +115,6 @@ class ColumnSketch:
             numeric_acc=acc,
         )
 
-    def minhash_vector(self, num_perm: int) -> np.ndarray:
-        """The concatenated [values ‖ words] MinHash model input.
-
-        For string columns both halves are populated (E_{C||W} in Fig. 1);
-        for numeric/date columns the words half is zero (E_C only).
-
-        Slots pass through :func:`repro.sketch.minhash.slot_features`: a
-        bijective per-slot re-randomization into uniform [-1, 1] features
-        whose dot products are proportional to slot agreement (raw minima
-        share a huge common mode that linear projections cannot separate).
-        Absent halves stay 0 (the neutral value).
-        """
-        from repro.sketch.minhash import slot_features
-
-        vec = np.zeros(2 * num_perm, dtype=np.float64)
-        vec[:num_perm] = slot_features(self.values_minhash)
-        if self.ctype == ColumnType.STRING and not self.words_minhash.is_empty():
-            vec[num_perm:] = slot_features(self.words_minhash)
-        return vec
-
 
 @dataclass(frozen=True)
 class TableSketch:
@@ -147,16 +133,6 @@ class TableSketch:
     @property
     def column_names(self) -> list[str]:
         return [c.name for c in self.column_sketches]
-
-    def snapshot_vector(self) -> np.ndarray:
-        """Content-snapshot model input (E_CS in Fig. 1), zero-padded to the
-        same 2*num_perm width as column MinHash vectors and slot-decorrelated
-        like them (see :meth:`ColumnSketch.minhash_vector`)."""
-        from repro.sketch.minhash import slot_features
-
-        vec = np.zeros(2 * self.config.num_perm, dtype=np.float64)
-        vec[: self.config.num_perm] = slot_features(self.snapshot)
-        return vec
 
     def merge(self, delta: "TableSketch") -> "TableSketch":
         """Sketch of this table with ``delta``'s rows appended — O(delta).
@@ -211,41 +187,42 @@ def _sketch_batch(
     columns: Sequence[Column], row_sets: Sequence[set[str]], hasher: MinHasher
 ) -> tuple[list[ColumnSketch], list[MinHash]]:
     """Column sketches for ``columns`` and one snapshot per set of rows."""
+    n = len(columns)
+    ctypes = [column.inferred_type for column in columns]
     non_nulls = [column.non_null_values() for column in columns]
-    sets: list[set[str]] = []  # values, words per column; then the row sets
-    for column, non_null in zip(columns, non_nulls):
-        values = set(non_null)
-        # Words MinHash is for string columns only (§III-A); the empty set
-        # yields the empty signature for the other types.
-        is_string = column.inferred_type == ColumnType.STRING
-        sets += [values, word_set(values) if is_string else set()]
-    sets += row_sets
-    raw, bounds = _hash_sets(sets)
+    values = [set(non_null) for non_null in non_nulls]
+    # Words MinHash is for string columns only (§III-A); the empty set
+    # yields the empty signature for the other types.
+    words = [
+        word_set(cells) if ctype == ColumnType.STRING else set()
+        for cells, ctype in zip(values, ctypes)
+    ]
+    # Every column's values first, so their hashes are one run of ``raw``.
+    raw, bounds = _hash_sets([*values, *words, *row_sets])
     signatures = hasher.signatures(raw, np.diff(bounds))
-    column_sketches = []
-    for i, (column, non_null) in enumerate(zip(columns, non_nulls)):
-        value_hashes = raw[bounds[2 * i] : bounds[2 * i + 1]]
-        numeric, acc = numerical_profile(
-            column, non_null=non_null, distinct_hashes=value_hashes
+    profiles = numerical_profiles(
+        [column.n_rows for column in columns],
+        ctypes,
+        non_nulls,
+        raw[: bounds[n]],
+        bounds[: n + 1],
+    )
+    column_sketches = [
+        ColumnSketch(
+            name=column.name,
+            ctype=ctype,
+            values_minhash=MinHash(signatures[i]),
+            words_minhash=MinHash(signatures[n + i]),
+            numeric=numeric,
+            n_values=len(values[i]),
+            numeric_acc=acc,
         )
-        column_sketches.append(
-            ColumnSketch(
-                name=column.name,
-                ctype=column.inferred_type,
-                values_minhash=MinHash(signatures[2 * i]),
-                words_minhash=MinHash(signatures[2 * i + 1]),
-                numeric=numeric,
-                n_values=len(value_hashes),
-                numeric_acc=acc,
-            )
+        for i, (column, ctype, (numeric, acc)) in enumerate(
+            zip(columns, ctypes, profiles)
         )
-    snapshots = [MinHash(row) for row in signatures[2 * len(columns) :]]
+    ]
+    snapshots = [MinHash(row) for row in signatures[2 * n :]]
     return column_sketches, snapshots
-
-
-def sketch_column(column: Column, hasher: MinHasher) -> ColumnSketch:
-    """Sketch one column: values MinHash, words MinHash, numerical sketch."""
-    return _sketch_batch([column], [], hasher)[0][0]
 
 
 def _cell_bounded(tables: Iterable[Table]) -> Iterator[list[Table]]:

@@ -9,6 +9,7 @@ date-to-timestamp conversion used by numerical sketches (§III-A).
 from __future__ import annotations
 
 import datetime as _dt
+import math
 import re
 from itertools import islice
 
@@ -74,14 +75,20 @@ def parse_date(cell: str) -> float | None:
 
 
 def to_float(cell: str) -> float | None:
-    """Parse ``cell`` as a float (int/float syntax only), else ``None``."""
+    """Parse ``cell`` as a finite float (int/float syntax only), else ``None``.
+
+    A number beyond float64's range (``"1e400"``) has no finite value and
+    is unparseable like any other non-number: as ``inf`` it would turn a
+    column's mean, std and percentiles into ``inf``/``nan``.
+    """
     text = cell.strip().replace(",", "")
     if not text or not _FLOAT_RE.match(text):
         return None
     try:
-        return float(text)
+        number = float(text)
     except ValueError:  # pragma: no cover - regex should prevent this
         return None
+    return number if math.isfinite(number) else None
 
 
 def infer_column_type(values: list[str]) -> ColumnType:
@@ -120,12 +127,11 @@ def numeric_view(values: list[str], ctype: ColumnType) -> list[float]:
 
     Date cells become POSIX timestamps ("when possible, we convert date
     columns to timestamps and treat them as numeric columns", §III-A);
-    unparseable cells are dropped.
+    unparseable cells are dropped. Null markers need no check of their
+    own: none of them parses as a date or a number.
     """
     out: list[float] = []
     for cell in values:
-        if is_null(cell):
-            continue
         if ctype == ColumnType.DATE:
             stamp = parse_date(cell)
             if stamp is None:

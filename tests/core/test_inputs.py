@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.config import SketchSelection
 from repro.core.inputs import batch_encodings
+from repro.sketch.minhash import slot_features
 
 
 def test_encode_table_alignment(tiny_encoder, city_sketch):
@@ -41,9 +42,18 @@ def test_description_positions_are_column_zero(tiny_encoder, city_sketch):
 
 
 def test_description_carries_content_snapshot(tiny_encoder, city_sketch):
+    """E_CS fills the values half of the [CLS]/description rows; the words
+    half stays zero."""
     encoded = tiny_encoder.encode_table(city_sketch)
+    num_perm = tiny_encoder.config.sketch.num_perm
     start, _ = encoded.description_span
-    assert np.allclose(encoded.minhash[start], city_sketch.snapshot_vector())
+    for position in (0, start):
+        row = encoded.minhash[position]
+        assert row.shape == (2 * num_perm,)
+        assert np.array_equal(
+            row[:num_perm], slot_features(city_sketch.snapshot.signature)
+        )
+        assert np.all(row[num_perm:] == 0)
     assert np.allclose(encoded.numeric[start], 0.0)
 
 
@@ -57,10 +67,30 @@ def test_token_positions_reset_per_column(tiny_encoder, product_sketch):
 
 def test_column_minhash_rows(tiny_encoder, city_sketch):
     encoded = tiny_encoder.encode_table(city_sketch)
-    num_perm = tiny_encoder.config.sketch.num_perm
     span = encoded.spans[0]  # "city": string column
-    expected = city_sketch.column_sketches[0].minhash_vector(num_perm)
-    assert np.allclose(encoded.minhash[span.start], expected)
+    column = city_sketch.column_sketches[0]
+    expected = np.concatenate(
+        [
+            slot_features(column.values_minhash.signature),
+            slot_features(column.words_minhash.signature),
+        ]
+    )
+    for position in range(span.start, span.stop + 1):  # the [SEP] too
+        assert np.array_equal(encoded.minhash[position], expected)
+
+
+def test_column_minhash_row_layout(tiny_encoder, city_sketch):
+    """String columns fill both halves (E_{C||W} in Fig. 1); numeric and
+    date columns only the values half (E_C)."""
+    encoded = tiny_encoder.encode_table(city_sketch)
+    num_perm = tiny_encoder.config.sketch.num_perm
+    string_row = encoded.minhash[encoded.spans[0].start]
+    assert string_row.shape == (2 * num_perm,)
+    assert np.any(string_row[:num_perm] > 0)
+    assert np.any(string_row[num_perm:] > 0)
+    numeric_row = encoded.minhash[encoded.spans[1].start]  # "population"
+    assert np.any(numeric_row[:num_perm] != 0)
+    assert np.all(numeric_row[num_perm:] == 0)
 
 
 def test_sketch_selection_zeroes_disabled_inputs(tiny_config, tiny_tokenizer, city_sketch):

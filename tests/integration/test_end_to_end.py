@@ -60,7 +60,7 @@ def test_full_pipeline(pipeline):
         PretrainConfig(epochs=2, batch_size=8, learning_rate=2e-3, patience=5),
     )
     examples = pretrainer.build_examples(
-        [encoder.encode_table(s) for s in corpus_sketches.values()]
+        encoder.encode_tables(list(corpus_sketches.values()))
     )
     assert len(examples) >= len(corpus)  # ≥ one mask per table
     history = pretrainer.train(examples[:40], examples[40:48])

@@ -3,6 +3,7 @@ consistency against cold rebuilds, caching, batching, and thread safety."""
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -10,7 +11,8 @@ from repro.lake.api import DiscoveryError, DiscoveryRequest
 from repro.lake.catalog import LakeCatalog
 from repro.lake.service import LakeService, table_digest
 from repro.lake.store import LakeStore
-from repro.table.schema import Table
+from repro.sketch.numeric import numerical_sketch
+from repro.table.schema import Table, table_from_rows
 
 MODES = ("join", "union", "subset")
 
@@ -245,3 +247,36 @@ def test_stats_shape(tmp_path, lake_embedder, lake_tables):
     assert stats["n_tables"] == 1
     assert stats["store"]["n_tables"] == 1
     assert stats["queries_served"] == 0
+
+
+def test_overflowing_numeric_cell_keeps_sketches_and_vectors_finite(
+    tmp_path, lake_embedder, lake_tables
+):
+    """A cell beyond float64's range ("1e400") is unparseable, like any
+    other non-number. Parsed as ``inf`` it made the column's mean, std and
+    percentiles inf/nan, so a payload carrying it found no hits and its
+    stored column vectors were non-finite; its queries ranked on nan
+    distances (or found nothing)."""
+    amounts = ["1.5", "2", "1e400", "3"]
+    rows = [[f"grp0val{i}", amounts[i % 4]] for i in range(24)]
+    table = table_from_rows("amounts", ["entity", "amount"], rows)
+    sketch = numerical_sketch(table.columns[1])
+    assert np.all(np.isfinite(sketch.to_vector()))
+    assert (sketch.min_value, sketch.max_value) == (1.5, 3.0)
+
+    store = LakeStore(tmp_path, "fp")
+    catalog = LakeCatalog(lake_embedder, store=store)
+    for member in lake_tables.values():
+        catalog.add_table(member)
+    record = catalog.add_table(table)
+    assert np.all(np.isfinite(record.column_vectors))
+    assert np.all(np.isfinite(store.load_table("amounts").column_vectors))
+
+    service = LakeService(catalog)
+    payload = table_from_rows("amounts_query", ["entity", "amount"], rows)
+    for mode in MODES:
+        hits = service.discover(_request(payload, mode)).hits
+        assert hits, mode
+        for hit in hits:
+            assert np.isfinite(hit.score), (mode, hit)
+            assert all(np.isfinite(m.distance) for m in hit.matches), (mode, hit)

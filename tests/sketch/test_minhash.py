@@ -10,6 +10,7 @@ from repro.sketch.minhash import (
     estimate_jaccard,
     exact_containment,
     exact_jaccard,
+    word_set,
 )
 
 
@@ -95,9 +96,9 @@ def test_exact_helpers():
     assert exact_containment(set(), {"a"}) == 0.0
 
 
-def test_sketch_tokens_splits_words():
+def test_word_set_splits_words():
     hasher = MinHasher(num_perm=64, seed=1)
-    by_tokens = hasher.sketch_tokens(["main street", "oak street"])
+    by_tokens = hasher.sketch(word_set(["main street", "oak street"]))
     by_words = hasher.sketch(["main", "street", "oak"])
     assert np.array_equal(by_tokens.signature, by_words.signature)
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.sketch.minhash import MinHasher
-from repro.sketch.pipeline import SketchConfig, sketch_column, sketch_table
-from repro.table.schema import Column, ColumnType
+from repro.sketch.pipeline import SketchConfig, sketch_table
+from repro.table.schema import Column, ColumnType, Table
 
 
 def test_sketch_table_structure(city_table, tiny_sketch_config):
@@ -19,26 +19,6 @@ def test_column_types_inferred(city_sketch):
     kinds = {c.name: c.ctype for c in city_sketch.column_sketches}
     assert kinds["city"] == ColumnType.STRING
     assert kinds["population"] == ColumnType.INTEGER
-
-
-def test_minhash_vector_layout(city_sketch, tiny_sketch_config):
-    num_perm = tiny_sketch_config.num_perm
-    string_col = city_sketch.column_sketches[0]
-    vector = string_col.minhash_vector(num_perm)
-    assert vector.shape == (2 * num_perm,)
-    # String columns: both halves populated (E_{C||W}).
-    assert np.any(vector[:num_perm] > 0)
-    assert np.any(vector[num_perm:] > 0)
-    numeric_col = city_sketch.column_sketches[1]
-    numeric_vector = numeric_col.minhash_vector(num_perm)
-    # Numeric columns: words half is zero (E_C only).
-    assert np.all(numeric_vector[num_perm:] == 0)
-
-
-def test_snapshot_vector_layout(city_sketch, tiny_sketch_config):
-    vector = city_sketch.snapshot_vector()
-    assert vector.shape == (2 * tiny_sketch_config.num_perm,)
-    assert np.all(vector[tiny_sketch_config.num_perm:] == 0)
 
 
 def test_shared_hasher_consistency(city_table, tiny_sketch_config):
@@ -56,18 +36,26 @@ def test_hasher_mismatch_rejected(city_table, tiny_sketch_config):
         sketch_table(city_table, tiny_sketch_config, wrong)
 
 
+def sketch_one_column(column: Column, config: SketchConfig, hasher=None):
+    return sketch_table(Table("t", [column]), config, hasher).column_sketches[0]
+
+
 def test_n_values_counts_distinct():
     column = Column("c", ["a", "a", "b", ""])
-    sketch = sketch_column(column, MinHasher(num_perm=8))
+    sketch = sketch_one_column(column, SketchConfig(num_perm=8))
     assert sketch.n_values == 2
 
 
 def test_overlapping_columns_have_similar_sketches(tiny_sketch_config):
     hasher = tiny_sketch_config.build_hasher()
     base = [f"v{i}" for i in range(40)]
-    a = sketch_column(Column("a", base), hasher)
-    b = sketch_column(Column("b", base[:30] + [f"w{i}" for i in range(10)]), hasher)
-    c = sketch_column(Column("c", [f"z{i}" for i in range(40)]), hasher)
+    a = sketch_one_column(Column("a", base), tiny_sketch_config, hasher)
+    b = sketch_one_column(
+        Column("b", base[:30] + [f"w{i}" for i in range(10)]), tiny_sketch_config, hasher
+    )
+    c = sketch_one_column(
+        Column("c", [f"z{i}" for i in range(40)]), tiny_sketch_config, hasher
+    )
     sim_ab = a.values_minhash.jaccard(b.values_minhash)
     sim_ac = a.values_minhash.jaccard(c.values_minhash)
     assert sim_ab > sim_ac

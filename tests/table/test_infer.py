@@ -71,6 +71,17 @@ def test_numeric_view_drops_unparseable():
     assert numeric_view(["1", "x", "3"], ColumnType.INTEGER) == [1.0, 3.0]
 
 
+def test_numbers_beyond_float64_are_unparseable():
+    assert to_float("1e400") is None
+    assert to_float("-1e400") is None
+    assert to_float("1e308") == 1e308
+    cells = ["1.5", "2", "1e400", "3", "nan", ""]
+    assert numeric_view(cells, ColumnType.FLOAT) == [1.5, 2.0, 3.0]
+    assert numeric_view(["2020-01-01", "1e999"], ColumnType.DATE) == [
+        numeric_view(["2020-01-01"], ColumnType.DATE)[0]
+    ]
+
+
 @given(st.lists(st.integers(min_value=-10**9, max_value=10**9), min_size=1, max_size=10))
 def test_integer_lists_always_infer_integer(values):
     assert infer_column_type([str(v) for v in values]) == ColumnType.INTEGER
