@@ -29,8 +29,9 @@ config fingerprint, so an existing lake always reopens with the shard count
 it was built with, and naming a different one fails fast instead of
 silently serving mismatched artifacts; ``reshard`` is the one-shot in-place
 migration between shard counts (no re-embedding — stored vectors are
-re-routed and the per-shard indexes rebuilt). A lake an older build wrote
-under an HNSW index is refused with an ``error:`` line saying to re-ingest.
+re-routed, and every open assembles the per-shard indexes from them). A
+lake an older build wrote under an HNSW index is refused with an ``error:``
+line saying to re-ingest.
 
 ``ingest`` on a fresh directory trains the WordPiece vocabulary on the CSV
 corpus, builds the trunk, and persists model + vocab + artifacts. On an
@@ -365,7 +366,7 @@ def cmd_reshard(args: argparse.Namespace) -> None:
     elapsed = time.perf_counter() - started
     print(
         f"resharded {args.lake}: {old_n} -> {args.shards} shard(s), "
-        f"{n_tables} tables re-routed and indexes rebuilt in "
+        f"{n_tables} tables re-routed in "
         f"{elapsed:.2f}s (no re-embedding)"
     )
 
@@ -559,8 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     reshard = sub.add_parser(
         "reshard",
         help="one-shot in-place migration to a different shard count "
-             "(re-routes stored vectors, rebuilds per-shard indexes; "
-             "never re-embeds)",
+             "(re-routes stored vectors; never re-embeds)",
     )
     reshard.add_argument("--lake", required=True)
     reshard.add_argument("--shards", type=int, required=True,

@@ -11,12 +11,13 @@ Holds every table's :class:`LakeTableRecord` plus the live column index
   once), then ``ceil(N / batch_size)`` length-bucketed
   :class:`~repro.core.engine.EmbeddingEngine` forwards, then per-shard
   store writes, one manifest flush per touched shard;
+- an **update** or **refresh** replaces the table's index rows where they
+  stand, so every shard's rows stay in table insertion order;
 - a **remove** compacts the index in one pass and never touches the trunk;
 - attached to a :class:`~repro.lake.store.LakeStore`, every mutation is
-  persisted immediately — table artifacts *and* the built vector index, in
-  one manifest flush per touched shard (a shard whose index changed
-  re-archives it, an append only re-stamps it) — so the on-disk lake is
-  always warm-loadable.
+  persisted immediately — the table archives plus one manifest flush per
+  touched shard — so the on-disk lake is always warm-loadable. The index is
+  never written: it is derived from the vectors those archives hold.
 
 The column index is a :class:`~repro.search.backend.ShardedIndex` with the
 store's shard count: queries fan ``query_many`` across the per-shard indexes
@@ -30,7 +31,8 @@ written under, so its manifests and fingerprint never change).
 ``embed_calls`` counts trunk *forwards* — the observable guarantee that a
 1-table delta costs one forward, a batched ingest costs ``ceil(N/B)``, and
 a warm load costs none. ``searcher.insertions`` is the analogous index-side
-counter: a warm load restores the persisted index and performs zero.
+counter: a warm load assembles the index from the stored vectors in one
+block copy per shard and performs zero.
 
 :class:`TabSketchFMSearcher` is the paper's search recipe over a storeless
 catalog — the retrieval system behind Tables V–VIII — so the paper benches
@@ -39,7 +41,6 @@ build and rank exactly as the served lake does.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -76,25 +77,6 @@ _INGEST_MS = obs.histogram(
     "lake_ingest_duration_ms",
     "Catalog ingest latency in milliseconds, per add_table/add_tables call",
 )
-
-def _index_matches_records(index, records: "list[LakeTableRecord]") -> bool:
-    """Does a restored index cover exactly the manifest's columns?
-
-    The index archive and the table manifest are separate files, and a
-    store written by ``save_table`` then ``save_index`` (or by an older
-    build) flushes them separately, so a crash between the two can leave
-    them out of step; serving such an index would return ghost tables (or
-    hide live ones). Comparing the (table, column) multiset is O(total
-    columns) — cheap next to deserialization.
-    """
-    expected = Counter(
-        (record.name, column)
-        for record in records
-        for column in record.column_names
-    )
-    actual = Counter((entry.table, entry.column) for entry in index.keys())
-    return expected == actual
-
 
 class LakeCatalog:
     """Incrementally maintained table catalog + column index."""
@@ -161,41 +143,18 @@ class LakeCatalog:
         """Warm-load: register every stored record without running the
         trunk.
 
-        Shard-wise: every shard whose persisted index is *consistent with
-        that shard's records* is deserialized and served as-is — zero
-        per-column insertions. The rest (pre-upgrade stores, a dropped
-        artifact, or an index renamed in by a write whose manifest flush
-        never landed) are rebuilt from the records and persisted so the
-        *next* open is warm — one torn shard artifact never forces a
-        full-lake rebuild, and ``searcher.insertions`` counts exactly the
-        rebuilt columns.
+        The column index is assembled from the records' own
+        ``column_vectors`` (:meth:`LakeStore.load_index`): one block copy
+        per shard, in the row order the live index kept — zero forwards,
+        zero insertions, and nothing written, so a read-only snapshot opens
+        as it is. An index archive an older build left beside the tables is
+        never read.
         """
         catalog = cls(embedder, sbert=sbert, store=store)
         records = list(store.load_all())
-        index = store.load_index(catalog.dim)
-        by_shard: dict[int, list[LakeTableRecord]] = defaultdict(list)
-        for record in records:
-            by_shard[store.shard_id(record.name)].append(record)
-        rebuild = {
-            shard_id
-            for shard_id in range(store.n_shards)
-            if shard_id not in index.restored_shards
-            or not _index_matches_records(index.subs[shard_id], by_shard[shard_id])
-        }
-        for shard_id in rebuild:
-            index.reset_shard(shard_id)
-        catalog.searcher.adopt_index(index)
+        catalog.searcher.adopt_index(store.load_index(catalog.dim, records))
         for record in records:
             catalog._put(record.name, record)
-        for shard_id in rebuild:
-            for record in by_shard[shard_id]:
-                catalog.searcher.add_table(
-                    record.name, record.column_names, record.column_vectors
-                )
-        if rebuild:
-            # No table write to ride on: save the index by itself (the
-            # store rewrites only the dirty or out-of-step shards).
-            store.save_index(catalog.searcher.index, catalog.index_spec)
         return catalog
 
     # ------------------------------------------------------------------ #
@@ -313,10 +272,9 @@ class LakeCatalog:
 
     def _install(self, records: list[LakeTableRecord]) -> None:
         """Serve ``records``: each replaces any same-named record and its
-        index rows (persisting is the caller's)."""
+        index rows, in place (persisting is the caller's)."""
         for record in records:
             self._put(record.name, record)
-            self.searcher.remove_table(record.name)
             self.searcher.add_table(
                 record.name, record.column_names, record.column_vectors
             )
@@ -333,9 +291,8 @@ class LakeCatalog:
         The whole delta is sketched in one batched pass (every distinct
         string hashed once; bit-identical to per-table sketching), embedded
         in ``ceil(N / batch_size)`` length-bucketed forwards, and written
-        to the store with one manifest flush per touched shard, which also
-        carries that shard's re-archived index — shards flush
-        independently, so a crash loses at most one shard's unflushed
+        to the store with one manifest flush per touched shard — shards
+        flush independently, so a crash loses at most one shard's unflushed
         tail. Every stage runs in the calling thread.
 
         Nothing is registered until every embedding has returned: a
@@ -351,7 +308,7 @@ class LakeCatalog:
             records = self._embed_records(list(tables.values()))
             self._install(records)
             if self.store is not None:
-                self.store.save_tables(records, self.searcher.index)
+                self.store.save_tables(records)
         if records:
             _TABLES_ADDED.inc(len(records))
             _INGEST_MS.observe(ingest.duration_ms)
@@ -362,7 +319,7 @@ class LakeCatalog:
         record = self._put(name, None)
         self.searcher.remove_table(name)
         if self.store is not None:
-            self.store.remove_table(name, self.searcher.index)
+            self.store.remove_table(name)
         if record is not None:
             _TABLES_REMOVED.inc()
         return record is not None
@@ -388,7 +345,7 @@ class LakeCatalog:
             record.version = old.version + 1
             self._install([record])
             if self.store is not None:
-                self.store.save_table(record, self.searcher.index)
+                self.store.save_table(record)
         _TABLES_UPDATED.inc()
         _INGEST_MS.observe(span.duration_ms)
         return record
@@ -448,10 +405,7 @@ class LakeCatalog:
             )
             self._put(name, merged)
             if self.store is not None:
-                # The index content didn't change, so the store only
-                # re-stamps that shard's index entry in the same flush —
-                # no index.npz is written.
-                self.store.save_table(merged, self.searcher.index)
+                self.store.save_table(merged)
         _ROWS_APPENDED.inc(len(rows))
         return merged
 
@@ -486,8 +440,7 @@ class LakeCatalog:
             refreshed = self._embed_records([self.records[n] for n in names])
             self._install(refreshed)
             if persist and self.store is not None:
-                # One flush per touched shard, carrying its re-archived index.
-                self.store.save_tables(refreshed, self.searcher.index)
+                self.store.save_tables(refreshed)
         return names
 
     # ------------------------------------------------------------------ #

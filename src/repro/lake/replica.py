@@ -5,7 +5,7 @@ store already makes self-contained and atomically flushed
 (:mod:`repro.lake.store`):
 
 - **Leader side** — :class:`SnapshotPublisher` copies the lake's store
-  artifacts (manifests, per-shard ``index.npz``, table archives) into a
+  artifacts (manifests and table archives) into a
   *versioned generation directory* under a snapshot dir, stamps a
   completion marker (``SNAPSHOT.json``: generation number, config
   fingerprint, table/column counts), and atomically renames the staged
@@ -337,9 +337,9 @@ class ReplicaService:
                 )
             with warnings.catch_warnings():
                 # A torn snapshot must be *refused*, not healed in place:
-                # the store's degrade-to-empty / rebuild-and-persist warm
-                # paths are for a leader's own lake, not for shared
-                # read-only artifacts.
+                # the store's degrade-to-empty warm path is for a leader's
+                # own lake, not for shared read-only artifacts. (Assembling
+                # the index from the tables writes nothing.)
                 warnings.simplefilter("error", RuntimeWarning)
                 store = LakeStore.open(
                     root, expected_fingerprint=marker.get("fingerprint")

@@ -27,12 +27,18 @@ from repro.sketch.pipeline import ColumnSketch, SketchConfig, TableSketch
 from repro.table.schema import ColumnType
 
 #: Bumped whenever the on-disk artifact layout changes shape.
-#: v2: persisted vector index (index.npz + manifest spec), per-entry
-#: disk_bytes, and the index spec folded into the fingerprint.
+#: v2: persisted vector index (an index archive per shard + manifest spec),
+#: per-entry disk_bytes, and the index spec folded into the fingerprint.
 #: (``shards/sNNN/`` is the only layout; a store that still keeps one
 #: shard's files directly under its root — its manifest lacks the
 #: ``sharded`` flag — is converted by renames when opened, entry for entry,
 #: so v2 covers both and the conversion bumps nothing.)
+#: The index is no longer persisted (a warm open assembles it from the
+#: table archives' ``column_vectors``), and that bumps nothing either: the
+#: version is folded into ``config_fingerprint``, so a bump would refuse
+#: every existing lake, while both directions still read — this code never
+#: reads an older shard's index archive and retires it at the shard's first
+#: write, and an older reader rebuilds an index-less shard from its tables.
 FORMAT_VERSION = 2
 
 

@@ -182,8 +182,8 @@ class LakeService:
     @classmethod
     def open(cls, lake_dir) -> "LakeService":
         """Warm-load an ingested lake directory into a ready service (no
-        re-embedding, no index re-insertion — the persisted index is
-        deserialized). The shard count comes from the on-disk layout; a
+        re-embedding, no index re-insertion — the index is assembled from
+        the stored vectors). The shard count comes from the on-disk layout; a
         lake recorded under a non-exact index is refused
         (:class:`~repro.lake.serialization.UnsupportedIndexBackendError`)
         before anything is loaded.
@@ -200,10 +200,10 @@ class LakeService:
         """Migrate an ingested lake directory in place to ``n_shards``
         shards (:meth:`LakeStore.reshard`); returns ``(previous shard count,
         tables re-routed)`` — nothing is touched when the two counts agree.
-        Stored vectors are re-routed and the per-shard indexes rebuilt from
-        them: zero trunk forwards, resharding never re-embeds.
+        Stored vectors are re-routed, and the next open assembles the
+        per-shard indexes from them: resharding never re-embeds.
         """
-        embedder, sbert, fingerprint_at = _load_lake(lake_dir)
+        _, _, fingerprint_at = _load_lake(lake_dir)
         old_n = LakeStore.peek_n_shards(lake_dir)
         if old_n is None:
             raise FileNotFoundError(
@@ -211,13 +211,8 @@ class LakeService:
             )
         if old_n == n_shards:
             return old_n, 0
-
-        def build_indexes(staged: LakeStore) -> None:
-            catalog = LakeCatalog.from_store(embedder, staged, sbert=sbert)
-            assert catalog.embed_calls == 0, "reshard must not re-embed"
-
         store = LakeStore.open(lake_dir, expected_fingerprint=fingerprint_at(old_n))
-        return old_n, store.reshard(n_shards, fingerprint_at(n_shards), build_indexes)
+        return old_n, store.reshard(n_shards, fingerprint_at(n_shards))
 
     # ------------------------------------------------------------------ #
     def fingerprint(self) -> str | None:

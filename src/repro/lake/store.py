@@ -2,10 +2,10 @@
 
 A lake is **hash-partitioned into N shards** (N = 1 by default); each shard
 is a fully self-contained single-directory store (:class:`LakeShard`) with
-its own manifest, table npz files, and persisted ``index.npz``. Tables route
-to a shard by a stable hash of their name
-(:func:`repro.search.backend.stable_shard`), so a table's artifacts — and
-all of its index rows — always co-locate. There is one layout, whatever N::
+its own manifest and table archives. Tables route to a shard by a stable
+hash of their name (:func:`repro.search.backend.stable_shard`), so a table's
+artifacts — and all of its index rows — always co-locate. There is one
+layout, whatever N::
 
     <root>/
       manifest.json          # top-level: {sharded, n_shards, next_seq,
@@ -13,10 +13,17 @@ all of its index rows — always co-locate. There is one layout, whatever N::
       shards/
         s000/                # one full LakeShard layout per shard
           manifest.json      # fingerprint + ordered table entries
-          index.npz          # persisted vector index of this shard
           tables/
             t000001.npz      # one archive per table (see below)
         s001/...
+
+The vector index is not part of the layout. It is derived state:
+:meth:`LakeStore.load_index` assembles each shard's exact index from the
+``column_vectors`` its table archives already hold, in global insertion
+order — the row order the live index keeps — with one block copy per shard.
+A shard an older build wrote may still hold an index archive and an
+``"index"`` manifest entry; neither is ever read, and the shard's first
+write drops both (never an open, so a read-only snapshot stays as it is).
 
 A store written before this layout was the only one kept a single shard's
 files directly under ``<root>``. Opening such a store **converts it once, by
@@ -34,11 +41,10 @@ arrays (uint64 signatures, float64 raw numeric stats) plus the final
 everything float64/uint64 in npz, so a save/load round-trip is bit-exact and
 warm queries are bit-identical to a cold in-memory build.
 
-Every archive, table or index, goes through one codec,
-:mod:`repro.lake.archive`: :func:`~repro.lake.archive.write_archive` writes
-the bytes ``np.savez`` would, in one ``write``, and
-:func:`~repro.lake.archive.read_archive` reads a file in one ``read`` and
-checks each member's CRC-32, raising
+Every table archive goes through one codec, :mod:`repro.lake.archive`:
+:func:`~repro.lake.archive.write_archive` writes the bytes ``np.savez``
+would, in one ``write``, and :func:`~repro.lake.archive.read_archive` reads
+a file in one ``read`` and checks each member's CRC-32, raising
 :class:`~repro.lake.archive.ArchiveError` on anything malformed. Nothing here
 calls ``np.savez`` or ``np.load``; the crash tests' ``kill_at`` counts
 ``write_archive`` as the archive-write operation.
@@ -58,18 +64,12 @@ reads them). A shard keeps each table entry's encoded text, and a write or
 remove drops only the text of the entry it changed, so a flush encodes the
 small head and the changed entries and splices in the rest: an append to a
 shard of thousands of tables encodes one entry, yet the file is byte for
-byte the encode of the whole manifest. Every table write or remove costs
-**one** atomic manifest flush (write-then-rename) per touched shard: handed
-the live :class:`repro.search.backend.ShardedIndex`, the store lands the
-shard's table entries, its ``mutation_counter`` and its ``"index"`` entry
-in that same rename. An index the write changed is re-archived first
-(``index.tmp.npz`` -> ``index.npz``) and the archive carries the counter it
-was saved under, so a kill between the archive rename and the manifest flush
-reads as out of step and that shard rebuilds; an index the write did not
-change (an append) is only re-stamped in the manifest. A process killed
-mid-ingest loses at most the unflushed tail of the shard being written; a
-shard whose manifest is torn beyond repair degrades to an empty shard with a
-warning at open time while every other shard stays warm.
+byte the encode of the whole manifest. **A table write is its table
+archives plus one atomic manifest flush (write-then-rename) per touched
+shard**, and a remove is that flush alone. A process killed mid-ingest
+loses at most the unflushed tail of the shard being written; a shard whose
+manifest is torn beyond repair degrades to an empty shard with a warning at
+open time while every other shard stays warm.
 
 **Durability: process-kill-safe, not power-loss-safe.** Every flush is
 write-then-rename and nothing here calls ``fsync``. A process killed at any
@@ -79,11 +79,6 @@ its old or its new state, which ``tests/lake/test_write_path.py`` and
 operation (the ``kill_at`` fixture). A power loss or kernel crash may still
 lose renames the OS had not written back, or keep a renamed file whose data
 never reached the disk.
-
-``save_index`` persists the *built* index on its own (warm-open heal,
-refresh, reshard): only the shards the index reports dirty, or whose
-persisted artifact trails the shard's table manifest, are rewritten, so an
-incremental delta costs one shard's artifact, not N.
 """
 
 from __future__ import annotations
@@ -108,27 +103,22 @@ from repro.lake.serialization import (
     pack_table_sketch,
     unpack_table_sketch,
 )
-from repro.search.backend import (
-    INDEX_STATE_VERSION,
-    IndexSpec,
-    ShardedIndex,
-    VectorIndex,
-    make_index,
-    restore_index,
-    stable_shard,
-)
+from repro.search.backend import IndexSpec, ShardedIndex, stable_shard
+from repro.search.index import KnnIndex
 from repro.search.tables import ColumnEntry
 from repro.sketch.pipeline import TableSketch
 from repro.utils.io import _jsonify, ensure_dir, read_json
 
 MANIFEST_NAME = "manifest.json"
 TABLES_DIR = "tables"
-INDEX_NAME = "index.npz"
 SHARDS_DIR = "shards"
-#: Write-then-rename staging names; a kill between the write and the rename
+#: Write-then-rename staging name; a kill between the write and the rename
 #: leaves one behind, swept at the next open.
 _MANIFEST_TMP = "manifest.tmp.json"
-_INDEX_TMP = "index.tmp.npz"
+#: Shard-manifest keys an older build kept for its persisted index (the
+#: archive's entry, and the write counter it was checked against); a
+#: shard's first write drops them.
+_RETIRED_KEYS = ("index", "mutation_counter")
 
 #: What a store owns at its root — everything else there (the model/vocab
 #: bundle) belongs to someone else. This is what ``reshard`` swaps and what
@@ -149,8 +139,7 @@ _FLUSH_BYTES = obs.counter(
 )
 _FLUSH_MS = obs.histogram(
     "lake_store_flush_duration_ms",
-    "Store flush latency in milliseconds (table saves and index saves), "
-    "by shard",
+    "Store flush latency in milliseconds (table saves), by shard",
     ("shard",),
 )
 
@@ -240,10 +229,13 @@ def _convert_flat_layout(root: Path, flat: dict) -> dict:
     leaves a store that still reads as flat, and the next open repeats the
     steps (each a no-op once done) and ends in the same place. Entry paths
     are shard-relative, so no archive is touched; ``seq`` is the entry's
-    list position, which is the order a flat store defined.
+    list position, which is the order a flat store defined. An index
+    archive moves with its manifest entry, which the shard's first write
+    retires.
     """
     shard_root = ensure_dir(root / SHARDS_DIR / "s000")
-    for name in (TABLES_DIR, INDEX_NAME):
+    index_files = [flat["index"]["file"]] if "index" in flat else []
+    for name in [TABLES_DIR, *index_files]:
         if (root / name).exists():
             os.replace(root / name, shard_root / name)
     tables = [
@@ -293,18 +285,8 @@ class LakeTableRecord:
         return list(zip(self.column_names, self.column_vectors))
 
 
-@dataclass(frozen=True)
-class _IndexUpdate:
-    """One shard's live sub-index, riding a table write's manifest flush."""
-
-    sub: VectorIndex
-    spec: IndexSpec
-    #: Mutated since it was last persisted (the shard is dirty).
-    changed: bool
-
-
 class LakeShard:
-    """One self-contained shard: manifest + table archives + index.npz.
+    """One self-contained shard: a manifest and its table archives.
 
     All methods are local to the shard — cross-shard routing and global
     ordering live in :class:`LakeStore`.
@@ -337,11 +319,6 @@ class LakeShard:
                 "format_version": FORMAT_VERSION,
                 "fingerprint": fingerprint,
                 "next_id": 1,
-                # Bumped by every table write/remove; the persisted index
-                # records the value it was saved under, so index/table
-                # drift (a crash between the two flushes) is detectable
-                # even when the column-key sets still agree.
-                "mutation_counter": 0,
                 "tables": [],
             }
             self._flush()
@@ -354,10 +331,10 @@ class LakeShard:
         """Write the manifest, encoding only the entries changed since the
         last flush (every entry, on a shard's first flush after open).
 
-        The head (counters, fingerprint, index entry) is encoded fresh and
-        the cached entry texts are spliced into ``"tables":[...]`` where the
-        key-sorted encode of the whole manifest puts them, so the bytes are
-        exactly ``_dumps(self._manifest)``'s.
+        The head (counters, fingerprint) is encoded fresh and the cached
+        entry texts are spliced into ``"tables":[...]`` where the key-sorted
+        encode of the whole manifest puts them, so the bytes are exactly
+        ``_dumps(self._manifest)``'s.
         """
         texts = self._entry_texts
         tables = []
@@ -384,10 +361,16 @@ class LakeShard:
         (manifest never flushed — the table still serves its old bytes) or
         the replaced original (manifest flushed, unlink pending — the table
         serves its new bytes). Either way the orphan is dead data whose id
-        may be reallocated, so it goes at open time.
+        may be reallocated, so it goes at open time. So does any archive
+        beside the manifest that no ``"index"`` entry names: an older
+        build's staging file, or its index archive when a kill landed
+        between the flush that retired it and its unlink.
         """
-        for name in (_MANIFEST_TMP, _INDEX_TMP):
-            (self.root / name).unlink(missing_ok=True)
+        (self.root / _MANIFEST_TMP).unlink(missing_ok=True)
+        named = self._manifest.get("index", {}).get("file")
+        for path in sorted(self.root.glob("*.npz")):
+            if path.name != named:
+                path.unlink()
         live = {entry["file"] for entry in self._manifest["tables"]}
         for path in sorted((self.root / TABLES_DIR).glob("*.npz")):
             if f"{TABLES_DIR}/{path.name}" not in live:
@@ -446,7 +429,6 @@ class LakeShard:
             old_rel = existing["file"]
             existing.update(fields)
             self._pending_unlink.append(self.root / old_rel)
-        self._bump_mutation_counter()
 
     def _drain_unlinks(self) -> None:
         """Remove replaced archives now that the manifest flush landed."""
@@ -455,43 +437,31 @@ class LakeShard:
             if path.exists():
                 path.unlink()
 
-    def _bump_mutation_counter(self) -> int:
-        value = int(self._manifest.get("mutation_counter", 0)) + 1
-        self._manifest["mutation_counter"] = value
-        return value
-
     def save_tables(
-        self,
-        records: list[LakeTableRecord],
-        seqs: "list[int | None]",
-        index: _IndexUpdate | None = None,
+        self, records: list[LakeTableRecord], seqs: "list[int | None]"
     ) -> None:
         """Write tables' artifacts with a single manifest flush; a record
         replaces any same-named entry (its ``seq`` is then ignored — new
-        entries need one). With ``index``, the shard's index entry lands
-        in that same flush (:meth:`_commit`)."""
+        entries need one)."""
         with obs.span("store.flush", shard=self.shard_id) as flush:
-            was_in_step = self.index_in_step()
             for record, seq in zip(records, seqs):
                 self._write_table(record, seq)
-            self._commit(index, was_in_step)
+            self._commit()
         _FLUSH_MS.labels(shard=str(self.shard_id)).observe(flush.duration_ms)
 
-    def _commit(self, index: _IndexUpdate | None, was_in_step: bool) -> None:
-        """The one manifest flush of a table write, then its staged unlinks.
+    def _commit(self) -> None:
+        """The one manifest flush of a write, then its staged unlinks.
 
-        An index the write changed — or one that was already out of step —
-        is archived first, stamped with the new counter, so a kill before
-        the flush leaves an archive :meth:`load_index` refuses. An
-        unchanged index that was in step is only re-stamped.
+        The flush also retires what an older build kept for its persisted
+        index (:data:`_RETIRED_KEYS`), and that index archive is unlinked
+        with the replaced tables — after the flush, so a kill in between
+        leaves only an unreferenced file the next open sweeps.
         """
+        index = self._manifest.get("index")
         if index is not None:
-            if index.changed or not was_in_step:
-                self._write_index_archive(index.sub, index.spec)
-            else:
-                self._manifest["index"]["mutation_counter"] = self._manifest[
-                    "mutation_counter"
-                ]
+            self._pending_unlink.append(self.root / index["file"])
+        for key in _RETIRED_KEYS:
+            self._manifest.pop(key, None)
         self._flush()
         self._drain_unlinks()
 
@@ -516,144 +486,19 @@ class LakeShard:
             embedding_stale=bool(entry.get("embedding_stale", False)),
         )
 
-    def remove_table(self, name: str, index: _IndexUpdate | None = None) -> bool:
+    def remove_table(self, name: str) -> bool:
         entry = self._entry(name)
         if entry is None:
             return False
-        was_in_step = self.index_in_step()
         self._manifest["tables"].remove(entry)
         del self._by_name[name]
         self._entry_texts.pop(name, None)
-        self._bump_mutation_counter()
         # Forget, flush, *then* unlink: a kill in between leaves an
         # unreferenced archive (swept at the next open), never an entry
         # that points at a missing file.
         self._pending_unlink.append(self.root / entry["file"])
-        self._commit(index, was_in_step)
+        self._commit()
         return True
-
-    # ------------------------------------------------------------------ #
-    # Persisted vector index
-    # ------------------------------------------------------------------ #
-    def save_index(self, index: VectorIndex, spec: IndexSpec) -> None:
-        """Persist the built index (state arrays + key table) as one npz.
-
-        Keys are :class:`~repro.search.tables.ColumnEntry` rows (the
-        index's ``state_keys``), encoded as two aligned string arrays; the
-        spec, index meta, a state version, and the manifest's current
-        mutation counter ride in the manifest — the counter in the archive
-        too — so a layout change or a crash between the archive and the
-        manifest flush can never be misread as a valid index.
-        """
-        with obs.span("store.flush_index", shard=self.shard_id) as flush:
-            self._write_index_archive(index, spec)
-            self._flush()
-        _FLUSH_MS.labels(shard=str(self.shard_id)).observe(flush.duration_ms)
-
-    def _write_index_archive(self, index: VectorIndex, spec: IndexSpec) -> None:
-        """Rename a fresh ``index.npz`` into place and point the in-memory
-        manifest at it; the caller flushes."""
-        arrays, meta = index.state_arrays()
-        keys = index.state_keys()
-        arrays = dict(arrays)
-        counter = int(self._manifest.get("mutation_counter", 0))
-        # Dunder-namespaced so no index state array can collide.
-        reserved = {"__key_tables", "__key_columns", "__mutation_counter"}
-        collisions = reserved & arrays.keys()
-        if collisions:
-            raise ValueError(
-                f"index state arrays use reserved names {sorted(collisions)}"
-            )
-        arrays["__key_tables"] = np.asarray(
-            [entry.table for entry in keys], dtype=str
-        )
-        arrays["__key_columns"] = np.asarray(
-            [entry.column for entry in keys], dtype=str
-        )
-        arrays["__mutation_counter"] = np.asarray(counter, dtype=np.int64)
-        path = self.root / INDEX_NAME
-        # Write-then-rename: a crash mid-write must never leave a torn
-        # archive under the live name.
-        temporary = path.with_name(_INDEX_TMP)
-        disk_bytes = write_archive(temporary, arrays)
-        os.replace(temporary, path)
-        self._manifest["index"] = {
-            "state_version": INDEX_STATE_VERSION,
-            "spec": spec.to_dict(),
-            "meta": meta,
-            "file": INDEX_NAME,
-            "n_keys": len(keys),
-            "disk_bytes": disk_bytes,
-            # Re-stamped by every write that leaves the index as it was;
-            # ``archive_counter`` stays what the archive itself carries.
-            "mutation_counter": counter,
-            "archive_counter": counter,
-        }
-
-    def index_in_step(self) -> bool:
-        """Was the persisted index saved under the table manifest's current
-        mutation counter? False when there is none, or when a table write
-        or remove has landed since (a crash between the two flushes, or a
-        caller that saved a table and not yet the index)."""
-        entry = self._manifest.get("index")
-        return entry is not None and int(entry.get("mutation_counter", -1)) == int(
-            self._manifest.get("mutation_counter", 0)
-        )
-
-    def load_index(self, dim: int) -> "VectorIndex | None":
-        """Restore the persisted index, or ``None`` when absent/stale
-        (missing file, unknown state version, or out of step with the
-        table manifest — the torn-write case, caught by the entry's
-        ``mutation_counter``, or by an archive whose own
-        ``__mutation_counter`` is not the entry's ``archive_counter``; an
-        archive without one keeps the manifest's word) — callers fall back
-        to a rebuild from the table records."""
-        if not self.index_in_step():
-            return None
-        entry = self._manifest["index"]
-        if int(entry.get("state_version", -1)) != INDEX_STATE_VERSION:
-            return None
-        path = self.root / entry["file"]
-        if not path.exists():
-            return None
-        try:
-            arrays = read_archive(path)
-            stamped = arrays.pop("__mutation_counter", None)
-            if stamped is not None and int(stamped) != entry.get("archive_counter"):
-                return None  # renamed in, but its manifest flush never landed
-            keys = [
-                ColumnEntry(str(table), str(column))
-                for table, column in zip(
-                    arrays.pop("__key_tables"), arrays.pop("__key_columns")
-                )
-            ]
-            return restore_index(
-                IndexSpec.from_dict(entry["spec"]), dim, keys, arrays, entry["meta"]
-            )
-        except (OSError, ValueError, KeyError) as exc:
-            # A corrupt/truncated archive (an ArchiveError, from a torn
-            # disk write) or a missing field must degrade to the rebuild
-            # path, not crash every open — but audibly, so a deterministic
-            # restore bug can't hide as a silent per-open rebuild forever.
-            warnings.warn(
-                f"persisted index at {path} could not be restored "
-                f"({exc!r}); rebuilding from table records",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return None
-
-    def drop_index(self) -> bool:
-        """Delete the persisted index artifact (the store stays valid —
-        the next warm open rebuilds under the store's recorded spec and
-        re-persists it)."""
-        entry = self._manifest.pop("index", None)
-        path = self.root / INDEX_NAME
-        if path.exists():
-            path.unlink()
-        if entry is not None:
-            self._flush()
-        return entry is not None
 
     # ------------------------------------------------------------------ #
     def table_names(self) -> list[str]:
@@ -676,15 +521,11 @@ class LakeShard:
     def stats(self) -> dict:
         """This shard's share of :meth:`LakeStore.stats`' sums."""
         entries = self._manifest["tables"]
-        index_entry = self._manifest.get("index")
-        index_bytes = int(index_entry.get("disk_bytes", 0)) if index_entry else 0
         return {
             "n_tables": len(entries),
             "n_columns": sum(int(e.get("n_cols", 0)) for e in entries),
             "n_rows": sum(int(e.get("n_rows", 0)) for e in entries),
-            "disk_bytes": sum(self._entry_disk_bytes(e) for e in entries)
-            + index_bytes,
-            "index_disk_bytes": index_bytes,
+            "disk_bytes": sum(self._entry_disk_bytes(e) for e in entries),
         }
 
 
@@ -764,12 +605,11 @@ class LakeStore:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        for name in (MANIFEST_NAME, _MANIFEST_TMP, INDEX_NAME, _INDEX_TMP):
-            path = shard_root / name
-            if path.exists():
-                path.unlink()
-        for stale in (shard_root / TABLES_DIR).glob("*.npz"):
-            stale.unlink()
+        for name in (MANIFEST_NAME, _MANIFEST_TMP):
+            (shard_root / name).unlink(missing_ok=True)
+        for pattern in ("*.npz", f"{TABLES_DIR}/*.npz"):
+            for stale in shard_root.glob(pattern):
+                stale.unlink()
         return LakeShard(shard_root, self.fingerprint, shard_id)
 
     def _flush_top(self) -> None:
@@ -824,23 +664,13 @@ class LakeStore:
         return self.shards[self.shard_id(name)]
 
     # ------------------------------------------------------------------ #
-    def save_table(
-        self, record: LakeTableRecord, index: ShardedIndex | None = None
-    ) -> None:
+    def save_table(self, record: LakeTableRecord) -> None:
         """Write one table's artifacts; replaces any same-named entry."""
-        self.save_tables([record], index)
+        self.save_tables([record])
 
-    def save_tables(
-        self, records: list[LakeTableRecord], index: ShardedIndex | None = None
-    ) -> None:
+    def save_tables(self, records: list[LakeTableRecord]) -> None:
         """Bulk save; one manifest flush per touched shard, so a crash
-        mid-write loses at most each shard's unflushed tail.
-
-        ``index`` is the live index, when the caller keeps one: each
-        touched shard's index entry then lands in that same flush (an
-        unchanged index is re-stamped, a changed one re-archived), so the
-        store needs no :meth:`save_index` afterwards.
-        """
+        mid-write loses at most each shard's unflushed tail."""
         fresh = [
             record.name
             for record in records
@@ -858,43 +688,8 @@ class LakeStore:
             )
             shard_records.append(record)
             shard_seqs.append(seq_by_name.get(record.name))
-        updates = self._index_updates(index, groups)
         for shard_id, (shard_records, shard_seqs) in groups.items():
-            self.shards[shard_id].save_tables(
-                shard_records, shard_seqs, updates.get(shard_id)
-            )
-        self._settle_index(index, groups)
-
-    def _index_updates(
-        self, index: ShardedIndex | None, shard_ids
-    ) -> dict[int, _IndexUpdate]:
-        """What each of ``shard_ids`` persists of ``index`` in its flush."""
-        if index is None:
-            return {}
-        self._check_index_shape(index)
-        spec = self.index_spec() or IndexSpec()
-        self.record_index_spec(spec)  # a no-op once recorded
-        dirty = index.dirty_shards()
-        return {
-            shard_id: _IndexUpdate(index.subs[shard_id], spec, shard_id in dirty)
-            for shard_id in shard_ids
-        }
-
-    def _settle_index(self, index: ShardedIndex | None, touched) -> None:
-        """After a write's flushes: the touched shards' index entries landed
-        with them; a shard the write did not touch whose index is dirty or
-        not on disk yet (an empty shard of a fresh store) is saved on its
-        own — in steady state there is none."""
-        if index is not None:
-            index.mark_clean(touched)
-            self.save_index(index, self.index_spec())
-
-    def _check_index_shape(self, index) -> None:
-        if not isinstance(index, ShardedIndex) or index.n_shards != self.n_shards:
-            raise ValueError(
-                f"a {self.n_shards}-shard store persists a ShardedIndex with "
-                f"matching shard count, got {type(index).__name__}"
-            )
+            self.shards[shard_id].save_tables(shard_records, shard_seqs)
 
     def load_table(self, name: str) -> LakeTableRecord:
         return self._shard_for(name).load_table(name)
@@ -915,24 +710,20 @@ class LakeStore:
         for shard, entry in self._ordered_entries():
             yield shard._load_entry(entry)
 
-    def remove_table(self, name: str, index: ShardedIndex | None = None) -> bool:
-        """Forget one table; with the live ``index``, its shard's index
-        entry lands in the same manifest flush (see :meth:`save_tables`)."""
-        shard_id = self.shard_id(name)
-        update = self._index_updates(index, [shard_id]).get(shard_id)
-        removed = self.shards[shard_id].remove_table(name, update)
-        self._settle_index(index, [shard_id] if removed else [])
-        return removed
+    def remove_table(self, name: str) -> bool:
+        """Forget one table: one manifest flush of its shard."""
+        return self._shard_for(name).remove_table(name)
 
     # ------------------------------------------------------------------ #
-    def reshard(self, n_shards: int, fingerprint: str, build_indexes) -> int:
+    def reshard(self, n_shards: int, fingerprint: str) -> int:
         """Migrate this store in place to ``n_shards`` shards under the new
         ``fingerprint``; returns how many tables were re-routed (reopen the
         store afterwards — this object still describes the old layout).
 
         Records stream into a store staged under ``.reshard.tmp`` in
         global-order chunks (peak memory is one chunk, never the whole
-        lake) and ``build_indexes(staged)`` persists its indexes. The swap
+        lake); there is no index to rebuild, since every open assembles it
+        from the re-routed vectors (:meth:`load_index`). The swap
         parks the old layout under ``.reshard.old`` until the new one is
         fully moved in; the root manifest moves out first and in last, so a
         kill inside the swap window leaves no root manifest but a complete
@@ -955,7 +746,6 @@ class LakeStore:
                 chunk = []
         if chunk:
             staged.save_tables(chunk)
-        build_indexes(staged)
         backup = self.root / _RESHARD_BACKUP
         if backup.exists():
             shutil.rmtree(backup)
@@ -971,36 +761,21 @@ class LakeStore:
         return n_tables
 
     # ------------------------------------------------------------------ #
-    # Persisted vector index
+    # The vector index: derived from the table archives
     # ------------------------------------------------------------------ #
     def save_index(self, index: ShardedIndex, spec: IndexSpec) -> None:
-        """Persist the built index beside the data it serves.
-
-        A shard is rewritten when the index reports it dirty **or** when
-        its persisted artifact is out of step with its table manifest (a
-        table was saved or removed since — the index may not have changed,
-        but the artifact would otherwise be rejected at the next open). An
-        incremental delta therefore costs one shard's artifact, not N, and
-        after this call every shard warm-opens.
-        """
-        self._check_index_shape(index)
+        """Record ``spec`` (:meth:`record_index_spec`) and nothing else:
+        the index itself is never persisted, as :meth:`load_index` derives
+        it from the table archives. The benchmark replay still calls it."""
         self.record_index_spec(spec)
-        stale = sorted(
-            index.dirty_shards()
-            | {k for k, shard in enumerate(self.shards) if not shard.index_in_step()}
-        )
-        for shard_id in stale:
-            self.shards[shard_id].save_index(index.subs[shard_id], spec)
-        index.mark_clean()
 
     def record_index_spec(self, spec: IndexSpec) -> None:
         """Record the index spec this lake is written under.
 
         The spec is *configuration*, not artifact: it is written as soon
-        as a catalog attaches (before any slow embedding work), it is part
-        of the fingerprint, and it survives :meth:`drop_index`. Every
-        ``save_index`` re-records it; the top manifest is only rewritten
-        when it actually changed.
+        as a catalog attaches (before any slow embedding work) and it is
+        part of the fingerprint. The top manifest is only rewritten when it
+        actually changed.
         """
         raw = spec.to_dict()
         if self._top.get("index_spec") != raw:
@@ -1011,36 +786,41 @@ class LakeStore:
         raw = self._top.get("index_spec")
         return None if raw is None else IndexSpec.from_dict(raw)
 
-    def load_index(self, dim: int) -> ShardedIndex:
-        """Restore the persisted index, shard by shard.
+    def load_index(
+        self, dim: int, records: "list[LakeTableRecord] | None" = None
+    ) -> ShardedIndex:
+        """The exact index over this store's tables, assembled from the
+        ``column_vectors`` their archives hold (``records``: the
+        :meth:`load_all` output, when the caller already has it).
 
-        Shards whose artifact restored cleanly are listed in the result's
-        ``restored_shards``; the rest come back as fresh empty sub-indexes
-        for the caller to rebuild from records — per shard, so one torn
-        artifact never forces a full rebuild.
+        Each shard's rows are its tables' columns in global insertion order,
+        which is the order the live index keeps (a replaced table's rows
+        stay where they were: :meth:`TableSearcher.add_table
+        <repro.search.tables.TableSearcher.add_table>`). Every shard is one
+        block copy (:meth:`KnnIndex.restore`): no per-row insertion, no
+        forward, nothing written.
         """
         spec = self.index_spec() or IndexSpec()
-        subs: list[VectorIndex] = []
-        restored: set[int] = set()
-        for shard_id, shard in enumerate(self.shards):
-            sub = shard.load_index(dim)
-            if sub is not None:
-                restored.add(shard_id)
-            else:
-                sub = make_index(spec, dim)
-            subs.append(sub)
+        keys: list[list[ColumnEntry]] = [[] for _ in self.shards]
+        blocks: list[list[np.ndarray]] = [[] for _ in self.shards]
+        for record in self.load_all() if records is None else records:
+            shard_id = self.shard_id(record.name)
+            keys[shard_id] += [ColumnEntry(record.name, c) for c in record.column_names]
+            blocks[shard_id].append(record.column_vectors)
+        subs = [
+            KnnIndex.restore(
+                dim,
+                spec.params,
+                shard_keys,
+                {"vectors": np.concatenate(shard_blocks or [np.zeros((0, dim))])},
+                {},
+            )
+            for shard_keys, shard_blocks in zip(keys, blocks)
+        ]
         n_shards = self.n_shards
         return ShardedIndex(
-            dim,
-            subs=subs,
-            router=lambda entry: stable_shard(entry.table, n_shards),
-            factory=lambda: make_index(spec, dim),
-            restored_shards=restored,
+            dim, subs=subs, router=lambda entry: stable_shard(entry.table, n_shards)
         )
-
-    def drop_index(self) -> bool:
-        dropped = [shard.drop_index() for shard in self.shards]
-        return any(dropped)
 
     # ------------------------------------------------------------------ #
     def table_names(self) -> list[str]:
@@ -1065,6 +845,5 @@ class LakeStore:
             "n_rows": sum(s["n_rows"] for s in shard_stats),
             "disk_bytes": sum(s["disk_bytes"] for s in shard_stats),
             "index_backend": spec.canonical() if spec is not None else None,
-            "index_disk_bytes": sum(s["index_disk_bytes"] for s in shard_stats),
             "shard_tables": [s["n_tables"] for s in shard_stats],
         }

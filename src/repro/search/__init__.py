@@ -9,7 +9,6 @@ from repro.search.backend import (
     VectorIndex,
     make_index,
     make_sharded_index,
-    restore_index,
     stable_shard,
 )
 from repro.search.index import KnnIndex
@@ -26,7 +25,6 @@ __all__ = [
     "VectorIndex",
     "make_index",
     "make_sharded_index",
-    "restore_index",
     "stable_shard",
     "KnnIndex",
     "ColumnEntry",

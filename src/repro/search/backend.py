@@ -5,17 +5,20 @@ Everything above the KNN call — the Fig. 6 table ranking, the lake catalog,
 the CLI, the benchmark searchers — talks to an index through this protocol:
 
 - ``add`` / ``add_many``      — (key, vector) insertion, bulk-friendly;
+- ``replace_many``            — swap rows in place, keeping their position;
 - ``remove_many``             — batch deletion by key;
 - ``query`` / ``query_many``  — top-k ``(key, distance)`` per query vector,
   ascending by distance; ``query_many`` answers a whole matrix of queries in
   one call (a single BLAS matmul);
-- ``keys`` / ``__contains__`` / ``__len__`` — membership, aligned with
-  ``state_arrays`` for persistence.
+- ``keys`` / ``__contains__`` / ``__len__`` — membership.
 
 There is one index: :class:`repro.search.index.KnnIndex`, exact brute-force
 search with recall 1.0 (README "Vector index" has the measurement that
 settles it). :class:`IndexSpec` names it in lake manifests and in the config
-fingerprint; :class:`ShardedIndex` puts N of them behind one face.
+fingerprint; :class:`ShardedIndex` puts N of them behind one face. The
+index is derived state: a lake never persists it, and a warm open
+assembles it from the stored column vectors
+(:meth:`repro.lake.store.LakeStore.load_index`).
 """
 
 from __future__ import annotations
@@ -29,9 +32,6 @@ import numpy as np
 
 from repro import obs
 from repro.search.index import KnnIndex
-
-#: Bumped whenever the index's ``state_arrays`` layout changes shape.
-INDEX_STATE_VERSION = 1
 
 # Same family index.py registers (registration is idempotent), plus the
 # merge-pass histogram only the sharded face owns.
@@ -61,6 +61,10 @@ class VectorIndex(Protocol):
 
     def add_many(self, items: Sequence[tuple[object, np.ndarray]]) -> None: ...
 
+    def replace_many(
+        self, keys: Iterable[object], items: Sequence[tuple[object, np.ndarray]]
+    ) -> int: ...
+
     def remove_many(self, keys: Iterable[object]) -> int: ...
 
     def query(self, vector: np.ndarray, k: int) -> list[tuple[object, float]]: ...
@@ -70,10 +74,6 @@ class VectorIndex(Protocol):
     ) -> list[list[tuple[object, float]]]: ...
 
     def keys(self) -> list: ...
-
-    def state_keys(self) -> list: ...
-
-    def state_arrays(self) -> tuple[dict[str, np.ndarray], dict]: ...
 
     def __contains__(self, key) -> bool: ...
 
@@ -127,22 +127,6 @@ def make_index(spec: IndexSpec | None, dim: int) -> KnnIndex:
     return KnnIndex(dim, **(spec or IndexSpec()).params)
 
 
-def restore_index(
-    spec: IndexSpec | None,
-    dim: int,
-    keys: list,
-    arrays: dict[str, np.ndarray],
-    meta: dict,
-) -> KnnIndex:
-    """Rebuild a persisted index from its ``state_arrays`` output.
-
-    ``keys`` is the decoded key list, row-aligned with the state arrays
-    (key serialization is the persistence layer's concern — the index
-    never sees anything but live Python keys).
-    """
-    return KnnIndex.restore(dim, dict((spec or IndexSpec()).params), keys, arrays, meta)
-
-
 # --------------------------------------------------------------------- #
 # Sharded (multi-index) merge path
 # --------------------------------------------------------------------- #
@@ -165,8 +149,8 @@ class ShardedIndex:
 
     Every key is owned by exactly one sub-index (``router(key)`` — the lake
     routes by table name, so a table's columns always land together), which
-    makes add/remove a single routed delegation (one shard takes every
-    write as-is, with no routing). ``query_many`` fans the whole query
+    makes add/replace/remove a single routed delegation (one shard takes
+    every write as-is, with no routing). ``query_many`` fans the whole query
     matrix across the sub-indexes and merges their top-k *arrays*: because
     every sub-index returns *its* top-k, the merged top-k holds the same
     (key, distance) *set* a single flat index over the union would return —
@@ -177,10 +161,8 @@ class ShardedIndex:
     one table co-locate by construction, so the routine duplicate case (a
     table's over-budget fallback columns) can never straddle shards.
 
-    Persistence is deliberately *not* monolithic: callers save each
-    sub-index beside its shard's data (``subs``), and :meth:`dirty_shards`
-    names the sub-indexes mutated since the last :meth:`mark_clean`, so an
-    incremental delta rewrites one shard's artifact, not all of them.
+    Nothing here is persisted: a lake assembles each sub-index from its
+    shard's stored vectors at open.
     """
 
     def __init__(
@@ -188,20 +170,13 @@ class ShardedIndex:
         dim: int,
         subs: Sequence[KnnIndex],
         router: Callable[[object], int],
-        factory: Callable[[], KnnIndex] | None = None,
-        restored_shards: Iterable[int] = (),
     ):
         if not subs:
             raise ValueError("ShardedIndex needs at least one sub-index")
         self.dim = dim
         self.subs: list[KnnIndex] = list(subs)
         self.router = router
-        self.factory = factory
         self.metric = self.subs[0].metric
-        #: Shards restored from persistence (set by the store's loader);
-        #: everything else is fresh and needs a rebuild from records.
-        self.restored_shards = set(restored_shards)
-        self._dirty: set[int] = set()
 
     @property
     def n_shards(self) -> int:
@@ -215,51 +190,34 @@ class ShardedIndex:
             )
         return shard
 
-    def reset_shard(self, shard: int) -> None:
-        """Replace one sub-index with a fresh empty one (rebuild seam).
-
-        The shard is dirty from here on: whatever artifact is persisted
-        for it no longer describes the sub-index, even if nothing is ever
-        re-added (a rebuilt-but-empty shard still has to heal on disk).
-        """
-        if self.factory is None:
-            raise ValueError("ShardedIndex has no factory to reset shards with")
-        self.subs[shard] = self.factory()
-        self.restored_shards.discard(shard)
-        self._dirty.add(shard)
-
     # -- mutation ------------------------------------------------------- #
     def add(self, key, vector: np.ndarray) -> None:
-        shard = self.shard_of(key)
-        self.subs[shard].add(key, vector)
-        self._dirty.add(shard)
+        self.add_many([(key, vector)])
 
     def add_many(self, items: Sequence[tuple[object, np.ndarray]]) -> None:
-        items = list(items)
-        if len(self.subs) == 1:
-            groups = {0: items} if items else {}
-        else:
-            groups = defaultdict(list)
-            for key, vector in items:
-                groups[self.shard_of(key)].append((key, vector))
-        for shard, group in groups.items():
-            self.subs[shard].add_many(group)
-            self._dirty.add(shard)
+        self.replace_many((), items)
 
     def remove_many(self, keys: Iterable[object]) -> int:
+        return self.replace_many(keys, ())
+
+    def replace_many(
+        self, keys: Iterable[object], items: Sequence[tuple[object, np.ndarray]]
+    ) -> int:
+        """Route each old key and each new row to its owner, then let every
+        touched sub-index replace in place (:meth:`KnnIndex.replace_many`);
+        one shard takes the write as-is. Returns the rows dropped."""
         if len(self.subs) == 1:
-            groups = {0: keys}
-        else:
-            groups = defaultdict(list)
-            for key in keys:
-                groups[self.shard_of(key)].append(key)
-        removed = 0
-        for shard, group in groups.items():
-            count = self.subs[shard].remove_many(group)
-            if count:
-                self._dirty.add(shard)
-            removed += count
-        return removed
+            return self.subs[0].replace_many(keys, items)
+        old: dict[int, list] = defaultdict(list)
+        new: dict[int, list] = defaultdict(list)
+        for key in keys:
+            old[self.shard_of(key)].append(key)
+        for item in items:
+            new[self.shard_of(item[0])].append(item)
+        return sum(
+            self.subs[shard].replace_many(old[shard], new[shard])
+            for shard in sorted(old.keys() | new.keys())
+        )
 
     # -- queries -------------------------------------------------------- #
     def query_many(
@@ -301,7 +259,7 @@ class ShardedIndex:
     def query(self, vector: np.ndarray, k: int) -> list[tuple[object, float]]:
         return self.query_many(np.asarray(vector, dtype=np.float64)[None, :], k)[0]
 
-    # -- membership / state --------------------------------------------- #
+    # -- membership --------------------------------------------------- #
     def keys(self) -> list:
         return [key for sub in self.subs for key in sub.keys()]
 
@@ -310,30 +268,6 @@ class ShardedIndex:
 
     def __len__(self) -> int:
         return sum(len(sub) for sub in self.subs)
-
-    def dirty_shards(self) -> set[int]:
-        """Sub-indexes mutated since the last :meth:`mark_clean`."""
-        return set(self._dirty)
-
-    def mark_clean(self, shards: Iterable[int] | None = None) -> None:
-        """Forget the mutations of ``shards`` (default: all) — their
-        artifacts were just persisted."""
-        if shards is None:
-            self._dirty.clear()
-        else:
-            self._dirty.difference_update(shards)
-
-    def state_keys(self) -> list:
-        raise NotImplementedError(
-            "a ShardedIndex persists per shard — save each sub-index via "
-            "subs[k].state_keys()/state_arrays()"
-        )
-
-    def state_arrays(self) -> tuple[dict[str, np.ndarray], dict]:
-        raise NotImplementedError(
-            "a ShardedIndex persists per shard — save each sub-index via "
-            "subs[k].state_keys()/state_arrays()"
-        )
 
 
 def _merge_top_k(
@@ -370,8 +304,5 @@ def make_sharded_index(
 ) -> ShardedIndex:
     """N fresh exact indexes for ``spec`` behind one sharded face."""
     return ShardedIndex(
-        dim,
-        subs=[make_index(spec, dim) for _ in range(n_shards)],
-        router=router,
-        factory=lambda: make_index(spec, dim),
+        dim, subs=[make_index(spec, dim) for _ in range(n_shards)], router=router
     )

@@ -8,9 +8,10 @@ baselines live in :mod:`repro.sketch.lsh` / :mod:`repro.sketch.simhash`.
 
 Storage is a capacity-doubling row buffer so the index supports *incremental*
 maintenance: ``add``/``add_many`` are amortized O(1) per row (no re-stacking
-of the whole corpus on the next query) and ``remove_many`` compacts in one
-O(n) pass per batch. This is what lets :mod:`repro.lake` apply one-table
-deltas to a standing lake without rebuilding the index.
+of the whole corpus on the next query), and ``replace_many`` /
+``remove_many`` shift the rows behind the change once per batch, keeping
+every other row in place. This is what lets :mod:`repro.lake` apply
+one-table deltas to a standing lake without rebuilding the index.
 
 ``query_many`` answers a whole matrix of queries with one BLAS matmul plus
 one axis-wise partition — the batched primitive the Fig. 6 NEARTABLES loop
@@ -18,8 +19,8 @@ one axis-wise partition — the batched primitive the Fig. 6 NEARTABLES loop
 table costs one distance computation instead of q Python round-trips.
 The data-side term of the distance (row norms for cosine, row sums of
 squares for euclidean) is cached beside the rows and maintained by every
-write, so a query never recomputes it over the corpus. The cache is
-derived state: it is never persisted, and :meth:`restore` computes it once.
+write, so a query never recomputes it over the corpus; :meth:`restore`
+computes it once over a whole block.
 This class implements the :class:`repro.search.backend.VectorIndex`
 protocol and is the repo's one vector index.
 """
@@ -100,9 +101,60 @@ class KnnIndex:
 
     def add_many(self, items: Sequence[tuple[object, np.ndarray]]) -> None:
         """Bulk append: one reserve + one block copy for the whole batch."""
+        self.replace_many((), items)
+
+    def remove_many(self, keys: Iterable[object]) -> int:
+        """Drop every row whose key is in ``keys``; returns rows removed.
+        Keys not present cost an O(1) dict probe — no scan of the key list."""
+        return self.replace_many(keys, ())
+
+    def replace_many(
+        self, keys: Iterable[object], items: Sequence[tuple[object, np.ndarray]]
+    ) -> int:
+        """Drop every row whose key is in ``keys`` and put ``items`` where
+        the first of those rows stood — at the end when there was none;
+        returns the rows dropped.
+
+        Every other row keeps its place, so replacing a table's rows leaves
+        the index in the order its tables were first added. The new rows
+        are one block copy and the rows behind them shift once, so a
+        whole-table delta costs the same as a single-column one.
+        """
         items = list(items)
+        doomed = {key for key in keys if key in self._key_counts}
+        if not items and not doomed:
+            return 0
+        block = self._block(items)
+        at, tail = self._size, np.zeros(0, dtype=np.intp)
+        if doomed:
+            gone = np.fromiter(
+                (key in doomed for key in self._keys), dtype=bool, count=self._size
+            )
+            at = int(gone.argmax())
+            tail = np.flatnonzero(~gone[at:]) + at
+        removed = self._size - at - len(tail)
+        tail_rows, tail_terms = self._data[tail], self._terms[tail]
+        tail_keys = [self._keys[row] for row in tail.tolist()]
+        self._size = at
+        self._reserve(len(items) + len(tail))
+        end = at + len(items)
+        self._data[at:end] = block
+        self._terms[at:end] = self._row_terms(block)
+        self._data[end : end + len(tail)] = tail_rows
+        self._terms[end : end + len(tail)] = tail_terms
+        self._size = end + len(tail)
+        del self._keys[at:]
+        self._keys += [key for key, _ in items] + tail_keys
+        for key in doomed:
+            del self._key_counts[key]
+        for key, _ in items:
+            self._key_counts[key] = self._key_counts.get(key, 0) + 1
+        return removed
+
+    def _block(self, items: list) -> np.ndarray:
+        """``items``' vectors as one checked ``(len(items), dim)`` block."""
         if not items:
-            return
+            return np.zeros((0, self.dim), dtype=np.float64)
         vectors = [vector for _, vector in items]
         try:
             block = np.array(vectors, dtype=np.float64)
@@ -111,35 +163,7 @@ class KnnIndex:
         if block is None or block.shape != (len(items), self.dim):
             for vector in vectors:
                 self._check(vector)
-        self._reserve(len(items))
-        end = self._size + len(items)
-        self._data[self._size : end] = block
-        self._terms[self._size : end] = self._row_terms(block)
-        self._size = end
-        for key, _ in items:
-            self._keys.append(key)
-            self._key_counts[key] = self._key_counts.get(key, 0) + 1
-
-    # ------------------------------------------------------------------ #
-    def remove_many(self, keys: Iterable[object]) -> int:
-        """Drop every row whose key is in ``keys``; returns rows removed.
-
-        One compaction pass over the buffer regardless of batch size, so a
-        whole-table delta costs the same as a single-column one. Keys not
-        present cost an O(1) dict probe — no scan of the key list.
-        """
-        doomed = {key for key in keys if key in self._key_counts}
-        if not doomed:
-            return 0
-        keep = [i for i, key in enumerate(self._keys) if key not in doomed]
-        removed = self._size - len(keep)
-        self._data[: len(keep)] = self._data[keep]
-        self._terms[: len(keep)] = self._terms[keep]
-        self._keys = [self._keys[i] for i in keep]
-        for key in doomed:
-            del self._key_counts[key]
-        self._size = len(keep)
-        return removed
+        return block
 
     def remove(self, key) -> int:
         """Drop every row stored under ``key``; returns rows removed."""
@@ -239,30 +263,27 @@ class KnnIndex:
 
     # ------------------------------------------------------------------ #
     def state_keys(self) -> list:
-        """Row-aligned keys for persistence (the exact backend has no
-        tombstones, so this is just :meth:`keys`)."""
+        """The row-aligned keys :meth:`restore` takes back (a copy)."""
         return list(self._keys)
 
     def state_arrays(self) -> tuple[dict[str, np.ndarray], dict]:
-        """Persistable state, row-aligned with :meth:`state_keys`.
-
-        The exact backend is fully described by its vector matrix; keys are
-        serialized by the persistence layer.
-        """
+        """A copy of the row-aligned vectors, and the metric: with
+        :meth:`state_keys`, everything :meth:`restore` needs."""
         return {"vectors": self._matrix().copy()}, {"metric": self.metric}
 
     @classmethod
     def restore(
         cls, dim: int, params: dict, keys: list, arrays: dict, meta: dict
     ) -> "KnnIndex":
-        """Rebuild from :meth:`state_arrays` output — one block copy, no
-        per-row insertions."""
+        """An index over ``keys`` and the row-aligned ``arrays["vectors"]``
+        in one block copy, with no per-row insertion — how a lake assembles
+        each shard's index from its stored column vectors at open."""
         metric = meta.get("metric", params.get("metric", "cosine"))
         index = cls(dim, metric=metric)
         vectors = np.asarray(arrays["vectors"], dtype=np.float64).reshape(-1, dim)
         if vectors.shape[0] != len(keys):
             raise ValueError(
-                f"persisted index has {vectors.shape[0]} rows but "
+                f"index state has {vectors.shape[0]} rows but "
                 f"{len(keys)} keys"
             )
         index._data = vectors.copy()

@@ -97,11 +97,12 @@ class TableSearcher:
 
     # ------------------------------------------------------------------ #
     def adopt_index(self, index: VectorIndex) -> None:
-        """Serve a prebuilt (e.g. persisted-and-restored) index as-is.
+        """Serve a prebuilt index (a warm lake's, assembled from its stored
+        vectors) as-is.
 
         Rebuilds the per-table bookkeeping from the index's own key list —
-        zero insertions, so a warm lake open costs index *deserialization*
-        only, never reconstruction.
+        zero insertions, so a warm lake open costs one block copy per
+        shard, never a per-row reconstruction.
         """
         if index.dim != self.dim:
             raise ValueError(
@@ -114,15 +115,23 @@ class TableSearcher:
 
     # ------------------------------------------------------------------ #
     def add_table(self, table: str, column_names: list[str], vectors: np.ndarray) -> None:
-        """Index all of a table's columns in one bulk append."""
+        """Index all of a table's columns in one bulk write.
+
+        A table already indexed has its rows replaced where they stand, so
+        each shard's rows stay in the order their tables were first added —
+        the order :meth:`repro.lake.store.LakeStore.load_index` assembles a
+        stored lake in, which is what makes a warm open equal the live
+        index row for row (exact distance ties break by row order).
+        """
         entries = [ColumnEntry(table, name) for name in column_names]
-        self.index.add_many(
+        self.index.replace_many(
+            self._columns_by_table.get(table, ()),
             [
                 (entry, np.asarray(vector, dtype=np.float64))
                 for entry, vector in zip(entries, vectors)
-            ]
+            ],
         )
-        self._columns_by_table[table].extend(entries)
+        self._columns_by_table[table] = entries
         self.insertions += len(entries)
 
     def remove_table(self, table: str) -> int:

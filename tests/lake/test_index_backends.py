@@ -1,6 +1,6 @@
-"""The vector index through the lake: persisted-index warm loads (zero
-insertions), incremental persistence, stale-artifact detection, and the
-index spec a lake records and fingerprints."""
+"""The vector index through the lake: warm loads that assemble the index
+from the stored vectors (zero insertions), mutations the next open serves,
+and the index spec a lake records and fingerprints."""
 
 import numpy as np
 import pytest
@@ -28,9 +28,9 @@ def _assert_backend_class(catalog, cls):
 
 
 # --------------------------------------------------------------------- #
-# Persisted index
+# The index a warm open assembles
 # --------------------------------------------------------------------- #
-def test_warm_load_restores_persisted_index_zero_insertions(
+def test_warm_load_assembles_the_index_zero_insertions(
     lake_embedder, lake_tables, tmp_path
 ):
     cold = _build(lake_embedder, lake_tables, tmp_path)
@@ -40,7 +40,7 @@ def test_warm_load_restores_persisted_index_zero_insertions(
 
     warm = LakeCatalog.from_store(lake_embedder, LakeStore.open(tmp_path))
     assert warm.embed_calls == 0
-    assert warm.searcher.insertions == 0, "warm open must deserialize the index"
+    assert warm.searcher.insertions == 0, "warm open must assemble the index"
     assert warm.index_spec == cold.index_spec
     assert len(warm.searcher.index) == len(cold.searcher.index)
     assert warm.searcher.index.keys() == cold.searcher.index.keys()
@@ -70,63 +70,33 @@ def test_mutations_update_persisted_index(lake_embedder, lake_tables, tmp_path):
     assert warm.searcher.rank(pairs, 3, exclude_table="fresh")
 
 
-def test_missing_persisted_index_falls_back_and_heals(
+def test_a_store_write_without_the_catalog_is_what_the_next_open_serves(
     lake_embedder, lake_tables, tmp_path
 ):
-    """Pre-upgrade stores (no index artifact) rebuild from records, then
-    persist the result so the next open is warm."""
-    _build(lake_embedder, lake_tables, tmp_path)
-    store = LakeStore.open(tmp_path)
-    assert store.drop_index()
-
-    rebuilt = LakeCatalog.from_store(lake_embedder, LakeStore.open(tmp_path))
-    assert rebuilt.searcher.insertions > 0  # fallback rebuilt the index
-
-    healed = LakeCatalog.from_store(lake_embedder, LakeStore.open(tmp_path))
-    assert healed.searcher.insertions == 0  # ... and re-persisted it
-
-
-def test_stale_persisted_index_detected_and_rebuilt(
-    lake_embedder, lake_tables, tmp_path
-):
-    """A crash between the table flush and the index flush leaves the two
-    out of step; warm open must detect the drift and rebuild instead of
-    serving ghost columns."""
+    """The index is derived from the table archives, so there is nothing to
+    fall out of step with them: a remove or a re-vectored save made on the
+    store alone — no live index handed over — is exactly what the next warm
+    open serves, with no rebuild."""
     catalog = _build(lake_embedder, lake_tables, tmp_path)
-    # Simulate the torn write: mutate the table manifest *without* the
-    # catalog's matching index re-save.
-    LakeStore.open(tmp_path).remove_table("g0t0")
+    record = catalog.records["g1t1"]
+    record.column_vectors = record.column_vectors + 0.25
+    store = LakeStore.open(tmp_path)
+    store.remove_table("g0t0")
+    store.save_table(record)
 
     warm = LakeCatalog.from_store(lake_embedder, LakeStore.open(tmp_path))
-    assert warm.searcher.insertions > 0, "stale index must not be adopted"
+    assert warm.searcher.insertions == 0 and warm.embed_calls == 0
     assert "g0t0" not in warm.searcher.table_names()
     for name in list(lake_tables)[1:4]:
         hits = warm.searcher.rank(
             warm.records[name].vector_pairs(), 5, exclude_table=name
         )
         assert "g0t0" not in {hit.table for hit in hits}
-
-    # The rebuild re-persisted a consistent index: next open is warm again.
-    healed = LakeCatalog.from_store(lake_embedder, LakeStore.open(tmp_path))
-    assert healed.searcher.insertions == 0
-
-
-def test_same_schema_vector_drift_detected(lake_embedder, lake_tables, tmp_path):
-    """A crash inside update_table can leave the manifest with re-embedded
-    vectors while index.npz still holds the old ones — identical
-    (table, column) keys, different data. The mutation-counter handshake
-    must refuse the stale index."""
-    catalog = _build(lake_embedder, lake_tables, tmp_path)
-    record = catalog.records["g1t1"]
-    drifted = LakeStore.open(tmp_path)
-    record.column_vectors = record.column_vectors + 0.25
-    drifted.save_table(record)  # table flush only — no index re-save
-
-    warm = LakeCatalog.from_store(lake_embedder, LakeStore.open(tmp_path))
-    assert warm.searcher.insertions > 0, "counter drift must force a rebuild"
+    shard = warm.searcher.index.subs[warm.store.shard_id("g1t1")]
+    rows = [i for i, key in enumerate(shard.keys()) if key.table == "g1t1"]
     assert np.array_equal(
-        warm.records["g1t1"].column_vectors, record.column_vectors
-    ), "the rebuilt index serves the manifest's (newer) vectors"
+        shard.state_arrays()[0]["vectors"][rows], record.column_vectors
+    ), "the warm index serves the archive's (newer) vectors"
 
 
 def test_interrupted_first_ingest_records_backend(lake_embedder, tmp_path):
@@ -139,16 +109,6 @@ def test_interrupted_first_ingest_records_backend(lake_embedder, tmp_path):
     assert LakeStore.peek_index_spec(tmp_path) == IndexSpec()
     reopened = LakeCatalog(lake_embedder, store=LakeStore.open(tmp_path))
     assert reopened.index_spec == IndexSpec()
-
-
-def test_persisted_index_state_version_guard(lake_embedder, lake_tables, tmp_path):
-    _build(lake_embedder, lake_tables, tmp_path)
-    store = LakeStore.open(tmp_path)
-    for shard in store.shards:
-        shard._manifest["index"]["state_version"] = -1
-    # Loads degrade per shard: nothing restored, fresh empty sub-indexes.
-    index = store.load_index(lake_embedder.dim)
-    assert index.restored_shards == set() and len(index) == 0
 
 
 # --------------------------------------------------------------------- #

@@ -3,28 +3,45 @@
 One session runs on the grouped test corpus at 1 and at 4 shards:
 ``add_tables``, ``append_rows``, ``update_table``, ``remove_table``, a
 strict query whose lazy refresh re-embeds the appended table, then a warm
-reopen and one more append. After each stage the sha256 of every root and
-shard ``manifest.json`` (path and bytes, in path order) is compared with
-the recorded digest.
+reopen and one more append.
+
+``data/manifest_session/manifests_537c455.json`` holds every root and shard
+``manifest.json`` that session left after each stage at commit 537c455, the
+last one that persisted the vector index; their sha256 (path and bytes, in
+path order) is the recorded digest. Those shard manifests carry the index
+entry and the write counter that index was checked against. Today's bytes
+must be exactly those with the retired keys
+(:data:`repro.lake.store._RETIRED_KEYS`) removed and re-encoded by
+``_dumps``: any other byte change fails, stage for stage.
 
 A manifest holds names, sketch configs, sizes, counters and the index spec
-— no computed floats — so the digests do not depend on the host's float
-kernels. Equal digests mean a change to how manifests are encoded or
-flushed writes the same bytes, stage for stage.
+— no computed floats — so the bytes do not depend on the host's float
+kernels.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 from pathlib import Path
+
+import pytest
 
 from repro.lake.api import DiscoveryRequest
 from repro.lake.catalog import LakeCatalog
 from repro.lake.service import LakeService
-from repro.lake.store import LakeStore
+from repro.lake.store import _RETIRED_KEYS, LakeStore, _dumps
 from repro.table.schema import table_from_rows
 
-#: (shard count, stage) -> sha256 over the lake's manifests after it.
+#: (shard count) -> stage -> manifest path -> text, as commit 537c455 wrote.
+RECORDED = json.loads(
+    (
+        Path(__file__).parent / "data" / "manifest_session" / "manifests_537c455.json"
+    ).read_text()
+)
+
+#: (shard count, stage) -> sha256 over the lake's manifests after it, at
+#: commit 537c455.
 MANIFEST_DIGESTS = {
     (1, "add_tables"):
         "ee3208610bc4700e99478ecda8b9e4e8cd289d1e1d6ac9e59f2255d74bea0376",
@@ -53,14 +70,34 @@ MANIFEST_DIGESTS = {
 }
 
 
-def _manifest_digest(root: Path) -> str:
+def _manifests(root: Path) -> dict[str, str]:
+    return {
+        path.relative_to(root).as_posix(): path.read_text()
+        for path in sorted(root.rglob("manifest.json"))
+    }
+
+
+def _digest(manifests: dict[str, str]) -> str:
     digest = hashlib.sha256()
-    for path in sorted(root.rglob("manifest.json")):
-        digest.update(path.relative_to(root).as_posix().encode())
+    for path, text in sorted(manifests.items()):
+        digest.update(path.encode())
         digest.update(b"\0")
-        digest.update(path.read_bytes())
+        digest.update(text.encode())
         digest.update(b"\0")
     return digest.hexdigest()
+
+
+def _retired(text: str) -> str:
+    """A manifest's text without the keys the persisted index needed."""
+    manifest = json.loads(text)
+    return _dumps({k: v for k, v in manifest.items() if k not in _RETIRED_KEYS}) + "\n"
+
+
+@pytest.mark.parametrize("n_shards", [1, 4])
+def test_the_recorded_bytes_are_the_pinned_ones(n_shards):
+    for stage, manifests in RECORDED[str(n_shards)].items():
+        assert _digest(manifests) == MANIFEST_DIGESTS[(n_shards, stage)], stage
+        assert any('"index":' in text for text in manifests.values()), stage
 
 
 def _shrunk(table):
@@ -72,10 +109,10 @@ def test_scripted_session_writes_the_pinned_manifest_bytes(
     tmp_path, lake_embedder, lake_tables, lake_layout_shards
 ):
     root = tmp_path / "lake"
-    seen: dict[str, str] = {}
+    seen: dict[str, dict[str, str]] = {}
 
     def stage(name: str) -> None:
-        seen[name] = _manifest_digest(root)
+        seen[name] = _manifests(root)
 
     catalog = LakeCatalog(lake_embedder, store=LakeStore(root, "fp"))
     catalog.add_tables(dict(lake_tables))
@@ -96,7 +133,8 @@ def test_scripted_session_writes_the_pinned_manifest_bytes(
     warm.append_rows("g2t2", [["grp2val97", "7", "tag3"]])
     stage("reopen_append")
 
-    expected = {
-        name: MANIFEST_DIGESTS.get((lake_layout_shards, name)) for name in seen
-    }
-    assert seen == expected
+    recorded = RECORDED[str(lake_layout_shards)]
+    assert seen.keys() == recorded.keys()
+    for name, manifests in seen.items():
+        expected = {path: _retired(text) for path, text in recorded[name].items()}
+        assert manifests == expected, name

@@ -4,9 +4,11 @@ one, and still writes exactly the bytes of a full encode.
 Pinned here: that a manifest entry owns its ``metadata`` (a caller mutating
 the dict it saved, or one it loaded, changes nothing the store holds or
 writes later), and a Hypothesis property that after every operation of a
-drawn sequence — saves, replaces, removes, index saves and drops, caller
-mutations and reopens — each shard's ``manifest.json`` equals the full
-compact encode of that shard's in-memory manifest.
+drawn sequence — saves, replaces, removes, index saves, caller mutations,
+reopens, and reopens of shards as an older build left them (with an index
+entry and a write counter for the next flush to retire) — each shard's
+``manifest.json`` equals the full compact encode of that shard's in-memory
+manifest.
 """
 
 from __future__ import annotations
@@ -116,9 +118,21 @@ _OPS = st.one_of(
     st.tuples(st.just("remove"), st.sampled_from(NAMES)),
     st.tuples(st.just("mutate"), st.sampled_from(NAMES)),
     st.tuples(st.just("save_index")),
-    st.tuples(st.just("drop_index")),
     st.tuples(st.just("reopen")),
+    st.tuples(st.just("reopen_older")),
 )
+
+
+def _as_an_older_build_left_it(store: LakeStore) -> None:
+    """Give every shard the index entry, write counter and index archive an
+    older build kept (the archive's bytes are never read)."""
+    for shard in store.shards:
+        path = shard.root / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest["index"] = {"file": "index.npz", "n_keys": 0}
+        manifest["mutation_counter"] = 7
+        path.write_text(_full_encode(manifest), encoding="utf-8")
+        (shard.root / "index.npz").write_bytes(b"an older build's index")
 
 
 @settings(
@@ -147,9 +161,10 @@ def test_every_flush_writes_the_full_encode_of_the_manifest(tmp_path, ops):
                 saved[op[1]].metadata["mutated"] = True
             elif kind == "save_index":
                 store.save_index(_index(store), IndexSpec())
-            elif kind == "drop_index":
-                store.drop_index()
             elif kind == "reopen":
+                store = LakeStore.open(root)
+            elif kind == "reopen_older":
+                _as_an_older_build_left_it(store)
                 store = LakeStore.open(root)
             _assert_files_match_memory(store)
         _assert_files_match_memory(LakeStore.open(root))

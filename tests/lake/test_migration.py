@@ -63,14 +63,15 @@ def _open(root: Path) -> LakeService:
 def _assert_converted(root: Path, n_tables: int) -> None:
     assert not (root / "tables").exists() and not (root / "index.npz").exists()
     shard = root / "shards" / "s000"
-    assert (shard / "manifest.json").is_file() and (shard / "index.npz").is_file()
+    assert (shard / "manifest.json").is_file()
     assert len(list((shard / "tables").glob("*.npz"))) == n_tables
     assert LakeStore.peek_n_shards(root) == 1
     assert not LakeStore.needs_conversion(root)
 
 
 def _assert_serves_warm(service: LakeService, flat_fixture) -> None:
-    """The recorded answers, from the persisted index, without the trunk."""
+    """The recorded answers, from the index assembled out of the stored
+    vectors, without the trunk."""
     catalog = service.catalog
     assert catalog.store.fingerprint == flat_fixture.expected["fingerprint"]
     assert catalog.store.table_names() == flat_fixture.expected["table_names"]
@@ -93,11 +94,15 @@ def test_open_converts_and_serves_the_recorded_answers(flat_lake, flat_fixture):
     service = _open(flat_lake)
     _assert_converted(flat_lake, len(archives))
     _assert_serves_warm(service, flat_fixture)
-    # Nothing was rewritten: the archives moved, byte for byte, and the
-    # store still accounts for the same bytes.
+    # Nothing was rewritten: the archives moved, byte for byte — the index
+    # archive with its manifest entry, for the first write to retire — and
+    # the store accounts for the same table bytes.
     assert _digests(flat_lake / "shards" / "s000" / "tables") == archives
+    shard = service.catalog.store.shards[0]
+    assert (shard.root / shard._manifest["index"]["file"]).is_file()
     stats = service.catalog.store.stats()
-    recorded = flat_fixture.expected["store"]
+    recorded = dict(flat_fixture.expected["store"])
+    recorded["disk_bytes"] -= recorded.pop("index_disk_bytes")
     assert {key: stats[key] for key in recorded} == recorded
 
 
@@ -219,4 +224,5 @@ def test_reshard_to_one_shard_is_the_same_layout(flat_lake, flat_fixture, capsys
     assert "3 -> 1 shard(s)" in capsys.readouterr().out
     assert sorted(p.name for p in (flat_lake / "shards").iterdir()) == ["s000"]
     _assert_converted(flat_lake, flat_fixture.expected["counts"]["n_tables"])
+    assert not list(flat_lake.rglob("index*.npz")), "a reshard writes no index"
     _assert_serves_warm(LakeService.open(flat_lake), flat_fixture)

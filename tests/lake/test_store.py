@@ -1,25 +1,18 @@
 """On-disk `LakeStore` persistence: exact round-trips, replacement, removal,
-manifest-order determinism, manifest-recorded sizes, the persisted vector
-index, and per-shard crash/corruption degradation.
+manifest-order determinism, manifest-recorded sizes, the vector index a
+store assembles from its table archives, and per-shard crash/corruption
+degradation.
 
 Stores created without a shard count run at 1 shard and at 4 (the
 directory's ``lake_layout_shards`` fixture).
 """
 
-import gc
-
 import numpy as np
 import pytest
 
 from repro.lake import store as store_module
-from repro.lake.catalog import LakeCatalog
 from repro.lake.store import LakeStore, LakeTableRecord
-from repro.search.backend import (
-    IndexSpec,
-    make_index,
-    make_sharded_index,
-    stable_shard,
-)
+from repro.search.backend import IndexSpec, make_sharded_index, stable_shard
 from repro.search.tables import ColumnEntry
 from repro.sketch.pipeline import sketch_table
 
@@ -145,7 +138,7 @@ def test_stats_sums_manifest_recorded_sizes(
 
 
 # --------------------------------------------------------------------- #
-# Persisted vector index
+# The vector index, assembled from the table archives
 # --------------------------------------------------------------------- #
 def _column_index(n_shards, n=12, dim=8, seed=0):
     """A populated index with the shape a `TableSearcher` builds."""
@@ -163,108 +156,62 @@ def _column_index(n_shards, n=12, dim=8, seed=0):
     return index
 
 
-def _every_shard(store: LakeStore) -> set[int]:
-    return set(range(store.n_shards))
-
-
-def test_save_load_index_round_trip(tmp_path):
+def test_load_index_assembles_the_stored_vectors(
+    tmp_path, city_table, product_table, tiny_sketch_config
+):
+    """Each shard's index is its tables' columns in global insertion order,
+    the stored vectors bit for bit; a replaced table keeps its rows' place."""
     store = LakeStore(tmp_path, "fp")
-    assert store.load_index(8).restored_shards == set()
-    assert store.index_spec() is None
-    index = _column_index(store.n_shards)
-    store.save_index(index, IndexSpec())
-
-    reopened = LakeStore.open(tmp_path)
-    assert reopened.index_spec() == IndexSpec()
-    assert LakeStore.peek_index_spec(tmp_path) == IndexSpec()
-    restored = reopened.load_index(8)
-    assert restored.restored_shards == _every_shard(store)
-    assert restored.keys() == index.keys()
-    query = np.ones(8)
-    assert [k for k, _ in restored.query(query, 5)] == [
-        k for k, _ in index.query(query, 5)
+    records = [
+        _record(table, tiny_sketch_config, seed=seed)
+        for seed, table in enumerate((city_table, product_table))
     ]
-    assert reopened.stats()["index_backend"] == "exact"
-    assert reopened.stats()["index_disk_bytes"] > 0
+    store.save_tables(records)
+    records[0] = _record(city_table, tiny_sketch_config, seed=7)
+    store.save_table(records[0])
 
-
-def test_save_empty_index_round_trip(tmp_path):
-    """Saving persists an artifact for every shard, populated or not, so
-    the next open restores all of them."""
-    store = LakeStore(tmp_path, "fp")
-    store.save_index(_column_index(store.n_shards, n=0), IndexSpec("exact", {}))
-    restored = LakeStore.open(tmp_path).load_index(8)
-    assert restored.restored_shards == _every_shard(store) and len(restored) == 0
-
-
-def test_save_index_refuses_an_index_of_another_shape(tmp_path):
-    store = LakeStore(tmp_path, "fp")
-    with pytest.raises(ValueError, match="ShardedIndex"):
-        store.save_index(make_index(IndexSpec(), 8), IndexSpec("exact", {}))
-    with pytest.raises(ValueError, match="ShardedIndex"):
-        store.save_index(
-            _column_index(store.n_shards + 1), IndexSpec("exact", {})
+    index = LakeStore.open(tmp_path).load_index(8)
+    assert index.n_shards == store.n_shards
+    expected = [[] for _ in range(store.n_shards)]
+    for record in records:
+        expected[store.shard_id(record.name)].append(record)
+    for sub, shard_records in zip(index.subs, expected):
+        assert sub.keys() == [
+            ColumnEntry(record.name, column)
+            for record in shard_records
+            for column in record.column_names
+        ]
+        arrays, _ = sub.state_arrays()
+        assert np.array_equal(
+            arrays["vectors"],
+            np.concatenate(
+                [r.column_vectors for r in shard_records] or [np.zeros((0, 8))]
+            ),
         )
 
 
-@pytest.mark.filterwarnings("error::ResourceWarning")
-@pytest.mark.parametrize(
-    "damage",
-    [lambda data: b"not a zip archive", lambda data: data[: len(data) // 2]],
-    ids=["not-a-zip", "torn"],
-)
-def test_corrupt_index_archive_degrades_to_rebuild(tmp_path, damage):
-    """A garbage or torn index.npz must make load_index hand that shard
-    back unrestored — the rebuild fallback — not raise, and must not leave
-    the archive's file handle to the GC: an unclosed file is an error here."""
-    store = LakeStore(tmp_path, "fp")
-    store.save_index(_column_index(store.n_shards), IndexSpec("exact", {}))
-    for shard in store.shards:
-        path = shard.root / "index.npz"
-        path.write_bytes(damage(path.read_bytes()))
-    with pytest.warns(RuntimeWarning, match="could not be restored"):
-        restored = LakeStore.open(tmp_path).load_index(8)
-        gc.collect()
-    assert restored.restored_shards == set() and len(restored) == 0
+def test_an_empty_store_assembles_an_empty_index(tmp_path):
+    index = LakeStore(tmp_path, "fp").load_index(8)
+    assert index.n_shards == LakeStore.DEFAULT_SHARDS and len(index) == 0
 
 
-def test_drop_index_keeps_spec(tmp_path):
+def test_save_index_records_the_spec_and_writes_no_index(tmp_path):
+    """The index is never persisted: ``save_index`` records its spec — which
+    is configuration, part of the fingerprint — and writes nothing else,
+    and the spec survives a reshard into the new layout."""
     store = LakeStore(tmp_path, "fp")
-    assert not store.drop_index()
+    assert store.index_spec() is None
     spec = IndexSpec(params={"metric": "cosine"})
+    before = sorted(path for path in tmp_path.rglob("*") if path.is_file())
     store.save_index(_column_index(store.n_shards), spec)
-    assert store.drop_index()
-    assert store.load_index(8).restored_shards == set()
-    # The index spec is configuration, not artifact: it survives the
-    # drop so a rebuild happens under the same spec (and fingerprint) ...
+    assert sorted(path for path in tmp_path.rglob("*") if path.is_file()) == before
     assert LakeStore.peek_index_spec(tmp_path) == spec
-    assert LakeStore.open(tmp_path).index_spec() == spec
-    # ... and a reshard carries it into the new layout.
-    store.reshard(store.n_shards + 1, "fp", lambda staged: None)
-    assert LakeStore.peek_index_spec(tmp_path) == spec
-
-
-def test_save_index_heals_a_shard_whose_table_manifest_moved_on(
-    tmp_path, city_table, product_table, tiny_sketch_config
-):
-    """`save_table` without the live index, then `save_index` with an index
-    nobody touched: the table write bumped that shard's mutation counter,
-    so its persisted index would be rejected at the next open unless
-    `save_index` re-saves it, dirty or not."""
-    store = LakeStore(tmp_path, "fp")
-    records = [_record(t, tiny_sketch_config) for t in (city_table, product_table)]
-    store.save_tables(records)
-    index = _column_index(store.n_shards)
-    store.save_index(index, IndexSpec("exact", {}))
-    assert index.dirty_shards() == set()
-
-    store.save_table(records[0])  # replace: a new version of the same table
-    owner = store.shard_id(records[0].name)
-    assert not store.shards[owner].index_in_step()
-    store.save_index(index, IndexSpec("exact", {}))
-
     reopened = LakeStore.open(tmp_path)
-    assert reopened.load_index(8).restored_shards == _every_shard(store)
+    assert reopened.index_spec() == spec
+    assert reopened.stats()["index_backend"] == "exact:metric=cosine"
+    assert "index_disk_bytes" not in reopened.stats()
+    store.reshard(store.n_shards + 1, "fp")
+    assert LakeStore.peek_index_spec(tmp_path) == spec
 
 
 def test_failed_array_write_leaves_manifest_clean(
@@ -526,33 +473,3 @@ def test_replacement_never_overwrites_live_archive(
     second = _table_archives(tmp_path)
     assert len(first) == len(second) == 1
     assert first[0].name != second[0].name
-
-
-def test_torn_shard_index_rebuilds_that_shard_others_stay_warm(
-    tmp_path, lake_embedder, lake_tables
-):
-    """Truncating one shard's index.npz mid-byte must rebuild exactly that
-    shard's index on the next warm open (insertions == its columns), adopt
-    every other shard's persisted index untouched, and heal the artifact."""
-    store = LakeStore(tmp_path, "fp", n_shards=3)
-    catalog = LakeCatalog(lake_embedder, store=store)
-    catalog.add_tables(lake_tables)
-
-    victim = next(shard for shard in store.shards if len(shard) > 0)
-    victim_columns = sum(int(e["n_cols"]) for e in victim.entries())
-    index_path = victim.root / "index.npz"
-    index_path.write_bytes(index_path.read_bytes()[: index_path.stat().st_size // 2])
-
-    with pytest.warns(RuntimeWarning, match="could not be restored"):
-        warm = LakeCatalog.from_store(lake_embedder, LakeStore.open(tmp_path))
-    assert warm.embed_calls == 0, "an index rebuild must never re-embed"
-    assert warm.searcher.insertions == victim_columns
-    assert warm.table_names() == catalog.table_names()
-    for name in lake_tables:  # rankings identical to the undamaged build
-        pairs = catalog.records[name].vector_pairs()
-        assert warm.searcher.rank(
-            pairs, 4, exclude_table=name
-        ) == catalog.searcher.rank(pairs, 4, exclude_table=name)
-
-    healed = LakeCatalog.from_store(lake_embedder, LakeStore.open(tmp_path))
-    assert healed.searcher.insertions == 0, "the rebuild must re-persist"

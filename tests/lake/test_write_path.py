@@ -1,15 +1,14 @@
-"""The catalog's write path: one compact manifest flush per touched shard.
+"""The catalog's write path: table archives plus one compact manifest flush
+per touched shard, and no index archive.
 
-Every catalog write hands the store the live index, so a shard's table
-entries, its ``mutation_counter`` and its ``"index"`` entry land in one
-manifest rename. An append (index unchanged) only re-stamps the entry; an
-add, update or remove re-archives ``index.npz`` first, stamped with the new
-counter. Pinned here: the flush counts, and that a flush re-encodes only
-the manifest entries its write changed; that a kill at any file operation of
-a write leaves a store that reopens as the old or the new state (with its
-write-then-rename leftovers swept) and ranks like a cold rebuild of that
-state; the kill between the ``index.npz`` rename and the manifest flush; and
-that the catalog's stale-name set stays in step with the records.
+The index is derived state (a warm open assembles it from the stored
+vectors), so a write persists only what it changed. Pinned here: the flush
+and archive counts, and that a flush re-encodes only the manifest entries
+its write changed; that a kill at any file operation of a write leaves a
+store that reopens as the old or the new state (with its write-then-rename
+leftovers swept) and ranks like a cold rebuild of that state; that neither
+a warm open nor a replica's adoption writes a byte; and that the catalog's
+stale-name set stays in step with the records.
 """
 
 from __future__ import annotations
@@ -25,13 +24,13 @@ import pytest
 from repro.lake import store as store_module
 from repro.lake.api import DiscoveryRequest
 from repro.lake.catalog import LakeCatalog
-from repro.lake.replica import SnapshotPublisher
+from repro.lake.replica import ReplicaService, SnapshotPublisher
 from repro.lake.service import LakeService
 from repro.lake.store import LakeStore
 from repro.search.tables import TableSearcher
 from repro.table.schema import table_from_rows
 
-_LEFTOVERS = ("manifest.tmp.json", "index.tmp.npz")
+_LEFTOVERS = ("manifest.tmp.json",)
 
 
 def _new_tables() -> dict:
@@ -139,7 +138,7 @@ def _assert_swept(root: Path) -> None:
 # --------------------------------------------------------------------- #
 @pytest.fixture()
 def writes(monkeypatch) -> Counter:
-    """Counts root-manifest, shard-manifest and index-archive writes."""
+    """Counts root-manifest, shard-manifest and table-archive writes."""
     counts: Counter = Counter()
     write_manifest = store_module._write_manifest
     write_archive = store_module.write_archive
@@ -150,8 +149,7 @@ def writes(monkeypatch) -> Counter:
         write_manifest(path, manifest)
 
     def counted_archive(path, arrays):
-        if Path(path).name == "index.tmp.npz":
-            counts["index_archive"] += 1
+        counts["table_archive"] += 1
         return write_archive(path, arrays)
 
     monkeypatch.setattr(store_module, "_write_manifest", counted_manifest)
@@ -167,14 +165,18 @@ def test_each_write_flushes_each_touched_shard_once(
     writes.clear()
     OPS[op](catalog, lake_tables)
     if op == "add_tables":
-        touched = len({catalog.store.shard_id(name) for name in _new_tables()})
+        tables = _new_tables()
+        touched = len({catalog.store.shard_id(name) for name in tables})
         # Fresh tables take global sequence numbers: the root moves once.
-        expected = {"root_manifest": 1, "shard_manifest": touched, "index_archive": touched}
-    elif op == "append_rows":
-        expected = {"shard_manifest": 1}  # re-stamped: no index.npz written
+        expected = {
+            "root_manifest": 1, "shard_manifest": touched, "table_archive": len(tables)
+        }
+    elif op == "remove_table":
+        expected = {"shard_manifest": 1}
     else:
-        expected = {"shard_manifest": 1, "index_archive": 1}
+        expected = {"shard_manifest": 1, "table_archive": 1}
     assert dict(writes) == expected
+    assert not list(base_lake.rglob("index*.npz"))
     reopened = _warm(lake_embedder, base_lake)
     assert reopened.searcher.insertions == 0 and reopened.embed_calls == 0
 
@@ -226,9 +228,9 @@ def test_add_tables_writes_every_archive_through_the_codec(
 ):
     """``kill_at`` kills archive writes by counting ``write_archive`` where
     the store calls it. An ``add_tables`` of N fresh tables makes exactly N
-    table archives plus one ``index.npz`` per touched shard, every one of
-    them through that seam: a write path that bypassed it would leave the
-    crash tests passing without killing that write."""
+    table archives and nothing else, every one of them through that seam: a
+    write path that bypassed it would leave the crash tests passing without
+    killing that write."""
     written: list[Path] = []
     write_archive = store_module.write_archive
 
@@ -241,11 +243,8 @@ def test_add_tables_writes_every_archive_through_the_codec(
     monkeypatch.setattr(store_module, "write_archive", counted)
     tables = _new_tables()
     catalog.add_tables(tables)
-    touched = {catalog.store.shard_id(name) for name in tables}
-    assert len(written) == len(tables) + len(touched)
-    assert sum(path.name == "index.tmp.npz" for path in written) == len(touched)
-    new_tables = set(base_lake.rglob("tables/*.npz")) - before
-    assert new_tables == {path for path in written if path.parent.name == "tables"}
+    assert len(written) == len(tables)
+    assert set(base_lake.rglob("*.npz")) - before == set(written)
 
 
 def test_manifests_are_compact_single_line_json(base_lake):
@@ -302,46 +301,48 @@ def test_write_killed_at_every_file_operation_reopens_old_or_new(
         assert leftovers, "some kill must have left a temporary to sweep"
 
 
-def test_kill_between_index_rename_and_manifest_flush_rebuilds_that_shard(
-    base_lake, lake_embedder, lake_tables, monkeypatch
+def _bytes_under(root: Path) -> dict:
+    return {
+        path.relative_to(root).as_posix(): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def test_a_warm_open_writes_nothing(base_lake, lake_embedder, lake_tables):
+    """Assembling the index is read-only: a warm open — of a lake whose
+    shards hold a stale table, too — leaves every byte as it found it."""
+    _append(_warm(lake_embedder, base_lake), lake_tables)
+    before = _bytes_under(base_lake)
+    warm = _warm(lake_embedder, base_lake)
+    assert warm.stale_tables() and warm.searcher.insertions == 0
+    assert _bytes_under(base_lake) == before
+
+
+def test_a_replica_adoption_writes_nothing_into_its_snapshot(
+    base_lake, lake_embedder, tmp_path
 ):
-    """The renamed-in ``index.npz`` carries the new counter and the
-    manifest the old one, so the archive is refused: that shard rebuilds
-    from the (old) tables — never serving new vectors against them — and
-    every other shard stays warm."""
-    old = _state(base_lake)
-    catalog = _warm(lake_embedder, base_lake)
-    shard = catalog.store.shards[catalog.store.shard_id("g0t2")]
-    counter = int(shard._manifest["mutation_counter"])
-    columns = sum(int(entry["n_cols"]) for entry in shard.entries())
-
-    class Killed(Exception):
-        pass
-
-    def killed(path, manifest):
-        raise Killed(path)
-
-    monkeypatch.setattr(store_module, "_write_manifest", killed)
-    with pytest.raises(Killed):
-        catalog.update_table(_shrunk(lake_tables["g0t2"]))
-    monkeypatch.undo()
-    with np.load(shard.root / "index.npz") as archive:
-        assert int(archive["__mutation_counter"]) == counter + 1
-
-    reopened = _warm(lake_embedder, base_lake)
-    assert _state(base_lake) == old
-    assert reopened.embed_calls == 0
-    assert reopened.searcher.insertions == columns, "only that shard rebuilds"
-    _assert_ranks_like_a_cold_rebuild(reopened)
-    assert _warm(lake_embedder, base_lake).searcher.insertions == 0
+    """A replica serves a shared, read-only generation: adopting one —
+    even one with no index archive in a shard, which an older build
+    rebuilt and wrote back — changes no byte under it."""
+    snapshots = tmp_path / "snapshots"
+    generation = SnapshotPublisher(base_lake, snapshots).publish()
+    root = snapshots / f"gen-{generation:06d}"
+    (root / "shards" / "s000" / "index.npz").unlink(missing_ok=True)
+    before = _bytes_under(root)
+    replica = ReplicaService(lake_embedder, snapshots)
+    assert replica.generation == generation and replica.refusals == 0
+    assert len(replica.catalog) == len(LakeStore.open(base_lake))
+    assert _bytes_under(root) == before
 
 
 def test_open_sweeps_write_then_rename_leftovers(base_lake, tmp_path):
-    """A kill inside a manifest or index flush leaves its temporary behind;
-    the next open deletes it, and a published generation never ships it."""
+    """A kill inside a manifest flush leaves its temporary behind, and an
+    older build's kill inside an index flush left ``index.tmp.npz``; the
+    next open deletes both, and a published generation never ships them."""
     planted = [base_lake / "manifest.tmp.json"]
     for shard_dir in sorted((base_lake / "shards").iterdir()):
-        planted += [shard_dir / name for name in _LEFTOVERS]
+        planted += [shard_dir / name for name in (*_LEFTOVERS, "index.tmp.npz")]
     for path in planted:
         path.write_bytes(b"torn")
     generation = SnapshotPublisher(base_lake, tmp_path / "snapshots").publish()

@@ -1,6 +1,7 @@
 """The `VectorIndex` protocol layer: the persisted index spec, `query_many`
-≡ `query`, remove → re-add round trips, state persistence round trips, and
-the sharded multi-index merge path — under both metrics a spec can name."""
+≡ `query`, remove → re-add round trips, in-place replacement, restore round
+trips, and the sharded multi-index merge path — under both metrics a spec
+can name."""
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from repro.search.backend import (
     VectorIndex,
     make_index,
     make_sharded_index,
-    restore_index,
     stable_shard,
 )
 from repro.search.index import KnnIndex
@@ -137,14 +137,51 @@ def test_remove_many_missing_keys_is_noop(metric, corpus):
 
 
 # --------------------------------------------------------------------- #
-# Persistence round trips
+# In-place replacement
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("n_shards", [None, 1, 3])
+def test_replace_many_keeps_every_other_row_in_place(n_shards, corpus):
+    """Replacing rows puts the new ones where the first old one stood and
+    leaves every other row where it was, so each (sub-)index equals a fresh
+    restore in that order, bit for bit; with none to replace, it appends."""
+    vectors, queries = corpus
+    if n_shards is None:
+        index = _build(vectors[:30])
+    else:
+        index = _build_sharded(n_shards, vectors[:30])
+    new = [(key, vectors[100 + key]) for key in (5, 6, 7, 32)]
+    assert index.replace_many([6, 5, 7, 9, 999], new) == 4
+    assert index.replace_many([], [(40, vectors[140])]) == 0
+    rows = {key: vector for key, vector in enumerate(vectors[:30]) if key != 9}
+    rows.update(new)
+    rows[40] = vectors[140]
+    for sub in index.subs if n_shards else [index]:
+        order = sub.keys()
+        stayed = [key for key in order if key not in (5, 6, 7, 32, 40)]
+        assert stayed == sorted(stayed)
+        rebuilt = KnnIndex.restore(
+            DIM, {}, order, {"vectors": np.array([rows[key] for key in order])}, {}
+        )
+        assert (
+            sub.state_arrays()[0]["vectors"].tobytes()
+            == rebuilt.state_arrays()[0]["vectors"].tobytes()
+        )
+        assert sub.query_many(queries, 8) == rebuilt.query_many(queries, 8)
+    if n_shards is None:
+        assert index.keys() == [*range(5), 5, 6, 7, 32, 8, *range(10, 30), 40]
+
+
+# --------------------------------------------------------------------- #
+# Restore round trips
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("metric", METRICS)
 def test_state_arrays_restore_round_trip(metric, corpus):
     vectors, queries = corpus
     index = _build(vectors, metric)
     arrays, meta = index.state_arrays()
-    restored = restore_index(_spec(metric), DIM, index.state_keys(), arrays, meta)
+    restored = KnnIndex.restore(
+        DIM, _spec(metric).params, index.state_keys(), arrays, meta
+    )
     assert restored.metric == metric
     assert len(restored) == len(index)
     assert restored.keys() == index.keys()
@@ -160,7 +197,9 @@ def test_restore_rejects_key_count_mismatch(metric, corpus):
     index = _build(vectors[:10], metric)
     arrays, meta = index.state_arrays()
     with pytest.raises(ValueError, match="keys"):
-        restore_index(_spec(metric), DIM, index.state_keys()[:-1], arrays, meta)
+        KnnIndex.restore(
+            DIM, _spec(metric).params, index.state_keys()[:-1], arrays, meta
+        )
 
 
 # --------------------------------------------------------------------- #
@@ -201,30 +240,10 @@ def test_sharded_routing_membership_and_removal(corpus):
     # Keys live in exactly their routed shard.
     assert 17 in sharded and 17 in sharded.subs[17 % 4]
     assert all(17 not in sharded.subs[s] for s in range(4) if s != 17 % 4)
-    sharded.mark_clean()
     assert sharded.remove_many([17, 21, 999]) == 2
     assert 17 not in sharded and 21 not in sharded
-    # Only the touched shards are dirty — the incremental-save contract.
-    assert sharded.dirty_shards() == {17 % 4, 21 % 4}
     for hits in sharded.query_many(queries, 50):
         assert 17 not in _keys(hits) and 21 not in _keys(hits)
-
-
-def test_sharded_reset_shard_and_state_guard(corpus):
-    vectors, _ = corpus
-    sharded = _build_sharded(3, vectors[:30])
-    sharded.mark_clean()
-    sharded.reset_shard(1)
-    # A reset shard no longer matches whatever was persisted for it, even
-    # if nothing is re-added: it must ride the next save.
-    assert sharded.dirty_shards() == {1}
-    assert len(sharded) == 30 - sum(1 for i in range(30) if i % 3 == 1)
-    assert all(key % 3 != 1 for key in sharded.keys())
-    # Monolithic state export is a contract violation, loudly.
-    with pytest.raises(NotImplementedError, match="per shard"):
-        sharded.state_arrays()
-    with pytest.raises(NotImplementedError, match="per shard"):
-        sharded.state_keys()
 
 
 def test_stable_shard_is_deterministic_and_spread():
