@@ -74,15 +74,11 @@ def test_a_store_write_without_the_catalog_is_what_the_next_open_serves(
     lake_embedder, lake_tables, tmp_path
 ):
     """The index is derived from the table archives, so there is nothing to
-    fall out of step with them: a remove or a re-vectored save made on the
-    store alone — no live index handed over — is exactly what the next warm
-    open serves, with no rebuild."""
-    catalog = _build(lake_embedder, lake_tables, tmp_path)
-    record = catalog.records["g1t1"]
-    record.column_vectors = record.column_vectors + 0.25
-    store = LakeStore.open(tmp_path)
-    store.remove_table("g0t0")
-    store.save_table(record)
+    fall out of step with them: a remove made on the store alone — no live
+    index handed over — is exactly what the next warm open serves, with no
+    rebuild and no ghost columns."""
+    _build(lake_embedder, lake_tables, tmp_path)
+    LakeStore.open(tmp_path).remove_table("g0t0")
 
     warm = LakeCatalog.from_store(lake_embedder, LakeStore.open(tmp_path))
     assert warm.searcher.insertions == 0 and warm.embed_calls == 0
@@ -92,6 +88,23 @@ def test_a_store_write_without_the_catalog_is_what_the_next_open_serves(
             warm.records[name].vector_pairs(), 5, exclude_table=name
         )
         assert "g0t0" not in {hit.table for hit in hits}
+
+
+def test_same_schema_vector_drift_detected(lake_embedder, lake_tables, tmp_path):
+    """A table re-saved with new vectors under the same (table, column)
+    keys — identical keys, different data — is served with the archive's
+    newer vectors: the warm index is assembled from those archives, so a
+    drift has nowhere to hide and needs no rebuild to be picked up."""
+    catalog = _build(lake_embedder, lake_tables, tmp_path)
+    record = catalog.records["g1t1"]
+    record.column_vectors = record.column_vectors + 0.25
+    LakeStore.open(tmp_path).save_table(record)  # table flush only
+
+    warm = LakeCatalog.from_store(lake_embedder, LakeStore.open(tmp_path))
+    assert warm.searcher.insertions == 0 and warm.embed_calls == 0
+    assert np.array_equal(
+        warm.records["g1t1"].column_vectors, record.column_vectors
+    )
     shard = warm.searcher.index.subs[warm.store.shard_id("g1t1")]
     rows = [i for i, key in enumerate(shard.keys()) if key.table == "g1t1"]
     assert np.array_equal(

@@ -7,6 +7,10 @@ Stores created without a shard count run at 1 shard and at 4 (the
 directory's ``lake_layout_shards`` fixture).
 """
 
+import gc
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -212,6 +216,51 @@ def test_save_index_records_the_spec_and_writes_no_index(tmp_path):
     assert "index_disk_bytes" not in reopened.stats()
     store.reshard(store.n_shards + 1, "fp")
     assert LakeStore.peek_index_spec(tmp_path) == spec
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "damage",
+    [lambda data: b"not a zip archive", lambda data: data[: len(data) // 2]],
+    ids=["not-a-zip", "torn"],
+)
+def test_corrupt_index_archive_degrades_to_rebuild(
+    tmp_path, city_table, product_table, tiny_sketch_config, damage
+):
+    """A garbage or torn ``index.npz`` an older writer left in a shard, with
+    the manifest entry that names it, is never opened: the store assembles the same index from its table archives
+    — the rebuild every open now is — with no warning, no file handle left
+    to the GC (any warning is an error here), and the file left as it was."""
+    store = LakeStore(tmp_path, "fp")
+    store.save_tables(
+        [
+            _record(table, tiny_sketch_config, seed=seed)
+            for seed, table in enumerate((city_table, product_table))
+        ]
+    )
+    expected = store.load_index(8)
+    buffer = io.BytesIO()
+    np.savez(buffer, vectors=np.ones((3, 8)))
+    planted = {}
+    for shard in store.shards:
+        manifest_path = shard.root / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["index"] = {"file": "index.npz", "n_keys": 3}
+        manifest["mutation_counter"] = 7
+        manifest_path.write_text(store_module._dumps(manifest), encoding="utf-8")
+        path = shard.root / "index.npz"
+        planted[path] = damage(buffer.getvalue())
+        path.write_bytes(planted[path])
+
+    restored = LakeStore.open(tmp_path).load_index(8)
+    gc.collect()
+    assert len(restored) == len(expected) > 0
+    for sub, want in zip(restored.subs, expected.subs):
+        assert sub.keys() == want.keys()
+        assert np.array_equal(
+            sub.state_arrays()[0]["vectors"], want.state_arrays()[0]["vectors"]
+        )
+    assert {path: path.read_bytes() for path in planted} == planted
 
 
 def test_failed_array_write_leaves_manifest_clean(
