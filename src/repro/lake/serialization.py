@@ -39,6 +39,14 @@ from repro.table.schema import ColumnType
 #: every existing lake, while both directions still read — this code never
 #: reads an older shard's index archive and retires it at the shard's first
 #: write, and an older reader rebuilds an index-less shard from its tables.
+#: The shard manifest journal (:mod:`repro.lake.store` owns it, beside a
+#: base ``manifest.json``) bumps nothing either, for the same reason, but
+#: it reads one way only: this code folds an older store's bases (no journal)
+#: as they are, while an older reader would read a base alone. So a store
+#: this code writes records its fingerprint with a mark in the root
+#: manifest (``repro.lake.store._JOURNAL_MARK``), which that reader
+#: compares before it touches a file, and refuses; the fingerprint this
+#: code derives and checks is the unmarked one.
 FORMAT_VERSION = 2
 
 

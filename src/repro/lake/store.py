@@ -12,7 +12,8 @@ layout, whatever N::
                              #             index_spec, fingerprint}
       shards/
         s000/                # one full LakeShard layout per shard
-          manifest.json      # fingerprint + ordered table entries
+          manifest.json      # base: fingerprint + ordered table entries
+          manifest.log       # journal: one line per commit since the base
           tables/
             t000001.npz      # one archive per table (see below)
         s001/...
@@ -60,24 +61,40 @@ top-level manifest), so :meth:`LakeStore.load_all` and
 at any shard count — order, and therefore tie-breaking, is layout-invariant.
 
 Manifests are compact single-line JSON (the C encoder; any JSON reader
-reads them). A shard keeps each table entry's encoded text, and a write or
-remove drops only the text of the entry it changed, so a flush encodes the
-small head and the changed entries and splices in the rest: an append to a
-shard of thousands of tables encodes one entry, yet the file is byte for
-byte the encode of the whole manifest. **A table write is its table
-archives plus one atomic manifest flush (write-then-rename) per touched
-shard**, and a remove is that flush alone. A process killed mid-ingest
-loses at most the unflushed tail of the shard being written; a shard whose
-manifest is torn beyond repair degrades to an empty shard with a warning at
-open time while every other shard stays warm.
+reads them). A shard's manifest is a base, ``manifest.json``, and a journal,
+``manifest.log``. **A table write is its table archives plus one manifest
+commit per touched shard**, and a remove is that commit alone. A commit
+appends one line to the journal with one ``write``: the base's length and
+CRC-32, the head (counters, fingerprint), the names it drops and the
+entries it puts. A shard keeps each entry's encoded text and a write or
+remove drops the text of the entry it touched, so a commit encodes only
+what changed. When the journal would grow past the base, the commit
+compacts instead: it writes the whole manifest as the new base
+(write-then-rename, splicing in the cached texts) and unlinks the journal.
+A write is thus O(its delta) amortized, and the journal an open replays is
+never bigger than the base. An open folds base and journal in memory and
+writes nothing; it replays no torn last line (no newline, or not JSON),
+which the shard's next write cuts off, and no line tied to another base
+(a compaction killed between its rename and the unlink). A shard whose base
+is torn beyond repair degrades to an empty shard with a warning at open
+time while every other shard stays warm.
 
-**Durability: process-kill-safe, not power-loss-safe.** Every flush is
-write-then-rename and nothing here calls ``fsync``. A process killed at any
-file operation (an exception, SIGKILL, the OOM killer) leaves each table at
-its old or its new state, which ``tests/lake/test_write_path.py`` and
+The journal is one-way compatible. This code reads every store an older
+build wrote, and writes nothing to it until its first write. That write
+marks the root manifest's recorded fingerprint (:data:`_JOURNAL_MARK`,
+which every store this code creates carries from the start), so an older
+reader — which would read a shard's base alone and sweep every archive
+only the journal names — refuses the store before it touches a file.
+
+**Durability: process-kill-safe, not power-loss-safe.** Every base is
+written write-then-rename, every journal line is one append, and nothing
+here calls ``fsync``. A process killed at any file operation (an
+exception, SIGKILL, the OOM killer) leaves each table at its old or its new
+state, which ``tests/lake/test_write_path.py`` and
 ``tests/lake/test_migration.py`` check by killing every write at every
-operation (the ``kill_at`` fixture). A power loss or kernel crash may still
-lose renames the OS had not written back, or keep a renamed file whose data
+operation, a journal append both before it writes and halfway through (the
+``kill_at`` fixture). A power loss or kernel crash may still lose renames
+or appends the OS had not written back, or keep a renamed file whose data
 never reached the disk.
 """
 
@@ -88,6 +105,8 @@ import json
 import os
 import shutil
 import warnings
+import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -115,6 +134,15 @@ SHARDS_DIR = "shards"
 #: Write-then-rename staging name; a kill between the write and the rename
 #: leaves one behind, swept at the next open.
 _MANIFEST_TMP = "manifest.tmp.json"
+#: A shard's manifest journal, beside its base ``manifest.json``: one line
+#: per commit since the last compaction (see :meth:`LakeShard._commit`).
+JOURNAL_NAME = "manifest.log"
+#: Appended to the fingerprint a root manifest records once this code
+#: writes the store, since its shards may then hold journals. A reader
+#: that predates the journal compares the recorded fingerprint with the
+#: one it expects (or with each shard's) before it touches a file, so it
+#: refuses the store instead of sweeping archives only a journal names.
+_JOURNAL_MARK = "+journal"
 #: Shard-manifest keys an older build kept for its persisted index (the
 #: archive's entry, and the write counter it was checked against); a
 #: shard's first write drops them.
@@ -139,8 +167,13 @@ _FLUSH_BYTES = obs.counter(
 )
 _FLUSH_MS = obs.histogram(
     "lake_store_flush_duration_ms",
-    "Store flush latency in milliseconds (table saves), by shard",
+    "Store flush latency in milliseconds (table saves and removes), by shard",
     ("shard",),
+)
+_MANIFEST_BYTES = obs.counter(
+    "lake_store_manifest_bytes_total",
+    "Shard manifest bytes written, by shard and kind (journal or compaction)",
+    ("shard", "kind"),
 )
 
 
@@ -161,8 +194,76 @@ def _write_manifest(path: Path, text: str) -> None:
     # Write-then-rename: a crash mid-flush must leave the previous
     # manifest intact, never a torn JSON file.
     temporary = path.with_name(_MANIFEST_TMP)
-    temporary.write_text(text + "\n", encoding="utf-8")
+    with open(temporary, "wb") as handle:
+        handle.write(text.encode("utf-8") + b"\n")
     os.replace(temporary, path)
+
+
+def _append_journal(path: Path, line: bytes, keep: int) -> None:
+    """Cut the journal at ``path`` to its first ``keep`` bytes (the lines
+    that replay: a torn tail, or all of a stale journal, goes) and append
+    ``line`` with one ``write``."""
+    handle = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o666)
+    try:
+        os.ftruncate(handle, keep)
+        written = os.write(handle, line)
+    finally:
+        os.close(handle)
+    if written != len(line):
+        raise OSError(f"short journal write to {path}: {written} of {len(line)} bytes")
+
+
+def _base_tie(data: bytes) -> list[int]:
+    """What ties a journal line to the base it extends: the base file's
+    length and CRC-32 (a compaction's new base has another)."""
+    return [len(data), zlib.crc32(data)]
+
+
+@dataclass
+class _ShardManifest:
+    """A shard's manifest as its base and journal fold to, read-only."""
+
+    manifest: dict
+    #: :func:`_base_tie` of the base file.
+    tie: list[int]
+    #: Journal bytes that replayed; a torn tail or a stale journal is past
+    #: them, and the shard's next write cuts it off.
+    replayed: int
+
+
+def _read_shard_manifest(root: Path) -> _ShardManifest:
+    """Fold ``root``'s base ``manifest.json`` and journal in memory; writes
+    nothing.
+
+    Lines replay in order until the first that is torn (no newline, or not
+    JSON) or tied to another base (a compaction killed between its rename
+    and the journal's unlink leaves every line so): that one and all after
+    it are never replayed. Raises what reading or decoding the base raises.
+    """
+    data = (root / MANIFEST_NAME).read_bytes()
+    manifest = json.loads(data)
+    tie = _base_tie(data)
+    journal = root / JOURNAL_NAME
+    # The piece after the last newline is a torn tail (or empty).
+    lines = journal.read_bytes().split(b"\n")[:-1] if journal.exists() else []
+    replayed = 0
+    # One pass: entries by name stay in slot order until the end.
+    by_name = {entry["name"]: entry for entry in manifest.pop("tables")}
+    for raw in lines:
+        try:
+            line = json.loads(raw)
+        except ValueError:
+            break
+        if not isinstance(line, dict) or line.get("base") != tie:
+            break
+        manifest = dict(line["head"])
+        for name in line["drop"]:
+            by_name.pop(name, None)
+        for entry in line["put"]:
+            by_name[entry["name"]] = entry
+        replayed += len(raw) + 1
+    manifest["tables"] = list(by_name.values())
+    return _ShardManifest(manifest, tie, replayed)
 
 
 def _read_root_manifest(root: str | os.PathLike) -> dict | None:
@@ -212,6 +313,11 @@ def _recover_interrupted_reshard(root: Path) -> None:
     stage = root / _RESHARD_STAGE
     if stage.exists():
         shutil.rmtree(stage)
+
+
+def _unmarked(fingerprint: str) -> str:
+    """A root manifest's recorded fingerprint without :data:`_JOURNAL_MARK`."""
+    return fingerprint.removesuffix(_JOURNAL_MARK)
 
 
 def _shard_count(top: dict) -> int:
@@ -288,8 +394,10 @@ class LakeTableRecord:
 class LakeShard:
     """One self-contained shard: a manifest and its table archives.
 
-    All methods are local to the shard — cross-shard routing and global
-    ordering live in :class:`LakeStore`.
+    The manifest is a base file, ``manifest.json``, plus a journal,
+    ``manifest.log``, of the commits since the base was written (see
+    :meth:`_commit`). All methods are local to the shard — cross-shard
+    routing and global ordering live in :class:`LakeStore`.
     """
 
     def __init__(self, root: str | os.PathLike, fingerprint: str, shard_id: int):
@@ -303,16 +411,24 @@ class LakeShard:
         #: flush (see :meth:`_write_table`).
         self._pending_unlink: list[Path] = []
         #: Each table entry's compact JSON text by table name, as the last
-        #: flush wrote it; a write or remove drops its entry's text, so a
-        #: flush encodes only what changed (see :meth:`_flush`).
+        #: commit wrote it; a write or remove drops its entry's text, so a
+        #: commit encodes only what changed (see :meth:`_commit`).
         self._entry_texts: dict[str, str] = {}
-        manifest_path = self.root / MANIFEST_NAME
-        if manifest_path.exists():
-            manifest = read_json(manifest_path)
-            found = manifest.get("fingerprint", "")
+        #: Names written, and names removed, since the last commit: what
+        #: the next journal line puts and drops.
+        self._changed: dict[str, None] = {}
+        self._dropped: dict[str, None] = {}
+        if (self.root / MANIFEST_NAME).exists():
+            read = _read_shard_manifest(self.root)
+            found = read.manifest.get("fingerprint", "")
             if found != fingerprint:
                 raise FingerprintMismatchError(fingerprint, found)
-            self._manifest = manifest
+            self._manifest = read.manifest
+            #: :func:`_base_tie` of the base on disk.
+            self._tie = read.tie
+            #: Journal bytes that replay; the next append cuts the file
+            #: back to them.
+            self._journal_bytes = read.replayed
             self._sweep_orphans()
         else:
             self._manifest = {
@@ -321,19 +437,22 @@ class LakeShard:
                 "next_id": 1,
                 "tables": [],
             }
-            self._flush()
+            self._journal_bytes = 0
+            self._compact()
         # O(1) name lookup over the ordered entry list.
         self._by_name: dict[str, dict] = {
             entry["name"]: entry for entry in self._manifest["tables"]
         }
 
-    def _flush(self) -> None:
-        """Write the manifest, encoding only the entries changed since the
-        last flush (every entry, on a shard's first flush after open).
+    def _compact(self) -> None:
+        """Write the whole manifest as the new base (write-then-rename),
+        then unlink the journal it folds in.
 
-        The head (counters, fingerprint) is encoded fresh and the cached
-        entry texts are spliced into ``"tables":[...]`` where the key-sorted
-        encode of the whole manifest puts them, so the bytes are exactly
+        Only entries with no cached text are encoded (every entry, on a
+        shard's first compaction after open): the head (counters,
+        fingerprint) is encoded fresh and the cached entry texts are
+        spliced into ``"tables":[...]`` where the key-sorted encode of the
+        whole manifest puts them, so the bytes are exactly
         ``_dumps(self._manifest)``'s.
         """
         texts = self._entry_texts
@@ -351,6 +470,31 @@ class LakeShard:
         )
         text = "{" + ",".join(part for part in parts if part) + "}"
         _write_manifest(self.root / MANIFEST_NAME, text)
+        data = text.encode("utf-8") + b"\n"
+        # The journal is stale from here on, unlinked or not.
+        self._tie = _base_tie(data)
+        self._journal_bytes = 0
+        (self.root / JOURNAL_NAME).unlink(missing_ok=True)
+        _MANIFEST_BYTES.labels(shard=str(self.shard_id), kind="compaction").inc(
+            len(data)
+        )
+
+    def _journal_line(self) -> bytes:
+        """One commit as a journal line: the base it extends, the names it
+        drops, the head, and the entries it puts (cached texts, encoded
+        once per change)."""
+        texts = self._entry_texts
+        puts = []
+        for name in self._changed:
+            text = texts.get(name)
+            if text is None:
+                text = texts[name] = _encode_entry(self._by_name[name])
+            puts.append(text)
+        head = {key: value for key, value in self._manifest.items() if key != "tables"}
+        return (
+            f'{{"base":{_dumps(self._tie)},"drop":{_dumps(list(self._dropped))},'
+            f'"head":{_dumps(head)},"put":[{",".join(puts)}]}}\n'
+        ).encode("utf-8")
 
     def _sweep_orphans(self) -> None:
         """Delete table archives the manifest does not reference, and any
@@ -419,6 +563,7 @@ class LakeShard:
         }
         self._manifest["next_id"] += 1
         self._entry_texts.pop(record.name, None)
+        self._changed[record.name] = None
         if existing is None:
             fields["seq"] = int(seq)
             self._manifest["tables"].append(fields)
@@ -440,17 +585,26 @@ class LakeShard:
     def save_tables(
         self, records: list[LakeTableRecord], seqs: "list[int | None]"
     ) -> None:
-        """Write tables' artifacts with a single manifest flush; a record
+        """Write tables' artifacts with a single manifest commit; a record
         replaces any same-named entry (its ``seq`` is then ignored — new
         entries need one)."""
-        with obs.span("store.flush", shard=self.shard_id) as flush:
+        with self._flushing() as flush:
             for record, seq in zip(records, seqs):
                 self._write_table(record, seq)
-            self._commit()
+            self._commit(flush)
+
+    @contextmanager
+    def _flushing(self) -> Iterator[obs.Span]:
+        """The ``store.flush`` span and latency sample every commit, a
+        save's or a remove's, runs inside."""
+        with obs.span("store.flush", shard=self.shard_id) as flush:
+            yield flush
         _FLUSH_MS.labels(shard=str(self.shard_id)).observe(flush.duration_ms)
 
-    def _commit(self) -> None:
-        """The one manifest flush of a write, then its staged unlinks.
+    def _commit(self, flush: obs.Span) -> None:
+        """The one manifest flush of a write, then its staged unlinks;
+        ``flush`` (the ``store.flush`` span) is tagged with the flush's
+        kind.
 
         The flush also retires what an older build kept for its persisted
         index (:data:`_RETIRED_KEYS`), and that index archive is unlinked
@@ -462,8 +616,31 @@ class LakeShard:
             self._pending_unlink.append(self.root / index["file"])
         for key in _RETIRED_KEYS:
             self._manifest.pop(key, None)
-        self._flush()
+        flush.meta["manifest"] = self._flush()
         self._drain_unlinks()
+
+    def _flush(self) -> str:
+        """Persist the manifest changes since the last flush; returns
+        ``"journal"`` or ``"compaction"``.
+
+        A flush appends one journal line (:meth:`_journal_line`) with one
+        ``write``, or, when the journal's bytes would then exceed the
+        base's, compacts instead (:meth:`_compact`). A write therefore
+        costs its delta amortized, and the journal an open replays is never
+        bigger than the base.
+        """
+        line = self._journal_line()
+        if self._journal_bytes + len(line) > self._tie[0]:
+            kind = "compaction"
+            self._compact()
+        else:
+            kind = "journal"
+            _append_journal(self.root / JOURNAL_NAME, line, self._journal_bytes)
+            self._journal_bytes += len(line)
+            _MANIFEST_BYTES.labels(shard=str(self.shard_id), kind=kind).inc(len(line))
+        self._changed.clear()
+        self._dropped.clear()
+        return kind
 
     def load_table(self, name: str) -> LakeTableRecord:
         entry = self._entry(name)
@@ -490,14 +667,17 @@ class LakeShard:
         entry = self._entry(name)
         if entry is None:
             return False
-        self._manifest["tables"].remove(entry)
-        del self._by_name[name]
-        self._entry_texts.pop(name, None)
-        # Forget, flush, *then* unlink: a kill in between leaves an
-        # unreferenced archive (swept at the next open), never an entry
-        # that points at a missing file.
-        self._pending_unlink.append(self.root / entry["file"])
-        self._commit()
+        with self._flushing() as flush:
+            self._manifest["tables"].remove(entry)
+            del self._by_name[name]
+            self._entry_texts.pop(name, None)
+            self._changed.pop(name, None)
+            self._dropped[name] = None
+            # Forget, commit, *then* unlink: a kill in between leaves an
+            # unreferenced archive (swept at the next open), never an entry
+            # that points at a missing file.
+            self._pending_unlink.append(self.root / entry["file"])
+            self._commit(flush)
         return True
 
     # ------------------------------------------------------------------ #
@@ -562,7 +742,7 @@ class LakeStore:
                     f"{n_shards} were requested; run `python -m repro.lake "
                     "reshard` to change the layout"
                 )
-            found = top.get("fingerprint", "")
+            found = _unmarked(top.get("fingerprint", ""))
             if found != fingerprint:
                 raise FingerprintMismatchError(fingerprint, found)
             if not top.get("sharded"):
@@ -576,7 +756,7 @@ class LakeStore:
             top = {
                 "format_version": FORMAT_VERSION,
                 "sharded": True,
-                "fingerprint": fingerprint,
+                "fingerprint": fingerprint + _JOURNAL_MARK,
                 "n_shards": n_shards,
                 # Global insertion sequence: stamped on every new entry so
                 # cross-shard order survives persistence.
@@ -605,7 +785,7 @@ class LakeStore:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        for name in (MANIFEST_NAME, _MANIFEST_TMP):
+        for name in (MANIFEST_NAME, _MANIFEST_TMP, JOURNAL_NAME):
             (shard_root / name).unlink(missing_ok=True)
         for pattern in ("*.npz", f"{TABLES_DIR}/*.npz"):
             for stale in shard_root.glob(pattern):
@@ -614,6 +794,16 @@ class LakeStore:
 
     def _flush_top(self) -> None:
         _write_manifest(self.root / MANIFEST_NAME, _dumps(self._top))
+
+    def _mark_journaled(self) -> bool:
+        """Record :data:`_JOURNAL_MARK` in the root manifest (in memory;
+        the caller flushes it before any shard commits). True when it was
+        not there yet: the first write to a store an older build wrote."""
+        marked = self.fingerprint + _JOURNAL_MARK
+        if self._top["fingerprint"] == marked:
+            return False
+        self._top["fingerprint"] = marked
+        return True
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -627,7 +817,7 @@ class LakeStore:
             raise FileNotFoundError(
                 f"no lake manifest at {Path(root) / MANIFEST_NAME}"
             )
-        found = top.get("fingerprint", "")
+        found = _unmarked(top.get("fingerprint", ""))
         if expected_fingerprint is not None and found != expected_fingerprint:
             raise FingerprintMismatchError(expected_fingerprint, found)
         return cls(root, found, _top=top)
@@ -680,6 +870,8 @@ class LakeStore:
         seq_by_name = dict(zip(fresh, range(start, start + len(fresh))))
         if fresh:
             self._top["next_seq"] = start + len(fresh)
+        marked = self._mark_journaled()
+        if fresh or marked:
             self._flush_top()
         groups: dict[int, tuple[list[LakeTableRecord], list[int | None]]] = {}
         for record in records:
@@ -711,8 +903,11 @@ class LakeStore:
             yield shard._load_entry(entry)
 
     def remove_table(self, name: str) -> bool:
-        """Forget one table: one manifest flush of its shard."""
-        return self._shard_for(name).remove_table(name)
+        """Forget one table: one manifest commit of its shard."""
+        shard = self._shard_for(name)
+        if name in shard and self._mark_journaled():
+            self._flush_top()
+        return shard.remove_table(name)
 
     # ------------------------------------------------------------------ #
     def reshard(self, n_shards: int, fingerprint: str) -> int:

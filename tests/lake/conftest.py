@@ -123,6 +123,14 @@ def flat_fixture() -> SimpleNamespace:
 
 
 @pytest.fixture(scope="session")
+def compact_fixture() -> SimpleNamespace:
+    """A 4-shard lake with compact manifests and no manifest journal
+    (`data/compact_store`, written by the last commit before shard
+    manifests had one); see :func:`_committed_fixture`."""
+    return _committed_fixture("compact_store")
+
+
+@pytest.fixture(scope="session")
 def sharded_fixture() -> SimpleNamespace:
     """A 4-shard lake with pretty-printed manifests and counter-less
     ``index.npz`` archives (`data/sharded_store`, written by the last commit
@@ -137,6 +145,10 @@ class _Killed(Exception):
     pass
 
 
+def _is_write_mode(mode: str) -> bool:
+    return any(flag in mode for flag in "wax+")
+
+
 @contextmanager
 def _killed_at_call(k: int):
     """Make the k-th file operation inside the block raise instead of
@@ -144,21 +156,42 @@ def _killed_at_call(k: int):
 
     Counted: ``os.replace`` / ``os.rename`` / ``shutil.move`` (renames),
     :func:`repro.lake.archive.write_archive` as ``repro.lake.store`` calls
-    it (every table and index archive write) and ``os.unlink`` (which
-    ``Path.unlink`` calls). The kill ends the block quietly; ``.fired``
-    says whether it happened (``False``: the block ran to the end in fewer
-    than k calls).
+    it (every table archive write), ``os.unlink`` (which ``Path.unlink``
+    calls), ``open`` for writing as ``repro.lake.store`` calls it (a
+    manifest's staging file), and the store's journal append
+    (``_append_journal``) twice: whole (the kill lands before it writes)
+    and torn (it writes the first half of its line, then the kill lands).
+    The kill ends the block quietly; ``.fired`` says whether it happened
+    (``False``: the block ran to the end in fewer than k calls).
     """
     state = SimpleNamespace(calls=0, fired=False)
 
+    def counted() -> bool:
+        state.calls += 1
+        return state.calls == k
+
     def guarded(real):
         def wrapper(*args, **kwargs):
-            state.calls += 1
-            if state.calls == k:
+            if counted():
                 raise _Killed(f"killed at file operation {k}")
             return real(*args, **kwargs)
 
         return wrapper
+
+    def guarded_open(file, mode="r", *args, **kwargs):
+        if _is_write_mode(mode) and counted():
+            raise _Killed(f"killed at file operation {k} (open {file})")
+        return open(file, mode, *args, **kwargs)
+
+    append_journal = store_module._append_journal
+
+    def guarded_append(path, line, keep):
+        if counted():
+            raise _Killed(f"killed at file operation {k} (journal, whole)")
+        if counted():
+            append_journal(path, line[: len(line) // 2], keep)
+            raise _Killed(f"killed at file operation {k} (journal, torn)")
+        return append_journal(path, line, keep)
 
     with pytest.MonkeyPatch.context() as patch:
         for owner, name in (
@@ -166,6 +199,8 @@ def _killed_at_call(k: int):
             (store_module, "write_archive"), (os, "unlink"),
         ):
             patch.setattr(owner, name, guarded(getattr(owner, name)))
+        patch.setattr(store_module, "open", guarded_open, raising=False)
+        patch.setattr(store_module, "_append_journal", guarded_append)
         try:
             yield state
         except _Killed:

@@ -160,11 +160,14 @@ def test_write_archive_refuses_what_npy_would_pickle(tmp_path):
 
 
 def test_every_committed_store_archive_reads_as_np_load_reads_it():
-    """The tables and ``index.npz`` of both fixture lakes, written by older
-    builds through np.savez (``model.npz``, the compressed weight bundle, is
-    no store archive)."""
+    """The tables and ``index.npz`` of the two fixture lakes older builds
+    wrote through np.savez (``model.npz``, the compressed weight bundle, is
+    no store archive; ``compact_store`` was written through this codec)."""
     paths = sorted(
-        path for path in _DATA.glob("*/lake/**/*.npz") if path.name != "model.npz"
+        path
+        for fixture in ("flat_store", "sharded_store")
+        for path in (_DATA / fixture).glob("lake/**/*.npz")
+        if path.name != "model.npz"
     )
     assert len(paths) == 23
     for path in paths:

@@ -1,19 +1,24 @@
-"""Stores an older build wrote still open, and the older reader opens ours.
+"""Stores older builds wrote still open here; the previous build refuses
+ours.
 
-`data/sharded_store/` holds a 4-shard lake written by a commit whose
+`data/compact_store/` holds a 4-shard lake written by the last commit before
+shard manifests had a journal (``compact_fixture``): compact manifests, no
+index archive. `data/sharded_store/` holds one written by a commit whose
 manifests were pretty-printed and whose shards each kept a persisted
-``index.npz`` (the ``sharded_fixture`` fixture), plus the answers that
-commit served; `data/flat_store/` is the flat-layout lake (``flat_fixture``).
-This code never reads those index archives: it opens a copy warm — zero
-forwards, zero index insertions, no file rewritten — and serves the
-recorded answers from an index assembled out of the stored vectors. A
-shard's first write retires its archive and manifest entry, and a kill at
-any file operation of that write still reopens to the same answers.
+``index.npz`` (``sharded_fixture``); `data/flat_store/` is the flat-layout
+lake (``flat_fixture``). Each comes with the answers its commit served.
+This code opens a copy of each warm — zero forwards, zero index insertions,
+no file rewritten until the first write — and serves the recorded answers
+from an index assembled out of the stored vectors. A shard's first write
+retires an older index archive and manifest entry, and a kill at any file
+operation of that write still reopens to the same answers.
 
-The other way round: the commit before this one rebuilt a shard's index from
-its tables' ``column_vectors``, in ``seq`` order, whenever the shard
-manifest had no ``"index"`` entry. A store this code writes has none, and
-that rebuild is row for row the index this code serves.
+The other way round is a refusal. Once this code writes a store, a shard's
+manifest is its base plus a journal the previous build (0644171) never
+reads: it would serve the base alone and sweep every archive only the journal names.
+So the root manifest's recorded fingerprint carries a mark, and the
+previous build's open — inlined below — refuses the store before its first
+file operation.
 """
 
 from __future__ import annotations
@@ -25,8 +30,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.lake.serialization import (
+    FingerprintMismatchError,
+    UnsupportedIndexBackendError,
+)
+from repro.lake.catalog import LakeCatalog
 from repro.lake.service import LakeService
-from repro.lake.store import _RETIRED_KEYS, LakeStore
+from repro.lake.store import _RETIRED_KEYS, LakeStore, _read_shard_manifest
 from repro.search.tables import TableSearcher
 
 @pytest.fixture(autouse=True)
@@ -36,7 +46,7 @@ def lake_layout_shards() -> int:
     return LakeStore.DEFAULT_SHARDS
 
 
-@pytest.fixture(params=["sharded_fixture", "flat_fixture"])
+@pytest.fixture(params=["sharded_fixture", "flat_fixture", "compact_fixture"])
 def fixture(request):
     return request.getfixturevalue(request.param)
 
@@ -62,7 +72,8 @@ def _assert_warm(service: LakeService) -> None:
 
 
 def _shard_manifest(shard) -> dict:
-    return json.loads((shard.root / "manifest.json").read_text())
+    """What the shard's files on disk say: base and journal folded."""
+    return _read_shard_manifest(shard.root).manifest
 
 
 def _assert_retired(shard) -> None:
@@ -91,16 +102,23 @@ def test_opens_warm_and_serves_the_recorded_answers(old_lake, fixture):
 
 
 def test_an_append_retires_its_shards_index_and_stays_warm(old_lake, fixture):
+    """The first write journals into the shard it touches: that shard's
+    base is the older build's, byte for byte, under a one-line journal that
+    retires the index, and no other shard changes."""
     service = LakeService.open(old_lake)
     store = service.catalog.store
     shard = store.shards[store.shard_id("g0t0")]
+    before = _digests(old_lake / "shards")
     service.catalog.append_rows("g0t0", [["grp0val77", "1", "tag3"]])
 
     _assert_retired(shard)
-    assert (shard.root / "manifest.json").read_text().count("\n") == 1
-    for other in store.shards:  # only a shard's own first write retires
-        if other is not shard:
-            assert "index" in _shard_manifest(other)
+    after = _digests(old_lake / "shards")
+    journal = shard.root / "manifest.log"
+    assert journal.read_text().count("\n") == 1
+    for path, digest in before.items():
+        shard_dir, _, name = path.partition("/")
+        if shard_dir != shard.root.name or name == "manifest.json":
+            assert after.get(path) == digest, path
     reopened = LakeService.open(old_lake)
     _assert_warm(reopened)
     record = reopened.catalog.records["g0t0"]
@@ -121,8 +139,8 @@ def test_the_first_write_retires_every_index_killed_or_not(
     """After each shard's first write no index archive and no ``"index"``
     entry remain in it, and a kill at any file operation of that write
     leaves a store that reopens warm to the recorded answers. A shard no
-    table routes to is never written, so it keeps the (empty, unread)
-    archive an older build gave it."""
+    table routes to is never written, so it keeps every byte (an older
+    build's empty, unread index archive too)."""
     k = 0
     while True:
         k += 1
@@ -136,19 +154,23 @@ def test_the_first_write_retires_every_index_killed_or_not(
         fixture.assert_serves(service)
         if not kill.fired:
             break
-    assert k > len(service.catalog), "an archive per table and a flush per shard"
+    assert k > len(service.catalog), "an archive per table and a commit per shard"
     for shard in service.catalog.store.shards:
         if len(shard):
             _assert_retired(shard)
         else:
-            assert _shard_manifest(shard)["index"]["n_keys"] == 0
+            unwritten = fixture.lake / "shards" / shard.root.name
+            assert _digests(shard.root) == _digests(unwritten)
 
 
 def _older_reader(root: Path, dim: int) -> TableSearcher:
-    """The previous commit's warm open of a shard with no ``"index"``
-    entry: a fresh index, every record's ``column_vectors`` added in
-    ``seq`` order. (A shard this code never wrote is empty here, and its
-    older archive restores to the same empty index.)"""
+    """How the builds between the persisted index and the journal rebuilt
+    a shard with no ``"index"`` entry at a warm open: a fresh index, every
+    record's ``column_vectors`` added in ``seq`` order. (Those builds now
+    refuse the store, see below, so the records come from this code's
+    reader; what is compared is the rebuild rule. A shard this code never
+    wrote is empty here, and its older archive restores to the same empty
+    index.)"""
     store = LakeStore.open(root)
     for shard in store.shards:
         assert "index" not in _shard_manifest(shard) or not len(shard)
@@ -187,3 +209,108 @@ def test_a_store_this_code_writes_ranks_the_same_through_the_older_reader(
             assert older.rank(pairs, 4, exclude_table=record.name, **options) == (
                 catalog.searcher.rank(pairs, 4, exclude_table=record.name, **options)
             )
+
+
+# --------------------------------------------------------------------- #
+# Roll forward from the previous build, and its refusal
+# --------------------------------------------------------------------- #
+def test_the_previous_builds_store_writes_nothing_until_its_first_write(
+    tmp_path, compact_fixture
+):
+    """The previous build's store opens warm to its recorded answers, twice,
+    without a byte changing; the first write marks the root and journals
+    into its shard, and a reopen serves that write warm."""
+    root = tmp_path / "lake"
+    shutil.copytree(compact_fixture.lake, root)
+    before = _digests(root)
+    for _ in range(2):
+        service = LakeService.open(root)
+        _assert_warm(service)
+        compact_fixture.assert_serves(service)
+    assert _digests(root) == before
+    assert not list(root.rglob("manifest.log"))
+
+    service.catalog.remove_table("g2t1")
+    journals = list(root.rglob("manifest.log"))
+    assert len(journals) == 1 and journals[0].read_text().count("\n") == 1
+    reopened = LakeService.open(root)
+    _assert_warm(reopened)
+    assert "g2t1" not in reopened.catalog.records
+    assert reopened.catalog.table_names() == [
+        name for name in compact_fixture.expected["table_names"] if name != "g2t1"
+    ]
+
+
+class _PreviousBuildWouldWrite(AssertionError):
+    pass
+
+
+def _previous_build_open(root: Path, expected_fingerprint: str | None = None) -> None:
+    """The previous build's ``LakeStore.open`` (0644171), inlined up to its
+    first file operation, which it only reaches when it accepts the store.
+
+    It reads the root manifest (refusing a non-exact index), checks the
+    recorded fingerprint against the expected one, converts a flat store,
+    then for each shard in order reads ``manifest.json`` — resetting the
+    shard if it cannot — checks its fingerprint against the root's, and
+    sweeps every archive that manifest does not name. It never reads a
+    ``manifest.log``. Raises what that build raises; a store it would
+    accept raises :class:`_PreviousBuildWouldWrite` at the first shard it
+    would reset or sweep.
+    """
+    top = json.loads((root / "manifest.json").read_text())
+    backend = top.get("index_spec", {}).get("backend", "exact")
+    if backend != "exact":
+        raise UnsupportedIndexBackendError(root, backend)
+    found = top.get("fingerprint", "")
+    if expected_fingerprint is not None and found != expected_fingerprint:
+        raise FingerprintMismatchError(expected_fingerprint, found)
+    if not top.get("sharded"):
+        raise _PreviousBuildWouldWrite("it would convert the flat layout")
+    for shard_id in range(int(top.get("n_shards", 1))):
+        shard_root = root / "shards" / f"s{shard_id:03d}"
+        try:
+            manifest = json.loads((shard_root / "manifest.json").read_text())
+        except (ValueError, KeyError, OSError) as exc:
+            raise _PreviousBuildWouldWrite(f"it would reset shard {shard_id}") from exc
+        if manifest.get("fingerprint", "") != found:
+            raise FingerprintMismatchError(found, manifest.get("fingerprint", ""))
+        raise _PreviousBuildWouldWrite(
+            f"it would sweep shard {shard_id} by its base alone"
+        )
+
+
+def test_the_previous_build_opens_its_own_store(compact_fixture):
+    """The inlined reader is the previous build's: it accepts what that
+    build wrote, under the fingerprint that build's CLI expects."""
+    for expected in (None, compact_fixture.expected["fingerprint"]):
+        with pytest.raises(_PreviousBuildWouldWrite, match="sweep shard 0"):
+            _previous_build_open(compact_fixture.lake, expected)
+
+
+def test_the_previous_build_refuses_a_store_this_code_wrote(
+    tmp_path, compact_fixture, lake_embedder, lake_tables
+):
+    """Whether a new store or the previous build's own after one write here
+    — journals with a torn tail in its shards — that build refuses it before
+    its first file operation, under the fingerprint its CLI expects and
+    under none."""
+    rolled = tmp_path / "rolled"
+    shutil.copytree(compact_fixture.lake, rolled)
+    catalog = LakeService.open(rolled).catalog
+    catalog.append_rows("g0t0", [["grp0val77", "1", "tag3"]])
+    catalog.remove_table("g2t1")
+    journal = rolled / "shards" / "s003" / "manifest.log"
+    with journal.open("ab") as handle:
+        handle.write(b'{"base":[1,2],"dr')
+
+    new = tmp_path / "new"
+    LakeCatalog(lake_embedder, store=LakeStore(new, "fp")).add_tables(lake_tables)
+    for root, fingerprint in (
+        (rolled, compact_fixture.expected["fingerprint"]), (new, "fp")
+    ):
+        before = _digests(root)
+        for expected in (None, fingerprint):
+            with pytest.raises(FingerprintMismatchError):
+                _previous_build_open(root, expected)
+        assert _digests(root) == before

@@ -9,10 +9,14 @@ reopen and one more append.
 ``manifest.json`` that session left after each stage at commit 537c455, the
 last one that persisted the vector index; their sha256 (path and bytes, in
 path order) is the recorded digest. Those shard manifests carry the index
-entry and the write counter that index was checked against. Today's bytes
-must be exactly those with the retired keys
-(:data:`repro.lake.store._RETIRED_KEYS`) removed and re-encoded by
-``_dumps``: any other byte change fails, stage for stage.
+entry and the write counter that index was checked against. Today a shard's
+manifest is its base ``manifest.json`` folded with its journal
+(``manifest.log``), and the full encode of that fold must be exactly the
+recorded bytes with the retired keys (:data:`repro.lake.store._RETIRED_KEYS`)
+removed and re-encoded by ``_dumps``; the root manifest must be exactly the
+recorded one with its fingerprint carrying
+:data:`repro.lake.store._JOURNAL_MARK`. Any other byte change fails, stage
+for stage.
 
 A manifest holds names, sketch configs, sizes, counters and the index spec
 — no computed floats — so the bytes do not depend on the host's float
@@ -30,7 +34,13 @@ import pytest
 from repro.lake.api import DiscoveryRequest
 from repro.lake.catalog import LakeCatalog
 from repro.lake.service import LakeService
-from repro.lake.store import _RETIRED_KEYS, LakeStore, _dumps
+from repro.lake.store import (
+    _JOURNAL_MARK,
+    _RETIRED_KEYS,
+    LakeStore,
+    _dumps,
+    _read_shard_manifest,
+)
 from repro.table.schema import table_from_rows
 
 #: (shard count) -> stage -> manifest path -> text, as commit 537c455 wrote.
@@ -71,10 +81,13 @@ MANIFEST_DIGESTS = {
 
 
 def _manifests(root: Path) -> dict[str, str]:
-    return {
-        path.relative_to(root).as_posix(): path.read_text()
-        for path in sorted(root.rglob("manifest.json"))
-    }
+    """The root manifest's text, and each shard's folded manifest encoded
+    whole, by path."""
+    manifests = {"manifest.json": (root / "manifest.json").read_text()}
+    for shard in sorted((root / "shards").iterdir()):
+        folded = _read_shard_manifest(shard).manifest
+        manifests[f"shards/{shard.name}/manifest.json"] = _dumps(folded) + "\n"
+    return manifests
 
 
 def _digest(manifests: dict[str, str]) -> str:
@@ -87,10 +100,14 @@ def _digest(manifests: dict[str, str]) -> str:
     return digest.hexdigest()
 
 
-def _retired(text: str) -> str:
-    """A manifest's text without the keys the persisted index needed."""
+def _today(path: str, text: str) -> str:
+    """A recorded manifest as this code must write it: a shard's without
+    the keys the persisted index needed, the root's fingerprint marked."""
     manifest = json.loads(text)
-    return _dumps({k: v for k, v in manifest.items() if k not in _RETIRED_KEYS}) + "\n"
+    if path == "manifest.json":
+        manifest["fingerprint"] += _JOURNAL_MARK
+    manifest = {k: v for k, v in manifest.items() if k not in _RETIRED_KEYS}
+    return _dumps(manifest) + "\n"
 
 
 @pytest.mark.parametrize("n_shards", [1, 4])
@@ -132,9 +149,10 @@ def test_scripted_session_writes_the_pinned_manifest_bytes(
     assert warm.embed_calls == 0 and warm.searcher.insertions == 0
     warm.append_rows("g2t2", [["grp2val97", "7", "tag3"]])
     stage("reopen_append")
+    assert list(root.rglob("manifest.log")), "the session journals"
 
     recorded = RECORDED[str(lake_layout_shards)]
     assert seen.keys() == recorded.keys()
     for name, manifests in seen.items():
-        expected = {path: _retired(text) for path, text in recorded[name].items()}
+        expected = {path: _today(path, text) for path, text in recorded[name].items()}
         assert manifests == expected, name

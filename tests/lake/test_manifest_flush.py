@@ -1,14 +1,16 @@
-"""A shard-manifest flush re-encodes only the entries written since the last
-one, and still writes exactly the bytes of a full encode.
+"""A shard-manifest commit encodes only the entries written since the last
+one, and the manifest on disk still folds to exactly the full encode.
 
+A commit appends one journal line to ``manifest.log``, or compacts: it
+rewrites ``manifest.json`` (the base) whole and unlinks the journal.
 Pinned here: that a manifest entry owns its ``metadata`` (a caller mutating
 the dict it saved, or one it loaded, changes nothing the store holds or
-writes later), and a Hypothesis property that after every operation of a
-drawn sequence — saves, replaces, removes, index saves, caller mutations,
-reopens, and reopens of shards as an older build left them (with an index
-entry and a write counter for the next flush to retire) — each shard's
-``manifest.json`` equals the full compact encode of that shard's in-memory
-manifest.
+writes later), and a Hypothesis property over drawn sequences of saves,
+replaces, removes, index saves, caller mutations, reopens, and reopens of
+shards as an older build left them (with an index entry and a write counter
+for the next commit to retire). After every operation, each shard's base
+and journal fold to the full compact encode of its in-memory manifest; after
+every compaction, ``manifest.json`` is that encode and no journal is left.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ import tempfile
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.lake.store import LakeStore, LakeTableRecord
+from repro.lake import store as store_module
+from repro.lake.store import LakeStore, LakeTableRecord, _read_shard_manifest
 from repro.search.backend import IndexSpec, make_sharded_index, stable_shard
 from repro.search.tables import ColumnEntry
 from repro.sketch.pipeline import SketchConfig, sketch_table
@@ -37,10 +41,16 @@ def _full_encode(manifest: dict) -> str:
     ) + "\n"
 
 
-def _assert_files_match_memory(store: LakeStore) -> None:
+def _assert_files_match_memory(store: LakeStore, compacted=()) -> None:
+    """Each shard's base and journal fold to its in-memory manifest; in
+    the shards under ``compacted`` the base alone is it, with no journal."""
     for shard in store.shards:
-        text = (shard.root / "manifest.json").read_text(encoding="utf-8")
-        assert text == _full_encode(shard._manifest), shard.root
+        expected = _full_encode(shard._manifest)
+        assert _full_encode(_read_shard_manifest(shard.root).manifest) == expected
+        if shard.root in compacted:
+            text = (shard.root / "manifest.json").read_text(encoding="utf-8")
+            assert text == expected, shard.root
+            assert not (shard.root / "manifest.log").exists(), shard.root
 
 
 @lru_cache(maxsize=None)
@@ -125,13 +135,15 @@ _OPS = st.one_of(
 
 def _as_an_older_build_left_it(store: LakeStore) -> None:
     """Give every shard the index entry, write counter and index archive an
-    older build kept (the archive's bytes are never read)."""
+    older build kept (the archive's bytes are never read), in a base with
+    no journal, as an older build wrote it."""
     for shard in store.shards:
-        path = shard.root / "manifest.json"
-        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest = _read_shard_manifest(shard.root).manifest
         manifest["index"] = {"file": "index.npz", "n_keys": 0}
         manifest["mutation_counter"] = 7
-        path.write_text(_full_encode(manifest), encoding="utf-8")
+        base = shard.root / "manifest.json"
+        base.write_text(_full_encode(manifest), encoding="utf-8")
+        (shard.root / "manifest.log").unlink(missing_ok=True)
         (shard.root / "index.npz").write_bytes(b"an older build's index")
 
 
@@ -141,11 +153,23 @@ def _as_an_older_build_left_it(store: LakeStore) -> None:
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(ops=st.lists(_OPS, min_size=1, max_size=12))
-def test_every_flush_writes_the_full_encode_of_the_manifest(tmp_path, ops):
-    with tempfile.TemporaryDirectory(dir=tmp_path) as root:
+def test_every_commit_folds_to_the_full_encode_of_the_manifest(tmp_path, ops):
+    compacted: set = set()
+    write_manifest = store_module._write_manifest
+
+    def recorded(path, text):
+        compacted.add(path.parent)
+        write_manifest(path, text)
+
+    with (
+        pytest.MonkeyPatch.context() as patch,
+        tempfile.TemporaryDirectory(dir=tmp_path) as root,
+    ):
+        patch.setattr(store_module, "_write_manifest", recorded)
         store = LakeStore(root, "fp")
         saved: dict[str, LakeTableRecord] = {}
         for op in ops:
+            compacted.clear()
             kind = op[0]
             if kind == "save":
                 _, names, variant, metadata = op
@@ -166,5 +190,5 @@ def test_every_flush_writes_the_full_encode_of_the_manifest(tmp_path, ops):
             elif kind == "reopen_older":
                 _as_an_older_build_left_it(store)
                 store = LakeStore.open(root)
-            _assert_files_match_memory(store)
+            _assert_files_match_memory(store, compacted)
         _assert_files_match_memory(LakeStore.open(root))

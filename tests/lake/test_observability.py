@@ -1,14 +1,19 @@
 """`repro.obs` wired through the lake: Timings as a span projection, the
 histogram/Timings reconciliation the acceptance gate demands, the
-slow-query log, and the service-level stats satellites."""
+slow-query log, the service-level stats satellites, and the store's
+commit span and manifest-bytes counter."""
 
 from __future__ import annotations
+
+import os
+from dataclasses import replace
 
 import pytest
 
 from repro import obs
 from repro.lake.api import DiscoveryRequest
 from repro.lake.service import LakeService
+from repro.lake.store import LakeStore, LakeTableRecord
 
 
 @pytest.fixture()
@@ -148,3 +153,64 @@ def test_stats_observability_fields(service, lake_tables):
     assert after["uptime_s"] >= before["uptime_s"]
     # Ingest counting rides the same stats payload.
     assert after["ingests_total"] == 0
+
+
+# --------------------------------------------------------------------- #
+# Store commits: one span, one latency sample, manifest bytes by kind
+# --------------------------------------------------------------------- #
+def _store_with(tmp_path, cold_catalog, n_tables: int):
+    """A one-shard store holding ``n_tables`` copies of one record."""
+    record = next(iter(cold_catalog.records.values()))
+    store = LakeStore(tmp_path / "lake", "fp", n_shards=1)
+
+    def named(name: str) -> LakeTableRecord:
+        return LakeTableRecord(
+            sketch=replace(record.sketch, table_name=name),
+            column_vectors=record.column_vectors,
+            table_embedding=record.table_embedding,
+            n_rows=record.n_rows,
+        )
+
+    store.save_tables([named(f"t{i:03d}") for i in range(n_tables)])
+    return store, named
+
+
+def _flush_spans(root: obs.Span) -> list:
+    return [child for child in root.children if child.name == "store.flush"]
+
+
+def test_a_remove_records_one_flush_span_and_one_latency_sample(
+    tmp_path, cold_catalog
+):
+    store, _ = _store_with(tmp_path, cold_catalog, 3)
+    registry = obs.get_registry()
+    registry.reset()
+    with obs.span("test") as root:
+        assert store.remove_table("t001")
+    (flush,) = _flush_spans(root)
+    assert flush.meta == {"shard": 0, "manifest": "journal"}
+    assert registry.get("lake_store_flush_duration_ms").total_count == 1
+
+
+def test_an_append_to_a_200_entry_shard_renames_nothing_and_writes_under_1kb(
+    tmp_path, cold_catalog, monkeypatch
+):
+    """The manifest half of an append is one journal line, not the
+    shard's whole manifest; the counter tells the two apart."""
+    store, named = _store_with(tmp_path, cold_catalog, 200)
+    registry = obs.get_registry()
+    registry.reset()
+    renames = []
+    real_replace = os.replace
+    monkeypatch.setattr(
+        os, "replace", lambda *args: (renames.append(args), real_replace(*args))
+    )
+    with obs.span("test") as root:
+        store.save_table(replace(named("t100"), n_rows=99, version=2))
+    assert renames == []
+    manifest_bytes = registry.get("lake_store_manifest_bytes_total")
+    assert 0 < manifest_bytes.labels(shard="0", kind="journal").value < 1024
+    assert manifest_bytes.labels(shard="0", kind="compaction").value == 0
+    (flush,) = _flush_spans(root)
+    assert flush.meta["manifest"] == "journal"
+    assert LakeStore.open(tmp_path / "lake").load_table("t100").n_rows == 99

@@ -6,9 +6,13 @@ order, and the live index keeps that order (an update or refresh replaces a
 table's rows where they stand). Exact distance ties break by row order, so
 anything less than row-for-row equality can change an answer. A Hypothesis
 state machine drives a catalog through adds, updates, appends, refreshes,
-removes and reopens; tables with identical contents under different names
-make exact ties. After every reopen each sub-index's keys and vector bytes
-equal the live ones, and so do the answers in all three modes.
+removes, reopens and reshards (1 <-> 4 shards); tables with identical
+contents under different names make exact ties, and the lake is small
+enough that shard manifests compact inside an example, folding the journal
+lines written before. After every reopen each sub-index's keys and vector
+bytes equal the live ones, and so do the answers in all three modes; after
+every reshard they equal a cold rebuild of the same records at the new
+shard count.
 """
 
 from __future__ import annotations
@@ -18,13 +22,18 @@ import tempfile
 from hypothesis import HealthCheck, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule, run_state_machine_as_test
 
+from repro.lake import store as store_module
 from repro.lake.api import DiscoveryRequest
 from repro.lake.catalog import LakeCatalog
 from repro.lake.service import LakeService
-from repro.lake.store import LakeStore
+from repro.lake.store import LakeShard, LakeStore
+from repro.search.tables import TableSearcher
 from repro.table.schema import table_from_rows
 
-NAMES = ("a", "b", "c", "d", "e")
+NAMES = tuple("abcdefghijkl")
+#: Tables every example starts from, so each shard holds a few entries: its
+#: manifest then journals a write or two before one compacts.
+SEEDED = NAMES[:8]
 #: Contents by variant; the same variant under two names is two tables with
 #: the same vectors. Variant 2 is wider, so an update can change a table's
 #: row count in the index.
@@ -53,9 +62,9 @@ def _answers(catalog: LakeCatalog) -> dict:
     }
 
 
-def _assert_same_index(live: LakeCatalog, warm: LakeCatalog) -> None:
-    assert len(live.searcher.index.subs) == len(warm.searcher.index.subs)
-    for live_sub, warm_sub in zip(live.searcher.index.subs, warm.searcher.index.subs):
+def _assert_same_index(live: TableSearcher, warm: TableSearcher) -> None:
+    assert len(live.index.subs) == len(warm.index.subs)
+    for live_sub, warm_sub in zip(live.index.subs, warm.index.subs):
         assert warm_sub.keys() == live_sub.keys()
         assert (
             warm_sub.state_arrays()[0]["vectors"].tobytes()
@@ -63,12 +72,61 @@ def _assert_same_index(live: LakeCatalog, warm: LakeCatalog) -> None:
         )
 
 
-def test_a_reopened_catalog_serves_the_live_index(tmp_path, lake_embedder):
+def _assert_like_a_cold_rebuild(warm: LakeCatalog) -> None:
+    """The index of ``warm`` is the one adding its records, in order, to a
+    fresh searcher at its shard count builds, and ranks the same: with and
+    without ``join``, which is what tells the three modes' hits apart."""
+    cold = TableSearcher(warm.dim, n_shards=warm.n_shards)
+    for record in warm.records.values():
+        cold.add_table(record.name, record.column_names, record.column_vectors)
+    _assert_same_index(cold, warm.searcher)
+    for record in warm.records.values():
+        pairs = record.vector_pairs()
+        for join in (False, True):
+            assert warm.searcher.rank(
+                pairs, 4, join=join, exclude_table=record.name
+            ) == cold.rank(pairs, 4, join=join, exclude_table=record.name)
+
+
+def _records(catalog: LakeCatalog) -> dict:
+    return {
+        name: (
+            record.version,
+            record.n_rows,
+            record.embedding_stale,
+            record.column_vectors.tobytes(),
+        )
+        for name, record in catalog.records.items()
+    }
+
+
+def test_a_reopened_catalog_serves_the_live_index(
+    tmp_path, lake_embedder, monkeypatch
+):
+    commits = {"journal": 0, "compaction": 0, "folding": 0}
+    compact = LakeShard._compact
+    append_journal = store_module._append_journal
+
+    def counted_compact(self):
+        commits["compaction"] += 1
+        commits["folding"] += self._journal_bytes > 0
+        compact(self)
+
+    def counted_append(path, line, keep):
+        commits["journal"] += 1
+        append_journal(path, line, keep)
+
+    monkeypatch.setattr(LakeShard, "_compact", counted_compact)
+    monkeypatch.setattr(store_module, "_append_journal", counted_append)
+
     class Lake(RuleBasedStateMachine):
         def __init__(self):
             super().__init__()
             self.root = tempfile.mkdtemp(dir=tmp_path)
             self.catalog = LakeCatalog(lake_embedder, store=LakeStore(self.root, "fp"))
+            self.catalog.add_tables(
+                {name: _table(name, i % len(HEADERS)) for i, name in enumerate(SEEDED)}
+            )
 
         @rule(name=st.sampled_from(NAMES), variant=st.sampled_from(sorted(HEADERS)))
         def add(self, name, variant):
@@ -96,13 +154,27 @@ def test_a_reopened_catalog_serves_the_live_index(tmp_path, lake_embedder):
         def remove(self, name):
             self.catalog.remove_table(name)
 
-        @rule()
-        def reopen(self):
+        def _warm(self) -> LakeCatalog:
             warm = LakeCatalog.from_store(lake_embedder, LakeStore.open(self.root))
             assert warm.searcher.insertions == 0 and warm.embed_calls == 0
             assert warm.table_names() == self.catalog.table_names()
-            _assert_same_index(self.catalog, warm)
+            assert _records(warm) == _records(self.catalog)
+            return warm
+
+        @rule()
+        def reopen(self):
+            warm = self._warm()
+            _assert_same_index(self.catalog.searcher, warm.searcher)
             assert _answers(warm) == _answers(self.catalog)
+            self.catalog = warm
+
+        @rule()
+        def reshard(self):
+            n_shards = 4 if self.catalog.n_shards == 1 else 1
+            self.catalog.store.reshard(n_shards, "fp")
+            warm = self._warm()
+            assert warm.n_shards == n_shards
+            _assert_like_a_cold_rebuild(warm)
             self.catalog = warm
 
     run_state_machine_as_test(
@@ -114,3 +186,4 @@ def test_a_reopened_catalog_serves_the_live_index(tmp_path, lake_embedder):
             suppress_health_check=[HealthCheck.function_scoped_fixture],
         ),
     )
+    assert commits["journal"] and commits["folding"], commits

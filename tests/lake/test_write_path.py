@@ -1,14 +1,18 @@
-"""The catalog's write path: table archives plus one compact manifest flush
-per touched shard, and no index archive.
+"""The catalog's write path: table archives plus one manifest commit per
+touched shard, and no index archive.
 
 The index is derived state (a warm open assembles it from the stored
-vectors), so a write persists only what it changed. Pinned here: the flush
-and archive counts, and that a flush re-encodes only the manifest entries
-its write changed; that a kill at any file operation of a write leaves a
-store that reopens as the old or the new state (with its write-then-rename
-leftovers swept) and ranks like a cold rebuild of that state; that neither
-a warm open nor a replica's adoption writes a byte; and that the catalog's
-stale-name set stays in step with the records.
+vectors), so a write persists only what it changed, and a shard's manifest
+commit appends one journal line unless it compacts. Pinned here: the commit
+and archive counts, and that a commit encodes only the manifest entries its
+write changed; that a kill at any file operation of a write — a compaction's
+too, and a journal append killed before or halfway through its write —
+leaves a store that reopens as the old or the new state (with its
+write-then-rename leftovers swept, and a torn journal tail cut by the next
+write) and ranks like a cold rebuild of that state; that neither a warm
+open nor a replica's adoption writes a byte, journals and torn tails
+included; and that the catalog's stale-name set stays in step with the
+records.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from repro.search.tables import TableSearcher
 from repro.table.schema import table_from_rows
 
 _LEFTOVERS = ("manifest.tmp.json",)
+_JOURNAL = "manifest.log"
 
 
 def _new_tables() -> dict:
@@ -124,6 +129,16 @@ def _assert_ranks_like_a_cold_rebuild(catalog: LakeCatalog) -> None:
         )
 
 
+def _torn_tails(root: Path) -> int:
+    """Shards whose journal holds bytes past the lines that replay."""
+    return sum(
+        1
+        for shard in LakeStore.open(root).shards
+        if (shard.root / _JOURNAL).exists()
+        and (shard.root / _JOURNAL).stat().st_size > shard._journal_bytes
+    )
+
+
 def _assert_swept(root: Path) -> None:
     """No write-then-rename leftover, and every table archive is live."""
     assert not [p for name in _LEFTOVERS for p in root.rglob(name)]
@@ -138,9 +153,11 @@ def _assert_swept(root: Path) -> None:
 # --------------------------------------------------------------------- #
 @pytest.fixture()
 def writes(monkeypatch) -> Counter:
-    """Counts root-manifest, shard-manifest and table-archive writes."""
+    """Counts root-manifest writes, shard-manifest commits (a journal
+    append or a compaction) and table-archive writes."""
     counts: Counter = Counter()
     write_manifest = store_module._write_manifest
+    append_journal = store_module._append_journal
     write_archive = store_module.write_archive
 
     def counted_manifest(path, manifest):
@@ -148,11 +165,16 @@ def writes(monkeypatch) -> Counter:
         counts["shard_manifest" if is_shard else "root_manifest"] += 1
         write_manifest(path, manifest)
 
+    def counted_journal(path, line, keep):
+        counts["shard_manifest"] += 1
+        append_journal(path, line, keep)
+
     def counted_archive(path, arrays):
         counts["table_archive"] += 1
         return write_archive(path, arrays)
 
     monkeypatch.setattr(store_module, "_write_manifest", counted_manifest)
+    monkeypatch.setattr(store_module, "_append_journal", counted_journal)
     monkeypatch.setattr(store_module, "write_archive", counted_archive)
     return counts
 
@@ -195,27 +217,32 @@ def entry_encodes(monkeypatch) -> list:
     return encoded
 
 
-def test_first_flush_after_open_encodes_its_whole_shard(
+def test_after_open_a_journal_line_encodes_its_entry_and_a_compaction_the_rest(
     base_lake, lake_embedder, lake_tables, entry_encodes
 ):
+    """A warm open caches no entry text: an append's journal line encodes
+    the entry it wrote, and the shard's first compaction every other."""
     catalog = _warm(lake_embedder, base_lake)
     shard = catalog.store.shards[catalog.store.shard_id("g1t1")]
     _append(catalog, lake_tables)
-    assert sorted(entry_encodes) == sorted(shard.table_names())
-    entry_encodes.clear()
-    _append(catalog, lake_tables)
     assert entry_encodes == ["g1t1"]
+    assert (shard.root / _JOURNAL).exists()
+    entry_encodes.clear()
+    shard._compact()
+    assert sorted(entry_encodes) == sorted(set(shard.table_names()) - {"g1t1"})
+    assert not (shard.root / _JOURNAL).exists()
 
 
 @pytest.mark.parametrize("op", ["append_rows", "update_table", "remove_table"])
 def test_a_flush_encodes_only_the_entry_its_write_changed(
     op, base_lake, lake_embedder, lake_tables, entry_encodes
 ):
-    """Once every shard has flushed, an append or update re-encodes the one
-    entry it wrote and a remove none, however many entries the shard has."""
+    """Once every shard has compacted, an append or update re-encodes the
+    one entry it wrote and a remove none, however many entries the shard
+    has."""
     catalog = _warm(lake_embedder, base_lake)
     for shard in catalog.store.shards:
-        shard._flush()
+        shard._compact()
     assert sorted(entry_encodes) == sorted(catalog.store.table_names())
     entry_encodes.clear()
     OPS[op](catalog, lake_tables)
@@ -247,11 +274,22 @@ def test_add_tables_writes_every_archive_through_the_codec(
     assert set(base_lake.rglob("*.npz")) - before == set(written)
 
 
-def test_manifests_are_compact_single_line_json(base_lake):
+def _compact(text: str) -> str:
+    return json.dumps(json.loads(text), separators=(",", ":"), sort_keys=True)
+
+
+def test_manifests_are_compact_single_line_json(base_lake, lake_embedder, lake_tables):
     for path in base_lake.rglob("manifest.json"):
         text = path.read_text()
-        compact = json.dumps(json.loads(text), separators=(",", ":"), sort_keys=True)
-        assert text == compact + "\n", path
+        assert text == _compact(text) + "\n", path
+    catalog = _warm(lake_embedder, base_lake)
+    for op in sorted(OPS):
+        OPS[op](catalog, lake_tables)
+    journals = list(base_lake.rglob(_JOURNAL))
+    assert journals
+    for path in journals:
+        for line in path.read_text().splitlines(keepends=True):
+            assert line == _compact(line) + "\n", path
 
 
 # --------------------------------------------------------------------- #
@@ -261,9 +299,10 @@ def test_manifests_are_compact_single_line_json(base_lake):
 def test_write_killed_at_every_file_operation_reopens_old_or_new(
     op, base_lake, lake_embedder, lake_tables, tmp_path, kill_at
 ):
-    """Kill the k-th rename / archive write / unlink of one write, for
-    every k: the reopened store holds each table at its old or its new
-    state (the whole store, for a one-table write), leaves nothing behind,
+    """Kill the k-th rename / archive write / unlink / open for writing /
+    journal append (whole or torn) of one write, for every k: the reopened
+    store holds each table at its old or its new state (the whole store,
+    for a one-table write), leaves nothing behind but a torn journal tail,
     ranks like a cold rebuild of what it holds, and is warm from then on."""
     old = _state(base_lake)
     done = tmp_path / "done"
@@ -284,6 +323,7 @@ def test_write_killed_at_every_file_operation_reopens_old_or_new(
         if not kill.fired:
             break
         leftovers += sum(1 for name in _LEFTOVERS for _ in root.rglob(name))
+        leftovers += _torn_tails(root)
 
         state = _state(root)
         if op == "add_tables":  # shards flush independently
@@ -296,9 +336,8 @@ def test_write_killed_at_every_file_operation_reopens_old_or_new(
         _assert_swept(root)
         _assert_ranks_like_a_cold_rebuild(reopened)
         assert _warm(lake_embedder, root).searcher.insertions == 0, k
-    assert k > 2, "a write takes an archive write and a rename at least"
-    if op != "append_rows":  # an append renames only its manifest
-        assert leftovers, "some kill must have left a temporary to sweep"
+    assert k > 2, "a write takes an archive write and a manifest commit at least"
+    assert leftovers, "some kill must have left a temporary or a torn tail"
 
 
 def _bytes_under(root: Path) -> dict:
@@ -309,31 +348,134 @@ def _bytes_under(root: Path) -> dict:
     }
 
 
+def _tear(journal: Path, tail: bytes = b'{"base":[1,2],"dr') -> None:
+    """Leave ``tail`` after the journal's last line, as a kill halfway
+    through an append would."""
+    with journal.open("ab") as handle:
+        handle.write(tail)
+
+
 def test_a_warm_open_writes_nothing(base_lake, lake_embedder, lake_tables):
     """Assembling the index is read-only: a warm open — of a lake whose
-    shards hold a stale table, too — leaves every byte as it found it."""
-    _append(_warm(lake_embedder, base_lake), lake_tables)
+    shards hold a stale table and a journal with a torn tail, too — leaves
+    every byte as it found it."""
+    catalog = _warm(lake_embedder, base_lake)
+    _append(catalog, lake_tables)
+    catalog.remove_table("g2t1")
+    journals = sorted(base_lake.rglob(_JOURNAL))
+    assert journals
+    _tear(journals[0])
+    assert _torn_tails(base_lake) == 1
     before = _bytes_under(base_lake)
     warm = _warm(lake_embedder, base_lake)
     assert warm.stale_tables() and warm.searcher.insertions == 0
+    assert "g2t1" not in warm.records
     assert _bytes_under(base_lake) == before
 
 
 def test_a_replica_adoption_writes_nothing_into_its_snapshot(
-    base_lake, lake_embedder, tmp_path
+    base_lake, lake_embedder, lake_tables, tmp_path
 ):
     """A replica serves a shared, read-only generation: adopting one —
     even one with no index archive in a shard, which an older build
-    rebuilt and wrote back — changes no byte under it."""
+    rebuilt and wrote back, and one whose shards hold journals, one with a
+    torn tail — serves every committed write and changes no byte under
+    it."""
+    catalog = _warm(lake_embedder, base_lake)
+    _append(catalog, lake_tables)
+    catalog.update_table(_shrunk(lake_tables["g0t2"]))
+    catalog.remove_table("g2t1")
+    committed = {
+        name: (version, n_rows)
+        for name, (version, n_rows, _, _) in _state(base_lake).items()
+    }
     snapshots = tmp_path / "snapshots"
     generation = SnapshotPublisher(base_lake, snapshots).publish()
     root = snapshots / f"gen-{generation:06d}"
     (root / "shards" / "s000" / "index.npz").unlink(missing_ok=True)
+    journals = sorted(root.rglob(_JOURNAL))
+    assert journals
+    _tear(journals[-1])
     before = _bytes_under(root)
     replica = ReplicaService(lake_embedder, snapshots)
     assert replica.generation == generation and replica.refusals == 0
-    assert len(replica.catalog) == len(LakeStore.open(base_lake))
+    served = {
+        name: (record.version, record.n_rows)
+        for name, record in replica.catalog.records.items()
+    }
+    assert served == committed
     assert _bytes_under(root) == before
+
+
+def test_a_torn_journal_tail_is_never_replayed_and_the_next_write_cuts_it(
+    base_lake, lake_embedder, lake_tables
+):
+    """A last line with no newline, or one that is not JSON, is not
+    replayed (the archive it named is swept as an orphan), and the shard's
+    next write cuts it off before appending, so every line replays again."""
+    _append(_warm(lake_embedder, base_lake), lake_tables)
+    shard_root = LakeStore.open(base_lake)._shard_for("g1t1").root
+    journal = shard_root / _JOURNAL
+    for tail in (b'{"base":[1,2],"dr', b"not json\n"):
+        committed = _state(base_lake)
+        _tear(journal, tail)
+        assert _state(base_lake) == committed
+        catalog = _warm(lake_embedder, base_lake)
+        _append(catalog, lake_tables)
+        assert _torn_tails(base_lake) == 0
+        if journal.exists():
+            read = store_module._read_shard_manifest(shard_root)
+            assert read.replayed == journal.stat().st_size
+        assert _state(base_lake)["g1t1"][0] == committed["g1t1"][0] + 1
+
+
+def test_a_compaction_killed_at_every_file_operation_reopens_old_or_new(
+    base_lake, lake_embedder, lake_tables, tmp_path, kill_at
+):
+    """Append until one compacts the journal the earlier ones left; kill
+    that append at every k. Each kill reopens as the old or the new state,
+    one of them between the compaction's rename and the journal's unlink:
+    the journal left then is tied to the old base, so it is never replayed,
+    and the next write starts it afresh."""
+    catalog = _warm(lake_embedder, base_lake)
+    shard_dir = catalog.store._shard_for("g1t1").root.relative_to(base_lake)
+    appends = 0
+    while True:
+        before = tmp_path / f"before-{appends}"
+        shutil.copytree(base_lake, before)
+        _append(catalog, lake_tables)
+        appends += 1
+        if not (base_lake / shard_dir / _JOURNAL).exists():
+            break
+    assert appends > 1, "the compaction must fold journaled lines"
+    old, new = _state(before), _state(base_lake)
+
+    k = 0
+    stale = 0
+    while True:
+        k += 1
+        root = tmp_path / f"killed-at-{k}"
+        shutil.copytree(before, root)
+        with kill_at(k) as kill:
+            _append(_warm(lake_embedder, root), lake_tables)
+        if not kill.fired:
+            break
+        state = _state(root)
+        assert state in (old, new), k
+        journal = root / shard_dir / _JOURNAL
+        read = store_module._read_shard_manifest(root / shard_dir)
+        if journal.exists() and journal.stat().st_size and not read.replayed:
+            stale += 1
+            assert state == new, k
+            reopened = _warm(lake_embedder, root)
+            _append(reopened, lake_tables)
+            read = store_module._read_shard_manifest(root / shard_dir)
+            assert read.replayed == journal.stat().st_size > 0
+            assert _state(root)["g1t1"][0] == new["g1t1"][0] + 1
+        reopened = _warm(lake_embedder, root)
+        _assert_swept(root)
+        _assert_ranks_like_a_cold_rebuild(reopened)
+    assert stale == 1, "one kill lands between the rename and the unlink"
 
 
 def test_open_sweeps_write_then_rename_leftovers(base_lake, tmp_path):
