@@ -134,7 +134,8 @@ class EmbeddingEngine:
             batch = batch_encodings(
                 [self._finalize(encoded) for encoded in encodeds], pad_token_id=pad_id
             )
-            self.model.eval()
+            if self.model.training:  # eval() walks every module
+                self.model.eval()
             with no_grad():
                 embedded = self.model.embed_inputs(batch)
                 contextual = self.model.encoder(embedded, batch["attention_mask"])

@@ -8,8 +8,9 @@ is that serving substrate:
   config fingerprinting so stale artifacts are detected, never silently
   reused;
 - :mod:`repro.lake.store` — :class:`LakeStore`, the hash-partitioned on-disk
-  layout (N :class:`LakeShard` s, each one npz per table + a JSON manifest +
-  a persisted per-shard index);
+  layout (N :class:`LakeShard` s, each npz archives of up to 64 tables a
+  write stored together + a journaled JSON manifest; the index is
+  assembled from the archives at open);
 - :mod:`repro.lake.bundle` — model/tokenizer persistence so a warm process
   can embed *query* tables identically to the one that built the lake;
 - :mod:`repro.lake.catalog` — :class:`LakeCatalog`, add/remove/update with

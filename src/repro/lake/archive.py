@@ -1,6 +1,7 @@
 """The one codec for store archives: npz files built and parsed in one buffer.
 
-A store archive (``tables/tNNNNNN.npz``, one per table) is a zip of ``.npy``
+A store archive (``tables/tNNNNNN.npz``, one per table or per group of a
+commit's tables, see :mod:`repro.lake.store`) is a zip of ``.npy``
 members laid out exactly as :func:`numpy.savez` lays it out: stored
 (uncompressed) members stamped 1980-01-01, each with a zip64 local extra,
 and npy v1.0 headers padded to 64 bytes. :func:`write_archive` builds those

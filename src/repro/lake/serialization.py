@@ -47,6 +47,13 @@ from repro.table.schema import ColumnType
 #: manifest (``repro.lake.store._JOURNAL_MARK``), which that reader
 #: compares before it touches a file, and refuses; the fingerprint this
 #: code derives and checks is the unmarked one.
+#: Shared archives (a commit's tables, up to 64 to an archive, each member
+#: their row concatenation; :mod:`repro.lake.store` owns the layout) bump
+#: nothing either and read one way too: an archive without the member of
+#: per-table column counts holds one table, so this code reads every older
+#: archive as it is, while the journal build would read a shared one as one
+#: table. The root manifest's mark becomes ``repro.lake.store._SHARED_MARK``,
+#: which that build does not strip, so it refuses the store.
 FORMAT_VERSION = 2
 
 

@@ -15,8 +15,8 @@ layout, whatever N::
           manifest.json      # base: fingerprint + ordered table entries
           manifest.log       # journal: one line per commit since the base
           tables/
-            t000001.npz      # one archive per table (see below)
-        s001/...
+            t000001.npz      # one archive per group of up to 64 tables
+        s001/...             # a commit wrote (see below)
 
 The vector index is not part of the layout. It is derived state:
 :meth:`LakeStore.load_index` assembles each shard's exact index from the
@@ -36,11 +36,28 @@ by the next open.
 whoever next reads the root manifest (``open``, ``peek_*``,
 ``needs_conversion``) first rolls back a swap that was killed half way.
 
-Each table archive holds the packed :class:`~repro.sketch.pipeline.TableSketch`
+Each table's members are the packed :class:`~repro.sketch.pipeline.TableSketch`
 arrays (uint64 signatures, float64 raw numeric stats) plus the final
 ``column_vectors`` the index serves and the pooled ``table_embedding`` —
 everything float64/uint64 in npz, so a save/load round-trip is bit-exact and
 warm queries are bit-identical to a cold in-memory build.
+
+**A shard commit writes its tables as archives of up to**
+:data:`ARCHIVE_TABLES` **(64) tables.** In an archive of several, each
+member is the row concatenation of theirs (``snapshot_sig`` and
+``table_embedding``, one row per table, are stacked), and a ``table_cols``
+member holds each table's column count; each table's manifest entry records
+its ``slot``: its index in the archive and the bytes it accounts for. An
+archive of one table is exactly the archive an older build writes — no
+``table_cols``, no ``slot`` — so every one-table write (an append, an
+update, a refresh of one table) writes the same bytes as before, and the one
+reader rule, in :func:`_split_tables`, is that an archive without
+``table_cols`` holds one table. An archive stays while any live entry names
+it; the commit that drops its last entry unlinks it, and until then the
+rows of its replaced or removed tables are dead bytes, which
+:meth:`LakeShard.stats` reports (``dead_bytes``) from the manifest alone.
+:meth:`LakeStore.load_all` reads each archive once and releases it after
+its last table.
 
 Every table archive goes through one codec, :mod:`repro.lake.archive`:
 :func:`~repro.lake.archive.write_archive` writes the bytes ``np.savez``
@@ -79,18 +96,20 @@ which the shard's next write cuts off, and no line tied to another base
 is torn beyond repair degrades to an empty shard with a warning at open
 time while every other shard stays warm.
 
-The journal is one-way compatible. This code reads every store an older
+The layout is one-way compatible. This code reads every store an older
 build wrote, and writes nothing to it until its first write. That write
-marks the root manifest's recorded fingerprint (:data:`_JOURNAL_MARK`,
-which every store this code creates carries from the start), so an older
-reader — which would read a shard's base alone and sweep every archive
-only the journal names — refuses the store before it touches a file.
+marks the root manifest's recorded fingerprint (:data:`_SHARED_MARK`,
+which every store this code creates carries from the start, in place of the
+previous build's :data:`_JOURNAL_MARK`), so an older reader — which would
+read a shared archive as one table, or a shard's base without its journal —
+refuses the store before it touches a file.
 
 **Durability: process-kill-safe, not power-loss-safe.** Every base is
-written write-then-rename, every journal line is one append, and nothing
-here calls ``fsync``. A process killed at any file operation (an
-exception, SIGKILL, the OOM killer) leaves each table at its old or its new
-state, which ``tests/lake/test_write_path.py`` and
+written write-then-rename, every journal line is one append, an archive is
+written before the commit that names it and unlinked after the one that
+drops its last table, and nothing here calls ``fsync``. A process killed at
+any file operation (an exception, SIGKILL, the OOM killer) leaves each
+table at its old or its new state, which ``tests/lake/test_write_path.py`` and
 ``tests/lake/test_migration.py`` check by killing every write at every
 operation, a journal append both before it writes and halfway through (the
 ``kill_at`` fixture). A power loss or kernel crash may still lose renames
@@ -138,11 +157,27 @@ _MANIFEST_TMP = "manifest.tmp.json"
 #: per commit since the last compaction (see :meth:`LakeShard._commit`).
 JOURNAL_NAME = "manifest.log"
 #: Appended to the fingerprint a root manifest records once this code
-#: writes the store, since its shards may then hold journals. A reader
-#: that predates the journal compares the recorded fingerprint with the
-#: one it expects (or with each shard's) before it touches a file, so it
-#: refuses the store instead of sweeping archives only a journal names.
+#: writes the store, since its shards may then hold shared archives. A
+#: reader that predates them compares the recorded fingerprint, less the
+#: marks it knows, with the one it expects (or with each shard's) before it
+#: touches a file, so it refuses the store instead of serving a shared
+#: archive's first table for every table in it.
+_SHARED_MARK = "+shared"
+#: The mark the previous build (90246c4) sets once it writes a store, whose
+#: shards may then hold journals. This code reads such a store as it is
+#: and replaces the mark with :data:`_SHARED_MARK` at its first write.
 _JOURNAL_MARK = "+journal"
+#: Tables one archive holds at most. A shard commit writes its tables as
+#: archives of up to this many (see :func:`_shared_arrays`); a constant,
+#: not an option, since it bounds the buffers a bulk write and a warm open
+#: hold at once.
+ARCHIVE_TABLES = 64
+#: Archive members with one row per table, stacked in a shared archive;
+#: every other member holds rows per column and is concatenated.
+_TABLE_MEMBERS = ("snapshot_sig", "table_embedding")
+#: Members holding each column's run of values, by the member of per-column
+#: run lengths that delimits them.
+_RUN_MEMBERS = {"acc_sample": "acc_sample_len", "acc_distinct": "acc_distinct_len"}
 #: Shard-manifest keys an older build kept for its persisted index (the
 #: archive's entry, and the write counter it was checked against); a
 #: shard's first write drops them.
@@ -174,6 +209,11 @@ _MANIFEST_BYTES = obs.counter(
     "lake_store_manifest_bytes_total",
     "Shard manifest bytes written, by shard and kind (journal or compaction)",
     ("shard", "kind"),
+)
+_DEAD_BYTES = obs.gauge(
+    "lake_store_dead_bytes",
+    "Bytes of live shared archives that no table reads any more, by shard",
+    ("shard",),
 )
 
 
@@ -217,6 +257,72 @@ def _base_tie(data: bytes) -> list[int]:
     """What ties a journal line to the base it extends: the base file's
     length and CRC-32 (a compaction's new base has another)."""
     return [len(data), zlib.crc32(data)]
+
+
+def _pack_record(record: "LakeTableRecord") -> tuple[dict[str, np.ndarray], dict]:
+    """A record's archive members and its manifest ``sketch_meta``."""
+    arrays, meta = pack_table_sketch(record.sketch)
+    arrays["column_vectors"] = np.asarray(record.column_vectors, dtype=np.float64)
+    arrays["table_embedding"] = np.asarray(record.table_embedding, dtype=np.float64)
+    return arrays, meta
+
+
+def _layout(arrays: dict[str, np.ndarray]) -> tuple:
+    """What tables must agree on to share an archive: the same members,
+    dtypes and row shapes (a table without accumulators lacks five)."""
+    return tuple(
+        (key, array.dtype.str, array.shape[1:]) for key, array in arrays.items()
+    )
+
+
+def _shared_arrays(tables: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    """One archive's members for ``tables`` (two or more, one layout): each
+    member the row concatenation of theirs (stacked, for
+    :data:`_TABLE_MEMBERS`), plus ``table_cols``, each table's column count."""
+    shared = {
+        key: (np.stack if key in _TABLE_MEMBERS else np.concatenate)(
+            [arrays[key] for arrays in tables]
+        )
+        for key in tables[0]
+    }
+    shared["table_cols"] = np.asarray(
+        [len(arrays["ctypes"]) for arrays in tables], dtype=np.int64
+    )
+    return shared
+
+
+def _split_tables(arrays: dict[str, np.ndarray]) -> list[dict[str, np.ndarray]]:
+    """Each table's members out of one archive's, by slot: the one reader
+    rule is that an archive without ``table_cols`` holds one table (every
+    archive an older build wrote, and every one-table write)."""
+    table_cols = arrays.get("table_cols")
+    if table_cols is None:
+        return [arrays]
+    col_ends = np.cumsum(table_cols)
+    col_bounds = list(zip((col_ends - table_cols).tolist(), col_ends.tolist()))
+    bounds = {}
+    for key, lengths in _RUN_MEMBERS.items():
+        if key in arrays:
+            run_ends = np.concatenate([[0], np.cumsum(arrays[lengths])])
+            starts, ends = run_ends[col_ends - table_cols], run_ends[col_ends]
+            bounds[key] = list(zip(starts.tolist(), ends.tolist()))
+    tables: list[dict[str, np.ndarray]] = []
+    for slot in range(len(table_cols)):
+        rows = {}
+        for key, member in arrays.items():
+            if key in _TABLE_MEMBERS:
+                rows[key] = member[slot]
+            elif key != "table_cols":
+                start, end = bounds.get(key, col_bounds)[slot]
+                rows[key] = member[start:end]
+        tables.append(rows)
+    return tables
+
+
+def _share(entry: dict, archive_bytes: int) -> int:
+    """The bytes of its archive ``entry`` accounts for: its ``slot``'s, or
+    all of a one-table archive."""
+    return int(entry["slot"][1]) if "slot" in entry else archive_bytes
 
 
 @dataclass
@@ -316,8 +422,12 @@ def _recover_interrupted_reshard(root: Path) -> None:
 
 
 def _unmarked(fingerprint: str) -> str:
-    """A root manifest's recorded fingerprint without :data:`_JOURNAL_MARK`."""
-    return fingerprint.removesuffix(_JOURNAL_MARK)
+    """A root manifest's recorded fingerprint without its mark,
+    :data:`_SHARED_MARK` or the previous build's :data:`_JOURNAL_MARK`."""
+    for mark in (_SHARED_MARK, _JOURNAL_MARK):
+        if fingerprint.endswith(mark):
+            return fingerprint[: -len(mark)]
+    return fingerprint
 
 
 def _shard_count(top: dict) -> int:
@@ -407,9 +517,17 @@ class LakeShard:
         #: Position in the owning store's shard list — the ``shard`` label
         #: on this shard's flush metrics.
         self.shard_id = int(shard_id)
-        #: Replaced archives staged for deletion after the next manifest
-        #: flush (see :meth:`_write_table`).
-        self._pending_unlink: list[Path] = []
+        #: Archives (shard-relative) that lost a table since the last
+        #: commit; the commit unlinks those no entry names any more (see
+        #: :meth:`_drain_unlinks`).
+        self._pending_unlink: list[str] = []
+        #: Each archive a live entry names: [its bytes, how many live
+        #: entries name it]. Built from the manifest at open and kept in
+        #: step with it, so stats() never stats a file and a commit knows
+        #: when an archive's last table goes.
+        self._archives: dict[str, list[int]] = {}
+        #: Bytes of live archives no live entry accounts for.
+        self._dead_bytes = 0
         #: Each table entry's compact JSON text by table name, as the last
         #: commit wrote it; a write or remove drops its entry's text, so a
         #: commit encodes only what changed (see :meth:`_commit`).
@@ -443,6 +561,9 @@ class LakeShard:
         self._by_name: dict[str, dict] = {
             entry["name"]: entry for entry in self._manifest["tables"]
         }
+        for entry in self._manifest["tables"]:
+            self._hold(entry)
+        _DEAD_BYTES.labels(shard=str(self.shard_id)).set(self._dead_bytes)
 
     def _compact(self) -> None:
         """Write the whole manifest as the new base (write-then-rename),
@@ -500,12 +621,13 @@ class LakeShard:
         """Delete table archives the manifest does not reference, and any
         write-then-rename temporary a kill left behind.
 
-        A crash inside the staged-replace window (:meth:`_write_table`)
-        leaves exactly one orphan: either the freshly written replacement
-        (manifest never flushed — the table still serves its old bytes) or
-        the replaced original (manifest flushed, unlink pending — the table
-        serves its new bytes). Either way the orphan is dead data whose id
-        may be reallocated, so it goes at open time. So does any archive
+        A crash inside the staged-replace window (:meth:`_write_archive`)
+        leaves orphans of one kind: the freshly written archives (manifest
+        never flushed — their tables still serve their old bytes) or the
+        archives whose last table the write replaced or removed (manifest
+        flushed, unlink pending — the tables serve their new bytes). Either
+        way an orphan is dead data whose id may be reallocated, so it goes
+        at open time. So does any archive
         beside the manifest that no ``"index"`` entry names: an older
         build's staging file, or its index archive when a kill landed
         between the flush that retired it and its unlink.
@@ -528,69 +650,133 @@ class LakeShard:
         return list(self._manifest["tables"])
 
     # ------------------------------------------------------------------ #
-    def _write_table(self, record: LakeTableRecord, seq: int | None) -> None:
-        """Write the npz *first*, then mutate the manifest — a failed array
-        write must not leave a half-built entry for a later flush.
+    def _write_archive(self, group: list[tuple]) -> None:
+        """Write one archive of ``group``'s tables (``(record, seq, arrays,
+        meta)`` each, one :func:`_layout`) *first*, then point their
+        manifest entries at it — a failed archive write must not leave a
+        half-built entry for a later flush.
+
+        One table is written as its own members, the bytes an older build
+        writes; more share members (:func:`_shared_arrays`), and each entry
+        records its ``slot``: its index in the archive and the bytes it
+        accounts for (its rows, plus an even part of the framing), so the
+        slots of an archive add up to its size.
 
         A replace is **staged**: the replacement always goes to a freshly
-        allocated archive, the manifest entry is repointed, and the old
-        archive is only unlinked *after* the manifest flush lands
-        (:meth:`_drain_unlinks`). The live archive is never overwritten in
-        place, so a crash at any instant leaves the table fully servable at
-        either the old or the new version; the loser of the race is an
-        unreferenced archive swept at the next open.
+        allocated archive, the manifest entry is repointed, and an archive
+        that no entry names any more is only unlinked *after* the manifest
+        flush lands (:meth:`_drain_unlinks`). A live archive is never
+        overwritten in place, so a crash at any instant leaves every table
+        fully servable at either the old or the new version; the loser of
+        the race is an unreferenced archive swept at the next open.
         """
-        existing = self._entry(record.name)
-        file_id = self._manifest["next_id"]
-        file_rel = f"{TABLES_DIR}/t{file_id:06d}.npz"
-        arrays, meta = pack_table_sketch(record.sketch)
-        arrays["column_vectors"] = np.asarray(record.column_vectors, dtype=np.float64)
-        arrays["table_embedding"] = np.asarray(record.table_embedding, dtype=np.float64)
+        file_rel = f"{TABLES_DIR}/t{self._manifest['next_id']:06d}.npz"
+        if len(group) == 1:
+            arrays = group[0][2]
+        else:
+            arrays = _shared_arrays([table_arrays for _, _, table_arrays, _ in group])
         disk_bytes = write_archive(self.root / file_rel, arrays)
         _FLUSH_BYTES.labels(shard=str(self.shard_id)).inc(disk_bytes)
-        fields = {
-            "name": record.name,
-            "file": file_rel,
-            "sketch_meta": meta,
-            "n_rows": int(record.n_rows),
-            "n_cols": len(record.column_names),
-            # Recorded at write time so stats() never has to stat the file.
-            "disk_bytes": disk_bytes,
-            # A copy: the caller's dict must not reach into the manifest.
-            "metadata": copy.deepcopy(record.metadata),
-            "version": int(record.version),
-            "embedding_stale": bool(record.embedding_stale),
-        }
         self._manifest["next_id"] += 1
-        self._entry_texts.pop(record.name, None)
-        self._changed[record.name] = None
+        slots: list = [None]
+        if len(group) > 1:
+            rows = [
+                sum(array.nbytes for array in table_arrays.values())
+                for _, _, table_arrays, _ in group
+            ]
+            framing, extra = divmod(disk_bytes - sum(rows), len(group))
+            slots = [[slot, row + framing] for slot, row in enumerate(rows)]
+            slots[0][1] += extra
+        for (record, seq, _, meta), slot in zip(group, slots):
+            fields = {
+                "name": record.name,
+                "file": file_rel,
+                "sketch_meta": meta,
+                "n_rows": int(record.n_rows),
+                "n_cols": len(record.column_names),
+                # The archive's size, recorded at write time so stats()
+                # never has to stat the file.
+                "disk_bytes": disk_bytes,
+                # A copy: the caller's dict must not reach into the manifest.
+                "metadata": copy.deepcopy(record.metadata),
+                "version": int(record.version),
+                "embedding_stale": bool(record.embedding_stale),
+            }
+            if slot is not None:
+                fields["slot"] = slot
+            self._put(fields, seq)
+
+    def _put(self, fields: dict, seq: int | None) -> None:
+        """Enter a written table's entry in the manifest (in memory)."""
+        name = fields["name"]
+        existing = self._entry(name)
+        self._entry_texts.pop(name, None)
+        self._changed[name] = None
         if existing is None:
             fields["seq"] = int(seq)
             self._manifest["tables"].append(fields)
-            self._by_name[record.name] = fields
+            self._by_name[name] = fields
         else:
             # A replace keeps its manifest slot *and* its global seq: a
             # replaced table keeps its position in the insertion order.
-            old_rel = existing["file"]
+            self._release(existing)
+            existing.pop("slot", None)
             existing.update(fields)
-            self._pending_unlink.append(self.root / old_rel)
+            fields = existing
+        self._hold(fields)
+
+    def _hold(self, entry: dict) -> None:
+        """Count ``entry`` as a live reader of its archive."""
+        held = self._archives.get(entry["file"])
+        if held is None:
+            held = self._archives[entry["file"]] = [self._entry_disk_bytes(entry), 0]
+            self._dead_bytes += held[0]
+        held[1] += 1
+        self._dead_bytes -= _share(entry, held[0])
+
+    def _release(self, entry: dict) -> None:
+        """Stop counting ``entry`` as a reader of its archive; the next
+        commit unlinks an archive left with none."""
+        held = self._archives[entry["file"]]
+        held[1] -= 1
+        self._dead_bytes += _share(entry, held[0])
+        if not held[1]:
+            del self._archives[entry["file"]]
+            self._dead_bytes -= held[0]
+            self._pending_unlink.append(entry["file"])
 
     def _drain_unlinks(self) -> None:
-        """Remove replaced archives now that the manifest flush landed."""
+        """Remove archives no entry names now that the manifest flush
+        landed (one a write released and then wrote to again stays)."""
         while self._pending_unlink:
-            path = self._pending_unlink.pop()
-            if path.exists():
-                path.unlink()
+            file_rel = self._pending_unlink.pop()
+            if file_rel not in self._archives:
+                (self.root / file_rel).unlink(missing_ok=True)
 
     def save_tables(
         self, records: list[LakeTableRecord], seqs: "list[int | None]"
     ) -> None:
         """Write tables' artifacts with a single manifest commit; a record
         replaces any same-named entry (its ``seq`` is then ignored — new
-        entries need one)."""
+        entries need one).
+
+        Consecutive records of one :func:`_layout` share an archive, up to
+        :data:`ARCHIVE_TABLES` of them; each archive is written as soon as
+        its group closes, so a commit holds one group's arrays at a time.
+        """
         with self._flushing() as flush:
+            group: list[tuple] = []
+            layout = None
             for record, seq in zip(records, seqs):
-                self._write_table(record, seq)
+                arrays, meta = _pack_record(record)
+                if group and (len(group) == ARCHIVE_TABLES or _layout(arrays) != layout):
+                    self._write_archive(group)
+                    group = []
+                if not group:
+                    layout = _layout(arrays)
+                group.append((record, seq, arrays, meta))
+            if group:
+                self._write_archive(group)
             self._commit(flush)
 
     @contextmanager
@@ -613,11 +799,12 @@ class LakeShard:
         """
         index = self._manifest.get("index")
         if index is not None:
-            self._pending_unlink.append(self.root / index["file"])
+            self._pending_unlink.append(index["file"])
         for key in _RETIRED_KEYS:
             self._manifest.pop(key, None)
         flush.meta["manifest"] = self._flush()
         self._drain_unlinks()
+        _DEAD_BYTES.labels(shard=str(self.shard_id)).set(self._dead_bytes)
 
     def _flush(self) -> str:
         """Persist the manifest changes since the last flush; returns
@@ -646,10 +833,17 @@ class LakeShard:
         entry = self._entry(name)
         if entry is None:
             raise KeyError(f"lake store has no table {name!r}")
-        return self._load_entry(entry)
+        return self._record(entry, self._read_tables(entry["file"]))
 
-    def _load_entry(self, entry: dict) -> LakeTableRecord:
-        arrays = read_archive(self.root / entry["file"])
+    def _read_tables(self, file_rel: str) -> list[dict[str, np.ndarray]]:
+        """The archive at ``file_rel``, read once and split by slot."""
+        return _split_tables(read_archive(self.root / file_rel))
+
+    def _record(
+        self, entry: dict, tables: list[dict[str, np.ndarray]]
+    ) -> LakeTableRecord:
+        """``entry``'s record out of its archive's :meth:`_read_tables`."""
+        arrays = tables[entry["slot"][0] if "slot" in entry else 0]
         sketch = unpack_table_sketch(arrays, entry["sketch_meta"])
         return LakeTableRecord(
             sketch=sketch,
@@ -673,10 +867,11 @@ class LakeShard:
             self._entry_texts.pop(name, None)
             self._changed.pop(name, None)
             self._dropped[name] = None
-            # Forget, commit, *then* unlink: a kill in between leaves an
-            # unreferenced archive (swept at the next open), never an entry
-            # that points at a missing file.
-            self._pending_unlink.append(self.root / entry["file"])
+            # Forget, commit, *then* unlink an archive no entry names any
+            # more: a kill in between leaves an unreferenced archive (swept
+            # at the next open), never an entry that points at a missing
+            # file.
+            self._release(entry)
             self._commit(flush)
         return True
 
@@ -699,13 +894,15 @@ class LakeShard:
         return path.stat().st_size if path.exists() else 0
 
     def stats(self) -> dict:
-        """This shard's share of :meth:`LakeStore.stats`' sums."""
+        """This shard's share of :meth:`LakeStore.stats`' sums: each live
+        archive's bytes counted once, and those no live table reads."""
         entries = self._manifest["tables"]
         return {
             "n_tables": len(entries),
             "n_columns": sum(int(e.get("n_cols", 0)) for e in entries),
             "n_rows": sum(int(e.get("n_rows", 0)) for e in entries),
-            "disk_bytes": sum(self._entry_disk_bytes(e) for e in entries),
+            "disk_bytes": sum(held[0] for held in self._archives.values()),
+            "dead_bytes": self._dead_bytes,
         }
 
 
@@ -756,7 +953,7 @@ class LakeStore:
             top = {
                 "format_version": FORMAT_VERSION,
                 "sharded": True,
-                "fingerprint": fingerprint + _JOURNAL_MARK,
+                "fingerprint": fingerprint + _SHARED_MARK,
                 "n_shards": n_shards,
                 # Global insertion sequence: stamped on every new entry so
                 # cross-shard order survives persistence.
@@ -795,11 +992,11 @@ class LakeStore:
     def _flush_top(self) -> None:
         _write_manifest(self.root / MANIFEST_NAME, _dumps(self._top))
 
-    def _mark_journaled(self) -> bool:
-        """Record :data:`_JOURNAL_MARK` in the root manifest (in memory;
-        the caller flushes it before any shard commits). True when it was
-        not there yet: the first write to a store an older build wrote."""
-        marked = self.fingerprint + _JOURNAL_MARK
+    def _mark_written(self) -> bool:
+        """Record :data:`_SHARED_MARK` in the root manifest (in memory; the
+        caller flushes it before any shard commits). True when it was not
+        there yet: the first write to a store an older build wrote."""
+        marked = self.fingerprint + _SHARED_MARK
         if self._top["fingerprint"] == marked:
             return False
         self._top["fingerprint"] = marked
@@ -870,7 +1067,7 @@ class LakeStore:
         seq_by_name = dict(zip(fresh, range(start, start + len(fresh))))
         if fresh:
             self._top["next_seq"] = start + len(fresh)
-        marked = self._mark_journaled()
+        marked = self._mark_written()
         if fresh or marked:
             self._flush_top()
         groups: dict[int, tuple[list[LakeTableRecord], list[int | None]]] = {}
@@ -898,14 +1095,33 @@ class LakeStore:
 
     def load_all(self) -> Iterator[LakeTableRecord]:
         """Records in global insertion order — identical at every shard
-        count, so warm loads are deterministic and layout-invariant."""
-        for shard, entry in self._ordered_entries():
-            yield shard._load_entry(entry)
+        count, so warm loads are deterministic and layout-invariant.
+
+        Each archive is read once, at its first table in that order, into
+        the records of all its live tables, and released there; each
+        record is let go once yielded. After churn a shard's order
+        alternates between a shared archive and the one-table archives
+        rewrites left, and a cache of the last archive read would read the
+        shared one again at every turn.
+        """
+        ordered = self._ordered_entries()
+        by_archive: dict[tuple[int, str], list[dict]] = {}
+        for shard, entry in ordered:
+            by_archive.setdefault((shard.shard_id, entry["file"]), []).append(entry)
+        pending: dict[tuple[int, str], LakeTableRecord] = {}
+        for shard, entry in ordered:
+            key = (shard.shard_id, entry["name"])
+            if key not in pending:
+                entries = by_archive.pop((shard.shard_id, entry["file"]))
+                tables = shard._read_tables(entry["file"])
+                for live in entries:
+                    pending[shard.shard_id, live["name"]] = shard._record(live, tables)
+            yield pending.pop(key)
 
     def remove_table(self, name: str) -> bool:
         """Forget one table: one manifest commit of its shard."""
         shard = self._shard_for(name)
-        if name in shard and self._mark_journaled():
+        if name in shard and self._mark_written():
             self._flush_top()
         return shard.remove_table(name)
 
@@ -1039,6 +1255,7 @@ class LakeStore:
             "n_columns": sum(s["n_columns"] for s in shard_stats),
             "n_rows": sum(s["n_rows"] for s in shard_stats),
             "disk_bytes": sum(s["disk_bytes"] for s in shard_stats),
+            "dead_bytes": sum(s["dead_bytes"] for s in shard_stats),
             "index_backend": spec.canonical() if spec is not None else None,
             "shard_tables": [s["n_tables"] for s in shard_stats],
         }

@@ -260,3 +260,27 @@ def test_eval_dropout_is_true_identity():
     zero_p = Dropout(0.0)  # identity even in training mode
     y = Tensor(np.ones(5))
     assert zero_p(y) is y
+
+
+def test_a_forward_after_train_is_still_dropout_free(
+    tiny_config, tiny_encoder, ragged_sketches
+):
+    """The engine puts the model in eval mode only when it is training (the
+    walk costs a share of a batch-of-1 forward), so a forward right after
+    ``model.train()`` on a model with dropout is still bit-identical to one
+    before it — and leaves the model in eval mode."""
+    from dataclasses import replace
+
+    from repro.core.model import TabSketchFM
+
+    model = TabSketchFM(replace(tiny_config, dropout=0.5))
+    engine = EmbeddingEngine(model, tiny_encoder)
+    before = engine.embed_batch(ragged_sketches)
+    again = engine.embed_batch(ragged_sketches)
+    model.train()
+    after = engine.embed_batch(ragged_sketches)
+    assert not any(module.training for module in model.modules())
+    for results in (again, after):
+        for got, want in zip(results, before):
+            assert got.table.tobytes() == want.table.tobytes()
+            assert got.columns.tobytes() == want.columns.tobytes()

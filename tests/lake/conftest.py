@@ -131,6 +131,39 @@ def compact_fixture() -> SimpleNamespace:
 
 
 @pytest.fixture(scope="session")
+def journal_fixture() -> SimpleNamespace:
+    """A 4-shard lake with one archive per table and journaled shard
+    manifests (`data/journal_store`, written by the last commit before a
+    bulk write's tables shared archives); see :func:`_committed_fixture`."""
+    return _committed_fixture("journal_store")
+
+
+@pytest.fixture()
+def small_archives(monkeypatch) -> int:
+    """Shard commits write archives of at most two tables instead of
+    :data:`repro.lake.store.ARCHIVE_TABLES`, so the few tables of a test
+    lake span several archives; returns the cap."""
+    monkeypatch.setattr(store_module, "ARCHIVE_TABLES", 2)
+    return 2
+
+
+def _assert_archives_live(store: LakeStore) -> None:
+    for shard in store.shards:
+        named = {entry["file"] for entry in shard.entries()}
+        on_disk = {f"tables/{path.name}" for path in shard.root.glob("tables/*.npz")}
+        assert on_disk == named, shard.root
+
+
+@pytest.fixture()
+def archives_live():
+    """``archives_live(store)`` asserts that the table archives on disk are
+    exactly those ``store``'s live entries name: none that no entry names,
+    and none an entry names missing. It opens nothing, so nothing is swept
+    first."""
+    return _assert_archives_live
+
+
+@pytest.fixture(scope="session")
 def sharded_fixture() -> SimpleNamespace:
     """A 4-shard lake with pretty-printed manifests and counter-less
     ``index.npz`` archives (`data/sharded_store`, written by the last commit

@@ -1,5 +1,7 @@
 """Model-bundle persistence and the ``python -m repro.lake`` CLI."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.core.embed import TableEmbedder
 from repro.lake.bundle import has_bundle, load_bundle, save_bundle
 from repro.lake.serialization import config_fingerprint
 from repro.lake import __main__ as cli
+from repro.lake.store import LakeStore
 from repro.sketch.pipeline import sketch_table
 from repro.table.csvio import write_csv
 
@@ -79,6 +82,10 @@ def test_cli_ingest_query_stats_roundtrip(tmp_path, csv_dir, capsys, lake_tables
     assert f'"n_tables": {len(lake_tables) - 1}' in out
     assert '"api_version": "v1"' in out
     assert '"shard_tables"' in out
+    # The removed table's rows stay in the archive it shared, counted dead.
+    store_stats = LakeStore.open(lake).stats()
+    assert json.loads(out)["store"]["dead_bytes"] == store_stats["dead_bytes"] > 0
+    assert json.loads(out)["store"]["disk_bytes"] == store_stats["disk_bytes"]
 
 
 def test_cli_query_json_emits_discovery_result(tmp_path, csv_dir, capsys):

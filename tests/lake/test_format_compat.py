@@ -1,7 +1,10 @@
 """Stores older builds wrote still open here; the previous build refuses
 ours.
 
-`data/compact_store/` holds a 4-shard lake written by the last commit before
+`data/journal_store/` holds a 4-shard lake written by the previous build,
+the last commit before a bulk write's tables shared archives
+(``journal_fixture``): one archive per table, journaled shard manifests.
+`data/compact_store/` holds one written by the last commit before
 shard manifests had a journal (``compact_fixture``): compact manifests, no
 index archive. `data/sharded_store/` holds one written by a commit whose
 manifests were pretty-printed and whose shards each kept a persisted
@@ -13,12 +16,12 @@ from an index assembled out of the stored vectors. A shard's first write
 retires an older index archive and manifest entry, and a kill at any file
 operation of that write still reopens to the same answers.
 
-The other way round is a refusal. Once this code writes a store, a shard's
-manifest is its base plus a journal the previous build (0644171) never
-reads: it would serve the base alone and sweep every archive only the journal names.
-So the root manifest's recorded fingerprint carries a mark, and the
-previous build's open — inlined below — refuses the store before its first
-file operation.
+The other way round is a refusal. Once this code writes a store, an archive
+may hold many tables, which the previous build (90246c4) would read as one:
+it would serve the first table's rows for every table in it. So the root
+manifest's recorded fingerprint carries a mark that build does not strip,
+and its open — inlined below — refuses the store before its first file
+operation. A one-table write is still the bytes that build writes.
 """
 
 from __future__ import annotations
@@ -36,7 +39,12 @@ from repro.lake.serialization import (
 )
 from repro.lake.catalog import LakeCatalog
 from repro.lake.service import LakeService
-from repro.lake.store import _RETIRED_KEYS, LakeStore, _read_shard_manifest
+from repro.lake.store import (
+    _RETIRED_KEYS,
+    _SHARED_MARK,
+    LakeStore,
+    _read_shard_manifest,
+)
 from repro.search.tables import TableSearcher
 
 @pytest.fixture(autouse=True)
@@ -46,7 +54,9 @@ def lake_layout_shards() -> int:
     return LakeStore.DEFAULT_SHARDS
 
 
-@pytest.fixture(params=["sharded_fixture", "flat_fixture", "compact_fixture"])
+@pytest.fixture(
+    params=["sharded_fixture", "flat_fixture", "compact_fixture", "journal_fixture"]
+)
 def fixture(request):
     return request.getfixturevalue(request.param)
 
@@ -134,13 +144,15 @@ def _rewrite_every_table(root: Path) -> None:
 
 
 def test_the_first_write_retires_every_index_killed_or_not(
-    tmp_path, fixture, kill_at
+    tmp_path, fixture, kill_at, small_archives, archives_live
 ):
-    """After each shard's first write no index archive and no ``"index"``
-    entry remain in it, and a kill at any file operation of that write
-    leaves a store that reopens warm to the recorded answers. A shard no
-    table routes to is never written, so it keeps every byte (an older
-    build's empty, unread index archive too)."""
+    """After each shard's first write — the tables rewritten two to an
+    archive — no index archive and no ``"index"`` entry remain in it, and a
+    kill at any file operation of that write leaves a store that reopens
+    warm to the recorded answers, with every archive on disk named by an
+    entry and every entry's archive on disk. A shard no table routes to is
+    never written, so it keeps every byte (an older build's empty, unread
+    index archive too)."""
     k = 0
     while True:
         k += 1
@@ -152,9 +164,14 @@ def test_the_first_write_retires_every_index_killed_or_not(
         service = LakeService.open(root)
         _assert_warm(service)
         fixture.assert_serves(service)
+        archives_live(service.catalog.store)
         if not kill.fired:
             break
-    assert k > len(service.catalog), "an archive per table and a commit per shard"
+    assert k > len(service.catalog), "archives, commits and an unlink per table"
+    assert any(
+        "slot" in entry for shard in service.catalog.store.shards
+        for entry in shard.entries()
+    ), "the rewrite shares archives"
     for shard in service.catalog.store.shards:
         if len(shard):
             _assert_retired(shard)
@@ -215,30 +232,58 @@ def test_a_store_this_code_writes_ranks_the_same_through_the_older_reader(
 # Roll forward from the previous build, and its refusal
 # --------------------------------------------------------------------- #
 def test_the_previous_builds_store_writes_nothing_until_its_first_write(
-    tmp_path, compact_fixture
+    tmp_path, journal_fixture, lake_tables, archives_live
 ):
     """The previous build's store opens warm to its recorded answers, twice,
     without a byte changing; the first write marks the root and journals
-    into its shard, and a reopen serves that write warm."""
+    into its shard, a reopen serves that write warm, and from then on a
+    bulk write's tables share an archive."""
     root = tmp_path / "lake"
-    shutil.copytree(compact_fixture.lake, root)
+    shutil.copytree(journal_fixture.lake, root)
     before = _digests(root)
     for _ in range(2):
         service = LakeService.open(root)
         _assert_warm(service)
-        compact_fixture.assert_serves(service)
+        journal_fixture.assert_serves(service)
     assert _digests(root) == before
-    assert not list(root.rglob("manifest.log"))
 
     service.catalog.remove_table("g2t1")
-    journals = list(root.rglob("manifest.log"))
-    assert len(journals) == 1 and journals[0].read_text().count("\n") == 1
+    top = json.loads((root / "manifest.json").read_text())
+    assert top["fingerprint"] == journal_fixture.expected["fingerprint"] + _SHARED_MARK
     reopened = LakeService.open(root)
     _assert_warm(reopened)
     assert "g2t1" not in reopened.catalog.records
     assert reopened.catalog.table_names() == [
-        name for name in compact_fixture.expected["table_names"] if name != "g2t1"
+        name for name in journal_fixture.expected["table_names"] if name != "g2t1"
     ]
+
+    copies = {
+        f"copy{i}": table.with_columns(table.columns, name=f"copy{i}")
+        for i, table in enumerate(list(lake_tables.values())[:8])
+    }
+    reopened.catalog.add_tables(copies)
+    store = LakeStore.open(root)
+    for shard in store.shards:
+        files = {e["file"] for e in shard.entries() if e["name"] in copies}
+        assert len(files) <= 1, "a shard's copies share one archive"
+    assert any(
+        "slot" in entry for shard in store.shards for entry in shard.entries()
+    )
+    archives_live(reopened.catalog.store)
+
+
+def test_a_one_table_archive_is_the_previous_builds_bytes(tmp_path, journal_fixture):
+    """Every table of the previous build's store, saved alone by this code,
+    is the archive that build wrote for it, byte for byte."""
+    old = LakeStore.open(journal_fixture.lake)
+    for shard in old.shards:
+        for entry in shard.entries():
+            assert "slot" not in entry
+            record = old.load_table(entry["name"])
+            fresh = LakeStore(tmp_path / entry["name"], "fp")
+            fresh.save_table(record)
+            (written,) = (tmp_path / entry["name"]).rglob("tables/*.npz")
+            assert written.read_bytes() == (shard.root / entry["file"]).read_bytes()
 
 
 class _PreviousBuildWouldWrite(AssertionError):
@@ -246,57 +291,58 @@ class _PreviousBuildWouldWrite(AssertionError):
 
 
 def _previous_build_open(root: Path, expected_fingerprint: str | None = None) -> None:
-    """The previous build's ``LakeStore.open`` (0644171), inlined up to its
+    """The previous build's ``LakeStore.open`` (90246c4), inlined up to its
     first file operation, which it only reaches when it accepts the store.
 
-    It reads the root manifest (refusing a non-exact index), checks the
-    recorded fingerprint against the expected one, converts a flat store,
-    then for each shard in order reads ``manifest.json`` — resetting the
-    shard if it cannot — checks its fingerprint against the root's, and
-    sweeps every archive that manifest does not name. It never reads a
-    ``manifest.log``. Raises what that build raises; a store it would
-    accept raises :class:`_PreviousBuildWouldWrite` at the first shard it
-    would reset or sweep.
+    It reads the root manifest (refusing a non-exact index), strips its own
+    ``+journal`` mark off the recorded fingerprint and checks the rest
+    against the expected one, converts a flat store, unlinks a leftover
+    root ``manifest.tmp.json``, then for each shard in order folds
+    ``manifest.json`` with its ``manifest.log`` — resetting the shard if it
+    cannot — checks the fold's fingerprint against the root's, and sweeps
+    every archive the fold does not name. Raises what that build raises; a
+    store it would accept raises :class:`_PreviousBuildWouldWrite` at the
+    first file it would convert, unlink, reset or sweep.
     """
     top = json.loads((root / "manifest.json").read_text())
     backend = top.get("index_spec", {}).get("backend", "exact")
     if backend != "exact":
         raise UnsupportedIndexBackendError(root, backend)
-    found = top.get("fingerprint", "")
+    found = top.get("fingerprint", "").removesuffix("+journal")
     if expected_fingerprint is not None and found != expected_fingerprint:
         raise FingerprintMismatchError(expected_fingerprint, found)
     if not top.get("sharded"):
         raise _PreviousBuildWouldWrite("it would convert the flat layout")
+    if (root / "manifest.tmp.json").exists():
+        raise _PreviousBuildWouldWrite("it would unlink the root's staging file")
     for shard_id in range(int(top.get("n_shards", 1))):
         shard_root = root / "shards" / f"s{shard_id:03d}"
         try:
-            manifest = json.loads((shard_root / "manifest.json").read_text())
+            manifest = _read_shard_manifest(shard_root).manifest
         except (ValueError, KeyError, OSError) as exc:
             raise _PreviousBuildWouldWrite(f"it would reset shard {shard_id}") from exc
         if manifest.get("fingerprint", "") != found:
             raise FingerprintMismatchError(found, manifest.get("fingerprint", ""))
-        raise _PreviousBuildWouldWrite(
-            f"it would sweep shard {shard_id} by its base alone"
-        )
+        raise _PreviousBuildWouldWrite(f"it would sweep shard {shard_id}")
 
 
-def test_the_previous_build_opens_its_own_store(compact_fixture):
+def test_the_previous_build_opens_its_own_store(journal_fixture):
     """The inlined reader is the previous build's: it accepts what that
     build wrote, under the fingerprint that build's CLI expects."""
-    for expected in (None, compact_fixture.expected["fingerprint"]):
+    for expected in (None, journal_fixture.expected["fingerprint"]):
         with pytest.raises(_PreviousBuildWouldWrite, match="sweep shard 0"):
-            _previous_build_open(compact_fixture.lake, expected)
+            _previous_build_open(journal_fixture.lake, expected)
 
 
 def test_the_previous_build_refuses_a_store_this_code_wrote(
-    tmp_path, compact_fixture, lake_embedder, lake_tables
+    tmp_path, journal_fixture, lake_embedder, lake_tables
 ):
     """Whether a new store or the previous build's own after one write here
-    — journals with a torn tail in its shards — that build refuses it before
+    — a journal with a torn tail in a shard — that build refuses it before
     its first file operation, under the fingerprint its CLI expects and
     under none."""
     rolled = tmp_path / "rolled"
-    shutil.copytree(compact_fixture.lake, rolled)
+    shutil.copytree(journal_fixture.lake, rolled)
     catalog = LakeService.open(rolled).catalog
     catalog.append_rows("g0t0", [["grp0val77", "1", "tag3"]])
     catalog.remove_table("g2t1")
@@ -306,8 +352,13 @@ def test_the_previous_build_refuses_a_store_this_code_wrote(
 
     new = tmp_path / "new"
     LakeCatalog(lake_embedder, store=LakeStore(new, "fp")).add_tables(lake_tables)
+    assert any(
+        "slot" in entry
+        for shard in LakeStore.open(new).shards
+        for entry in shard.entries()
+    ), "a store whose archives hold many tables"
     for root, fingerprint in (
-        (rolled, compact_fixture.expected["fingerprint"]), (new, "fp")
+        (rolled, journal_fixture.expected["fingerprint"]), (new, "fp")
     ):
         before = _digests(root)
         for expected in (None, fingerprint):

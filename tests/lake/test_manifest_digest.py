@@ -13,10 +13,13 @@ entry and the write counter that index was checked against. Today a shard's
 manifest is its base ``manifest.json`` folded with its journal
 (``manifest.log``), and the full encode of that fold must be exactly the
 recorded bytes with the retired keys (:data:`repro.lake.store._RETIRED_KEYS`)
-removed and re-encoded by ``_dumps``; the root manifest must be exactly the
-recorded one with its fingerprint carrying
-:data:`repro.lake.store._JOURNAL_MARK`. Any other byte change fails, stage
-for stage.
+removed and re-encoded by ``_dumps``, once both sides drop what says where a
+table's rows are stored: each entry's ``file``, ``slot`` and ``disk_bytes``
+and the head's ``next_id`` (a bulk write's tables share archives now, so
+they take fewer file ids). The root manifest must be exactly the recorded
+one with its fingerprint carrying :data:`repro.lake.store._SHARED_MARK`.
+Any other byte change fails, stage for stage: names, ``seq``, sketch
+metadata, counts, metadata, versions and staleness.
 
 A manifest holds names, sketch configs, sizes, counters and the index spec
 — no computed floats — so the bytes do not depend on the host's float
@@ -35,8 +38,8 @@ from repro.lake.api import DiscoveryRequest
 from repro.lake.catalog import LakeCatalog
 from repro.lake.service import LakeService
 from repro.lake.store import (
-    _JOURNAL_MARK,
     _RETIRED_KEYS,
+    _SHARED_MARK,
     LakeStore,
     _dumps,
     _read_shard_manifest,
@@ -80,12 +83,26 @@ MANIFEST_DIGESTS = {
 }
 
 
+#: Where a table's rows are stored, which shared archives changed.
+_STORAGE_KEYS = ("file", "slot", "disk_bytes")
+
+
+def _unplaced(manifest: dict) -> dict:
+    """A shard manifest without :data:`_STORAGE_KEYS` and ``next_id``."""
+    head = {k: v for k, v in manifest.items() if k not in ("next_id", "tables")}
+    head["tables"] = [
+        {k: v for k, v in entry.items() if k not in _STORAGE_KEYS}
+        for entry in manifest["tables"]
+    ]
+    return head
+
+
 def _manifests(root: Path) -> dict[str, str]:
     """The root manifest's text, and each shard's folded manifest encoded
-    whole, by path."""
+    whole (less :func:`_unplaced`'s keys), by path."""
     manifests = {"manifest.json": (root / "manifest.json").read_text()}
     for shard in sorted((root / "shards").iterdir()):
-        folded = _read_shard_manifest(shard).manifest
+        folded = _unplaced(_read_shard_manifest(shard).manifest)
         manifests[f"shards/{shard.name}/manifest.json"] = _dumps(folded) + "\n"
     return manifests
 
@@ -102,10 +119,13 @@ def _digest(manifests: dict[str, str]) -> str:
 
 def _today(path: str, text: str) -> str:
     """A recorded manifest as this code must write it: a shard's without
-    the keys the persisted index needed, the root's fingerprint marked."""
+    the keys the persisted index needed (and :func:`_unplaced`'s), the
+    root's fingerprint marked."""
     manifest = json.loads(text)
     if path == "manifest.json":
-        manifest["fingerprint"] += _JOURNAL_MARK
+        manifest["fingerprint"] += _SHARED_MARK
+    else:
+        manifest = _unplaced(manifest)
     manifest = {k: v for k, v in manifest.items() if k not in _RETIRED_KEYS}
     return _dumps(manifest) + "\n"
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -60,11 +61,11 @@ def _open(root: Path) -> LakeService:
     return LakeService(LakeCatalog.from_store(embedder, store))
 
 
-def _assert_converted(root: Path, n_tables: int) -> None:
+def _assert_converted(root: Path, n_archives: int) -> None:
     assert not (root / "tables").exists() and not (root / "index.npz").exists()
     shard = root / "shards" / "s000"
     assert (shard / "manifest.json").is_file()
-    assert len(list((shard / "tables").glob("*.npz"))) == n_tables
+    assert len(list((shard / "tables").glob("*.npz"))) == n_archives
     assert LakeStore.peek_n_shards(root) == 1
     assert not LakeStore.needs_conversion(root)
 
@@ -223,6 +224,37 @@ def test_reshard_to_one_shard_is_the_same_layout(flat_lake, flat_fixture, capsys
     cli.main(["reshard", "--lake", str(flat_lake), "--shards", "1"])
     assert "3 -> 1 shard(s)" in capsys.readouterr().out
     assert sorted(p.name for p in (flat_lake / "shards").iterdir()) == ["s000"]
-    _assert_converted(flat_lake, flat_fixture.expected["counts"]["n_tables"])
+    # A reshard's bulk write puts the nine tables in one shared archive.
+    _assert_converted(flat_lake, 1)
     assert not list(flat_lake.rglob("index*.npz")), "a reshard writes no index"
     _assert_serves_warm(LakeService.open(flat_lake), flat_fixture)
+
+
+def test_a_reshard_killed_at_every_file_operation_serves_the_recorded_answers(
+    flat_lake, flat_fixture, tmp_path, kill_at, small_archives, archives_live
+):
+    """A reshard to three shards writes each shard's tables two to an
+    archive. Killed at any file operation, the next open serves the
+    recorded answers warm at one shard count or the other, and every
+    shard's archives on disk are exactly those its entries name."""
+    LakeStore.open(flat_lake)  # the conversion, once: the kills land in the reshard
+    k = 0
+    while True:
+        k += 1
+        root = tmp_path / f"killed-at-{k}"
+        shutil.copytree(flat_lake, root)
+        with kill_at(k) as kill:
+            LakeService.reshard(root, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # a rolled-back swap
+            service = LakeService.open(root)
+        store = service.catalog.store
+        assert store.n_shards in (1, 3), k
+        assert service.catalog.searcher.insertions == 0
+        flat_fixture.assert_serves(service)
+        archives_live(store)
+        if not kill.fired:
+            break
+    assert store.n_shards == 3
+    assert any("slot" in entry for shard in store.shards for entry in shard.entries())
+    assert k > flat_fixture.expected["counts"]["n_tables"]

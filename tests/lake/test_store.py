@@ -11,6 +11,8 @@ import gc
 import io
 import json
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -522,3 +524,133 @@ def test_replacement_never_overwrites_live_archive(
     second = _table_archives(tmp_path)
     assert len(first) == len(second) == 1
     assert first[0].name != second[0].name
+
+
+# --------------------------------------------------------------------- #
+# Shared archives
+# --------------------------------------------------------------------- #
+def _legacy(record: LakeTableRecord) -> LakeTableRecord:
+    """``record`` as a pre-live-tables store serves it: no accumulators."""
+    from dataclasses import replace
+
+    columns = [replace(c, numeric_acc=None) for c in record.sketch.column_sketches]
+    return replace(record, sketch=replace(record.sketch, column_sketches=columns))
+
+
+def _members(record: LakeTableRecord) -> dict:
+    from repro.lake.serialization import pack_table_sketch
+
+    arrays, meta = pack_table_sketch(record.sketch)
+    arrays["column_vectors"] = record.column_vectors
+    arrays["table_embedding"] = record.table_embedding
+    return {key: (a.dtype.str, a.shape, a.tobytes()) for key, a in arrays.items()}, meta
+
+
+def test_a_commit_mixing_legacy_and_live_sketches_round_trips(
+    tmp_path, tiny_sketch_config
+):
+    """Tables without accumulators (legacy sketch state) and tables with
+    them, in one commit: each comes back with exactly its members, the
+    legacy ones still without accumulators, and neither kind shares an
+    archive with the other."""
+    records = _many_records(tiny_sketch_config, n=10)
+    for i in (2, 3, 4, 7):
+        records[i] = _legacy(records[i])
+    store = LakeStore(tmp_path, "fp")
+    store.save_tables(records)
+    loaded = {record.name: record for record in LakeStore.open(tmp_path).load_all()}
+    for record in records:
+        assert _members(loaded[record.name]) == _members(record)
+        legacy = record.sketch.column_sketches[0].numeric_acc is None
+        assert all(
+            (c.numeric_acc is None) == legacy
+            for c in loaded[record.name].sketch.column_sketches
+        )
+    legacy_names = {records[i].name for i in (2, 3, 4, 7)}
+    for shard in store.shards:
+        kinds: dict = {}
+        for entry in shard.entries():
+            kinds.setdefault(entry["file"], set()).add(entry["name"] in legacy_names)
+        assert all(len(kind) == 1 for kind in kinds.values())
+    assert any("slot" in entry for entry in _all_entries(store))
+
+
+def test_split_tables_inverts_shared_arrays():
+    """Every table's members come back out of a shared archive's exactly —
+    a table with no columns, and runs of every length, included — and an
+    archive without ``table_cols`` is one table."""
+    rng = np.random.default_rng(0)
+    tables = []
+    for n_cols in (2, 0, 3, 1):
+        sample_len = rng.integers(0, 4, size=n_cols)
+        distinct_len = rng.integers(0, 3, size=n_cols)
+        tables.append({
+            "snapshot_sig": rng.integers(0, 9, size=4, dtype=np.uint64),
+            "values_sig": rng.integers(0, 9, size=(n_cols, 4), dtype=np.uint64),
+            "ctypes": rng.integers(0, 3, size=n_cols, dtype=np.int64),
+            "acc_sample": rng.normal(size=int(sample_len.sum())),
+            "acc_sample_len": sample_len.astype(np.int64),
+            "acc_distinct": rng.integers(0, 9, size=int(distinct_len.sum()), dtype=np.uint64),
+            "acc_distinct_len": distinct_len.astype(np.int64),
+            "column_vectors": rng.normal(size=(n_cols, 3)),
+            "table_embedding": rng.normal(size=3),
+        })
+    shared = store_module._shared_arrays(tables)
+    assert shared["table_cols"].tolist() == [2, 0, 3, 1]
+    split = store_module._split_tables(shared)
+    assert len(split) == len(tables)
+    for got, want in zip(split, tables):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key].dtype == want[key].dtype, key
+            assert got[key].shape == want[key].shape, key
+            assert np.array_equal(got[key], want[key]), key
+    assert store_module._split_tables(tables[0]) == [tables[0]]
+
+
+def test_a_single_table_write_is_a_one_table_archive(
+    tmp_path, city_table, product_table, tiny_sketch_config
+):
+    """One record in a commit writes no ``table_cols`` and records no
+    ``slot``: the archive an older build writes for the same record."""
+    store = LakeStore(tmp_path, "fp")
+    store.save_tables([_record(city_table, tiny_sketch_config)])
+    store.save_table(_record(product_table, tiny_sketch_config))
+    for entry in _all_entries(store):
+        assert "slot" not in entry
+    for path in _table_archives(tmp_path):
+        assert "table_cols" not in store_module.read_archive(path)
+
+
+def test_a_shared_archive_is_an_npz_np_load_reads(tmp_path, tiny_sketch_config):
+    """A bulk write's archive is still a plain npz: ``np.load`` reads the
+    members the store's codec reads, each holding every table's rows."""
+    records = _many_records(tiny_sketch_config, n=5)
+    store = LakeStore(tmp_path, "fp", n_shards=1)
+    store.save_tables(records)
+    (path,) = _table_archives(tmp_path)
+    with np.load(path) as loaded:
+        members = {key: loaded[key] for key in loaded.files}
+    assert members.keys() == store_module.read_archive(path).keys()
+    for key, array in store_module.read_archive(path).items():
+        assert np.array_equal(members[key], array), key
+    assert members["table_cols"].tolist() == [r.sketch.n_cols for r in records]
+    assert members["column_vectors"].shape[0] == sum(r.sketch.n_cols for r in records)
+
+
+def test_a_commit_that_writes_one_table_twice_keeps_the_archive(
+    tmp_path, city_table, tiny_sketch_config
+):
+    """The second record of a name replaces the first inside the archive
+    they share: the commit leaves that archive on disk (the first slot's
+    rows dead), and a reopen serves the second."""
+    first = _record(city_table, tiny_sketch_config, seed=1)
+    second = _record(city_table, tiny_sketch_config, seed=2)
+    store = LakeStore(tmp_path, "fp")
+    store.save_tables([first, second])
+    (entry,) = _all_entries(store)
+    assert entry["slot"][0] == 1
+    assert [p.name for p in _table_archives(tmp_path)] == [Path(entry["file"]).name]
+    assert store.stats()["dead_bytes"] > 0
+    loaded = LakeStore.open(tmp_path).load_table("cities")
+    assert np.array_equal(loaded.column_vectors, second.column_vectors)

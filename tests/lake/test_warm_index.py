@@ -9,10 +9,13 @@ state machine drives a catalog through adds, updates, appends, refreshes,
 removes, reopens and reshards (1 <-> 4 shards); tables with identical
 contents under different names make exact ties, and the lake is small
 enough that shard manifests compact inside an example, folding the journal
-lines written before. After every reopen each sub-index's keys and vector
-bytes equal the live ones, and so do the answers in all three modes; after
-every reshard they equal a cold rebuild of the same records at the new
-shard count.
+lines written before. Archives hold at most two tables here (the
+``small_archives`` fixture), so the seeded tables, bulk adds and reshards
+span several shared archives that updates, appends and removes then thin
+out. After every reopen each sub-index's keys and vector bytes equal the
+live ones, and so do the answers in all three modes; after every reshard
+they equal a cold rebuild of the same records at the new shard count; and
+after every step the archives on disk are exactly those live entries name.
 """
 
 from __future__ import annotations
@@ -20,7 +23,12 @@ from __future__ import annotations
 import tempfile
 
 from hypothesis import HealthCheck, settings, strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, rule, run_state_machine_as_test
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.lake import store as store_module
 from repro.lake.api import DiscoveryRequest
@@ -101,9 +109,9 @@ def _records(catalog: LakeCatalog) -> dict:
 
 
 def test_a_reopened_catalog_serves_the_live_index(
-    tmp_path, lake_embedder, monkeypatch
+    tmp_path, lake_embedder, monkeypatch, small_archives, archives_live
 ):
-    commits = {"journal": 0, "compaction": 0, "folding": 0}
+    commits = {"journal": 0, "compaction": 0, "folding": 0, "shared": 0}
     compact = LakeShard._compact
     append_journal = store_module._append_journal
 
@@ -133,6 +141,19 @@ def test_a_reopened_catalog_serves_the_live_index(
             if name not in self.catalog:
                 self.catalog.add_table(_table(name, variant))
 
+        @rule(
+            names=st.lists(st.sampled_from(NAMES), min_size=2, max_size=5, unique=True),
+            variant=st.sampled_from(sorted(HEADERS)),
+        )
+        def add_many(self, names, variant):
+            self.catalog.add_tables(
+                {
+                    name: _table(name, variant)
+                    for name in names
+                    if name not in self.catalog
+                }
+            )
+
         @rule(name=st.sampled_from(NAMES), variant=st.sampled_from(sorted(HEADERS)))
         def update(self, name, variant):
             if name in self.catalog:
@@ -161,6 +182,16 @@ def test_a_reopened_catalog_serves_the_live_index(
             assert _records(warm) == _records(self.catalog)
             return warm
 
+        @invariant()
+        def archives_are_live(self):
+            """The archives on disk are exactly those live entries name."""
+            archives_live(self.catalog.store)
+            commits["shared"] += any(
+                "slot" in entry
+                for shard in self.catalog.store.shards
+                for entry in shard.entries()
+            )
+
         @rule()
         def reopen(self):
             warm = self._warm()
@@ -186,4 +217,4 @@ def test_a_reopened_catalog_serves_the_live_index(
             suppress_health_check=[HealthCheck.function_scoped_fixture],
         ),
     )
-    assert commits["journal"] and commits["folding"], commits
+    assert commits["journal"] and commits["folding"] and commits["shared"], commits

@@ -1,6 +1,10 @@
 """The catalog's write path: table archives plus one manifest commit per
 touched shard, and no index archive.
 
+Every lake here is written with archives of at most two tables (the
+``small_archives`` fixture), so a bulk write spans several archives and an
+update or remove can leave a shared archive alive or drop its last table.
+
 The index is derived state (a warm open assembles it from the stored
 vectors), so a write persists only what it changed, and a shard's manifest
 commit appends one journal line unless it compacts. Pinned here: the commit
@@ -18,13 +22,15 @@ records.
 from __future__ import annotations
 
 import json
+import math
 import shutil
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.lake import store as store_module
 from repro.lake.api import DiscoveryRequest
 from repro.lake.catalog import LakeCatalog
@@ -74,7 +80,7 @@ BEFORE = {"refresh_stale": _append}
 
 
 @pytest.fixture()
-def base_lake(tmp_path, lake_embedder, lake_tables, op) -> Path:
+def base_lake(tmp_path, lake_embedder, lake_tables, op, small_archives) -> Path:
     root = tmp_path / "base"
     catalog = LakeCatalog(lake_embedder, store=LakeStore(root, "fp"))
     catalog.add_tables(lake_tables)
@@ -140,12 +146,26 @@ def _torn_tails(root: Path) -> int:
 
 
 def _assert_swept(root: Path) -> None:
-    """No write-then-rename leftover, and every table archive is live."""
+    """No write-then-rename leftover, and the table archives on disk are
+    exactly those the live entries name."""
     assert not [p for name in _LEFTOVERS for p in root.rglob(name)]
-    for shard in LakeStore.open(root).shards:
+    _assert_archives_live(LakeStore.open(root))
+
+
+def _assert_archives_live(store: LakeStore) -> None:
+    """The table archives on disk are exactly those the store's live entries
+    name, with no open to sweep them: a finished write leaves no other."""
+    for shard in store.shards:
         live = {entry["file"] for entry in shard.entries()}
         on_disk = {f"tables/{p.name}" for p in (shard.root / "tables").glob("*.npz")}
         assert on_disk == live, shard.root
+
+
+def _archives_for(store: LakeStore, names) -> int:
+    """How many archives a bulk write of the fresh tables ``names`` makes:
+    each shard's share, :data:`repro.lake.store.ARCHIVE_TABLES` to one."""
+    per_shard = Counter(store.shard_id(name) for name in names)
+    return sum(math.ceil(n / store_module.ARCHIVE_TABLES) for n in per_shard.values())
 
 
 # --------------------------------------------------------------------- #
@@ -191,7 +211,9 @@ def test_each_write_flushes_each_touched_shard_once(
         touched = len({catalog.store.shard_id(name) for name in tables})
         # Fresh tables take global sequence numbers: the root moves once.
         expected = {
-            "root_manifest": 1, "shard_manifest": touched, "table_archive": len(tables)
+            "root_manifest": 1,
+            "shard_manifest": touched,
+            "table_archive": _archives_for(catalog.store, tables),
         }
     elif op == "remove_table":
         expected = {"shard_manifest": 1}
@@ -254,10 +276,10 @@ def test_add_tables_writes_every_archive_through_the_codec(
     base_lake, lake_embedder, monkeypatch
 ):
     """``kill_at`` kills archive writes by counting ``write_archive`` where
-    the store calls it. An ``add_tables`` of N fresh tables makes exactly N
-    table archives and nothing else, every one of them through that seam: a
-    write path that bypassed it would leave the crash tests passing without
-    killing that write."""
+    the store calls it. An ``add_tables`` of fresh tables makes exactly
+    each touched shard's share of them, two to an archive, and nothing
+    else, every one of them through that seam: a write path that bypassed
+    it would leave the crash tests passing without killing that write."""
     written: list[Path] = []
     write_archive = store_module.write_archive
 
@@ -270,7 +292,7 @@ def test_add_tables_writes_every_archive_through_the_codec(
     monkeypatch.setattr(store_module, "write_archive", counted)
     tables = _new_tables()
     catalog.add_tables(tables)
-    assert len(written) == len(tables)
+    assert len(written) == _archives_for(catalog.store, tables)
     assert set(base_lake.rglob("*.npz")) - before == set(written)
 
 
@@ -307,7 +329,9 @@ def test_write_killed_at_every_file_operation_reopens_old_or_new(
     old = _state(base_lake)
     done = tmp_path / "done"
     shutil.copytree(base_lake, done)
-    OPS[op](_warm(lake_embedder, done), lake_tables)
+    catalog = _warm(lake_embedder, done)
+    OPS[op](catalog, lake_tables)
+    _assert_archives_live(catalog.store)
     new = _state(done)
     assert new != old
 
@@ -338,6 +362,152 @@ def test_write_killed_at_every_file_operation_reopens_old_or_new(
         assert _warm(lake_embedder, root).searcher.insertions == 0, k
     assert k > 2, "a write takes an archive write and a manifest commit at least"
     assert leftovers, "some kill must have left a temporary or a torn tail"
+
+
+def _shared_pair(root: Path) -> tuple[str, str]:
+    """Two tables that share an archive (there is one at either shard count:
+    the base lake's nine tables go two to an archive)."""
+    for shard in LakeStore.open(root).shards:
+        by_file = defaultdict(list)
+        for entry in shard.entries():
+            by_file[entry["file"]].append(entry["name"])
+        for names in by_file.values():
+            if len(names) == 2:
+                return names[0], names[1]
+    raise AssertionError("no shared archive")
+
+
+def _rewrite(catalog: LakeCatalog, tables, name: str, how: str) -> None:
+    if how == "update":
+        catalog.update_table(_shrunk(tables[name]))
+    else:
+        catalog.remove_table(name)
+
+
+@pytest.mark.parametrize("how", ["update", "remove"])
+@pytest.mark.parametrize("last", [False, True], ids=["archive-lives", "archive-goes"])
+def test_a_rewrite_of_a_shared_archives_table_killed_at_every_file_operation(
+    how, last, base_lake, lake_embedder, lake_tables, tmp_path, kill_at
+):
+    """An update or remove of one table of a shared archive, while its
+    sibling still reads it (the archive stays, with dead rows) or after the
+    sibling was rewritten (the archive goes after the commit), killed at
+    every k: each kill reopens old or new, with no archive on disk that no
+    entry names and no entry naming a missing archive."""
+    first, second = _shared_pair(base_lake)
+    shard_root = LakeStore.open(base_lake)._shard_for(first).root
+    (archive,) = {
+        entry["file"]
+        for entry in LakeStore.open(base_lake)._shard_for(first).entries()
+        if entry["name"] in (first, second)
+    }
+    if last:
+        _rewrite(_warm(lake_embedder, base_lake), lake_tables, first, how)
+    target = second if last else first
+    old = _state(base_lake)
+    done = tmp_path / "done"
+    shutil.copytree(base_lake, done)
+    catalog = _warm(lake_embedder, done)
+    _rewrite(catalog, lake_tables, target, how)
+    _assert_archives_live(catalog.store)
+    shard_dir = shard_root.relative_to(base_lake)
+    assert (done / shard_dir / archive).exists() is not last
+    new = _state(done)
+
+    k = 0
+    while True:
+        k += 1
+        root = tmp_path / f"killed-at-{k}"
+        shutil.copytree(base_lake, root)
+        with kill_at(k) as kill:
+            _rewrite(_warm(lake_embedder, root), lake_tables, target, how)
+        if not kill.fired:
+            break
+        assert _state(root) in (old, new), k
+        _assert_swept(root)
+        _assert_ranks_like_a_cold_rebuild(_warm(lake_embedder, root))
+    assert k > 2
+
+
+def _archive_bytes(root: Path) -> int:
+    return sum(path.stat().st_size for path in root.rglob("tables/*.npz"))
+
+
+def _assert_accounts_for_the_disk(root: Path, live: LakeStore) -> LakeStore:
+    """The ``live`` store's ``disk_bytes`` is the size of the archives on
+    disk, before and after a reopen, the reopened store's stats are the
+    live one's, and the dead-bytes gauge of each shard is what its stats say
+    (an open sets it)."""
+    assert live.stats()["disk_bytes"] == _archive_bytes(root)
+    _assert_archives_live(live)
+    store = LakeStore.open(root)
+    assert store.stats() == live.stats()
+    assert store.stats()["disk_bytes"] == _archive_bytes(root)
+    gauge = obs.get_registry().get("lake_store_dead_bytes")
+    for shard in store.shards:
+        dead = gauge.labels(shard=str(shard.shard_id)).value
+        assert dead == shard.stats()["dead_bytes"]
+    return store
+
+
+def test_stats_count_each_live_archive_once_and_its_dead_rows(
+    base_lake, lake_embedder, lake_tables
+):
+    """After a fresh ingest, and after adds, appends, updates, removes and a
+    reopen, ``disk_bytes`` is the summed size of every ``tables/*.npz``.
+    ``dead_bytes`` is 0 after the ingest, grows by a table's share of its
+    shared archive when the table is rewritten while its sibling lives,
+    and falls back when the sibling's rewrite takes the archive away."""
+    catalog = _warm(lake_embedder, base_lake)
+    assert _assert_accounts_for_the_disk(base_lake, catalog.store).stats()[
+        "dead_bytes"
+    ] == 0
+    first, second = _shared_pair(base_lake)
+    share = catalog.store._shard_for(first)._entry(first)["slot"][1]
+    catalog.update_table(_shrunk(lake_tables[first]))
+    store = _assert_accounts_for_the_disk(base_lake, catalog.store)
+    assert store.stats()["dead_bytes"] == share
+    catalog.remove_table(second)
+    store = _assert_accounts_for_the_disk(base_lake, catalog.store)
+    assert store.stats()["dead_bytes"] == 0
+
+    for op in sorted(OPS):
+        OPS[op](catalog, lake_tables)
+        store = _assert_accounts_for_the_disk(base_lake, catalog.store)
+    assert store.stats()["dead_bytes"] > 0
+
+
+def test_a_warm_open_reads_each_archive_once(
+    base_lake, lake_embedder, lake_tables, monkeypatch
+):
+    """Rewrite every other table, so that in ``seq`` order the store
+    alternates between shared archives and one-table ones: a warm open
+    still reads every live archive exactly once."""
+    catalog = _warm(lake_embedder, base_lake)
+    for name in catalog.table_names()[1::2]:
+        catalog.update_table(_shrunk(lake_tables[name]))
+    reads: Counter = Counter()
+    read_archive = store_module.read_archive
+
+    def counted(path):
+        reads[Path(path)] += 1
+        return read_archive(path)
+
+    monkeypatch.setattr(store_module, "read_archive", counted)
+    warm = _warm(lake_embedder, base_lake)
+    assert _records_of(warm) == _records_of(catalog)
+    assert set(reads.values()) == {1}
+    assert set(reads) == set(base_lake.rglob("tables/*.npz"))
+    assert any(
+        "slot" in entry for shard in warm.store.shards for entry in shard.entries()
+    )
+
+
+def _records_of(catalog: LakeCatalog) -> dict:
+    return {
+        name: (record.version, record.column_vectors.tobytes())
+        for name, record in catalog.records.items()
+    }
 
 
 def _bytes_under(root: Path) -> dict:
