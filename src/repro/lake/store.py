@@ -123,6 +123,8 @@ import copy
 import json
 import os
 import shutil
+import struct
+import sys
 import warnings
 import zlib
 from contextlib import contextmanager
@@ -237,6 +239,44 @@ def _write_manifest(path: Path, text: str) -> None:
     with open(temporary, "wb") as handle:
         handle.write(text.encode("utf-8") + b"\n")
     os.replace(temporary, path)
+
+
+#: ``chattr +T``: the inode flag (``FS_TOPDIR_FL``) and the Linux ioctls
+#: that read and set an inode's flags.
+_TOPDIR_FLAG = 0x00020000
+_GETFLAGS, _SETFLAGS = 0x80086601, 0x40086602
+
+
+def _mark_top_dir(path: Path) -> None:
+    """Mark a new store's root as the top of a directory hierarchy
+    (``chattr +T``) where the file system keeps the flag; elsewhere, do
+    nothing.
+
+    ext4's Orlov allocator then puts the shard directories, and so their
+    archives, in block groups of their own instead of the group of the
+    directory the store was created in. Without a journal, ext4 allocates
+    an inode by stepping past every inode of its group freed in the last
+    minute (longer while the inode table is not yet written back), one
+    buffer lookup each: beside a process that had just deleted a few
+    thousand files, writing an archive cost ~1.3 ms more than its ~0.2 ms,
+    and every append writes one.
+    """
+    if sys.platform != "linux":
+        return
+    import fcntl
+
+    try:
+        handle = os.open(path, os.O_RDONLY | os.O_DIRECTORY)
+    except OSError:
+        return
+    try:
+        flags = fcntl.ioctl(handle, _GETFLAGS, struct.pack("i", 0))
+        marked = struct.unpack("i", flags)[0] | _TOPDIR_FLAG
+        fcntl.ioctl(handle, _SETFLAGS, struct.pack("i", marked))
+    except OSError:
+        pass  # not ext2/3/4, or a flag this file system does not keep
+    finally:
+        os.close(handle)
 
 
 def _append_journal(path: Path, line: bytes, keep: int) -> None:
@@ -959,6 +999,7 @@ class LakeStore:
                 # cross-shard order survives persistence.
                 "next_seq": 1,
             }
+            _mark_top_dir(self.root)
             _write_manifest(self.root / MANIFEST_NAME, _dumps(top))
         (self.root / _MANIFEST_TMP).unlink(missing_ok=True)
         self.n_shards = n_shards

@@ -10,6 +10,8 @@ directory's ``lake_layout_shards`` fixture).
 import gc
 import io
 import json
+import os
+import struct
 
 from pathlib import Path
 
@@ -654,3 +656,54 @@ def test_a_commit_that_writes_one_table_twice_keeps_the_archive(
     assert store.stats()["dead_bytes"] > 0
     loaded = LakeStore.open(tmp_path).load_table("cities")
     assert np.array_equal(loaded.column_vectors, second.column_vectors)
+
+
+def _inode_flags(path) -> int:
+    """``path``'s inode flags, as ``lsattr`` reads them."""
+    fcntl = pytest.importorskip("fcntl")
+    handle = os.open(path, os.O_RDONLY)
+    try:
+        flags = fcntl.ioctl(handle, store_module._GETFLAGS, struct.pack("i", 0))
+    finally:
+        os.close(handle)
+    return struct.unpack("i", flags)[0]
+
+
+def _set_inode_flags(path, flags: int) -> None:
+    fcntl = pytest.importorskip("fcntl")
+    handle = os.open(path, os.O_RDONLY)
+    try:
+        fcntl.ioctl(handle, store_module._SETFLAGS, struct.pack("i", flags))
+    finally:
+        os.close(handle)
+
+
+def test_a_new_store_marks_its_root_a_top_directory(
+    tmp_path, city_table, tiny_sketch_config
+):
+    """Where the file system keeps ``chattr +T`` (ext2/3/4), a store this
+    code creates carries it on its root, so that its shard directories get
+    block groups of their own; opening and writing an existing store leaves
+    its root as it is, and a path that cannot carry the flag is no error."""
+    top = store_module._TOPDIR_FLAG
+    probe = tmp_path / "probe"
+    probe.mkdir()
+    try:
+        _set_inode_flags(probe, _inode_flags(probe) | top)
+        kept = bool(_inode_flags(probe) & top)
+    except OSError:
+        kept = False
+    if not kept:
+        pytest.skip("this file system keeps no top-directory flag")
+
+    LakeStore(tmp_path / "lake", "fp")
+    assert _inode_flags(tmp_path / "lake") & top
+
+    _set_inode_flags(tmp_path / "lake", _inode_flags(tmp_path / "lake") & ~top)
+    store = LakeStore.open(tmp_path / "lake")
+    store.save_table(_record(city_table, tiny_sketch_config))
+    assert not _inode_flags(tmp_path / "lake") & top
+
+    (tmp_path / "file").write_bytes(b"")
+    store_module._mark_top_dir(tmp_path / "file")
+    store_module._mark_top_dir(tmp_path / "missing")
