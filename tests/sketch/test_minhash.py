@@ -174,3 +174,85 @@ def test_signatures_of_many_sets_equal_single_sketches(hasher, monkeypatch):
 def test_signatures_rejects_sizes_that_do_not_cover_the_hashes(hasher):
     with pytest.raises(ValueError, match="sizes sum"):
         hasher.signatures(np.zeros(3, dtype=np.uint64), [1, 1])
+
+
+# --------------------------------------------------------------------- #
+# Estimator bounds as properties: drawn set pairs of controlled size and
+# overlap against the exact values. ``derandomize`` fixes the draws, and
+# the hash family is seeded, so a passing run passes every time.
+# --------------------------------------------------------------------- #
+def _set_pair(shared: int, only_a: int, only_b: int, tag: int):
+    common = {f"s{tag}-{i}" for i in range(shared)}
+    return (
+        common | {f"a{tag}-{i}" for i in range(only_a)},
+        common | {f"b{tag}-{i}" for i in range(only_b)},
+    )
+
+
+def _jaccard_band(exact: float, num_perm: int) -> float:
+    """4 standard errors of the slot-agreement estimate, plus one slot."""
+    return 4.0 * np.sqrt(exact * (1.0 - exact) / num_perm) + 1.0 / num_perm
+
+
+def _containment_of(jaccard: float, query_size: int, candidate_size: int) -> float:
+    """The Jaccard -> containment conversion, unclipped."""
+    return jaccard * (query_size + candidate_size) / (query_size * (1.0 + jaccard))
+
+
+set_pairs = dict(
+    shared=st.integers(min_value=0, max_value=240),
+    only_a=st.integers(min_value=0, max_value=240),
+    only_b=st.integers(min_value=0, max_value=240),
+    num_perm=st.sampled_from([64, 128, 256]),
+    tag=st.integers(min_value=0, max_value=10**6),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(**set_pairs)
+def test_jaccard_estimate_within_its_standard_error(
+    shared, only_a, only_b, num_perm, tag
+):
+    a, b = _set_pair(shared, only_a, only_b, tag)
+    hasher = MinHasher(num_perm=num_perm, seed=tag % 7 + 1)
+    exact = exact_jaccard(a, b)
+    estimate = estimate_jaccard(hasher.sketch(a), hasher.sketch(b))
+    assert abs(estimate - exact) <= _jaccard_band(exact, num_perm)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(**set_pairs)
+def test_containment_estimate_within_the_converted_band(
+    shared, only_a, only_b, num_perm, tag
+):
+    """The conversion is increasing in the Jaccard estimate, so the Jaccard
+    band maps onto a containment band; true containments span 0-1."""
+    query, candidate = _set_pair(shared, only_a, only_b, tag)
+    hasher = MinHasher(num_perm=num_perm, seed=tag % 7 + 1)
+    estimate = estimate_containment(
+        hasher.sketch(query), hasher.sketch(candidate), len(query), len(candidate)
+    )
+    exact = exact_containment(query, candidate)
+    if not query:
+        assert estimate == 0.0 == exact
+        return
+    jaccard = exact_jaccard(query, candidate)
+    band = _jaccard_band(jaccard, num_perm)
+    assert _containment_of(jaccard, len(query), len(candidate)) == pytest.approx(exact)
+    low = _containment_of(max(jaccard - band, 0.0), len(query), len(candidate))
+    high = min(1.0, _containment_of(jaccard + band, len(query), len(candidate)))
+    assert low - 1e-12 <= estimate <= high + 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**set_pairs)
+def test_merged_signature_equals_the_cold_built_one(
+    shared, only_a, only_b, num_perm, tag
+):
+    a, b = _set_pair(shared, only_a, only_b, tag)
+    hasher = MinHasher(num_perm=num_perm, seed=tag % 7 + 1)
+    merged = hasher.sketch(a).merge(hasher.sketch(b))
+    assert np.array_equal(merged.signature, hasher.sketch(a | b).signature)
+    assert np.array_equal(
+        hasher.sketch(a).merge(hasher.sketch([])).signature, hasher.sketch(a).signature
+    )
