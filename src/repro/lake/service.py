@@ -225,7 +225,8 @@ class LakeService:
         return store.fingerprint if store is not None else None
 
     def _check_request(self, request: DiscoveryRequest) -> None:
-        """The fingerprint pin and the member name (under the lock)."""
+        """The fingerprint pin, the member name and the shard filter's
+        range (under the lock)."""
         if request.fingerprint is not None:
             actual = self.fingerprint()
             if request.fingerprint != actual:
@@ -239,6 +240,14 @@ class LakeService:
             raise DiscoveryError(
                 "not-found", f"query table {request.table!r} not in catalog"
             )
+        if request.shards is not None:
+            n_shards = self.catalog.n_shards
+            out_of_range = [s for s in request.shards if s >= n_shards]
+            if out_of_range:
+                raise bad_request(
+                    f"shard filter {out_of_range} out of range for a "
+                    f"{n_shards}-shard lake"
+                )
 
     def _check_pin(self, request: DiscoveryRequest) -> None:
         """The version pin, checked after any lazy refresh (under the lock)."""
@@ -266,7 +275,7 @@ class LakeService:
     # ------------------------------------------------------------------ #
     def _search(
         self, request: DiscoveryRequest, pairs: list, exclude: str | None
-    ) -> list[TableMatch]:
+    ) -> Sequence[TableMatch]:
         """Run the mode's ranking under the lock; full (untruncated)
         candidate ranking so post-filters never starve the top-k."""
         try:
@@ -281,17 +290,10 @@ class LakeService:
             raise DiscoveryError("not-found", exc.args[0]) from None
 
     def _build_hits(
-        self, request: DiscoveryRequest, matches: list[TableMatch]
+        self, request: DiscoveryRequest, matches: Sequence[TableMatch]
     ) -> tuple[tuple[Hit, ...], int]:
         """Score, filter (min_score / shards), and truncate to ``k``."""
         n_shards = self.catalog.n_shards
-        if request.shards is not None:
-            out_of_range = [s for s in request.shards if s >= n_shards]
-            if out_of_range:
-                raise bad_request(
-                    f"shard filter {out_of_range} out of range for a "
-                    f"{n_shards}-shard lake"
-                )
         hits: list[Hit] = []
         dropped = 0
         for match in matches:
@@ -396,8 +398,9 @@ class LakeService:
         The batch is all-or-nothing: the first failing request raises and
         no results are returned (the embedding cache stays warm). The
         cheap failures — malformed requests, fingerprint pins, unknown
-        member names, version conflicts — all raise before any sketching
-        or embedding.
+        member names, out-of-range shard filters, version conflicts — all
+        raise before any sketching or embedding; all but the version
+        conflicts also raise before any lazy refresh.
 
         Each request is answered under its own ``lake.discover`` span,
         whose ``lake.index`` child times the index search. The work the

@@ -12,6 +12,9 @@ the CLI, the benchmark searchers — talks to an index through this protocol:
   one call (a single BLAS matmul);
 - ``keys`` / ``__contains__`` / ``__len__`` — membership.
 
+The Fig. 6 ranking itself reads :meth:`ShardedIndex.top_k`, the arrays
+``query_many``'s tuples are built from, so it builds no tuple per candidate.
+
 There is one index: :class:`repro.search.index.KnnIndex`, exact brute-force
 search with recall 1.0 (README "Vector index" has the measurement that
 settles it). :class:`IndexSpec` names it in lake manifests and in the config
@@ -150,7 +153,7 @@ class ShardedIndex:
     Every key is owned by exactly one sub-index (``router(key)`` — the lake
     routes by table name, so a table's columns always land together), which
     makes add/replace/remove a single routed delegation (one shard takes
-    every write as-is, with no routing). ``query_many`` fans the whole query
+    every write as-is, with no routing). :meth:`top_k` fans the whole query
     matrix across the sub-indexes and merges their top-k *arrays*: because
     every sub-index returns *its* top-k, the merged top-k holds the same
     (key, distance) *set* a single flat index over the union would return —
@@ -220,41 +223,59 @@ class ShardedIndex:
         )
 
     # -- queries -------------------------------------------------------- #
-    def query_many(
+    def top_k(
         self, matrix: np.ndarray, k: int
-    ) -> list[list[tuple[object, float]]]:
-        """Fan one query matrix across every sub-index, merge as arrays.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every query row's merged top-``k`` as ``(shard, row, distance)``
+        arrays, ascending; ``subs[shard].row_keys[row]`` is a hit's key.
 
         Each populated sub-index answers the whole matrix in one batched
         :meth:`KnnIndex.top_k` call (row ids and distances, ascending). The
         per-shard blocks are concatenated in shard order and cut to ``k``
         with one stable argsort, so distance ties keep shard order, then
         the sub-index's own order — the order a k-way ``heapq.merge`` of
-        the same lists yields. Only the ``k`` survivors per query row
-        become (key, distance) tuples.
+        the same lists yields. One populated shard passes straight through.
+        This is the face's one query routine: :meth:`query_many` and the
+        table ranking (:meth:`repro.search.tables.TableSearcher.rank`) are
+        built on it.
         """
         queries = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
         n_queries = queries.shape[0]
         if k <= 0 or n_queries == 0:
-            return [[] for _ in range(n_queries)]
+            return _no_hits(n_queries)
         with obs.span("index.query", backend="sharded", shards=len(self.subs)) as timed:
-            live = [sub for sub in self.subs if len(sub)]
+            live = [shard for shard, sub in enumerate(self.subs) if len(sub)]
             if not live:
-                results: list[list[tuple[object, float]]] = [
-                    [] for _ in range(n_queries)
-                ]
+                hits = _no_hits(n_queries)
             elif len(live) == 1:
-                results = live[0].query_many(queries, k)
+                rows, distances = self.subs[live[0]].top_k(queries, k)
+                hits = (np.full(rows.shape, live[0], dtype=np.intp), rows, distances)
             else:
-                answers = [sub.top_k(queries, k) for sub in live]
+                answers = [self.subs[shard].top_k(queries, k) for shard in live]
                 with obs.span("index.merge", shards=len(live)) as merge:
-                    results = _merge_top_k(live, answers, k)
+                    hits = _merge_top_k(live, answers, k)
                 if obs.enabled():
                     _MERGE_MS.observe(merge.duration_ms)
         if obs.enabled():
             _QUERIES.inc(n_queries)
             _QUERY_MS.observe(timed.duration_ms)
-        return results
+        return hits
+
+    def query_many(
+        self, matrix: np.ndarray, k: int
+    ) -> list[list[tuple[object, float]]]:
+        """:meth:`top_k` as (key, distance) lists, one per query row."""
+        shards, rows, distances = self.top_k(matrix, k)
+        keys = [sub.row_keys for sub in self.subs]
+        return [
+            [
+                (keys[shard][row], distance)
+                for shard, row, distance in zip(row_shards, row_ids, row_distances)
+            ]
+            for row_shards, row_ids, row_distances in zip(
+                shards.tolist(), rows.tolist(), distances.tolist()
+            )
+        ]
 
     def query(self, vector: np.ndarray, k: int) -> list[tuple[object, float]]:
         return self.query_many(np.asarray(vector, dtype=np.float64)[None, :], k)[0]
@@ -270,30 +291,24 @@ class ShardedIndex:
         return sum(len(sub) for sub in self.subs)
 
 
+def _no_hits(n_queries: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    empty = np.zeros((n_queries, 0), dtype=np.intp)
+    return empty, empty, np.zeros((n_queries, 0), dtype=np.float64)
+
+
 def _merge_top_k(
-    subs: "list[KnnIndex]",
+    shards: "list[int]",
     answers: "list[tuple[np.ndarray, np.ndarray]]",
     k: int,
-) -> list[list[tuple[object, float]]]:
-    """Merge per-sub :meth:`KnnIndex.top_k` arrays into top-``k`` hit lists."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merge the ``shards``' :meth:`KnnIndex.top_k` arrays into one
+    ``(shard, row, distance)`` top-``k``."""
     rows = np.concatenate([ids for ids, _ in answers], axis=1)
     distances = np.concatenate([dists for _, dists in answers], axis=1)
-    owners = np.repeat(
-        np.arange(len(answers)), [ids.shape[1] for ids, _ in answers]
-    )
+    owners = np.repeat(shards, [ids.shape[1] for ids, _ in answers])
     order = np.argsort(distances, axis=1, kind="stable")[:, :k]
-    rows = np.take_along_axis(rows, order, axis=1)
-    distances = np.take_along_axis(distances, order, axis=1)
-    keys = [sub.row_keys for sub in subs]
-    return [
-        [
-            (keys[owner][row], distance)
-            for owner, row, distance in zip(row_owners, row_ids, row_distances)
-        ]
-        for row_owners, row_ids, row_distances in zip(
-            owners[order].tolist(), rows.tolist(), distances.tolist()
-        )
-    ]
+    at = np.arange(order.shape[0])[:, None]
+    return owners[order], rows[at, order], distances[at, order]
 
 
 def make_sharded_index(

@@ -13,10 +13,11 @@ of the whole corpus on the next query), and ``replace_many`` /
 every other row in place. This is what lets :mod:`repro.lake` apply
 one-table deltas to a standing lake without rebuilding the index.
 
-``query_many`` answers a whole matrix of queries with one BLAS matmul plus
-one axis-wise partition — the batched primitive the Fig. 6 NEARTABLES loop
-(:class:`repro.search.tables.TableSearcher`) runs on, so a q-column query
-table costs one distance computation instead of q Python round-trips.
+``top_k`` answers a whole matrix of queries with one BLAS matmul plus one
+axis-wise partition, as row-id and distance arrays — the batched primitive
+the Fig. 6 NEARTABLES loop (:class:`repro.search.tables.TableSearcher`)
+runs on, so a q-column query table costs one distance computation instead
+of q Python round-trips; ``query_many`` is its ``(key, distance)`` view.
 The data-side term of the distance (row norms for cosine, row sums of
 squares for euclidean) is cached beside the rows and maintained by every
 write, so a query never recomputes it over the corpus; :meth:`restore`
@@ -218,25 +219,28 @@ class KnnIndex:
                 np.zeros((n_queries, 0), dtype=np.float64),
             )
         terms = self._terms[: self._size]
-        scores = queries @ data.T  # (q, n)
+        # Distances are computed inside the score buffer: one (q, n)
+        # temporary beside it, and the same floats as the textbook forms
+        # (the query norm is bitwise np.linalg.norm's).
+        distances = queries @ data.T  # (q, n) scores
+        squares = (queries * queries).sum(axis=1)
         if self.metric == "cosine":
-            denominator = terms[None, :] * (
-                np.linalg.norm(queries, axis=1)[:, None] + 1e-12
-            )
-            denominator = np.where(denominator == 0.0, 1e-12, denominator)
-            distances = 1.0 - scores / denominator
+            denominator = terms[None, :] * (np.sqrt(squares)[:, None] + 1e-12)
+            denominator[denominator == 0.0] = 1e-12
+            np.divide(distances, denominator, out=distances)
+            np.subtract(1.0, distances, out=distances)
         else:
-            squared = (
-                (queries**2).sum(axis=1)[:, None] + terms[None, :] - 2.0 * scores
-            )
-            distances = np.sqrt(np.maximum(squared, 0.0))
+            squared = squares[:, None] + terms[None, :]
+            distances *= 2.0
+            np.subtract(squared, distances, out=distances)
+            np.maximum(distances, 0.0, out=distances)
+            np.sqrt(distances, out=distances)
         k = min(k, data.shape[0])
         top = np.argpartition(distances, k - 1, axis=1)[:, :k]
-        top_distances = np.take_along_axis(distances, top, axis=1)
+        at = np.arange(n_queries)[:, None]
+        top_distances = distances[at, top]
         order = np.argsort(top_distances, axis=1)
-        top = np.take_along_axis(top, order, axis=1)
-        top_distances = np.take_along_axis(top_distances, order, axis=1)
-        return top, top_distances
+        return top[at, order], top_distances[at, order]
 
     def query(self, vector: np.ndarray, k: int) -> list[tuple[object, float]]:
         """Top-``k`` (key, distance) pairs, ascending by distance.

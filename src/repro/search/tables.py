@@ -13,19 +13,25 @@ Definitions (verbatim from the figure, adapted to code):
 - ``RANK2`` — tie-break by the *smallest sum* of column distances.
 
 KNNSEARCH is exact (:class:`repro.search.index.KnnIndex`, sharded by table
-name), and ``NEARTABLES`` runs on the batched ``query_many`` — one index
-call for all of a query table's columns instead of one Python round-trip
-per column.
+name). The ranking runs on the index's top-k *arrays*: one
+:meth:`~repro.search.backend.ShardedIndex.top_k` call answers all of a
+query table's columns, then one pass per query column reads its candidates
+in ascending distance — a table's first hit is its closest — keeping each
+table's evidence and a running distance sum, and one sort orders the
+tables. No ``(key, distance)`` tuple is built per candidate.
 
 :meth:`TableSearcher.rank` is the one scored entry point: the lake service
 and every paper-bench searcher (TabSketchFM ±SBERT, SBERT, the dual-encoder
 column adapters) rank through it, so a change to the ranking is one change
-measured everywhere.
+measured everywhere. It returns a :class:`RankedTables`: every table of
+the candidate pool, untruncated, with each :class:`TableMatch` built only
+when it is read.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,7 +39,7 @@ import numpy as np
 
 from repro.search.backend import (
     IndexSpec,
-    VectorIndex,
+    ShardedIndex,
     make_sharded_index,
     stable_shard,
 )
@@ -73,7 +79,7 @@ class TableSearcher:
     """Column-embedding index + the Fig. 6 ranking procedure."""
 
     #: Read-only mirror of :data:`CANDIDATE_FACTOR` (the e2e benchmark's
-    #: replay sizes its standalone ``query_many`` from it).
+    #: replay sizes a standalone ``query_many`` from it).
     candidate_factor = CANDIDATE_FACTOR
 
     def __init__(self, dim: int, metric: str = "cosine", n_shards: int = 1):
@@ -84,7 +90,7 @@ class TableSearcher:
         # (routed by table name), queries fan + merge across shards with
         # shard-count-invariant rankings. One shard is the same face over
         # one sub-index, whose answer passes straight through.
-        self.index: VectorIndex = make_sharded_index(
+        self.index: ShardedIndex = make_sharded_index(
             self.backend_spec,
             dim,
             n_shards,
@@ -96,7 +102,7 @@ class TableSearcher:
         self.insertions = 0
 
     # ------------------------------------------------------------------ #
-    def adopt_index(self, index: VectorIndex) -> None:
+    def adopt_index(self, index: ShardedIndex) -> None:
         """Serve a prebuilt index (a warm lake's, assembled from its stored
         vectors) as-is.
 
@@ -161,7 +167,7 @@ class TableSearcher:
         join: bool = False,
         column: str | None = None,
         exclude_table: str | None = None,
-    ) -> list[TableMatch]:
+    ) -> "RankedTables":
         """Rank tables for a query given as ordered ``(column, vector)``
         pairs.
 
@@ -174,117 +180,138 @@ class TableSearcher:
 
         Untruncated: every table in the ``k * CANDIDATE_FACTOR`` candidate
         pool comes back, so callers can post-filter without starving their
-        top-``k``; take ``[:k]`` for the paper's answer.
+        top-``k``; take ``[:k]`` for the paper's answer. The answer is a
+        :class:`RankedTables`, which builds each :class:`TableMatch` when
+        it is read, so the tail a caller never reads costs no objects.
+
+        One :meth:`ShardedIndex.top_k` call answers every query column.
+        Each column's candidates arrive ascending, so the first hit of a
+        table is its closest (the earlier on a tie); keys are read up to
+        the column's cut and not for the over-fetched tail past it. A
+        union table's distance sum runs in query-column order, so it is
+        bitwise ``sum`` over its evidence.
         """
         if not pairs:
-            return []
+            return RankedTables([])
         if column is not None:
             by_name = dict(pairs)
             if column not in by_name:
                 raise KeyError(f"query table has no column {column!r}")
             pairs = [(column, by_name[column])]
-        if join:
-            return self.join_tables_scored(pairs, k, exclude_table)
-        return self.near_tables_scored(pairs, k, exclude_table)
-
-    def _nearest_per_table(
-        self,
-        pairs: "Sequence[tuple[str, np.ndarray]]",
-        k: int,
-        exclude_table: str | None,
-    ) -> list[dict[str, tuple[ColumnEntry, float]]]:
-        """Batched KNNSEARCH + COLUMNNEARTABLES: one ``query_many`` call
-        answers every query column, then each row reduces to table ->
-        (closest column entry, distance) — the *which column matched*
-        evidence both rankings keep."""
         matrix = np.stack([vector for _, vector in pairs]).astype(
             np.float64, copy=False
         )
         want = k * CANDIDATE_FACTOR
-        # Over-fetch by the excluded table's own columns so the filter
-        # below cannot starve the pool (.get: never add an empty entry).
+        # Over-fetch by the excluded table's own columns so skipping them
+        # cannot starve the pool (.get: never add an empty entry).
         excluded = (
             len(self._columns_by_table.get(exclude_table, ()))
             if exclude_table is not None
             else 0
         )
-        results: list[dict[str, tuple[ColumnEntry, float]]] = []
-        for hits in self.index.query_many(matrix, want + excluded):
-            nearest: dict[str, tuple[ColumnEntry, float]] = {}
+        shards, rows, distances = self.index.top_k(matrix, want + excluded)
+        keys = [sub.row_keys for sub in self.index.subs]
+        # table -> union: [distance sum, evidence]; join: best evidence.
+        found: dict = {}
+        for (query_column, _), hit_shards, hit_rows, hit_distances in zip(
+            pairs, shards.tolist(), rows.tolist(), distances.tolist()
+        ):
+            seen = set()
             kept = 0
-            for entry, distance in hits:
-                if exclude_table is not None and entry.table == exclude_table:
+            for shard, row, distance in zip(hit_shards, hit_rows, hit_distances):
+                entry = keys[shard][row]
+                table = entry.table
+                if table == exclude_table:
                     continue
                 if kept >= want:
                     break
                 kept += 1
-                known = nearest.get(entry.table)
-                if known is None or distance < known[1]:
-                    nearest[entry.table] = (entry, distance)
-            results.append(nearest)
-        return results
+                if table in seen:
+                    continue
+                seen.add(table)
+                if join:
+                    best = found.get(table)
+                    if best is None or distance < best[2]:
+                        found[table] = (query_column, entry.column, distance)
+                else:
+                    scored = found.get(table)
+                    if scored is None:
+                        scored = found[table] = [0.0, []]
+                    scored[0] += distance
+                    scored[1].append((query_column, entry.column, distance))
+        if join:
+            ranked = [
+                (table, 1, best[2], (best,)) for table, best in found.items()
+            ]
+            ranked.sort(key=lambda match: match[2])
+        else:
+            ranked = [
+                (table, len(evidence), total, evidence)
+                for table, (total, evidence) in found.items()
+            ]
+            ranked.sort(key=lambda match: (-match[1], match[2]))
+        return RankedTables(ranked)
 
+    # The e2e benchmark's replay (benchmarks/e2e/replay.py) calls these two
+    # views by name.
     def near_tables_scored(
         self,
         pairs: "Sequence[tuple[str, np.ndarray]]",
         k: int,
         exclude_table: str | None = None,
-    ) -> list[TableMatch]:
-        """:meth:`rank`'s union/subset half: NEARTABLES + RANK1/RANK2.
-
-        Every hit records which query column matched which indexed column
-        at what distance. Sorted by the paper's two-stage rank: most
-        matched columns first, then smallest summed distance.
-        """
-        evidence: dict[str, list[tuple[str, str, float]]] = defaultdict(list)
-        for (query_column, _), nearest in zip(
-            pairs, self._nearest_per_table(pairs, k, exclude_table)
-        ):
-            for table, (entry, distance) in nearest.items():
-                evidence[table].append((query_column, entry.column, float(distance)))
-        ranked = [
-            TableMatch(
-                table=table,
-                n_matched=len(matches),
-                distance_sum=float(sum(d for _, _, d in matches)),
-                matches=tuple(matches),
-            )
-            for table, matches in evidence.items()
-        ]
-        ranked.sort(key=lambda match: (-match.n_matched, match.distance_sum))
-        return ranked
+    ) -> "RankedTables":
+        """:meth:`rank`'s union/subset ranking (NEARTABLES +
+        RANK1/RANK2)."""
+        return self.rank(pairs, k, exclude_table=exclude_table)
 
     def join_tables_scored(
         self,
         pairs: "Sequence[tuple[str, np.ndarray]]",
         k: int,
         exclude_table: str | None = None,
-    ) -> list[TableMatch]:
-        """:meth:`rank`'s join half: closest column over one or more query
-        columns.
+    ) -> "RankedTables":
+        """:meth:`rank`'s join ranking (closest column over every query
+        column)."""
+        return self.rank(pairs, k, join=True, exclude_table=exclude_table)
 
-        Each table is scored by its single closest column across *all* the
-        query columns (the paper's join ranking, generalized to every-column
-        queries); the evidence is that one best
-        ``(query_column, table_column, distance)`` pair. Ascending by best
-        distance.
-        """
-        best: dict[str, tuple[str, str, float]] = {}
-        for (query_column, _), nearest in zip(
-            pairs, self._nearest_per_table(pairs, k, exclude_table)
-        ):
-            for table, (entry, distance) in nearest.items():
-                known = best.get(table)
-                if known is None or distance < known[2]:
-                    best[table] = (query_column, entry.column, float(distance))
-        ranked = [
-            TableMatch(
-                table=table,
-                n_matched=1,
-                distance_sum=match[2],
-                matches=(match,),
-            )
-            for table, match in best.items()
-        ]
-        ranked.sort(key=lambda match: match.distance_sum)
-        return ranked
+
+class RankedTables(SequenceABC):
+    """:meth:`TableSearcher.rank`'s answer: a read-only sequence of
+    :class:`TableMatch` es, each built when it is read.
+
+    It holds every ranked table's name, ``n_matched``, ``distance_sum``
+    and evidence as plain values taken at rank time, so a write to the
+    index after ``rank`` returns cannot change it. ``len``, iteration,
+    indexing, slicing (a list) and ``==`` (against another answer or a
+    list of matches) behave as on the list of matches it stands for.
+    """
+
+    __slots__ = ("_ranked",)
+
+    def __init__(self, ranked: list) -> None:
+        #: ``(table, n_matched, distance_sum, evidence)`` in rank order.
+        self._ranked = ranked
+
+    def __len__(self) -> int:
+        return len(self._ranked)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [_table_match(ranked) for ranked in self._ranked[index]]
+        return _table_match(self._ranked[index])
+
+    def __iter__(self):
+        return map(_table_match, self._ranked)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (RankedTables, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"RankedTables({list(self)!r})"
+
+
+def _table_match(ranked: tuple) -> TableMatch:
+    table, n_matched, distance_sum, evidence = ranked
+    return TableMatch(table, n_matched, distance_sum, tuple(evidence))

@@ -148,6 +148,41 @@ def test_query_batch_fails_fast_before_embedding(cold_catalog, lake_tables):
     assert cold_catalog.embed_calls == before, "no wasted trunk forwards"
 
 
+def test_out_of_range_shard_filter_fails_before_any_work(
+    cold_catalog, lake_tables
+):
+    """A shard filter past the lake's shards is a cheap failure: the batch
+    raises before refreshing, sketching, embedding, caching or counting."""
+    catalog = cold_catalog
+    catalog.append_rows("g1t1", [["grp1new", "7", "tag0"]])
+    service = LakeService(catalog)
+    probe = lake_tables["g0t1"].with_columns(
+        lake_tables["g0t1"].columns, name="shard-probe"
+    )
+    before = (
+        catalog.engine.forward_calls,
+        len(service._cache),
+        service.query_count,
+        catalog.stale_tables(),
+    )
+    requests = [
+        DiscoveryRequest(mode="union", k=3, payload=probe),
+        DiscoveryRequest(mode="union", k=3, payload=probe, shards=(7,)),
+    ]
+    with pytest.raises(DiscoveryError) as excinfo:
+        service.discover_batch(requests)
+    assert excinfo.value.code == "bad-request"
+    assert str(excinfo.value) == (
+        f"shard filter [7] out of range for a {catalog.n_shards}-shard lake"
+    )
+    assert (
+        catalog.engine.forward_calls,
+        len(service._cache),
+        service.query_count,
+        catalog.stale_tables(),
+    ) == before == (before[0], 0, 0, ["g1t1"])
+
+
 def test_query_batch_shares_cache(cold_catalog, lake_tables):
     service = LakeService(cold_catalog)
     probe = lake_tables["g0t1"].with_columns(

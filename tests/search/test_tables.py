@@ -125,3 +125,23 @@ def test_exclude_table_does_not_pollute_registry():
     searcher.add_table("only", ["a"], np.ones((1, 2)))
     searcher.rank(pairs([1.0, 1.0]), 1, exclude_table="ghost")
     assert searcher.table_names() == ["only"]
+
+
+def test_answer_is_a_sequence_of_matches_fixed_at_rank_time(searcher):
+    """``rank`` builds each ``TableMatch`` on read, from values it took when
+    it ranked: reads agree with each other, and a later write to the index
+    does not reach an answer already returned."""
+    query = pairs([1, 0, 0, 0], [0, 1, 0, 0])
+    answer = searcher.rank(query, 3)
+    listed = list(answer)
+    assert len(answer) == len(listed) == 4
+    assert [answer[i] for i in range(len(answer))] == listed
+    assert answer[-1] == listed[-1] and answer[1:3] == listed[1:3]
+    assert answer == listed and answer == searcher.rank(query, 3)
+    assert answer != listed[:2] and answer != searcher.rank(query, 3, join=True)
+    with pytest.raises(IndexError):
+        answer[len(listed)]
+    searcher.add_table("B", ["b0"], np.array([[0, 0, 0, 1.0]]))
+    searcher.remove_table("C")
+    assert list(answer) == listed
+    assert searcher.rank(query, 3) != listed
