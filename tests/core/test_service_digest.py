@@ -9,7 +9,8 @@ for a member name, an external payload (a miss, then a hit) and a payload
 named after a member, and the same requests again, with a duplicated
 payload, through one ``discover_batch`` on a second service. Every stage
 is hashed: the records' sketch arrays, column vectors and versions; the
-ranked ``(table, score, version, stale, matches)`` of every answer; and the
+ranked ``(table, score, version, stale, matches)`` of every answer, one
+digest per mode (``discover:join`` ...); and, in digests of their own, the
 cache, ``embed_calls`` and trunk-forward counters.
 
 Equal digests mean the catalog builds the same records and the service
@@ -39,7 +40,8 @@ from repro.text.tokenizer import WordPieceTokenizer
 
 MODES = ("join", "union", "subset")
 
-#: (layout, stage) -> sha256 of that stage's records, answers or counters.
+#: (layout, stage) -> sha256 of that stage's records, answers or counters;
+#: a ``discover`` / ``discover_batch`` stage is split by mode.
 SERVED_DIGESTS = {
     ("storeless-1", "add_tables"):
         "4968cde27f303c2539fddd97cb442a0208a3c024ebd8bb24f44ba273e568b5f9",
@@ -51,12 +53,20 @@ SERVED_DIGESTS = {
         "944025bc3d7340e110271990f4fc05c551a7fe0e1faa7bc93c3ba65a9b5ec6c5",
     ("storeless-1", "refresh_stale"):
         "40f53d23f38b309eeb0536db3d3f4d947e65a01d989b34b00f322ea6a3b9ea8a",
-    ("storeless-1", "discover"):
-        "02e27c9bc30ea6c7acd5f08ab25d8a6ce7ba5878da91178fb9b1c49ae828c42f",
+    ("storeless-1", "discover:join"):
+        "99ef9eacbfefc34e0645d2dac5f3fd143a052c7127a918636d760766d17e7451",
+    ("storeless-1", "discover:union"):
+        "3a4609838ad6f2730abfd6bdebddf2f207cb1365f3e69154726c4561f601f513",
+    ("storeless-1", "discover:subset"):
+        "729343725de4f5719dd5faa365af32f8b7283cbfd6e2266201794765446ac544",
     ("storeless-1", "discover_stats"):
         "346f7fe4b3947b3a4401c59f4c72c8a29b1748a3b10a0c4406150af414b2bfad",
-    ("storeless-1", "discover_batch"):
-        "6f15a48e9333442aa321c6197ebb4c528c7d29a0aadc43699cb19211a63e856c",
+    ("storeless-1", "discover_batch:join"):
+        "518da78766c39ed232f5a74a4aa73bdcba14999fdc2e8a94498a61ba94124dfa",
+    ("storeless-1", "discover_batch:union"):
+        "f6a05d592bd5269ce47697f902c110340f185f9fbe96d3642637f5ef2615ef5a",
+    ("storeless-1", "discover_batch:subset"):
+        "0241336557a96f0c1262d060abc39154e8ff11c0d2cc05e1fda12c9d83e8fa4c",
     ("storeless-1", "discover_batch_stats"):
         "b65b3ea5fa932c3816beba09145af2a3d4ea3b26de28290d2420da89c1b27ead",
     ("disk-4", "add_tables"):
@@ -69,12 +79,20 @@ SERVED_DIGESTS = {
         "944025bc3d7340e110271990f4fc05c551a7fe0e1faa7bc93c3ba65a9b5ec6c5",
     ("disk-4", "refresh_stale"):
         "40f53d23f38b309eeb0536db3d3f4d947e65a01d989b34b00f322ea6a3b9ea8a",
-    ("disk-4", "discover"):
-        "4df06517b8d9ee54a5372282a76dc2f26fe3ddb41087a03768cf9757ab74740d",
+    ("disk-4", "discover:join"):
+        "cd8137cf5d41fe2a0d93694f9b15877b295543b6ad3515196608a6e914325fb5",
+    ("disk-4", "discover:union"):
+        "859e9527353c0846a1ff0aac4503d6a72f9ba994b9b13ffd09c650442c6beedf",
+    ("disk-4", "discover:subset"):
+        "e899ee66db7c6220389e1ad645f06da189ebcf720080cef7fcbbdb7f8844fa43",
     ("disk-4", "discover_stats"):
         "346f7fe4b3947b3a4401c59f4c72c8a29b1748a3b10a0c4406150af414b2bfad",
-    ("disk-4", "discover_batch"):
-        "e0cee1450628f46e5272898980930263ba469a849c4c5a37ef36e8fa29c1e87e",
+    ("disk-4", "discover_batch:join"):
+        "a5ddc1e2f5800ed1895fcb0655ccf93aecce3f3e6350c34d0ea5eea650ee74fe",
+    ("disk-4", "discover_batch:union"):
+        "2230a46340dba54f50c489e69dffc9eee3213bf380b223911af4576b5f8676a4",
+    ("disk-4", "discover_batch:subset"):
+        "5fc8afee4c57a46177c0a5e92f123660be4114a81f3a35ccaff3b6aa51ed22ac",
     ("disk-4", "discover_batch_stats"):
         "b65b3ea5fa932c3816beba09145af2a3d4ea3b26de28290d2420da89c1b27ead",
 }
@@ -148,6 +166,16 @@ def _answer(result) -> list:
     ]
 
 
+def _by_mode(stage: str, results) -> dict:
+    """``stage:<mode>`` -> the answers of that mode, in answer order, so a
+    change to one mode's ranking leaves the other modes' digests as they
+    are."""
+    return {
+        f"{stage}:{mode}": [_answer(r) for r in results if r.mode == mode]
+        for mode in MODES
+    }
+
+
 def _counters(service) -> list:
     stats = service.stats()
     return [
@@ -210,11 +238,11 @@ def served_digests(trunk, store, n_shards) -> dict:
     service = LakeService(catalog, cache_size=2)
     catalog.append_rows(base[2].name, list(base[2].rows(limit=2)))
     requests = _requests(base)
-    answers = [_answer(service.discover(DiscoveryRequest(
+    answers = [service.discover(DiscoveryRequest(
         mode="union", k=50, table=base[4].name, allow_stale=True
-    )))]
-    answers += [_answer(service.discover(request)) for request in requests]
-    stages["discover"] = answers
+    ))]
+    answers += [service.discover(request) for request in requests]
+    stages.update(_by_mode("discover", answers))
     stages["discover_stats"] = _counters(service)
 
     # A second service answers them in one batch, plus a duplicated
@@ -222,10 +250,9 @@ def served_digests(trunk, store, n_shards) -> dict:
     batch = LakeService(catalog)
     batch.discover(requests[4])
     catalog.append_rows(base[3].name, list(base[3].rows(limit=3)))
-    stages["discover_batch"] = [
-        _answer(result)
-        for result in batch.discover_batch(requests + [requests[1]])
-    ]
+    stages.update(_by_mode(
+        "discover_batch", batch.discover_batch(requests + [requests[1]])
+    ))
     stages["discover_batch_stats"] = _counters(batch)
     return {stage: _hash(value) for stage, value in stages.items()}
 
