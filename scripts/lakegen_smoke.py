@@ -11,8 +11,8 @@ End to end, small scale:
   table over the wire, replays a mixed churn blend, and evaluates
   recall@k against the planted truth;
 - the run record is checked: latency quantiles present and nonzero *and
-  scraped from the server's /v1/metrics* (not client timers), union
-  recall above its floor, zero typed errors during churn;
+  scraped from the server's /v1/metrics* (not client timers), union and
+  join recall above their floors, zero typed errors during churn;
 - ``python -m repro.lakegen report`` folds the record into a scorecard,
   twice, asserting the second report carries zero deltas vs the first.
 
@@ -35,6 +35,11 @@ from repro.table.schema import table_from_rows
 
 COLUMNS = 1000
 UNION_RECALL_FLOOR = 0.5
+#: Join ranks by signature containment. At this shape (1 000 columns,
+#: ``num_perm`` 16, 60 churn ops, 30 pairs) it read 0.909-1.000 over
+#: manifest seeds 1-10 and churn seeds 11-13 (1.000 at seed 7); ranked by
+#: the trunk's vectors it read 0.29-0.33.
+JOIN_RECALL_FLOOR = 0.8
 
 
 def build_seed_lake(root: Path) -> str:
@@ -104,6 +109,10 @@ def main() -> None:
         assert union is not None and union >= UNION_RECALL_FLOOR, (
             f"union recall {union} below floor {UNION_RECALL_FLOOR}"
         )
+        join = run["recall"]["join"]["recall_at_k"]
+        assert join is not None and join >= JOIN_RECALL_FLOOR, (
+            f"join recall {join} below floor {JOIN_RECALL_FLOOR}"
+        )
 
         # The latency story must come from the server's own histograms.
         histogram = run["metrics"]["metrics"]["lake_query_duration_ms"]
@@ -132,7 +141,8 @@ def main() -> None:
         f"lakegen smoke OK: byte-identical {COLUMNS}-column manifests -> "
         f"wire provisioning + churn vs a live server ({total} queries in "
         f"the server histogram) -> union recall {union:.2f} >= "
-        f"{UNION_RECALL_FLOOR} -> reconciled scorecard with zero "
+        f"{UNION_RECALL_FLOOR}, join recall {join:.2f} >= "
+        f"{JOIN_RECALL_FLOOR} -> reconciled scorecard with zero "
         "self-deltas, clean SIGINT shutdown"
     )
 

@@ -26,7 +26,11 @@ ride JSON via ``repr`` (Python's ``json``), so scores round-trip *exactly*
 
 Scores are **monotone with the ranking** (higher is better):
 
-- join mode:            ``score = 1 / (1 + distance)``;
+- join mode:            ``score`` is the estimated containment of the query
+  column in the hit's best column, in ``(0, 1]``, from the two columns'
+  MinHash signatures and distinct-value counts; the match's ``distance``
+  is ``1 - containment``. A column sharing no value is not a hit, so a join
+  may return fewer than ``k`` hits;
 - union / subset mode:  ``score = n_matched + 1 / (1 + distance_sum)`` —
   descending score order reproduces the paper's two-stage RANK1/RANK2
   ordering (most matched columns first, smallest summed distance as the
@@ -112,9 +116,11 @@ def answer(**fields) -> dict:
 # --------------------------------------------------------------------- #
 # Scores
 # --------------------------------------------------------------------- #
-def join_score(distance: float) -> float:
-    """Join-mode score: strictly decreasing in the column distance."""
-    return 1.0 / (1.0 + float(distance))
+def join_score(containment: float) -> float:
+    """Join-mode score: the estimated containment ``|Q ∩ C| / |Q|`` of the
+    query column in the hit's best column, in ``(0, 1]``; the match's
+    distance is ``1 - containment``."""
+    return float(containment)
 
 
 def table_score(n_matched: int, distance_sum: float) -> float:

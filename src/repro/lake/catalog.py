@@ -19,6 +19,14 @@ Holds every table's :class:`LakeTableRecord` plus the live column index
   touched shard — so the on-disk lake is always warm-loadable. The index is
   never written: it is derived from the vectors those archives hold.
 
+Join is served by a second scorer beside the column index, a
+:class:`~repro.search.containment.ContainmentIndex` over every column's
+``values_minhash`` signature and ``n_values`` (``joins``). It lives in
+memory only and is never sharded: a warm open builds it from the stored
+sketches, and every write keeps it in step, touching only that table's
+rows. An append merges signatures exactly, so join sees appended rows at
+once, with no re-embed.
+
 The column index is a :class:`~repro.search.backend.ShardedIndex` with the
 store's shard count: queries fan ``query_many`` across the per-shard indexes
 and merge — rankings are bitwise-identical at every shard count, which
@@ -50,6 +58,7 @@ from repro.core.embed import TableEmbedder, finalize_column_vectors
 from repro.core.engine import TableEmbeddings
 from repro.lake.store import LakeStore, LakeTableRecord
 from repro.search.backend import IndexSpec
+from repro.search.containment import ContainmentIndex, QueryColumn
 from repro.search.retrieval import rank_names
 from repro.search.tables import TableSearcher
 from repro.sketch.pipeline import TableSketch, sketch_corpus
@@ -123,6 +132,8 @@ class LakeCatalog:
             metric=self.index_spec.params.get("metric", "cosine"),
             n_shards=self.n_shards,
         )
+        #: Every column's values signature and size: what join ranks by.
+        self.joins = ContainmentIndex(self.sketch_config.num_perm)
         #: Written only through :meth:`_put`, which keeps ``_stale`` in step.
         self.records: dict[str, LakeTableRecord] = {}
         #: Names of the records whose ``embedding_stale`` is set, so the
@@ -153,8 +164,10 @@ class LakeCatalog:
         catalog = cls(embedder, sbert=sbert, store=store)
         records = list(store.load_all())
         catalog.searcher.adopt_index(store.load_index(catalog.dim, records))
+        catalog.joins.reserve(sum(record.sketch.n_cols for record in records))
         for record in records:
             catalog._put(record.name, record)
+            catalog._index_join(record.sketch)
         return catalog
 
     # ------------------------------------------------------------------ #
@@ -270,6 +283,18 @@ class LakeCatalog:
             self._stale.discard(name)
         return old
 
+    def _index_join(self, sketch: TableSketch) -> None:
+        """Put the table's values signatures and sizes in :attr:`joins`."""
+        columns = sketch.column_sketches
+        self.joins.add_table(
+            sketch.table_name,
+            sketch.column_names,
+            np.array(
+                [c.values_minhash.signature for c in columns], dtype=np.uint64
+            ).reshape(len(columns), self.joins.num_perm),
+            [c.n_values for c in columns],
+        )
+
     def _install(self, records: list[LakeTableRecord]) -> None:
         """Serve ``records``: each replaces any same-named record and its
         index rows, in place (persisting is the caller's)."""
@@ -278,6 +303,7 @@ class LakeCatalog:
             self.searcher.add_table(
                 record.name, record.column_names, record.column_vectors
             )
+            self._index_join(record.sketch)
 
     # ------------------------------------------------------------------ #
     def add_table(self, table: Table) -> LakeTableRecord:
@@ -318,6 +344,7 @@ class LakeCatalog:
         """Drop one table from index, registry, and store."""
         record = self._put(name, None)
         self.searcher.remove_table(name)
+        self.joins.remove_table(name)
         if self.store is not None:
             self.store.remove_table(name)
         if record is not None:
@@ -356,7 +383,8 @@ class LakeCatalog:
         Only the delta is sketched; its sketches merge into the stored ones
         (exact for the MinHash halves, accumulator-mergeable for the
         numeric stats — see :mod:`repro.sketch.numeric` for the caps and
-        bounds). The served column vectors are *not* recomputed here: the
+        bounds), and join ranks by the merged signatures at once. The
+        served column vectors are *not* recomputed here: the
         record's ``version`` bumps, ``embedding_stale`` is set, and the
         next non-``allow_stale`` query (or an explicit
         :meth:`refresh_stale`) re-embeds just this table's columns.
@@ -404,6 +432,7 @@ class LakeCatalog:
                 embedding_stale=True,
             )
             self._put(name, merged)
+            self._index_join(merged.sketch)
             if self.store is not None:
                 self.store.save_table(merged)
         _ROWS_APPENDED.inc(len(rows))
@@ -442,6 +471,17 @@ class LakeCatalog:
             if persist and self.store is not None:
                 self.store.save_tables(refreshed)
         return names
+
+    def join_query(
+        self, sketch: TableSketch, column: str | None = None
+    ) -> list[QueryColumn]:
+        """A join query from a table's sketch: every column's (or just
+        ``column``'s) name, values signature and size."""
+        return [
+            (c.name, c.values_minhash.signature, c.n_values)
+            for c in sketch.column_sketches
+            if column is None or c.name == column
+        ]
 
     # ------------------------------------------------------------------ #
     def table_names(self) -> list[str]:

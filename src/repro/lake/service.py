@@ -2,9 +2,11 @@
 
 Implements the paper's three discovery workloads against a standing lake:
 
-- ``join``  — closest-single-column ranking (§IV-C1), queried per column;
+- ``join``  — the tables whose best column contains the most of the query
+  column (§IV-C1), by estimated containment from the stored MinHash
+  signatures (:mod:`repro.search.containment`);
 - ``union`` / ``subset`` — the Fig. 6 NEARTABLES/RANK1/RANK2 procedure over
-  all of the query table's columns (§IV-C2/C3).
+  all of the query table's column embeddings (§IV-C2/C3).
 
 Every question and answer travels through the versioned Discovery API
 (:mod:`repro.lake.api`): :meth:`LakeService.discover` takes a
@@ -16,17 +18,18 @@ In-process and HTTP callers (:mod:`repro.lake.server` /
 this schema; :meth:`LakeService.open` is the one way to warm-load an
 ingested lake directory.
 
-Query tables may be catalog members (their stored vectors are reused — zero
-trunk work) or external :class:`~repro.table.schema.Table` payloads, whose
-sketch+embeddings are computed once and kept in a content-addressed LRU
-cache. There is one query path: ``discover`` is ``discover_batch`` of one
-request, and ``discover_batch`` embeds *all* uncached external query
-tables of a batch in one batched :class:`~repro.core.engine.EmbeddingEngine`
-pass — ``ceil(distinct / batch_size)`` trunk forwards, identical digests
-deduped — instead of one serial forward per query. A single re-entrant
-lock serializes catalog mutations against reads; queries hold it only
-around shared-state access, which is enough for correctness with the
-pure-numpy index.
+Query tables may be catalog members (their stored sketches and vectors are
+reused — zero trunk work) or external :class:`~repro.table.schema.Table`
+payloads. A join payload is only sketched, on its join column; a union or
+subset payload's sketch+embeddings are computed once and kept in a
+content-addressed LRU cache. There is one query path: ``discover`` is
+``discover_batch`` of one request, and ``discover_batch`` embeds *all*
+uncached union/subset payloads of a batch in one batched
+:class:`~repro.core.engine.EmbeddingEngine` pass — ``ceil(distinct /
+batch_size)`` trunk forwards, identical digests deduped — instead of one
+serial forward per query. A single re-entrant lock serializes catalog
+mutations against reads; queries hold it only around shared-state access,
+which is enough for correctness with the pure-numpy index.
 
 Every query is answered under a ``lake.discover`` span (:mod:`repro.obs`):
 its ``lake.index`` child times the index search, and synthetic
@@ -66,6 +69,7 @@ from repro.lake.catalog import LakeCatalog
 from repro.lake.serialization import config_fingerprint
 from repro.lake.store import LakeStore
 from repro.search.backend import stable_shard
+from repro.search.containment import ContainmentMatch
 from repro.search.tables import TableMatch
 from repro.sketch.pipeline import sketch_corpus
 from repro.table.schema import Table
@@ -225,8 +229,8 @@ class LakeService:
         return store.fingerprint if store is not None else None
 
     def _check_request(self, request: DiscoveryRequest) -> None:
-        """The fingerprint pin, the member name and the shard filter's
-        range (under the lock)."""
+        """The fingerprint pin, the member name, the join column and the
+        shard filter's range (under the lock)."""
         if request.fingerprint is not None:
             actual = self.fingerprint()
             if request.fingerprint != actual:
@@ -240,6 +244,16 @@ class LakeService:
             raise DiscoveryError(
                 "not-found", f"query table {request.table!r} not in catalog"
             )
+        if request.column is not None:
+            columns = (
+                self.catalog.records[request.table].column_names
+                if request.table is not None
+                else request.payload.header
+            )
+            if request.column not in columns:
+                raise DiscoveryError(
+                    "not-found", f"query table has no column {request.column!r}"
+                )
         if request.shards is not None:
             n_shards = self.catalog.n_shards
             out_of_range = [s for s in request.shards if s >= n_shards]
@@ -274,23 +288,20 @@ class LakeService:
 
     # ------------------------------------------------------------------ #
     def _search(
-        self, request: DiscoveryRequest, pairs: list, exclude: str | None
-    ) -> Sequence[TableMatch]:
+        self, request: DiscoveryRequest, query: list, exclude: str | None
+    ) -> "Sequence[TableMatch] | list[ContainmentMatch]":
         """Run the mode's ranking under the lock; full (untruncated)
-        candidate ranking so post-filters never starve the top-k."""
-        try:
-            return self.catalog.searcher.rank(
-                pairs,
-                request.k,
-                join=request.mode == "join",
-                column=request.column,
-                exclude_table=exclude,
-            )
-        except KeyError as exc:
-            raise DiscoveryError("not-found", exc.args[0]) from None
+        candidate ranking so post-filters never starve the top-k. A join
+        ``query`` is the columns' signatures, ranked by containment; a
+        union or subset one is the columns' vectors."""
+        if request.mode == "join":
+            return self.catalog.joins.rank(query, request.k, exclude_table=exclude)
+        return self.catalog.searcher.rank(query, request.k, exclude_table=exclude)
 
     def _build_hits(
-        self, request: DiscoveryRequest, matches: Sequence[TableMatch]
+        self,
+        request: DiscoveryRequest,
+        matches: "Sequence[TableMatch] | list[ContainmentMatch]",
     ) -> tuple[tuple[Hit, ...], int]:
         """Score, filter (min_score / shards), and truncate to ``k``."""
         n_shards = self.catalog.n_shards
@@ -298,7 +309,7 @@ class LakeService:
         dropped = 0
         for match in matches:
             if request.mode == "join":
-                score = join_score(match.distance_sum)
+                score = join_score(match.containment)
             else:
                 score = table_score(match.n_matched, match.distance_sum)
             if request.min_score is not None and score < request.min_score:
@@ -383,42 +394,53 @@ class LakeService:
         """Answer many requests; uncached external payloads embed together.
 
         Planning runs once, under the lock, before any trunk work: every
-        request is validated and its fingerprint pin and member name
-        checked; if any request is strict (no ``allow_stale``), stale
-        tables are re-embedded once; version pins are checked; and each
-        request takes its column vectors — a member's stored ones, a
-        cached payload's, or a place in the batch's embedding pass. That
-        pass sketches every distinct uncached payload in one
-        ``sketch_corpus`` call and embeds them in one
+        request is validated and its fingerprint pin, member name and join
+        column checked; if any request is strict (no ``allow_stale``),
+        stale tables are re-embedded once; version pins are checked; and
+        each request takes its query. A join query is the query columns'
+        values signatures and sizes: a member's stored ones, or a place in
+        the batch's sketch pass for a payload projected to its ``column``
+        (no digest, no cache, no trunk). A union or subset query is the
+        column vectors: a member's stored ones, a cached payload's, or a
+        place in the batch's embedding pass. That pass sketches every
+        distinct uncached payload, and every join payload, in one
+        ``sketch_corpus`` call and embeds the union and subset ones in one
         :meth:`~repro.lake.catalog.LakeCatalog.column_vector_pairs_many`
         call — ``ceil(distinct / batch_size)`` trunk forwards, duplicate
         payloads embedded once — outside the lock, so concurrent queries
-        embed in parallel. Member-name queries never touch the trunk.
+        embed in parallel. Member-name and join queries never touch the
+        trunk.
 
         The batch is all-or-nothing: the first failing request raises and
         no results are returned (the embedding cache stays warm). The
         cheap failures — malformed requests, fingerprint pins, unknown
-        member names, out-of-range shard filters, version conflicts — all
-        raise before any sketching or embedding; all but the version
-        conflicts also raise before any lazy refresh.
+        member names, unknown join columns, out-of-range shard filters,
+        version conflicts — all raise before any sketching or embedding;
+        all but the version conflicts also raise before any lazy refresh.
 
         Each request is answered under its own ``lake.discover`` span,
         whose ``lake.index`` child times the index search. The work the
         batch shared is charged to the requests it served as synthetic
-        children: ``lake.sketch`` / ``lake.embed`` split the pass evenly
-        over the requests answered from it, and ``lake.refresh`` goes to
-        the first strict request. Each span's duration — the result's
+        children: ``lake.sketch`` splits the sketch pass evenly over the
+        requests sketched in it and ``lake.embed`` the embedding pass over
+        the requests embedded in it, and ``lake.refresh`` goes to the
+        first strict request. Each span's duration — the result's
         ``Timings.total_ms`` and the histogram's observation — includes
         those charges, so the parts never exceed the total.
         """
         requests = [request.validated() for request in requests]
+        joins = [request.mode == "join" for request in requests]
         digests = [
-            table_digest(request.payload) if request.payload is not None else None
-            for request in requests
+            table_digest(request.payload)
+            if request.payload is not None and not join
+            else None
+            for request, join in zip(requests, joins)
         ]
         strict = [not request.allow_stale for request in requests]
         todo: dict[str, Table] = {}
-        #: Per request: (column vectors, or None to take from the pass,
+        #: Request index -> its join payload, projected to the join column.
+        projected: dict[int, Table] = {}
+        #: Per request: (its query, or None to take from the pass,
         #: exclude_table, cache_hit).
         plans: list[tuple[list | None, str | None, bool | None]] = []
         charges: list[dict[str, float]] = [{} for _ in requests]
@@ -437,56 +459,77 @@ class LakeService:
                 extras[first]["refreshed"] = len(refreshed)
             for request in requests:
                 self._check_pin(request)
-            for request, digest in zip(requests, digests):
+            for i, (request, digest, join) in enumerate(
+                zip(requests, digests, joins)
+            ):
                 if request.table is not None:
-                    pairs = self.catalog.records[request.table].vector_pairs()
-                    plans.append((pairs, request.table, None))
+                    record = self.catalog.records[request.table]
+                    query = (
+                        self.catalog.join_query(record.sketch, request.column)
+                        if join
+                        else record.vector_pairs()
+                    )
+                    plans.append((query, request.table, None))
                     continue
-                name = request.payload.name
+                payload = request.payload
+                exclude = payload.name if payload.name in self.catalog else None
+                if join:
+                    projected[i] = payload.with_columns([
+                        column for column in payload.columns
+                        if request.column in (None, column.name)
+                    ])
+                    plans.append((None, exclude, None))
+                    continue
                 pairs = None if digest in todo else self._cache.get(digest)
                 if pairs is None:
-                    todo.setdefault(digest, request.payload)
-                plans.append(
-                    (pairs, name if name in self.catalog else None, pairs is not None)
-                )
+                    todo.setdefault(digest, payload)
+                plans.append((pairs, exclude, pairs is not None))
         embedded: dict[str, list] = {}
-        if todo:
-            tables = list(todo.values())
+        signed: dict[int, list] = {}
+        if todo or projected:
+            tables = [*todo.values(), *projected.values()]
             with obs.span("lake.sketch_batch", tables=len(tables)) as sketching:
                 sketches = sketch_corpus(
                     tables, self.catalog.sketch_config, self.catalog._hasher
                 )
-            with obs.span("lake.embed_batch", tables=len(tables)) as embedding:
-                embedded = dict(
-                    zip(todo, self.catalog.column_vector_pairs_many(tables, sketches))
-                )
-            with self._lock:
-                for digest, pairs in embedded.items():
-                    self._cache.put(digest, pairs)
-            served = [i for i, (pairs, _, _) in enumerate(plans) if pairs is None]
+            signed = {
+                i: self.catalog.join_query(sketch)
+                for i, sketch in zip(projected, sketches[len(todo):])
+            }
+            if todo:
+                with obs.span("lake.embed_batch", tables=len(todo)) as embedding:
+                    embedded = dict(zip(todo, self.catalog.column_vector_pairs_many(
+                        list(todo.values()), sketches[: len(todo)]
+                    )))
+                with self._lock:
+                    for digest, pairs in embedded.items():
+                        self._cache.put(digest, pairs)
+            served = [i for i, (query, _, _) in enumerate(plans) if query is None]
+            n_embedded = len(served) - len(signed)
             for i in served:
                 charges[i]["lake.sketch"] = sketching.duration_ms / len(served)
-                charges[i]["lake.embed"] = embedding.duration_ms / len(served)
+                if i not in signed:
+                    charges[i]["lake.embed"] = embedding.duration_ms / n_embedded
                 if len(tables) > 1:
                     extras[i]["batched"] = len(tables)
         return [
             self._answer(
                 request,
-                embedded[digest] if pairs is None else pairs,
+                query if query is not None
+                else signed[i] if i in signed else embedded[digest],
                 exclude,
                 cache_hit,
                 extra,
                 charged,
             )
-            for request, digest, (pairs, exclude, cache_hit), extra, charged in zip(
-                requests, digests, plans, extras, charges
-            )
+            for i, (request, digest, (query, exclude, cache_hit), extra, charged)
+            in enumerate(zip(requests, digests, plans, extras, charges))
         ]
 
     def _answer(
         self,
         request: DiscoveryRequest,
-        pairs: list,
+        query: list,
         exclude: str | None,
         cache_hit: bool | None,
         extra: dict,
@@ -506,7 +549,7 @@ class LakeService:
             with self._lock:
                 self.query_count += 1
                 with obs.span("lake.index"):
-                    matches = self._search(request, pairs, exclude)
+                    matches = self._search(request, query, exclude)
                 hits, dropped = self._build_hits(request, matches)
                 diagnostics = {
                     "member": request.table is not None,

@@ -1,7 +1,8 @@
 """Search substrate: the exact nearest-neighbour index behind one
 `VectorIndex` protocol (sharded or not), the Figure-6 table ranking
-algorithm, the ranking tail the paper's searchers share, and retrieval
-metrics (mean F1 / P@k / R@k, F1-vs-k curves)."""
+algorithm, the exact containment scan that serves join, the ranking tail
+the paper's searchers share, and retrieval metrics (mean F1 / P@k / R@k,
+F1-vs-k curves)."""
 
 from repro.search.backend import (
     IndexSpec,
@@ -11,6 +12,7 @@ from repro.search.backend import (
     make_sharded_index,
     stable_shard,
 )
+from repro.search.containment import ContainmentIndex, ContainmentMatch
 from repro.search.index import KnnIndex
 from repro.search.tables import ColumnEntry, TableSearcher
 from repro.search.metrics import (
@@ -26,6 +28,8 @@ __all__ = [
     "make_index",
     "make_sharded_index",
     "stable_shard",
+    "ContainmentIndex",
+    "ContainmentMatch",
     "KnnIndex",
     "ColumnEntry",
     "TableSearcher",

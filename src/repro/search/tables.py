@@ -20,10 +20,11 @@ in ascending distance — a table's first hit is its closest — keeping each
 table's evidence and a running distance sum, and one sort orders the
 tables. No ``(key, distance)`` tuple is built per candidate.
 
-:meth:`TableSearcher.rank` is the one scored entry point: the lake service
-and every paper-bench searcher (TabSketchFM ±SBERT, SBERT, the dual-encoder
-column adapters) rank through it, so a change to the ranking is one change
-measured everywhere. It returns a :class:`RankedTables`: every table of
+:meth:`TableSearcher.rank` is the one scored entry point: the lake
+service's union and subset (its join ranks by containment,
+:mod:`repro.search.containment`) and every paper-bench searcher
+(TabSketchFM ±SBERT, SBERT, the dual-encoder column adapters) rank through
+it, so a change to the ranking is one change measured everywhere. It returns a :class:`RankedTables`: every table of
 the candidate pool, untruncated, with each :class:`TableMatch` built only
 when it is read.
 """

@@ -54,21 +54,21 @@ SERVED_DIGESTS = {
     ("storeless-1", "refresh_stale"):
         "40f53d23f38b309eeb0536db3d3f4d947e65a01d989b34b00f322ea6a3b9ea8a",
     ("storeless-1", "discover:join"):
-        "99ef9eacbfefc34e0645d2dac5f3fd143a052c7127a918636d760766d17e7451",
+        "d8b5759022ea2f16a145e0893483f4a401d665161cd1a91e043b389d153db0cb",
     ("storeless-1", "discover:union"):
         "3a4609838ad6f2730abfd6bdebddf2f207cb1365f3e69154726c4561f601f513",
     ("storeless-1", "discover:subset"):
         "729343725de4f5719dd5faa365af32f8b7283cbfd6e2266201794765446ac544",
     ("storeless-1", "discover_stats"):
-        "346f7fe4b3947b3a4401c59f4c72c8a29b1748a3b10a0c4406150af414b2bfad",
+        "1de39726acaf9196464069e995d016a4b5959fcf18dd1b13aa26b1adb9c9b35b",
     ("storeless-1", "discover_batch:join"):
-        "518da78766c39ed232f5a74a4aa73bdcba14999fdc2e8a94498a61ba94124dfa",
+        "4f46408042e5f09ad76ce8b7c9a531ed81655e31a497f90682b1d714350e97ed",
     ("storeless-1", "discover_batch:union"):
         "f6a05d592bd5269ce47697f902c110340f185f9fbe96d3642637f5ef2615ef5a",
     ("storeless-1", "discover_batch:subset"):
         "0241336557a96f0c1262d060abc39154e8ff11c0d2cc05e1fda12c9d83e8fa4c",
     ("storeless-1", "discover_batch_stats"):
-        "b65b3ea5fa932c3816beba09145af2a3d4ea3b26de28290d2420da89c1b27ead",
+        "f966b16ba8a6f611e6068b4d62132473e7a586a8a574c8cb3ff4f48870ce6510",
     ("disk-4", "add_tables"):
         "4968cde27f303c2539fddd97cb442a0208a3c024ebd8bb24f44ba273e568b5f9",
     ("disk-4", "add_table"):
@@ -80,21 +80,21 @@ SERVED_DIGESTS = {
     ("disk-4", "refresh_stale"):
         "40f53d23f38b309eeb0536db3d3f4d947e65a01d989b34b00f322ea6a3b9ea8a",
     ("disk-4", "discover:join"):
-        "cd8137cf5d41fe2a0d93694f9b15877b295543b6ad3515196608a6e914325fb5",
+        "d8b5759022ea2f16a145e0893483f4a401d665161cd1a91e043b389d153db0cb",
     ("disk-4", "discover:union"):
         "859e9527353c0846a1ff0aac4503d6a72f9ba994b9b13ffd09c650442c6beedf",
     ("disk-4", "discover:subset"):
         "e899ee66db7c6220389e1ad645f06da189ebcf720080cef7fcbbdb7f8844fa43",
     ("disk-4", "discover_stats"):
-        "346f7fe4b3947b3a4401c59f4c72c8a29b1748a3b10a0c4406150af414b2bfad",
+        "1de39726acaf9196464069e995d016a4b5959fcf18dd1b13aa26b1adb9c9b35b",
     ("disk-4", "discover_batch:join"):
-        "a5ddc1e2f5800ed1895fcb0655ccf93aecce3f3e6350c34d0ea5eea650ee74fe",
+        "4f46408042e5f09ad76ce8b7c9a531ed81655e31a497f90682b1d714350e97ed",
     ("disk-4", "discover_batch:union"):
         "2230a46340dba54f50c489e69dffc9eee3213bf380b223911af4576b5f8676a4",
     ("disk-4", "discover_batch:subset"):
         "5fc8afee4c57a46177c0a5e92f123660be4114a81f3a35ccaff3b6aa51ed22ac",
     ("disk-4", "discover_batch_stats"):
-        "b65b3ea5fa932c3816beba09145af2a3d4ea3b26de28290d2420da89c1b27ead",
+        "f966b16ba8a6f611e6068b4d62132473e7a586a8a574c8cb3ff4f48870ce6510",
 }
 
 

@@ -137,9 +137,9 @@ def test_error_taxonomy_and_envelope():
 # Scores
 # --------------------------------------------------------------------- #
 def test_scores_are_monotone_with_ranking():
-    # Join: strictly decreasing in distance.
-    assert join_score(0.0) == 1.0
-    assert join_score(0.1) > join_score(0.2) > join_score(1e6)
+    # Join: the estimated containment itself, in (0, 1].
+    assert join_score(1.0) == 1.0
+    assert join_score(0.5) > join_score(0.25) > 0.0
     # Union/subset: RANK1 dominates, RANK2 breaks ties — including the
     # adversarial perfect-distance case (distance_sum == 0).
     assert table_score(3, 5.0) > table_score(2, 0.0)
@@ -197,7 +197,8 @@ def test_discover_join_evidence_names_matched_columns(cold_catalog):
         match = hit.matches[0]
         assert match.query_column == "entity"
         assert match.distance == hit.distance_sum
-        assert hit.score == join_score(match.distance)
+        assert 0.0 < hit.score <= 1.0
+        assert match.distance == 1.0 - hit.score
 
 
 def test_min_score_filter(cold_catalog):

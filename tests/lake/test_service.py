@@ -183,6 +183,40 @@ def test_out_of_range_shard_filter_fails_before_any_work(
     ) == before == (before[0], 0, 0, ["g1t1"])
 
 
+def test_unknown_join_column_fails_before_any_work(cold_catalog, lake_tables):
+    """A join column the query table lacks — a payload's header or a
+    member's stored columns — is a cheap failure: the batch raises before
+    refreshing, sketching, embedding, caching or counting."""
+    catalog = cold_catalog
+    catalog.append_rows("g1t1", [["grp1new", "7", "tag0"]])
+    service = LakeService(catalog)
+    probe = lake_tables["g0t1"].with_columns(
+        lake_tables["g0t1"].columns, name="column-probe"
+    )
+
+    def work():
+        return (
+            catalog.engine.forward_calls,
+            len(service._cache),
+            service.query_count,
+            catalog.stale_tables(),
+        )
+
+    before = work()
+    for requests in (
+        [DiscoveryRequest(mode="join", k=3, payload=probe, column="ghost")],
+        [
+            DiscoveryRequest(mode="union", k=3, payload=probe),
+            DiscoveryRequest(mode="join", k=3, table="g0t0", column="ghost"),
+        ],
+    ):
+        with pytest.raises(DiscoveryError) as excinfo:
+            service.discover_batch(requests)
+        assert excinfo.value.code == "not-found"
+        assert str(excinfo.value) == "query table has no column 'ghost'"
+        assert work() == before == (before[0], 0, 0, ["g1t1"])
+
+
 def test_query_batch_shares_cache(cold_catalog, lake_tables):
     service = LakeService(cold_catalog)
     probe = lake_tables["g0t1"].with_columns(

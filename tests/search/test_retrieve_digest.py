@@ -214,11 +214,13 @@ def test_retrieve_answers_pinned(digests, system, name):
     assert digests(system, name) == RETRIEVE_DIGESTS[system, name]
 
 
-@pytest.mark.parametrize("name, mode", [("wiki_join", "join"), ("santos", "union")])
+@pytest.mark.parametrize("name, mode", [("santos", "union")])
 def test_searcher_ranks_like_the_lake_service(name, mode):
     """A member query through the paper's searcher and through
     ``LakeService.discover`` over the same tables returns the same table
-    order: join by one query column, union over all of them."""
+    order, union over all of its columns. (The service's join ranks by
+    signature containment, not the paper's embedding join;
+    ``tests/lake/test_join_containment.py`` checks it on Wiki Join.)"""
     benchmark = BENCHMARKS[name](scale=0.3)
     embedder = build_embedder(benchmark.tables)
     searcher = TabSketchFMSearcher(embedder, benchmark.tables)
