@@ -1,8 +1,8 @@
 """Join quality rows: recall@10 and MRR of the two ways to rank join.
 
-On a seeded lakegen lake (default: seed 7, 10 000 columns, ``num_perm`` 32)
-served by :func:`repro.lakegen.driver.build_service` with the lake
-benchmark's trunk shape (untrained, dim 32, 4 layers), every planted join
+On the lake benchmark's seed-7 lakegen lake (10 000 columns), served by
+the benchmark's own stack (:mod:`benchmarks.e2e.stack`: ``num_perm`` 32,
+untrained dim-32 4-layer trunk) in a storeless catalog, every planted join
 pair is asked as a member query on its key column, and the planted partner
 is looked for in the top 10:
 
@@ -15,49 +15,40 @@ is looked for in the top 10:
 Writes ``results/quality/join.json`` (the rows, the lake, the host) and
 prints the rows. Run from the repo root::
 
-    PYTHONPATH=src python scripts/join_quality.py [--columns N] [--seed S]
+    PYTHONPATH=src python scripts/join_quality.py
 
-About five seconds at 10 000 columns on a 2-vCPU host.
+About five seconds on a 2-vCPU host.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import os
-import platform
+import sys
 import time
 from pathlib import Path
 
-import numpy as np
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
 
-from repro.lakegen.driver import (
-    ServiceTarget,
-    build_service,
-    evaluate_recall,
-    provision,
+from benchmarks.e2e.__main__ import host_fingerprint  # noqa: E402
+from benchmarks.e2e.stack import (  # noqa: E402
+    COLUMNS,
+    INGEST_CHUNK,
+    build_lake,
+    build_model,
+    chunks,
 )
-from repro.lakegen.generator import LakeSpec, generate_manifest
+from repro.lake.catalog import LakeCatalog  # noqa: E402
+from repro.lake.service import LakeService  # noqa: E402
+from repro.lakegen.driver import ServiceTarget, evaluate_recall  # noqa: E402
 
+SEED = 7
 K = 10
-OUT = Path(__file__).resolve().parent.parent / "results" / "quality" / "join.json"
+OUT = ROOT / "results" / "quality" / "join.json"
 
 
-def host_fingerprint() -> dict:
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    return {
-        "cores": os.cpu_count(),
-        "machine": platform.machine(),
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "blas": {key: blas.get(key) for key in ("name", "version")},
-    }
-
-
-def embedding_row(service, truth: list) -> dict:
+def embedding_row(catalog: LakeCatalog, truth: list) -> dict:
     """The paper's embedding join over the stored vectors, leave-one-out."""
-    catalog = service.catalog
     hits = 0
     reciprocal = 0.0
     for entry in truth:
@@ -82,55 +73,50 @@ def embedding_row(service, truth: list) -> dict:
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--columns", type=int, default=10_000)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--num-perm", type=int, default=32)
-    parser.add_argument("--layers", type=int, default=4)
-    parser.add_argument("--out", type=Path, default=OUT)
-    args = parser.parse_args(argv)
-
+def main() -> int:
     started = time.perf_counter()
-    manifest = generate_manifest(LakeSpec(columns=args.columns, seed=args.seed))
-    service = build_service(
-        manifest, num_perm=args.num_perm, num_layers=args.layers
-    )
-    provision(ServiceTarget(service), manifest)
-    served = evaluate_recall(ServiceTarget(service), manifest, k=K)["join"]
+    lake = build_lake(SEED, COLUMNS)
+    model = build_model(lake)
+    catalog = LakeCatalog(model.embedder())
+    for chunk in chunks(lake, INGEST_CHUNK):
+        catalog.add_tables(chunk)
+    served = evaluate_recall(
+        ServiceTarget(LakeService(catalog)), lake.manifest, k=K
+    )["join"]
     rows = {
-        "embedding": embedding_row(service, manifest["truth"]["join"]),
+        "embedding": embedding_row(catalog, lake.manifest["truth"]["join"]),
         "signature_containment": {
             key: served[key] for key in ("k", "evaluated", "recall_at_k", "mrr")
         },
     }
+    config = model.config
     record = {
         "metric": f"join recall@{K} and MRR against the planted join truth",
         "lake": {
             "generator": "lakegen",
-            "columns": args.columns,
-            "seed": args.seed,
-            "tables": len(service.catalog),
+            "columns": COLUMNS,
+            "seed": SEED,
+            "tables": len(catalog),
         },
         "model": {
-            "factory": "repro.lakegen.driver.build_service",
-            "num_perm": args.num_perm,
-            "dim": service.catalog.embedder.model.config.dim,
-            "num_layers": args.layers,
+            "factory": "benchmarks.e2e.stack.build_model",
+            "num_perm": config.sketch.num_perm,
+            "dim": config.dim,
+            "num_layers": config.num_layers,
             "trained": False,
         },
         "rows": rows,
         "host": host_fingerprint(),
         "wall_s": round(time.perf_counter() - started, 1),
     }
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    OUT.parent.mkdir(parents=True, exist_ok=True)
+    OUT.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     for name, row in rows.items():
         print(
             f"{name:>22}: recall@{K} {row['recall_at_k']:.3f}  "
             f"MRR {row['mrr']:.3f}  ({row['evaluated']} pairs)"
         )
-    print(f"wrote {args.out}")
+    print(f"wrote {OUT}")
     return 0
 
 

@@ -22,10 +22,11 @@ Holds every table's :class:`LakeTableRecord` plus the live column index
 Join is served by a second scorer beside the column index, a
 :class:`~repro.search.containment.ContainmentIndex` over every column's
 ``values_minhash`` signature and ``n_values`` (``joins``). It lives in
-memory only and is never sharded: a warm open builds it from the stored
-sketches, and every write keeps it in step, touching only that table's
-rows. An append merges signatures exactly, so join sees appended rows at
-once, with no re-embed.
+memory only and is never sharded: the first join builds it from the
+records' sketches (a catalog never asked a join never holds one), and from
+then on every write that changes a sketch keeps it in step, touching only
+that table's rows. An append merges signatures exactly, so join sees
+appended rows at once, with no re-embed.
 
 The column index is a :class:`~repro.search.backend.ShardedIndex` with the
 store's shard count: queries fan ``query_many`` across the per-shard indexes
@@ -58,7 +59,7 @@ from repro.core.embed import TableEmbedder, finalize_column_vectors
 from repro.core.engine import TableEmbeddings
 from repro.lake.store import LakeStore, LakeTableRecord
 from repro.search.backend import IndexSpec
-from repro.search.containment import ContainmentIndex, QueryColumn
+from repro.search.containment import ContainmentIndex
 from repro.search.retrieval import rank_names
 from repro.search.tables import TableSearcher
 from repro.sketch.pipeline import TableSketch, sketch_corpus
@@ -132,8 +133,8 @@ class LakeCatalog:
             metric=self.index_spec.params.get("metric", "cosine"),
             n_shards=self.n_shards,
         )
-        #: Every column's values signature and size: what join ranks by.
-        self.joins = ContainmentIndex(self.sketch_config.num_perm)
+        #: Built by the first read of :attr:`joins`.
+        self._joins: ContainmentIndex | None = None
         #: Written only through :meth:`_put`, which keeps ``_stale`` in step.
         self.records: dict[str, LakeTableRecord] = {}
         #: Names of the records whose ``embedding_stale`` is set, so the
@@ -164,11 +165,24 @@ class LakeCatalog:
         catalog = cls(embedder, sbert=sbert, store=store)
         records = list(store.load_all())
         catalog.searcher.adopt_index(store.load_index(catalog.dim, records))
-        catalog.joins.reserve(sum(record.sketch.n_cols for record in records))
         for record in records:
             catalog._put(record.name, record)
-            catalog._index_join(record.sketch)
         return catalog
+
+    @property
+    def joins(self) -> ContainmentIndex:
+        """Every column's values signature and size: what join ranks by.
+        Built from the records' sketches on first read (one exact
+        ``reserve``, no forward); every later write keeps it in step."""
+        if self._joins is None:
+            joins = ContainmentIndex(self.sketch_config.num_perm)
+            joins.reserve(
+                sum(record.sketch.n_cols for record in self.records.values())
+            )
+            for record in self.records.values():
+                joins.add_sketch(record.sketch)
+            self._joins = joins
+        return self._joins
 
     # ------------------------------------------------------------------ #
     def _embed_sketches(self, sketches: list[TableSketch]) -> list[TableEmbeddings]:
@@ -284,16 +298,9 @@ class LakeCatalog:
         return old
 
     def _index_join(self, sketch: TableSketch) -> None:
-        """Put the table's values signatures and sizes in :attr:`joins`."""
-        columns = sketch.column_sketches
-        self.joins.add_table(
-            sketch.table_name,
-            sketch.column_names,
-            np.array(
-                [c.values_minhash.signature for c in columns], dtype=np.uint64
-            ).reshape(len(columns), self.joins.num_perm),
-            [c.n_values for c in columns],
-        )
+        """Put a new or changed sketch in :attr:`joins`, once built."""
+        if self._joins is not None:
+            self._joins.add_sketch(sketch)
 
     def _install(self, records: list[LakeTableRecord]) -> None:
         """Serve ``records``: each replaces any same-named record and its
@@ -303,7 +310,6 @@ class LakeCatalog:
             self.searcher.add_table(
                 record.name, record.column_names, record.column_vectors
             )
-            self._index_join(record.sketch)
 
     # ------------------------------------------------------------------ #
     def add_table(self, table: Table) -> LakeTableRecord:
@@ -333,6 +339,8 @@ class LakeCatalog:
         with obs.span("lake.ingest", tables=len(tables)) as ingest:
             records = self._embed_records(list(tables.values()))
             self._install(records)
+            for record in records:
+                self._index_join(record.sketch)
             if self.store is not None:
                 self.store.save_tables(records)
         if records:
@@ -344,7 +352,8 @@ class LakeCatalog:
         """Drop one table from index, registry, and store."""
         record = self._put(name, None)
         self.searcher.remove_table(name)
-        self.joins.remove_table(name)
+        if self._joins is not None:
+            self._joins.remove_table(name)
         if self.store is not None:
             self.store.remove_table(name)
         if record is not None:
@@ -371,6 +380,7 @@ class LakeCatalog:
             record = self._embed_records([table])[0]
             record.version = old.version + 1
             self._install([record])
+            self._index_join(record.sketch)
             if self.store is not None:
                 self.store.save_table(record)
         _TABLES_UPDATED.inc()
@@ -471,17 +481,6 @@ class LakeCatalog:
             if persist and self.store is not None:
                 self.store.save_tables(refreshed)
         return names
-
-    def join_query(
-        self, sketch: TableSketch, column: str | None = None
-    ) -> list[QueryColumn]:
-        """A join query from a table's sketch: every column's (or just
-        ``column``'s) name, values signature and size."""
-        return [
-            (c.name, c.values_minhash.signature, c.n_values)
-            for c in sketch.column_sketches
-            if column is None or c.name == column
-        ]
 
     # ------------------------------------------------------------------ #
     def table_names(self) -> list[str]:

@@ -71,7 +71,7 @@ from repro.lake.store import LakeStore
 from repro.search.backend import stable_shard
 from repro.search.containment import ContainmentMatch
 from repro.search.tables import TableMatch
-from repro.sketch.pipeline import sketch_corpus
+from repro.sketch.pipeline import TableSketch, sketch_corpus
 from repro.table.schema import Table
 
 _QUERIES_TOTAL = obs.counter(
@@ -288,14 +288,19 @@ class LakeService:
 
     # ------------------------------------------------------------------ #
     def _search(
-        self, request: DiscoveryRequest, query: list, exclude: str | None
+        self,
+        request: DiscoveryRequest,
+        query: "list | TableSketch",
+        exclude: str | None,
     ) -> "Sequence[TableMatch] | list[ContainmentMatch]":
         """Run the mode's ranking under the lock; full (untruncated)
         candidate ranking so post-filters never starve the top-k. A join
-        ``query`` is the columns' signatures, ranked by containment; a
+        ``query`` is the query table's sketch, ranked by containment; a
         union or subset one is the columns' vectors."""
         if request.mode == "join":
-            return self.catalog.joins.rank(query, request.k, exclude_table=exclude)
+            return self.catalog.joins.rank(
+                query, request.k, column=request.column, exclude_table=exclude
+            )
         return self.catalog.searcher.rank(query, request.k, exclude_table=exclude)
 
     def _build_hits(
@@ -442,7 +447,7 @@ class LakeService:
         projected: dict[int, Table] = {}
         #: Per request: (its query, or None to take from the pass,
         #: exclude_table, cache_hit).
-        plans: list[tuple[list | None, str | None, bool | None]] = []
+        plans: list[tuple["list | TableSketch | None", str | None, bool | None]] = []
         charges: list[dict[str, float]] = [{} for _ in requests]
         extras: list[dict] = [{} for _ in requests]
         with self._lock:
@@ -464,11 +469,7 @@ class LakeService:
             ):
                 if request.table is not None:
                     record = self.catalog.records[request.table]
-                    query = (
-                        self.catalog.join_query(record.sketch, request.column)
-                        if join
-                        else record.vector_pairs()
-                    )
+                    query = record.sketch if join else record.vector_pairs()
                     plans.append((query, request.table, None))
                     continue
                 payload = request.payload
@@ -485,17 +486,14 @@ class LakeService:
                     todo.setdefault(digest, payload)
                 plans.append((pairs, exclude, pairs is not None))
         embedded: dict[str, list] = {}
-        signed: dict[int, list] = {}
+        signed: dict[int, TableSketch] = {}
         if todo or projected:
             tables = [*todo.values(), *projected.values()]
             with obs.span("lake.sketch_batch", tables=len(tables)) as sketching:
                 sketches = sketch_corpus(
                     tables, self.catalog.sketch_config, self.catalog._hasher
                 )
-            signed = {
-                i: self.catalog.join_query(sketch)
-                for i, sketch in zip(projected, sketches[len(todo):])
-            }
+            signed = dict(zip(projected, sketches[len(todo):]))
             if todo:
                 with obs.span("lake.embed_batch", tables=len(todo)) as embedding:
                     embedded = dict(zip(todo, self.catalog.column_vector_pairs_many(
@@ -529,7 +527,7 @@ class LakeService:
     def _answer(
         self,
         request: DiscoveryRequest,
-        query: list,
+        query: "list | TableSketch",
         exclude: str | None,
         cache_hit: bool | None,
         extra: dict,

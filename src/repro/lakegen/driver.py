@@ -149,11 +149,9 @@ def build_service(
     vocab_size: int = 600,
     cache_size: int = 128,
     sample_tables: int = 64,
-    num_layers: int = 1,
 ) -> LakeService:
     """A storeless lake stack sized for scenario runs: tokenizer trained
-    on a deterministic sample of the manifest's tables, an untrained
-    ``num_layers``-layer trunk."""
+    on a deterministic sample of the manifest's tables, 1-layer trunk."""
     order = manifest["order"]
     stride = max(1, len(order) // sample_tables)
     texts: list[str] = []
@@ -167,7 +165,7 @@ def build_service(
     config = TabSketchFMConfig(
         vocab_size=len(tokenizer.vocabulary),
         dim=dim,
-        num_layers=num_layers,
+        num_layers=1,
         num_heads=2,
         ffn_dim=2 * dim,
         dropout=0.0,

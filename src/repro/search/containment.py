@@ -24,15 +24,12 @@ containment descending, then table name, then column name.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.search.tables import CANDIDATE_FACTOR
 from repro.sketch.minhash import MinHash
-
-#: A query column: ``(name, values signature uint64[num_perm], n_values)``.
-QueryColumn = tuple[str, np.ndarray, int]
+from repro.sketch.pipeline import TableSketch
 
 
 @dataclass(frozen=True)
@@ -79,16 +76,13 @@ class ContainmentIndex:
         return len(self._tables)
 
     # ------------------------------------------------------------------ #
-    def add_table(
-        self,
-        table: str,
-        columns: Sequence[str],
-        signatures: np.ndarray,
-        sizes: Sequence[int],
-    ) -> None:
-        """Index ``table``'s columns (``signatures`` is ``uint64[c,
-        num_perm]``), replacing any rows it had: in place when the column
-        count is unchanged, else by a remove and an append."""
+    def add_sketch(self, sketch: TableSketch) -> None:
+        """Index a table's columns from its sketch, each column's values
+        signature and distinct-value count, replacing any rows the table
+        had: in place when the column count is unchanged, else by a remove
+        and an append."""
+        table = sketch.table_name
+        columns = sketch.column_names
         rows = self._rows.get(table)
         if rows is not None and len(rows) != len(columns):
             self.remove_table(table)
@@ -104,8 +98,11 @@ class ContainmentIndex:
             for row, column in zip(rows, columns):
                 self._columns[row] = column
         if rows:
-            self._signatures[:, rows] = np.asarray(signatures, dtype=np.uint64).T
-            self._sizes[rows] = sizes
+            self._signatures[:, rows] = np.array(
+                [c.values_minhash.signature for c in sketch.column_sketches],
+                dtype=np.uint64,
+            ).T
+            self._sizes[rows] = [c.n_values for c in sketch.column_sketches]
 
     def remove_table(self, table: str) -> int:
         """Drop ``table``'s rows; returns how many went. Each hole takes
@@ -193,13 +190,15 @@ class ContainmentIndex:
 
     def rank(
         self,
-        queries: Iterable[QueryColumn],
+        sketch: TableSketch,
         k: int,
+        column: str | None = None,
         exclude_table: str | None = None,
     ) -> list[ContainmentMatch]:
-        """Joinable tables for the query columns, best first; untruncated,
-        like :meth:`~repro.search.tables.TableSearcher.rank` (take
-        ``[:k]``), and possibly fewer than ``k``.
+        """Joinable tables for the sketch's columns (only ``column`` when
+        given), best first; untruncated, like
+        :meth:`~repro.search.tables.TableSearcher.rank` (take ``[:k]``),
+        and possibly fewer than ``k``.
 
         Each query column's pool is its :meth:`top` ``k *
         CANDIDATE_FACTOR`` columns; a table scores its best containment
@@ -208,13 +207,15 @@ class ContainmentIndex:
         """
         want = k * CANDIDATE_FACTOR
         best: dict[str, tuple[float, str, str]] = {}
-        for query_column, signature, size in queries:
-            for score, table, column in self.top(
-                signature, size, want, exclude_table
+        for query in sketch.column_sketches:
+            if column is not None and query.name != column:
+                continue
+            for score, table, candidate in self.top(
+                query.values_minhash.signature, query.n_values, want, exclude_table
             ):
                 held = best.get(table)
                 if held is None or score > held[0]:
-                    best[table] = (score, query_column, column)
+                    best[table] = (score, query.name, candidate)
         ranked = sorted(best.items(), key=lambda item: (-item[1][0], item[0]))
         return [
             ContainmentMatch(table, score, query_column, column)

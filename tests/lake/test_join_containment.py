@@ -8,7 +8,9 @@ one pass and never embedded. The oracle is
 sketches, pair by pair. The order depends on content only (containment,
 then table name, then column name), so it is the same at every shard count,
 after a warm open and under any insertion order; an append is joined at
-once, with no forward, exactly as a cold ingest of the same rows.
+once, with no forward, exactly as a cold ingest of the same rows. The
+index is built by the first join, and from then on every write keeps it
+as a rebuild from the records would be.
 """
 
 from __future__ import annotations
@@ -137,6 +139,7 @@ def test_an_append_is_joined_at_once_as_a_cold_ingest(lake_embedder, lake_tables
     source = lake_tables[name]
     delta = [[f"grp0val{i}", str(i), "tag9"] for i in range(20, 30)]
     live = _catalog(lake_embedder, lake_tables, None, None)
+    _all_joins(live)  # the index is built: the append must keep it in step
     before = live.engine.forward_calls
     live.append_rows(name, delta)
     assert live.stale_tables() == [name]
@@ -155,6 +158,40 @@ def test_an_append_is_joined_at_once_as_a_cold_ingest(lake_embedder, lake_tables
         (table, matches[0].table_column)
         for table, _, matches in joined["g0t2", "entity"]
     ]
+
+
+def test_the_index_is_built_by_the_first_join_and_kept_by_writes(
+    lake_embedder, lake_tables
+):
+    """A catalog never asked a join holds no join index. Once built,
+    every add, update, remove and append keeps it equal to a rebuild from
+    the records, and a refresh, which changes no sketch, never touches it."""
+    names = list(lake_tables)
+    catalog = _catalog(
+        lake_embedder, {name: lake_tables[name] for name in names[1:]}, None, 4
+    )
+    assert catalog._joins is None
+    index = catalog.joins
+    assert len(index) == sum(
+        record.sketch.n_cols for record in catalog.records.values()
+    )
+
+    catalog.add_table(lake_tables[names[0]])
+    catalog.update_table(lake_tables[names[1]].with_columns(
+        lake_tables[names[1]].columns[:2], name=names[1]
+    ))
+    catalog.remove_table(names[2])
+    catalog.append_rows(names[3], [["tag-new"] * lake_tables[names[3]].n_cols])
+    assert catalog.joins is index
+    kept = _all_joins(catalog)
+    catalog._joins = None
+    assert _all_joins(catalog) == kept
+
+    writes = []
+    catalog.joins.add_sketch = writes.append
+    catalog.joins.remove_table = writes.append
+    assert catalog.refresh_stale() == [names[3]]
+    assert writes == []
 
 
 def test_a_join_payload_runs_no_forward_and_no_cache_lookup(

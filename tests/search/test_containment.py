@@ -41,18 +41,8 @@ def sketches():
 def _index(sketches) -> ContainmentIndex:
     index = ContainmentIndex(NUM_PERM)
     for sketch in sketches:
-        _add(index, sketch)
+        index.add_sketch(sketch)
     return index
-
-
-def _add(index, sketch) -> None:
-    columns = sketch.column_sketches
-    index.add_table(
-        sketch.table_name,
-        sketch.column_names,
-        np.array([c.values_minhash.signature for c in columns], dtype=np.uint64),
-        [c.n_values for c in columns],
-    )
 
 
 def _oracle(sketches, query, exclude=None) -> list:
@@ -126,17 +116,13 @@ def test_a_copy_is_contained_exactly(sketches):
 def test_rank_is_the_best_column_per_table_by_content(sketches):
     index = _index(sketches)
     for sketch in sketches[::16]:
-        queries = [
-            (c.name, c.values_minhash.signature, c.n_values)
-            for c in sketch.column_sketches
-        ]
         best: dict = {}
         for column in sketch.column_sketches:
             for score, table, candidate in _oracle(sketches, column, sketch.table_name):
                 if table not in best or score > best[table][0]:
                     best[table] = (score, column.name, candidate)
         expected = sorted(best.items(), key=lambda item: (-item[1][0], item[0]))
-        ranked = index.rank(queries, len(index), exclude_table=sketch.table_name)
+        ranked = index.rank(sketch, len(index), exclude_table=sketch.table_name)
         assert [
             (m.table, (m.containment, m.query_column, m.column)) for m in ranked
         ] == expected
@@ -151,13 +137,15 @@ def test_rank_is_the_best_column_per_table_by_content(sketches):
 def test_rank_pools_k_times_the_candidate_factor(sketches):
     index = _index(sketches)
     column = sketches[0].column_sketches[0]
-    query = [(column.name, column.values_minhash.signature, column.n_values)]
     for k in (1, 2, 4):
         pool = index.top(
             column.values_minhash.signature, column.n_values,
             k * CANDIDATE_FACTOR, sketches[0].table_name,
         )
-        ranked = index.rank(query, k, exclude_table=sketches[0].table_name)
+        ranked = index.rank(
+            sketches[0], k, column=column.name,
+            exclude_table=sketches[0].table_name,
+        )
         assert [m.table for m in ranked] == list(dict.fromkeys(t for _, t, _ in pool))
 
 
@@ -195,7 +183,7 @@ def test_writes_touch_rows_in_place_and_answer_like_a_fresh_index(sketches):
                 column_sketches=donor.column_sketches, snapshot=donor.snapshot,
                 config=donor.config,
             )
-            _add(index, renamed)
+            index.add_sketch(renamed)
             live[name] = renamed
         if step % 10 == 9:
             fresh = _index(sorted(live.values(), key=lambda s: s.table_name))

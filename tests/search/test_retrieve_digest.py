@@ -214,13 +214,15 @@ def test_retrieve_answers_pinned(digests, system, name):
     assert digests(system, name) == RETRIEVE_DIGESTS[system, name]
 
 
-@pytest.mark.parametrize("name, mode", [("santos", "union")])
+@pytest.mark.parametrize("name, mode", [("wiki_join", "join"), ("santos", "union")])
 def test_searcher_ranks_like_the_lake_service(name, mode):
-    """A member query through the paper's searcher and through
-    ``LakeService.discover`` over the same tables returns the same table
-    order, union over all of its columns. (The service's join ranks by
-    signature containment, not the paper's embedding join;
-    ``tests/lake/test_join_containment.py`` checks it on Wiki Join.)"""
+    """A member query through the paper's searcher and through the lake
+    stack over the same tables returns the same table order: join by one
+    query column, union over all of them. Union goes through
+    ``LakeService.discover``; join goes through the catalog's searcher,
+    ``rank(join=True)`` over the stored vectors, because the service's join
+    ranks by signature containment instead of the paper's embedding join
+    (``tests/lake/test_join_containment.py`` checks that one)."""
     benchmark = BENCHMARKS[name](scale=0.3)
     embedder = build_embedder(benchmark.tables)
     searcher = TabSketchFMSearcher(embedder, benchmark.tables)
@@ -230,7 +232,20 @@ def test_searcher_ranks_like_the_lake_service(name, mode):
     for query in benchmark.queries:
         assert (query.column is not None) == (mode == "join")
         for k in KS:
-            result = service.discover(DiscoveryRequest(
-                mode=mode, k=k, table=query.table, column=query.column,
-            ))
-            assert [hit.table for hit in result.hits] == searcher.retrieve(query, k)
+            if mode == "join":
+                ranked = [
+                    match.table
+                    for match in catalog.searcher.rank(
+                        catalog.records[query.table].vector_pairs(),
+                        k,
+                        join=True,
+                        column=query.column,
+                        exclude_table=query.table,
+                    )[:k]
+                ]
+            else:
+                result = service.discover(DiscoveryRequest(
+                    mode=mode, k=k, table=query.table, column=query.column,
+                ))
+                ranked = [hit.table for hit in result.hits]
+            assert ranked == searcher.retrieve(query, k)
