@@ -39,7 +39,7 @@ Scores are **monotone with the ranking** (higher is better):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.table.schema import Column, Table
@@ -348,9 +348,6 @@ class DiscoveryRequest:
             allow_stale=_typed(raw, "allow_stale", bool, what, default=False),
             pin_version=_typed(raw, "pin_version", int, what),
         ).validated()
-
-    def with_payload(self, payload: Table) -> "DiscoveryRequest":
-        return replace(self, payload=payload, table=None)
 
 
 # --------------------------------------------------------------------- #

@@ -8,10 +8,16 @@ baselines live in :mod:`repro.sketch.lsh` / :mod:`repro.sketch.simhash`.
 
 Storage is a capacity-doubling row buffer so the index supports *incremental*
 maintenance: ``add``/``add_many`` are amortized O(1) per row (no re-stacking
-of the whole corpus on the next query), and ``replace_many`` /
-``remove_many`` shift the rows behind the change once per batch, keeping
-every other row in place. This is what lets :mod:`repro.lake` apply
-one-table deltas to a standing lake without rebuilding the index.
+of the whole corpus on the next query). A write costs the rows it writes
+and the rows it moves, and no Python work per row of the shard besides:
+every row carries an int id of its key, so ``replace_many`` /
+``remove_many`` find the rows to drop with one vectorized compare over
+those ids, and the rows behind the change move as block copies, once per
+batch. A table's rows written as one contiguous block (as
+:class:`repro.search.tables.TableSearcher` writes them) are replaced in
+place when the width is unchanged, moving no other row. This is what lets
+:mod:`repro.lake` apply one-table deltas to a standing lake without
+rebuilding the index.
 
 ``top_k`` answers a whole matrix of queries with one BLAS matmul plus one
 axis-wise partition, as row-id and distance arrays — the batched primitive
@@ -58,13 +64,18 @@ class KnnIndex:
         self.dim = dim
         self.metric = metric
         self._keys: list = []
-        #: key -> number of live rows under it; O(1) membership and an O(1)
-        #: "nothing to remove" fast path without scanning ``_keys``.
-        self._key_counts: dict = {}
+        #: key -> its int id, for every key with a live row: O(1)
+        #: membership, and the id a write looks a key's rows up by.
+        self._key_ids: dict = {}
+        #: Next unused key id; ids are never reused.
+        self._next_id = 0
         self._data = np.zeros((0, dim), dtype=np.float64)
         #: Row-aligned with ``_data``: the data-side term of the distance
         #: (:meth:`_row_terms`), computed once per row at write time.
         self._terms = np.zeros(0, dtype=np.float64)
+        #: Row-aligned with ``_data``: each row's key id, so a write finds
+        #: the rows to drop with one vectorized compare, not a key scan.
+        self._ids = np.zeros(0, dtype=np.int64)
         self._size = 0
 
     # ------------------------------------------------------------------ #
@@ -81,6 +92,9 @@ class KnnIndex:
         terms = np.zeros(new_capacity, dtype=np.float64)
         terms[: self._size] = self._terms[: self._size]
         self._terms = terms
+        ids = np.zeros(new_capacity, dtype=np.int64)
+        ids[: self._size] = self._ids[: self._size]
+        self._ids = ids
 
     def _row_terms(self, block: np.ndarray) -> np.ndarray:
         """Per-row data-side distance term of an (m, dim) block: the row
@@ -106,7 +120,11 @@ class KnnIndex:
 
     def remove_many(self, keys: Iterable[object]) -> int:
         """Drop every row whose key is in ``keys``; returns rows removed.
-        Keys not present cost an O(1) dict probe — no scan of the key list."""
+
+        What :meth:`replace_many` costs with no new rows: one vectorized
+        compare over the row ids, and the rows behind the first dropped
+        one moved up as block copies. A key not present costs one dict
+        probe; when no key is present nothing else is done."""
         return self.replace_many(keys, ())
 
     def replace_many(
@@ -116,41 +134,65 @@ class KnnIndex:
         the first of those rows stood — at the end when there was none;
         returns the rows dropped.
 
-        Every other row keeps its place, so replacing a table's rows leaves
-        the index in the order its tables were first added. The new rows
-        are one block copy and the rows behind them shift once, so a
-        whole-table delta costs the same as a single-column one.
+        Every other row keeps its order, so replacing a table's rows leaves
+        the index in the order its tables were first added. The rows to
+        drop are found by key id with one vectorized compare over the
+        row-aligned ids; no Python loop runs over rows that are not
+        written. The new rows are one block copy. Surviving rows between
+        the first and last dropped row are gathered behind the new block,
+        and the rows after the last dropped row move as one slice, by
+        ``len(items)`` minus the rows dropped. A caller that writes each
+        key's rows as one contiguous block (``TableSearcher`` does) has no
+        rows in between, so a same-width replacement writes in place and
+        moves no other row.
         """
         items = list(items)
-        doomed = {key for key in keys if key in self._key_counts}
+        key_ids = self._key_ids
+        doomed = {key for key in keys if key in key_ids}
         if not items and not doomed:
             return 0
-        block = self._block(items)
-        at, tail = self._size, np.zeros(0, dtype=np.intp)
+        block = self._block(items)  # checked before anything changes
+        size = at = stop = self._size
+        between = np.zeros(0, dtype=np.intp)
         if doomed:
-            gone = np.fromiter(
-                (key in doomed for key in self._keys), dtype=bool, count=self._size
-            )
-            at = int(gone.argmax())
-            tail = np.flatnonzero(~gone[at:]) + at
-        removed = self._size - at - len(tail)
-        tail_rows, tail_terms = self._data[tail], self._terms[tail]
-        tail_keys = [self._keys[row] for row in tail.tolist()]
-        self._size = at
-        self._reserve(len(items) + len(tail))
-        end = at + len(items)
-        self._data[at:end] = block
-        self._terms[at:end] = self._row_terms(block)
-        self._data[end : end + len(tail)] = tail_rows
-        self._terms[end : end + len(tail)] = tail_terms
-        self._size = end + len(tail)
-        del self._keys[at:]
-        self._keys += [key for key, _ in items] + tail_keys
-        for key in doomed:
-            del self._key_counts[key]
-        for key, _ in items:
-            self._key_counts[key] = self._key_counts.get(key, 0) + 1
+            gone = np.isin(self._ids[:size], [key_ids.pop(key) for key in doomed])
+            dropped = np.flatnonzero(gone)
+            at, stop = int(dropped[0]), int(dropped[-1]) + 1
+            between = np.flatnonzero(~gone[at:stop]) + at
+        removed = stop - at - len(between)
+        block_ids = [self._id_of(key) for key, _ in items]
+        between_rows, between_terms = self._data[between], self._terms[between]
+        between_ids = self._ids[between]
+        between_keys = list(map(self._keys.__getitem__, between.tolist()))
+        shift = len(items) - removed
+        self._reserve(max(shift, 0))
+        end = at + len(items) + len(between)
+        if shift:
+            # Through a flat view: numpy moves an overlapping 1-D slice in
+            # place, where a 2-D one goes through a temporary copy.
+            flat, dim = self._data.reshape(-1), self.dim
+            flat[end * dim : (size + shift) * dim] = flat[stop * dim : size * dim]
+            self._terms[end : size + shift] = self._terms[stop:size]
+            self._ids[end : size + shift] = self._ids[stop:size]
+        new = slice(at, at + len(items))
+        self._data[new] = block
+        self._terms[new] = self._row_terms(block)
+        self._ids[new] = block_ids
+        kept = slice(new.stop, end)
+        self._data[kept] = between_rows
+        self._terms[kept] = between_terms
+        self._ids[kept] = between_ids
+        self._keys[at:stop] = [key for key, _ in items] + between_keys
+        self._size = size + shift
         return removed
+
+    def _id_of(self, key) -> int:
+        """``key``'s id, drawing the next unused one for a new key."""
+        key_id = self._key_ids.get(key)
+        if key_id is None:
+            key_id = self._key_ids[key] = self._next_id
+            self._next_id += 1
+        return key_id
 
     def _block(self, items: list) -> np.ndarray:
         """``items``' vectors as one checked ``(len(items), dim)`` block."""
@@ -260,7 +302,7 @@ class KnnIndex:
         return self._keys
 
     def __contains__(self, key) -> bool:
-        return key in self._key_counts
+        return key in self._key_ids
 
     def __len__(self) -> int:
         return self._size
@@ -294,8 +336,10 @@ class KnnIndex:
         index._terms = index._row_terms(index._data)
         index._size = vectors.shape[0]
         index._keys = list(keys)
-        counts: dict = {}
-        for key in index._keys:
-            counts[key] = counts.get(key, 0) + 1
-        index._key_counts = counts
+        key_ids = index._key_ids
+        index._ids = np.array(
+            [key_ids.setdefault(key, len(key_ids)) for key in index._keys],
+            dtype=np.int64,
+        )
+        index._next_id = len(key_ids)
         return index

@@ -19,12 +19,22 @@ summaries with documented approximation behaviour:
 
 * a **sorted sample** of the numeric values, exact up to
   :data:`RESERVOIR_CAP` values; beyond the cap it is compressed by a
-  deterministic equi-depth resample (rank error per compression is about
-  ``1 / RESERVOIR_CAP``). Percentiles are read off this sample.
+  deterministic equi-depth resample. Percentiles are read off this sample.
+  Each compression moves a percentile by at most about one sample step,
+  ``1 / (RESERVOIR_CAP - 1)``, in rank, plus ``1 / n`` for reading between
+  two of the ``n`` values: one step for a cold sketch, two for a merge of
+  cold sketches (``tests/sketch/test_numeric.py``). Every later merge past
+  the cap resamples again, and the error grows with them: a resample
+  reads its points at ranks ``j / (RESERVOIR_CAP - 1)``, the next merge
+  weighs them as equal-mass midpoints, and the tails drift toward the
+  median. 200 merges of 20-value deltas into a 3 000-value column leave
+  its deciles about 0.1 off in rank.
 * a **bottom-k set of value hashes** (KMV sketch), exact up to
   :data:`DISTINCT_CAP` distinct values; beyond the cap the distinct count
   of a merge is the standard KMV estimate ``(k - 1) * 2^64 / h_(k)``
-  (Bar-Yossef et al. 2002), clamped to ``[max(|A|,|B|), |A|+|B|]``.
+  (Bar-Yossef et al. 2002), clamped to ``[max(|A|,|B|), |A|+|B|]``. Its
+  relative standard error is ``1 / sqrt(k - 2)``, 1.6 % at ``k = 4096``;
+  a merge of cold sketches stays within four of them.
 
 While every input stays under both caps, merge-then-derive is **bitwise
 identical** to sketching the concatenated column from scratch: the cold
