@@ -39,8 +39,8 @@ Scores are **monotone with the ranking** (higher is better):
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from repro.table.schema import Column, Table
 

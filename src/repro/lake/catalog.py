@@ -23,10 +23,17 @@ Join is served by a second scorer beside the column index, a
 :class:`~repro.search.containment.ContainmentIndex` over every column's
 ``values_minhash`` signature and ``n_values`` (``joins``). It lives in
 memory only and is never sharded: the first join builds it from the
-records' sketches (a catalog never asked a join never holds one), and from
-then on every write that changes a sketch keeps it in step, touching only
-that table's rows. An append merges signatures exactly, so join sees
-appended rows at once, with no re-embed.
+records' stored signature rows (a catalog never asked a join never holds
+one), and from then on every write that changes a sketch keeps it in step,
+touching only that table's rows. An append merges signatures exactly, so
+join sees appended rows at once, with no re-embed.
+
+A record holds its sketch packed (:class:`~repro.lake.store.LakeTableRecord`):
+an ingest packs each new sketch once and the store writes those arrays, a
+warm open keeps each table's rows of the archive it read, and only the
+writes that need sketch objects build them — an append the one table's, a
+refresh its stale tables'. Serving, ``stats`` and the join index read the
+packed rows and the meta.
 
 The column index is a :class:`~repro.search.backend.ShardedIndex` with the
 store's shard count: queries fan ``query_many`` across the per-shard indexes
@@ -172,15 +179,16 @@ class LakeCatalog:
     @property
     def joins(self) -> ContainmentIndex:
         """Every column's values signature and size: what join ranks by.
-        Built from the records' sketches on first read (one exact
-        ``reserve``, no forward); every later write keeps it in step."""
+        Built from the records' stored rows on first read (one exact
+        ``reserve``, no forward, no sketch built); every later write keeps it
+        in step."""
         if self._joins is None:
             joins = ContainmentIndex(self.sketch_config.num_perm)
             joins.reserve(
-                sum(record.sketch.n_cols for record in self.records.values())
+                sum(len(record.column_names) for record in self.records.values())
             )
             for record in self.records.values():
-                joins.add_sketch(record.sketch)
+                joins.add_table(record.join_rows())
             self._joins = joins
         return self._joins
 
@@ -210,7 +218,9 @@ class LakeCatalog:
         sketches are re-embedded and their row count, metadata and version
         carry over (the SBERT half needs raw values, which only new
         contents have). Either way the engine runs once:
-        ``ceil(N / batch_size)`` forwards.
+        ``ceil(N / batch_size)`` forwards. A new sketch is packed once, into
+        the record the store writes as it is; a refreshed record keeps the
+        stale one's packed sketch.
         """
         refresh = bool(sources) and isinstance(sources[0], LakeTableRecord)
         if refresh:
@@ -229,13 +239,17 @@ class LakeCatalog:
                 )
             ]
             carried = (
-                {"metadata": dict(source.metadata), "version": source.version}
+                {
+                    "members": source.members,
+                    "sketch_meta": source.sketch_meta,
+                    "metadata": dict(source.metadata),
+                    "version": source.version,
+                }
                 if refresh
-                else {}
+                else {"sketch": sketch}
             )
             records.append(
                 LakeTableRecord(
-                    sketch=sketch,
                     column_vectors=(
                         np.stack(vectors) if vectors else np.zeros((0, self.dim))
                     ),
@@ -297,10 +311,10 @@ class LakeCatalog:
             self._stale.discard(name)
         return old
 
-    def _index_join(self, sketch: TableSketch) -> None:
-        """Put a new or changed sketch in :attr:`joins`, once built."""
+    def _index_join(self, record: LakeTableRecord) -> None:
+        """Put a new or changed record's rows in :attr:`joins`, once built."""
         if self._joins is not None:
-            self._joins.add_sketch(sketch)
+            self._joins.add_table(record.join_rows())
 
     def _install(self, records: list[LakeTableRecord]) -> None:
         """Serve ``records``: each replaces any same-named record and its
@@ -340,7 +354,7 @@ class LakeCatalog:
             records = self._embed_records(list(tables.values()))
             self._install(records)
             for record in records:
-                self._index_join(record.sketch)
+                self._index_join(record)
             if self.store is not None:
                 self.store.save_tables(records)
         if records:
@@ -380,7 +394,7 @@ class LakeCatalog:
             record = self._embed_records([table])[0]
             record.version = old.version + 1
             self._install([record])
-            self._index_join(record.sketch)
+            self._index_join(record)
             if self.store is not None:
                 self.store.save_table(record)
         _TABLES_UPDATED.inc()
@@ -419,13 +433,13 @@ class LakeCatalog:
                 "the lake does not retain; use update_table with the "
                 "complete table instead"
             )
-        sketch = record.sketch
-        if any(c.numeric_acc is None for c in sketch.column_sketches):
+        if "acc_scalars" not in record.members:
             raise ValueError(
                 f"table {name!r} was ingested before mergeable sketch state "
                 "existed; update_table it once to enable appends"
             )
         with obs.span("lake.append", table=name, rows=len(rows)):
+            sketch = record.sketch
             delta = table_from_rows(
                 name, sketch.column_names, rows, description=sketch.description
             )
@@ -442,7 +456,7 @@ class LakeCatalog:
                 embedding_stale=True,
             )
             self._put(name, merged)
-            self._index_join(merged.sketch)
+            self._index_join(merged)
             if self.store is not None:
                 self.store.save_table(merged)
         _ROWS_APPENDED.inc(len(rows))
@@ -495,7 +509,7 @@ class LakeCatalog:
     def stats(self) -> dict:
         return {
             "n_tables": len(self.records),
-            "n_columns": sum(r.sketch.n_cols for r in self.records.values()),
+            "n_columns": sum(len(r.column_names) for r in self.records.values()),
             "n_rows": sum(r.n_rows for r in self.records.values()),
             "dim": self.dim,
             "embed_calls": self.embed_calls,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from itertools import accumulate
 
 import numpy as np
 
@@ -185,16 +186,21 @@ def numeric_from_array(array: np.ndarray) -> NumericalSketch:
         raise ValueError(
             f"numeric record must have shape ({NUMERIC_RECORD_DIM},), got {array.shape}"
         )
+    return _numeric_from_row(array.tolist())
+
+
+def _numeric_from_row(row: list[float]) -> NumericalSketch:
+    """A numeric record, already a list of Python floats, as its sketch."""
     n_pct = len(_PERCENTILES)
     return NumericalSketch(
-        unique_fraction=float(array[0]),
-        nan_fraction=float(array[1]),
-        avg_cell_width=float(array[2]),
-        percentiles=tuple(float(p) for p in array[3 : 3 + n_pct]),
-        mean=float(array[3 + n_pct]),
-        std=float(array[4 + n_pct]),
-        min_value=float(array[5 + n_pct]),
-        max_value=float(array[6 + n_pct]),
+        unique_fraction=row[0],
+        nan_fraction=row[1],
+        avg_cell_width=row[2],
+        percentiles=tuple(row[3 : 3 + n_pct]),
+        mean=row[3 + n_pct],
+        std=row[4 + n_pct],
+        min_value=row[5 + n_pct],
+        max_value=row[6 + n_pct],
     )
 
 
@@ -252,34 +258,39 @@ def _pack_accumulators(
     }
 
 
-def _unpack_accumulator(arrays: dict[str, np.ndarray], i: int) -> NumericAccumulator:
-    row = arrays["acc_scalars"][i]
-    sample_lens = np.asarray(arrays["acc_sample_len"], dtype=np.int64)
-    distinct_lens = np.asarray(arrays["acc_distinct_len"], dtype=np.int64)
-    s0 = int(sample_lens[:i].sum())
-    d0 = int(distinct_lens[:i].sum())
-    sample = np.asarray(
-        arrays["acc_sample"][s0 : s0 + int(sample_lens[i])], dtype=np.float64
-    ).copy()
-    distinct = np.asarray(
-        arrays["acc_distinct"][d0 : d0 + int(distinct_lens[i])], dtype=np.uint64
-    ).copy()
-    return NumericAccumulator(
-        n_rows=int(row[0]),
-        n_nonnull=int(row[1]),
-        width_sum=int(row[2]),
-        is_numeric=bool(row[3]),
-        n_numeric=int(row[4]),
-        total=float(row[5]),
-        total_sq=float(row[6]),
-        min_value=float(row[7]),
-        max_value=float(row[8]),
-        sample=sample,
-        sample_exact=bool(row[9]),
-        n_distinct=int(row[10]),
-        distinct=distinct,
-        distinct_exact=bool(row[11]),
-    )
+def _unpack_accumulators(arrays: dict[str, np.ndarray]) -> list[NumericAccumulator]:
+    """Every column's accumulator. Each array member is converted once for
+    the table: the scalars to Python numbers, the runs copied out in one
+    block per member that the columns' ``sample`` / ``distinct`` slice."""
+    sample = np.array(arrays["acc_sample"], dtype=np.float64)
+    distinct = np.array(arrays["acc_distinct"], dtype=np.uint64)
+    sample_ends = list(accumulate(arrays["acc_sample_len"].tolist()))
+    distinct_ends = list(accumulate(arrays["acc_distinct_len"].tolist()))
+    return [
+        NumericAccumulator(
+            n_rows=int(row[0]),
+            n_nonnull=int(row[1]),
+            width_sum=int(row[2]),
+            is_numeric=bool(row[3]),
+            n_numeric=int(row[4]),
+            total=row[5],
+            total_sq=row[6],
+            min_value=row[7],
+            max_value=row[8],
+            sample=sample[s0:s1],
+            sample_exact=bool(row[9]),
+            n_distinct=int(row[10]),
+            distinct=distinct[d0:d1],
+            distinct_exact=bool(row[11]),
+        )
+        for row, s0, s1, d0, d1 in zip(
+            np.asarray(arrays["acc_scalars"], dtype=np.float64).tolist(),
+            [0, *sample_ends],
+            sample_ends,
+            [0, *distinct_ends],
+            distinct_ends,
+        )
+    ]
 
 
 # --------------------------------------------------------------------- #
@@ -325,21 +336,43 @@ def pack_table_sketch(sketch: TableSketch) -> tuple[dict[str, np.ndarray], dict]
 
 def unpack_table_sketch(arrays: dict[str, np.ndarray], meta: dict) -> TableSketch:
     """Rebuild the exact :class:`TableSketch` from :func:`pack_table_sketch`
-    output."""
+    output.
+
+    The sketch owns its arrays: each signature and run member is copied out
+    once for the table (each column's array a row or slice of that copy),
+    and the numeric members are read as Python numbers in one conversion
+    each, so ``arrays`` may be read-only views of a shared archive.
+    """
     config = SketchConfig(**meta["sketch_config"])
     columns = meta["columns"]
-    has_acc = "acc_scalars" in arrays  # absent in pre-live-tables archives
+    values_sigs = np.array(arrays["values_sig"], dtype=np.uint64)
+    words_sigs = np.array(arrays["words_sig"], dtype=np.uint64)
+    stats = np.asarray(arrays["numeric_stats"], dtype=np.float64).tolist()
+    # Accumulators are absent in pre-live-tables archives.
+    accs = (
+        _unpack_accumulators(arrays)
+        if "acc_scalars" in arrays
+        else [None] * len(columns)
+    )
     column_sketches = [
         ColumnSketch(
             name=name,
-            ctype=ColumnType(int(arrays["ctypes"][i])),
-            values_minhash=minhash_from_array(arrays["values_sig"][i]),
-            words_minhash=minhash_from_array(arrays["words_sig"][i]),
-            numeric=numeric_from_array(arrays["numeric_stats"][i]),
-            n_values=int(arrays["n_values"][i]),
-            numeric_acc=_unpack_accumulator(arrays, i) if has_acc else None,
+            ctype=ColumnType(ctype),
+            values_minhash=MinHash(values_sig),
+            words_minhash=MinHash(words_sig),
+            numeric=_numeric_from_row(row),
+            n_values=n_values,
+            numeric_acc=acc,
         )
-        for i, name in enumerate(columns)
+        for name, ctype, values_sig, words_sig, row, n_values, acc in zip(
+            columns,
+            arrays["ctypes"].tolist(),
+            values_sigs,
+            words_sigs,
+            stats,
+            arrays["n_values"].tolist(),
+            accs,
+        )
     ]
     return TableSketch(
         table_name=meta["table_name"],

@@ -69,9 +69,9 @@ from repro.lake.catalog import LakeCatalog
 from repro.lake.serialization import config_fingerprint
 from repro.lake.store import LakeStore
 from repro.search.backend import stable_shard
-from repro.search.containment import ContainmentMatch
+from repro.search.containment import ContainmentMatch, JoinRows, join_rows
 from repro.search.tables import TableMatch
-from repro.sketch.pipeline import TableSketch, sketch_corpus
+from repro.sketch.pipeline import sketch_corpus
 from repro.table.schema import Table
 
 _QUERIES_TOTAL = obs.counter(
@@ -290,13 +290,14 @@ class LakeService:
     def _search(
         self,
         request: DiscoveryRequest,
-        query: "list | TableSketch",
+        query: "list | JoinRows",
         exclude: str | None,
     ) -> "Sequence[TableMatch] | list[ContainmentMatch]":
         """Run the mode's ranking under the lock; full (untruncated)
         candidate ranking so post-filters never starve the top-k. A join
-        ``query`` is the query table's sketch, ranked by containment; a
-        union or subset one is the columns' vectors."""
+        ``query`` is the query columns' values signatures and sizes (a
+        member's stored rows, or the payload sketch's), ranked by
+        containment; a union or subset one is the columns' vectors."""
         if request.mode == "join":
             return self.catalog.joins.rank(
                 query, request.k, column=request.column, exclude_table=exclude
@@ -447,7 +448,7 @@ class LakeService:
         projected: dict[int, Table] = {}
         #: Per request: (its query, or None to take from the pass,
         #: exclude_table, cache_hit).
-        plans: list[tuple["list | TableSketch | None", str | None, bool | None]] = []
+        plans: list[tuple["list | JoinRows | None", str | None, bool | None]] = []
         charges: list[dict[str, float]] = [{} for _ in requests]
         extras: list[dict] = [{} for _ in requests]
         with self._lock:
@@ -469,7 +470,7 @@ class LakeService:
             ):
                 if request.table is not None:
                     record = self.catalog.records[request.table]
-                    query = record.sketch if join else record.vector_pairs()
+                    query = record.join_rows() if join else record.vector_pairs()
                     plans.append((query, request.table, None))
                     continue
                 payload = request.payload
@@ -486,14 +487,14 @@ class LakeService:
                     todo.setdefault(digest, payload)
                 plans.append((pairs, exclude, pairs is not None))
         embedded: dict[str, list] = {}
-        signed: dict[int, TableSketch] = {}
+        signed: dict[int, JoinRows] = {}
         if todo or projected:
             tables = [*todo.values(), *projected.values()]
             with obs.span("lake.sketch_batch", tables=len(tables)) as sketching:
                 sketches = sketch_corpus(
                     tables, self.catalog.sketch_config, self.catalog._hasher
                 )
-            signed = dict(zip(projected, sketches[len(todo):]))
+            signed = dict(zip(projected, map(join_rows, sketches[len(todo):])))
             if todo:
                 with obs.span("lake.embed_batch", tables=len(todo)) as embedding:
                     embedded = dict(zip(todo, self.catalog.column_vector_pairs_many(
@@ -527,7 +528,7 @@ class LakeService:
     def _answer(
         self,
         request: DiscoveryRequest,
-        query: "list | TableSketch",
+        query: "list | JoinRows",
         exclude: str | None,
         cache_hit: bool | None,
         extra: dict,

@@ -56,8 +56,10 @@ reader rule, in :func:`_split_tables`, is that an archive without
 it; the commit that drops its last entry unlinks it, and until then the
 rows of its replaced or removed tables are dead bytes, which
 :meth:`LakeShard.stats` reports (``dead_bytes``) from the manifest alone.
-:meth:`LakeStore.load_all` reads each archive once and releases it after
-its last table.
+:meth:`LakeStore.load_all` reads each archive once, at its first table.
+A record keeps its table's rows of it as read-only views, its sketch
+packed (:class:`LakeTableRecord`), so a shared archive's arrays stay in
+memory until every table in it is rewritten or the catalog reopens.
 
 Every table archive goes through one codec, :mod:`repro.lake.archive`:
 :func:`~repro.lake.archive.write_archive` writes the bytes ``np.savez``
@@ -128,7 +130,7 @@ import sys
 import warnings
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -144,6 +146,7 @@ from repro.lake.serialization import (
     unpack_table_sketch,
 )
 from repro.search.backend import IndexSpec, ShardedIndex, stable_shard
+from repro.search.containment import JoinRows
 from repro.search.index import KnnIndex
 from repro.search.tables import ColumnEntry
 from repro.sketch.pipeline import TableSketch
@@ -300,11 +303,12 @@ def _base_tie(data: bytes) -> list[int]:
 
 
 def _pack_record(record: "LakeTableRecord") -> tuple[dict[str, np.ndarray], dict]:
-    """A record's archive members and its manifest ``sketch_meta``."""
-    arrays, meta = pack_table_sketch(record.sketch)
+    """A record's archive members and its manifest ``sketch_meta``: its
+    packed sketch as it holds it, then its vectors."""
+    arrays = dict(record.members)
     arrays["column_vectors"] = np.asarray(record.column_vectors, dtype=np.float64)
     arrays["table_embedding"] = np.asarray(record.table_embedding, dtype=np.float64)
-    return arrays, meta
+    return arrays, record.sketch_meta
 
 
 def _layout(arrays: dict[str, np.ndarray]) -> tuple:
@@ -511,30 +515,98 @@ def _convert_flat_layout(root: Path, flat: dict) -> dict:
     return top
 
 
-@dataclass
-class LakeTableRecord:
-    """Everything the lake persists for one table."""
+def _read_only(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """``arrays``, each flagged read-only (and so every view cut from it
+    afterwards), and returned."""
+    for array in arrays.values():
+        array.flags.writeable = False
+    return arrays
 
-    sketch: TableSketch
+
+@dataclass(init=False, eq=False, slots=True)
+class LakeTableRecord:
+    """Everything the lake persists for one table.
+
+    The sketch stays packed: ``members`` are the read-only arrays
+    :func:`~repro.lake.serialization.pack_table_sketch` makes of it (after
+    a warm open, views of the table's rows of the archive it was read
+    from; after an ingest, the arrays packed once, which the store writes
+    as they are) and ``sketch_meta`` its manifest metadata, shared with the
+    manifest entry.
+    :attr:`sketch` builds the :class:`TableSketch` on read; the name,
+    columns and join rows are read off the members and meta, so serving
+    and ingest never build one.
+    """
+
+    members: dict[str, np.ndarray]
+    sketch_meta: dict
     column_vectors: np.ndarray  # (n_cols, dim) — final, index-ready vectors
     table_embedding: np.ndarray  # (dim,)
-    n_rows: int = 0
-    metadata: dict = field(default_factory=dict)
+    n_rows: int
+    metadata: dict
     #: Monotonic per-table data version: 1 at ingest, bumped by every data
     #: mutation (append/update). Re-embedding does *not* bump it — the
     #: version tracks what the data is, not how fresh its vectors are.
-    version: int = 1
+    version: int
     #: True when the sketch has absorbed appended rows the served vectors
     #: don't reflect yet; cleared by the lazy re-embed.
-    embedding_stale: bool = False
+    embedding_stale: bool
+
+    def __init__(
+        self,
+        sketch: "TableSketch | None" = None,
+        column_vectors: np.ndarray | None = None,
+        table_embedding: np.ndarray | None = None,
+        n_rows: int = 0,
+        metadata: dict | None = None,
+        version: int = 1,
+        embedding_stale: bool = False,
+        *,
+        members: dict[str, np.ndarray] | None = None,
+        sketch_meta: dict | None = None,
+    ):
+        """Give the ``sketch``, packed here once, or its read-only
+        ``members`` and ``sketch_meta`` as they are; a ``sketch`` wins, so
+        ``dataclasses.replace(record, sketch=...)`` repacks."""
+        if sketch is not None:
+            self.sketch = sketch
+        else:
+            self.members, self.sketch_meta = members, sketch_meta
+        self.column_vectors = column_vectors
+        self.table_embedding = table_embedding
+        self.n_rows = n_rows
+        self.metadata = {} if metadata is None else metadata
+        self.version = version
+        self.embedding_stale = embedding_stale
+
+    @property
+    def sketch(self) -> TableSketch:
+        """The table's sketch, built from :attr:`members` on every read
+        (an unpack: keep the result while you need it)."""
+        return unpack_table_sketch(self.members, self.sketch_meta)
+
+    @sketch.setter
+    def sketch(self, sketch: TableSketch) -> None:
+        members, self.sketch_meta = pack_table_sketch(sketch)
+        self.members = _read_only(members)
 
     @property
     def name(self) -> str:
-        return self.sketch.table_name
+        return self.sketch_meta["table_name"]
 
     @property
     def column_names(self) -> list[str]:
-        return self.sketch.column_names
+        """The stored column names (the meta's list: read-only)."""
+        return self.sketch_meta["columns"]
+
+    def join_rows(self) -> JoinRows:
+        """The stored values signatures and sizes join ranks by."""
+        return JoinRows(
+            self.name,
+            self.column_names,
+            self.members["values_sig"],
+            self.members["n_values"],
+        )
 
     def vector_pairs(self) -> list[tuple[str, np.ndarray]]:
         """Ordered ``(column, vector)`` pairs in the searcher's input form."""
@@ -576,34 +648,44 @@ class LakeShard:
         #: the next journal line puts and drops.
         self._changed: dict[str, None] = {}
         self._dropped: dict[str, None] = {}
-        if (self.root / MANIFEST_NAME).exists():
+        exists = (self.root / MANIFEST_NAME).exists()
+        if exists:
             read = _read_shard_manifest(self.root)
             found = read.manifest.get("fingerprint", "")
             if found != fingerprint:
                 raise FingerprintMismatchError(fingerprint, found)
-            self._manifest = read.manifest
             #: :func:`_base_tie` of the base on disk.
             self._tie = read.tie
             #: Journal bytes that replay; the next append cuts the file
             #: back to them.
             self._journal_bytes = read.replayed
-            self._sweep_orphans()
+            tables = read.manifest.pop("tables")
+            #: The manifest less its ``"tables"``: counters, fingerprint.
+            self._head = read.manifest
         else:
-            self._manifest = {
+            self._journal_bytes = 0
+            tables = []
+            self._head = {
                 "format_version": FORMAT_VERSION,
                 "fingerprint": fingerprint,
                 "next_id": 1,
-                "tables": [],
             }
-            self._journal_bytes = 0
+        #: The manifest's ``"tables"`` by name, in their list order: a new
+        #: entry goes last, a replaced one keeps its place, and a remove is
+        #: one ``del``, with no scan of the list.
+        self._by_name: dict[str, dict] = {entry["name"]: entry for entry in tables}
+        if exists:
+            self._sweep_orphans()
+        else:
             self._compact()
-        # O(1) name lookup over the ordered entry list.
-        self._by_name: dict[str, dict] = {
-            entry["name"]: entry for entry in self._manifest["tables"]
-        }
-        for entry in self._manifest["tables"]:
+        for entry in self._by_name.values():
             self._hold(entry)
         _DEAD_BYTES.labels(shard=str(self.shard_id)).set(self._dead_bytes)
+
+    @property
+    def _manifest(self) -> dict:
+        """The whole manifest as the files fold to, built on each read."""
+        return {**self._head, "tables": list(self._by_name.values())}
 
     def _compact(self) -> None:
         """Write the whole manifest as the new base (write-then-rename),
@@ -618,12 +700,12 @@ class LakeShard:
         """
         texts = self._entry_texts
         tables = []
-        for entry in self._manifest["tables"]:
-            text = texts.get(entry["name"])
+        for name, entry in self._by_name.items():
+            text = texts.get(name)
             if text is None:
-                text = texts[entry["name"]] = _encode_entry(entry)
+                text = texts[name] = _encode_entry(entry)
             tables.append(text)
-        items = self._manifest.items()
+        items = self._head.items()
         parts = (
             _dumps({key: value for key, value in items if key < "tables"})[1:-1],
             '"tables":[' + ",".join(tables) + "]",
@@ -651,10 +733,9 @@ class LakeShard:
             if text is None:
                 text = texts[name] = _encode_entry(self._by_name[name])
             puts.append(text)
-        head = {key: value for key, value in self._manifest.items() if key != "tables"}
         return (
             f'{{"base":{_dumps(self._tie)},"drop":{_dumps(list(self._dropped))},'
-            f'"head":{_dumps(head)},"put":[{",".join(puts)}]}}\n'
+            f'"head":{_dumps(self._head)},"put":[{",".join(puts)}]}}\n'
         ).encode("utf-8")
 
     def _sweep_orphans(self) -> None:
@@ -673,11 +754,11 @@ class LakeShard:
         between the flush that retired it and its unlink.
         """
         (self.root / _MANIFEST_TMP).unlink(missing_ok=True)
-        named = self._manifest.get("index", {}).get("file")
+        named = self._head.get("index", {}).get("file")
         for path in sorted(self.root.glob("*.npz")):
             if path.name != named:
                 path.unlink()
-        live = {entry["file"] for entry in self._manifest["tables"]}
+        live = {entry["file"] for entry in self._by_name.values()}
         for path in sorted((self.root / TABLES_DIR).glob("*.npz")):
             if f"{TABLES_DIR}/{path.name}" not in live:
                 path.unlink()
@@ -687,7 +768,7 @@ class LakeShard:
 
     def entries(self) -> list[dict]:
         """The ordered manifest entries (read-only use)."""
-        return list(self._manifest["tables"])
+        return list(self._by_name.values())
 
     # ------------------------------------------------------------------ #
     def _write_archive(self, group: list[tuple]) -> None:
@@ -710,14 +791,14 @@ class LakeShard:
         fully servable at either the old or the new version; the loser of
         the race is an unreferenced archive swept at the next open.
         """
-        file_rel = f"{TABLES_DIR}/t{self._manifest['next_id']:06d}.npz"
+        file_rel = f"{TABLES_DIR}/t{self._head['next_id']:06d}.npz"
         if len(group) == 1:
             arrays = group[0][2]
         else:
             arrays = _shared_arrays([table_arrays for _, _, table_arrays, _ in group])
         disk_bytes = write_archive(self.root / file_rel, arrays)
         _FLUSH_BYTES.labels(shard=str(self.shard_id)).inc(disk_bytes)
-        self._manifest["next_id"] += 1
+        self._head["next_id"] += 1
         slots: list = [None]
         if len(group) > 1:
             rows = [
@@ -754,7 +835,6 @@ class LakeShard:
         self._changed[name] = None
         if existing is None:
             fields["seq"] = int(seq)
-            self._manifest["tables"].append(fields)
             self._by_name[name] = fields
         else:
             # A replace keeps its manifest slot *and* its global seq: a
@@ -837,11 +917,11 @@ class LakeShard:
         with the replaced tables — after the flush, so a kill in between
         leaves only an unreferenced file the next open sweeps.
         """
-        index = self._manifest.get("index")
+        index = self._head.get("index")
         if index is not None:
             self._pending_unlink.append(index["file"])
         for key in _RETIRED_KEYS:
-            self._manifest.pop(key, None)
+            self._head.pop(key, None)
         flush.meta["manifest"] = self._flush()
         self._drain_unlinks()
         _DEAD_BYTES.labels(shard=str(self.shard_id)).set(self._dead_bytes)
@@ -876,19 +956,23 @@ class LakeShard:
         return self._record(entry, self._read_tables(entry["file"]))
 
     def _read_tables(self, file_rel: str) -> list[dict[str, np.ndarray]]:
-        """The archive at ``file_rel``, read once and split by slot."""
-        return _split_tables(read_archive(self.root / file_rel))
+        """The archive at ``file_rel``, read once, made read-only and split
+        by slot: every table's members are views of its rows."""
+        return _split_tables(_read_only(read_archive(self.root / file_rel)))
 
     def _record(
         self, entry: dict, tables: list[dict[str, np.ndarray]]
     ) -> LakeTableRecord:
-        """``entry``'s record out of its archive's :meth:`_read_tables`."""
-        arrays = tables[entry["slot"][0] if "slot" in entry else 0]
-        sketch = unpack_table_sketch(arrays, entry["sketch_meta"])
+        """``entry``'s record out of its archive's :meth:`_read_tables`: its
+        rows as they are, its sketch left packed."""
+        members = dict(tables[entry["slot"][0] if "slot" in entry else 0])
+        column_vectors = members.pop("column_vectors")
+        table_embedding = members.pop("table_embedding")
         return LakeTableRecord(
-            sketch=sketch,
-            column_vectors=arrays["column_vectors"],
-            table_embedding=arrays["table_embedding"],
+            members=members,
+            sketch_meta=entry["sketch_meta"],
+            column_vectors=column_vectors,
+            table_embedding=table_embedding,
             n_rows=int(entry.get("n_rows", 0)),
             metadata=copy.deepcopy(entry.get("metadata", {})),
             # Defaults cover pre-live-tables manifests: one data version,
@@ -902,7 +986,6 @@ class LakeShard:
         if entry is None:
             return False
         with self._flushing() as flush:
-            self._manifest["tables"].remove(entry)
             del self._by_name[name]
             self._entry_texts.pop(name, None)
             self._changed.pop(name, None)
@@ -917,13 +1000,13 @@ class LakeShard:
 
     # ------------------------------------------------------------------ #
     def table_names(self) -> list[str]:
-        return [entry["name"] for entry in self._manifest["tables"]]
+        return list(self._by_name)
 
     def __contains__(self, name: str) -> bool:
         return self._entry(name) is not None
 
     def __len__(self) -> int:
-        return len(self._manifest["tables"])
+        return len(self._by_name)
 
     def _entry_disk_bytes(self, entry: dict) -> int:
         """Manifest-recorded size; stat fallback only for pre-upgrade
@@ -936,7 +1019,7 @@ class LakeShard:
     def stats(self) -> dict:
         """This shard's share of :meth:`LakeStore.stats`' sums: each live
         archive's bytes counted once, and those no live table reads."""
-        entries = self._manifest["tables"]
+        entries = self._by_name.values()
         return {
             "n_tables": len(entries),
             "n_columns": sum(int(e.get("n_cols", 0)) for e in entries),
@@ -1139,8 +1222,8 @@ class LakeStore:
         count, so warm loads are deterministic and layout-invariant.
 
         Each archive is read once, at its first table in that order, into
-        the records of all its live tables, and released there; each
-        record is let go once yielded. After churn a shard's order
+        the records of all its live tables, whose members are views of its
+        rows; each record is let go once yielded. After churn a shard's order
         alternates between a shared archive and the one-table archives
         rewrites left, and a cache of the last archive read would read the
         shared one again at every turn.

@@ -12,7 +12,12 @@ from repro.search.backend import (
     make_sharded_index,
     stable_shard,
 )
-from repro.search.containment import ContainmentIndex, ContainmentMatch
+from repro.search.containment import (
+    ContainmentIndex,
+    ContainmentMatch,
+    JoinRows,
+    join_rows,
+)
 from repro.search.index import KnnIndex
 from repro.search.tables import ColumnEntry, TableSearcher
 from repro.search.metrics import (
@@ -30,6 +35,8 @@ __all__ = [
     "stable_shard",
     "ContainmentIndex",
     "ContainmentMatch",
+    "JoinRows",
+    "join_rows",
     "KnnIndex",
     "ColumnEntry",
     "TableSearcher",

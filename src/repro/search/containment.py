@@ -14,6 +14,12 @@ one query column against every row with one vectorized compare per slot.
 There is no LSH: the scan is exact over the estimator, so each row's score
 is ``estimate_containment`` of that pair, bit for bit.
 
+The index reads a table as :class:`JoinRows`: its columns' signatures as
+the store keeps them, one ``uint64[num_perm]`` row per column, beside their
+sizes. A lake record hands over its stored rows as they are, and
+:func:`join_rows` stacks a fresh sketch's (a join payload's), so neither
+an ingest nor a member query builds a sketch object to join.
+
 Rows are dense. A table's rows are found through a table -> rows map, and
 removing a table moves the last rows into its holes (swap-remove), so a
 write touches only that table's rows and the rows it moves. Row order is
@@ -24,6 +30,7 @@ containment descending, then table name, then column name.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +65,30 @@ class ContainmentMatch:
         return ((self.query_column, self.column, 1.0 - self.containment),)
 
 
+class JoinRows(NamedTuple):
+    """What join indexes and ranks a table by: its columns, their values
+    signatures (``uint64[n_cols, num_perm]``, a row per column, as the store
+    keeps them) and their distinct-value counts (``int64[n_cols]``)."""
+
+    table: str
+    columns: list[str]
+    signatures: np.ndarray
+    sizes: np.ndarray
+
+
+def join_rows(sketch: TableSketch) -> JoinRows:
+    """A sketch's :class:`JoinRows`, stacked from its column sketches."""
+    columns = sketch.column_sketches
+    return JoinRows(
+        sketch.table_name,
+        sketch.column_names,
+        np.array(
+            [c.values_minhash.signature for c in columns], dtype=np.uint64
+        ).reshape(len(columns), sketch.config.num_perm),
+        np.array([c.n_values for c in columns], dtype=np.int64),
+    )
+
+
 class ContainmentIndex:
     """Every indexed column's values signature and size, scanned exactly."""
 
@@ -76,13 +107,11 @@ class ContainmentIndex:
         return len(self._tables)
 
     # ------------------------------------------------------------------ #
-    def add_sketch(self, sketch: TableSketch) -> None:
-        """Index a table's columns from its sketch, each column's values
-        signature and distinct-value count, replacing any rows the table
-        had: in place when the column count is unchanged, else by a remove
-        and an append."""
-        table = sketch.table_name
-        columns = sketch.column_names
+    def add_table(self, join: JoinRows) -> None:
+        """Index a table's columns, replacing any rows the table had: in
+        place when the column count is unchanged, else by a remove and an
+        append."""
+        table, columns = join.table, join.columns
         rows = self._rows.get(table)
         if rows is not None and len(rows) != len(columns):
             self.remove_table(table)
@@ -98,11 +127,8 @@ class ContainmentIndex:
             for row, column in zip(rows, columns):
                 self._columns[row] = column
         if rows:
-            self._signatures[:, rows] = np.array(
-                [c.values_minhash.signature for c in sketch.column_sketches],
-                dtype=np.uint64,
-            ).T
-            self._sizes[rows] = [c.n_values for c in sketch.column_sketches]
+            self._signatures[:, rows] = join.signatures.T
+            self._sizes[rows] = join.sizes
 
     def remove_table(self, table: str) -> int:
         """Drop ``table``'s rows; returns how many went. Each hole takes
@@ -190,12 +216,12 @@ class ContainmentIndex:
 
     def rank(
         self,
-        sketch: TableSketch,
+        query: JoinRows,
         k: int,
         column: str | None = None,
         exclude_table: str | None = None,
     ) -> list[ContainmentMatch]:
-        """Joinable tables for the sketch's columns (only ``column`` when
+        """Joinable tables for the query's columns (only ``column`` when
         given), best first; untruncated, like
         :meth:`~repro.search.tables.TableSearcher.rank` (take ``[:k]``),
         and possibly fewer than ``k``.
@@ -207,15 +233,17 @@ class ContainmentIndex:
         """
         want = k * CANDIDATE_FACTOR
         best: dict[str, tuple[float, str, str]] = {}
-        for query in sketch.column_sketches:
-            if column is not None and query.name != column:
+        for name, signature, size in zip(
+            query.columns, query.signatures, query.sizes.tolist()
+        ):
+            if column is not None and name != column:
                 continue
             for score, table, candidate in self.top(
-                query.values_minhash.signature, query.n_values, want, exclude_table
+                signature, size, want, exclude_table
             ):
                 held = best.get(table)
                 if held is None or score > held[0]:
-                    best[table] = (score, query.name, candidate)
+                    best[table] = (score, name, candidate)
         ranked = sorted(best.items(), key=lambda item: (-item[1][0], item[0]))
         return [
             ContainmentMatch(table, score, query_column, column)

@@ -188,7 +188,7 @@ def test_the_index_is_built_by_the_first_join_and_kept_by_writes(
     assert _all_joins(catalog) == kept
 
     writes = []
-    catalog.joins.add_sketch = writes.append
+    catalog.joins.add_table = writes.append
     catalog.joins.remove_table = writes.append
     assert catalog.refresh_stale() == [names[3]]
     assert writes == []

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.lakegen.generator import LakeSpec, generate_manifest, iter_tables
-from repro.search.containment import ContainmentIndex
+from repro.search.containment import ContainmentIndex, join_rows
 from repro.search.tables import CANDIDATE_FACTOR
 from repro.sketch.minhash import estimate_containment
 from repro.sketch.pipeline import SketchConfig, sketch_corpus
@@ -41,7 +41,7 @@ def sketches():
 def _index(sketches) -> ContainmentIndex:
     index = ContainmentIndex(NUM_PERM)
     for sketch in sketches:
-        index.add_sketch(sketch)
+        index.add_table(join_rows(sketch))
     return index
 
 
@@ -122,7 +122,9 @@ def test_rank_is_the_best_column_per_table_by_content(sketches):
                 if table not in best or score > best[table][0]:
                     best[table] = (score, column.name, candidate)
         expected = sorted(best.items(), key=lambda item: (-item[1][0], item[0]))
-        ranked = index.rank(sketch, len(index), exclude_table=sketch.table_name)
+        ranked = index.rank(
+            join_rows(sketch), len(index), exclude_table=sketch.table_name
+        )
         assert [
             (m.table, (m.containment, m.query_column, m.column)) for m in ranked
         ] == expected
@@ -143,7 +145,7 @@ def test_rank_pools_k_times_the_candidate_factor(sketches):
             k * CANDIDATE_FACTOR, sketches[0].table_name,
         )
         ranked = index.rank(
-            sketches[0], k, column=column.name,
+            join_rows(sketches[0]), k, column=column.name,
             exclude_table=sketches[0].table_name,
         )
         assert [m.table for m in ranked] == list(dict.fromkeys(t for _, t, _ in pool))
@@ -183,7 +185,7 @@ def test_writes_touch_rows_in_place_and_answer_like_a_fresh_index(sketches):
                 column_sketches=donor.column_sketches, snapshot=donor.snapshot,
                 config=donor.config,
             )
-            index.add_sketch(renamed)
+            index.add_table(join_rows(renamed))
             live[name] = renamed
         if step % 10 == 9:
             fresh = _index(sorted(live.values(), key=lambda s: s.table_name))
