@@ -57,6 +57,7 @@ from repro.lake.catalog import LakeCatalog
 from repro.lake.client import LakeClient
 from repro.lake.serialization import (
     FingerprintMismatchError,
+    StoreLayoutError,
     config_fingerprint,
     pack_table_sketch,
     unpack_table_sketch,
@@ -87,6 +88,7 @@ __all__ = [
     "ReplicaService",
     "ServerThread",
     "SnapshotPublisher",
+    "StoreLayoutError",
     "Timings",
     "config_fingerprint",
     "pack_table_sketch",

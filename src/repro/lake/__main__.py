@@ -12,7 +12,8 @@ Commands::
     refresh --lake LAKE [--tables N,N]  # eagerly re-embed stale tables
     update  --lake LAKE --csv FILE      # staged table replace (version bump)
     remove  --lake LAKE --table NAME    # drop one table (incremental)
-    reshard --lake LAKE --shards N      # migrate to an N-shard layout
+    reshard --lake LAKE --shards N      # rewrite at N shards
+    migrate --lake LAKE                 # rewrite an older store's layout
     stats   --lake LAKE [--metrics]     # catalog + store (+ obs) statistics
 
 ``query`` / ``append`` / ``refresh`` / ``update`` are thin serializers:
@@ -29,9 +30,10 @@ config fingerprint, so an existing lake always reopens with the shard count
 it was built with, and naming a different one fails fast instead of
 silently serving mismatched artifacts; ``reshard`` is the one-shot in-place
 migration between shard counts (no re-embedding — stored vectors are
-re-routed, and every open assembles the per-shard indexes from them). A
-lake an older build wrote under an HNSW index is refused with an ``error:``
-line saying to re-ingest.
+re-routed, and every open assembles the per-shard indexes from them).
+Every other command refuses a store an older build wrote with an
+``error:`` line naming ``migrate``, which rewrites it once, re-embedding
+nothing (an HNSW lake cannot be migrated: re-ingest it).
 
 ``ingest`` on a fresh directory trains the WordPiece vocabulary on the CSV
 corpus, builds the trunk, and persists model + vocab + artifacts. On an
@@ -54,6 +56,7 @@ from repro.core.config import TabSketchFMConfig
 from repro.core.embed import TableEmbedder
 from repro.core.inputs import InputEncoder
 from repro.core.model import TabSketchFM
+from repro.lake import legacy
 from repro.lake.api import API_VERSION, DiscoveryError, DiscoveryRequest
 from repro.lake.bundle import has_bundle, load_bundle, save_bundle
 from repro.lake.catalog import LakeCatalog
@@ -67,7 +70,7 @@ from repro.lake.replica import (
 from repro.lake.server import LakeServer, access_log
 from repro.lake.serialization import FingerprintMismatchError, config_fingerprint
 from repro.lake.service import LakeService
-from repro.lake.store import LakeStore
+from repro.lake.store import LAYOUT, LakeStore
 from repro.lake.target import ClientTarget, ServiceTarget
 from repro.sketch.pipeline import SketchConfig
 from repro.table.csvio import read_csv
@@ -371,6 +374,18 @@ def cmd_reshard(args: argparse.Namespace) -> None:
     )
 
 
+def cmd_migrate(args: argparse.Namespace) -> None:
+    started = time.perf_counter()
+    n_tables = legacy.migrate(args.lake)
+    if n_tables is None:
+        print(f"lake is already at layout {LAYOUT}; nothing to do")
+        return
+    print(
+        f"migrated {args.lake} to layout {LAYOUT}: {n_tables} tables in "
+        f"{time.perf_counter() - started:.2f}s (no re-embedding)"
+    )
+
+
 # --------------------------------------------------------------------- #
 def _add_target_flags(parser: argparse.ArgumentParser, route: str) -> None:
     """``--lake`` / ``--server``: where :func:`_on_target` sends the op."""
@@ -567,6 +582,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="target shard count")
     reshard.set_defaults(func=cmd_reshard)
 
+    migrate = sub.add_parser(
+        "migrate", help="rewrite an older build's store at the current layout "
+                        "(never re-embeds)",
+    )
+    migrate.add_argument("--lake", required=True)
+    migrate.set_defaults(func=cmd_migrate)
+
     stats = sub.add_parser("stats", help="print catalog + store statistics")
     stats.add_argument("--lake", required=True)
     stats.add_argument(
@@ -586,9 +608,9 @@ def main(argv: list[str] | None = None) -> None:
         # Typed API failures (local or relayed from a remote server).
         sys.exit(f"error: {exc.code}: {exc.message}")
     except (KeyError, ValueError) as exc:
-        # Expected user-facing failures (unknown table/column/mode, a lake
-        # recorded under an unsupported index) — print the message, not a
-        # traceback.
+        # Expected user-facing failures (unknown table/column/mode, a store
+        # in another layout or under an unsupported index) — print the
+        # message, not a traceback.
         message = exc.args[0] if exc.args else str(exc)
         sys.exit(f"error: {message}")
     except (FingerprintMismatchError, FileNotFoundError) as exc:

@@ -166,8 +166,7 @@ class LakeCatalog:
         ``column_vectors`` (:meth:`LakeStore.load_index`): one block copy
         per shard, in the row order the live index kept — zero forwards,
         zero insertions, and nothing written, so a read-only snapshot opens
-        as it is. An index archive an older build left beside the tables is
-        never read.
+        as it is.
         """
         catalog = cls(embedder, sbert=sbert, store=store)
         records = list(store.load_all())

@@ -158,11 +158,6 @@ class SnapshotPublisher:
             raise FileNotFoundError(
                 f"no lake store at {self.lake_root} (run ingest first)"
             )
-        if LakeStore.needs_conversion(self.lake_root):
-            # A flat-layout lake: convert it in place before the first
-            # copy, so a generation never ships the old layout (a replica
-            # refuses one — it must not rewrite a shared snapshot).
-            LakeStore.open(self.lake_root)
         self.snapshot_dir = ensure_dir(snapshot_dir)
 
     def publish(self) -> int:
@@ -329,12 +324,6 @@ class ReplicaService:
             self._refuse(generation, "missing or unreadable SNAPSHOT.json marker")
             return False
         try:
-            if LakeStore.needs_conversion(root):
-                raise ValueError(
-                    f"generation {generation} is in the flat store layout, "
-                    "which opening would rewrite — snapshots are shared and "
-                    "read-only; republish it from the leader"
-                )
             with warnings.catch_warnings():
                 # A torn snapshot must be *refused*, not healed in place:
                 # the store's degrade-to-empty warm path is for a leader's

@@ -27,35 +27,10 @@ from repro.sketch.numeric import NumericAccumulator, NumericalSketch, _PERCENTIL
 from repro.sketch.pipeline import ColumnSketch, SketchConfig, TableSketch
 from repro.table.schema import ColumnType
 
-#: Bumped whenever the on-disk artifact layout changes shape.
-#: v2: persisted vector index (an index archive per shard + manifest spec),
-#: per-entry disk_bytes, and the index spec folded into the fingerprint.
-#: (``shards/sNNN/`` is the only layout; a store that still keeps one
-#: shard's files directly under its root — its manifest lacks the
-#: ``sharded`` flag — is converted by renames when opened, entry for entry,
-#: so v2 covers both and the conversion bumps nothing.)
-#: The index is no longer persisted (a warm open assembles it from the
-#: table archives' ``column_vectors``), and that bumps nothing either: the
-#: version is folded into ``config_fingerprint``, so a bump would refuse
-#: every existing lake, while both directions still read — this code never
-#: reads an older shard's index archive and retires it at the shard's first
-#: write, and an older reader rebuilds an index-less shard from its tables.
-#: The shard manifest journal (:mod:`repro.lake.store` owns it, beside a
-#: base ``manifest.json``) bumps nothing either, for the same reason, but
-#: it reads one way only: this code folds an older store's bases (no journal)
-#: as they are, while an older reader would read a base alone. So a store
-#: this code writes records its fingerprint with a mark in the root
-#: manifest (``repro.lake.store._JOURNAL_MARK``), which that reader
-#: compares before it touches a file, and refuses; the fingerprint this
-#: code derives and checks is the unmarked one.
-#: Shared archives (a commit's tables, up to 64 to an archive, each member
-#: their row concatenation; :mod:`repro.lake.store` owns the layout) bump
-#: nothing either and read one way too: an archive without the member of
-#: per-table column counts holds one table, so this code reads every older
-#: archive as it is, while the journal build would read a shared one as one
-#: table. The root manifest's mark becomes ``repro.lake.store._SHARED_MARK``,
-#: which that build does not strip, so it refuses the store.
-FORMAT_VERSION = 2
+#: A fingerprint input, frozen at 2: bumping it would change every
+#: fingerprint and so refuse every lake. The store's layout is versioned on
+#: its own, as :data:`repro.lake.store.LAYOUT`.
+FINGERPRINT_FORMAT = 2
 
 
 class FingerprintMismatchError(RuntimeError):
@@ -65,26 +40,37 @@ class FingerprintMismatchError(RuntimeError):
         super().__init__(
             f"{where} fingerprint mismatch: expected {expected!r}, found "
             f"{found!r} — the artifacts were built under a different "
-            "sketch/model/index configuration (or an older artifact "
-            "format) and must be re-ingested"
+            "sketch/model/index configuration and must be re-ingested"
         )
         self.expected = expected
         self.found = found
 
 
 class UnsupportedIndexBackendError(ValueError):
-    """A lake's root manifest records a vector index other than ``exact``.
-
-    Older builds could write lakes under an approximate (HNSW) index; this
-    code serves exact search only, so such a lake is refused whole — before
-    any of its files is opened — rather than half-loaded.
-    """
+    """A vector index other than ``exact``: this code serves exact search
+    only, so ``migrate`` refuses an older build's HNSW lake whole and a
+    store refuses to record such a spec, each writing nothing."""
 
     def __init__(self, root, backend: str):
         super().__init__(
             f"lake at {str(root)!r} was built with the {backend!r} vector "
             "index, which is no longer supported (exact search is the only "
             "index); re-ingest it from its CSVs"
+        )
+
+
+class StoreLayoutError(ValueError):
+    """A lake's root manifest records no store layout (an older build's
+    store, which ``migrate`` rewrites) or one newer than
+    :data:`repro.lake.store.LAYOUT`."""
+
+    def __init__(self, root, found):
+        super().__init__(
+            f"lake at {str(root)!r} is in an older store layout; run `python -m "
+            f"repro.lake migrate --lake {root}` to rewrite it"
+            if found is None
+            else f"lake at {str(root)!r} records store layout {found!r}, "
+            "which this build does not read"
         )
 
 
@@ -116,14 +102,11 @@ def config_fingerprint(
     the spec the lake recorded for its index (``None`` is the default
     ``IndexSpec()``, which is what every lake the CLI writes records);
     ``n_shards`` the lake's shard partitioning (``None``/1 is left out of
-    the digest — that is what keeps lakes written before shard counts
-    existed, and before one shard moved under ``shards/s000/``, opening
-    with the fingerprint they were built under; any other count is folded
-    in, so differently-sharded stores never cross-load without an explicit
-    ``reshard``).
+    the digest; any other count is folded in, so differently-sharded stores
+    never cross-load without an explicit ``reshard``).
     """
     payload: dict = {
-        "format": FORMAT_VERSION,
+        "format": FINGERPRINT_FORMAT,
         "model_config": dataclasses.asdict(model_config),
         "sbert": None
         if sbert is None

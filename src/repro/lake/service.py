@@ -188,9 +188,9 @@ class LakeService:
         """Warm-load an ingested lake directory into a ready service (no
         re-embedding, no index re-insertion — the index is assembled from
         the stored vectors). The shard count comes from the on-disk layout; a
-        lake recorded under a non-exact index is refused
-        (:class:`~repro.lake.serialization.UnsupportedIndexBackendError`)
-        before anything is loaded.
+        store in an older layout is refused
+        (:class:`~repro.lake.serialization.StoreLayoutError`, naming
+        ``migrate``) before anything is loaded.
         """
         embedder, sbert, fingerprint_at = _load_lake(lake_dir)
         store = LakeStore.open(

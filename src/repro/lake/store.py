@@ -8,8 +8,8 @@ artifacts — and all of its index rows — always co-locate. There is one
 layout, whatever N::
 
     <root>/
-      manifest.json          # top-level: {sharded, n_shards, next_seq,
-                             #             index_spec, fingerprint}
+      manifest.json          # top-level: {layout, sharded, n_shards,
+                             #   next_seq, index_spec, fingerprint}
       shards/
         s000/                # one full LakeShard layout per shard
           manifest.json      # base: fingerprint + ordered table entries
@@ -22,19 +22,15 @@ The vector index is not part of the layout. It is derived state:
 :meth:`LakeStore.load_index` assembles each shard's exact index from the
 ``column_vectors`` its table archives already hold, in global insertion
 order — the row order the live index keeps — with one block copy per shard.
-A shard an older build wrote may still hold an index archive and an
-``"index"`` manifest entry; neither is ever read, and the shard's first
-write drops both (never an open, so a read-only snapshot stays as it is).
 
-A store written before this layout was the only one kept a single shard's
-files directly under ``<root>``. Opening such a store **converts it once, by
-rolling forward** (:func:`_convert_flat_layout`): nothing is re-embedded or
-rewritten, the fingerprint is unchanged, and a kill at any step is finished
-by the next open.
-
-:meth:`LakeStore.reshard` migrates a store in place to another shard count;
-whoever next reads the root manifest (``open``, ``peek_*``,
-``needs_conversion``) first rolls back a swap that was killed half way.
+**One layout, versioned.** The root manifest records ``layout``
+(:data:`LAYOUT`); every reader goes through :func:`_read_root_manifest`,
+which refuses any other without writing a byte. An older store is rewritten
+by ``python -m repro.lake migrate`` (:mod:`repro.lake.legacy`, the one
+reader of older layouts); a layout change bumps :data:`LAYOUT` and extends
+that loader. ``migrate`` and :meth:`LakeStore.reshard` rewrite a store
+through one stage-and-swap (:func:`_rebuild`), and whoever next reads the
+root manifest first rolls back a swap that was killed half way.
 
 Each table's members are the packed :class:`~repro.sketch.pipeline.TableSketch`
 arrays (uint64 signatures, float64 raw numeric stats) plus the final
@@ -48,9 +44,7 @@ member is the row concatenation of theirs (``snapshot_sig`` and
 ``table_embedding``, one row per table, are stacked), and a ``table_cols``
 member holds each table's column count; each table's manifest entry records
 its ``slot``: its index in the archive and the bytes it accounts for. An
-archive of one table is exactly the archive an older build writes — no
-``table_cols``, no ``slot`` — so every one-table write (an append, an
-update, a refresh of one table) writes the same bytes as before, and the one
+archive of one table is its members alone, with no ``slot``: the one
 reader rule, in :func:`_split_tables`, is that an archive without
 ``table_cols`` holds one table. An archive stays while any live entry names
 it; the commit that drops its last entry unlinks it, and until then the
@@ -98,14 +92,6 @@ which the shard's next write cuts off, and no line tied to another base
 is torn beyond repair degrades to an empty shard with a warning at open
 time while every other shard stays warm.
 
-The layout is one-way compatible. This code reads every store an older
-build wrote, and writes nothing to it until its first write. That write
-marks the root manifest's recorded fingerprint (:data:`_SHARED_MARK`,
-which every store this code creates carries from the start, in place of the
-previous build's :data:`_JOURNAL_MARK`), so an older reader — which would
-read a shared archive as one table, or a shard's base without its journal —
-refuses the store before it touches a file.
-
 **Durability: process-kill-safe, not power-loss-safe.** Every base is
 written write-then-rename, every journal line is one append, an archive is
 written before the commit that names it and unlinked after the one that
@@ -131,16 +117,18 @@ import warnings
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from repro import obs
 from repro.lake.archive import read_archive, write_archive
 from repro.lake.serialization import (
-    FORMAT_VERSION,
+    FINGERPRINT_FORMAT,
     FingerprintMismatchError,
+    StoreLayoutError,
     UnsupportedIndexBackendError,
     pack_table_sketch,
     unpack_table_sketch,
@@ -161,17 +149,15 @@ _MANIFEST_TMP = "manifest.tmp.json"
 #: A shard's manifest journal, beside its base ``manifest.json``: one line
 #: per commit since the last compaction (see :meth:`LakeShard._commit`).
 JOURNAL_NAME = "manifest.log"
-#: Appended to the fingerprint a root manifest records once this code
-#: writes the store, since its shards may then hold shared archives. A
-#: reader that predates them compares the recorded fingerprint, less the
-#: marks it knows, with the one it expects (or with each shard's) before it
-#: touches a file, so it refuses the store instead of serving a shared
-#: archive's first table for every table in it.
-_SHARED_MARK = "+shared"
-#: The mark the previous build (90246c4) sets once it writes a store, whose
-#: shards may then hold journals. This code reads such a store as it is
-#: and replaces the mark with :data:`_SHARED_MARK` at its first write.
-_JOURNAL_MARK = "+journal"
+#: The store layout this code reads and writes, recorded in the root
+#: manifest; :func:`_read_root_manifest` refuses any other.
+LAYOUT = 3
+#: Appended to the fingerprint every layout-3 root manifest records. A
+#: build from before the ``layout`` key compares the recorded fingerprint,
+#: less the marks it knows, with the one it expects (or with each shard's)
+#: before it touches a file, and it knows none but its own, so it refuses
+#: the store.
+_LAYOUT_MARK = "+layout"
 #: Tables one archive holds at most. A shard commit writes its tables as
 #: archives of up to this many (see :func:`_shared_arrays`); a constant,
 #: not an option, since it bounds the buffers a bulk write and a warm open
@@ -183,11 +169,6 @@ _TABLE_MEMBERS = ("snapshot_sig", "table_embedding")
 #: Members holding each column's run of values, by the member of per-column
 #: run lengths that delimits them.
 _RUN_MEMBERS = {"acc_sample": "acc_sample_len", "acc_distinct": "acc_distinct_len"}
-#: Shard-manifest keys an older build kept for its persisted index (the
-#: archive's entry, and the write counter it was checked against); a
-#: shard's first write drops them.
-_RETIRED_KEYS = ("index", "mutation_counter")
-
 #: What a store owns at its root — everything else there (the model/vocab
 #: bundle) belongs to someone else. This is what ``reshard`` swaps and what
 #: ``publish`` ships. The manifest comes first: it is what says a store is
@@ -337,8 +318,7 @@ def _shared_arrays(tables: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]
 
 def _split_tables(arrays: dict[str, np.ndarray]) -> list[dict[str, np.ndarray]]:
     """Each table's members out of one archive's, by slot: the one reader
-    rule is that an archive without ``table_cols`` holds one table (every
-    archive an older build wrote, and every one-table write)."""
+    rule is that an archive without ``table_cols`` holds one table."""
     table_cols = arrays.get("table_cols")
     if table_cols is None:
         return [arrays]
@@ -417,20 +397,17 @@ def _read_shard_manifest(root: Path) -> _ShardManifest:
 
 
 def _read_root_manifest(root: str | os.PathLike) -> dict | None:
-    """The root manifest, or ``None`` when no store exists yet.
-
-    Every reader of a store comes through here first, so this is where a
-    lake recorded under an index this code does not serve is refused —
-    before anything under ``root`` is opened or rewritten.
-    """
+    """The root manifest, or ``None`` when no store exists yet. Every
+    reader of a store comes through here first, so this is where a store
+    in any layout but :data:`LAYOUT` is refused, before anything under
+    ``root`` is opened or rewritten."""
     _recover_interrupted_reshard(Path(root))
     path = Path(root) / MANIFEST_NAME
     if not path.exists():
         return None
     top = read_json(path)
-    backend = top.get("index_spec", {}).get("backend", "exact")
-    if backend != "exact":
-        raise UnsupportedIndexBackendError(root, backend)
+    if top.get("layout") != LAYOUT:
+        raise StoreLayoutError(root, top.get("layout"))
     return top
 
 
@@ -452,8 +429,6 @@ def _recover_interrupted_reshard(root: Path) -> None:
                 RuntimeWarning,
                 stacklevel=4,
             )
-            # Whatever the backup holds is the previous store, whichever
-            # layout wrote it.
             for source in backup.iterdir():
                 target = root / source.name
                 if target.exists():  # partial move-in from the crash
@@ -463,56 +438,6 @@ def _recover_interrupted_reshard(root: Path) -> None:
     stage = root / _RESHARD_STAGE
     if stage.exists():
         shutil.rmtree(stage)
-
-
-def _unmarked(fingerprint: str) -> str:
-    """A root manifest's recorded fingerprint without its mark,
-    :data:`_SHARED_MARK` or the previous build's :data:`_JOURNAL_MARK`."""
-    for mark in (_SHARED_MARK, _JOURNAL_MARK):
-        if fingerprint.endswith(mark):
-            return fingerprint[: -len(mark)]
-    return fingerprint
-
-
-def _shard_count(top: dict) -> int:
-    """Shard count a root manifest declares (a flat one is one shard)."""
-    return int(top.get("n_shards", 1)) if top.get("sharded") else 1
-
-
-def _convert_flat_layout(root: Path, flat: dict) -> dict:
-    """Roll a flat store (one shard's files directly under ``root``, as
-    written before ``shards/sNNN/`` was the only layout) forward into
-    ``shards/s000/``; returns the new top-level manifest.
-
-    Every step is a rename, and the root manifest — the one file that says
-    which layout this is — is replaced last. A kill at any step therefore
-    leaves a store that still reads as flat, and the next open repeats the
-    steps (each a no-op once done) and ends in the same place. Entry paths
-    are shard-relative, so no archive is touched; ``seq`` is the entry's
-    list position, which is the order a flat store defined. An index
-    archive moves with its manifest entry, which the shard's first write
-    retires.
-    """
-    shard_root = ensure_dir(root / SHARDS_DIR / "s000")
-    index_files = [flat["index"]["file"]] if "index" in flat else []
-    for name in [TABLES_DIR, *index_files]:
-        if (root / name).exists():
-            os.replace(root / name, shard_root / name)
-    tables = [
-        {**entry, "seq": seq} for seq, entry in enumerate(flat["tables"], start=1)
-    ]
-    _write_manifest(shard_root / MANIFEST_NAME, _dumps({**flat, "tables": tables}))
-    top = {
-        "format_version": flat.get("format_version", FORMAT_VERSION),
-        "sharded": True,
-        "fingerprint": flat.get("fingerprint", ""),
-        "n_shards": 1,
-        "next_seq": len(tables) + 1,
-    }
-    if "index_spec" in flat:
-        top["index_spec"] = flat["index_spec"]
-    _write_manifest(root / MANIFEST_NAME, _dumps(top))
-    return top
 
 
 def _read_only(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -613,6 +538,50 @@ class LakeTableRecord:
         return list(zip(self.column_names, self.column_vectors))
 
 
+def _read_tables(path: Path) -> list[dict[str, np.ndarray]]:
+    """The archive at ``path``, read once, made read-only and split by
+    slot: every table's members are views of its rows."""
+    return _split_tables(_read_only(read_archive(path)))
+
+
+def _record(entry: dict, tables: list[dict[str, np.ndarray]]) -> LakeTableRecord:
+    """``entry``'s record out of its archive's :func:`_read_tables`: its
+    rows as they are, its sketch left packed."""
+    members = dict(tables[entry["slot"][0] if "slot" in entry else 0])
+    column_vectors = members.pop("column_vectors")
+    table_embedding = members.pop("table_embedding")
+    return LakeTableRecord(
+        members=members,
+        sketch_meta=entry["sketch_meta"],
+        column_vectors=column_vectors,
+        table_embedding=table_embedding,
+        n_rows=entry["n_rows"],
+        metadata=copy.deepcopy(entry["metadata"]),
+        version=entry["version"],
+        embedding_stale=entry["embedding_stale"],
+    )
+
+
+def _records_in_order(ordered: list[tuple[Path, dict]]) -> Iterator[LakeTableRecord]:
+    """The records of ``ordered``'s ``(shard root, entry)`` pairs, in that
+    order. Each archive is read once, at its first table, into the records
+    of all its tables, whose members are views of its rows (after churn an
+    order alternates between a shared archive and one-table rewrites, so a
+    cache of the last archive read would read the shared one every turn)."""
+    by_archive: dict[tuple[Path, str], list[dict]] = {}
+    for root, entry in ordered:
+        by_archive.setdefault((root, entry["file"]), []).append(entry)
+    pending: dict[tuple[Path, str], LakeTableRecord] = {}
+    for root, entry in ordered:
+        key = (root, entry["name"])
+        if key not in pending:
+            entries = by_archive.pop((root, entry["file"]))
+            tables = _read_tables(root / entry["file"])
+            for live in entries:
+                pending[root, live["name"]] = _record(live, tables)
+        yield pending.pop(key)
+
+
 class LakeShard:
     """One self-contained shard: a manifest and its table archives.
 
@@ -666,7 +635,7 @@ class LakeShard:
             self._journal_bytes = 0
             tables = []
             self._head = {
-                "format_version": FORMAT_VERSION,
+                "format_version": FINGERPRINT_FORMAT,
                 "fingerprint": fingerprint,
                 "next_id": 1,
             }
@@ -748,23 +717,13 @@ class LakeShard:
         archives whose last table the write replaced or removed (manifest
         flushed, unlink pending — the tables serve their new bytes). Either
         way an orphan is dead data whose id may be reallocated, so it goes
-        at open time. So does any archive
-        beside the manifest that no ``"index"`` entry names: an older
-        build's staging file, or its index archive when a kill landed
-        between the flush that retired it and its unlink.
+        at open time.
         """
         (self.root / _MANIFEST_TMP).unlink(missing_ok=True)
-        named = self._head.get("index", {}).get("file")
-        for path in sorted(self.root.glob("*.npz")):
-            if path.name != named:
-                path.unlink()
         live = {entry["file"] for entry in self._by_name.values()}
         for path in sorted((self.root / TABLES_DIR).glob("*.npz")):
             if f"{TABLES_DIR}/{path.name}" not in live:
                 path.unlink()
-
-    def _entry(self, name: str) -> dict | None:
-        return self._by_name.get(name)
 
     def entries(self) -> list[dict]:
         """The ordered manifest entries (read-only use)."""
@@ -777,11 +736,11 @@ class LakeShard:
         manifest entries at it — a failed archive write must not leave a
         half-built entry for a later flush.
 
-        One table is written as its own members, the bytes an older build
-        writes; more share members (:func:`_shared_arrays`), and each entry
-        records its ``slot``: its index in the archive and the bytes it
-        accounts for (its rows, plus an even part of the framing), so the
-        slots of an archive add up to its size.
+        One table is written as its own members; more share members
+        (:func:`_shared_arrays`), and each entry records its ``slot``: its
+        index in the archive and the bytes it accounts for (its rows, plus
+        an even part of the framing), so the slots of an archive add up to
+        its size.
 
         A replace is **staged**: the replacement always goes to a freshly
         allocated archive, the manifest entry is repointed, and an archive
@@ -830,7 +789,7 @@ class LakeShard:
     def _put(self, fields: dict, seq: int | None) -> None:
         """Enter a written table's entry in the manifest (in memory)."""
         name = fields["name"]
-        existing = self._entry(name)
+        existing = self._by_name.get(name)
         self._entry_texts.pop(name, None)
         self._changed[name] = None
         if existing is None:
@@ -849,7 +808,7 @@ class LakeShard:
         """Count ``entry`` as a live reader of its archive."""
         held = self._archives.get(entry["file"])
         if held is None:
-            held = self._archives[entry["file"]] = [self._entry_disk_bytes(entry), 0]
+            held = self._archives[entry["file"]] = [int(entry["disk_bytes"]), 0]
             self._dead_bytes += held[0]
         held[1] += 1
         self._dead_bytes -= _share(entry, held[0])
@@ -910,18 +869,7 @@ class LakeShard:
     def _commit(self, flush: obs.Span) -> None:
         """The one manifest flush of a write, then its staged unlinks;
         ``flush`` (the ``store.flush`` span) is tagged with the flush's
-        kind.
-
-        The flush also retires what an older build kept for its persisted
-        index (:data:`_RETIRED_KEYS`), and that index archive is unlinked
-        with the replaced tables — after the flush, so a kill in between
-        leaves only an unreferenced file the next open sweeps.
-        """
-        index = self._head.get("index")
-        if index is not None:
-            self._pending_unlink.append(index["file"])
-        for key in _RETIRED_KEYS:
-            self._head.pop(key, None)
+        kind."""
         flush.meta["manifest"] = self._flush()
         self._drain_unlinks()
         _DEAD_BYTES.labels(shard=str(self.shard_id)).set(self._dead_bytes)
@@ -950,39 +898,13 @@ class LakeShard:
         return kind
 
     def load_table(self, name: str) -> LakeTableRecord:
-        entry = self._entry(name)
+        entry = self._by_name.get(name)
         if entry is None:
             raise KeyError(f"lake store has no table {name!r}")
-        return self._record(entry, self._read_tables(entry["file"]))
-
-    def _read_tables(self, file_rel: str) -> list[dict[str, np.ndarray]]:
-        """The archive at ``file_rel``, read once, made read-only and split
-        by slot: every table's members are views of its rows."""
-        return _split_tables(_read_only(read_archive(self.root / file_rel)))
-
-    def _record(
-        self, entry: dict, tables: list[dict[str, np.ndarray]]
-    ) -> LakeTableRecord:
-        """``entry``'s record out of its archive's :meth:`_read_tables`: its
-        rows as they are, its sketch left packed."""
-        members = dict(tables[entry["slot"][0] if "slot" in entry else 0])
-        column_vectors = members.pop("column_vectors")
-        table_embedding = members.pop("table_embedding")
-        return LakeTableRecord(
-            members=members,
-            sketch_meta=entry["sketch_meta"],
-            column_vectors=column_vectors,
-            table_embedding=table_embedding,
-            n_rows=int(entry.get("n_rows", 0)),
-            metadata=copy.deepcopy(entry.get("metadata", {})),
-            # Defaults cover pre-live-tables manifests: one data version,
-            # vectors assumed fresh.
-            version=int(entry.get("version", 1)),
-            embedding_stale=bool(entry.get("embedding_stale", False)),
-        )
+        return _record(entry, _read_tables(self.root / entry["file"]))
 
     def remove_table(self, name: str) -> bool:
-        entry = self._entry(name)
+        entry = self._by_name.get(name)
         if entry is None:
             return False
         with self._flushing() as flush:
@@ -1003,18 +925,10 @@ class LakeShard:
         return list(self._by_name)
 
     def __contains__(self, name: str) -> bool:
-        return self._entry(name) is not None
+        return name in self._by_name
 
     def __len__(self) -> int:
         return len(self._by_name)
-
-    def _entry_disk_bytes(self, entry: dict) -> int:
-        """Manifest-recorded size; stat fallback only for pre-upgrade
-        manifests that never recorded it."""
-        if "disk_bytes" in entry:
-            return int(entry["disk_bytes"])
-        path = self.root / entry["file"]
-        return path.stat().st_size if path.exists() else 0
 
     def stats(self) -> dict:
         """This shard's share of :meth:`LakeStore.stats`' sums: each live
@@ -1022,8 +936,8 @@ class LakeShard:
         entries = self._by_name.values()
         return {
             "n_tables": len(entries),
-            "n_columns": sum(int(e.get("n_cols", 0)) for e in entries),
-            "n_rows": sum(int(e.get("n_rows", 0)) for e in entries),
+            "n_columns": sum(e["n_cols"] for e in entries),
+            "n_rows": sum(e["n_rows"] for e in entries),
             "disk_bytes": sum(held[0] for held in self._archives.values()),
             "dead_bytes": self._dead_bytes,
         }
@@ -1055,18 +969,16 @@ class LakeStore:
         # ``open`` hands over the root manifest it already read.
         top = _top if _top is not None else _read_root_manifest(self.root)
         if top is not None:
-            on_disk = _shard_count(top)
+            on_disk = int(top["n_shards"])
             if n_shards is not None and n_shards != on_disk:
                 raise ValueError(
                     f"lake at {self.root} has {on_disk} shard(s) but "
                     f"{n_shards} were requested; run `python -m repro.lake "
                     "reshard` to change the layout"
                 )
-            found = _unmarked(top.get("fingerprint", ""))
+            found = top["fingerprint"].removesuffix(_LAYOUT_MARK)
             if found != fingerprint:
                 raise FingerprintMismatchError(fingerprint, found)
-            if not top.get("sharded"):
-                top = _convert_flat_layout(self.root, top)
             n_shards = on_disk
         else:
             if n_shards is None:
@@ -1074,9 +986,10 @@ class LakeStore:
             if n_shards < 1:
                 raise ValueError(f"n_shards must be >= 1, got {n_shards}")
             top = {
-                "format_version": FORMAT_VERSION,
+                "format_version": FINGERPRINT_FORMAT,
+                "layout": LAYOUT,
                 "sharded": True,
-                "fingerprint": fingerprint + _SHARED_MARK,
+                "fingerprint": fingerprint + _LAYOUT_MARK,
                 "n_shards": n_shards,
                 # Global insertion sequence: stamped on every new entry so
                 # cross-shard order survives persistence.
@@ -1108,37 +1021,25 @@ class LakeStore:
             )
         for name in (MANIFEST_NAME, _MANIFEST_TMP, JOURNAL_NAME):
             (shard_root / name).unlink(missing_ok=True)
-        for pattern in ("*.npz", f"{TABLES_DIR}/*.npz"):
-            for stale in shard_root.glob(pattern):
-                stale.unlink()
+        for stale in shard_root.glob(f"{TABLES_DIR}/*.npz"):
+            stale.unlink()
         return LakeShard(shard_root, self.fingerprint, shard_id)
 
     def _flush_top(self) -> None:
         _write_manifest(self.root / MANIFEST_NAME, _dumps(self._top))
-
-    def _mark_written(self) -> bool:
-        """Record :data:`_SHARED_MARK` in the root manifest (in memory; the
-        caller flushes it before any shard commits). True when it was not
-        there yet: the first write to a store an older build wrote."""
-        marked = self.fingerprint + _SHARED_MARK
-        if self._top["fingerprint"] == marked:
-            return False
-        self._top["fingerprint"] = marked
-        return True
 
     # ------------------------------------------------------------------ #
     @classmethod
     def open(
         cls, root: str | os.PathLike, expected_fingerprint: str | None = None
     ) -> "LakeStore":
-        """Open an existing store, validating its fingerprint if given. A
-        store still in the flat layout is converted here, once."""
+        """Open an existing store, validating its fingerprint if given."""
         top = _read_root_manifest(root)
         if top is None:
             raise FileNotFoundError(
                 f"no lake manifest at {Path(root) / MANIFEST_NAME}"
             )
-        found = _unmarked(top.get("fingerprint", ""))
+        found = top["fingerprint"].removesuffix(_LAYOUT_MARK)
         if expected_fingerprint is not None and found != expected_fingerprint:
             raise FingerprintMismatchError(expected_fingerprint, found)
         return cls(root, found, _top=top)
@@ -1149,7 +1050,7 @@ class LakeStore:
         store exists yet) — how the CLI folds the layout into the
         fingerprint before opening."""
         top = _read_root_manifest(root)
-        return None if top is None else _shard_count(top)
+        return None if top is None else int(top["n_shards"])
 
     @classmethod
     def peek_index_spec(cls, root: str | os.PathLike) -> IndexSpec | None:
@@ -1158,14 +1059,6 @@ class LakeStore:
         warm open must expect."""
         raw = (_read_root_manifest(root) or {}).get("index_spec")
         return None if raw is None else IndexSpec.from_dict(raw)
-
-    @classmethod
-    def needs_conversion(cls, root: str | os.PathLike) -> bool:
-        """Is the store at ``root`` still in the flat layout, so that
-        opening it would rewrite it? Whoever must not write there (a
-        replica over a shared snapshot) asks first."""
-        top = _read_root_manifest(root)
-        return top is not None and not top.get("sharded")
 
     # ------------------------------------------------------------------ #
     def shard_id(self, name: str) -> int:
@@ -1191,8 +1084,6 @@ class LakeStore:
         seq_by_name = dict(zip(fresh, range(start, start + len(fresh))))
         if fresh:
             self._top["next_seq"] = start + len(fresh)
-        marked = self._mark_written()
-        if fresh or marked:
             self._flush_top()
         groups: dict[int, tuple[list[LakeTableRecord], list[int | None]]] = {}
         for record in records:
@@ -1207,93 +1098,36 @@ class LakeStore:
     def load_table(self, name: str) -> LakeTableRecord:
         return self._shard_for(name).load_table(name)
 
-    def _ordered_entries(self) -> list[tuple[LakeShard, dict]]:
-        """Every entry across all shards, in global insertion order."""
+    def _ordered_entries(self) -> list[tuple[Path, dict]]:
+        """Every entry across all shards with its shard's root, in global
+        insertion order."""
         indexed = [
-            (int(entry["seq"]), shard, entry)
+            (entry["seq"], shard.root, entry)
             for shard in self.shards
             for entry in shard.entries()
         ]
         indexed.sort(key=lambda item: item[0])
-        return [(shard, entry) for _, shard, entry in indexed]
+        return [(root, entry) for _, root, entry in indexed]
 
     def load_all(self) -> Iterator[LakeTableRecord]:
         """Records in global insertion order — identical at every shard
-        count, so warm loads are deterministic and layout-invariant.
-
-        Each archive is read once, at its first table in that order, into
-        the records of all its live tables, whose members are views of its
-        rows; each record is let go once yielded. After churn a shard's order
-        alternates between a shared archive and the one-table archives
-        rewrites left, and a cache of the last archive read would read the
-        shared one again at every turn.
-        """
-        ordered = self._ordered_entries()
-        by_archive: dict[tuple[int, str], list[dict]] = {}
-        for shard, entry in ordered:
-            by_archive.setdefault((shard.shard_id, entry["file"]), []).append(entry)
-        pending: dict[tuple[int, str], LakeTableRecord] = {}
-        for shard, entry in ordered:
-            key = (shard.shard_id, entry["name"])
-            if key not in pending:
-                entries = by_archive.pop((shard.shard_id, entry["file"]))
-                tables = shard._read_tables(entry["file"])
-                for live in entries:
-                    pending[shard.shard_id, live["name"]] = shard._record(live, tables)
-            yield pending.pop(key)
+        count, so warm loads are deterministic and layout-invariant; each
+        archive is read once (:func:`_records_in_order`)."""
+        return _records_in_order(self._ordered_entries())
 
     def remove_table(self, name: str) -> bool:
         """Forget one table: one manifest commit of its shard."""
-        shard = self._shard_for(name)
-        if name in shard and self._mark_written():
-            self._flush_top()
-        return shard.remove_table(name)
+        return self._shard_for(name).remove_table(name)
 
     # ------------------------------------------------------------------ #
     def reshard(self, n_shards: int, fingerprint: str) -> int:
-        """Migrate this store in place to ``n_shards`` shards under the new
-        ``fingerprint``; returns how many tables were re-routed (reopen the
-        store afterwards — this object still describes the old layout).
-
-        Records stream into a store staged under ``.reshard.tmp`` in
-        global-order chunks (peak memory is one chunk, never the whole
-        lake); there is no index to rebuild, since every open assembles it
-        from the re-routed vectors (:meth:`load_index`). The swap
-        parks the old layout under ``.reshard.old`` until the new one is
-        fully moved in; the root manifest moves out first and in last, so a
-        kill inside the swap window leaves no root manifest but a complete
-        backup, which :func:`_recover_interrupted_reshard` rolls back.
-        """
-        staged_root = self.root / _RESHARD_STAGE
-        if staged_root.exists():
-            shutil.rmtree(staged_root)
-        staged = LakeStore(staged_root, fingerprint, n_shards=n_shards)
-        spec = self.index_spec()
-        if spec is not None:  # part of the fingerprint: carry it over
-            staged.record_index_spec(spec)
-        n_tables = 0
-        chunk: list[LakeTableRecord] = []
-        for record in self.load_all():
-            chunk.append(record)
-            n_tables += 1
-            if len(chunk) >= RESHARD_CHUNK:
-                staged.save_tables(chunk)
-                chunk = []
-        if chunk:
-            staged.save_tables(chunk)
-        backup = self.root / _RESHARD_BACKUP
-        if backup.exists():
-            shutil.rmtree(backup)
-        backup.mkdir()
-        for name in STORE_FILES:
-            if (self.root / name).exists():
-                shutil.move(str(self.root / name), str(backup / name))
-        for name in reversed(STORE_FILES):
-            if (staged_root / name).exists():
-                shutil.move(str(staged_root / name), str(self.root / name))
-        shutil.rmtree(staged_root)
-        shutil.rmtree(backup)
-        return n_tables
+        """Rewrite this store in place at ``n_shards`` shards under the new
+        ``fingerprint`` (:func:`_rebuild`); returns how many tables were
+        re-routed. Reopen the store afterwards: this object still
+        describes the old one."""
+        return _rebuild(
+            self.root, self.load_all(), fingerprint, n_shards, self.index_spec()
+        )
 
     # ------------------------------------------------------------------ #
     # The vector index: derived from the table archives
@@ -1305,13 +1139,13 @@ class LakeStore:
         self.record_index_spec(spec)
 
     def record_index_spec(self, spec: IndexSpec) -> None:
-        """Record the index spec this lake is written under.
-
-        The spec is *configuration*, not artifact: it is written as soon
-        as a catalog attaches (before any slow embedding work) and it is
-        part of the fingerprint. The top manifest is only rewritten when it
-        actually changed.
-        """
+        """Record the index spec this lake is written under: configuration,
+        not artifact, written as soon as a catalog attaches (before any slow
+        embedding work) and part of the fingerprint; the top manifest is
+        rewritten only when it changed. A spec for any index but the exact
+        one is refused, so no store at this layout records one."""
+        if spec.backend != "exact":
+            raise UnsupportedIndexBackendError(self.root, spec.backend)
         raw = spec.to_dict()
         if self._top.get("index_spec") != raw:
             self._top["index_spec"] = raw
@@ -1373,7 +1207,7 @@ class LakeStore:
         return {
             "root": str(self.root),
             "fingerprint": self.fingerprint,
-            "format_version": self._top.get("format_version"),
+            "layout": self._top["layout"],
             "n_shards": self.n_shards,
             "n_tables": sum(s["n_tables"] for s in shard_stats),
             "n_columns": sum(s["n_columns"] for s in shard_stats),
@@ -1383,3 +1217,47 @@ class LakeStore:
             "index_backend": spec.canonical() if spec is not None else None,
             "shard_tables": [s["n_tables"] for s in shard_stats],
         }
+
+
+def _rebuild(
+    root: Path,
+    records: Iterable[LakeTableRecord],
+    fingerprint: str,
+    n_shards: int,
+    spec: IndexSpec | None,
+    parked: tuple[str, ...] = STORE_FILES,
+) -> int:
+    """Write ``records``, in order, as a new store at ``root`` in place of
+    the files ``parked`` names there; returns how many tables it wrote.
+    ``reshard`` and ``migrate`` (:mod:`repro.lake.legacy`) both come here.
+
+    Records stream in chunks into a store staged under ``.reshard.tmp``
+    (taking new ``seq`` numbers in the order given), never re-embedded. The
+    swap parks the old files under ``.reshard.old``; the root manifest moves
+    out first and in last, so a kill inside the swap window leaves no root
+    manifest but a complete backup, which
+    :func:`_recover_interrupted_reshard` rolls back.
+    """
+    staged_root = root / _RESHARD_STAGE
+    if staged_root.exists():
+        shutil.rmtree(staged_root)
+    staged = LakeStore(staged_root, fingerprint, n_shards=n_shards)
+    if spec is not None:  # part of the fingerprint: carry it over
+        staged.record_index_spec(spec)
+    records, n_tables = iter(records), 0
+    while chunk := list(islice(records, RESHARD_CHUNK)):
+        staged.save_tables(chunk)
+        n_tables += len(chunk)
+    backup = root / _RESHARD_BACKUP
+    if backup.exists():
+        shutil.rmtree(backup)
+    backup.mkdir()
+    for name in parked:
+        if (root / name).exists():
+            shutil.move(str(root / name), str(backup / name))
+    for name in reversed(STORE_FILES):
+        if (staged_root / name).exists():
+            shutil.move(str(staged_root / name), str(root / name))
+    shutil.rmtree(staged_root)
+    shutil.rmtree(backup)
+    return n_tables

@@ -166,6 +166,35 @@ def archives_live():
 
 
 @pytest.fixture(scope="session")
+def shared_fixture() -> SimpleNamespace:
+    """A 4-shard lake whose bulk write shared archives, the last layout
+    before the root manifest recorded one (`data/shared_store`); see
+    :func:`_committed_fixture`."""
+    return _committed_fixture("shared_store")
+
+
+def _as_the_last_unversioned_build_left_it(root: Path) -> None:
+    """Rewrite a store's root manifest as the last build before the
+    ``layout`` key wrote it: no ``layout``, and that build's ``+shared``
+    mark in place of :data:`repro.lake.store._LAYOUT_MARK`. Every other
+    file of a store is that build's already, byte for byte."""
+    path = root / "manifest.json"
+    top = json.loads(path.read_text())
+    del top["layout"]
+    unmarked = top["fingerprint"].removesuffix(store_module._LAYOUT_MARK)
+    top["fingerprint"] = unmarked + "+shared"
+    path.write_text(store_module._dumps(top) + "\n")
+
+
+@pytest.fixture()
+def unmigrated():
+    """``unmigrated(root)`` turns the store at ``root`` into the one the
+    last build before layout versions would have written; see
+    :func:`_as_the_last_unversioned_build_left_it`."""
+    return _as_the_last_unversioned_build_left_it
+
+
+@pytest.fixture(scope="session")
 def sharded_fixture() -> SimpleNamespace:
     """A 4-shard lake with pretty-printed manifests and counter-less
     ``index.npz`` archives (`data/sharded_store`, written by the last commit

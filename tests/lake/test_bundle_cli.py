@@ -384,6 +384,7 @@ def test_cli_has_no_index_backend_flag(argv, capsys):
 CLI_OPTIONS = {
     "append": ["--csv", "--lake", "--server", "--table"],
     "frontend": ["--backends", "--health-interval", "--host", "--port"],
+    "migrate": ["--lake"],
     "ingest": [
         "--batch-size", "--csv-dir", "--dim", "--heads", "--lake", "--layers",
         "--num-perm", "--sbert-dim", "--seed", "--shards", "--sketch-seed",
@@ -442,8 +443,9 @@ def _files(root) -> dict:
 def _as_hnsw_lake(root, bundle_dir) -> str:
     """Rewrite a store's manifests into what an older build's `ingest
     --index-backend hnsw` left: the root manifest records the HNSW index
-    and every manifest carries the fingerprint computed under it, so the
-    older reader opened it. Returns that fingerprint."""
+    and no layout, and every manifest carries the fingerprint computed
+    under that index, so the older reader opened it. Returns that
+    fingerprint."""
     import json as json_module
 
     from repro.search.backend import IndexSpec
@@ -456,6 +458,7 @@ def _as_hnsw_lake(root, bundle_dir) -> str:
         model.config, sbert=sbert, model=model, index_spec=spec,
         n_shards=top["n_shards"],
     )
+    del top["layout"]
     write_json(
         root / "manifest.json",
         {**top, "fingerprint": fingerprint, "index_spec": spec.to_dict()},
@@ -467,14 +470,15 @@ def _as_hnsw_lake(root, bundle_dir) -> str:
 
 
 def test_hnsw_lake_is_refused_untouched(tmp_path, csv_dir, capsys):
-    """A lake recorded under the removed HNSW index is refused whole — by
-    `LakeService.open`, by every CLI command (an `error:` line, no
-    traceback) and by replica adoption (the previous generation keeps
-    serving) — and not one byte of it is rewritten."""
+    """A lake recorded under the removed HNSW index predates layout
+    versions, so it is refused whole — by `LakeService.open`, by every CLI
+    command (an `error:` line, no traceback) and by replica adoption (the
+    previous generation keeps serving) — and `migrate` refuses it too,
+    naming the index; not one byte of it is rewritten."""
     import shutil
 
     from repro.lake.replica import ReplicaService, read_marker
-    from repro.lake.serialization import UnsupportedIndexBackendError
+    from repro.lake.serialization import StoreLayoutError
     from repro.lake.service import LakeService
     from repro.utils.io import write_json
 
@@ -489,7 +493,7 @@ def test_hnsw_lake_is_refused_untouched(tmp_path, csv_dir, capsys):
     _as_hnsw_lake(lake, lake)
     before = _files(lake)
 
-    with pytest.raises(UnsupportedIndexBackendError, match="'hnsw'.*re-ingest"):
+    with pytest.raises(StoreLayoutError, match="older store layout.*migrate"):
         LakeService.open(lake)
     for argv in (
         ["query", "--lake", str(lake), "--table", "g1t1"],
@@ -497,12 +501,16 @@ def test_hnsw_lake_is_refused_untouched(tmp_path, csv_dir, capsys):
         ["ingest", "--lake", str(lake), "--csv-dir", str(csv_dir)],
         ["reshard", "--lake", str(lake), "--shards", "2"],
         ["publish", "--lake", str(lake), "--snapshots", str(snapshots)],
+        ["migrate", "--lake", str(lake)],
     ):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv)
         message = str(excinfo.value)
-        assert message.startswith("error: ") and "'hnsw'" in message, argv
-        assert "re-ingest" in message, argv
+        assert message.startswith("error: "), argv
+        if argv[0] == "migrate":
+            assert "'hnsw'" in message and "re-ingest" in message, argv
+        else:
+            assert f"migrate --lake {lake}" in message, argv
     assert capsys.readouterr().out == ""
     assert _files(lake) == before
 
@@ -517,7 +525,7 @@ def test_hnsw_lake_is_refused_untouched(tmp_path, csv_dir, capsys):
         {**read_marker(second), "generation": 2, "fingerprint": fingerprint},
     )
     shipped = _files(second)
-    with pytest.warns(RuntimeWarning, match="refused snapshot generation 2.*'hnsw'"):
+    with pytest.warns(RuntimeWarning, match="refused snapshot generation 2.*migrate"):
         assert not replica.refresh()
     assert replica.generation == 1 and replica.refusals == 1
     assert _files(second) == shipped

@@ -1,27 +1,30 @@
-"""Stores older builds wrote still open here; the previous build refuses
-ours.
+"""Stores older builds wrote are refused until ``migrate`` rewrites them;
+the last build before layout versions refuses ours.
 
-`data/journal_store/` holds a 4-shard lake written by the previous build,
-the last commit before a bulk write's tables shared archives
-(``journal_fixture``): one archive per table, journaled shard manifests.
-`data/compact_store/` holds one written by the last commit before
-shard manifests had a journal (``compact_fixture``): compact manifests, no
-index archive. `data/sharded_store/` holds one written by a commit whose
-manifests were pretty-printed and whose shards each kept a persisted
-``index.npz`` (``sharded_fixture``); `data/flat_store/` is the flat-layout
-lake (``flat_fixture``). Each comes with the answers its commit served.
-This code opens a copy of each warm — zero forwards, zero index insertions,
-no file rewritten until the first write — and serves the recorded answers
-from an index assembled out of the stored vectors. A shard's first write
-retires an older index archive and manifest entry, and a kill at any file
-operation of that write still reopens to the same answers.
+Five committed fixtures hold a lake an older commit wrote and the answers it
+served (``*_fixture``; `make_fixture.py` beside each says how it was made):
 
-The other way round is a refusal. Once this code writes a store, an archive
-may hold many tables, which the previous build (90246c4) would read as one:
-it would serve the first table's rows for every table in it. So the root
-manifest's recorded fingerprint carries a mark that build does not strip,
-and its open — inlined below — refuses the store before its first file
-operation. A one-table write is still the bytes that build writes.
+- `data/flat_store/`: one shard's files directly under the root, with a
+  persisted index archive;
+- `data/sharded_store/`: four shards with pretty-printed manifests and an
+  ``index.npz`` each;
+- `data/compact_store/`: compact manifests, no index, no journal;
+- `data/journal_store/`: journaled shard manifests, one archive per table,
+  the root's fingerprint marked ``+journal``;
+- `data/shared_store/`: shared archives, marked ``+shared`` — the last
+  layout before the root manifest recorded one.
+
+None records a ``layout``, so every reader refuses each, naming ``migrate``,
+and changes no byte. ``migrate`` rewrites each at layout 3, which opens
+warm — zero forwards, zero index insertions — and serves the recorded
+answers; a kill at any of its file operations leaves the old store, still
+refused, which a re-run finishes, or the migrated one; a second ``migrate``
+writes nothing.
+
+The other way round is a refusal too. The last build before layout
+versions (e2f9cfa) strips only its own marks off a root's fingerprint, so
+the mark a layout-3 root carries makes its open — inlined below — refuse
+the store before its first file operation.
 """
 
 from __future__ import annotations
@@ -29,23 +32,25 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
+import warnings
 from pathlib import Path
 
 import pytest
 
+from repro.lake import __main__ as cli
+from repro.lake import legacy
+from repro.lake.catalog import LakeCatalog
 from repro.lake.serialization import (
     FingerprintMismatchError,
+    StoreLayoutError,
     UnsupportedIndexBackendError,
 )
-from repro.lake.catalog import LakeCatalog
 from repro.lake.service import LakeService
-from repro.lake.store import (
-    _RETIRED_KEYS,
-    _SHARED_MARK,
-    LakeStore,
-    _read_shard_manifest,
-)
-from repro.search.tables import TableSearcher
+from repro.lake.store import LAYOUT, LakeStore, _read_shard_manifest
+
+#: What a lake keeps at its root besides the store: the weight bundle.
+_BUNDLE = ("model.npz", "model_config.json", "vocab.json")
+
 
 @pytest.fixture(autouse=True)
 def lake_layout_shards() -> int:
@@ -55,7 +60,10 @@ def lake_layout_shards() -> int:
 
 
 @pytest.fixture(
-    params=["sharded_fixture", "flat_fixture", "compact_fixture", "journal_fixture"]
+    params=[
+        "flat_fixture", "sharded_fixture", "compact_fixture",
+        "journal_fixture", "shared_fixture",
+    ]
 )
 def fixture(request):
     return request.getfixturevalue(request.param)
@@ -76,20 +84,34 @@ def _digests(root: Path) -> dict[str, str]:
     }
 
 
-def _assert_warm(service: LakeService) -> None:
+def _fields(record) -> tuple:
+    """Everything a migrate must keep of a record, as bytes and values."""
+    return (
+        record.name,
+        record.n_rows,
+        record.metadata,
+        record.version,
+        record.embedding_stale,
+        json.dumps(record.sketch_meta, sort_keys=True),
+        record.column_vectors.tobytes(),
+        record.table_embedding.tobytes(),
+        {key: array.tobytes() for key, array in record.members.items()},
+    )
+
+
+def _assert_migrated(root: Path, fixture) -> LakeService:
+    """``root`` holds a layout-3 store and the bundle, nothing else, and
+    serves the fixture's recorded answers warm."""
+    assert json.loads((root / "manifest.json").read_text())["layout"] == LAYOUT
+    assert sorted(p.name for p in root.iterdir()) == sorted(
+        ["manifest.json", "shards", *_BUNDLE]
+    )
+    service = LakeService.open(root)
     assert service.catalog.searcher.insertions == 0
     assert service.catalog.embed_calls == 0
-
-
-def _shard_manifest(shard) -> dict:
-    """What the shard's files on disk say: base and journal folded."""
-    return _read_shard_manifest(shard.root).manifest
-
-
-def _assert_retired(shard) -> None:
-    """No index archive and no key the persisted index needed remain."""
-    assert not list(shard.root.glob("*.npz"))
-    assert not _RETIRED_KEYS & _shard_manifest(shard).keys()
+    assert service.catalog.store.fingerprint == fixture.expected["fingerprint"]
+    fixture.assert_serves(service)
+    return service
 
 
 def test_the_fixture_is_the_older_format(sharded_fixture):
@@ -101,267 +123,222 @@ def test_the_fixture_is_the_older_format(sharded_fixture):
         assert "index" in json.loads((shard / "manifest.json").read_text())
 
 
-def test_opens_warm_and_serves_the_recorded_answers(old_lake, fixture):
-    LakeStore.open(old_lake)  # a flat fixture converts, once
+_READERS = {
+    "LakeStore.open": LakeStore.open,
+    "LakeStore": lambda root: LakeStore(root, "fp"),
+    "peek_n_shards": LakeStore.peek_n_shards,
+    "peek_index_spec": LakeStore.peek_index_spec,
+    "LakeService.open": LakeService.open,
+}
+
+
+def test_an_unmigrated_store_is_refused_and_left_as_it_is(old_lake, capsys):
+    """Every reader, and every CLI command, refuses the store with the
+    command that migrates it, before a byte changes."""
+    assert "layout" not in json.loads((old_lake / "manifest.json").read_text())
     before = _digests(old_lake)
-    service = LakeService.open(old_lake)
-    _assert_warm(service)
-    assert service.catalog.store.fingerprint == fixture.expected["fingerprint"]
-    fixture.assert_serves(service)
-    assert _digests(old_lake) == before, "a warm open rewrites nothing"
+    for name, reader in _READERS.items():
+        with pytest.raises(StoreLayoutError, match=f"migrate --lake {old_lake}"):
+            reader(old_lake)
+    for argv in (["stats"], ["query", "--table", "g0t0"], ["reshard", "--shards", "2"]):
+        with pytest.raises(SystemExit, match="^error: .*older store layout"):
+            cli.main([argv[0], "--lake", str(old_lake), *argv[1:]])
+    assert capsys.readouterr().out == ""
+    assert _digests(old_lake) == before
 
 
-def test_an_append_retires_its_shards_index_and_stays_warm(old_lake, fixture):
-    """The first write journals into the shard it touches: that shard's
-    base is the older build's, byte for byte, under a one-line journal that
-    retires the index, and no other shard changes."""
-    service = LakeService.open(old_lake)
-    store = service.catalog.store
-    shard = store.shards[store.shard_id("g0t0")]
-    before = _digests(old_lake / "shards")
-    service.catalog.append_rows("g0t0", [["grp0val77", "1", "tag3"]])
-
-    _assert_retired(shard)
-    after = _digests(old_lake / "shards")
-    journal = shard.root / "manifest.log"
-    assert journal.read_text().count("\n") == 1
-    for path, digest in before.items():
-        shard_dir, _, name = path.partition("/")
-        if shard_dir != shard.root.name or name == "manifest.json":
-            assert after.get(path) == digest, path
-    reopened = LakeService.open(old_lake)
-    _assert_warm(reopened)
-    record = reopened.catalog.records["g0t0"]
-    assert record.version == fixture.expected["versions"]["g0t0"] + 1
-    assert record.embedding_stale
+def test_migrate_keeps_every_record_and_serves_the_recorded_answers(
+    old_lake, fixture, archives_live
+):
+    """The migrated store holds the loader's records in the same order, bit
+    for bit, under the same shard count and index spec, and serves the
+    fixture's answers warm at layout 3."""
+    old = legacy.load(old_lake)
+    records = [_fields(record) for record in old.records()]
+    assert legacy.migrate(old_lake) == len(records)
+    store = _assert_migrated(old_lake, fixture).catalog.store
+    assert store.n_shards == old.n_shards
+    assert store.index_spec() == old.index_spec
+    assert [_fields(record) for record in store.load_all()] == records
+    archives_live(store)
 
 
-def _rewrite_every_table(root: Path) -> None:
-    """Each shard's first write: every table saved again as it is, so the
-    answers cannot change — only the index archives can go."""
+def test_migrate_keeps_staleness_metadata_and_order(
+    tmp_path, lake_embedder, lake_tables, unmigrated
+):
+    """A store in the last unversioned layout with a stale table, metadata,
+    a replaced table and a removed one (so ``seq`` has a gap) keeps all of
+    it: records, order, staleness and versions."""
+    root = tmp_path / "lake"
+    catalog = LakeCatalog(lake_embedder, store=LakeStore(root, "fp", n_shards=3))
+    catalog.add_tables(lake_tables)
+    catalog.append_rows("g0t0", [["grp0val77", "1", "tag3"]])
+    catalog.update_table(lake_tables["g1t1"])
+    catalog.remove_table("g2t1")
+    record = catalog.store.load_table("g1t0")
+    record.metadata = {"owner": "x", "tags": ["a"]}
+    catalog.store.save_table(record)
+    unmigrated(root)
+    records = [_fields(record) for record in legacy.load(root).records()]
+    assert legacy.migrate(root) == len(records) == len(lake_tables) - 1
+
     store = LakeStore.open(root)
-    store.save_tables(list(store.load_all()))
+    assert store.n_shards == 3 and store.fingerprint == "fp"
+    assert [_fields(record) for record in store.load_all()] == records
+    assert store.load_table("g0t0").embedding_stale
+    assert store.load_table("g0t0").version == store.load_table("g1t1").version == 2
+    assert store.load_table("g1t0").metadata == {"owner": "x", "tags": ["a"]}
 
 
-def test_the_first_write_retires_every_index_killed_or_not(
+def test_a_migrate_killed_at_any_file_operation_is_finished_by_a_rerun(
     tmp_path, fixture, kill_at, small_archives, archives_live
 ):
-    """After each shard's first write — the tables rewritten two to an
-    archive — no index archive and no ``"index"`` entry remain in it, and a
-    kill at any file operation of that write leaves a store that reopens
-    warm to the recorded answers, with every archive on disk named by an
-    entry and every entry's archive on disk. A shard no table routes to is
-    never written, so it keeps every byte (an older build's empty, unread
-    index archive too)."""
-    k = 0
+    """Killed at any file operation — staging archives two to one, the
+    manifests, the swap's moves, the clean-up — a migrate leaves either the
+    old store, still refused, which a second migrate finishes, or the
+    migrated store; both end serving the recorded answers."""
+    n_tables = fixture.expected["counts"]["n_tables"]
+    k = refused = 0
     while True:
         k += 1
         root = tmp_path / f"killed-at-{k}"
         shutil.copytree(fixture.lake, root)
-        LakeStore.open(root)  # a flat fixture converts, once
         with kill_at(k) as kill:
-            _rewrite_every_table(root)
-        service = LakeService.open(root)
-        _assert_warm(service)
-        fixture.assert_serves(service)
-        archives_live(service.catalog.store)
+            legacy.migrate(root)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # a rolled-back swap
+            try:
+                LakeStore.open(root)
+            except StoreLayoutError:
+                assert kill.fired
+                refused += 1
+                assert legacy.migrate(root) == n_tables
+        archives_live(_assert_migrated(root, fixture).catalog.store)
         if not kill.fired:
             break
-    assert k > len(service.catalog), "archives, commits and an unlink per table"
-    assert any(
-        "slot" in entry for shard in service.catalog.store.shards
-        for entry in shard.entries()
-    ), "the rewrite shares archives"
-    for shard in service.catalog.store.shards:
-        if len(shard):
-            _assert_retired(shard)
-        else:
-            unwritten = fixture.lake / "shards" / shard.root.name
-            assert _digests(shard.root) == _digests(unwritten)
+    assert k > n_tables, "archives, manifests and moves for every table"
+    assert 0 < refused < k - 1, "kills before the swap's last move, and after"
 
 
-def _older_reader(root: Path, dim: int) -> TableSearcher:
-    """How the builds between the persisted index and the journal rebuilt
-    a shard with no ``"index"`` entry at a warm open: a fresh index, every
-    record's ``column_vectors`` added in ``seq`` order. (Those builds now
-    refuse the store, see below, so the records come from this code's
-    reader; what is compared is the rebuild rule. A shard this code never
-    wrote is empty here, and its older archive restores to the same empty
-    index.)"""
-    store = LakeStore.open(root)
-    for shard in store.shards:
-        assert "index" not in _shard_manifest(shard) or not len(shard)
-    searcher = TableSearcher(dim, n_shards=store.n_shards)
-    for record in store.load_all():
-        searcher.add_table(record.name, record.column_names, record.column_vectors)
-    return searcher
+def test_a_second_migrate_and_a_warm_open_write_nothing(old_lake, fixture, capsys):
+    n_tables = fixture.expected["counts"]["n_tables"]
+    cli.main(["migrate", "--lake", str(old_lake)])
+    assert f"to layout {LAYOUT}: {n_tables} tables" in capsys.readouterr().out
+    before = _digests(old_lake)
+    cli.main(["migrate", "--lake", str(old_lake)])
+    assert "already at layout 3; nothing to do" in capsys.readouterr().out
+    LakeService.open(old_lake)
+    assert _digests(old_lake) == before
 
 
-def test_a_store_this_code_writes_ranks_the_same_through_the_older_reader(
-    old_lake, lake_tables
-):
-    """After every shard's first write, then an update, an append and its
-    refresh, a remove and an add of a same-content copy (exact distance
-    ties), the older reader's rebuild equals the index this code serves,
-    row for row, and ranks the same in every mode."""
-    _rewrite_every_table(old_lake)
-    catalog = LakeService.open(old_lake).catalog
-    full = lake_tables["g0t1"]
-    catalog.update_table(full)
-    catalog.append_rows("g1t0", [["grp1val66", "2", "tag1"]])
-    catalog.refresh_stale()
-    catalog.remove_table("g2t2")
-    catalog.add_table(full.with_columns(full.columns, name="copy"))
+def test_migrate_refuses_an_hnsw_store_and_writes_nothing(old_lake):
+    top = json.loads((old_lake / "manifest.json").read_text())
+    top["index_spec"] = {"backend": "hnsw", "params": {"m": 12}}
+    (old_lake / "manifest.json").write_text(json.dumps(top))
+    before = _digests(old_lake)
+    with pytest.raises(UnsupportedIndexBackendError, match="'hnsw'"):
+        legacy.migrate(old_lake)
+    assert _digests(old_lake) == before
 
-    older = _older_reader(old_lake, catalog.dim)
-    for live, rebuilt in zip(catalog.searcher.index.subs, older.index.subs):
-        assert rebuilt.keys() == live.keys()
-        assert (
-            rebuilt.state_arrays()[0]["vectors"].tobytes()
-            == live.state_arrays()[0]["vectors"].tobytes()
-        )
-    for record in catalog.records.values():
-        pairs = record.vector_pairs()
-        for options in ({}, {"join": True}, {"join": True, "column": "entity"}):
-            assert older.rank(pairs, 4, exclude_table=record.name, **options) == (
-                catalog.searcher.rank(pairs, 4, exclude_table=record.name, **options)
-            )
+
+def test_a_one_table_archive_is_the_older_builds_bytes(tmp_path, journal_fixture):
+    """Every table of a store with one archive per table, saved alone by
+    this code, is the archive that build wrote for it, byte for byte."""
+    old = legacy.load(journal_fixture.lake)
+    for (shard_root, entry), record in zip(old.entries, old.records()):
+        assert "slot" not in entry
+        fresh = LakeStore(tmp_path / entry["name"], "fp")
+        fresh.save_table(record)
+        (written,) = (tmp_path / entry["name"]).rglob("tables/*.npz")
+        assert written.read_bytes() == (shard_root / entry["file"]).read_bytes()
 
 
 # --------------------------------------------------------------------- #
-# Roll forward from the previous build, and its refusal
+# The last unversioned build refuses a layout-3 store
 # --------------------------------------------------------------------- #
-def test_the_previous_builds_store_writes_nothing_until_its_first_write(
-    tmp_path, journal_fixture, lake_tables, archives_live
-):
-    """The previous build's store opens warm to its recorded answers, twice,
-    without a byte changing; the first write marks the root and journals
-    into its shard, a reopen serves that write warm, and from then on a
-    bulk write's tables share an archive."""
-    root = tmp_path / "lake"
-    shutil.copytree(journal_fixture.lake, root)
-    before = _digests(root)
-    for _ in range(2):
-        service = LakeService.open(root)
-        _assert_warm(service)
-        journal_fixture.assert_serves(service)
-    assert _digests(root) == before
-
-    service.catalog.remove_table("g2t1")
-    top = json.loads((root / "manifest.json").read_text())
-    assert top["fingerprint"] == journal_fixture.expected["fingerprint"] + _SHARED_MARK
-    reopened = LakeService.open(root)
-    _assert_warm(reopened)
-    assert "g2t1" not in reopened.catalog.records
-    assert reopened.catalog.table_names() == [
-        name for name in journal_fixture.expected["table_names"] if name != "g2t1"
-    ]
-
-    copies = {
-        f"copy{i}": table.with_columns(table.columns, name=f"copy{i}")
-        for i, table in enumerate(list(lake_tables.values())[:8])
-    }
-    reopened.catalog.add_tables(copies)
-    store = LakeStore.open(root)
-    for shard in store.shards:
-        files = {e["file"] for e in shard.entries() if e["name"] in copies}
-        assert len(files) <= 1, "a shard's copies share one archive"
-    assert any(
-        "slot" in entry for shard in store.shards for entry in shard.entries()
-    )
-    archives_live(reopened.catalog.store)
-
-
-def test_a_one_table_archive_is_the_previous_builds_bytes(tmp_path, journal_fixture):
-    """Every table of the previous build's store, saved alone by this code,
-    is the archive that build wrote for it, byte for byte."""
-    old = LakeStore.open(journal_fixture.lake)
-    for shard in old.shards:
-        for entry in shard.entries():
-            assert "slot" not in entry
-            record = old.load_table(entry["name"])
-            fresh = LakeStore(tmp_path / entry["name"], "fp")
-            fresh.save_table(record)
-            (written,) = (tmp_path / entry["name"]).rglob("tables/*.npz")
-            assert written.read_bytes() == (shard.root / entry["file"]).read_bytes()
-
-
-class _PreviousBuildWouldWrite(AssertionError):
+class _UnversionedBuildWouldWrite(AssertionError):
     pass
 
 
-def _previous_build_open(root: Path, expected_fingerprint: str | None = None) -> None:
-    """The previous build's ``LakeStore.open`` (90246c4), inlined up to its
-    first file operation, which it only reaches when it accepts the store.
+def _unversioned_build_open(root: Path, expected_fingerprint: str | None = None) -> None:
+    """The last unversioned build's ``LakeStore.open`` (e2f9cfa), inlined up
+    to its first file operation, which it only reaches when it accepts the
+    store.
 
-    It reads the root manifest (refusing a non-exact index), strips its own
-    ``+journal`` mark off the recorded fingerprint and checks the rest
+    It rolls back a half-done reshard, reads the root manifest (refusing a
+    non-exact index), strips its own ``+shared`` mark or the previous
+    build's ``+journal`` off the recorded fingerprint and checks the rest
     against the expected one, converts a flat store, unlinks a leftover
     root ``manifest.tmp.json``, then for each shard in order folds
     ``manifest.json`` with its ``manifest.log`` — resetting the shard if it
     cannot — checks the fold's fingerprint against the root's, and sweeps
     every archive the fold does not name. Raises what that build raises; a
-    store it would accept raises :class:`_PreviousBuildWouldWrite` at the
-    first file it would convert, unlink, reset or sweep.
+    store it would accept raises :class:`_UnversionedBuildWouldWrite` at the
+    first file it would recover, convert, unlink, reset or sweep.
     """
+    if (root / ".reshard.old").exists() or (root / ".reshard.tmp").exists():
+        raise _UnversionedBuildWouldWrite("it would recover a reshard")
     top = json.loads((root / "manifest.json").read_text())
     backend = top.get("index_spec", {}).get("backend", "exact")
     if backend != "exact":
         raise UnsupportedIndexBackendError(root, backend)
-    found = top.get("fingerprint", "").removesuffix("+journal")
+    found = top.get("fingerprint", "")
+    for mark in ("+shared", "+journal"):
+        if found.endswith(mark):
+            found = found[: -len(mark)]
+            break
     if expected_fingerprint is not None and found != expected_fingerprint:
         raise FingerprintMismatchError(expected_fingerprint, found)
     if not top.get("sharded"):
-        raise _PreviousBuildWouldWrite("it would convert the flat layout")
+        raise _UnversionedBuildWouldWrite("it would convert the flat layout")
     if (root / "manifest.tmp.json").exists():
-        raise _PreviousBuildWouldWrite("it would unlink the root's staging file")
+        raise _UnversionedBuildWouldWrite("it would unlink the root's staging file")
     for shard_id in range(int(top.get("n_shards", 1))):
         shard_root = root / "shards" / f"s{shard_id:03d}"
         try:
             manifest = _read_shard_manifest(shard_root).manifest
         except (ValueError, KeyError, OSError) as exc:
-            raise _PreviousBuildWouldWrite(f"it would reset shard {shard_id}") from exc
+            raise _UnversionedBuildWouldWrite(
+                f"it would reset shard {shard_id}"
+            ) from exc
         if manifest.get("fingerprint", "") != found:
             raise FingerprintMismatchError(found, manifest.get("fingerprint", ""))
-        raise _PreviousBuildWouldWrite(f"it would sweep shard {shard_id}")
+        raise _UnversionedBuildWouldWrite(f"it would sweep shard {shard_id}")
 
 
-def test_the_previous_build_opens_its_own_store(journal_fixture):
-    """The inlined reader is the previous build's: it accepts what that
-    build wrote, under the fingerprint that build's CLI expects."""
-    for expected in (None, journal_fixture.expected["fingerprint"]):
-        with pytest.raises(_PreviousBuildWouldWrite, match="sweep shard 0"):
-            _previous_build_open(journal_fixture.lake, expected)
+def test_the_unversioned_build_opens_its_own_stores(shared_fixture, journal_fixture):
+    """The inlined reader is that build's: it accepts what it and the build
+    before it wrote, under the fingerprint its CLI expects and under none."""
+    for fixture in (shared_fixture, journal_fixture):
+        for expected in (None, fixture.expected["fingerprint"]):
+            with pytest.raises(_UnversionedBuildWouldWrite, match="sweep shard 0"):
+                _unversioned_build_open(fixture.lake, expected)
 
 
-def test_the_previous_build_refuses_a_store_this_code_wrote(
-    tmp_path, journal_fixture, lake_embedder, lake_tables
+def test_the_unversioned_build_refuses_a_layout_3_store(
+    tmp_path, shared_fixture, lake_embedder, lake_tables
 ):
-    """Whether a new store or the previous build's own after one write here
-    — a journal with a torn tail in a shard — that build refuses it before
-    its first file operation, under the fingerprint its CLI expects and
-    under none."""
-    rolled = tmp_path / "rolled"
-    shutil.copytree(journal_fixture.lake, rolled)
-    catalog = LakeService.open(rolled).catalog
+    """Whether a new store or a migrated one after a write here — a journal
+    with a torn tail in a shard — that build refuses it before its first
+    file operation, under the fingerprint its CLI expects and under
+    none."""
+    migrated = tmp_path / "migrated"
+    shutil.copytree(shared_fixture.lake, migrated)
+    legacy.migrate(migrated)
+    catalog = LakeService.open(migrated).catalog
     catalog.append_rows("g0t0", [["grp0val77", "1", "tag3"]])
     catalog.remove_table("g2t1")
-    journal = rolled / "shards" / "s003" / "manifest.log"
+    journal = migrated / "shards" / "s003" / "manifest.log"
     with journal.open("ab") as handle:
         handle.write(b'{"base":[1,2],"dr')
 
     new = tmp_path / "new"
     LakeCatalog(lake_embedder, store=LakeStore(new, "fp")).add_tables(lake_tables)
-    assert any(
-        "slot" in entry
-        for shard in LakeStore.open(new).shards
-        for entry in shard.entries()
-    ), "a store whose archives hold many tables"
     for root, fingerprint in (
-        (rolled, journal_fixture.expected["fingerprint"]), (new, "fp")
+        (migrated, shared_fixture.expected["fingerprint"]), (new, "fp")
     ):
         before = _digests(root)
         for expected in (None, fingerprint):
             with pytest.raises(FingerprintMismatchError):
-                _previous_build_open(root, expected)
+                _unversioned_build_open(root, expected)
         assert _digests(root) == before

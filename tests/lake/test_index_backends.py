@@ -2,11 +2,18 @@
 from the stored vectors (zero insertions), mutations the next open serves,
 and the index spec a lake records and fingerprints."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.lake.catalog import LakeCatalog
-from repro.lake.serialization import UnsupportedIndexBackendError, config_fingerprint
+from repro.lake.legacy import migrate
+from repro.lake.serialization import (
+    StoreLayoutError,
+    UnsupportedIndexBackendError,
+    config_fingerprint,
+)
 from repro.lake.store import LakeStore
 from repro.search.backend import IndexSpec, ShardedIndex
 from repro.search.index import KnnIndex
@@ -168,26 +175,44 @@ _READERS = {
     "construct": lambda root: LakeStore(root, "fp"),
     "peek_n_shards": LakeStore.peek_n_shards,
     "peek_index_spec": LakeStore.peek_index_spec,
-    "needs_conversion": LakeStore.needs_conversion,
 }
 
 
-@pytest.mark.parametrize("reader", list(_READERS))
-def test_store_readers_refuse_a_non_exact_index(tmp_path, reader):
-    """Every reader of the root manifest refuses a lake recorded under any
-    index but ``exact``, names it, and leaves every byte where it was."""
+@pytest.mark.parametrize("reader", [*_READERS, "migrate"])
+def test_store_readers_refuse_a_non_exact_index(tmp_path, reader, unmigrated):
+    """A lake recorded under any index but ``exact`` was written before
+    layout versions. Every reader of the root manifest refuses it as an
+    older layout, and ``migrate`` refuses it naming the index; each leaves
+    every byte where it was."""
     for backend in ("hnsw", "ivf"):
         root = tmp_path / backend
-        LakeStore(root, "fp").record_index_spec(IndexSpec(backend, {"m": 12}))
+        LakeStore(root, "fp")
+        top = json.loads((root / "manifest.json").read_text())
+        top["index_spec"] = IndexSpec(backend, {"m": 12}).to_dict()
+        (root / "manifest.json").write_text(json.dumps(top))
+        unmigrated(root)
         before = {
             path: path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()
         }
-        with pytest.raises(UnsupportedIndexBackendError, match=f"'{backend}'"):
-            _READERS[reader](root)
+        if reader == "migrate":
+            with pytest.raises(UnsupportedIndexBackendError, match=f"'{backend}'"):
+                migrate(root)
+        else:
+            with pytest.raises(StoreLayoutError, match="migrate --lake"):
+                _READERS[reader](root)
         after = {
             path: path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()
         }
         assert after == before
+
+
+def test_a_store_records_no_index_but_exact(tmp_path):
+    store = LakeStore(tmp_path, "fp")
+    before = (tmp_path / "manifest.json").read_bytes()
+    with pytest.raises(UnsupportedIndexBackendError, match="'hnsw'"):
+        store.record_index_spec(IndexSpec("hnsw", {"m": 12}))
+    assert (tmp_path / "manifest.json").read_bytes() == before
+    assert store.index_spec() is None
 
 
 def test_catalog_keeps_the_spec_a_store_recorded(lake_embedder, tmp_path):

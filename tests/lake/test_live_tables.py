@@ -181,11 +181,13 @@ def test_version_and_staleness_survive_warm_reopen(
 
 
 def test_legacy_manifest_entries_default_to_version_one(
-    tmp_path, persisted_catalog
+    tmp_path, persisted_catalog, unmigrated
 ):
-    """Pre-live-tables manifests carry no version fields; they load as
-    version 1, not-stale, instead of failing."""
+    """Pre-live-tables manifests carry no version fields; ``migrate`` loads
+    them as version 1, not-stale, instead of failing."""
     import json
+
+    from repro.lake.legacy import migrate
 
     for manifest in sorted((tmp_path / "lake").rglob("manifest.json")):
         data = json.loads(manifest.read_text())
@@ -193,6 +195,8 @@ def test_legacy_manifest_entries_default_to_version_one(
             entry.pop("version", None)
             entry.pop("embedding_stale", None)
         manifest.write_text(json.dumps(data))
+    unmigrated(tmp_path / "lake")
+    migrate(tmp_path / "lake")
     store = LakeStore.open(tmp_path / "lake")
     record = store.load_table("g0t0")
     assert record.version == 1 and not record.embedding_stale

@@ -12,12 +12,13 @@ path order) is the recorded digest. Those shard manifests carry the index
 entry and the write counter that index was checked against. Today a shard's
 manifest is its base ``manifest.json`` folded with its journal
 (``manifest.log``), and the full encode of that fold must be exactly the
-recorded bytes with the retired keys (:data:`repro.lake.store._RETIRED_KEYS`)
-removed and re-encoded by ``_dumps``, once both sides drop what says where a
-table's rows are stored: each entry's ``file``, ``slot`` and ``disk_bytes``
-and the head's ``next_id`` (a bulk write's tables share archives now, so
-they take fewer file ids). The root manifest must be exactly the recorded
-one with its fingerprint carrying :data:`repro.lake.store._SHARED_MARK`.
+recorded bytes with those keys (:data:`_RETIRED_KEYS`) removed and
+re-encoded by ``_dumps``, once both sides drop what says where a table's
+rows are stored: each entry's ``file``, ``slot`` and ``disk_bytes`` and the
+head's ``next_id`` (a bulk write's tables share archives now, so they take
+fewer file ids). The root manifest must be exactly the recorded one plus
+its ``layout`` (:data:`repro.lake.store.LAYOUT`), with its fingerprint
+carrying :data:`repro.lake.store._LAYOUT_MARK`.
 Any other byte change fails, stage for stage: names, ``seq``, sketch
 metadata, counts, metadata, versions and staleness.
 
@@ -38,8 +39,8 @@ from repro.lake.api import DiscoveryRequest
 from repro.lake.catalog import LakeCatalog
 from repro.lake.service import LakeService
 from repro.lake.store import (
-    _RETIRED_KEYS,
-    _SHARED_MARK,
+    _LAYOUT_MARK,
+    LAYOUT,
     LakeStore,
     _dumps,
     _read_shard_manifest,
@@ -83,6 +84,9 @@ MANIFEST_DIGESTS = {
 }
 
 
+#: Shard-manifest keys of the persisted index the recorded manifests carry
+#: (the archive's entry, and the write counter it was checked against).
+_RETIRED_KEYS = ("index", "mutation_counter")
 #: Where a table's rows are stored, which shared archives changed.
 _STORAGE_KEYS = ("file", "slot", "disk_bytes")
 
@@ -120,10 +124,11 @@ def _digest(manifests: dict[str, str]) -> str:
 def _today(path: str, text: str) -> str:
     """A recorded manifest as this code must write it: a shard's without
     the keys the persisted index needed (and :func:`_unplaced`'s), the
-    root's fingerprint marked."""
+    root's with its layout and its fingerprint marked."""
     manifest = json.loads(text)
     if path == "manifest.json":
-        manifest["fingerprint"] += _SHARED_MARK
+        manifest["fingerprint"] += _LAYOUT_MARK
+        manifest["layout"] = LAYOUT
     else:
         manifest = _unplaced(manifest)
     manifest = {k: v for k, v in manifest.items() if k not in _RETIRED_KEYS}

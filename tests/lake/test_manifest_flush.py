@@ -6,11 +6,10 @@ rewrites ``manifest.json`` (the base) whole and unlinks the journal.
 Pinned here: that a manifest entry owns its ``metadata`` (a caller mutating
 the dict it saved, or one it loaded, changes nothing the store holds or
 writes later), and a Hypothesis property over drawn sequences of saves,
-replaces, removes, index saves, caller mutations, reopens, and reopens of
-shards as an older build left them (with an index entry and a write counter
-for the next commit to retire). After every operation, each shard's base
-and journal fold to the full compact encode of its in-memory manifest; after
-every compaction, ``manifest.json`` is that encode and no journal is left.
+replaces, removes, index saves, caller mutations and reopens. After every
+operation, each shard's base and journal fold to the full compact encode of
+its in-memory manifest; after every compaction, ``manifest.json`` is that
+encode and no journal is left.
 """
 
 from __future__ import annotations
@@ -129,22 +128,7 @@ _OPS = st.one_of(
     st.tuples(st.just("mutate"), st.sampled_from(NAMES)),
     st.tuples(st.just("save_index")),
     st.tuples(st.just("reopen")),
-    st.tuples(st.just("reopen_older")),
 )
-
-
-def _as_an_older_build_left_it(store: LakeStore) -> None:
-    """Give every shard the index entry, write counter and index archive an
-    older build kept (the archive's bytes are never read), in a base with
-    no journal, as an older build wrote it."""
-    for shard in store.shards:
-        manifest = _read_shard_manifest(shard.root).manifest
-        manifest["index"] = {"file": "index.npz", "n_keys": 0}
-        manifest["mutation_counter"] = 7
-        base = shard.root / "manifest.json"
-        base.write_text(_full_encode(manifest), encoding="utf-8")
-        (shard.root / "manifest.log").unlink(missing_ok=True)
-        (shard.root / "index.npz").write_bytes(b"an older build's index")
 
 
 @settings(
@@ -186,9 +170,6 @@ def test_every_commit_folds_to_the_full_encode_of_the_manifest(tmp_path, ops):
             elif kind == "save_index":
                 store.save_index(_index(store), IndexSpec())
             elif kind == "reopen":
-                store = LakeStore.open(root)
-            elif kind == "reopen_older":
-                _as_an_older_build_left_it(store)
                 store = LakeStore.open(root)
             _assert_files_match_memory(store, compacted)
         _assert_files_match_memory(LakeStore.open(root))

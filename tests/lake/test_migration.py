@@ -1,12 +1,15 @@
-"""A store written in the flat layout opens under the one-layout code.
+"""A store written in the flat layout around ``migrate``: refused until it
+runs, then served, published, resharded and written like any other.
 
 `data/flat_store/` holds a nine-table lake written by the last commit that
 kept one shard's files directly under the lake root, plus the answers that
 commit served from it (the ``flat_fixture`` fixture; `make_fixture.py` there
-says how it was made). Opening a copy must convert it once — by rolling
-forward, so a kill at any step is finished by the next open — and serve
-exactly those answers: same fingerprint, same order, same versions, same
-rankings, zero trunk forwards, zero index insertions.
+says how it was made). `test_format_compat.py` holds every older fixture,
+this one too, to being refused unmigrated and to serving its answers after
+``migrate``, killed or not. Here: what the flat layout meant for replicas
+and publishing (a snapshot is never rewritten, so a flat one is refused, and
+a flat leader is refused instead of converted), and that a migrated flat
+lake orders, reshards and refuses like one this code wrote.
 """
 
 from __future__ import annotations
@@ -24,10 +27,15 @@ from repro.core.embed import TableEmbedder
 from repro.lake import __main__ as cli
 from repro.lake.bundle import load_bundle
 from repro.lake.catalog import LakeCatalog
+from repro.lake.legacy import migrate
 from repro.lake.replica import ReplicaService, SnapshotPublisher
-from repro.lake.serialization import FingerprintMismatchError, config_fingerprint
+from repro.lake.serialization import (
+    FingerprintMismatchError,
+    StoreLayoutError,
+    config_fingerprint,
+)
 from repro.lake.service import LakeService
-from repro.lake.store import LakeStore, LakeTableRecord
+from repro.lake.store import LAYOUT, LakeStore, LakeTableRecord
 
 
 @pytest.fixture(autouse=True)
@@ -61,13 +69,13 @@ def _open(root: Path) -> LakeService:
     return LakeService(LakeCatalog.from_store(embedder, store))
 
 
-def _assert_converted(root: Path, n_archives: int) -> None:
+def _assert_migrated(root: Path, n_archives: int) -> None:
     assert not (root / "tables").exists() and not (root / "index.npz").exists()
     shard = root / "shards" / "s000"
     assert (shard / "manifest.json").is_file()
     assert len(list((shard / "tables").glob("*.npz"))) == n_archives
     assert LakeStore.peek_n_shards(root) == 1
-    assert not LakeStore.needs_conversion(root)
+    assert LakeStore.open(root).stats()["layout"] == LAYOUT
 
 
 def _assert_serves_warm(service: LakeService, flat_fixture) -> None:
@@ -89,65 +97,41 @@ def _digests(root: Path) -> dict[str, str]:
     }
 
 
-def test_open_converts_and_serves_the_recorded_answers(flat_lake, flat_fixture):
-    assert LakeStore.needs_conversion(flat_lake)
-    archives = _digests(flat_lake / "tables")
-    service = _open(flat_lake)
-    _assert_converted(flat_lake, len(archives))
-    _assert_serves_warm(service, flat_fixture)
-    # Nothing was rewritten: the archives moved, byte for byte — the index
-    # archive with its manifest entry, for the first write to retire — and
-    # the store accounts for the same table bytes.
-    assert _digests(flat_lake / "shards" / "s000" / "tables") == archives
-    shard = service.catalog.store.shards[0]
-    assert (shard.root / shard._manifest["index"]["file"]).is_file()
-    stats = service.catalog.store.stats()
-    recorded = dict(flat_fixture.expected["store"])
-    recorded["disk_bytes"] -= recorded.pop("index_disk_bytes")
-    assert {key: stats[key] for key in recorded} == recorded
-
-
 def test_second_open_changes_no_file(flat_lake, flat_fixture):
+    migrate(flat_lake)
+    _assert_migrated(flat_lake, 1)
     _open(flat_lake)
     before = _digests(flat_lake)
     _assert_serves_warm(_open(flat_lake), flat_fixture)
     assert _digests(flat_lake) == before
 
 
-def test_conversion_killed_at_any_step_is_finished_by_the_next_open(
-    tmp_path, flat_fixture, kill_at
-):
-    n_tables = flat_fixture.expected["counts"]["n_tables"]
-    k = 0
-    while True:
-        k += 1
-        root = tmp_path / f"killed-at-{k}"
-        shutil.copytree(flat_fixture.lake, root)
-        with kill_at(k) as kill:
-            _open(root)
-        if not kill.fired:
-            break  # the open finished without ever reaching a k-th call
-        _assert_serves_warm(_open(root), flat_fixture)
-        _assert_converted(root, n_tables)
-    assert k > 4, "tables, index, shard manifest and root manifest at least"
-
-
-def test_refused_open_converts_nothing(flat_lake, flat_fixture):
-    """A wrong fingerprint or shard count is refused before the first
-    rename."""
+def test_refused_open_writes_nothing(flat_lake, flat_fixture):
+    """Unmigrated, the layout is refused before the fingerprint or the
+    shard count is looked at; migrated, a wrong fingerprint or shard count
+    is refused as for any store. Neither writes a byte."""
+    fingerprint = flat_fixture.expected["fingerprint"]
+    before = _digests(flat_lake)
+    with pytest.raises(StoreLayoutError):
+        LakeStore.open(flat_lake, expected_fingerprint="someone-else")
+    with pytest.raises(StoreLayoutError):
+        LakeStore(flat_lake, fingerprint, n_shards=4)
+    assert _digests(flat_lake) == before
+    migrate(flat_lake)
     before = _digests(flat_lake)
     with pytest.raises(FingerprintMismatchError):
         LakeStore.open(flat_lake, expected_fingerprint="someone-else")
     with pytest.raises(ValueError, match="reshard"):
-        LakeStore(flat_lake, flat_fixture.expected["fingerprint"], n_shards=4)
+        LakeStore(flat_lake, fingerprint, n_shards=4)
     assert _digests(flat_lake) == before
 
 
-def test_tables_added_after_conversion_sort_after_the_converted_ones(
+def test_tables_added_after_migrate_sort_after_the_migrated_ones(
     flat_lake, flat_fixture
 ):
-    """Converted entries carry their list position as `seq`, so a table
-    saved afterwards comes after all of them in the global order."""
+    """Migrated entries keep their list order as their ``seq`` order, so a
+    table saved afterwards comes after all of them in the global order."""
+    migrate(flat_lake)
     service = _open(flat_lake)
     late = service.catalog.records["g0t0"]
     service.catalog.store.save_table(
@@ -194,38 +178,44 @@ def test_replica_refuses_a_flat_generation_and_leaves_it_alone(
         flat_lake, snapshots, flat_fixture.expected
     )
     before = _digests(generation)
-    with pytest.warns(RuntimeWarning, match="republish"):
+    with pytest.warns(RuntimeWarning, match="older store layout.*migrate"):
         replica = ReplicaService(_embedder(flat_lake), snapshots)
     assert not replica.available and replica.refusals == 1
     assert _digests(generation) == before, "a snapshot is never rewritten"
 
-    # Republishing from the leader ships the converted layout, which adopts.
+    # Publishing the migrated leader ships layout 3, which adopts.
+    migrate(flat_lake)
     assert SnapshotPublisher(flat_lake, snapshots).publish() == 2
     assert replica.refresh() and replica.generation == 2
     flat_fixture.assert_serves(replica)
 
 
-def test_publishing_a_flat_lake_ships_the_converted_layout(
+def test_publishing_an_unmigrated_lake_is_refused_and_converts_nothing(
     flat_lake, flat_fixture, tmp_path
 ):
-    n_tables = flat_fixture.expected["counts"]["n_tables"]
     snapshots = tmp_path / "snapshots"
+    before = _digests(flat_lake)
+    with pytest.raises(StoreLayoutError, match=f"migrate --lake {flat_lake}"):
+        SnapshotPublisher(flat_lake, snapshots)
+    assert _digests(flat_lake) == before and not snapshots.exists()
+
+    migrate(flat_lake)
     generation = SnapshotPublisher(flat_lake, snapshots).publish()
-    _assert_converted(flat_lake, n_tables)
-    _assert_converted(snapshots / f"gen-{generation:06d}", n_tables)
+    _assert_migrated(snapshots / f"gen-{generation:06d}", 1)
     replica = ReplicaService(_embedder(flat_lake), snapshots)
     assert replica.generation == generation and replica.refusals == 0
     flat_fixture.assert_serves(replica)
 
 
 def test_reshard_to_one_shard_is_the_same_layout(flat_lake, flat_fixture, capsys):
+    cli.main(["migrate", "--lake", str(flat_lake)])
     cli.main(["reshard", "--lake", str(flat_lake), "--shards", "3"])
     assert LakeStore.peek_n_shards(flat_lake) == 3
     cli.main(["reshard", "--lake", str(flat_lake), "--shards", "1"])
     assert "3 -> 1 shard(s)" in capsys.readouterr().out
     assert sorted(p.name for p in (flat_lake / "shards").iterdir()) == ["s000"]
     # A reshard's bulk write puts the nine tables in one shared archive.
-    _assert_converted(flat_lake, 1)
+    _assert_migrated(flat_lake, 1)
     assert not list(flat_lake.rglob("index*.npz")), "a reshard writes no index"
     _assert_serves_warm(LakeService.open(flat_lake), flat_fixture)
 
@@ -237,7 +227,7 @@ def test_a_reshard_killed_at_every_file_operation_serves_the_recorded_answers(
     archive. Killed at any file operation, the next open serves the
     recorded answers warm at one shard count or the other, and every
     shard's archives on disk are exactly those its entries name."""
-    LakeStore.open(flat_lake)  # the conversion, once: the kills land in the reshard
+    migrate(flat_lake)  # once: the kills land in the reshard
     k = 0
     while True:
         k += 1

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.lake import store as store_module
+from repro.lake.legacy import migrate
 from repro.lake.store import LakeStore, LakeTableRecord
 from repro.search.backend import IndexSpec, make_sharded_index, stable_shard
 from repro.search.tables import ColumnEntry
@@ -229,12 +230,13 @@ def test_save_index_records_the_spec_and_writes_no_index(tmp_path):
     ids=["not-a-zip", "torn"],
 )
 def test_corrupt_index_archive_degrades_to_rebuild(
-    tmp_path, city_table, product_table, tiny_sketch_config, damage
+    tmp_path, city_table, product_table, tiny_sketch_config, damage, unmigrated
 ):
     """A garbage or torn ``index.npz`` an older writer left in a shard, with
-    the manifest entry that names it, is never opened: the store assembles the same index from its table archives
-    — the rebuild every open now is — with no warning, no file handle left
-    to the GC (any warning is an error here), and the file left as it was."""
+    the manifest entry that names it, is never opened: ``migrate`` rewrites
+    the store from its table archives, the migrated store assembles the
+    same index, and nothing warns or leaves a file handle to the GC (any
+    warning is an error here). The old shard files go with the swap."""
     store = LakeStore(tmp_path, "fp")
     store.save_tables(
         [
@@ -255,7 +257,9 @@ def test_corrupt_index_archive_degrades_to_rebuild(
         path = shard.root / "index.npz"
         planted[path] = damage(buffer.getvalue())
         path.write_bytes(planted[path])
+    unmigrated(tmp_path)
 
+    assert migrate(tmp_path) == 2
     restored = LakeStore.open(tmp_path).load_index(8)
     gc.collect()
     assert len(restored) == len(expected) > 0
@@ -264,7 +268,7 @@ def test_corrupt_index_archive_degrades_to_rebuild(
         assert np.array_equal(
             sub.state_arrays()[0]["vectors"], want.state_arrays()[0]["vectors"]
         )
-    assert {path: path.read_bytes() for path in planted} == planted
+    assert not list(tmp_path.rglob("index.npz"))
 
 
 def test_failed_array_write_leaves_manifest_clean(

@@ -463,7 +463,7 @@ def test_stats_count_each_live_archive_once_and_its_dead_rows(
         "dead_bytes"
     ] == 0
     first, second = _shared_pair(base_lake)
-    share = catalog.store._shard_for(first)._entry(first)["slot"][1]
+    share = catalog.store._shard_for(first)._by_name[first]["slot"][1]
     catalog.update_table(_shrunk(lake_tables[first]))
     store = _assert_accounts_for_the_disk(base_lake, catalog.store)
     assert store.stats()["dead_bytes"] == share
@@ -649,12 +649,11 @@ def test_a_compaction_killed_at_every_file_operation_reopens_old_or_new(
 
 
 def test_open_sweeps_write_then_rename_leftovers(base_lake, tmp_path):
-    """A kill inside a manifest flush leaves its temporary behind, and an
-    older build's kill inside an index flush left ``index.tmp.npz``; the
-    next open deletes both, and a published generation never ships them."""
+    """A kill inside a manifest flush leaves its temporary behind; the
+    next open deletes it, and a published generation never ships it."""
     planted = [base_lake / "manifest.tmp.json"]
     for shard_dir in sorted((base_lake / "shards").iterdir()):
-        planted += [shard_dir / name for name in (*_LEFTOVERS, "index.tmp.npz")]
+        planted += [shard_dir / name for name in _LEFTOVERS]
     for path in planted:
         path.write_bytes(b"torn")
     generation = SnapshotPublisher(base_lake, tmp_path / "snapshots").publish()
