@@ -7,6 +7,11 @@ SBERT value embeddings *hurts slightly* for subsets; the fine-tuned dual
 encoders near the bottom. Invariance: TabSketchFM retrieves every
 row-shuffled variant (sketches are set-based); the order-sensitive SBERT
 table embedding misses some.
+
+Beside the paper's rows sits what the lake service serves for subset: the
+signature-containment scan over the same catalog's stored sketches, each
+candidate column's estimated containment in the query table (candidate ⊆
+query), averaged over the candidate's columns.
 """
 
 from __future__ import annotations
@@ -16,11 +21,29 @@ import pytest
 
 from benchmarks.common import emit, finetuned_systems, search_table
 from repro.baselines import SbertSearcher
+from repro.lake.api import DiscoveryRequest
+from repro.lake.service import LakeService
 from repro.lakebench import make_ckan_subset, make_eurostat_subset_search
 
 SCALE = 0.5
 K = 10
 CURVE_KS = [1, 2, 5, 10, 12]
+SERVED = "Signature containment (served)"
+
+
+class ServedSubsetSearcher:
+    """``LakeService``'s subset answer for a member query over ``catalog``:
+    the containment scan over its stored signatures, no trunk."""
+
+    name = SERVED
+
+    def __init__(self, catalog):
+        self.service = LakeService(catalog)
+
+    def retrieve(self, query, k: int) -> list[str]:
+        return self.service.discover(
+            DiscoveryRequest(mode="subset", k=k, table=query.table)
+        ).tables()
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +53,12 @@ def experiment():
     dual_encoders, tabsketchfm = finetuned_systems(
         make_ckan_subset(scale=0.5), tables, tuta=True
     )
-    systems = [*dual_encoders, SbertSearcher(tables), *tabsketchfm]
+    systems = [
+        *dual_encoders,
+        SbertSearcher(tables),
+        *tabsketchfm,
+        ServedSubsetSearcher(tabsketchfm[0].catalog),
+    ]
     rows, curves = search_table(benchmark, systems, K, CURVE_KS)
     return benchmark, rows, curves, _shuffle_invariance(benchmark, tabsketchfm[0])
 
@@ -88,6 +116,9 @@ def bench_table8_eurostat_subset_search(benchmark, experiment):
     assert scores["TabSketchFM"] >= scores["SBERT"] - 10.0
     assert scores["TabSketchFM"] > scores["TaBERT-FT"] + 10.0
     assert scores["TabSketchFM"] > scores["TUTA-FT"] + 10.0
+    # The served containment scan finds the Fig. 7 variants by their values.
+    precision = {row["system"]: row[f"p@{K}"] for row in rows}
+    assert precision[SERVED] >= 0.9
     # Sketch embeddings are *exactly* row-order invariant (the mechanism
     # behind the paper's 3072/3072), and retrieval reflects it.
     assert invariance["tabsketchfm_row_embedding_identical_pct"] == 100.0

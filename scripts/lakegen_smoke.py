@@ -11,8 +11,9 @@ End to end, small scale:
   table over the wire, replays a mixed churn blend, and evaluates
   recall@k against the planted truth;
 - the run record is checked: latency quantiles present and nonzero *and
-  scraped from the server's /v1/metrics* (not client timers), union and
-  join recall above their floors, zero typed errors during churn;
+  scraped from the server's /v1/metrics* (not client timers), union,
+  join and subset recall above their floors, zero typed errors during
+  churn;
 - ``python -m repro.lakegen report`` folds the record into a scorecard,
   twice, asserting the second report carries zero deltas vs the first.
 
@@ -40,6 +41,10 @@ UNION_RECALL_FLOOR = 0.5
 #: manifest seeds 1-10 and churn seeds 11-13 (1.000 at seed 7); ranked by
 #: the trunk's vectors it read 0.29-0.33.
 JOIN_RECALL_FLOOR = 0.8
+#: Subset ranks by signature containment too, each candidate column in the
+#: query table. At the same shape (15-16 pairs) it read 1.000 over manifest
+#: seeds 1-10; ranked by the trunk's vectors it read 0.81-1.00.
+SUBSET_RECALL_FLOOR = 0.9
 
 
 def build_seed_lake(root: Path) -> str:
@@ -113,6 +118,10 @@ def main() -> None:
         assert join is not None and join >= JOIN_RECALL_FLOOR, (
             f"join recall {join} below floor {JOIN_RECALL_FLOOR}"
         )
+        subset = run["recall"]["subset"]["recall_at_k"]
+        assert subset is not None and subset >= SUBSET_RECALL_FLOOR, (
+            f"subset recall {subset} below floor {SUBSET_RECALL_FLOOR}"
+        )
 
         # The latency story must come from the server's own histograms.
         histogram = run["metrics"]["metrics"]["lake_query_duration_ms"]
@@ -142,7 +151,8 @@ def main() -> None:
         f"wire provisioning + churn vs a live server ({total} queries in "
         f"the server histogram) -> union recall {union:.2f} >= "
         f"{UNION_RECALL_FLOOR}, join recall {join:.2f} >= "
-        f"{JOIN_RECALL_FLOOR} -> reconciled scorecard with zero "
+        f"{JOIN_RECALL_FLOOR}, subset recall {subset:.2f} >= "
+        f"{SUBSET_RECALL_FLOOR} -> reconciled scorecard with zero "
         "self-deltas, clean SIGINT shutdown"
     )
 

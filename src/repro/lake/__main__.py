@@ -456,8 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--min-score", type=float, default=None,
         help="drop hits scoring below this bar (scores are monotone with "
-             "the ranking; join: 1/(1+d), union/subset: n_matched + "
-             "1/(1+sum_d))",
+             "the ranking; join: containment in (0, 1], subset: mean "
+             "containment in (0, 1], union: n_matched + 1/(1+sum_d))",
     )
     query.add_argument(
         "--json", action="store_true",

@@ -24,17 +24,19 @@ wrong types, and unsupported schema versions are rejected with a
 ride JSON via ``repr`` (Python's ``json``), so scores round-trip *exactly*
 — the wire is provably the same ranking the in-process call returned.
 
-Scores are **monotone with the ranking** (higher is better):
+Scores are **monotone with the ranking** (higher is better); each mode's
+is stated once, on its score function:
 
-- join mode:            ``score`` is the estimated containment of the query
-  column in the hit's best column, in ``(0, 1]``, from the two columns'
-  MinHash signatures and distinct-value counts; the match's ``distance``
-  is ``1 - containment``. A column sharing no value is not a hit, so a join
-  may return fewer than ``k`` hits;
-- union / subset mode:  ``score = n_matched + 1 / (1 + distance_sum)`` —
-  descending score order reproduces the paper's two-stage RANK1/RANK2
-  ordering (most matched columns first, smallest summed distance as the
-  tie-break) because the fractional part lives strictly inside ``(0, 1]``.
+- join mode:   :func:`join_score`, the containment of the query column in
+  the hit's best column;
+- subset mode: :func:`subset_score`, the mean containment of the hit's
+  columns in the query table;
+- union mode:  :func:`table_score`, the paper's two-stage RANK1/RANK2
+  order as one number.
+
+Join and subset scores come from the columns' MinHash signatures and
+distinct-value counts, and a table sharing no value is not a hit, so both
+may return fewer than ``k`` hits.
 """
 
 from __future__ import annotations
@@ -123,8 +125,18 @@ def join_score(containment: float) -> float:
     return float(containment)
 
 
+def subset_score(containment: float) -> float:
+    """Subset-mode score, in ``(0, 1]``: the mean over the hit's columns,
+    in column order, of each column's estimated containment ``|C ∩ Q| /
+    |C|`` in its best query column ``Q`` — the candidate contained in the
+    query, Table VIII's direction. Each column with containment above 0 is
+    a match, with distance ``1 - containment``; a column sharing no value
+    with the query counts 0 toward the mean."""
+    return float(containment)
+
+
 def table_score(n_matched: int, distance_sum: float) -> float:
-    """Union/subset score, monotone with the Fig. 6 two-stage ranking.
+    """Union-mode score, monotone with the Fig. 6 two-stage ranking.
 
     The integer part is RANK1 (matched-column count); the fractional part
     ``1/(1+distance_sum)`` lies in ``(0, 1]`` and decreases with RANK2's

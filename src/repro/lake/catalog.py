@@ -19,14 +19,14 @@ Holds every table's :class:`LakeTableRecord` plus the live column index
   touched shard — so the on-disk lake is always warm-loadable. The index is
   never written: it is derived from the vectors those archives hold.
 
-Join is served by a second scorer beside the column index, a
+Join and subset are served by a second scorer beside the column index, a
 :class:`~repro.search.containment.ContainmentIndex` over every column's
 ``values_minhash`` signature and ``n_values`` (``joins``). It lives in
-memory only and is never sharded: the first join builds it from the
-records' stored signature rows (a catalog never asked a join never holds
-one), and from then on every write that changes a sketch keeps it in step,
+memory only and is never sharded: the first join or subset builds it from
+the records' stored signature rows (a catalog never asked one never holds
+it), and from then on every write that changes a sketch keeps it in step,
 touching only that table's rows. An append merges signatures exactly, so
-join sees appended rows at once, with no re-embed.
+join and subset see appended rows at once, with no re-embed.
 
 A record holds its sketch packed (:class:`~repro.lake.store.LakeTableRecord`):
 an ingest packs each new sketch once and the store writes those arrays, a
@@ -177,10 +177,10 @@ class LakeCatalog:
 
     @property
     def joins(self) -> ContainmentIndex:
-        """Every column's values signature and size: what join ranks by.
-        Built from the records' stored rows on first read (one exact
-        ``reserve``, no forward, no sketch built); every later write keeps it
-        in step."""
+        """Every column's values signature and size: what join and subset
+        rank by. Built from the records' stored rows on first read (one
+        exact ``reserve``, no forward, no sketch built); every later write
+        keeps it in step."""
         if self._joins is None:
             joins = ContainmentIndex(self.sketch_config.num_perm)
             joins.reserve(
@@ -534,7 +534,7 @@ class TabSketchFMSearcher:
     forwards, finalized with the optional SBERT value half (the
     TabSketchFM-SBERT variant) — and every query ranks its stored vectors
     through :meth:`repro.search.tables.TableSearcher.rank`, the call the
-    lake service makes: closest column for join queries, Fig. 6
+    lake service makes for union: closest column for join queries, Fig. 6
     NEARTABLES/RANK1/RANK2 for union and subset.
     """
 

@@ -5,8 +5,13 @@ Implements the paper's three discovery workloads against a standing lake:
 - ``join``  — the tables whose best column contains the most of the query
   column (§IV-C1), by estimated containment from the stored MinHash
   signatures (:mod:`repro.search.containment`);
-- ``union`` / ``subset`` — the Fig. 6 NEARTABLES/RANK1/RANK2 procedure over
-  all of the query table's column embeddings (§IV-C2/C3).
+- ``subset`` — the tables whose columns the query table contains (§IV-C3,
+  Table VIII's candidate ⊆ query), by the mean estimated containment of
+  each candidate column in the query's, from the same signatures;
+- ``union`` — the Fig. 6 NEARTABLES/RANK1/RANK2 procedure over all of the
+  query table's column embeddings (§IV-C2).
+
+Join and subset never touch the trunk.
 
 Every question and answer travels through the versioned Discovery API
 (:mod:`repro.lake.api`): :meth:`LakeService.discover` takes a
@@ -20,13 +25,13 @@ ingested lake directory.
 
 Query tables may be catalog members (their stored sketches and vectors are
 reused — zero trunk work) or external :class:`~repro.table.schema.Table`
-payloads. A join payload is only sketched, on its join column; a union or
-subset payload's sketch+embeddings are computed once and kept in a
-content-addressed LRU cache. There is one query path: ``discover`` is
-``discover_batch`` of one request, and ``discover_batch`` embeds *all*
-uncached union/subset payloads of a batch in one batched
-:class:`~repro.core.engine.EmbeddingEngine` pass — ``ceil(distinct /
-batch_size)`` trunk forwards, identical digests deduped — instead of one
+payloads. A join payload is only sketched, on its join column, and a
+subset payload only sketched, whole; a union payload's sketch+embeddings
+are computed once and kept in a content-addressed LRU cache. There is one
+query path: ``discover`` is ``discover_batch`` of one request, and
+``discover_batch`` embeds *all* uncached union payloads of a batch in one
+batched :class:`~repro.core.engine.EmbeddingEngine` pass — ``ceil(distinct
+/ batch_size)`` trunk forwards, identical digests deduped — instead of one
 serial forward per query. A single re-entrant lock serializes catalog
 mutations against reads; queries hold it only around shared-state access,
 which is enough for correctness with the pure-numpy index.
@@ -60,6 +65,7 @@ from repro.lake.api import (
     Timings,
     bad_request,
     join_score,
+    subset_score,
     table_score,
 )
 from repro import obs
@@ -69,7 +75,12 @@ from repro.lake.catalog import LakeCatalog
 from repro.lake.serialization import config_fingerprint
 from repro.lake.store import LakeStore
 from repro.search.backend import stable_shard
-from repro.search.containment import ContainmentMatch, JoinRows, join_rows
+from repro.search.containment import (
+    ContainmentMatch,
+    JoinRows,
+    SubsetMatch,
+    join_rows,
+)
 from repro.search.tables import TableMatch
 from repro.sketch.pipeline import sketch_corpus
 from repro.table.schema import Table
@@ -97,6 +108,9 @@ _QUERIES_BY_MODE = {
     mode: _QUERIES_TOTAL.labels(mode=mode) for mode in QUERY_MODES
 }
 _QUERY_MS_BY_MODE = {mode: _QUERY_MS.labels(mode=mode) for mode in QUERY_MODES}
+#: The modes ranked by containment over the stored MinHash signatures:
+#: their queries are :class:`JoinRows`, never column vectors.
+_SIGNED_MODES = ("join", "subset")
 
 
 def table_digest(table: Table) -> str:
@@ -292,22 +306,24 @@ class LakeService:
         request: DiscoveryRequest,
         query: "list | JoinRows",
         exclude: str | None,
-    ) -> "Sequence[TableMatch] | list[ContainmentMatch]":
+    ) -> "Sequence[TableMatch] | list[ContainmentMatch] | list[SubsetMatch]":
         """Run the mode's ranking under the lock; full (untruncated)
         candidate ranking so post-filters never starve the top-k. A join
-        ``query`` is the query columns' values signatures and sizes (a
-        member's stored rows, or the payload sketch's), ranked by
-        containment; a union or subset one is the columns' vectors."""
+        or subset ``query`` is the query columns' values signatures and
+        sizes (a member's stored rows, or the payload sketch's), ranked by
+        containment; a union one is the columns' vectors."""
         if request.mode == "join":
             return self.catalog.joins.rank(
                 query, request.k, column=request.column, exclude_table=exclude
             )
+        if request.mode == "subset":
+            return self.catalog.joins.rank_subsets(query, exclude_table=exclude)
         return self.catalog.searcher.rank(query, request.k, exclude_table=exclude)
 
     def _build_hits(
         self,
         request: DiscoveryRequest,
-        matches: "Sequence[TableMatch] | list[ContainmentMatch]",
+        matches: "Sequence[TableMatch] | list[ContainmentMatch] | list[SubsetMatch]",
     ) -> tuple[tuple[Hit, ...], int]:
         """Score, filter (min_score / shards), and truncate to ``k``."""
         n_shards = self.catalog.n_shards
@@ -316,6 +332,8 @@ class LakeService:
         for match in matches:
             if request.mode == "join":
                 score = join_score(match.containment)
+            elif request.mode == "subset":
+                score = subset_score(match.containment)
             else:
                 score = table_score(match.n_matched, match.distance_sum)
             if request.min_score is not None and score < request.min_score:
@@ -397,25 +415,26 @@ class LakeService:
     def discover_batch(
         self, requests: Sequence[DiscoveryRequest]
     ) -> list[DiscoveryResult]:
-        """Answer many requests; uncached external payloads embed together.
+        """Answer many requests; uncached union payloads embed together.
 
         Planning runs once, under the lock, before any trunk work: every
         request is validated and its fingerprint pin, member name and join
         column checked; if any request is strict (no ``allow_stale``),
         stale tables are re-embedded once; version pins are checked; and
-        each request takes its query. A join query is the query columns'
-        values signatures and sizes: a member's stored ones, or a place in
-        the batch's sketch pass for a payload projected to its ``column``
-        (no digest, no cache, no trunk). A union or subset query is the
-        column vectors: a member's stored ones, a cached payload's, or a
-        place in the batch's embedding pass. That pass sketches every
-        distinct uncached payload, and every join payload, in one
-        ``sketch_corpus`` call and embeds the union and subset ones in one
+        each request takes its query. A join or subset query is the query
+        columns' values signatures and sizes: a member's stored ones, or a
+        place in the batch's sketch pass for a payload (a join one
+        projected to its ``column``, a subset one whole; no digest, no
+        cache, no trunk). A union query is the column vectors: a member's
+        stored ones, a cached payload's, or a place in the batch's
+        embedding pass. That pass sketches every distinct uncached union
+        payload, and every join and subset payload, in one
+        ``sketch_corpus`` call and embeds the union ones in one
         :meth:`~repro.lake.catalog.LakeCatalog.column_vector_pairs_many`
         call — ``ceil(distinct / batch_size)`` trunk forwards, duplicate
         payloads embedded once — outside the lock, so concurrent queries
-        embed in parallel. Member-name and join queries never touch the
-        trunk.
+        embed in parallel. Member-name, join and subset queries never touch
+        the trunk.
 
         The batch is all-or-nothing: the first failing request raises and
         no results are returned (the embedding cache stays warm). The
@@ -435,16 +454,17 @@ class LakeService:
         those charges, so the parts never exceed the total.
         """
         requests = [request.validated() for request in requests]
-        joins = [request.mode == "join" for request in requests]
+        by_signature = [request.mode in _SIGNED_MODES for request in requests]
         digests = [
             table_digest(request.payload)
-            if request.payload is not None and not join
+            if request.payload is not None and not signature
             else None
-            for request, join in zip(requests, joins)
+            for request, signature in zip(requests, by_signature)
         ]
         strict = [not request.allow_stale for request in requests]
         todo: dict[str, Table] = {}
-        #: Request index -> its join payload, projected to the join column.
+        #: Request index -> its join or subset payload, a join one
+        #: projected to its column.
         projected: dict[int, Table] = {}
         #: Per request: (its query, or None to take from the pass,
         #: exclude_table, cache_hit).
@@ -465,17 +485,19 @@ class LakeService:
                 extras[first]["refreshed"] = len(refreshed)
             for request in requests:
                 self._check_pin(request)
-            for i, (request, digest, join) in enumerate(
-                zip(requests, digests, joins)
+            for i, (request, digest, signature) in enumerate(
+                zip(requests, digests, by_signature)
             ):
                 if request.table is not None:
                     record = self.catalog.records[request.table]
-                    query = record.join_rows() if join else record.vector_pairs()
+                    query = (
+                        record.join_rows() if signature else record.vector_pairs()
+                    )
                     plans.append((query, request.table, None))
                     continue
                 payload = request.payload
                 exclude = payload.name if payload.name in self.catalog else None
-                if join:
+                if signature:
                     projected[i] = payload.with_columns([
                         column for column in payload.columns
                         if request.column in (None, column.name)

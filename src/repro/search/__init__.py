@@ -1,8 +1,8 @@
 """Search substrate: the exact nearest-neighbour index behind one
 `VectorIndex` protocol (sharded or not), the Figure-6 table ranking
-algorithm, the exact containment scan that serves join, the ranking tail
-the paper's searchers share, and retrieval metrics (mean F1 / P@k / R@k,
-F1-vs-k curves)."""
+algorithm, the exact containment scan that serves join and subset, the
+ranking tail the paper's searchers share, and retrieval metrics (mean F1 /
+P@k / R@k, F1-vs-k curves)."""
 
 from repro.search.backend import (
     IndexSpec,
@@ -16,6 +16,7 @@ from repro.search.containment import (
     ContainmentIndex,
     ContainmentMatch,
     JoinRows,
+    SubsetMatch,
     join_rows,
 )
 from repro.search.index import KnnIndex
@@ -36,6 +37,7 @@ __all__ = [
     "ContainmentIndex",
     "ContainmentMatch",
     "JoinRows",
+    "SubsetMatch",
     "join_rows",
     "KnnIndex",
     "ColumnEntry",

@@ -1,18 +1,25 @@
-"""Join by containment: an exact scan over the columns' MinHash signatures.
+"""Join and subset by containment: an exact scan over the columns' MinHash
+signatures.
 
-LakeBench labels a join pair by containment ``|Q ∩ C| / |Q|``, and
-TabSketchFM's own ablation finds that the MinHash sketch is what carries
-join. Every ingested column already holds its ``values_minhash`` signature
-and its distinct-value count ``n_values``; from those two,
-:func:`repro.sketch.minhash.estimate_containment` estimates the containment
-of a query column in any other (the quantity JOSIE computes exactly and LSH
-Ensemble, Zhu et al., VLDB 2016, approximates).
+LakeBench labels a join pair by containment ``|Q ∩ C| / |Q|`` and a subset
+pair by value containment the other way round, the candidate's values in
+the query's; TabSketchFM's own ablation finds that the MinHash sketch is
+what carries join. Every ingested column already holds its
+``values_minhash`` signature and its distinct-value count ``n_values``;
+from those two, :func:`repro.sketch.minhash.estimate_containment`
+estimates the containment of one column in any other (the quantity JOSIE
+computes exactly and LSH Ensemble, Zhu et al., VLDB 2016, approximates).
 
 :class:`ContainmentIndex` holds the signatures slot-major, a
-``uint64[num_perm, n]`` matrix beside the ``n`` columns' sizes, and scores
-one query column against every row with one vectorized compare per slot.
-There is no LSH: the scan is exact over the estimator, so each row's score
-is ``estimate_containment`` of that pair, bit for bit.
+``uint64[num_perm, n]`` matrix beside the ``n`` columns' sizes.
+:meth:`~ContainmentIndex.agreement` is its one scan: every query column's
+agreeing-slot count with every row, one vectorized compare per slot over
+all query columns at once. There is no LSH: the scan is exact over the
+estimator, so each score is ``estimate_containment`` of that pair, bit for
+bit. Join (:meth:`~ContainmentIndex.rank`) asks how much of a query column
+a row contains; subset (:meth:`~ContainmentIndex.rank_subsets`, Table
+VIII's direction) asks how much of each candidate column the query
+contains, and scores a table by the mean over its columns.
 
 The index reads a table as :class:`JoinRows`: its columns' signatures as
 the store keeps them, one ``uint64[num_perm]`` row per column, beside their
@@ -23,8 +30,10 @@ an ingest nor a member query builds a sketch object to join.
 Rows are dense. A table's rows are found through a table -> rows map, and
 removing a table moves the last rows into its holes (swap-remove), so a
 write touches only that table's rows and the rows it moves. Row order is
-therefore arbitrary, and no answer depends on it: candidates rank by
-containment descending, then table name, then column name.
+therefore arbitrary, and no answer depends on it: join candidates rank by
+containment descending, then table name, then column name; a subset
+table's mean is summed in its column order and tables rank by it
+descending, then by name.
 """
 
 from __future__ import annotations
@@ -65,10 +74,33 @@ class ContainmentMatch:
         return ((self.query_column, self.column, 1.0 - self.containment),)
 
 
+@dataclass(frozen=True)
+class SubsetMatch:
+    """One subset candidate: a table whose columns' values the query table
+    is estimated to contain.
+
+    ``containment`` is the mean, over the table's columns in column order,
+    of each column's estimated containment in its best query column, in
+    ``(0, 1]``. ``matches`` holds ``(query column, column, 1 -
+    containment)`` for each column with containment above 0, in column
+    order, and ``distance_sum`` their distances summed in that order.
+    """
+
+    table: str
+    containment: float
+    distance_sum: float
+    matches: tuple[tuple[str, str, float], ...]
+
+    @property
+    def n_matched(self) -> int:
+        return len(self.matches)
+
+
 class JoinRows(NamedTuple):
-    """What join indexes and ranks a table by: its columns, their values
-    signatures (``uint64[n_cols, num_perm]``, a row per column, as the store
-    keeps them) and their distinct-value counts (``int64[n_cols]``)."""
+    """What join and subset index and rank a table by: its columns, their
+    values signatures (``uint64[n_cols, num_perm]``, a row per column, as
+    the store keeps them) and their distinct-value counts
+    (``int64[n_cols]``)."""
 
     table: str
     columns: list[str]
@@ -166,6 +198,23 @@ class ContainmentIndex:
         self._signatures, self._sizes = signatures, sizes
 
     # ------------------------------------------------------------------ #
+    def agreement(self, signatures: np.ndarray) -> np.ndarray:
+        """How many slots each query signature shares with each row:
+        ``uint8[q, n]`` for ``uint64[q, num_perm]`` signatures (a wider
+        unsigned type past 255 slots).
+
+        One pass per slot over all ``q`` query columns at once.
+        """
+        n = len(self._tables)
+        signatures = np.asarray(signatures, dtype=np.uint64)
+        matrix = self._signatures
+        agree = np.zeros(
+            (len(signatures), n), dtype=np.min_scalar_type(self.num_perm)
+        )
+        for slot in range(self.num_perm):
+            agree += (matrix[slot, :n] == signatures[:, slot, None]).view(np.uint8)
+        return agree
+
     def containment(self, signature: np.ndarray, size: int) -> np.ndarray:
         """``estimate_containment(query, row)`` for every row, ``float64[n]``.
 
@@ -176,10 +225,7 @@ class ContainmentIndex:
         n = len(self._tables)
         if size <= 0 or n == 0:
             return np.zeros(n)
-        signatures = self._signatures
-        agree = np.zeros(n, dtype=np.min_scalar_type(self.num_perm))
-        for slot, value in enumerate(signature):
-            agree += (signatures[slot, :n] == value).view(np.uint8)
+        [agree] = self.agreement(signature[None, :])
         jaccard = agree / self.num_perm
         if MinHash(signature).is_empty():
             jaccard[agree == self.num_perm] = 0.0  # two empty sets
@@ -249,3 +295,60 @@ class ContainmentIndex:
             ContainmentMatch(table, score, query_column, column)
             for table, (score, query_column, column) in ranked
         ]
+
+    def rank_subsets(
+        self, query: JoinRows, exclude_table: str | None = None
+    ) -> list[SubsetMatch]:
+        """Every table with a column the query table is estimated to
+        contain, best first: untruncated, and with no candidate pool.
+
+        A candidate column ``C`` scores ``estimate_containment(C, Q, |C|,
+        |Q|)``, maxed over the query's columns ``Q`` (an earlier query
+        column keeps a tie); an empty column scores 0. A table scores the
+        mean of its columns' values, summed in its column order, and
+        tables rank by that descending, then by name; ``exclude_table``
+        never ranks.
+        """
+        n = len(self._tables)
+        if n == 0 or not query.columns:
+            return []
+        agree = self.agreement(query.signatures)
+        # Only a row sharing a slot with some query column can score.
+        rows = np.flatnonzero(agree.any(axis=0))
+        jaccard = agree[:, rows] / self.num_perm
+        sizes = self._sizes[rows]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            estimate = (
+                jaccard * (sizes + query.sizes[:, None]) / (sizes * (1.0 + jaccard))
+            )
+        # An empty candidate column scores 0, as in the estimator; that
+        # covers two empty sets too, the only way an empty column agrees.
+        estimate[:, sizes <= 0] = 0.0
+        np.minimum(estimate, 1.0, out=estimate)
+        best = estimate.max(axis=0)
+        kept = best > 0.0
+        found = dict(zip(
+            rows[kept].tolist(),
+            zip(best[kept].tolist(), estimate.argmax(axis=0)[kept].tolist()),
+        ))
+        tables, columns = self._tables, self._columns
+        candidates = {tables[row] for row in found}
+        candidates.discard(exclude_table)
+        ranked = []
+        for table in candidates:
+            table_rows = self._rows[table]
+            total = distance_sum = 0.0
+            matches = []
+            for row in table_rows:
+                hit = found.get(row)
+                if hit is None:
+                    continue
+                value, asked = hit
+                total += value
+                distance_sum += 1.0 - value
+                matches.append((query.columns[asked], columns[row], 1.0 - value))
+            ranked.append(SubsetMatch(
+                table, total / len(table_rows), distance_sum, tuple(matches)
+            ))
+        ranked.sort(key=lambda match: (-match.containment, match.table))
+        return ranked

@@ -21,7 +21,7 @@ table's evidence and a running distance sum, and one sort orders the
 tables. No ``(key, distance)`` tuple is built per candidate.
 
 :meth:`TableSearcher.rank` is the one scored entry point: the lake
-service's union and subset (its join ranks by containment,
+service's union (its join and subset rank by containment,
 :mod:`repro.search.containment`) and every paper-bench searcher
 (TabSketchFM ±SBERT, SBERT, the dual-encoder column adapters) rank through
 it, so a change to the ranking is one change measured everywhere. It returns a :class:`RankedTables`: every table of

@@ -5,9 +5,10 @@ benchmark's trunk shape (dim 32, 4 layers): storeless at 1 shard, and on
 disk at 4 shards. It ingests through ``add_tables`` and ``add_table``,
 replaces a table with ``update_table``, appends rows and refreshes them
 with ``refresh_stale``, then answers ``discover`` requests in every mode
-for a member name, an external payload (a miss, then a hit) and a payload
-named after a member, and the same requests again, with a duplicated
-payload, through one ``discover_batch`` on a second service. Every stage
+for a member name, an external payload (twice: for union a cache miss,
+then a hit) and a payload named after a member, and the same requests
+again, with a duplicated payload, through one ``discover_batch`` on a
+second service. Every stage
 is hashed: the records' sketch arrays, column vectors and versions; the
 ranked ``(table, score, version, stale, matches)`` of every answer, one
 digest per mode (``discover:join`` ...); and, in digests of their own, the
@@ -58,17 +59,17 @@ SERVED_DIGESTS = {
     ("storeless-1", "discover:union"):
         "3a4609838ad6f2730abfd6bdebddf2f207cb1365f3e69154726c4561f601f513",
     ("storeless-1", "discover:subset"):
-        "729343725de4f5719dd5faa365af32f8b7283cbfd6e2266201794765446ac544",
+        "c7f661b7a83fbdc703be7ded06252f4b92b7323d59e6d6463f2ee21ede8698ab",
     ("storeless-1", "discover_stats"):
-        "1de39726acaf9196464069e995d016a4b5959fcf18dd1b13aa26b1adb9c9b35b",
+        "1817d22afca51056e9ec7e4adab774367eaa30ecf5f3102df79f9c91a29e404e",
     ("storeless-1", "discover_batch:join"):
         "4f46408042e5f09ad76ce8b7c9a531ed81655e31a497f90682b1d714350e97ed",
     ("storeless-1", "discover_batch:union"):
         "f6a05d592bd5269ce47697f902c110340f185f9fbe96d3642637f5ef2615ef5a",
     ("storeless-1", "discover_batch:subset"):
-        "0241336557a96f0c1262d060abc39154e8ff11c0d2cc05e1fda12c9d83e8fa4c",
+        "c7f661b7a83fbdc703be7ded06252f4b92b7323d59e6d6463f2ee21ede8698ab",
     ("storeless-1", "discover_batch_stats"):
-        "f966b16ba8a6f611e6068b4d62132473e7a586a8a574c8cb3ff4f48870ce6510",
+        "4747e2b32877a3d1dffda0c135c1b4dc2a018d971e00c4b4e73a2fff884e6276",
     ("disk-4", "add_tables"):
         "4968cde27f303c2539fddd97cb442a0208a3c024ebd8bb24f44ba273e568b5f9",
     ("disk-4", "add_table"):
@@ -84,17 +85,17 @@ SERVED_DIGESTS = {
     ("disk-4", "discover:union"):
         "859e9527353c0846a1ff0aac4503d6a72f9ba994b9b13ffd09c650442c6beedf",
     ("disk-4", "discover:subset"):
-        "e899ee66db7c6220389e1ad645f06da189ebcf720080cef7fcbbdb7f8844fa43",
+        "c7f661b7a83fbdc703be7ded06252f4b92b7323d59e6d6463f2ee21ede8698ab",
     ("disk-4", "discover_stats"):
-        "1de39726acaf9196464069e995d016a4b5959fcf18dd1b13aa26b1adb9c9b35b",
+        "1817d22afca51056e9ec7e4adab774367eaa30ecf5f3102df79f9c91a29e404e",
     ("disk-4", "discover_batch:join"):
         "4f46408042e5f09ad76ce8b7c9a531ed81655e31a497f90682b1d714350e97ed",
     ("disk-4", "discover_batch:union"):
         "2230a46340dba54f50c489e69dffc9eee3213bf380b223911af4576b5f8676a4",
     ("disk-4", "discover_batch:subset"):
-        "5fc8afee4c57a46177c0a5e92f123660be4114a81f3a35ccaff3b6aa51ed22ac",
+        "c7f661b7a83fbdc703be7ded06252f4b92b7323d59e6d6463f2ee21ede8698ab",
     ("disk-4", "discover_batch_stats"):
-        "f966b16ba8a6f611e6068b4d62132473e7a586a8a574c8cb3ff4f48870ce6510",
+        "4747e2b32877a3d1dffda0c135c1b4dc2a018d971e00c4b4e73a2fff884e6276",
 }
 
 

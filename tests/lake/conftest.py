@@ -97,10 +97,10 @@ def _committed_fixture(name: str) -> SimpleNamespace:
     and the answers that commit served.
 
     ``lake``: the store + weight bundle (read-only — copy before opening);
-    ``expected``: `expected.json`, whose join rankings were re-recorded
-    from the same stored sketches when join moved from the trunk's vectors
-    to signature containment; ``build_state(catalog)``: the mutation
-    sequence that produced the lake; ``assert_serves(service)``: the
+    ``expected``: `expected.json`, whose join and subset rankings were
+    re-recorded from the same stored sketches when each moved from the
+    trunk's vectors to signature containment; ``build_state(catalog)``: the
+    mutation sequence that produced the lake; ``assert_serves(service)``: the
     service answers as that commit did (order, versions, counts, top-3
     rankings per mode — names exactly, scores to 1e-9).
     """

@@ -17,6 +17,7 @@ from repro.lake.api import (
     Hit,
     Timings,
     join_score,
+    subset_score,
     table_from_dict,
     table_score,
     table_to_dict,
@@ -140,7 +141,10 @@ def test_scores_are_monotone_with_ranking():
     # Join: the estimated containment itself, in (0, 1].
     assert join_score(1.0) == 1.0
     assert join_score(0.5) > join_score(0.25) > 0.0
-    # Union/subset: RANK1 dominates, RANK2 breaks ties — including the
+    # Subset: the mean containment of the hit's columns, in (0, 1].
+    assert subset_score(1.0) == 1.0
+    assert subset_score(0.5) > subset_score(0.25) > 0.0
+    # Union: RANK1 dominates, RANK2 breaks ties — including the
     # adversarial perfect-distance case (distance_sum == 0).
     assert table_score(3, 5.0) > table_score(2, 0.0)
     assert table_score(2, 0.1) > table_score(2, 0.2)

@@ -223,7 +223,7 @@ def test_query_batch_shares_cache(cold_catalog, lake_tables):
         lake_tables["g0t1"].columns, name="probe"
     )
     before = cold_catalog.embed_calls
-    results = _ranked_batch(service, [probe, probe, "g0t0"], mode="subset", k=3)
+    results = _ranked_batch(service, [probe, probe, "g0t0"], mode="union", k=3)
     assert len(results) == 3
     assert results[0] == results[1]
     # One distinct uncached payload -> one batched embedding pass; the
@@ -232,7 +232,7 @@ def test_query_batch_shares_cache(cold_catalog, lake_tables):
     assert service._cache.misses == 1
     assert service.stats()["queries_served"] == 3
     # A later lone query answers from the cache the batch populated.
-    assert _ranked(service, probe, mode="subset", k=3) == results[0]
+    assert _ranked(service, probe, mode="union", k=3) == results[0]
     assert cold_catalog.embed_calls == before + 1
     assert service._cache.hits == 1
 

@@ -91,7 +91,7 @@ def test_concurrent_mixed_ops_no_lost_updates(tmp_path, lake_embedder, lake_tabl
                 # External probes exercise the shared LRU under contention
                 # (embedding runs outside the service lock by design).
                 probe = table.with_columns(table.columns, name=f"probe{thread_id}")
-                _ranked(service, probe, mode="subset", k=3)
+                _ranked(service, probe, mode="union", k=3)
                 stats = service.stats()
                 assert stats["n_tables"] >= len(base_names)
         except BaseException as exc:  # noqa: BLE001 — collected for report

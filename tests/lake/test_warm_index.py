@@ -13,10 +13,11 @@ lines written before. Archives hold at most two tables here (the
 ``small_archives`` fixture), so the seeded tables, bulk adds and reshards
 span several shared archives that updates, appends and removes then thin
 out. After every reopen each sub-index's keys and vector bytes equal the
-live ones, and so do the answers in all three modes and the join answers
-on every column; after every reshard they equal a cold rebuild of the same
-records at the new shard count, and the join answers those before it; and
-after every step the archives on disk are exactly those live entries name.
+live ones, and so do the answers in all three modes, the join answers on
+every column and every member's whole subset answer; after every reshard
+they equal a cold rebuild of the same records at the new shard count, and
+the join and subset answers those before it; and after every step the
+archives on disk are exactly those live entries name.
 """
 
 from __future__ import annotations
@@ -81,6 +82,18 @@ def _joins(catalog: LakeCatalog) -> dict:
         )).hits
         for name, record in catalog.records.items()
         for column in record.column_names
+    }
+
+
+def _subsets(catalog: LakeCatalog) -> dict:
+    """Every member's whole subset answer: the containment scan over the
+    stored signatures, which no shard count or row order moves."""
+    service = LakeService(catalog, cache_size=0)
+    return {
+        name: service.discover(DiscoveryRequest(
+            mode="subset", k=len(NAMES), table=name, allow_stale=True,
+        )).hits
+        for name in catalog.records
     }
 
 
@@ -212,17 +225,19 @@ def test_a_reopened_catalog_serves_the_live_index(
             _assert_same_index(self.catalog.searcher, warm.searcher)
             assert _answers(warm) == _answers(self.catalog)
             assert _joins(warm) == _joins(self.catalog)
+            assert _subsets(warm) == _subsets(self.catalog)
             self.catalog = warm
 
         @rule()
         def reshard(self):
             n_shards = 4 if self.catalog.n_shards == 1 else 1
-            joins = _joins(self.catalog)
+            joins, subsets = _joins(self.catalog), _subsets(self.catalog)
             self.catalog.store.reshard(n_shards, "fp")
             warm = self._warm()
             assert warm.n_shards == n_shards
             _assert_like_a_cold_rebuild(warm)
             assert _joins(warm) == joins
+            assert _subsets(warm) == subsets
             self.catalog = warm
 
     run_state_machine_as_test(
