@@ -29,9 +29,7 @@ EXPERIMENT_ORDER = [
     "table8_eurostat_subset",
     "fig8_transfer",
     "pretraining_stats",
-    "sketch_micro",
     "obs_overhead",
-    "lakegen_scorecard",
 ]
 
 
@@ -55,59 +53,6 @@ def markdown_table(rows: list[dict]) -> str:
     for row in rows:
         lines.append("| " + " | ".join(str(row.get(k, "")) for k in keys) + " |")
     return "\n".join(lines)
-
-
-def _format_delta(value) -> str:
-    return f"{value:+.3f}" if isinstance(value, (int, float)) else "—"
-
-
-def print_scorecard(payload: dict) -> None:
-    """lakegen scorecards carry latest/previous/deltas instead of rows:
-    render the two most recent runs side by side with regression deltas."""
-    latest = payload.get("latest") or {}
-    previous = payload.get("previous") or {}
-    deltas = payload.get("deltas") or {}
-    print(f"\n## lakegen scorecard\n")
-    print(
-        f"target `{latest.get('target')}` (metrics from "
-        f"`{latest.get('metrics_source')}`), "
-        f"{latest.get('tables')} tables / {latest.get('columns')} columns, "
-        f"{len(payload.get('runs', []))} older run(s) in history"
-    )
-    recall_rows = []
-    for mode, stats in (latest.get("recall") or {}).items():
-        prior = (previous.get("recall") or {}).get(mode, {})
-        delta = (deltas.get("recall") or {}).get(mode, {})
-        recall_rows.append({
-            "mode": mode,
-            "recall@k": stats.get("recall_at_k"),
-            "prev": prior.get("recall_at_k", "—"),
-            "delta": _format_delta(delta.get("recall_at_k")),
-            "mrr": stats.get("mrr"),
-            "evaluated": stats.get("evaluated"),
-        })
-    if recall_rows:
-        print()
-        print(markdown_table(recall_rows))
-    latency_rows = []
-    for label, stats in (latest.get("latency_ms") or {}).items():
-        prior = (previous.get("latency_ms") or {}).get(label, {})
-        delta = (deltas.get("latency_ms") or {}).get(label, {})
-        latency_rows.append({
-            "series": label,
-            "p50 ms": stats.get("p50"),
-            "p95 ms": stats.get("p95"),
-            "p99 ms": stats.get("p99"),
-            "prev p95": prior.get("p95", "—"),
-            "Δp95": _format_delta(delta.get("p95")),
-            "queries": stats.get("count"),
-        })
-    if latency_rows:
-        print()
-        print(markdown_table(latency_rows))
-    counters = latest.get("counters") or {}
-    if counters:
-        print(f"\n**counters**: `{json.dumps(counters)}`")
 
 
 def main() -> None:
@@ -148,9 +93,6 @@ def main() -> None:
                 f"warning: result file {path.name} is not a JSON object; skipping",
                 file=sys.stderr,
             )
-            continue
-        if payload.get("format") == "lakegen-scorecard/v1":
-            print_scorecard(payload)
             continue
         print(f"\n## {payload.get('title', path.stem)}\n")
         print(markdown_table(payload.get("rows", [])))

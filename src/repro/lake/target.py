@@ -5,7 +5,7 @@ A *target* is somewhere a lake operation can be sent: an in-process
 through :class:`~repro.lake.client.LakeClient`. Both expose the same
 methods with the same answers, so the CLI (``--lake`` / ``--server``), the
 lakegen churn driver and the benchmarks run one code path whichever side
-of the wire the lake lives on; what differs is where a scorecard scrapes
+of the wire the lake lives on; what differs is where a run record scrapes
 its metrics from (``metrics_source``).
 
 Mutations answer the mapping the HTTP route returns.

@@ -1,7 +1,7 @@
-"""`repro.lakegen` — synthetic-lake scenario harness: scale, churn, scorecards.
+"""`repro.lakegen` — synthetic-lake scenario harness: scale, churn, recall.
 
 The first subsystem that *consumes* the whole lake stack instead of
-extending it. Three layers:
+extending it. Two layers:
 
 - :mod:`repro.lakegen.generator` — a seeded synthetic-lake generator that
   emits tables at configurable scale (10k–1M columns) with *planted,
@@ -11,14 +11,12 @@ extending it. Three layers:
   operation blends (ingest/append/update/remove/query/refresh with
   configurable ratios, hot-key Zipf skew, burst arrival) against an
   in-process :class:`~repro.lake.service.LakeService` or a live server
-  via :class:`~repro.lake.client.LakeClient`;
-- :mod:`repro.lakegen.scorecard` — a scorecard reporter computing
-  recall@k vs the planted truth and scraping ``/v1/metrics`` (latency
-  quantiles, cache/ingest counters) and ``/v1/slow_queries`` (span-tree
-  stage attribution) instead of re-deriving timings client-side, emitting
-  ``results/lakegen_scorecard.json`` with deltas vs the previous run.
+  via :class:`~repro.lake.client.LakeClient`, then scoring recall@k
+  against the planted truth. Its run record carries that recall, the
+  target's scraped ``/v1/metrics`` envelope and ``/v1/slow_queries`` span
+  trees.
 
-``python -m repro.lakegen generate | run | report`` is the CLI.
+``python -m repro.lakegen generate | run`` is the CLI.
 """
 
 from repro.lakegen.generator import (
@@ -40,14 +38,6 @@ from repro.lakegen.driver import (
     run_churn,
     run_scenario,
 )
-from repro.lakegen.scorecard import (
-    ScorecardError,
-    build_scorecard,
-    counter_total,
-    latency_quantiles,
-    slowest_stages,
-    write_scorecard,
-)
 
 __all__ = [
     "LakeSpec",
@@ -65,10 +55,4 @@ __all__ = [
     "run_churn",
     "evaluate_recall",
     "run_scenario",
-    "ScorecardError",
-    "latency_quantiles",
-    "counter_total",
-    "slowest_stages",
-    "build_scorecard",
-    "write_scorecard",
 ]

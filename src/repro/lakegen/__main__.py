@@ -1,6 +1,6 @@
 """``python -m repro.lakegen`` — the scenario-harness CLI.
 
-Three subcommands, composing the three layers of the package::
+Two subcommands, composing the two layers of the package::
 
     # 1. Plant a lake with exactly-known truth (byte-deterministic):
     python -m repro.lakegen generate --columns 10000 --seed 7
@@ -8,9 +8,6 @@ Three subcommands, composing the three layers of the package::
     # 2. Replay churn + evaluate recall, in-process or against a server:
     python -m repro.lakegen run --manifest results/lakegen/manifest-c10000-s7.json
     python -m repro.lakegen run --manifest ... --server 127.0.0.1:8765
-
-    # 3. Fold the run record into the scorecard (with deltas vs last run):
-    python -m repro.lakegen report --run results/lakegen/run.json
 
 ``generate`` prints the manifest's SHA-256, so two invocations with the
 same flags can be checked for byte-identity from the console alone.
@@ -38,12 +35,7 @@ from repro.lakegen.generator import (
     load_manifest,
     manifest_bytes,
 )
-from repro.lakegen.scorecard import (
-    DEFAULT_PATH as SCORECARD_PATH,
-    ScorecardError,
-    write_scorecard,
-)
-from repro.utils.io import read_json, write_json
+from repro.utils.io import write_json
 
 
 def _log(message: str) -> None:
@@ -129,40 +121,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    run = read_json(args.run)
-    try:
-        card = write_scorecard(run, path=args.out)
-    except ScorecardError as exc:
-        _log(f"scorecard error: {exc}")
-        return 1
-    latest = card["latest"]
-    _log(f"scorecard: {args.out}")
-    for mode, stats in latest["recall"].items():
-        recall = stats.get("recall_at_k")
-        shown = f"{recall:.3f}" if recall is not None else "n/a"
-        _log(f"  recall@{stats.get('k')} [{mode}]: {shown}")
-    for label, stats in latest["latency_ms"].items():
-        _log(
-            f"  latency [{label}]: p50={stats['p50']:.3f}ms"
-            f" p95={stats['p95']:.3f}ms p99={stats['p99']:.3f}ms"
-            f" over {stats['count']} queries"
-        )
-    deltas = card.get("deltas") or {}
-    for mode, delta in deltas.get("recall", {}).items():
-        if delta.get("recall_at_k") is not None:
-            _log(f"  delta recall [{mode}]: {delta['recall_at_k']:+.3f}")
-    for label, delta in deltas.get("latency_ms", {}).items():
-        if delta.get("p95") is not None:
-            _log(f"  delta p95 [{label}]: {delta['p95']:+.3f}ms")
-    return 0
-
-
 # --------------------------------------------------------------------- #
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lakegen",
-        description="Synthetic-lake scenario harness: generate, run, report.",
+        description="Synthetic-lake scenario harness: generate, run.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -205,13 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--vocab-size", type=int, default=600)
     run.add_argument("--out", default=None, help="run-record path")
     run.set_defaults(func=cmd_run)
-
-    rep = sub.add_parser(
-        "report", help="fold a run record into the scorecard, print deltas"
-    )
-    rep.add_argument("--run", required=True, help="run-record path")
-    rep.add_argument("--out", default=SCORECARD_PATH)
-    rep.set_defaults(func=cmd_report)
     return parser
 
 

@@ -7,7 +7,7 @@ in-process :class:`~repro.lake.service.LakeService` or a running server —
 the two targets of :mod:`repro.lake.target` (:class:`ServiceTarget` /
 :class:`ClientTarget`, re-exported here). Both expose the same surface, so
 a scenario runs identically in-process and over the wire; what differs is
-where the scorecard scrapes its metrics from (``metrics_source``).
+where the run record scrapes its metrics from (``metrics_source``).
 
 Churn is **truth-preserving by construction**:
 
@@ -222,7 +222,7 @@ def run_churn(
     """Replay one churn workload; returns the op/error/latency ledger.
 
     Client-side per-op wall times are recorded *only* as a sanity
-    contrast — the scorecard's latency story comes from the server's own
+    contrast — the run record's latency story comes from the server's own
     ``/v1/metrics`` histograms, which is the whole point.
     """
     rng = np.random.default_rng(churn.seed)
@@ -407,11 +407,10 @@ def run_scenario(
 ) -> dict:
     """provision -> churn -> recall eval -> scrape; the raw run record.
 
-    The record carries everything the scorecard needs: planted-truth
-    recall, the target's ``/v1/metrics`` envelope (scraped *after* the
-    workload, labeled with its source), the slow-query span trees, and
-    the churn ledger. ``python -m repro.lakegen run`` writes it to disk;
-    ``report`` turns it into the scorecard.
+    The record carries planted-truth recall, the target's ``/v1/metrics``
+    envelope (scraped *after* the workload, labeled with its source), the
+    slow-query span trees, and the churn ledger. ``python -m repro.lakegen
+    run`` writes it to disk.
     """
     started = time.perf_counter()
     provisioned = 0

@@ -7,11 +7,12 @@ table's rows where they stand). Exact distance ties break by row order, so
 anything less than row-for-row equality can change an answer. A Hypothesis
 state machine drives a catalog through adds, updates, appends, refreshes,
 removes, reopens and reshards (1 <-> 4 shards); tables with identical
-contents under different names make exact ties, and the lake is small
-enough that shard manifests compact inside an example, folding the journal
-lines written before. Archives hold at most two tables here (the
-``small_archives`` fixture), so the seeded tables, bulk adds and reshards
-span several shared archives that updates, appends and removes then thin
+contents under different names make exact ties. Each example first
+appends to a table of its fullest shard until that shard's manifest
+compacts, folding the journal lines written before, and the lake is small
+enough that more compactions follow. Archives hold at most two tables here
+(the ``small_archives`` fixture), so the seeded tables, bulk adds and
+reshards span several shared archives that updates, appends and removes then thin
 out. After every reopen each sub-index's keys and vector bytes equal the
 live ones, and so do the answers in all three modes, the join answers on
 every column and every member's whole subset answer; after every reshard
@@ -27,6 +28,7 @@ import tempfile
 from hypothesis import HealthCheck, settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
+    initialize,
     invariant,
     rule,
     run_state_machine_as_test,
@@ -162,6 +164,22 @@ def test_a_reopened_catalog_serves_the_live_index(
             self.catalog.add_tables(
                 {name: _table(name, i % len(HEADERS)) for i, name in enumerate(SEEDED)}
             )
+
+        @initialize()
+        def fold_a_journal(self):
+            """Append to a table of the fullest shard until its manifest
+            compacts over journal lines, so every run folds a journal
+            whatever the rules draw after. (A one-table shard journals
+            nothing: each line would outgrow its base.)"""
+            shard = max(self.catalog.store.shards, key=lambda s: len(s.entries()))
+            name = shard.entries()[0]["name"]
+            width = len(self.catalog.records[name].column_names)
+            folded = commits["folding"]
+            for _ in range(64):
+                self.catalog.append_rows(name, [["late", "0", "tag9"][:width]])
+                if commits["folding"] > folded:
+                    return
+            raise AssertionError(f"shard {shard.shard_id} never folded its journal")
 
         @rule(name=st.sampled_from(NAMES), variant=st.sampled_from(sorted(HEADERS)))
         def add(self, name, variant):

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import obs
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, bucket_quantile
 
 
 @pytest.fixture()
@@ -114,6 +116,50 @@ def test_histogram_rejects_bad_buckets(registry):
         registry.histogram("bad_ms", buckets=(2.0, 1.0))
     with pytest.raises(ValueError):
         registry.histogram("bad_ms", buckets=(1.0, 1.0, 2.0))
+
+
+
+@st.composite
+def _edges_and_observations(draw):
+    """Strictly increasing edges, and observations that are empty, on the
+    edges, between them, or past the last one."""
+    edges = sorted(draw(st.lists(
+        st.floats(min_value=1e-3, max_value=1e4), min_size=1, max_size=8,
+        unique=True,
+    )))
+    observations = draw(st.lists(
+        st.one_of(
+            st.sampled_from(edges),
+            st.floats(min_value=0.0, max_value=2.0 * edges[-1]),
+        ),
+        max_size=40,
+    ))
+    return edges, observations
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_edges_and_observations())
+def test_snapshot_buckets_rebuild_the_exposed_quantiles(drawn):
+    """A scraper that has only the JSON snapshot (keys sorted, as the
+    server sends it) rebuilds p50/p95/p99 from its cumulative buckets:
+    parse each edge string, order by edge, de-accumulate, and walk them
+    with ``bucket_quantile``. It must get the exposed values."""
+    edges, observations = drawn
+    registry = MetricsRegistry()
+    hist = registry.histogram("drawn_ms", buckets=tuple(edges))
+    for value in observations:
+        hist.observe(value)
+    snapshot = json.loads(json.dumps(registry.collect(), sort_keys=True))
+    (value,) = snapshot["drawn_ms"]["values"]
+    buckets = dict(value["buckets"])
+    total = buckets.pop("+Inf")
+    assert total == value["count"] == len(observations)
+    parsed, cumulative = zip(*sorted(
+        (float(edge), count) for edge, count in buckets.items()
+    ))
+    counts = np.diff([0, *cumulative, total]).tolist()
+    for name, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
+        assert bucket_quantile(list(parsed), counts, total, q) == value[name], name
 
 
 # --------------------------------------------------------------------- #

@@ -1,9 +1,10 @@
 """LSH Forest top-k retrieval over MinHash signatures."""
 
+import numpy as np
 import pytest
 
 from repro.sketch.lsh import LshForest
-from repro.sketch.minhash import MinHasher
+from repro.sketch.minhash import MinHasher, exact_jaccard
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +32,30 @@ def test_lsh_forest_topk(hasher):
     top = forest.query(sketches["g1_full"], k=3)
     assert top[0] == "g1_full"  # exact self-match first
     assert "g1_most" in top[:3]
+
+
+def test_lsh_forest_recall_against_brute_force(hasher):
+    """Recall@10 against an exact-Jaccard ranking over 12 groups of 13
+    nested sets: each group is large enough that a member's true top 10 is
+    all same-group, so no zero-Jaccard tie decides the truth."""
+    corpus = {}
+    for g in range(12):
+        base = [f"g{g}v{i}" for i in range(100)]
+        for m in range(13):
+            corpus[f"g{g}m{m}"] = set(base[: int(100 * (0.5 + 0.035 * m))])
+    sketches = {key: hasher.sketch(values) for key, values in corpus.items()}
+    forest = LshForest(num_perm=64, num_trees=8)
+    for key, sketch in sketches.items():
+        forest.insert(key, sketch)
+    recalls = []
+    for key in list(corpus)[:24]:
+        truth = sorted(
+            (other for other in corpus if other != key),
+            key=lambda other: -exact_jaccard(corpus[key], corpus[other]),
+        )[:10]
+        got = [other for other in forest.query(sketches[key], 11) if other != key]
+        recalls.append(len(set(truth) & set(got[:10])) / 10)
+    assert np.mean(recalls) > 0.8
 
 
 def test_lsh_forest_empty():

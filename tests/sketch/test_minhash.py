@@ -203,7 +203,7 @@ set_pairs = dict(
     shared=st.integers(min_value=0, max_value=240),
     only_a=st.integers(min_value=0, max_value=240),
     only_b=st.integers(min_value=0, max_value=240),
-    num_perm=st.sampled_from([64, 128, 256]),
+    num_perm=st.sampled_from([16, 32, 64, 128, 256]),
     tag=st.integers(min_value=0, max_value=10**6),
 )
 
