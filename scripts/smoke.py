@@ -325,6 +325,10 @@ def check_replicas(
     processes.append((process, "frontend"))
 
     leader = LakeService.open(lake)
+    # Each replica refreshed the shipped stale table at adoption; a strict
+    # join reads no vector and no longer refreshes, so the leader refreshes
+    # first to serve the same stamps.
+    leader.refresh_stale()
     with LakeClient(port=proxy_port, timeout=30.0) as client:
         assert client.healthz()["status"] == "ok"
         for mode in MODES:

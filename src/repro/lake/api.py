@@ -235,11 +235,16 @@ class DiscoveryRequest:
 
     Live-table controls: ``allow_stale=True`` skips the lazy re-embed of
     stale tables — answers may rank appended tables by pre-append vectors,
-    and hits carry their ``stale`` flag so the caller can tell.
+    and hits carry their ``stale`` flag so the caller can tell. Only a
+    union query reads vectors: join and subset rank by the signatures an
+    append merged, so a strict one re-embeds nothing and serves stale
+    tables as they are, stamped ``stale`` all the same; the next strict
+    union query (or pinned one) pays the re-embed.
     ``pin_version`` (member queries only) demands the named query table be
-    at exactly that data version *and* freshly embedded; any drift raises
-    a typed ``version-conflict`` instead of silently answering from other
-    data than the caller pinned.
+    at exactly that data version *and* freshly embedded, in every mode (a
+    strict pinned query re-embeds first); any drift raises a typed
+    ``version-conflict`` instead of silently answering from other data
+    than the caller pinned.
     """
 
     mode: str = "union"

@@ -419,8 +419,11 @@ class LakeService:
 
         Planning runs once, under the lock, before any trunk work: every
         request is validated and its fingerprint pin, member name and join
-        column checked; if any request is strict (no ``allow_stale``),
-        stale tables are re-embedded once; version pins are checked; and
+        column checked; if any union request is strict (no
+        ``allow_stale``), or any strict request pins a version, stale
+        tables are re-embedded once (a join or subset reads no vector:
+        its signatures were merged at append, so it serves stale tables
+        as they are, stamped ``stale``); version pins are checked; and
         each request takes its query. A join or subset query is the query
         columns' values signatures and sizes: a member's stored ones, or a
         place in the batch's sketch pass for a payload (a join one
@@ -449,7 +452,7 @@ class LakeService:
         children: ``lake.sketch`` splits the sketch pass evenly over the
         requests sketched in it and ``lake.embed`` the embedding pass over
         the requests embedded in it, and ``lake.refresh`` goes to the
-        first strict request. Each span's duration — the result's
+        first request that asked for it. Each span's duration — the result's
         ``Timings.total_ms`` and the histogram's observation — includes
         those charges, so the parts never exceed the total.
         """
@@ -461,7 +464,11 @@ class LakeService:
             else None
             for request, signature in zip(requests, by_signature)
         ]
-        strict = [not request.allow_stale for request in requests]
+        fresh = [
+            not request.allow_stale
+            and (request.mode == "union" or request.pin_version is not None)
+            for request in requests
+        ]
         todo: dict[str, Table] = {}
         #: Request index -> its join or subset payload, a join one
         #: projected to its column.
@@ -474,13 +481,13 @@ class LakeService:
         with self._lock:
             for request in requests:
                 self._check_request(request)
-            if any(strict) and self.catalog.stale_tables():
+            if any(fresh) and self.catalog.stale_tables():
                 # Lazy re-embed: appended tables serve stale vectors until
                 # the first query that won't tolerate them, which pays one
                 # batched embedding pass for *only* the stale tables.
                 with obs.span("lake.refresh_batch") as refreshing:
                     refreshed = self.catalog.refresh_stale()
-                first = strict.index(True)
+                first = fresh.index(True)
                 charges[first]["lake.refresh"] = refreshing.duration_ms
                 extras[first]["refreshed"] = len(refreshed)
             for request in requests:
@@ -631,8 +638,8 @@ class LakeService:
     def append_rows(self, name: str, rows):
         """Append rows to a catalog member; sketches merge in O(delta).
 
-        The table's embedding goes stale until the next strict query (or
-        an explicit refresh) re-embeds it. Unknown names surface as the
+        The table's embedding goes stale until the next strict union or
+        pinned query (or an explicit refresh) re-embeds it. Unknown names surface as the
         API's typed ``not-found`` so every transport maps them to 404.
         """
         with self._lock:
@@ -646,8 +653,8 @@ class LakeService:
     def refresh_stale(self, names: "list[str] | None" = None) -> list[str]:
         """Eagerly re-embed stale tables (all of them, or just ``names``).
 
-        The operator/driver-facing twin of the lazy refresh a strict query
-        pays implicitly: one batched engine pass for every stale table,
+        The operator/driver-facing twin of the lazy refresh a strict union
+        or pinned query pays implicitly: one batched engine pass for every stale table,
         persisted. Returns the refreshed names (names that are unknown or
         not stale are skipped, mirroring the catalog's semantics).
         """

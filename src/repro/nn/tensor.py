@@ -119,7 +119,12 @@ class Tensor:
     # backward
     # ------------------------------------------------------------------ #
     def backward(self, grad: np.ndarray | None = None) -> None:
-        """Backpropagate from this tensor (scalar unless ``grad`` is given)."""
+        """Backpropagate from this tensor (scalar unless ``grad`` is given).
+
+        Leaves (and this tensor) keep their gradients; an interior node's
+        is released once it has been passed on, so a graph's gradients
+        are not all held at once.
+        """
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without grad requires a scalar tensor")
@@ -129,6 +134,8 @@ class Tensor:
         for node in order:
             if node._backward is not None and node.grad is not None:
                 node._backward()
+                if node is not self:
+                    node.grad = None
 
     # ------------------------------------------------------------------ #
     # arithmetic

@@ -55,17 +55,17 @@ SERVED_DIGESTS = {
     ("storeless-1", "refresh_stale"):
         "40f53d23f38b309eeb0536db3d3f4d947e65a01d989b34b00f322ea6a3b9ea8a",
     ("storeless-1", "discover:join"):
-        "d8b5759022ea2f16a145e0893483f4a401d665161cd1a91e043b389d153db0cb",
+        "93d11fdbce25cb91e1d108b968c168984a65ee15e9d36c7121ba9d64442c3d7f",
     ("storeless-1", "discover:union"):
-        "3a4609838ad6f2730abfd6bdebddf2f207cb1365f3e69154726c4561f601f513",
+        "8d1f313a1c84a22adc60ee481f95c9f1718ed47782759188eb61b0f2047c8da8",
     ("storeless-1", "discover:subset"):
         "c7f661b7a83fbdc703be7ded06252f4b92b7323d59e6d6463f2ee21ede8698ab",
     ("storeless-1", "discover_stats"):
         "1817d22afca51056e9ec7e4adab774367eaa30ecf5f3102df79f9c91a29e404e",
     ("storeless-1", "discover_batch:join"):
-        "4f46408042e5f09ad76ce8b7c9a531ed81655e31a497f90682b1d714350e97ed",
+        "17bd93998b53695172bc8899b54c8b24afa2c4eece146b558755838e4cb53159",
     ("storeless-1", "discover_batch:union"):
-        "f6a05d592bd5269ce47697f902c110340f185f9fbe96d3642637f5ef2615ef5a",
+        "7f5e435a7ad3f06a65c2950e62aa704cef1857f6d57a67c5f62f2af07eb877be",
     ("storeless-1", "discover_batch:subset"):
         "c7f661b7a83fbdc703be7ded06252f4b92b7323d59e6d6463f2ee21ede8698ab",
     ("storeless-1", "discover_batch_stats"):
@@ -81,17 +81,17 @@ SERVED_DIGESTS = {
     ("disk-4", "refresh_stale"):
         "40f53d23f38b309eeb0536db3d3f4d947e65a01d989b34b00f322ea6a3b9ea8a",
     ("disk-4", "discover:join"):
-        "d8b5759022ea2f16a145e0893483f4a401d665161cd1a91e043b389d153db0cb",
+        "93d11fdbce25cb91e1d108b968c168984a65ee15e9d36c7121ba9d64442c3d7f",
     ("disk-4", "discover:union"):
-        "859e9527353c0846a1ff0aac4503d6a72f9ba994b9b13ffd09c650442c6beedf",
+        "17f39d505809998a92eb8e78579bf3f6f2f85b98fc5f64b5b4dbfdb72206e230",
     ("disk-4", "discover:subset"):
         "c7f661b7a83fbdc703be7ded06252f4b92b7323d59e6d6463f2ee21ede8698ab",
     ("disk-4", "discover_stats"):
         "1817d22afca51056e9ec7e4adab774367eaa30ecf5f3102df79f9c91a29e404e",
     ("disk-4", "discover_batch:join"):
-        "4f46408042e5f09ad76ce8b7c9a531ed81655e31a497f90682b1d714350e97ed",
+        "17bd93998b53695172bc8899b54c8b24afa2c4eece146b558755838e4cb53159",
     ("disk-4", "discover_batch:union"):
-        "2230a46340dba54f50c489e69dffc9eee3213bf380b223911af4576b5f8676a4",
+        "c238527e250e9659e1cf187e9c96f97ff2b3d9db31c63ce64f032336e8689a22",
     ("disk-4", "discover_batch:subset"):
         "c7f661b7a83fbdc703be7ded06252f4b92b7323d59e6d6463f2ee21ede8698ab",
     ("disk-4", "discover_batch_stats"):
@@ -235,7 +235,8 @@ def served_digests(trunk, store, n_shards) -> dict:
     stages["refresh_stale"] = [_record(catalog.records[appended.name])]
 
     # One service answers each request alone: an allow_stale query over a
-    # stale table, then strict ones (the first pays the lazy refresh).
+    # stale table, then strict ones (the first union one pays the lazy
+    # refresh: join and subset read no vector).
     service = LakeService(catalog, cache_size=2)
     catalog.append_rows(base[2].name, list(base[2].rows(limit=2)))
     requests = _requests(base)

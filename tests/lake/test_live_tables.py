@@ -234,6 +234,43 @@ def test_allow_stale_serves_stale_hits_with_stamps(persisted_catalog):
     assert by_table["g0t2"].version == 1
 
 
+def test_strict_join_and_subset_leave_the_refresh_to_union(persisted_catalog):
+    """Join and subset read signatures, merged at append, never a vector:
+    a strict one serves a stale table as it is, stamped stale, with no
+    trunk forward; the first strict union query then refreshes once."""
+    service = LakeService(persisted_catalog)
+    service.append_rows("g0t0", DELTA_ROWS)
+    engine = persisted_catalog.engine
+    stamps = {}
+    for mode, column in (("join", "entity"), ("subset", None)):
+        forwards = engine.forward_calls
+        result = service.discover(
+            DiscoveryRequest(mode=mode, k=9, table="g0t1", column=column)
+        )
+        assert engine.forward_calls == forwards, mode
+        assert "refreshed" not in result.diagnostics, mode
+        stamps.update({hit.table: hit.stale for hit in result.hits})
+    assert stamps["g0t0"] is True and stamps["g0t2"] is False
+    assert persisted_catalog.stale_tables() == ["g0t0"]
+    forwards = engine.forward_calls
+    result = service.discover(DiscoveryRequest(mode="union", k=4, table="g0t1"))
+    assert result.diagnostics["refreshed"] == 1
+    assert engine.forward_calls > forwards
+    assert persisted_catalog.stale_tables() == []
+
+
+def test_a_strict_pinned_join_refreshes_first(persisted_catalog):
+    """A pin demands a fresh embedding whatever the mode, so a strict
+    pinned join still refreshes before its pin is checked."""
+    service = LakeService(persisted_catalog)
+    service.append_rows("g0t0", DELTA_ROWS)
+    result = service.discover(
+        DiscoveryRequest(mode="join", k=3, table="g0t0", column="entity", pin_version=2)
+    )
+    assert result.diagnostics["refreshed"] == 1
+    assert persisted_catalog.stale_tables() == []
+
+
 def test_pinned_version_refuses_stale_table(persisted_catalog):
     """The typed staleness refusal: a caller pinning a version while
     tolerating staleness gets a version-conflict, never silent stale

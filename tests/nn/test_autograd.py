@@ -174,3 +174,42 @@ def test_diamond_graph_topological_order():
     out = (shared * shared).sum()  # d/dx (2x)^2 = 8x = 24
     out.backward()
     assert x.grad[0] == pytest.approx(24.0)
+
+
+def _retaining_backward(root):
+    """Backpropagation that keeps every node's gradient: the pass as it
+    was before interior gradients were released."""
+    from repro.nn.tensor import _topological_order
+
+    order = _topological_order(root)
+    root._accumulate(np.ones_like(root.data))
+    for node in order:
+        if node._backward is not None and node.grad is not None:
+            node._backward()
+
+
+def _attention_graph():
+    """Leaves, interior nodes and a scalar loss: an embedding lookup,
+    a projection with GELU, a reused softmax-attention block and a
+    log-softmax loss."""
+    rng = np.random.default_rng(11)
+    table = Tensor(rng.normal(size=(7, 4)), requires_grad=True)
+    weight = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+    bias = Tensor(rng.normal(size=4), requires_grad=True)
+    embedded = table.take_rows(np.array([[0, 3, 3, 6], [1, 2, 5, 0]]))
+    hidden = (embedded @ weight + bias).gelu()
+    scores = softmax(hidden @ hidden.transpose(0, 2, 1) * 0.5, axis=-1)
+    mixed = concat([scores @ hidden, hidden], axis=-1)
+    loss = -log_softmax(mixed, axis=-1)[:, :, 1].mean()
+    return [table, weight, bias], [embedded, hidden, scores, mixed], loss
+
+
+def test_backward_releases_interior_gradients_and_keeps_leaf_ones():
+    leaves, interior, loss = _attention_graph()
+    loss.backward()
+    kept, _, reference = _attention_graph()
+    _retaining_backward(reference)
+    for got, want in zip(leaves, kept):
+        assert got.grad.tobytes() == want.grad.tobytes()
+    assert all(node.grad is None for node in interior)
+    assert loss.grad is not None
