@@ -29,11 +29,18 @@ agreeing-slot counts:
   and ``int32`` offsets (under 0.8 MB at 10k columns and 32 slots).
 - *Dirty rows*: a write marks the rows it writes below the last build, and
   rows past the build count too; the postings skip them and they are
-  compared densely, every query column against all of them at once. Once
-  more than ``max(REBUILD_DIRTY_ROWS, n // 8)`` rows are dirty the next
-  query rebuilds the postings, a stable sort of each slot's bucket keys
-  (~30 ms at 10k columns). Until an index has held past
-  ``REBUILD_DIRTY_ROWS`` rows every row is dirty and the scan is dense.
+  compared densely. Once more than ``max(REBUILD_DIRTY_ROWS, n // 8)``
+  rows are dirty the next query rebuilds the postings, a stable sort of
+  each slot's bucket keys (~30 ms at 10k columns). Until an index has held
+  past ``REBUILD_DIRTY_ROWS`` rows every row is dirty.
+- *Dense compare*: when a query's buckets hold more than one entry per
+  ``POSTED_ENTRY_CELLS`` cells of the ``q * num_perm * n`` a dense compare
+  reads, every row is compared densely instead. A generated lake keeps
+  its values apart, so at 10k columns its queries gather ~0.1 % of the
+  cells; a lake of shared domains (years, codes, nulls) puts many rows in
+  one bucket and a query there can gather several percent, and an index
+  under ~1 500 rows holds its ~8-16 rows a bucket at over a 128th of
+  ``n``: there the dense compare is the cheaper one.
 
 There is no LSH: the lookup is exact over the estimator, so each score is
 ``estimate_containment`` of that pair, bit for bit. Join
@@ -145,6 +152,17 @@ def join_rows(sketch: TableSketch) -> JoinRows:
 #: The postings are rebuilt once more rows than this, and than an eighth of
 #: the index, are dirty.
 REBUILD_DIRTY_ROWS = 256
+
+#: A gathered posting entry costs about what a dense compare of this many
+#: matrix cells does (~60 ns against ~0.5 ns, numpy on one CPU), so a query
+#: whose buckets hold more entries than its dense compare's
+#: ``q * num_perm * n`` cells over this compares every row densely instead.
+POSTED_ENTRY_CELLS = 128
+
+#: A dense compare of up to this many query-slot-row cells is one
+#: broadcast (its ``bool`` temporary as many bytes); a larger one is a pass
+#: per slot, slower per cell but without the temporary.
+BROADCAST_CELLS = 1 << 19
 
 #: Fibonacci hashing's multiplier: MinHash minima crowd near 0, so a
 #: slot value's high bits only spread once mixed by it.
@@ -276,17 +294,14 @@ class ContainmentIndex:
             np.arange(self._built, len(self._tables), dtype=np.intp),
         ])
 
-    def _posted(self, signatures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _posted(
+        self, signatures: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         """The clean rows sharing a slot with a query signature, and each
         query signature's agreeing-slot count with them, from the
-        postings."""
+        postings' bucket ranges ``starts`` / ``lengths`` of every
+        (query, slot)."""
         q = len(signatures)
-        if not self._built or not q:
-            return np.empty(0, dtype=np.intp), np.empty((q, 0), dtype=np.int64)
-        slots = np.arange(self.num_perm)
-        keys = _bucket(signatures, self._bits)
-        starts = self._post_offsets[slots, keys].ravel()
-        lengths = self._post_offsets[slots, keys + 1].ravel() - starts
         # Every bucket's entries, gathered in one step; ``owner`` is the
         # flat (query, slot) each entry answers.
         owner = np.repeat(np.arange(q * self.num_perm), lengths)
@@ -309,7 +324,31 @@ class ContainmentIndex:
         counts = np.bincount(
             owner // self.num_perm * rows.size + inverse, minlength=q * rows.size
         )
-        return rows, counts.reshape(q, rows.size)
+        dtype = np.min_scalar_type(self.num_perm)
+        return rows, counts.reshape(q, rows.size).astype(dtype)
+
+    def _compare(
+        self, signatures: np.ndarray, rows: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The dense lookup over ``rows``, or every row when ``None``;
+        returns what :meth:`agreement` does.
+
+        Up to ``BROADCAST_CELLS`` query-slot-row cells are compared in one
+        broadcast; past that, one pass per slot over all query signatures
+        at once reads the matrix once and holds only the counts.
+        """
+        n = len(self._tables)
+        matrix = self._signatures
+        matrix = matrix[:, :n] if rows is None else matrix[:, rows]
+        dtype = np.min_scalar_type(self.num_perm)
+        if signatures.size * matrix.shape[1] <= BROADCAST_CELLS:
+            counts = (matrix == signatures[:, :, None]).sum(axis=1, dtype=dtype)
+        else:
+            counts = np.zeros((len(signatures), matrix.shape[1]), dtype=dtype)
+            for slot in range(self.num_perm):
+                counts += (matrix[slot] == signatures[:, slot, None]).view(np.uint8)
+        hit = counts.any(axis=0)
+        return np.flatnonzero(hit) if rows is None else rows[hit], counts[:, hit]
 
     def agreement(self, signatures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The rows sharing at least one slot with some query signature,
@@ -319,10 +358,11 @@ class ContainmentIndex:
         slots). A row that shares no slot with any query signature
         agrees in none, so it is left out.
 
-        The postings answer for the clean rows; the dirty ones are
-        compared densely, all query signatures at once. The postings are
-        rebuilt first once more than ``max(REBUILD_DIRTY_ROWS, n // 8)``
-        rows are dirty.
+        The postings answer for the clean rows and the dirty ones are
+        compared densely, unless the query's buckets hold more than one
+        entry per ``POSTED_ENTRY_CELLS`` cells of the matrix: then every
+        row is compared densely. The postings are rebuilt first once more
+        than ``max(REBUILD_DIRTY_ROWS, n // 8)`` rows are dirty.
         """
         signatures = np.asarray(signatures, dtype=np.uint64)
         n = len(self._tables)
@@ -330,17 +370,20 @@ class ContainmentIndex:
             REBUILD_DIRTY_ROWS, n // 8
         ):
             self._build()
-        dtype = np.min_scalar_type(self.num_perm)
-        rows, counts = self._posted(signatures)
-        dirty = self._dirty_rows()
-        if dirty.size:
-            dense = (
-                self._signatures[:, dirty] == signatures[:, :, None]
-            ).sum(axis=1, dtype=dtype)
-            hit = dense.any(axis=0)
-            rows = np.concatenate([rows, dirty[hit]])
-            counts = np.hstack([counts, dense[:, hit]])
-        return rows, counts.astype(dtype, copy=False)
+        if self._built and len(signatures):
+            slots = np.arange(self.num_perm)
+            keys = _bucket(signatures, self._bits)
+            starts = self._post_offsets[slots, keys].ravel()
+            lengths = self._post_offsets[slots, keys + 1].ravel() - starts
+            if lengths.sum() * POSTED_ENTRY_CELLS <= signatures.size * n:
+                rows, counts = self._posted(signatures, starts, lengths)
+                dirty = self._dirty_rows()
+                if dirty.size:
+                    dirty, dirty_counts = self._compare(signatures, dirty)
+                    rows = np.concatenate([rows, dirty])
+                    counts = np.hstack([counts, dirty_counts])
+                return rows, counts
+        return self._compare(signatures)
 
     def _estimate(
         self, rows: np.ndarray, agree: np.ndarray, signature: np.ndarray, size: int
@@ -357,15 +400,6 @@ class ContainmentIndex:
             jaccard[agree == self.num_perm] = 0.0  # two empty sets
         estimate = jaccard * (size + self._sizes[rows]) / (size * (1.0 + jaccard))
         return np.minimum(estimate, 1.0, out=estimate)
-
-    def containment(self, signature: np.ndarray, size: int) -> np.ndarray:
-        """``estimate_containment(query, row)`` for every row, ``float64[n]``
-        (0 for an empty query)."""
-        scores = np.zeros(len(self._tables))
-        if size > 0:
-            rows, [agree] = self.agreement(signature[None, :])
-            scores[rows] = self._estimate(rows, agree, signature, size)
-        return scores
 
     def _excluded(self, rows: np.ndarray, table: str | None) -> np.ndarray:
         """Which of ``rows`` are ``table``'s."""
@@ -384,8 +418,10 @@ class ContainmentIndex:
         size: int,
         want: int,
     ) -> list[tuple[float, str, str]]:
-        """:meth:`top` over one query column's agreeing-slot counts with
-        ``rows``, of which ``excluded`` never make the pool."""
+        """One query column's ``want`` best columns as ``(containment,
+        table, column)``, containment descending, then table, then column,
+        from its agreeing-slot counts with ``rows``; ``excluded`` rows and
+        containment 0 never make the pool."""
         if size <= 0:
             return []
         kept = (agree > 0) & ~excluded
@@ -406,22 +442,6 @@ class ContainmentIndex:
         )
         return [(-negated, table, column) for negated, table, column in pool[:want]]
 
-    def top(
-        self,
-        signature: np.ndarray,
-        size: int,
-        want: int,
-        exclude_table: str | None = None,
-    ) -> list[tuple[float, str, str]]:
-        """The ``want`` best columns for one query column as
-        ``(containment, table, column)``, containment descending, then
-        table, then column; ``exclude_table``'s rows and containment 0
-        never make the pool."""
-        rows, [agree] = self.agreement(signature[None, :])
-        return self._pool(
-            rows, agree, self._excluded(rows, exclude_table), signature, size, want
-        )
-
     def rank(
         self,
         query: JoinRows,
@@ -434,8 +454,8 @@ class ContainmentIndex:
         :meth:`~repro.search.tables.TableSearcher.rank` (take ``[:k]``),
         and possibly fewer than ``k``.
 
-        Each query column's pool is its :meth:`top` ``k *
-        CANDIDATE_FACTOR`` columns, all from one :meth:`agreement`; a
+        Each query column's pool is its ``k * CANDIDATE_FACTOR`` best
+        columns, all from one :meth:`agreement`; a
         table scores its best containment over every pool (an earlier
         query column keeps a tie), and tables rank by containment
         descending, then name.

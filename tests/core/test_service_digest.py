@@ -99,6 +99,32 @@ SERVED_DIGESTS = {
 }
 
 
+#: (layout, stage) -> sha256 of the join and union answers without the
+#: ``refreshed`` diagnostic, recorded where the first strict query of any
+#: mode paid the lazy refresh (0180e82). They still hold now that only a
+#: strict union or pinned query pays it: that rule moved the one
+#: diagnostic, the four ``discover*:join`` / ``discover*:union`` pins above
+#: with it, and no hit, score, version or stale stamp.
+REFRESH_BLIND_DIGESTS = {
+    ("disk-4", "discover:join without refreshed"):
+        "21c577e78e5ac27a823c918adfc5087920e0e71d411c068271d28bb6c65ef276",
+    ("disk-4", "discover:union without refreshed"):
+        "0b1c3b672934e66cc375595efe8bf22f0d7a679a0ab6055b0c6ac101125b988b",
+    ("disk-4", "discover_batch:join without refreshed"):
+        "c7e4f3e9b6e4bd78fc6ab6ac339bb5b2dfd749b0c795985273188f8d5d66334a",
+    ("disk-4", "discover_batch:union without refreshed"):
+        "295cb67f77c29025f64bf9823393a5ce77dbfe3a31064ceed1d1ccd02f7d7893",
+    ("storeless-1", "discover:join without refreshed"):
+        "21c577e78e5ac27a823c918adfc5087920e0e71d411c068271d28bb6c65ef276",
+    ("storeless-1", "discover:union without refreshed"):
+        "9c16e3dc4ff70ac363b804ed2dee5996f9923104e296eec1f41d2ad28839eb24",
+    ("storeless-1", "discover_batch:join without refreshed"):
+        "c7e4f3e9b6e4bd78fc6ab6ac339bb5b2dfd749b0c795985273188f8d5d66334a",
+    ("storeless-1", "discover_batch:union without refreshed"):
+        "2e731ff15242569a90eec29645c767e2ca166c8bdefcf7cab1655671926b80a9",
+}
+
+
 @pytest.fixture(scope="module")
 def trunk(pinned_host):
     tables = list(iter_tables(generate_manifest(LakeSpec(columns=400, seed=7))))
@@ -142,8 +168,13 @@ def _record(record) -> list:
     ]
 
 
-def _answer(result) -> list:
-    diagnostics = result.diagnostics
+#: The diagnostics an answer's digest holds.
+DIAGNOSTICS = (
+    "member", "cache_hit", "excluded", "candidates", "filtered", "refreshed",
+)
+
+
+def _answer(result, diagnostics=DIAGNOSTICS) -> list:
     return [
         result.mode,
         result.query,
@@ -160,21 +191,23 @@ def _answer(result) -> list:
             ]
             for hit in result.hits
         ],
-        [diagnostics.get(key) for key in (
-            "member", "cache_hit", "excluded", "candidates", "filtered",
-            "refreshed",
-        )],
+        [result.diagnostics.get(key) for key in diagnostics],
     ]
 
 
 def _by_mode(stage: str, results) -> dict:
     """``stage:<mode>`` -> the answers of that mode, in answer order, so a
     change to one mode's ranking leaves the other modes' digests as they
-    are."""
-    return {
-        f"{stage}:{mode}": [_answer(r) for r in results if r.mode == mode]
-        for mode in MODES
-    }
+    are; and ``stage:<mode> without refreshed`` -> the same answers without
+    the ``refreshed`` diagnostic."""
+    stages = {}
+    for mode in MODES:
+        answers = [r for r in results if r.mode == mode]
+        stages[f"{stage}:{mode}"] = [_answer(r) for r in answers]
+        stages[f"{stage}:{mode} without refreshed"] = [
+            _answer(r, DIAGNOSTICS[:-1]) for r in answers
+        ]
+    return stages
 
 
 def _counters(service) -> list:
@@ -271,3 +304,8 @@ def layouts(trunk, tmp_path_factory) -> dict:
 @pytest.mark.parametrize("layout, stage", sorted(SERVED_DIGESTS))
 def test_served_answers_pinned(layouts, layout, stage):
     assert layouts[layout][stage] == SERVED_DIGESTS[(layout, stage)]
+
+
+@pytest.mark.parametrize("layout, stage", sorted(REFRESH_BLIND_DIGESTS))
+def test_the_refresh_rule_moved_only_the_refreshed_diagnostic(layouts, layout, stage):
+    assert layouts[layout][stage] == REFRESH_BLIND_DIGESTS[(layout, stage)]

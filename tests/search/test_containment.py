@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.lakegen.generator import LakeSpec, generate_manifest, iter_tables
-from repro.search.containment import ContainmentIndex, join_rows
+from repro.search.containment import ContainmentIndex, JoinRows, join_rows
 from repro.search.tables import CANDIDATE_FACTOR
 from repro.sketch.minhash import estimate_containment
 from repro.sketch.pipeline import SketchConfig, sketch_corpus
@@ -72,21 +72,34 @@ def _queries(sketches):
     ]
 
 
+def _ranked(index, sketch, column, k, exclude=None) -> list:
+    """``rank`` for one query column, as ``(containment, table, column)``."""
+    ranked = index.rank(join_rows(sketch), k, column=column.name, exclude_table=exclude)
+    return [(m.containment, m.table, m.column) for m in ranked]
+
+
+def _best_per_table(pool: list) -> list:
+    """Each table's first (best) entry of a sorted pool, in pool order."""
+    best: dict = {}
+    for score, table, column in pool:
+        best.setdefault(table, (score, table, column))
+    return list(best.values())
+
+
 def test_scores_equal_estimate_containment_exactly(sketches):
     index = _index(sketches)
     assert len(index) == sum(sketch.n_cols for sketch in sketches)
     compared = set()
     for sketch, column in _queries(sketches):
-        signature, size = column.values_minhash.signature, column.n_values
         expected = _oracle(sketches, column, exclude=sketch.table_name)
-        assert index.top(
-            signature, size, len(index), exclude_table=sketch.table_name
-        ) == expected
+        assert _ranked(
+            index, sketch, column, len(index), sketch.table_name
+        ) == _best_per_table(expected)
         # The pool's cut keeps the oracle's order, ties included.
-        for want in (1, 3, 10):
-            assert index.top(
-                signature, size, want, exclude_table=sketch.table_name
-            ) == expected[:want]
+        for k in (1, 3, 10):
+            assert _ranked(
+                index, sketch, column, k, sketch.table_name
+            ) == _best_per_table(expected[:k * CANDIDATE_FACTOR])
         compared.update(score for score, _, _ in expected)
     # The lake's planted overlaps at many levels, not only copies.
     assert len([score for score in compared if 0.0 < score < 1.0]) > 20
@@ -96,19 +109,22 @@ def test_empty_query_and_empty_candidate_score_zero(sketches):
     index = _index(sketches)
     blank = sketches[-2].column_sketches[0]
     assert blank.n_values == 0 and blank.values_minhash.is_empty()
-    assert not index.containment(blank.values_minhash.signature, 0).any()
+    signatures = blank.values_minhash.signature[None, :]
+    # The empty candidate column agrees with the empty query in every slot.
+    rows, agree = index.agreement(signatures)
+    assert rows.size and (agree == NUM_PERM).any()
+    assert index.rank(JoinRows("q", ["blank"], signatures, np.array([0])), 1) == []
     # An empty signature with a size, as no sketch makes: both-empty pairs
     # still score 0, as estimate_jaccard has it.
-    scores = index.containment(blank.values_minhash.signature, 3)
-    assert not scores.any()
+    assert index.rank(JoinRows("q", ["blank"], signatures, np.array([3])), 1) == []
     assert estimate_containment(blank.values_minhash, blank.values_minhash, 3, 0) == 0.0
 
 
 def test_a_copy_is_contained_exactly(sketches):
     index = _index(sketches)
     column = sketches[0].column_sketches[0]
-    top = index.top(column.values_minhash.signature, column.n_values, 2)
-    assert [(score, table) for score, table, _ in top] == [
+    top = _ranked(index, sketches[0], column, len(index))
+    assert [(score, table) for score, table, _ in top[:2]] == [
         (1.0, "edge-copy"), (1.0, sketches[0].table_name),
     ]
 
@@ -139,22 +155,21 @@ def test_rank_is_the_best_column_per_table_by_content(sketches):
 def test_rank_pools_k_times_the_candidate_factor(sketches):
     index = _index(sketches)
     column = sketches[0].column_sketches[0]
+    pool = _oracle(sketches, column, sketches[0].table_name)
     for k in (1, 2, 4):
-        pool = index.top(
-            column.values_minhash.signature, column.n_values,
-            k * CANDIDATE_FACTOR, sketches[0].table_name,
-        )
         ranked = index.rank(
             join_rows(sketches[0]), k, column=column.name,
             exclude_table=sketches[0].table_name,
         )
-        assert [m.table for m in ranked] == list(dict.fromkeys(t for _, t, _ in pool))
+        assert [m.table for m in ranked] == list(
+            dict.fromkeys(t for _, t, _ in pool[:k * CANDIDATE_FACTOR])
+        )
 
 
 def _answers(index, sketches) -> list:
     return [
-        index.top(column.values_minhash.signature, column.n_values, 40)
-        for _, column in _queries(sketches)
+        (index.rank(join_rows(sketch), 14), index.rank_subsets(join_rows(sketch)))
+        for sketch in sketches
     ]
 
 

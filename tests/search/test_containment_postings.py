@@ -6,7 +6,7 @@ since (and those past the build) densely; a rebuild folds them back in once
 enough are dirty. A Hypothesis state machine drives one index through adds,
 same-width and width-changing replaces and removes (absent names too),
 interleaved with ``rank`` (every column or one, member or not),
-``rank_subsets`` and ``containment`` queries, and a model beside it keeps
+``rank_subsets`` and ``agreement`` queries, and a model beside it keeps
 the live columns as plain rows. Every answer must equal :func:`_dense` and
 the answers built from it here — the scan the index made before it had
 postings, row-major over the model — bit for bit.
@@ -16,13 +16,19 @@ integers, values with equal high bits, and few buckets while the index is
 small, so bucket collisions are common); all-empty signatures; many columns
 sharing values, and exact copies; and the rebuild threshold patched to 3
 (rebuilds all the time) or left at its default (postings built only past
-256 rows, so wide tables are drawn too). ``derandomize`` fixes the draws.
+256 rows, so wide tables are drawn too). ``POSTED_ENTRY_CELLS`` is patched
+to 0, so the postings answer every query they can, or left at its
+default, under which these small indexes compare every row densely.
+``derandomize`` fixes the draws.
 
 Mutants this kills (each checked in a copy of the module): the swap-remove
 not marking the row it moves into as dirty; appended rows counted twice
 (marked dirty past the build as well as listed as the rows past it); the
 verification of bucket entries against the matrix skipped; rows removed
-since the build left in the postings' answer.
+since the build left in the postings' answer; the dense compare of every
+row skipping the last row, its per-slot pass reading one slot, or its
+broadcast comparing shifted slots; and the choice between postings and
+the dense compare inverted or never made (the lake tests at the end).
 """
 
 from __future__ import annotations
@@ -37,9 +43,12 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
+from repro.lakebench import make_eurostat_subset_search
+from repro.lakegen.generator import LakeSpec, generate_manifest, iter_tables
 from repro.search import containment
-from repro.search.containment import ContainmentIndex, JoinRows
+from repro.search.containment import ContainmentIndex, JoinRows, join_rows
 from repro.search.tables import CANDIDATE_FACTOR
+from repro.sketch.pipeline import SketchConfig, sketch_corpus
 
 EMPTY = np.uint64(0xFFFFFFFFFFFFFFFF)
 #: Slot values columns share: small integers, and values equal in their
@@ -53,6 +62,7 @@ TEMPLATES = np.random.default_rng(17).integers(
     0, 2**63, size=(3, 32), dtype=np.uint64
 )
 NAMES = tuple(f"t{i}" for i in range(6))
+NUM_PERM = 32
 WIDTHS = st.one_of(st.integers(0, 4), st.sampled_from([64, 160]))
 
 
@@ -166,7 +176,7 @@ def _subsets(model, query: JoinRows, exclude=None) -> list:
 # --------------------------------------------------------------------- #
 # The machine
 # --------------------------------------------------------------------- #
-def _machine(seen: dict):
+def _machine():
     class Postings(RuleBasedStateMachine):
         @initialize(
             num_perm=st.sampled_from([8, 16, 32]),
@@ -252,48 +262,64 @@ def _machine(seen: dict):
                 (m.table, m.containment, m.distance_sum, m.matches) for m in ranked
             ] == _subsets(self.model, query, exclude)
 
-        @rule(data=st.data(), want=st.sampled_from([1, 3, 1000]))
-        def top_and_containment(self, data, want):
-            query, exclude = self._query(data)
-            if not query.columns:
-                return
-            i = data.draw(st.integers(0, len(query.columns) - 1))
-            signature, size = query.signatures[i], int(query.sizes[i])
-            assert self.index.top(signature, size, want, exclude) == _top(
-                self.model, signature, size, want, exclude
-            )
-            keys, sizes, [agree] = _dense(self.model, signature[None, :])
-            expected = _join_scores(agree, sizes, signature, size)
-            got = self.index.containment(signature, size)
-            assert sorted(got.tolist()) == sorted(expected.tolist())
-            seen["queries"] += 1
-            seen["posted"] += self.index._built > 0
-            seen["dirty"] += self.index._dirty_rows().size > 0
-
     return Postings
 
 
-@pytest.mark.parametrize("threshold", [3, None], ids=["rebuild-at-3", "default"])
-def test_postings_answer_like_a_dense_scan(threshold, monkeypatch):
-    builds = {"n": 0}
-    build = ContainmentIndex._build
+def count_lookups(monkeypatch) -> dict:
+    """Count the postings' builds and which lookup answers each query:
+    the postings, the dense compare of the dirty rows beside them, or the
+    dense compare of every row while postings are built."""
+    seen = {"builds": 0, "posted": 0, "dirty": 0, "dense": 0}
+    build, posted, compare = (
+        ContainmentIndex._build, ContainmentIndex._posted, ContainmentIndex._compare
+    )
 
-    def counted(self):
-        builds["n"] += 1
+    def counted_build(self):
+        seen["builds"] += 1
         build(self)
 
-    monkeypatch.setattr(ContainmentIndex, "_build", counted)
+    def counted_posted(self, *args):
+        seen["posted"] += 1
+        return posted(self, *args)
+
+    def counted_compare(self, signatures, rows=None):
+        if rows is not None:
+            seen["dirty"] += 1
+        elif self._built and len(signatures):
+            seen["dense"] += 1
+        return compare(self, signatures, rows)
+
+    monkeypatch.setattr(ContainmentIndex, "_build", counted_build)
+    monkeypatch.setattr(ContainmentIndex, "_posted", counted_posted)
+    monkeypatch.setattr(ContainmentIndex, "_compare", counted_compare)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "threshold, cells",
+    [(3, 0), (None, 0), (None, None)],
+    ids=["rebuild-at-3", "postings", "default"],
+)
+def test_postings_answer_like_a_dense_scan(threshold, cells, monkeypatch):
+    seen = count_lookups(monkeypatch)
     if threshold is not None:
         monkeypatch.setattr(containment, "REBUILD_DIRTY_ROWS", threshold)
-    seen = {"queries": 0, "posted": 0, "dirty": 0}
+    if cells is not None:
+        monkeypatch.setattr(containment, "POSTED_ENTRY_CELLS", cells)
     run_state_machine_as_test(
-        _machine(seen),
+        _machine(),
         settings=settings(
             max_examples=40, stateful_step_count=30, deadline=None, derandomize=True
         ),
     )
-    # Postings were built and answered, beside dirty rows too.
-    assert builds["n"] and seen["posted"] and seen["dirty"], (builds, seen)
+    assert seen["builds"], seen
+    if cells == 0:
+        # Postings answered every query once built, beside dirty rows.
+        assert seen["posted"] and seen["dirty"] and not seen["dense"], seen
+    else:
+        # At under a thousand rows a bucket holds more than a 128th of
+        # them, so the dense compare of every row answers.
+        assert seen["dense"] and not seen["posted"], seen
 
 
 def test_postings_fit_the_memory_budget():
@@ -302,10 +328,65 @@ def test_postings_fit_the_memory_budget():
     index = ContainmentIndex(32)
     for t in range(1_000):
         index.add_table(_join(f"t{t}", t, 10, 32))
-    index.top(np.zeros(32, dtype=np.uint64), 1, 1)
+    index.agreement(np.zeros((1, 32), dtype=np.uint64))
     assert index._built == 10_000
     assert index._post_rows.dtype == np.uint16
     assert index._post_offsets.dtype == np.int32
     buckets = index._post_offsets.shape[1] - 1
     assert 8 <= 10_000 / buckets <= 16
     assert index._post_rows.nbytes + index._post_offsets.nbytes <= 800_000
+
+
+def _member_queries(joins: list[JoinRows], monkeypatch) -> tuple[dict, list]:
+    """Every third table's member join on its first column and member
+    subset, through one index of every table; which lookup answered, and
+    the answers."""
+    index = ContainmentIndex(NUM_PERM)
+    for join in joins:
+        index.add_table(join)
+    seen = count_lookups(monkeypatch)
+    answers = [
+        (
+            index.rank(join, 10, column=join.columns[0], exclude_table=join.table),
+            index.rank_subsets(join, exclude_table=join.table),
+        )
+        for join in joins[::3]
+    ]
+    seen = dict(seen)
+    # The same index with the postings answering every query they can.
+    monkeypatch.setattr(containment, "POSTED_ENTRY_CELLS", 0)
+    assert answers == [
+        (
+            index.rank(join, 10, column=join.columns[0], exclude_table=join.table),
+            index.rank_subsets(join, exclude_table=join.table),
+        )
+        for join in joins[::3]
+    ]
+    return seen, answers
+
+
+def _lake_joins(tables) -> list[JoinRows]:
+    config = SketchConfig(num_perm=NUM_PERM, seed=1)
+    return [join_rows(s) for s in sketch_corpus(tables, config, config.build_hasher())]
+
+
+def test_a_generated_lake_reads_postings(monkeypatch):
+    """lakegen keeps each table's values apart, so a member query's
+    buckets hold ~9-16 rows of its slot, under a 128th of a 4k-column
+    lake's, and the postings answer every one of them."""
+    tables = list(iter_tables(generate_manifest(LakeSpec(columns=4000, seed=7))))
+    seen, answers = _member_queries(_lake_joins(tables), monkeypatch)
+    assert seen["posted"] == 2 * len(answers) and not seen["dense"], seen
+    assert sum(bool(join) for join, _ in answers) > len(answers) // 4
+
+
+def test_a_shared_domain_lake_compares_densely_where_buckets_fill(monkeypatch):
+    """Eurostat's columns share domains (years, country codes, units), so
+    many rows agree in a slot and a query's buckets fill: at 2.3k columns
+    most queries' buckets hold more than a 128th of the cells and compare
+    every row densely, the rest still read postings, and both answer as
+    the postings alone do."""
+    tables = list(make_eurostat_subset_search(scale=3.0).tables.values())
+    seen, answers = _member_queries(_lake_joins(tables), monkeypatch)
+    assert seen["posted"] and seen["dense"] > len(answers) // 10, seen
+    assert sum(bool(subset) for _, subset in answers) > len(answers) // 2
