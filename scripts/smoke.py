@@ -166,8 +166,9 @@ def hit_of(result, table: str):
 
 def rebuilt_quantiles(value: dict) -> dict:
     """p50/p95/p99 rebuilt from one scraped histogram value's cumulative
-    ``buckets`` (edge string -> observations at or below it; the server
-    sends the keys sorted as strings, so order them by edge)."""
+    ``buckets`` (edge string -> observations at or below it). The server
+    sends them in edge order, ``+Inf`` last; they are ordered by parsed
+    edge here all the same, so the check does not rest on key order."""
     finite = sorted(
         (float(edge), cumulative)
         for edge, cumulative in value["buckets"].items()

@@ -226,7 +226,8 @@ class DiscoveryRequest:
 
     Exactly one of ``table`` (a catalog member queried leave-one-out from
     its stored vectors) or ``payload`` (an inline external table, sketched
-    and embedded on arrival) names the query. ``column`` restricts join
+    and embedded on arrival for union, only signed for join and subset)
+    names the query. ``column`` restricts join
     mode to a single query column; ``min_score`` drops hits scoring below
     the bar; ``shards`` keeps only hits whose table routes to one of the
     named store shards; ``fingerprint``, when set, pins the request to a

@@ -25,11 +25,13 @@ ingested lake directory.
 
 Query tables may be catalog members (their stored sketches and vectors are
 reused — zero trunk work) or external :class:`~repro.table.schema.Table`
-payloads. A join payload is only sketched, on its join column, and a
-subset payload only sketched, whole; a union payload's sketch+embeddings
-are computed once and kept in a content-addressed LRU cache. There is one
-query path: ``discover`` is ``discover_batch`` of one request, and
-``discover_batch`` embeds *all* uncached union payloads of a batch in one
+payloads. A join payload is only signed
+(:func:`~repro.sketch.pipeline.value_signatures`: its values signatures
+and sizes, no full sketch), on its join column, and a subset payload only
+signed, whole; a union payload's sketch+embeddings are computed once and
+kept in a content-addressed LRU cache. There is one query path:
+``discover`` is ``discover_batch`` of one request, and ``discover_batch``
+embeds *all* uncached union payloads of a batch in one
 batched :class:`~repro.core.engine.EmbeddingEngine` pass — ``ceil(distinct
 / batch_size)`` trunk forwards, identical digests deduped — instead of one
 serial forward per query. A single re-entrant lock serializes catalog
@@ -75,14 +77,9 @@ from repro.lake.catalog import LakeCatalog
 from repro.lake.serialization import config_fingerprint
 from repro.lake.store import LakeStore
 from repro.search.backend import stable_shard
-from repro.search.containment import (
-    ContainmentMatch,
-    JoinRows,
-    SubsetMatch,
-    join_rows,
-)
+from repro.search.containment import ContainmentMatch, SubsetMatch
 from repro.search.tables import TableMatch
-from repro.sketch.pipeline import sketch_corpus
+from repro.sketch.pipeline import JoinRows, sketch_corpus, value_signatures
 from repro.table.schema import Table
 
 _QUERIES_TOTAL = obs.counter(
@@ -310,7 +307,7 @@ class LakeService:
         """Run the mode's ranking under the lock; full (untruncated)
         candidate ranking so post-filters never starve the top-k. A join
         or subset ``query`` is the query columns' values signatures and
-        sizes (a member's stored rows, or the payload sketch's), ranked by
+        sizes (a member's stored rows, or the payload's signed ones), ranked by
         containment; a union one is the columns' vectors."""
         if request.mode == "join":
             return self.catalog.joins.rank(
@@ -426,13 +423,15 @@ class LakeService:
         as they are, stamped ``stale``); version pins are checked; and
         each request takes its query. A join or subset query is the query
         columns' values signatures and sizes: a member's stored ones, or a
-        place in the batch's sketch pass for a payload (a join one
+        place in the batch's signing pass for a payload (a join one
         projected to its ``column``, a subset one whole; no digest, no
-        cache, no trunk). A union query is the column vectors: a member's
-        stored ones, a cached payload's, or a place in the batch's
-        embedding pass. That pass sketches every distinct uncached union
-        payload, and every join and subset payload, in one
-        ``sketch_corpus`` call and embeds the union ones in one
+        cache, no trunk). That pass is one ``value_signatures`` call over
+        every join and subset payload: no type inference, words,
+        numerical profile or snapshot. A union query is the column
+        vectors: a member's stored ones, a cached payload's, or a place in
+        the batch's embedding pass. That pass sketches every distinct
+        uncached union payload in one ``sketch_corpus`` call and embeds
+        them in one
         :meth:`~repro.lake.catalog.LakeCatalog.column_vector_pairs_many`
         call — ``ceil(distinct / batch_size)`` trunk forwards, duplicate
         payloads embedded once — outside the lock, so concurrent queries
@@ -449,8 +448,9 @@ class LakeService:
         Each request is answered under its own ``lake.discover`` span,
         whose ``lake.index`` child times the index search. The work the
         batch shared is charged to the requests it served as synthetic
-        children: ``lake.sketch`` splits the sketch pass evenly over the
-        requests sketched in it and ``lake.embed`` the embedding pass over
+        children: ``lake.sketch`` splits the sketch and signing passes
+        (one ``lake.sketch_batch`` span) evenly over the requests sketched
+        or signed in them and ``lake.embed`` the embedding pass over
         the requests embedded in it, and ``lake.refresh`` goes to the
         first request that asked for it. Each span's duration — the result's
         ``Timings.total_ms`` and the histogram's observation — includes
@@ -518,16 +518,17 @@ class LakeService:
         embedded: dict[str, list] = {}
         signed: dict[int, JoinRows] = {}
         if todo or projected:
-            tables = [*todo.values(), *projected.values()]
-            with obs.span("lake.sketch_batch", tables=len(tables)) as sketching:
-                sketches = sketch_corpus(
-                    tables, self.catalog.sketch_config, self.catalog._hasher
-                )
-            signed = dict(zip(projected, map(join_rows, sketches[len(todo):])))
+            n_tables = len(todo) + len(projected)
+            config, hasher = self.catalog.sketch_config, self.catalog._hasher
+            with obs.span("lake.sketch_batch", tables=n_tables) as sketching:
+                sketches = sketch_corpus(todo.values(), config, hasher)
+                signed = dict(zip(projected, value_signatures(
+                    projected.values(), config, hasher
+                )))
             if todo:
                 with obs.span("lake.embed_batch", tables=len(todo)) as embedding:
                     embedded = dict(zip(todo, self.catalog.column_vector_pairs_many(
-                        list(todo.values()), sketches[: len(todo)]
+                        list(todo.values()), sketches
                     )))
                 with self._lock:
                     for digest, pairs in embedded.items():
@@ -538,8 +539,8 @@ class LakeService:
                 charges[i]["lake.sketch"] = sketching.duration_ms / len(served)
                 if i not in signed:
                     charges[i]["lake.embed"] = embedding.duration_ms / n_embedded
-                if len(tables) > 1:
-                    extras[i]["batched"] = len(tables)
+                if n_tables > 1:
+                    extras[i]["batched"] = n_tables
         return [
             self._answer(
                 request,

@@ -49,11 +49,12 @@ contains; subset (:meth:`~ContainmentIndex.rank_subsets`, Table VIII's
 direction) asks how much of each candidate column the query contains, and
 scores a table by the mean over its columns.
 
-The index reads a table as :class:`JoinRows`: its columns' signatures as
-the store keeps them, one ``uint64[num_perm]`` row per column, beside their
-sizes. A lake record hands over its stored rows as they are, and
-:func:`join_rows` stacks a fresh sketch's (a join payload's), so neither
-an ingest nor a member query builds a sketch object to join.
+The index reads a table as :class:`~repro.sketch.pipeline.JoinRows`: its
+columns' signatures as the store keeps them, one ``uint64[num_perm]`` row
+per column, beside their sizes. A lake record hands over its stored rows
+as they are, :func:`~repro.sketch.pipeline.value_signatures` signs a
+payload's without sketching it, and :func:`join_rows` stacks a full
+sketch's, so no ingest or query builds a sketch object to join.
 
 Rows are dense. A table's rows are found through a table -> rows map, and
 removing a table moves the last rows into its holes (swap-remove), so a
@@ -67,13 +68,12 @@ descending, then by name.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from repro.search.tables import CANDIDATE_FACTOR
 from repro.sketch.minhash import MinHash
-from repro.sketch.pipeline import TableSketch
+from repro.sketch.pipeline import JoinRows, TableSketch
 
 
 @dataclass(frozen=True)
@@ -122,18 +122,6 @@ class SubsetMatch:
     @property
     def n_matched(self) -> int:
         return len(self.matches)
-
-
-class JoinRows(NamedTuple):
-    """What join and subset index and rank a table by: its columns, their
-    values signatures (``uint64[n_cols, num_perm]``, a row per column, as
-    the store keeps them) and their distinct-value counts
-    (``int64[n_cols]``)."""
-
-    table: str
-    columns: list[str]
-    signatures: np.ndarray
-    sizes: np.ndarray
 
 
 def join_rows(sketch: TableSketch) -> JoinRows:

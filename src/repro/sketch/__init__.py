@@ -12,7 +12,8 @@ the index structures its baselines need:
   over the first 10 000 rows serialized as strings (§III-A).
 - :mod:`repro.sketch.pipeline` — assembles all sketches for a table into a
   :class:`~repro.sketch.pipeline.TableSketch`, the model's raw input;
-  ``sketch_corpus`` is the one (batched, hash-once) sketch path.
+  ``sketch_corpus`` is the one (batched, hash-once) sketch path, and
+  ``value_signatures`` signs a table with only what join and subset read.
 - :mod:`repro.sketch.lsh` — LSH Forest over MinHash (the LSH-Forest join
   baseline).
 - :mod:`repro.sketch.simhash` — SimHash over dense vectors (WarpGate's index).
@@ -37,6 +38,7 @@ from repro.sketch.pipeline import (
     TableSketch,
     sketch_corpus,
     sketch_table,
+    value_signatures,
 )
 from repro.sketch.lsh import LshForest
 from repro.sketch.simhash import SimHashIndex
@@ -57,6 +59,7 @@ __all__ = [
     "TableSketch",
     "sketch_corpus",
     "sketch_table",
+    "value_signatures",
     "LshForest",
     "SimHashIndex",
 ]

@@ -25,13 +25,21 @@ column's value hashes as one run of that hash array. A set's signature and
 a column's numerical sketch are functions of the set and the column alone,
 so batched sketches are bit-identical to per-table ones at any batch
 composition.
+
+Join and subset read only one part of a sketch: each column's values
+signature and distinct non-null count (:class:`JoinRows`).
+:func:`value_signatures` signs a batch of tables with just that part — no
+type inference, words, numerical profile or content snapshot — and equals
+the :class:`JoinRows` of the tables' :func:`sketch_corpus` sketches bit for
+bit, because both take each column's distinct non-null cells from one
+helper and sign them through the same hash-once pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,7 +50,7 @@ from repro.sketch.numeric import (
     NumericalSketch,
     numerical_profiles,
 )
-from repro.table.schema import Column, ColumnType, Table
+from repro.table.schema import Column, ColumnType, Table, is_null
 from repro.utils.hashing import hash_strings
 
 #: Cells (rows x columns) :func:`sketch_corpus` gathers before it hashes a
@@ -164,6 +172,30 @@ class TableSketch:
         )
 
 
+class JoinRows(NamedTuple):
+    """What join and subset index and rank a table by: its columns, their
+    values signatures (``uint64[n_cols, num_perm]``, a row per column, as
+    the store keeps them) and their distinct-value counts
+    (``int64[n_cols]``)."""
+
+    table: str
+    columns: list[str]
+    signatures: np.ndarray
+    sizes: np.ndarray
+
+
+def _distinct_cells(column: Column) -> tuple[set[str], set[str]]:
+    """A column's distinct non-null cells and its distinct null cells.
+
+    :func:`~repro.table.schema.is_null` is asked once per distinct cell,
+    not once per cell.
+    """
+    values = set(column.values)
+    nulls = set(filter(is_null, values))
+    values -= nulls
+    return values, nulls
+
+
 def _hash_sets(sets: Sequence[set[str]]) -> tuple[np.ndarray, np.ndarray]:
     """Raw FNV-1a hashes of every set's members, set after set.
 
@@ -189,8 +221,14 @@ def _sketch_batch(
     """Column sketches for ``columns`` and one snapshot per set of rows."""
     n = len(columns)
     ctypes = [column.inferred_type for column in columns]
-    non_nulls = [column.non_null_values() for column in columns]
-    values = [set(non_null) for non_null in non_nulls]
+    split = [_distinct_cells(column) for column in columns]
+    values = [cells for cells, _ in split]
+    # Each column's cells minus its nulls, in order: non_null_values().
+    non_nulls = [
+        [cell for cell in column.values if cell not in nulls] if nulls
+        else column.values
+        for column, (_, nulls) in zip(columns, split)
+    ]
     # Words MinHash is for string columns only (§III-A); the empty set
     # yields the empty signature for the other types.
     words = [
@@ -238,6 +276,17 @@ def _cell_bounded(tables: Iterable[Table]) -> Iterator[list[Table]]:
         yield batch
 
 
+def _configured(
+    config: SketchConfig | None, hasher: MinHasher | None
+) -> tuple[SketchConfig, MinHasher]:
+    """The config and hasher a batch entry point runs with."""
+    config = config or SketchConfig()
+    hasher = hasher or config.build_hasher()
+    if hasher.num_perm != config.num_perm:
+        raise ValueError("hasher num_perm does not match config.num_perm")
+    return config, hasher
+
+
 def sketch_corpus(
     tables: Iterable[Table],
     config: SketchConfig | None = None,
@@ -249,10 +298,7 @@ def sketch_corpus(
     ingest, the query path and append deltas all come through here. Passing
     a pre-built ``hasher`` avoids recreating the hash family per call.
     """
-    config = config or SketchConfig()
-    hasher = hasher or config.build_hasher()
-    if hasher.num_perm != config.num_perm:
-        raise ValueError("hasher num_perm does not match config.num_perm")
+    config, hasher = _configured(config, hasher)
     sketches = []
     for batch in _cell_bounded(tables):
         column_sketches, snapshots = _sketch_batch(
@@ -272,6 +318,42 @@ def sketch_corpus(
                 )
             )
     return sketches
+
+
+def value_signatures(
+    tables: Iterable[Table],
+    config: SketchConfig | None = None,
+    hasher: MinHasher | None = None,
+) -> list[JoinRows]:
+    """The :class:`JoinRows` of every table, in order, without sketching it.
+
+    Each column's distinct non-null cells are hashed once per distinct
+    string of the batch and signed in one permutation pass; nothing else
+    of the sketch is built, and no column's type is inferred. Equal, bit
+    for bit, to the rows stacked from the tables' :func:`sketch_corpus`
+    sketches, whatever the batch.
+    """
+    _, hasher = _configured(config, hasher)
+    joins = []
+    for batch in _cell_bounded(tables):
+        raw, bounds = _hash_sets([
+            _distinct_cells(column)[0]
+            for table in batch
+            for column in table.columns
+        ])
+        sizes = np.diff(bounds)
+        signatures = hasher.signatures(raw, sizes)
+        start = 0
+        for table in batch:
+            stop = start + table.n_cols
+            joins.append(JoinRows(
+                table.name,
+                table.header,
+                signatures[start:stop],
+                sizes[start:stop],
+            ))
+            start = stop
+    return joins
 
 
 def sketch_table(

@@ -364,6 +364,36 @@ def test_metrics_endpoint_negotiation_and_counters(served, lake_tables):
         conn.close()
 
 
+def test_metrics_buckets_arrive_in_edge_order(served):
+    """JSON bodies keep the registry's key order: a histogram's cumulative
+    ``buckets`` reach a scraper by ascending edge, ``+Inf`` last, so it can
+    de-accumulate them in document order (sorted as strings they would put
+    ``+Inf`` first and ``10`` before ``2.5``)."""
+    from repro import obs
+
+    _, client = served
+    obs.get_registry().reset()
+    client.query(DiscoveryRequest(mode="union", k=4, table="g1t1"))
+    conn = http.client.HTTPConnection(client.host, client.port, timeout=30)
+    try:
+        conn.request("GET", "/v1/metrics")
+        response = conn.getresponse()
+        assert response.status == 200
+        body = json.loads(response.read())
+    finally:
+        conn.close()
+    values = body["metrics"]["lake_query_duration_ms"]["values"]
+    assert values
+    for value in values:
+        edges = list(value["buckets"])
+        assert edges[-1] == "+Inf" and "+Inf" not in edges[:-1]
+        finite = [float(edge) for edge in edges[:-1]]
+        assert finite == sorted(finite) and len(set(finite)) == len(finite) > 1
+        assert edges != sorted(edges)
+        cumulative = list(value["buckets"].values())
+        assert cumulative == sorted(cumulative) and cumulative[-1] == value["count"]
+
+
 def _prometheus_total(text: str, name: str) -> float:
     return sum(
         float(line.rsplit(" ", 1)[1])

@@ -1,0 +1,59 @@
+"""A join or subset payload is signed, never sketched in full.
+
+Join and subset rank by containment, which reads each query column's
+values signature and distinct count and nothing else of a sketch.
+``LakeService.discover_batch`` therefore builds only those
+(:func:`~repro.sketch.pipeline.value_signatures`) for a join or subset
+payload: no column type is inferred and no numerical profile is computed,
+yet the signing is timed as the request's sketch share. A union payload,
+which the trunk reads whole, is still sketched in full beside them.
+"""
+
+from __future__ import annotations
+
+from repro.lake.api import DiscoveryRequest
+from repro.lake.service import LakeService
+from repro.sketch import numeric, pipeline
+from repro.table.schema import Column
+
+
+def _fresh(table, name: str):
+    """A copy of ``table`` whose columns have not had their type inferred."""
+    return table.with_columns(
+        [Column(c.name, list(c.values)) for c in table.columns], name=name
+    )
+
+
+def test_join_and_subset_payloads_build_no_full_sketch(
+    cold_catalog, lake_tables, monkeypatch
+):
+    profiled = []
+
+    def counted(*args, **kwargs):
+        profiled.append(len(args[0]))
+        return numeric.numerical_profiles(*args, **kwargs)
+
+    # Patched where the sketch path looks it up.
+    monkeypatch.setattr(pipeline, "numerical_profiles", counted)
+    service = LakeService(cold_catalog)
+    source = lake_tables["g0t1"]
+    join_probe = _fresh(source, "join-probe")
+    subset_probe = _fresh(source, "subset-probe")
+    results = service.discover_batch([
+        DiscoveryRequest(mode="join", k=5, payload=join_probe, column="entity"),
+        DiscoveryRequest(mode="subset", k=5, payload=subset_probe),
+    ])
+    assert profiled == []
+    for probe in (join_probe, subset_probe):
+        assert [c.ctype for c in probe.columns] == [None] * probe.n_cols
+    for result in results:
+        assert result.timings.sketch_ms > 0.0
+        assert result.hits[0].table == "g0t1" and result.hits[0].score == 1.0
+
+    union_probe = _fresh(source, "union-probe")
+    (union,) = service.discover_batch(
+        [DiscoveryRequest(mode="union", k=3, payload=union_probe)]
+    )
+    assert profiled == [union_probe.n_cols]
+    assert None not in [c.ctype for c in union_probe.columns]
+    assert union.timings.sketch_ms > 0.0 and union.timings.embed_ms > 0.0
