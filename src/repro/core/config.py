@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.nn.transformer import TransformerEncoderConfig
 from repro.sketch.pipeline import SketchConfig
@@ -76,6 +76,3 @@ class TabSketchFMConfig:
             dropout=self.dropout,
             seed=self.seed,
         )
-
-    def with_selection(self, selection: SketchSelection) -> "TabSketchFMConfig":
-        return replace(self, selection=selection)

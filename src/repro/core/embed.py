@@ -47,10 +47,6 @@ class TableEmbedder:
         """Pooler output for a single-table input, shape ``(dim,)``."""
         return self.engine.embed_batch([sketch])[0].table
 
-    def column_embeddings(self, sketch: TableSketch) -> np.ndarray:
-        """Per-column embeddings, shape ``(n_cols, dim)`` (see class doc)."""
-        return self.engine.embed_batch([sketch])[0].columns
-
     # ------------------------------------------------------------------ #
     def table_embeddings(self, sketches: list[TableSketch]) -> np.ndarray:
         """Stacked table embeddings, shape ``(n_tables, dim)`` — batched."""

@@ -30,7 +30,7 @@ config fingerprint, so an existing lake always reopens with the shard count
 it was built with, and naming a different one fails fast instead of
 silently serving mismatched artifacts; ``reshard`` is the one-shot in-place
 migration between shard counts (no re-embedding — stored vectors are
-re-routed, and every open assembles the per-shard indexes from them).
+re-routed, and every open assembles the one index from them).
 Every other command refuses a store an older build wrote with an
 ``error:`` line naming ``migrate``, which rewrites it once, re-embedding
 nothing (an HNSW lake cannot be migrated: re-ingest it).

@@ -12,7 +12,7 @@ Holds every table's :class:`LakeTableRecord` plus the live column index
   :class:`~repro.core.engine.EmbeddingEngine` forwards, then per-shard
   store writes, one manifest flush per touched shard;
 - an **update** or **refresh** replaces the table's index rows where they
-  stand, so every shard's rows stay in table insertion order;
+  stand, so the index's rows stay in table insertion order;
 - a **remove** compacts the index in one pass and never touches the trunk;
 - attached to a :class:`~repro.lake.store.LakeStore`, every mutation is
   persisted immediately — the table archives plus one manifest flush per
@@ -35,20 +35,19 @@ writes that need sketch objects build them — an append the one table's, a
 refresh its stale tables'. Serving, ``stats`` and the join index read the
 packed rows and the meta.
 
-The column index is a :class:`~repro.search.backend.ShardedIndex` with the
-store's shard count: queries fan ``query_many`` across the per-shard indexes
-and merge — rankings are bitwise-identical at every shard count, which
-``tests/lake/test_sharding.py`` asserts.
-
-Each shard's sub-index is the exact :class:`~repro.search.index.KnnIndex`;
-``index_spec`` is what the store records for it (the spec a lake was
-written under, so its manifests and fingerprint never change).
+The column index is one exact :class:`~repro.search.index.KnnIndex` over
+every column, whatever the store's shard count: shards partition the
+archives and manifests on disk, not the index. Its rows are the tables'
+columns in insertion order, so answers are bitwise-identical at every shard
+count, which ``tests/lake/test_sharding.py`` asserts. ``index_spec`` is
+what the store records for it (the spec a lake was written under, so its
+manifests and fingerprint never change).
 
 ``embed_calls`` counts trunk *forwards* — the observable guarantee that a
 1-table delta costs one forward, a batched ingest costs ``ceil(N/B)``, and
 a warm load costs none. ``searcher.insertions`` is the analogous index-side
 counter: a warm load assembles the index from the stored vectors in one
-block copy per shard and performs zero.
+block copy and performs zero.
 
 :class:`TabSketchFMSearcher` is the paper's search recipe over a storeless
 catalog — the retrieval system behind Tables V–VIII — so the paper benches
@@ -129,16 +128,14 @@ class LakeCatalog:
                 store.record_index_spec(self.index_spec)
             else:
                 self.index_spec = stored_spec
-        #: Shard count of the column index (and of the attached store).
-        #: Rankings are shard-count-invariant; sharding is a throughput /
-        #: persistence-granularity lever, not a semantics knob.
+        #: Shard count of the attached store (what the ``shards`` request
+        #: filter routes by). The column index is one index at any count:
+        #: sharding is an on-disk persistence lever, not a semantics knob.
         self.n_shards = (
             n_shards if n_shards is not None else LakeStore.DEFAULT_SHARDS
         )
         self.searcher = TableSearcher(
-            self.dim,
-            metric=self.index_spec.params.get("metric", "cosine"),
-            n_shards=self.n_shards,
+            self.dim, metric=self.index_spec.params.get("metric", "cosine")
         )
         #: Built by the first read of :attr:`joins`.
         self._joins: ContainmentIndex | None = None
@@ -163,8 +160,8 @@ class LakeCatalog:
         trunk.
 
         The column index is assembled from the records' own
-        ``column_vectors`` (:meth:`LakeStore.load_index`): one block copy
-        per shard, in the row order the live index kept — zero forwards,
+        ``column_vectors`` (:meth:`LakeStore.load_index`): one block copy,
+        in the row order the live index kept — zero forwards,
         zero insertions, and nothing written, so a read-only snapshot opens
         as it is.
         """

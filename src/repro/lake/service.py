@@ -216,7 +216,7 @@ class LakeService:
         shards (:meth:`LakeStore.reshard`); returns ``(previous shard count,
         tables re-routed)`` — nothing is touched when the two counts agree.
         Stored vectors are re-routed, and the next open assembles the
-        per-shard indexes from them: resharding never re-embeds.
+        index from them: resharding never re-embeds.
         """
         _, _, fingerprint_at = _load_lake(lake_dir)
         old_n = LakeStore.peek_n_shards(lake_dir)

@@ -4,8 +4,7 @@ A lake is **hash-partitioned into N shards** (N = 1 by default); each shard
 is a fully self-contained single-directory store (:class:`LakeShard`) with
 its own manifest and table archives. Tables route to a shard by a stable
 hash of their name (:func:`repro.search.backend.stable_shard`), so a table's
-artifacts — and all of its index rows — always co-locate. There is one
-layout, whatever N::
+artifacts always co-locate. There is one layout, whatever N::
 
     <root>/
       manifest.json          # top-level: {layout, sharded, n_shards,
@@ -18,10 +17,10 @@ layout, whatever N::
             t000001.npz      # one archive per group of up to 64 tables
         s001/...             # a commit wrote (see below)
 
-The vector index is not part of the layout. It is derived state:
-:meth:`LakeStore.load_index` assembles each shard's exact index from the
-``column_vectors`` its table archives already hold, in global insertion
-order — the row order the live index keeps — with one block copy per shard.
+The vector index is not part of the layout. It is derived state, and one
+index at any shard count: :meth:`LakeStore.load_index` assembles the exact
+index from the ``column_vectors`` the table archives already hold, in global
+insertion order — the row order the live index keeps — with one block copy.
 
 **One layout, versioned.** The root manifest records ``layout``
 (:data:`LAYOUT`); every reader goes through :func:`_read_root_manifest`,
@@ -133,7 +132,7 @@ from repro.lake.serialization import (
     pack_table_sketch,
     unpack_table_sketch,
 )
-from repro.search.backend import IndexSpec, ShardedIndex, stable_shard
+from repro.search.backend import IndexSpec, stable_shard
 from repro.search.containment import JoinRows
 from repro.search.index import KnnIndex
 from repro.search.tables import ColumnEntry
@@ -1132,7 +1131,7 @@ class LakeStore:
     # ------------------------------------------------------------------ #
     # The vector index: derived from the table archives
     # ------------------------------------------------------------------ #
-    def save_index(self, index: ShardedIndex, spec: IndexSpec) -> None:
+    def save_index(self, index: KnnIndex, spec: IndexSpec) -> None:
         """Record ``spec`` (:meth:`record_index_spec`) and nothing else:
         the index itself is never persisted, as :meth:`load_index` derives
         it from the table archives. The benchmark replay still calls it."""
@@ -1157,39 +1156,28 @@ class LakeStore:
 
     def load_index(
         self, dim: int, records: "list[LakeTableRecord] | None" = None
-    ) -> ShardedIndex:
-        """The exact index over this store's tables, assembled from the
-        ``column_vectors`` their archives hold (``records``: the
-        :meth:`load_all` output, when the caller already has it).
+    ) -> KnnIndex:
+        """The one exact index over this store's tables, at any shard
+        count, assembled from the ``column_vectors`` their archives hold
+        (``records``: the :meth:`load_all` output, when the caller already
+        has it).
 
-        Each shard's rows are its tables' columns in global insertion order,
-        which is the order the live index keeps (a replaced table's rows
-        stay where they were: :meth:`TableSearcher.add_table
-        <repro.search.tables.TableSearcher.add_table>`). Every shard is one
-        block copy (:meth:`KnnIndex.restore`): no per-row insertion, no
-        forward, nothing written.
+        The rows are every table's columns in global insertion order, which
+        is the order the live index keeps (a replaced table's rows stay
+        where they were: :meth:`TableSearcher.add_table
+        <repro.search.tables.TableSearcher.add_table>`). The vectors are one
+        concatenation, which :meth:`KnnIndex.restore` keeps as its row
+        buffer: no second copy, no per-row insertion, no forward, nothing
+        written.
         """
         spec = self.index_spec() or IndexSpec()
-        keys: list[list[ColumnEntry]] = [[] for _ in self.shards]
-        blocks: list[list[np.ndarray]] = [[] for _ in self.shards]
+        keys: list[ColumnEntry] = []
+        blocks: list[np.ndarray] = []
         for record in self.load_all() if records is None else records:
-            shard_id = self.shard_id(record.name)
-            keys[shard_id] += [ColumnEntry(record.name, c) for c in record.column_names]
-            blocks[shard_id].append(record.column_vectors)
-        subs = [
-            KnnIndex.restore(
-                dim,
-                spec.params,
-                shard_keys,
-                {"vectors": np.concatenate(shard_blocks or [np.zeros((0, dim))])},
-                {},
-            )
-            for shard_keys, shard_blocks in zip(keys, blocks)
-        ]
-        n_shards = self.n_shards
-        return ShardedIndex(
-            dim, subs=subs, router=lambda entry: stable_shard(entry.table, n_shards)
-        )
+            keys += [ColumnEntry(record.name, c) for c in record.column_names]
+            blocks.append(record.column_vectors)
+        vectors = np.concatenate(blocks) if blocks else np.zeros((0, dim))
+        return KnnIndex.restore(dim, spec.params, keys, {"vectors": vectors}, {})
 
     # ------------------------------------------------------------------ #
     def table_names(self) -> list[str]:

@@ -35,10 +35,6 @@ class TablePairDataset:
     #: Output width of the fine-tuning head (2 for binary, 1 for regression).
     num_outputs: int = 2
 
-    @property
-    def all_pairs(self) -> list[TablePair]:
-        return self.train + self.test + self.valid
-
     def stats(self) -> dict:
         """Table-I style statistics: cardinality, shape, dtype distribution."""
         tables = list(self.tables.values())

@@ -1,17 +1,9 @@
-"""Search substrate: the exact nearest-neighbour index behind one
-`VectorIndex` protocol (sharded or not), the Figure-6 table ranking
-algorithm, the exact containment scan that serves join and subset, the
-ranking tail the paper's searchers share, and retrieval metrics (mean F1 /
-P@k / R@k, F1-vs-k curves)."""
+"""Search substrate: the exact nearest-neighbour index, the Figure-6 table
+ranking algorithm, the exact containment scan that serves join and subset,
+the ranking tail the paper's searchers share, and retrieval metrics (mean
+F1 / P@k / R@k, F1-vs-k curves)."""
 
-from repro.search.backend import (
-    IndexSpec,
-    ShardedIndex,
-    VectorIndex,
-    make_index,
-    make_sharded_index,
-    stable_shard,
-)
+from repro.search.backend import IndexSpec, make_index, stable_shard
 from repro.search.containment import (
     ContainmentIndex,
     ContainmentMatch,
@@ -29,10 +21,7 @@ from repro.search.metrics import (
 )
 __all__ = [
     "IndexSpec",
-    "ShardedIndex",
-    "VectorIndex",
     "make_index",
-    "make_sharded_index",
     "stable_shard",
     "ContainmentIndex",
     "ContainmentMatch",

@@ -9,7 +9,7 @@ baselines live in :mod:`repro.sketch.lsh` / :mod:`repro.sketch.simhash`.
 Storage is a capacity-doubling row buffer so the index supports *incremental*
 maintenance: ``add``/``add_many`` are amortized O(1) per row (no re-stacking
 of the whole corpus on the next query). A write costs the rows it writes
-and the rows it moves, and no Python work per row of the shard besides:
+and the rows it moves, and no Python work per row of the index besides:
 every row carries an int id of its key, so ``replace_many`` /
 ``remove_many`` find the rows to drop with one vectorized compare over
 those ids, and the rows behind the change move as block copies, once per
@@ -28,8 +28,8 @@ The data-side term of the distance (row norms for cosine, row sums of
 squares for euclidean) is cached beside the rows and maintained by every
 write, so a query never recomputes it over the corpus; :meth:`restore`
 computes it once over a whole block.
-This class implements the :class:`repro.search.backend.VectorIndex`
-protocol and is the repo's one vector index.
+This class is the repo's one vector index: a lake serves one over every
+column at any shard count (:mod:`repro.search.backend`).
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ from repro import obs
 #: Smallest non-zero row capacity allocated by the growable buffer.
 _MIN_CAPACITY = 8
 
-# Shared with the sharded face in backend.py; registration is idempotent,
-# so both resolve the same metric family.
 _QUERIES = obs.counter(
     "index_queries_total", "Vector-index query rows answered, by backend", ("backend",)
 ).labels(backend="exact")
@@ -238,7 +236,7 @@ class KnnIndex:
         each row's top-k — the vectorized form of q separate ``query``
         calls. Both arrays are ``(q, min(k, n))``; row ids index
         :attr:`row_keys`. This is the index's one scoring routine:
-        :meth:`query_many` and the sharded merge are built on it.
+        :meth:`query_many` and the table ranking are built on it.
         """
         with obs.span("index.query", backend="exact") as timed:
             rows, distances = self._top_k(matrix, k)
@@ -301,6 +299,17 @@ class KnnIndex:
         not a copy, so read it, never mutate it."""
         return self._keys
 
+    @property
+    def subs(self) -> tuple["KnnIndex"]:
+        """``(self,)``: this index as the one sub-index of itself.
+
+        Kept only because the lake benchmark's replay still times
+        ``searcher.index.subs`` one by one for its
+        ``search.shard_merge_ms`` row; the replay port (ROADMAP item 7)
+        deletes this property with it.
+        """
+        return (self,)
+
     def __contains__(self, key) -> bool:
         return key in self._key_ids
 
@@ -321,9 +330,15 @@ class KnnIndex:
     def restore(
         cls, dim: int, params: dict, keys: list, arrays: dict, meta: dict
     ) -> "KnnIndex":
-        """An index over ``keys`` and the row-aligned ``arrays["vectors"]``
-        in one block copy, with no per-row insertion — how a lake assembles
-        each shard's index from its stored column vectors at open."""
+        """An index over ``keys`` and the row-aligned ``arrays["vectors"]``,
+        with no per-row insertion — how a lake assembles its index from the
+        stored column vectors at open.
+
+        A writable C-contiguous float64 block becomes the index's row
+        buffer as it is, so a caller that built the block for the index
+        (:meth:`repro.lake.store.LakeStore.load_index`'s one concatenation)
+        pays no second copy; pass a copy to keep using yours. Any other
+        block is copied once."""
         metric = meta.get("metric", params.get("metric", "cosine"))
         index = cls(dim, metric=metric)
         vectors = np.asarray(arrays["vectors"], dtype=np.float64).reshape(-1, dim)
@@ -332,7 +347,8 @@ class KnnIndex:
                 f"index state has {vectors.shape[0]} rows but "
                 f"{len(keys)} keys"
             )
-        index._data = vectors.copy()
+        owned = vectors.flags.writeable and vectors.flags.c_contiguous
+        index._data = vectors if owned else vectors.copy()
         index._terms = index._row_terms(index._data)
         index._size = vectors.shape[0]
         index._keys = list(keys)

@@ -12,13 +12,14 @@ Definitions (verbatim from the figure, adapted to code):
 - ``RANK1`` — prefer tables matching the *largest number* of query columns;
 - ``RANK2`` — tie-break by the *smallest sum* of column distances.
 
-KNNSEARCH is exact (:class:`repro.search.index.KnnIndex`, sharded by table
-name). The ranking runs on the index's top-k *arrays*: one
-:meth:`~repro.search.backend.ShardedIndex.top_k` call answers all of a
-query table's columns, then one pass per query column reads its candidates
-in ascending distance — a table's first hit is its closest — keeping each
-table's evidence and a running distance sum, and one sort orders the
-tables. No ``(key, distance)`` tuple is built per candidate.
+KNNSEARCH is exact: one :class:`repro.search.index.KnnIndex` over every
+column, whatever the lake's shard count. The ranking runs on the index's
+top-k *arrays*: one :meth:`~repro.search.index.KnnIndex.top_k` call
+answers all of a query table's columns, then one pass per query column
+reads its candidates in ascending distance — a table's first hit is its
+closest — keeping each table's evidence and a running distance sum, and one
+sort orders the tables. No ``(key, distance)`` tuple is built per
+candidate.
 
 :meth:`TableSearcher.rank` is the one scored entry point: the lake
 service's union (its join and subset rank by containment,
@@ -38,12 +39,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.search.backend import (
-    IndexSpec,
-    ShardedIndex,
-    make_sharded_index,
-    stable_shard,
-)
+from repro.search.backend import IndexSpec, make_index
+from repro.search.index import KnnIndex
 
 #: KNNSEARCH over-fetches ``k * CANDIDATE_FACTOR`` columns per query column.
 CANDIDATE_FACTOR = 3
@@ -83,33 +80,23 @@ class TableSearcher:
     #: replay sizes a standalone ``query_many`` from it).
     candidate_factor = CANDIDATE_FACTOR
 
-    def __init__(self, dim: int, metric: str = "cosine", n_shards: int = 1):
+    def __init__(self, dim: int, metric: str = "cosine"):
         self.dim = dim
         self.backend_spec = IndexSpec(params={"metric": metric})
-        self.n_shards = n_shards
-        # Hash-partitioned column index: a table's columns co-locate
-        # (routed by table name), queries fan + merge across shards with
-        # shard-count-invariant rankings. One shard is the same face over
-        # one sub-index, whose answer passes straight through.
-        self.index: ShardedIndex = make_sharded_index(
-            self.backend_spec,
-            dim,
-            n_shards,
-            router=lambda entry: stable_shard(entry.table, n_shards),
-        )
+        self.index: KnnIndex = make_index(self.backend_spec, dim)
         self._columns_by_table: dict[str, list[ColumnEntry]] = defaultdict(list)
         #: Rows inserted through this searcher — a warm restore via
         #: :meth:`adopt_index` performs none, which the lake benches assert.
         self.insertions = 0
 
     # ------------------------------------------------------------------ #
-    def adopt_index(self, index: ShardedIndex) -> None:
+    def adopt_index(self, index: KnnIndex) -> None:
         """Serve a prebuilt index (a warm lake's, assembled from its stored
         vectors) as-is.
 
         Rebuilds the per-table bookkeeping from the index's own key list —
-        zero insertions, so a warm lake open costs one block copy per
-        shard, never a per-row reconstruction.
+        zero insertions, so a warm lake open costs one block copy, never a
+        per-row reconstruction.
         """
         if index.dim != self.dim:
             raise ValueError(
@@ -125,7 +112,7 @@ class TableSearcher:
         """Index all of a table's columns in one bulk write.
 
         A table already indexed has its rows replaced where they stand, so
-        each shard's rows stay in the order their tables were first added —
+        the rows stay in the order their tables were first added —
         the order :meth:`repro.lake.store.LakeStore.load_index` assembles a
         stored lake in, which is what makes a warm open equal the live
         index row for row (exact distance ties break by row order).
@@ -185,7 +172,7 @@ class TableSearcher:
         :class:`RankedTables`, which builds each :class:`TableMatch` when
         it is read, so the tail a caller never reads costs no objects.
 
-        One :meth:`ShardedIndex.top_k` call answers every query column.
+        One :meth:`KnnIndex.top_k` call answers every query column.
         Each column's candidates arrive ascending, so the first hit of a
         table is its closest (the earlier on a tie); keys are read up to
         the column's cut and not for the over-fetched tail past it. A
@@ -210,17 +197,17 @@ class TableSearcher:
             if exclude_table is not None
             else 0
         )
-        shards, rows, distances = self.index.top_k(matrix, want + excluded)
-        keys = [sub.row_keys for sub in self.index.subs]
+        rows, distances = self.index.top_k(matrix, want + excluded)
+        keys = self.index.row_keys
         # table -> union: [distance sum, evidence]; join: best evidence.
         found: dict = {}
-        for (query_column, _), hit_shards, hit_rows, hit_distances in zip(
-            pairs, shards.tolist(), rows.tolist(), distances.tolist()
+        for (query_column, _), hit_rows, hit_distances in zip(
+            pairs, rows.tolist(), distances.tolist()
         ):
             seen = set()
             kept = 0
-            for shard, row, distance in zip(hit_shards, hit_rows, hit_distances):
-                entry = keys[shard][row]
+            for row, distance in zip(hit_rows, hit_distances):
+                entry = keys[row]
                 table = entry.table
                 if table == exclude_table:
                     continue

@@ -112,12 +112,6 @@ class HashedSentenceEncoder:
         norm = np.linalg.norm(out)
         return out / norm if norm > 0 else out
 
-    def encode_many(self, texts: list[str]) -> np.ndarray:
-        """Stacked embeddings, shape ``(len(texts), dim)``."""
-        if not texts:
-            return np.zeros((0, self.dim))
-        return np.stack([self.encode(t) for t in texts])
-
     def encode_column(self, column: Column, top_values: int = 100) -> np.ndarray:
         """Column embedding via the top-100-unique-values sentence (§IV-C1)."""
         return self.encode(column_sentence(column, top_values))

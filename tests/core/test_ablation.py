@@ -1,5 +1,7 @@
 """Sketch-ablation configurations (Tables III/IV)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.ablation import FULL_SELECTION, ablation_selections
@@ -44,7 +46,7 @@ def test_selection_tags():
 
 def test_config_with_selection_round_trip(tiny_config):
     selection = SketchSelection(use_minhash=False)
-    updated = tiny_config.with_selection(selection)
+    updated = replace(tiny_config, selection=selection)
     assert updated.selection == selection
     assert updated.dim == tiny_config.dim
     assert tiny_config.selection.use_minhash  # original untouched

@@ -27,12 +27,12 @@ def test_table_embedding_shape(embedder, city_sketch):
 
 
 def test_column_embeddings_shape(embedder, city_sketch):
-    vectors = embedder.column_embeddings(city_sketch)
+    vectors = embedder.engine.embed_batch([city_sketch])[0].columns
     assert vectors.shape == (city_sketch.n_cols, embedder.dim)
 
 
 def test_columns_have_distinct_embeddings(embedder, city_sketch):
-    vectors = embedder.column_embeddings(city_sketch)
+    vectors = embedder.engine.embed_batch([city_sketch])[0].columns
     assert not np.allclose(vectors[0], vectors[1])
 
 
@@ -77,7 +77,7 @@ def test_concat_normalized_balances_scales():
 def test_finalize_column_vectors_sbert_half_needs_the_table(embedder, city_sketch):
     """The SBERT half reads raw cell values: without the Table it fails
     with an explanatory ValueError, not a KeyError."""
-    columns = embedder.column_embeddings(city_sketch)
+    columns = embedder.engine.embed_batch([city_sketch])[0].columns
     with pytest.raises(ValueError, match="sbert"):
         finalize_column_vectors(
             columns, city_sketch, sbert=HashedSentenceEncoder(dim=16)

@@ -1,5 +1,7 @@
 """Input encoding: the six aligned signals of Fig. 1."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -96,8 +98,11 @@ def test_column_minhash_row_layout(tiny_encoder, city_sketch):
 def test_sketch_selection_zeroes_disabled_inputs(tiny_config, tiny_tokenizer, city_sketch):
     from repro.core.inputs import InputEncoder
 
-    config = tiny_config.with_selection(
-        SketchSelection(use_minhash=False, use_numeric=False, use_snapshot=False)
+    config = replace(
+        tiny_config,
+        selection=SketchSelection(
+            use_minhash=False, use_numeric=False, use_snapshot=False
+        ),
     )
     encoder = InputEncoder(config, tiny_tokenizer)
     encoded = encoder.encode_table(city_sketch)

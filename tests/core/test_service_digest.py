@@ -83,7 +83,7 @@ SERVED_DIGESTS = {
     ("disk-4", "discover:join"):
         "93d11fdbce25cb91e1d108b968c168984a65ee15e9d36c7121ba9d64442c3d7f",
     ("disk-4", "discover:union"):
-        "17f39d505809998a92eb8e78579bf3f6f2f85b98fc5f64b5b4dbfdb72206e230",
+        "8d1f313a1c84a22adc60ee481f95c9f1718ed47782759188eb61b0f2047c8da8",
     ("disk-4", "discover:subset"):
         "c7f661b7a83fbdc703be7ded06252f4b92b7323d59e6d6463f2ee21ede8698ab",
     ("disk-4", "discover_stats"):
@@ -91,7 +91,7 @@ SERVED_DIGESTS = {
     ("disk-4", "discover_batch:join"):
         "17bd93998b53695172bc8899b54c8b24afa2c4eece146b558755838e4cb53159",
     ("disk-4", "discover_batch:union"):
-        "c238527e250e9659e1cf187e9c96f97ff2b3d9db31c63ce64f032336e8689a22",
+        "7f5e435a7ad3f06a65c2950e62aa704cef1857f6d57a67c5f62f2af07eb877be",
     ("disk-4", "discover_batch:subset"):
         "c7f661b7a83fbdc703be7ded06252f4b92b7323d59e6d6463f2ee21ede8698ab",
     ("disk-4", "discover_batch_stats"):
@@ -109,11 +109,11 @@ REFRESH_BLIND_DIGESTS = {
     ("disk-4", "discover:join without refreshed"):
         "21c577e78e5ac27a823c918adfc5087920e0e71d411c068271d28bb6c65ef276",
     ("disk-4", "discover:union without refreshed"):
-        "0b1c3b672934e66cc375595efe8bf22f0d7a679a0ab6055b0c6ac101125b988b",
+        "9c16e3dc4ff70ac363b804ed2dee5996f9923104e296eec1f41d2ad28839eb24",
     ("disk-4", "discover_batch:join without refreshed"):
         "c7e4f3e9b6e4bd78fc6ab6ac339bb5b2dfd749b0c795985273188f8d5d66334a",
     ("disk-4", "discover_batch:union without refreshed"):
-        "295cb67f77c29025f64bf9823393a5ce77dbfe3a31064ceed1d1ccd02f7d7893",
+        "2e731ff15242569a90eec29645c767e2ca166c8bdefcf7cab1655671926b80a9",
     ("storeless-1", "discover:join without refreshed"):
         "21c577e78e5ac27a823c918adfc5087920e0e71d411c068271d28bb6c65ef276",
     ("storeless-1", "discover:union without refreshed"):

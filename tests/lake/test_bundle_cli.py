@@ -27,8 +27,9 @@ def test_bundle_roundtrip_reproduces_embeddings(
         tiny_model.config, model=tiny_model
     )
     sketch = sketch_table(city_table, tiny_sketch_config)
-    original = TableEmbedder(tiny_model, tiny_encoder).column_embeddings(sketch)
-    restored = TableEmbedder(model, encoder).column_embeddings(sketch)
+    original = TableEmbedder(tiny_model, tiny_encoder).engine.embed_batch([sketch])
+    restored = TableEmbedder(model, encoder).engine.embed_batch([sketch])
+    original, restored = original[0].columns, restored[0].columns
     assert np.array_equal(original, restored)
 
 

@@ -15,7 +15,7 @@ from repro.lake.serialization import (
     config_fingerprint,
 )
 from repro.lake.store import LakeStore
-from repro.search.backend import IndexSpec, ShardedIndex
+from repro.search.backend import IndexSpec
 from repro.search.index import KnnIndex
 
 
@@ -24,14 +24,6 @@ def _build(lake_embedder, lake_tables, tmp_path):
     catalog = LakeCatalog(lake_embedder, store=store)
     catalog.add_tables(lake_tables)
     return catalog
-
-
-def _assert_backend_class(catalog, cls):
-    """Every shard of the live index is a `cls`."""
-    index = catalog.searcher.index
-    assert isinstance(index, ShardedIndex)
-    assert index.n_shards == catalog.n_shards
-    assert all(isinstance(sub, cls) for sub in index.subs)
 
 
 # --------------------------------------------------------------------- #
@@ -112,10 +104,10 @@ def test_same_schema_vector_drift_detected(lake_embedder, lake_tables, tmp_path)
     assert np.array_equal(
         warm.records["g1t1"].column_vectors, record.column_vectors
     )
-    shard = warm.searcher.index.subs[warm.store.shard_id("g1t1")]
-    rows = [i for i, key in enumerate(shard.keys()) if key.table == "g1t1"]
+    index = warm.searcher.index
+    rows = [i for i, key in enumerate(index.keys()) if key.table == "g1t1"]
     assert np.array_equal(
-        shard.state_arrays()[0]["vectors"][rows], record.column_vectors
+        index.state_arrays()[0]["vectors"][rows], record.column_vectors
     ), "the warm index serves the archive's (newer) vectors"
 
 
@@ -223,12 +215,12 @@ def test_catalog_keeps_the_spec_a_store_recorded(lake_embedder, tmp_path):
     store.record_index_spec(spec)
     catalog = LakeCatalog(lake_embedder, store=LakeStore.open(tmp_path))
     assert catalog.index_spec == spec
-    assert all(sub.metric == "euclidean" for sub in catalog.searcher.index.subs)
+    assert catalog.searcher.index.metric == "euclidean"
     assert LakeStore.peek_index_spec(tmp_path) == spec
 
 
 def test_default_backend_is_exact(lake_embedder):
     catalog = LakeCatalog(lake_embedder)
     assert catalog.index_spec == IndexSpec("exact", {})
-    _assert_backend_class(catalog, KnnIndex)
+    assert isinstance(catalog.searcher.index, KnnIndex)
     assert catalog.stats()["index_backend"] == "exact"

@@ -25,7 +25,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.lake import store as store_module
 from repro.lake.store import LakeStore, LakeTableRecord, _read_shard_manifest
-from repro.search.backend import IndexSpec, make_sharded_index, stable_shard
+from repro.search.backend import IndexSpec, make_index
 from repro.search.tables import ColumnEntry
 from repro.sketch.pipeline import SketchConfig, sketch_table
 from repro.table.schema import table_from_rows
@@ -73,10 +73,7 @@ def _record(name: str, variant: int = 0, metadata: dict | None = None) -> LakeTa
 
 
 def _index(store: LakeStore):
-    n_shards = store.n_shards
-    index = make_sharded_index(
-        IndexSpec(), 8, n_shards, router=lambda entry: stable_shard(entry.table, n_shards)
-    )
+    index = make_index(IndexSpec(), 8)
     rng = np.random.default_rng(0)
     index.add_many(
         [(ColumnEntry(name, "key"), rng.normal(size=8)) for name in store.table_names()]

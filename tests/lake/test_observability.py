@@ -12,6 +12,7 @@ import pytest
 
 from repro import obs
 from repro.lake.api import DiscoveryRequest
+from repro.lake.catalog import LakeCatalog
 from repro.lake.service import LakeService
 from repro.lake.store import LakeStore, LakeTableRecord
 
@@ -93,6 +94,27 @@ def test_query_histogram_reconciles_with_timings(service, lake_tables):
     assert hist.total_count == count
     assert hist.total_sum == pytest.approx(totals, rel=0.01)
     assert registry.get("lake_queries_total").value == count
+
+
+def test_a_union_query_counts_each_query_column_once(
+    tmp_path, lake_embedder, lake_tables
+):
+    """``index_queries_total`` counts query rows: a member union query of q
+    columns adds exactly q to the family, at any shard count (the
+    directory's ``lake_layout_shards`` runs it at 1 and at 4)."""
+    catalog = LakeCatalog(lake_embedder, store=LakeStore(tmp_path, "fp"))
+    catalog.add_tables(lake_tables)
+    service = LakeService(catalog)
+    queries = obs.get_registry().get("index_queries_total")
+    was_enabled = obs.enabled()
+    obs.set_enabled(True)
+    try:
+        before = queries.value
+        service.discover(DiscoveryRequest(mode="union", k=5, table="g0t0"))
+        added = queries.value - before
+    finally:
+        obs.set_enabled(was_enabled)
+    assert added == len(catalog.records["g0t0"].column_names)
 
 
 # --------------------------------------------------------------------- #

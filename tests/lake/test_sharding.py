@@ -1,12 +1,14 @@
 """Shard-count parity property tests.
 
-The whole point of sharding is that it is *invisible* to query semantics:
-for randomized lakes, a store partitioned into N ∈ {2, 4} shards must return
-byte-identical query rankings, ``stats()``, and ``table_names()`` to the
-one-shard store — cold-built or after a close → warm ``open`` round
-trip — and a lake built
-through incremental mutations must, at every N, serve the rankings the
-flat-layout code recorded for the same corpus (``data/flat_store``).
+Sharding partitions the store on disk and is *invisible* to query
+semantics: the catalog serves one column index at every shard count. For
+randomized lakes, a store partitioned into N ∈ {2, 4} shards must return
+the one-shard store's answers bit for bit — every hit's table, score,
+distance sum and match distances — and its ``stats()`` and
+``table_names()``, cold-built or after a close → warm ``open`` round trip.
+A lake built through incremental mutations must do the same, and at every
+N serve the rankings the flat-layout code recorded for the same corpus
+(``data/flat_store``).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from repro.lake.bundle import load_bundle
 from repro.lake.catalog import LakeCatalog
 from repro.lake.service import LakeService
 from repro.lake.store import LakeStore
-from repro.search.backend import ShardedIndex, stable_shard
+from repro.search.backend import stable_shard
 from repro.table.schema import Table, table_from_rows
 
 MODES = ("join", "union", "subset")
@@ -60,22 +62,37 @@ def _random_tables(seed: int, n: int = 12) -> dict[str, Table]:
     return tables
 
 
-def _ranked(service, query, mode="union", k=10, column=None) -> list[str]:
-    """Ranked table names for a member name or an external ``Table``."""
+def _ranked(service, query, mode="union", k=10, column=None) -> list:
+    """The whole answer for a member name or an external ``Table``, to the
+    bit: each hit's table, score, matched count, distance sum and matches,
+    floats as ``float.hex``."""
     named = {"payload": query} if isinstance(query, Table) else {"table": query}
     request = DiscoveryRequest(mode=mode, k=k, column=column, **named)
-    return service.discover(request).tables()
+    return [
+        (
+            hit.table,
+            hit.score.hex(),
+            hit.n_matched_columns,
+            hit.distance_sum.hex(),
+            [(m.query_column, m.table_column, m.distance.hex()) for m in hit.matches],
+        )
+        for hit in service.discover(request).hits
+    ]
 
 
-def _rankings(service: LakeService, names, probe: Table, k: int = 5) -> dict:
-    """Every mode over every member plus an external probe table."""
+def _rankings(
+    service: LakeService, names, probe: Table | None = None, k: int = 5
+) -> dict:
+    """Every mode over every member, plus an external probe table if one
+    is given."""
     out = {
         mode: {name: _ranked(service, name, mode=mode, k=k) for name in names}
         for mode in MODES
     }
-    out["external"] = {
-        mode: _ranked(service, probe, mode=mode, k=k) for mode in MODES
-    }
+    if probe is not None:
+        out["external"] = {
+            mode: _ranked(service, probe, mode=mode, k=k) for mode in MODES
+        }
     return out
 
 
@@ -110,7 +127,7 @@ def test_sharded_store_matches_one_shard_store(tmp_path, lake_embedder, seed):
         assert _comparable_stats(catalog) == one_stats
         assert _rankings(LakeService(catalog), names, probe) == one_rankings
 
-        # Close → warm open: the persisted per-shard indexes are adopted
+        # Close → warm open: the index is assembled from the stored vectors
         # (zero insertions, zero trunk forwards) and answers stay identical.
         warm = LakeCatalog.from_store(lake_embedder, LakeStore.open(root))
         assert warm.embed_calls == 0
@@ -127,32 +144,35 @@ def test_sharded_store_matches_one_shard_store(tmp_path, lake_embedder, seed):
 @pytest.mark.parametrize("n_shards", (1,) + SHARD_COUNTS)
 def test_parity_survives_incremental_mutations(tmp_path, flat_fixture, n_shards):
     """Bulk add, remove, staged replace: at every shard count the lake
-    serves what the flat-layout code recorded for the same sequence (so
-    every count equals every other), live and after a warm open."""
+    serves what the flat-layout code recorded for the same sequence, and
+    bit for bit what the one-shard lake serves, live and after a warm
+    open."""
     model, encoder, _ = load_bundle(flat_fixture.lake)
-    store = LakeStore(tmp_path, "fp", n_shards=n_shards)
-    catalog = LakeCatalog(TableEmbedder(model, encoder), store=store)
-    flat_fixture.build_state(catalog)
+    embedder = TableEmbedder(model, encoder)
+    served = {}
+    for count in sorted({1, n_shards}):
+        store = LakeStore(tmp_path / f"s{count}", "fp", n_shards=count)
+        catalog = LakeCatalog(embedder, store=store)
+        flat_fixture.build_state(catalog)
+        served[count] = _rankings(LakeService(catalog), catalog.table_names())
     flat_fixture.assert_serves(LakeService(catalog))
+    assert served[n_shards] == served[1]
 
-    warm = LakeCatalog.from_store(
-        TableEmbedder(model, encoder), LakeStore.open(tmp_path)
-    )
+    warm = LakeCatalog.from_store(embedder, LakeStore.open(store.root))
     assert warm.searcher.insertions == 0 and warm.embed_calls == 0
     assert warm.store.table_names() == catalog.table_names()
     flat_fixture.assert_serves(LakeService(warm))
+    assert _rankings(LakeService(warm), warm.table_names()) == served[1]
 
 
 def test_sharded_catalog_routes_tables_to_owning_shard(tmp_path, lake_embedder):
-    """Structural invariant behind the parity: every table's columns live
-    in exactly the shard its name hashes to, in store and index alike."""
+    """Every table's artifacts live in exactly the shard its name hashes
+    to."""
     tables = _random_tables(seed=3, n=8)
     store = LakeStore(tmp_path, "fp", n_shards=4)
     catalog = LakeCatalog(lake_embedder, store=store)
     catalog.add_tables(tables)
-    index = catalog.searcher.index
-    assert isinstance(index, ShardedIndex)
-    for name, record in catalog.records.items():
+    for name in catalog.records:
         owner = stable_shard(name, 4)
         assert name in store.shards[owner]
         assert all(
@@ -160,5 +180,3 @@ def test_sharded_catalog_routes_tables_to_owning_shard(tmp_path, lake_embedder):
             for k, shard in enumerate(store.shards)
             if k != owner
         )
-        sub_tables = {entry.table for entry in index.subs[owner].keys()}
-        assert name in sub_tables

@@ -21,7 +21,7 @@ import pytest
 from repro.lake import store as store_module
 from repro.lake.legacy import migrate
 from repro.lake.store import LakeStore, LakeTableRecord
-from repro.search.backend import IndexSpec, make_sharded_index, stable_shard
+from repro.search.backend import IndexSpec, make_index
 from repro.search.tables import ColumnEntry
 from repro.sketch.pipeline import sketch_table
 
@@ -149,13 +149,10 @@ def test_stats_sums_manifest_recorded_sizes(
 # --------------------------------------------------------------------- #
 # The vector index, assembled from the table archives
 # --------------------------------------------------------------------- #
-def _column_index(n_shards, n=12, dim=8, seed=0):
+def _column_index(n=12, dim=8, seed=0):
     """A populated index with the shape a `TableSearcher` builds."""
     rng = np.random.default_rng(seed)
-    index = make_sharded_index(
-        IndexSpec(), dim, n_shards,
-        router=lambda entry: stable_shard(entry.table, n_shards),
-    )
+    index = make_index(IndexSpec(), dim)
     index.add_many(
         [
             (ColumnEntry(f"t{i % 4}", f"c{i}"), rng.normal(size=dim))
@@ -168,8 +165,9 @@ def _column_index(n_shards, n=12, dim=8, seed=0):
 def test_load_index_assembles_the_stored_vectors(
     tmp_path, city_table, product_table, tiny_sketch_config
 ):
-    """Each shard's index is its tables' columns in global insertion order,
-    the stored vectors bit for bit; a replaced table keeps its rows' place."""
+    """The index is every table's columns in global insertion order, at any
+    shard count, the stored vectors bit for bit; a replaced table keeps its
+    rows' place."""
     store = LakeStore(tmp_path, "fp")
     records = [
         _record(table, tiny_sketch_config, seed=seed)
@@ -180,28 +178,20 @@ def test_load_index_assembles_the_stored_vectors(
     store.save_table(records[0])
 
     index = LakeStore.open(tmp_path).load_index(8)
-    assert index.n_shards == store.n_shards
-    expected = [[] for _ in range(store.n_shards)]
-    for record in records:
-        expected[store.shard_id(record.name)].append(record)
-    for sub, shard_records in zip(index.subs, expected):
-        assert sub.keys() == [
-            ColumnEntry(record.name, column)
-            for record in shard_records
-            for column in record.column_names
-        ]
-        arrays, _ = sub.state_arrays()
-        assert np.array_equal(
-            arrays["vectors"],
-            np.concatenate(
-                [r.column_vectors for r in shard_records] or [np.zeros((0, 8))]
-            ),
-        )
+    assert index.keys() == [
+        ColumnEntry(record.name, column)
+        for record in records
+        for column in record.column_names
+    ]
+    arrays, _ = index.state_arrays()
+    assert np.array_equal(
+        arrays["vectors"], np.concatenate([r.column_vectors for r in records])
+    )
 
 
 def test_an_empty_store_assembles_an_empty_index(tmp_path):
     index = LakeStore(tmp_path, "fp").load_index(8)
-    assert index.n_shards == LakeStore.DEFAULT_SHARDS and len(index) == 0
+    assert len(index) == 0 and index.keys() == []
 
 
 def test_save_index_records_the_spec_and_writes_no_index(tmp_path):
@@ -212,7 +202,7 @@ def test_save_index_records_the_spec_and_writes_no_index(tmp_path):
     assert store.index_spec() is None
     spec = IndexSpec(params={"metric": "cosine"})
     before = sorted(path for path in tmp_path.rglob("*") if path.is_file())
-    store.save_index(_column_index(store.n_shards), spec)
+    store.save_index(_column_index(), spec)
     assert sorted(path for path in tmp_path.rglob("*") if path.is_file()) == before
     assert LakeStore.peek_index_spec(tmp_path) == spec
     reopened = LakeStore.open(tmp_path)
@@ -263,11 +253,10 @@ def test_corrupt_index_archive_degrades_to_rebuild(
     restored = LakeStore.open(tmp_path).load_index(8)
     gc.collect()
     assert len(restored) == len(expected) > 0
-    for sub, want in zip(restored.subs, expected.subs):
-        assert sub.keys() == want.keys()
-        assert np.array_equal(
-            sub.state_arrays()[0]["vectors"], want.state_arrays()[0]["vectors"]
-        )
+    assert restored.keys() == expected.keys()
+    assert np.array_equal(
+        restored.state_arrays()[0]["vectors"], expected.state_arrays()[0]["vectors"]
+    )
     assert not list(tmp_path.rglob("index.npz"))
 
 

@@ -1,10 +1,11 @@
 """A warm open serves the index the closed catalog served, row for row.
 
-The index is never persisted: :meth:`LakeStore.load_index` assembles each
-shard's from the tables' stored ``column_vectors`` in global insertion
-order, and the live index keeps that order (an update or refresh replaces a
-table's rows where they stand). Exact distance ties break by row order, so
-anything less than row-for-row equality can change an answer. A Hypothesis
+The index is never persisted: :meth:`LakeStore.load_index` assembles it,
+one index at any shard count, from the tables' stored ``column_vectors`` in
+global insertion order, and the live index keeps that order (an update or
+refresh replaces a table's rows where they stand). Exact distance ties
+break by row order, so anything less than row-for-row equality can change
+an answer. A Hypothesis
 state machine drives a catalog through adds, updates, appends, refreshes,
 removes, reopens and reshards (1 <-> 4 shards); tables with identical
 contents under different names make exact ties. Each example first
@@ -13,12 +14,11 @@ compacts, folding the journal lines written before, and the lake is small
 enough that more compactions follow. Archives hold at most two tables here
 (the ``small_archives`` fixture), so the seeded tables, bulk adds and
 reshards span several shared archives that updates, appends and removes then thin
-out. After every reopen each sub-index's keys and vector bytes equal the
-live ones, and so do the answers in all three modes, the join answers on
-every column and every member's whole subset answer; after every reshard
-they equal a cold rebuild of the same records at the new shard count, and
-the join and subset answers those before it; and after every step the
-archives on disk are exactly those live entries name.
+out. After every reopen and every reshard the index's keys and vector
+bytes equal the live ones, and so do the answers in all three modes, the
+join answers on every column and every member's whole subset answer; after
+every reshard the index also equals a cold rebuild of the same records; and
+after every step the archives on disk are exactly those live entries name.
 """
 
 from __future__ import annotations
@@ -100,20 +100,18 @@ def _subsets(catalog: LakeCatalog) -> dict:
 
 
 def _assert_same_index(live: TableSearcher, warm: TableSearcher) -> None:
-    assert len(live.index.subs) == len(warm.index.subs)
-    for live_sub, warm_sub in zip(live.index.subs, warm.index.subs):
-        assert warm_sub.keys() == live_sub.keys()
-        assert (
-            warm_sub.state_arrays()[0]["vectors"].tobytes()
-            == live_sub.state_arrays()[0]["vectors"].tobytes()
-        )
+    assert warm.index.keys() == live.index.keys()
+    assert (
+        warm.index.state_arrays()[0]["vectors"].tobytes()
+        == live.index.state_arrays()[0]["vectors"].tobytes()
+    )
 
 
 def _assert_like_a_cold_rebuild(warm: LakeCatalog) -> None:
     """The index of ``warm`` is the one adding its records, in order, to a
-    fresh searcher at its shard count builds, and ranks the same: with and
-    without ``join``, which is what tells the three modes' hits apart."""
-    cold = TableSearcher(warm.dim, n_shards=warm.n_shards)
+    fresh searcher builds, and ranks the same: with and without ``join``,
+    which is what tells the three modes' hits apart."""
+    cold = TableSearcher(warm.dim)
     for record in warm.records.values():
         cold.add_table(record.name, record.column_names, record.column_vectors)
     _assert_same_index(cold, warm.searcher)
@@ -249,11 +247,14 @@ def test_a_reopened_catalog_serves_the_live_index(
         @rule()
         def reshard(self):
             n_shards = 4 if self.catalog.n_shards == 1 else 1
+            answers = _answers(self.catalog)
             joins, subsets = _joins(self.catalog), _subsets(self.catalog)
             self.catalog.store.reshard(n_shards, "fp")
             warm = self._warm()
             assert warm.n_shards == n_shards
+            _assert_same_index(self.catalog.searcher, warm.searcher)
             _assert_like_a_cold_rebuild(warm)
+            assert _answers(warm) == answers
             assert _joins(warm) == joins
             assert _subsets(warm) == subsets
             self.catalog = warm

@@ -123,7 +123,7 @@ def _rankings(searcher, records) -> dict:
 
 def _assert_ranks_like_a_cold_rebuild(catalog: LakeCatalog) -> None:
     records = list(catalog.records.values())
-    cold = TableSearcher(catalog.dim, n_shards=catalog.n_shards)
+    cold = TableSearcher(catalog.dim)
     for record in records:
         cold.add_table(record.name, record.column_names, record.column_vectors)
     warm, rebuilt = _rankings(catalog.searcher, records), _rankings(cold, records)

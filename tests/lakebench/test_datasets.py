@@ -13,12 +13,17 @@ from repro.sketch.minhash import exact_containment, exact_jaccard
 SCALE = 0.2
 
 
+def _pairs(dataset):
+    """Every labelled pair of ``dataset``, all three splits."""
+    return dataset.train + dataset.test + dataset.valid
+
+
 @pytest.mark.parametrize("name", list(DATASET_BUILDERS))
 def test_dataset_integrity(name):
     dataset = DATASET_BUILDERS[name](scale=SCALE)
     assert dataset.name == name
     # Every pair references existing tables.
-    for pair in dataset.all_pairs:
+    for pair in _pairs(dataset):
         assert pair.first in dataset.tables
         assert pair.second in dataset.tables
     # Splits are non-empty and disjoint by construction order.
@@ -38,8 +43,8 @@ def test_tus_santos_headers_discriminate():
         b = set(dataset.tables[pair.second].header)
         return len(a & b) / len(a | b)
 
-    positives = [header_overlap(p) for p in dataset.all_pairs if p.label == 1]
-    negatives = [header_overlap(p) for p in dataset.all_pairs if p.label == 0]
+    positives = [header_overlap(p) for p in _pairs(dataset) if p.label == 1]
+    negatives = [header_overlap(p) for p in _pairs(dataset) if p.label == 0]
     assert np.mean(positives) > np.mean(negatives) + 0.3
 
 
@@ -53,7 +58,7 @@ def test_wiki_union_headers_uninformative():
 def test_wiki_union_has_zero_overlap_positives():
     dataset = make_wiki_union(scale=SCALE)
     zero_overlap = 0
-    for pair in dataset.all_pairs:
+    for pair in _pairs(dataset):
         if pair.label != 1:
             continue
         a = set(dataset.tables[pair.first].columns[0].values)
@@ -65,7 +70,7 @@ def test_wiki_union_has_zero_overlap_positives():
 
 def test_ecb_union_label_counts_scale_matched_columns():
     dataset = make_ecb_union(scale=SCALE)
-    for pair in dataset.all_pairs[:20]:
+    for pair in _pairs(dataset)[:20]:
         a = dataset.tables[pair.first]
         b = dataset.tables[pair.second]
         indicators_a = dict(a.metadata["indicators"])
@@ -80,7 +85,7 @@ def test_ecb_union_label_counts_scale_matched_columns():
 
 def test_wiki_jaccard_labels_are_exact():
     dataset = make_wiki_jaccard(scale=SCALE)
-    for pair in dataset.all_pairs[:20]:
+    for pair in _pairs(dataset)[:20]:
         a = set(dataset.tables[pair.first].columns[0].values)
         b = set(dataset.tables[pair.second].columns[0].values)
         assert pair.label == pytest.approx(exact_jaccard(a, b))
@@ -90,7 +95,7 @@ def test_wiki_containment_labels_are_exact():
     from repro.lakebench.joins import make_wiki_containment
 
     dataset = make_wiki_containment(scale=SCALE)
-    for pair in dataset.all_pairs[:20]:
+    for pair in _pairs(dataset)[:20]:
         a = set(dataset.tables[pair.first].columns[0].values)
         b = set(dataset.tables[pair.second].columns[0].values)
         assert pair.label == pytest.approx(exact_containment(a, b))
@@ -100,7 +105,7 @@ def test_spider_positives_have_value_overlap():
     from repro.lakebench.joins import make_spider_opendata
 
     dataset = make_spider_opendata(scale=SCALE)
-    for pair in dataset.all_pairs[:30]:
+    for pair in _pairs(dataset)[:30]:
         a = set(dataset.tables[pair.first].columns[0].values)
         b = set(dataset.tables[pair.second].columns[0].values)
         containment = exact_containment(a, b)
@@ -114,7 +119,7 @@ def test_ecb_join_multilabel_semantics():
     dataset = make_ecb_join(scale=SCALE)
     assert dataset.task == TaskType.MULTILABEL
     assert dataset.num_outputs == len(ECB_JOIN_SLOTS)
-    for pair in dataset.all_pairs[:10]:
+    for pair in _pairs(dataset)[:10]:
         label = np.asarray(pair.label)
         assert label.shape == (len(ECB_JOIN_SLOTS),)
         a = dataset.tables[pair.first]
@@ -140,7 +145,7 @@ def test_ckan_subset_identical_headers():
 
 def test_ckan_subset_positive_is_row_subset():
     dataset = make_ckan_subset(scale=SCALE)
-    for pair in dataset.all_pairs[:20]:
+    for pair in _pairs(dataset)[:20]:
         a = dataset.tables[pair.first]
         b = dataset.tables[pair.second]
         rows_a = {tuple(r) for r in a.rows()}
@@ -154,11 +159,11 @@ def test_ckan_subset_positive_is_row_subset():
 def test_scale_parameter_grows_datasets():
     small = make_wiki_jaccard(scale=0.2)
     large = make_wiki_jaccard(scale=0.5)
-    assert len(large.all_pairs) > len(small.all_pairs)
+    assert len(_pairs(large)) > len(_pairs(small))
 
 
 def test_builders_are_deterministic():
     a = make_wiki_union(scale=SCALE)
     b = make_wiki_union(scale=SCALE)
-    assert [p.label for p in a.all_pairs] == [p.label for p in b.all_pairs]
+    assert [p.label for p in _pairs(a)] == [p.label for p in _pairs(b)]
     assert list(a.tables) == list(b.tables)

@@ -1,19 +1,11 @@
-"""The `VectorIndex` protocol layer: the persisted index spec, `query_many`
-≡ `query`, remove → re-add round trips, in-place replacement, restore round
-trips, and the sharded multi-index merge path — under both metrics a spec
-can name."""
+"""The index layer: the persisted index spec, `query_many` ≡ `query`,
+remove → re-add round trips, in-place replacement, restore round trips and
+the shard hash — under both metrics a spec can name."""
 
 import numpy as np
 import pytest
 
-from repro.search.backend import (
-    IndexSpec,
-    ShardedIndex,
-    VectorIndex,
-    make_index,
-    make_sharded_index,
-    stable_shard,
-)
+from repro.search.backend import IndexSpec, make_index, stable_shard
 from repro.search.index import KnnIndex
 
 DIM = 16
@@ -36,7 +28,7 @@ def _spec(metric: str = "cosine") -> IndexSpec:
     return IndexSpec(params={"metric": metric})
 
 
-def _build(vectors: np.ndarray, metric: str = "cosine") -> VectorIndex:
+def _build(vectors: np.ndarray, metric: str = "cosine") -> KnnIndex:
     index = make_index(_spec(metric), DIM)
     index.add_many([(i, vector) for i, vector in enumerate(vectors)])
     return index
@@ -66,9 +58,9 @@ def test_spec_is_hashable():
     assert len(specs) == 2
 
 
-def test_factories_produce_protocol_instances():
+def test_make_index_builds_the_exact_index():
     index = make_index(IndexSpec(), DIM)
-    assert isinstance(index, KnnIndex) and isinstance(index, VectorIndex)
+    assert isinstance(index, KnnIndex)
     assert index.metric == "cosine"
     assert make_index(None, DIM).metric == "cosine"
     euclidean = make_index(IndexSpec(params={"metric": "euclidean"}), DIM)
@@ -139,36 +131,28 @@ def test_remove_many_missing_keys_is_noop(metric, corpus):
 # --------------------------------------------------------------------- #
 # In-place replacement
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("n_shards", [None, 1, 3])
-def test_replace_many_keeps_every_other_row_in_place(n_shards, corpus):
+def test_replace_many_keeps_every_other_row_in_place(corpus):
     """Replacing rows puts the new ones where the first old one stood and
-    leaves every other row where it was, so each (sub-)index equals a fresh
+    leaves every other row where it was, so the index equals a fresh
     restore in that order, bit for bit; with none to replace, it appends."""
     vectors, queries = corpus
-    if n_shards is None:
-        index = _build(vectors[:30])
-    else:
-        index = _build_sharded(n_shards, vectors[:30])
+    index = _build(vectors[:30])
     new = [(key, vectors[100 + key]) for key in (5, 6, 7, 32)]
     assert index.replace_many([6, 5, 7, 9, 999], new) == 4
     assert index.replace_many([], [(40, vectors[140])]) == 0
     rows = {key: vector for key, vector in enumerate(vectors[:30]) if key != 9}
     rows.update(new)
     rows[40] = vectors[140]
-    for sub in index.subs if n_shards else [index]:
-        order = sub.keys()
-        stayed = [key for key in order if key not in (5, 6, 7, 32, 40)]
-        assert stayed == sorted(stayed)
-        rebuilt = KnnIndex.restore(
-            DIM, {}, order, {"vectors": np.array([rows[key] for key in order])}, {}
-        )
-        assert (
-            sub.state_arrays()[0]["vectors"].tobytes()
-            == rebuilt.state_arrays()[0]["vectors"].tobytes()
-        )
-        assert sub.query_many(queries, 8) == rebuilt.query_many(queries, 8)
-    if n_shards is None:
-        assert index.keys() == [*range(5), 5, 6, 7, 32, 8, *range(10, 30), 40]
+    order = index.keys()
+    assert order == [*range(5), 5, 6, 7, 32, 8, *range(10, 30), 40]
+    rebuilt = KnnIndex.restore(
+        DIM, {}, order, {"vectors": np.array([rows[key] for key in order])}, {}
+    )
+    assert (
+        index.state_arrays()[0]["vectors"].tobytes()
+        == rebuilt.state_arrays()[0]["vectors"].tobytes()
+    )
+    assert index.query_many(queries, 8) == rebuilt.query_many(queries, 8)
 
 
 # --------------------------------------------------------------------- #
@@ -203,49 +187,8 @@ def test_restore_rejects_key_count_mismatch(metric, corpus):
 
 
 # --------------------------------------------------------------------- #
-# Sharded multi-index merge path
+# The shard hash
 # --------------------------------------------------------------------- #
-def _build_sharded(
-    n_shards: int, vectors: np.ndarray, metric: str = "cosine"
-) -> ShardedIndex:
-    index = make_sharded_index(
-        _spec(metric), DIM, n_shards, router=lambda key: key % n_shards
-    )
-    index.add_many([(i, vector) for i, vector in enumerate(vectors)])
-    return index
-
-
-@pytest.mark.parametrize("metric", METRICS)
-@pytest.mark.parametrize("n_shards", [1, 2, 5])
-def test_sharded_merge_matches_flat_exact(n_shards, metric, corpus):
-    """The k-way merged top-k over N shards is the flat index's top-k —
-    same keys, same distances, same order."""
-    vectors, queries = corpus
-    flat = _build(vectors, metric)
-    sharded = _build_sharded(n_shards, vectors, metric)
-    assert sharded.metric == metric
-    assert len(sharded) == len(flat)
-    for flat_hits, merged_hits in zip(
-        flat.query_many(queries, 12), sharded.query_many(queries, 12)
-    ):
-        assert _keys(flat_hits) == _keys(merged_hits)
-        assert [d for _, d in flat_hits] == [d for _, d in merged_hits]
-    one = flat.query(queries[0], 7)
-    assert sharded.query(queries[0], 7) == one
-
-
-def test_sharded_routing_membership_and_removal(corpus):
-    vectors, queries = corpus
-    sharded = _build_sharded(4, vectors[:100])
-    # Keys live in exactly their routed shard.
-    assert 17 in sharded and 17 in sharded.subs[17 % 4]
-    assert all(17 not in sharded.subs[s] for s in range(4) if s != 17 % 4)
-    assert sharded.remove_many([17, 21, 999]) == 2
-    assert 17 not in sharded and 21 not in sharded
-    for hits in sharded.query_many(queries, 50):
-        assert 17 not in _keys(hits) and 21 not in _keys(hits)
-
-
 def test_stable_shard_is_deterministic_and_spread():
     names = [f"table{i:04d}" for i in range(200)]
     first = [stable_shard(name, 8) for name in names]

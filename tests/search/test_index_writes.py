@@ -7,8 +7,7 @@ the rows under a doomed key go, the new rows stand where the first of them
 stood (at the end when none did), and every other row keeps its order.
 After every step the index must equal :meth:`KnnIndex.restore` of the
 reference rows bit for bit — row keys, vectors, cached distance terms,
-length, membership and ``top_k`` arrays — on a flat ``KnnIndex`` and on a
-1- and a 3-shard ``ShardedIndex``, under both metrics.
+length, membership and ``top_k`` arrays — under both metrics.
 
 The draws cover duplicate keys (in one batch and across batches), doomed
 keys whose rows are not contiguous, keys that are not in the index,
@@ -21,7 +20,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.search.backend import ShardedIndex
 from repro.search.index import KnnIndex
 
 DIM = 4
@@ -36,17 +34,6 @@ POOL = np.vstack([np.zeros(DIM), _RNG.normal(size=(8, DIM))])
 POOL = np.vstack([POOL, POOL[3]])
 QUERIES = np.vstack([POOL[:4], _RNG.normal(size=(2, DIM)), np.zeros(DIM)])
 TOP_KS = (1, 4, 64)
-
-LAYOUTS = ("flat", 1, 3)
-
-
-def _build(layout, metric):
-    """The index under test and its row-holding sub-indexes."""
-    if layout == "flat":
-        index = KnnIndex(DIM, metric=metric)
-        return index, [index]
-    subs = [KnnIndex(DIM, metric=metric) for _ in range(layout)]
-    return ShardedIndex(DIM, subs, router=lambda key: key % layout), subs
 
 
 def _replace(rows, keys, items):
@@ -74,21 +61,15 @@ def _assert_equal_arrays(got, want):
         assert a.tobytes() == b.tobytes()
 
 
-def _assert_like_restore(index, subs, shards, metric):
+def _assert_like_restore(index, rows, metric):
     """``index`` equals, bitwise, the index ``restore`` builds from the
-    reference rows of every shard."""
-    restored = [_restored(rows, metric) for rows in shards]
-    for sub, want in zip(subs, restored):
-        size = len(want)
-        assert len(sub) == size
-        assert sub.row_keys == want.row_keys
-        assert sub._data[:size].tobytes() == want._data[:size].tobytes()
-        assert sub._terms[:size].tobytes() == want._terms[:size].tobytes()
-    if isinstance(index, KnnIndex):
-        reference = restored[0]
-    else:
-        reference = ShardedIndex(DIM, restored, router=index.router)
-    assert len(index) == len(reference)
+    reference rows."""
+    reference = _restored(rows, metric)
+    size = len(reference)
+    assert len(index) == size
+    assert index.row_keys == reference.row_keys
+    assert index._data[:size].tobytes() == reference._data[:size].tobytes()
+    assert index._terms[:size].tobytes() == reference._terms[:size].tobytes()
     for key in KEYS + MISSING:
         assert (key in index) == (key in reference)
     for k in TOP_KS:
@@ -102,7 +83,7 @@ def _items(data, keys=st.sampled_from(KEYS), max_size=6):
     return [(key, POOL[at].copy()) for key, at in drawn]
 
 
-def _step(data, shards):
+def _step(data, rows):
     """Draw one write as ``(method, keys, items)``."""
     kind = data.draw(st.sampled_from(["add", "remove", "replace", "update"]))
     if kind == "add":
@@ -114,11 +95,11 @@ def _step(data, shards):
         return "replace_many", doomed, _items(data)
     # One key's rows replaced the way TableSearcher writes a table: the
     # same width (in place) or a different one.
-    present = sorted({key for rows in shards for key, _ in rows})
+    present = sorted({key for key, _ in rows})
     if not present:
         return "add_many", (), _items(data)
     key = data.draw(st.sampled_from(present))
-    width = sum(row_key == key for rows in shards for row_key, _ in rows)
+    width = sum(row_key == key for row_key, _ in rows)
     if data.draw(st.booleans()):
         width = data.draw(st.integers(0, 6))
     items = _items(data, keys=st.just(key), max_size=width)
@@ -126,20 +107,7 @@ def _step(data, shards):
     return "replace_many", [key], items
 
 
-def _route(layout, keys, items):
-    """Each shard's share of a write, in the order the face routes it."""
-    n = 1 if layout == "flat" else layout
-    return [
-        (
-            [key for key in keys if key % n == shard],
-            [item for item in items if item[0] % n == shard],
-        )
-        for shard in range(n)
-    ]
-
-
 @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
-@pytest.mark.parametrize("layout", LAYOUTS)
 @settings(
     max_examples=80,
     deadline=None,
@@ -147,19 +115,16 @@ def _route(layout, keys, items):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(data=st.data())
-def test_writes_match_the_list_model(layout, metric, data):
-    index, subs = _build(layout, metric)
-    shards = [[] for _ in subs]
+def test_writes_match_the_list_model(metric, data):
+    index = KnnIndex(DIM, metric=metric)
+    rows = []
     for _ in range(data.draw(st.integers(1, 12))):
-        method, keys, items = _step(data, shards)
-        expected = 0
-        for shard, (old, new) in enumerate(_route(layout, keys, items)):
-            shards[shard], removed = _replace(shards[shard], old, new)
-            expected += removed
+        method, keys, items = _step(data, rows)
+        rows, expected = _replace(rows, keys, items)
         if method == "add_many":
             index.add_many(items)
         elif method == "remove_many":
             assert index.remove_many(keys) == expected
         else:
             assert index.replace_many(keys, items) == expected
-        _assert_like_restore(index, subs, shards, metric)
+        _assert_like_restore(index, rows, metric)

@@ -1,18 +1,17 @@
 """The index's answers are pinned bitwise by digests.
 
 ``query_many`` on a seeded corpus is hashed as ``(key, distance.hex())``
-per hit, per query row, over several ``k``: at 1 and 4 shards, under both
-metrics. The corpus is grown the way a lake grows it — single ``add`` rows,
-``add_many`` blocks, a compacting ``remove_many``, then more blocks — and
-the same digest must come back after every sub-index goes through
-``state_arrays`` / ``KnnIndex.restore``. It holds the cases where a merge
-could reorder hits: duplicate vectors inside one table, identical vectors
-in tables on different shards, a zero data row and a zero query row (whose
-cosine distances are all exactly 1.0).
+per hit, per query row, over several ``k``, under both metrics. The corpus
+is grown the way a lake grows it — single ``add`` rows, ``add_many``
+blocks, a compacting ``remove_many``, then more blocks — and the same
+digest must come back after the index goes through ``state_arrays`` /
+``KnnIndex.restore``. It holds the cases where a tie could reorder hits:
+duplicate vectors inside one table, identical vectors in different tables,
+a zero data row and a zero query row (whose cosine distances are all
+exactly 1.0).
 
 Equal digests mean equal rankings, seed for seed, so any change to how
-distances are scored or how shard answers are merged must leave them
-green. ``HOST_PROBE_DIGEST`` pins the numpy primitives the index uses on
+distances are scored or hits are ordered must leave them green. ``HOST_PROBE_DIGEST`` pins the numpy primitives the index uses on
 fixed inputs; where it differs, the CPU computes other last bits for
 reasons outside this repo and the pins are skipped rather than failed.
 """
@@ -22,7 +21,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.search.backend import IndexSpec, ShardedIndex, make_sharded_index
+from repro.search.backend import IndexSpec, make_index
 from repro.search.index import KnnIndex
 
 DIM = 16
@@ -31,16 +30,12 @@ KS = (1, 7, 33, 10_000)
 HOST_PROBE_DIGEST = (
     "dd369875b1392ec648429ad21a96765b3fa6b606092dba0e61ba199c8019dfdf"
 )
-#: (metric, shards) -> sha256 of every (key, distance.hex()) hit.
+#: metric -> sha256 of every (key, distance.hex()) hit.
 QUERY_DIGESTS = {
-    ("cosine", 1):
+    "cosine":
         "f300fdeb351762f5ee4c75dcdf099aa06966e7ba680f2610aae9e457ccf8bfd7",
-    ("cosine", 4):
-        "493ca067a0f09aea49121253010e803a12a27a7d6eac00b5a864ec5ddc333f61",
-    ("euclidean", 1):
+    "euclidean":
         "c976bd3688ec10685f4d2eed212adf5242532afc8854852a99cf9a8e963da812",
-    ("euclidean", 4):
-        "c5cfd1313ba89790b481e8898a88c9c96019a3f8850603554be931bac0b8d7c3",
 }
 
 
@@ -78,18 +73,15 @@ def _tables() -> dict[int, np.ndarray]:
         for table in range(60)
     }
     tables[5][1] = tables[5][0]  # duplicate columns inside one table
-    tables[7][0] = tables[6][0]  # the same vector in tables on two shards
+    tables[7][0] = tables[6][0]  # the same vector in several tables
     tables[9][0] = tables[6][0]
     tables[11][2] = 0.0  # a zero data row
     return tables
 
 
-def grown_index(metric: str, n_shards: int) -> ShardedIndex:
+def grown_index(metric: str) -> KnnIndex:
     """Single adds, block adds, a compacting remove, more block adds."""
-    index = make_sharded_index(
-        IndexSpec(params={"metric": metric}), DIM, n_shards,
-        router=lambda key: key[0] % n_shards,
-    )
+    index = make_index(IndexSpec(params={"metric": metric}), DIM)
     tables = _tables()
     for table in range(10):
         for column, vector in enumerate(tables[table]):
@@ -104,12 +96,9 @@ def grown_index(metric: str, n_shards: int) -> ShardedIndex:
     return index
 
 
-def restored_index(index: ShardedIndex) -> ShardedIndex:
-    subs = []
-    for sub in index.subs:
-        arrays, meta = sub.state_arrays()
-        subs.append(KnnIndex.restore(DIM, {}, sub.state_keys(), arrays, meta))
-    return ShardedIndex(DIM, subs, router=index.router)
+def restored_index(index: KnnIndex) -> KnnIndex:
+    arrays, meta = index.state_arrays()
+    return KnnIndex.restore(DIM, {}, index.state_keys(), arrays, meta)
 
 
 def _queries() -> np.ndarray:
@@ -131,14 +120,13 @@ def answer_digest(index) -> str:
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("metric, n_shards", sorted(QUERY_DIGESTS))
-def test_grown_index_answers_pinned(metric, n_shards):
-    index = grown_index(metric, n_shards)
-    assert answer_digest(index) == QUERY_DIGESTS[metric, n_shards]
+@pytest.mark.parametrize("metric", sorted(QUERY_DIGESTS))
+def test_grown_index_answers_pinned(metric):
+    assert answer_digest(grown_index(metric)) == QUERY_DIGESTS[metric]
 
 
-@pytest.mark.parametrize("metric, n_shards", sorted(QUERY_DIGESTS))
-def test_restored_index_answers_pinned(metric, n_shards):
-    index = restored_index(grown_index(metric, n_shards))
-    assert answer_digest(index) == QUERY_DIGESTS[metric, n_shards]
+@pytest.mark.parametrize("metric", sorted(QUERY_DIGESTS))
+def test_restored_index_answers_pinned(metric):
+    index = restored_index(grown_index(metric))
+    assert answer_digest(index) == QUERY_DIGESTS[metric]
 

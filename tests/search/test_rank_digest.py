@@ -6,12 +6,11 @@ answer — past ``k``, the tail a caller post-filters from — is hashed as its
 table, ``n_matched`` and ``distance_sum.hex()``, then each ``(query column,
 table column, distance.hex())`` of its evidence. Union and join are both
 covered, each with and without ``column=`` and ``exclude_table=``, at
-``k`` of 1, 3, 10 and more than the lake holds, at 1 and 4 shards, under
-both metrics.
+``k`` of 1, 3, 10 and more than the lake holds, under both metrics.
 
 The corpus is ``test_query_digest.py``'s: duplicate vectors inside one
-table, one vector in tables on two shards (``t06`` on shard 3, ``t09`` on
-shard 0), a zero data row and a zero query row. The lake is grown by
+table, one vector in several tables (``t06``, ``t07`` and ``t09``), a zero
+data row and a zero query row. The lake is grown by
 whole-table adds, a few removals and a re-add in place. The same host
 probe decides whether the pins apply on this CPU.
 """
@@ -38,16 +37,12 @@ corpus = _query_digest_module()
 DIM = corpus.DIM
 KS = (1, 3, 10, 1_000)
 
-#: (metric, shards) -> sha256 of every entry of every untruncated answer.
+#: metric -> sha256 of every entry of every untruncated answer.
 RANK_DIGESTS = {
-    ("cosine", 1):
+    "cosine":
         "78fb59d2162997c4b1f475c2e2476e4bfa46edf913caa7324d4f2d1908705021",
-    ("cosine", 4):
-        "bf9214ca4497fc19f27d4ddfb9cf77f0d6a34dab9d5121fadcee94fdff396ca8",
-    ("euclidean", 1):
+    "euclidean":
         "e2263b7eabf6ad0eeb5b5bf4a572fa7f79f09777c180c38ca1b5e5dbe71974fc",
-    ("euclidean", 4):
-        "7bb4b2a538f65d377dd44eec1c29d36620d5d5ecd17063818a3f2b5be6313016",
 }
 
 
@@ -62,9 +57,9 @@ def _name(table: int) -> str:
     return f"t{table:02d}"
 
 
-def grown_searcher(metric: str, n_shards: int) -> TableSearcher:
+def grown_searcher(metric: str) -> TableSearcher:
     """Tables added one at a time, four removed, one re-added in place."""
-    searcher = TableSearcher(DIM, metric=metric, n_shards=n_shards)
+    searcher = TableSearcher(DIM, metric=metric)
     tables = corpus._tables()
     for table, vectors in tables.items():
         searcher.add_table(
@@ -125,24 +120,22 @@ def rank_digest(searcher: TableSearcher) -> str:
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("metric, n_shards", sorted(RANK_DIGESTS))
-def test_rank_answers_pinned(metric, n_shards):
-    assert rank_digest(grown_searcher(metric, n_shards)) == RANK_DIGESTS[
-        metric, n_shards
-    ]
+@pytest.mark.parametrize("metric", sorted(RANK_DIGESTS))
+def test_rank_answers_pinned(metric):
+    assert rank_digest(grown_searcher(metric)) == RANK_DIGESTS[metric]
 
 
 def test_pinned_answers_reach_past_k():
     """The pins cover the tail: untruncated answers longer than ``k``, and
-    tables on more than one shard sharing a distance."""
-    searcher = grown_searcher("cosine", 4)
+    several tables sharing a distance."""
+    searcher = grown_searcher("cosine")
     pairs, _ = _query_tables()[0]
     answer = searcher.rank(pairs, 3)
     assert len(answer) > 3
-    # t06 and t07 (shard 3) and t09 (shard 0) hold the same vector: one
-    # distance, and the tie keeps shard order.
+    # t06, t07 and t09 hold the same vector: one distance, and the tie
+    # keeps the order the index's top-k gives their rows.
     tied = searcher.rank(pairs[1:2], 3)[:3]
-    assert [m.table for m in tied] == ["t09", "t06", "t07"]
+    assert [m.table for m in tied] == ["t07", "t06", "t09"]
     assert len({m.distance_sum for m in tied}) == 1
     assert np.isclose(
         searcher.rank(pairs[:1], 1, join=True)[0].distance_sum, 0.0

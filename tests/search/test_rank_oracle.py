@@ -2,7 +2,7 @@
 
 The digests pin today's answers; this pins what they are answers *to*.
 :func:`fig6` is the paper's procedure written out as brute-force numpy —
-no index, no shards, no merge:
+no index:
 
 - ``KNNSEARCH(c, k)``: the ``k * 3`` columns nearest to ``c`` among every
   column not in ``exclude_table``;
@@ -215,7 +215,6 @@ def cases(draw):
         "join": draw(st.booleans()),
         "column": draw(st.none() | st.sampled_from([name for name, _ in query])),
         "exclude": draw(st.none() | st.sampled_from([*lake, "absent"])),
-        "n_shards": draw(st.sampled_from([1, 4])),
         "metric": draw(st.sampled_from(["cosine", "euclidean"])),
     }
 
@@ -227,7 +226,7 @@ def cases(draw):
 )
 @given(case=cases())
 def test_rank_matches_fig6(case):
-    searcher = TableSearcher(DIM, metric=case["metric"], n_shards=case["n_shards"])
+    searcher = TableSearcher(DIM, metric=case["metric"])
     lake = {
         table: [(name, np.array(vector, dtype=float)) for name, vector in columns]
         for table, columns in case["lake"].items()

@@ -202,7 +202,9 @@ def assert_same_encoding(got, want) -> None:
     ids=["all", "no_minhash", "minhash_only"],
 )
 def encoder(request, tiny_config, tiny_tokenizer):
-    return InputEncoder(tiny_config.with_selection(request.param), tiny_tokenizer)
+    return InputEncoder(
+        dataclasses.replace(tiny_config, selection=request.param), tiny_tokenizer
+    )
 
 
 @settings(max_examples=40, deadline=None)

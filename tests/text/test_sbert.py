@@ -55,12 +55,6 @@ def test_positional_mode_is_order_sensitive():
     assert a @ b < 0.999
 
 
-def test_encode_many_shape(encoder):
-    out = encoder.encode_many(["a", "b", "c"])
-    assert out.shape == (3, 96)
-    assert encoder.encode_many([]).shape == (0, 96)
-
-
 def test_column_sentence_top_unique_values():
     column = Column("c", ["b", "a", "b", "c", "a"])
     assert column_sentence(column, top_values=2) == "b a"
