@@ -96,6 +96,20 @@ def test_query_histogram_reconciles_with_timings(service, lake_tables):
     assert registry.get("lake_queries_total").value == count
 
 
+def _over_one_union_query(catalog: LakeCatalog, read) -> float:
+    """How far ``read()`` moves while the catalog answers one member union
+    query of ``g0t0`` with obs enabled."""
+    service = LakeService(catalog)
+    was_enabled = obs.enabled()
+    obs.set_enabled(True)
+    try:
+        before = read()
+        service.discover(DiscoveryRequest(mode="union", k=5, table="g0t0"))
+        return read() - before
+    finally:
+        obs.set_enabled(was_enabled)
+
+
 def test_a_union_query_counts_each_query_column_once(
     tmp_path, lake_embedder, lake_tables
 ):
@@ -104,17 +118,19 @@ def test_a_union_query_counts_each_query_column_once(
     directory's ``lake_layout_shards`` runs it at 1 and at 4)."""
     catalog = LakeCatalog(lake_embedder, store=LakeStore(tmp_path, "fp"))
     catalog.add_tables(lake_tables)
-    service = LakeService(catalog)
     queries = obs.get_registry().get("index_queries_total")
-    was_enabled = obs.enabled()
-    obs.set_enabled(True)
-    try:
-        before = queries.value
-        service.discover(DiscoveryRequest(mode="union", k=5, table="g0t0"))
-        added = queries.value - before
-    finally:
-        obs.set_enabled(was_enabled)
+    added = _over_one_union_query(catalog, lambda: queries.value)
     assert added == len(catalog.records["g0t0"].column_names)
+
+
+def test_a_union_query_times_one_index_call(tmp_path, lake_embedder, lake_tables):
+    """All of a union query's columns go to the index in one call, so the
+    ``index_query_duration_ms`` family gains exactly one observation, at
+    any shard count."""
+    catalog = LakeCatalog(lake_embedder, store=LakeStore(tmp_path, "fp"))
+    catalog.add_tables(lake_tables)
+    timings = obs.get_registry().get("index_query_duration_ms")
+    assert _over_one_union_query(catalog, lambda: timings.total_count) == 1
 
 
 # --------------------------------------------------------------------- #

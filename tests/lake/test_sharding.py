@@ -165,6 +165,40 @@ def test_parity_survives_incremental_mutations(tmp_path, flat_fixture, n_shards)
     assert _rankings(LakeService(warm), warm.table_names()) == served[1]
 
 
+def _index_rows(catalog: LakeCatalog) -> tuple[list, bytes]:
+    """The served index's row keys and vector bytes, in row order."""
+    index = catalog.searcher.index
+    return index.keys(), index.state_arrays()[0]["vectors"].tobytes()
+
+
+@pytest.mark.parametrize("n_shards", (2, 3, 4, 8))
+def test_index_rows_match_the_one_shard_lake(tmp_path, lake_embedder, n_shards):
+    """The invariant behind bit parity: after adds, a removal and an
+    in-place update, an N-shard catalog serves the one-shard catalog's
+    index row for row — same keys, same vector bytes — live and after a
+    warm open."""
+    tables = _random_tables(seed=5, n=10)
+    names = list(tables)
+    rows = {}
+    for count in (1, n_shards):
+        root = tmp_path / f"s{count}"
+        catalog = LakeCatalog(
+            lake_embedder, store=LakeStore(root, "fp", n_shards=count)
+        )
+        catalog.add_tables(dict(list(tables.items())[:6]))
+        catalog.add_tables(dict(list(tables.items())[6:]))
+        catalog.remove_table(names[2])
+        changed = tables[names[4]]
+        catalog.update_table(
+            changed.with_columns(changed.columns[::-1], name=names[4])
+        )
+        rows[count] = _index_rows(catalog)
+        warm = LakeCatalog.from_store(lake_embedder, LakeStore.open(root))
+        assert _index_rows(warm) == rows[count]
+    assert rows[n_shards] == rows[1]
+    assert len({entry.table for entry in rows[1][0]}) == len(names) - 1
+
+
 def test_sharded_catalog_routes_tables_to_owning_shard(tmp_path, lake_embedder):
     """Every table's artifacts live in exactly the shard its name hashes
     to."""

@@ -189,6 +189,39 @@ def test_load_index_assembles_the_stored_vectors(
     )
 
 
+def test_load_index_is_one_order_at_every_shard_count(
+    tmp_path, city_table, product_table, mixed_table, tiny_sketch_config
+):
+    """Tables saved in two batches across shards, one replaced and one
+    removed: the index is their columns in global insertion order, and a
+    reshard to another count assembles the same index bit for bit."""
+    tables = [
+        base.with_columns(base.columns, name=f"{base.name}{i}")
+        for i in range(3)
+        for base in (city_table, product_table, mixed_table)
+    ]
+    records = [
+        _record(table, tiny_sketch_config, seed=seed)
+        for seed, table in enumerate(tables)
+    ]
+    store = LakeStore(tmp_path, "fp")
+    store.save_tables(records[:5])
+    store.save_tables(records[5:])
+    records[2] = _record(tables[2], tiny_sketch_config, seed=99)
+    store.save_table(records[2])
+    assert store.remove_table(records[6].name)
+    del records[6]
+    keys = [ColumnEntry(r.name, c) for r in records for c in r.column_names]
+    vectors = np.concatenate([r.column_vectors for r in records]).tobytes()
+
+    for n_shards in (None, 3, 1):
+        if n_shards is not None:
+            LakeStore.open(tmp_path).reshard(n_shards, "fp")
+        index = LakeStore.open(tmp_path).load_index(8)
+        assert index.keys() == keys
+        assert index.state_arrays()[0]["vectors"].tobytes() == vectors
+
+
 def test_an_empty_store_assembles_an_empty_index(tmp_path):
     index = LakeStore(tmp_path, "fp").load_index(8)
     assert len(index) == 0 and index.keys() == []

@@ -186,6 +186,59 @@ def test_restore_rejects_key_count_mismatch(metric, corpus):
         )
 
 
+def _read_only(block: np.ndarray) -> np.ndarray:
+    block.flags.writeable = False
+    return block
+
+
+#: name -> (the block ``restore`` is given, made from a C-contiguous
+#: float64 copy of the rows; whether the index keeps it as its buffer).
+RESTORE_BLOCKS = {
+    "owned": (lambda rows: rows, True),
+    "float32": (lambda rows: rows.astype(np.float32), False),
+    "fortran": (np.asfortranarray, False),
+    "read-only": (_read_only, False),
+    "strided": (lambda rows: np.repeat(rows, 2, axis=0)[::2], False),
+}
+
+
+@pytest.mark.parametrize("block", sorted(RESTORE_BLOCKS))
+def test_restore_adopts_an_owned_block_and_copies_any_other(block, corpus):
+    """A writable C-contiguous float64 block becomes the row buffer as it
+    is; any other block is copied once, so a later in-place write leaves
+    the caller's array untouched. Either way the index answers as one
+    restored from a private copy."""
+    vectors, queries = corpus
+    make, adopted = RESTORE_BLOCKS[block]
+    given = make(np.array(vectors[:40], dtype=np.float64))
+    before = given.copy()
+    keys = list(range(40))
+    index = KnnIndex.restore(DIM, {}, keys, {"vectors": given}, {})
+    reference = KnnIndex.restore(
+        DIM, {}, keys, {"vectors": np.array(before, dtype=np.float64)}, {}
+    )
+    assert np.shares_memory(index._data, given) == adopted
+    assert index.query_many(queries, 8) == reference.query_many(queries, 8)
+
+    assert index.replace_many([3], [(3, vectors[300])]) == 1
+    reference.replace_many([3], [(3, vectors[300])])
+    assert index.query_many(queries, 8) == reference.query_many(queries, 8)
+    if adopted:
+        assert np.array_equal(given[3], vectors[300])
+    else:
+        assert given.tobytes() == before.tobytes()
+
+
+def test_subs_is_the_index_itself(corpus):
+    """The one-element ``subs`` view the benchmark replay reads: its rows
+    are the index's rows and its answers the index's answers."""
+    vectors, queries = corpus
+    index = _build(vectors[:50])
+    assert index.subs == (index,)
+    assert sum(len(sub) for sub in index.subs) == len(index)
+    assert index.subs[0].query_many(queries, 5) == index.query_many(queries, 5)
+
+
 # --------------------------------------------------------------------- #
 # The shard hash
 # --------------------------------------------------------------------- #

@@ -12,8 +12,8 @@ length, membership and ``top_k`` arrays — under both metrics.
 The draws cover duplicate keys (in one batch and across batches), doomed
 keys whose rows are not contiguous, keys that are not in the index,
 same-width and different-width replacements, and growth past the buffer's
-capacity. ``derandomize`` fixes the draws, so a passing run passes every
-time.
+capacity, starting from an empty index and from one ``restore`` built.
+``derandomize`` fixes the draws, so a passing run passes every time.
 """
 
 import numpy as np
@@ -107,17 +107,9 @@ def _step(data, rows):
     return "replace_many", [key], items
 
 
-@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
-@settings(
-    max_examples=80,
-    deadline=None,
-    derandomize=True,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(data=st.data())
-def test_writes_match_the_list_model(metric, data):
-    index = KnnIndex(DIM, metric=metric)
-    rows = []
+def _apply_writes(index, rows, data, metric):
+    """Draw and apply 1-12 writes to ``index`` and to the reference
+    ``rows``, checking the index against the reference after each."""
     for _ in range(data.draw(st.integers(1, 12))):
         method, keys, items = _step(data, rows)
         rows, expected = _replace(rows, keys, items)
@@ -128,3 +120,29 @@ def test_writes_match_the_list_model(metric, data):
         else:
             assert index.replace_many(keys, items) == expected
         _assert_like_restore(index, rows, metric)
+
+
+WRITE_SETTINGS = settings(
+    max_examples=80,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+@WRITE_SETTINGS
+@given(data=st.data())
+def test_writes_match_the_list_model(metric, data):
+    _apply_writes(KnnIndex(DIM, metric=metric), [], data, metric)
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+@WRITE_SETTINGS
+@given(data=st.data())
+def test_writes_on_a_restored_index_match_the_list_model(metric, data):
+    """The same writes on an index a lake assembled at open: ``restore``
+    keeps the block it is given as the row buffer, full to capacity, so
+    the first growth reallocates it and in-place writes land in it."""
+    rows = _items(data, max_size=12)
+    _apply_writes(_restored(rows, metric), rows, data, metric)

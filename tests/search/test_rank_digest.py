@@ -11,8 +11,9 @@ covered, each with and without ``column=`` and ``exclude_table=``, at
 The corpus is ``test_query_digest.py``'s: duplicate vectors inside one
 table, one vector in several tables (``t06``, ``t07`` and ``t09``), a zero
 data row and a zero query row. The lake is grown by
-whole-table adds, a few removals and a re-add in place. The same host
-probe decides whether the pins apply on this CPU.
+whole-table adds, a few removals and a re-add in place, and must rank the
+same when a fresh searcher adopts a restored copy of its index. The same
+host probe decides whether the pins apply on this CPU.
 """
 
 import hashlib
@@ -22,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.search.index import KnnIndex
 from repro.search.tables import TableSearcher
 
 
@@ -123,6 +125,19 @@ def rank_digest(searcher: TableSearcher) -> str:
 @pytest.mark.parametrize("metric", sorted(RANK_DIGESTS))
 def test_rank_answers_pinned(metric):
     assert rank_digest(grown_searcher(metric)) == RANK_DIGESTS[metric]
+
+
+@pytest.mark.parametrize("metric", sorted(RANK_DIGESTS))
+def test_adopted_index_answers_pinned(metric):
+    """A searcher serving a restored copy of the grown index, as a warm
+    lake open serves the index it assembles, ranks to the same pin."""
+    index = grown_searcher(metric).index
+    arrays, meta = index.state_arrays()
+    searcher = TableSearcher(DIM, metric=metric)
+    searcher.adopt_index(
+        KnnIndex.restore(DIM, {}, index.state_keys(), arrays, meta)
+    )
+    assert rank_digest(searcher) == RANK_DIGESTS[metric]
 
 
 def test_pinned_answers_reach_past_k():
