@@ -1,19 +1,28 @@
-"""Summarize results/*.json into markdown tables (README "Scale-down
-substitutions" says what the scaled-down numbers are for).
+"""Render the committed results, then the local results/*.json, as markdown.
 
-Run after `pytest benchmarks/ --benchmark-only`:
+The committed part (:func:`committed_results`) is README's Results block,
+verbatim: the lake benchmark's trajectory (`benchmarks/e2e/runs/BENCH_*.json`)
+and the retrieval-quality rows (`results/quality/*.json`, written by
+`scripts/quality.py`). `tests/test_readme.py` fails when the block and the
+files disagree; paste this script's first block between README's
+`<!-- results:begin -->` / `<!-- results:end -->` markers to regenerate it.
+The local part is the paper benches' `results/*.json`, which stay
+uncommitted (README "Scale-down substitutions" says what the scaled-down
+numbers are for). Run after `pytest benchmarks/ --benchmark-only`:
 
     python scripts/summarize_results.py            # print everything
-    python scripts/summarize_results.py table5     # one experiment
+    python scripts/summarize_results.py table5     # one local experiment
 """
 
 from __future__ import annotations
 
 import json
+import re
 import sys
 from pathlib import Path
 
-RESULTS = Path(__file__).resolve().parent.parent / "results"
+ROOT = Path(__file__).resolve().parent.parent
+RESULTS = ROOT / "results"
 
 #: Registered experiments, in presentation order: the paper tables/figures
 #: first, then the systems benches. Unregistered result files are appended
@@ -55,8 +64,68 @@ def markdown_table(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def _cell(value, spec: str) -> str:
+    return format(value, spec) if isinstance(value, float) else str(value)
+
+
+def _fields(fields: dict) -> str:
+    return ", ".join(f"{key} {value}" for key, value in fields.items())
+
+
+def _section(title: str, notes: list[str], rows: list[dict]) -> str:
+    return f"### {title}\n\n" + "\n".join(notes) + "\n\n" + markdown_table(rows)
+
+
+def _bench_number(path: Path) -> int:
+    return int(re.search(r"\d+", path.stem).group())
+
+
+def committed_results(root: Path = ROOT) -> str:
+    """README's Results block, from committed files only: the end-to-end
+    median of every workload and metric in every `BENCH_*.json`, one column
+    per file in PR order, with each file's host; then recall@k / MRR per
+    ranking of every `results/quality/*.json`, with its lake and model."""
+    runs = root / "benchmarks" / "e2e" / "runs"
+    notes, cells = [], {}
+    for path in sorted(runs.glob("BENCH_*.json"), key=_bench_number):
+        bench = json.loads(path.read_text())
+        host = bench["host"]
+        notes.append(
+            f"- `{path.name}`: medians of {bench['repeat']} runs of "
+            f"{bench['seconds']} s, seed {bench['seed']}, {bench['columns']} "
+            f"columns; {host['cores']} cores, {host['machine']}, numpy "
+            f"{host['numpy']}, {host['blas']['name']} {host['blas']['version']}."
+        )
+        for workload, result in bench["workloads"].items():
+            for metric, cell in result["end_to_end"].items():
+                row = cells.setdefault(
+                    (workload, metric),
+                    {"workload": workload, "metric": f"{metric} ({cell['unit']})"},
+                )
+                row[path.stem] = _cell(cell["median"], ".4g")
+    bench_part = _section(
+        "Lake benchmark, `benchmarks/e2e/runs/`", notes, list(cells.values())
+    )
+    notes, rows = [], []
+    for path in sorted((root / "results" / "quality").glob("*.json")):
+        quality = json.loads(path.read_text())
+        notes.append(
+            f"- `{path.name}`: {quality['metric']}. Lake: "
+            f"{_fields(quality['lake'])}. Model: {_fields(quality['model'])}."
+        )
+        rows += [
+            {"file": path.name, "ranking": name}
+            | {key: _cell(value, ".3f") for key, value in row.items()}
+            for name, row in quality["rows"].items()
+        ]
+    quality_part = _section("Retrieval quality, `results/quality/`", notes, rows)
+    return bench_part + "\n\n" + quality_part
+
+
 def main() -> None:
     selector = sys.argv[1] if len(sys.argv) > 1 else ""
+    if not selector:
+        print(committed_results())
     paths = sorted(RESULTS.glob("*.json"), key=_order_key)
     # Registered experiments with no checked-in result file are a warning,
     # not a crash — most benches only run on demand, so a partial results/

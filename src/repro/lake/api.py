@@ -131,7 +131,9 @@ def subset_score(containment: float) -> float:
     |C|`` in its best query column ``Q`` — the candidate contained in the
     query, Table VIII's direction. Each column with containment above 0 is
     a match, with distance ``1 - containment``; a column sharing no value
-    with the query counts 0 toward the mean."""
+    with the query counts 0 toward the mean. Within v1 this replaced a
+    union-style score (above 1 for any hit), so a ``min_score`` picked on
+    that scale needs a new threshold."""
     return float(containment)
 
 

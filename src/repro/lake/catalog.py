@@ -477,12 +477,12 @@ class LakeCatalog:
         mutation); ``embedding_stale`` clears. ``persist=False`` refreshes
         in memory only — how replicas serve fresh vectors without writing
         into their read-only snapshot directory. Returns the refreshed
-        names.
+        names, each once, in the order first given.
         """
         if names is None:
             names = self.stale_tables()
         else:
-            names = [n for n in names if n in self._stale]
+            names = [n for n in dict.fromkeys(names) if n in self._stale]
         if not names:
             return []
         with obs.span("lake.refresh", tables=len(names)):

@@ -8,7 +8,11 @@ artifacts always co-locate. There is one layout, whatever N::
 
     <root>/
       manifest.json          # top-level: {layout, sharded, n_shards,
-                             #   next_seq, index_spec, fingerprint}
+                             #   next_seq, index_spec, fingerprint};
+                             #   index_spec always names the exact index
+      model_config.json      # the model bundle (repro.lake.bundle): trunk,
+      model.npz              #   sketch and SBERT settings, trunk weights,
+      vocab.json             #   WordPiece vocabulary; not store files
       shards/
         s000/                # one full LakeShard layout per shard
           manifest.json      # base: fingerprint + ordered table entries
@@ -21,6 +25,11 @@ The vector index is not part of the layout. It is derived state, and one
 index at any shard count: :meth:`LakeStore.load_index` assembles the exact
 index from the ``column_vectors`` the table archives already hold, in global
 insertion order — the row order the live index keeps — with one block copy.
+A warm open therefore runs no forward, inserts no row and writes nothing,
+and no write has an index to keep in step. Exact distance ties break by
+row order, so the live index replaces an updated or refreshed table's rows
+where they stand (:meth:`~repro.search.index.KnnIndex.replace_many`)
+instead of moving them to the end.
 
 **One layout, versioned.** The root manifest records ``layout``
 (:data:`LAYOUT`); every reader goes through :func:`_read_root_manifest`,
@@ -29,13 +38,28 @@ by ``python -m repro.lake migrate`` (:mod:`repro.lake.legacy`, the one
 reader of older layouts); a layout change bumps :data:`LAYOUT` and extends
 that loader. ``migrate`` and :meth:`LakeStore.reshard` rewrite a store
 through one stage-and-swap (:func:`_rebuild`), and whoever next reads the
-root manifest first rolls back a swap that was killed half way.
+root manifest first rolls back a swap that was killed half way
+(``.reshard.old`` present, no root manifest), with a ``RuntimeWarning``.
+``migrate`` keeps the fingerprint, shard count, index spec, insertion
+order, versions, staleness and metadata, and re-embeds nothing; killed at
+any file operation it leaves the old store (still refused: run it again)
+or the new one, and on a current store it writes nothing. A lake recorded
+under the removed HNSW index cannot be migrated
+(:class:`~repro.lake.serialization.UnsupportedIndexBackendError`): re-ingest
+it. The root fingerprint carries :data:`_LAYOUT_MARK`, so builds from
+before the ``layout`` key refuse the store; ``FINGERPRINT_FORMAT`` stays 2
+because it is folded into every fingerprint. A layout change also adds one
+fixture under ``tests/lake/data/``, which ``tests/lake/test_format_compat.py``
+migrates.
 
 Each table's members are the packed :class:`~repro.sketch.pipeline.TableSketch`
-arrays (uint64 signatures, float64 raw numeric stats) plus the final
-``column_vectors`` the index serves and the pooled ``table_embedding`` —
-everything float64/uint64 in npz, so a save/load round-trip is bit-exact and
-warm queries are bit-identical to a cold in-memory build.
+arrays (``values_sig``, ``words_sig``, ``numeric_stats``, ``n_values``,
+``ctypes``, ``snapshot_sig`` and the ``acc_*`` merge state of
+:func:`~repro.lake.serialization.pack_table_sketch`: uint64 signatures,
+float64 raw numeric stats) plus the final ``column_vectors`` the index
+serves and the pooled ``table_embedding`` — everything float64/uint64 in
+npz, so a save/load round-trip is bit-exact and warm queries are
+bit-identical to a cold in-memory build.
 
 **A shard commit writes its tables as archives of up to**
 :data:`ARCHIVE_TABLES` **(64) tables.** In an archive of several, each
@@ -45,11 +69,18 @@ member holds each table's column count; each table's manifest entry records
 its ``slot``: its index in the archive and the bytes it accounts for. An
 archive of one table is its members alone, with no ``slot``: the one
 reader rule, in :func:`_split_tables`, is that an archive without
-``table_cols`` holds one table. An archive stays while any live entry names
-it; the commit that drops its last entry unlinks it, and until then the
-rows of its replaced or removed tables are dead bytes, which
-:meth:`LakeShard.stats` reports (``dead_bytes``) from the manifest alone.
-:meth:`LakeStore.load_all` reads each archive once, at its first table.
+``table_cols`` holds one table, so a one-table write is the archive an
+older build wrote for that table. The cap is a constant, not an option: it
+bounds the buffers a bulk commit and a warm open hold at once. An archive
+stays while any live entry names it; the commit that drops its last entry
+unlinks it, and until then the rows of its replaced or removed tables are
+dead bytes, which :meth:`LakeShard.stats` reports (``dead_bytes``, beside
+``disk_bytes``, which counts each live archive once) from the manifest
+alone, as does the ``lake_store_dead_bytes{shard}`` gauge. Nothing re-packs
+them, but they never exceed what bulk writes put down, since an archive
+dies with its last table. :meth:`LakeStore.load_all` reads each archive
+once, at its first table in ``seq`` order, even when that order alternates
+between a shared archive and one-table rewrites.
 A record keeps its table's rows of it as read-only views, its sketch
 packed (:class:`LakeTableRecord`), so a shared archive's arrays stay in
 memory until every table in it is rewritten or the catalog reopens.
@@ -63,8 +94,10 @@ calls ``np.savez`` or ``np.load``; the crash tests' ``kill_at`` counts
 ``write_archive`` as the archive-write operation.
 
 The manifest records the config fingerprint
-(:func:`repro.lake.serialization.config_fingerprint`, which folds the shard
-count in when there is more than one); opening a store with a different expected
+(:func:`repro.lake.serialization.config_fingerprint`: a SHA-256 over the
+sketch and model configs, the frozen text-encoder settings, the index spec
+and a digest of the trunk weights, with the shard count folded in when
+there is more than one); opening a store with a different expected
 fingerprint raises :class:`FingerprintMismatchError` instead of silently
 serving stale vectors. Shard entries are ordered *lists*, and every entry
 records a global insertion sequence number (``seq``, allocated from the
@@ -87,7 +120,9 @@ A write is thus O(its delta) amortized, and the journal an open replays is
 never bigger than the base. An open folds base and journal in memory and
 writes nothing; it replays no torn last line (no newline, or not JSON),
 which the shard's next write cuts off, and no line tied to another base
-(a compaction killed between its rename and the unlink). A shard whose base
+(a compaction killed between its rename and the unlink). A kill leaves at
+most a ``manifest.tmp.json`` or an archive no entry names, which the next
+open sweeps, or a torn journal tail. A shard whose base
 is torn beyond repair degrades to an empty shard with a warning at open
 time while every other shard stays warm.
 
@@ -1177,7 +1212,7 @@ class LakeStore:
             keys += [ColumnEntry(record.name, c) for c in record.column_names]
             blocks.append(record.column_vectors)
         vectors = np.concatenate(blocks) if blocks else np.zeros((0, dim))
-        return KnnIndex.restore(dim, spec.params, keys, {"vectors": vectors}, {})
+        return KnnIndex.restore(dim, keys, vectors, **spec.params)
 
     # ------------------------------------------------------------------ #
     def table_names(self) -> list[str]:

@@ -1,8 +1,8 @@
 """The persisted index spec, its one index, and the shard hash.
 
 There is one vector index: :class:`repro.search.index.KnnIndex`, exact
-brute-force search with recall 1.0 (README "Vector index" has the
-measurement that settles it). :class:`IndexSpec` names it in lake manifests
+brute-force search with recall 1.0 (CHANGES.md's entry for the deleted
+HNSW backend has the measurement that settles it). :class:`IndexSpec` names it in lake manifests
 and in the config fingerprint, and :func:`make_index` builds it. A lake
 serves one index over every column whatever its shard count: shards are an
 on-disk partition (:func:`stable_shard` routes a table to one), and the

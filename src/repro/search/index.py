@@ -317,31 +317,21 @@ class KnnIndex:
         return self._size
 
     # ------------------------------------------------------------------ #
-    def state_keys(self) -> list:
-        """The row-aligned keys :meth:`restore` takes back (a copy)."""
-        return list(self._keys)
-
-    def state_arrays(self) -> tuple[dict[str, np.ndarray], dict]:
-        """A copy of the row-aligned vectors, and the metric: with
-        :meth:`state_keys`, everything :meth:`restore` needs."""
-        return {"vectors": self._matrix().copy()}, {"metric": self.metric}
-
     @classmethod
     def restore(
-        cls, dim: int, params: dict, keys: list, arrays: dict, meta: dict
+        cls, dim: int, keys: list, vectors: np.ndarray, metric: str = "cosine"
     ) -> "KnnIndex":
-        """An index over ``keys`` and the row-aligned ``arrays["vectors"]``,
-        with no per-row insertion — how a lake assembles its index from the
-        stored column vectors at open.
+        """An index over ``keys`` and the row-aligned ``vectors``, with no
+        per-row insertion — how a lake assembles its index from the stored
+        column vectors at open.
 
         A writable C-contiguous float64 block becomes the index's row
         buffer as it is, so a caller that built the block for the index
         (:meth:`repro.lake.store.LakeStore.load_index`'s one concatenation)
         pays no second copy; pass a copy to keep using yours. Any other
         block is copied once."""
-        metric = meta.get("metric", params.get("metric", "cosine"))
         index = cls(dim, metric=metric)
-        vectors = np.asarray(arrays["vectors"], dtype=np.float64).reshape(-1, dim)
+        vectors = np.asarray(vectors, dtype=np.float64).reshape(-1, dim)
         if vectors.shape[0] != len(keys):
             raise ValueError(
                 f"index state has {vectors.shape[0]} rows but "

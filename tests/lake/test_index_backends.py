@@ -107,7 +107,7 @@ def test_same_schema_vector_drift_detected(lake_embedder, lake_tables, tmp_path)
     index = warm.searcher.index
     rows = [i for i, key in enumerate(index.keys()) if key.table == "g1t1"]
     assert np.array_equal(
-        index.state_arrays()[0]["vectors"][rows], record.column_vectors
+        index._matrix()[rows], record.column_vectors
     ), "the warm index serves the archive's (newer) vectors"
 
 

@@ -74,6 +74,23 @@ def test_append_reembeds_only_the_appended_table(persisted_catalog):
     assert persisted_catalog.refresh_stale() == []  # idempotent
 
 
+def test_a_repeated_name_is_refreshed_and_written_once(
+    tmp_path, lake_embedder, lake_tables
+):
+    """Names reach a refresh from the wire and the CLI unchecked; a name
+    given twice is one table, embedded once and written as one archive,
+    so no row of the store is dead on arrival."""
+    store = LakeStore(tmp_path / "lake", "fp")
+    catalog = LakeCatalog(lake_embedder, store=store)
+    catalog.add_table(lake_tables["g0t1"])
+    catalog.append_rows("g0t1", DELTA_ROWS)
+    before = catalog.embed_calls
+    assert catalog.refresh_stale(["g0t1", "g0t1"]) == ["g0t1"]
+    assert catalog.embed_calls == before + 1
+    assert store.stats()["dead_bytes"] == 0
+    assert not catalog.stale_tables()
+
+
 def test_append_unknown_empty_and_ragged(persisted_catalog):
     with pytest.raises(KeyError, match="ghost"):
         persisted_catalog.append_rows("ghost", DELTA_ROWS)

@@ -168,7 +168,7 @@ def test_parity_survives_incremental_mutations(tmp_path, flat_fixture, n_shards)
 def _index_rows(catalog: LakeCatalog) -> tuple[list, bytes]:
     """The served index's row keys and vector bytes, in row order."""
     index = catalog.searcher.index
-    return index.keys(), index.state_arrays()[0]["vectors"].tobytes()
+    return index.keys(), index._matrix().tobytes()
 
 
 @pytest.mark.parametrize("n_shards", (2, 3, 4, 8))

@@ -183,9 +183,8 @@ def test_load_index_assembles_the_stored_vectors(
         for record in records
         for column in record.column_names
     ]
-    arrays, _ = index.state_arrays()
     assert np.array_equal(
-        arrays["vectors"], np.concatenate([r.column_vectors for r in records])
+        index._matrix(), np.concatenate([r.column_vectors for r in records])
     )
 
 
@@ -219,7 +218,7 @@ def test_load_index_is_one_order_at_every_shard_count(
             LakeStore.open(tmp_path).reshard(n_shards, "fp")
         index = LakeStore.open(tmp_path).load_index(8)
         assert index.keys() == keys
-        assert index.state_arrays()[0]["vectors"].tobytes() == vectors
+        assert index._matrix().tobytes() == vectors
 
 
 def test_an_empty_store_assembles_an_empty_index(tmp_path):
@@ -287,9 +286,7 @@ def test_corrupt_index_archive_degrades_to_rebuild(
     gc.collect()
     assert len(restored) == len(expected) > 0
     assert restored.keys() == expected.keys()
-    assert np.array_equal(
-        restored.state_arrays()[0]["vectors"], expected.state_arrays()[0]["vectors"]
-    )
+    assert np.array_equal(restored._matrix(), expected._matrix())
     assert not list(tmp_path.rglob("index.npz"))
 
 

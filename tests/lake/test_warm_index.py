@@ -101,10 +101,7 @@ def _subsets(catalog: LakeCatalog) -> dict:
 
 def _assert_same_index(live: TableSearcher, warm: TableSearcher) -> None:
     assert warm.index.keys() == live.index.keys()
-    assert (
-        warm.index.state_arrays()[0]["vectors"].tobytes()
-        == live.index.state_arrays()[0]["vectors"].tobytes()
-    )
+    assert warm.index._matrix().tobytes() == live.index._matrix().tobytes()
 
 
 def _assert_like_a_cold_rebuild(warm: LakeCatalog) -> None:

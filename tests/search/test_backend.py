@@ -145,13 +145,8 @@ def test_replace_many_keeps_every_other_row_in_place(corpus):
     rows[40] = vectors[140]
     order = index.keys()
     assert order == [*range(5), 5, 6, 7, 32, 8, *range(10, 30), 40]
-    rebuilt = KnnIndex.restore(
-        DIM, {}, order, {"vectors": np.array([rows[key] for key in order])}, {}
-    )
-    assert (
-        index.state_arrays()[0]["vectors"].tobytes()
-        == rebuilt.state_arrays()[0]["vectors"].tobytes()
-    )
+    rebuilt = KnnIndex.restore(DIM, order, np.array([rows[key] for key in order]))
+    assert index._matrix().tobytes() == rebuilt._matrix().tobytes()
     assert index.query_many(queries, 8) == rebuilt.query_many(queries, 8)
 
 
@@ -159,12 +154,11 @@ def test_replace_many_keeps_every_other_row_in_place(corpus):
 # Restore round trips
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("metric", METRICS)
-def test_state_arrays_restore_round_trip(metric, corpus):
+def test_restore_round_trip(metric, corpus):
     vectors, queries = corpus
     index = _build(vectors, metric)
-    arrays, meta = index.state_arrays()
     restored = KnnIndex.restore(
-        DIM, _spec(metric).params, index.state_keys(), arrays, meta
+        DIM, index.keys(), index._matrix().copy(), **_spec(metric).params
     )
     assert restored.metric == metric
     assert len(restored) == len(index)
@@ -179,10 +173,9 @@ def test_state_arrays_restore_round_trip(metric, corpus):
 def test_restore_rejects_key_count_mismatch(metric, corpus):
     vectors, _ = corpus
     index = _build(vectors[:10], metric)
-    arrays, meta = index.state_arrays()
     with pytest.raises(ValueError, match="keys"):
         KnnIndex.restore(
-            DIM, _spec(metric).params, index.state_keys()[:-1], arrays, meta
+            DIM, index.keys()[:-1], index._matrix(), **_spec(metric).params
         )
 
 
@@ -213,10 +206,8 @@ def test_restore_adopts_an_owned_block_and_copies_any_other(block, corpus):
     given = make(np.array(vectors[:40], dtype=np.float64))
     before = given.copy()
     keys = list(range(40))
-    index = KnnIndex.restore(DIM, {}, keys, {"vectors": given}, {})
-    reference = KnnIndex.restore(
-        DIM, {}, keys, {"vectors": np.array(before, dtype=np.float64)}, {}
-    )
+    index = KnnIndex.restore(DIM, keys, given)
+    reference = KnnIndex.restore(DIM, keys, np.array(before, dtype=np.float64))
     assert np.shares_memory(index._data, given) == adopted
     assert index.query_many(queries, 8) == reference.query_many(queries, 8)
 

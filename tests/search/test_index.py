@@ -227,16 +227,3 @@ def test_nonpositive_k_returns_no_hits(k):
     index.add_many([("a", np.ones(2)), ("b", np.array([1.0, -1.0]))])
     assert index.query(np.ones(2), k=k) == []
     assert index.query_many(np.ones((3, 2)), k=k) == [[], [], []]
-
-
-@pytest.mark.parametrize("metric", METRICS)
-def test_restore_keeps_the_persisted_metric(metric, clustered_data):
-    """The metric an index was saved under wins over the caller's params,
-    so a lake never reopens under a different distance."""
-    index = _filled(metric, clustered_data[:40])
-    arrays, meta = index.state_arrays()
-    other = "euclidean" if metric == "cosine" else "cosine"
-    restored = KnnIndex.restore(16, {"metric": other}, index.state_keys(), arrays, meta)
-    assert restored.metric == metric
-    query = clustered_data[41]
-    assert restored.query(query, 10) == index.query(query, 10)

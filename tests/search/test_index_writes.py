@@ -52,7 +52,7 @@ def _replace(rows, keys, items):
 def _restored(rows, metric):
     keys = [key for key, _ in rows]
     vectors = np.array([vector for _, vector in rows]).reshape(-1, DIM)
-    return KnnIndex.restore(DIM, {}, keys, {"vectors": vectors}, {"metric": metric})
+    return KnnIndex.restore(DIM, keys, vectors, metric=metric)
 
 
 def _assert_equal_arrays(got, want):

@@ -4,7 +4,7 @@
 per hit, per query row, over several ``k``, under both metrics. The corpus
 is grown the way a lake grows it — single ``add`` rows, ``add_many``
 blocks, a compacting ``remove_many``, then more blocks — and the same
-digest must come back after the index goes through ``state_arrays`` /
+digest must come back after the index's keys and rows go through
 ``KnnIndex.restore``. It holds the cases where a tie could reorder hits:
 duplicate vectors inside one table, identical vectors in different tables,
 a zero data row and a zero query row (whose cosine distances are all
@@ -97,8 +97,9 @@ def grown_index(metric: str) -> KnnIndex:
 
 
 def restored_index(index: KnnIndex) -> KnnIndex:
-    arrays, meta = index.state_arrays()
-    return KnnIndex.restore(DIM, {}, index.state_keys(), arrays, meta)
+    return KnnIndex.restore(
+        DIM, index.keys(), index._matrix().copy(), metric=index.metric
+    )
 
 
 def _queries() -> np.ndarray:

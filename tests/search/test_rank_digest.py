@@ -132,10 +132,9 @@ def test_adopted_index_answers_pinned(metric):
     """A searcher serving a restored copy of the grown index, as a warm
     lake open serves the index it assembles, ranks to the same pin."""
     index = grown_searcher(metric).index
-    arrays, meta = index.state_arrays()
     searcher = TableSearcher(DIM, metric=metric)
     searcher.adopt_index(
-        KnnIndex.restore(DIM, {}, index.state_keys(), arrays, meta)
+        KnnIndex.restore(DIM, index.keys(), index._matrix().copy(), metric=metric)
     )
     assert rank_digest(searcher) == RANK_DIGESTS[metric]
 
