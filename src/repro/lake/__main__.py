@@ -413,6 +413,23 @@ def _add_listen_flags(
         )
 
 
+#: What ``serve`` answers (``LakeServer._route``), as ``serve --help``
+#: lists it.
+SERVE_ROUTES = (
+    "POST   /v1/query               one discovery query",
+    "POST   /v1/query_batch         many queries, one batched embed",
+    "POST   /v1/tables              ingest tables",
+    "PUT    /v1/tables              replace one table (version + 1)",
+    "POST   /v1/tables/{name}/rows  append rows (version + 1, embedding stale)",
+    "POST   /v1/refresh             re-embed stale tables",
+    "DELETE /v1/tables/{name}       drop one table",
+    "GET    /v1/stats               catalog, store and cache statistics",
+    "GET    /v1/healthz             liveness",
+    "GET    /v1/metrics             metrics registry (JSON or Prometheus text)",
+    "GET    /v1/slow_queries        slowest recent queries with span trees",
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lake",
@@ -469,10 +486,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        help="expose the lake over HTTP: POST /v1/query, /v1/query_batch, "
-             "/v1/tables, DELETE /v1/tables/{name}, GET /v1/stats, "
-             "/v1/healthz, /v1/metrics, /v1/slow_queries (asyncio, "
-             "blocking work in a thread pool)",
+        help="expose the lake over the v1 HTTP API (asyncio, blocking work "
+             "in a thread pool; `serve --help` lists the routes)",
+        description="Serve the lake over the v1 HTTP API. Routes:\n\n"
+        + "\n".join(f"  {route}" for route in SERVE_ROUTES),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     serve.add_argument("--lake", required=True)
     _add_listen_flags(serve, 8765, "catalog")

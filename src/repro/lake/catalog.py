@@ -30,10 +30,10 @@ join and subset see appended rows at once, with no re-embed.
 
 A record holds its sketch packed (:class:`~repro.lake.store.LakeTableRecord`):
 an ingest packs each new sketch once and the store writes those arrays, a
-warm open keeps each table's rows of the archive it read, and only the
-writes that need sketch objects build them — an append the one table's, a
-refresh its stale tables'. Serving, ``stats`` and the join index read the
-packed rows and the meta.
+warm open keeps each table's rows of the archive it read, and an append
+merges its delta's arrays into them. Only a refresh builds sketch objects,
+its stale tables'. Serving, ``stats`` and the join index read the packed
+rows and the meta.
 
 The column index is one exact :class:`~repro.search.index.KnnIndex` over
 every column, whatever the store's shard count: shards partition the
@@ -63,13 +63,14 @@ import numpy as np
 from repro import obs
 from repro.core.embed import TableEmbedder, finalize_column_vectors
 from repro.core.engine import TableEmbeddings
+from repro.lake.serialization import merge_rows
 from repro.lake.store import LakeStore, LakeTableRecord
 from repro.search.backend import IndexSpec
 from repro.search.containment import ContainmentIndex
 from repro.search.retrieval import rank_names
 from repro.search.tables import TableSearcher
 from repro.sketch.pipeline import TableSketch, sketch_corpus
-from repro.table.schema import Table, table_from_rows
+from repro.table.schema import Table
 from repro.text.sbert import HashedSentenceEncoder
 
 if TYPE_CHECKING:
@@ -400,10 +401,12 @@ class LakeCatalog:
     def append_rows(self, name: str, rows) -> LakeTableRecord:
         """Merge ``rows`` into a stored table in O(delta) — no re-embed yet.
 
-        Only the delta is sketched; its sketches merge into the stored ones
-        (exact for the MinHash halves, accumulator-mergeable for the
+        Only the delta is sketched, as arrays, and merged into the stored
+        record's packed members (:func:`~repro.lake.serialization.merge_rows`:
+        exact for the MinHash signatures, accumulator-mergeable for the
         numeric stats — see :mod:`repro.sketch.numeric` for the caps and
-        bounds), and join ranks by the merged signatures at once. The
+        bounds); no sketch object is built. Join ranks by the merged
+        signatures at once. The
         served column vectors are *not* recomputed here: the
         record's ``version`` bumps, ``embedding_stale`` is set, and the
         next non-``allow_stale`` query (or an explicit
@@ -435,15 +438,11 @@ class LakeCatalog:
                 "existed; update_table it once to enable appends"
             )
         with obs.span("lake.append", table=name, rows=len(rows)):
-            sketch = record.sketch
-            delta = table_from_rows(
-                name, sketch.column_names, rows, description=sketch.description
-            )
-            for column, stored in zip(delta.columns, sketch.column_sketches):
-                column.ctype = stored.ctype  # column types frozen at ingest
-            [delta_sketch] = sketch_corpus([delta], self.sketch_config, self._hasher)
             merged = LakeTableRecord(
-                sketch=sketch.merge(delta_sketch),
+                members=merge_rows(
+                    record.members, rows, self.sketch_config, self._hasher
+                ),
+                sketch_meta=record.sketch_meta,
                 column_vectors=record.column_vectors,  # stale but servable
                 table_embedding=record.table_embedding,
                 n_rows=record.n_rows + len(rows),

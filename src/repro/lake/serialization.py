@@ -22,9 +22,9 @@ from itertools import accumulate
 import numpy as np
 
 from repro.search.backend import IndexSpec
-from repro.sketch.minhash import MinHash
+from repro.sketch.minhash import MinHash, MinHasher
 from repro.sketch.numeric import NumericAccumulator, NumericalSketch, _PERCENTILES
-from repro.sketch.pipeline import ColumnSketch, SketchConfig, TableSketch
+from repro.sketch.pipeline import ColumnSketch, SketchConfig, TableSketch, sketch_rows
 from repro.table.schema import ColumnType
 
 #: A fingerprint input, frozen at 2: bumping it would change every
@@ -198,14 +198,8 @@ ACC_SCALAR_DIM = 12
 
 
 def _pack_accumulators(
-    sketches: "list[ColumnSketch]",
-) -> "dict[str, np.ndarray] | None":
-    accs = [c.numeric_acc for c in sketches]
-    if any(a is None for a in accs):
-        # Legacy sketch state (pre-live-tables archive round-tripping
-        # through an update path) — omit the arrays rather than invent
-        # approximate accumulators; appends to such tables are refused.
-        return None
+    accs: "list[NumericAccumulator]",
+) -> dict[str, np.ndarray]:
     scalars = np.asarray(
         [
             [
@@ -279,42 +273,99 @@ def _unpack_accumulators(arrays: dict[str, np.ndarray]) -> list[NumericAccumulat
 # --------------------------------------------------------------------- #
 # TableSketch
 # --------------------------------------------------------------------- #
+def _members(
+    snapshot: np.ndarray,
+    values: np.ndarray,
+    words: np.ndarray,
+    numerics: "list[NumericalSketch]",
+    n_values: list[int],
+    ctypes: np.ndarray,
+    accs: "list[NumericAccumulator] | None",
+) -> dict[str, np.ndarray]:
+    """A table's packed members, in archive order; ``accs`` is ``None``
+    for a sketch without mergeable state (the ``acc_*`` members are then
+    left out)."""
+    members = {
+        "snapshot_sig": snapshot,
+        "values_sig": values,
+        "words_sig": words,
+        "numeric_stats": np.stack([numeric_to_array(n) for n in numerics])
+        if numerics
+        else np.zeros((0, NUMERIC_RECORD_DIM), dtype=np.float64),
+        "n_values": np.asarray(n_values, dtype=np.int64),
+        "ctypes": ctypes,
+    }
+    if accs is not None:
+        members.update(_pack_accumulators(accs))
+    return members
+
+
 def pack_table_sketch(sketch: TableSketch) -> tuple[dict[str, np.ndarray], dict]:
     """Split a :class:`TableSketch` into npz arrays + JSON-safe metadata."""
-    arrays = {
-        "snapshot_sig": minhash_to_array(sketch.snapshot),
-        "values_sig": np.stack(
-            [minhash_to_array(c.values_minhash) for c in sketch.column_sketches]
-        )
-        if sketch.column_sketches
-        else np.zeros((0, sketch.config.num_perm), dtype=np.uint64),
-        "words_sig": np.stack(
-            [minhash_to_array(c.words_minhash) for c in sketch.column_sketches]
-        )
-        if sketch.column_sketches
-        else np.zeros((0, sketch.config.num_perm), dtype=np.uint64),
-        "numeric_stats": np.stack(
-            [numeric_to_array(c.numeric) for c in sketch.column_sketches]
-        )
-        if sketch.column_sketches
-        else np.zeros((0, NUMERIC_RECORD_DIM), dtype=np.float64),
-        "n_values": np.asarray(
-            [c.n_values for c in sketch.column_sketches], dtype=np.int64
-        ),
-        "ctypes": np.asarray(
-            [int(c.ctype) for c in sketch.column_sketches], dtype=np.int64
-        ),
-    }
-    acc_arrays = _pack_accumulators(sketch.column_sketches)
-    if acc_arrays is not None:
-        arrays.update(acc_arrays)
+    columns = sketch.column_sketches
+    empty = np.zeros((0, sketch.config.num_perm), dtype=np.uint64)
+    accs = [c.numeric_acc for c in columns]
+    arrays = _members(
+        minhash_to_array(sketch.snapshot),
+        np.stack([minhash_to_array(c.values_minhash) for c in columns])
+        if columns
+        else empty,
+        np.stack([minhash_to_array(c.words_minhash) for c in columns])
+        if columns
+        else empty.copy(),
+        [c.numeric for c in columns],
+        [c.n_values for c in columns],
+        np.asarray([int(c.ctype) for c in columns], dtype=np.int64),
+        # Legacy sketch state (a pre-live-tables archive round-tripping
+        # through an update path) has no accumulators: leave the arrays out
+        # rather than invent approximate ones; appends to it are refused.
+        None if any(a is None for a in accs) else accs,
+    )
     meta = {
         "table_name": sketch.table_name,
         "description": sketch.description,
-        "columns": [c.name for c in sketch.column_sketches],
+        "columns": [c.name for c in columns],
         "sketch_config": dataclasses.asdict(sketch.config),
     }
     return arrays, meta
+
+
+def merge_rows(
+    members: dict[str, np.ndarray],
+    rows: "list[list[str]]",
+    config: SketchConfig,
+    hasher: MinHasher | None = None,
+) -> dict[str, np.ndarray]:
+    """The packed members of a table with ``rows`` appended, read-only.
+
+    ``members`` must hold the ``acc_*`` state. The rows are sketched as
+    arrays under the stored column types (:func:`sketch_rows`), and merged
+    member by member: each signature slotwise with one ``np.minimum``, the
+    accumulators unpacked once and merged by
+    :meth:`NumericAccumulator.merge`, and ``numeric_stats`` / ``n_values``
+    read off the merged state. Equal in dtype, shape and bytes to
+    :func:`pack_table_sketch` of the unpacked sketch's
+    :meth:`TableSketch.merge` with the rows' :func:`sketch_table`, with no
+    sketch object built.
+    """
+    ctypes = np.array(members["ctypes"], dtype=np.int64)
+    delta = sketch_rows(rows, [ColumnType(c) for c in ctypes.tolist()], config, hasher)
+    accs = [
+        ours.merge(theirs)
+        for ours, theirs in zip(_unpack_accumulators(members), delta.accumulators)
+    ]
+    merged = _members(
+        np.minimum(members["snapshot_sig"], delta.snapshots[0]),
+        np.minimum(members["values_sig"], delta.values),
+        np.minimum(members["words_sig"], delta.words),
+        [acc.to_sketch() for acc in accs],
+        [acc.n_distinct for acc in accs],
+        ctypes,
+        accs,
+    )
+    for array in merged.values():
+        array.flags.writeable = False
+    return merged
 
 
 def unpack_table_sketch(arrays: dict[str, np.ndarray], meta: dict) -> TableSketch:

@@ -490,11 +490,12 @@ class LakeTableRecord:
     :func:`~repro.lake.serialization.pack_table_sketch` makes of it (after
     a warm open, views of the table's rows of the archive it was read
     from; after an ingest, the arrays packed once, which the store writes
-    as they are) and ``sketch_meta`` its manifest metadata, shared with the
-    manifest entry.
+    as they are; after an append, the arrays
+    :func:`~repro.lake.serialization.merge_rows` merged) and
+    ``sketch_meta`` its manifest metadata, shared with the manifest entry.
     :attr:`sketch` builds the :class:`TableSketch` on read; the name,
-    columns and join rows are read off the members and meta, so serving
-    and ingest never build one.
+    columns and join rows are read off the members and meta, so serving,
+    ingest and appends never build one.
     """
 
     members: dict[str, np.ndarray]

@@ -7,6 +7,8 @@ a string and generate a MinHash signature from the set of rows."
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.sketch.minhash import MinHash, MinHasher
 from repro.table.schema import Table
 
@@ -21,7 +23,14 @@ _ROW_SEP = "\x1f"
 
 def row_strings(table: Table, limit: int = CONTENT_SNAPSHOT_ROWS) -> list[str]:
     """Serialize the first ``limit`` rows to strings (one string per row)."""
-    return list(map(_ROW_SEP.join, zip(*(c.values[:limit] for c in table.columns))))
+    return joined_rows([c.values for c in table.columns], limit)
+
+
+def joined_rows(
+    columns: Sequence[list[str]], limit: int = CONTENT_SNAPSHOT_ROWS
+) -> list[str]:
+    """:func:`row_strings` of a table given as its columns' cell lists."""
+    return list(map(_ROW_SEP.join, zip(*(values[:limit] for values in columns))))
 
 
 def content_snapshot(

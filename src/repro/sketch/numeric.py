@@ -44,7 +44,9 @@ anywhere — identical inputs always produce identical bytes.
 
 Featurization is **array-at-a-time**. :func:`numerical_profiles` sketches
 every column of a batch at once: one :func:`_mix64` over all value hashes,
-and one :func:`sorted_percentiles` call over all numeric columns.
+and one :func:`sorted_percentiles` call over all numeric columns. It is two
+halves, :func:`numeric_accumulators` and :func:`numeric_sketches`; an
+append's delta runs only the first.
 :func:`numeric_inputs` maps a batch of sketches to model-input rows in one
 pass. ``numerical_profile`` and ``NumericalSketch.to_vector`` are one-row
 calls of these batch forms. :func:`sorted_percentiles` is bit-identical to
@@ -201,28 +203,20 @@ def sorted_percentiles(flat: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     return out
 
 
-def _moments(
-    flat: np.ndarray, sizes: Sequence[int]
-) -> tuple[list[float], list[float], list[float], list[float]]:
-    """``(sum, sum of squares, mean, std)`` of consecutive runs of ``flat``.
-
-    Each sum is ``np.add.reduce`` over the run, the pairwise sum ``np.sum``
-    and ``np.mean`` take; the std is ``np.std``'s sequence on the run:
-    subtract the mean, square, reduce, divide by ``n``, square root.
-    """
+def _stds(
+    flat: np.ndarray, sizes: Sequence[int], means: Sequence[float]
+) -> list[float]:
+    """Standard deviation of consecutive runs of ``flat`` with the given
+    means: ``np.std``'s sequence on each run (subtract the mean, square,
+    reduce, divide by ``n``, square root). A run's mean is its
+    ``np.add.reduce`` (the pairwise sum ``np.mean`` takes) over ``n``."""
     bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
-    runs = list(zip(bounds[:-1], bounds[1:]))
-    squares = flat * flat
-    totals = [float(np.add.reduce(flat[lo:hi])) for lo, hi in runs]
-    totals_sq = [float(np.add.reduce(squares[lo:hi])) for lo, hi in runs]
-    means = [total / (hi - lo) for total, (lo, hi) in zip(totals, runs)]
     deviations = flat - np.repeat(means, sizes)
     deviations *= deviations
-    stds = [
+    return [
         math.sqrt(float(np.add.reduce(deviations[lo:hi])) / (hi - lo))
-        for lo, hi in runs
+        for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
-    return totals, totals_sq, means, stds
 
 
 def _equi_depth(points: np.ndarray, weights: np.ndarray, cap: int) -> np.ndarray:
@@ -351,38 +345,137 @@ class NumericAccumulator:
         the percentiles come off the compressed sample and mean/std off the
         exact moments.
         """
+        if not self.n_numeric:
+            return self._sketch([0.0] * len(_PERCENTILES), 0.0, 0.0)
+        size = [self.sample.size]
+        percentiles = sorted_percentiles(self.sample, size)[0].tolist()
+        if self.sample_exact:
+            mean = float(np.add.reduce(self.sample)) / self.sample.size
+            (std,) = _stds(self.sample, size, [mean])
+        else:
+            mean = self.total / self.n_numeric
+            variance = max(0.0, self.total_sq / self.n_numeric - mean * mean)
+            std = float(np.sqrt(variance))
+        return self._sketch(percentiles, mean, std)
+
+    def _sketch(
+        self, percentiles: Sequence[float], mean: float, std: float
+    ) -> NumericalSketch:
+        """The paper sketch of this state with the given distribution
+        statistics (all zero for a column with no numeric value)."""
         n_rows = self.n_rows
-        nan_fraction = 1.0 - (self.n_nonnull / n_rows) if n_rows else 0.0
-        unique_fraction = (self.n_distinct / n_rows) if n_rows else 0.0
         if self.is_numeric or not self.n_nonnull:
             avg_width = 0.0
         else:
             avg_width = self.width_sum / self.n_nonnull
-
-        if self.n_numeric:
-            size = [self.sample.size]
-            percentiles = tuple(sorted_percentiles(self.sample, size)[0].tolist())
-            if self.sample_exact:
-                _, _, (mean,), (std,) = _moments(self.sample, size)
-            else:
-                mean = self.total / self.n_numeric
-                variance = max(0.0, self.total_sq / self.n_numeric - mean * mean)
-                std = float(np.sqrt(variance))
-            min_value, max_value = self.min_value, self.max_value
-        else:
-            percentiles = tuple(0.0 for _ in _PERCENTILES)
-            mean = std = min_value = max_value = 0.0
-
         return NumericalSketch(
-            unique_fraction=unique_fraction,
-            nan_fraction=nan_fraction,
+            unique_fraction=(self.n_distinct / n_rows) if n_rows else 0.0,
+            nan_fraction=1.0 - (self.n_nonnull / n_rows) if n_rows else 0.0,
             avg_cell_width=avg_width,
-            percentiles=percentiles,
+            percentiles=tuple(percentiles),
             mean=mean,
             std=std,
+            min_value=self.min_value if self.n_numeric else 0.0,
+            max_value=self.max_value if self.n_numeric else 0.0,
+        )
+
+
+def numeric_accumulators(
+    n_rows: Sequence[int],
+    ctypes: Sequence[ColumnType],
+    non_nulls: Sequence[list[str]],
+    value_hashes: np.ndarray,
+    bounds: np.ndarray,
+) -> tuple[list[NumericAccumulator], list[np.ndarray]]:
+    """The accumulator half of :func:`numerical_profiles`: every column's
+    :class:`NumericAccumulator`, and the sorted numeric values it was built
+    from (empty for a column without any), which the sketch half reads.
+
+    Arguments as for :func:`numerical_profiles`. An append runs only this
+    half on its delta: the delta's accumulators merge into the stored ones,
+    and the merged sketch is :meth:`NumericAccumulator.to_sketch`.
+    """
+    mixed = _mix64(value_hashes)
+    accumulators, samples = [], []
+    for i, (rows, ctype, non_null) in enumerate(zip(n_rows, ctypes, non_nulls)):
+        numbers = np.asarray(
+            numeric_view(non_null, ctype) if ctype.is_numeric else [],
+            dtype=np.float64,
+        )
+        # Order-canonical: every derived statistic (and the stored sample)
+        # is a function of the multiset, so merge-vs-rebuild can be bitwise.
+        numbers.sort()
+        samples.append(numbers)
+        if ctype.is_numeric:
+            width_sum = 0
+        else:
+            # UTF-8 of a concatenation is the concatenation of the UTF-8s.
+            width_sum = len("".join(non_null).encode("utf-8"))
+        if numbers.size:
+            total = float(np.add.reduce(numbers))
+            total_sq = float(np.add.reduce(numbers * numbers))
+            min_value, max_value = float(numbers[0]), float(numbers[-1])
+        else:
+            total = total_sq = min_value = max_value = 0.0
+
+        if numbers.size <= RESERVOIR_CAP:
+            sample = numbers
+            sample_exact = True
+        else:
+            sample = _equi_depth(
+                numbers, np.ones(numbers.size, dtype=np.float64), RESERVOIR_CAP
+            )
+            sample_exact = False
+
+        n_distinct = int(bounds[i + 1] - bounds[i])
+        hashes = np.sort(mixed[bounds[i] : bounds[i + 1]])
+        if n_distinct <= DISTINCT_CAP:
+            distinct = hashes
+            distinct_exact = True
+        else:
+            distinct = hashes[:DISTINCT_CAP].copy()
+            distinct_exact = False
+
+        accumulators.append(NumericAccumulator(
+            n_rows=rows,
+            n_nonnull=len(non_null),
+            width_sum=width_sum,
+            is_numeric=bool(ctype.is_numeric),
+            n_numeric=int(numbers.size),
+            total=total,
+            total_sq=total_sq,
             min_value=min_value,
             max_value=max_value,
-        )
+            sample=sample,
+            sample_exact=sample_exact,
+            n_distinct=n_distinct,
+            distinct=distinct,
+            distinct_exact=distinct_exact,
+        ))
+    return accumulators, samples
+
+
+def numeric_sketches(
+    accumulators: Sequence[NumericAccumulator], numbers: Sequence[np.ndarray]
+) -> list[NumericalSketch]:
+    """The sketch half of :func:`numerical_profiles`: each column's sketch
+    from its accumulator's counts and moments and its full sorted numeric
+    values (never the compressed sample, so a cold sketch stays exact
+    whatever the caps), with one :func:`sorted_percentiles` call and one
+    :func:`_stds` pass over every numeric column of the batch."""
+    numeric = [i for i, values in enumerate(numbers) if values.size]
+    stats = {}
+    if numeric:
+        flat = np.concatenate([numbers[i] for i in numeric])
+        sizes = [numbers[i].size for i in numeric]
+        means = [accumulators[i].total / size for i, size in zip(numeric, sizes)]
+        percentiles = sorted_percentiles(flat, sizes).tolist()
+        stats = dict(zip(numeric, zip(percentiles, means, _stds(flat, sizes, means))))
+    empty = ([0.0] * len(_PERCENTILES), 0.0, 0.0)
+    return [
+        accumulator._sketch(*stats.get(i, empty))
+        for i, accumulator in enumerate(accumulators)
+    ]
 
 
 def numerical_profiles(
@@ -398,97 +491,13 @@ def numerical_profiles(
     append freezes a delta column to its stored type this way), holds the
     non-null cells ``non_nulls[i]``, and the raw FNV-1a hash of each of its
     *distinct* non-null cells sits at
-    ``value_hashes[bounds[i]:bounds[i + 1]]``. The sketch is always computed
-    from the full data (never from the compressed sample), so cold sketches
-    stay exact regardless of the caps.
+    ``value_hashes[bounds[i]:bounds[i + 1]]``. It is
+    :func:`numeric_accumulators` followed by :func:`numeric_sketches`.
     """
-    mixed = _mix64(value_hashes)
-    samples = []
-    for ctype, non_null in zip(ctypes, non_nulls):
-        numbers = np.asarray(
-            numeric_view(non_null, ctype) if ctype.is_numeric else [],
-            dtype=np.float64,
-        )
-        # Order-canonical: every derived statistic (and the stored sample)
-        # is a function of the multiset, so merge-vs-rebuild can be bitwise.
-        numbers.sort()
-        samples.append(numbers)
-    numeric = [i for i, numbers in enumerate(samples) if numbers.size]
-    stats = {}
-    if numeric:
-        flat = np.concatenate([samples[i] for i in numeric])
-        sizes = [samples[i].size for i in numeric]
-        percentiles = sorted_percentiles(flat, sizes).tolist()
-        stats = dict(zip(numeric, zip(percentiles, *_moments(flat, sizes))))
-
-    profiles = []
-    for i, (rows, ctype, non_null, numbers) in enumerate(
-        zip(n_rows, ctypes, non_nulls, samples)
-    ):
-        n_nonnull = len(non_null)
-        n_distinct = int(bounds[i + 1] - bounds[i])
-        if ctype.is_numeric:
-            width_sum = 0
-            avg_width = 0.0
-        else:
-            # UTF-8 of a concatenation is the concatenation of the UTF-8s.
-            width_sum = len("".join(non_null).encode("utf-8"))
-            avg_width = width_sum / n_nonnull if n_nonnull else 0.0
-        if numbers.size:
-            percentiles, total, total_sq, mean, std = stats[i]
-            min_value = float(numbers[0])
-            max_value = float(numbers[-1])
-        else:
-            percentiles = [0.0] * len(_PERCENTILES)
-            mean = std = min_value = max_value = 0.0
-            total = total_sq = 0.0
-
-        sketch = NumericalSketch(
-            unique_fraction=(n_distinct / rows) if rows else 0.0,
-            nan_fraction=1.0 - (n_nonnull / rows) if rows else 0.0,
-            avg_cell_width=avg_width,
-            percentiles=tuple(percentiles),
-            mean=mean,
-            std=std,
-            min_value=min_value,
-            max_value=max_value,
-        )
-
-        if numbers.size <= RESERVOIR_CAP:
-            sample = numbers
-            sample_exact = True
-        else:
-            sample = _equi_depth(
-                numbers, np.ones(numbers.size, dtype=np.float64), RESERVOIR_CAP
-            )
-            sample_exact = False
-
-        hashes = np.sort(mixed[bounds[i] : bounds[i + 1]])
-        if n_distinct <= DISTINCT_CAP:
-            distinct = hashes
-            distinct_exact = True
-        else:
-            distinct = hashes[:DISTINCT_CAP].copy()
-            distinct_exact = False
-
-        accumulator = NumericAccumulator(
-            n_rows=rows,
-            n_nonnull=n_nonnull,
-            width_sum=width_sum,
-            is_numeric=bool(ctype.is_numeric),
-            n_numeric=int(numbers.size),
-            total=total,
-            total_sq=total_sq,
-            min_value=min_value,
-            max_value=max_value,
-            sample=sample,
-            sample_exact=sample_exact,
-            n_distinct=n_distinct,
-            distinct=distinct,
-            distinct_exact=distinct_exact,
-        )
-        profiles.append((sketch, accumulator))
-    return profiles
+    accumulators, numbers = numeric_accumulators(
+        n_rows, ctypes, non_nulls, value_hashes, bounds
+    )
+    return list(zip(numeric_sketches(accumulators, numbers), accumulators))
 
 
 def numerical_profile(

@@ -19,12 +19,20 @@ sketch path (``sketch_table(t)`` is ``sketch_corpus([t])[0]``). A batch
 collects every set that gets a signature — each column's distinct values and
 words, each table's row strings — hashes each distinct string of the batch
 once, and reads all signatures off one permutation pass. The batch's
-numerical sketches come from one
-:func:`~repro.sketch.numeric.numerical_profiles` call, which reads every
-column's value hashes as one run of that hash array. A set's signature and
-a column's numerical sketch are functions of the set and the column alone,
-so batched sketches are bit-identical to per-table ones at any batch
-composition.
+numeric state comes from one
+:func:`~repro.sketch.numeric.numeric_accumulators` call, which reads every
+column's value hashes as one run of that hash array, and its numerical
+sketches from one :func:`~repro.sketch.numeric.numeric_sketches` call. A
+set's signature and a column's numerical sketch are functions of the set
+and the column alone, so batched sketches are bit-identical to per-table
+ones at any batch composition.
+
+That batch step is :func:`sketch_arrays`: signature rows and accumulators,
+no sketch object. :func:`sketch_corpus` wraps its output in
+:class:`TableSketch` objects; an append runs it on the delta's rows alone
+(:func:`sketch_rows`), under the stored column types, and merges the
+arrays into the stored record
+(:func:`repro.lake.serialization.merge_rows`).
 
 Join and subset read only one part of a sketch: each column's values
 signature and distinct non-null count (:class:`JoinRows`).
@@ -43,14 +51,15 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.sketch.content import CONTENT_SNAPSHOT_ROWS, row_strings
+from repro.sketch.content import CONTENT_SNAPSHOT_ROWS, joined_rows, row_strings
 from repro.sketch.minhash import DEFAULT_NUM_PERM, MinHash, MinHasher, word_set
 from repro.sketch.numeric import (
     NumericAccumulator,
     NumericalSketch,
-    numerical_profiles,
+    numeric_accumulators,
+    numeric_sketches,
 )
-from repro.table.schema import Column, ColumnType, Table, is_null
+from repro.table.schema import Column, ColumnType, Table, cells_by_column, is_null
 from repro.utils.hashing import hash_strings
 
 #: Cells (rows x columns) :func:`sketch_corpus` gathers before it hashes a
@@ -184,16 +193,16 @@ class JoinRows(NamedTuple):
     sizes: np.ndarray
 
 
-def _distinct_cells(column: Column) -> tuple[set[str], set[str]]:
+def _distinct_cells(values: list[str]) -> tuple[set[str], set[str]]:
     """A column's distinct non-null cells and its distinct null cells.
 
     :func:`~repro.table.schema.is_null` is asked once per distinct cell,
     not once per cell.
     """
-    values = set(column.values)
-    nulls = set(filter(is_null, values))
-    values -= nulls
-    return values, nulls
+    cells = set(values)
+    nulls = set(filter(is_null, cells))
+    cells -= nulls
+    return cells, nulls
 
 
 def _hash_sets(sets: Sequence[set[str]]) -> tuple[np.ndarray, np.ndarray]:
@@ -215,19 +224,46 @@ def _hash_sets(sets: Sequence[set[str]]) -> tuple[np.ndarray, np.ndarray]:
     return raw, bounds
 
 
-def _sketch_batch(
-    columns: Sequence[Column], row_sets: Sequence[set[str]], hasher: MinHasher
-) -> tuple[list[ColumnSketch], list[MinHash]]:
-    """Column sketches for ``columns`` and one snapshot per set of rows."""
+class SketchArrays(NamedTuple):
+    """A batch's sketches as arrays (:func:`sketch_arrays`): column ``i``'s
+    values and words signatures are row ``i`` of ``values`` and ``words``
+    (``uint64[n_cols, num_perm]``), each set of rows' content snapshot a
+    row of ``snapshots``, and each column's numeric state its
+    :class:`NumericAccumulator` plus the sorted numeric values it was
+    built from (``numbers``, which only a cold sketch reads)."""
+
+    values: np.ndarray
+    words: np.ndarray
+    snapshots: np.ndarray
+    accumulators: list[NumericAccumulator]
+    numbers: list[np.ndarray]
+
+
+def sketch_arrays(
+    columns: Sequence[list[str]],
+    ctypes: Sequence[ColumnType],
+    row_sets: Sequence[set[str]],
+    hasher: MinHasher,
+) -> SketchArrays:
+    """The array-level sketch of a batch: every column's cells
+    (``columns[i]``, sketched as ``ctypes[i]``) and one snapshot per set of
+    row strings, with no sketch object built.
+
+    Each column's distinct non-null cells and (string columns only) its
+    words, and every row set, are hashed once per distinct string of the
+    batch (:func:`_hash_sets`) and signed in one
+    :meth:`MinHasher.signatures` pass; the numeric state is the
+    accumulator half of :func:`~repro.sketch.numeric.numerical_profiles`.
+    :func:`sketch_corpus` builds its sketches on this step, and an append
+    runs it on its delta's rows alone (:func:`sketch_rows`).
+    """
     n = len(columns)
-    ctypes = [column.inferred_type for column in columns]
-    split = [_distinct_cells(column) for column in columns]
-    values = [cells for cells, _ in split]
+    split = [_distinct_cells(cells) for cells in columns]
+    values = [distinct for distinct, _ in split]
     # Each column's cells minus its nulls, in order: non_null_values().
     non_nulls = [
-        [cell for cell in column.values if cell not in nulls] if nulls
-        else column.values
-        for column, (_, nulls) in zip(columns, split)
+        [cell for cell in cells if cell not in nulls] if nulls else cells
+        for cells, (_, nulls) in zip(columns, split)
     ]
     # Words MinHash is for string columns only (§III-A); the empty set
     # yields the empty signature for the other types.
@@ -238,29 +274,46 @@ def _sketch_batch(
     # Every column's values first, so their hashes are one run of ``raw``.
     raw, bounds = _hash_sets([*values, *words, *row_sets])
     signatures = hasher.signatures(raw, np.diff(bounds))
-    profiles = numerical_profiles(
-        [column.n_rows for column in columns],
+    accumulators, numbers = numeric_accumulators(
+        [len(cells) for cells in columns],
         ctypes,
         non_nulls,
         raw[: bounds[n]],
         bounds[: n + 1],
     )
+    return SketchArrays(
+        signatures[:n], signatures[n : 2 * n], signatures[2 * n :],
+        accumulators, numbers,
+    )
+
+
+def _sketch_batch(
+    columns: Sequence[Column], row_sets: Sequence[set[str]], hasher: MinHasher
+) -> tuple[list[ColumnSketch], list[MinHash]]:
+    """Column sketches for ``columns`` and one snapshot per set of rows:
+    :func:`sketch_arrays` of the batch, with each column's cold numerical
+    sketch (:func:`~repro.sketch.numeric.numeric_sketches`)."""
+    ctypes = [column.inferred_type for column in columns]
+    arrays = sketch_arrays(
+        [column.values for column in columns], ctypes, row_sets, hasher
+    )
+    numerics = numeric_sketches(arrays.accumulators, arrays.numbers)
     column_sketches = [
         ColumnSketch(
             name=column.name,
             ctype=ctype,
-            values_minhash=MinHash(signatures[i]),
-            words_minhash=MinHash(signatures[n + i]),
+            values_minhash=MinHash(values),
+            words_minhash=MinHash(words),
             numeric=numeric,
-            n_values=len(values[i]),
+            n_values=acc.n_distinct,
             numeric_acc=acc,
         )
-        for i, (column, ctype, (numeric, acc)) in enumerate(
-            zip(columns, ctypes, profiles)
+        for column, ctype, values, words, numeric, acc in zip(
+            columns, ctypes, arrays.values, arrays.words, numerics,
+            arrays.accumulators,
         )
     ]
-    snapshots = [MinHash(row) for row in signatures[2 * n :]]
-    return column_sketches, snapshots
+    return column_sketches, [MinHash(row) for row in arrays.snapshots]
 
 
 def _cell_bounded(tables: Iterable[Table]) -> Iterator[list[Table]]:
@@ -337,7 +390,7 @@ def value_signatures(
     joins = []
     for batch in _cell_bounded(tables):
         raw, bounds = _hash_sets([
-            _distinct_cells(column)[0]
+            _distinct_cells(column.values)[0]
             for table in batch
             for column in table.columns
         ])
@@ -354,6 +407,23 @@ def value_signatures(
             ))
             start = stop
     return joins
+
+
+def sketch_rows(
+    rows: Sequence[Sequence[str]],
+    ctypes: Sequence[ColumnType],
+    config: SketchConfig | None = None,
+    hasher: MinHasher | None = None,
+) -> SketchArrays:
+    """The :func:`sketch_arrays` of one table's ``rows`` (one cell per
+    column, in column order), column ``i`` sketched as ``ctypes[i]``: the
+    delta an append merges. Bit for bit the arrays of the
+    :func:`sketch_table` of the same rows with those column types, with no
+    table or sketch object built."""
+    config, hasher = _configured(config, hasher)
+    columns = cells_by_column(rows, len(ctypes))
+    row_set = set(joined_rows(columns, config.snapshot_rows))
+    return sketch_arrays(columns, ctypes, [row_set], hasher)
 
 
 def sketch_table(

@@ -154,7 +154,17 @@ def table_from_rows(
     description: str = "",
 ) -> Table:
     """Build a :class:`Table` from a header plus row-major data."""
-    n_cols = len(header)
+    columns = cells_by_column(rows, len(header))
+    return Table(
+        name=name,
+        columns=[Column(h, vals) for h, vals in zip(header, columns)],
+        description=description,
+    )
+
+
+def cells_by_column(rows: Sequence[Sequence[str]], n_cols: int) -> list[list[str]]:
+    """Row-major data as ``n_cols`` lists of cells, each cell ``str``-ed;
+    raises ``ValueError`` on a row of any other width."""
     columns: list[list[str]] = [[] for _ in range(n_cols)]
     for row in rows:
         if len(row) != n_cols:
@@ -163,8 +173,4 @@ def table_from_rows(
             )
         for j, cell in enumerate(row):
             columns[j].append(str(cell))
-    return Table(
-        name=name,
-        columns=[Column(h, vals) for h, vals in zip(header, columns)],
-        description=description,
-    )
+    return columns

@@ -12,9 +12,10 @@ checks:
   ``reshard``, every ``record.sketch`` equals, bit for bit, the sketch a
   cold ``sketch_table`` or an in-memory merge of the same rows gives;
 - counts of ``unpack_table_sketch`` and ``pack_table_sketch`` calls: a warm
-  open, the join index, member queries in every mode, ``stats`` and a bulk
-  ingest unpack nothing and an ingest packs each table once; an append
-  unpacks its one table and a refresh each stale one;
+  open, the join index, member queries in every mode, ``stats``, a bulk
+  ingest and an append unpack nothing, an ingest packs each table once and
+  an append packs none (nor does it call ``sketch_corpus``: it merges its
+  delta's arrays), and a refresh unpacks each stale table;
 - the members are read-only, so no write through one record reaches the
   rows of another that shares its archive;
 - a deterministic memory guard: on the seed-7 1 000-column lakegen lake, a
@@ -33,6 +34,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.lake import catalog as catalog_module
 from repro.lake import store as store_module
 from repro.lake.api import DiscoveryRequest
 from repro.lake.catalog import LakeCatalog
@@ -152,7 +154,7 @@ def counted(monkeypatch) -> dict:
     return calls
 
 
-def test_only_appends_and_refreshes_unpack_and_an_ingest_packs_once(
+def test_only_refreshes_unpack_and_an_ingest_packs_once(
     tmp_path, lake_embedder, lake_tables, counted
 ):
     names = list(lake_tables)
@@ -173,13 +175,53 @@ def test_only_appends_and_refreshes_unpack_and_an_ingest_packs_once(
     catalog.add_tables({name: lake_tables[name] for name in names[6:]})
     assert counted == {"unpack": 0, "pack": 9}
 
-    catalog.append_rows(names[0], [["late", "1", "tag9"]])
-    assert counted == {"unpack": 1, "pack": 10}
-    for name in names[1:4]:
+    for name in names[:4]:
         catalog.append_rows(name, [["late", "2", "tag9"]])
-    counted.update(unpack=0, pack=0)
+    assert counted == {"unpack": 0, "pack": 9}
     assert len(catalog.refresh_stale()) == 4
-    assert counted == {"unpack": 4, "pack": 0}
+    assert counted == {"unpack": 4, "pack": 9}
+
+
+def test_an_append_builds_no_sketch(
+    tmp_path, lake_embedder, lake_tables, counted, monkeypatch
+):
+    """An append merges its delta's arrays into the packed record: no
+    sketch is unpacked, packed or sketched from a table, in memory or on
+    a warm-opened store, and the merged members are those of the
+    object-level merge."""
+    root = tmp_path / "lake"
+    live = LakeCatalog(lake_embedder, store=LakeStore(root, "fp"))
+    live.add_tables(lake_tables)
+    config = live.sketch_config
+    sketched = []
+    real = catalog_module.sketch_corpus
+
+    def sketch_corpus(*args, **kwargs):
+        sketched.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(catalog_module, "sketch_corpus", sketch_corpus)
+    rows = [["late", "1", "tag9"], ["", "2.5", "x y"]]
+    for reopen in (False, True):
+        if reopen:
+            live = LakeCatalog.from_store(lake_embedder, LakeStore.open(root))
+        counted.update(unpack=0, pack=0)
+        expected = {}
+        for name in list(lake_tables)[:3]:
+            before = live.records[name]
+            record = live.append_rows(name, rows)
+            expected[name] = (before, record)
+        assert counted == {"unpack": 0, "pack": 0} and sketched == []
+        for name, (before, record) in expected.items():
+            assert record.version == before.version + 1 and record.embedding_stale
+            assert record.n_rows == before.n_rows + len(rows)
+            merged, _ = store_module.pack_table_sketch(
+                _merged(before.sketch, rows, config)
+            )
+            assert list(record.members) == list(merged)
+            for key, array in record.members.items():
+                assert _bits(array) == _bits(merged[key]), (name, key)
+                assert not array.flags.writeable
 
 
 def _snapshot(catalog: LakeCatalog) -> dict:

@@ -31,10 +31,10 @@ def test_join_and_subset_payloads_build_no_full_sketch(
 
     def counted(*args, **kwargs):
         profiled.append(len(args[0]))
-        return numeric.numerical_profiles(*args, **kwargs)
+        return numeric.numeric_accumulators(*args, **kwargs)
 
     # Patched where the sketch path looks it up.
-    monkeypatch.setattr(pipeline, "numerical_profiles", counted)
+    monkeypatch.setattr(pipeline, "numeric_accumulators", counted)
     service = LakeService(cold_catalog)
     source = lake_tables["g0t1"]
     join_probe = _fresh(source, "join-probe")

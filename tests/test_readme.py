@@ -1,10 +1,12 @@
 """README stays true to the repository: every `python -m repro.lake` /
 `python -m repro.lakegen` command its code blocks show parses under that
-module's CLI, and its Results block is exactly what
-`scripts/summarize_results.py` renders from the committed result files."""
+module's CLI, every route of its route table is listed by `serve --help`,
+and its Results block is exactly what `scripts/summarize_results.py`
+renders from the committed result files."""
 
 from __future__ import annotations
 
+import argparse
 import importlib.util
 import json
 import re
@@ -60,6 +62,26 @@ def test_readme_command_parses(module, argv):
         PARSERS[module]().parse_args(argv)
     except SystemExit:
         pytest.fail(f"README command does not parse: {module} {shlex.join(argv)}")
+
+
+def _routes(text: str, pattern: str) -> list[tuple[str, str]]:
+    return re.findall(pattern, text, re.M)
+
+
+def test_serve_help_lists_every_route_of_the_route_table():
+    """`python -m repro.lake serve --help` names each route README's route
+    table does, method and path alike."""
+    table = _routes(README, r"^\| `(GET|POST|PUT|DELETE) (/v1/\S+)` \|")
+    assert len(table) >= 10
+    (commands,) = [
+        action for action in lake_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    listed = _routes(
+        commands.choices["serve"].format_help(),
+        r"^\s+(GET|POST|PUT|DELETE)\s+(/v1/\S+)",
+    )
+    assert [route for route in table if route not in listed] == []
 
 
 def test_results_block_is_rendered_from_the_committed_files():

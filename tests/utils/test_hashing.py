@@ -1,13 +1,19 @@
 """FNV-1a hashing: published vectors, and batch == scalar.
 
 These hashes are the compatibility surface of every stored lake (MinHash
-signatures, KMV reservoirs, shard routing), so the values are pinned.
+signatures, KMV reservoirs, shard routing), so the values are pinned. A
+batch is hashed by the vector loop or, under the crossover
+(``SCALAR_BYTES_PER_STEP``), by the scalar one; both must give the scalar
+reference's values, checked on each side of it.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.utils import hashing
 from repro.utils.hashing import hash_bytes, hash_string, hash_strings
 
 #: Published FNV-1a 64-bit test vectors (Fowler/Noll/Vo reference suite).
@@ -67,3 +73,47 @@ _TEXTS = st.lists(
 @given(_TEXTS)
 def test_batch_equals_scalar(texts):
     assert hash_strings(texts).tolist() == [hash_string(t) for t in texts]
+
+
+def _straddling(longest: str, short: list[str], total: int) -> list[str]:
+    """``longest`` among the ``short`` strings that fit under it, padded
+    with ASCII runs no longer than it to exactly ``total`` UTF-8 bytes."""
+    width = len(longest.encode("utf-8"))
+    batch, size = [longest], width
+    for text in short:
+        n = len(text.encode("utf-8"))
+        if n <= width and size + n <= total:
+            batch.append(text)
+            size += n
+    while size < total:
+        pad = min(width, total - size)
+        batch.append("a" * pad)
+        size += pad
+    return batch
+
+
+@given(
+    longest=st.text(min_size=1, max_size=60),
+    short=st.lists(
+        st.one_of(st.text(max_size=8), st.sampled_from(["", "ü", "日本", "\x1f"])),
+        max_size=40,
+    ),
+    offset=st.integers(-3, 2),
+)
+def test_batch_equals_scalar_on_both_sides_of_the_crossover(longest, short, offset):
+    width = len(longest.encode("utf-8"))
+    total = hashing.SCALAR_BYTES_PER_STEP * width + offset
+    batch = _straddling(longest, short, total)
+    expected = [hash_bytes(text.encode("utf-8")) for text in batch]
+    calls = []
+
+    def counted(data):
+        calls.append(data)
+        return hash_bytes(data)
+
+    with mock.patch.object(hashing, "hash_bytes", counted):
+        hashes = hash_strings(batch)
+    assert hashes.dtype == np.uint64 and hashes.tolist() == expected
+    # Under the crossover every string goes through the scalar loop, at or
+    # over it none does.
+    assert len(calls) == (len(batch) if offset < 0 else 0)
