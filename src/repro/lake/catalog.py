@@ -19,21 +19,22 @@ Holds every table's :class:`LakeTableRecord` plus the live column index
   touched shard — so the on-disk lake is always warm-loadable. The index is
   never written: it is derived from the vectors those archives hold.
 
-Join and subset are served by a second scorer beside the column index, a
-:class:`~repro.search.containment.ContainmentIndex` over every column's
-``values_minhash`` signature and ``n_values`` (``joins``). It lives in
-memory only and is never sharded: the first join or subset builds it from
-the records' stored signature rows (a catalog never asked one never holds
-it), and from then on every write that changes a sketch keeps it in step,
-touching only that table's rows. An append merges signatures exactly, so
-join and subset see appended rows at once, with no re-embed.
+The column index is the catalog's one column table: each row holds a
+column's vector and, beside it, its ``values_minhash`` signature and
+``n_values``. Join and subset are served from those rows by ``joins``, a
+:class:`~repro.search.containment.ContainmentIndex` built with the catalog
+that keeps only slot postings over them. Every mutation is one searcher
+write: an add, update or refresh writes the table's rows, an append
+rewrites them in place (its vectors stale, its signatures merged), and a
+remove drops them. An append merges signatures exactly, so join and
+subset see appended rows at once, with no re-embed.
 
 A record holds its sketch packed (:class:`~repro.lake.store.LakeTableRecord`):
 an ingest packs each new sketch once and the store writes those arrays, a
 warm open keeps each table's rows of the archive it read, and an append
 merges its delta's arrays into them. Only a refresh builds sketch objects,
-its stale tables'. Serving, ``stats`` and the join index read the packed
-rows and the meta.
+its stale tables'. Serving, ``stats`` and the column table's writes read
+the packed rows and the meta.
 
 The column index is one exact :class:`~repro.search.index.KnnIndex` over
 every column, whatever the store's shard count: shards partition the
@@ -136,10 +137,12 @@ class LakeCatalog:
             n_shards if n_shards is not None else LakeStore.DEFAULT_SHARDS
         )
         self.searcher = TableSearcher(
-            self.dim, metric=self.index_spec.params.get("metric", "cosine")
+            self.dim,
+            metric=self.index_spec.params.get("metric", "cosine"),
+            num_perm=self.sketch_config.num_perm,
         )
-        #: Built by the first read of :attr:`joins`.
-        self._joins: ContainmentIndex | None = None
+        #: What join and subset rank by: postings over the searcher's rows.
+        self.joins = ContainmentIndex(self.searcher)
         #: Written only through :meth:`_put`, which keeps ``_stale`` in step.
         self.records: dict[str, LakeTableRecord] = {}
         #: Names of the records whose ``embedding_stale`` is set, so the
@@ -160,34 +163,20 @@ class LakeCatalog:
         """Warm-load: register every stored record without running the
         trunk.
 
-        The column index is assembled from the records' own
-        ``column_vectors`` (:meth:`LakeStore.load_index`): one block copy,
-        in the row order the live index kept — zero forwards,
-        zero insertions, and nothing written, so a read-only snapshot opens
-        as it is.
+        The column table is assembled from the records' own
+        ``column_vectors``, ``values_sig`` and ``n_values``
+        (:meth:`LakeStore.load_index`): one block copy each, in the row
+        order the live index kept — zero forwards, zero insertions, and
+        nothing written, so a read-only snapshot opens as it is.
         """
         catalog = cls(embedder, sbert=sbert, store=store)
         records = list(store.load_all())
-        catalog.searcher.adopt_index(store.load_index(catalog.dim, records))
+        catalog.searcher.adopt_index(
+            store.load_index(catalog.dim, records, catalog.sketch_config.num_perm)
+        )
         for record in records:
             catalog._put(record.name, record)
         return catalog
-
-    @property
-    def joins(self) -> ContainmentIndex:
-        """Every column's values signature and size: what join and subset
-        rank by. Built from the records' stored rows on first read (one
-        exact ``reserve``, no forward, no sketch built); every later write
-        keeps it in step."""
-        if self._joins is None:
-            joins = ContainmentIndex(self.sketch_config.num_perm)
-            joins.reserve(
-                sum(len(record.column_names) for record in self.records.values())
-            )
-            for record in self.records.values():
-                joins.add_table(record.join_rows())
-            self._joins = joins
-        return self._joins
 
     # ------------------------------------------------------------------ #
     def _embed_sketches(self, sketches: list[TableSketch]) -> list[TableEmbeddings]:
@@ -308,18 +297,15 @@ class LakeCatalog:
             self._stale.discard(name)
         return old
 
-    def _index_join(self, record: LakeTableRecord) -> None:
-        """Put a new or changed record's rows in :attr:`joins`, once built."""
-        if self._joins is not None:
-            self._joins.add_table(record.join_rows())
-
     def _install(self, records: list[LakeTableRecord]) -> None:
         """Serve ``records``: each replaces any same-named record and its
-        index rows, in place (persisting is the caller's)."""
+        rows of the column table, in place (persisting is the caller's)."""
         for record in records:
             self._put(record.name, record)
+            join = record.join_rows()
             self.searcher.add_table(
-                record.name, record.column_names, record.column_vectors
+                record.name, record.column_names, record.column_vectors,
+                join.signatures, join.sizes,
             )
 
     # ------------------------------------------------------------------ #
@@ -350,8 +336,6 @@ class LakeCatalog:
         with obs.span("lake.ingest", tables=len(tables)) as ingest:
             records = self._embed_records(list(tables.values()))
             self._install(records)
-            for record in records:
-                self._index_join(record)
             if self.store is not None:
                 self.store.save_tables(records)
         if records:
@@ -363,8 +347,6 @@ class LakeCatalog:
         """Drop one table from index, registry, and store."""
         record = self._put(name, None)
         self.searcher.remove_table(name)
-        if self._joins is not None:
-            self._joins.remove_table(name)
         if self.store is not None:
             self.store.remove_table(name)
         if record is not None:
@@ -391,7 +373,6 @@ class LakeCatalog:
             record = self._embed_records([table])[0]
             record.version = old.version + 1
             self._install([record])
-            self._index_join(record)
             if self.store is not None:
                 self.store.save_table(record)
         _TABLES_UPDATED.inc()
@@ -405,8 +386,8 @@ class LakeCatalog:
         record's packed members (:func:`~repro.lake.serialization.merge_rows`:
         exact for the MinHash signatures, accumulator-mergeable for the
         numeric stats — see :mod:`repro.sketch.numeric` for the caps and
-        bounds); no sketch object is built. Join ranks by the merged
-        signatures at once. The
+        bounds); no sketch object is built. The table's rows are rewritten
+        in place, so join ranks by the merged signatures at once. The
         served column vectors are *not* recomputed here: the
         record's ``version`` bumps, ``embedding_stale`` is set, and the
         next non-``allow_stale`` query (or an explicit
@@ -450,8 +431,7 @@ class LakeCatalog:
                 version=record.version + 1,
                 embedding_stale=True,
             )
-            self._put(name, merged)
-            self._index_join(merged)
+            self._install([merged])
             if self.store is not None:
                 self.store.save_table(merged)
         _ROWS_APPENDED.inc(len(rows))

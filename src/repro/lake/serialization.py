@@ -23,7 +23,9 @@ import numpy as np
 
 from repro.search.backend import IndexSpec
 from repro.sketch.minhash import MinHash, MinHasher
-from repro.sketch.numeric import NumericAccumulator, NumericalSketch, _PERCENTILES
+from repro.sketch.numeric import (
+    NumericAccumulator, NumericalSketch, _PERCENTILES, numeric_sketches,
+)
 from repro.sketch.pipeline import ColumnSketch, SketchConfig, TableSketch, sketch_rows
 from repro.table.schema import ColumnType
 
@@ -343,7 +345,8 @@ def merge_rows(
     member by member: each signature slotwise with one ``np.minimum``, the
     accumulators unpacked once and merged by
     :meth:`NumericAccumulator.merge`, and ``numeric_stats`` / ``n_values``
-    read off the merged state. Equal in dtype, shape and bytes to
+    read off the merged state (one :func:`numeric_sketches` call for the
+    table). Equal in dtype, shape and bytes to
     :func:`pack_table_sketch` of the unpacked sketch's
     :meth:`TableSketch.merge` with the rows' :func:`sketch_table`, with no
     sketch object built.
@@ -358,7 +361,7 @@ def merge_rows(
         np.minimum(members["snapshot_sig"], delta.snapshots[0]),
         np.minimum(members["values_sig"], delta.values),
         np.minimum(members["words_sig"], delta.words),
-        [acc.to_sketch() for acc in accs],
+        numeric_sketches(accs),
         [acc.n_distinct for acc in accs],
         ctypes,
         accs,

@@ -21,15 +21,18 @@ artifacts always co-locate. There is one layout, whatever N::
             t000001.npz      # one archive per group of up to 64 tables
         s001/...             # a commit wrote (see below)
 
-The vector index is not part of the layout. It is derived state, and one
-index at any shard count: :meth:`LakeStore.load_index` assembles the exact
-index from the ``column_vectors`` the table archives already hold, in global
-insertion order — the row order the live index keeps — with one block copy.
-A warm open therefore runs no forward, inserts no row and writes nothing,
-and no write has an index to keep in step. Exact distance ties break by
-row order, so the live index replaces an updated or refreshed table's rows
-where they stand (:meth:`~repro.search.index.KnnIndex.replace_many`)
-instead of moving them to the end.
+The column table — the exact vector index, whose rows also hold each
+column's ``values_sig`` and ``n_values`` for join and subset — is not part
+of the layout. It is derived state, and one table at any shard count:
+:meth:`LakeStore.load_index` assembles it from the ``column_vectors``,
+``values_sig`` and ``n_values`` the table archives already hold, in global
+insertion order — the row order the live table keeps — with one block copy
+per column. A warm open therefore runs no forward, inserts no row and
+writes nothing, and no write has an index to keep in step. Exact distance
+ties break by row order, so the live index replaces an updated or
+refreshed table's rows where they stand
+(:meth:`~repro.search.index.KnnIndex.replace_many`) instead of moving them
+to the end.
 
 **One layout, versioned.** The root manifest records ``layout``
 (:data:`LAYOUT`); every reader goes through :func:`_read_root_manifest`,
@@ -1191,29 +1194,40 @@ class LakeStore:
         return None if raw is None else IndexSpec.from_dict(raw)
 
     def load_index(
-        self, dim: int, records: "list[LakeTableRecord] | None" = None
+        self, dim: int, records: "list[LakeTableRecord] | None" = None,
+        num_perm: int = 0,
     ) -> KnnIndex:
         """The one exact index over this store's tables, at any shard
-        count, assembled from the ``column_vectors`` their archives hold
-        (``records``: the :meth:`load_all` output, when the caller already
-        has it).
+        count, assembled from the rows their archives hold (``records``:
+        the :meth:`load_all` output, when the caller already has it): the
+        ``column_vectors``, and with ``num_perm`` slots each column's
+        ``values_sig`` and ``n_values``.
 
         The rows are every table's columns in global insertion order, which
         is the order the live index keeps (a replaced table's rows stay
         where they were: :meth:`TableSearcher.add_table
         <repro.search.tables.TableSearcher.add_table>`). The vectors are one
-        concatenation, which :meth:`KnnIndex.restore` keeps as its row
-        buffer: no second copy, no per-row insertion, no forward, nothing
+        concatenation and the signatures are written straight into one
+        slot-major buffer, which :meth:`KnnIndex.restore` keeps as its row
+        buffers: no second copy, no per-row insertion, no forward, nothing
         written.
         """
         spec = self.index_spec() or IndexSpec()
-        keys: list[ColumnEntry] = []
-        blocks: list[np.ndarray] = []
-        for record in self.load_all() if records is None else records:
-            keys += [ColumnEntry(record.name, c) for c in record.column_names]
-            blocks.append(record.column_vectors)
-        vectors = np.concatenate(blocks) if blocks else np.zeros((0, dim))
-        return KnnIndex.restore(dim, keys, vectors, **spec.params)
+        records = list(self.load_all() if records is None else records)
+        keys = [ColumnEntry(r.name, c) for r in records for c in r.column_names]
+        vectors = np.zeros((len(keys), dim))
+        signatures = np.zeros((num_perm, len(keys)), dtype=np.uint64)
+        sizes = np.zeros(len(keys), dtype=np.int64)
+        if records:
+            np.concatenate([r.column_vectors for r in records], out=vectors)
+        if records and num_perm:
+            np.concatenate(
+                [r.members["values_sig"].T for r in records], axis=1, out=signatures
+            )
+            np.concatenate([r.members["n_values"] for r in records], out=sizes)
+        return KnnIndex.restore(
+            dim, keys, vectors, signatures=signatures, sizes=sizes, **spec.params
+        )
 
     # ------------------------------------------------------------------ #
     def table_names(self) -> list[str]:

@@ -61,9 +61,10 @@ class IndexSpec:
         return f"{self.backend}:{tail}"
 
 
-def make_index(spec: IndexSpec | None, dim: int) -> KnnIndex:
-    """A fresh exact index under ``spec`` (default: cosine)."""
-    return KnnIndex(dim, **(spec or IndexSpec()).params)
+def make_index(spec: IndexSpec | None, dim: int, num_perm: int = 0) -> KnnIndex:
+    """A fresh exact index under ``spec`` (default: cosine), its rows
+    holding ``num_perm`` signature slots beside each vector."""
+    return KnnIndex(dim, num_perm=num_perm, **(spec or IndexSpec()).params)
 
 
 def stable_shard(text: str, n_shards: int) -> int:

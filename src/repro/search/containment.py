@@ -10,29 +10,34 @@ from those two, :func:`repro.sketch.minhash.estimate_containment`
 estimates the containment of one column in any other (the quantity JOSIE
 computes exactly and LSH Ensemble, Zhu et al., VLDB 2016, approximates).
 
-:class:`ContainmentIndex` holds the signatures slot-major, a
-``uint64[num_perm, n]`` matrix beside the ``n`` columns' sizes; that matrix
-is the source of truth, and everything else is derived from it. A row that
-shares no slot with a query column scores 0 in both directions, so
-:meth:`~ContainmentIndex.agreement`, the one lookup both modes score from,
-finds only the rows that share a slot with some query column, with their
-agreeing-slot counts:
+:class:`ContainmentIndex` scores from the lake's one column table: the
+rows of a :class:`~repro.search.tables.TableSearcher`'s index, each holding
+its column's signature slots (slot-major, ``uint64[num_perm, n]``) and
+size beside its vector (:mod:`repro.search.index`). That table is the
+source of truth and has one writer; the scorer keeps only postings derived
+from it. A row that shares no slot with a query column scores 0 in both
+directions, so :meth:`~ContainmentIndex.agreement`, the one lookup both
+modes score from, finds only the rows that share a slot with some query
+column, with their agreeing-slot counts:
 
 - *Postings* (JOSIE's posting lists, Zhu et al., SIGMOD 2019, over MinHash
-  slots): per slot, the rows bucketed by a mixed hash of their slot value,
-  one flat row array beside an ``offsets[num_perm, buckets + 1]`` table.
-  A query gathers its ``num_perm`` buckets per query column in one
-  vectorized step and keeps the entries whose slot equals the query's, so
-  a bucket collision never counts. Its cost is the bucket entries read,
-  ~8-16 per query slot plus the rows that really agree, not ``n``; the
-  postings hold ``n * num_perm`` row ids of the narrowest unsigned type
-  and ``int32`` offsets (under 0.8 MB at 10k columns and 32 slots).
-- *Dirty rows*: a write marks the rows it writes below the last build, and
-  rows past the build count too; the postings skip them and they are
-  compared densely. Once more than ``max(REBUILD_DIRTY_ROWS, n // 8)``
-  rows are dirty the next query rebuilds the postings, a stable sort of
-  each slot's bucket keys (~30 ms at 10k columns). Until an index has held
-  past ``REBUILD_DIRTY_ROWS`` rows every row is dirty.
+  slots): per slot, the rows' ids bucketed by a mixed hash of their slot
+  value, one flat id array beside an ``offsets[num_perm, buckets + 1]``
+  table. A query gathers its ``num_perm`` buckets per query column in one
+  vectorized step, turns the ids into rows through the index's id -> row
+  map (skipping an id whose row is gone) and keeps the entries whose slot
+  equals the query's, so a bucket collision never counts. Its cost is the
+  bucket entries read, ~8-16 per query slot plus the rows that really
+  agree, not ``n``; the postings hold ``n * num_perm`` ids of the
+  narrowest unsigned type and ``int32`` offsets (under 0.8 MB at 10k
+  columns and 32 slots).
+- *Rows written since the build*: a build renumbers the index's ids to
+  rows and posts them. Every write gives the rows it writes fresh ids, so
+  a row whose id was issued after the build is compared densely, and a
+  block move, which changes no id, leaves the postings valid. Past
+  ``max(REBUILD_DIRTY_ROWS, n // 8)`` new ids (:mod:`repro.search.index`)
+  the writer renumbers, which voids the postings; the next query rebuilds
+  them, a stable sort of each slot's bucket keys (~30 ms at 10k columns).
 - *Dense compare*: when a query's buckets hold more than one entry per
   ``POSTED_ENTRY_CELLS`` cells of the ``q * num_perm * n`` a dense compare
   reads, every row is compared densely instead. A generated lake keeps
@@ -49,20 +54,19 @@ contains; subset (:meth:`~ContainmentIndex.rank_subsets`, Table VIII's
 direction) asks how much of each candidate column the query contains, and
 scores a table by the mean over its columns.
 
-The index reads a table as :class:`~repro.sketch.pipeline.JoinRows`: its
-columns' signatures as the store keeps them, one ``uint64[num_perm]`` row
-per column, beside their sizes. A lake record hands over its stored rows
-as they are, :func:`~repro.sketch.pipeline.value_signatures` signs a
-payload's without sketching it, and :func:`join_rows` stacks a full
-sketch's, so no ingest or query builds a sketch object to join.
+A table reaches the rows, and a query the scans, as
+:class:`~repro.sketch.pipeline.JoinRows`: its columns' signatures as the
+store keeps them, one ``uint64[num_perm]`` row per column, beside their
+sizes. A lake record hands over its stored rows as they are,
+:func:`~repro.sketch.pipeline.value_signatures` signs a payload's without
+sketching it, and :func:`join_rows` stacks a full sketch's, so no ingest
+or query builds a sketch object to join.
 
-Rows are dense. A table's rows are found through a table -> rows map, and
-removing a table moves the last rows into its holes (swap-remove), so a
-write touches only that table's rows and the rows it moves. Row order is
-therefore arbitrary, and no answer depends on it: join candidates rank by
-containment descending, then table name, then column name; a subset
-table's mean is summed in its column order and tables rank by it
-descending, then by name.
+A table's rows are contiguous and in column order, where the searcher
+keeps them (:meth:`~repro.search.tables.TableSearcher.rows`). No answer
+depends on where a table stands: join candidates rank by containment
+descending, then table name, then column name; a subset table's mean is
+summed in its column order and tables rank by it descending, then by name.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.search.tables import CANDIDATE_FACTOR
+from repro.search.tables import CANDIDATE_FACTOR, TableSearcher
 from repro.sketch.minhash import MinHash
 from repro.sketch.pipeline import JoinRows, TableSketch
 
@@ -137,10 +141,6 @@ def join_rows(sketch: TableSketch) -> JoinRows:
     )
 
 
-#: The postings are rebuilt once more rows than this, and than an eighth of
-#: the index, are dirty.
-REBUILD_DIRTY_ROWS = 256
-
 #: A gathered posting entry costs about what a dense compare of this many
 #: matrix cells does (~60 ns against ~0.5 ns, numpy on one CPU), so a query
 #: whose buckets hold more entries than its dense compare's
@@ -163,156 +163,81 @@ def _bucket(values: np.ndarray, bits: int) -> np.ndarray:
 
 
 class ContainmentIndex:
-    """Every indexed column's values signature and size, with slot postings
-    over them."""
+    """Slot postings over a searcher's signature rows, and the containment
+    scans join and subset rank by."""
 
-    def __init__(self, num_perm: int):
-        self.num_perm = num_perm
-        #: Slot-major signatures; columns past ``len(self)`` are spare.
-        self._signatures = np.empty((num_perm, 0), dtype=np.uint64)
-        self._sizes = np.empty(0, dtype=np.int64)
-        #: Row -> its table and its column.
-        self._tables: list[str] = []
-        self._columns: list[str] = []
-        #: Table -> its rows, in column order.
-        self._rows: dict[str, list[int]] = {}
-        #: Postings over the first ``_built`` rows as the last build saw
-        #: them: slot ``s``'s bucket ``b`` holds the rows
-        #: ``_post_rows[_post_offsets[s, b]:_post_offsets[s, b + 1]]``.
+    def __init__(self, searcher: TableSearcher):
+        self.searcher = searcher
+        #: The index's slot count (an adopted index must have the same).
+        self.num_perm = searcher.index.num_perm
+        #: Postings over the ids the last build numbered (its rows): slot
+        #: ``s``'s bucket ``b`` holds the ids
+        #: ``_post_ids[_post_offsets[s, b]:_post_offsets[s, b + 1]]``. They
+        #: are void once the index's ``id_rows`` is not ``_numbering``.
+        self._numbering: np.ndarray | None = None
+        #: Ids from this one on were issued after the build.
         self._built = 0
         self._bits = 0
-        self._post_rows = np.empty(0, dtype=np.uint8)
-        self._post_offsets = np.empty((num_perm, 0), dtype=np.int32)
-        #: Rows below ``_built`` and ``len(self)`` written since the build.
-        self._dirty: set[int] = set()
+        self._post_ids = np.empty(0, dtype=np.uint8)
+        self._post_offsets = np.empty((0, 0), dtype=np.int32)
 
     def __len__(self) -> int:
-        return len(self._tables)
-
-    # ------------------------------------------------------------------ #
-    def add_table(self, join: JoinRows) -> None:
-        """Index a table's columns, replacing any rows the table had: in
-        place when the column count is unchanged, else by a remove and an
-        append."""
-        table, columns = join.table, join.columns
-        rows = self._rows.get(table)
-        if rows is not None and len(rows) != len(columns):
-            self.remove_table(table)
-            rows = None
-        if rows is None:
-            start = len(self._tables)
-            rows = list(range(start, start + len(columns)))
-            self.reserve(start + len(columns))
-            self._tables.extend([table] * len(columns))
-            self._columns.extend(columns)
-            self._rows[table] = rows
-        else:
-            for row, column in zip(rows, columns):
-                self._columns[row] = column
-        if rows:
-            self._signatures[:, rows] = join.signatures.T
-            self._sizes[rows] = join.sizes
-            self._dirty.update(row for row in rows if row < self._built)
-
-    def remove_table(self, table: str) -> int:
-        """Drop ``table``'s rows; returns how many went. Each hole takes
-        the current last row."""
-        rows = self._rows.pop(table, None)
-        if not rows:
-            return 0
-        for row in sorted(rows, reverse=True):
-            last = len(self._tables) - 1
-            if row != last:
-                moved = self._tables[row] = self._tables[last]
-                self._columns[row] = self._columns[last]
-                self._signatures[:, row] = self._signatures[:, last]
-                self._sizes[row] = self._sizes[last]
-                owner = self._rows[moved]
-                owner[owner.index(last)] = row
-                if row < self._built:
-                    self._dirty.add(row)
-            self._tables.pop()
-            self._columns.pop()
-            self._dirty.discard(last)
-        return len(rows)
-
-    def reserve(self, n: int) -> None:
-        """Make room for ``n`` rows: exactly ``n`` when the index is
-        sized up front (a warm open knows its column count), else a
-        quarter more than it holds, so appends copy the matrix
-        amortized O(1) times per row with little spare."""
-        capacity = self._sizes.shape[0]
-        if n <= capacity:
-            return
-        capacity = max(n, capacity + capacity // 4)
-        signatures = np.empty((self.num_perm, capacity), dtype=np.uint64)
-        sizes = np.empty(capacity, dtype=np.int64)
-        used = len(self._tables)
-        signatures[:, :used] = self._signatures[:, :used]
-        sizes[:used] = self._sizes[:used]
-        self._signatures, self._sizes = signatures, sizes
+        return len(self.searcher.index)
 
     # ------------------------------------------------------------------ #
     def _build(self) -> None:
-        """Rebuild the postings over every row, each slot's rows sorted
-        into ~8-16-row buckets by mixed value."""
-        n = len(self._tables)
+        """Renumber the index's ids to rows and rebuild the postings over
+        them, each slot's ids sorted into ~8-16-row buckets by mixed
+        value."""
+        index = self.searcher.index
+        index.renumber()
+        n, num_perm = len(index), self.num_perm
         # Free the old postings before the new ones are allocated.
-        self._post_rows = self._post_offsets = None
+        self._post_ids = self._post_offsets = None
         bits = max(1, (n // 8).bit_length() - 1)
         buckets = 1 << bits
-        rows = np.empty(self.num_perm * n, dtype=np.min_scalar_type(n))
-        offsets = np.empty((self.num_perm, buckets + 1), dtype=np.int32)
-        for slot in range(self.num_perm):
-            keys = _bucket(self._signatures[slot, :n], bits)
+        ids = np.empty(num_perm * n, dtype=np.min_scalar_type(n))
+        offsets = np.empty((num_perm, buckets + 1), dtype=np.int32)
+        for slot in range(num_perm):
+            keys = _bucket(index.signatures[slot], bits)
             start = slot * n
-            rows[start:start + n] = np.argsort(keys, kind="stable")
+            ids[start:start + n] = np.argsort(keys, kind="stable")
             offsets[slot, 0] = start
             np.cumsum(np.bincount(keys, minlength=buckets), out=offsets[slot, 1:])
             offsets[slot, 1:] += start
-        self._post_rows, self._post_offsets = rows, offsets
-        self._built, self._bits = n, bits
-        self._dirty.clear()
-
-    def _dirty_rows(self) -> np.ndarray:
-        """The rows the postings cannot answer for: those written since
-        the build, then those past it."""
-        return np.concatenate([
-            np.fromiter(self._dirty, dtype=np.intp, count=len(self._dirty)),
-            np.arange(self._built, len(self._tables), dtype=np.intp),
-        ])
+        self._post_ids, self._post_offsets = ids, offsets
+        self._numbering, self._built, self._bits = index.id_rows, n, bits
 
     def _posted(
         self, signatures: np.ndarray, starts: np.ndarray, lengths: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The clean rows sharing a slot with a query signature, and each
+        """The posted rows sharing a slot with a query signature, and each
         query signature's agreeing-slot count with them, from the
         postings' bucket ranges ``starts`` / ``lengths`` of every
         (query, slot)."""
-        q = len(signatures)
+        index = self.searcher.index
+        q, num_perm = len(signatures), self.num_perm
         # Every bucket's entries, gathered in one step; ``owner`` is the
         # flat (query, slot) each entry answers.
-        owner = np.repeat(np.arange(q * self.num_perm), lengths)
+        owner = np.repeat(np.arange(q * num_perm), lengths)
         at = np.arange(lengths.sum()) + np.repeat(
             starts - (np.cumsum(lengths) - lengths), lengths
         )
-        candidates = self._post_rows[at].astype(np.intp)
-        # A posted row may have gone or been rewritten since the build.
-        clean = candidates < len(self._tables)
-        if self._dirty:
-            clean &= ~np.isin(candidates, list(self._dirty))
-        candidates, owner = candidates[clean], owner[clean]
+        candidates = index.id_rows[self._post_ids[at]]
+        # A posted id's row may have gone, or been rewritten under a new id.
+        live = candidates >= 0
+        candidates, owner = candidates[live], owner[live]
         # A bucket holds other values too: only an equal slot agrees.
         agree = (
-            self._signatures[owner % self.num_perm, candidates]
+            index.signatures[owner % num_perm, candidates]
             == signatures.ravel()[owner]
         )
         candidates, owner = candidates[agree], owner[agree]
         rows, inverse = np.unique(candidates, return_inverse=True)
         counts = np.bincount(
-            owner // self.num_perm * rows.size + inverse, minlength=q * rows.size
+            owner // num_perm * rows.size + inverse, minlength=q * rows.size
         )
-        dtype = np.min_scalar_type(self.num_perm)
+        dtype = np.min_scalar_type(num_perm)
         return rows, counts.reshape(q, rows.size).astype(dtype)
 
     def _compare(
@@ -325,9 +250,9 @@ class ContainmentIndex:
         broadcast; past that, one pass per slot over all query signatures
         at once reads the matrix once and holds only the counts.
         """
-        n = len(self._tables)
-        matrix = self._signatures
-        matrix = matrix[:, :n] if rows is None else matrix[:, rows]
+        matrix = self.searcher.index.signatures
+        if rows is not None:
+            matrix = matrix[:, rows]
         dtype = np.min_scalar_type(self.num_perm)
         if signatures.size * matrix.shape[1] <= BROADCAST_CELLS:
             counts = (matrix == signatures[:, :, None]).sum(axis=1, dtype=dtype)
@@ -346,30 +271,30 @@ class ContainmentIndex:
         slots). A row that shares no slot with any query signature
         agrees in none, so it is left out.
 
-        The postings answer for the clean rows and the dirty ones are
-        compared densely, unless the query's buckets hold more than one
-        entry per ``POSTED_ENTRY_CELLS`` cells of the matrix: then every
-        row is compared densely. The postings are rebuilt first once more
-        than ``max(REBUILD_DIRTY_ROWS, n // 8)`` rows are dirty.
+        The postings answer for the rows they hold and the rows written
+        since the build are compared densely, unless the query's buckets
+        hold more than one entry per ``POSTED_ENTRY_CELLS`` cells of the
+        matrix: then every row is compared densely. Void postings (the
+        index renumbered its ids) are rebuilt first.
         """
         signatures = np.asarray(signatures, dtype=np.uint64)
-        n = len(self._tables)
-        if len(self._dirty) + n - min(self._built, n) > max(
-            REBUILD_DIRTY_ROWS, n // 8
-        ):
-            self._build()
-        if self._built and len(signatures):
+        index = self.searcher.index
+        n = len(index)
+        if n and len(signatures):
+            if self._numbering is not index.id_rows:
+                self._build()
             slots = np.arange(self.num_perm)
             keys = _bucket(signatures, self._bits)
             starts = self._post_offsets[slots, keys].ravel()
             lengths = self._post_offsets[slots, keys + 1].ravel() - starts
             if lengths.sum() * POSTED_ENTRY_CELLS <= signatures.size * n:
                 rows, counts = self._posted(signatures, starts, lengths)
-                dirty = self._dirty_rows()
-                if dirty.size:
-                    dirty, dirty_counts = self._compare(signatures, dirty)
-                    rows = np.concatenate([rows, dirty])
-                    counts = np.hstack([counts, dirty_counts])
+                written = index.id_rows[self._built:]
+                written = written[written >= 0]
+                if written.size:
+                    written, written_counts = self._compare(signatures, written)
+                    rows = np.concatenate([rows, written])
+                    counts = np.hstack([counts, written_counts])
                 return rows, counts
         return self._compare(signatures)
 
@@ -386,16 +311,9 @@ class ContainmentIndex:
         jaccard = agree / self.num_perm
         if MinHash(signature).is_empty():
             jaccard[agree == self.num_perm] = 0.0  # two empty sets
-        estimate = jaccard * (size + self._sizes[rows]) / (size * (1.0 + jaccard))
+        sizes = self.searcher.index.sizes[rows]
+        estimate = jaccard * (size + sizes) / (size * (1.0 + jaccard))
         return np.minimum(estimate, 1.0, out=estimate)
-
-    def _excluded(self, rows: np.ndarray, table: str | None) -> np.ndarray:
-        """Which of ``rows`` are ``table``'s."""
-        owned = np.sort(self._rows.get(table, []) if table is not None else [])
-        if not owned.size:
-            return np.zeros(rows.size, dtype=bool)
-        at = np.searchsorted(owned, rows).clip(max=owned.size - 1)
-        return owned[at] == rows
 
     def _pool(
         self,
@@ -423,9 +341,9 @@ class ContainmentIndex:
             cut = np.partition(scores, rows.size - want)[rows.size - want]
             kept = scores >= cut
             rows, scores = rows[kept], scores[kept]
-        tables, columns = self._tables, self._columns
+        keys = self.searcher.index.row_keys
         pool = sorted(
-            (-score, tables[row], columns[row])
+            (-score, keys[row].table, keys[row].column)
             for row, score in zip(rows.tolist(), scores.tolist())
         )
         return [(-negated, table, column) for negated, table, column in pool[:want]]
@@ -453,7 +371,8 @@ class ContainmentIndex:
             i for i, name in enumerate(query.columns) if column in (None, name)
         ]
         rows, agree = self.agreement(query.signatures[asked])
-        excluded = self._excluded(rows, exclude_table)
+        own = self.searcher.rows(exclude_table)
+        excluded = (rows >= own.start) & (rows < own.stop)
         sizes = query.sizes.tolist()
         best: dict[str, tuple[float, str, str]] = {}
         for i, counts in zip(asked, agree):
@@ -483,12 +402,13 @@ class ContainmentIndex:
         tables rank by that descending, then by name; ``exclude_table``
         never ranks.
         """
-        if not self._tables or not query.columns:
+        index = self.searcher.index
+        if not len(index) or not query.columns:
             return []
         # Only a row sharing a slot with some query column can score.
         rows, agree = self.agreement(query.signatures)
         jaccard = agree / self.num_perm
-        sizes = self._sizes[rows]
+        sizes = index.sizes[rows]
         with np.errstate(divide="ignore", invalid="ignore"):
             estimate = (
                 jaccard * (sizes + query.sizes[:, None]) / (sizes * (1.0 + jaccard))
@@ -498,29 +418,28 @@ class ContainmentIndex:
         estimate[:, sizes <= 0] = 0.0
         np.minimum(estimate, 1.0, out=estimate)
         best = estimate.max(axis=0)
-        kept = best > 0.0
-        found = dict(zip(
+        kept = np.flatnonzero(best > 0.0)
+        # Ascending rows: each table's rows together, in its column order.
+        kept = kept[np.argsort(rows[kept])]
+        keys = index.row_keys
+        found: dict[str, list] = {}
+        for row, value, asked in zip(
             rows[kept].tolist(),
-            zip(best[kept].tolist(), estimate.argmax(axis=0)[kept].tolist()),
-        ))
-        tables, columns = self._tables, self._columns
-        candidates = {tables[row] for row in found}
-        candidates.discard(exclude_table)
-        ranked = []
-        for table in candidates:
-            table_rows = self._rows[table]
-            total = distance_sum = 0.0
-            matches = []
-            for row in table_rows:
-                hit = found.get(row)
-                if hit is None:
-                    continue
-                value, asked = hit
-                total += value
-                distance_sum += 1.0 - value
-                matches.append((query.columns[asked], columns[row], 1.0 - value))
-            ranked.append(SubsetMatch(
-                table, total / len(table_rows), distance_sum, tuple(matches)
-            ))
+            best[kept].tolist(),
+            estimate.argmax(axis=0)[kept].tolist(),
+        ):
+            entry = keys[row]
+            hit = found.setdefault(entry.table, [0.0, 0.0, []])
+            hit[0] += value
+            hit[1] += 1.0 - value
+            hit[2].append((query.columns[asked], entry.column, 1.0 - value))
+        found.pop(exclude_table, None)
+        columns = self.searcher.columns_by_table
+        ranked = [
+            SubsetMatch(
+                table, total / len(columns[table]), distance_sum, tuple(matches)
+            )
+            for table, (total, distance_sum, matches) in found.items()
+        ]
         ranked.sort(key=lambda match: (-match.containment, match.table))
         return ranked

@@ -1,4 +1,5 @@
-"""Exact k-nearest-neighbour index over dense vectors.
+"""Exact k-nearest-neighbour index over dense vectors: the lake's one column
+table.
 
 The paper indexes table/column embeddings and retrieves nearest neighbours
 ("we recommend indexing the datalake offline and at query time only compute
@@ -10,14 +11,23 @@ Storage is a capacity-doubling row buffer so the index supports *incremental*
 maintenance: ``add``/``add_many`` are amortized O(1) per row (no re-stacking
 of the whole corpus on the next query). A write costs the rows it writes
 and the rows it moves, and no Python work per row of the index besides:
-every row carries an int id of its key, so ``replace_many`` /
-``remove_many`` find the rows to drop with one vectorized compare over
-those ids, and the rows behind the change move as block copies, once per
-batch. A table's rows written as one contiguous block (as
+every row carries an int id, so ``replace_many`` / ``remove_many`` find
+the rows to drop by their keys' ids through an id -> row map, and the rows
+behind the change move as block copies, once per batch. A table's rows
+written as one contiguous block (as
 :class:`repro.search.tables.TableSearcher` writes them) are replaced in
 place when the width is unchanged, moving no other row. This is what lets
 :mod:`repro.lake` apply one-table deltas to a standing lake without
 rebuilding the index.
+
+A row also holds its column's values signature (``num_perm`` slots,
+stored slot-major) and distinct count, which join and subset score by
+(:mod:`repro.search.containment`); the paper searchers index vectors only
+(``num_perm=0``). Every write moves these with the vectors. Each written
+row takes a fresh id, and an id -> row map kept by every write finds it
+after any move, so postings over ids survive a remove. Past
+``max(REBUILD_DIRTY_ROWS, n // 8)`` new ids the ids are renumbered to
+rows, which keeps the id space O(rows) and voids postings over old ids.
 
 ``top_k`` answers a whole matrix of queries with one BLAS matmul plus one
 axis-wise partition, as row-id and distance arrays — the batched primitive
@@ -43,6 +53,10 @@ from repro import obs
 #: Smallest non-zero row capacity allocated by the growable buffer.
 _MIN_CAPACITY = 8
 
+#: Ids are renumbered to rows once more than this many, and than an eighth
+#: of the rows, have been issued since the last numbering.
+REBUILD_DIRTY_ROWS = 256
+
 _QUERIES = obs.counter(
     "index_queries_total", "Vector-index query rows answered, by backend", ("backend",)
 ).labels(backend="exact")
@@ -54,45 +68,56 @@ _QUERY_MS = obs.histogram(
 
 
 class KnnIndex:
-    """Brute-force KNN with cosine or euclidean distance."""
+    """Brute-force KNN with cosine or euclidean distance, each row holding
+    ``num_perm`` signature slots and a size beside its vector."""
 
-    def __init__(self, dim: int, metric: str = "cosine"):
+    def __init__(self, dim: int, metric: str = "cosine", num_perm: int = 0):
         if metric not in ("cosine", "euclidean"):
             raise ValueError(f"unknown metric {metric!r}")
         self.dim = dim
         self.metric = metric
+        self.num_perm = num_perm
         self._keys: list = []
-        #: key -> its int id, for every key with a live row: O(1)
-        #: membership, and the id a write looks a key's rows up by.
+        #: key -> the id of its first row, for every key with a live row:
+        #: O(1) membership, and the id a write looks a key's rows up by.
         self._key_ids: dict = {}
-        #: Next unused key id; ids are never reused.
+        #: key -> the ids of its other rows, for a key with several.
+        self._more_ids: dict = {}
+        #: Next unused id; ids are unique until the next renumbering.
         self._next_id = 0
+        #: Id -> its row, ``-1`` once gone; its length is the id budget
+        #: left before the next renumbering.
+        self._id_rows = np.zeros(0, dtype=np.int64)
         self._data = np.zeros((0, dim), dtype=np.float64)
         #: Row-aligned with ``_data``: the data-side term of the distance
         #: (:meth:`_row_terms`), computed once per row at write time.
         self._terms = np.zeros(0, dtype=np.float64)
-        #: Row-aligned with ``_data``: each row's key id, so a write finds
-        #: the rows to drop with one vectorized compare, not a key scan.
+        #: Row-aligned with ``_data``: each row's id, which ``_id_rows``
+        #: maps back to the row, so a write finds its rows without a scan.
         self._ids = np.zeros(0, dtype=np.int64)
+        #: Row-aligned columns, slot-major: each row's signature slots.
+        self._signatures = np.zeros((num_perm, 0), dtype=np.uint64)
+        #: Row-aligned: each row's size (a column's distinct values).
+        self._sizes = np.zeros(0, dtype=np.int64)
         self._size = 0
 
     # ------------------------------------------------------------------ #
     def _reserve(self, extra: int) -> None:
-        """Grow the backing buffer (doubling) to fit ``extra`` more rows."""
+        """Grow the backing buffers (doubling) to fit ``extra`` more rows."""
         need = self._size + extra
         capacity = self._data.shape[0]
         if need <= capacity:
             return
         new_capacity = max(need, max(_MIN_CAPACITY, 2 * capacity))
-        grown = np.zeros((new_capacity, self.dim), dtype=np.float64)
-        grown[: self._size] = self._data[: self._size]
-        self._data = grown
-        terms = np.zeros(new_capacity, dtype=np.float64)
-        terms[: self._size] = self._terms[: self._size]
-        self._terms = terms
-        ids = np.zeros(new_capacity, dtype=np.int64)
-        ids[: self._size] = self._ids[: self._size]
-        self._ids = ids
+        used = self._size
+        for name in ("_data", "_terms", "_ids", "_sizes"):
+            old = getattr(self, name)
+            grown = np.zeros((new_capacity, *old.shape[1:]), dtype=old.dtype)
+            grown[:used] = old[:used]
+            setattr(self, name, grown)
+        signatures = np.zeros((self.num_perm, new_capacity), dtype=np.uint64)
+        signatures[:, :used] = self._signatures[:, :used]
+        self._signatures = signatures
 
     def _row_terms(self, block: np.ndarray) -> np.ndarray:
         """Per-row data-side distance term of an (m, dim) block: the row
@@ -119,83 +144,131 @@ class KnnIndex:
     def remove_many(self, keys: Iterable[object]) -> int:
         """Drop every row whose key is in ``keys``; returns rows removed.
 
-        What :meth:`replace_many` costs with no new rows: one vectorized
-        compare over the row ids, and the rows behind the first dropped
-        one moved up as block copies. A key not present costs one dict
+        What :meth:`replace_many` costs with no new rows: a lookup of the
+        dropped rows by id, and the rows behind the first dropped one
+        moved up as block copies. A key not present costs one dict
         probe; when no key is present nothing else is done."""
         return self.replace_many(keys, ())
 
     def replace_many(
-        self, keys: Iterable[object], items: Sequence[tuple[object, np.ndarray]]
+        self, keys: Iterable[object], items: Sequence[tuple[object, np.ndarray]],
+        signatures: np.ndarray | None = None, sizes: np.ndarray | None = None,
     ) -> int:
         """Drop every row whose key is in ``keys`` and put ``items`` where
         the first of those rows stood — at the end when there was none;
-        returns the rows dropped.
+        returns the rows dropped. The new rows' ``signatures``
+        (``uint64[len(items), num_perm]``) and ``sizes`` go beside them.
 
         Every other row keeps its order, so replacing a table's rows leaves
         the index in the order its tables were first added. The rows to
-        drop are found by key id with one vectorized compare over the
-        row-aligned ids; no Python loop runs over rows that are not
-        written. The new rows are one block copy. Surviving rows between
-        the first and last dropped row are gathered behind the new block,
-        and the rows after the last dropped row move as one slice, by
-        ``len(items)`` minus the rows dropped. A caller that writes each
-        key's rows as one contiguous block (``TableSearcher`` does) has no
-        rows in between, so a same-width replacement writes in place and
-        moves no other row.
+        drop are found through the id -> row map; no Python loop runs over
+        rows that are not written. The new rows are one block copy and take
+        fresh ids. Surviving rows between the first and last dropped row are
+        gathered behind the new block, and the rows after the last dropped
+        row move as one slice, by ``len(items)`` minus the rows dropped. A
+        caller that writes each key's rows as one contiguous block
+        (``TableSearcher`` does) has no rows in between, so a same-width
+        replacement writes in place and moves no other row.
         """
         items = list(items)
         key_ids = self._key_ids
         doomed = {key for key in keys if key in key_ids}
         if not items and not doomed:
             return 0
-        block = self._block(items)  # checked before anything changes
+        # Checked before anything changes.
+        block, block_signatures, block_sizes = self._block(items, signatures, sizes)
         size = at = stop = self._size
         between = np.zeros(0, dtype=np.intp)
         if doomed:
-            gone = np.isin(self._ids[:size], [key_ids.pop(key) for key in doomed])
-            dropped = np.flatnonzero(gone)
+            ids = [key_ids.pop(key) for key in doomed]
+            if self._more_ids:
+                ids += [i for key in doomed for i in self._more_ids.pop(key, ())]
+            dropped = np.sort(self._id_rows[ids])
+            self._id_rows[ids] = -1
             at, stop = int(dropped[0]), int(dropped[-1]) + 1
-            between = np.flatnonzero(~gone[at:stop]) + at
+            kept = np.ones(stop - at, dtype=bool)
+            kept[dropped - at] = False
+            between = np.flatnonzero(kept) + at
         removed = stop - at - len(between)
-        block_ids = [self._id_of(key) for key, _ in items]
-        between_rows, between_terms = self._data[between], self._terms[between]
-        between_ids = self._ids[between]
+        block_ids = np.arange(self._next_id, self._next_id + len(items))
+        self._next_id += len(items)
+        for (key, _), key_id in zip(items, block_ids.tolist()):
+            if key_ids.setdefault(key, key_id) != key_id:
+                self._more_ids.setdefault(key, []).append(key_id)
+        # The segment [at, end) gets the new rows, then those in between.
+        segment = [block, self._row_terms(block), block_ids, block_sizes]
+        slots = block_signatures.T
+        if len(between):
+            segment = [
+                np.concatenate([rows, column[between]])
+                for rows, column in zip(
+                    segment, (self._data, self._terms, self._ids, self._sizes)
+                )
+            ]
+            slots = np.hstack([slots, self._signatures[:, between]])
         between_keys = list(map(self._keys.__getitem__, between.tolist()))
         shift = len(items) - removed
         self._reserve(max(shift, 0))
         end = at + len(items) + len(between)
         if shift:
-            # Through a flat view: numpy moves an overlapping 1-D slice in
+            # Through flat views: numpy moves an overlapping 1-D slice in
             # place, where a 2-D one goes through a temporary copy.
             flat, dim = self._data.reshape(-1), self.dim
             flat[end * dim : (size + shift) * dim] = flat[stop * dim : size * dim]
-            self._terms[end : size + shift] = self._terms[stop:size]
-            self._ids[end : size + shift] = self._ids[stop:size]
-        new = slice(at, at + len(items))
-        self._data[new] = block
-        self._terms[new] = self._row_terms(block)
-        self._ids[new] = block_ids
-        kept = slice(new.stop, end)
-        self._data[kept] = between_rows
-        self._terms[kept] = between_terms
-        self._ids[kept] = between_ids
+            for column in (self._terms, self._ids, self._sizes, *self._signatures):
+                column[end : size + shift] = column[stop:size]
+        for column, rows in zip(
+            (self._data, self._terms, self._ids, self._sizes), segment
+        ):
+            column[at:end] = rows
+        self._signatures[:, at:end] = slots
         self._keys[at:stop] = [key for key, _ in items] + between_keys
         self._size = size + shift
+        if self._next_id > len(self._id_rows):
+            self.renumber()
+        else:
+            # The rows written or moved: rows past ``end`` moved only if
+            # the width changed.
+            moved = np.arange(at, self._size if shift else end)
+            self._id_rows[self._ids[moved]] = moved
         return removed
 
-    def _id_of(self, key) -> int:
-        """``key``'s id, drawing the next unused one for a new key."""
-        key_id = self._key_ids.get(key)
-        if key_id is None:
-            key_id = self._key_ids[key] = self._next_id
-            self._next_id += 1
-        return key_id
+    def renumber(self) -> None:
+        """Give every row its row number as id, with room in the id -> row
+        map for ``max(REBUILD_DIRTY_ROWS, n // 8)`` more ids."""
+        n = self._size
+        rows = np.arange(n)
+        self._ids[:n] = rows
+        self._next_id = n
+        self._id_rows = np.full(n + max(REBUILD_DIRTY_ROWS, n // 8), -1, np.int64)
+        self._id_rows[:n] = rows
+        keys = self._keys
+        # Reversed, so each key keeps its first row.
+        self._key_ids = dict(zip(reversed(keys), reversed(range(n))))
+        self._more_ids = {}
+        if len(self._key_ids) < n:
+            for row, key in enumerate(keys):
+                if self._key_ids[key] != row:
+                    self._more_ids.setdefault(key, []).append(row)
 
-    def _block(self, items: list) -> np.ndarray:
-        """``items``' vectors as one checked ``(len(items), dim)`` block."""
+    def _block(
+        self, items: list, signatures: np.ndarray | None, sizes: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``items``' vectors as one checked ``(len(items), dim)`` block,
+        beside their checked ``(len(items), num_perm)`` signatures and
+        sizes."""
+        m = len(items)
+        if signatures is None and not (m and self.num_perm):  # none to carry
+            signatures, sizes = np.zeros((m, self.num_perm)), np.zeros(m)
+        signatures = np.asarray(signatures, dtype=np.uint64)
+        sizes = np.asarray(sizes, dtype=np.int64)
+        if signatures.shape != (m, self.num_perm) or sizes.shape != (m,):
+            raise ValueError(
+                f"expected {m} rows of {self.num_perm} signature slots and "
+                f"{m} sizes, got {np.shape(signatures)} and {np.shape(sizes)}"
+            )
         if not items:
-            return np.zeros((0, self.dim), dtype=np.float64)
+            return np.zeros((0, self.dim), dtype=np.float64), signatures, sizes
         vectors = [vector for _, vector in items]
         try:
             block = np.array(vectors, dtype=np.float64)
@@ -204,7 +277,7 @@ class KnnIndex:
         if block is None or block.shape != (len(items), self.dim):
             for vector in vectors:
                 self._check(vector)
-        return block
+        return block, signatures, sizes
 
     def remove(self, key) -> int:
         """Drop every row stored under ``key``; returns rows removed."""
@@ -300,6 +373,26 @@ class KnnIndex:
         return self._keys
 
     @property
+    def signatures(self) -> np.ndarray:
+        """The live slot-major ``uint64[num_perm, n]`` view: read only."""
+        return self._signatures[:, : self._size]
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """The live ``int64[n]`` view: read only."""
+        return self._sizes[: self._size]
+
+    @property
+    def id_rows(self) -> np.ndarray:
+        """Id -> row (``-1``: gone); :meth:`renumber` replaces it."""
+        return self._id_rows
+
+    def row_of(self, key) -> int:
+        """The row of one of ``key``'s rows: the first of them when they
+        were written in one block, as ``TableSearcher`` writes a table."""
+        return int(self._id_rows[self._key_ids[key]])
+
+    @property
     def subs(self) -> tuple["KnnIndex"]:
         """``(self,)``: this index as the one sub-index of itself.
 
@@ -319,33 +412,47 @@ class KnnIndex:
     # ------------------------------------------------------------------ #
     @classmethod
     def restore(
-        cls, dim: int, keys: list, vectors: np.ndarray, metric: str = "cosine"
+        cls, dim: int, keys: list, vectors: np.ndarray, metric: str = "cosine",
+        signatures: np.ndarray | None = None, sizes: np.ndarray | None = None,
     ) -> "KnnIndex":
-        """An index over ``keys`` and the row-aligned ``vectors``, with no
-        per-row insertion — how a lake assembles its index from the stored
-        column vectors at open.
+        """An index over ``keys`` and the row-aligned ``vectors``, slot-major
+        ``signatures`` (their slot count is ``num_perm``; none: 0) and
+        ``sizes``, with no per-row insertion — how a lake assembles its
+        index from the stored rows at open.
 
-        A writable C-contiguous float64 block becomes the index's row
-        buffer as it is, so a caller that built the block for the index
-        (:meth:`repro.lake.store.LakeStore.load_index`'s one concatenation)
-        pays no second copy; pass a copy to keep using yours. Any other
-        block is copied once."""
-        index = cls(dim, metric=metric)
+        A writable C-contiguous block of the column's dtype becomes the
+        index's buffer as it is, so a caller that built the blocks for the
+        index (:meth:`repro.lake.store.LakeStore.load_index`) pays no
+        second copy; pass a copy to keep using yours. Any other block is
+        copied once."""
+        n = len(keys)
+        if signatures is None:
+            signatures = np.zeros((0, n), dtype=np.uint64)
+        if sizes is None:
+            sizes = np.zeros(n, dtype=np.int64)
+        index = cls(dim, metric=metric, num_perm=len(signatures))
         vectors = np.asarray(vectors, dtype=np.float64).reshape(-1, dim)
-        if vectors.shape[0] != len(keys):
+        if (vectors.shape[0], *np.shape(signatures)[1:], *np.shape(sizes)) != (n,) * 3:
             raise ValueError(
-                f"index state has {vectors.shape[0]} rows but "
-                f"{len(keys)} keys"
+                f"index state has {vectors.shape[0]} rows, signatures "
+                f"{np.shape(signatures)} and sizes {np.shape(sizes)} but "
+                f"{n} keys"
             )
-        owned = vectors.flags.writeable and vectors.flags.c_contiguous
-        index._data = vectors if owned else vectors.copy()
+        index._data = _owned(vectors, np.float64)
+        index._signatures = _owned(signatures, np.uint64)
+        index._sizes = _owned(sizes, np.int64)
         index._terms = index._row_terms(index._data)
-        index._size = vectors.shape[0]
+        index._ids = np.empty(n, dtype=np.int64)
+        index._size = n
         index._keys = list(keys)
-        key_ids = index._key_ids
-        index._ids = np.array(
-            [key_ids.setdefault(key, len(key_ids)) for key in index._keys],
-            dtype=np.int64,
-        )
-        index._next_id = len(key_ids)
+        index.renumber()
         return index
+
+
+def _owned(block: np.ndarray, dtype) -> np.ndarray:
+    """``block`` as a buffer the index may keep and write: itself when it
+    is a writable C-contiguous array of ``dtype``, else a copy."""
+    block = np.asarray(block, dtype=dtype)
+    if block.flags.writeable and block.flags.c_contiguous:
+        return block
+    return block.copy()

@@ -80,11 +80,12 @@ class TableSearcher:
     #: replay sizes a standalone ``query_many`` from it).
     candidate_factor = CANDIDATE_FACTOR
 
-    def __init__(self, dim: int, metric: str = "cosine"):
+    def __init__(self, dim: int, metric: str = "cosine", num_perm: int = 0):
         self.dim = dim
         self.backend_spec = IndexSpec(params={"metric": metric})
-        self.index: KnnIndex = make_index(self.backend_spec, dim)
-        self._columns_by_table: dict[str, list[ColumnEntry]] = defaultdict(list)
+        self.index: KnnIndex = make_index(self.backend_spec, dim, num_perm)
+        #: Table -> its indexed columns, in column order: read only.
+        self.columns_by_table: dict[str, list[ColumnEntry]] = defaultdict(list)
         #: Rows inserted through this searcher — a warm restore via
         #: :meth:`adopt_index` performs none, which the lake benches assert.
         self.insertions = 0
@@ -98,34 +99,44 @@ class TableSearcher:
         zero insertions, so a warm lake open costs one block copy, never a
         per-row reconstruction.
         """
-        if index.dim != self.dim:
+        if (index.dim, index.num_perm) != (self.dim, self.index.num_perm):
             raise ValueError(
-                f"index dim {index.dim} != searcher dim {self.dim}"
+                f"index dim {index.dim} / num_perm {index.num_perm} != "
+                f"searcher dim {self.dim} / num_perm {self.index.num_perm}"
             )
         self.index = index
-        self._columns_by_table = defaultdict(list)
+        self.columns_by_table = defaultdict(list)
         for entry in index.keys():
-            self._columns_by_table[entry.table].append(entry)
+            self.columns_by_table[entry.table].append(entry)
 
     # ------------------------------------------------------------------ #
-    def add_table(self, table: str, column_names: list[str], vectors: np.ndarray) -> None:
-        """Index all of a table's columns in one bulk write.
+    def add_table(
+        self, table: str, column_names: list[str], vectors: np.ndarray,
+        signatures: np.ndarray | None = None, sizes: np.ndarray | None = None,
+    ) -> None:
+        """Index all of a table's columns in one bulk write: their vectors,
+        and on an index with signature slots their values signatures
+        (``uint64[n_cols, num_perm]``) and sizes.
 
         A table already indexed has its rows replaced where they stand, so
         the rows stay in the order their tables were first added —
         the order :meth:`repro.lake.store.LakeStore.load_index` assembles a
         stored lake in, which is what makes a warm open equal the live
-        index row for row (exact distance ties break by row order).
+        index row for row (exact distance ties break by row order). A
+        table's rows are therefore contiguous and in column order
+        (:meth:`rows`).
         """
         entries = [ColumnEntry(table, name) for name in column_names]
         self.index.replace_many(
-            self._columns_by_table.get(table, ()),
+            self.columns_by_table.get(table, ()),
             [
                 (entry, np.asarray(vector, dtype=np.float64))
                 for entry, vector in zip(entries, vectors)
             ],
+            signatures,
+            sizes,
         )
-        self._columns_by_table[table] = entries
+        self.columns_by_table[table] = entries
         self.insertions += len(entries)
 
     def remove_table(self, table: str) -> int:
@@ -134,17 +145,26 @@ class TableSearcher:
         One batch removal against the index — the incremental-delete
         primitive for :class:`repro.lake.catalog.LakeCatalog`.
         """
-        entries = self._columns_by_table.pop(table, [])
+        entries = self.columns_by_table.pop(table, [])
         if not entries:
             return 0
         return self.index.remove_many(entries)
 
+    def rows(self, table: str | None) -> range:
+        """``table``'s rows of the index, in column order (empty when it
+        has none)."""
+        entries = self.columns_by_table.get(table)
+        if not entries:
+            return range(0)
+        start = self.index.row_of(entries[0])
+        return range(start, start + len(entries))
+
     def table_names(self) -> list[str]:
-        return list(self._columns_by_table)
+        return list(self.columns_by_table)
 
     @property
     def n_tables(self) -> int:
-        return len(self._columns_by_table)
+        return len(self.columns_by_table)
 
     # ------------------------------------------------------------------ #
     def rank(
@@ -193,7 +213,7 @@ class TableSearcher:
         # Over-fetch by the excluded table's own columns so skipping them
         # cannot starve the pool (.get: never add an empty entry).
         excluded = (
-            len(self._columns_by_table.get(exclude_table, ()))
+            len(self.columns_by_table.get(exclude_table, ()))
             if exclude_table is not None
             else 0
         )

@@ -48,12 +48,14 @@ and one :func:`sorted_percentiles` call over all numeric columns. It is two
 halves, :func:`numeric_accumulators` and :func:`numeric_sketches`; an
 append's delta runs only the first.
 :func:`numeric_inputs` maps a batch of sketches to model-input rows in one
-pass. ``numerical_profile`` and ``NumericalSketch.to_vector`` are one-row
-calls of these batch forms. :func:`sorted_percentiles` is bit-identical to
-``np.percentile`` on each sorted column: it reads numpy's linear rule off
-the sorted array instead of partitioning a copy of every column. Means and
-standard deviations run the same ufunc sequence as ``np.mean`` and
-``np.std``.
+pass. A merge's sketches come from its accumulators in one
+:func:`numeric_sketches` call. ``numerical_profile``,
+``NumericalSketch.to_vector`` and ``NumericAccumulator.to_sketch`` are
+one-row calls of these batch forms. :func:`sorted_percentiles` is
+bit-identical to ``np.percentile`` on each sorted column: it reads numpy's
+linear rule off the sorted array instead of partitioning a copy of every
+column. Means and standard deviations run the same ufunc sequence as
+``np.mean`` and ``np.std``.
 """
 
 from __future__ import annotations
@@ -337,26 +339,9 @@ class NumericAccumulator:
         )
 
     def to_sketch(self) -> NumericalSketch:
-        """Derive the paper sketch from the accumulated state.
-
-        With ``sample_exact`` the distribution statistics are computed the
-        same way the cold path computes them (on the full sorted array), so
-        the result is bitwise identical to a from-scratch sketch; otherwise
-        the percentiles come off the compressed sample and mean/std off the
-        exact moments.
-        """
-        if not self.n_numeric:
-            return self._sketch([0.0] * len(_PERCENTILES), 0.0, 0.0)
-        size = [self.sample.size]
-        percentiles = sorted_percentiles(self.sample, size)[0].tolist()
-        if self.sample_exact:
-            mean = float(np.add.reduce(self.sample)) / self.sample.size
-            (std,) = _stds(self.sample, size, [mean])
-        else:
-            mean = self.total / self.n_numeric
-            variance = max(0.0, self.total_sq / self.n_numeric - mean * mean)
-            std = float(np.sqrt(variance))
-        return self._sketch(percentiles, mean, std)
+        """Derive the paper sketch from the accumulated state: a one-row
+        :func:`numeric_sketches` call on the sample."""
+        return numeric_sketches([self])[0]
 
     def _sketch(
         self, percentiles: Sequence[float], mean: float, std: float
@@ -393,7 +378,8 @@ def numeric_accumulators(
 
     Arguments as for :func:`numerical_profiles`. An append runs only this
     half on its delta: the delta's accumulators merge into the stored ones,
-    and the merged sketch is :meth:`NumericAccumulator.to_sketch`.
+    and the merged sketches are :func:`numeric_sketches` of the merged
+    accumulators.
     """
     mixed = _mix64(value_hashes)
     accumulators, samples = [], []
@@ -456,26 +442,38 @@ def numeric_accumulators(
 
 
 def numeric_sketches(
-    accumulators: Sequence[NumericAccumulator], numbers: Sequence[np.ndarray]
+    accumulators: Sequence[NumericAccumulator],
+    numbers: Sequence[np.ndarray] | None = None,
 ) -> list[NumericalSketch]:
     """The sketch half of :func:`numerical_profiles`: each column's sketch
-    from its accumulator's counts and moments and its full sorted numeric
+    from its accumulator's counts and moments and a sorted run of its
+    numeric values, with one :func:`sorted_percentiles` call and one
+    :func:`_stds` pass over every numeric column of the batch.
+
+    The cold path passes ``numbers``, each column's full sorted numeric
     values (never the compressed sample, so a cold sketch stays exact
-    whatever the caps), with one :func:`sorted_percentiles` call and one
-    :func:`_stds` pass over every numeric column of the batch."""
-    numeric = [i for i, values in enumerate(numbers) if values.size]
+    whatever the caps). Without them each accumulator's sample is read (a
+    merge's sketches): an exact sample gives the statistics the cold path
+    would, bit for bit; a compressed one gives the percentiles, and mean
+    and std come off the exact moments.
+    """
+    runs = [acc.sample for acc in accumulators] if numbers is None else numbers
+    numeric = [i for i, run in enumerate(runs) if run.size]
     stats = {}
     if numeric:
-        flat = np.concatenate([numbers[i] for i in numeric])
-        sizes = [numbers[i].size for i in numeric]
-        means = [accumulators[i].total / size for i, size in zip(numeric, sizes)]
+        flat = np.concatenate([runs[i] for i in numeric])
+        sizes = [runs[i].size for i in numeric]
+        means = [float(np.add.reduce(runs[i])) / runs[i].size for i in numeric]
         percentiles = sorted_percentiles(flat, sizes).tolist()
         stats = dict(zip(numeric, zip(percentiles, means, _stds(flat, sizes, means))))
-    empty = ([0.0] * len(_PERCENTILES), 0.0, 0.0)
-    return [
-        accumulator._sketch(*stats.get(i, empty))
-        for i, accumulator in enumerate(accumulators)
-    ]
+    sketches = []
+    for i, acc in enumerate(accumulators):
+        percentiles, mean, std = stats.get(i, ([0.0] * len(_PERCENTILES), 0.0, 0.0))
+        if numbers is None and acc.n_numeric and not acc.sample_exact:
+            mean = acc.total / acc.n_numeric
+            std = float(np.sqrt(max(0.0, acc.total_sq / acc.n_numeric - mean * mean)))
+        sketches.append(acc._sketch(percentiles, mean, std))
+    return sketches
 
 
 def numerical_profiles(

@@ -9,8 +9,8 @@ sketches, pair by pair. The order depends on content only (containment,
 then table name, then column name), so it is the same at every shard count,
 after a warm open and under any insertion order; an append is joined at
 once, with no forward, exactly as a cold ingest of the same rows. The
-index is built by the first join, and from then on every write keeps it
-as a rebuild from the records would be.
+index reads the catalog's column table, which every write keeps as a
+rebuild from the records would be.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from repro.lake.catalog import LakeCatalog
 from repro.lake.service import LakeService
 from repro.lake.store import LakeStore
 from repro.lakebench import make_wiki_join_search
-from repro.search.tables import CANDIDATE_FACTOR
+from repro.search.containment import ContainmentIndex
+from repro.search.tables import CANDIDATE_FACTOR, TableSearcher
 from repro.sketch.minhash import estimate_containment
 from repro.table.schema import table_from_rows
 
@@ -160,21 +161,24 @@ def test_an_append_is_joined_at_once_as_a_cold_ingest(lake_embedder, lake_tables
     ]
 
 
-def test_the_index_is_built_by_the_first_join_and_kept_by_writes(
+def test_the_join_index_reads_the_column_table_every_write_keeps(
     lake_embedder, lake_tables
 ):
-    """A catalog never asked a join holds no join index. Once built,
-    every add, update, remove and append keeps it equal to a rebuild from
-    the records, and a refresh, which changes no sketch, never touches it."""
+    """The join index is built with the catalog and holds no rows: it
+    reads the searcher's column table. After an add, update, remove and
+    append (its postings built before them) it answers as a fresh index
+    over a table written cold from the records, and a refresh, which
+    changes no sketch, changes no signature row."""
     names = list(lake_tables)
     catalog = _catalog(
         lake_embedder, {name: lake_tables[name] for name in names[1:]}, None, 4
     )
-    assert catalog._joins is None
     index = catalog.joins
+    assert index.searcher is catalog.searcher
     assert len(index) == sum(
         record.sketch.n_cols for record in catalog.records.values()
     )
+    _all_joins(catalog)
 
     catalog.add_table(lake_tables[names[0]])
     catalog.update_table(lake_tables[names[1]].with_columns(
@@ -184,14 +188,21 @@ def test_the_index_is_built_by_the_first_join_and_kept_by_writes(
     catalog.append_rows(names[3], [["tag-new"] * lake_tables[names[3]].n_cols])
     assert catalog.joins is index
     kept = _all_joins(catalog)
-    catalog._joins = None
+    cold = TableSearcher(catalog.dim, num_perm=catalog.sketch_config.num_perm)
+    for record in catalog.records.values():
+        join = record.join_rows()
+        cold.add_table(
+            record.name, record.column_names, record.column_vectors,
+            join.signatures, join.sizes,
+        )
+    catalog.joins = ContainmentIndex(cold)
     assert _all_joins(catalog) == kept
+    catalog.joins = index
 
-    writes = []
-    catalog.joins.add_table = writes.append
-    catalog.joins.remove_table = writes.append
+    rows = catalog.searcher.index
+    before = rows.signatures.tobytes(), rows.sizes.tobytes()
     assert catalog.refresh_stale() == [names[3]]
-    assert writes == []
+    assert (rows.signatures.tobytes(), rows.sizes.tobytes()) == before
 
 
 def test_a_join_payload_runs_no_forward_and_no_cache_lookup(

@@ -18,7 +18,10 @@ out. After every reopen and every reshard the index's keys and vector
 bytes equal the live ones, and so do the answers in all three modes, the
 join answers on every column and every member's whole subset answer; after
 every reshard the index also equals a cold rebuild of the same records; and
-after every step the archives on disk are exactly those live entries name.
+after every step the archives on disk are exactly those live entries name,
+and each record's ``values_sig`` / ``n_values`` are its rows of the column
+table. "The index" is that whole table: keys, vectors, signature slots and
+sizes, compared in bytes.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from repro.lake.api import DiscoveryRequest
 from repro.lake.catalog import LakeCatalog
 from repro.lake.service import LakeService
 from repro.lake.store import LakeShard, LakeStore
-from repro.search.tables import TableSearcher
+from repro.search.tables import ColumnEntry, TableSearcher
 from repro.table.schema import table_from_rows
 
 NAMES = tuple("abcdefghijkl")
@@ -102,15 +105,21 @@ def _subsets(catalog: LakeCatalog) -> dict:
 def _assert_same_index(live: TableSearcher, warm: TableSearcher) -> None:
     assert warm.index.keys() == live.index.keys()
     assert warm.index._matrix().tobytes() == live.index._matrix().tobytes()
+    assert warm.index.signatures.tobytes() == live.index.signatures.tobytes()
+    assert warm.index.sizes.tobytes() == live.index.sizes.tobytes()
 
 
 def _assert_like_a_cold_rebuild(warm: LakeCatalog) -> None:
     """The index of ``warm`` is the one adding its records, in order, to a
     fresh searcher builds, and ranks the same: with and without ``join``,
     which is what tells the three modes' hits apart."""
-    cold = TableSearcher(warm.dim)
+    cold = TableSearcher(warm.dim, num_perm=warm.sketch_config.num_perm)
     for record in warm.records.values():
-        cold.add_table(record.name, record.column_names, record.column_vectors)
+        join = record.join_rows()
+        cold.add_table(
+            record.name, record.column_names, record.column_vectors,
+            join.signatures, join.sizes,
+        )
     _assert_same_index(cold, warm.searcher)
     for record in warm.records.values():
         pairs = record.vector_pairs()
@@ -231,6 +240,22 @@ def test_a_reopened_catalog_serves_the_live_index(
                 for shard in self.catalog.store.shards
                 for entry in shard.entries()
             )
+
+        @invariant()
+        def rows_hold_the_records(self):
+            """Each record's signature rows and sizes are its rows of the
+            column table, in column order."""
+            searcher = self.catalog.searcher
+            index = searcher.index
+            for name, record in self.catalog.records.items():
+                rows = searcher.rows(name)
+                assert index.row_keys[rows.start:rows.stop] == [
+                    ColumnEntry(name, column) for column in record.column_names
+                ]
+                signatures = index.signatures[:, rows.start:rows.stop].T
+                assert signatures.tobytes() == record.members["values_sig"].tobytes()
+                sizes = index.sizes[rows.start:rows.stop]
+                assert sizes.tobytes() == record.members["n_values"].tobytes()
 
         @rule()
         def reopen(self):

@@ -6,8 +6,10 @@ so the served join inherits the estimator's tested bounds
 (``tests/sketch/test_minhash.py``). The oracle here is that function over
 the sketches themselves, pair by pair, on the seed-7 400-column lakegen lake
 plus a few edge tables (an all-null column, exact copies). Answers must not
-depend on row order: inserts in any order, swap-removes and in-place
-replacements all answer like a fresh index of the same tables.
+depend on row order: inserts in any order, removes (which move the later
+rows up) and in-place replacements, all written through the one writer,
+a :class:`~repro.search.tables.TableSearcher` with signature slots and
+zero-width vectors, answer like a fresh index of the same tables.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 
 from repro.lakegen.generator import LakeSpec, generate_manifest, iter_tables
 from repro.search.containment import ContainmentIndex, JoinRows, join_rows
-from repro.search.tables import CANDIDATE_FACTOR
+from repro.search.tables import CANDIDATE_FACTOR, TableSearcher
 from repro.sketch.minhash import estimate_containment
 from repro.sketch.pipeline import SketchConfig, sketch_corpus
 from repro.table.schema import table_from_rows
@@ -38,11 +40,19 @@ def sketches():
     return sketch_corpus(tables, config, config.build_hasher())
 
 
+def _write(searcher: TableSearcher, join: JoinRows) -> None:
+    """``join``'s rows written through the one writer, with no vector."""
+    searcher.add_table(
+        join.table, join.columns, np.zeros((len(join.columns), 0)),
+        join.signatures, join.sizes,
+    )
+
+
 def _index(sketches) -> ContainmentIndex:
-    index = ContainmentIndex(NUM_PERM)
+    searcher = TableSearcher(0, num_perm=NUM_PERM)
     for sketch in sketches:
-        index.add_table(join_rows(sketch))
-    return index
+        _write(searcher, join_rows(sketch))
+    return ContainmentIndex(searcher)
 
 
 def _oracle(sketches, query, exclude=None) -> list:
@@ -180,9 +190,9 @@ def test_insertion_order_never_shows(sketches):
 
 
 def test_writes_touch_rows_in_place_and_answer_like_a_fresh_index(sketches):
-    """Removes swap the last rows into the holes; a same-width replace
-    writes in place and a different-width one moves the table to the end.
-    After each, every answer equals a fresh index of the live tables."""
+    """Removes move the later rows up; a same-width replace writes in
+    place and a different-width one moves the rows behind it. After each,
+    every answer equals a fresh index of the live tables."""
     rng = np.random.default_rng(5)
     index = _index(sketches)
     live = {sketch.table_name: sketch for sketch in sketches}
@@ -190,8 +200,8 @@ def test_writes_touch_rows_in_place_and_answer_like_a_fresh_index(sketches):
         name = list(live)[int(rng.integers(len(live)))]
         action = step % 3
         if action == 0:
-            assert index.remove_table(name) == live.pop(name).n_cols
-            assert index.remove_table(name) == 0
+            assert index.searcher.remove_table(name) == live.pop(name).n_cols
+            assert index.searcher.remove_table(name) == 0
         else:
             # Another table's columns under this name: same width or not.
             donor = sketches[int(rng.integers(len(sketches)))]
@@ -200,7 +210,7 @@ def test_writes_touch_rows_in_place_and_answer_like_a_fresh_index(sketches):
                 column_sketches=donor.column_sketches, snapshot=donor.snapshot,
                 config=donor.config,
             )
-            index.add_table(join_rows(renamed))
+            _write(index.searcher, join_rows(renamed))
             live[name] = renamed
         if step % 10 == 9:
             fresh = _index(sorted(live.values(), key=lambda s: s.table_name))

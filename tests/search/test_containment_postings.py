@@ -1,34 +1,39 @@
 """The containment index's slot postings answer like a dense scan.
 
-:class:`~repro.search.containment.ContainmentIndex` answers the rows its
-postings were built over from the postings and compares the rows written
-since (and those past the build) densely; a rebuild folds them back in once
-enough are dirty. A Hypothesis state machine drives one index through adds,
-same-width and width-changing replaces and removes (absent names too),
-interleaved with ``rank`` (every column or one, member or not),
-``rank_subsets`` and ``agreement`` queries, and a model beside it keeps
-the live columns as plain rows. Every answer must equal :func:`_dense` and
-the answers built from it here — the scan the index made before it had
-postings, row-major over the model — bit for bit.
+:class:`~repro.search.containment.ContainmentIndex` keeps slot postings
+over the row ids of a searcher's column table. It answers the rows whose
+ids it posted from the postings, through the index's id -> row map, and
+compares the rows whose ids were issued since the build densely; once the
+writer renumbers its ids, the next query rebuilds the postings. A
+Hypothesis state machine drives one
+:class:`~repro.search.tables.TableSearcher` (signature slots, zero-width
+vectors) through adds, same-width and width-changing replaces and removes
+(absent names too), and removes of the first table right after a build,
+which move every later row and must cause no rebuild; interleaved with
+``rank`` (every column or one, member or not), ``rank_subsets`` and
+``agreement`` queries, and a model beside it keeps the live columns as
+plain rows. Every answer must equal :func:`_dense` and the answers built
+from it here — the scan the index made before it had postings, row-major
+over the model — bit for bit.
 
 The draws cover ``num_perm`` 8, 16 and 32; slot values that collide (small
 integers, values with equal high bits, and few buckets while the index is
 small, so bucket collisions are common); all-empty signatures; many columns
-sharing values, and exact copies; and the rebuild threshold patched to 3
-(rebuilds all the time) or left at its default (postings built only past
-256 rows, so wide tables are drawn too). ``POSTED_ENTRY_CELLS`` is patched
-to 0, so the postings answer every query they can, or left at its
+sharing values, and exact copies; and the writer's renumbering threshold
+patched to 3 (renumbers and rebuilds all the time) or left at its default
+(256 new ids, so wide tables are drawn too). ``POSTED_ENTRY_CELLS`` is
+patched to 0, so the postings answer every query they can, or left at its
 default, under which these small indexes compare every row densely.
 ``derandomize`` fixes the draws.
 
-Mutants this kills (each checked in a copy of the module): the swap-remove
-not marking the row it moves into as dirty; appended rows counted twice
-(marked dirty past the build as well as listed as the rows past it); the
-verification of bucket entries against the matrix skipped; rows removed
-since the build left in the postings' answer; the dense compare of every
-row skipping the last row, its per-slot pass reading one slot, or its
-broadcast comparing shifted slots; and the choice between postings and
-the dense compare inverted or never made (the lake tests at the end).
+Mutants this kills (each checked in a copy of the modules): a moved row's
+id -> row entry not updated; a replaced row keeping its id; a dropped id
+still answering (its map entry not cleared); the rows written since the
+build not compared; the verification of bucket entries against the
+matrix skipped; the dense compare of every row skipping the last row, its
+per-slot pass reading one slot, or its broadcast comparing shifted slots;
+and the choice between postings and the dense compare inverted or never
+made (the lake tests at the end).
 """
 
 from __future__ import annotations
@@ -45,9 +50,9 @@ from hypothesis.stateful import (
 
 from repro.lakebench import make_eurostat_subset_search
 from repro.lakegen.generator import LakeSpec, generate_manifest, iter_tables
-from repro.search import containment
+from repro.search import containment, index as index_module
 from repro.search.containment import ContainmentIndex, JoinRows, join_rows
-from repro.search.tables import CANDIDATE_FACTOR
+from repro.search.tables import CANDIDATE_FACTOR, TableSearcher
 from repro.sketch.pipeline import SketchConfig, sketch_corpus
 
 EMPTY = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -87,6 +92,21 @@ def _columns(seed: int, width: int, num_perm: int) -> tuple[np.ndarray, np.ndarr
 def _join(table: str, seed: int, width: int, num_perm: int) -> JoinRows:
     signatures, sizes = _columns(seed, width, num_perm)
     return JoinRows(table, [f"c{i}" for i in range(width)], signatures, sizes)
+
+
+def _write(searcher: TableSearcher, join: JoinRows) -> None:
+    """``join``'s rows written through the one writer, with no vector."""
+    searcher.add_table(
+        join.table, join.columns, np.zeros((len(join.columns), 0)),
+        join.signatures, join.sizes,
+    )
+
+
+def _index(joins, num_perm: int) -> ContainmentIndex:
+    searcher = TableSearcher(0, num_perm=num_perm)
+    for join in joins:
+        _write(searcher, join)
+    return ContainmentIndex(searcher)
 
 
 # --------------------------------------------------------------------- #
@@ -186,13 +206,22 @@ def _machine():
         )
         def start(self, num_perm, tables):
             self.num_perm = num_perm
-            self.index = ContainmentIndex(num_perm)
+            self.index = _index((), num_perm)
+            self.searcher = self.index.searcher
             self.model: dict[str, JoinRows] = {}
+            self.builds = 0
+            build = self.index._build
+
+            def counted_build():
+                self.builds += 1
+                build()
+
+            self.index._build = counted_build
             for name, (seed, width) in zip(NAMES, tables):
                 self._write(_join(name, seed, width, num_perm))
 
         def _write(self, join: JoinRows) -> None:
-            self.index.add_table(join)
+            _write(self.searcher, join)
             # A replaced table keeps its place in the model: no answer
             # may depend on where its rows went.
             self.model[join.table] = join
@@ -221,10 +250,26 @@ def _machine():
         def remove(self, data):
             name = data.draw(st.sampled_from([*sorted(self.model), "absent"]))
             gone = self.model.pop(name, None)
-            assert self.index.remove_table(name) == (
+            assert self.searcher.remove_table(name) == (
                 len(gone.columns) if gone is not None else 0
             )
             assert len(self.index) == sum(len(j.columns) for j in self.model.values())
+
+        @rule(data=st.data(), k=st.sampled_from([1, 2, 50]))
+        def remove_the_first_table_after_a_build(self, data, k):
+            """A remove moves every later row up; the postings keep their
+            ids, so answers need no rebuild."""
+            keys = self.searcher.index.row_keys
+            if not keys:
+                return
+            self.index._build()
+            builds = self.builds
+            name = keys[0].table
+            gone = self.model.pop(name)
+            assert self.searcher.remove_table(name) == len(gone.columns)
+            self.rank(data, k)
+            self.subsets(data)
+            assert self.builds == builds
 
         def _query(self, data) -> tuple[JoinRows, str | None]:
             """A member's own rows, excluded from its answer or not (then
@@ -267,9 +312,9 @@ def _machine():
 
 def count_lookups(monkeypatch) -> dict:
     """Count the postings' builds and which lookup answers each query:
-    the postings, the dense compare of the dirty rows beside them, or the
-    dense compare of every row while postings are built."""
-    seen = {"builds": 0, "posted": 0, "dirty": 0, "dense": 0}
+    the postings, the dense compare of the rows written since the build
+    beside them, or the dense compare of every row."""
+    seen = {"builds": 0, "posted": 0, "written": 0, "dense": 0}
     build, posted, compare = (
         ContainmentIndex._build, ContainmentIndex._posted, ContainmentIndex._compare
     )
@@ -284,8 +329,8 @@ def count_lookups(monkeypatch) -> dict:
 
     def counted_compare(self, signatures, rows=None):
         if rows is not None:
-            seen["dirty"] += 1
-        elif self._built and len(signatures):
+            seen["written"] += 1
+        elif len(self) and len(signatures):
             seen["dense"] += 1
         return compare(self, signatures, rows)
 
@@ -303,7 +348,7 @@ def count_lookups(monkeypatch) -> dict:
 def test_postings_answer_like_a_dense_scan(threshold, cells, monkeypatch):
     seen = count_lookups(monkeypatch)
     if threshold is not None:
-        monkeypatch.setattr(containment, "REBUILD_DIRTY_ROWS", threshold)
+        monkeypatch.setattr(index_module, "REBUILD_DIRTY_ROWS", threshold)
     if cells is not None:
         monkeypatch.setattr(containment, "POSTED_ENTRY_CELLS", cells)
     run_state_machine_as_test(
@@ -314,8 +359,8 @@ def test_postings_answer_like_a_dense_scan(threshold, cells, monkeypatch):
     )
     assert seen["builds"], seen
     if cells == 0:
-        # Postings answered every query once built, beside dirty rows.
-        assert seen["posted"] and seen["dirty"] and not seen["dense"], seen
+        # Postings answered every query, beside the rows written since.
+        assert seen["posted"] and seen["written"] and not seen["dense"], seen
     else:
         # At under a thousand rows a bucket holds more than a 128th of
         # them, so the dense compare of every row answers.
@@ -323,27 +368,24 @@ def test_postings_answer_like_a_dense_scan(threshold, cells, monkeypatch):
 
 
 def test_postings_fit_the_memory_budget():
-    """At 10k columns and 32 slots the postings hold ``uint16`` row ids
-    and ``int32`` offsets, ~8-16 rows a bucket: under 0.8 MB."""
-    index = ContainmentIndex(32)
-    for t in range(1_000):
-        index.add_table(_join(f"t{t}", t, 10, 32))
+    """At 10k columns and 32 slots the postings hold ``uint16`` ids and
+    ``int32`` offsets, ~8-16 rows a bucket: under 0.8 MB."""
+    index = _index((_join(f"t{t}", t, 10, 32) for t in range(1_000)), 32)
     index.agreement(np.zeros((1, 32), dtype=np.uint64))
     assert index._built == 10_000
-    assert index._post_rows.dtype == np.uint16
+    assert index._post_ids.size == 32 * 10_000
+    assert index._post_ids.dtype == np.uint16
     assert index._post_offsets.dtype == np.int32
     buckets = index._post_offsets.shape[1] - 1
     assert 8 <= 10_000 / buckets <= 16
-    assert index._post_rows.nbytes + index._post_offsets.nbytes <= 800_000
+    assert index._post_ids.nbytes + index._post_offsets.nbytes <= 800_000
 
 
 def _member_queries(joins: list[JoinRows], monkeypatch) -> tuple[dict, list]:
     """Every third table's member join on its first column and member
     subset, through one index of every table; which lookup answered, and
     the answers."""
-    index = ContainmentIndex(NUM_PERM)
-    for join in joins:
-        index.add_table(join)
+    index = _index(joins, NUM_PERM)
     seen = count_lookups(monkeypatch)
     answers = [
         (
