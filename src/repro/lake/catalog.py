@@ -4,27 +4,34 @@ Holds every table's :class:`LakeTableRecord` plus the live column index
 (:class:`repro.search.tables.TableSearcher`), and keeps both in sync under
 ``add_table`` / ``remove_table`` / ``update_table``:
 
-- an **add** sketches and embeds *only the new table* and bulk-appends its
-  column rows to the index (amortized O(cols) — no re-stack of the lake);
+- an **add** sketches and embeds *only the new table* and appends its
+  column rows to the index as one block (amortized O(cols) — no re-stack
+  of the lake);
 - a **bulk add** routes the whole delta through one batch-first pipeline
   in the calling thread: ``sketch_corpus`` (every distinct string hashed
   once), then ``ceil(N / batch_size)`` length-bucketed
   :class:`~repro.core.engine.EmbeddingEngine` forwards, then per-shard
   store writes, one manifest flush per touched shard;
-- an **update** or **refresh** replaces the table's index rows where they
-  stand, so the index's rows stay in table insertion order;
-- a **remove** compacts the index in one pass and never touches the trunk;
+- an **update** or **refresh** replaces the table's block of index rows
+  where it stands, so the index's rows stay in table insertion order;
+- a **remove** drops the table's block, moving the rows behind it up in
+  one block copy, and never touches the trunk;
 - attached to a :class:`~repro.lake.store.LakeStore`, every mutation is
   persisted immediately — the table archives plus one manifest flush per
-  touched shard — so the on-disk lake is always warm-loadable. The index is
-  never written: it is derived from the vectors those archives hold.
+  touched shard — so the on-disk lake is always warm-loadable. The store
+  write is the commit point: memory changes only once it has returned, so
+  a write that raises (``ENOSPC``, ``EIO``) leaves the live catalog
+  serving what the disk holds, and the same call can be retried. The
+  index is never written: it is derived from the vectors those archives
+  hold.
 
 The column index is the catalog's one column table: each row holds a
 column's vector and, beside it, its ``values_minhash`` signature and
 ``n_values``. Join and subset are served from those rows by ``joins``, a
 :class:`~repro.search.containment.ContainmentIndex` built with the catalog
-that keeps only slot postings over them. Every mutation is one searcher
-write: an add, update or refresh writes the table's rows, an append
+that keeps only slot postings over them. Every mutation is one block
+write (:meth:`~repro.search.index.KnnIndex.write_block`), addressed by
+table name: an add, update or refresh writes the table's rows, an append
 rewrites them in place (its vectors stale, its signatures merged), and a
 remove drops them. An append merges signatures exactly, so join and
 subset see appended rows at once, with no re-embed.
@@ -324,9 +331,10 @@ class LakeCatalog:
         flush independently, so a crash loses at most one shard's unflushed
         tail. Every stage runs in the calling thread.
 
-        Nothing is registered until every embedding has returned: a
-        forward that raises leaves the catalog, the index and the store
-        exactly as they were, and the same call can be retried.
+        Nothing is registered until every embedding has returned and the
+        store has written the records: a forward or a store write that
+        raises leaves the catalog and the index exactly as they were, and
+        the same call can be retried.
         """
         for table in tables.values():
             if table.name in self.records:
@@ -335,20 +343,20 @@ class LakeCatalog:
                 )
         with obs.span("lake.ingest", tables=len(tables)) as ingest:
             records = self._embed_records(list(tables.values()))
-            self._install(records)
             if self.store is not None:
                 self.store.save_tables(records)
+            self._install(records)
         if records:
             _TABLES_ADDED.inc(len(records))
             _INGEST_MS.observe(ingest.duration_ms)
         return records
 
     def remove_table(self, name: str) -> bool:
-        """Drop one table from index, registry, and store."""
-        record = self._put(name, None)
-        self.searcher.remove_table(name)
+        """Drop one table from store, registry, and index."""
         if self.store is not None:
             self.store.remove_table(name)
+        record = self._put(name, None)
+        self.searcher.remove_table(name)
         if record is not None:
             _TABLES_REMOVED.inc()
         return record is not None
@@ -358,9 +366,11 @@ class LakeCatalog:
 
         The replacement is **staged**: the new record is fully computed
         (sketch + embed — the slow, failure-prone part) before anything is
-        touched, then the in-memory swap happens, then the store writes it
-        through :meth:`LakeStore.save_table`'s staged replace — the old
-        archive is only unlinked after the manifest flush lands. A crash at
+        touched, then the store writes it through
+        :meth:`LakeStore.save_table`'s staged replace — the old archive is
+        only unlinked after the manifest flush lands — then the in-memory
+        swap happens. A store write that raises leaves memory at the old
+        version, as the disk is. A crash at
         any point leaves the table fully servable at either the old or the
         new version; there is no window where the lake has forgotten it.
         The data version bumps by one; metrics count one *update* (never a
@@ -372,9 +382,9 @@ class LakeCatalog:
         with obs.span("lake.update", table=table.name) as span:
             record = self._embed_records([table])[0]
             record.version = old.version + 1
-            self._install([record])
             if self.store is not None:
                 self.store.save_table(record)
+            self._install([record])
         _TABLES_UPDATED.inc()
         _INGEST_MS.observe(span.duration_ms)
         return record
@@ -431,9 +441,9 @@ class LakeCatalog:
                 version=record.version + 1,
                 embedding_stale=True,
             )
-            self._install([merged])
             if self.store is not None:
                 self.store.save_table(merged)
+            self._install([merged])
         _ROWS_APPENDED.inc(len(rows))
         return merged
 
@@ -466,9 +476,9 @@ class LakeCatalog:
             return []
         with obs.span("lake.refresh", tables=len(names)):
             refreshed = self._embed_records([self.records[n] for n in names])
-            self._install(refreshed)
             if persist and self.store is not None:
                 self.store.save_tables(refreshed)
+            self._install(refreshed)
         return names
 
     # ------------------------------------------------------------------ #

@@ -30,8 +30,8 @@ insertion order — the row order the live table keeps — with one block copy
 per column. A warm open therefore runs no forward, inserts no row and
 writes nothing, and no write has an index to keep in step. Exact distance
 ties break by row order, so the live index replaces an updated or
-refreshed table's rows where they stand
-(:meth:`~repro.search.index.KnnIndex.replace_many`) instead of moving them
+refreshed table's block of rows where it stands
+(:meth:`~repro.search.index.KnnIndex.write_block`) instead of moving it
 to the end.
 
 **One layout, versioned.** The root manifest records ``layout``
@@ -1210,7 +1210,8 @@ class LakeStore:
         concatenation and the signatures are written straight into one
         slot-major buffer, which :meth:`KnnIndex.restore` keeps as its row
         buffers: no second copy, no per-row insertion, no forward, nothing
-        written.
+        written. Each record's ``(name, width)`` is its table's block, so
+        the index's table -> rows map is built in one pass over tables.
         """
         spec = self.index_spec() or IndexSpec()
         records = list(self.load_all() if records is None else records)
@@ -1225,8 +1226,10 @@ class LakeStore:
                 [r.members["values_sig"].T for r in records], axis=1, out=signatures
             )
             np.concatenate([r.members["n_values"] for r in records], out=sizes)
+        blocks = [(r.name, len(r.column_names)) for r in records]
         return KnnIndex.restore(
-            dim, keys, vectors, signatures=signatures, sizes=sizes, **spec.params
+            dim, keys, vectors, signatures=signatures, sizes=sizes, blocks=blocks,
+            **spec.params,
         )
 
     # ------------------------------------------------------------------ #

@@ -62,11 +62,13 @@ sizes. A lake record hands over its stored rows as they are,
 sketching it, and :func:`join_rows` stacks a full sketch's, so no ingest
 or query builds a sketch object to join.
 
-A table's rows are contiguous and in column order, where the searcher
-keeps them (:meth:`~repro.search.tables.TableSearcher.rows`). No answer
-depends on where a table stands: join candidates rank by containment
-descending, then table name, then column name; a subset table's mean is
-summed in its column order and tables rank by it descending, then by name.
+A table's rows are one contiguous block in column order, found through
+the index's one table -> rows map
+(:meth:`~repro.search.tables.TableSearcher.rows`): it gives the excluded
+table's rows and a subset table's width. No answer depends on where a
+table stands: join candidates rank by containment descending, then table
+name, then column name; a subset table's mean is summed in its column
+order and tables rank by it descending, then by name.
 """
 
 from __future__ import annotations
@@ -434,10 +436,10 @@ class ContainmentIndex:
             hit[1] += 1.0 - value
             hit[2].append((query.columns[asked], entry.column, 1.0 - value))
         found.pop(exclude_table, None)
-        columns = self.searcher.columns_by_table
+        rows_of = self.searcher.rows
         ranked = [
             SubsetMatch(
-                table, total / len(columns[table]), distance_sum, tuple(matches)
+                table, total / len(rows_of(table)), distance_sum, tuple(matches)
             )
             for table, (total, distance_sum, matches) in found.items()
         ]

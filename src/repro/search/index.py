@@ -8,26 +8,26 @@ index is both faster and noise-free; the LSH structures used by specific
 baselines live in :mod:`repro.sketch.lsh` / :mod:`repro.sketch.simhash`.
 
 Storage is a capacity-doubling row buffer so the index supports *incremental*
-maintenance: ``add``/``add_many`` are amortized O(1) per row (no re-stacking
-of the whole corpus on the next query). A write costs the rows it writes
-and the rows it moves, and no Python work per row of the index besides:
-every row carries an int id, so ``replace_many`` / ``remove_many`` find
-the rows to drop by their keys' ids through an id -> row map, and the rows
-behind the change move as block copies, once per batch. A table's rows
-written as one contiguous block (as
-:class:`repro.search.tables.TableSearcher` writes them) are replaced in
-place when the width is unchanged, moving no other row. This is what lets
-:mod:`repro.lake` apply one-table deltas to a standing lake without
-rebuilding the index.
+maintenance: ``add``/``add_many`` append rows in no table, amortized O(1)
+per row (no re-stacking of the whole corpus on the next query). A lake
+writes its rows a table at a time, and a table's rows are one contiguous
+*block*: one map, table -> (its first row's id, its width), finds them.
+:meth:`KnnIndex.write_block` replaces, drops or appends a table's block.
+It costs the rows it writes and the rows it moves, and no Python work per
+row of the index besides: the rows behind the block shift by the width
+change as one block copy, so a same-width replacement writes in place and
+moves no other row. This is what lets :mod:`repro.lake` apply one-table
+deltas to a standing lake without rebuilding the index.
 
 A row also holds its column's values signature (``num_perm`` slots,
 stored slot-major) and distinct count, which join and subset score by
 (:mod:`repro.search.containment`); the paper searchers index vectors only
 (``num_perm=0``). Every write moves these with the vectors. Each written
 row takes a fresh id, and an id -> row map kept by every write finds it
-after any move, so postings over ids survive a remove. Past
-``max(REBUILD_DIRTY_ROWS, n // 8)`` new ids the ids are renumbered to
-rows, which keeps the id space O(rows) and voids postings over old ids.
+after any move, so postings over ids survive a remove and a block's first
+id finds its rows. Past ``max(REBUILD_DIRTY_ROWS, n // 8)`` new ids the
+ids are renumbered to rows, which keeps the id space O(rows), voids
+postings over old ids and remaps the block map one table at a time.
 
 ``top_k`` answers a whole matrix of queries with one BLAS matmul plus one
 axis-wise partition, as row-id and distance arrays — the batched primitive
@@ -44,7 +44,8 @@ column at any shard count (:mod:`repro.search.backend`).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from itertools import groupby
+from typing import Sequence
 
 import numpy as np
 
@@ -78,11 +79,9 @@ class KnnIndex:
         self.metric = metric
         self.num_perm = num_perm
         self._keys: list = []
-        #: key -> the id of its first row, for every key with a live row:
-        #: O(1) membership, and the id a write looks a key's rows up by.
-        self._key_ids: dict = {}
-        #: key -> the ids of its other rows, for a key with several.
-        self._more_ids: dict = {}
+        #: Table -> its block ``(first id, width)``, in row order: the one
+        #: map from a table to its rows (``add`` rows are in none).
+        self._blocks: dict = {}
         #: Next unused id; ids are unique until the next renumbering.
         self._next_id = 0
         #: Id -> its row, ``-1`` once gone; its length is the id budget
@@ -134,82 +133,55 @@ class KnnIndex:
         return vector
 
     def add(self, key, vector: np.ndarray) -> None:
-        """Append one (key, vector) row — amortized O(1)."""
+        """Append one (key, vector) row in no table — amortized O(1)."""
         self.add_many([(key, vector)])
 
     def add_many(self, items: Sequence[tuple[object, np.ndarray]]) -> None:
-        """Bulk append: one reserve + one block copy for the whole batch."""
-        self.replace_many((), items)
+        """Bulk append of rows in no table: one reserve + one block copy
+        for the whole batch."""
+        items = list(items)
+        self._splice(self._size, self._size, items, *self._block(items, None, None))
 
-    def remove_many(self, keys: Iterable[object]) -> int:
-        """Drop every row whose key is in ``keys``; returns rows removed.
-
-        What :meth:`replace_many` costs with no new rows: a lookup of the
-        dropped rows by id, and the rows behind the first dropped one
-        moved up as block copies. A key not present costs one dict
-        probe; when no key is present nothing else is done."""
-        return self.replace_many(keys, ())
-
-    def replace_many(
-        self, keys: Iterable[object], items: Sequence[tuple[object, np.ndarray]],
+    def write_block(
+        self, name, items: Sequence[tuple[object, np.ndarray]],
         signatures: np.ndarray | None = None, sizes: np.ndarray | None = None,
     ) -> int:
-        """Drop every row whose key is in ``keys`` and put ``items`` where
-        the first of those rows stood — at the end when there was none;
-        returns the rows dropped. The new rows' ``signatures``
-        (``uint64[len(items), num_perm]``) and ``sizes`` go beside them.
+        """Make ``items`` table ``name``'s rows; returns the rows dropped.
 
-        Every other row keeps its order, so replacing a table's rows leaves
-        the index in the order its tables were first added. The rows to
-        drop are found through the id -> row map; no Python loop runs over
-        rows that are not written. The new rows are one block copy and take
-        fresh ids. Surviving rows between the first and last dropped row are
-        gathered behind the new block, and the rows after the last dropped
-        row move as one slice, by ``len(items)`` minus the rows dropped. A
-        caller that writes each key's rows as one contiguous block
-        (``TableSearcher`` does) has no rows in between, so a same-width
-        replacement writes in place and moves no other row.
+        The table's old rows go and the new ones stand where they stood —
+        at the end when it had none; an empty ``items`` removes the table.
+        The new rows' ``signatures`` (``uint64[len(items), num_perm]``) and
+        ``sizes`` go beside them, and they take fresh consecutive ids.
+        Every other row keeps its order, so the rows stay in the order
+        their tables were first written.
         """
         items = list(items)
-        key_ids = self._key_ids
-        doomed = {key for key in keys if key in key_ids}
-        if not items and not doomed:
+        rows = self.block_rows(name) or range(self._size, self._size)
+        if not (rows or items):
             return 0
         # Checked before anything changes.
-        block, block_signatures, block_sizes = self._block(items, signatures, sizes)
-        size = at = stop = self._size
-        between = np.zeros(0, dtype=np.intp)
-        if doomed:
-            ids = [key_ids.pop(key) for key in doomed]
-            if self._more_ids:
-                ids += [i for key in doomed for i in self._more_ids.pop(key, ())]
-            dropped = np.sort(self._id_rows[ids])
-            self._id_rows[ids] = -1
-            at, stop = int(dropped[0]), int(dropped[-1]) + 1
-            kept = np.ones(stop - at, dtype=bool)
-            kept[dropped - at] = False
-            between = np.flatnonzero(kept) + at
-        removed = stop - at - len(between)
-        block_ids = np.arange(self._next_id, self._next_id + len(items))
+        columns = self._block(items, signatures, sizes)
+        if items:
+            self._blocks[name] = (self._next_id, len(items))
+        else:
+            del self._blocks[name]
+        self._splice(rows.start, rows.stop, items, *columns)
+        return len(rows)
+
+    def _splice(
+        self, at: int, stop: int, items: list, block: np.ndarray,
+        signatures: np.ndarray, sizes: np.ndarray,
+    ) -> None:
+        """Put the checked new rows in place of rows ``[at, stop)`` under
+        the next ids. The rows after ``stop`` move by the width change as
+        one slice, so a same-width write moves no other row."""
+        size = self._size
+        end = at + len(items)
+        shift = end - stop
+        self._id_rows[self._ids[at:stop]] = -1
+        ids = np.arange(self._next_id, self._next_id + len(items))
         self._next_id += len(items)
-        for (key, _), key_id in zip(items, block_ids.tolist()):
-            if key_ids.setdefault(key, key_id) != key_id:
-                self._more_ids.setdefault(key, []).append(key_id)
-        # The segment [at, end) gets the new rows, then those in between.
-        segment = [block, self._row_terms(block), block_ids, block_sizes]
-        slots = block_signatures.T
-        if len(between):
-            segment = [
-                np.concatenate([rows, column[between]])
-                for rows, column in zip(
-                    segment, (self._data, self._terms, self._ids, self._sizes)
-                )
-            ]
-            slots = np.hstack([slots, self._signatures[:, between]])
-        between_keys = list(map(self._keys.__getitem__, between.tolist()))
-        shift = len(items) - removed
         self._reserve(max(shift, 0))
-        end = at + len(items) + len(between)
         if shift:
             # Through flat views: numpy moves an overlapping 1-D slice in
             # place, where a 2-D one goes through a temporary copy.
@@ -218,38 +190,39 @@ class KnnIndex:
             for column in (self._terms, self._ids, self._sizes, *self._signatures):
                 column[end : size + shift] = column[stop:size]
         for column, rows in zip(
-            (self._data, self._terms, self._ids, self._sizes), segment
+            (self._data, self._terms, self._ids, self._sizes),
+            (block, self._row_terms(block), ids, sizes),
         ):
             column[at:end] = rows
-        self._signatures[:, at:end] = slots
-        self._keys[at:stop] = [key for key, _ in items] + between_keys
+        self._signatures[:, at:end] = signatures.T
+        self._keys[at:stop] = [key for key, _ in items]
         self._size = size + shift
-        if self._next_id > len(self._id_rows):
+        due = self._next_id > len(self._id_rows)  # out of ids: renumber
+        if due:
+            # renumber remaps the blocks through this map, the one just
+            # written too: room for its ids (the new slots, all set below).
+            self._id_rows = np.resize(self._id_rows, self._next_id)
+        # The rows written or moved: rows past ``end`` moved only if the
+        # width changed.
+        moved = np.arange(at, self._size if shift else end)
+        self._id_rows[self._ids[moved]] = moved
+        if due:
             self.renumber()
-        else:
-            # The rows written or moved: rows past ``end`` moved only if
-            # the width changed.
-            moved = np.arange(at, self._size if shift else end)
-            self._id_rows[self._ids[moved]] = moved
-        return removed
 
     def renumber(self) -> None:
         """Give every row its row number as id, with room in the id -> row
-        map for ``max(REBUILD_DIRTY_ROWS, n // 8)`` more ids."""
+        map for ``max(REBUILD_DIRTY_ROWS, n // 8)`` more ids. Each block's
+        first id is remapped through the old map: one step per table."""
+        if self._blocks:
+            firsts, widths = zip(*self._blocks.values())
+            firsts = self._id_rows[list(firsts)].tolist()
+            self._blocks = dict(zip(self._blocks, zip(firsts, widths)))
         n = self._size
         rows = np.arange(n)
         self._ids[:n] = rows
         self._next_id = n
         self._id_rows = np.full(n + max(REBUILD_DIRTY_ROWS, n // 8), -1, np.int64)
         self._id_rows[:n] = rows
-        keys = self._keys
-        # Reversed, so each key keeps its first row.
-        self._key_ids = dict(zip(reversed(keys), reversed(range(n))))
-        self._more_ids = {}
-        if len(self._key_ids) < n:
-            for row, key in enumerate(keys):
-                if self._key_ids[key] != row:
-                    self._more_ids.setdefault(key, []).append(row)
 
     def _block(
         self, items: list, signatures: np.ndarray | None, sizes: np.ndarray | None
@@ -278,10 +251,6 @@ class KnnIndex:
             for vector in vectors:
                 self._check(vector)
         return block, signatures, sizes
-
-    def remove(self, key) -> int:
-        """Drop every row stored under ``key``; returns rows removed."""
-        return self.remove_many([key])
 
     # ------------------------------------------------------------------ #
     def _matrix(self) -> np.ndarray:
@@ -387,10 +356,20 @@ class KnnIndex:
         """Id -> row (``-1``: gone); :meth:`renumber` replaces it."""
         return self._id_rows
 
-    def row_of(self, key) -> int:
-        """The row of one of ``key``'s rows: the first of them when they
-        were written in one block, as ``TableSearcher`` writes a table."""
-        return int(self._id_rows[self._key_ids[key]])
+    @property
+    def blocks(self) -> dict:
+        """Table -> its block ``(first id, width)``, in row order: the live
+        map, read only."""
+        return self._blocks
+
+    def block_rows(self, name) -> range:
+        """Table ``name``'s rows, in column order (empty when it has
+        none)."""
+        block = self._blocks.get(name)
+        if block is None:
+            return range(0)
+        start = int(self._id_rows[block[0]])
+        return range(start, start + block[1])
 
     @property
     def subs(self) -> tuple["KnnIndex"]:
@@ -403,9 +382,6 @@ class KnnIndex:
         """
         return (self,)
 
-    def __contains__(self, key) -> bool:
-        return key in self._key_ids
-
     def __len__(self) -> int:
         return self._size
 
@@ -414,11 +390,15 @@ class KnnIndex:
     def restore(
         cls, dim: int, keys: list, vectors: np.ndarray, metric: str = "cosine",
         signatures: np.ndarray | None = None, sizes: np.ndarray | None = None,
+        blocks: Sequence[tuple[object, int]] | None = None,
     ) -> "KnnIndex":
         """An index over ``keys`` and the row-aligned ``vectors``, slot-major
         ``signatures`` (their slot count is ``num_perm``; none: 0) and
         ``sizes``, with no per-row insertion — how a lake assembles its
-        index from the stored rows at open.
+        index from the stored rows at open. ``blocks`` are the ``(table,
+        width)`` runs the rows fall in, in row order, with table ``None``
+        for rows in no table; none given: the runs of the keys' ``table``,
+        where a key with none is in no table.
 
         A writable C-contiguous block of the column's dtype becomes the
         index's buffer as it is, so a caller that built the blocks for the
@@ -430,13 +410,22 @@ class KnnIndex:
             signatures = np.zeros((0, n), dtype=np.uint64)
         if sizes is None:
             sizes = np.zeros(n, dtype=np.int64)
+        if blocks is None:
+            tables = (getattr(key, "table", None) for key in keys)
+            blocks = [(table, len(list(run))) for table, run in groupby(tables)]
+        table_blocks, start = {}, 0
+        for name, width in blocks:
+            if name is not None:  # renumbered below, a row's id is its row
+                table_blocks[name] = (start, width)
+            start += width
         index = cls(dim, metric=metric, num_perm=len(signatures))
         vectors = np.asarray(vectors, dtype=np.float64).reshape(-1, dim)
-        if (vectors.shape[0], *np.shape(signatures)[1:], *np.shape(sizes)) != (n,) * 3:
+        shapes = (vectors.shape[0], *np.shape(signatures)[1:], *np.shape(sizes))
+        if (*shapes, start) != (n,) * 4:
             raise ValueError(
                 f"index state has {vectors.shape[0]} rows, signatures "
-                f"{np.shape(signatures)} and sizes {np.shape(sizes)} but "
-                f"{n} keys"
+                f"{np.shape(signatures)}, sizes {np.shape(sizes)} and "
+                f"blocks of {start} rows but {n} keys"
             )
         index._data = _owned(vectors, np.float64)
         index._signatures = _owned(signatures, np.uint64)
@@ -446,6 +435,7 @@ class KnnIndex:
         index._size = n
         index._keys = list(keys)
         index.renumber()
+        index._blocks = table_blocks
         return index
 
 

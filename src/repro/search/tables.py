@@ -13,7 +13,11 @@ Definitions (verbatim from the figure, adapted to code):
 - ``RANK2`` — tie-break by the *smallest sum* of column distances.
 
 KNNSEARCH is exact: one :class:`repro.search.index.KnnIndex` over every
-column, whatever the lake's shard count. The ranking runs on the index's
+column, whatever the lake's shard count. The searcher writes each table as
+one block of that index (:meth:`~repro.search.index.KnnIndex.write_block`),
+so the index's block map is the one map from a table to its rows: adds,
+removes, :meth:`TableSearcher.rows`, the table list and the excluded
+table's over-fetch all read it. The ranking runs on the index's
 top-k *arrays*: one :meth:`~repro.search.index.KnnIndex.top_k` call
 answers all of a query table's columns, then one pass per query column
 reads its candidates in ascending distance — a table's first hit is its
@@ -25,14 +29,13 @@ candidate.
 service's union (its join and subset rank by containment,
 :mod:`repro.search.containment`) and every paper-bench searcher
 (TabSketchFM ±SBERT, SBERT, the dual-encoder column adapters) rank through
-it, so a change to the ranking is one change measured everywhere. It returns a :class:`RankedTables`: every table of
-the candidate pool, untruncated, with each :class:`TableMatch` built only
-when it is read.
+it, so a change to the ranking is one change measured everywhere. It
+returns a :class:`RankedTables`: every table of the candidate pool,
+untruncated, with each :class:`TableMatch` built only when it is read.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from typing import Sequence
@@ -84,8 +87,6 @@ class TableSearcher:
         self.dim = dim
         self.backend_spec = IndexSpec(params={"metric": metric})
         self.index: KnnIndex = make_index(self.backend_spec, dim, num_perm)
-        #: Table -> its indexed columns, in column order: read only.
-        self.columns_by_table: dict[str, list[ColumnEntry]] = defaultdict(list)
         #: Rows inserted through this searcher — a warm restore via
         #: :meth:`adopt_index` performs none, which the lake benches assert.
         self.insertions = 0
@@ -95,9 +96,8 @@ class TableSearcher:
         """Serve a prebuilt index (a warm lake's, assembled from its stored
         vectors) as-is.
 
-        Rebuilds the per-table bookkeeping from the index's own key list —
-        zero insertions, so a warm lake open costs one block copy, never a
-        per-row reconstruction.
+        The index holds its own table -> rows map, so adopting it costs
+        zero insertions and no per-row or per-table bookkeeping.
         """
         if (index.dim, index.num_perm) != (self.dim, self.index.num_perm):
             raise ValueError(
@@ -105,16 +105,14 @@ class TableSearcher:
                 f"searcher dim {self.dim} / num_perm {self.index.num_perm}"
             )
         self.index = index
-        self.columns_by_table = defaultdict(list)
-        for entry in index.keys():
-            self.columns_by_table[entry.table].append(entry)
 
     # ------------------------------------------------------------------ #
     def add_table(
         self, table: str, column_names: list[str], vectors: np.ndarray,
         signatures: np.ndarray | None = None, sizes: np.ndarray | None = None,
     ) -> None:
-        """Index all of a table's columns in one bulk write: their vectors,
+        """Index all of a table's columns as one block write
+        (:meth:`~repro.search.index.KnnIndex.write_block`): their vectors,
         and on an index with signature slots their values signatures
         (``uint64[n_cols, num_perm]``) and sizes.
 
@@ -126,45 +124,36 @@ class TableSearcher:
         table's rows are therefore contiguous and in column order
         (:meth:`rows`).
         """
-        entries = [ColumnEntry(table, name) for name in column_names]
-        self.index.replace_many(
-            self.columns_by_table.get(table, ()),
+        self.index.write_block(
+            table,
             [
-                (entry, np.asarray(vector, dtype=np.float64))
-                for entry, vector in zip(entries, vectors)
+                (ColumnEntry(table, name), np.asarray(vector, dtype=np.float64))
+                for name, vector in zip(column_names, vectors)
             ],
             signatures,
             sizes,
         )
-        self.columns_by_table[table] = entries
-        self.insertions += len(entries)
+        self.insertions += len(column_names)
 
     def remove_table(self, table: str) -> int:
         """Drop every indexed column of ``table``; returns columns removed.
 
-        One batch removal against the index — the incremental-delete
-        primitive for :class:`repro.lake.catalog.LakeCatalog`.
+        An empty block write — the incremental-delete primitive for
+        :class:`repro.lake.catalog.LakeCatalog`.
         """
-        entries = self.columns_by_table.pop(table, [])
-        if not entries:
-            return 0
-        return self.index.remove_many(entries)
+        return self.index.write_block(table, ())
 
     def rows(self, table: str | None) -> range:
         """``table``'s rows of the index, in column order (empty when it
         has none)."""
-        entries = self.columns_by_table.get(table)
-        if not entries:
-            return range(0)
-        start = self.index.row_of(entries[0])
-        return range(start, start + len(entries))
+        return self.index.block_rows(table)
 
     def table_names(self) -> list[str]:
-        return list(self.columns_by_table)
+        return list(self.index.blocks)
 
     @property
     def n_tables(self) -> int:
-        return len(self.columns_by_table)
+        return len(self.index.blocks)
 
     # ------------------------------------------------------------------ #
     def rank(
@@ -211,12 +200,8 @@ class TableSearcher:
         )
         want = k * CANDIDATE_FACTOR
         # Over-fetch by the excluded table's own columns so skipping them
-        # cannot starve the pool (.get: never add an empty entry).
-        excluded = (
-            len(self.columns_by_table.get(exclude_table, ()))
-            if exclude_table is not None
-            else 0
-        )
+        # cannot starve the pool.
+        excluded = len(self.rows(exclude_table))
         rows, distances = self.index.top_k(matrix, want + excluded)
         keys = self.index.row_keys
         # table -> union: [distance sum, evidence]; join: best evidence.

@@ -1,11 +1,16 @@
 """Incremental `LakeCatalog` semantics: deltas touch one table only, warm
 loads touch none, and the index stays consistent with a cold rebuild."""
 
+import errno
+
 import numpy as np
 import pytest
 
+from repro.lake.api import DiscoveryRequest
 from repro.lake.catalog import LakeCatalog
+from repro.lake.service import LakeService
 from repro.lake.store import LakeStore
+from repro.table.schema import table_from_rows
 
 
 def test_add_counts_one_embed_call_per_table(lake_embedder, lake_tables):
@@ -190,3 +195,68 @@ def test_bulk_add_registers_nothing_when_a_forward_raises(
     warm = LakeCatalog.from_store(lake_embedder, LakeStore.open(tmp_path))
     assert warm.table_names() == names
     assert warm.embed_calls == 0 and warm.searcher.insertions == 0
+
+
+def _served(catalog: LakeCatalog) -> dict:
+    """Every member's hits in every mode, stale vectors allowed (a strict
+    query would refresh, which is a write)."""
+    service = LakeService(catalog, cache_size=0)
+    return {
+        (mode, name): service.discover(
+            DiscoveryRequest(mode=mode, k=4, table=name, allow_stale=True)
+        ).hits
+        for name in catalog.table_names()
+        for mode in ("join", "union", "subset")
+    }
+
+
+def _update(catalog: LakeCatalog, tables: dict):
+    donor = tables["g1t0"]
+    rows = list(donor.rows(12))
+    return catalog.update_table(table_from_rows("g0t0", donor.header, rows))
+
+
+#: Each catalog write: the store method it commits through, and the call.
+FAILED_WRITES = {
+    "add_tables": ("save_tables", lambda c, t: c.add_tables({"g2t2": t["g2t2"]})),
+    "update_table": ("save_table", _update),
+    "append_rows": ("save_table", lambda c, t: c.append_rows("g0t1", t["g0t1"].rows(1))),
+    "refresh_stale": ("save_tables", lambda c, t: c.refresh_stale()),
+    "remove_table": ("remove_table", lambda c, t: c.remove_table("g1t1")),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(FAILED_WRITES))
+def test_a_failed_store_write_leaves_the_catalog_where_the_disk_is(
+    tmp_path, lake_embedder, lake_tables, monkeypatch, mutation
+):
+    """The store write is the commit point: when it raises ``ENOSPC`` on
+    entry, the live catalog answers join, union and subset as a fresh
+    reopen of the store does, its ``stats()`` are as before (``embed_calls``
+    aside: it counts the forward that ran), and the same call, retried,
+    succeeds."""
+    catalog = LakeCatalog(lake_embedder, store=LakeStore(tmp_path, "fp"))
+    catalog.add_tables({n: t for n, t in lake_tables.items() if n != "g2t2"})
+    catalog.append_rows("g2t0", [lake_tables["g2t0"].row(1)])  # one stale table
+    method, write = FAILED_WRITES[mutation]
+
+    def stats() -> dict:
+        return {k: v for k, v in catalog.stats().items() if k != "embed_calls"}
+
+    before = stats()
+
+    def no_space(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(catalog.store, method, no_space)
+        with pytest.raises(OSError):
+            write(catalog, lake_tables)
+    assert stats() == before
+    reopened = LakeCatalog.from_store(lake_embedder, LakeStore.open(tmp_path))
+    assert _served(catalog) == _served(reopened)
+
+    write(catalog, lake_tables)
+    assert stats() != before
+    reopened = LakeCatalog.from_store(lake_embedder, LakeStore.open(tmp_path))
+    assert _served(catalog) == _served(reopened)

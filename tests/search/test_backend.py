@@ -1,6 +1,6 @@
 """The index layer: the persisted index spec, `query_many` ≡ `query`,
-remove → re-add round trips, in-place replacement, restore round trips and
-the shard hash — under both metrics a spec can name."""
+block writes (remove → re-add round trips, in-place replacement), restore
+round trips and the shard hash — under both metrics a spec can name."""
 
 import numpy as np
 import pytest
@@ -97,19 +97,32 @@ def test_query_many_empty_and_oversized(metric, corpus):
 
 
 # --------------------------------------------------------------------- #
-# remove → re-add round trips
+# Block writes: remove → re-add round trips, in-place replacement
 # --------------------------------------------------------------------- #
+def _blocks(vectors: np.ndarray, width: int = 1) -> KnnIndex:
+    """Rows ``i`` keyed ``i``, in tables of ``width`` rows: table ``j``
+    holds rows ``j * width`` up to ``(j + 1) * width``."""
+    index = make_index(_spec(), DIM)
+    for start in range(0, len(vectors), width):
+        index.write_block(
+            start // width,
+            [(i, vectors[i]) for i in range(start, min(start + width, len(vectors)))],
+        )
+    return index
+
+
 def test_remove_then_readd_round_trip(corpus):
     vectors, queries = corpus
-    index = _build(vectors)
+    index = _blocks(vectors)
     doomed = list(range(0, 200))
-    assert index.remove_many(doomed) == len(doomed)
+    assert sum(index.write_block(i, ()) for i in doomed) == len(doomed)
     assert len(index) == len(vectors) - len(doomed)
-    assert 0 not in index and 250 in index
+    assert not index.block_rows(0) and index.block_rows(250)
     for hits in index.query_many(queries, 10):
         assert all(key >= 200 for key in _keys(hits))
 
-    index.add_many([(i, vectors[i]) for i in doomed])
+    for i in doomed:
+        index.write_block(i, [(i, vectors[i])])
     assert len(index) == len(vectors)
     assert sorted(index.keys()) == sorted(range(len(vectors)))
     # Re-added vectors are retrievable as their own nearest neighbour.
@@ -120,31 +133,32 @@ def test_remove_then_readd_round_trip(corpus):
 
 
 @pytest.mark.parametrize("metric", METRICS)
-def test_remove_many_missing_keys_is_noop(metric, corpus):
+def test_removing_an_absent_table_is_noop(metric, corpus):
     vectors, _ = corpus
     index = _build(vectors[:20], metric)
     keys_before = index.keys()
-    assert index.remove_many(["ghost", 10_000]) == 0
+    assert index.write_block("ghost", ()) == 0
+    assert index.write_block(10_000, ()) == 0
     assert index.keys() == keys_before
 
 
-# --------------------------------------------------------------------- #
-# In-place replacement
-# --------------------------------------------------------------------- #
-def test_replace_many_keeps_every_other_row_in_place(corpus):
-    """Replacing rows puts the new ones where the first old one stood and
-    leaves every other row where it was, so the index equals a fresh
-    restore in that order, bit for bit; with none to replace, it appends."""
+def test_block_writes_keep_every_other_row_in_place(corpus):
+    """A table's new rows stand where its old ones stood, a removed table's
+    rows close up, and every other row stays in order, so the index equals
+    a fresh restore in that order, bit for bit; a table it does not hold
+    goes at the end."""
     vectors, queries = corpus
-    index = _build(vectors[:30])
-    new = [(key, vectors[100 + key]) for key in (5, 6, 7, 32)]
-    assert index.replace_many([6, 5, 7, 9, 999], new) == 4
-    assert index.replace_many([], [(40, vectors[140])]) == 0
-    rows = {key: vector for key, vector in enumerate(vectors[:30]) if key != 9}
+    index = _blocks(vectors[:30], width=3)
+    new = [(key, vectors[100 + key]) for key in (6, 7, 8, 32)]
+    assert index.write_block(2, new) == 3
+    assert index.write_block(3, ()) == 3
+    assert index.write_block(40, [(40, vectors[140])]) == 0
+    rows = {key: vector for key, vector in enumerate(vectors[:30])}
     rows.update(new)
     rows[40] = vectors[140]
     order = index.keys()
-    assert order == [*range(5), 5, 6, 7, 32, 8, *range(10, 30), 40]
+    assert order == [*range(6), 6, 7, 8, 32, *range(12, 30), 40]
+    assert list(index.blocks) == [0, 1, 2, *range(4, 10), 40]
     rebuilt = KnnIndex.restore(DIM, order, np.array([rows[key] for key in order]))
     assert index._matrix().tobytes() == rebuilt._matrix().tobytes()
     assert index.query_many(queries, 8) == rebuilt.query_many(queries, 8)
@@ -206,13 +220,16 @@ def test_restore_adopts_an_owned_block_and_copies_any_other(block, corpus):
     given = make(np.array(vectors[:40], dtype=np.float64))
     before = given.copy()
     keys = list(range(40))
-    index = KnnIndex.restore(DIM, keys, given)
-    reference = KnnIndex.restore(DIM, keys, np.array(before, dtype=np.float64))
+    blocks = [(key, 1) for key in keys]
+    index = KnnIndex.restore(DIM, keys, given, blocks=blocks)
+    reference = KnnIndex.restore(
+        DIM, keys, np.array(before, dtype=np.float64), blocks=blocks
+    )
     assert np.shares_memory(index._data, given) == adopted
     assert index.query_many(queries, 8) == reference.query_many(queries, 8)
 
-    assert index.replace_many([3], [(3, vectors[300])]) == 1
-    reference.replace_many([3], [(3, vectors[300])])
+    assert index.write_block(3, [(3, vectors[300])]) == 1
+    reference.write_block(3, [(3, vectors[300])])
     assert index.query_many(queries, 8) == reference.query_many(queries, 8)
     if adopted:
         assert np.array_equal(given[3], vectors[300])

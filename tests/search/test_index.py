@@ -102,32 +102,37 @@ def test_append_does_not_restack(monkeypatch):
     assert hits[0][0] == 5
 
 
-def test_remove_key_compacts():
+def _one_row_blocks(n: int) -> KnnIndex:
+    """Rows ``0..n-1`` at ``(row, 0)``, each its own table ``t{row}``."""
     index = KnnIndex(dim=2, metric="euclidean")
-    for i in range(6):
-        index.add(f"k{i}", np.array([float(i), 0.0]))
-    assert index.remove("k2") == 1
-    assert index.remove("k2") == 0
+    for i in range(n):
+        index.write_block(f"t{i}", [(i, np.array([float(i), 0.0]))])
+    return index
+
+
+def test_an_empty_block_write_removes_the_table():
+    index = _one_row_blocks(6)
+    assert index.write_block("t2", ()) == 1
+    assert index.write_block("t2", ()) == 0
     assert len(index) == 5
-    assert "k2" not in index
+    assert not index.block_rows("t2") and "t2" not in index.blocks
     hits = [key for key, _ in index.query(np.array([2.0, 0.0]), k=6)]
-    assert "k2" not in hits and len(hits) == 5
+    assert 2 not in hits and len(hits) == 5
 
 
-def test_remove_many_batch():
-    index = KnnIndex(dim=2, metric="euclidean")
-    for i in range(8):
-        index.add(i, np.array([float(i), 0.0]))
-    assert index.remove_many([1, 3, 5, 99]) == 3
+def test_removed_blocks_close_up_in_order():
+    index = _one_row_blocks(8)
+    assert [index.write_block(t, ()) for t in ("t1", "t3", "t5", "t99")] == [1, 1, 1, 0]
     assert index.keys() == [0, 2, 4, 6, 7]
+    assert [index.block_rows(f"t{i}").start for i in (0, 2, 4, 6, 7)] == [0, 1, 2, 3, 4]
     got = [key for key, _ in index.query(np.array([0.0, 0.0]), k=8)]
     assert got == [0, 2, 4, 6, 7]
 
 
 def test_add_after_remove_reuses_slots():
-    index = KnnIndex(dim=2, metric="euclidean")
-    index.add_many([(i, np.array([float(i), 0.0])) for i in range(4)])
-    index.remove_many([0, 1])
+    index = _one_row_blocks(4)
+    index.write_block("t0", ())
+    index.write_block("t1", ())
     index.add("new", np.array([10.0, 0.0]))
     assert len(index) == 3
     assert index.query(np.array([10.0, 0.0]), k=1)[0][0] == "new"
@@ -199,11 +204,15 @@ def test_distances_follow_the_metric(metric, clustered_data):
 
 @pytest.mark.parametrize("metric", METRICS)
 def test_query_many_matches_bruteforce_after_churn(metric, clustered_data):
-    """Removals compact and re-adds append; batched answers still equal a
-    reference computed over exactly the live rows."""
-    index = _filled(metric, clustered_data)
-    index.remove_many(range(0, 200, 3))
-    index.add_many([(i, clustered_data[i]) for i in range(0, 60, 3)])
+    """Removed blocks compact and re-added ones append; batched answers
+    still equal a reference computed over exactly the live rows."""
+    index = KnnIndex(dim=clustered_data.shape[1], metric=metric)
+    for i, vector in enumerate(clustered_data):
+        index.write_block(i, [(i, vector)])
+    for i in range(0, 200, 3):
+        index.write_block(i, ())
+    for i in range(0, 60, 3):
+        index.write_block(i, [(i, clustered_data[i])])
     live = sorted(index.keys())
     queries = np.random.default_rng(5).normal(scale=10.0, size=(6, 16))
     for query, hits in zip(queries, index.query_many(queries, 12)):

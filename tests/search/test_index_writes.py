@@ -1,35 +1,42 @@
-"""Index writes against a plain-list model.
+"""Index writes against a plain-list model of table blocks.
 
-Every example is a drawn sequence of ``add_many`` / ``replace_many`` /
-``remove_many`` calls, applied both to an index and to a reference that is
-a list of ``(key, vector, signature, size)`` rows. The reference states
-what a write means: the rows under a doomed key go, the new rows stand
-where the first of them stood (at the end when none did), and every other
-row keeps its order. After every step the index must equal
-:meth:`KnnIndex.restore` of the reference rows bit for bit — row keys,
-vectors, cached distance terms, signature slots, sizes, length, membership
-and ``top_k`` arrays — under both metrics, with no signature slots (the
-paper searchers' index) and with some (a lake's); and its id -> row map
-must find every row by its id, and no other id.
+Every example is a drawn sequence of ``write_block`` / ``add_many`` calls,
+applied both to an index and to a reference that is a list of ``(table,
+key, vector, signature, size)`` rows. The reference states what a write
+means: a table's rows are one contiguous block; writing a table replaces
+its block where it stands (at the end when it has none), an empty write
+removes it, ``add_many`` appends rows in no table, and every other row
+keeps its order. After every step the index must equal
+:meth:`KnnIndex.restore` of the reference rows and their ``(table, width)``
+runs bit for bit — row keys, vectors, cached distance terms, signature
+slots, sizes, length and ``top_k`` arrays — under both metrics, with no
+signature slots (the paper searchers' index) and with some (a lake's). Its
+id -> row map must find every row by its id, and no other id, and
+``block_rows`` of every table must land on that table's rows.
 
-The draws cover duplicate keys (in one batch and across batches), doomed
-keys whose rows are not contiguous, keys that are not in the index,
-same-width and different-width replacements, and growth past the buffer's
-capacity, starting from an empty index and from one ``restore`` built.
-``derandomize`` fixes the draws, so a passing run passes every time.
+The draws cover repeated column names in one table, same-width and
+different-width replacements, removing a table that is not there, rows in
+no table between blocks, and growth past the buffer's capacity, starting
+from an empty index and from one ``restore`` built. ``derandomize`` fixes
+the draws, so a passing run passes every time.
 """
+
+from itertools import groupby
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.search.index import KnnIndex
+from repro.search.index import REBUILD_DIRTY_ROWS, KnnIndex
+from repro.search.tables import ColumnEntry
 
 DIM = 4
-#: Keys an item may carry; the last two are never written, so a removal
-#: naming them exercises the missing-key path.
-KEYS = tuple(range(10))
-MISSING = (10, 11)
+#: Tables a write may name; the last two are never written, so removing
+#: them exercises the absent-table path.
+TABLES = tuple("abcde")
+MISSING = ("y", "z")
+#: Column names a table's rows may carry: few, so one table repeats some.
+COLUMNS = ("c0", "c1", "c2")
 #: Vectors an item may carry: a zero row, and a repeated one so exact
 #: distance ties occur.
 _RNG = np.random.default_rng(44)
@@ -44,25 +51,23 @@ SIGNATURES = _RNG.integers(0, 2**64, size=(len(POOL), SLOTS), dtype=np.uint64)
 SIZES = _RNG.integers(0, 50, size=len(POOL))
 
 
-def _replace(rows, keys, items):
-    """The reference write: ``rows`` after ``replace_many(keys, items)``,
-    and the number of rows dropped."""
-    present = {row[0] for row in rows}
-    doomed = {key for key in keys if key in present}
-    if not items and not doomed:
-        return rows, 0
-    gone = [row[0] in doomed for row in rows]
-    at = gone.index(True) if doomed else len(rows)
-    kept = [row for row, dropped in zip(rows[at:], gone[at:]) if not dropped]
-    return rows[:at] + list(items) + kept, sum(gone)
+def _write(rows, table, items):
+    """The reference write: ``rows`` after ``write_block(table, items)``,
+    and the number of rows dropped; table ``None``: ``add_many(items)``."""
+    new = [(table, *item) for item in items]
+    if table is None:
+        return rows + new, 0
+    block = [i for i, row in enumerate(rows) if row[0] == table]
+    at = block[0] if block else len(rows)
+    return rows[:at] + new + rows[at + len(block):], len(block)
 
 
 def _columns(rows, num_perm):
-    """The rows' vector pairs, and their signatures (``(m, num_perm)``)
-    and sizes (0 on an index without slots)."""
-    pairs = [(key, vector) for key, vector, _, _ in rows]
+    """The rows' ``(key, vector)`` pairs, and their signatures
+    (``(m, num_perm)``) and sizes (0 on an index without slots)."""
+    pairs = [(key, vector) for _, key, vector, _, _ in rows]
     signatures = np.array(
-        [signature[:num_perm] for _, _, signature, _ in rows], dtype=np.uint64
+        [signature[:num_perm] for *_, signature, _ in rows], dtype=np.uint64
     ).reshape(len(rows), num_perm)
     sizes = np.array([size for *_, size in rows], dtype=np.int64) * bool(num_perm)
     return pairs, signatures, sizes
@@ -71,9 +76,10 @@ def _columns(rows, num_perm):
 def _restored(rows, metric, num_perm):
     pairs, signatures, sizes = _columns(rows, num_perm)
     vectors = np.array([vector for _, vector in pairs]).reshape(-1, DIM)
+    blocks = [(table, len(list(run))) for table, run in groupby(r[0] for r in rows)]
     return KnnIndex.restore(
         DIM, [key for key, _ in pairs], vectors, metric=metric,
-        signatures=signatures.T, sizes=sizes,
+        signatures=signatures.T, sizes=sizes, blocks=blocks,
     )
 
 
@@ -85,7 +91,8 @@ def _assert_equal_arrays(got, want):
 
 def _assert_like_restore(index, rows, metric):
     """``index`` equals, bitwise, the index ``restore`` builds from the
-    reference rows, and finds each row by its id."""
+    reference rows, finds each row by its id and each table by its
+    block."""
     reference = _restored(rows, metric, index.num_perm)
     size = len(reference)
     assert len(index) == size
@@ -99,59 +106,64 @@ def _assert_like_restore(index, rows, metric):
     assert len(set(ids.tolist())) == size
     assert (index.id_rows[ids] == np.arange(size)).all()
     assert np.count_nonzero(index.id_rows >= 0) == size
-    for key in KEYS + MISSING:
-        assert (key in index) == (key in reference)
-    for key in dict.fromkeys(index.row_keys):
-        assert index.row_keys[index.row_of(key)] == key
+    tables = [table for table in dict.fromkeys(row[0] for row in rows) if table]
+    assert list(index.blocks) == tables
+    for table in TABLES + MISSING:
+        block = index.block_rows(table)
+        assert block == reference.block_rows(table)
+        assert index.row_keys[block.start:block.stop] == [
+            key for name, key, *_ in rows if name == table
+        ]
     for k in TOP_KS:
         _assert_equal_arrays(index.top_k(QUERIES, k), reference.top_k(QUERIES, k))
 
 
-def _items(data, keys=st.sampled_from(KEYS), max_size=6):
-    drawn = data.draw(
-        st.lists(st.tuples(keys, st.integers(0, len(POOL) - 1)), max_size=max_size)
-    )
-    return [(key, POOL[at].copy(), SIGNATURES[at], SIZES[at]) for key, at in drawn]
+def _items(data, table, max_size=6):
+    """Drawn ``(key, vector, signature, size)`` rows of ``table``."""
+    drawn = data.draw(st.lists(
+        st.tuples(st.sampled_from(COLUMNS), st.integers(0, len(POOL) - 1)),
+        max_size=max_size,
+    ))
+    return [
+        (ColumnEntry(table, column), POOL[at].copy(), SIGNATURES[at], SIZES[at])
+        for column, at in drawn
+    ]
 
 
-def _step(data, rows):
-    """Draw one write as ``(method, keys, items)``."""
-    kind = data.draw(st.sampled_from(["add", "remove", "replace", "update"]))
-    if kind == "add":
-        return "add_many", (), _items(data)
-    doomed = data.draw(st.lists(st.sampled_from(KEYS + MISSING), max_size=4))
+def _step(data, rows, num_perm):
+    """Draw one write as ``(table, items)``; table ``None`` is an
+    ``add_many`` of rows in no table (an index without slots only)."""
+    kind = data.draw(st.sampled_from(["add", "write", "remove", "same width"]))
+    present = sorted({row[0] for row in rows} - {None})
+    if kind == "add" and not num_perm:
+        free = data.draw(st.lists(st.integers(0, len(POOL) - 1), max_size=3))
+        return None, [
+            (f"free{at}", POOL[at].copy(), SIGNATURES[at], SIZES[at]) for at in free
+        ]
     if kind == "remove":
-        return "remove_many", doomed, ()
-    if kind == "replace":
-        return "replace_many", doomed, _items(data)
-    # One key's rows replaced the way TableSearcher writes a table: the
-    # same width (in place) or a different one.
-    present = sorted({row[0] for row in rows})
-    if not present:
-        return "add_many", (), _items(data)
-    key = data.draw(st.sampled_from(present))
-    width = sum(row[0] == key for row in rows)
-    if data.draw(st.booleans()):
-        width = data.draw(st.integers(0, 6))
-    items = _items(data, keys=st.just(key), max_size=width)
-    filler = (key, POOL[1].copy(), SIGNATURES[1], SIZES[1])
-    items = (items + [filler] * width)[:width]
-    return "replace_many", [key], items
+        return data.draw(st.sampled_from(present + list(MISSING))), []
+    if kind == "same width" and present:
+        table = data.draw(st.sampled_from(present))
+        width = sum(row[0] == table for row in rows)
+        items = _items(data, table, max_size=width)
+        filler = (ColumnEntry(table, "c0"), POOL[1].copy(), SIGNATURES[1], SIZES[1])
+        return table, (items + [filler] * width)[:width]
+    table = data.draw(st.sampled_from(TABLES))
+    return table, _items(data, table)
 
 
 def _apply_writes(index, rows, data, metric):
     """Draw and apply 1-12 writes to ``index`` and to the reference
     ``rows``, checking the index against the reference after each."""
     for _ in range(data.draw(st.integers(1, 12))):
-        method, keys, items = _step(data, rows)
-        rows, expected = _replace(rows, keys, items)
-        pairs, signatures, sizes = _columns(items, index.num_perm)
-        if method == "add_many" and not index.num_perm:
+        table, items = _step(data, rows, index.num_perm)
+        new = [(table, *item) for item in items]
+        pairs, signatures, sizes = _columns(new, index.num_perm)
+        rows, dropped = _write(rows, table, items)
+        if table is None:
             index.add_many(pairs)
-        elif method == "remove_many":
-            assert index.remove_many(keys) == expected
         else:
-            assert index.replace_many(keys, pairs, signatures, sizes) == expected
+            assert index.write_block(table, pairs, signatures, sizes) == dropped
         _assert_like_restore(index, rows, metric)
 
 
@@ -179,5 +191,27 @@ def test_writes_on_a_restored_index_match_the_list_model(metric, num_perm, data)
     """The same writes on an index a lake assembled at open: ``restore``
     keeps the blocks it is given as the row buffers, full to capacity, so
     the first growth reallocates them and in-place writes land in them."""
-    rows = _items(data, max_size=12)
+    rows = []
+    for table in data.draw(st.lists(st.sampled_from(TABLES), max_size=4, unique=True)):
+        rows += [(table, *item) for item in _items(data, table)]
     _apply_writes(_restored(rows, metric, num_perm), rows, data, metric)
+
+
+def test_a_renumbering_write_keeps_every_block():
+    """A write that runs out of ids renumbers them, and the block map
+    follows: past ``REBUILD_DIRTY_ROWS`` new ids each table's block still
+    lands on its rows, and a restore of the same rows equals the index."""
+    index, rows, issued = KnnIndex(DIM, num_perm=SLOTS), [], 0
+    for step in range(120):
+        table = TABLES[step % len(TABLES)]
+        ats = [(step + c) % len(POOL) for c in range(1 + step % 4)]
+        items = [
+            (ColumnEntry(table, COLUMNS[at % 3]), POOL[at], SIGNATURES[at], SIZES[at])
+            for at in ats
+        ]
+        pairs, signatures, sizes = _columns([(table, *i) for i in items], SLOTS)
+        rows, dropped = _write(rows, table, items)
+        assert index.write_block(table, pairs, signatures, sizes) == dropped
+        issued += len(items)
+    assert issued > REBUILD_DIRTY_ROWS and index._next_id < issued
+    _assert_like_restore(index, rows, "cosine")

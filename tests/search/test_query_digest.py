@@ -2,8 +2,9 @@
 
 ``query_many`` on a seeded corpus is hashed as ``(key, distance.hex())``
 per hit, per query row, over several ``k``, under both metrics. The corpus
-is grown the way a lake grows it — single ``add`` rows, ``add_many``
-blocks, a compacting ``remove_many``, then more blocks — and the same
+is grown the way a lake grows it — whole-table ``write_block`` s, a
+compacting removal of four tables, then rows in no table by single
+``add`` s and ``add_many`` blocks — and the same
 digest must come back after the index's keys and rows go through
 ``KnnIndex.restore``. It holds the cases where a tie could reorder hits:
 duplicate vectors inside one table, identical vectors in different tables,
@@ -80,18 +81,20 @@ def _tables() -> dict[int, np.ndarray]:
 
 
 def grown_index(metric: str) -> KnnIndex:
-    """Single adds, block adds, a compacting remove, more block adds."""
+    """Table blocks, a compacting removal of four of them, then rows in no
+    table: single adds and ``add_many`` blocks."""
     index = make_index(IndexSpec(params={"metric": metric}), DIM)
     tables = _tables()
-    for table in range(10):
+    for table in range(50):
+        index.write_block(
+            table, [((table, c), v) for c, v in enumerate(tables[table])]
+        )
+    for table in (3, 20, 21, 34):
+        index.write_block(table, ())
+    for table in range(50, 55):
         for column, vector in enumerate(tables[table]):
             index.add((table, column), vector)
-    for table in range(10, 50):
-        index.add_many([((table, c), v) for c, v in enumerate(tables[table])])
-    index.remove_many(
-        (table, column) for table in (3, 20, 21, 34) for column in range(8)
-    )
-    for table in range(50, 60):
+    for table in range(55, 60):
         index.add_many([((table, c), v) for c, v in enumerate(tables[table])])
     return index
 
