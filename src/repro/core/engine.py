@@ -143,15 +143,14 @@ class EmbeddingEngine:
                 first_last = ((embedded + contextual) * 0.5).numpy()
         with self._counter_lock:
             self.forward_calls += 1
-        if obs.enabled():
-            lengths = [encoded.length for encoded in encodeds]
-            padded_len = max(lengths)
-            waste = padded_len * len(lengths) - sum(lengths)
-            bucket = 1 << max(0, padded_len - 1).bit_length()
-            _FORWARDS.inc()
-            _FORWARD_MS.observe(forward.duration_ms)
-            _TOKENS.inc(sum(lengths))
-            _PADDED_WASTE.labels(bucket=str(bucket)).inc(waste)
+        lengths = [encoded.length for encoded in encodeds]
+        padded_len = max(lengths)
+        waste = padded_len * len(lengths) - sum(lengths)
+        bucket = 1 << max(0, padded_len - 1).bit_length()
+        _FORWARDS.inc()
+        _FORWARD_MS.observe(forward.duration_ms)
+        _TOKENS.inc(sum(lengths))
+        _PADDED_WASTE.labels(bucket=str(bucket)).inc(waste)
 
         max_len = self.encoder.config.max_seq_len
         results: list[TableEmbeddings] = []

@@ -16,12 +16,12 @@ Commands::
     migrate --lake LAKE                 # rewrite an older store's layout
     stats   --lake LAKE [--metrics]     # catalog + store (+ obs) statistics
 
-``query`` / ``append`` / ``refresh`` / ``update`` are thin serializers:
-each builds one :class:`DiscoveryRequest` or op, hands it to a target
-(:mod:`repro.lake.target` — the local lake, or with ``--server HOST:PORT``
-a running ``serve`` instance), and prints the answer in one format
-whichever side of the wire answered (``query --json`` emits the full
-:class:`DiscoveryResult` envelope — the same schema the HTTP body
+``query`` / ``append`` / ``refresh`` / ``update`` / ``remove`` are thin
+serializers: each builds one :class:`DiscoveryRequest` or op, hands it to
+a target (:mod:`repro.lake.target` — the local lake, or with ``--server
+HOST:PORT`` a running ``serve`` instance), and prints the answer in one
+format whichever side of the wire answered (``query --json`` emits the
+full :class:`DiscoveryResult` envelope — the same schema the HTTP body
 carries, pretty-printed with sorted keys).
 
 Column search is exact (one vector index, no option). ``--shards`` picks
@@ -240,11 +240,15 @@ def cmd_update(args: argparse.Namespace) -> None:
 
 
 def cmd_remove(args: argparse.Namespace) -> None:
-    service = LakeService.open(args.lake)
-    if service.remove_table(args.table):
-        print(f"removed {args.table!r}; {len(service.catalog)} tables remain")
-    else:
+    def remove(target) -> int | None:
+        if not target.remove_table(args.table):
+            return None
+        return target.stats()["n_tables"]
+
+    remaining = _on_target(args, remove)
+    if remaining is None:
         sys.exit(f"error: table {args.table!r} not in catalog")
+    print(f"removed {args.table!r}; {remaining} tables remain")
 
 
 def cmd_stats(args: argparse.Namespace) -> None:
@@ -259,7 +263,8 @@ def _serve_forever(server, what: str, detail: str) -> None:
     """Run one listener (anything with ``start`` / ``serve_forever`` /
     ``close`` / ``host`` / ``port``) until Ctrl-C, announcing the bound
     port once it is known. One JSON access-log line per request goes to
-    stderr while observability is enabled ($REPRO_OBS_ENABLED, default on).
+    stderr, unless the host process gave the ``repro.lake.access`` logger
+    a handler of its own; then that logger's configuration decides.
     """
     if not access_log.handlers:
         handler = logging.StreamHandler()
@@ -586,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     update.set_defaults(func=cmd_update)
 
     remove = sub.add_parser("remove", help="drop one table from the lake")
-    remove.add_argument("--lake", required=True)
+    _add_target_flags(remove, "DELETE /v1/tables/{name}")
     remove.add_argument("--table", required=True)
     remove.set_defaults(func=cmd_remove)
 

@@ -238,7 +238,7 @@ class LakeFrontend:
             ]
             if current:
                 healthy = current
-        if len(healthy) < len(everyone) and obs.enabled():
+        if len(healthy) < len(everyone):
             _UNHEALTHY_SKIPS.inc()
         return healthy
 
@@ -271,9 +271,8 @@ class LakeFrontend:
                     _FAILOVERS.inc()
                 continue
             self.requests_by_backend[index] += 1
-            if obs.enabled():
-                host, port = self.backends[index]
-                _PROXIED.labels(backend=f"{host}:{port}").inc()
+            host, port = self.backends[index]
+            _PROXIED.labels(backend=f"{host}:{port}").inc()
             return response
         error = DiscoveryError(
             "unavailable",

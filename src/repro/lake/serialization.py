@@ -165,15 +165,6 @@ def numeric_to_array(sketch: NumericalSketch) -> np.ndarray:
     )
 
 
-def numeric_from_array(array: np.ndarray) -> NumericalSketch:
-    array = np.asarray(array, dtype=np.float64)
-    if array.shape != (NUMERIC_RECORD_DIM,):
-        raise ValueError(
-            f"numeric record must have shape ({NUMERIC_RECORD_DIM},), got {array.shape}"
-        )
-    return _numeric_from_row(array.tolist())
-
-
 def _numeric_from_row(row: list[float]) -> NumericalSketch:
     """A numeric record, already a list of Python floats, as its sketch."""
     n_pct = len(_PERCENTILES)

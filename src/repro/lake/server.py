@@ -82,7 +82,8 @@ from repro.lake.wire import (
 
 DEFAULT_WORKERS = 4
 
-#: One JSON line per answered request, emitted when observability is on.
+#: One JSON line per answered request at INFO; the line is built only when
+#: the logger would emit it, so raising its level silences access logs.
 #: ``python -m repro.lake serve`` attaches a stderr handler; embedded
 #: servers inherit whatever logging config the host process set up.
 access_log = logging.getLogger("repro.lake.access")
@@ -178,10 +179,10 @@ class LakeServer:
                 wrapped = DiscoveryError("internal", f"{type(exc).__name__}: {exc}")
                 status, payload = wrapped.status, error_payload(wrapped)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
-        if obs.enabled():
-            route = self._route_label(method, route_path)
-            _HTTP_REQUESTS.labels(route=route, status=str(status)).inc()
-            _HTTP_MS.observe(elapsed_ms)
+        route = self._route_label(method, route_path)
+        _HTTP_REQUESTS.labels(route=route, status=str(status)).inc()
+        _HTTP_MS.observe(elapsed_ms)
+        if access_log.isEnabledFor(logging.INFO):
             access_log.info(
                 "%s",
                 json.dumps(

@@ -384,8 +384,6 @@ class LakeService:
         response carries, so the exposition's ``lake_query_duration_ms``
         sum reconciles with summed per-response totals by construction.
         """
-        if not obs.enabled():
-            return
         mode = request.mode
         counter = _QUERIES_BY_MODE.get(mode) or _QUERIES_TOTAL.labels(mode=mode)
         histogram = _QUERY_MS_BY_MODE.get(mode) or _QUERY_MS.labels(mode=mode)

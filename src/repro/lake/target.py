@@ -74,8 +74,9 @@ class ServiceTarget:
         return self.service.stats()
 
     def metrics(self) -> dict:
-        """The same envelope ``GET /v1/metrics`` serves, locally."""
-        return answer(enabled=obs.enabled(), metrics=obs.get_registry().collect())
+        """The same envelope ``GET /v1/metrics`` serves, locally. Recording
+        is always on; ``enabled`` stays in the envelope for v1 clients."""
+        return answer(enabled=True, metrics=obs.get_registry().collect())
 
     def slow_queries(self) -> list[dict]:
         return self.service.slow_log.snapshot()

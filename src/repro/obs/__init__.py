@@ -18,9 +18,9 @@ Three pillars, stdlib-only:
   ``X-Request-Id`` a client stamped; :class:`SlowQueryLog` keeps the
   top-N slowest requests with their span breakdowns.
 
-Recording (metrics, slow log, access-log lines) is gated by
-:func:`enabled` / :func:`set_enabled` (env: ``$REPRO_OBS_ENABLED``);
-spans are not — see :mod:`repro.obs.runtime` for why.
+Recording is always on: ``benchmarks/bench_obs_overhead.py`` holds
+metrics and the slow log under 3 % of a member query's p50. The server's
+access-log lines follow the ``repro.lake.access`` logger's level.
 """
 
 from repro.obs.metrics import (
@@ -35,7 +35,6 @@ from repro.obs.metrics import (
     get_registry,
     histogram,
 )
-from repro.obs.runtime import ENV_ENABLED, enabled, set_enabled
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.trace import (
     MAX_CHILDREN,
@@ -50,7 +49,6 @@ from repro.obs.trace import (
 __all__ = [
     "DEFAULT_MS_BUCKETS",
     "PROMETHEUS_CONTENT_TYPE",
-    "ENV_ENABLED",
     "MAX_CHILDREN",
     "Counter",
     "Gauge",
@@ -61,12 +59,10 @@ __all__ = [
     "bind_request_id",
     "counter",
     "current_span",
-    "enabled",
     "gauge",
     "get_registry",
     "histogram",
     "new_request_id",
     "request_id",
-    "set_enabled",
     "span",
 ]

@@ -2,10 +2,9 @@
 
 A :class:`MetricsRegistry` owns named metrics; each metric owns one child
 per label-value combination (a label-less metric has exactly one child).
-Recording is a per-child lock around a float update — cheap enough for
-the lake's query hot path — and every recording checks the process-wide
-gate (:mod:`repro.obs.runtime`) first, so a disabled process pays one
-module-attribute read per call.
+Recording is a per-child lock around a float update — cheap enough to
+leave on for the lake's query hot path (``benchmarks/bench_obs_overhead.py``
+holds it under 3 % of a member query's p50), so there is no off switch.
 
 Histograms use fixed cumulative-style buckets (defaults tuned for
 millisecond latencies) and estimate p50/p95/p99 by linear interpolation
@@ -13,13 +12,14 @@ inside the bucket containing the rank — the classic Prometheus
 ``histogram_quantile`` estimator, computed client-side so the CLI and
 ``/v1/metrics`` JSON can show quantiles without a scrape stack.
 
-Two export surfaces:
+Two export surfaces, one walk over the metrics:
 
 - :meth:`MetricsRegistry.collect` — a JSON-able snapshot (the
   ``/v1/metrics`` default and ``stats --metrics`` payload);
-- :meth:`MetricsRegistry.render_prometheus` — Prometheus text
-  exposition format 0.0.4 (``# HELP`` / ``# TYPE`` / samples, histogram
-  ``_bucket{le=...}`` cumulative counts + ``_sum`` + ``_count``).
+- :meth:`MetricsRegistry.render_prometheus` — that snapshot formatted as
+  Prometheus text exposition format 0.0.4 (``# HELP`` / ``# TYPE`` /
+  samples, histogram ``_bucket{le=...}`` cumulative counts + ``_sum`` +
+  ``_count``).
 
 The module-level :func:`counter` / :func:`gauge` / :func:`histogram`
 helpers register on the process-default registry (:func:`get_registry`),
@@ -33,8 +33,6 @@ import math
 import re
 import threading
 from bisect import bisect_left
-
-from repro.obs import runtime
 
 #: Default histogram bucket upper bounds, in milliseconds — spans the
 #: ~50µs sketch of a tiny table through multi-second bulk ingests. A
@@ -72,12 +70,12 @@ def _format_value(value: float) -> str:
     return repr(as_float)
 
 
-def _label_suffix(labelnames: tuple, key: tuple) -> str:
-    if not labelnames:
+def _label_suffix(labels: dict) -> str:
+    if not labels:
         return ""
     inner = ",".join(
         f'{name}="{_escape_label_value(value)}"'
-        for name, value in zip(labelnames, key)
+        for name, value in labels.items()
     )
     return "{" + inner + "}"
 
@@ -111,44 +109,25 @@ def bucket_quantile(
     return edges[-1]
 
 
-class _CounterChild:
-    __slots__ = ("_lock", "value")
+class _ValueChild:
+    """A counter's or a gauge's value; a counter's child is ``monotonic``."""
 
-    def __init__(self):
+    __slots__ = ("_lock", "value", "monotonic")
+
+    def __init__(self, monotonic: bool):
         self._lock = threading.Lock()
         self.value = 0.0
+        self.monotonic = monotonic
 
     def inc(self, amount: float = 1.0) -> None:
-        if not runtime._enabled:
-            return
-        if amount < 0:
+        if amount < 0 and self.monotonic:
             raise ValueError(f"counters only go up, got {amount}")
         with self._lock:
             self.value += amount
 
-    def _reset(self) -> None:
-        with self._lock:
-            self.value = 0.0
-
-
-class _GaugeChild:
-    __slots__ = ("_lock", "value")
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.value = 0.0
-
     def set(self, value: float) -> None:
-        if not runtime._enabled:
-            return
         with self._lock:
             self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        if not runtime._enabled:
-            return
-        with self._lock:
-            self.value += amount
 
     def dec(self, amount: float = 1.0) -> None:
         self.inc(-amount)
@@ -172,8 +151,6 @@ class _HistogramChild:
         self.count = 0
 
     def observe(self, value: float) -> None:
-        if not runtime._enabled:
-            return
         value = float(value)
         index = bisect_left(self.edges, value)
         with self._lock:
@@ -204,6 +181,9 @@ class _HistogramChild:
 # Metrics — named families of children.
 # --------------------------------------------------------------------- #
 class _Metric:
+    """A named family of children. Counters and gauges share this base's
+    value children and snapshot; :class:`Histogram` brings its own."""
+
     kind = "untyped"
 
     def __init__(self, name: str, description: str, labelnames: tuple):
@@ -219,7 +199,7 @@ class _Metric:
         self._default = self.labels() if not self.labelnames else None
 
     def _make_child(self):
-        raise NotImplementedError
+        return _ValueChild(monotonic=self.kind == "counter")
 
     def labels(self, **labels):
         """The child for one label-value combination (created on first
@@ -236,6 +216,13 @@ class _Metric:
                 child = self._children.setdefault(key, self._make_child())
         return child
 
+    def _only(self):
+        if self._default is None:
+            raise ValueError(
+                f"metric {self.name!r} is labeled; use .labels(...)"
+            )
+        return self._default
+
     def _sorted_children(self) -> list[tuple[tuple, object]]:
         with self._lock:
             return sorted(self._children.items())
@@ -246,7 +233,13 @@ class _Metric:
                 child._reset()
 
     def _collect_values(self) -> list[dict]:
-        raise NotImplementedError
+        return [
+            {
+                "labels": dict(zip(self.labelnames, key)),
+                "value": child.value,
+            }
+            for key, child in self._sorted_children()
+        ]
 
     def collect(self) -> dict:
         return {
@@ -259,15 +252,8 @@ class _Metric:
 class Counter(_Metric):
     kind = "counter"
 
-    def _make_child(self) -> _CounterChild:
-        return _CounterChild()
-
     def inc(self, amount: float = 1.0) -> None:
-        if self._default is None:
-            raise ValueError(
-                f"metric {self.name!r} is labeled; use .labels(...).inc()"
-            )
-        self._default.inc(amount)
+        self._only().inc(amount)
 
     @property
     def value(self) -> float:
@@ -275,40 +261,9 @@ class Counter(_Metric):
         with self._lock:
             return sum(child.value for child in self._children.values())
 
-    def _collect_values(self) -> list[dict]:
-        return [
-            {
-                "labels": dict(zip(self.labelnames, key)),
-                "value": child.value,
-            }
-            for key, child in self._sorted_children()
-        ]
-
-    def render(self) -> list[str]:
-        lines = [
-            f"# HELP {self.name} {self.description}",
-            f"# TYPE {self.name} counter",
-        ]
-        for key, child in self._sorted_children():
-            suffix = _label_suffix(self.labelnames, key)
-            lines.append(
-                f"{self.name}{suffix} {_format_value(child.value)}"
-            )
-        return lines
-
 
 class Gauge(_Metric):
     kind = "gauge"
-
-    def _make_child(self) -> _GaugeChild:
-        return _GaugeChild()
-
-    def _only(self) -> _GaugeChild:
-        if self._default is None:
-            raise ValueError(
-                f"metric {self.name!r} is labeled; use .labels(...)"
-            )
-        return self._default
 
     def set(self, value: float) -> None:
         self._only().set(value)
@@ -318,27 +273,6 @@ class Gauge(_Metric):
 
     def dec(self, amount: float = 1.0) -> None:
         self._only().dec(amount)
-
-    def _collect_values(self) -> list[dict]:
-        return [
-            {
-                "labels": dict(zip(self.labelnames, key)),
-                "value": child.value,
-            }
-            for key, child in self._sorted_children()
-        ]
-
-    def render(self) -> list[str]:
-        lines = [
-            f"# HELP {self.name} {self.description}",
-            f"# TYPE {self.name} gauge",
-        ]
-        for key, child in self._sorted_children():
-            suffix = _label_suffix(self.labelnames, key)
-            lines.append(
-                f"{self.name}{suffix} {_format_value(child.value)}"
-            )
-        return lines
 
 
 class Histogram(_Metric):
@@ -364,29 +298,11 @@ class Histogram(_Metric):
     def _make_child(self) -> _HistogramChild:
         return _HistogramChild(self.edges)
 
-    def _only(self) -> _HistogramChild:
-        if self._default is None:
-            raise ValueError(
-                f"metric {self.name!r} is labeled; use .labels(...)"
-            )
-        return self._default
-
     def observe(self, value: float) -> None:
         self._only().observe(value)
 
     def quantile(self, q: float) -> float | None:
         return self._only().quantile(q)
-
-    @property
-    def total_sum(self) -> float:
-        """Sum of observations across every label combination."""
-        with self._lock:
-            return sum(child.sum for child in self._children.values())
-
-    @property
-    def total_count(self) -> int:
-        with self._lock:
-            return sum(child.count for child in self._children.values())
 
     def _collect_values(self) -> list[dict]:
         out = []
@@ -407,39 +323,12 @@ class Histogram(_Metric):
                     "count": total,
                     "sum": observed_sum,
                     "buckets": buckets,
-                    "p50": child.quantile(0.50),
-                    "p95": child.quantile(0.95),
-                    "p99": child.quantile(0.99),
+                    "p50": bucket_quantile(self.edges, counts, total, 0.50),
+                    "p95": bucket_quantile(self.edges, counts, total, 0.95),
+                    "p99": bucket_quantile(self.edges, counts, total, 0.99),
                 }
             )
         return out
-
-    def render(self) -> list[str]:
-        lines = [
-            f"# HELP {self.name} {self.description}",
-            f"# TYPE {self.name} histogram",
-        ]
-        for key, child in self._sorted_children():
-            with child._lock:
-                counts = list(child.counts)
-                total = child.count
-                observed_sum = child.sum
-            pairs = list(zip(self.labelnames, key))
-            cumulative = 0
-            for edge, bucket_count in zip(self.edges, counts):
-                cumulative += bucket_count
-                suffix = _label_suffix(
-                    self.labelnames + ("le",), key + (_format_value(edge),)
-                )
-                lines.append(f"{self.name}_bucket{suffix} {cumulative}")
-            inf_suffix = _label_suffix(
-                self.labelnames + ("le",), key + ("+Inf",)
-            )
-            lines.append(f"{self.name}_bucket{inf_suffix} {total}")
-            plain = _label_suffix(tuple(n for n, _ in pairs), key)
-            lines.append(f"{self.name}_sum{plain} {_format_value(observed_sum)}")
-            lines.append(f"{self.name}_count{plain} {total}")
-        return lines
 
 
 # --------------------------------------------------------------------- #
@@ -501,12 +390,23 @@ class MetricsRegistry:
         return {name: metric.collect() for name, metric in metrics}
 
     def render_prometheus(self) -> str:
-        """Text exposition format 0.0.4 (one trailing newline)."""
-        with self._lock:
-            metrics = sorted(self._metrics.items())
+        """The :meth:`collect` snapshot as text exposition format 0.0.4
+        (one trailing newline)."""
         lines: list[str] = []
-        for _, metric in metrics:
-            lines.extend(metric.render())
+        for name, metric in self.collect().items():
+            lines.append(f"# HELP {name} {metric['description']}")
+            lines.append(f"# TYPE {name} {metric['type']}")
+            for value in metric["values"]:
+                labels = value["labels"]
+                suffix = _label_suffix(labels)
+                if metric["type"] != "histogram":
+                    lines.append(f"{name}{suffix} {_format_value(value['value'])}")
+                    continue
+                for edge, cumulative in value["buckets"].items():
+                    bucket = _label_suffix({**labels, "le": edge})
+                    lines.append(f"{name}_bucket{bucket} {cumulative}")
+                lines.append(f"{name}_sum{suffix} {_format_value(value['sum'])}")
+                lines.append(f"{name}_count{suffix} {value['count']}")
         return "\n".join(lines) + "\n" if lines else ""
 
     def reset(self) -> None:

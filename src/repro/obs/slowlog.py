@@ -6,8 +6,6 @@ single comparison. Entries are free-form dicts — the service records the
 request's name/mode/k, its request id, the ``Timings`` projection, and
 the full span-tree breakdown, so ``GET /v1/slow_queries`` explains
 *where* a slow query's milliseconds went, not just that it was slow.
-
-Recording honors the :mod:`repro.obs.runtime` gate; reads don't.
 """
 
 from __future__ import annotations
@@ -15,8 +13,6 @@ from __future__ import annotations
 import heapq
 import threading
 import time
-
-from repro.obs import runtime
 
 DEFAULT_CAPACITY = 32
 
@@ -37,15 +33,11 @@ class SlowQueryLog:
         callers skip building expensive entries (span-tree dicts) for the
         fast queries that dominate a healthy workload. Advisory under
         races — :meth:`record` re-checks under the lock."""
-        if not runtime._enabled:
-            return False
         heap = self._heap
         return len(heap) < self.capacity or float(total_ms) > heap[0][0]
 
     def record(self, entry: dict) -> bool:
         """Offer one entry (must carry ``total_ms``); True when kept."""
-        if not runtime._enabled:
-            return False
         total_ms = float(entry.get("total_ms", 0.0))
         with self._lock:
             self._seq += 1

@@ -7,10 +7,9 @@ any plumbing through signatures. Threads start from an empty context, so
 a worker thread's spans never attach to another thread's trace — the
 isolation the 8-thread service-concurrency harness asserts.
 
-Spans are **never gated** by :mod:`repro.obs.runtime`: they are the
-timing substrate the Discovery API's :class:`~repro.lake.api.Timings` is
-projected from (``timings = projection of the span tree``), replacing
-the ad-hoc ``time.perf_counter()`` pairs the service used to carry.
+Spans are the timing substrate the Discovery API's
+:class:`~repro.lake.api.Timings` is projected from (``timings =
+projection of the span tree``), replacing the ad-hoc ``time.perf_counter()`` pairs the service used to carry.
 A span costs one object allocation and two clock reads — the same price
 as the pair it replaced.
 

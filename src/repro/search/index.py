@@ -282,9 +282,8 @@ class KnnIndex:
         """
         with obs.span("index.query", backend="exact") as timed:
             rows, distances = self._top_k(matrix, k)
-        if obs.enabled():
-            _QUERIES.inc(rows.shape[0])
-            _QUERY_MS.observe(timed.duration_ms)
+        _QUERIES.inc(rows.shape[0])
+        _QUERY_MS.observe(timed.duration_ms)
         return rows, distances
 
     def _top_k(self, matrix: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

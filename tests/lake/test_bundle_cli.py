@@ -150,6 +150,34 @@ def test_cli_query_via_server(tmp_path, csv_dir, capsys):
     assert remote["version"] == local["version"] == "v1"
 
 
+def test_cli_remove_via_server(tmp_path, csv_dir, capsys, lake_tables):
+    """`remove --server` drops the table through a live `serve` instance,
+    prints what `remove --lake` prints, and exits with the same error for
+    a table the lake does not hold."""
+    from repro.lake.server import ServerThread
+    from repro.lake.service import LakeService
+
+    lake = str(tmp_path / "lake")
+    cli.main([
+        "ingest", "--lake", lake, "--csv-dir", str(csv_dir),
+        "--num-perm", "16", "--dim", "32", "--vocab-size", "400",
+    ])
+    capsys.readouterr()
+    with ServerThread(LakeService.open(lake)) as server:
+        address = f"127.0.0.1:{server.port}"
+        cli.main(["remove", "--server", address, "--table", "g0t0"])
+        out = capsys.readouterr().out
+        assert out == f"removed 'g0t0'; {len(lake_tables) - 1} tables remain\n"
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["remove", "--server", address, "--table", "g0t0"])
+        assert excinfo.value.code == "error: table 'g0t0' not in catalog"
+    # The server's store committed the remove: a fresh open agrees.
+    assert "g0t0" not in LakeService.open(lake).catalog.records
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["remove", "--lake", lake, "--table", "g0t0"])
+    assert excinfo.value.code == "error: table 'g0t0' not in catalog"
+
+
 def test_cli_query_external_csv(tmp_path, csv_dir, capsys):
     lake = str(tmp_path / "lake")
     cli.main([
@@ -397,7 +425,7 @@ CLI_OPTIONS = {
         "--server", "--table", "-k",
     ],
     "refresh": ["--lake", "--server", "--tables"],
-    "remove": ["--lake", "--table"],
+    "remove": ["--lake", "--server", "--table"],
     "replica": ["--host", "--poll-interval", "--port", "--snapshots", "--workers"],
     "reshard": ["--lake", "--shards"],
     "serve": ["--host", "--lake", "--port", "--workers"],

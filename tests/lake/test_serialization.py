@@ -10,14 +10,11 @@ from repro.lake.serialization import (
     config_fingerprint,
     minhash_from_array,
     minhash_to_array,
-    numeric_from_array,
-    numeric_to_array,
     pack_table_sketch,
     unpack_table_sketch,
 )
 from repro.lake.store import LakeStore
 from repro.sketch.minhash import MinHasher
-from repro.sketch.numeric import numerical_sketch
 from repro.sketch.pipeline import sketch_table
 from repro.table.schema import table_from_rows
 
@@ -36,17 +33,14 @@ def test_minhash_roundtrip_preserves_empty():
     assert minhash_from_array(minhash_to_array(empty)).is_empty()
 
 
-def test_numeric_roundtrip_exact(city_table):
-    for column in city_table.columns:
-        original = numerical_sketch(column)
-        restored = numeric_from_array(numeric_to_array(original))
-        assert restored == original
-        assert np.array_equal(restored.to_vector(), original.to_vector())
-
-
-def test_numeric_rejects_wrong_shape():
-    with pytest.raises(ValueError, match="shape"):
-        numeric_from_array(np.zeros(5))
+def test_numeric_roundtrip_exact(city_table, tiny_sketch_config):
+    """Each column's numerical sketch survives the store's pack / unpack
+    exactly, down to its model-input vector."""
+    original = sketch_table(city_table, tiny_sketch_config)
+    restored = unpack_table_sketch(*pack_table_sketch(original))
+    for left, right in zip(restored.column_sketches, original.column_sketches):
+        assert left.numeric == right.numeric
+        assert np.array_equal(left.numeric.to_vector(), right.numeric.to_vector())
 
 
 def test_table_sketch_roundtrip(city_table, tiny_sketch_config, tiny_encoder):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import logging
 import threading
 
 import pytest
@@ -322,6 +323,53 @@ def test_request_id_echo_on_raw_http(served):
         assert generated and generated != "raw-7"
     finally:
         conn.close()
+
+
+def _access_lines(served, caplog, level: int) -> tuple[list, list]:
+    """Three raw requests with the ``repro.lake.access`` logger at
+    ``level``: what each answered (method, path, status, echoed id) and the
+    access-log lines written meanwhile, parsed."""
+    _, client = served
+    sent = [
+        ("GET", "/v1/healthz", {"X-Request-Id": "log-1"}),
+        ("GET", "/v1/no-such-route", {"X-Request-Id": "log-2"}),
+        ("GET", "/v1/stats", {}),
+    ]
+    answered = []
+    conn = http.client.HTTPConnection(client.host, client.port, timeout=30)
+    try:
+        with caplog.at_level(level, logger="repro.lake.access"):
+            for method, path, headers in sent:
+                conn.request(method, path, headers=headers)
+                response = conn.getresponse()
+                response.read()
+                rid = response.getheader("X-Request-Id")
+                answered.append((method, path, response.status, rid))
+    finally:
+        conn.close()
+    lines = [
+        json.loads(record.getMessage())
+        for record in caplog.records
+        if record.name == "repro.lake.access"
+    ]
+    return answered, lines
+
+
+def test_access_log_writes_one_line_per_request_at_info(served, caplog):
+    answered, lines = _access_lines(served, caplog, logging.INFO)
+    assert [status for _, _, status, _ in answered] == [200, 404, 200]
+    assert answered[0][3] == "log-1" and answered[2][3]
+    assert [
+        (line["method"], line["path"], line["status"], line["request_id"])
+        for line in lines
+    ] == answered
+    assert all(line["duration_ms"] >= 0.0 for line in lines)
+
+
+def test_access_log_writes_nothing_above_info(served, caplog):
+    answered, lines = _access_lines(served, caplog, logging.WARNING)
+    assert len(answered) == 3
+    assert lines == []
 
 
 def test_metrics_endpoint_negotiation_and_counters(served, lake_tables):

@@ -280,9 +280,9 @@ def test_batched_totals_include_their_share(cold_catalog, lake_tables):
         assert timings.sketch_ms > 0.0 and timings.embed_ms > 0.0
         parts = timings.sketch_ms + timings.embed_ms + timings.index_ms
         assert parts <= timings.total_ms
-    histogram = registry.get("lake_query_duration_ms")
-    assert histogram.total_count == len(results)
-    assert histogram.total_sum == pytest.approx(
+    observed = registry.get("lake_query_duration_ms").collect()["values"]
+    assert sum(value["count"] for value in observed) == len(results)
+    assert sum(value["sum"] for value in observed) == pytest.approx(
         sum(result.timings.total_ms for result in results), rel=0.01
     )
 

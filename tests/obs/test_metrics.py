@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import json
+import re
 import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import obs
 from repro.obs.metrics import MetricsRegistry, bucket_quantile
 
 
@@ -203,8 +203,95 @@ def test_prometheus_label_escaping(registry):
     assert line == 'odd_total{name="a\\"b\\\\c\\nd"} 1'
 
 
+_LABEL_VALUES = st.text(alphabet='ab"\\\n{}=, ', max_size=6)
+_RECORD = {"counter": "inc", "gauge": "set", "histogram": "observe"}
+
+
+@st.composite
+def _registries(draw) -> MetricsRegistry:
+    """Counters, gauges and histograms, labelled or not, with label values
+    that need escaping and drawn bucket edges, each given some values."""
+    registry = MetricsRegistry()
+    for i in range(draw(st.integers(min_value=1, max_value=4))):
+        kind = draw(st.sampled_from(("counter", "gauge", "histogram")))
+        labelnames = ("mode", "name")[: draw(st.integers(min_value=0, max_value=2))]
+        name = f"drawn{i}_{kind}"
+        if kind == "histogram":
+            edges = sorted(draw(st.lists(
+                st.floats(min_value=1e-3, max_value=1e4), min_size=1,
+                max_size=5, unique=True,
+            )))
+            metric = registry.histogram(name, "drawn", labelnames, tuple(edges))
+        else:
+            metric = getattr(registry, kind)(name, "drawn", labelnames)
+        low = -1e6 if kind == "gauge" else 0.0
+        label_sets = draw(st.lists(
+            st.tuples(*[_LABEL_VALUES] * len(labelnames)),
+            min_size=1, max_size=3 if labelnames else 1,
+        ))
+        for values in label_sets:
+            child = metric.labels(**dict(zip(labelnames, values)))
+            record = getattr(child, _RECORD[kind])
+            for amount in draw(st.lists(
+                st.floats(min_value=low, max_value=1e6), max_size=6
+            )):
+                record(amount)
+    return registry
+
+
+_SAMPLE_RE = re.compile(r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{(.*)\})? (\S+)$")
+_LABEL_PAIR_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)",?')
+
+
+def _parse_labels(inner: str) -> tuple:
+    pairs = list(_LABEL_PAIR_RE.finditer(inner))
+    assert "".join(pair.group(0) for pair in pairs) == inner
+    return tuple(
+        (pair.group(1), re.sub(
+            r"\\(.)", lambda m: "\n" if m.group(1) == "n" else m.group(1),
+            pair.group(2),
+        ))
+        for pair in pairs
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_registries())
+def test_every_prometheus_sample_is_a_snapshot_value(registry):
+    """Each sample line of the exposition parses back to the value
+    ``collect()`` reports for that metric, label set and bucket, and every
+    reported value has exactly one line."""
+    snapshot = registry.collect()
+    expected = {}
+    for name, metric in snapshot.items():
+        for value in metric["values"]:
+            labels = tuple(value["labels"].items())
+            if metric["type"] != "histogram":
+                expected[(name, labels)] = value["value"]
+                continue
+            for edge, cumulative in value["buckets"].items():
+                expected[(f"{name}_bucket", labels + (("le", edge),))] = cumulative
+            expected[(f"{name}_sum", labels)] = value["sum"]
+            expected[(f"{name}_count", labels)] = value["count"]
+    exposed, types = {}, {}
+    for line in registry.render_prometheus().splitlines():
+        if line.startswith("# TYPE "):
+            name, kind = line[len("# TYPE "):].split(" ")
+            types[name] = kind
+            continue
+        if line.startswith("# HELP "):
+            continue
+        match = _SAMPLE_RE.match(line)
+        assert match, line
+        key = (match.group(1), _parse_labels(match.group(2) or ""))
+        assert key not in exposed, line
+        exposed[key] = float(match.group(3))
+    assert exposed == expected
+    assert types == {name: metric["type"] for name, metric in snapshot.items()}
+
+
 # --------------------------------------------------------------------- #
-# Threads, reset, and the gate
+# Threads and reset
 # --------------------------------------------------------------------- #
 def test_concurrent_increments_are_exact(registry):
     counter = registry.counter("threads_total")
@@ -222,8 +309,9 @@ def test_concurrent_increments_are_exact(registry):
     for t in pool:
         t.join()
     assert counter.value == threads * per_thread
-    assert hist.total_count == threads * per_thread
-    assert hist.total_sum == pytest.approx(threads * per_thread)
+    (observed,) = hist.collect()["values"]
+    assert observed["count"] == threads * per_thread
+    assert observed["sum"] == pytest.approx(threads * per_thread)
 
 
 def test_reset_zeroes_but_keeps_registrations(registry):
@@ -234,19 +322,4 @@ def test_reset_zeroes_but_keeps_registrations(registry):
     assert registry.get("reset_total") is counter
     # The label child survives and keeps recording.
     counter.labels(mode="join").inc()
-    assert counter.value == 1.0
-
-
-def test_disabled_gate_stops_recording(registry):
-    counter = registry.counter("gated_total")
-    hist = registry.histogram("gated_ms")
-    obs.set_enabled(False)
-    try:
-        counter.inc()
-        hist.observe(3.0)
-    finally:
-        obs.set_enabled(True)
-    assert counter.value == 0.0
-    assert hist.total_count == 0
-    counter.inc()
     assert counter.value == 1.0
