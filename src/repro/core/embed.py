@@ -59,29 +59,45 @@ def finalize_column_vectors(
     sbert=None,
     table=None,
 ) -> list[tuple[str, np.ndarray]]:
-    """Index-ready ``(column, vector)`` pairs: trunk columns ‖ optional
-    SBERT value half.
+    """Index-ready ``(column, vector)`` pairs of one sketched table: its
+    names beside the rows of :func:`served_vectors`."""
+    return list(zip(
+        sketch.column_names,
+        served_vectors(columns, sketch.table_name, sketch.column_names, sbert, table),
+    ))
+
+
+def served_vectors(
+    columns: np.ndarray,
+    table_name: str,
+    column_names: list[str],
+    sbert=None,
+    table=None,
+) -> np.ndarray:
+    """Index-ready vectors of one table's columns, a row per column:
+    trunk columns ‖ optional SBERT value half.
 
     The one construction of a served column vector: every
     :class:`repro.lake.catalog.LakeCatalog` record (and so every
     :class:`repro.lake.catalog.TabSketchFMSearcher` index) and every
     external query's :meth:`~repro.lake.catalog.LakeCatalog.column_vector_pairs`
-    come from here. The SBERT half needs raw cell values: with ``sbert``
-    set and no ``table``, this raises a clear ``ValueError``.
+    come from here. Without ``sbert`` they are the trunk ``columns`` as
+    they are. The SBERT half needs raw cell values: with ``sbert`` set and
+    no ``table``, this raises a clear ``ValueError``.
     """
-    if sbert is not None and table is None:
+    if sbert is None:
+        return columns
+    if table is None:
         raise ValueError(
-            f"table {sketch.table_name!r} has no Table object but sbert is "
+            f"table {table_name!r} has no Table object but sbert is "
             "enabled; the SBERT half needs raw cell values"
         )
-    out: list[tuple[str, np.ndarray]] = []
-    for index, column_sketch in enumerate(sketch.column_sketches):
-        vector = columns[index]
-        if sbert is not None:
-            value_vec = sbert.encode_column(table.column(column_sketch.name))
-            vector = concat_normalized(vector, value_vec)
-        out.append((column_sketch.name, vector))
-    return out
+    if not column_names:
+        return np.zeros((0, columns.shape[1] + sbert.dim))
+    return np.stack([
+        concat_normalized(vector, sbert.encode_column(table.column(name)))
+        for vector, name in zip(columns, column_names)
+    ])
 
 
 def standardize(vector: np.ndarray) -> np.ndarray:

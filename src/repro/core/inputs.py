@@ -14,16 +14,24 @@ and aligns six parallel signals with its tokens:
    positions, E_C or E_{C||W} for column-name positions;
 6. per-position numerical-sketch vectors (zero for description positions).
 
-Encoding is **batch-first**: :meth:`InputEncoder.encode_tables` is the one
-encode path (``encode_table(s)`` is ``encode_tables([s])[0]``, and
-:class:`repro.core.engine.EmbeddingEngine` encodes each ``embed_corpus``
-call in one). It featurizes the sketches of a whole batch at once: one
-:func:`~repro.sketch.minhash.slot_features` call over the stacked
-snapshot, values and words signatures, and one
-:func:`~repro.sketch.numeric.numeric_inputs` call over every column's
-numerical sketch. Each token then gathers its table's or its column's
-feature row. Every feature is elementwise, so a table's arrays do not
-depend on the batch it was encoded in.
+Encoding is **batch-first, from arrays**: :meth:`InputEncoder.encode_batch`
+is the one encoder core. It reads a
+:class:`~repro.sketch.pipeline.SketchBatch` — the packed member arrays a
+lake ingest sketches to, or a refresh gathers from its stored records —
+and featurizes the whole batch at once: one
+:func:`~repro.sketch.minhash.slot_features` call per signature member and
+one :func:`~repro.sketch.numeric.stats_inputs` call over the raw
+``numeric_stats`` rows (the row a lake stores is the raw row
+``numeric_inputs`` squashes, so the features are the same). It returns an
+:class:`EncodedBatch`: flat token arrays, and for each token the index of
+its table's or its column's feature row, which
+:class:`repro.core.engine.EmbeddingEngine` gathers each padded group from.
+:meth:`InputEncoder.encode_tables` (and ``encode_table(s)``, its batch of
+one) gathers the same arrays from sketch objects
+(:meth:`~repro.sketch.pipeline.SketchBatch.of_sketches`) for the paper
+paths and cuts per-table :class:`EncodedTable` s out of the batch. Every
+feature is elementwise, so a table's arrays do not depend on the batch it
+was encoded in.
 
 A :class:`PairEncoding` concatenates two encoded tables for the cross-encoder
 (Fig. 2b) with BERT-style segment ids 0/1.
@@ -37,9 +45,9 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.config import TabSketchFMConfig
-from repro.sketch.minhash import MinHash, slot_features
-from repro.sketch.numeric import NUMERICAL_SKETCH_DIM, numeric_inputs
-from repro.sketch.pipeline import ColumnSketch, TableSketch
+from repro.sketch.minhash import EMPTY_SLOT, slot_features
+from repro.sketch.numeric import NUMERICAL_SKETCH_DIM, stats_inputs
+from repro.sketch.pipeline import SketchBatch, TableSketch
 from repro.table.schema import ColumnType
 from repro.text.tokenizer import WordPieceTokenizer
 
@@ -69,6 +77,33 @@ class EncodedTable:
     @property
     def length(self) -> int:
         return int(self.token_ids.shape[0])
+
+
+@dataclass
+class EncodedBatch:
+    """A batch's aligned input arrays, flat (:meth:`InputEncoder.encode_batch`).
+
+    Table ``t``'s tokens are ``[bounds[t], bounds[t + 1])`` of each token
+    array; one padding token follows the last table's. A token's model
+    inputs are row ``feature_rows[i]`` of ``minhash`` and ``numeric`` (the
+    padding token's is the last row, all zeros), so a padded batch is one
+    gather of each array. Table ``t`` has ``widths[t]`` columns, of which
+    its first ``kept[t]`` are encoded; their name spans (table-local
+    ``[start, stop)``) are consecutive rows of ``spans``.
+    """
+
+    token_ids: np.ndarray         # int64[S + 1]
+    token_positions: np.ndarray   # int64[S + 1]
+    column_positions: np.ndarray  # int64[S + 1]
+    column_types: np.ndarray      # int64[S + 1]
+    feature_rows: np.ndarray      # intp[S + 1]
+    minhash: np.ndarray           # float64[R + 1, 2*num_perm]
+    numeric: np.ndarray           # float64[R + 1, NUMERICAL_SKETCH_DIM]
+    bounds: np.ndarray            # int64[T + 1]
+    widths: np.ndarray            # int64[T]
+    kept: np.ndarray              # int64[T]
+    spans: np.ndarray             # int64[sum(kept), 2]
+    descriptions: list[tuple[int, int]]  # [start, stop) of description tokens
 
 
 @dataclass
@@ -114,19 +149,53 @@ class InputEncoder:
         return self.encode_tables([sketch])[0]
 
     def encode_tables(self, sketches: Sequence[TableSketch]) -> list[EncodedTable]:
-        """Build the unpadded aligned arrays of every table, in order.
-
-        The batch's sketch inputs are featurized once (:meth:`_feature_rows`);
-        each token then gathers the feature row of its table or column.
-        """
+        """Build the unpadded aligned arrays of every table, in order: the
+        tables of :meth:`encode_batch` of the sketches' gathered arrays
+        (:meth:`SketchBatch.of_sketches`)."""
         if not sketches:
             return []
+        encoded = self.encode_batch(SketchBatch.of_sketches(sketches))
+        bounds = encoded.bounds.tolist()
+        spans = encoded.spans.tolist()
+        span_ends = np.cumsum(encoded.kept).tolist()
+        tables = []
+        for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            rows = encoded.feature_rows[lo:hi]
+            first = span_ends[t] - int(encoded.kept[t])
+            tables.append(EncodedTable(
+                token_ids=encoded.token_ids[lo:hi],
+                token_positions=encoded.token_positions[lo:hi],
+                column_positions=encoded.column_positions[lo:hi],
+                column_types=encoded.column_types[lo:hi],
+                minhash=encoded.minhash[rows],
+                numeric=encoded.numeric[rows],
+                spans=[
+                    ColumnSpan(j, start, stop)
+                    for j, (start, stop) in enumerate(spans[first : span_ends[t]])
+                ],
+                description_span=encoded.descriptions[t],
+            ))
+        return tables
+
+    def encode_batch(self, batch: SketchBatch) -> EncodedBatch:
+        """The aligned input arrays of every table of ``batch``, flat.
+
+        The batch's sketch arrays are featurized once
+        (:meth:`_feature_rows`); each token then names the feature row of
+        its table or column, which :class:`EncodedBatch` keeps as an index
+        rather than a gathered copy.
+        """
         config = self.config
         vocab = self.tokenizer.vocabulary
-        columns = [
-            sketch.column_sketches[: config.max_columns - 1] for sketch in sketches
-        ]
-        minhash, numeric, firsts = self._feature_rows(sketches, columns)
+        widths = np.asarray(batch.widths, dtype=np.int64)
+        kept = np.minimum(widths, config.max_columns - 1)
+        # Each kept column's row of the batch arrays: a table's first
+        # max_columns - 1 columns.
+        kept_rows = np.arange(int(kept.sum())) + np.repeat(
+            (np.cumsum(widths) - widths) - (np.cumsum(kept) - kept), kept
+        )
+        ctypes = batch.members["ctypes"][kept_rows]
+        minhash, numeric, firsts = self._feature_rows(batch, kept, kept_rows, ctypes)
 
         token_ids: list[int] = []
         token_positions: list[int] = []
@@ -134,20 +203,28 @@ class InputEncoder:
         column_types: list[int] = []
         feature_rows: list[int] = []
         bounds = [0]
-        layouts: list[tuple[list[ColumnSpan], tuple[int, int]]] = []
-        for sketch, table_columns, first in zip(sketches, columns, firsts):
-            description = self.tokenizer.encode(sketch.description)
+        spans: list[tuple[int, int]] = []
+        descriptions: list[tuple[int, int]] = []
+        column_ctypes = iter(ctypes.tolist())
+        # A lake repeats its column names: each is tokenized once per batch.
+        name_pieces: dict[str, list[int]] = {}
+        for description, names, n_kept, first in zip(
+            batch.descriptions, batch.columns, kept.tolist(), firsts
+        ):
+            description = self.tokenizer.encode(description)
             head = len(description) + 2
             token_ids += [vocab.cls_id, *description, vocab.sep_id]
             token_positions += [0, *range(len(description)), 0]
             column_positions += [0] * head
             column_types += [0] * head
             feature_rows += [first] * head
-            spans: list[ColumnSpan] = []
-            for col_index, col in enumerate(table_columns):
-                pieces = self.tokenizer.encode(col.name) or [vocab.unk_id]
+            for col_index, name in enumerate(names[:n_kept]):
+                pieces = name_pieces.get(name)
+                if pieces is None:
+                    pieces = self.tokenizer.encode(name) or [vocab.unk_id]
+                    name_pieces[name] = pieces
                 start = len(token_ids) - bounds[-1]
-                spans.append(ColumnSpan(col_index, start, start + len(pieces)))
+                spans.append((start, start + len(pieces)))
                 # The separator after the name carries the column's sketches
                 # so attention can use them even for single-token names;
                 # position resets there.
@@ -155,52 +232,58 @@ class InputEncoder:
                 token_ids += [*pieces, vocab.sep_id]
                 token_positions += [*range(len(pieces)), 0]
                 column_positions += [col_index + 1] * width
-                column_types += [int(col.ctype)] * width
+                column_types += [next(column_ctypes)] * width
                 feature_rows += [first + 1 + col_index] * width
             bounds.append(len(token_ids))
-            layouts.append((spans, (1, 1 + len(description))))
+            descriptions.append((1, 1 + len(description)))
 
-        ids = np.asarray(token_ids, dtype=np.int64)
-        positions = np.minimum(
-            np.asarray(token_positions, dtype=np.int64),
-            config.max_token_positions - 1,
+        # One padding token past the end, whose feature row is the zero
+        # row: what a padded position of a batch gathers.
+        token_ids.append(vocab.pad_id)
+        token_positions.append(0)
+        column_positions.append(0)
+        column_types.append(0)
+        feature_rows.append(len(minhash) - 1)
+        return EncodedBatch(
+            token_ids=np.asarray(token_ids, dtype=np.int64),
+            token_positions=np.minimum(
+                np.asarray(token_positions, dtype=np.int64),
+                config.max_token_positions - 1,
+            ),
+            column_positions=np.asarray(column_positions, dtype=np.int64),
+            column_types=np.asarray(column_types, dtype=np.int64),
+            feature_rows=np.asarray(feature_rows, dtype=np.intp),
+            minhash=minhash,
+            numeric=numeric,
+            bounds=np.asarray(bounds, dtype=np.int64),
+            widths=widths,
+            kept=kept,
+            spans=np.asarray(spans, dtype=np.int64).reshape(-1, 2),
+            descriptions=descriptions,
         )
-        col_positions = np.asarray(column_positions, dtype=np.int64)
-        col_types = np.asarray(column_types, dtype=np.int64)
-        rows = np.asarray(feature_rows, dtype=np.intp)
-        token_minhash = minhash[rows]
-        token_numeric = numeric[rows]
-        return [
-            EncodedTable(
-                token_ids=ids[lo:hi],
-                token_positions=positions[lo:hi],
-                column_positions=col_positions[lo:hi],
-                column_types=col_types[lo:hi],
-                minhash=token_minhash[lo:hi],
-                numeric=token_numeric[lo:hi],
-                spans=spans,
-                description_span=description_span,
-            )
-            for lo, hi, (spans, description_span) in zip(bounds, bounds[1:], layouts)
-        ]
 
     def _feature_rows(
-        self, sketches: Sequence[TableSketch], columns: list[list[ColumnSketch]]
+        self,
+        batch: SketchBatch,
+        kept: np.ndarray,
+        kept_rows: np.ndarray,
+        ctypes: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, list[int]]:
         """``(minhash, numeric, firsts)``: the batch's model-input rows.
 
         Table ``t`` owns row ``firsts[t]``, its snapshot row (read by [CLS],
-        the description and the first [SEP]), then one row per column of
-        ``columns[t]`` (read by its name pieces and the [SEP] after them).
-        One :func:`slot_features` call maps every snapshot, values and
-        words signature, and one :func:`numeric_inputs` call every column's
-        numerical sketch.
+        the description and the first [SEP]), then one row per kept column
+        (``kept[t]`` of them, the batch arrays' rows ``kept_rows``; read by
+        its name pieces and the [SEP] after them). The last row is zeros,
+        for padding. Each signature member maps through
+        :func:`slot_features` and the numeric statistics through
+        :func:`stats_inputs`, all of the batch at once.
         """
         config = self.config
         selection = config.selection
         num_perm = config.sketch.num_perm
-        flat = [column for table_columns in columns for column in table_columns]
-        widths = np.array([1 + len(table_columns) for table_columns in columns])
+        members = batch.members
+        widths = 1 + kept
         firsts = np.cumsum(widths) - widths
         n_rows = int(widths.sum())
         is_column = np.ones(n_rows, dtype=bool)
@@ -209,33 +292,19 @@ class InputEncoder:
 
         # Absent inputs stay 0 (the neutral value): a disabled sketch family,
         # the words half of a non-string column or of an empty words set.
-        minhash = np.zeros((n_rows, config.minhash_input_dim), dtype=np.float64)
-        numeric = np.zeros((n_rows, NUMERICAL_SKETCH_DIM), dtype=np.float64)
-        targets: list[tuple[np.ndarray, slice]] = []  # (rows, half) per group
-        groups: list[list[MinHash]] = []
+        minhash = np.zeros((n_rows + 1, config.minhash_input_dim), dtype=np.float64)
+        numeric = np.zeros((n_rows + 1, NUMERICAL_SKETCH_DIM), dtype=np.float64)
         if selection.use_snapshot:
-            targets.append((firsts, slice(None, num_perm)))
-            groups.append([sketch.snapshot for sketch in sketches])
+            minhash[firsts, :num_perm] = slot_features(members["snapshot_sig"])
         if selection.use_minhash:
-            worded = [
-                i
-                for i, column in enumerate(flat)
-                if column.ctype == ColumnType.STRING
-                and not column.words_minhash.is_empty()
-            ]
-            targets.append((column_rows, slice(None, num_perm)))
-            groups.append([column.values_minhash for column in flat])
-            targets.append((column_rows[worded], slice(num_perm, None)))
-            groups.append([flat[i].words_minhash for i in worded])
-        signatures = [m.signature for group in groups for m in group]
-        if signatures:
-            features = slot_features(np.stack(signatures))
-            offset = 0
-            for (rows, half), group in zip(targets, groups):
-                minhash[rows, half] = features[offset : offset + len(group)]
-                offset += len(group)
-        if selection.use_numeric and flat:
-            numeric[column_rows] = numeric_inputs([c.numeric for c in flat])
+            minhash[column_rows, :num_perm] = slot_features(
+                members["values_sig"][kept_rows]
+            )
+            words = members["words_sig"][kept_rows]
+            worded = (ctypes == ColumnType.STRING) & (words != EMPTY_SLOT).any(axis=1)
+            minhash[column_rows[worded], num_perm:] = slot_features(words[worded])
+        if selection.use_numeric and len(column_rows):
+            numeric[column_rows] = stats_inputs(members["numeric_stats"][kept_rows])
         return minhash, numeric, firsts.tolist()
 
     # ------------------------------------------------------------------ #
@@ -243,8 +312,9 @@ class InputEncoder:
         """A single-table input padded/truncated to ``max_seq_len``.
 
         With ``pad=False`` the encoding keeps its natural (truncated) length;
-        :func:`batch_encodings` then pads to the batch max — the dynamic
-        padding path used by :class:`repro.core.engine.EmbeddingEngine`.
+        :func:`batch_encodings` then pads to the batch max, the per-table
+        form of what :class:`repro.core.engine.EmbeddingEngine` gathers from
+        an :class:`EncodedBatch`.
         """
         encoded = self.encode_table(sketch)
         segments = np.zeros(encoded.length, dtype=np.int64)

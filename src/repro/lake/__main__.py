@@ -240,15 +240,10 @@ def cmd_update(args: argparse.Namespace) -> None:
 
 
 def cmd_remove(args: argparse.Namespace) -> None:
-    def remove(target) -> int | None:
-        if not target.remove_table(args.table):
-            return None
-        return target.stats()["n_tables"]
-
-    remaining = _on_target(args, remove)
-    if remaining is None:
+    removed = _on_target(args, lambda target: target.remove_table(args.table))
+    if removed is None:
         sys.exit(f"error: table {args.table!r} not in catalog")
-    print(f"removed {args.table!r}; {remaining} tables remain")
+    print(f"removed {args.table!r}; {removed['n_tables']} tables remain")
 
 
 def cmd_stats(args: argparse.Namespace) -> None:

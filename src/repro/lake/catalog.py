@@ -8,10 +8,12 @@ Holds every table's :class:`LakeTableRecord` plus the live column index
   column rows to the index as one block (amortized O(cols) — no re-stack
   of the lake);
 - a **bulk add** routes the whole delta through one batch-first pipeline
-  in the calling thread: ``sketch_corpus`` (every distinct string hashed
-  once), then ``ceil(N / batch_size)`` length-bucketed
-  :class:`~repro.core.engine.EmbeddingEngine` forwards, then per-shard
-  store writes, one manifest flush per touched shard;
+  in the calling thread, as batch arrays from end to end: ``sketch_batch``
+  (every distinct string hashed once, each pass packed straight to member
+  arrays), then one encode of those arrays and ``ceil(N / batch_size)``
+  length-bucketed :class:`~repro.core.engine.EmbeddingEngine` forwards,
+  then per-shard store writes (one manifest flush per touched shard), then
+  one block write of the new tables' rows to the column table;
 - an **update** or **refresh** replaces the table's block of index rows
   where it stands, so the index's rows stay in table insertion order;
 - a **remove** drops the table's block, moving the rows behind it up in
@@ -37,11 +39,13 @@ remove drops them. An append merges signatures exactly, so join and
 subset see appended rows at once, with no re-embed.
 
 A record holds its sketch packed (:class:`~repro.lake.store.LakeTableRecord`):
-an ingest packs each new sketch once and the store writes those arrays, a
-warm open keeps each table's rows of the archive it read, and an append
-merges its delta's arrays into them. Only a refresh builds sketch objects,
-its stale tables'. Serving, ``stats`` and the column table's writes read
-the packed rows and the meta.
+an ingest's records are read-only row views of its
+:class:`~repro.sketch.pipeline.SketchBatch` arrays, which the store writes
+as they are; a warm open keeps each table's rows of the archive it read;
+an append merges its delta's arrays into them; and a refresh gathers its
+stale tables' members into one batch for the encoder. No write builds a
+sketch object or packs or unpacks one. Serving, ``stats`` and the column
+table's writes read the packed rows and the meta.
 
 The column index is one exact :class:`~repro.search.index.KnnIndex` over
 every column, whatever the store's shard count: shards partition the
@@ -69,15 +73,15 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro import obs
-from repro.core.embed import TableEmbedder, finalize_column_vectors
-from repro.core.engine import TableEmbeddings
+from repro.core.embed import TableEmbedder, served_vectors
+from repro.core.engine import BatchEmbeddings
 from repro.lake.serialization import merge_rows
 from repro.lake.store import LakeStore, LakeTableRecord
 from repro.search.backend import IndexSpec
 from repro.search.containment import ContainmentIndex
 from repro.search.retrieval import rank_names
 from repro.search.tables import TableSearcher
-from repro.sketch.pipeline import TableSketch, sketch_corpus
+from repro.sketch.pipeline import SketchBatch, TableSketch, sketch_batch
 from repro.table.schema import Table
 from repro.text.sbert import HashedSentenceEncoder
 
@@ -186,7 +190,7 @@ class LakeCatalog:
         return catalog
 
     # ------------------------------------------------------------------ #
-    def _embed_sketches(self, sketches: list[TableSketch]) -> list[TableEmbeddings]:
+    def _embed_batch(self, batch: SketchBatch) -> BatchEmbeddings:
         """Run the engine, charging its forwards to this catalog's counter.
 
         The charge is computed as ``ceil(N / batch_size)`` rather than by
@@ -195,9 +199,29 @@ class LakeCatalog:
         must not see each other's forwards in ``embed_calls``. A forward
         that raises charges nothing.
         """
-        results = self.engine.embed_corpus(sketches, batch_size=self.batch_size)
-        self.embed_calls += -(-len(sketches) // self.batch_size)
-        return results
+        embedded = self.engine.embed_sketches(batch, batch_size=self.batch_size)
+        self.embed_calls += -(-len(batch.names) // self.batch_size)
+        return embedded
+
+    def _served(
+        self,
+        embedded: BatchEmbeddings,
+        batch: SketchBatch,
+        tables: "list[Table] | None",
+    ) -> np.ndarray:
+        """Every column's served vector, a row per column in batch order:
+        the trunk's rows as they are, or with each table's SBERT half
+        (:func:`~repro.core.embed.served_vectors`, which needs ``tables``)."""
+        if self.sbert is None:
+            return embedded.columns
+        parts = [
+            served_vectors(embedding.columns, name, columns, self.sbert, table)
+            for embedding, name, columns, table in zip(
+                embedded.per_table(), batch.names, batch.columns,
+                tables or [None] * len(batch.names),
+            )
+        ]
+        return np.concatenate(parts) if parts else np.zeros((0, self.dim))
 
     def _embed_records(
         self, sources: "list[Table] | list[LakeTableRecord]"
@@ -205,53 +229,56 @@ class LakeCatalog:
         """Freshly embedded records, one per source; nothing is installed.
 
         New contents (:class:`Table` s) are sketched in one
-        ``sketch_corpus`` pass — every distinct string hashed once,
-        bit-identical to per-table sketching — and start at version 1. A
-        refresh passes the stale records: their stored, already merged
-        sketches are re-embedded and their row count, metadata and version
-        carry over (the SBERT half needs raw values, which only new
-        contents have). Either way the engine runs once:
-        ``ceil(N / batch_size)`` forwards. A new sketch is packed once, into
-        the record the store writes as it is; a refreshed record keeps the
-        stale one's packed sketch.
+        :func:`~repro.sketch.pipeline.sketch_batch` pass — every distinct
+        string hashed once, bit-identical to per-table sketching — straight
+        to batch arrays, and start at version 1: each record's members are
+        read-only views of those arrays, and its vectors rows of the
+        engine's. A refresh passes the stale records: their stored, already
+        merged members are gathered into one batch and re-embedded, and
+        their row count, members, metadata and version carry over (the
+        SBERT half needs raw values, which only new contents have). Either
+        way the engine encodes the batch's arrays once and runs
+        ``ceil(N / batch_size)`` forwards; no sketch object is built.
         """
         refresh = bool(sources) and isinstance(sources[0], LakeTableRecord)
         if refresh:
-            sketches = [record.sketch for record in sources]
-        else:
-            sketches = sketch_corpus(sources, self.sketch_config, self._hasher)
-        records = []
-        for source, sketch, embeddings in zip(
-            sources, sketches, self._embed_sketches(sketches)
-        ):
-            vectors = [
-                vector
-                for _, vector in finalize_column_vectors(
-                    embeddings.columns, sketch, sbert=self.sbert,
-                    table=None if refresh else source,
-                )
-            ]
-            carried = (
+            batch = SketchBatch.of_tables(
+                self.sketch_config,
+                [
+                    (r.name, r.sketch_meta["description"], r.column_names)
+                    for r in sources
+                ],
+                [r.members for r in sources],
+            )
+            carried = [
                 {
-                    "members": source.members,
-                    "sketch_meta": source.sketch_meta,
-                    "metadata": dict(source.metadata),
-                    "version": source.version,
+                    "members": r.members,
+                    "sketch_meta": r.sketch_meta,
+                    "metadata": dict(r.metadata),
+                    "version": r.version,
                 }
-                if refresh
-                else {"sketch": sketch}
+                for r in sources
+            ]
+        else:
+            batch = sketch_batch(sources, self.sketch_config, self._hasher)
+            carried = [
+                {"members": members, "sketch_meta": meta}
+                for members, meta in zip(batch.table_members(), batch.metas())
+            ]
+        embedded = self._embed_batch(batch)
+        vectors = self._served(embedded, batch, None if refresh else sources)
+        return [
+            LakeTableRecord(
+                column_vectors=vectors[start : start + width],
+                table_embedding=table_embedding,
+                n_rows=source.n_rows,
+                **fields,
             )
-            records.append(
-                LakeTableRecord(
-                    column_vectors=(
-                        np.stack(vectors) if vectors else np.zeros((0, self.dim))
-                    ),
-                    table_embedding=embeddings.table,
-                    n_rows=source.n_rows,
-                    **carried,
-                )
+            for source, fields, table_embedding, start, width in zip(
+                sources, carried, embedded.tables,
+                embedded.starts.tolist(), embedded.widths.tolist(),
             )
-        return records
+        ]
 
     def column_vector_pairs(
         self, table: Table, sketch: TableSketch
@@ -259,20 +286,23 @@ class LakeCatalog:
         """Final index-ready column vectors (trunk ‖ optional SBERT half)
         for an external query table.
 
-        The same :func:`~repro.core.embed.finalize_column_vectors`
-        construction every ingested record's vectors come from, so an
-        external copy of a member ranks like the member. One trunk forward,
-        counted in ``embed_calls``: a batch of one of
-        :meth:`column_vector_pairs_many`, the service's query path.
+        The same :func:`~repro.core.embed.served_vectors` construction
+        every ingested record's vectors come from, so an external copy of a
+        member ranks like the member. One trunk forward, counted in
+        ``embed_calls``: a batch of one of :meth:`column_vector_pairs_many`,
+        the service's query path, over the sketch's arrays.
         """
-        return self.column_vector_pairs_many([table], [sketch])[0]
+        return self.column_vector_pairs_many(
+            [table], SketchBatch.of_sketches([sketch], self.sketch_config)
+        )[0]
 
     def column_vector_pairs_many(
-        self, tables: "list[Table]", sketches: "list[TableSketch]"
+        self, tables: "list[Table]", batch: SketchBatch
     ) -> list[list[tuple[str, np.ndarray]]]:
-        """Index-ready column vectors for many query tables at once.
+        """Index-ready column vectors for many query tables at once, from
+        their sketch arrays (:func:`~repro.sketch.pipeline.sketch_batch`).
 
-        One :meth:`EmbeddingEngine.embed_corpus` pass —
+        One :meth:`EmbeddingEngine.embed_sketches` pass —
         ``ceil(len(tables) / batch_size)`` trunk forwards for the whole
         group instead of one forward per table. This is the primitive the
         service's ``discover_batch`` rides so a batch of uncached external
@@ -280,12 +310,11 @@ class LakeCatalog:
         """
         if not tables:
             return []
-        embeddings = self._embed_sketches(sketches)
+        embedded = self._embed_batch(batch)
+        vectors = self._served(embedded, batch, tables)
         return [
-            finalize_column_vectors(
-                embedding.columns, sketch, sbert=self.sbert, table=table
-            )
-            for table, sketch, embedding in zip(tables, sketches, embeddings)
+            list(zip(columns, vectors[start : start + len(columns)]))
+            for columns, start in zip(batch.columns, embedded.starts.tolist())
         ]
 
     def _put(
@@ -306,13 +335,26 @@ class LakeCatalog:
 
     def _install(self, records: list[LakeTableRecord]) -> None:
         """Serve ``records``: each replaces any same-named record and its
-        rows of the column table, in place (persisting is the caller's)."""
+        rows of the column table, in place; the tables the column table
+        lacks go in after its last row, in one block write (persisting is
+        the caller's)."""
+        fresh = []
         for record in records:
             self._put(record.name, record)
-            join = record.join_rows()
-            self.searcher.add_table(
-                record.name, record.column_names, record.column_vectors,
-                join.signatures, join.sizes,
+            if self.searcher.rows(record.name):
+                join = record.join_rows()
+                self.searcher.add_table(
+                    record.name, record.column_names, record.column_vectors,
+                    join.signatures, join.sizes,
+                )
+            else:
+                fresh.append(record)
+        if fresh:
+            self.searcher.add_tables(
+                [(record.name, record.column_names) for record in fresh],
+                np.concatenate([record.column_vectors for record in fresh]),
+                np.concatenate([record.members["values_sig"] for record in fresh]),
+                np.concatenate([record.members["n_values"] for record in fresh]),
             )
 
     # ------------------------------------------------------------------ #
@@ -324,13 +366,17 @@ class LakeCatalog:
     def add_tables(self, tables: dict[str, Table]) -> list[LakeTableRecord]:
         """Bulk add through the batch-first ingest pipeline.
 
-        The whole delta is sketched in one batched pass (every distinct
-        string hashed once; bit-identical to per-table sketching), embedded
+        The whole delta is sketched to batch arrays in one pass (every
+        distinct string hashed once; bit-identical to per-table
+        sketching), embedded
         in ``ceil(N / batch_size)`` length-bucketed forwards, and written
         to the store with one manifest flush per touched shard — shards
         flush independently, so a crash loses at most one shard's unflushed
         tail. Every stage runs in the calling thread.
 
+        Each record's members are read-only row views of the sketch
+        batch's arrays and its vectors rows of the engine's output; the
+        new tables' rows go to the column table in one block write.
         Nothing is registered until every embedding has returned and the
         store has written the records: a forward or a store write that
         raises leaves the catalog and the index exactly as they were, and
@@ -460,7 +506,9 @@ class LakeCatalog:
     ) -> list[str]:
         """Re-embed stale tables from their (already merged) sketches.
 
-        One batched engine pass for all of them — ``ceil(N / batch_size)``
+        Their stored members are gathered into one sketch batch and
+        encoded as arrays; nothing is unpacked. One batched engine pass
+        for all of them — ``ceil(N / batch_size)``
         forwards, so a single stale table costs exactly one forward. The
         data ``version`` does not change (re-embedding is not a data
         mutation); ``embedding_stale`` clears. ``persist=False`` refreshes

@@ -304,11 +304,12 @@ class LakeServer:
             return 200, self._target.refresh(names)
         if path.startswith("/v1/tables/") and method == "DELETE":
             name = unquote(path[len("/v1/tables/") :])
-            if not self.service.remove_table(name):
+            removed = self._target.remove_table(name)
+            if removed is None:
                 raise DiscoveryError(
                     "not-found", f"table {name!r} not in catalog"
                 )
-            return 200, answer(removed=name, n_tables=len(self.service.catalog))
+            return 200, removed
         raise DiscoveryError("not-found", f"no route for {method} {path}")
 
     def _metrics_payload(self, query: str, accept: str):

@@ -79,7 +79,7 @@ from repro.lake.store import LakeStore
 from repro.search.backend import stable_shard
 from repro.search.containment import ContainmentMatch, SubsetMatch
 from repro.search.tables import TableMatch
-from repro.sketch.pipeline import JoinRows, sketch_corpus, value_signatures
+from repro.sketch.pipeline import JoinRows, sketch_batch, value_signatures
 from repro.table.schema import Table
 
 _QUERIES_TOTAL = obs.counter(
@@ -428,7 +428,8 @@ class LakeService:
         numerical profile or snapshot. A union query is the column
         vectors: a member's stored ones, a cached payload's, or a place in
         the batch's embedding pass. That pass sketches every distinct
-        uncached union payload in one ``sketch_corpus`` call and embeds
+        uncached union payload in one ``sketch_batch`` call (arrays, no
+        sketch object) and embeds
         them in one
         :meth:`~repro.lake.catalog.LakeCatalog.column_vector_pairs_many`
         call — ``ceil(distinct / batch_size)`` trunk forwards, duplicate
@@ -519,14 +520,14 @@ class LakeService:
             n_tables = len(todo) + len(projected)
             config, hasher = self.catalog.sketch_config, self.catalog._hasher
             with obs.span("lake.sketch_batch", tables=n_tables) as sketching:
-                sketches = sketch_corpus(todo.values(), config, hasher)
+                sketched = sketch_batch(todo.values(), config, hasher)
                 signed = dict(zip(projected, value_signatures(
                     projected.values(), config, hasher
                 )))
             if todo:
                 with obs.span("lake.embed_batch", tables=len(todo)) as embedding:
                     embedded = dict(zip(todo, self.catalog.column_vector_pairs_many(
-                        list(todo.values()), sketches
+                        list(todo.values()), sketched
                     )))
                 with self._lock:
                     for digest, pairs in embedded.items():

@@ -55,12 +55,15 @@ because it is folded into every fingerprint. A layout change also adds one
 fixture under ``tests/lake/data/``, which ``tests/lake/test_format_compat.py``
 migrates.
 
-Each table's members are the packed :class:`~repro.sketch.pipeline.TableSketch`
-arrays (``values_sig``, ``words_sig``, ``numeric_stats``, ``n_values``,
-``ctypes``, ``snapshot_sig`` and the ``acc_*`` merge state of
-:func:`~repro.lake.serialization.pack_table_sketch`: uint64 signatures,
-float64 raw numeric stats) plus the final ``column_vectors`` the index
-serves and the pooled ``table_embedding`` — everything float64/uint64 in
+Each table's members are its packed sketch (``snapshot_sig``,
+``values_sig``, ``words_sig``, ``numeric_stats``, ``n_values``, ``ctypes``
+and the ``acc_*`` merge state: uint64 signatures, float64 raw numeric
+stats) — a record's rows of the :class:`~repro.sketch.pipeline.SketchBatch`
+arrays its ingest sketched to, of the archive a warm open read, or of an
+append's merge, none of them packed here, while
+:func:`~repro.lake.serialization.pack_table_sketch` gathers the same
+members from a sketch object — plus the final ``column_vectors`` the index
+serves and the pooled ``table_embedding``: everything float64/uint64 in
 npz, so a save/load round-trip is bit-exact and warm queries are
 bit-identical to a cold in-memory build.
 
@@ -174,7 +177,9 @@ from repro.search.backend import IndexSpec, stable_shard
 from repro.search.containment import JoinRows
 from repro.search.index import KnnIndex
 from repro.search.tables import ColumnEntry
-from repro.sketch.pipeline import TableSketch
+from repro.sketch.pipeline import (
+    TABLE_MEMBERS, TableSketch, concat_members, split_members,
+)
 from repro.utils.io import _jsonify, ensure_dir, read_json
 
 MANIFEST_NAME = "manifest.json"
@@ -201,11 +206,8 @@ _LAYOUT_MARK = "+layout"
 #: hold at once.
 ARCHIVE_TABLES = 64
 #: Archive members with one row per table, stacked in a shared archive;
-#: every other member holds rows per column and is concatenated.
-_TABLE_MEMBERS = ("snapshot_sig", "table_embedding")
-#: Members holding each column's run of values, by the member of per-column
-#: run lengths that delimits them.
-_RUN_MEMBERS = {"acc_sample": "acc_sample_len", "acc_distinct": "acc_distinct_len"}
+#: every other member holds rows (or runs) per column and is concatenated.
+_TABLE_MEMBERS = (*TABLE_MEMBERS, "table_embedding")
 #: What a store owns at its root — everything else there (the model/vocab
 #: bundle) belongs to someone else. This is what ``reshard`` swaps and what
 #: ``publish`` ships. The manifest comes first: it is what says a store is
@@ -341,12 +343,7 @@ def _shared_arrays(tables: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]
     """One archive's members for ``tables`` (two or more, one layout): each
     member the row concatenation of theirs (stacked, for
     :data:`_TABLE_MEMBERS`), plus ``table_cols``, each table's column count."""
-    shared = {
-        key: (np.stack if key in _TABLE_MEMBERS else np.concatenate)(
-            [arrays[key] for arrays in tables]
-        )
-        for key in tables[0]
-    }
+    shared = concat_members(tables, _TABLE_MEMBERS)
     shared["table_cols"] = np.asarray(
         [len(arrays["ctypes"]) for arrays in tables], dtype=np.int64
     )
@@ -356,28 +353,11 @@ def _shared_arrays(tables: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]
 def _split_tables(arrays: dict[str, np.ndarray]) -> list[dict[str, np.ndarray]]:
     """Each table's members out of one archive's, by slot: the one reader
     rule is that an archive without ``table_cols`` holds one table."""
-    table_cols = arrays.get("table_cols")
+    arrays = dict(arrays)
+    table_cols = arrays.pop("table_cols", None)
     if table_cols is None:
         return [arrays]
-    col_ends = np.cumsum(table_cols)
-    col_bounds = list(zip((col_ends - table_cols).tolist(), col_ends.tolist()))
-    bounds = {}
-    for key, lengths in _RUN_MEMBERS.items():
-        if key in arrays:
-            run_ends = np.concatenate([[0], np.cumsum(arrays[lengths])])
-            starts, ends = run_ends[col_ends - table_cols], run_ends[col_ends]
-            bounds[key] = list(zip(starts.tolist(), ends.tolist()))
-    tables: list[dict[str, np.ndarray]] = []
-    for slot in range(len(table_cols)):
-        rows = {}
-        for key, member in arrays.items():
-            if key in _TABLE_MEMBERS:
-                rows[key] = member[slot]
-            elif key != "table_cols":
-                start, end = bounds.get(key, col_bounds)[slot]
-                rows[key] = member[start:end]
-        tables.append(rows)
-    return tables
+    return split_members(arrays, table_cols, _TABLE_MEMBERS)
 
 
 def _share(entry: dict, archive_bytes: int) -> int:
@@ -489,16 +469,18 @@ def _read_only(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 class LakeTableRecord:
     """Everything the lake persists for one table.
 
-    The sketch stays packed: ``members`` are the read-only arrays
-    :func:`~repro.lake.serialization.pack_table_sketch` makes of it (after
+    The sketch stays packed: ``members`` are read-only arrays in the
+    layout :func:`~repro.lake.serialization.pack_table_sketch` gives (after
     a warm open, views of the table's rows of the archive it was read
-    from; after an ingest, the arrays packed once, which the store writes
-    as they are; after an append, the arrays
+    from; after an ingest or an update, views of its rows of the
+    :class:`~repro.sketch.pipeline.SketchBatch` arrays the call sketched
+    to, which the store writes as they are; after an append, the arrays
     :func:`~repro.lake.serialization.merge_rows` merged) and
     ``sketch_meta`` its manifest metadata, shared with the manifest entry.
-    :attr:`sketch` builds the :class:`TableSketch` on read; the name,
-    columns and join rows are read off the members and meta, so serving,
-    ingest and appends never build one.
+    :attr:`sketch` builds the :class:`TableSketch` on read (only tests and
+    the benchmark's replay do); the name, columns and join rows are read
+    off the members and meta, so serving, ingest, appends and refreshes
+    never build one.
     """
 
     members: dict[str, np.ndarray]

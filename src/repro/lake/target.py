@@ -56,8 +56,12 @@ class ServiceTarget:
             n_tables=len(self.service.catalog),
         )
 
-    def remove_table(self, name: str) -> bool:
-        return self.service.remove_table(name)
+    def remove_table(self, name: str) -> dict | None:
+        """The ``DELETE /v1/tables/{name}`` answer, or ``None`` when the
+        lake holds no such table."""
+        if not self.service.remove_table(name):
+            return None
+        return answer(removed=name, n_tables=len(self.service.catalog))
 
     def refresh(self, names=None) -> dict:
         """Eagerly re-embed stale tables; the ``/v1/refresh`` answer."""
@@ -113,13 +117,12 @@ class ClientTarget:
     def update_table(self, table: Table) -> dict:
         return self.client.update_table(table)
 
-    def remove_table(self, name: str) -> bool:
+    def remove_table(self, name: str) -> dict | None:
         try:
-            self.client.remove_table(name)
-            return True
+            return self.client.remove_table(name)
         except DiscoveryError as exc:
             if exc.code == "not-found":
-                return False
+                return None
             raise
 
     def refresh(self, names=None) -> dict:

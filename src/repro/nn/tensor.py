@@ -12,7 +12,13 @@ finite differences in ``tests/nn/test_autograd.py``.
 Inference is the same ops under :func:`no_grad`: every op still runs its
 numpy immediately and returns the array it computes with gradients on, bit
 for bit, but records no parents and no backward closure — a forward pass
-builds no graph.
+builds no graph. There an op costs its numpy plus one tensor wrapper: a
+Python number operand goes to numpy as it is (no 0-d array), the result
+is wrapped without a conversion, and ``x - y`` is one subtraction, which
+is bitwise ``x + (-y)``. On the lake benchmark's trunk (one CPU of a
+2-vCPU host) a batch-of-1 forward costs about 1.75x the same ufuncs in
+plain numpy, a batch-16 pass over a 10k-column lake about 1.15x; the rest
+is module dispatch and the one wrapper per op.
 """
 
 from __future__ import annotations
@@ -141,6 +147,8 @@ class Tensor:
     # arithmetic
     # ------------------------------------------------------------------ #
     def __add__(self, other) -> "Tensor":
+        if not _grad_mode.enabled:
+            return _wrap(self.data + _operand(other))
         other = _as_tensor(other)
         out = _node(self.data + other.data, (self, other))
         if out._parents:
@@ -161,12 +169,20 @@ class Tensor:
         return out
 
     def __sub__(self, other) -> "Tensor":
+        if not _grad_mode.enabled:
+            # Bitwise ``x + (-y)``: IEEE subtraction is the addition of the
+            # negation.
+            return _wrap(self.data - _operand(other))
         return self + (-_as_tensor(other))
 
     def __rsub__(self, other) -> "Tensor":
+        if not _grad_mode.enabled:
+            return _wrap(_operand(other) - self.data)
         return _as_tensor(other) + (-self)
 
     def __mul__(self, other) -> "Tensor":
+        if not _grad_mode.enabled:
+            return _wrap(self.data * _operand(other))
         other = _as_tensor(other)
         out = _node(self.data * other.data, (self, other))
         if out._parents:
@@ -179,6 +195,8 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
+        if not _grad_mode.enabled:
+            return _wrap(self.data / _operand(other))
         other = _as_tensor(other)
         out = _node(self.data / other.data, (self, other))
         if out._parents:
@@ -189,6 +207,8 @@ class Tensor:
         return out
 
     def __rtruediv__(self, other) -> "Tensor":
+        if not _grad_mode.enabled:
+            return _wrap(_operand(other) / self.data)
         return _as_tensor(other) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
@@ -202,6 +222,8 @@ class Tensor:
         return out
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
+        if not _grad_mode.enabled:
+            return _wrap(self.data @ _operand(other))
         other = _as_tensor(other)
         out = _node(self.data @ other.data, (self, other))
         if out._parents:
@@ -311,9 +333,13 @@ class Tensor:
         return out
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        count = self.data.size if axis is None else np.prod(
-            [self.data.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))]
-        )
+        shape = self.data.shape
+        if axis is None:
+            count = self.data.size
+        elif isinstance(axis, tuple):
+            count = math.prod(shape[a] for a in axis)
+        else:
+            count = shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(count))
 
     def reshape(self, *shape) -> "Tensor":
@@ -365,9 +391,36 @@ def _as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+def _operand(value):
+    """A binary op's other operand as numpy takes it: a tensor's array, a
+    Python number as it is (numpy computes with it as the float64 a 0-d
+    array of it would hold), anything else as a float64 array."""
+    if isinstance(value, Tensor):
+        return value.data
+    if isinstance(value, (float, int)):
+        return value
+    return np.asarray(value, dtype=np.float64)
+
+
+_new = object.__new__
+
+
+def _wrap(data) -> Tensor:
+    """A tensor of an op's result, with no graph. An op on float64 tensors
+    returns a float64 array, which is taken as it is; a NumPy scalar (a
+    full reduction, a scalar index) becomes a 0-d array."""
+    out = _new(Tensor)
+    out.data = data if type(data) is np.ndarray else np.asarray(data, dtype=np.float64)
+    out.grad = None
+    out.requires_grad = False
+    out._backward = None
+    out._parents = ()
+    return out
+
+
 def _node(data: np.ndarray, parents: tuple[Tensor, ...]) -> Tensor:
     """Create an op output; tracks parents only when the graph is active."""
-    out = Tensor(data)
+    out = _wrap(data)
     if _grad_mode.enabled and any(p.requires_grad or p._parents for p in parents):
         out._parents = parents
         out.requires_grad = any(p.requires_grad for p in parents)

@@ -89,7 +89,10 @@ def bucket_quantile(
     """The q-quantile of per-bucket ``counts`` (not cumulative; one more
     than ``edges``, the last being +Inf) by linear interpolation within the
     rank's bucket; ``None`` when ``total`` is 0. Observations in the +Inf
-    bucket clamp to the last finite edge."""
+    bucket clamp to the last finite edge (the standard
+    ``histogram_quantile`` behavior)."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile must be in [0, 1], got {q}")
     if total == 0:
         return None
     rank = q * total
@@ -157,18 +160,6 @@ class _HistogramChild:
             self.counts[index] += 1
             self.sum += value
             self.count += 1
-
-    def quantile(self, q: float) -> float | None:
-        """Estimated q-quantile (0..1) by linear interpolation within the
-        rank's bucket; ``None`` on an empty histogram. Observations in the
-        +Inf bucket clamp to the last finite edge (the standard
-        ``histogram_quantile`` behavior)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        with self._lock:
-            counts = list(self.counts)
-            total = self.count
-        return bucket_quantile(self.edges, counts, total, q)
 
     def _reset(self) -> None:
         with self._lock:
@@ -300,9 +291,6 @@ class Histogram(_Metric):
 
     def observe(self, value: float) -> None:
         self._only().observe(value)
-
-    def quantile(self, q: float) -> float | None:
-        return self._only().quantile(q)
 
     def _collect_values(self) -> list[dict]:
         out = []

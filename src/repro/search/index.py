@@ -102,12 +102,17 @@ class KnnIndex:
 
     # ------------------------------------------------------------------ #
     def _reserve(self, extra: int) -> None:
-        """Grow the backing buffers (doubling) to fit ``extra`` more rows."""
+        """Grow the backing buffers (doubling) to fit ``extra`` more rows.
+
+        The capacity doubles until the rows fit, so it is the same whether
+        the rows arrive one table at a time or many tables in one write."""
         need = self._size + extra
         capacity = self._data.shape[0]
         if need <= capacity:
             return
-        new_capacity = max(need, max(_MIN_CAPACITY, 2 * capacity))
+        new_capacity = max(_MIN_CAPACITY, 2 * capacity)
+        while new_capacity < need:
+            new_capacity *= 2
         used = self._size
         for name in ("_data", "_terms", "_ids", "_sizes"):
             old = getattr(self, name)
@@ -140,7 +145,11 @@ class KnnIndex:
         """Bulk append of rows in no table: one reserve + one block copy
         for the whole batch."""
         items = list(items)
-        self._splice(self._size, self._size, items, *self._block(items, None, None))
+        keys = [key for key, _ in items]
+        self._splice(
+            self._size, self._size, keys,
+            *self._block(keys, [vector for _, vector in items], None, None),
+        )
 
     def write_block(
         self, name, items: Sequence[tuple[object, np.ndarray]],
@@ -159,28 +168,51 @@ class KnnIndex:
         rows = self.block_rows(name) or range(self._size, self._size)
         if not (rows or items):
             return 0
+        keys = [key for key, _ in items]
         # Checked before anything changes.
-        columns = self._block(items, signatures, sizes)
+        columns = self._block(keys, [vector for _, vector in items], signatures, sizes)
         if items:
             self._blocks[name] = (self._next_id, len(items))
         else:
             del self._blocks[name]
-        self._splice(rows.start, rows.stop, items, *columns)
+        self._splice(rows.start, rows.stop, keys, *columns)
         return len(rows)
 
+    def append_blocks(
+        self, blocks: Sequence[tuple[object, int]], keys: list,
+        vectors: np.ndarray, signatures: np.ndarray | None = None,
+        sizes: np.ndarray | None = None,
+    ) -> None:
+        """Append new tables' blocks in one write: table ``name`` of
+        ``blocks``' ``(name, width)`` pairs takes the next ``width`` of
+        ``keys`` and of the rows of ``vectors`` (``(len(keys), dim)``),
+        ``signatures`` and ``sizes``, in order, at the end. No table may
+        have rows yet; a table of width 0 gets none."""
+        names = [name for name, _ in blocks]
+        if len(set(names)) != len(names) or any(n in self._blocks for n in names):
+            raise ValueError("append_blocks writes new tables only, each once")
+        columns = self._block(keys, vectors, signatures, sizes)
+        first = self._next_id
+        for name, width in blocks:
+            if width:
+                self._blocks[name] = (first, width)
+                first += width
+        self._splice(self._size, self._size, keys, *columns)
+
     def _splice(
-        self, at: int, stop: int, items: list, block: np.ndarray,
+        self, at: int, stop: int, keys: list, block: np.ndarray,
         signatures: np.ndarray, sizes: np.ndarray,
     ) -> None:
-        """Put the checked new rows in place of rows ``[at, stop)`` under
-        the next ids. The rows after ``stop`` move by the width change as
-        one slice, so a same-width write moves no other row."""
+        """Put the checked new rows (``keys`` and their columns) in place
+        of rows ``[at, stop)`` under the next ids. The rows after ``stop``
+        move by the width change as one slice, so a same-width write moves
+        no other row."""
         size = self._size
-        end = at + len(items)
+        end = at + len(keys)
         shift = end - stop
         self._id_rows[self._ids[at:stop]] = -1
-        ids = np.arange(self._next_id, self._next_id + len(items))
-        self._next_id += len(items)
+        ids = np.arange(self._next_id, self._next_id + len(keys))
+        self._next_id += len(keys)
         self._reserve(max(shift, 0))
         if shift:
             # Through flat views: numpy moves an overlapping 1-D slice in
@@ -195,7 +227,7 @@ class KnnIndex:
         ):
             column[at:end] = rows
         self._signatures[:, at:end] = signatures.T
-        self._keys[at:stop] = [key for key, _ in items]
+        self._keys[at:stop] = keys
         self._size = size + shift
         due = self._next_id > len(self._id_rows)  # out of ids: renumber
         if due:
@@ -225,12 +257,13 @@ class KnnIndex:
         self._id_rows[:n] = rows
 
     def _block(
-        self, items: list, signatures: np.ndarray | None, sizes: np.ndarray | None
+        self, keys: list, vectors, signatures: np.ndarray | None,
+        sizes: np.ndarray | None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``items``' vectors as one checked ``(len(items), dim)`` block,
-        beside their checked ``(len(items), num_perm)`` signatures and
-        sizes."""
-        m = len(items)
+        """``vectors`` (a list of rows or an array) as one checked
+        ``(len(keys), dim)`` block, beside their checked
+        ``(len(keys), num_perm)`` signatures and sizes."""
+        m = len(keys)
         if signatures is None and not (m and self.num_perm):  # none to carry
             signatures, sizes = np.zeros((m, self.num_perm)), np.zeros(m)
         signatures = np.asarray(signatures, dtype=np.uint64)
@@ -240,16 +273,16 @@ class KnnIndex:
                 f"expected {m} rows of {self.num_perm} signature slots and "
                 f"{m} sizes, got {np.shape(signatures)} and {np.shape(sizes)}"
             )
-        if not items:
+        if not m:
             return np.zeros((0, self.dim), dtype=np.float64), signatures, sizes
-        vectors = [vector for _, vector in items]
         try:
-            block = np.array(vectors, dtype=np.float64)
+            block = np.asarray(vectors, dtype=np.float64)
         except ValueError:  # ragged rows; the loop below names the bad one
             block = None
-        if block is None or block.shape != (len(items), self.dim):
+        if block is None or block.shape != (m, self.dim):
             for vector in vectors:
                 self._check(vector)
+            raise ValueError(f"expected {m} vectors of dim {self.dim}")
         return block, signatures, sizes
 
     # ------------------------------------------------------------------ #

@@ -135,6 +135,23 @@ class TableSearcher:
         )
         self.insertions += len(column_names)
 
+    def add_tables(
+        self, tables: Sequence[tuple[str, list[str]]], vectors: np.ndarray,
+        signatures: np.ndarray | None = None, sizes: np.ndarray | None = None,
+    ) -> None:
+        """Index new tables' columns in one block write
+        (:meth:`~repro.search.index.KnnIndex.append_blocks`): ``tables``
+        are ``(table, column_names)`` pairs, none indexed yet, and
+        ``vectors`` / ``signatures`` / ``sizes`` hold their columns' rows
+        in that order. The rows stand as :meth:`add_table` of each table in
+        turn leaves them."""
+        keys = [ColumnEntry(table, name) for table, names in tables for name in names]
+        self.index.append_blocks(
+            [(table, len(names)) for table, names in tables],
+            keys, vectors, signatures, sizes,
+        )
+        self.insertions += len(keys)
+
     def remove_table(self, table: str) -> int:
         """Drop every indexed column of ``table``; returns columns removed.
 

@@ -12,7 +12,8 @@ the index structures its baselines need:
   over the first 10 000 rows serialized as strings (§III-A).
 - :mod:`repro.sketch.pipeline` — assembles all sketches for a table into a
   :class:`~repro.sketch.pipeline.TableSketch`, the model's raw input;
-  ``sketch_corpus`` is the one (batched, hash-once) sketch path, and
+  ``sketch_batch`` is the one (batched, hash-once) sketch path, to the
+  batch arrays a lake stores (``sketch_corpus`` is its objects), and
   ``value_signatures`` signs a table with only what join and subset read.
 - :mod:`repro.sketch.lsh` — LSH Forest over MinHash (the LSH-Forest join
   baseline).
@@ -34,8 +35,10 @@ from repro.sketch.content import content_snapshot
 from repro.sketch.interactions import INTERACTION_DIM, interaction_features
 from repro.sketch.pipeline import (
     ColumnSketch,
+    SketchBatch,
     SketchConfig,
     TableSketch,
+    sketch_batch,
     sketch_corpus,
     sketch_table,
     value_signatures,
@@ -55,8 +58,10 @@ __all__ = [
     "numerical_sketch",
     "content_snapshot",
     "ColumnSketch",
+    "SketchBatch",
     "SketchConfig",
     "TableSketch",
+    "sketch_batch",
     "sketch_corpus",
     "sketch_table",
     "value_signatures",

@@ -25,7 +25,7 @@ from repro.utils.rng import spawn_rng
 DEFAULT_NUM_PERM = 128
 
 #: Sentinel for the empty set (no hash can reach it in practice).
-_EMPTY_SLOT = np.uint64(0xFFFFFFFFFFFFFFFF)
+EMPTY_SLOT = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 #: Largest (k, n) hash matrix ``signatures`` materializes at once, in
 #: elements (2 MB of uint64); wider inputs are hashed a few permutations at
@@ -50,7 +50,7 @@ class MinHash:
         return estimate_jaccard(self, other)
 
     def is_empty(self) -> bool:
-        return bool(np.all(self.signature == _EMPTY_SLOT))
+        return bool(np.all(self.signature == EMPTY_SLOT))
 
     def merge(self, other: "MinHash") -> "MinHash":
         """Signature of the *union* of the two underlying sets — exact.
@@ -104,7 +104,7 @@ class MinHasher:
             raise ValueError(
                 f"set sizes sum to {int(sizes.sum())}, got {raw.size} hashes"
             )
-        out = np.full((len(sizes), self.num_perm), _EMPTY_SLOT, dtype=np.uint64)
+        out = np.full((len(sizes), self.num_perm), EMPTY_SLOT, dtype=np.uint64)
         filled = np.flatnonzero(sizes)
         if not filled.size:
             return out

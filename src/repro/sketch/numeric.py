@@ -45,13 +45,16 @@ anywhere — identical inputs always produce identical bytes.
 Featurization is **array-at-a-time**. :func:`numerical_profiles` sketches
 every column of a batch at once: one :func:`_mix64` over all value hashes,
 and one :func:`sorted_percentiles` call over all numeric columns. It is two
-halves, :func:`numeric_accumulators` and :func:`numeric_sketches`; an
-append's delta runs only the first.
-:func:`numeric_inputs` maps a batch of sketches to model-input rows in one
-pass. A merge's sketches come from its accumulators in one
-:func:`numeric_sketches` call. ``numerical_profile``,
-``NumericalSketch.to_vector`` and ``NumericAccumulator.to_sketch`` are
-one-row calls of these batch forms. :func:`sorted_percentiles` is
+halves, :func:`numeric_accumulators` and :func:`numeric_stats` (the raw
+statistics rows a lake stores; :func:`numeric_sketches` is their objects);
+an append's delta runs only the first. :func:`pack_accumulators` and
+:func:`unpack_accumulators` convert a batch's accumulators to and from the
+``acc_*`` arrays a lake stores. :func:`stats_inputs` maps raw statistics
+rows to model-input rows in one pass, and :func:`numeric_inputs` does the
+same for sketch objects (:func:`stats_rows`). A merge's statistics come
+from its accumulators in one :func:`numeric_stats` call.
+``numerical_profile``, ``NumericalSketch.to_vector`` and
+``NumericAccumulator.to_sketch`` are one-row calls of these batch forms. :func:`sorted_percentiles` is
 bit-identical to ``np.percentile`` on each sorted column: it reads numpy's
 linear rule off the sorted array instead of partitioning a copy of every
 column. Means and standard deviations run the same ufunc sequence as
@@ -62,6 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -123,22 +127,33 @@ class NumericalSketch:
     min_value: float
     max_value: float
 
+    @classmethod
+    def from_row(cls, row: Sequence[float]) -> "NumericalSketch":
+        """The sketch of one raw statistics row (:func:`stats_rows`'s
+        order), given as Python floats."""
+        n_pct = len(_PERCENTILES)
+        return cls(
+            unique_fraction=row[0],
+            nan_fraction=row[1],
+            avg_cell_width=row[2],
+            percentiles=tuple(row[3 : 3 + n_pct]),
+            mean=row[3 + n_pct],
+            std=row[4 + n_pct],
+            min_value=row[5 + n_pct],
+            max_value=row[6 + n_pct],
+        )
+
     def to_vector(self) -> np.ndarray:
         """Normalized ``float64[NUMERICAL_SKETCH_DIM]`` vector for the model:
         ``numeric_inputs([self])[0]``."""
         return numeric_inputs([self])[0]
 
 
-def numeric_inputs(sketches: Sequence[NumericalSketch]) -> np.ndarray:
-    """Model-input rows of many sketches, ``float64[n, NUMERICAL_SKETCH_DIM]``.
-
-    Fractions pass through unchanged; magnitude statistics are squashed
-    with ``arcsinh`` (sign-preserving log-like compression) so that
-    timestamps and small counts coexist on a comparable scale. Element
-    ``j`` of row ``i`` is ``float(np.arcsinh(x) * _ASINH_SCALE)`` of that
-    raw statistic, as it would be one scalar at a time.
-    """
-    raw = np.array(
+def stats_rows(sketches: Sequence[NumericalSketch]) -> np.ndarray:
+    """The raw statistics of many sketches, ``float64[n, NUMERICAL_SKETCH_DIM]``:
+    unique and NaN fractions, cell width, the percentiles, mean, std, min
+    and max — the ``numeric_stats`` row a lake stores per column."""
+    return np.array(
         [
             (
                 s.unique_fraction,
@@ -154,9 +169,26 @@ def numeric_inputs(sketches: Sequence[NumericalSketch]) -> np.ndarray:
         ],
         dtype=np.float64,
     ).reshape(len(sketches), NUMERICAL_SKETCH_DIM)
+
+
+def stats_inputs(raw: np.ndarray) -> np.ndarray:
+    """Model-input rows of raw statistics rows (:func:`stats_rows`' form).
+
+    Fractions pass through unchanged; magnitude statistics are squashed
+    with ``arcsinh`` (sign-preserving log-like compression) so that
+    timestamps and small counts coexist on a comparable scale. Element
+    ``j`` of row ``i`` is ``float(np.arcsinh(x) * _ASINH_SCALE)`` of that
+    raw statistic, as it would be one scalar at a time.
+    """
     rows = np.arcsinh(raw) * _ASINH_SCALE
     rows[:, :2] = raw[:, :2]
     return rows
+
+
+def numeric_inputs(sketches: Sequence[NumericalSketch]) -> np.ndarray:
+    """Model-input rows of many sketches, ``float64[n, NUMERICAL_SKETCH_DIM]``:
+    :func:`stats_inputs` of their :func:`stats_rows`."""
+    return stats_inputs(stats_rows(sketches))
 
 
 def sorted_percentiles(flat: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
@@ -343,26 +375,87 @@ class NumericAccumulator:
         :func:`numeric_sketches` call on the sample."""
         return numeric_sketches([self])[0]
 
-    def _sketch(
-        self, percentiles: Sequence[float], mean: float, std: float
-    ) -> NumericalSketch:
-        """The paper sketch of this state with the given distribution
-        statistics (all zero for a column with no numeric value)."""
-        n_rows = self.n_rows
-        if self.is_numeric or not self.n_nonnull:
-            avg_width = 0.0
-        else:
-            avg_width = self.width_sum / self.n_nonnull
-        return NumericalSketch(
-            unique_fraction=(self.n_distinct / n_rows) if n_rows else 0.0,
-            nan_fraction=1.0 - (self.n_nonnull / n_rows) if n_rows else 0.0,
-            avg_cell_width=avg_width,
-            percentiles=tuple(percentiles),
-            mean=mean,
-            std=std,
-            min_value=self.min_value if self.n_numeric else 0.0,
-            max_value=self.max_value if self.n_numeric else 0.0,
+
+#: Per-column scalar row of the packed accumulators (``acc_scalars``):
+#: n_rows, n_nonnull, width_sum, is_numeric, n_numeric, total, total_sq,
+#: min_value, max_value, sample_exact, n_distinct, distinct_exact. Counts
+#: and flags ride float64 losslessly (all are integers far below 2**53).
+ACC_SCALAR_DIM = 12
+
+
+def pack_accumulators(accs: Sequence[NumericAccumulator]) -> dict[str, np.ndarray]:
+    """Many columns' accumulators as the ``acc_*`` arrays a lake stores:
+    ``acc_scalars`` (a row per column), and each column's ``sample`` and
+    ``distinct`` runs concatenated, with their lengths."""
+    scalars = np.asarray(
+        [
+            [
+                a.n_rows,
+                a.n_nonnull,
+                a.width_sum,
+                float(a.is_numeric),
+                a.n_numeric,
+                a.total,
+                a.total_sq,
+                a.min_value,
+                a.max_value,
+                float(a.sample_exact),
+                a.n_distinct,
+                float(a.distinct_exact),
+            ]
+            for a in accs
+        ],
+        dtype=np.float64,
+    ).reshape(len(accs), ACC_SCALAR_DIM)
+    return {
+        "acc_scalars": scalars,
+        "acc_sample": np.concatenate([a.sample for a in accs])
+        if accs
+        else np.zeros(0, dtype=np.float64),
+        "acc_sample_len": np.asarray([len(a.sample) for a in accs], dtype=np.int64),
+        "acc_distinct": np.concatenate([a.distinct for a in accs])
+        if accs
+        else np.zeros(0, dtype=np.uint64),
+        "acc_distinct_len": np.asarray(
+            [len(a.distinct) for a in accs], dtype=np.int64
+        ),
+    }
+
+
+def unpack_accumulators(arrays: dict[str, np.ndarray]) -> list[NumericAccumulator]:
+    """Every column's accumulator out of :func:`pack_accumulators` arrays.
+    Each array member is converted once: the scalars to Python numbers, the
+    runs copied out in one block per member that the columns' ``sample`` /
+    ``distinct`` slice."""
+    sample = np.array(arrays["acc_sample"], dtype=np.float64)
+    distinct = np.array(arrays["acc_distinct"], dtype=np.uint64)
+    sample_ends = list(accumulate(arrays["acc_sample_len"].tolist()))
+    distinct_ends = list(accumulate(arrays["acc_distinct_len"].tolist()))
+    return [
+        NumericAccumulator(
+            n_rows=int(row[0]),
+            n_nonnull=int(row[1]),
+            width_sum=int(row[2]),
+            is_numeric=bool(row[3]),
+            n_numeric=int(row[4]),
+            total=row[5],
+            total_sq=row[6],
+            min_value=row[7],
+            max_value=row[8],
+            sample=sample[s0:s1],
+            sample_exact=bool(row[9]),
+            n_distinct=int(row[10]),
+            distinct=distinct[d0:d1],
+            distinct_exact=bool(row[11]),
         )
+        for row, s0, s1, d0, d1 in zip(
+            np.asarray(arrays["acc_scalars"], dtype=np.float64).tolist(),
+            [0, *sample_ends],
+            sample_ends,
+            [0, *distinct_ends],
+            distinct_ends,
+        )
+    ]
 
 
 def numeric_accumulators(
@@ -441,39 +534,74 @@ def numeric_accumulators(
     return accumulators, samples
 
 
-def numeric_sketches(
+def numeric_stats(
     accumulators: Sequence[NumericAccumulator],
     numbers: Sequence[np.ndarray] | None = None,
-) -> list[NumericalSketch]:
-    """The sketch half of :func:`numerical_profiles`: each column's sketch
-    from its accumulator's counts and moments and a sorted run of its
-    numeric values, with one :func:`sorted_percentiles` call and one
-    :func:`_stds` pass over every numeric column of the batch.
+    scalars: np.ndarray | None = None,
+) -> np.ndarray:
+    """The sketch half of :func:`numerical_profiles`, as raw statistics
+    rows (:func:`stats_rows`' form, ``float64[n, NUMERICAL_SKETCH_DIM]``):
+    each column's from its accumulator's counts and moments and a sorted
+    run of its numeric values, with one :func:`sorted_percentiles` call and
+    one :func:`_stds` pass over every numeric column of the batch, and the
+    counts read off the accumulators' scalar rows in array steps
+    (``scalars``: their ``acc_scalars``, when the caller packed them
+    already).
 
     The cold path passes ``numbers``, each column's full sorted numeric
     values (never the compressed sample, so a cold sketch stays exact
     whatever the caps). Without them each accumulator's sample is read (a
     merge's sketches): an exact sample gives the statistics the cold path
     would, bit for bit; a compressed one gives the percentiles, and mean
-    and std come off the exact moments.
+    and std come off the exact moments. A column with no numeric value has
+    zero distribution statistics.
     """
+    if scalars is None:
+        scalars = pack_accumulators(accumulators)["acc_scalars"]
+    n_rows, n_nonnull, width_sum, is_numeric, n_numeric = scalars[:, :5].T
+    n_distinct = scalars[:, 10]
+    stats = np.zeros((len(accumulators), NUMERICAL_SKETCH_DIM), dtype=np.float64)
+    has_rows = n_rows != 0
+    np.divide(n_distinct, n_rows, out=stats[:, 0], where=has_rows)
+    nonnull = np.divide(n_nonnull, n_rows, out=np.zeros_like(n_rows), where=has_rows)
+    stats[:, 1] = np.where(has_rows, 1.0 - nonnull, 0.0)
+    texts = (is_numeric == 0) & (n_nonnull != 0)
+    np.divide(width_sum, n_nonnull, out=stats[:, 2], where=texts)
+    has_numbers = n_numeric != 0
+    stats[:, -2] = np.where(has_numbers, scalars[:, 7], 0.0)
+    stats[:, -1] = np.where(has_numbers, scalars[:, 8], 0.0)
+
     runs = [acc.sample for acc in accumulators] if numbers is None else numbers
     numeric = [i for i, run in enumerate(runs) if run.size]
-    stats = {}
     if numeric:
         flat = np.concatenate([runs[i] for i in numeric])
         sizes = [runs[i].size for i in numeric]
         means = [float(np.add.reduce(runs[i])) / runs[i].size for i in numeric]
-        percentiles = sorted_percentiles(flat, sizes).tolist()
-        stats = dict(zip(numeric, zip(percentiles, means, _stds(flat, sizes, means))))
-    sketches = []
-    for i, acc in enumerate(accumulators):
-        percentiles, mean, std = stats.get(i, ([0.0] * len(_PERCENTILES), 0.0, 0.0))
-        if numbers is None and acc.n_numeric and not acc.sample_exact:
+        n_pct = len(_PERCENTILES)
+        stats[numeric, 3 : 3 + n_pct] = sorted_percentiles(flat, sizes)
+        stats[numeric, 3 + n_pct] = means
+        stats[numeric, 4 + n_pct] = _stds(flat, sizes, means)
+    if numbers is None:
+        for i in np.flatnonzero(has_numbers & (scalars[:, 9] == 0)).tolist():
+            acc = accumulators[i]
             mean = acc.total / acc.n_numeric
-            std = float(np.sqrt(max(0.0, acc.total_sq / acc.n_numeric - mean * mean)))
-        sketches.append(acc._sketch(percentiles, mean, std))
-    return sketches
+            stats[i, -4] = mean
+            stats[i, -3] = float(
+                np.sqrt(max(0.0, acc.total_sq / acc.n_numeric - mean * mean))
+            )
+    return stats
+
+
+def numeric_sketches(
+    accumulators: Sequence[NumericAccumulator],
+    numbers: Sequence[np.ndarray] | None = None,
+) -> list[NumericalSketch]:
+    """Each column's :class:`NumericalSketch`: the rows of
+    :func:`numeric_stats` as sketch objects."""
+    return [
+        NumericalSketch.from_row(row)
+        for row in numeric_stats(accumulators, numbers).tolist()
+    ]
 
 
 def numerical_profiles(

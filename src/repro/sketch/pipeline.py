@@ -14,7 +14,7 @@ forms of these: :func:`repro.sketch.minhash.slot_features` of every
 signature and :func:`repro.sketch.numeric.numeric_inputs` of every
 numerical sketch, each mapped a batch of tables at a time.
 
-Sketching is **batch-first and hash-once**: :func:`sketch_corpus` is the one
+Sketching is **batch-first and hash-once**: :func:`sketch_batch` is the one
 sketch path (``sketch_table(t)`` is ``sketch_corpus([t])[0]``). A batch
 collects every set that gets a signature — each column's distinct values and
 words, each table's row strings — hashes each distinct string of the batch
@@ -22,17 +22,20 @@ once, and reads all signatures off one permutation pass. The batch's
 numeric state comes from one
 :func:`~repro.sketch.numeric.numeric_accumulators` call, which reads every
 column's value hashes as one run of that hash array, and its numerical
-sketches from one :func:`~repro.sketch.numeric.numeric_sketches` call. A
+statistics from one :func:`~repro.sketch.numeric.numeric_stats` call. A
 set's signature and a column's numerical sketch are functions of the set
 and the column alone, so batched sketches are bit-identical to per-table
 ones at any batch composition.
 
 That batch step is :func:`sketch_arrays`: signature rows and accumulators,
-no sketch object. :func:`sketch_corpus` wraps its output in
-:class:`TableSketch` objects; an append runs it on the delta's rows alone
-(:func:`sketch_rows`), under the stored column types, and merges the
-arrays into the stored record
-(:func:`repro.lake.serialization.merge_rows`).
+no sketch object. :func:`sketch_batch` packs each pass straight to the
+member arrays a lake stores and returns them as one :class:`SketchBatch`,
+the form a new table travels in to the lake's records, the input encoder
+and the column table; :func:`sketch_corpus` is its objects
+(:meth:`SketchBatch.sketches`), for the paper paths. An append runs
+:func:`sketch_arrays` on the delta's rows alone (:func:`sketch_rows`),
+under the stored column types, and merges the arrays into the stored
+record (:func:`repro.lake.serialization.merge_rows`).
 
 Join and subset read only one part of a sketch: each column's values
 signature and distinct non-null count (:class:`JoinRows`).
@@ -45,6 +48,7 @@ helper and sign them through the same hash-once pass.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -57,7 +61,10 @@ from repro.sketch.numeric import (
     NumericAccumulator,
     NumericalSketch,
     numeric_accumulators,
-    numeric_sketches,
+    numeric_stats,
+    pack_accumulators,
+    stats_rows,
+    unpack_accumulators,
 )
 from repro.table.schema import Column, ColumnType, Table, cells_by_column, is_null
 from repro.utils.hashing import hash_strings
@@ -287,33 +294,215 @@ def sketch_arrays(
     )
 
 
-def _sketch_batch(
-    columns: Sequence[Column], row_sets: Sequence[set[str]], hasher: MinHasher
-) -> tuple[list[ColumnSketch], list[MinHash]]:
-    """Column sketches for ``columns`` and one snapshot per set of rows:
-    :func:`sketch_arrays` of the batch, with each column's cold numerical
-    sketch (:func:`~repro.sketch.numeric.numeric_sketches`)."""
-    ctypes = [column.inferred_type for column in columns]
-    arrays = sketch_arrays(
-        [column.values for column in columns], ctypes, row_sets, hasher
-    )
-    numerics = numeric_sketches(arrays.accumulators, arrays.numbers)
-    column_sketches = [
-        ColumnSketch(
-            name=column.name,
-            ctype=ctype,
-            values_minhash=MinHash(values),
-            words_minhash=MinHash(words),
-            numeric=numeric,
-            n_values=acc.n_distinct,
-            numeric_acc=acc,
+#: Packed members with one row per table; a batch stacks them. Every other
+#: member has a row per column, or (:data:`RUN_MEMBERS`) a run per column.
+TABLE_MEMBERS = ("snapshot_sig",)
+#: Members holding each column's run of values, by the member of per-column
+#: run lengths that delimits them.
+RUN_MEMBERS = {"acc_sample": "acc_sample_len", "acc_distinct": "acc_distinct_len"}
+
+
+def concat_members(
+    tables: Sequence[dict[str, np.ndarray]], table_members: Sequence[str] = TABLE_MEMBERS
+) -> dict[str, np.ndarray]:
+    """Many tables' members as one set of batch arrays: each member the row
+    concatenation of theirs, stacked for ``table_members``. Only the
+    members every table has are kept, in the first table's order."""
+    keys = [key for key in tables[0] if all(key in arrays for arrays in tables)]
+    return {
+        key: (np.stack if key in table_members else np.concatenate)(
+            [arrays[key] for arrays in tables]
         )
-        for column, ctype, values, words, numeric, acc in zip(
-            columns, ctypes, arrays.values, arrays.words, numerics,
-            arrays.accumulators,
+        for key in keys
+    }
+
+
+def split_members(
+    members: dict[str, np.ndarray],
+    widths: Sequence[int],
+    table_members: Sequence[str] = TABLE_MEMBERS,
+) -> list[dict[str, np.ndarray]]:
+    """Each table's members out of batch arrays, table ``t`` owning
+    ``widths[t]`` columns: views of its rows (of its row, for
+    ``table_members``), and of its columns' runs for :data:`RUN_MEMBERS`.
+    The inverse of :func:`concat_members`."""
+    widths = np.asarray(widths, dtype=np.int64)
+    col_ends = np.cumsum(widths)
+    col_starts = col_ends - widths
+    col_bounds = list(zip(col_starts.tolist(), col_ends.tolist()))
+    bounds = {}
+    for key, lengths in RUN_MEMBERS.items():
+        if key in members:
+            run_ends = np.concatenate([[0], np.cumsum(members[lengths])])
+            bounds[key] = list(
+                zip(run_ends[col_starts].tolist(), run_ends[col_ends].tolist())
+            )
+    tables: list[dict[str, np.ndarray]] = []
+    for slot in range(len(col_bounds)):
+        rows = {}
+        for key, member in members.items():
+            if key in table_members:
+                rows[key] = member[slot]
+            else:
+                start, end = bounds.get(key, col_bounds)[slot]
+                rows[key] = member[start:end]
+        tables.append(rows)
+    return tables
+
+
+class SketchBatch(NamedTuple):
+    """Tables' sketches as batch arrays: the form a new table travels in
+    from the hash pass to the lake's records, the input encoder and the
+    column table, with no sketch object built.
+
+    ``members`` are every table's packed members row-concatenated, in
+    archive order: ``snapshot_sig`` (a row per table), then a row per
+    column of ``values_sig`` / ``words_sig`` (``uint64[., num_perm]``),
+    ``numeric_stats`` (:func:`~repro.sketch.numeric.stats_rows`' raw
+    rows), ``n_values`` and ``ctypes``, and the ``acc_*`` arrays of
+    :func:`~repro.sketch.numeric.pack_accumulators` (left out when a
+    table has no mergeable state). Table ``t`` is ``names[t]``, described
+    by ``descriptions[t]``, with the columns ``columns[t]``.
+    :meth:`table_members` cuts each table's rows out as views, the form a
+    lake record holds; :meth:`sketches` builds the objects.
+    """
+
+    config: SketchConfig
+    names: list[str]
+    descriptions: list[str]
+    columns: list[list[str]]
+    members: dict[str, np.ndarray]
+
+    @property
+    def widths(self) -> list[int]:
+        """Each table's column count."""
+        return [len(columns) for columns in self.columns]
+
+    def metas(self) -> list[dict]:
+        """Each table's JSON-safe metadata, which a lake's manifest keeps
+        beside its members: name, description, columns and sketch config."""
+        config = dataclasses.asdict(self.config)
+        return [
+            {
+                "table_name": name,
+                "description": description,
+                "columns": columns,
+                "sketch_config": dict(config),
+            }
+            for name, description, columns in zip(
+                self.names, self.descriptions, self.columns
+            )
+        ]
+
+    def table_members(self) -> list[dict[str, np.ndarray]]:
+        """Each table's members as read-only views of the batch arrays
+        (:func:`split_members`), which this marks read-only."""
+        for array in self.members.values():
+            array.flags.writeable = False
+        return split_members(self.members, self.widths)
+
+    @classmethod
+    def of_tables(
+        cls,
+        config: SketchConfig,
+        metas: Sequence[tuple[str, str, list[str]]],
+        tables: Sequence[dict[str, np.ndarray]],
+    ) -> "SketchBatch":
+        """One batch of tables given as ``(name, description, columns)``
+        and their packed members, gathered with :func:`concat_members`
+        (a table's ``snapshot_sig`` is its one row)."""
+        names, descriptions, columns = (list(part) for part in zip(*metas))
+        return cls(config, names, descriptions, columns, concat_members(tables))
+
+    @classmethod
+    def of_sketches(
+        cls, sketches: Sequence["TableSketch"], config: SketchConfig | None = None
+    ) -> "SketchBatch":
+        """The arrays of sketch objects, gathered member by member (the
+        ``acc_*`` arrays only if every column has its accumulator)."""
+        if config is None:
+            config = sketches[0].config if sketches else SketchConfig()
+        columns = [column for sketch in sketches for column in sketch.column_sketches]
+
+        def signatures(rows: list[np.ndarray]) -> np.ndarray:
+            return (
+                np.stack(rows).astype(np.uint64, copy=False)
+                if rows
+                else np.zeros((0, config.num_perm), dtype=np.uint64)
+            )
+
+        members = {
+            "snapshot_sig": signatures([s.snapshot.signature for s in sketches]),
+            "values_sig": signatures([c.values_minhash.signature for c in columns]),
+            "words_sig": signatures([c.words_minhash.signature for c in columns]),
+            "numeric_stats": stats_rows([c.numeric for c in columns]),
+            "n_values": np.asarray([c.n_values for c in columns], dtype=np.int64),
+            "ctypes": np.asarray([int(c.ctype) for c in columns], dtype=np.int64),
+        }
+        accs = [c.numeric_acc for c in columns]
+        # Legacy sketch state (a pre-live-tables archive round-tripping
+        # through an update path) has no accumulators: leave the arrays out
+        # rather than invent approximate ones; appends to it are refused.
+        if all(acc is not None for acc in accs):
+            members.update(pack_accumulators(accs))
+        return cls(
+            config,
+            [s.table_name for s in sketches],
+            [s.description for s in sketches],
+            [s.column_names for s in sketches],
+            members,
         )
-    ]
-    return column_sketches, [MinHash(row) for row in arrays.snapshots]
+
+    def sketches(self) -> list["TableSketch"]:
+        """The batch as sketch objects. Each owns its arrays: a signature
+        member is copied out once for the batch, the numeric members are
+        read as Python numbers in one conversion each, so the members may
+        be read-only views."""
+        members = self.members
+        values = np.array(members["values_sig"], dtype=np.uint64)
+        words = np.array(members["words_sig"], dtype=np.uint64)
+        snapshots = np.array(members["snapshot_sig"], dtype=np.uint64)
+        stats = np.asarray(members["numeric_stats"], dtype=np.float64).tolist()
+        n_columns = len(stats)
+        # Accumulators are absent in pre-live-tables archives.
+        accs = (
+            unpack_accumulators(members)
+            if "acc_scalars" in members
+            else [None] * n_columns
+        )
+        column_sketches = [
+            ColumnSketch(
+                name=name,
+                ctype=ColumnType(ctype),
+                values_minhash=MinHash(values_sig),
+                words_minhash=MinHash(words_sig),
+                numeric=NumericalSketch.from_row(row),
+                n_values=n_values,
+                numeric_acc=acc,
+            )
+            for name, ctype, values_sig, words_sig, row, n_values, acc in zip(
+                chain.from_iterable(self.columns),
+                members["ctypes"].tolist(),
+                values,
+                words,
+                stats,
+                members["n_values"].tolist(),
+                accs,
+            )
+        ]
+        remaining = iter(column_sketches)
+        return [
+            TableSketch(
+                table_name=name,
+                description=description,
+                column_sketches=list(islice(remaining, len(columns))),
+                snapshot=MinHash(snapshot),
+                config=self.config,
+            )
+            for name, description, columns, snapshot in zip(
+                self.names, self.descriptions, self.columns, snapshots
+            )
+        ]
 
 
 def _cell_bounded(tables: Iterable[Table]) -> Iterator[list[Table]]:
@@ -340,37 +529,70 @@ def _configured(
     return config, hasher
 
 
+def _packed(
+    columns: Sequence[Column], row_sets: Sequence[set[str]], hasher: MinHasher
+) -> dict[str, np.ndarray]:
+    """The packed members of one hash pass: :func:`sketch_arrays` of the
+    columns and row sets, each column's cold numerical statistics
+    (:func:`~repro.sketch.numeric.numeric_stats`) and its packed
+    accumulator."""
+    ctypes = [column.inferred_type for column in columns]
+    arrays = sketch_arrays(
+        [column.values for column in columns], ctypes, row_sets, hasher
+    )
+    accs = pack_accumulators(arrays.accumulators)
+    return {
+        "snapshot_sig": arrays.snapshots,
+        "values_sig": arrays.values,
+        "words_sig": arrays.words,
+        "numeric_stats": numeric_stats(
+            arrays.accumulators, arrays.numbers, accs["acc_scalars"]
+        ),
+        "n_values": accs["acc_scalars"][:, 10].astype(np.int64),
+        "ctypes": np.asarray(ctypes, dtype=np.int64),
+        **accs,
+    }
+
+
+def sketch_batch(
+    tables: Iterable[Table],
+    config: SketchConfig | None = None,
+    hasher: MinHasher | None = None,
+) -> SketchBatch:
+    """The :class:`SketchBatch` of every table, in order: the sketch path.
+
+    Tables are hashed a bounded number of cells at a time
+    (:func:`sketch_arrays`), each pass packed straight to member arrays,
+    and the passes' arrays concatenated. Bit-identical to sketching each
+    table on its own, whatever the batch: ingest, the query path and the
+    paper's sketches all come through here. Passing a pre-built ``hasher``
+    avoids recreating the hash family per call.
+    """
+    config, hasher = _configured(config, hasher)
+    metas: list[tuple[str, str, list[str]]] = []
+    passes = []
+    for batch in _cell_bounded(tables):
+        metas += [(t.name, t.description, t.header) for t in batch]
+        passes.append(_packed(
+            [column for table in batch for column in table.columns],
+            [set(row_strings(table, config.snapshot_rows)) for table in batch],
+            hasher,
+        ))
+    if not passes:
+        return SketchBatch.of_sketches([], config)
+    members = passes[0] if len(passes) == 1 else concat_members(passes, ())
+    names, descriptions, columns = (list(part) for part in zip(*metas))
+    return SketchBatch(config, names, descriptions, columns, members)
+
+
 def sketch_corpus(
     tables: Iterable[Table],
     config: SketchConfig | None = None,
     hasher: MinHasher | None = None,
 ) -> list[TableSketch]:
-    """Produce the full :class:`TableSketch` of every table, in order.
-
-    Bit-identical to sketching each table on its own, whatever the batch:
-    ingest, the query path and append deltas all come through here. Passing
-    a pre-built ``hasher`` avoids recreating the hash family per call.
-    """
-    config, hasher = _configured(config, hasher)
-    sketches = []
-    for batch in _cell_bounded(tables):
-        column_sketches, snapshots = _sketch_batch(
-            [column for table in batch for column in table.columns],
-            [set(row_strings(table, config.snapshot_rows)) for table in batch],
-            hasher,
-        )
-        remaining = iter(column_sketches)
-        for table, snapshot in zip(batch, snapshots):
-            sketches.append(
-                TableSketch(
-                    table_name=table.name,
-                    description=table.description,
-                    column_sketches=list(islice(remaining, table.n_cols)),
-                    snapshot=snapshot,
-                    config=config,
-                )
-            )
-    return sketches
+    """Produce the full :class:`TableSketch` of every table, in order:
+    the objects of its :func:`sketch_batch`."""
+    return sketch_batch(tables, config, hasher).sketches()
 
 
 def value_signatures(

@@ -166,6 +166,62 @@ def test_finalize_clamps_target_to_max_seq_len(tiny_encoder, ragged_sketches):
     assert encoding.length == tiny_encoder.config.max_seq_len
 
 
+def _grouped_reference(model, encoder, sketches, batch_size):
+    """The per-table padding path, in ``embed_corpus``'s length groups:
+    each table finalized at its natural length (``encode_single(pad=False)``),
+    the group stacked by ``batch_encodings``, and each column read off its
+    span with ``.mean(axis=0)``."""
+    encodeds = [encoder.encode_table(sketch) for sketch in sketches]
+    order = sorted(range(len(sketches)), key=lambda i: encodeds[i].length)
+    max_len = encoder.config.max_seq_len
+    pad_id = encoder.tokenizer.vocabulary.pad_id
+    out = [None] * len(sketches)
+    model.eval()
+    for start in range(0, len(order), batch_size):
+        group = order[start : start + batch_size]
+        batch = batch_encodings(
+            [encoder.encode_single(sketches[i], pad=False) for i in group],
+            pad_token_id=pad_id,
+        )
+        with no_grad():
+            embedded = model.embed_inputs(batch)
+            contextual = model.encoder(embedded, batch["attention_mask"])
+            pooled = model.pool(contextual).numpy()
+            hidden = ((embedded + contextual) * 0.5).numpy()
+        for row, i in enumerate(group):
+            columns = np.zeros((sketches[i].n_cols, model.config.dim))
+            columns[:] = pooled[row]
+            for j, span in enumerate(encodeds[i].spans):
+                stop = min(span.stop, max_len)
+                if span.start < max_len and stop > span.start:
+                    columns[j] = hidden[row, span.start : stop].mean(axis=0)
+            out[i] = (pooled[row], columns)
+    return out
+
+
+@pytest.mark.parametrize("batch_size", [1, 2, 7])
+def test_gathered_batches_are_the_padded_path_bit_for_bit(
+    tiny_model, tiny_encoder, ragged_sketches, batch_size
+):
+    """``embed_corpus`` pads each group with one gather of the encoder's
+    flat arrays and reads every column in offset steps; both give the
+    per-table padding and ``.mean(axis=0)`` bits exactly."""
+    engine = EmbeddingEngine(tiny_model, tiny_encoder, batch_size=batch_size)
+    results = engine.embed_corpus(ragged_sketches)
+    expected = _grouped_reference(
+        tiny_model, tiny_encoder, ragged_sketches, batch_size
+    )
+    assert max(
+        span.stop - span.start
+        for sketch in ragged_sketches
+        for span in tiny_encoder.encode_table(sketch).spans
+    ) >= 3
+    for result, (table, columns) in zip(results, expected):
+        assert result.table.tobytes() == table.tobytes()
+        assert result.columns.shape == columns.shape
+        assert result.columns.tobytes() == columns.tobytes()
+
+
 # --------------------------------------------------------------------- #
 def test_sketch_corpus_batched_matches_per_table(
     city_table, product_table, mixed_table, tiny_sketch_config

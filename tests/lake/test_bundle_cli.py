@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.embed import TableEmbedder
 from repro.lake.bundle import has_bundle, load_bundle, save_bundle
 from repro.lake.serialization import config_fingerprint
@@ -151,11 +152,21 @@ def test_cli_query_via_server(tmp_path, csv_dir, capsys):
 
 
 def test_cli_remove_via_server(tmp_path, csv_dir, capsys, lake_tables):
-    """`remove --server` drops the table through a live `serve` instance,
-    prints what `remove --lake` prints, and exits with the same error for
-    a table the lake does not hold."""
+    """`remove --server` drops the table through a live `serve` instance
+    in one request, prints what `remove --lake` prints, and exits with the
+    same error for a table the lake does not hold."""
     from repro.lake.server import ServerThread
     from repro.lake.service import LakeService
+
+    def stats_requests() -> float:
+        answered = obs.get_registry().collect().get(
+            "lake_http_requests_total", {"values": []}
+        )
+        return sum(
+            entry["value"]
+            for entry in answered["values"]
+            if entry["labels"]["route"] == "GET /v1/stats"
+        )
 
     lake = str(tmp_path / "lake")
     cli.main([
@@ -165,12 +176,14 @@ def test_cli_remove_via_server(tmp_path, csv_dir, capsys, lake_tables):
     capsys.readouterr()
     with ServerThread(LakeService.open(lake)) as server:
         address = f"127.0.0.1:{server.port}"
+        before = stats_requests()
         cli.main(["remove", "--server", address, "--table", "g0t0"])
         out = capsys.readouterr().out
         assert out == f"removed 'g0t0'; {len(lake_tables) - 1} tables remain\n"
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["remove", "--server", address, "--table", "g0t0"])
         assert excinfo.value.code == "error: table 'g0t0' not in catalog"
+        assert stats_requests() == before
     # The server's store committed the remove: a fresh open agrees.
     assert "g0t0" not in LakeService.open(lake).catalog.records
     with pytest.raises(SystemExit) as excinfo:

@@ -1,11 +1,9 @@
-"""A record holds its sketch packed, and builds sketch objects only for a
-write that needs them.
+"""A record holds its sketch packed, and no write builds sketch objects.
 
-:class:`~repro.lake.store.LakeTableRecord` keeps the arrays
-``pack_table_sketch`` makes of its sketch (a warm open: its rows of the
-archive it read; an ingest: the arrays packed once, which the store then
-writes as they are) and ``record.sketch`` unpacks them on read. Four
-checks:
+:class:`~repro.lake.store.LakeTableRecord` keeps its sketch's packed
+members (a warm open: its rows of the archive it read; an ingest: its rows
+of the sketch batch's arrays, which the store then writes as they are) and
+``record.sketch`` unpacks them on read. Four checks:
 
 - a derandomized property over drawn lakegen lakes: after ingest, warm
   open, ``append_rows``, ``update_table``, ``refresh_stale`` and
@@ -13,9 +11,9 @@ checks:
   cold ``sketch_table`` or an in-memory merge of the same rows gives;
 - counts of ``unpack_table_sketch`` and ``pack_table_sketch`` calls: a warm
   open, the join index, member queries in every mode, ``stats``, a bulk
-  ingest and an append unpack nothing, an ingest packs each table once and
-  an append packs none (nor does it call ``sketch_corpus``: it merges its
-  delta's arrays), and a refresh unpacks each stale table;
+  ingest, an update, an append and a refresh pack and unpack nothing (a
+  new table's members are views of its sketch batch's arrays, and an
+  append calls no ``sketch_batch``: it merges its delta's arrays);
 - the members are read-only, so no write through one record reaches the
   rows of another that shares its archive;
 - a deterministic memory guard: on the seed-7 1 000-column lakegen lake, a
@@ -154,13 +152,16 @@ def counted(monkeypatch) -> dict:
     return calls
 
 
-def test_only_refreshes_unpack_and_an_ingest_packs_once(
+def test_an_ingest_packs_nothing_and_a_refresh_unpacks_nothing(
     tmp_path, lake_embedder, lake_tables, counted
 ):
+    """A new table travels as batch arrays from the hash pass to its
+    record, and a refresh encodes the stored members: no write packs or
+    unpacks a sketch, nor does a warm open, a member query or ``stats``."""
     names = list(lake_tables)
     catalog = LakeCatalog(lake_embedder, store=LakeStore(tmp_path / "lake", "fp"))
     catalog.add_tables({name: lake_tables[name] for name in names[:6]})
-    assert counted == {"unpack": 0, "pack": 6}
+    assert counted == {"unpack": 0, "pack": 0}
 
     catalog = LakeCatalog.from_store(lake_embedder, LakeStore.open(tmp_path / "lake"))
     service = LakeService(catalog, cache_size=0)
@@ -173,13 +174,13 @@ def test_only_refreshes_unpack_and_an_ingest_packs_once(
     catalog.stats()
     service.stats()
     catalog.add_tables({name: lake_tables[name] for name in names[6:]})
-    assert counted == {"unpack": 0, "pack": 9}
+    assert counted == {"unpack": 0, "pack": 0}
 
     for name in names[:4]:
         catalog.append_rows(name, [["late", "2", "tag9"]])
-    assert counted == {"unpack": 0, "pack": 9}
+    catalog.update_table(lake_tables[names[5]])
     assert len(catalog.refresh_stale()) == 4
-    assert counted == {"unpack": 4, "pack": 9}
+    assert counted == {"unpack": 0, "pack": 0}
 
 
 def test_an_append_builds_no_sketch(
@@ -194,13 +195,13 @@ def test_an_append_builds_no_sketch(
     live.add_tables(lake_tables)
     config = live.sketch_config
     sketched = []
-    real = catalog_module.sketch_corpus
+    real = catalog_module.sketch_batch
 
-    def sketch_corpus(*args, **kwargs):
+    def sketch_batch(*args, **kwargs):
         sketched.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(catalog_module, "sketch_corpus", sketch_corpus)
+    monkeypatch.setattr(catalog_module, "sketch_batch", sketch_batch)
     rows = [["late", "1", "tag9"], ["", "2.5", "x y"]]
     for reopen in (False, True):
         if reopen:

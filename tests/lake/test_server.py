@@ -9,6 +9,7 @@ same evidence — across all three modes, member and external queries."""
 
 from __future__ import annotations
 
+import errno
 import http.client
 import json
 import logging
@@ -16,12 +17,14 @@ import threading
 
 import pytest
 
-from repro.lake.api import API_VERSION, DiscoveryError, DiscoveryRequest
+from repro.lake.api import API_VERSION, DiscoveryError, DiscoveryRequest, table_to_dict
 from repro.lake.catalog import LakeCatalog
 from repro.lake.client import LakeClient
 from repro.lake.frontend import FrontendThread
 from repro.lake.server import ServerThread
 from repro.lake.service import LakeService
+from repro.lake.store import LakeStore
+from repro.table.schema import table_from_rows
 
 pytestmark = pytest.mark.filterwarnings(
     "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
@@ -653,3 +656,105 @@ def test_concurrent_clients_overlap_ingest(lake_embedder, lake_tables):
     # matches what a final wire query would have said.
     request = DiscoveryRequest(mode="union", k=5, table=ingest_names[0])
     assert service.discover(request).tables()
+
+
+# --------------------------------------------------------------------- #
+# A write the disk refuses
+# --------------------------------------------------------------------- #
+def _write_routes(tables) -> dict:
+    """Each HTTP write route: the store method it commits through, its
+    raw request and the same call through :class:`LakeClient`."""
+    donor = tables["g1t0"]
+    update = table_from_rows("g0t0", donor.header, list(donor.rows(12)))
+    rows = [tables["g0t1"].row(1)]
+    return {
+        "POST /v1/tables": (
+            "save_tables",
+            ("POST", "/v1/tables", {"tables": [table_to_dict(tables["g2t2"])]}),
+            lambda client: client.add_tables([tables["g2t2"]]),
+        ),
+        "PUT /v1/tables": (
+            "save_table",
+            ("PUT", "/v1/tables", {"table": table_to_dict(update)}),
+            lambda client: client.update_table(update),
+        ),
+        "POST /v1/tables/{name}/rows": (
+            "save_table",
+            ("POST", "/v1/tables/g0t1/rows", {"rows": rows}),
+            lambda client: client.append_rows("g0t1", rows),
+        ),
+        "DELETE /v1/tables/{name}": (
+            "remove_table",
+            ("DELETE", "/v1/tables/g1t1", None),
+            lambda client: client.remove_table("g1t1"),
+        ),
+    }
+
+
+def _answers(target, names) -> list:
+    """Every member's hits in every mode as JSON, stale vectors allowed (a
+    strict query would refresh, which is a write)."""
+    answer = target.query if isinstance(target, LakeClient) else target.discover
+    return [
+        json.dumps([
+            hit.to_dict()
+            for hit in answer(
+                DiscoveryRequest(mode=mode, k=4, table=name, allow_stale=True)
+            ).hits
+        ])
+        for name in names
+        for mode in MODES
+    ]
+
+
+@pytest.mark.parametrize(
+    "route",
+    ["POST /v1/tables", "PUT /v1/tables", "POST /v1/tables/{name}/rows",
+     "DELETE /v1/tables/{name}"],
+)
+def test_a_write_the_disk_refuses_answers_internal_and_leaves_the_lake(
+    tmp_path, lake_embedder, lake_tables, monkeypatch, route
+):
+    """The store's write raising ``ENOSPC``: the route answers the typed
+    ``internal`` 500 envelope, ``LakeClient`` raises
+    ``DiscoveryError("internal")``, and the served lake stays what the disk
+    holds. Once the fault is lifted the same call succeeds, and the lake
+    answers as a fresh reopen of its store does."""
+    catalog = LakeCatalog(lake_embedder, store=LakeStore(tmp_path, "fp"))
+    catalog.add_tables({n: t for n, t in lake_tables.items() if n != "g2t2"})
+    service = LakeService(catalog, cache_size=0)
+    method, (verb, path, body), call = _write_routes(lake_tables)[route]
+
+    def reopened() -> LakeService:
+        store = LakeStore.open(tmp_path)
+        return LakeService(LakeCatalog.from_store(lake_embedder, store), cache_size=0)
+
+    def no_space(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with ServerThread(service) as server, LakeClient(port=server.port) as client:
+        with monkeypatch.context() as patch:
+            patch.setattr(catalog.store, method, no_space)
+            conn = http.client.HTTPConnection(client.host, client.port, timeout=30)
+            try:
+                conn.request(
+                    verb, path, body=None if body is None else json.dumps(body)
+                )
+                response = conn.getresponse()
+                envelope = json.loads(response.read())
+            finally:
+                conn.close()
+            assert response.status == 500
+            assert envelope["error"]["code"] == "internal"
+            assert "No space left on device" in envelope["error"]["message"]
+            with pytest.raises(DiscoveryError) as excinfo:
+                call(client)
+            assert excinfo.value.code == "internal"
+        names = catalog.table_names()
+        assert names == reopened().catalog.table_names()
+        assert _answers(client, names) == _answers(reopened(), names)
+
+        call(client)
+        names = catalog.table_names()
+        assert names == reopened().catalog.table_names()
+        assert _answers(client, names) == _answers(reopened(), names)

@@ -94,19 +94,19 @@ def test_histogram_quantiles_match_numpy(registry):
     samples = rng.uniform(0.0, 200.0, size=5000)
     for value in samples:
         hist.observe(float(value))
-    for q in (0.50, 0.95, 0.99):
-        estimate = hist.quantile(q)
+    snap = hist.collect()["values"][0]
+    for name, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
         exact = float(np.percentile(samples, 100 * q))
-        assert estimate == pytest.approx(exact, abs=1.0)
+        assert snap[name] == pytest.approx(exact, abs=1.0)
 
 
 def test_histogram_quantile_edge_cases(registry):
     hist = registry.histogram("edge_ms", buckets=(1.0, 2.0))
-    assert hist.quantile(0.5) is None  # empty
+    assert hist.collect()["values"][0]["p50"] is None  # empty
     hist.observe(100.0)  # +Inf bucket clamps to the last finite edge
-    assert hist.quantile(0.99) == 2.0
+    assert hist.collect()["values"][0]["p99"] == 2.0
     with pytest.raises(ValueError):
-        hist.quantile(1.5)
+        bucket_quantile([1.0, 2.0], [0, 0, 1], 1, 1.5)
 
 
 def test_histogram_rejects_bad_buckets(registry):
