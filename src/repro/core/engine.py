@@ -140,15 +140,15 @@ class EmbeddingEngine:
         return {"cache_hits": 0, "cache_misses": 0}
 
     # ------------------------------------------------------------------ #
-    def _padded(self, encoded: EncodedBatch, group: np.ndarray) -> dict:
-        """The model batch of ``group``'s tables, in that order: each input
-        one gather of the encoder's flat arrays, padded to the group's
-        longest (clamped) table. A padded position gathers the encoder's
-        padding token and zero feature row, and its mask is 0."""
+    def _padded(
+        self, encoded: EncodedBatch, group: np.ndarray, lengths: np.ndarray
+    ) -> dict:
+        """The model batch of ``group``'s tables, in that order, of the
+        (clamped) ``lengths``: each input one gather of the encoder's flat
+        arrays, padded to the group's longest table. A padded position
+        gathers the encoder's padding token and zero feature row, and its
+        mask is 0."""
         starts = encoded.bounds[group]
-        lengths = np.minimum(
-            encoded.bounds[group + 1] - starts, self.encoder.config.max_seq_len
-        )
         positions = np.arange(int(lengths.max()))
         real = positions < lengths[:, None]
         tokens = np.where(real, starts[:, None] + positions, len(encoded.token_ids) - 1)
@@ -180,8 +180,14 @@ class EmbeddingEngine:
         mean over the span's rows computes, bit for bit (``np.add.reduceat``
         would sum spans of three or more rows in another order).
         """
+        # What the trunk reads of each table: its encoded length, clamped
+        # to the sequence budget.
+        lengths = np.minimum(
+            encoded.bounds[group + 1] - encoded.bounds[group],
+            self.encoder.config.max_seq_len,
+        )
         with obs.span("engine.forward", tables=len(group)) as forward:
-            batch = self._padded(encoded, group)
+            batch = self._padded(encoded, group, lengths)
             if self.model.training:  # eval() walks every module
                 self.model.eval()
             with no_grad():
@@ -191,7 +197,6 @@ class EmbeddingEngine:
                 first_last = ((embedded + contextual) * 0.5).numpy()
         with self._counter_lock:
             self.forward_calls += 1
-        lengths = encoded.bounds[group + 1] - encoded.bounds[group]
         padded_len = int(lengths.max())
         waste = padded_len * len(lengths) - int(lengths.sum())
         bucket = 1 << max(0, padded_len - 1).bit_length()

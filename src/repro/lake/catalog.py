@@ -38,14 +38,20 @@ rewrites them in place (its vectors stale, its signatures merged), and a
 remove drops them. An append merges signatures exactly, so join and
 subset see appended rows at once, with no re-embed.
 
-A record holds its sketch packed (:class:`~repro.lake.store.LakeTableRecord`):
-an ingest's records are read-only row views of its
-:class:`~repro.sketch.pipeline.SketchBatch` arrays, which the store writes
-as they are; a warm open keeps each table's rows of the archive it read;
-an append merges its delta's arrays into them; and a refresh gathers its
-stale tables' members into one batch for the encoder. No write builds a
-sketch object or packs or unpacks one. Serving, ``stats`` and the column
-table's writes read the packed rows and the meta.
+A record holds its sketch packed (:class:`~repro.lake.store.LakeTableRecord`),
+less what the column table holds: a served record reads each column's
+vector, ``values_sig`` and ``n_values`` from its table's block, so they
+live once. An ingest hands its :class:`~repro.sketch.pipeline.SketchBatch`
+arrays and vectors to the store, which writes them as they are, and to
+the column table, and its records keep row views of the other members; a
+warm open copies each archive's three into the table as it reads it and
+keeps views of the rest; an append merges its delta's arrays into the
+block's signatures and sizes and rewrites the archive with the block's
+stale vectors; and a refresh gathers its stale tables' members into one
+batch for the encoder. A record the catalog stops serving, replaced or
+removed, first copies out the rows it had. No write builds a sketch object
+or packs or unpacks one. Serving, ``stats`` and the column table's writes
+read the packed rows and the meta.
 
 The column index is one exact :class:`~repro.search.index.KnnIndex` over
 every column, whatever the store's shard count: shards partition the
@@ -174,17 +180,16 @@ class LakeCatalog:
         """Warm-load: register every stored record without running the
         trunk.
 
-        The column table is assembled from the records' own
-        ``column_vectors``, ``values_sig`` and ``n_values``
-        (:meth:`LakeStore.load_index`): one block copy each, in the row
-        order the live index kept — zero forwards, zero insertions, and
-        nothing written, so a read-only snapshot opens as it is.
+        The column table is sized from the manifests and each archive's
+        ``column_vectors``, ``values_sig`` and ``n_values`` are copied into
+        it as the archive is read (:meth:`LakeStore.load_served`), in the
+        row order the live index kept; the records are served from it —
+        zero forwards, zero insertions, and nothing written, so a read-only
+        snapshot opens as it is.
         """
         catalog = cls(embedder, sbert=sbert, store=store)
-        records = list(store.load_all())
-        catalog.searcher.adopt_index(
-            store.load_index(catalog.dim, records, catalog.sketch_config.num_perm)
-        )
+        index, records = store.load_served(catalog.dim, catalog.sketch_config.num_perm)
+        catalog.searcher.adopt_index(index)
         for record in records:
             catalog._put(record.name, record)
         return catalog
@@ -242,22 +247,23 @@ class LakeCatalog:
         """
         refresh = bool(sources) and isinstance(sources[0], LakeTableRecord)
         if refresh:
+            members = [r.members for r in sources]
             batch = SketchBatch.of_tables(
                 self.sketch_config,
                 [
                     (r.name, r.sketch_meta["description"], r.column_names)
                     for r in sources
                 ],
-                [r.members for r in sources],
+                members,
             )
             carried = [
                 {
-                    "members": r.members,
+                    "members": table_members,
                     "sketch_meta": r.sketch_meta,
                     "metadata": dict(r.metadata),
                     "version": r.version,
                 }
-                for r in sources
+                for r, table_members in zip(sources, members)
             ]
         else:
             batch = sketch_batch(sources, self.sketch_config, self._hasher)
@@ -337,10 +343,14 @@ class LakeCatalog:
         """Serve ``records``: each replaces any same-named record and its
         rows of the column table, in place; the tables the column table
         lacks go in after its last row, in one block write (persisting is
-        the caller's)."""
+        the caller's). Each record then reads its vectors, signatures and
+        sizes from its block and drops its own; a replaced record first
+        copies out the rows it had."""
         fresh = []
         for record in records:
-            self._put(record.name, record)
+            replaced = self._put(record.name, record)
+            if replaced is not None:
+                replaced.release()
             if self.searcher.rows(record.name):
                 join = record.join_rows()
                 self.searcher.add_table(
@@ -356,6 +366,8 @@ class LakeCatalog:
                 np.concatenate([record.members["values_sig"] for record in fresh]),
                 np.concatenate([record.members["n_values"] for record in fresh]),
             )
+        for record in records:
+            record.serve_from(self.searcher.index)
 
     # ------------------------------------------------------------------ #
     def add_table(self, table: Table) -> LakeTableRecord:
@@ -374,9 +386,11 @@ class LakeCatalog:
         flush independently, so a crash loses at most one shard's unflushed
         tail. Every stage runs in the calling thread.
 
-        Each record's members are read-only row views of the sketch
-        batch's arrays and its vectors rows of the engine's output; the
-        new tables' rows go to the column table in one block write.
+        The sketch batch's arrays and the engine's vectors go to the store
+        and, in one block write of the new tables' rows, to the column
+        table; each record then keeps read-only row views of the members
+        the table does not hold, and none of the batch's vectors,
+        signatures or sizes.
         Nothing is registered until every embedding has returned and the
         store has written the records: a forward or a store write that
         raises leaves the catalog and the index exactly as they were, and
@@ -402,9 +416,10 @@ class LakeCatalog:
         if self.store is not None:
             self.store.remove_table(name)
         record = self._put(name, None)
-        self.searcher.remove_table(name)
         if record is not None:
+            record.release()
             _TABLES_REMOVED.inc()
+        self.searcher.remove_table(name)
         return record is not None
 
     def update_table(self, table: Table) -> LakeTableRecord:

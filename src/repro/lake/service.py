@@ -429,7 +429,7 @@ class LakeService:
         vectors: a member's stored ones, a cached payload's, or a place in
         the batch's embedding pass. That pass sketches every distinct
         uncached union payload in one ``sketch_batch`` call (arrays, no
-        sketch object) and embeds
+        sketch object; a batch with none makes no call) and embeds
         them in one
         :meth:`~repro.lake.catalog.LakeCatalog.column_vector_pairs_many`
         call — ``ceil(distinct / batch_size)`` trunk forwards, duplicate
@@ -520,7 +520,8 @@ class LakeService:
             n_tables = len(todo) + len(projected)
             config, hasher = self.catalog.sketch_config, self.catalog._hasher
             with obs.span("lake.sketch_batch", tables=n_tables) as sketching:
-                sketched = sketch_batch(todo.values(), config, hasher)
+                if todo:  # a signed-only batch sketches nothing
+                    sketched = sketch_batch(todo.values(), config, hasher)
                 signed = dict(zip(projected, value_signatures(
                     projected.values(), config, hasher
                 )))

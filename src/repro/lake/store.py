@@ -24,11 +24,12 @@ artifacts always co-locate. There is one layout, whatever N::
 The column table — the exact vector index, whose rows also hold each
 column's ``values_sig`` and ``n_values`` for join and subset — is not part
 of the layout. It is derived state, and one table at any shard count:
-:meth:`LakeStore.load_index` assembles it from the ``column_vectors``,
-``values_sig`` and ``n_values`` the table archives already hold, in global
-insertion order — the row order the live table keeps — with one block copy
-per column. A warm open therefore runs no forward, inserts no row and
-writes nothing, and no write has an index to keep in step. Exact distance
+:meth:`LakeStore.load_served` sizes it from the manifests' column counts
+and copies in the ``column_vectors``, ``values_sig`` and ``n_values`` each
+table archive holds as it reads that archive, in global insertion order —
+the row order the live table keeps. A warm open therefore runs no
+forward, inserts no row, writes nothing and never holds those rows twice,
+and no write has an index to keep in step. Exact distance
 ties break by row order, so the live index replaces an updated or
 refreshed table's block of rows where it stands
 (:meth:`~repro.search.index.KnnIndex.write_block`) instead of moving it
@@ -88,8 +89,12 @@ dies with its last table. :meth:`LakeStore.load_all` reads each archive
 once, at its first table in ``seq`` order, even when that order alternates
 between a shared archive and one-table rewrites.
 A record keeps its table's rows of it as read-only views, its sketch
-packed (:class:`LakeTableRecord`), so a shared archive's arrays stay in
-memory until every table in it is rewritten or the catalog reopens.
+packed (:class:`LakeTableRecord`). A record a catalog serves keeps no
+``column_vectors``, ``values_sig`` or ``n_values`` of its own: those live
+once, in the column table, so an archive's copies of them are freed as
+soon as a warm open has copied them in. Only a shared archive's other
+members stay in memory until every table in it is rewritten or the
+catalog reopens.
 
 Every table archive goes through one codec, :mod:`repro.lake.archive`:
 :func:`~repro.lake.archive.write_archive` writes the bytes ``np.savez``
@@ -465,7 +470,12 @@ def _read_only(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return arrays
 
 
-@dataclass(init=False, eq=False, slots=True)
+#: The members a column table holds beside each column's vector: a record
+#: the catalog serves reads them, and its vectors, from its table's block.
+TABLE_HELD = ("values_sig", "n_values")
+
+
+@dataclass(init=False, eq=False)
 class LakeTableRecord:
     """Everything the lake persists for one table.
 
@@ -481,12 +491,36 @@ class LakeTableRecord:
     the benchmark's replay do); the name, columns and join rows are read
     off the members and meta, so serving, ingest, appends and refreshes
     never build one.
+
+    A record a catalog serves (:meth:`serve_from`) holds no array of its
+    own for ``column_vectors`` or the :data:`TABLE_HELD` members: the
+    column table holds each column's vector, signature and size once, and
+    the record reads them from its table's block as read-only copies. It
+    keeps the rest: the words and snapshot signatures, ``numeric_stats``,
+    ``ctypes``, the ``acc_*`` merge state and the table embedding. A record
+    the catalog stops serving copies its rows back first (:meth:`release`),
+    as does one whose ``column_vectors`` or ``sketch`` is assigned.
     """
 
+    # ``members`` and ``column_vectors`` are properties (below), fields only
+    # so that ``dataclasses.replace`` reads them and hands them back. They
+    # read ``_members`` (the record's own members; while served, ``None`` at
+    # :data:`TABLE_HELD`), ``_vectors`` (its own vectors; while served,
+    # ``None``) and ``_table`` (the column table it is served from, or
+    # ``None``).
+    __slots__ = (
+        "_members", "_vectors", "_table", "sketch_meta", "table_embedding",
+        "n_rows", "metadata", "version", "embedding_stale",
+    )
+    #: The packed sketch; while served, :data:`TABLE_HELD` copied from the
+    #: table's block on each read.
     members: dict[str, np.ndarray]
     sketch_meta: dict
-    column_vectors: np.ndarray  # (n_cols, dim) — final, index-ready vectors
-    table_embedding: np.ndarray  # (dim,)
+    #: ``(n_cols, dim)`` — final, index-ready vectors; while served, copied
+    #: from the table's block on each read.
+    column_vectors: np.ndarray
+    #: ``(dim,)`` — the pooled table embedding, always the record's own.
+    table_embedding: np.ndarray
     n_rows: int
     metadata: dict
     #: Monotonic per-table data version: 1 at ingest, bumped by every data
@@ -513,16 +547,66 @@ class LakeTableRecord:
         """Give the ``sketch``, packed here once, or its read-only
         ``members`` and ``sketch_meta`` as they are; a ``sketch`` wins, so
         ``dataclasses.replace(record, sketch=...)`` repacks."""
+        self._table: KnnIndex | None = None
+        self._vectors = column_vectors
         if sketch is not None:
             self.sketch = sketch
         else:
-            self.members, self.sketch_meta = members, sketch_meta
-        self.column_vectors = column_vectors
+            self._members, self.sketch_meta = members, sketch_meta
         self.table_embedding = table_embedding
         self.n_rows = n_rows
         self.metadata = {} if metadata is None else metadata
         self.version = version
         self.embedding_stale = embedding_stale
+
+    @property
+    def members(self) -> dict[str, np.ndarray]:
+        """The packed members, in archive order, each read-only."""
+        if self._table is None:
+            return self._members
+        held = dict(zip(TABLE_HELD, self._held()))
+        return {
+            key: held[key] if array is None else array
+            for key, array in self._members.items()
+        }
+
+    @property
+    def column_vectors(self) -> np.ndarray:
+        """The served ``(n_cols, dim)`` vectors, read-only."""
+        if self._table is None:
+            return self._vectors
+        return _frozen(self._table.block_vectors(self.name))
+
+    @column_vectors.setter
+    def column_vectors(self, vectors: np.ndarray) -> None:
+        self.release()
+        self._vectors = vectors
+
+    def _held(self) -> tuple[np.ndarray, np.ndarray]:
+        """The :data:`TABLE_HELD` members: the record's own, or read-only
+        copies of its table's block."""
+        if self._table is None:
+            return tuple(self._members[key] for key in TABLE_HELD)
+        return tuple(map(_frozen, self._table.block_signatures(self.name)))
+
+    def serve_from(self, table: KnnIndex) -> None:
+        """Read the vectors and :data:`TABLE_HELD` members from ``table``'s
+        block of this record's name from now on, dropping the record's own:
+        the block must hold them."""
+        self._members = {
+            key: None if key in TABLE_HELD else array
+            for key, array in self._members.items()
+        }
+        self._vectors = None
+        self._table = table
+
+    def release(self) -> None:
+        """Hold copies of the rows the column table serves this record from,
+        and stop reading it (nothing, for a record that holds its own). The
+        catalog calls this before a write replaces or drops the block."""
+        if self._table is not None:
+            self._members, self._vectors = self.members, self.column_vectors
+            self._table = None
 
     @property
     def sketch(self) -> TableSketch:
@@ -532,8 +616,9 @@ class LakeTableRecord:
 
     @sketch.setter
     def sketch(self, sketch: TableSketch) -> None:
+        self.release()
         members, self.sketch_meta = pack_table_sketch(sketch)
-        self.members = _read_only(members)
+        self._members = _read_only(members)
 
     @property
     def name(self) -> str:
@@ -546,16 +631,17 @@ class LakeTableRecord:
 
     def join_rows(self) -> JoinRows:
         """The stored values signatures and sizes join ranks by."""
-        return JoinRows(
-            self.name,
-            self.column_names,
-            self.members["values_sig"],
-            self.members["n_values"],
-        )
+        return JoinRows(self.name, self.column_names, *self._held())
 
     def vector_pairs(self) -> list[tuple[str, np.ndarray]]:
         """Ordered ``(column, vector)`` pairs in the searcher's input form."""
         return list(zip(self.column_names, self.column_vectors))
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array``, flagged read-only, and returned."""
+    array.flags.writeable = False
+    return array
 
 
 def _read_tables(path: Path) -> list[dict[str, np.ndarray]]:
@@ -564,12 +650,19 @@ def _read_tables(path: Path) -> list[dict[str, np.ndarray]]:
     return _split_tables(_read_only(read_archive(path)))
 
 
-def _record(entry: dict, tables: list[dict[str, np.ndarray]]) -> LakeTableRecord:
+def _record(
+    entry: dict, tables: list[dict[str, np.ndarray]], rows: "_ColumnRows | None" = None
+) -> LakeTableRecord:
     """``entry``'s record out of its archive's :func:`_read_tables`: its
-    rows as they are, its sketch left packed."""
+    rows as they are, its sketch left packed. With ``rows``, its vectors and
+    :data:`TABLE_HELD` members go there instead, for the record to be
+    served from."""
     members = dict(tables[entry["slot"][0] if "slot" in entry else 0])
     column_vectors = members.pop("column_vectors")
     table_embedding = members.pop("table_embedding")
+    if rows is not None:
+        rows.take(entry["name"], column_vectors, members)
+        column_vectors = None
     return LakeTableRecord(
         members=members,
         sketch_meta=entry["sketch_meta"],
@@ -582,12 +675,16 @@ def _record(entry: dict, tables: list[dict[str, np.ndarray]]) -> LakeTableRecord
     )
 
 
-def _records_in_order(ordered: list[tuple[Path, dict]]) -> Iterator[LakeTableRecord]:
+def _records_in_order(
+    ordered: list[tuple[Path, dict]], rows: "_ColumnRows | None" = None
+) -> Iterator[LakeTableRecord]:
     """The records of ``ordered``'s ``(shard root, entry)`` pairs, in that
     order. Each archive is read once, at its first table, into the records
     of all its tables, whose members are views of its rows (after churn an
     order alternates between a shared archive and one-table rewrites, so a
-    cache of the last archive read would read the shared one every turn)."""
+    cache of the last archive read would read the shared one every turn).
+    With ``rows``, each table's vectors and :data:`TABLE_HELD` members are
+    copied there as its archive is read (:func:`_record`)."""
     by_archive: dict[tuple[Path, str], list[dict]] = {}
     for root, entry in ordered:
         by_archive.setdefault((root, entry["file"]), []).append(entry)
@@ -598,8 +695,38 @@ def _records_in_order(ordered: list[tuple[Path, dict]]) -> Iterator[LakeTableRec
             entries = by_archive.pop((root, entry["file"]))
             tables = _read_tables(root / entry["file"])
             for live in entries:
-                pending[root, live["name"]] = _record(live, tables)
+                pending[root, live["name"]] = _record(live, tables, rows)
         yield pending.pop(key)
+
+
+class _ColumnRows:
+    """The column table's row buffers for ``ordered``'s entries, in that
+    order, sized from their manifest column counts: a warm open copies each
+    table's vectors and :data:`TABLE_HELD` members in as it reads its
+    archive, so no archive's copy of them outlives its read."""
+
+    def __init__(self, ordered: list[tuple[Path, dict]], dim: int, num_perm: int):
+        widths = [int(entry["n_cols"]) for _, entry in ordered]
+        firsts = np.cumsum(widths) - widths
+        #: Table name -> its first row.
+        self.firsts = dict(zip((e["name"] for _, e in ordered), firsts.tolist()))
+        n = sum(widths)
+        self.vectors = np.zeros((n, dim))
+        self.signatures = np.zeros((num_perm, n), dtype=np.uint64)
+        self.sizes = np.zeros(n, dtype=np.int64)
+
+    def take(self, name: str, vectors: np.ndarray, members: dict) -> None:
+        """Copy table ``name``'s rows in, and leave ``None`` in ``members``
+        at :data:`TABLE_HELD` (their rows are not copied into a table of no
+        signature slots)."""
+        first = self.firsts[name]
+        rows = slice(first, first + len(vectors))
+        self.vectors[rows] = vectors
+        if len(self.signatures):
+            self.signatures[:, rows] = members["values_sig"].T
+            self.sizes[rows] = members["n_values"]
+        for key in TABLE_HELD:
+            members[key] = None
 
 
 class LakeShard:
@@ -1175,44 +1302,46 @@ class LakeStore:
         raw = self._top.get("index_spec")
         return None if raw is None else IndexSpec.from_dict(raw)
 
-    def load_index(
-        self, dim: int, records: "list[LakeTableRecord] | None" = None,
-        num_perm: int = 0,
-    ) -> KnnIndex:
+    def load_index(self, dim: int, num_perm: int = 0) -> KnnIndex:
         """The one exact index over this store's tables, at any shard
-        count, assembled from the rows their archives hold (``records``:
-        the :meth:`load_all` output, when the caller already has it): the
+        count, assembled from the rows their archives hold: the
         ``column_vectors``, and with ``num_perm`` slots each column's
-        ``values_sig`` and ``n_values``.
+        ``values_sig`` and ``n_values`` (:meth:`load_served`, less its
+        records)."""
+        return self.load_served(dim, num_perm)[0]
 
-        The rows are every table's columns in global insertion order, which
-        is the order the live index keeps (a replaced table's rows stay
-        where they were: :meth:`TableSearcher.add_table
-        <repro.search.tables.TableSearcher.add_table>`). The vectors are one
-        concatenation and the signatures are written straight into one
-        slot-major buffer, which :meth:`KnnIndex.restore` keeps as its row
-        buffers: no second copy, no per-row insertion, no forward, nothing
-        written. Each record's ``(name, width)`` is its table's block, so
-        the index's table -> rows map is built in one pass over tables.
+    def load_served(
+        self, dim: int, num_perm: int
+    ) -> tuple[KnnIndex, list[LakeTableRecord]]:
+        """The exact index over this store's tables and their records in
+        global insertion order, each served from the index
+        (:meth:`LakeTableRecord.serve_from`): how a catalog opens warm.
+
+        The index's rows are every table's columns in that order, which is
+        the order the live index keeps (a replaced table's rows stay where
+        they were: :meth:`TableSearcher.add_table
+        <repro.search.tables.TableSearcher.add_table>`). Its buffers are
+        sized from the manifests' column counts, and each archive's
+        ``column_vectors``, ``values_sig`` and ``n_values`` are copied into
+        them as that archive is read, so the open never holds those rows
+        twice. :meth:`KnnIndex.restore` keeps the buffers as they are: no
+        per-row insertion, no forward, nothing written. Each entry's
+        ``(name, n_cols)`` is its table's block, so the index's table ->
+        rows map is built in one pass over tables. ``num_perm`` must be the
+        stored signatures' slot count for the records to read them.
         """
         spec = self.index_spec() or IndexSpec()
-        records = list(self.load_all() if records is None else records)
+        ordered = self._ordered_entries()
+        rows = _ColumnRows(ordered, dim, num_perm)
+        records = list(_records_in_order(ordered, rows))
         keys = [ColumnEntry(r.name, c) for r in records for c in r.column_names]
-        vectors = np.zeros((len(keys), dim))
-        signatures = np.zeros((num_perm, len(keys)), dtype=np.uint64)
-        sizes = np.zeros(len(keys), dtype=np.int64)
-        if records:
-            np.concatenate([r.column_vectors for r in records], out=vectors)
-        if records and num_perm:
-            np.concatenate(
-                [r.members["values_sig"].T for r in records], axis=1, out=signatures
-            )
-            np.concatenate([r.members["n_values"] for r in records], out=sizes)
-        blocks = [(r.name, len(r.column_names)) for r in records]
-        return KnnIndex.restore(
-            dim, keys, vectors, signatures=signatures, sizes=sizes, blocks=blocks,
-            **spec.params,
+        index = KnnIndex.restore(
+            dim, keys, rows.vectors, signatures=rows.signatures, sizes=rows.sizes,
+            blocks=[(r.name, len(r.column_names)) for r in records], **spec.params,
         )
+        for record in records:
+            record.serve_from(index)
+        return index, records
 
     # ------------------------------------------------------------------ #
     def table_names(self) -> list[str]:

@@ -8,7 +8,7 @@ serves one index over every column whatever its shard count: shards are an
 on-disk partition (:func:`stable_shard` routes a table to one), and the
 index is derived state that a lake never persists. A warm open assembles it
 from the stored column vectors
-(:meth:`repro.lake.store.LakeStore.load_index`).
+(:meth:`repro.lake.store.LakeStore.load_served`).
 """
 
 from __future__ import annotations

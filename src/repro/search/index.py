@@ -7,9 +7,11 @@ embeddings for the query table"). At reproduction scale an exact vectorized
 index is both faster and noise-free; the LSH structures used by specific
 baselines live in :mod:`repro.sketch.lsh` / :mod:`repro.sketch.simhash`.
 
-Storage is a capacity-doubling row buffer so the index supports *incremental*
+Storage is a growable row buffer so the index supports *incremental*
 maintenance: ``add``/``add_many`` append rows in no table, amortized O(1)
-per row (no re-stacking of the whole corpus on the next query). A lake
+per row (no re-stacking of the whole corpus on the next query). It grows by
+a quarter at a time, so its spare rows never exceed a quarter of its rows,
+and each grow copies the rows once for at least a quarter as many writes. A lake
 writes its rows a table at a time, and a table's rows are one contiguous
 *block*: one map, table -> (its first row's id, its width), finds them.
 :meth:`KnnIndex.write_block` replaces, drops or appends a table's block.
@@ -102,17 +104,19 @@ class KnnIndex:
 
     # ------------------------------------------------------------------ #
     def _reserve(self, extra: int) -> None:
-        """Grow the backing buffers (doubling) to fit ``extra`` more rows.
+        """Grow the backing buffers by a quarter to fit ``extra`` more rows.
 
-        The capacity doubles until the rows fit, so it is the same whether
-        the rows arrive one table at a time or many tables in one write."""
+        The capacity grows by a quarter until the rows fit, so it is the
+        same whether the rows arrive one table at a time or many tables in
+        one write, and past the smallest buffer its spare rows stay under a
+        quarter of its rows."""
         need = self._size + extra
         capacity = self._data.shape[0]
         if need <= capacity:
             return
-        new_capacity = max(_MIN_CAPACITY, 2 * capacity)
+        new_capacity = max(_MIN_CAPACITY, capacity + capacity // 4)
         while new_capacity < need:
-            new_capacity *= 2
+            new_capacity += new_capacity // 4
         used = self._size
         for name in ("_data", "_terms", "_ids", "_sizes"):
             old = getattr(self, name)
@@ -403,6 +407,22 @@ class KnnIndex:
         start = int(self._id_rows[block[0]])
         return range(start, start + block[1])
 
+    def block_vectors(self, name) -> np.ndarray:
+        """A copy of table ``name``'s vectors, ``(width, dim)`` in column
+        order."""
+        rows = self.block_rows(name)
+        return self._data[rows.start : rows.stop].copy()
+
+    def block_signatures(self, name) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of table ``name``'s signatures, ``uint64[width,
+        num_perm]`` as :meth:`write_block` takes them, and sizes, in column
+        order."""
+        rows = self.block_rows(name)
+        return (
+            self._signatures[:, rows.start : rows.stop].T.copy(),
+            self._sizes[rows.start : rows.stop].copy(),
+        )
+
     @property
     def subs(self) -> tuple["KnnIndex"]:
         """``(self,)``: this index as the one sub-index of itself.
@@ -434,7 +454,7 @@ class KnnIndex:
 
         A writable C-contiguous block of the column's dtype becomes the
         index's buffer as it is, so a caller that built the blocks for the
-        index (:meth:`repro.lake.store.LakeStore.load_index`) pays no
+        index (:meth:`repro.lake.store.LakeStore.load_served`) pays no
         second copy; pass a copy to keep using yours. Any other block is
         copied once."""
         n = len(keys)

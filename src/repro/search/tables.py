@@ -118,7 +118,7 @@ class TableSearcher:
 
         A table already indexed has its rows replaced where they stand, so
         the rows stay in the order their tables were first added —
-        the order :meth:`repro.lake.store.LakeStore.load_index` assembles a
+        the order :meth:`repro.lake.store.LakeStore.load_served` assembles a
         stored lake in, which is what makes a warm open equal the live
         index row for row (exact distance ties break by row order). A
         table's rows are therefore contiguous and in column order

@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.engine import EmbeddingEngine, sketch_corpus
 from repro.core.inputs import batch_encodings
 from repro.nn.tensor import no_grad
@@ -340,3 +341,29 @@ def test_a_forward_after_train_is_still_dropout_free(
         for got, want in zip(results, before):
             assert got.table.tobytes() == want.table.tobytes()
             assert got.columns.tobytes() == want.columns.tobytes()
+
+
+def test_token_counters_count_what_the_trunk_reads(
+    tiny_model, tiny_encoder, ragged_sketches
+):
+    """``engine_tokens_total`` counts each table's tokens up to the
+    sequence budget, and ``engine_padded_tokens_total`` the padding up to
+    the width the group is padded to, under that width's bucket: the 31
+    column table past the budget adds no token the trunk never sees."""
+    wide = next(s for s in ragged_sketches if s.table_name == "wide")
+    city = ragged_sketches[0]
+    max_len = tiny_encoder.config.max_seq_len
+    city_len = tiny_encoder.encode_table(city).length
+    assert city_len < max_len < tiny_encoder.encode_table(wide).length
+    registry = obs.get_registry()
+    registry.reset()
+    EmbeddingEngine(tiny_model, tiny_encoder).embed_batch([wide, city])
+    metrics = registry.collect()
+    tokens = sum(v["value"] for v in metrics["engine_tokens_total"]["values"])
+    waste = {
+        v["labels"]["bucket"]: v["value"]
+        for v in metrics["engine_padded_tokens_total"]["values"]
+        if v["value"]
+    }
+    assert tokens == max_len + city_len
+    assert waste == {str(1 << (max_len - 1).bit_length()): max_len - city_len}

@@ -22,7 +22,7 @@ from repro.lake.catalog import LakeCatalog
 from repro.lake.client import LakeClient
 from repro.lake.frontend import FrontendThread
 from repro.lake.server import ServerThread
-from repro.lake.service import LakeService
+from repro.lake.service import LakeService, table_digest
 from repro.lake.store import LakeStore
 from repro.table.schema import table_from_rows
 
@@ -757,4 +757,59 @@ def test_a_write_the_disk_refuses_answers_internal_and_leaves_the_lake(
         call(client)
         names = catalog.table_names()
         assert names == reopened().catalog.table_names()
+        assert _answers(client, names) == _answers(reopened(), names)
+
+
+def test_a_lazy_refresh_the_disk_refuses_caches_nothing(
+    tmp_path, lake_embedder, lake_tables, monkeypatch
+):
+    """A strict union payload query whose lazy refresh meets a store write
+    raising ``ENOSPC``: it raises in process and answers the ``internal``
+    500 envelope over HTTP, the union cache holds no entry for the payload,
+    and the lake answers as a fresh reopen of its store does. Once the
+    store stops raising, the same query refreshes, answers as a reopen
+    does, and is cached."""
+    catalog = LakeCatalog(lake_embedder, store=LakeStore(tmp_path, "fp"))
+    catalog.add_tables(lake_tables)
+    catalog.append_rows("g0t1", [lake_tables["g0t1"].row(1)])
+    service = LakeService(catalog)
+    source = lake_tables["g1t0"]
+    request = DiscoveryRequest(
+        mode="union", k=4, payload=source.with_columns(source.columns, name="probe")
+    )
+    digest = table_digest(request.payload)
+
+    def reopened() -> LakeService:
+        store = LakeStore.open(tmp_path)
+        return LakeService(LakeCatalog.from_store(lake_embedder, store), cache_size=0)
+
+    def no_space(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with ServerThread(service) as server, LakeClient(port=server.port) as client:
+        with monkeypatch.context() as patch:
+            patch.setattr(catalog.store, "save_tables", no_space)
+            with pytest.raises(OSError, match="No space left on device"):
+                service.discover(request)
+            conn = http.client.HTTPConnection(client.host, client.port, timeout=30)
+            try:
+                conn.request("POST", "/v1/query", body=json.dumps(request.to_dict()))
+                response = conn.getresponse()
+                envelope = json.loads(response.read())
+            finally:
+                conn.close()
+            assert response.status == 500
+            assert envelope["error"]["code"] == "internal"
+            with pytest.raises(DiscoveryError) as excinfo:
+                client.query(request)
+            assert excinfo.value.code == "internal"
+            assert digest not in service._cache._data and len(service._cache) == 0
+            assert catalog.stale_tables() == ["g0t1"]
+        names = catalog.table_names()
+        assert _answers(client, names) == _answers(reopened(), names)
+
+        result = client.query(request)
+        assert catalog.stale_tables() == []
+        assert digest in service._cache._data
+        assert result.scored() == reopened().discover(request).scored()
         assert _answers(client, names) == _answers(reopened(), names)

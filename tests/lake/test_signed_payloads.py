@@ -11,6 +11,7 @@ which the trunk reads whole, is still sketched in full beside them.
 
 from __future__ import annotations
 
+from repro.lake import service as service_module
 from repro.lake.api import DiscoveryRequest
 from repro.lake.service import LakeService
 from repro.sketch import numeric, pipeline
@@ -57,3 +58,42 @@ def test_join_and_subset_payloads_build_no_full_sketch(
     assert profiled == [union_probe.n_cols]
     assert None not in [c.ctype for c in union_probe.columns]
     assert union.timings.sketch_ms > 0.0 and union.timings.embed_ms > 0.0
+
+
+def test_a_signed_only_batch_runs_no_sketch_pass(
+    cold_catalog, lake_tables, monkeypatch
+):
+    """A batch of join and subset payloads signs them and calls no
+    ``sketch_batch`` at all, not even over an empty list, and answers as
+    each request answers on its own; the signing is still charged as the
+    requests' sketch share."""
+    requests = [
+        DiscoveryRequest(
+            mode="join", k=5, payload=_fresh(lake_tables["g0t1"], "join-probe"),
+            column="entity",
+        ),
+        DiscoveryRequest(
+            mode="subset", k=5, payload=_fresh(lake_tables["g1t0"], "subset-probe")
+        ),
+    ]
+    alone = [LakeService(cold_catalog).discover(request) for request in requests]
+    sketched = []
+    real = service_module.sketch_batch
+
+    def counted(tables, *args, **kwargs):
+        tables = list(tables)
+        sketched.append(len(tables))
+        return real(tables, *args, **kwargs)
+
+    monkeypatch.setattr(service_module, "sketch_batch", counted)
+    batched = LakeService(cold_catalog).discover_batch(requests)
+    assert sketched == []
+    assert [r.scored() for r in batched] == [r.scored() for r in alone]
+    for result in batched:
+        assert result.timings.sketch_ms > 0.0 and result.timings.embed_ms == 0.0
+        assert result.diagnostics["batched"] == 2
+
+    LakeService(cold_catalog).discover_batch(
+        [*requests, DiscoveryRequest(mode="union", k=3, payload=lake_tables["g2t2"])]
+    )
+    assert sketched == [1]

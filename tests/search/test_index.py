@@ -236,3 +236,17 @@ def test_nonpositive_k_returns_no_hits(k):
     index.add_many([("a", np.ones(2)), ("b", np.array([1.0, -1.0]))])
     assert index.query(np.ones(2), k=k) == []
     assert index.query_many(np.ones((3, 2)), k=k) == [[], [], []]
+
+
+def test_the_buffer_grows_by_a_quarter():
+    """Past its smallest size the buffer's spare rows never exceed a
+    quarter of its rows, and its capacity is the same whether the rows came
+    one table at a time or in one write."""
+    one_by_one = KnnIndex(dim=2)
+    for i in range(400):
+        one_by_one.write_block(f"t{i}", [(i, np.array([1.0, float(i)]))])
+        spare = one_by_one._data.shape[0] - len(one_by_one)
+        assert spare <= max(len(one_by_one) // 4, 8)
+    bulk = KnnIndex(dim=2)
+    bulk.add_many([(i, np.array([1.0, float(i)])) for i in range(400)])
+    assert bulk._data.shape == one_by_one._data.shape
